@@ -1,10 +1,12 @@
 # Development workflow for the ATraPos reproduction.
 #
 #   make check        - everything CI runs: format, vet, static analysis, build,
-#                       test, race, bench smoke, log-device smoke, group-commit
-#                       smoke, executed-storage smoke, fault-scenario fuzz
-#                       smoke, BENCH.json well-formedness
-#   make race         - concurrent-adaptation packages under the race detector
+#                       test, race, the benchmark module's own vet + tests,
+#                       bench smoke, log-device smoke, group-commit smoke,
+#                       executed-storage smoke, fault-scenario fuzz smoke,
+#                       BENCH.json well-formedness
+#   make race         - the code that runs goroutines, under the race detector
+#   make bench-module - vet + short tests of the nested benchmark/ module
 #   make bench        - full hot-path microbenchmarks with allocation stats
 #   make bench-json   - append a BENCH.json perf-trajectory record
 #   make bench-trace  - traced adaptive-drift run: Perfetto trace + metrics CSV
@@ -17,9 +19,9 @@
 GO ?= go
 FUZZ_SEED ?= 42
 
-.PHONY: check fmt vet staticcheck build test race bench-smoke bench bench-json bench-verify bench-devices bench-groupcommit bench-executed bench-trace fuzz-smoke
+.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench bench-json bench-verify bench-devices bench-groupcommit bench-executed bench-trace fuzz-smoke
 
-check: fmt vet staticcheck build test race bench-smoke bench-devices bench-groupcommit bench-executed bench-trace fuzz-smoke bench-verify
+check: fmt vet staticcheck build test race bench-module bench-smoke bench-devices bench-groupcommit bench-executed bench-trace fuzz-smoke bench-verify
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -51,14 +53,21 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages where the planner goroutine installs snapshots concurrently
-# with executing workers, plus the harness pool's concurrent sweep/fuzz paths
-# (point scheduling, the allocation-measurement token, parallel bit-identity);
-# all of it must stay clean under the race detector. The harness pass filters
-# to the pool tests so the race-slowed run stays bounded.
+# A priced run is one goroutine, so the race detector is pointed at the
+# goroutines that remain: executed mode (pinned executors shipping operations
+# to each other) and the harness pool's concurrent sweep/fuzz paths (point
+# scheduling, the allocation-measurement token, parallel bit-identity). The
+# harness pass filters to the pool tests so the race-slowed run stays bounded.
 race:
-	$(GO) test -race ./internal/engine ./internal/partition
-	$(GO) test -race -run 'TestPool|TestPointWorkers|TestParallelSweepBitIdentical|TestFuzzShardDeterminism|TestMeasureParallel' ./internal/harness
+	$(GO) test -race ./internal/backend
+	$(GO) test -race -run Executed ./internal/engine
+	$(GO) test -race -run 'TestPool|TestParallelSweepBitIdentical|TestFuzzShardDeterminism|TestMeasureParallel' ./internal/harness
+
+# benchmark/ is a nested module the root `go build ./... && go test ./...` does
+# not reach, yet it compiles against the engine's API; vet and short-test it so
+# an API change that breaks the repo benchmark fails here, not in the driver.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # A short benchmark pass so hot-path regressions (time or allocations) fail
 # loudly in review; see DESIGN.md section 7 for the invariants.

@@ -11,11 +11,13 @@
 // hardware-aware adaptive partitioning and placement mechanism.
 //
 // Because the Go runtime offers no NUMA placement control, hardware is
-// simulated: workers are logically bound to the cores of an explicit topology
-// model and every data-structure operation charges virtual time according to
-// a NUMA cost model. Throughput is measured in virtual time, which makes the
-// experiments deterministic in shape and machine independent. See DESIGN.md
-// for the full substitution table.
+// simulated: a run is one goroutine issuing transactions one at a time, the
+// cores of an explicit topology model are virtual-time accounts, and every
+// data-structure operation charges virtual time to the core the model says
+// did the work, according to a NUMA cost model. Throughput is measured in
+// virtual time, which makes every result a pure function of seed and
+// configuration, independent of the host. See DESIGN.md for the full
+// substitution table.
 //
 // Typical use:
 //
@@ -543,8 +545,8 @@ func RunAdaptiveGranularityFrom(scale Scale, static []IslandPoint) (*Granularity
 type TracedDriftResult = harness.TracedDriftResult
 
 // RunTracedDrift executes the adaptive-granularity drift scenario with the
-// span tracer enabled (default profile chiplet-2s4d, one worker, so the
-// exported documents are bit-identical on any host at any parallelism) and
+// span tracer enabled (default profile chiplet-2s4d; the exported documents
+// are bit-identical on any host at any parallelism) and
 // writes the Chrome-trace JSON and metrics CSV to the given paths when
 // non-empty. Both documents are validated before the result is returned.
 func RunTracedDrift(scale Scale, tracePath, metricsPath string) (*TracedDriftResult, error) {

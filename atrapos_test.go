@@ -45,7 +45,7 @@ func TestOpenAndRunEveryDesign(t *testing.T) {
 		if sys.Design() != d || sys.Topology() == nil {
 			t.Errorf("%v: accessor mismatch", d)
 		}
-		res, err := sys.Run(RunOptions{Transactions: 300, Seed: 1, Workers: 4})
+		res, err := sys.Run(RunOptions{Transactions: 300, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -94,7 +94,7 @@ func TestAdaptiveSystemAndFailSocket(t *testing.T) {
 	if err := sys.FailSocket(99); err == nil {
 		t.Error("failing an unknown socket should error")
 	}
-	res, err := sys.Run(RunOptions{Transactions: 500, Seed: 2, Workers: 4})
+	res, err := sys.Run(RunOptions{Transactions: 500, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

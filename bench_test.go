@@ -284,7 +284,7 @@ func benchDesign(b *testing.B, d Design) {
 		if rem := b.N - i; rem < n {
 			n = rem
 		}
-		res, err := sys.Run(RunOptions{Transactions: n, Seed: int64(i), Workers: 4})
+		res, err := sys.Run(RunOptions{Transactions: n, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -55,15 +55,18 @@ type DiffRecord struct {
 
 // BenchRecord is the BENCH.json document: one perf trajectory point.
 type BenchRecord struct {
-	GeneratedAt  string         `json:"generated_at"`
-	GoVersion    string         `json:"go_version"`
-	GOMAXPROCS   int            `json:"gomaxprocs"`
-	Workers      int            `json:"workers"`
-	Seed         int64          `json:"seed"`
-	Transactions int            `json:"transactions"`
-	Workload     string         `json:"workload"`
-	Topology     string         `json:"topology"`
-	Designs      []DesignRecord `json:"designs"`
+	GeneratedAt string `json:"generated_at"`
+	GoVersion   string `json:"go_version"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	// RunGoroutines is the goroutine count of each measured engine run: always
+	// 1. The record field predates the single-goroutine run loop and stays so
+	// the committed trajectory keeps decoding.
+	RunGoroutines int            `json:"workers"`
+	Seed          int64          `json:"seed"`
+	Transactions  int            `json:"transactions"`
+	Workload      string         `json:"workload"`
+	Topology      string         `json:"topology"`
+	Designs       []DesignRecord `json:"designs"`
 	// Islands records the island-granularity sweep (fig-islands at bench
 	// scale): the parametric shared-nothing design per machine profile,
 	// island level and multisite probability, so granularity crossovers are
@@ -112,7 +115,7 @@ type BenchRecord struct {
 // are the per-transaction simulator cost, comparable across commits. A
 // non-empty profile pins the hot-path machine (and the islands sweep) to the
 // named machine profile instead of the default 4x2 box.
-func runBenchJSON(path string, txns int, workers int, seed int64, profile string, parallel int) error {
+func runBenchJSON(path string, txns int, seed int64, profile string, parallel int) error {
 	if txns < 4 {
 		return fmt.Errorf("-txns must be at least 4, got %d", txns)
 	}
@@ -127,14 +130,14 @@ func runBenchJSON(path string, txns int, workers int, seed int64, profile string
 		}
 	}
 	rec := BenchRecord{
-		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Workers:      workers,
-		Seed:         seed,
-		Transactions: txns,
-		Workload:     "TATP",
-		Topology:     top.String(),
+		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
+		GoVersion:     runtime.Version(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		RunGoroutines: 1,
+		Seed:          seed,
+		Transactions:  txns,
+		Workload:      "TATP",
+		Topology:      top.String(),
 	}
 	for _, d := range atrapos.Designs() {
 		wl, err := atrapos.TATP(atrapos.TATPOptions{Subscribers: subscribers})
@@ -150,14 +153,14 @@ func runBenchJSON(path string, txns int, workers int, seed int64, profile string
 			return fmt.Errorf("%v: %w", d, err)
 		}
 		// Warm up the reusable buffers, pools and caches.
-		if _, err := sys.Run(atrapos.RunOptions{Transactions: txns / 4, Seed: seed, Workers: workers}); err != nil {
+		if _, err := sys.Run(atrapos.RunOptions{Transactions: txns / 4, Seed: seed}); err != nil {
 			return fmt.Errorf("%v warmup: %w", d, err)
 		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		res, err := sys.Run(atrapos.RunOptions{Transactions: txns, Seed: seed + 1, Workers: workers})
+		res, err := sys.Run(atrapos.RunOptions{Transactions: txns, Seed: seed + 1})
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -196,7 +199,7 @@ func runBenchJSON(path string, txns int, workers int, seed int64, profile string
 	// drifting-hotspot scenario keeps the planner repartitioning, so the
 	// recorded diff sizes show how much of each migration was incremental
 	// (unchanged tables, reused lock tables) commit over commit.
-	driftRec, err := runDriftRecord(subscribers, top, txns, workers, seed)
+	driftRec, err := runDriftRecord(subscribers, top, txns, seed)
 	if err != nil {
 		return err
 	}
@@ -205,7 +208,6 @@ func runBenchJSON(path string, txns int, workers int, seed int64, profile string
 	// each sweep profile are enough to track the crossover per commit.
 	islandScale := atrapos.QuickScale()
 	islandScale.Seed = seed
-	islandScale.Workers = workers
 	islandScale.Transactions = txns / 4
 	islandScale.Profile = profile
 	rec.Islands, err = atrapos.IslandSweep(islandScale, []int{0, 50, 100})
@@ -424,8 +426,8 @@ func checkBenchDocument(data []byte) error {
 			}
 		}
 		if hp := r.HarnessParallel; hp != nil {
-			if hp.Concurrency < 1 || hp.PointWorkers < 1 {
-				return fmt.Errorf("record %d harness_parallel claims concurrency %d with %d point workers", i, hp.Concurrency, hp.PointWorkers)
+			if hp.Concurrency < 1 || hp.PointGoroutines < 1 {
+				return fmt.Errorf("record %d harness_parallel claims concurrency %d with %d point workers", i, hp.Concurrency, hp.PointGoroutines)
 			}
 			if hp.Points <= 0 {
 				return fmt.Errorf("record %d harness_parallel measured no sweep points", i)
@@ -553,7 +555,7 @@ func verifyBenchJSON(path string) error {
 // workload, whose moving hot window forces repeated repartitionings: the
 // resulting record carries real repartition diff sizes and the adaptation
 // cost share.
-func runDriftRecord(subscribers int, top *atrapos.Topology, txns, workers int, seed int64) (DesignRecord, error) {
+func runDriftRecord(subscribers int, top *atrapos.Topology, txns int, seed int64) (DesignRecord, error) {
 	wl, err := atrapos.TATPDriftingHotspot(subscribers, atrapos.Seconds(0.005))
 	if err != nil {
 		return DesignRecord{}, err
@@ -572,14 +574,14 @@ func runDriftRecord(subscribers int, top *atrapos.Topology, txns, workers int, s
 	if err != nil {
 		return DesignRecord{}, err
 	}
-	if _, err := sys.Run(atrapos.RunOptions{Transactions: txns / 4, Seed: seed, Workers: workers}); err != nil {
+	if _, err := sys.Run(atrapos.RunOptions{Transactions: txns / 4, Seed: seed}); err != nil {
 		return DesignRecord{}, err
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := sys.Run(atrapos.RunOptions{Transactions: txns, Seed: seed + 1, Workers: workers})
+	res, err := sys.Run(atrapos.RunOptions{Transactions: txns, Seed: seed + 1})
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {

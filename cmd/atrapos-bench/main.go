@@ -75,7 +75,6 @@ func main() {
 		list       = flag.Bool("list", false, "list the available experiments and exit")
 		listProf   = flag.Bool("list-profiles", false, "list the available machine profiles and exit")
 		seed       = flag.Int64("seed", 42, "random seed")
-		workers    = flag.Int("workers", 0, "number of worker goroutines (0 = automatic)")
 		jsonBench  = flag.Bool("json", false, "measure the per-design transaction hot path and write BENCH.json")
 		jsonOut    = flag.String("out", "BENCH.json", "output path of the -json benchmark record")
 		jsonTxns   = flag.Int("txns", 40000, "transactions measured per design in -json mode")
@@ -133,11 +132,7 @@ func main() {
 	}
 
 	if *jsonBench {
-		w := *workers
-		if w <= 0 {
-			w = 1 // single worker: stable per-transaction numbers
-		}
-		if err := runBenchJSON(*jsonOut, *jsonTxns, w, *seed, *profile, *parallel); err != nil {
+		if err := runBenchJSON(*jsonOut, *jsonTxns, *seed, *profile, *parallel); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -163,7 +158,6 @@ func main() {
 		os.Exit(2)
 	}
 	scale.Seed = *seed
-	scale.Workers = *workers
 	scale.Profile = *profile
 	scale.Parallel = *parallel
 

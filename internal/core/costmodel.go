@@ -257,13 +257,22 @@ func (m CostModel) ResourceUtilization(p *partition.Placement, stats *Stats) flo
 	if len(loads) == 0 {
 		return 0
 	}
+	// Float sums are taken in core order, not map order: the search compares
+	// RU values against thresholds, and a last-bit difference must not be able
+	// to flip a decision between two calls with the same inputs.
+	ordered := make([]float64, 0, len(loads))
+	for c, n := 0, m.Domain.Top.NumCores(); c < n; c++ {
+		if l, ok := loads[topology.CoreID(c)]; ok {
+			ordered = append(ordered, l)
+		}
+	}
 	var sum float64
-	for _, l := range loads {
+	for _, l := range ordered {
 		sum += l
 	}
-	avg := sum / float64(len(loads))
+	avg := sum / float64(len(ordered))
 	var ru float64
-	for _, l := range loads {
+	for _, l := range ordered {
 		d := l - avg
 		if d < 0 {
 			d = -d

@@ -419,10 +419,12 @@ func (pl *Planner) colocate(p *partition.Placement, sync SyncStat) *partition.Pl
 		count[top.SocketOf(tp.Cores[ref.Partition])]++
 		dieCount[top.DieOf(tp.Cores[ref.Partition])]++
 	}
+	// Ties go to the lowest socket and die ID, so the choice never depends on
+	// map iteration order.
 	var target topology.SocketID = -1
 	bestCount := -1
 	for s, c := range count {
-		if c > bestCount && top.Alive(s) {
+		if top.Alive(s) && (c > bestCount || (c == bestCount && s < target)) {
 			bestCount = c
 			target = s
 		}
@@ -433,7 +435,7 @@ func (pl *Planner) colocate(p *partition.Placement, sync SyncStat) *partition.Pl
 	targetDie := topology.InvalidDie
 	bestDie := -1
 	for d, c := range dieCount {
-		if top.SocketOfDie(d) == target && c > bestDie {
+		if top.SocketOfDie(d) == target && (c > bestDie || (c == bestDie && d < targetDie)) {
 			bestDie = c
 			targetDie = d
 		}

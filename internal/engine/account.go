@@ -1,47 +1,31 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"atrapos/internal/numa"
 	"atrapos/internal/partition"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
 )
 
-// coreAccount is the virtual-time account of one logical core. Unlike
-// vclock.Clock it is safe for concurrent use, because several worker
-// goroutines may charge costs to the same core (e.g. data-oriented execution
-// attributes action costs to the partition-owning core, not to the
-// coordinating worker).
-//
-// The struct is padded to exactly one 64-byte cache line so that adjacent
-// accounts in the engine's accounts array never share a line: with 80 cores
-// and tens of workers hammering their own account, false sharing between
-// neighbouring elements would otherwise put real (host-machine) coherence
-// traffic on the simulator's hottest write path.
+// coreAccount is the virtual-time account of one simulated core: a core is a
+// set of counters the run loop charges, not a thread. Costs are charged to the
+// core the model says did the work (data-oriented execution attributes action
+// costs to the partition-owning core, not to the coordinator).
 type coreAccount struct {
-	busy      atomic.Int64    // 8 bytes
-	comp      [5]atomic.Int64 // 40 bytes
-	committed atomic.Int64    // 8 bytes
-	_         [8]byte         // pad 56 -> 64 bytes
-}
-
-func newAccounts(n int) []coreAccount {
-	return make([]coreAccount, n)
+	busy      vclock.Nanos
+	comp      [vclock.NumComponents]vclock.Nanos
+	committed int64
 }
 
 func (a *coreAccount) charge(comp vclock.Component, c numa.Cost) {
 	if c <= 0 {
 		return
 	}
-	a.busy.Add(int64(c))
+	a.busy += vclock.Nanos(c)
 	if comp >= 0 && int(comp) < len(a.comp) {
-		a.comp[comp].Add(int64(c))
+		a.comp[comp] += vclock.Nanos(c)
 	}
 }
-
-func (a *coreAccount) time() vclock.Nanos { return vclock.Nanos(a.busy.Load()) }
 
 // charge adds cost c in component comp to core's account.
 func (e *Engine) charge(core topology.CoreID, comp vclock.Component, c numa.Cost) {
@@ -61,49 +45,32 @@ func (e *Engine) chargeAll(comp vclock.Component, c numa.Cost) {
 }
 
 // virtualNow returns the engine-wide virtual time as tracked by the monotonic
-// high-water mark. It is a lower bound on the exact value (the busiest core's
-// clock) that workers advance once per transaction; because coordinators
-// round-robin over all alive cores, the mark tracks the exact value closely.
-// Use virtualNowExact at sample/event boundaries where exactness matters.
-func (e *Engine) virtualNow() vclock.Nanos {
-	return vclock.Nanos(e.hwm.Load())
-}
+// high-water mark: the maximum over the coordinators' clocks noted so far. It
+// is a lower bound on the exact value (the busiest core's clock) that the run
+// loop advances once per transaction; because coordinators round-robin over
+// all alive cores, the mark tracks the exact value closely. Use
+// virtualNowExact at sample/event boundaries where exactness matters.
+func (e *Engine) virtualNow() vclock.Nanos { return e.hwm }
 
 // virtualNowExact recomputes the engine-wide virtual time exactly by scanning
 // every core's clock, and folds the result back into the high-water mark. It
 // is O(cores) and intended for run boundaries, monitoring-interval checks and
 // final results — not the per-transaction path.
 func (e *Engine) virtualNowExact() vclock.Nanos {
-	var max int64
 	for i := range e.accounts {
-		if b := e.accounts[i].busy.Load(); b > max {
-			max = b
+		if b := e.accounts[i].busy; b > e.hwm {
+			e.hwm = b
 		}
 	}
-	for {
-		cur := e.hwm.Load()
-		if max <= cur {
-			return vclock.Nanos(cur)
-		}
-		if e.hwm.CompareAndSwap(cur, max) {
-			return vclock.Nanos(max)
-		}
-	}
+	return e.hwm
 }
 
 // noteTime folds core's current clock into the engine's virtual-time
-// high-water mark. Workers call it once per transaction for the core they
-// coordinated on.
+// high-water mark. The run loop calls it once per transaction for the core
+// that coordinated it.
 func (e *Engine) noteTime(core topology.CoreID) {
-	if int(core) < 0 || int(core) >= len(e.accounts) {
-		return
-	}
-	t := e.accounts[core].busy.Load()
-	for {
-		cur := e.hwm.Load()
-		if t <= cur || e.hwm.CompareAndSwap(cur, t) {
-			return
-		}
+	if t := e.coreTime(core); t > e.hwm {
+		e.hwm = t
 	}
 }
 
@@ -112,19 +79,18 @@ func (e *Engine) coreTime(core topology.CoreID) vclock.Nanos {
 	if int(core) < 0 || int(core) >= len(e.accounts) {
 		return 0
 	}
-	return e.accounts[core].time()
+	return e.accounts[core].busy
 }
 
 // breakdown aggregates the per-component costs across all cores.
 func (e *Engine) breakdown() vclock.Breakdown {
 	out := vclock.Breakdown{ByComp: make(map[vclock.Component]vclock.Nanos, 5)}
 	for i := range e.accounts {
-		t := e.accounts[i].time()
-		if t > out.Total {
+		if t := e.accounts[i].busy; t > out.Total {
 			out.Total = t
 		}
 		for _, comp := range vclock.Components() {
-			out.ByComp[comp] += vclock.Nanos(e.accounts[i].comp[comp].Load())
+			out.ByComp[comp] += e.accounts[i].comp[comp]
 		}
 	}
 	return out
@@ -133,23 +99,15 @@ func (e *Engine) breakdown() vclock.Breakdown {
 // resetAccounts clears all per-core accounting; Run calls it so consecutive
 // runs on the same engine start from virtual time zero.
 func (e *Engine) resetAccounts() {
-	for i := range e.accounts {
-		e.accounts[i].busy.Store(0)
-		e.accounts[i].committed.Store(0)
-		for c := range e.accounts[i].comp {
-			e.accounts[i].comp[c].Store(0)
-		}
-	}
-	e.hwm.Store(0)
+	clear(e.accounts)
+	e.hwm = 0
 }
 
-// partitionedState is the mutable partitioning/placement state shared by the
-// workers and the adaptive controller. Workers take exactly one read snapshot
-// per transaction via a single atomic pointer load; repartitioning installs a
-// new snapshot atomically. (The previous RWMutex implementation put two
-// contended atomic ops on every snapshot; the pointer load is wait-free.)
+// partitionedState is the mutable partitioning/placement state. The run loop
+// takes exactly one snapshot per transaction; the planner installs a new one
+// between transactions.
 type partitionedState struct {
-	snap atomic.Pointer[stateSnapshot]
+	snap *stateSnapshot
 }
 
 // stateSnapshot bundles everything that changes together during repartitioning
@@ -177,12 +135,10 @@ func (s *stateSnapshot) active(c topology.CoreID) int {
 }
 
 func (s *partitionedState) install(p *partition.Placement, rt *partition.Runtime, active []int32, w *islandWiring) {
-	s.snap.Store(&stateSnapshot{placement: p, runtime: rt, activePerCore: active, wiring: w})
+	s.snap = &stateSnapshot{placement: p, runtime: rt, activePerCore: active, wiring: w}
 }
 
-func (s *partitionedState) snapshot() *stateSnapshot {
-	return s.snap.Load()
-}
+func (s *partitionedState) snapshot() *stateSnapshot { return s.snap }
 
 // saturationFactor returns the execution cost multiplier of a core that hosts
 // n active partition workers under the configured penalty.

@@ -1,10 +1,6 @@
 package engine
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"atrapos/internal/core"
 	"atrapos/internal/numa"
 	"atrapos/internal/obs"
@@ -17,15 +13,16 @@ import (
 )
 
 // adaptiveState wires the ATraPos monitoring and adaptation machinery of the
-// core package into the engine as a concurrent pipeline: workers record
-// actions and synchronization points into the active monitor epoch and do a
-// single atomic boundary check per transaction; a dedicated planner
-// goroutine — the paper's monitoring thread — consumes boundary crossings,
-// consults the interval controller, seals the monitor epoch, runs the
-// two-step search and, when the cost model predicts an improvement, installs
-// a snapshot derived incrementally from the previous one via
-// Runtime.ApplyDiff. The migration pause is charged only to the cores whose
-// partitions actually moved; cores owning unchanged partitions keep working.
+// core package into the engine: the run loop records actions and
+// synchronization points into the active monitor epoch and does one boundary
+// check per transaction; the transaction that crosses a monitoring boundary
+// runs the planner inline — it consults the interval controller, seals the
+// monitor epoch, runs the two-step search and, when the cost model predicts an
+// improvement, installs a snapshot derived incrementally from the previous one
+// via Runtime.ApplyDiff. The paper's claim that this is cheap enough to run
+// continuously lives in virtual time: the migration pause is charged only to
+// the cores whose partitions actually moved; cores owning unchanged partitions
+// keep working.
 type adaptiveState struct {
 	e        *Engine
 	monitor  *core.Monitor
@@ -43,36 +40,11 @@ type adaptiveState struct {
 	// totalKeys is the summed key span of the workload's tables; it feeds the
 	// scorer's conflict term.
 	totalKeys int64
-	// workers is the worker count of the active run (set by start), the
-	// scorer's concurrency input.
-	workers int
 
-	// nextCheck is read on every transaction (outside any lock) to decide
-	// whether a monitoring boundary was crossed; only the planner goroutine
-	// writes it.
-	nextCheck atomic.Int64
+	// nextCheck is the virtual time of the next monitoring boundary, compared
+	// against the high-water-mark clock once per transaction.
+	nextCheck vclock.Nanos
 
-	// kick wakes the planner goroutine after a boundary crossing. It is
-	// buffered so the worker-side send never blocks; redundant crossings
-	// coalesce into the one buffered token.
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-	// sync runs the planner inline on the (single) worker at each boundary
-	// crossing instead of on its own goroutine. Set by start for traced
-	// one-worker runs: the planner then observes virtual time at a
-	// deterministic point of the transaction stream, which makes the exported
-	// trace (decision times, samples, planner spans) a pure function of the
-	// seed. Multi-worker and untraced runs keep the concurrent planner.
-	sync bool
-	// committed and aborted point at the run's transaction counters while a
-	// run is active; the planner reads them to measure interval throughput
-	// and the metrics sampler's conflict rate.
-	committed *atomic.Int64
-	aborted   *atomic.Int64
-
-	// The fields below are owned by the planner goroutine between start and
-	// stopPlanner; reset touches them only while no planner is running.
 	controller    *core.IntervalController
 	lastCheckAt   vclock.Nanos
 	lastCommitted int64
@@ -86,26 +58,24 @@ type adaptiveState struct {
 	// restored capacity instead of waiting for an instability signal.
 	hwEpoch uint64
 
-	// Metrics-sampler deltas (planner-goroutine owned, like the fields above):
-	// the previous boundary's aborted count, cumulative log counters, per-core
-	// committed counts, and the multisite share of the last sealed epoch. The
-	// sampler piggybacks on the planner's existing boundary pipeline so it
-	// adds no hot-path synchronization.
+	// Metrics-sampler deltas: the previous boundary's aborted count, cumulative
+	// log counters, per-core committed counts, and the multisite share of the
+	// last sealed epoch. The sampler piggybacks on the planner's boundary
+	// pipeline, so it adds nothing to the per-transaction path.
 	lastAborted       int64
 	lastLogStats      wal.Stats
 	lastShare         float64
 	prevCoreCommitted []int64
 
-	repartitions    atomic.Int64
-	repartitionCost atomic.Int64
+	repartitions    int64
+	repartitionCost vclock.Nanos
 	// adaptCharged is the total virtual time actually charged to cores for
 	// migrations (cost x affected cores); it feeds AdaptationCostShare.
-	adaptCharged atomic.Int64
+	adaptCharged vclock.Nanos
 
-	diffMu sync.Mutex
-	diffs  []RepartitionDiff
+	diffs []RepartitionDiff
 	// levelChanges records the island-level trajectory of the run (adaptive
-	// granularity mode only), guarded by diffMu like diffs.
+	// granularity mode only).
 	levelChanges []GranularityChange
 }
 
@@ -220,109 +190,38 @@ func newAdaptiveState(e *Engine, p *partition.Placement) *adaptiveState {
 	}
 	a.controller = core.NewIntervalController(e.cfg.AdaptiveInterval)
 	a.monitor.RegisterPlacement(p, maxKeys)
-	a.nextCheck.Store(int64(a.controller.Interval()))
+	a.nextCheck = a.controller.Interval()
 	return a
 }
 
-// reset prepares the adaptive state for a fresh run. It must only be called
-// while no planner goroutine is running.
+// reset prepares the adaptive state for a fresh run.
 func (a *adaptiveState) reset() {
 	a.controller = core.NewIntervalController(a.e.cfg.AdaptiveInterval)
-	a.nextCheck.Store(int64(a.controller.Interval()))
+	a.nextCheck = a.controller.Interval()
 	a.lastCheckAt = 0
 	a.lastCommitted = 0
 	a.cooldown = 0
 	a.hwEpoch = a.e.cfg.Topology.Epoch()
-	a.repartitions.Store(0)
-	a.repartitionCost.Store(0)
-	a.adaptCharged.Store(0)
+	a.repartitions = 0
+	a.repartitionCost = 0
+	a.adaptCharged = 0
 	a.lastAborted = 0
 	a.lastLogStats = a.e.logStats()
 	a.lastShare = 0
 	a.prevCoreCommitted = nil
-	a.diffMu.Lock()
 	a.diffs = nil
 	a.levelChanges = nil
-	a.diffMu.Unlock()
 	a.monitor.RegisterPlacement(a.e.state.snapshot().placement, a.maxKeys)
 }
 
-// start launches the planner goroutine for one run. committed and aborted are
-// the run's transaction counters; workers is the run's worker count (the
-// granularity scorer's concurrency input).
-func (a *adaptiveState) start(committed, aborted *atomic.Int64, workers int) {
-	a.committed = committed
-	a.aborted = aborted
-	a.workers = workers
-	a.sync = a.e.tracer != nil && workers == 1
-	if a.sync {
-		// Traced single-worker run: boundaries are evaluated inline by the
-		// worker (deterministic trace), no planner goroutine to stop.
-		a.kick = nil
-		a.stop = nil
-		a.done = nil
-		return
-	}
-	a.kick = make(chan struct{}, 1)
-	a.stop = make(chan struct{})
-	a.done = make(chan struct{})
-	go a.plannerLoop()
-}
-
-// stopPlanner asks the planner goroutine to finish and waits for it. A kick
-// pending at stop time is still processed, so short runs whose last boundary
-// crossing raced the end of the workload still evaluate it.
-func (a *adaptiveState) stopPlanner() {
-	if a.stop == nil {
-		return
-	}
-	close(a.stop)
-	<-a.done
-	a.stop = nil
-}
-
-// plannerLoop is the dedicated adaptation goroutine: it blocks until a
-// worker reports a monitoring-boundary crossing, then runs the evaluation
-// (and possibly a repartitioning) concurrently with regular execution.
-func (a *adaptiveState) plannerLoop() {
-	defer close(a.done)
-	for {
-		select {
-		case <-a.stop:
-			select {
-			case <-a.kick:
-				a.adaptOnce()
-			default:
-			}
-			return
-		case <-a.kick:
-			a.adaptOnce()
-		}
-	}
-}
-
-// noteBoundary is the workers' entire obligation to the adaptation pipeline,
-// called once per transaction: one atomic load against the next monitoring
-// boundary and, at most once per boundary, a non-blocking send to wake the
-// planner. The evaluation itself never runs on a worker.
-func (a *adaptiveState) noteBoundary() {
-	if !a.e.cfg.Adaptive {
-		return
-	}
-	if int64(a.e.virtualNow()) < a.nextCheck.Load() {
-		return
-	}
-	if a.sync {
-		a.adaptOnce()
-		return
-	}
-	select {
-	case a.kick <- struct{}{}:
-		// Hand the host CPU to the planner goroutine so the evaluation starts
-		// promptly even when every processor is saturated with workers (e.g.
-		// GOMAXPROCS=1). This runs at most once per monitoring boundary.
-		runtime.Gosched()
-	default:
+// noteBoundary is the run loop's per-transaction obligation to the adaptation
+// pipeline: one comparison of the high-water-mark clock against the next
+// monitoring boundary. The transaction that crosses the boundary evaluates it
+// before the next one is issued; committed and aborted are the run's counters
+// so far.
+func (a *adaptiveState) noteBoundary(committed, aborted int64) {
+	if a.e.cfg.Adaptive && a.e.virtualNow() >= a.nextCheck {
+		a.adaptOnce(committed, aborted)
 	}
 }
 
@@ -342,8 +241,8 @@ func (a *adaptiveState) recordSync(refs []core.PartitionRef, bytes int) {
 
 // recordTxn records one executed transaction's shape into the active monitor
 // epoch (adaptive-granularity mode): action and write counts, whether it was
-// multisite, and its synchronization payload. The counters are plain atomics,
-// so the shared-nothing hot path stays lock- and allocation-free; the modeled
+// multisite, and its synchronization payload. Recording takes no lock and
+// allocates nothing, so the shared-nothing hot path stays lean; the modeled
 // bookkeeping cost is charged to the coordinating core.
 func (a *adaptiveState) recordTxn(coord topology.CoreID, t *workload.Transaction) {
 	if !a.granularity || !a.e.cfg.Monitoring {
@@ -381,29 +280,24 @@ func (a *adaptiveState) recordTxn(coord topology.CoreID, t *workload.Transaction
 // adaptOnce processes one monitoring boundary: it measures the throughput of
 // the interval, consults the interval controller, and when the controller
 // asks for an evaluation it runs the two-step search and repartitions if the
-// cost model predicts an improvement. It runs on the planner goroutine,
-// concurrently with regular execution.
-func (a *adaptiveState) adaptOnce() {
+// cost model predicts an improvement. committedSoFar and abortedSoFar are the
+// run's transaction counters at the boundary.
+func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	e := a.e
 	now := e.virtualNowExact()
-	if int64(now) < a.nextCheck.Load() {
-		return
-	}
-
 	window := now - a.lastCheckAt
 	if window <= 0 {
 		window = a.controller.Interval()
 	}
-	committedSoFar := a.committed.Load()
 	committedDelta := committedSoFar - a.lastCommitted
 	throughput := float64(committedDelta) / window.Seconds()
 	a.lastCommitted = committedSoFar
 	a.lastCheckAt = now
 	a.monitor.AdvanceWindow(window)
-	a.recordSample(now, window, throughput, committedSoFar, committedDelta)
+	a.recordSample(now, window, throughput, committedSoFar, committedDelta, abortedSoFar)
 
 	decision := a.controller.Observe(throughput)
-	a.nextCheck.Store(int64(now + a.controller.Interval()))
+	a.nextCheck = now + a.controller.Interval()
 	if a.cooldown > 0 {
 		a.cooldown--
 		if a.granularity {
@@ -415,8 +309,7 @@ func (a *adaptiveState) adaptOnce() {
 	}
 	// The parametric shared-nothing design adapts the island granularity
 	// instead of the placement: seal the epoch, read the multisite share and
-	// re-score the candidate levels every interval (the scorer is cheap and
-	// runs on the planner goroutine, never on a worker).
+	// re-score the candidate levels every interval (the scorer is cheap).
 	if a.granularity {
 		a.adaptGranularity(now)
 		return
@@ -438,8 +331,8 @@ func (a *adaptiveState) adaptOnce() {
 		return
 	}
 
-	// Seal the monitoring epoch: workers keep recording into the flipped
-	// buffer while the search below reads the sealed statistics.
+	// Seal the monitoring epoch: the search below reads the sealed statistics
+	// while new transactions record into the flipped buffer.
 	stats := a.monitor.Seal()
 	if stats.TotalCost() == 0 {
 		return
@@ -485,7 +378,7 @@ func (a *adaptiveState) adaptOnce() {
 	}
 	if len(affected) > 0 {
 		e.noteTime(affected[0])
-		a.adaptCharged.Add(int64(outcome.Cost) * int64(len(affected)))
+		a.adaptCharged += outcome.Cost * vclock.Nanos(len(affected))
 	}
 	if tr := e.tracer; tr != nil {
 		tr.Planner().Record(obs.Span{Start: now, Dur: outcome.Cost,
@@ -500,12 +393,11 @@ func (a *adaptiveState) adaptOnce() {
 		}
 	}
 	a.controller.Repartitioned()
-	a.nextCheck.Store(int64(now + a.controller.Interval()))
+	a.nextCheck = now + a.controller.Interval()
 	a.cooldown = 2
-	a.repartitions.Add(1)
-	a.repartitionCost.Add(int64(outcome.Cost))
+	a.repartitions++
+	a.repartitionCost += outcome.Cost
 
-	a.diffMu.Lock()
 	a.diffs = append(a.diffs, RepartitionDiff{
 		At:                now,
 		ChangedTables:     diff.ChangedTables(),
@@ -517,15 +409,13 @@ func (a *adaptiveState) adaptOnce() {
 		AffectedCores:     len(affected),
 		Cost:              outcome.Cost,
 	})
-	a.diffMu.Unlock()
 }
 
 // recordSample appends one planner-boundary metrics observation to the
-// tracer. It runs on the planner goroutine inside the existing boundary
-// pipeline — the per-core committed counters and cumulative log stats it
-// reads are the same ones the run's bookkeeping already maintains, so
-// enabling the sampler adds no hot-path synchronization.
-func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float64, committedSoFar, committedDelta int64) {
+// tracer. The per-core committed counters and cumulative log stats it reads
+// are the ones the run's bookkeeping already maintains, so enabling the
+// sampler adds nothing to the per-transaction path.
+func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float64, committedSoFar, committedDelta, abortedSoFar int64) {
 	e := a.e
 	tr := e.tracer
 	if tr == nil {
@@ -537,22 +427,19 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 		Level:          e.cfg.Design.String(),
 		TPS:            throughput,
 		Committed:      committedSoFar,
+		Aborted:        abortedSoFar,
 		MultisiteShare: a.lastShare,
 	}
 	if w := snap.wiring; w != nil {
 		s.Epoch = w.epoch
 		s.Level = w.level.String()
 	}
-	if a.aborted != nil {
-		abortedSoFar := a.aborted.Load()
-		abortedDelta := abortedSoFar - a.lastAborted
-		a.lastAborted = abortedSoFar
-		s.Aborted = abortedSoFar
-		// Conflict rate of the window: aborted attempts (every abort in these
-		// engines is a lock conflict) over attempts.
-		if attempts := committedDelta + abortedDelta; attempts > 0 {
-			s.ConflictRate = float64(abortedDelta) / float64(attempts)
-		}
+	abortedDelta := abortedSoFar - a.lastAborted
+	a.lastAborted = abortedSoFar
+	// Conflict rate of the window: aborted attempts (every abort in these
+	// engines is a lock conflict) over attempts.
+	if attempts := committedDelta + abortedDelta; attempts > 0 {
+		s.ConflictRate = float64(abortedDelta) / float64(attempts)
 	}
 	logNow := e.logStats()
 	logDelta := logNow.Sub(a.lastLogStats)
@@ -579,7 +466,7 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 	}
 	s.IslandTPS = make([]float64, nIslands)
 	for c := 0; c < nCores; c++ {
-		cum := e.accounts[c].committed.Load()
+		cum := e.accounts[c].committed
 		delta := cum - a.prevCoreCommitted[c]
 		a.prevCoreCommitted[c] = cum
 		site := 0
@@ -598,27 +485,12 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 	tr.RecordSample(s)
 }
 
-// takeDiffs returns a copy of the per-repartitioning diff records.
-func (a *adaptiveState) takeDiffs() []RepartitionDiff {
-	a.diffMu.Lock()
-	defer a.diffMu.Unlock()
-	return append([]RepartitionDiff(nil), a.diffs...)
-}
-
-// takeLevelChanges returns a copy of the island-level trajectory.
-func (a *adaptiveState) takeLevelChanges() []GranularityChange {
-	a.diffMu.Lock()
-	defer a.diffMu.Unlock()
-	return append([]GranularityChange(nil), a.levelChanges...)
-}
-
 // adaptGranularity processes one monitoring boundary of the parametric
 // shared-nothing design: it reads the sealed epoch's multisite share, prices
 // every island level the machine distinguishes with the granularity scorer,
 // and re-wires the machine when a different level beats the current one by
 // the hysteresis margin. A wiring that references failed hardware is always
-// re-derived, independent of the scores. It runs on the planner goroutine,
-// concurrently with regular execution.
+// re-derived, independent of the scores.
 func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 	e := a.e
 	tr := e.tracer
@@ -649,13 +521,14 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 		HotWriteShare:  stats.HotWriteShare(),
 		OverwriteShare: stats.OverwriteShare(),
 		TotalKeys:      a.totalKeys,
-		Concurrency:    a.workers,
+		// What a one-at-a-time issue loop can exhibit.
+		Concurrency: 1,
 	}
 	a.lastShare = shape.MultisiteShare
 	best, scores := a.granModel.Best(shape, granTieMargin)
 	// The per-term breakdowns explain the decision: they feed the planner
-	// decision log and, on a change, the GranularityChange record. Computed on
-	// the planner goroutine over a handful of levels, so the cost is noise.
+	// decision log and, on a change, the GranularityChange record. Computed
+	// over a handful of levels, so the cost is noise.
 	bds := a.granModel.Breakdowns(shape)
 	winner, runnerUp := pickWinnerRunnerUp(bds, best)
 	if tr != nil {
@@ -747,11 +620,9 @@ func (a *adaptiveState) logDecision(now vclock.Nanos, epoch uint64, current, bes
 // (reusing lock tables of partitions whose key range and island home survive
 // the re-wiring, and per-island logs of islands whose core sets are
 // unchanged), validates the derived runtime against a fresh build, executes
-// the physical repartitioning off the hot path, charges the migration cost
-// only to the affected cores, and atomically installs the new snapshot with a
-// bumped topology epoch. Workers never stall: they keep executing against the
-// previous snapshot until the install, and transactions in flight finish on
-// the wiring they started with.
+// the physical repartitioning, charges the migration cost only to the
+// affected cores, and installs the new snapshot with a bumped topology epoch;
+// the next transaction starts on the new wiring.
 func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock.Nanos, winner, runnerUp core.LevelBreakdown) {
 	e := a.e
 	top := e.cfg.Topology
@@ -793,12 +664,11 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	if len(wiring.sites) == 0 {
 		return
 	}
-	// A liveness change between deriving the placement and the wiring would
-	// make site indices disagree with partition indices; skip and let the
-	// next boundary retry against the settled topology. Every bail-out must
+	// A table too small to split once per island would make site indices
+	// disagree with partition indices; skip the re-wiring. Every bail-out must
 	// happen before the executor touches the physical tables — once it runs,
-	// the new snapshot is installed unconditionally, so workers can never be
-	// left holding a placement whose boundaries no longer match the trees.
+	// the new snapshot is installed unconditionally, so no transaction can
+	// see a placement whose boundaries no longer match the trees.
 	if tp, ok := desired.Table(desired.TableNames()[0]); ok && len(tp.Cores) != len(wiring.sites) {
 		return
 	}
@@ -816,7 +686,7 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	}
 	if len(affected) > 0 {
 		e.noteTime(affected[0])
-		a.adaptCharged.Add(int64(outcome.Cost) * int64(len(affected)))
+		a.adaptCharged += outcome.Cost * vclock.Nanos(len(affected))
 	}
 	if tr := e.tracer; tr != nil {
 		tr.Planner().Record(obs.Span{Start: now, Dur: outcome.Cost,
@@ -834,12 +704,11 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 		}
 	}
 	a.controller.Repartitioned()
-	a.nextCheck.Store(int64(now + a.controller.Interval()))
+	a.nextCheck = now + a.controller.Interval()
 	a.cooldown = 2
-	a.repartitions.Add(1)
-	a.repartitionCost.Add(int64(outcome.Cost))
+	a.repartitions++
+	a.repartitionCost += outcome.Cost
 
-	a.diffMu.Lock()
 	a.levelChanges = append(a.levelChanges, GranularityChange{
 		At:                now,
 		From:              cur.level,
@@ -855,7 +724,6 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 		WinnerScores:      winner,
 		RunnerUpScores:    runnerUp,
 	})
-	a.diffMu.Unlock()
 }
 
 // wiringStale reports whether the installed wiring no longer matches the

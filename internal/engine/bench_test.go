@@ -25,7 +25,7 @@ func benchEngine(b *testing.B, cfg Config) *Engine {
 
 // benchSteadyState measures the per-transaction cost of the steady-state
 // execution path of one design: generate, dispatch and execute, exactly as
-// one worker of Run does, without the per-run setup. The first iterations
+// Run's loop does, without the per-run setup. The first iterations
 // grow the reusable buffers; after the warmup below, the partitioned designs
 // must report 0 allocs/op (the hot-path invariant DESIGN.md documents).
 func benchSteadyState(b *testing.B, e *Engine, adapt bool) {
@@ -34,6 +34,7 @@ func benchSteadyState(b *testing.B, e *Engine, adapt bool) {
 	rng := rand.New(src)
 	sc := newExecScratch()
 	ctx := workload.GenContext{Rng: rng, NumSites: e.numSites()}
+	var committed int64
 
 	runOne := func(n int64) {
 		alive := e.aliveCores()
@@ -50,17 +51,18 @@ func benchSteadyState(b *testing.B, e *Engine, adapt bool) {
 				}
 			}
 		}
-		committed := e.execute(coord, t, sc)
+		ok := e.execute(coord, t, sc)
 		e.noteTime(coord)
-		if committed {
-			e.accounts[coord].committed.Add(1)
+		if ok {
+			committed++
+			e.accounts[coord].committed++
 		}
 		if adapt && e.adaptive != nil {
-			// The workers' entire adaptation obligation: the shape counters
-			// (granularity mode) and the boundary check. (No planner goroutine
-			// runs here, so crossings are no-ops.)
+			// The run loop's adaptation obligation: the shape counters
+			// (granularity mode) and the boundary check, which runs the
+			// planner inline whenever a monitoring boundary is crossed.
 			e.adaptive.recordTxn(coord, t)
-			e.adaptive.noteBoundary()
+			e.adaptive.noteBoundary(committed, 0)
 		}
 	}
 
@@ -129,9 +131,9 @@ func BenchmarkExecute(b *testing.B) {
 		benchSteadyState(b, e, false)
 	})
 	b.Run("shared-nothing-adaptive", func(b *testing.B) {
-		// Adaptive granularity: the workers' obligations on top of the plain
-		// shared-nothing path are the transaction-shape counters (five atomic
-		// adds) and the boundary check — still allocation free.
+		// Adaptive granularity: the obligations on top of the plain
+		// shared-nothing path are the transaction-shape counters and the
+		// boundary check — still allocation free between boundaries.
 		benchSteadyState(b, benchEngine(b, Config{Design: SharedNothing, Adaptive: true}), true)
 	})
 	b.Run("executed-hash", func(b *testing.B) {

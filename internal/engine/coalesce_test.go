@@ -59,7 +59,7 @@ func TestCrashDrillEquivalenceCoalesced(t *testing.T) {
 	for name, mk := range workloads {
 		t.Run(name, func(t *testing.T) {
 			plain := crashDrillEngine(t, mk())
-			plainRes, err := plain.Run(RunOptions{Transactions: txns, Seed: 11, Workers: 1})
+			plainRes, err := plain.Run(RunOptions{Transactions: txns, Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestCrashDrillEquivalenceCoalesced(t *testing.T) {
 			}
 
 			ref := coalescedCrashDrillEngine(t, mk())
-			refRes, err := ref.Run(RunOptions{Transactions: txns, Seed: 11, Workers: 1})
+			refRes, err := ref.Run(RunOptions{Transactions: txns, Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestCrashDrillEquivalenceCoalesced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			drillRes, err := drill.Run(RunOptions{Transactions: txns, Seed: 11, Workers: 1, Faults: sched})
+			drillRes, err := drill.Run(RunOptions{Transactions: txns, Seed: 11, Faults: sched})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestCoalescerDrainAcrossLevelChangesAndRehoming(t *testing.T) {
 	}
 	res, err := e.Run(RunOptions{
 		Duration: 30 * granWindow, MaxTransactions: 200_000,
-		Seed: 7, Workers: 2, SampleWindow: granWindow,
+		Seed: 7, SampleWindow: granWindow,
 		Faults: sched,
 	})
 	if err != nil {
@@ -227,7 +227,7 @@ func TestConcurrentCommitsCoalescingVsPlanner(t *testing.T) {
 	}
 	res, err := e.Run(RunOptions{
 		Duration: 30 * granWindow, MaxTransactions: 120_000,
-		Seed: 13, Workers: 4, SampleWindow: granWindow,
+		Seed: 13, SampleWindow: granWindow,
 		Faults: sched,
 	})
 	if err != nil {

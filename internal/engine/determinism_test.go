@@ -1,0 +1,146 @@
+package engine
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"atrapos/internal/core"
+	"atrapos/internal/fault"
+	"atrapos/internal/topology"
+	"atrapos/internal/wal"
+	"atrapos/internal/workload"
+)
+
+// TestRunIsAFunctionOfSeedAndConfig pins the contract of the single-goroutine
+// run loop: a Result depends on nothing but the seed and the configuration.
+// Two fresh engines agree field for field, enabling the tracer changes no
+// field (it observes virtual time, it never charges any), and neither holds
+// only for one host shape — GOMAXPROCS(1) and the host default give the same
+// Result.
+func TestRunIsAFunctionOfSeedAndConfig(t *testing.T) {
+	chiplet := func() *topology.Topology {
+		prof, _ := topology.ProfileByName("chiplet-2s4d")
+		return prof.Build()
+	}
+	interval := core.IntervalConfig{Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5}
+	cases := []struct {
+		name string
+		cfg  func() Config
+		opts func(t *testing.T) RunOptions
+		// adapts marks cases that must exercise the inline planner.
+		adapts bool
+	}{
+		{
+			name: "static-tatp",
+			cfg: func() Config {
+				return Config{Design: HWAware, Workload: workload.MustTATP(workload.TATPOptions{Subscribers: 4000}), Topology: smallTopology()}
+			},
+			opts: func(*testing.T) RunOptions { return RunOptions{Transactions: 2000, Seed: 42} },
+		},
+		{
+			name: "adaptive-drift-atrapos",
+			cfg: func() Config {
+				wl, err := workload.TATPDriftingHotspot(4000, 5*granWindow)
+				if err != nil {
+					panic(err)
+				}
+				return Config{
+					Design: ATraPos, Workload: wl, Topology: smallTopology(),
+					Adaptive: true, AdaptiveInterval: interval, TimeCompression: 1000,
+				}
+			},
+			opts: func(*testing.T) RunOptions {
+				return RunOptions{Duration: 40 * granWindow, MaxTransactions: 200_000, Seed: 5, SampleWindow: granWindow}
+			},
+			adapts: true,
+		},
+		{
+			name: "adaptive-granularity-fail-restore",
+			cfg: func() Config {
+				return Config{
+					Design: SharedNothing, IslandLevel: topology.LevelSocket,
+					Workload: driftAcrossCrossover(8000, 20*granWindow), Topology: chiplet(),
+					DeviceLayout: "nvme-per-socket",
+					Adaptive:     true, AdaptiveInterval: interval, TimeCompression: 1000,
+				}
+			},
+			opts: func(t *testing.T) RunOptions {
+				sched, err := fault.NewSchedule(fault.Machine{Sockets: 2, Devices: 2},
+					fault.FailSocket(5*granWindow, 1),
+					fault.RestoreSocket(15*granWindow, 1),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return RunOptions{Duration: 40 * granWindow, MaxTransactions: 200_000, Seed: 7, SampleWindow: granWindow, Faults: sched}
+			},
+			adapts: true,
+		},
+		{
+			name: "coalescing-hotkey",
+			cfg: func() Config {
+				lc := wal.DefaultConfig()
+				lc.CoalesceRecords = 8
+				return Config{
+					Design: SharedNothing, IslandLevel: topology.LevelDie,
+					Workload: workload.ZipfHotkey(4000, 10, 30), Topology: chiplet(),
+					DeviceLayout: "single-sata", LogConfig: &lc,
+				}
+			},
+			opts: func(*testing.T) RunOptions { return RunOptions{Transactions: 3000, Seed: 11} },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(tracing bool) *Result {
+				cfg := tc.cfg()
+				cfg.Tracing = tracing
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Run(tc.opts(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want := run(false)
+			if want.Committed == 0 {
+				t.Fatal("run committed nothing")
+			}
+			if tc.adapts && want.Repartitions == 0 {
+				t.Fatal("adaptive case never repartitioned; the inline planner was not exercised")
+			}
+			check := func(label string) {
+				if got := run(false); !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: a second fresh engine gave a different Result:\n first  %+v\n second %+v", label, want, got)
+				}
+				if got := run(true); !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: the traced Result differs from the untraced one:\n untraced %+v\n traced   %+v", label, want, got)
+				}
+			}
+			check("host GOMAXPROCS")
+			prev := runtime.GOMAXPROCS(1)
+			defer runtime.GOMAXPROCS(prev)
+			check("GOMAXPROCS(1)")
+		})
+	}
+}
+
+// TestRunRejectsWorkers: the remnant field of the goroutine-pool run loop is
+// accepted at 0 or 1 and refused above, so a stale caller is told rather than
+// silently serialized.
+func TestRunRejectsWorkers(t *testing.T) {
+	e := MustNew(Config{Design: PLP, Workload: workload.SingleRowRead(100), Topology: smallTopology()})
+	for _, n := range []int{0, 1} {
+		if _, err := e.Run(RunOptions{Transactions: 10, Workers: n}); err != nil {
+			t.Errorf("Workers=%d should be accepted: %v", n, err)
+		}
+	}
+	if _, err := e.Run(RunOptions{Transactions: 10, Workers: 2}); err == nil || !strings.Contains(err.Error(), "Workers=2") {
+		t.Errorf("Workers=2 should be rejected, got err = %v", err)
+	}
+}

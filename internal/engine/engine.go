@@ -5,19 +5,18 @@
 // design of Section IV, and ATraPos with its workload- and hardware-aware
 // partitioning, monitoring and adaptive repartitioning.
 //
-// Workers are goroutines logically bound to the cores of the modeled
-// topology. All data-structure operations are real; their costs are charged
-// to per-core virtual clocks using the NUMA cost model, and throughput is
-// computed from committed transactions divided by the busiest core's virtual
-// time. This makes experiments deterministic in shape and independent of the
+// A priced run is one host goroutine issuing transactions one at a time; the
+// cores of the modeled topology are virtual-time accounts. All data-structure
+// operations are real; their costs are charged to per-core virtual clocks
+// using the NUMA cost model, and throughput is computed from committed
+// transactions divided by the busiest core's virtual time. This makes a
+// result a pure function of seed and configuration, independent of the
 // machine the simulation runs on, which is the substitution DESIGN.md
 // describes for the paper's 8-socket hardware.
 package engine
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"atrapos/internal/backend"
 	"atrapos/internal/core"
@@ -249,7 +248,7 @@ type Engine struct {
 
 	// System state structures of the non-shared-nothing designs; the
 	// shared-nothing designs carry their (level-dependent) equivalents in the
-	// snapshot's islandWiring so a granularity change can swap them atomically.
+	// snapshot's islandWiring so a granularity change swaps them as one.
 	txnMgr       *txn.Manager
 	centralLocks *lock.CentralManager
 	log          wal.Log
@@ -283,36 +282,25 @@ type Engine struct {
 	// online re-wiring dropped (rebuilt rather than reused), so logStats —
 	// and through it Result.Log — stays cumulative across level changes
 	// instead of under-reporting whenever the planner rebuilds a log.
-	// Guarded by retiredMu: the planner retires logs from a worker while run
-	// bookkeeping reads the total.
-	retiredMu       sync.Mutex
 	retiredLogStats wal.Stats
 
 	// hwm is the monotonic high-water mark of the engine-wide virtual time;
 	// see virtualNow/virtualNowExact in account.go.
-	hwm atomic.Int64
+	hwm vclock.Nanos
 
-	// alive caches the topology's alive-core list keyed by its liveness
-	// epoch, so the per-transaction path never rebuilds the slice.
-	alive atomic.Pointer[aliveCoreCache]
-}
-
-// aliveCoreCache is one epoch's view of the alive cores.
-type aliveCoreCache struct {
-	epoch uint64
-	cores []topology.Core
+	// alive caches the topology's alive-core list for liveness epoch
+	// aliveEpoch, so the per-transaction path never rebuilds the slice.
+	alive      []topology.Core
+	aliveEpoch uint64
 }
 
 // aliveCores returns the alive cores of the topology, rebuilt only when the
 // topology's liveness epoch changes. The returned slice must not be modified.
 func (e *Engine) aliveCores() []topology.Core {
-	ep := e.cfg.Topology.Epoch()
-	if c := e.alive.Load(); c != nil && c.epoch == ep {
-		return c.cores
+	if ep := e.cfg.Topology.Epoch(); e.alive == nil || e.aliveEpoch != ep {
+		e.alive, e.aliveEpoch = e.cfg.Topology.AliveCores(), ep
 	}
-	cores := e.cfg.Topology.AliveCores()
-	e.alive.Store(&aliveCoreCache{epoch: ep, cores: cores})
-	return cores
+	return e.alive
 }
 
 // New builds an engine: it creates and loads the physical tables and wires
@@ -332,7 +320,7 @@ func New(cfg Config) (*Engine, error) {
 		store:    storage.NewManager(domain),
 		tables:   make(map[string]*storage.Table),
 		wl:       c.Workload,
-		accounts: newAccounts(c.Topology.NumCores()),
+		accounts: make([]coreAccount, c.Topology.NumCores()),
 	}
 	if c.DeviceLayout != "" {
 		e.devices, err = device.BuildLayout(c.DeviceLayout, c.Topology)
@@ -466,15 +454,15 @@ func (e *Engine) RestoreSocket(s topology.SocketID) error {
 	if top.Alive(s) {
 		return fmt.Errorf("engine: socket %d is already alive", s)
 	}
-	now := int64(e.virtualNowExact())
+	now := e.virtualNowExact()
 	for _, c := range top.CoresOn(s) {
 		if int(c.ID) < 0 || int(c.ID) >= len(e.accounts) {
 			continue
 		}
 		// The offline gap is charged to busy only (no component), so it shows
 		// up as elapsed time, not as work of any kind.
-		if gap := now - e.accounts[c.ID].busy.Load(); gap > 0 {
-			e.accounts[c.ID].busy.Add(gap)
+		if e.accounts[c.ID].busy < now {
+			e.accounts[c.ID].busy = now
 		}
 	}
 	return top.RestoreSocket(s)
@@ -615,7 +603,7 @@ func (e *Engine) wireStructures(p *partition.Placement) {
 		// One instance per island: the whole instance mapping — sites, log
 		// layout, 2PC wiring, transaction-state striping — is derived from the
 		// island level and lives in the snapshot, so the adaptive-granularity
-		// planner can re-derive it at a different level and swap it atomically.
+		// planner can re-derive it at a different level and swap it as a whole.
 		w = e.buildWiring(c.IslandLevel, 0, nil)
 		e.log = w.logs
 	case PLP:
@@ -641,10 +629,10 @@ func (e *Engine) wireStructures(p *partition.Placement) {
 // full alive member list is kept so remote requests spread over the island's
 // cores instead of funnelling through one.
 //
-// The wiring travels inside the atomically-swapped state snapshot: workers
-// read sites, logs, coordinator and the transaction manager from the snapshot
-// they took for the transaction, so an online level change (a new wiring with
-// a bumped epoch) never splits one transaction across two machine layouts.
+// The wiring travels inside the state snapshot: a transaction reads sites,
+// logs, coordinator and the transaction manager from the snapshot taken for
+// it, so an online level change (a new wiring with a bumped epoch) never
+// splits one transaction across two machine layouts.
 type islandWiring struct {
 	// level is the island granularity the wiring was derived from.
 	level topology.Level
@@ -765,11 +753,7 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 	w.rebuiltLogs = len(islands) - w.reusedLogs
 	if prev != nil && prev.logs != nil {
 		// Snapshot the counters of every log this wiring drops, so the
-		// engine's cumulative log accounting survives the rebuild. Taken at
-		// derivation time: a transaction still executing against the old
-		// snapshot can append to a dropped log after this point, and those
-		// late appends go uncounted — the same marginal skew any counter
-		// snapshot concurrent with execution has.
+		// engine's cumulative log accounting survives the rebuild.
 		for j := range prev.siteCores {
 			if !reusedPrev[j] {
 				w.retiredLogStats = w.retiredLogStats.Add(prev.logs.Log(j).Stats())

@@ -22,7 +22,7 @@ func runDesign(t *testing.T, design Design, wl *workload.Workload, txns int) *Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(RunOptions{Transactions: txns, Seed: 42, Workers: 4})
+	res, err := e.Run(RunOptions{Transactions: txns, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMultisiteTransactionsHurtSharedNothing(t *testing.T) {
 	throughput := func(pct int) float64 {
 		wl := workload.MultisiteUpdate(8000, pct)
 		e := MustNew(Config{Design: SharedNothingCoarse, Workload: wl, Topology: smallTopology()})
-		res, err := e.Run(RunOptions{Transactions: 500, Seed: 7, Workers: 4})
+		res, err := e.Run(RunOptions{Transactions: 500, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestMultisiteBreakdownGrowsCommunication(t *testing.T) {
 	run := func(pct int) *Result {
 		wl := workload.MultisiteUpdate(8000, pct)
 		e := MustNew(Config{Design: SharedNothingCoarse, Workload: wl, Topology: smallTopology()})
-		res, err := e.Run(RunOptions{Transactions: 400, Seed: 7, Workers: 4})
+		res, err := e.Run(RunOptions{Transactions: 400, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestMemoryAllocationPolicies(t *testing.T) {
 			AllocPolicy:      policy,
 			CentralAllocNode: 3,
 		})
-		res, err := e.Run(RunOptions{Transactions: 200, Seed: 3, Workers: 4})
+		res, err := e.Run(RunOptions{Transactions: 200, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestATraPosBeatsPLPOnTATP(t *testing.T) {
 		Topology:  smallTopology(),
 		Placement: DerivePlacement(wl, smallTopology(), true),
 	})
-	res, err := e.Run(RunOptions{Transactions: 800, Seed: 42, Workers: 4})
+	res, err := e.Run(RunOptions{Transactions: 800, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestMonitoringOverheadIsSmall(t *testing.T) {
 			Placement:  place,
 			Monitoring: monitoring,
 		})
-		res, err := e.Run(RunOptions{Transactions: 800, Seed: 11, Workers: 4})
+		res, err := e.Run(RunOptions{Transactions: 800, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestAdaptiveRepartitioningTriggersOnSkew(t *testing.T) {
 		Adaptive:         true,
 		AdaptiveInterval: coreIntervalForTests(),
 	})
-	res, err := adaptiveEngine.Run(RunOptions{Transactions: 12000, Seed: 5, Workers: 4})
+	res, err := adaptiveEngine.Run(RunOptions{Transactions: 12000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestAdaptiveSocketFailure(t *testing.T) {
 	if err := e.FailSocket(3); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(RunOptions{Transactions: 3000, Seed: 9, Workers: 4})
+	res, err := e.Run(RunOptions{Transactions: 3000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,6 @@ func TestDurationDrivenRunProducesSeries(t *testing.T) {
 		Duration:        workload.Seconds(0.02),
 		MaxTransactions: 100000,
 		Seed:            1,
-		Workers:         4,
 		SampleWindow:    workload.Seconds(0.005),
 	})
 	if err != nil {
@@ -449,11 +448,11 @@ func TestOversaturationPenalty(t *testing.T) {
 	top := smallTopology()
 	naive := MustNew(Config{Design: ATraPos, Workload: wl, Topology: top})
 	spread := MustNew(Config{Design: ATraPos, Workload: wl, Topology: top, Placement: DerivePlacement(wl, top, true)})
-	naiveRes, err := naive.Run(RunOptions{Transactions: 600, Seed: 2, Workers: 4})
+	naiveRes, err := naive.Run(RunOptions{Transactions: 600, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spreadRes, err := spread.Run(RunOptions{Transactions: 600, Seed: 2, Workers: 4})
+	spreadRes, err := spread.Run(RunOptions{Transactions: 600, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // validated against a machine descriptor at construction; this re-check
 // catches a schedule built for a different machine shape than the engine it
 // was attached to.
-func (e *Engine) compileFaults(s *fault.Schedule, workers int) ([]Event, error) {
+func (e *Engine) compileFaults(s *fault.Schedule) ([]Event, error) {
 	m := s.Machine()
 	top := e.cfg.Topology
 	if m.Sockets != top.Sockets() {
@@ -30,13 +30,6 @@ func (e *Engine) compileFaults(s *fault.Schedule, workers int) ([]Event, error) 
 		return nil, fmt.Errorf("engine: fault schedule targets %d log devices, engine has %d", m.Devices, ndev)
 	}
 	if s.HasCrash() {
-		// The drill drops table state from the event-firing worker; concurrent
-		// workers would race it mid-transaction, and the committed-state
-		// equivalence the drill asserts is only defined for serial runs (which
-		// never abort, so the fault-free reference is deterministic).
-		if workers != 1 {
-			return nil, fmt.Errorf("engine: a crash-and-recover drill requires a serial run (Workers=1), got %d workers", workers)
-		}
 		// A bounded log ring drops old records; recovery from it would be
 		// silently partial, so the drill demands full retention.
 		if e.cfg.LogConfig.Keep != 0 {
@@ -93,24 +86,19 @@ func (e *Engine) logStats() wal.Stats {
 	for _, l := range e.crashLogs() {
 		s = s.Add(l.Stats())
 	}
-	e.retiredMu.Lock()
-	s = s.Add(e.retiredLogStats)
-	e.retiredMu.Unlock()
-	return s
+	return s.Add(e.retiredLogStats)
 }
 
 // absorbRetiredLogs folds a freshly-derived wiring's dropped-log counters
 // into the engine's cumulative account. Called exactly when the wiring is
-// installed — a derived-but-abandoned wiring (a liveness race bail-out) must
+// installed — a derived-but-abandoned wiring (a changeLevel bail-out) must
 // not retire anything, or the totals would double-count logs that were never
 // actually dropped.
 func (e *Engine) absorbRetiredLogs(w *islandWiring) {
 	if w == nil || w.retiredLogStats == (wal.Stats{}) {
 		return
 	}
-	e.retiredMu.Lock()
 	e.retiredLogStats = e.retiredLogStats.Add(w.retiredLogStats)
-	e.retiredMu.Unlock()
 }
 
 // drainLogs forces every owned log's write-combining accumulator out (see

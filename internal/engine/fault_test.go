@@ -60,7 +60,7 @@ func TestDeviceFaultsWithoutLayoutRejected(t *testing.T) {
 // attached, before any transaction runs.
 func TestCompileFaultsValidation(t *testing.T) {
 	e := deviceEngine(t, "nvme-per-socket", topology.LevelDie) // 2 sockets, 2 devices
-	opts := RunOptions{Transactions: 10, Workers: 1}
+	opts := RunOptions{Transactions: 10}
 
 	wrongSockets, err := fault.NewSchedule(fault.Machine{Sockets: 4, Devices: 2}, fault.FailSocket(1, 3))
 	if err != nil {
@@ -85,11 +85,6 @@ func TestCompileFaultsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Faults = crash
-	opts.Workers = 2
-	if _, err := e.Run(opts); err == nil || !strings.Contains(err.Error(), "serial run") {
-		t.Errorf("concurrent crash drill: err = %v", err)
-	}
-	opts.Workers = 1
 	// Default Keep is bounded: the drill must demand full retention.
 	if _, err := e.Run(opts); err == nil || !strings.Contains(err.Error(), "unbounded log retention") {
 		t.Errorf("crash drill with bounded ring: err = %v", err)
@@ -184,7 +179,7 @@ func TestAdaptivePlannerRehomesFailedDevice(t *testing.T) {
 	}
 	res, err := e.Run(RunOptions{
 		Duration: 30 * granWindow, MaxTransactions: 200_000,
-		Seed: 7, Workers: 2, SampleWindow: granWindow,
+		Seed: 7, SampleWindow: granWindow,
 		Faults: sched,
 	})
 	if err != nil {
@@ -224,7 +219,7 @@ func TestAdaptivePlannerReexpandsOnRestore(t *testing.T) {
 	}
 	res, err := e.Run(RunOptions{
 		Duration: 40 * granWindow, MaxTransactions: 200_000,
-		Seed: 7, Workers: 2, SampleWindow: granWindow,
+		Seed: 7, SampleWindow: granWindow,
 		Faults: sched,
 	})
 	if err != nil {
@@ -299,7 +294,7 @@ func TestConcurrentFaultsAndLevelChanges(t *testing.T) {
 	}
 	res, err := e.Run(RunOptions{
 		Duration: 30 * granWindow, MaxTransactions: 120_000,
-		Seed: 13, Workers: 4, SampleWindow: granWindow,
+		Seed: 13, SampleWindow: granWindow,
 		Faults: sched,
 	})
 	if err != nil {
@@ -378,7 +373,7 @@ func TestCrashDrillEquivalence(t *testing.T) {
 	// Fault-free twin first: its end-of-run virtual time places the crash
 	// mid-run in the drill.
 	ref := crashDrillEngine(t, mk())
-	refRes, err := ref.Run(RunOptions{Transactions: txns, Seed: 11, Workers: 1})
+	refRes, err := ref.Run(RunOptions{Transactions: txns, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +388,7 @@ func TestCrashDrillEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drillRes, err := drill.Run(RunOptions{Transactions: txns, Seed: 11, Workers: 1, Faults: sched})
+	drillRes, err := drill.Run(RunOptions{Transactions: txns, Seed: 11, Faults: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,13 +419,13 @@ func TestCrashAndRecoverCentralLog(t *testing.T) {
 		return e
 	}
 	ref := build()
-	if _, err := ref.Run(RunOptions{Transactions: 800, Seed: 3, Workers: 1}); err != nil {
+	if _, err := ref.Run(RunOptions{Transactions: 800, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.TableKeySets()
 
 	e := build()
-	if _, err := e.Run(RunOptions{Transactions: 800, Seed: 3, Workers: 1}); err != nil {
+	if _, err := e.Run(RunOptions{Transactions: 800, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := e.CrashAndRecover()
@@ -523,7 +518,7 @@ func TestRecoveryAcrossDeviceFailureAndLevelChange(t *testing.T) {
 func TestFaultFreeRunsBitIdentical(t *testing.T) {
 	run := func(faults *fault.Schedule) *Result {
 		e := deviceEngine(t, "nvme-per-socket", topology.LevelDie)
-		res, err := e.Run(RunOptions{Transactions: 500, Seed: 7, Workers: 1, Faults: faults})
+		res, err := e.Run(RunOptions{Transactions: 500, Seed: 7, Faults: faults})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func staticBestLevel(t *testing.T, profile string, pct int) topology.Level {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(RunOptions{Transactions: 1000, Seed: 7, Workers: 1})
+		res, err := e.Run(RunOptions{Transactions: 1000, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestAdaptiveGranularityTracksStaticBest(t *testing.T) {
 	e := adaptiveGranEngine(t, profile, topology.LevelSocket, driftAcrossCrossover(8000, half))
 	res, err := e.Run(RunOptions{
 		Duration: 2 * half, MaxTransactions: 200_000,
-		Seed: 7, Workers: 2, SampleWindow: granWindow,
+		Seed: 7, SampleWindow: granWindow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestAdaptiveGranularityPartialPause(t *testing.T) {
 	e := adaptiveGranEngine(t, "chiplet-2s4d", topology.LevelDie, wl)
 	res, err := e.Run(RunOptions{
 		Duration: 20 * granWindow, MaxTransactions: 100_000,
-		Seed: 7, Workers: 2, SampleWindow: granWindow,
+		Seed: 7, SampleWindow: granWindow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestMonitoringOnlyNeverRewires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(RunOptions{Transactions: 1000, Seed: 7, Workers: 2})
+	res, err := e.Run(RunOptions{Transactions: 1000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestAdaptiveGranularityRewiresOffDeadSocket(t *testing.T) {
 	failAt := 10 * granWindow
 	res, err := e.Run(RunOptions{
 		Duration: 30 * granWindow, MaxTransactions: 100_000,
-		Seed: 7, Workers: 2, SampleWindow: granWindow,
+		Seed: 7, SampleWindow: granWindow,
 		Events: []Event{{At: failAt, Do: func(e *Engine) { _ = e.FailSocket(3) }}},
 	})
 	if err != nil {

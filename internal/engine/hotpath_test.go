@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"atrapos/internal/lock"
@@ -38,10 +35,10 @@ func TestReleaseLocalDedupChargesRecordedOwner(t *testing.T) {
 	if n := lm.Table().Len(); n != 0 {
 		t.Errorf("expected all locks released, %d remain", n)
 	}
-	if got := e.accounts[1].time(); got != 0 {
+	if got := e.accounts[1].busy; got != 0 {
 		t.Errorf("first recorded core was charged %v; the release belongs to the current owner", got)
 	}
-	if got := e.accounts[9].time(); got == 0 {
+	if got := e.accounts[9].busy; got == 0 {
 		t.Error("most recently recorded owner core was not charged the release cost")
 	}
 }
@@ -85,84 +82,9 @@ func TestEffectiveCoreWrapsPastDeadSockets(t *testing.T) {
 	}
 }
 
-// fingerprintTxn captures everything observable about a generated transaction
-// (the Transaction object itself is reused between generations).
-func fingerprintTxn(t *workload.Transaction) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s ro=%v ms=%v", t.Class, t.ReadOnly, t.MultiSite)
-	for _, a := range t.Actions {
-		fmt.Fprintf(&b, " %s/%v/%d", a.Table, a.Op, a.Key)
-	}
-	for _, sp := range t.SyncPoints {
-		fmt.Fprintf(&b, " sync%v@%d", sp.Actions, sp.Bytes)
-	}
-	return b.String()
-}
-
-// TestGenerationDeterministicAcrossWorkerInterleavings verifies the seeding
-// contract of the run loop: because the splitMix source is reseeded from
-// (seed + transaction index) before every generation, the transaction
-// generated for index n is a pure function of n — independent of which worker
-// generates it and in which order the workers are interleaved.
-func TestGenerationDeterministicAcrossWorkerInterleavings(t *testing.T) {
-	wl := workload.MustTATP(workload.TATPOptions{Subscribers: 2000})
-	const seed, n = int64(42), int64(64)
-
-	generate := func(order []int64) map[int64]string {
-		// Each simulated worker owns its source and context, as in Run.
-		workers := make([]struct {
-			src *splitMix
-			ctx workload.GenContext
-		}, 3)
-		for i := range workers {
-			workers[i].src = &splitMix{}
-			workers[i].ctx = workload.GenContext{Rng: rand.New(workers[i].src), NumSites: 1}
-		}
-		out := make(map[int64]string, len(order))
-		for i, idx := range order {
-			w := &workers[i%len(workers)]
-			w.src.seed(seed + idx)
-			out[idx] = fingerprintTxn(wl.Generate(&w.ctx))
-		}
-		return out
-	}
-
-	ascending := make([]int64, n)
-	reversed := make([]int64, n)
-	for i := int64(0); i < n; i++ {
-		ascending[i] = i
-		reversed[n-1-i] = i
-	}
-	a, b := generate(ascending), generate(reversed)
-	for i := int64(0); i < n; i++ {
-		if a[i] != b[i] {
-			t.Fatalf("transaction %d depends on worker interleaving:\n asc: %s\n rev: %s", i, a[i], b[i])
-		}
-	}
-}
-
-// TestRunDeterministicMultiSiteAcrossWorkerCounts runs the same seeded
-// workload with different worker counts: every issued transaction index
-// generates the same transaction, so the multi-site count must not depend on
-// the degree of parallelism.
-func TestRunDeterministicMultiSiteAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) int64 {
-		wl := workload.MultisiteUpdate(4000, 30)
-		e := MustNew(Config{Design: SharedNothingCoarse, Workload: wl, Topology: smallTopology()})
-		res, err := e.Run(RunOptions{Transactions: 300, Seed: 11, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MultiSite
-	}
-	if one, four := run(1), run(4); one != four {
-		t.Errorf("multi-site count depends on worker count: 1 worker %d, 4 workers %d", one, four)
-	}
-}
-
 // TestSplitMixSeedDecorrelation checks that reseeding with consecutive values
 // produces decorrelated streams (the avalanche step), which the generator
-// relies on to avoid artificial key conflicts between concurrent transactions.
+// relies on so neighbouring transactions do not replay each other's keys.
 func TestSplitMixSeedDecorrelation(t *testing.T) {
 	var a, b splitMix
 	a.seed(100)
@@ -210,7 +132,7 @@ func TestAliveCoreCacheFollowsEpoch(t *testing.T) {
 
 // TestVirtualNowHighWaterMark checks the two-level virtual clock: the cheap
 // per-transaction view lags monotonically behind the exact scan and catches
-// up when a worker notes its core or an exact recomputation runs.
+// up when the run loop notes a core or an exact recomputation runs.
 func TestVirtualNowHighWaterMark(t *testing.T) {
 	e := MustNew(Config{Design: PLP, Workload: workload.SingleRowRead(100), Topology: smallTopology(), SkipLoad: true})
 	e.resetAccounts()

@@ -20,7 +20,7 @@ func runIsland(t *testing.T, top *topology.Topology, design Design, level topolo
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(RunOptions{Transactions: 400, Seed: 7, Workers: 1})
+	res, err := e.Run(RunOptions{Transactions: 400, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMachineLevelIslands(t *testing.T) {
 	if e.numSites() != 1 {
 		t.Fatalf("machine-level deployment has %d sites, want 1", e.numSites())
 	}
-	res, err := e.Run(RunOptions{Transactions: 400, Seed: 7, Workers: 2})
+	res, err := e.Run(RunOptions{Transactions: 400, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDieLevelIslands(t *testing.T) {
 			}
 		}
 	}
-	res, err := e.Run(RunOptions{Transactions: 400, Seed: 7, Workers: 2})
+	res, err := e.Run(RunOptions{Transactions: 400, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestIslandLevelSurvivesSocketFailure(t *testing.T) {
 	if e.numSites() != 2 {
 		t.Fatalf("only socket 0's two dies should form sites, got %d", e.numSites())
 	}
-	res, err := e.Run(RunOptions{Transactions: 200, Seed: 7, Workers: 1})
+	res, err := e.Run(RunOptions{Transactions: 200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestBuildWiringRetiredLogStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(RunOptions{Transactions: 500, Seed: 7, Workers: 1}); err != nil {
+	if _, err := e.Run(RunOptions{Transactions: 500, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	before := e.logStats()
@@ -68,7 +68,7 @@ func TestBuildWiringRetiredLogStatsPartialReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(RunOptions{Transactions: 500, Seed: 7, Workers: 1}); err != nil {
+	if _, err := e.Run(RunOptions{Transactions: 500, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	before := e.logStats()
@@ -103,7 +103,7 @@ func TestAdaptiveRunLogStatsCumulative(t *testing.T) {
 	e := adaptiveGranEngine(t, "2s-fc", topology.LevelSocket, driftAcrossCrossover(8000, half))
 	res, err := e.Run(RunOptions{
 		Duration: 2 * half, MaxTransactions: 200_000,
-		Seed: 7, Workers: 2, SampleWindow: granWindow,
+		Seed: 7, SampleWindow: granWindow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestAdaptiveRunLogStatsCumulative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := fixed.Run(RunOptions{Transactions: 2000, Seed: 7, Workers: 1})
+	fres, err := fixed.Run(RunOptions{Transactions: 2000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"atrapos/internal/fault"
@@ -28,8 +25,9 @@ type RunOptions struct {
 	// MaxTransactions caps a duration-driven run as a safety net; zero means
 	// ten million.
 	MaxTransactions int
-	// Workers is the number of goroutines executing transactions; zero means
-	// min(GOMAXPROCS, alive cores).
+	// Workers is a remnant of the goroutine-pool run loop, kept only because
+	// the frozen benchmark module still assigns it: priced and executed runs
+	// ignore it; 0 or 1 is accepted and Run rejects anything larger.
 	Workers int
 	// Seed makes transaction generation deterministic.
 	Seed int64
@@ -64,9 +62,12 @@ type Event struct {
 	Do func(*Engine)
 }
 
-func (o RunOptions) withDefaults(e *Engine) (RunOptions, error) {
+func (o RunOptions) withDefaults() (RunOptions, error) {
 	if o.Transactions <= 0 && o.Duration <= 0 {
 		return o, fmt.Errorf("engine: run needs a transaction count or a duration")
+	}
+	if o.Workers > 1 {
+		return o, fmt.Errorf("engine: a run is one goroutine; Workers=%d is not supported (leave it unset)", o.Workers)
 	}
 	if o.MaxTransactions <= 0 {
 		o.MaxTransactions = 10_000_000
@@ -74,12 +75,6 @@ func (o RunOptions) withDefaults(e *Engine) (RunOptions, error) {
 	if o.Transactions <= 0 || o.Transactions > o.MaxTransactions {
 		if o.Duration > 0 {
 			o.Transactions = o.MaxTransactions
-		}
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-		if n := len(e.cfg.Topology.AliveCores()); o.Workers > n {
-			o.Workers = n
 		}
 	}
 	if o.SampleWindow <= 0 {
@@ -159,13 +154,18 @@ func (r *Result) TimePerTransaction(comp vclock.Component) float64 {
 // Run executes the workload under the engine's design and returns the
 // measured result. It can be called repeatedly; each call starts from virtual
 // time zero but keeps the data loaded in the tables.
+//
+// A run is one host goroutine issuing transactions one at a time; the
+// simulated cores are virtual-time accounts, not threads. Environment events
+// and the adaptive planner fire inline at fixed points of the transaction
+// stream, so the result is a pure function of the seed and the configuration.
 func (e *Engine) Run(opts RunOptions) (*Result, error) {
-	opts, err := opts.withDefaults(e)
+	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	if opts.Faults != nil {
-		faultEvents, err := e.compileFaults(opts.Faults, opts.Workers)
+		faultEvents, err := e.compileFaults(opts.Faults)
 		if err != nil {
 			return nil, err
 		}
@@ -187,151 +187,111 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	series := vclock.NewSeries(opts.SampleWindow)
 	logStart := e.logStats()
 
-	aliveAtStart := e.cfg.Topology.AliveCores()
-	if len(aliveAtStart) == 0 {
+	if len(e.aliveCores()) == 0 {
 		return nil, fmt.Errorf("engine: no alive cores to run on")
 	}
 
-	var (
-		issued    atomic.Int64
-		committed atomic.Int64
-		aborted   atomic.Int64
-		multiSite atomic.Int64
-	)
+	var committed, aborted, multiSite int64
 	if e.adaptive != nil {
-		// The planner goroutine is the paper's monitoring thread: it sleeps
-		// until a worker reports a monitoring-boundary crossing, then runs
-		// evaluation and repartitioning (or an island-level change) con-
-		// currently with execution.
 		e.adaptive.reset()
-		e.adaptive.start(&committed, &aborted, opts.Workers)
 	}
-	eventFired := make([]atomic.Bool, len(opts.Events))
-	var eventMu sync.Mutex
-	fireEvents := func(now vclock.Nanos) {
+	eventFired := make([]bool, len(opts.Events))
+
+	src := &splitMix{}
+	// All per-transaction state lives in reusable buffers: the steady-state
+	// loop body allocates nothing.
+	sc := newExecScratch()
+	sc.ring = e.tracer.Worker(0)
+	ctx := workload.GenContext{Rng: rand.New(src)}
+	for n := int64(1); n <= int64(opts.Transactions); n++ {
+		now := e.virtualNow()
+		if opts.Duration > 0 && now >= opts.Duration {
+			break
+		}
 		for i := range opts.Events {
-			if now >= opts.Events[i].At && !eventFired[i].Load() {
-				eventMu.Lock()
-				if !eventFired[i].Load() {
-					eventFired[i].Store(true)
-					if opts.Events[i].Do != nil {
-						opts.Events[i].Do(e)
-					}
+			if !eventFired[i] && now >= opts.Events[i].At {
+				eventFired[i] = true
+				if opts.Events[i].Do != nil {
+					opts.Events[i].Do(e)
 				}
-				eventMu.Unlock()
 			}
 		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(workerIdx int) {
-			defer wg.Done()
-			src := &splitMix{}
-			rng := rand.New(src)
-			// All per-transaction state lives in worker-owned reusable
-			// buffers: the steady-state loop body allocates nothing.
-			sc := newExecScratch()
-			sc.ring = e.tracer.Worker(workerIdx)
-			sc.worker = int32(workerIdx)
-			ctx := workload.GenContext{Rng: rng}
-			for {
-				n := issued.Add(1)
-				if int(n) > opts.Transactions {
-					return
-				}
-				now := e.virtualNow()
-				if opts.Duration > 0 && now >= opts.Duration {
-					return
-				}
-				if len(opts.Events) > 0 {
-					fireEvents(now)
-				}
-				// Round-robin the coordinating core over the machine; a core
-				// on a failed socket is replaced by its fallback. The alive
-				// list is cached behind the topology's liveness epoch.
-				alive := e.aliveCores()
-				if len(alive) == 0 {
-					return
-				}
-				coord := alive[int(n)%len(alive)].ID
-				// Seed the generator from the transaction index, not the
-				// worker, so the generated workload does not depend on how
-				// the Go scheduler interleaves the worker goroutines.
-				src.seed(opts.Seed + n)
-				// One partitioning snapshot per transaction, taken before
-				// generation: the generator's view of the instance layout
-				// (site count, home site) and the execution wiring come from
-				// the same atomically-published snapshot, so a concurrent
-				// repartitioning or island-level change can never split a
-				// transaction across two machine layouts.
-				sc.snap = e.state.snapshot()
-				ctx.At = e.coreTime(coord)
-				ctx.NumSites = sc.snap.numSites()
-				ctx.HomeSite = sc.snap.wiring.siteOf(coord)
-				t := e.wl.Generate(&ctx)
-				if t.MultiSite {
-					multiSite.Add(1)
-				}
-				// Data-oriented designs dispatch the transaction to the
-				// worker thread that owns the partition doing most of its
-				// work, as DORA does; the coordinating core follows the data
-				// and the bulk of the actions execute locally.
-				if e.cfg.Design == PLP || e.cfg.Design == HWAware || e.cfg.Design == ATraPos {
-					if a, ok := dominantAction(t); ok {
-						if tp, ok := sc.snap.placement.Table(a.Table); ok {
-							coord = e.effectiveCore(tp.CoreFor(a.Key))
-						}
-					}
-				}
-				var txnStart vclock.Nanos
-				if sc.ring != nil {
-					// Stamp the transaction's spans with the snapshot's wiring
-					// epoch and the coordinator's site before executing.
-					sc.site = int32(sc.snap.wiring.siteOf(coord))
-					sc.epoch = 0
-					if sc.snap.wiring != nil {
-						sc.epoch = uint32(sc.snap.wiring.epoch)
-					}
-					txnStart = e.coreTime(coord)
-				}
-				ok := false
-				for attempt := 0; attempt <= opts.Retries; attempt++ {
-					if e.execute(coord, t, sc) {
-						ok = true
-						break
-					}
-				}
-				if sc.ring != nil {
-					arg := int64(0)
-					if ok {
-						arg = 1
-					}
-					sc.ring.Record(obs.Span{
-						Start: txnStart, Dur: e.coreTime(coord) - txnStart,
-						Kind: obs.KindTxn, Worker: sc.worker, Core: int32(coord),
-						Site: sc.site, Epoch: sc.epoch, Arg: arg, Class: t.Class,
-					})
-				}
-				e.noteTime(coord)
-				if ok {
-					committed.Add(1)
-					e.accounts[coord].committed.Add(1)
-					series.Record(e.coreTime(coord), 1)
-				} else {
-					aborted.Add(1)
-				}
-				if e.adaptive != nil {
-					e.adaptive.recordTxn(coord, t)
-					e.adaptive.noteBoundary()
+		// Round-robin the coordinating core over the machine; a core on a
+		// failed socket is replaced by its fallback. The alive list is cached
+		// behind the topology's liveness epoch.
+		alive := e.aliveCores()
+		if len(alive) == 0 {
+			break
+		}
+		coord := alive[int(n)%len(alive)].ID
+		// Seed the generator from the transaction index, so transaction n is
+		// the same transaction in the priced and the executed run loop.
+		src.seed(opts.Seed + n)
+		// One partitioning snapshot per transaction, taken before generation:
+		// the generator's view of the instance layout (site count, home site)
+		// and the execution wiring come from the same snapshot, so a
+		// repartitioning or island-level change fired by this transaction's
+		// own boundary check applies from the next transaction on.
+		sc.snap = e.state.snapshot()
+		ctx.At = e.coreTime(coord)
+		ctx.NumSites = sc.snap.numSites()
+		ctx.HomeSite = sc.snap.wiring.siteOf(coord)
+		t := e.wl.Generate(&ctx)
+		if t.MultiSite {
+			multiSite++
+		}
+		// Data-oriented designs dispatch the transaction to the worker thread
+		// that owns the partition doing most of its work, as DORA does; the
+		// coordinating core follows the data and the bulk of the actions
+		// execute locally.
+		if e.cfg.Design == PLP || e.cfg.Design == HWAware || e.cfg.Design == ATraPos {
+			if a, ok := dominantAction(t); ok {
+				if tp, ok := sc.snap.placement.Table(a.Table); ok {
+					coord = e.effectiveCore(tp.CoreFor(a.Key))
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	if e.adaptive != nil {
-		e.adaptive.stopPlanner()
+		}
+		var txnStart vclock.Nanos
+		if sc.ring != nil {
+			// Stamp the transaction's spans with the snapshot's wiring epoch
+			// and the coordinator's site before executing.
+			sc.site = int32(sc.snap.wiring.siteOf(coord))
+			sc.epoch = 0
+			if sc.snap.wiring != nil {
+				sc.epoch = uint32(sc.snap.wiring.epoch)
+			}
+			txnStart = e.coreTime(coord)
+		}
+		ok := false
+		for attempt := 0; attempt <= opts.Retries; attempt++ {
+			if e.execute(coord, t, sc) {
+				ok = true
+				break
+			}
+		}
+		if sc.ring != nil {
+			arg := int64(0)
+			if ok {
+				arg = 1
+			}
+			sc.ring.Record(obs.Span{
+				Start: txnStart, Dur: e.coreTime(coord) - txnStart,
+				Kind: obs.KindTxn, Core: int32(coord),
+				Site: sc.site, Epoch: sc.epoch, Arg: arg, Class: t.Class,
+			})
+		}
+		e.noteTime(coord)
+		if ok {
+			committed++
+			e.accounts[coord].committed++
+			series.Record(e.coreTime(coord), 1)
+		} else {
+			aborted++
+		}
+		if e.adaptive != nil {
+			e.adaptive.recordTxn(coord, t)
+			e.adaptive.noteBoundary(committed, aborted)
+		}
 	}
 	// Final-flush guarantee: the run does not end with committed work parked
 	// in a write-combining accumulator. The drain happens before the log
@@ -343,9 +303,9 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	res := &Result{
 		Design:    e.cfg.Design,
 		Workload:  e.wl.Name,
-		Committed: committed.Load(),
-		Aborted:   aborted.Load(),
-		MultiSite: multiSite.Load(),
+		Committed: committed,
+		Aborted:   aborted,
+		MultiSite: multiSite,
 		Series:    series.Samples(),
 	}
 	res.VirtualTime = e.virtualNowExact()
@@ -355,8 +315,8 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	res.Breakdown = e.breakdown()
 	var useful, total vclock.Nanos
 	for i := range e.accounts {
-		total += e.accounts[i].time()
-		useful += vclock.Nanos(e.accounts[i].comp[vclock.Execution].Load())
+		total += e.accounts[i].busy
+		useful += e.accounts[i].comp[vclock.Execution]
 	}
 	if total > 0 {
 		res.UsefulFraction = float64(useful) / float64(total)
@@ -366,12 +326,12 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		res.IslandLevel = w.level.String()
 	}
 	if e.adaptive != nil {
-		res.Repartitions = e.adaptive.repartitions.Load()
-		res.RepartitionTime = vclock.Nanos(e.adaptive.repartitionCost.Load())
-		res.RepartitionDiffs = e.adaptive.takeDiffs()
-		res.LevelChanges = e.adaptive.takeLevelChanges()
+		res.Repartitions = e.adaptive.repartitions
+		res.RepartitionTime = e.adaptive.repartitionCost
+		res.RepartitionDiffs = e.adaptive.diffs
+		res.LevelChanges = e.adaptive.levelChanges
 		if total > 0 {
-			res.AdaptationCostShare = float64(e.adaptive.adaptCharged.Load()) / float64(total)
+			res.AdaptationCostShare = float64(e.adaptive.adaptCharged) / float64(total)
 		}
 	}
 	res.Interconnect = e.cfg.Topology.Traffic()
@@ -392,7 +352,7 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 
 // siteOf returns the site of core under the currently installed wiring; the
 // hot path uses the per-transaction snapshot instead so generation and
-// execution agree (see the worker loop above).
+// execution agree (see the run loop above).
 func (e *Engine) siteOf(core topology.CoreID) int {
 	return e.state.snapshot().wiring.siteOf(core)
 }
@@ -418,8 +378,8 @@ type splitMix struct{ state uint64 }
 
 // seed places the generator at a pseudo-random point of the splitmix orbit.
 // The seed is avalanched first so that consecutive transaction indices do not
-// produce overlapping (shifted) output streams, which would make concurrent
-// transactions touch the same keys and conflict artificially.
+// produce overlapping (shifted) output streams, which would make neighbouring
+// transactions touch the same keys.
 func (s *splitMix) seed(v int64) {
 	z := uint64(v) + 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -451,8 +411,8 @@ func (e *Engine) perSocketThroughput() []SocketThroughput {
 		var committed int64
 		var busiest vclock.Nanos
 		for _, c := range top.CoresOn(topology.SocketID(s)) {
-			committed += e.accounts[c.ID].committed.Load()
-			if t := e.accounts[c.ID].time(); t > busiest {
+			committed += e.accounts[c.ID].committed
+			if t := e.accounts[c.ID].busy; t > busiest {
 				busiest = t
 			}
 		}

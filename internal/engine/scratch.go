@@ -9,16 +9,16 @@ import (
 	"atrapos/internal/workload"
 )
 
-// execScratch is the per-worker reusable state of the transaction hot path.
+// execScratch is the run loop's reusable state of the transaction hot path.
 // Every buffer is reset with a re-slice to length zero and keeps its backing
 // array, so after the first few transactions the steady-state execution of a
-// transaction performs no heap allocations at all. One scratch is owned by
-// exactly one worker goroutine and is threaded through all three design paths
-// (centralized, shared-nothing, partitioned).
+// transaction performs no heap allocations at all. One scratch per run is
+// threaded through all three design paths (centralized, shared-nothing,
+// partitioned).
 type execScratch struct {
 	// snap is the partitioning snapshot taken once per transaction; dispatch
-	// and execution read the same snapshot so a concurrent repartitioning can
-	// never split a transaction across two placements.
+	// and execution read the same snapshot, so one transaction never sees two
+	// placements.
 	snap *stateSnapshot
 
 	// txn is the reusable transaction object filled by Manager.BeginInto.
@@ -46,13 +46,12 @@ type execScratch struct {
 	participants []int
 	remoteCores  []topology.CoreID
 
-	// ring is the worker's span ring for the transaction in flight (nil with
-	// tracing off); worker, site and epoch stamp its spans. The run loop sets
-	// them per transaction from the snapshot it took.
-	ring   *obs.Ring
-	worker int32
-	site   int32
-	epoch  uint32
+	// ring is the run's span ring (nil with tracing off); site and epoch
+	// stamp its spans. The run loop sets them per transaction from the
+	// snapshot it took.
+	ring  *obs.Ring
+	site  int32
+	epoch uint32
 }
 
 type tableMode struct {

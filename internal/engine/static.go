@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sort"
+
 	"atrapos/internal/core"
 	"atrapos/internal/numa"
 	"atrapos/internal/partition"
@@ -57,9 +59,17 @@ func syntheticStats(wl *workload.Workload, p *partition.Placement, maxKeys map[s
 	monitor.RegisterPlacement(p, maxKeys)
 
 	mix := wl.ClassWeights(0)
+	// Classes are visited in sorted order: the float total and, through the
+	// monitor's first-seen participant order, the placement search's result
+	// would otherwise depend on Go's map iteration order.
+	classes := make([]string, 0, len(mix))
+	for class := range mix {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
 	var totalMix float64
-	for _, w := range mix {
-		if w > 0 {
+	for _, class := range classes {
+		if w := mix[class]; w > 0 {
 			totalMix += w
 		}
 	}
@@ -67,7 +77,8 @@ func syntheticStats(wl *workload.Workload, p *partition.Placement, maxKeys map[s
 		totalMix = 1
 	}
 	const samples = 64
-	for class, share := range mix {
+	for _, class := range classes {
+		share := mix[class]
 		if share <= 0 {
 			continue
 		}

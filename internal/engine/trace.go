@@ -7,7 +7,7 @@ import (
 	"atrapos/internal/vclock"
 )
 
-// traceOp records one virtual-time operation span on the worker's ring,
+// traceOp records one virtual-time operation span on the run's ring,
 // ending at the charged core's current time (call it after the cost has been
 // charged, so [end-cost, end] is exactly the operation's slice of the core's
 // timeline). With tracing off sc.ring is nil and the call is one comparison.
@@ -17,14 +17,13 @@ func (e *Engine) traceOp(sc *execScratch, kind obs.Kind, core topology.CoreID, c
 	}
 	end := e.coreTime(core)
 	sc.ring.Record(obs.Span{
-		Start:  end - vclock.Nanos(cost),
-		Dur:    vclock.Nanos(cost),
-		Kind:   kind,
-		Worker: sc.worker,
-		Core:   int32(core),
-		Site:   sc.site,
-		Epoch:  sc.epoch,
-		Arg:    arg,
+		Start: end - vclock.Nanos(cost),
+		Dur:   vclock.Nanos(cost),
+		Kind:  kind,
+		Core:  int32(core),
+		Site:  sc.site,
+		Epoch: sc.epoch,
+		Arg:   arg,
 	})
 }
 
@@ -45,11 +44,11 @@ func (e *Engine) trace2PC(sc *execScratch, core topology.CoreID, total, prepare 
 	}
 	sc.ring.Record(obs.Span{
 		Start: start, Dur: vclock.Nanos(prepare), Kind: obs.KindPrepare,
-		Worker: sc.worker, Core: int32(core), Site: sc.site, Epoch: sc.epoch, Arg: arg,
+		Core: int32(core), Site: sc.site, Epoch: sc.epoch, Arg: arg,
 	})
 	sc.ring.Record(obs.Span{
 		Start: start + vclock.Nanos(prepare), Dur: vclock.Nanos(total - prepare), Kind: obs.KindCommit,
-		Worker: sc.worker, Core: int32(core), Site: sc.site, Epoch: sc.epoch, Arg: arg,
+		Core: int32(core), Site: sc.site, Epoch: sc.epoch, Arg: arg,
 	})
 }
 

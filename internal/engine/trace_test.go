@@ -40,16 +40,16 @@ func tracedDriftEngine(t *testing.T, half vclock.Nanos) *Engine {
 
 // TestTraceDeterminism: the same seed produces byte-identical trace and
 // metrics documents from two independently built engines. Traced runs record
-// everything in virtual time and the drift scenario runs one worker, so the
-// exported bytes are a pure function of the seed — the property that makes
-// traces diffable across hosts and harness parallelism.
+// everything in virtual time, so the exported bytes are a pure function of
+// the seed — the property that makes traces diffable across hosts and harness
+// parallelism.
 func TestTraceDeterminism(t *testing.T) {
 	half := 30 * granWindow
 	runOnce := func() ([]byte, []byte, *Result) {
 		e := tracedDriftEngine(t, half)
 		res, err := e.Run(RunOptions{
 			Duration: 2 * half, MaxTransactions: 200_000,
-			Seed: 7, Workers: 1, SampleWindow: granWindow,
+			Seed: 7, SampleWindow: granWindow,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTraceDeterminism(t *testing.T) {
 	e := tracedDriftEngine(t, half)
 	if _, err := e.Run(RunOptions{
 		Duration: 2 * half, MaxTransactions: 200_000,
-		Seed: 7, Workers: 1, SampleWindow: granWindow,
+		Seed: 7, SampleWindow: granWindow,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,6 @@ func runSeries(e *engine.Engine, s Scale, duration vclock.Nanos, events []engine
 		Duration:        duration,
 		MaxTransactions: 40 * s.Transactions,
 		Seed:            s.Seed,
-		Workers:         s.Workers,
 		SampleWindow:    adaptiveWindow,
 		Events:          events,
 	})

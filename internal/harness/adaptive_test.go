@@ -56,7 +56,6 @@ func TestDriftRepartitionsAreIncremental(t *testing.T) {
 		Duration:        paperSecond(60),
 		MaxTransactions: 40 * s.Transactions,
 		Seed:            s.Seed,
-		Workers:         s.Workers,
 		SampleWindow:    adaptiveWindow,
 	})
 	if err != nil {

@@ -101,7 +101,6 @@ func RunFaultTimeline(s Scale) (*FaultTimeline, error) {
 		Duration:        paperSecond(60),
 		MaxTransactions: 40 * s.Transactions,
 		Seed:            s.Seed,
-		Workers:         s.Workers,
 		SampleWindow:    adaptiveWindow,
 		Faults:          sched,
 	})

@@ -266,7 +266,6 @@ func runScenario(pool *Pool, s Scale, sc fuzzScenario, seed int64) error {
 		Duration:        paperSecond(45),
 		MaxTransactions: 40 * s.Transactions * sc.txnScale,
 		Seed:            seed,
-		Workers:         2,
 		SampleWindow:    adaptiveWindow,
 		Faults:          sc.sched,
 	})
@@ -282,7 +281,7 @@ func runScenario(pool *Pool, s Scale, sc fuzzScenario, seed int64) error {
 		// next monitoring boundary. Give the settled (still-faulted) timeline
 		// one more boundary before calling the verdict — a planner that truly
 		// cannot re-wire onto the surviving hardware still fails here.
-		if _, err := e.Run(engine.RunOptions{Transactions: 2000 * sc.txnScale, Seed: seed + 2, Workers: 1}); err != nil {
+		if _, err := e.Run(engine.RunOptions{Transactions: 2000 * sc.txnScale, Seed: seed + 2}); err != nil {
 			return fmt.Errorf("convergence settling run: %w", err)
 		}
 		if !e.WiringConverged() {
@@ -327,7 +326,7 @@ func runScenario(pool *Pool, s Scale, sc fuzzScenario, seed int64) error {
 	// A settling run first: the planner re-expands onto the restored hardware
 	// at its next boundary, and that one-off re-wiring (like any level change)
 	// legitimately allocates. The measured run after it sees steady state.
-	if _, err := e.Run(engine.RunOptions{Transactions: 2000, Seed: seed + 1, Workers: 1}); err != nil {
+	if _, err := e.Run(engine.RunOptions{Transactions: 2000, Seed: seed + 1}); err != nil {
 		return fmt.Errorf("alloc-check settling run: %w", err)
 	}
 	// Three measured runs, best taken: a residual one-off planner re-wiring
@@ -350,7 +349,7 @@ func runScenario(pool *Pool, s Scale, sc fuzzScenario, seed int64) error {
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			allocRes, err := e.Run(engine.RunOptions{Transactions: allocTxns, Seed: seed + 2 + int64(rep), Workers: 1})
+			allocRes, err := e.Run(engine.RunOptions{Transactions: allocTxns, Seed: seed + 2 + int64(rep)})
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				return fmt.Errorf("alloc-check run: %w", err)
@@ -398,7 +397,7 @@ func runCrashPair(sc fuzzScenario, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("crash reference engine: %w", err)
 	}
-	refRes, err := ref.Run(engine.RunOptions{Transactions: txns, Seed: seed, Workers: 1})
+	refRes, err := ref.Run(engine.RunOptions{Transactions: txns, Seed: seed})
 	if err != nil {
 		return fmt.Errorf("crash reference run: %w", err)
 	}
@@ -419,7 +418,7 @@ func runCrashPair(sc fuzzScenario, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("crash drill engine: %w", err)
 	}
-	drillRes, err := drill.Run(engine.RunOptions{Transactions: txns, Seed: seed, Workers: 1, Faults: sched})
+	drillRes, err := drill.Run(engine.RunOptions{Transactions: txns, Seed: seed, Faults: sched})
 	if err != nil {
 		return fmt.Errorf("crash drill run: %w", err)
 	}

@@ -156,7 +156,6 @@ func RunAdaptiveGranularityFrom(s Scale, static []IslandPoint) (*GranularityTraj
 		Duration:        2 * half,
 		MaxTransactions: 40 * s.Transactions,
 		Seed:            s.Seed,
-		Workers:         s.pointWorkers(),
 		SampleWindow:    adaptiveWindow,
 	})
 	if err != nil {
@@ -352,10 +351,9 @@ type TracedDriftResult struct {
 
 // RunTracedDrift executes the adaptive-granularity drift scenario with the
 // span tracer enabled and exports the trace and metrics documents (also to
-// tracePath/metricsPath when non-empty). The engine runs with exactly one
-// worker — the same budget the harness pool pins per point — so the virtual
-// timeline, and therefore the exported trace, is bit-identical on any host
-// and at any Scale.Parallel fan-out.
+// tracePath/metricsPath when non-empty). The virtual timeline, and therefore
+// the exported trace, is bit-identical on any host and at any Scale.Parallel
+// fan-out.
 func RunTracedDrift(s Scale, tracePath, metricsPath string) (*TracedDriftResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -388,7 +386,6 @@ func RunTracedDrift(s Scale, tracePath, metricsPath string) (*TracedDriftResult,
 		Duration:        2 * half,
 		MaxTransactions: 40 * s.Transactions,
 		Seed:            s.Seed,
-		Workers:         1,
 		SampleWindow:    adaptiveWindow,
 		TracePath:       tracePath,
 		MetricsPath:     metricsPath,

@@ -6,7 +6,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -34,14 +33,10 @@ type Scale struct {
 	Items                int
 	// Transactions is the number of transactions per measured point.
 	Transactions int
-	// Workers is the number of executing goroutines (0 = automatic).
-	Workers int
 	// Parallel is how many independent sweep points / experiments the harness
-	// pool runs concurrently. 0 preserves the legacy serial semantics exactly
-	// (points run in order with Workers passed through untouched); 1 runs
-	// points serially with the pool's deterministic per-point worker pinning;
-	// N > 1 fans points out across N goroutines. See pointWorkers for how the
-	// per-point engine worker count is budgeted.
+	// pool runs concurrently: 0 or 1 runs them one at a time in order, N > 1
+	// fans them out across N goroutines. A point is one single-goroutine
+	// engine run, so the value changes wall time only, never a result.
 	Parallel int
 	// Seed makes runs repeatable.
 	Seed int64
@@ -288,22 +283,16 @@ func RunAll(s Scale) ([]*Table, error) {
 // one pool point, results come back in registry order no matter the
 // completion order, and a failing experiment reports its error in its slot
 // (and in the joined return error) without aborting the others. Each
-// experiment's internal sweeps run serially with the per-point engine worker
-// count pinned (see pointWorkers), so the registry is the unit of
-// parallelism and results do not depend on Scale.Parallel.
+// experiment's internal sweeps run serially, so the registry is the unit of
+// parallelism.
 func RunAllTimed(s Scale) ([]ExperimentResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	// No nested pooling: C experiments x C sweep points would oversubscribe
+	// quadratically, and the registry alone has enough fan-out.
 	inner := s
-	if s.Parallel != 0 {
-		// Pin the per-point worker count at the outer scale's budget and
-		// disable nested pooling: C experiments x C sweep points would
-		// oversubscribe quadratically, and the registry alone has enough
-		// fan-out.
-		inner.Workers = s.pointWorkers()
-		inner.Parallel = 1
-	}
+	inner.Parallel = 1
 	reg := Registry()
 	results := make([]ExperimentResult, len(reg))
 	jobs := make([]PointFn, len(reg))
@@ -337,38 +326,8 @@ func (s Scale) parallel() int {
 // pool returns the scheduler the scale's sweeps fan their points into.
 func (s Scale) pool() *Pool { return NewPool(s.parallel()) }
 
-// pointWorkers is the engine worker count one sweep point runs with under
-// the pool. A point's simulated results depend on its own worker count, so
-// the count must not vary with the pool concurrency — otherwise -parallel
-// would change the tables, not just the wall time. The budget keeps
-// pool concurrency x per-point workers <= GOMAXPROCS:
-//
-//   - Parallel == 0 (legacy serial callers): Workers passes through exactly
-//     as before the pool existed.
-//   - automatic Workers under the pool: one worker per point, at every
-//     concurrency — the pool supplies the parallelism, and -parallel 1 vs
-//     -parallel N produce bit-identical tables on any host.
-//   - explicit Workers under the pool: respected, but capped at
-//     GOMAXPROCS / Parallel (floored at 1) so the budget holds.
-func (s Scale) pointWorkers() int {
-	if s.Parallel == 0 {
-		return s.Workers
-	}
-	if s.Workers <= 0 {
-		return 1
-	}
-	budget := runtime.GOMAXPROCS(0) / s.Parallel
-	if budget < 1 {
-		budget = 1
-	}
-	if s.Workers < budget {
-		return s.Workers
-	}
-	return budget
-}
-
 func (s Scale) runOptions() engine.RunOptions {
-	return engine.RunOptions{Transactions: s.Transactions, Seed: s.Seed, Workers: s.pointWorkers()}
+	return engine.RunOptions{Transactions: s.Transactions, Seed: s.Seed}
 }
 
 func runThroughput(e *engine.Engine, opts engine.RunOptions) (float64, *engine.Result, error) {

@@ -21,7 +21,6 @@ func testScale() Scale {
 		CustomersPerDistrict: 30,
 		Items:                500,
 		Transactions:         500,
-		Workers:              4,
 		Seed:                 42,
 	}
 }

@@ -24,9 +24,8 @@ type PointFn func() error
 //   - errors are aggregated per point with errors.Join instead of aborting
 //     the sweep at the first failure, so one bad cell reports alongside every
 //     other bad cell no matter which goroutine hit it first,
-//   - per-point engine worker counts are fixed independently of the pool's
-//     concurrency (see Scale.pointWorkers), because the simulated results of
-//     a point depend on its own worker count — parallel speedup comes only
+//   - a point is a single-goroutine engine run whose result is a pure
+//     function of its seed and configuration — parallel speedup comes only
 //     from running points concurrently, never from reshaping a point.
 //
 // Process-global measurements (heap allocation accounting) cannot overlap
@@ -118,10 +117,12 @@ func (p *Pool) WithAllocToken(f func() error) error {
 // pooled wall time of the same fixed-level sweep, the speedup, and whether
 // the two runs produced bit-identical point tables (they must).
 type ParallelReport struct {
-	// Concurrency is the pool concurrency of the parallel pass;
-	// PointWorkers the per-point engine worker count both passes pinned.
-	Concurrency  int `json:"concurrency"`
-	PointWorkers int `json:"point_workers"`
+	// Concurrency is the pool concurrency of the parallel pass.
+	Concurrency int `json:"concurrency"`
+	// PointGoroutines is the goroutine count of one point's engine run: always
+	// 1. The record field predates the single-goroutine run loop and stays so
+	// the committed trajectory keeps decoding.
+	PointGoroutines int `json:"point_workers"`
 	// Points is how many sweep points each pass measured.
 	Points int `json:"points"`
 	// SerialWallMS / ParallelWallMS are host wall-clock milliseconds.
@@ -135,11 +136,10 @@ type ParallelReport struct {
 }
 
 // MeasureParallel runs the island sweep's multisite endpoints twice — once
-// serially, once through the pool at the scale's concurrency — with the
-// per-point engine worker count pinned to the same value in both passes, and
-// reports wall times, speedup and bit-identity. It is the determinism
-// harness behind the harness_parallel trajectory record: the pool may only
-// change wall time, never a result.
+// serially, once through the pool at the scale's concurrency — and reports
+// wall times, speedup and bit-identity. It is the determinism harness behind
+// the harness_parallel trajectory record: the pool may only change wall
+// time, never a result.
 func MeasureParallel(s Scale) (*ParallelReport, error) {
 	if s.Parallel < 1 {
 		s.Parallel = runtime.GOMAXPROCS(0)
@@ -147,10 +147,6 @@ func MeasureParallel(s Scale) (*ParallelReport, error) {
 	par := s
 	ser := s
 	ser.Parallel = 1
-	// Pin both passes to the parallel pass's per-point worker count: a
-	// point's simulated results depend on its own worker count, so the
-	// comparison must isolate the pool as the only variable.
-	ser.Workers = par.pointWorkers()
 	pcts := []int{0, 100}
 	start := time.Now()
 	serPts, err := IslandSweep(ser, pcts)
@@ -174,12 +170,12 @@ func MeasureParallel(s Scale) (*ParallelReport, error) {
 		}
 	}
 	rep := &ParallelReport{
-		Concurrency:    par.parallel(),
-		PointWorkers:   par.pointWorkers(),
-		Points:         len(parPts),
-		SerialWallMS:   float64(serialWall.Nanoseconds()) / 1e6,
-		ParallelWallMS: float64(parallelWall.Nanoseconds()) / 1e6,
-		Identical:      identical,
+		Concurrency:     par.parallel(),
+		PointGoroutines: 1,
+		Points:          len(parPts),
+		SerialWallMS:    float64(serialWall.Nanoseconds()) / 1e6,
+		ParallelWallMS:  float64(parallelWall.Nanoseconds()) / 1e6,
+		Identical:       identical,
 	}
 	if parallelWall > 0 {
 		rep.Speedup = serialWall.Seconds() / parallelWall.Seconds()

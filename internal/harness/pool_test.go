@@ -166,36 +166,6 @@ func TestPoolRunEmptyAndSerial(t *testing.T) {
 	}
 }
 
-// TestPointWorkersBudget pins the worker-budget model: legacy callers
-// (Parallel == 0) pass Workers through untouched; pooled scales pin automatic
-// workers to 1 at every concurrency (the determinism contract); explicit
-// workers are respected but capped so concurrency x workers stays within
-// GOMAXPROCS.
-func TestPointWorkersBudget(t *testing.T) {
-	s := QuickScale()
-	if got := s.pointWorkers(); got != 0 {
-		t.Errorf("legacy scale should pass automatic workers through, got %d", got)
-	}
-	s.Workers = 6
-	if got := s.pointWorkers(); got != 6 {
-		t.Errorf("legacy scale should pass explicit workers through, got %d", got)
-	}
-	s.Workers = 0
-	for _, parallel := range []int{1, 2, 8, 64} {
-		s.Parallel = parallel
-		if got := s.pointWorkers(); got != 1 {
-			t.Errorf("parallel=%d: automatic workers under the pool must pin to 1, got %d", parallel, got)
-		}
-	}
-	s.Workers = 1
-	for _, parallel := range []int{1, 8} {
-		s.Parallel = parallel
-		if got := s.pointWorkers(); got != 1 {
-			t.Errorf("parallel=%d: explicit single workers must stay 1, got %d", parallel, got)
-		}
-	}
-}
-
 // TestRunAllTimedAggregatesErrors: a broken scale (unknown profile surfaces
 // inside experiments via Validate up front) — so instead exercise the
 // aggregation through MeasureParallel's identity contract and RunAllTimed's
@@ -242,8 +212,8 @@ func TestMeasureParallel(t *testing.T) {
 	if !rep.Identical {
 		t.Error("serial and pooled island sweeps differ — the pool changed a result")
 	}
-	if rep.Concurrency != 4 || rep.PointWorkers != 1 {
-		t.Errorf("report pins concurrency=4 workers=1, got %d/%d", rep.Concurrency, rep.PointWorkers)
+	if rep.Concurrency != 4 || rep.PointGoroutines != 1 {
+		t.Errorf("report pins concurrency=4 goroutines=1, got %d/%d", rep.Concurrency, rep.PointGoroutines)
 	}
 	if rep.Points == 0 || rep.SerialWallMS <= 0 || rep.ParallelWallMS <= 0 || rep.Speedup <= 0 {
 		t.Errorf("degenerate report: %+v", rep)
