@@ -10,6 +10,10 @@
 #   make bench        - full hot-path microbenchmarks with allocation stats
 #   make bench-json   - append a BENCH.json perf-trajectory record
 #   make bench-trace  - traced adaptive-drift run: Perfetto trace + metrics CSV
+#   make bench-pair   - the repo benchmark on a parent commit and the working
+#                       tree in alternating pairs (PARENT=<ref> WORKLOAD=<name>
+#                       PAIRS=10 SEED=42): per-pair values, medians, quartiles,
+#                       wins — the protocol behind every performance claim
 #   make fuzz-smoke   - bounded seeded fault-scenario fuzz run (FUZZ_SEED=...)
 #
 # The experiment and fuzz targets run through the parallel point scheduler
@@ -18,8 +22,10 @@
 
 GO ?= go
 FUZZ_SEED ?= 42
+PAIRS ?= 10
+SEED ?= 42
 
-.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench bench-json bench-verify bench-devices bench-groupcommit bench-executed bench-trace fuzz-smoke
+.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench bench-json bench-verify bench-devices bench-groupcommit bench-executed bench-trace bench-pair fuzz-smoke
 
 check: fmt vet staticcheck build test race bench-module bench-smoke bench-devices bench-groupcommit bench-executed bench-trace fuzz-smoke bench-verify
 
@@ -73,6 +79,7 @@ bench-module:
 # loudly in review; see DESIGN.md section 7 for the invariants.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchtime 100x -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench BenchmarkAcquireReleaseAll -benchtime 1000x -benchmem ./internal/lock
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchmem ./internal/engine
@@ -107,6 +114,13 @@ bench-executed:
 bench-trace:
 	@mkdir -p trace-out
 	$(GO) run ./cmd/atrapos-bench -trace trace-out/drift.json -metrics trace-out/drift.csv
+
+# Parent commit against working tree with the repo benchmark (BENCHMARK.json),
+# ten alternating pairs by default; takes PAIRS x 2 x ~25 s. The parent is
+# unpacked under $$TMPDIR and removed afterwards.
+bench-pair:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=42]"; exit 2; }
+	$(GO) run ./cmd/bench-pair -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # A bounded, fixed-seed run of the fault-scenario fuzzer: 100 composed
 # {workload, machine, device layout, fault schedule} scenarios, every standing

@@ -8,7 +8,6 @@ package lock
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"atrapos/internal/schema"
 )
@@ -121,55 +120,62 @@ func RowResource(table string, key schema.Key) ResourceID {
 // without a waits-for graph.
 var ErrConflict = errors.New("lock: conflicting lock held")
 
+// holder is one transaction's mode on a resource.
+type holder struct {
+	txn  TxnID
+	mode Mode
+}
+
 type entry struct {
-	holders map[TxnID]Mode
-	// nextFree links entries on the bucket's free list while they are not in
-	// use. Pooling freed entries (and their holder maps) keeps the acquire
-	// hot path allocation-free in steady state: a transaction's locks are
-	// created and fully released every few microseconds, and without the pool
-	// every acquire of a fresh resource would allocate an entry and a map.
+	res ResourceID
+	// holders starts on the entry's own one-element array: a priced run has
+	// one transaction in flight, so one holder is the only case it produces.
+	holders []holder
+	first   [1]holder
+	// nextFree links entries on the table's free list while they are not in
+	// use. Pooling freed entries keeps the acquire hot path allocation-free in
+	// steady state: a transaction's locks are created and fully released every
+	// few microseconds, and without the pool every acquire of a fresh resource
+	// would allocate an entry.
 	nextFree *entry
 }
 
-// Table is one lock table: a bucket-striped hash map from resources to lock
-// entries. A Table on its own is NUMA-oblivious; the managers in manager.go
-// decide how many tables exist and which threads may touch them.
+// heldLock records that txn was granted a lock on e's resource.
+type heldLock struct {
+	txn TxnID
+	e   *entry
+}
+
+// Table is one lock table: a hash map from resources to lock entries plus the
+// list of granted locks, so releasing a transaction costs O(locks held) and
+// does not depend on the bucket count. A Table on its own is NUMA-oblivious;
+// the managers in manager.go decide how many tables exist and which bucket
+// header (BucketFor) an access is priced on.
+//
+// A Table, like the managers that wrap it, is single-owner: it has no
+// synchronisation and must only be used by one goroutine at a time. A priced
+// engine.Run is one goroutine and owns every lock table of its engine;
+// executed mode never enters this package. What would break the rule is two
+// engines sharing a table, and that is what `make race` runs the harness's
+// TestParallelSweepBitIdentical for: it prices many engines concurrently, so
+// a table reachable from two of them is a data race the detector reports.
 type Table struct {
-	buckets []bucket
+	nBuckets int
+	entries  map[ResourceID]*entry
+	// held has one record per (txn, resource) grant, appended when the
+	// transaction first locks the resource (an upgrade adds none) and removed
+	// by ReleaseAll.
+	held []heldLock
+	free *entry
 }
 
-type bucket struct {
-	mu      sync.Mutex
-	entries map[ResourceID]*entry
-	free    *entry
-}
-
-// getEntry pops a pooled entry or allocates one. Caller holds b.mu.
-func (b *bucket) getEntry() *entry {
-	if e := b.free; e != nil {
-		b.free = e.nextFree
-		e.nextFree = nil
-		return e
-	}
-	return &entry{holders: make(map[TxnID]Mode, 2)}
-}
-
-// putEntry returns an empty entry to the pool. Caller holds b.mu.
-func (b *bucket) putEntry(e *entry) {
-	e.nextFree = b.free
-	b.free = e
-}
-
-// NewTable creates a lock table with the given number of buckets.
+// NewTable creates a lock table whose resources spread over the given number
+// of bucket headers.
 func NewTable(nBuckets int) *Table {
 	if nBuckets < 1 {
 		nBuckets = 1
 	}
-	t := &Table{buckets: make([]bucket, nBuckets)}
-	for i := range t.buckets {
-		t.buckets[i].entries = make(map[ResourceID]*entry)
-	}
-	return t
+	return &Table{nBuckets: nBuckets, entries: make(map[ResourceID]*entry)}
 }
 
 // BucketFor returns the bucket index for a resource; exported so managers can
@@ -183,104 +189,93 @@ func (t *Table) BucketFor(res ResourceID) int {
 	h ^= uint64(res.Key)
 	h *= 1099511628211
 	h ^= uint64(res.Kind)
-	return int(h % uint64(len(t.buckets)))
+	return int(h % uint64(t.nBuckets))
 }
 
 // Acquire grants mode on res to txn, or returns ErrConflict. Re-acquisition
 // by the same transaction succeeds if the held mode already subsumes the
 // request; otherwise the held mode is upgraded when no other holder conflicts.
 func (t *Table) Acquire(txn TxnID, res ResourceID, mode Mode) error {
-	b := &t.buckets[t.BucketFor(res)]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.entries[res]
+	e := t.entries[res]
 	if e == nil {
-		e = b.getEntry()
-		b.entries[res] = e
-	}
-	if held, ok := e.holders[txn]; ok && stronger(held, mode) {
-		return nil
-	}
-	for other, otherMode := range e.holders {
-		if other == txn {
-			continue
+		if e = t.free; e != nil {
+			t.free, e.nextFree = e.nextFree, nil
+		} else {
+			e = &entry{}
+			e.holders = e.first[:0]
 		}
-		if !Compatible(mode, otherMode) {
-			return ErrConflict
+		e.res = res
+		t.entries[res] = e
+	}
+	own, conflict := -1, false
+	for i, h := range e.holders {
+		if h.txn == txn {
+			own = i
+		} else if !Compatible(mode, h.mode) {
+			conflict = true
 		}
 	}
-	if held, ok := e.holders[txn]; !ok || !stronger(held, mode) {
-		e.holders[txn] = mode
+	switch {
+	case own >= 0 && stronger(e.holders[own].mode, mode):
+	case conflict:
+		return ErrConflict
+	case own >= 0:
+		e.holders[own].mode = mode
+	default:
+		e.holders = append(e.holders, holder{txn, mode})
+		t.held = append(t.held, heldLock{txn, e})
 	}
 	return nil
 }
 
-// Release drops txn's lock on res.
-func (t *Table) Release(txn TxnID, res ResourceID) {
-	b := &t.buckets[t.BucketFor(res)]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.entries[res]; e != nil {
-		delete(e.holders, txn)
-		if len(e.holders) == 0 {
-			delete(b.entries, res)
-			b.putEntry(e)
-		}
-	}
-}
-
 // ReleaseAll drops every lock held by txn and returns how many were released.
+// It walks the held list only: records of other transactions are compacted in
+// place, in order.
 func (t *Table) ReleaseAll(txn TxnID) int {
-	released := 0
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		b.mu.Lock()
-		for res, e := range b.entries {
-			if _, ok := e.holders[txn]; ok {
-				delete(e.holders, txn)
-				released++
-				if len(e.holders) == 0 {
-					delete(b.entries, res)
-					b.putEntry(e)
-				}
+	kept := t.held[:0]
+	for _, h := range t.held {
+		if h.txn != txn {
+			kept = append(kept, h)
+			continue
+		}
+		e := h.e
+		last := len(e.holders) - 1
+		for i := range e.holders {
+			if e.holders[i].txn == txn {
+				e.holders[i] = e.holders[last]
+				e.holders = e.holders[:last]
+				break
 			}
 		}
-		b.mu.Unlock()
+		if last == 0 {
+			delete(t.entries, e.res)
+			e.nextFree, t.free = t.free, e
+		}
 	}
+	released := len(t.held) - len(kept)
+	t.held = kept
 	return released
 }
 
 // Held returns the mode txn holds on res, if any.
 func (t *Table) Held(txn TxnID, res ResourceID) (Mode, bool) {
-	b := &t.buckets[t.BucketFor(res)]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.entries[res]; e != nil {
-		m, ok := e.holders[txn]
-		return m, ok
+	if e := t.entries[res]; e != nil {
+		for _, h := range e.holders {
+			if h.txn == txn {
+				return h.mode, true
+			}
+		}
 	}
 	return 0, false
 }
 
 // Holders returns how many transactions hold a lock on res.
 func (t *Table) Holders(res ResourceID) int {
-	b := &t.buckets[t.BucketFor(res)]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.entries[res]; e != nil {
+	if e := t.entries[res]; e != nil {
 		return len(e.holders)
 	}
 	return 0
 }
 
 // Len returns the number of locked resources (for observability and tests).
-func (t *Table) Len() int {
-	total := 0
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		b.mu.Lock()
-		total += len(b.entries)
-		b.mu.Unlock()
-	}
-	return total
-}
+func (t *Table) Len() int { return len(t.entries) }

@@ -1,7 +1,8 @@
 package lock
 
 import (
-	"sync"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -78,8 +79,8 @@ func TestTableAcquireReleaseBasics(t *testing.T) {
 	if m, ok := lt.Held(1, res); !ok || m != S {
 		t.Errorf("Held(1) = %v,%v", m, ok)
 	}
-	lt.Release(1, res)
-	lt.Release(2, res)
+	lt.ReleaseAll(1)
+	lt.ReleaseAll(2)
 	if err := lt.Acquire(3, res, X); err != nil {
 		t.Fatalf("X after release should be granted: %v", err)
 	}
@@ -149,7 +150,6 @@ func TestIntentionLocks(t *testing.T) {
 
 func TestReleaseUnknownIsNoop(t *testing.T) {
 	lt := NewTable(2)
-	lt.Release(1, RowResource("a", 1))
 	if n := lt.ReleaseAll(1); n != 0 {
 		t.Errorf("ReleaseAll of unknown txn = %d", n)
 	}
@@ -158,27 +158,180 @@ func TestReleaseUnknownIsNoop(t *testing.T) {
 	}
 }
 
-func TestTableConcurrentDisjointAcquire(t *testing.T) {
-	lt := NewTable(64)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			txn := TxnID(w + 1)
-			for i := 0; i < 500; i++ {
-				res := RowResource("t", schema.KeyFromInt(int64(w*1000+i)))
-				if err := lt.Acquire(txn, res, X); err != nil {
-					t.Errorf("unexpected conflict: %v", err)
-					return
+// refTable is the lock table as it was before the held list: bucket-striped
+// maps of per-entry holder maps, released by scanning every entry of every
+// bucket. It is kept, without its mutexes and entry pool, as the reference the
+// O(locks held) Table is compared against.
+type refTable struct {
+	buckets []map[ResourceID]map[TxnID]Mode
+	hash    *Table // BucketFor only: the bucket of a resource is not under test
+}
+
+func newRefTable(nBuckets int) *refTable {
+	if nBuckets < 1 {
+		nBuckets = 1
+	}
+	t := &refTable{buckets: make([]map[ResourceID]map[TxnID]Mode, nBuckets), hash: NewTable(nBuckets)}
+	for i := range t.buckets {
+		t.buckets[i] = make(map[ResourceID]map[TxnID]Mode)
+	}
+	return t
+}
+
+func (t *refTable) bucket(res ResourceID) map[ResourceID]map[TxnID]Mode {
+	return t.buckets[t.hash.BucketFor(res)]
+}
+
+func (t *refTable) Acquire(txn TxnID, res ResourceID, mode Mode) error {
+	b := t.bucket(res)
+	holders := b[res]
+	if holders == nil {
+		holders = make(map[TxnID]Mode, 2)
+		b[res] = holders
+	}
+	if held, ok := holders[txn]; ok && stronger(held, mode) {
+		return nil
+	}
+	for other, otherMode := range holders {
+		if other == txn {
+			continue
+		}
+		if !Compatible(mode, otherMode) {
+			return ErrConflict
+		}
+	}
+	if held, ok := holders[txn]; !ok || !stronger(held, mode) {
+		holders[txn] = mode
+	}
+	return nil
+}
+
+func (t *refTable) ReleaseAll(txn TxnID) int {
+	released := 0
+	for _, b := range t.buckets {
+		for res, holders := range b {
+			if _, ok := holders[txn]; ok {
+				delete(holders, txn)
+				released++
+				if len(holders) == 0 {
+					delete(b, res)
 				}
 			}
-			lt.ReleaseAll(txn)
-		}(w)
+		}
 	}
-	wg.Wait()
+	return released
+}
+
+func (t *refTable) Held(txn TxnID, res ResourceID) (Mode, bool) {
+	m, ok := t.bucket(res)[res][txn]
+	return m, ok
+}
+
+func (t *refTable) Holders(res ResourceID) int { return len(t.bucket(res)[res]) }
+
+func (t *refTable) Len() int {
+	total := 0
+	for _, b := range t.buckets {
+		total += len(b)
+	}
+	return total
+}
+
+// TestTableMatchesScanEveryBucketReference drives the Table and the reference
+// with the same seeded random streams — several transactions in flight,
+// acquires, re-acquires, upgrades, conflicting requests, releases of holders
+// and of transactions that hold nothing — and requires identical errors,
+// release counts, Held, Holders and Len at every step.
+func TestTableMatchesScanEveryBucketReference(t *testing.T) {
+	var universe []ResourceID
+	for _, table := range []string{"a", "b"} {
+		universe = append(universe, TableResource(table))
+		for k := int64(0); k < 6; k++ {
+			universe = append(universe, RowResource(table, schema.KeyFromInt(k)))
+		}
+	}
+	const txns = 6 // IDs 1..txns take locks; IDs above them only ever release
+	for _, buckets := range []int{1, 8, 256} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("buckets=%d/seed=%d", buckets, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				got, want := NewTable(buckets), newRefTable(buckets)
+				compare := func(step int) {
+					t.Helper()
+					if got.Len() != want.Len() {
+						t.Fatalf("step %d: Len = %d, reference %d", step, got.Len(), want.Len())
+					}
+					grants := 0
+					for _, res := range universe {
+						if g, w := got.Holders(res), want.Holders(res); g != w {
+							t.Fatalf("step %d: Holders(%v) = %d, reference %d", step, res, g, w)
+						}
+						grants += want.Holders(res)
+						for id := TxnID(1); id <= txns; id++ {
+							gm, gok := got.Held(id, res)
+							wm, wok := want.Held(id, res)
+							if gm != wm || gok != wok {
+								t.Fatalf("step %d: Held(%d, %v) = %v,%v, reference %v,%v", step, id, res, gm, gok, wm, wok)
+							}
+						}
+					}
+					if len(got.held) != grants {
+						t.Fatalf("step %d: held list has %d records for %d grants", step, len(got.held), grants)
+					}
+				}
+				for step := 0; step < 4000; step++ {
+					if rng.Intn(10) < 8 {
+						id := TxnID(1 + rng.Intn(txns))
+						res := universe[rng.Intn(len(universe))]
+						mode := Mode(rng.Intn(4))
+						if g, w := got.Acquire(id, res, mode), want.Acquire(id, res, mode); g != w {
+							t.Fatalf("step %d: Acquire(%d, %v, %v) = %v, reference %v", step, id, res, mode, g, w)
+						}
+					} else {
+						id := TxnID(1 + rng.Intn(txns+2))
+						if g, w := got.ReleaseAll(id), want.ReleaseAll(id); g != w {
+							t.Fatalf("step %d: ReleaseAll(%d) = %d, reference %d", step, id, g, w)
+						}
+					}
+					compare(step)
+				}
+				for id := TxnID(1); id <= txns; id++ {
+					if g, w := got.ReleaseAll(id), want.ReleaseAll(id); g != w {
+						t.Fatalf("final ReleaseAll(%d) = %d, reference %d", id, g, w)
+					}
+				}
+				if got.Len() != 0 || len(got.held) != 0 {
+					t.Errorf("after releasing every transaction: Len = %d, %d held records", got.Len(), len(got.held))
+				}
+			})
+		}
+	}
+}
+
+// TestUpgradeAddsNoHeldRecord: a lock upgraded in place is still one lock, so
+// ReleaseAll reports (and the central manager prices) one release.
+func TestUpgradeAddsNoHeldRecord(t *testing.T) {
+	lt := NewTable(8)
+	row, table := RowResource("a", schema.KeyFromInt(1)), TableResource("a")
+	for _, step := range []struct {
+		res  ResourceID
+		mode Mode
+	}{{table, IS}, {row, S}, {table, IX}, {row, X}, {row, S}} {
+		if err := lt.Acquire(1, step.res, step.mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, _ := lt.Held(1, row); m != X {
+		t.Errorf("row mode after S->X = %v, want X", m)
+	}
+	if m, _ := lt.Held(1, table); m != IX {
+		t.Errorf("table mode after IS->IX = %v, want IX", m)
+	}
+	if n := lt.ReleaseAll(1); n != 2 {
+		t.Errorf("ReleaseAll after two upgrades = %d, want 2 (one per resource)", n)
+	}
 	if lt.Len() != 0 {
-		t.Errorf("lock table not empty after concurrent release: %d", lt.Len())
+		t.Errorf("Len = %d after ReleaseAll", lt.Len())
 	}
 }
 
@@ -311,5 +464,70 @@ func TestLocalManagerStaysLocal(t *testing.T) {
 	}
 	if m.Table() == nil {
 		t.Error("Table accessor returned nil")
+	}
+}
+
+// lockCycle is the steady-state shape of a priced transaction: an intention
+// lock and row locks through one manager, then the release of all of them
+// (and, on a central manager, the SLI hand-over, a no-op with SLI off).
+func lockCycle(m Manager, txn TxnID, rows int) {
+	table := TableResource("t")
+	m.Acquire(0, txn, table, IX)
+	for k := 0; k < rows; k++ {
+		m.Acquire(0, txn, RowResource("t", schema.Key(uint64(txn)*16+uint64(k))), X)
+	}
+	m.ReleaseAll(0, txn)
+	if c, ok := m.(*CentralManager); ok {
+		c.RetainForSLI(0, table, IX)
+	}
+}
+
+// TestLockCycleZeroAllocs pins the pooling: once entries, the held list and
+// the SLI cache are warm, acquiring and releasing fresh resources allocates
+// nothing, on either manager, with SLI on or off.
+func TestLockCycleZeroAllocs(t *testing.T) {
+	d := newDomain(2)
+	cases := []struct {
+		name string
+		m    Manager
+	}{
+		{"central", NewCentralManager(d, 256, false)},
+		{"central-sli", NewCentralManager(d, 256, true)},
+		{"local", NewLocalManager(d, 0)},
+	}
+	for _, tc := range cases {
+		txn := TxnID(1)
+		cycle := func() {
+			lockCycle(tc.m, txn, 2)
+			txn++
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("%s: %v allocs per acquire x3 + ReleaseAll cycle, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// BenchmarkAcquireReleaseAll is the lock layer's own number: one transaction's
+// acquires and its ReleaseAll on a bare Table. ns/op grows with the locks per
+// transaction and must not grow with the bucket count.
+func BenchmarkAcquireReleaseAll(b *testing.B) {
+	for _, buckets := range []int{8, 256, 4096} {
+		for _, locks := range []int{1, 3, 10} {
+			b.Run(fmt.Sprintf("buckets=%d/locks=%d", buckets, locks), func(b *testing.B) {
+				lt := NewTable(buckets)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					txn := TxnID(i + 1)
+					for k := 0; k < locks; k++ {
+						lt.Acquire(txn, RowResource("t", schema.Key(i*16+k)), X)
+					}
+					if lt.ReleaseAll(txn) != locks {
+						b.Fatal("ReleaseAll lost a lock")
+					}
+				}
+			})
+		}
 	}
 }

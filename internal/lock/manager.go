@@ -1,9 +1,6 @@
 package lock
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"atrapos/internal/numa"
 	"atrapos/internal/topology"
 )
@@ -31,18 +28,17 @@ type Manager interface {
 // table-level intention locks released at commit are retained by the worker
 // that released them, so the next transaction on the same worker re-acquires
 // them without touching the shared bucket.
+//
+// Like the Table it wraps, a CentralManager is single-owner: "shared by every
+// worker" is priced on the bucket cache lines in virtual time, while on the
+// host one goroutine — the engine's run loop — makes every call.
 type CentralManager struct {
 	table *Table
 	lines []*numa.CacheLine
 
 	sliEnabled bool
-	sliMu      sync.Mutex
 	sli        map[topology.SocketID]map[ResourceID]Mode
 	sliHits    int64
-
-	// conflicts counts failed acquisitions (mode incompatibilities); the
-	// metrics sampler reads it at planner boundaries.
-	conflicts atomic.Int64
 }
 
 // NewCentralManager builds a centralized manager over domain d.
@@ -62,32 +58,27 @@ func NewCentralManager(d *numa.Domain, buckets int, sli bool) *CentralManager {
 // Acquire implements Manager.
 func (m *CentralManager) Acquire(s topology.SocketID, txn TxnID, res ResourceID, mode Mode) (numa.Cost, error) {
 	if m.sliEnabled && res.Kind == TableKind {
-		m.sliMu.Lock()
 		if held, ok := m.sli[s][res]; ok && stronger(held, mode) {
 			m.sliHits++
-			m.sliMu.Unlock()
 			// The lock is inherited: only a thread-local check is needed.
 			return 0, nil
 		}
-		m.sliMu.Unlock()
 	}
 	cost := m.lines[m.table.BucketFor(res)].Atomic(s)
-	if err := m.table.Acquire(txn, res, mode); err != nil {
-		m.conflicts.Add(1)
-		return cost, err
-	}
-	return cost, nil
+	return cost, m.table.Acquire(txn, res, mode)
 }
 
-// Conflicts returns how many acquisitions failed on a mode conflict.
-func (m *CentralManager) Conflicts() int64 { return m.conflicts.Load() }
-
-// ReleaseAll implements Manager. Table-level locks are retained in the SLI
-// cache of the releasing worker's socket when SLI is enabled.
+// ReleaseAll implements Manager; with SLI the caller follows up with
+// RetainForSLI for the table-level locks the socket should inherit.
+//
+// Releasing touches bucket headers again, priced as one atomic access per
+// released lock — but on lines 0..released-1, not on the buckets the locks
+// live in, and with no per-batch access. That is an approximation the
+// virtual-time baselines were recorded with; the table's held list knows the
+// real buckets, so pricing them is a change to this loop at the next
+// re-baseline (see ROADMAP).
 func (m *CentralManager) ReleaseAll(s topology.SocketID, txn TxnID) (numa.Cost, int) {
 	var cost numa.Cost
-	// Releasing touches the bucket headers again; approximate with one
-	// representative bucket access per release batch plus one per lock.
 	released := m.table.ReleaseAll(txn)
 	for i := 0; i < released; i++ {
 		cost += m.lines[i%len(m.lines)].Atomic(s)
@@ -102,8 +93,6 @@ func (m *CentralManager) RetainForSLI(s topology.SocketID, res ResourceID, mode 
 	if !m.sliEnabled || res.Kind != TableKind {
 		return
 	}
-	m.sliMu.Lock()
-	defer m.sliMu.Unlock()
 	if m.sli[s] == nil {
 		m.sli[s] = make(map[ResourceID]Mode)
 	}
@@ -111,11 +100,7 @@ func (m *CentralManager) RetainForSLI(s topology.SocketID, res ResourceID, mode 
 }
 
 // SLIHits returns how many acquisitions were served by speculative lock inheritance.
-func (m *CentralManager) SLIHits() int64 {
-	m.sliMu.Lock()
-	defer m.sliMu.Unlock()
-	return m.sliHits
-}
+func (m *CentralManager) SLIHits() int64 { return m.sliHits }
 
 // Table exposes the underlying lock table for tests.
 func (m *CentralManager) Table() *Table { return m.table }
@@ -123,7 +108,9 @@ func (m *CentralManager) Table() *Table { return m.table }
 // LocalManager is a partition-local lock table as used by PLP and ATraPos:
 // each logical partition has its own small lock table accessed by exactly one
 // worker thread, so acquisitions are island-local and uncontended. The cost
-// charged is the local atomic cost of the owning socket's stripe.
+// charged is the local atomic cost of the owning socket's stripe. The table
+// has a single bucket header — the partition's one cache line — and, like
+// every Table, a single owner on the host.
 //
 // A LocalManager is homed on the island of the partition's owning core: it
 // records both the socket (which prices the cache-line stripe) and, on
@@ -135,16 +122,13 @@ type LocalManager struct {
 	line    *numa.CacheLine
 	home    topology.SocketID
 	homeDie topology.DieID
-
-	// conflicts counts failed acquisitions, as on CentralManager.
-	conflicts atomic.Int64
 }
 
 // NewLocalManager creates a partition-local lock table homed on socket home
 // (on its first die when the machine is hierarchical).
 func NewLocalManager(d *numa.Domain, home topology.SocketID) *LocalManager {
 	return &LocalManager{
-		table:   NewTable(8),
+		table:   NewTable(1),
 		line:    numa.NewCacheLine(d, home),
 		home:    home,
 		homeDie: d.Top.FirstDieOn(home),
@@ -156,7 +140,7 @@ func NewLocalManager(d *numa.Domain, home topology.SocketID) *LocalManager {
 // island-locality checks.
 func NewLocalManagerAt(d *numa.Domain, owner topology.CoreID) *LocalManager {
 	return &LocalManager{
-		table:   NewTable(8),
+		table:   NewTable(1),
 		line:    numa.NewCacheLine(d, d.Top.SocketOf(owner)),
 		home:    d.Top.SocketOf(owner),
 		homeDie: d.Top.DieOf(owner),
@@ -188,16 +172,8 @@ func (m *LocalManager) HomeDie() topology.DieID { return m.homeDie }
 
 // Acquire implements Manager.
 func (m *LocalManager) Acquire(s topology.SocketID, txn TxnID, res ResourceID, mode Mode) (numa.Cost, error) {
-	cost := m.line.Atomic(s)
-	if err := m.table.Acquire(txn, res, mode); err != nil {
-		m.conflicts.Add(1)
-		return cost, err
-	}
-	return cost, nil
+	return m.line.Atomic(s), m.table.Acquire(txn, res, mode)
 }
-
-// Conflicts returns how many acquisitions failed on a mode conflict.
-func (m *LocalManager) Conflicts() int64 { return m.conflicts.Load() }
 
 // ReleaseAll implements Manager.
 func (m *LocalManager) ReleaseAll(s topology.SocketID, txn TxnID) (numa.Cost, int) {
