@@ -5,22 +5,11 @@
 // worker thread that owns it (Section III-A, "PLP").
 package btree
 
-import (
-	"fmt"
-	"sync"
-
-	"atrapos/internal/schema"
-)
+import "atrapos/internal/schema"
 
 // degree is the minimum fan-out of internal nodes. Leaves hold up to
 // 2*degree-1 entries.
 const degree = 32
-
-// Item is one key/value pair stored in a tree.
-type Item struct {
-	Key   schema.Key
-	Value schema.Row
-}
 
 type node struct {
 	leaf     bool
@@ -30,39 +19,26 @@ type node struct {
 	next     *node        // leaf chaining for range scans
 }
 
-// Tree is a single-rooted B+-tree. It is safe for concurrent use; a tree that
-// is privately owned by one partition worker never contends on the mutex.
+// Tree is a single-rooted B+-tree. It is single-owner: it holds no lock, so a
+// tree (and the MultiRooted it belongs to) must never be shared between
+// goroutines. A priced run is one goroutine, executed mode stores its rows in
+// backend.HashBackend, and repartitioning moves nodes between trees, which no
+// per-tree mutex could protect anyway.
 type Tree struct {
-	mu    sync.RWMutex
-	root  *node
-	size  int
-	nodes int
+	root *node
+	size int
 }
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{root: &node{leaf: true}, nodes: 1}
+	return &Tree{root: &node{leaf: true}}
 }
 
 // Len returns the number of entries in the tree.
-func (t *Tree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
-}
-
-// NodeCount returns the number of nodes; the repartitioning cost model uses it
-// to estimate how much metadata a split or merge touches.
-func (t *Tree) NodeCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.nodes
-}
+func (t *Tree) Len() int { return t.size }
 
 // Get returns the row stored under key.
 func (t *Tree) Get(key schema.Key) (schema.Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := t.root
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
@@ -77,21 +53,14 @@ func (t *Tree) Get(key schema.Key) (schema.Row, bool) {
 // Insert stores value under key, replacing any previous value. It reports
 // whether a new key was inserted (false means an existing key was updated).
 func (t *Tree) Insert(key schema.Key, value schema.Row) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.insertLocked(key, value)
-}
-
-func (t *Tree) insertLocked(key schema.Key, value schema.Row) bool {
 	r := t.root
 	if len(r.keys) == maxKeys() {
 		newRoot := &node{children: []*node{r}}
-		t.splitChild(newRoot, 0)
+		splitChild(newRoot, 0)
 		t.root = newRoot
-		t.nodes++
 		r = newRoot
 	}
-	inserted := t.insertNonFull(r, key, value)
+	inserted := insertNonFull(r, key, value)
 	if inserted {
 		t.size++
 	}
@@ -100,7 +69,7 @@ func (t *Tree) insertLocked(key schema.Key, value schema.Row) bool {
 
 func maxKeys() int { return 2*degree - 1 }
 
-func (t *Tree) insertNonFull(n *node, key schema.Key, value schema.Row) bool {
+func insertNonFull(n *node, key schema.Key, value schema.Row) bool {
 	if n.leaf {
 		i, ok := findKey(n.keys, key)
 		if ok {
@@ -118,16 +87,16 @@ func (t *Tree) insertNonFull(n *node, key schema.Key, value schema.Row) bool {
 	}
 	i := childIndex(n.keys, key)
 	if len(n.children[i].keys) == maxKeys() {
-		t.splitChild(n, i)
+		splitChild(n, i)
 		if key >= n.keys[i] {
 			i++
 		}
 	}
-	return t.insertNonFull(n.children[i], key, value)
+	return insertNonFull(n.children[i], key, value)
 }
 
 // splitChild splits the full child at index i of parent p.
-func (t *Tree) splitChild(p *node, i int) {
+func splitChild(p *node, i int) {
 	child := p.children[i]
 	mid := len(child.keys) / 2
 	var sep schema.Key
@@ -153,7 +122,6 @@ func (t *Tree) splitChild(p *node, i int) {
 	p.children = append(p.children, nil)
 	copy(p.children[i+2:], p.children[i+1:])
 	p.children[i+1] = right
-	t.nodes++
 }
 
 // Delete removes key from the tree and reports whether it was present.
@@ -161,8 +129,6 @@ func (t *Tree) splitChild(p *node, i int) {
 // acceptable for the workloads at hand (deletes are rare in TATP/TPC-C) and
 // keeps the range-scan chain intact.
 func (t *Tree) Delete(key schema.Key) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := t.root
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
@@ -180,8 +146,6 @@ func (t *Tree) Delete(key schema.Key) bool {
 // Update applies fn to the row stored under key in place and reports whether
 // the key was found. fn receives the stored row and returns the new row.
 func (t *Tree) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := t.root
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, key)]
@@ -197,8 +161,6 @@ func (t *Tree) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
 // Scan visits entries with from <= key < to in ascending key order, calling fn
 // for each. Scanning stops early if fn returns false.
 func (t *Tree) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := t.root
 	for !n.leaf {
 		n = n.children[childIndex(n.keys, from)]
@@ -226,12 +188,7 @@ func (t *Tree) Ascend(fn func(schema.Key, schema.Row) bool) {
 
 // Min returns the smallest key in the tree.
 func (t *Tree) Min() (schema.Key, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
+	n := edge(t.root, false)
 	if len(n.keys) == 0 {
 		return 0, false
 	}
@@ -240,43 +197,11 @@ func (t *Tree) Min() (schema.Key, bool) {
 
 // Max returns the largest key in the tree.
 func (t *Tree) Max() (schema.Key, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
+	n := edge(t.root, true)
 	if len(n.keys) == 0 {
 		return 0, false
 	}
 	return n.keys[len(n.keys)-1], true
-}
-
-// Items returns all entries in ascending order. Intended for tests and for
-// repartitioning, not for the transaction critical path.
-func (t *Tree) Items() []Item {
-	out := make([]Item, 0, t.Len())
-	t.Ascend(func(k schema.Key, v schema.Row) bool {
-		out = append(out, Item{Key: k, Value: v})
-		return true
-	})
-	return out
-}
-
-// BulkLoad builds a tree from entries that must be sorted by ascending key.
-// It is used when loading datasets and when repartitioning splits or merges
-// sub-trees.
-func BulkLoad(items []Item) (*Tree, error) {
-	t := New()
-	var prev schema.Key
-	for i, it := range items {
-		if i > 0 && it.Key <= prev {
-			return nil, fmt.Errorf("btree: bulk load input not strictly ascending at %d", i)
-		}
-		prev = it.Key
-		t.insertLocked(it.Key, it.Value)
-	}
-	return t, nil
 }
 
 // --- helpers ---

@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -27,9 +29,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if tr.Delete(schema.KeyFromInt(1)) {
 		t.Error("Delete on empty tree should report absence")
-	}
-	if tr.NodeCount() != 1 {
-		t.Errorf("empty tree has %d nodes, want 1", tr.NodeCount())
 	}
 }
 
@@ -171,33 +170,6 @@ func TestScanAndAscend(t *testing.T) {
 	tr.Ascend(func(schema.Key, schema.Row) bool { count++; return true })
 	if count != 1000 {
 		t.Errorf("Ascend visited %d, want 1000", count)
-	}
-	if len(tr.Items()) != 1000 {
-		t.Errorf("Items returned %d entries", len(tr.Items()))
-	}
-}
-
-func TestBulkLoad(t *testing.T) {
-	items := make([]Item, 100)
-	for i := range items {
-		items[i] = Item{Key: schema.KeyFromInt(int64(i)), Value: row(int64(i))}
-	}
-	tr, err := BulkLoad(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 100 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	if _, err := BulkLoad([]Item{{Key: 5}, {Key: 5}}); err == nil {
-		t.Error("duplicate keys in bulk load should error")
-	}
-	if _, err := BulkLoad([]Item{{Key: 5}, {Key: 3}}); err == nil {
-		t.Error("descending keys in bulk load should error")
-	}
-	empty, err := BulkLoad(nil)
-	if err != nil || empty.Len() != 0 {
-		t.Error("empty bulk load should produce an empty tree")
 	}
 }
 
@@ -484,5 +456,512 @@ func BenchmarkTreeGet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Get(schema.KeyFromInt(int64(i % n)))
+	}
+}
+
+// refMultiRooted is the row-by-row repartitioning this package used before
+// sub-trees were cut and joined: Split scans the moved rows into a fresh tree
+// and deletes them one by one, Merge re-inserts the right tree, Repartition
+// re-inserts every row into fresh trees. It survives as the reference model:
+// the per-row "moved" rule in its Repartition is the definition the per-piece
+// count in MultiRooted.Repartition must reproduce.
+type refMultiRooted struct{ MultiRooted }
+
+func (m *refMultiRooted) Split(at schema.Key) (int, error) {
+	idx := m.PartitionFor(at)
+	if m.bounds[idx] == at {
+		return 0, fmt.Errorf("btree: partition already starts at key %d", at)
+	}
+	old, right := m.roots[idx], New()
+	old.Scan(at, ^schema.Key(0), func(k schema.Key, v schema.Row) bool {
+		right.Insert(k, v)
+		return true
+	})
+	right.Ascend(func(k schema.Key, _ schema.Row) bool {
+		old.Delete(k)
+		return true
+	})
+	newIdx := idx + 1
+	m.bounds = slices.Insert(m.bounds, newIdx, at)
+	m.roots = slices.Insert(m.roots, newIdx, right)
+	return newIdx, nil
+}
+
+func (m *refMultiRooted) Merge(i int) error {
+	if i < 0 || i+1 >= len(m.roots) {
+		return fmt.Errorf("btree: cannot merge partition %d of %d", i, len(m.roots))
+	}
+	left, right := m.roots[i], m.roots[i+1]
+	right.Ascend(func(k schema.Key, v schema.Row) bool {
+		left.Insert(k, v)
+		return true
+	})
+	m.roots = slices.Delete(m.roots, i+1, i+2)
+	m.bounds = slices.Delete(m.bounds, i+1, i+2)
+	return nil
+}
+
+func (m *refMultiRooted) Repartition(newBounds []schema.Key) (moved int, err error) {
+	if len(newBounds) == 0 || newBounds[0] != 0 {
+		return 0, fmt.Errorf("btree: invalid new bounds")
+	}
+	for i := 1; i < len(newBounds); i++ {
+		if newBounds[i] <= newBounds[i-1] {
+			return 0, fmt.Errorf("btree: new bounds must be strictly ascending")
+		}
+	}
+	oldBounds := m.bounds
+	roots := make([]*Tree, len(newBounds))
+	for i := range roots {
+		roots[i] = New()
+	}
+	for oldIdx, t := range m.roots {
+		t.Ascend(func(k schema.Key, v schema.Row) bool {
+			ni := sort.Search(len(newBounds), func(i int) bool { return newBounds[i] > k }) - 1
+			roots[ni].Insert(k, v)
+			// An entry "moved" if its new partition range differs from its old one.
+			if oldIdx >= len(newBounds) || newBounds[ni] != oldBounds[oldIdx] {
+				moved++
+			}
+			return true
+		})
+	}
+	m.bounds = append([]schema.Key(nil), newBounds...)
+	m.roots = roots
+	return moved, nil
+}
+
+// checkTree is the structural oracle: all leaves at one depth, keys strictly
+// ascending within and across nodes and inside the range their ancestors'
+// separators (and the partition's [lo, hi)) leave them, the leaf chain visiting
+// exactly the tree's leaves in order and ending in nil, size equal to the
+// entries found, and no single-child root. It returns the leaf count and the
+// height (edges from root to leaf).
+func checkTree(t *testing.T, tr *Tree, lo, hi schema.Key) (leaves, height int) {
+	t.Helper()
+	var chain []*node
+	entries, height := 0, -1
+	var walk func(n *node, depth int, lo, hi schema.Key)
+	walk = func(n *node, depth int, lo, hi schema.Key) {
+		if len(n.keys) > maxKeys() {
+			t.Fatalf("node holds %d keys, more than %d", len(n.keys), maxKeys())
+		}
+		for i, k := range n.keys {
+			if k < lo || k >= hi || (i > 0 && k <= n.keys[i-1]) {
+				t.Fatalf("key %d at depth %d out of order or outside [%d, %d): %v", k, depth, lo, hi, n.keys)
+			}
+		}
+		if n.leaf {
+			if height >= 0 && depth != height {
+				t.Fatalf("leaf at depth %d, another at %d", depth, height)
+			}
+			if len(n.values) != len(n.keys) || n.children != nil {
+				t.Fatalf("leaf with %d keys, %d values, %d children", len(n.keys), len(n.values), len(n.children))
+			}
+			height = depth
+			entries += len(n.keys)
+			chain = append(chain, n)
+			return
+		}
+		if len(n.children) != len(n.keys)+1 {
+			t.Fatalf("internal node with %d keys and %d children", len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				chi = n.keys[i]
+			}
+			walk(c, depth+1, clo, chi)
+		}
+	}
+	if !tr.root.leaf && len(tr.root.children) < 2 {
+		t.Fatalf("root has %d children", len(tr.root.children))
+	}
+	walk(tr.root, 0, lo, hi)
+	n := chain[0]
+	for i, want := range chain {
+		if n != want {
+			t.Fatalf("leaf chain departs from the tree's leaves at leaf %d of %d", i, len(chain))
+		}
+		n = n.next
+	}
+	if n != nil {
+		t.Fatalf("leaf chain runs on past the tree's last leaf (into keys %v)", n.keys)
+	}
+	if entries != tr.size {
+		t.Fatalf("size %d, %d entries found", tr.size, entries)
+	}
+	return len(chain), height
+}
+
+// checkMultiRooted runs checkTree on every partition against its key range.
+func checkMultiRooted(t *testing.T, m *MultiRooted) (leaves, height int) {
+	t.Helper()
+	for i, tr := range m.roots {
+		hi := ^schema.Key(0)
+		if i+1 < len(m.bounds) {
+			hi = m.bounds[i+1]
+		}
+		l, h := checkTree(t, tr, m.bounds[i], hi)
+		leaves, height = leaves+l, max(height, h)
+	}
+	return leaves, height
+}
+
+func scanAll(scan func(from, to schema.Key, fn func(schema.Key, schema.Row) bool)) (keys []schema.Key, vals []int64) {
+	scan(0, ^schema.Key(0), func(k schema.Key, v schema.Row) bool {
+		keys, vals = append(keys, k), append(vals, v[0].(int64))
+		return true
+	})
+	return keys, vals
+}
+
+// randomBounds returns 0 plus n-1 distinct random keys below limit, ascending.
+func randomBounds(rng *rand.Rand, n int, limit int64) []schema.Key {
+	set := map[schema.Key]bool{0: true}
+	for len(set) < n {
+		set[schema.Key(1+rng.Int63n(limit-1))] = true
+	}
+	out := make([]schema.Key, 0, n)
+	for k := range set {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestRepartitioningMatchesReferenceModel drives the path-cutting MultiRooted
+// and the row-by-row reference with the same seeded stream of splits, merges,
+// re-boundings and row operations, and requires the same errors, indices,
+// moved counts, bounds, sizes and contents after every step, with checkTree
+// holding on every sub-tree.
+func TestRepartitioningMatchesReferenceModel(t *testing.T) {
+	const keySpace = 20000
+	seeds, steps := 20, 300
+	if testing.Short() {
+		seeds, steps = 4, 200
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		bounds := randomBounds(rng, 1+rng.Intn(8), keySpace)
+		got, _ := NewMultiRooted(bounds)
+		model, _ := NewMultiRooted(bounds)
+		ref := &refMultiRooted{*model}
+		for i, n := 0, 500+rng.Intn(6000); i < n; i++ {
+			k := schema.Key(rng.Int63n(keySpace))
+			got.Insert(k, row(int64(i)))
+			ref.Insert(k, row(int64(i)))
+		}
+		for step := 0; step < steps; step++ {
+			var desc string
+			var gotOut, refOut [2]int
+			var gotErr, refErr error
+			randKey := func() schema.Key { return schema.Key(rng.Int63n(keySpace * 5 / 4)) } // a fifth lie beyond the data
+			switch op := rng.Intn(12); op {
+			case 0, 1, 2: // split, sometimes at an existing bound
+				at := randKey()
+				if rng.Intn(5) == 0 {
+					at = got.bounds[rng.Intn(len(got.bounds))]
+				}
+				desc = fmt.Sprintf("Split(%d)", at)
+				gotOut[0], gotErr = got.Split(at)
+				refOut[0], refErr = ref.Split(at)
+			case 3, 4: // merge, sometimes out of range
+				i := rng.Intn(len(got.bounds)+2) - 1
+				desc = fmt.Sprintf("Merge(%d)", i)
+				gotErr, refErr = got.Merge(i), ref.Merge(i)
+			case 5, 6, 7: // re-bound
+				nb := slices.Clone(got.bounds)
+				kind := rng.Intn(7)
+				switch kind {
+				case 0: // identical
+				case 1: // growing
+					for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+						nb = append(nb, randKey())
+					}
+				case 2: // shrinking
+					nb = slices.DeleteFunc(nb, func(k schema.Key) bool { return k != 0 && rng.Intn(2) == 0 })
+				case 3: // shifted
+					for i := 1; i < len(nb); i++ {
+						nb[i] += schema.Key(rng.Intn(400))
+					}
+				case 4: // unrelated
+					nb = randomBounds(rng, 1+rng.Intn(12), keySpace*5/4)
+				case 5: // invalid: first bound not 0, or none at all
+					nb = nb[1:]
+				case 6: // invalid: not ascending
+					nb = append(nb, nb[len(nb)-1])
+				}
+				if kind < 5 {
+					slices.Sort(nb)
+					nb = slices.Compact(nb)
+				}
+				desc = fmt.Sprintf("Repartition(%v) from %v", nb, got.bounds)
+				gotOut[1], gotErr = got.Repartition(nb)
+				refOut[1], refErr = ref.Repartition(slices.Clone(nb))
+			case 8:
+				k := randKey()
+				desc = fmt.Sprintf("Insert(%d)", k)
+				gotOut[0] = btoi(got.Insert(k, row(int64(step))))
+				refOut[0] = btoi(ref.Insert(k, row(int64(step))))
+			case 9:
+				k := randKey()
+				desc = fmt.Sprintf("Update(%d)", k)
+				bump := func(r schema.Row) schema.Row { return row(r[0].(int64) + 1) }
+				gotOut[0], refOut[0] = btoi(got.Update(k, bump)), btoi(ref.Update(k, bump))
+			case 10:
+				k := randKey()
+				if keys, _ := scanAll(got.Scan); len(keys) > 0 && rng.Intn(4) > 0 {
+					k = keys[rng.Intn(len(keys))]
+				}
+				desc = fmt.Sprintf("Delete(%d)", k)
+				gotOut[0], refOut[0] = btoi(got.Delete(k)), btoi(ref.Delete(k))
+			case 11: // a bounded scan, crossing partitions
+				from := randKey()
+				to := from + schema.Key(rng.Intn(keySpace/2))
+				desc = fmt.Sprintf("Scan(%d, %d)", from, to)
+				count := func(m interface {
+					Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool)
+				}) (n, sum int) {
+					m.Scan(from, to, func(k schema.Key, _ schema.Row) bool { n, sum = n+1, sum+int(k); return true })
+					return n, sum
+				}
+				gotOut[0], gotOut[1] = count(got)
+				refOut[0], refOut[1] = count(ref)
+			}
+			where := fmt.Sprintf("seed %d step %d %s", seed, step, desc)
+			if fmt.Sprint(gotErr) != fmt.Sprint(refErr) {
+				t.Fatalf("%s: err %v, reference %v", where, gotErr, refErr)
+			}
+			if gotOut != refOut {
+				t.Fatalf("%s: returned %v, reference %v", where, gotOut, refOut)
+			}
+			if !slices.Equal(got.Bounds(), ref.Bounds()) {
+				t.Fatalf("%s: bounds %v, reference %v", where, got.Bounds(), ref.Bounds())
+			}
+			if !slices.Equal(got.PartitionSizes(), ref.PartitionSizes()) || got.Len() != ref.Len() {
+				t.Fatalf("%s: sizes %v, reference %v", where, got.PartitionSizes(), ref.PartitionSizes())
+			}
+			gk, gv := scanAll(got.Scan)
+			rk, rv := scanAll(ref.Scan)
+			if !slices.Equal(gk, rk) || !slices.Equal(gv, rv) {
+				t.Fatalf("%s: contents differ from the reference (%d against %d rows)", where, len(gk), len(rk))
+			}
+			checkMultiRooted(t, got)
+			if t.Failed() {
+				t.Fatalf("%s: structure broken", where)
+			}
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestRepartitionMovedRule spells the per-piece moved count out on small
+// tables, one row per key 0..39. The last case is the quirk the virtual cost is
+// billed with: an old partition whose index is past the new partition count is
+// counted as moved wholesale, although partition 3's rows keep their lower
+// bound 30.
+func TestRepartitionMovedRule(t *testing.T) {
+	k := func(ks ...schema.Key) []schema.Key { return ks }
+	cases := []struct {
+		name     string
+		old, new []schema.Key
+		moved    int
+		sizes    []int
+	}{
+		{"identical", k(0, 10, 20, 30), k(0, 10, 20, 30), 0, []int{10, 10, 10, 10}},
+		{"one bound added", k(0, 10, 20, 30), k(0, 10, 15, 20, 30), 5, []int{10, 5, 5, 10, 10}},
+		{"one bound shifted", k(0, 10, 20, 30), k(0, 10, 25, 30), 10, []int{10, 15, 5, 10}},
+		{"first bound dropped", k(0, 10, 20, 30), k(0, 20, 30), 20, []int{20, 10, 10}},
+		{"all shifted", k(0, 10, 20, 30), k(0, 5, 15, 25), 35, []int{5, 10, 10, 15}},
+		{"shrink keeps a bound, counts it moved", k(0, 10, 20, 30), k(0, 30), 30, []int{30, 10}},
+	}
+	for _, tc := range cases {
+		got, _ := NewMultiRooted(tc.old)
+		model, _ := NewMultiRooted(tc.old)
+		ref := &refMultiRooted{*model}
+		for i := int64(0); i < 40; i++ {
+			got.Insert(schema.Key(i), row(i))
+			ref.Insert(schema.Key(i), row(i))
+		}
+		moved, err := got.Repartition(tc.new)
+		refMoved, refErr := ref.Repartition(tc.new)
+		if err != nil || refErr != nil {
+			t.Fatalf("%s: %v / %v", tc.name, err, refErr)
+		}
+		if moved != tc.moved || refMoved != tc.moved {
+			t.Errorf("%s: moved %d (reference %d), want %d", tc.name, moved, refMoved, tc.moved)
+		}
+		if !slices.Equal(got.PartitionSizes(), tc.sizes) {
+			t.Errorf("%s: sizes %v, want %v", tc.name, got.PartitionSizes(), tc.sizes)
+		}
+		checkMultiRooted(t, got)
+	}
+}
+
+// TestRepartitionReusesUnchangedRoots: a sub-tree whose [lower, upper) the new
+// bounds leave alone is the same *Tree afterwards, root node included.
+func TestRepartitionReusesUnchangedRoots(t *testing.T) {
+	m := loadedUniform(10000, 8)
+	before := slices.Clone(m.roots)
+	rootNodes := make([]*node, len(before))
+	for i, tr := range before {
+		rootNodes[i] = tr.root
+	}
+	nb := m.Bounds()
+	nb[3] += 100 // partitions 2 and 3 change, the other six do not
+	if _, err := m.Repartition(nb); err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range m.roots {
+		if i != 2 && i != 3 && (tr != before[i] || tr.root != rootNodes[i]) {
+			t.Errorf("partition %d was rebuilt although its range did not change", i)
+		}
+	}
+	checkMultiRooted(t, m)
+}
+
+// TestJoinSplitsOverfullSpine attaches thousands of full single-leaf trees to
+// one end of a growing tree, so nothing coalesces and every attach adds a child
+// to the spine: the spine's nodes, the root included, must split as an insert
+// would split them, on either side.
+func TestJoinSplitsOverfullSpine(t *testing.T) {
+	const leaves = 5000
+	fullLeaf := func(i int) *Tree {
+		tr := New()
+		for j := 0; j < maxKeys(); j++ {
+			tr.Insert(schema.Key(i*maxKeys()+j), row(int64(i)))
+		}
+		return tr
+	}
+	appended, prepended := fullLeaf(0), fullLeaf(leaves-1)
+	for i := 1; i < leaves; i++ {
+		appended.join(fullLeaf(i))
+		front := fullLeaf(leaves - 1 - i)
+		front.join(prepended)
+		prepended = front
+	}
+	for name, tr := range map[string]*Tree{"appended": appended, "prepended": prepended} {
+		n, height := checkTree(t, tr, 0, ^schema.Key(0))
+		if n != leaves || height != 3 || tr.Len() != leaves*maxKeys() {
+			t.Errorf("%s: %d leaves, height %d, %d entries", name, n, height, tr.Len())
+		}
+		for _, i := range []int{0, leaves / 2, leaves - 1} {
+			if v, ok := tr.Get(schema.Key(i * maxKeys())); !ok || v[0].(int64) != int64(i) {
+				t.Errorf("%s: first key of leaf %d = %v, %v", name, i, v, ok)
+			}
+		}
+	}
+}
+
+// loadedUniform builds a table of rows keys 0..rows-1, loaded in key order into
+// parts uniform partitions.
+func loadedUniform(rows int64, parts int) *MultiRooted {
+	m, err := NewMultiRooted(UniformBounds(rows, parts))
+	if err != nil {
+		panic(err)
+	}
+	for i := int64(0); i < rows; i++ {
+		m.Insert(schema.KeyFromInt(i), row(i))
+	}
+	return m
+}
+
+// TestRepartitioningDoesNotFragment: 1,000 random full re-boundings of a
+// 100 K-row, 32-partition table leave at most a few seam nodes per partition
+// behind, and back on the load-time bounds no lookup is deeper than at load.
+func TestRepartitioningDoesNotFragment(t *testing.T) {
+	const rows, parts = 100000, 32
+	seeds, rounds := 20, 1000
+	if testing.Short() {
+		seeds, rounds = 2, 200
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		m := loadedUniform(rows, parts)
+		loadLeaves, loadHeight := checkMultiRooted(t, m)
+		for round := 0; round < rounds; round++ {
+			if _, err := m.Repartition(randomBounds(rng, parts, rows)); err != nil {
+				t.Fatal(err)
+			}
+			if round%100 == 0 {
+				if leaves, height := checkMultiRooted(t, m); leaves > loadLeaves+4*parts*height {
+					t.Fatalf("seed %d round %d: %d leaves, %d at load", seed, round, leaves, loadLeaves)
+				}
+			}
+		}
+		if _, err := m.Repartition(UniformBounds(rows, parts)); err != nil {
+			t.Fatal(err)
+		}
+		leaves, height := checkMultiRooted(t, m)
+		if leaves > loadLeaves+4*parts*height {
+			t.Errorf("seed %d: %d leaves after %d re-boundings, %d at load", seed, leaves, rounds, loadLeaves)
+		}
+		if height > loadHeight {
+			t.Errorf("seed %d: lookups are %d deep, %d at load", seed, height, loadHeight)
+		}
+		if m.Len() != rows {
+			t.Errorf("seed %d: %d rows left of %d", seed, m.Len(), rows)
+		}
+	}
+}
+
+// BenchmarkRepartition measures what a repartitioning costs the host as the
+// table grows: it should stay flat in rows (a path cut and a seam join touch
+// O(height) nodes; only counting a cut-off piece walks its leaves).
+func BenchmarkRepartition(b *testing.B) {
+	const parts = 32
+	for _, rows := range []int64{10_000, 100_000, 1_000_000} {
+		shifted := func(which func(i int) bool) []schema.Key {
+			nb := UniformBounds(rows, parts)
+			for i := 1; i < len(nb); i++ {
+				if which(i) {
+					nb[i] += schema.Key(rows / parts / 2)
+				}
+			}
+			return nb
+		}
+		cases := []struct {
+			name string
+			alt  []schema.Key // the bounds every other iteration moves to; nil: split and merge at one key
+		}{
+			{"split+merge", nil},
+			{"shift-2-of-32", shifted(func(i int) bool { return i == 10 || i == 20 })},
+			{"shift-all-32", shifted(func(int) bool { return true })},
+		}
+		for _, tc := range cases {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, tc.name), func(b *testing.B) {
+				m := loadedUniform(rows, parts)
+				home := m.Bounds()
+				at := home[parts/2] + schema.Key(rows/parts/2)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					switch {
+					case tc.alt == nil:
+						idx, err := m.Split(at)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if err := m.Merge(idx - 1); err != nil {
+							b.Fatal(err)
+						}
+					case i%2 == 0:
+						m.Repartition(tc.alt)
+					default:
+						m.Repartition(home)
+					}
+				}
+			})
+		}
 	}
 }

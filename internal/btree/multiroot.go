@@ -3,19 +3,15 @@ package btree
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"atrapos/internal/schema"
 )
 
 // MultiRooted is the multi-rooted B-tree of PLP and ATraPos: the key space of
 // a table is range partitioned and each range owns a private sub-tree root.
-// Because every logical partition is accessed by exactly one worker thread,
-// sub-tree accesses need no latching across threads; the coarse mutex here
-// only protects the partition boundary table, which changes only during
-// repartitioning.
+// It is single-owner like the trees it holds (see Tree): no lock guards the
+// boundary table, and repartitioning hands nodes from one sub-tree to another.
 type MultiRooted struct {
-	mu     sync.RWMutex
 	bounds []schema.Key // bounds[i] is the inclusive lower bound of partition i; bounds[0] == 0
 	roots  []*Tree
 }
@@ -74,26 +70,16 @@ func UniformBounds(maxKey int64, n int) []schema.Key {
 
 // NumPartitions returns the number of sub-trees.
 func (m *MultiRooted) NumPartitions() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return len(m.roots)
 }
 
 // Bounds returns a copy of the partition lower bounds.
 func (m *MultiRooted) Bounds() []schema.Key {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return append([]schema.Key(nil), m.bounds...)
 }
 
 // PartitionFor returns the index of the partition that owns key.
 func (m *MultiRooted) PartitionFor(key schema.Key) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.partitionForLocked(key)
-}
-
-func (m *MultiRooted) partitionForLocked(key schema.Key) int {
 	// The partition is the last bound <= key.
 	i := sort.Search(len(m.bounds), func(i int) bool { return m.bounds[i] > key })
 	return i - 1
@@ -101,8 +87,6 @@ func (m *MultiRooted) partitionForLocked(key schema.Key) int {
 
 // Partition returns the sub-tree of partition i.
 func (m *MultiRooted) Partition(i int) (*Tree, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if i < 0 || i >= len(m.roots) {
 		return nil, fmt.Errorf("btree: partition %d out of range [0,%d)", i, len(m.roots))
 	}
@@ -111,40 +95,26 @@ func (m *MultiRooted) Partition(i int) (*Tree, error) {
 
 // Get returns the row stored under key.
 func (m *MultiRooted) Get(key schema.Key) (schema.Row, bool) {
-	m.mu.RLock()
-	t := m.roots[m.partitionForLocked(key)]
-	m.mu.RUnlock()
-	return t.Get(key)
+	return m.roots[m.PartitionFor(key)].Get(key)
 }
 
 // Insert stores value under key in the owning partition.
 func (m *MultiRooted) Insert(key schema.Key, value schema.Row) bool {
-	m.mu.RLock()
-	t := m.roots[m.partitionForLocked(key)]
-	m.mu.RUnlock()
-	return t.Insert(key, value)
+	return m.roots[m.PartitionFor(key)].Insert(key, value)
 }
 
 // Update applies fn to the row under key in the owning partition.
 func (m *MultiRooted) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
-	m.mu.RLock()
-	t := m.roots[m.partitionForLocked(key)]
-	m.mu.RUnlock()
-	return t.Update(key, fn)
+	return m.roots[m.PartitionFor(key)].Update(key, fn)
 }
 
 // Delete removes key from its owning partition.
 func (m *MultiRooted) Delete(key schema.Key) bool {
-	m.mu.RLock()
-	t := m.roots[m.partitionForLocked(key)]
-	m.mu.RUnlock()
-	return t.Delete(key)
+	return m.roots[m.PartitionFor(key)].Delete(key)
 }
 
 // Len returns the total number of entries across all partitions.
 func (m *MultiRooted) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	total := 0
 	for _, t := range m.roots {
 		total += t.Len()
@@ -154,8 +124,6 @@ func (m *MultiRooted) Len() int {
 
 // PartitionSizes returns the number of entries in each partition.
 func (m *MultiRooted) PartitionSizes() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]int, len(m.roots))
 	for i, t := range m.roots {
 		out[i] = t.Len()
@@ -166,17 +134,13 @@ func (m *MultiRooted) PartitionSizes() []int {
 // Scan visits entries with from <= key < to across partition boundaries in
 // ascending key order.
 func (m *MultiRooted) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool) {
-	m.mu.RLock()
-	start := m.partitionForLocked(from)
-	roots := m.roots
-	bounds := m.bounds
-	m.mu.RUnlock()
-	for i := start; i < len(roots); i++ {
-		if i > start && bounds[i] >= to {
+	start := m.PartitionFor(from)
+	for i := start; i < len(m.roots); i++ {
+		if i > start && m.bounds[i] >= to {
 			return
 		}
 		stopped := false
-		roots[i].Scan(from, to, func(k schema.Key, v schema.Row) bool {
+		m.roots[i].Scan(from, to, func(k schema.Key, v schema.Row) bool {
 			if !fn(k, v) {
 				stopped = true
 				return false
@@ -191,31 +155,16 @@ func (m *MultiRooted) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) 
 
 // Split divides the partition that owns key `at` into two partitions at key
 // `at`: the original partition keeps [lower, at) and a new partition holds
-// [at, upper). It returns the index of the new partition. The cost of the
-// operation is proportional to the number of entries moved, which is what the
-// Figure 9 experiment measures.
+// [at, upper). It returns the index of the new partition. The sub-tree is cut
+// along one root-to-leaf path; the virtual cost stays proportional to the
+// entries that change partition, which is what the Figure 9 experiment measures.
 func (m *MultiRooted) Split(at schema.Key) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := m.partitionForLocked(at)
+	idx := m.PartitionFor(at)
 	if m.bounds[idx] == at {
 		return 0, fmt.Errorf("btree: partition already starts at key %d", at)
 	}
-	old := m.roots[idx]
-	// Move entries >= at into a fresh tree.
-	var moved []Item
-	old.Scan(at, ^schema.Key(0), func(k schema.Key, v schema.Row) bool {
-		moved = append(moved, Item{Key: k, Value: v})
-		return true
-	})
-	right, err := BulkLoad(moved)
-	if err != nil {
-		return 0, fmt.Errorf("btree: split rebuild: %w", err)
-	}
-	for _, it := range moved {
-		old.Delete(it.Key)
-	}
-	// Insert the new partition after idx.
+	right := m.roots[idx].splitAt(at)
+	// The new partition goes in after idx.
 	newIdx := idx + 1
 	m.bounds = append(m.bounds, 0)
 	copy(m.bounds[newIdx+1:], m.bounds[newIdx:])
@@ -230,25 +179,22 @@ func (m *MultiRooted) Split(at schema.Key) (int, error) {
 // keeps the lower bound of partition i. It returns an error if i is the last
 // partition.
 func (m *MultiRooted) Merge(i int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if i < 0 || i+1 >= len(m.roots) {
 		return fmt.Errorf("btree: cannot merge partition %d of %d", i, len(m.roots))
 	}
-	left, right := m.roots[i], m.roots[i+1]
-	right.Ascend(func(k schema.Key, v schema.Row) bool {
-		left.Insert(k, v)
-		return true
-	})
+	m.roots[i].join(m.roots[i+1])
 	m.roots = append(m.roots[:i+1], m.roots[i+2:]...)
 	m.bounds = append(m.bounds[:i+1], m.bounds[i+2:]...)
 	return nil
 }
 
-// Repartition rebuilds the multi-rooted tree around a new set of bounds,
-// redistributing every entry. It is the bulk operation behind large
-// repartitioning decisions (e.g. adapting from 80 to 70 partitions after a
-// socket failure). Returns the number of entries that changed partition.
+// Repartition rebuilds the multi-rooted tree around a new set of bounds. It is
+// the bulk operation behind large repartitioning decisions (e.g. adapting from
+// 80 to 70 partitions after a socket failure). Every old sub-tree is cut at the
+// new bounds that fall strictly inside its range and the pieces of each new
+// partition are joined in key order, so a sub-tree whose range is unchanged is
+// reused as is. Returns the number of entries that changed partition, counted
+// per piece.
 func (m *MultiRooted) Repartition(newBounds []schema.Key) (moved int, err error) {
 	if len(newBounds) == 0 || newBounds[0] != 0 {
 		return 0, fmt.Errorf("btree: invalid new bounds")
@@ -258,29 +204,35 @@ func (m *MultiRooted) Repartition(newBounds []schema.Key) (moved int, err error)
 			return 0, fmt.Errorf("btree: new bounds must be strictly ascending")
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	oldBounds := m.bounds
-	oldRoots := m.roots
+	old := m.bounds
 	roots := make([]*Tree, len(newBounds))
-	for i := range roots {
-		roots[i] = New()
-	}
-	locate := func(key schema.Key) int {
-		i := sort.Search(len(newBounds), func(i int) bool { return newBounds[i] > key })
-		return i - 1
-	}
-	for oldIdx, t := range oldRoots {
-		t.Ascend(func(k schema.Key, v schema.Row) bool {
-			ni := locate(k)
-			roots[ni].Insert(k, v)
-			// An entry "moved" if its new partition range differs from its old one.
-			if oldIdx >= len(newBounds) || newBounds[ni] != oldBounds[oldIdx] {
-				moved++
+	lo := 1 // newBounds[lo:hi] are the bounds strictly inside old partition oi
+	for oi, t := range m.roots {
+		for lo < len(newBounds) && newBounds[lo] <= old[oi] {
+			lo++
+		}
+		hi := lo
+		for hi < len(newBounds) && (oi+1 == len(old) || newBounds[hi] < old[oi+1]) {
+			hi++
+		}
+		// Cut from the highest bound down, so each leaf is counted once; what
+		// remains of t belongs to new partition lo-1, after the pieces that
+		// earlier old partitions left there.
+		for ni := hi - 1; ni >= lo-1; ni-- {
+			piece := t
+			if ni >= lo {
+				piece = t.splitAt(newBounds[ni])
 			}
-			return true
-		})
+			// An entry "moved" if its new partition range differs from its old one.
+			if oi >= len(newBounds) || newBounds[ni] != old[oi] {
+				moved += piece.size
+			}
+			if roots[ni] == nil {
+				roots[ni] = piece
+			} else {
+				roots[ni].join(piece)
+			}
+		}
 	}
 	m.bounds = append([]schema.Key(nil), newBounds...)
 	m.roots = roots

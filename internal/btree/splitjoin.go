@@ -1,0 +1,204 @@
+package btree
+
+import (
+	"slices"
+
+	"atrapos/internal/schema"
+)
+
+// Repartitioning moves sub-trees, not rows (Section III-A: a split or merge of
+// the multi-rooted B-tree slices or stitches along one root-to-leaf path). The
+// two primitives below cost O(height) node copies; no entry is inserted,
+// deleted or copied one at a time.
+
+// splitAt cuts the tree along the root-to-leaf path of key: t keeps the
+// entries below key and the returned tree takes the rest. The leaf chain is cut
+// at the seam, and the right piece is counted by walking its leaves.
+func (t *Tree) splitAt(key schema.Key) *Tree {
+	l, r := cut(t.root, key)
+	t.root = collapse(l)
+	right := &Tree{root: collapse(r)}
+	edge(t.root, true).next = nil
+	for n := edge(right.root, false); n != nil; n = n.next {
+		right.size += len(n.keys)
+	}
+	t.size -= right.size
+	return right
+}
+
+// cut divides the sub-tree under n at key. Each node on the path keeps what
+// lies left of it and a new sibling takes the rest; a side that would hold no
+// node is nil, and a node that falls entirely on one side is handed over as is.
+func cut(n *node, key schema.Key) (l, r *node) {
+	if n.leaf {
+		i := lowerBound(n.keys, key)
+		if i == 0 {
+			return nil, n
+		}
+		if i == len(n.keys) {
+			return n, nil
+		}
+		r = &node{
+			leaf:   true,
+			keys:   append([]schema.Key(nil), n.keys[i:]...),
+			values: append([]schema.Row(nil), n.values[i:]...),
+			next:   n.next,
+		}
+		clear(n.values[i:])
+		n.keys, n.values = n.keys[:i], n.values[:i]
+		return n, r
+	}
+	i := childIndex(n.keys, key)
+	cl, cr := cut(n.children[i], key)
+	// n keeps children[:keep], the sibling takes children[from:]; the child on
+	// the path counts for a side only if the cut left it something there.
+	keep, from := i+1, i
+	if cl == nil {
+		keep = i
+	}
+	if cr == nil {
+		from = i + 1
+	}
+	if keep == 0 {
+		return nil, n
+	}
+	if from == len(n.children) {
+		return n, nil
+	}
+	r = &node{
+		keys:     append([]schema.Key(nil), n.keys[from:]...),
+		children: append([]*node(nil), n.children[from:]...),
+	}
+	if cr != nil {
+		r.children[0] = cr
+	}
+	clear(n.children[keep:])
+	n.keys, n.children = n.keys[:keep-1], n.children[:keep]
+	return n, r
+}
+
+// collapse makes one side of a cut a root: a missing side is an empty leaf,
+// and single-child nodes left at the top of the path are dropped.
+func collapse(n *node) *node {
+	if n == nil {
+		return &node{leaf: true}
+	}
+	for !n.leaf && len(n.children) == 1 {
+		n = n.children[0]
+	}
+	return n
+}
+
+// join appends right, whose keys must all be greater than t's, to t; right
+// must not be used afterwards. The shorter tree hangs off the taller one's
+// spine at its own height, and the seam is coalesced bottom-up: the boundary
+// leaves and then their ancestors merge into one node whenever the two fit, so
+// a split followed by a join at the same key restores the shape it started from.
+func (t *Tree) join(right *Tree) {
+	if right.size == 0 {
+		return
+	}
+	if t.size == 0 {
+		*t = *right
+		return
+	}
+	t.size += right.size
+	lp, rp := spine(t.root, true), spine(right.root, false)
+	hl, hr := len(lp)-1, len(rp)-1
+	h := min(hl, hr)
+
+	l, r := lp[hl], rp[hr]
+	var sep schema.Key // bounds l from r while the two stay apart
+	merged := len(l.keys)+len(r.keys) <= maxKeys()
+	if merged {
+		l.keys = append(l.keys, r.keys...)
+		l.values = append(l.values, r.values...)
+		l.next = r.next
+	} else {
+		l.next, sep = r, r.keys[0]
+	}
+	for j := 1; j <= h; j++ {
+		l, r = lp[hl-j], rp[hr-j]
+		if merged { // r's first child went into l's last one
+			if len(r.keys) > 0 {
+				sep, r.keys = r.keys[0], r.keys[1:]
+			}
+			r.children = r.children[1:]
+		}
+		merged = len(l.children)+len(r.children) <= maxKeys()+1
+		if merged && len(r.children) > 0 {
+			l.keys = append(append(l.keys, sep), r.keys...)
+			l.children = append(l.children, r.children...)
+		}
+	}
+
+	// l and r are now the two nodes at the shorter tree's root height.
+	switch {
+	case hl == hr:
+		if !merged {
+			t.root = &node{keys: []schema.Key{sep}, children: []*node{l, r}}
+		}
+	case hl > hr:
+		if !merged {
+			p := lp[hl-h-1]
+			p.keys = append(p.keys, sep)
+			p.children = append(p.children, r)
+			t.root = splitOverfull(lp[:hl-h], true)
+		}
+	default:
+		p := rp[hr-h-1]
+		if merged {
+			p.children[0] = l
+		} else {
+			p.keys = slices.Insert(p.keys, 0, sep)
+			p.children = slices.Insert(p.children, 0, l)
+		}
+		t.root = splitOverfull(rp[:hr-h], false)
+	}
+}
+
+// splitOverfull splits, bottom-up, the nodes of a spine that attaching a child
+// at its lower end left with more than maxKeys keys, and returns the root.
+func splitOverfull(path []*node, last bool) *node {
+	for d := len(path) - 1; d >= 0 && len(path[d].keys) > maxKeys(); d-- {
+		if d == 0 {
+			root := &node{children: []*node{path[0]}}
+			splitChild(root, 0)
+			return root
+		}
+		i := 0
+		if last {
+			i = len(path[d-1].children) - 1
+		}
+		splitChild(path[d-1], i)
+	}
+	return path[0]
+}
+
+// spine returns the nodes from n down to its first leaf or, with last set,
+// its last one.
+func spine(n *node, last bool) []*node {
+	path := []*node{n}
+	for !n.leaf {
+		i := 0
+		if last {
+			i = len(n.children) - 1
+		}
+		n = n.children[i]
+		path = append(path, n)
+	}
+	return path
+}
+
+// edge returns the first leaf under n or, with last set, the last one: the
+// end of spine without building the path.
+func edge(n *node, last bool) *node {
+	for !n.leaf {
+		i := 0
+		if last {
+			i = len(n.children) - 1
+		}
+		n = n.children[i]
+	}
+	return n
+}

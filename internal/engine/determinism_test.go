@@ -13,6 +13,46 @@ import (
 	"atrapos/internal/workload"
 )
 
+func chipletTopology() *topology.Topology {
+	prof, _ := topology.ProfileByName("chiplet-2s4d")
+	return prof.Build()
+}
+
+var adaptiveTestInterval = core.IntervalConfig{Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5}
+
+// adaptiveDriftRun is the placement pipeline under a sliding hotspot: ATraPos
+// re-bounding the TATP tables every few windows.
+func adaptiveDriftRun(t *testing.T) (Config, RunOptions) {
+	wl, err := workload.TATPDriftingHotspot(4000, 5*granWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+			Design: ATraPos, Workload: wl, Topology: smallTopology(),
+			Adaptive: true, AdaptiveInterval: adaptiveTestInterval, TimeCompression: 1000,
+		},
+		RunOptions{Duration: 40 * granWindow, MaxTransactions: 200_000, Seed: 5, SampleWindow: granWindow}
+}
+
+// granularityFailRestoreRun is the granularity pipeline: the multisite share
+// drifts across the crossover while a socket fails and comes back.
+func granularityFailRestoreRun(t *testing.T) (Config, RunOptions) {
+	sched, err := fault.NewSchedule(fault.Machine{Sockets: 2, Devices: 2},
+		fault.FailSocket(5*granWindow, 1),
+		fault.RestoreSocket(15*granWindow, 1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+			Design: SharedNothing, IslandLevel: topology.LevelSocket,
+			Workload: driftAcrossCrossover(8000, 20*granWindow), Topology: chipletTopology(),
+			DeviceLayout: "nvme-per-socket",
+			Adaptive:     true, AdaptiveInterval: adaptiveTestInterval, TimeCompression: 1000,
+		},
+		RunOptions{Duration: 40 * granWindow, MaxTransactions: 200_000, Seed: 7, SampleWindow: granWindow, Faults: sched}
+}
+
 // TestRunIsAFunctionOfSeedAndConfig pins the contract of the single-goroutine
 // run loop: a Result depends on nothing but the seed and the configuration.
 // Two fresh engines agree field for field, enabling the tracer changes no
@@ -20,88 +60,44 @@ import (
 // only for one host shape — GOMAXPROCS(1) and the host default give the same
 // Result.
 func TestRunIsAFunctionOfSeedAndConfig(t *testing.T) {
-	chiplet := func() *topology.Topology {
-		prof, _ := topology.ProfileByName("chiplet-2s4d")
-		return prof.Build()
-	}
-	interval := core.IntervalConfig{Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5}
 	cases := []struct {
-		name string
-		cfg  func() Config
-		opts func(t *testing.T) RunOptions
+		name  string
+		build func(t *testing.T) (Config, RunOptions)
 		// adapts marks cases that must exercise the inline planner.
 		adapts bool
 	}{
 		{
 			name: "static-tatp",
-			cfg: func() Config {
-				return Config{Design: HWAware, Workload: workload.MustTATP(workload.TATPOptions{Subscribers: 4000}), Topology: smallTopology()}
+			build: func(*testing.T) (Config, RunOptions) {
+				return Config{Design: HWAware, Workload: workload.MustTATP(workload.TATPOptions{Subscribers: 4000}), Topology: smallTopology()},
+					RunOptions{Transactions: 2000, Seed: 42}
 			},
-			opts: func(*testing.T) RunOptions { return RunOptions{Transactions: 2000, Seed: 42} },
 		},
-		{
-			name: "adaptive-drift-atrapos",
-			cfg: func() Config {
-				wl, err := workload.TATPDriftingHotspot(4000, 5*granWindow)
-				if err != nil {
-					panic(err)
-				}
-				return Config{
-					Design: ATraPos, Workload: wl, Topology: smallTopology(),
-					Adaptive: true, AdaptiveInterval: interval, TimeCompression: 1000,
-				}
-			},
-			opts: func(*testing.T) RunOptions {
-				return RunOptions{Duration: 40 * granWindow, MaxTransactions: 200_000, Seed: 5, SampleWindow: granWindow}
-			},
-			adapts: true,
-		},
-		{
-			name: "adaptive-granularity-fail-restore",
-			cfg: func() Config {
-				return Config{
-					Design: SharedNothing, IslandLevel: topology.LevelSocket,
-					Workload: driftAcrossCrossover(8000, 20*granWindow), Topology: chiplet(),
-					DeviceLayout: "nvme-per-socket",
-					Adaptive:     true, AdaptiveInterval: interval, TimeCompression: 1000,
-				}
-			},
-			opts: func(t *testing.T) RunOptions {
-				sched, err := fault.NewSchedule(fault.Machine{Sockets: 2, Devices: 2},
-					fault.FailSocket(5*granWindow, 1),
-					fault.RestoreSocket(15*granWindow, 1),
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return RunOptions{Duration: 40 * granWindow, MaxTransactions: 200_000, Seed: 7, SampleWindow: granWindow, Faults: sched}
-			},
-			adapts: true,
-		},
+		{name: "adaptive-drift-atrapos", build: adaptiveDriftRun, adapts: true},
+		{name: "adaptive-granularity-fail-restore", build: granularityFailRestoreRun, adapts: true},
 		{
 			name: "coalescing-hotkey",
-			cfg: func() Config {
+			build: func(*testing.T) (Config, RunOptions) {
 				lc := wal.DefaultConfig()
 				lc.CoalesceRecords = 8
 				return Config{
 					Design: SharedNothing, IslandLevel: topology.LevelDie,
-					Workload: workload.ZipfHotkey(4000, 10, 30), Topology: chiplet(),
+					Workload: workload.ZipfHotkey(4000, 10, 30), Topology: chipletTopology(),
 					DeviceLayout: "single-sata", LogConfig: &lc,
-				}
+				}, RunOptions{Transactions: 3000, Seed: 11}
 			},
-			opts: func(*testing.T) RunOptions { return RunOptions{Transactions: 3000, Seed: 11} },
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(tracing bool) *Result {
-				cfg := tc.cfg()
+				cfg, opts := tc.build(t)
 				cfg.Tracing = tracing
 				e, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := e.Run(tc.opts(t))
+				res, err := e.Run(opts)
 				if err != nil {
 					t.Fatal(err)
 				}

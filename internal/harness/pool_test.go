@@ -119,14 +119,19 @@ func TestPoolAllocToken(t *testing.T) {
 	fns := make([]PointFn, jobs)
 	for i := 0; i < jobs; i++ {
 		fns[i] = func() error {
-			running.Add(1)
-			defer running.Add(-1)
 			if i%4 != 0 {
+				running.Add(1)
+				defer running.Add(-1)
 				return nil
 			}
+			// A point waiting for the token is in flight but not running, so
+			// a token point counts itself only once it holds the token.
 			return p.WithAllocToken(func() error {
-				// Only this point's own increment may be visible: the token
-				// drained every other in-flight point first.
+				running.Add(1)
+				defer running.Add(-1)
+				// Only this section's own increment may be visible: the token
+				// drained every other running point, and a second section
+				// holding the token at the same time would show as 2.
 				if running.Load() != 1 {
 					tokenViolations.Add(1)
 				}

@@ -335,18 +335,18 @@ func (t *Table) Split(at schema.Key) (int, int, error) {
 	copy(t.homes[newIdx+1:], t.homes[newIdx:])
 	t.homes[newIdx] = home
 	t.mu.Unlock()
-	moved := t.tree.PartitionSizes()[newIdx]
-	return newIdx, moved, nil
+	right, _ := t.tree.Partition(newIdx) // in range: Split just created it
+	return newIdx, right.Len(), nil
 }
 
 // Merge combines partitions i and i+1; the merged partition keeps partition
 // i's memory home. It returns the number of rows that moved.
 func (t *Table) Merge(i int) (int, error) {
-	sizes := t.tree.PartitionSizes()
-	if i < 0 || i+1 >= len(sizes) {
-		return 0, fmt.Errorf("storage: cannot merge partition %d of %d", i, len(sizes))
+	right, err := t.tree.Partition(i + 1)
+	if i < 0 || err != nil {
+		return 0, fmt.Errorf("storage: cannot merge partition %d of %d", i, t.tree.NumPartitions())
 	}
-	moved := sizes[i+1]
+	moved := right.Len()
 	if err := t.tree.Merge(i); err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"atrapos/internal/btree"
@@ -266,4 +267,71 @@ func TestSplitMergeRepartition(t *testing.T) {
 		t.Errorf("Bounds = %v", tbl.Bounds())
 	}
 	_ = moved
+}
+
+// TestRepartitioningMovedCounts pins the row counts the virtual cost of a
+// repartitioning is billed from, on a fixed script over keys 0, 3, 6, … 2997.
+// The counts were captured with the row-by-row B-tree Split/Merge/Repartition;
+// the path-cutting one must return the same, including Repartition's rule that
+// an old partition whose index is past the new partition count is moved
+// wholesale even when its lower bound survives (the last step).
+func TestRepartitioningMovedCounts(t *testing.T) {
+	m := testManager(t)
+	tbl, _ := m.CreateTable(accountsDef(), []schema.Key{0, 750, 1500, 2250}, []topology.SocketID{0, 1, 2, 3})
+	if err := tbl.LoadFunc(1000, func(i int) schema.Row { return schema.Row{int64(3 * i), int64(i)} }); err != nil {
+		t.Fatal(err)
+	}
+	k := schema.KeyFromInt
+	steps := []struct {
+		name      string
+		do        func() (idx, moved int, err error)
+		idx       int
+		moved     int
+		fails     bool
+		wantSizes []int
+	}{
+		{name: "split inside", do: func() (int, int, error) { return tbl.Split(k(300)) },
+			idx: 1, moved: 150, wantSizes: []int{100, 150, 250, 250, 250}},
+		{name: "split at existing bound", do: func() (int, int, error) { return tbl.Split(k(300)) },
+			fails: true, wantSizes: []int{100, 150, 250, 250, 250}},
+		{name: "split beyond the data", do: func() (int, int, error) { return tbl.Split(k(5000)) },
+			idx: 5, moved: 0, wantSizes: []int{100, 150, 250, 250, 250, 0}},
+		{name: "merge", do: func() (int, int, error) { n, err := tbl.Merge(0); return 0, n, err },
+			moved: 150, wantSizes: []int{250, 250, 250, 250, 0}},
+		{name: "merge out of range", do: func() (int, int, error) { n, err := tbl.Merge(7); return 0, n, err },
+			fails: true, wantSizes: []int{250, 250, 250, 250, 0}},
+		{name: "merge an empty partition", do: func() (int, int, error) { n, err := tbl.Merge(3); return 0, n, err },
+			moved: 0, wantSizes: []int{250, 250, 250, 250}},
+		{name: "repartition to identical bounds", do: func() (int, int, error) {
+			n, err := tbl.Repartition([]schema.Key{0, 750, 1500, 2250}, nil)
+			return 0, n, err
+		}, moved: 0, wantSizes: []int{250, 250, 250, 250}},
+		{name: "repartition growing", do: func() (int, int, error) {
+			n, err := tbl.Repartition([]schema.Key{0, 500, 750, 1500, 2000, 2250}, nil)
+			return 0, n, err
+		}, moved: 166, wantSizes: []int{167, 83, 250, 167, 83, 250}},
+		{name: "repartition shifted", do: func() (int, int, error) {
+			n, err := tbl.Repartition([]schema.Key{0, 600, 750, 1400, 2000, 2300}, nil)
+			return 0, n, err
+		}, moved: 533, wantSizes: []int{200, 50, 217, 200, 100, 233}},
+		{name: "repartition shrinking", do: func() (int, int, error) {
+			n, err := tbl.Repartition([]schema.Key{0, 2300}, nil)
+			return 0, n, err
+		}, moved: 800, wantSizes: []int{767, 233}},
+	}
+	for _, s := range steps {
+		idx, moved, err := s.do()
+		if (err != nil) != s.fails {
+			t.Fatalf("%s: err = %v, want failure %v", s.name, err, s.fails)
+		}
+		if idx != s.idx || moved != s.moved {
+			t.Errorf("%s: idx %d moved %d, want idx %d moved %d", s.name, idx, moved, s.idx, s.moved)
+		}
+		if got := tbl.PartitionSizes(); !reflect.DeepEqual(got, s.wantSizes) {
+			t.Errorf("%s: sizes %v, want %v", s.name, got, s.wantSizes)
+		}
+		if len(tbl.Homes()) != tbl.NumPartitions() || tbl.Len() != 1000 {
+			t.Errorf("%s: %d homes for %d partitions, %d rows", s.name, len(tbl.Homes()), tbl.NumPartitions(), tbl.Len())
+		}
+	}
 }
