@@ -56,17 +56,25 @@ staticcheck:
 build:
 	$(GO) build ./...
 
+# The second pass repeats everything that starts executor goroutines on a
+# single P: executors are plain goroutines, so they must make progress (and
+# keep every count) however few processors the host gives them.
 test:
 	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test -run 'Executed|Executor' ./internal/backend ./internal/engine ./internal/harness
 
 # A priced run is one goroutine, so the race detector is pointed at the
-# goroutines that remain: executed mode (pinned executors shipping operations
-# to each other) and the harness pool's concurrent sweep/fuzz paths (point
-# scheduling, the allocation-measurement token, parallel bit-identity). The
-# harness pass filters to the pool tests so the race-slowed run stays bounded.
+# goroutines that remain: executed mode (one executor goroutine per island,
+# shipping operations to each other over channels) and the harness pool's
+# concurrent sweep/fuzz paths (point scheduling, the allocation-measurement
+# token, parallel bit-identity). The counter-conservation oracle is repeated
+# (at its -short size): a lost update is a scheduling accident, and one clean
+# run proves little. The harness pass filters to the pool tests so the
+# race-slowed run stays bounded.
 race:
 	$(GO) test -race ./internal/backend
 	$(GO) test -race -run Executed ./internal/engine
+	$(GO) test -race -short -count=20 -run ExecutedCountersConserved ./internal/engine
 	$(GO) test -race -run 'TestPool|TestParallelSweepBitIdentical|TestFuzzShardDeterminism|TestMeasureParallel' ./internal/harness
 
 # benchmark/ is a nested module the root `go build ./... && go test ./...` does
@@ -81,6 +89,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchtime 100x -benchmem ./internal/engine
 	$(GO) test -run '^$$' -bench BenchmarkAcquireReleaseAll -benchtime 1000x -benchmem ./internal/lock
 	$(GO) test -run '^$$' -bench BenchmarkRepartition -benchtime 100x -benchmem ./internal/btree
+	$(GO) test -run '^$$' -bench BenchmarkExecutorShip -benchtime 200x -benchmem ./internal/backend
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchmem ./internal/engine

@@ -354,9 +354,11 @@ func (s *System) Tracer() *Tracer { return s.engine.Tracer() }
 type ExecutedResult = engine.ExecutedResult
 
 // RunExecuted executes the workload on the executed hash backend (requires
-// Options.Backend == BackendHash) with one OS-thread-pinned executor per
-// island, and returns wall-clock-measured results. The transaction stream is
-// the same deterministic stream Run generates for the same seed.
+// Options.Backend == BackendHash) with one executor goroutine per island, and
+// returns wall-clock-measured results. The transaction stream is the same
+// deterministic stream Run generates for the same seed; the first call loads
+// the backend from the priced tables and later calls continue from the state
+// the previous one left.
 func (s *System) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	return s.engine.RunExecuted(opts)
 }
@@ -622,8 +624,8 @@ const (
 	// BackendPriced is the default virtual-time storage path.
 	BackendPriced = backend.Priced
 	// BackendHash is the executed storage mode: a Bitcask-style sharded hash
-	// engine with one single-owner shard, value log and OS-thread-pinned
-	// executor per island.
+	// engine with one single-owner shard, value log and executor goroutine per
+	// island.
 	BackendHash = backend.Hash
 )
 

@@ -34,9 +34,9 @@ const (
 // can stage writes per transaction (group commit, coalescing).
 //
 // A shard is single-owner: the caller must ensure that at most one goroutine
-// operates on a given shard at a time (the executed engine pins one executor
-// per island and ships cross-island operations to the owner). The interface
-// itself adds no locking.
+// operates on a given shard at a time (the executed engine runs one executor
+// goroutine per island and ships cross-island operations to the owner). The
+// interface itself adds no locking.
 type Backend interface {
 	// Shards returns the number of shard handles.
 	Shards() int

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"atrapos/internal/numa"
@@ -12,7 +13,7 @@ import (
 	"atrapos/internal/wal"
 )
 
-func testDomain(t *testing.T) *numa.Domain {
+func testDomain(t testing.TB) *numa.Domain {
 	t.Helper()
 	top, err := topology.BuildProfile("2s-fc")
 	if err != nil {
@@ -27,12 +28,17 @@ func testDomain(t *testing.T) *numa.Domain {
 
 func testHash(t *testing.T, islands int) *HashBackend {
 	t.Helper()
+	return testHashLog(t, islands, wal.Config{PerByteCost: 1, FlushCost: 12000, GroupSize: 4, Keep: 0, CoalesceRecords: 8})
+}
+
+func testHashLog(t testing.TB, islands int, log wal.Config) *HashBackend {
+	t.Helper()
 	homes := make([]topology.SocketID, islands)
 	b, err := NewHash(HashConfig{
 		Islands: islands,
 		Tables:  []string{"alpha", "beta"},
 		Homes:   homes,
-		Log:     wal.Config{PerByteCost: 1, FlushCost: 12000, GroupSize: 4, Keep: 0, CoalesceRecords: 8},
+		Log:     log,
 		Domain:  testDomain(t),
 	})
 	if err != nil {
@@ -229,31 +235,29 @@ func TestExecutorShipping(t *testing.T) {
 	stop := make(chan struct{})
 	for _, ex := range execs {
 		go func(ex *Executor) {
-			ex.Pin(func() {
-				got := make(map[schema.Key]uint64)
-				// Each executor writes 100 keys spread over ALL shards (so
-				// most ops are shipped), then reads them back.
-				base := schema.Key(ex.ID() * 1000)
-				txn := uint64(ex.ID() + 1)
-				for i := 0; i < 100; i++ {
-					k := base + schema.Key(i)
-					shard := int(k) % b.Shards()
-					ex.Put(shard, 0, k, txn, uint64(k)*2)
-					ex.Poll()
+			got := make(map[schema.Key]uint64)
+			// Each executor writes 100 keys spread over ALL shards (so
+			// most ops are shipped), then reads them back.
+			base := schema.Key(ex.ID() * 1000)
+			txn := uint64(ex.ID() + 1)
+			for i := 0; i < 100; i++ {
+				k := base + schema.Key(i)
+				shard := int(k) % b.Shards()
+				ex.Put(shard, 0, k, txn, uint64(k)*2)
+				ex.Poll()
+			}
+			ex.CommitLocal(txn, 0)
+			for i := 0; i < 100; i++ {
+				k := base + schema.Key(i)
+				shard := int(k) % b.Shards()
+				if v, ok := ex.Get(shard, 0, k); ok {
+					got[k] = v
 				}
-				ex.CommitLocal(txn, 0)
-				for i := 0; i < 100; i++ {
-					k := base + schema.Key(i)
-					shard := int(k) % b.Shards()
-					if v, ok := ex.Get(shard, 0, k); ok {
-						got[k] = v
-					}
-					ex.Poll()
-				}
-				done <- got
-				// Keep serving slower peers until everyone is finished.
-				ex.Serve(stop)
-			})
+				ex.Poll()
+			}
+			done <- got
+			// Keep serving slower peers until everyone is finished.
+			ex.Serve(stop)
 		}(ex)
 	}
 	merged := make(map[schema.Key]uint64)
@@ -277,6 +281,105 @@ func TestExecutorShipping(t *testing.T) {
 	}
 	if ships == 0 {
 		t.Fatal("expected cross-island ships, saw none")
+	}
+}
+
+// TestExecutorIncrementAtomic has every executor increment the same few keys,
+// spread over all shards so most increments are shipped: the read-modify-write
+// runs on the owner as one operation, so no increment may be lost, a missing
+// key counts from zero, and each remote increment is exactly one ship.
+func TestExecutorIncrementAtomic(t *testing.T) {
+	b := testHash(t, 4)
+	execs := NewExecutors(b)
+	const keys, rounds = 8, 500
+	stop := make(chan struct{})
+	var work, all sync.WaitGroup
+	for _, ex := range execs {
+		work.Add(1)
+		all.Add(1)
+		go func(ex *Executor) {
+			defer all.Done()
+			txn := uint64(ex.ID() + 1)
+			for i := 0; i < rounds; i++ {
+				for k := schema.Key(0); k < keys; k++ {
+					ex.Increment(int(k)%b.Shards(), 0, k, txn)
+				}
+				ex.Poll()
+			}
+			ex.CommitLocal(txn, 0)
+			work.Done()
+			ex.Serve(stop)
+		}(ex)
+	}
+	work.Wait()
+	close(stop)
+	all.Wait()
+	for k := schema.Key(0); k < keys; k++ {
+		if v, _ := b.Get(int(k)%b.Shards(), 0, k); v != uint64(len(execs)*rounds) {
+			t.Errorf("key %d = %d after %d increments", k, v, len(execs)*rounds)
+		}
+	}
+	var ships, serves int64
+	for _, ex := range execs {
+		ships += ex.Stats.Ships
+		serves += ex.Stats.Serves
+	}
+	// Each executor owns keys/len(execs) of the keys and ships the rest.
+	if want := int64(len(execs) * rounds * (keys - keys/len(execs))); ships != want || serves != want {
+		t.Errorf("%d ships and %d serves, want %d of each (one per remote increment)", ships, serves, want)
+	}
+}
+
+// BenchmarkExecutorShip measures one shipped operation's round trip between
+// two executors: to an owner idle in Serve, and to an owner busy with its own
+// transactions (ten local increments and a commit) that polls its inbox
+// between them, which is how the engine's work loop serves peers.
+func BenchmarkExecutorShip(b *testing.B) {
+	owners := []struct {
+		name string
+		run  func(owner *Executor, stop <-chan struct{})
+	}{
+		{"idle-owner", func(owner *Executor, stop <-chan struct{}) { owner.Serve(stop) }},
+		{"busy-owner", func(owner *Executor, stop <-chan struct{}) {
+			for txn := uint64(1); ; txn++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for k := schema.Key(0); k < 10; k++ {
+					owner.Increment(1, 0, 2*k+1, txn)
+				}
+				owner.CommitLocal(txn, 0)
+				owner.Poll()
+			}
+		}},
+	}
+	for _, o := range owners {
+		b.Run(o.name, func(b *testing.B) {
+			h := testHashLog(b, 2, wal.DefaultConfig())
+			execs := NewExecutors(h)
+			h.Load(1, 0, 1, 1)
+			h.FinishLoad(0)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o.run(execs[1], stop)
+			}()
+			execs[0].Get(1, 0, 1) // the owner is up before the clock starts
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := execs[0].Get(1, 0, 1); !ok {
+					b.Fatal("shipped Get missed a loaded key")
+				}
+			}
+			b.StopTimer()
+			close(stop)
+			wg.Wait()
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"runtime"
 	"time"
 
 	"atrapos/internal/obs"
@@ -15,6 +14,7 @@ const (
 	opPut
 	opDelete
 	opCommit
+	opIncrement
 )
 
 // Request is one shipped storage operation. An executor owns exactly one
@@ -48,12 +48,14 @@ type ExecStats struct {
 }
 
 // Executor is the single owner of one island's shards: all index mutations on
-// those shards happen on its goroutine, which the engine pins to an OS thread
-// (runtime.LockOSThread) so the island affinity the wiring prescribes is real,
-// not advisory. Cross-island operations are shipped to the owner over a
-// bounded channel; while an executor waits for its own reply it keeps serving
-// its inbox, so a cycle of mutual ships cannot deadlock (each executor has at
-// most one outstanding ship).
+// those shards happen on its goroutine. The goroutine is an ordinary one — Go
+// offers no CPU affinity, and locking it to a floating OS thread only turned
+// every blocking channel hop into a futex park plus a P hand-off (DESIGN.md
+// section 15) — so what the wiring prescribes is ownership, not placement.
+// Cross-island operations are shipped to the owner over a bounded channel;
+// while an executor waits for its own reply it keeps serving its inbox, so a
+// cycle of mutual ships cannot deadlock (each executor has at most one
+// outstanding ship).
 type Executor struct {
 	id int
 	b  *HashBackend
@@ -93,13 +95,10 @@ func NewExecutors(b *HashBackend) []*Executor {
 	return execs
 }
 
-// Pin binds the executor's goroutine to its current OS thread for the
-// duration of fn — the engine calls it first thing in the worker loop.
-func (e *Executor) Pin(fn func()) {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	fn()
-}
+// Pin runs fn on the calling goroutine and adds nothing — no thread lock, no
+// affinity. It exists only because the frozen benchmark/replay.go wraps its
+// executor loops in it (ROADMAP, "For the next benchmark-archetype PR").
+func (e *Executor) Pin(fn func()) { fn() }
 
 // ID returns the executor's island index.
 func (e *Executor) ID() int { return e.id }
@@ -125,6 +124,9 @@ func (e *Executor) serveOp(r *Request) {
 		r.ok = true
 	case opDelete:
 		r.ok = e.b.Delete(int(r.shard), int(r.table), r.key, r.txn)
+	case opIncrement:
+		r.val = e.b.Increment(int(r.shard), int(r.table), r.key, r.txn)
+		r.ok = true
 	case opCommit:
 		// val carries the committer's wall offset so the owner's group-commit
 		// deadline advances with real time.
@@ -210,6 +212,19 @@ func (e *Executor) Put(shard, table int, key schema.Key, txn, val uint64) {
 	}
 	e.out = Request{op: opPut, table: int32(table), shard: int32(shard), txn: txn, key: key, val: val}
 	e.ship(e.b.execs[owner])
+}
+
+// Increment adds one to (table, key) on behalf of txn and returns the new
+// value. The read-modify-write runs on the owner as one operation, so it is
+// atomic against every other operation on the shard, and a remote one costs
+// one ship, not a Get and a Put.
+func (e *Executor) Increment(shard, table int, key schema.Key, txn uint64) uint64 {
+	owner := e.b.Owner(shard)
+	if owner == e.id {
+		return e.b.Increment(shard, table, key, txn)
+	}
+	e.out = Request{op: opIncrement, table: int32(table), shard: int32(shard), txn: txn, key: key}
+	return e.ship(e.b.execs[owner]).val
 }
 
 // Delete removes (table, key) on behalf of txn.

@@ -102,10 +102,6 @@ func (b *HashBackend) build() {
 	}
 }
 
-// Reset drops all data and durability state, returning the backend to its
-// just-built state. Executors must be stopped.
-func (b *HashBackend) Reset() { b.build() }
-
 func (b *HashBackend) home(island int) topology.SocketID {
 	if island < 0 || island >= len(b.homes) {
 		return 0
@@ -161,6 +157,16 @@ func (b *HashBackend) Put(shard, table int, key schema.Key, txn, val uint64) {
 	b.logs[island].Append(b.home(island), wal.Record{
 		Txn: txn, Type: typ, Table: b.tables[table], Key: key, Size: 32,
 	})
+}
+
+// Increment adds one to key's value on behalf of txn (a missing key counts
+// from zero) and returns the new value: one probe to read, one to write back,
+// one value-log append. Called by the shard's owner only, like every other
+// operation, which is what makes the read-modify-write atomic.
+func (b *HashBackend) Increment(shard, table int, key schema.Key, txn uint64) uint64 {
+	v, _ := b.Get(shard, table, key)
+	b.Put(shard, table, key, txn, v+1)
+	return v + 1
 }
 
 // Delete implements Backend: the key is tombstoned in the index and a delete

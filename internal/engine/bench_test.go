@@ -170,18 +170,7 @@ func BenchmarkExecute(b *testing.B) {
 			for ai := range t.Actions {
 				a := &t.Actions[ai]
 				ti := tableIdx[a.Table]
-				shard := w.siteOf(tps[ti].CoreFor(a.Key))
-				switch a.Op {
-				case workload.Read:
-					ex.Get(shard, ti, a.Key)
-				case workload.Update:
-					v, _ := ex.Get(shard, ti, a.Key)
-					ex.Put(shard, ti, a.Key, txnID, v+1)
-				case workload.Insert:
-					ex.Put(shard, ti, a.Key, txnID, uint64(a.Key))
-				case workload.Delete:
-					ex.Delete(shard, ti, a.Key, txnID)
-				}
+				applyAction(ex, a.Op, w.siteOf(tps[ti].CoreFor(a.Key)), ti, a.Key, txnID)
 			}
 			ex.CommitLocal(txnID, int64(n))
 		}

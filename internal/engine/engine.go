@@ -275,8 +275,10 @@ type Engine struct {
 	// hash is the executed storage engine (Config.Backend == backend.Hash):
 	// one shard per island of the installed wiring, re-sharded by the
 	// adaptive-granularity planner on every level change. Nil on the priced
-	// path.
-	hash *backend.HashBackend
+	// path. hashLoaded is set once loadBackend has filled it from the priced
+	// tables, which the first RunExecuted does.
+	hash       *backend.HashBackend
+	hashLoaded bool
 
 	// retiredLogStats accumulates the activity counters of island logs an
 	// online re-wiring dropped (rebuilt rather than reused), so logStats —

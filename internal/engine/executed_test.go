@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"atrapos/internal/backend"
 	"atrapos/internal/partition"
+	"atrapos/internal/schema"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
 	"atrapos/internal/wal"
@@ -120,13 +123,156 @@ func TestExecutedDeterministic(t *testing.T) {
 	}
 }
 
+// replayStream regenerates the transactions of a run with opts and hands each
+// to visit with the site that generated it. Both run loops seed transaction n
+// with Seed+n; home(n) is where the loop in question generates it, of the
+// sites sites its generator sees. The replay is exact for a static wiring and
+// a generator that ignores GenContext.At, which the multisite microbenchmark
+// does. visit must consume the transaction before it returns.
+func replayStream(e *Engine, opts RunOptions, sites int, home func(n int64) int, visit func(home int, t *workload.Transaction)) {
+	src := &splitMix{}
+	ctx := workload.GenContext{Rng: rand.New(src), NumSites: sites}
+	for n := int64(1); n <= int64(opts.Transactions); n++ {
+		src.seed(opts.Seed + n)
+		ctx.HomeSite = home(n)
+		visit(ctx.HomeSite, e.wl.Generate(&ctx))
+	}
+}
+
+// executedHome is where RunExecuted generates and runs transaction n.
+func executedHome(islands int) func(n int64) int {
+	return func(n int64) int { return int(n % int64(islands)) }
+}
+
+// checkConserved is the counter-conservation oracle (ROADMAP direction 3) for
+// increment-only workloads: a row's counter ends a run at the value it started
+// with plus the increments the run committed to it. The finished run's stream
+// is replayed (see replayStream) and every update added to want[key]; got,
+// the counters read back from storage, must then equal want row by row, under
+// mask (the priced counter column wraps at 256). want starts as the initial
+// values and is carried from run to run by the caller, so a second run on the
+// same engine is also checked to start from the state the first one left.
+func checkConserved(t *testing.T, e *Engine, opts RunOptions, sites int, home func(n int64) int, want, got map[schema.Key]uint64, mask uint64) {
+	t.Helper()
+	var updates uint64
+	replayStream(e, opts, sites, home, func(_ int, txn *workload.Transaction) {
+		for i := range txn.Actions {
+			if txn.Actions[i].Op != workload.Update {
+				t.Fatalf("conservation oracle needs an increment-only workload, saw %v", txn.Actions[i].Op)
+			}
+			want[txn.Actions[i].Key]++
+			updates++
+		}
+	})
+	if len(got) != len(want) {
+		t.Errorf("storage holds %d counters, want %d", len(got), len(want))
+	}
+	var rows int
+	var lost uint64
+	for k, w := range want {
+		if d := (w - got[k]) & mask; d != 0 {
+			rows++
+			lost += d
+		}
+	}
+	if rows > 0 {
+		t.Errorf("counters not conserved: %d of %d rows are off, %d increments unaccounted for after a run of %d",
+			rows, len(want), lost, updates)
+	}
+}
+
+// TestExecutedCountersConserved runs the oracle on the executed path: 100%
+// multisite increments on 64 rows, so nearly every update is shipped and the
+// executors keep hitting the same rows. Two consecutive runs on one engine pin
+// load-once (the second must continue from the first one's values); a
+// read-modify-write shipped as a Get and a Put loses about 1,500 of each run's
+// 200,000 increments here. -short runs a fifth of the transactions, which is
+// how `make race` affords twenty repeats under the race detector.
+func TestExecutedCountersConserved(t *testing.T) {
+	txns := 20_000
+	if testing.Short() {
+		txns = 4_000
+	}
+	for _, level := range []topology.Level{topology.LevelSocket, topology.LevelDie} {
+		t.Run(level.String(), func(t *testing.T) {
+			e := executedEngine(t, workload.MultisiteUpdate(64, 100), level, false)
+			// loadBackend's synthesized initial value of a row is its key.
+			want := make(map[schema.Key]uint64)
+			for k := int64(0); k < 64; k++ {
+				want[schema.KeyFromInt(k)] = uint64(k)
+			}
+			for run := int64(0); run < 2; run++ {
+				opts := RunOptions{Transactions: txns, Seed: 5 + run<<32}
+				res, err := e.RunExecuted(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Committed != int64(opts.Transactions) {
+					t.Fatalf("run %d committed %d of %d", run, res.Committed, opts.Transactions)
+				}
+				got := make(map[schema.Key]uint64)
+				h := e.HashBackend()
+				for s := 0; s < h.Shards(); s++ {
+					h.Scan(s, 0, func(k schema.Key, v uint64) bool {
+						got[k] += v // a row living on two shards would show as a doubled counter
+						return true
+					})
+				}
+				checkConserved(t, e, opts, res.Executors, executedHome(res.Executors), want, got, ^uint64(0))
+			}
+		})
+	}
+}
+
+// TestPricedCountersConserved is the oracle's priced twin: the same workload
+// through Run, the counter being the last column that incrementLastColumn
+// bumps (and wraps at 256).
+func TestPricedCountersConserved(t *testing.T) {
+	prof, _ := topology.ProfileByName("chiplet-2s4d")
+	e, err := New(Config{
+		Design:      SharedNothing,
+		IslandLevel: topology.LevelDie,
+		Workload:    workload.MultisiteUpdate(64, 100),
+		Topology:    prof.Build(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := func() map[schema.Key]uint64 {
+		m := make(map[schema.Key]uint64)
+		e.tables["mupd"].Scan(0, 0, ^schema.Key(0), func(k schema.Key, r schema.Row) bool {
+			m[k] = uint64(r[len(r)-1].(int64))
+			return true
+		})
+		return m
+	}
+	want := counters()
+	snap := e.state.snapshot()
+	alive := e.aliveCores()
+	home := func(n int64) int { return snap.wiring.siteOf(alive[int(n)%len(alive)].ID) }
+	for run := int64(0); run < 2; run++ {
+		opts := RunOptions{Transactions: 20_000, Seed: 5 + run<<32}
+		res, err := e.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Committed != int64(opts.Transactions) {
+			t.Fatalf("run %d committed %d of %d", run, res.Committed, opts.Transactions)
+		}
+		checkConserved(t, e, opts, snap.numSites(), home, want, counters(), 0xff)
+	}
+}
+
 // TestExecutedMultiIslandShips runs die-grained executors on a multisite
-// workload and checks that cross-island operations really ship (and still
-// commit everything).
+// workload and checks that cross-island operations really ship, exactly as
+// often as the stream implies: once per remote action — an update is one
+// shipped Increment, not a Get and a Put — plus one commit record per remote
+// write participant.
 func TestExecutedMultiIslandShips(t *testing.T) {
 	wl := workload.MultisiteUpdate(4000, 50)
 	e := executedEngine(t, wl, topology.LevelDie, false)
-	res, err := e.RunExecuted(RunOptions{Transactions: 1200, Seed: 3})
+	opts := RunOptions{Transactions: 1200, Seed: 3}
+	res, err := e.RunExecuted(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +284,54 @@ func TestExecutedMultiIslandShips(t *testing.T) {
 	}
 	if res.Components[vclock.Communication] == 0 {
 		t.Error("50%% multisite at die grain measured zero communication time")
+	}
+	snap := e.state.snapshot()
+	tp, _ := snap.placement.Table("mupd")
+	var want int64
+	replayStream(e, opts, res.Executors, executedHome(res.Executors), func(home int, txn *workload.Transaction) {
+		participants := make(map[int]bool)
+		for i := range txn.Actions {
+			if shard := snap.wiring.siteOf(tp.CoreFor(txn.Actions[i].Key)); shard != home {
+				want++
+				participants[shard] = true
+			}
+		}
+		want += int64(len(participants))
+	})
+	if res.Ships != want || res.Serves != want {
+		t.Errorf("shipped %d and served %d operations, the stream implies %d", res.Ships, res.Serves, want)
+	}
+}
+
+// TestExecutedOversubscribed is the liveness check for executors that are
+// plain goroutines: 8 and 32 of them on one P, half the transactions
+// multisite, must still commit everything — an executor blocked on a ship
+// yields to the owner it waits for — well inside a generous wall bound.
+func TestExecutedOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, level := range []topology.Level{topology.LevelDie, topology.LevelCore} {
+		e := executedEngine(t, workload.MultisiteUpdate(4000, 50), level, false)
+		var res *ExecutedResult
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, err = e.RunExecuted(RunOptions{Transactions: 4000, Seed: 9})
+		}()
+		select {
+		case <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Committed != 4000 {
+				t.Errorf("%v level: committed %d of 4000", level, res.Committed)
+			}
+			if res.Ships == 0 {
+				t.Errorf("%v level: %d executors shipped nothing", level, res.Executors)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%v level: 4000 transactions did not finish in 60 s at GOMAXPROCS=1", level)
+		}
 	}
 }
 
@@ -205,7 +399,7 @@ func TestExecutedAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perTxn := float64(after.Mallocs-before.Mallocs) / float64(txns)
-	// The fixed per-run setup (backend reset + reload, executor channels) is
+	// The fixed per-run setup (executors, their channels, the scratch) is
 	// amortized over the 5000 transactions and included in the budget.
 	if perTxn > 1.0 {
 		t.Errorf("executed steady state allocates %.3f allocs/txn, budget is 1", perTxn)

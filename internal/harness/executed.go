@@ -80,7 +80,7 @@ func runExecutedPricedCell(s Scale, prof topology.Profile, level topology.Level,
 }
 
 // runExecutedHashCell measures the same cell on the executed path: real
-// operations on the sharded hash backend, one pinned executor per island,
+// operations on the sharded hash backend, one executor goroutine per island,
 // timed in wall nanoseconds. Callers must hold the pool's alloc token so no
 // concurrent point pollutes the wall-clock measurement.
 func runExecutedHashCell(s Scale, prof topology.Profile, level topology.Level, pct int) (*engine.ExecutedResult, error) {
