@@ -2,13 +2,15 @@
 #
 #   make check        - everything CI runs: format, vet, static analysis, build,
 #                       test, race, the benchmark module's own vet + tests,
-#                       bench smoke, log-device smoke, group-commit smoke,
-#                       executed-storage smoke, fault-scenario fuzz smoke,
-#                       BENCH.json well-formedness
+#                       bench smoke, every experiment through the CLI, traced
+#                       run, fault-scenario fuzz smoke
 #   make race         - the code that runs goroutines, under the race detector
 #   make bench-module - vet + short tests of the nested benchmark/ module
 #   make bench        - full hot-path microbenchmarks with allocation stats
-#   make bench-json   - append a BENCH.json perf-trajectory record
+#   make experiments  - every registry experiment through the CLI
+#   make tables-diff  - -experiment all on a parent commit and the working tree
+#                       (PARENT=<ref>): empty output = every deterministic
+#                       table byte-identical
 #   make bench-trace  - traced adaptive-drift run: Perfetto trace + metrics CSV
 #   make bench-pair   - the repo benchmark on a parent commit and the working
 #                       tree in alternating pairs (PARENT=<ref> WORKLOAD=<name>
@@ -25,9 +27,9 @@ FUZZ_SEED ?= 42
 PAIRS ?= 10
 SEED ?= 42
 
-.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench bench-json bench-verify bench-devices bench-groupcommit bench-executed bench-trace bench-pair fuzz-smoke
+.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments tables-diff bench-trace bench-pair fuzz-smoke
 
-check: fmt vet staticcheck build test race bench-module bench-smoke bench-devices bench-groupcommit bench-executed bench-trace fuzz-smoke bench-verify
+check: fmt vet staticcheck build test race bench-module bench-smoke experiments bench-trace fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -75,7 +77,7 @@ race:
 	$(GO) test -race ./internal/backend
 	$(GO) test -race -run Executed ./internal/engine
 	$(GO) test -race -short -count=20 -run ExecutedCountersConserved ./internal/engine
-	$(GO) test -race -run 'TestPool|TestParallelSweepBitIdentical|TestFuzzShardDeterminism|TestMeasureParallel' ./internal/harness
+	$(GO) test -race -run 'TestPool|TestParallelSweepBitIdentical|TestFuzzShardDeterminism' ./internal/harness
 
 # benchmark/ is a nested module the root `go build ./... && go test ./...` does
 # not reach, yet it compiles against the engine's API; vet and short-test it so
@@ -94,27 +96,26 @@ bench-smoke:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchmem ./internal/engine
 
-bench-json:
-	$(GO) run ./cmd/atrapos-bench -json
+# Every registry entry through its CLI path. The tier-1 tests assert the
+# experiments' claims; this keeps `-experiment` itself exercised, and
+# fig-executed errors here if priced and executed modes disagree on the
+# crossover direction on chiplet-2s4d.
+experiments:
+	$(GO) run ./cmd/atrapos-bench -experiment all
 
-# A tiny fig-log-devices run: the heterogeneous log-device sweep must keep
-# producing its crossover table (the harness test asserts the shift; this
-# smoke keeps the CLI path exercised).
-bench-devices:
-	$(GO) run ./cmd/atrapos-bench -experiment fig-log-devices
-
-# The coalescing group-commit sweep: write-combining on/off across device
-# layouts. The smoke keeps the experiment's crossover table producible from
-# the CLI; the schema gates in -verify assert the coalescing wins.
-bench-groupcommit:
-	$(GO) run ./cmd/atrapos-bench -experiment fig-group-commit
-
-# Executed storage mode: runs every island level in both priced (virtual
-# time) and executed (real sharded hash backend, wall-clock) modes, fits the
-# cost-model calibration, and asserts the fine-vs-coarse crossover direction
-# agrees between the two on the chiplet profile.
-bench-executed:
-	$(GO) run ./cmd/atrapos-bench -experiment fig-executed
+# The acceptance check of a refactor that must keep every number: run
+# -experiment all on PARENT and on the working tree and diff the tables.
+# "completed in" lines (wall time) and the fig-executed block (measured wall
+# clock) are stripped; anything printed is a changed table. The parent is
+# unpacked under $$TMPDIR and removed afterwards.
+tables-diff:
+	@test -n "$(PARENT)" || { echo "usage: make tables-diff PARENT=<ref> [SEED=42]"; exit 2; }
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	git archive $(PARENT) | tar -x -C "$$dir"; \
+	tables() { $(GO) run ./cmd/atrapos-bench -experiment all -parallel 1 -seed $(SEED) > "$$1.raw" && \
+		awk '/^fig-executed /{skip=1} /^\(fig-executed completed/{skip=0} !skip && !/completed in/' "$$1.raw" > "$$1"; }; \
+	(cd "$$dir" && tables "$$dir/parent.txt"); tables "$$dir/tree.txt"; \
+	diff "$$dir/parent.txt" "$$dir/tree.txt"
 
 # The tracing smoke: run the traced adaptive-drift scenario and write the
 # Chrome-trace JSON (Perfetto-loadable) and metrics CSV. The command validates
@@ -141,8 +142,3 @@ bench-pair:
 # sweep a different slice.
 fuzz-smoke:
 	$(GO) run ./cmd/atrapos-bench -fuzz 100 -seed $(FUZZ_SEED)
-
-# BENCH.json is an appending trajectory; the schema gate keeps a bad append
-# from corrupting it silently.
-bench-verify:
-	$(GO) run ./cmd/atrapos-bench -verify

@@ -438,11 +438,6 @@ func RunExperiment(id string, scale Scale) (*ExperimentTable, error) {
 	return exp.Run(scale)
 }
 
-// RunAllExperiments reproduces every table and figure at the given scale.
-func RunAllExperiments(scale Scale) ([]*ExperimentTable, error) {
-	return harness.RunAll(scale)
-}
-
 // ExperimentResult is one registry experiment's outcome from a timed run:
 // its rendered table, its wall time, and its error if it failed. Results
 // stay in registry order regardless of Scale.Parallel.
@@ -456,30 +451,6 @@ func RunAllExperimentsTimed(scale Scale) ([]ExperimentResult, error) {
 	return harness.RunAllTimed(scale)
 }
 
-// ParallelReport is the measured outcome of the parallel-harness determinism
-// check: wall times of a serial and a pooled pass over the same sweep, the
-// speedup, and whether the two produced bit-identical results.
-type ParallelReport = harness.ParallelReport
-
-// MeasureParallel runs the island sweep once serially and once through the
-// parallel point scheduler at scale.Parallel concurrency (defaulting to
-// GOMAXPROCS), asserts the two passes agree point for point, and reports the
-// wall times; it is the data behind the BENCH.json harness_parallel record.
-func MeasureParallel(scale Scale) (*ParallelReport, error) {
-	return harness.MeasureParallel(scale)
-}
-
-// IslandPoint is one measured cell of the island-granularity sweep.
-type IslandPoint = harness.IslandPoint
-
-// IslandSweep measures the parametric shared-nothing design at every island
-// granularity on every sweep profile for the given multisite percentages; it
-// is the data behind the fig-islands experiment and the BENCH.json islands
-// records.
-func IslandSweep(scale Scale, pcts []int) ([]IslandPoint, error) {
-	return harness.IslandSweep(scale, pcts)
-}
-
 // LogDeviceLayout is a named storage shape: the class and count of the log
 // devices a machine flushes its write-ahead logs to.
 type LogDeviceLayout = device.Layout
@@ -488,59 +459,6 @@ type LogDeviceLayout = device.Layout
 // first (one NVMe per socket, a shared device per die pair, a single
 // SATA-class device).
 func LogDeviceLayouts() []LogDeviceLayout { return device.Layouts() }
-
-// DevicePoint is one measured cell of the log-device sweep.
-type DevicePoint = harness.DevicePoint
-
-// DeviceSweep measures the parametric shared-nothing design at every island
-// granularity under every log-device layout for the given multisite
-// percentages; it is the data behind the fig-log-devices experiment and the
-// BENCH.json log-device records.
-func DeviceSweep(scale Scale, pcts []int) ([]DevicePoint, error) {
-	return harness.DeviceSweep(scale, pcts)
-}
-
-// GroupCommitPoint is one measured cell of the coalescing group-commit
-// sweep: an island granularity under one device layout with the
-// write-combining accumulator on or off, with the logical-vs-physical log
-// split the run produced.
-type GroupCommitPoint = harness.GroupCommitPoint
-
-// GroupCommitSweep measures the parametric shared-nothing design on the
-// zipf-hotkey workload with the write-combining WAL accumulator on and off,
-// across device layouts and island levels; it is the data behind the
-// fig-group-commit experiment and the BENCH.json group-commit records.
-func GroupCommitSweep(scale Scale) ([]GroupCommitPoint, error) {
-	return harness.GroupCommitSweep(scale)
-}
-
-// GranularityTrajectory is the measured outcome of the adaptive-granularity
-// scenario: how the planner re-wired the machine as the multisite share
-// drifted across the island-size crossover, and whether it tracked the
-// statically-best level on either side.
-type GranularityTrajectory = harness.GranularityTrajectory
-
-// GranularityChangeRecord is one island-level change of a trajectory, with
-// the scorer's winner and runner-up per-term breakdowns when recorded.
-type GranularityChangeRecord = harness.GranularityChangeRecord
-
-// ScoreTermsRecord is the granularity scorer's per-term breakdown for one
-// candidate level: five additive terms whose sum is the total (lower wins).
-type ScoreTermsRecord = harness.ScoreTermsRecord
-
-// RunAdaptiveGranularity runs the adaptive-granularity scenario behind the
-// fig-adaptive-granularity experiment and returns its trajectory; it is the
-// data behind the BENCH.json adaptive-granularity records.
-func RunAdaptiveGranularity(scale Scale) (*GranularityTrajectory, error) {
-	return harness.RunAdaptiveGranularity(scale)
-}
-
-// RunAdaptiveGranularityFrom is RunAdaptiveGranularity with precomputed
-// island-sweep points: phases whose static winner is covered by the points
-// are not re-measured.
-func RunAdaptiveGranularityFrom(scale Scale, static []IslandPoint) (*GranularityTrajectory, error) {
-	return harness.RunAdaptiveGranularityFrom(scale, static)
-}
 
 // TracedDriftResult is the outcome of RunTracedDrift: the level trajectory
 // plus the exported trace and metrics documents and their accounting.
@@ -603,17 +521,6 @@ func CrashAndRecoverFault(at VirtualTime) FaultEvent {
 	return fault.CrashAndRecover(at)
 }
 
-// FaultTimeline is the measured outcome of the fig-faults scenario: per-phase
-// throughput across a fail→degrade→restore schedule, with the dips, the
-// recovery, the re-homed island logs and the wiring convergence asserted.
-type FaultTimeline = harness.FaultTimeline
-
-// RunFaultTimeline runs the fig-faults scenario; it is the data behind the
-// BENCH.json faults record.
-func RunFaultTimeline(scale Scale) (*FaultTimeline, error) {
-	return harness.RunFaultTimeline(scale)
-}
-
 // BackendKind selects the storage backend of a shared-nothing engine: the
 // priced (virtual-time) path, or the executed sharded hash engine measured in
 // real wall time.
@@ -628,38 +535,6 @@ const (
 	// island.
 	BackendHash = backend.Hash
 )
-
-// ExecutedPoint is one measured cell of the executed-storage sweep, in either
-// mode ("priced" or "executed").
-type ExecutedPoint = harness.ExecutedPoint
-
-// ExecutedProfileReport is one machine profile's calibration verdict: the
-// priced model's level-ranking correlation against real execution before and
-// after fitting per-component correction factors.
-type ExecutedProfileReport = harness.ExecutedProfileReport
-
-// ExecutedReport is the full executed-storage sweep: every point in both
-// modes, the per-profile calibrations, and the crossover-direction agreement
-// on the chiplet machine.
-type ExecutedReport = harness.ExecutedReport
-
-// ExecutedSweep runs the islands grid in both storage modes and fits the
-// measured-vs-priced calibration; it is the data behind the fig-executed
-// experiment and the BENCH.json executed_storage record.
-func ExecutedSweep(scale Scale) (*ExecutedReport, error) {
-	return harness.ExecutedSweep(scale)
-}
-
-// CostCalibration holds per-component correction factors fitted from
-// executed-vs-priced runs; apply them to a GranularityModel or derive a
-// scaled CostModel from them.
-type CostCalibration = core.Calibration
-
-// FitCostCalibration fits correction factors from paired per-component time
-// totals (measured wall nanoseconds vs priced virtual nanoseconds).
-func FitCostCalibration(measured, priced [vclock.NumComponents]int64) *CostCalibration {
-	return core.FitCalibration(measured, priced)
-}
 
 // FuzzOptions configures the invariant-checking scenario fuzzer.
 type FuzzOptions = harness.FuzzOptions

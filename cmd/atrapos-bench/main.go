@@ -67,6 +67,23 @@ func runTraced(scale atrapos.Scale, tracePath, metricsPath string) error {
 	return nil
 }
 
+// parseScale resolves -scale and -profile into the scale every mode runs at.
+// It runs before mode dispatch, so an unknown value of either is rejected
+// whatever else the command line asks for.
+func parseScale(name, profile string) (atrapos.Scale, error) {
+	var scale atrapos.Scale
+	switch name {
+	case "quick":
+		scale = atrapos.QuickScale()
+	case "paper":
+		scale = atrapos.PaperScale()
+	default:
+		return scale, fmt.Errorf("unknown scale %q (want quick or paper)", name)
+	}
+	scale.Profile = profile
+	return scale, scale.Validate()
+}
+
 func main() {
 	var (
 		experiment = flag.String("experiment", "all", "experiment id (see -list) or \"all\"")
@@ -75,10 +92,6 @@ func main() {
 		list       = flag.Bool("list", false, "list the available experiments and exit")
 		listProf   = flag.Bool("list-profiles", false, "list the available machine profiles and exit")
 		seed       = flag.Int64("seed", 42, "random seed")
-		jsonBench  = flag.Bool("json", false, "measure the per-design transaction hot path and write BENCH.json")
-		jsonOut    = flag.String("out", "BENCH.json", "output path of the -json benchmark record")
-		jsonTxns   = flag.Int("txns", 40000, "transactions measured per design in -json mode")
-		verifyJSON = flag.Bool("verify", false, "validate BENCH.json (see -out) against the trajectory schema and exit")
 		fuzzN      = flag.Int("fuzz", 0, "run N seeded fuzz scenarios (composed workload/machine/layout/fault schedules) and check every standing invariant")
 		tracePath  = flag.String("trace", "", "run the traced adaptive-drift scenario and write a Perfetto-loadable Chrome trace to this path")
 		metricsCSV = flag.String("metrics", "", "with -trace (or alone): write the planner-boundary metrics samples as CSV to this path")
@@ -86,13 +99,15 @@ func main() {
 	)
 	flag.Parse()
 
+	scale, err := parseScale(*scaleName, *profile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	scale.Seed = *seed
+	scale.Parallel = *parallel
+
 	if *tracePath != "" || *metricsCSV != "" {
-		scale := atrapos.QuickScale()
-		if *scaleName == "paper" {
-			scale = atrapos.PaperScale()
-		}
-		scale.Seed = *seed
-		scale.Profile = *profile
 		if err := runTraced(scale, *tracePath, *metricsCSV); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
@@ -108,33 +123,10 @@ func main() {
 		return
 	}
 
-	if *verifyJSON {
-		if err := verifyBenchJSON(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "verify: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s is a well-formed trajectory\n", *jsonOut)
-		return
-	}
-
 	if *listProf {
 		fmt.Println("available machine profiles:")
 		for _, p := range atrapos.Profiles() {
 			fmt.Printf("  %-14s %s\n", p.Name, p.Description)
-		}
-		return
-	}
-	if *profile != "" {
-		if _, err := atrapos.BuildProfile(*profile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-
-	if *jsonBench {
-		if err := runBenchJSON(*jsonOut, *jsonTxns, *seed, *profile, *parallel); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -146,20 +138,6 @@ func main() {
 		}
 		return
 	}
-
-	var scale atrapos.Scale
-	switch *scaleName {
-	case "quick":
-		scale = atrapos.QuickScale()
-	case "paper":
-		scale = atrapos.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want quick or paper)\n", *scaleName)
-		os.Exit(2)
-	}
-	scale.Seed = *seed
-	scale.Profile = *profile
-	scale.Parallel = *parallel
 
 	run := func(id string) error {
 		start := time.Now()

@@ -3,8 +3,8 @@
 // run against real B-trees but their cost is virtual, charged to per-core
 // clocks by the NUMA cost model. This package adds the *executed* alternative:
 // a real sharded hash engine (HashBackend) whose operations cost whatever the
-// host actually spends, measured in wall nanoseconds — the ground truth the
-// cost model's island-level rankings are calibrated against.
+// host actually spends, measured in wall nanoseconds — the executed twin the
+// cost model's crossover direction is compared against (fig-executed).
 //
 // Both engines expose the same shard-handle interface: one shard per hardware
 // island, addressed by island index, so the engine's site routing (placement →

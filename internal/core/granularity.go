@@ -6,7 +6,6 @@ import (
 	"atrapos/internal/device"
 	"atrapos/internal/numa"
 	"atrapos/internal/topology"
-	"atrapos/internal/vclock"
 )
 
 // WorkloadShape is the measured workload profile the granularity scorer
@@ -87,13 +86,6 @@ type GranularityModel struct {
 	// overwrite share — fewer, fatter physical flushes shrink exactly the
 	// commit-latency term that decides fine vs coarse on scarce devices.
 	CoalesceRecords int
-	// Cal optionally applies executed-vs-priced correction factors to the
-	// score terms, each scaled by the factor of the cost component it models:
-	// instance locality and conflict retries by Execution, flush/device bills
-	// by Logging, messaging and sync points by Communication, conflicts by
-	// Locking. Nil means identity (uncalibrated scores, bit-identical to the
-	// model without this field).
-	Cal *Calibration
 }
 
 // coalesceSurvival estimates the fraction of logical write volume that
@@ -201,12 +193,6 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 	if k <= 0 {
 		k = 1
 	}
-	// Per-term correction factors (all exactly 1 when Cal is nil).
-	fExec := g.Cal.Factor(vclock.Execution)
-	fMgmt := g.Cal.Factor(vclock.Management)
-	fLog := g.Cal.Factor(vclock.Logging)
-	fLock := g.Cal.Factor(vclock.Locking)
-	fComm := g.Cal.Factor(vclock.Communication)
 
 	// Instance locality: per-action shared-state atomic plus two cache lines
 	// of row payload against the island home, averaged over member cores.
@@ -237,7 +223,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 		return b
 	}
 	state /= float64(members)
-	b.Locality = fExec * k * state
+	b.Locality = k * state
 
 	// Transaction-state stripe: begin and commit. Sub-machine levels keep it
 	// striped per socket (local); the machine level shares one central list
@@ -249,9 +235,9 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 		for _, c := range alive {
 			sum += float64(g.Domain.CoreAtomicCost(c.ID, h))
 		}
-		b.TxnState = fMgmt * 2 * sum / float64(len(alive))
+		b.TxnState = 2 * sum / float64(len(alive))
 	} else {
-		b.TxnState = fMgmt * 2 * float64(g.Domain.Model.LocalAtomic)
+		b.TxnState = 2 * float64(g.Domain.Model.LocalAtomic)
 	}
 
 	// Group-commit cost: the busiest member of an island whose log is shared
@@ -286,7 +272,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 			busiest = group
 		}
 		if g.Devices == nil {
-			b.Commit = fLog * survive * (float64(g.LogFlush)*float64(busiest)/float64(group) + g.flushShare())
+			b.Commit = survive * (float64(g.LogFlush)*float64(busiest)/float64(group) + g.flushShare())
 		} else {
 			var bill float64
 			for _, isl := range islands {
@@ -312,7 +298,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 				// expected queue waits, all per commit.
 				bill += svc / float64(group) * (float64(busiest) + concentration)
 			}
-			b.Commit = fLog * survive * bill / float64(n)
+			b.Commit = survive * bill / float64(n)
 		}
 	}
 
@@ -334,7 +320,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 			if avgSpeed := speedSum / float64(members); avgSpeed != 1 && avgSpeed > 0 {
 				retry /= avgSpeed
 			}
-			b.Conflict = fLock * retry
+			b.Conflict = retry
 		}
 	}
 
@@ -375,7 +361,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 				comm += float64(g.Domain.SyncPointCostAt(homes, shape.SyncBytes))
 			}
 		}
-		b.Comm = fComm * shape.MultisiteShare * comm
+		b.Comm = shape.MultisiteShare * comm
 	}
 	// Summed left-to-right in the historical accumulation order, so Total is
 	// bit-identical to the pre-breakdown single-accumulator score (terms that

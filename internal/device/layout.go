@@ -42,7 +42,7 @@ func (s Scope) String() string {
 // Layout is a named storage shape: which class of log device the machine has
 // and how many. Together with a topology it instantiates a Map.
 type Layout struct {
-	// Name is the identifier used by configuration and BENCH.json.
+	// Name is the identifier used by configuration and the experiment tables.
 	Name string
 	// Description says what storage configuration the layout models.
 	Description string

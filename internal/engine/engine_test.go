@@ -149,14 +149,11 @@ func TestTPCCRunsOnPartitionedDesigns(t *testing.T) {
 	wl := workload.MustTPCC(workload.TPCCOptions{Warehouses: 8, CustomersPerDistrict: 30, Items: 1000})
 	for _, d := range []Design{Centralized, PLP, ATraPos} {
 		res := runDesign(t, d, wl, 200)
-		// TPC-C at a small scale factor has genuine contention on the
-		// Warehouse and District rows, so some aborts are expected even with
-		// retries.
-		if res.Committed < 150 {
-			t.Errorf("%v: committed %d of 200 TPC-C transactions", d, res.Committed)
-		}
-		if res.Committed+res.Aborted != 200 {
-			t.Errorf("%v: committed %d + aborted %d != 200", d, res.Committed, res.Aborted)
+		// A run issues one transaction at a time, so none ever meets a held
+		// lock: even the contended Warehouse and District rows abort nothing.
+		if res.Committed != 200 || res.Aborted != 0 {
+			t.Errorf("%v: committed %d, aborted %d of 200 TPC-C transactions; want all committed",
+				d, res.Committed, res.Aborted)
 		}
 	}
 }

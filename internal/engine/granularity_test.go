@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -131,6 +132,23 @@ func TestAdaptiveGranularityTracksStaticBest(t *testing.T) {
 	for _, lc := range res.LevelChanges {
 		if lc.AffectedCores == 0 || lc.Cost < 0 {
 			t.Errorf("level change %+v should charge a positive cost to its affected cores", lc)
+		}
+		// Every change carries the scorer's explanation: the winner prices the
+		// level switched to, each breakdown's five terms add up to its total,
+		// and a runner-up, where one was scored, is not cheaper than the winner.
+		w, ru := lc.WinnerScores, lc.RunnerUpScores
+		if w.Level != lc.To {
+			t.Errorf("%v->%v: winner breakdown prices %v, not the level switched to", lc.From, lc.To, w.Level)
+		}
+		for _, b := range []core.LevelBreakdown{w, ru} {
+			sum := b.Locality + b.TxnState + b.Commit + b.Conflict + b.Comm
+			if b.Level.Valid() && math.Abs(sum-b.Total) > 1e-6 {
+				t.Errorf("%v->%v: %v breakdown terms sum to %.9f, total says %.9f", lc.From, lc.To, b.Level, sum, b.Total)
+			}
+		}
+		if ru.Level.Valid() && ru.Total < w.Total {
+			t.Errorf("%v->%v: runner-up %v (%.6f) is cheaper than winner %v (%.6f)",
+				lc.From, lc.To, ru.Level, ru.Total, w.Level, w.Total)
 		}
 	}
 }

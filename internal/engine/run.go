@@ -34,10 +34,6 @@ type RunOptions struct {
 	// SampleWindow is the width of the throughput time-series buckets; zero
 	// means one virtual second.
 	SampleWindow vclock.Nanos
-	// Retries is how many times an aborted transaction (lock conflict) is
-	// retried before being counted as aborted, as a client library would.
-	// Negative disables retries; zero means the default of 2.
-	Retries int
 	// Events are fired once each when the engine's virtual time first passes
 	// their timestamp; the adaptivity experiments use them to change the
 	// environment mid-run (e.g. fail a socket at t=20s, Figure 12).
@@ -79,12 +75,6 @@ func (o RunOptions) withDefaults() (RunOptions, error) {
 	}
 	if o.SampleWindow <= 0 {
 		o.SampleWindow = vclock.Nanos(time.Second)
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
 	}
 	return o, nil
 }
@@ -262,13 +252,7 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 			}
 			txnStart = e.coreTime(coord)
 		}
-		ok := false
-		for attempt := 0; attempt <= opts.Retries; attempt++ {
-			if e.execute(coord, t, sc) {
-				ok = true
-				break
-			}
-		}
+		ok := e.execute(coord, t, sc)
 		if sc.ring != nil {
 			arg := int64(0)
 			if ok {

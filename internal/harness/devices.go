@@ -2,10 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 
-	"atrapos/internal/engine"
 	"atrapos/internal/topology"
-	"atrapos/internal/workload"
 )
 
 // deviceSweepProfile returns the machine the log-device sweep runs on: the
@@ -31,93 +30,6 @@ func deviceSweepLayouts() []string {
 	return []string{"nvme-per-socket", "nvme-per-die-pair", "single-sata"}
 }
 
-// DevicePoint is one measured cell of the log-device sweep: a machine
-// profile, a log-device layout, a multisite probability, an island
-// granularity, and the throughput the parametric shared-nothing design
-// achieved with its island logs bound to the layout's devices.
-type DevicePoint struct {
-	Profile   string  `json:"profile"`
-	Layout    string  `json:"layout"`
-	Devices   int     `json:"devices"`
-	MultiPct  int     `json:"multisite_pct"`
-	Level     string  `json:"island_level"`
-	TPS       float64 `json:"virtual_tps"`
-	Committed int64   `json:"committed"`
-}
-
-// RunDevicePoint measures the shared-nothing design at one island granularity
-// under one log-device layout. It is the primitive the fig-log-devices
-// experiment and the BENCH.json log-device sweep are built from.
-func RunDevicePoint(s Scale, prof topology.Profile, layout string, level topology.Level, pct int) (DevicePoint, error) {
-	wl := workload.MultisiteUpdate(s.MicroRows, pct)
-	e, err := engine.New(engine.Config{
-		Design:       engine.SharedNothing,
-		IslandLevel:  level,
-		Workload:     wl,
-		Topology:     prof.Build(),
-		DeviceLayout: layout,
-	})
-	if err != nil {
-		return DevicePoint{}, err
-	}
-	res, err := e.Run(s.runOptions())
-	if err != nil {
-		return DevicePoint{}, err
-	}
-	return DevicePoint{
-		Profile:   prof.Name,
-		Layout:    layout,
-		Devices:   e.Devices().NumDevices(),
-		MultiPct:  pct,
-		Level:     level.String(),
-		TPS:       res.ThroughputTPS,
-		Committed: res.Committed,
-	}, nil
-}
-
-// DeviceSweep runs the full grid on the sweep profile: every log-device
-// layout, every multisite probability, every island level the machine
-// distinguishes. Points run through the harness pool (Scale.Parallel) with
-// results in grid order and per-point errors aggregated.
-func DeviceSweep(s Scale, pcts []int) ([]DevicePoint, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	prof, err := deviceSweepProfile(s)
-	if err != nil {
-		return nil, err
-	}
-	type cell struct {
-		layout string
-		pct    int
-		level  topology.Level
-	}
-	var grid []cell
-	for _, layout := range deviceSweepLayouts() {
-		for _, pct := range pcts {
-			for _, level := range prof.Levels() {
-				grid = append(grid, cell{layout, pct, level})
-			}
-		}
-	}
-	out := make([]DevicePoint, len(grid))
-	jobs := make([]PointFn, len(grid))
-	for i, c := range grid {
-		jobs[i] = func() error {
-			pt, err := RunDevicePoint(s, prof, c.layout, c.level, c.pct)
-			if err != nil {
-				return fmt.Errorf("log-devices %s/%s/%s/%d%%: %w", prof.Name, c.layout, c.level, c.pct, err)
-			}
-			out[i] = pt
-			return nil
-		}
-	}
-	if err := s.pool().Run(jobs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // FigLogDevices is the heterogeneous log-device sweep: on one machine it
 // binds the shared-nothing island logs to progressively scarcer storage
 // shapes — one NVMe namespace per socket, a shared device per die pair, a
@@ -128,62 +40,35 @@ func DeviceSweep(s Scale, pcts []int) ([]DevicePoint, error) {
 // at a higher multisite share than it does when a single device serializes
 // every level's commits equally.
 func FigLogDevices(s Scale) (*Table, error) {
-	pcts := []int{0, 50, 100}
-	points, err := DeviceSweep(s, pcts)
+	grid, err := deviceSweep(s, []int{0, 50, 100})
 	if err != nil {
 		return nil, err
 	}
-	prof, err := deviceSweepProfile(s)
-	if err != nil {
-		return nil, err
-	}
-	levels := topology.Levels()
-	header := []string{"layout", "devices", "% multi-site"}
-	for _, l := range levels {
-		header = append(header, l.String())
-	}
-	header = append(header, "best")
-	t := &Table{
+	return levelTable(&Table{
 		ID:     "fig-log-devices",
-		Title:  fmt.Sprintf("Throughput by log-device layout, island granularity and multisite probability (%s)", prof.Name),
-		Header: header,
+		Title:  fmt.Sprintf("Throughput by log-device layout, island granularity and multisite probability (%s)", grid[0][0].prof.Name),
+		Header: []string{"layout", "devices", "% multi-site"},
 		Notes: []string{
 			"Island logs bind to the layout's devices through their home die; '-' marks levels the machine does not distinguish.",
 			"Expected shift: scarcer devices erase the fine-island flush advantage, so the crossover moves toward coarser islands at lower multisite shares.",
 		},
+	}, grid, func(row []point) []string {
+		return []string{row[0].layout, strconv.Itoa(row[0].devices), strconv.Itoa(row[0].pct)}
+	}), nil
+}
+
+// deviceSweep measures the log-device grid on the sweep profile: every
+// layout at every multisite probability, one row each.
+func deviceSweep(s Scale, pcts []int) ([][]point, error) {
+	prof, err := deviceSweepProfile(s)
+	if err != nil {
+		return nil, err
 	}
-	type cell struct {
-		tps float64
-		ok  bool
-	}
-	byKey := make(map[string]cell)
-	devCount := make(map[string]int)
-	key := func(layout string, pct int, level string) string {
-		return fmt.Sprintf("%s|%d|%s", layout, pct, level)
-	}
-	for _, pt := range points {
-		byKey[key(pt.Layout, pt.MultiPct, pt.Level)] = cell{tps: pt.TPS, ok: true}
-		devCount[pt.Layout] = pt.Devices
-	}
+	var rows []cell
 	for _, layout := range deviceSweepLayouts() {
 		for _, pct := range pcts {
-			row := []string{layout, fmt.Sprintf("%d", devCount[layout]), fmt.Sprintf("%d", pct)}
-			bestLevel, bestTPS := "", -1.0
-			for _, l := range levels {
-				c := byKey[key(layout, pct, l.String())]
-				if !c.ok {
-					row = append(row, "-")
-					continue
-				}
-				row = append(row, fmtTPS(c.tps))
-				if c.tps > bestTPS {
-					bestTPS = c.tps
-					bestLevel = l.String()
-				}
-			}
-			row = append(row, bestLevel)
-			t.AddRow(row...)
+			rows = append(rows, cell{prof: prof, layout: layout, pct: pct})
 		}
 	}
-	return t, nil
+	return sweep(s, "log-devices", rows)
 }

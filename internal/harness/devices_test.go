@@ -1,34 +1,23 @@
 package harness
 
-import (
-	"testing"
+import "testing"
 
-	"atrapos/internal/topology"
-)
-
-// sweepBest returns the winning level and the per-level TPS of one layout at
-// one multisite percentage.
-func sweepBest(t *testing.T, points []DevicePoint, layout string, pct int) (topology.Level, map[string]float64) {
+// layoutRow returns the sweep row of one layout (the grid has one multisite
+// percentage, so one row per layout) with its per-level TPS by level name.
+func layoutRow(t *testing.T, grid [][]point, layout string) ([]point, map[string]float64) {
 	t.Helper()
-	tps := make(map[string]float64)
-	best, bestTPS := topology.Level(0), -1.0
-	for _, pt := range points {
-		if pt.Layout != layout || pt.MultiPct != pct {
+	for _, row := range grid {
+		if row[0].layout != layout {
 			continue
 		}
-		tps[pt.Level] = pt.TPS
-		if pt.TPS > bestTPS {
-			lvl, err := topology.ParseLevel(pt.Level)
-			if err != nil {
-				t.Fatalf("unparseable level %q", pt.Level)
-			}
-			best, bestTPS = lvl, pt.TPS
+		tps := make(map[string]float64)
+		for _, pt := range row {
+			tps[pt.level.String()] = pt.res.ThroughputTPS
 		}
+		return row, tps
 	}
-	if bestTPS < 0 {
-		t.Fatalf("no points for layout %s at %d%%", layout, pct)
-	}
-	return best, tps
+	t.Fatalf("no row for layout %s", layout)
+	return nil, nil
 }
 
 // TestDeviceSweepCrossoverShift asserts the headline result of the log-device
@@ -38,12 +27,13 @@ func sweepBest(t *testing.T, points []DevicePoint, layout string, pct int) (topo
 // serialize through the same queue, the fine-island advantage is erased, and
 // the best granularity at the same multisite share is strictly coarser.
 func TestDeviceSweepCrossoverShift(t *testing.T) {
-	points, err := DeviceSweep(testScale(), []int{0})
+	grid, err := deviceSweep(testScale(), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plentiful, plentifulTPS := sweepBest(t, points, "nvme-per-socket", 0)
-	scarce, scarceTPS := sweepBest(t, points, "single-sata", 0)
+	plentifulRow, plentifulTPS := layoutRow(t, grid, "nvme-per-socket")
+	scarceRow, scarceTPS := layoutRow(t, grid, "single-sata")
+	plentiful, scarce := bestPoint(plentifulRow).level, bestPoint(scarceRow).level
 	if !(plentiful < scarce) {
 		t.Errorf("best level at 0%% multisite should be strictly finer with per-socket NVMe (%v) than with a single device (%v)",
 			plentiful, scarce)
@@ -57,11 +47,17 @@ func TestDeviceSweepCrossoverShift(t *testing.T) {
 		t.Errorf("core/socket throughput ratio should drop below 1 as devices get scarce: per-socket NVMe %.3f, single SATA %.3f",
 			rPlentiful, rScarce)
 	}
-	// Every point carries its layout's device count.
-	for _, pt := range points {
-		want := map[string]int{"nvme-per-socket": 2, "nvme-per-die-pair": 4, "single-sata": 1}[pt.Layout]
-		if pt.Devices != want {
-			t.Errorf("%s reports %d devices, want %d", pt.Layout, pt.Devices, want)
+	// Every point carries its layout's device count, names its cell and
+	// committed work.
+	for _, row := range grid {
+		for _, pt := range row {
+			want := map[string]int{"nvme-per-socket": 2, "nvme-per-die-pair": 4, "single-sata": 1}[pt.layout]
+			if pt.devices != want {
+				t.Errorf("%s reports %d devices, want %d", pt.layout, pt.devices, want)
+			}
+			if pt.prof.Name == "" || !pt.level.Valid() || pt.res.Committed <= 0 {
+				t.Errorf("point %s is incomplete (committed %d)", pt.cell, pt.res.Committed)
+			}
 		}
 	}
 }

@@ -1,70 +1,46 @@
 package harness
 
-import (
-	"testing"
-
-	"atrapos/internal/vclock"
-)
+import "testing"
 
 // TestExecutedSweepReport runs the executed-storage sweep at test scale and
-// checks the report's structural invariants: every grid cell measured in both
-// modes, rank correlations inside [-1, 1] with the post-calibration value
-// never below the raw one (the identity fallback guarantees it), and a full
-// factor set per profile.
+// checks its structural invariants: every grid cell measured in both modes
+// with work committed in each, one verdict per profile, and rank correlations
+// inside [-1, 1].
 func TestExecutedSweepReport(t *testing.T) {
 	s := testScale()
-	rep, err := ExecutedSweep(s)
+	grid, err := executedSweep(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	profiles := islandSweepProfiles(s)
-	cells := 0
-	for _, p := range profiles {
-		cells += 2 * len(p.Levels()) // two multisite endpoints per level
+	if want := 2 * len(profiles); len(grid) != want {
+		t.Fatalf("sweep produced %d rows, want %d (two multisite endpoints per profile)", len(grid), want)
 	}
-	if want := 2 * cells; len(rep.Points) != want {
-		t.Fatalf("sweep produced %d points, want %d (both modes for %d cells)", len(rep.Points), want, cells)
-	}
-	for _, pt := range rep.Points {
-		switch pt.Mode {
-		case "priced":
-			if pt.TPS <= 0 {
-				t.Errorf("priced point %+v has no virtual throughput", pt)
+	for r, row := range grid {
+		prof := profiles[r/2]
+		if len(row) != len(prof.Levels()) {
+			t.Fatalf("row %d covers %d levels of %s, want %d", r, len(row), prof.Name, len(prof.Levels()))
+		}
+		for _, pt := range row {
+			if pt.res.ThroughputTPS <= 0 || pt.res.Committed <= 0 {
+				t.Errorf("priced point %s has no virtual throughput", pt.cell)
 			}
-		case "executed":
-			if pt.MeasuredKTPS <= 0 {
-				t.Errorf("executed point %+v has no measured throughput", pt)
-			}
-		default:
-			t.Errorf("point %+v has unknown mode", pt)
-		}
-		if pt.Committed <= 0 {
-			t.Errorf("point %+v committed nothing", pt)
-		}
-	}
-	if len(rep.Profiles) != len(profiles) {
-		t.Fatalf("report covers %d profiles, want %d", len(rep.Profiles), len(profiles))
-	}
-	for _, pr := range rep.Profiles {
-		if pr.RankBefore < -1 || pr.RankBefore > 1 || pr.RankAfter < -1 || pr.RankAfter > 1 {
-			t.Errorf("profile %s rank correlations outside [-1,1]: before %v after %v",
-				pr.Profile, pr.RankBefore, pr.RankAfter)
-		}
-		if pr.RankAfter < pr.RankBefore {
-			t.Errorf("profile %s: calibration made the ranking worse (%v -> %v); the identity fallback should prevent this",
-				pr.Profile, pr.RankBefore, pr.RankAfter)
-		}
-		if len(pr.Factors) != vclock.NumComponents {
-			t.Errorf("profile %s reports %d factors, want %d", pr.Profile, len(pr.Factors), vclock.NumComponents)
-		}
-		for name, f := range pr.Factors {
-			if f <= 0 {
-				t.Errorf("profile %s factor %s = %v, want > 0", pr.Profile, name, f)
+			if pt.exec == nil || pt.exec.MeasuredKTPS <= 0 || pt.exec.Committed <= 0 {
+				t.Errorf("executed point %s has no measured throughput", pt.cell)
 			}
 		}
 	}
-	if rep.CrossoverProfile != "chiplet-2s4d" {
-		t.Errorf("crossover gate runs on %q, want chiplet-2s4d", rep.CrossoverProfile)
+	verdicts := executedVerdicts(grid)
+	if len(verdicts) != len(profiles) {
+		t.Fatalf("sweep yields %d verdicts, want %d", len(verdicts), len(profiles))
+	}
+	for i, v := range verdicts {
+		if v.profile != profiles[i].Name {
+			t.Errorf("verdict %d is for %q, want %q", i, v.profile, profiles[i].Name)
+		}
+		if v.rank < -1 || v.rank > 1 {
+			t.Errorf("profile %s rank correlation %v outside [-1,1]", v.profile, v.rank)
+		}
 	}
 }
 
@@ -80,10 +56,18 @@ func TestFigExecutedCrossover(t *testing.T) {
 	if want := len(islandSweepProfiles(s)); len(tbl.Rows) != want {
 		t.Fatalf("fig-executed has %d rows, want %d", len(tbl.Rows), want)
 	}
+	asserted := false
 	for _, row := range tbl.Rows {
-		if row[0] == "chiplet-2s4d" && row[len(row)-1] != "yes" {
-			t.Errorf("chiplet-2s4d modes disagree on the crossover direction: %v", row)
+		if row[0] != executedCrossoverProfile {
+			continue
 		}
+		asserted = true
+		if row[len(row)-1] != "yes" {
+			t.Errorf("%s modes disagree on the crossover direction: %v", executedCrossoverProfile, row)
+		}
+	}
+	if !asserted {
+		t.Errorf("fig-executed has no %s row to assert the crossover on", executedCrossoverProfile)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 
 // FaultPhase is the average throughput over one phase of the fault timeline.
 type FaultPhase struct {
-	Label  string  `json:"label"`
-	FromS  float64 `json:"from_s"`
-	ToS    float64 `json:"to_s"`
-	AvgTPS float64 `json:"avg_tps"`
+	Label  string
+	FromS  float64
+	ToS    float64
+	AvgTPS float64
 }
 
 // FaultTimeline is the measured outcome of the fig-faults scenario: the
@@ -23,26 +23,26 @@ type FaultPhase struct {
 // facts — the dips, the recovery, the re-homed island logs, and the wiring's
 // convergence at the end.
 type FaultTimeline struct {
-	Profile  string `json:"profile"`
-	Layout   string `json:"layout"`
-	Schedule string `json:"schedule"`
+	Profile  string
+	Layout   string
+	Schedule string
 	// Committed counts transactions committed across the whole timeline: the
 	// system degrades, it does not stop.
-	Committed int64        `json:"committed"`
-	Phases    []FaultPhase `json:"phases"`
+	Committed int64
+	Phases    []FaultPhase
 	// DipOnDeviceFailure / DipOnSocketFailure report whether throughput fell
 	// below the healthy phase while the device, respectively the socket, was
 	// out. RecoveredAfterRestore reports whether it climbed back above the
 	// socket-failed phase once the socket returned.
-	DipOnDeviceFailure    bool `json:"dip_on_device_failure"`
-	DipOnSocketFailure    bool `json:"dip_on_socket_failure"`
-	RecoveredAfterRestore bool `json:"recovered_after_restore"`
+	DipOnDeviceFailure    bool
+	DipOnSocketFailure    bool
+	RecoveredAfterRestore bool
 	// RehomedLogs counts island logs whose device binding the planner
 	// re-derived across the timeline (records preserved).
-	RehomedLogs int `json:"rehomed_logs"`
+	RehomedLogs int
 	// Converged reports the end-of-run wiring invariant: every site on alive
 	// hardware, no island log on a failed device.
-	Converged bool `json:"converged"`
+	Converged bool
 }
 
 // faultTimelineSchedule is the fig-faults fault schedule on a machine with
@@ -68,7 +68,7 @@ func faultTimelineSchedule(sockets, devices int) (*fault.Schedule, error) {
 // shared-nothing engine on the device-sweep profile (chiplet-2s4d unless the
 // scale pins another), island logs on one NVMe namespace per socket, under the
 // fail→degrade→restore schedule. It is the data behind the fig-faults
-// experiment and the BENCH.json faults record.
+// experiment.
 func RunFaultTimeline(s Scale) (*FaultTimeline, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -38,17 +38,17 @@ type FuzzOptions struct {
 // reproducer: the scenario is fully determined by its seed, so one flag pair
 // replays it.
 type FuzzFailure struct {
-	Scenario  int    `json:"scenario"`
-	Seed      int64  `json:"seed"`
-	Descr     string `json:"descriptor"`
-	Reproduce string `json:"reproduce"`
-	Err       string `json:"error"`
+	Scenario  int
+	Seed      int64
+	Descr     string
+	Reproduce string
+	Err       string
 }
 
 // FuzzReport summarizes a fuzzer run.
 type FuzzReport struct {
-	Scenarios int           `json:"scenarios"`
-	Failures  []FuzzFailure `json:"failures,omitempty"`
+	Scenarios int
+	Failures  []FuzzFailure
 }
 
 // Failed reports whether any scenario violated an invariant.

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"atrapos/internal/core"
 	"atrapos/internal/engine"
 	"atrapos/internal/obs"
 	"atrapos/internal/topology"
@@ -15,67 +14,14 @@ import (
 // on by default; a pinned Scale.Profile overrides it.
 const granularityProfile = "2s-fc"
 
-// ScoreTermsRecord is the JSON-friendly rendering of one granularity-scorer
-// per-term breakdown: the level it prices and the five additive terms whose
-// sum is the total (lower is better).
-type ScoreTermsRecord struct {
-	Level    string  `json:"level"`
-	Total    float64 `json:"total"`
-	Locality float64 `json:"locality"`
-	TxnState float64 `json:"txn_state"`
-	Commit   float64 `json:"commit"`
-	Conflict float64 `json:"conflict"`
-	Comm     float64 `json:"comm"`
-}
-
-// GranularityChangeRecord is the JSON-friendly rendering of one online
-// island-level change, as appended to the BENCH.json trajectory.
-type GranularityChangeRecord struct {
-	AtNanos           int64   `json:"at_nanos"`
-	From              string  `json:"from"`
-	To                string  `json:"to"`
-	MultisiteShare    float64 `json:"multisite_share"`
-	Cost              int64   `json:"cost"`
-	AffectedCores     int     `json:"affected_cores"`
-	ReusedLogs        int     `json:"reused_logs"`
-	RebuiltLogs       int     `json:"rebuilt_logs"`
-	ReusedLockTables  int     `json:"reused_lock_tables"`
-	RebuiltLockTables int     `json:"rebuilt_lock_tables"`
-	// WinnerScores and RunnerUpScores are the scorer's per-term breakdowns
-	// for the level switched to and the best rejected alternative — the
-	// explanation of the decision. Pointers so pre-existing documents (and
-	// the strict -verify decoder) stay compatible: absent means an older
-	// recording.
-	WinnerScores   *ScoreTermsRecord `json:"winner_scores,omitempty"`
-	RunnerUpScores *ScoreTermsRecord `json:"runner_up_scores,omitempty"`
-}
-
-// scoreTermsRecord converts a core.LevelBreakdown; nil for the zero value
-// (a breakdown that was never computed, e.g. a record written before the
-// scorer exported terms).
-func scoreTermsRecord(b core.LevelBreakdown) *ScoreTermsRecord {
-	if !b.Level.Valid() {
-		return nil
-	}
-	return &ScoreTermsRecord{
-		Level:    b.Level.String(),
-		Total:    b.Total,
-		Locality: b.Locality,
-		TxnState: b.TxnState,
-		Commit:   b.Commit,
-		Conflict: b.Conflict,
-		Comm:     b.Comm,
-	}
-}
-
 // GranularityPhase summarizes one phase of the drifting-share scenario: the
 // multisite percentage in force, the statically-best island level at that
 // percentage (the fig-islands winner), and the level the adaptive engine was
 // running at the end of the phase.
 type GranularityPhase struct {
-	MultiPct      int    `json:"multisite_pct"`
-	StaticBest    string `json:"static_best"`
-	AdaptiveLevel string `json:"adaptive_level"`
+	MultiPct      int
+	StaticBest    string
+	AdaptiveLevel string
 }
 
 // GranularityTrajectory is the measured outcome of the adaptive-granularity
@@ -83,12 +29,12 @@ type GranularityPhase struct {
 // multisite share drifted across the crossover, and whether it tracked the
 // statically-best level on either side.
 type GranularityTrajectory struct {
-	Profile    string                    `json:"profile"`
-	StartLevel string                    `json:"start_level"`
-	FinalLevel string                    `json:"final_level"`
-	Committed  int64                     `json:"committed"`
-	Phases     []GranularityPhase        `json:"phases"`
-	Changes    []GranularityChangeRecord `json:"level_changes"`
+	Profile    string
+	StartLevel string
+	FinalLevel string
+	Committed  int64
+	Phases     []GranularityPhase
+	Changes    []engine.GranularityChange
 }
 
 // granularityScenario returns the drifting workload and phase layout: 0%
@@ -110,19 +56,9 @@ func granularityScenario(rows int) (*workload.Workload, vclock.Nanos, []int) {
 // Adaptive enabled, started deliberately at a mid-axis granularity, under a
 // multisite share that drifts across the crossover. It also measures the
 // statically-best level at each phase's multisite percentage, so callers (the
-// fig-adaptive-granularity experiment, its test, and the BENCH.json
-// trajectory) can compare where the planner converged against where the
-// offline sweep says it should.
+// fig-adaptive-granularity experiment and its test) can compare where the
+// planner converged against where the offline sweep says it should.
 func RunAdaptiveGranularity(s Scale) (*GranularityTrajectory, error) {
-	return RunAdaptiveGranularityFrom(s, nil)
-}
-
-// RunAdaptiveGranularityFrom is RunAdaptiveGranularity with optionally
-// precomputed island-sweep points: when static contains a point for this
-// profile at a phase's multisite percentage and level, it is used instead of
-// re-running the measurement — the BENCH.json recorder passes the sweep it
-// already ran.
-func RunAdaptiveGranularityFrom(s Scale, static []IslandPoint) (*GranularityTrajectory, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -161,10 +97,13 @@ func RunAdaptiveGranularityFrom(s Scale, static []IslandPoint) (*GranularityTraj
 	if err != nil {
 		return nil, err
 	}
-	// Measure the static baseline's cells that the precomputed sweep does not
-	// cover, fanned through the harness pool: each missing (pct, level) cell
-	// is one independent fixed-level point.
-	static, err = fillStaticPoints(s, prof, pcts, static)
+	// The static baseline: every level at each phase's multisite percentage,
+	// one fixed-level row per phase.
+	rows := make([]cell, len(pcts))
+	for i, pct := range pcts {
+		rows[i] = cell{prof: prof, pct: pct}
+	}
+	static, err := sweep(s, "static baseline", rows)
 	if err != nil {
 		return nil, err
 	}
@@ -174,22 +113,7 @@ func RunAdaptiveGranularityFrom(s Scale, static []IslandPoint) (*GranularityTraj
 		StartLevel: start.String(),
 		FinalLevel: res.IslandLevel,
 		Committed:  res.Committed,
-	}
-	for _, lc := range res.LevelChanges {
-		out.Changes = append(out.Changes, GranularityChangeRecord{
-			AtNanos:           int64(lc.At),
-			From:              lc.From.String(),
-			To:                lc.To.String(),
-			MultisiteShare:    lc.MultisiteShare,
-			Cost:              int64(lc.Cost),
-			AffectedCores:     lc.AffectedCores,
-			ReusedLogs:        lc.ReusedLogs,
-			RebuiltLogs:       lc.RebuiltLogs,
-			ReusedLockTables:  lc.ReusedLockTables,
-			RebuiltLockTables: lc.RebuiltLockTables,
-			WinnerScores:      scoreTermsRecord(lc.WinnerScores),
-			RunnerUpScores:    scoreTermsRecord(lc.RunnerUpScores),
-		})
+		Changes:    res.LevelChanges,
 	}
 
 	// levelAt replays the trajectory to find the level in force at a time.
@@ -203,92 +127,14 @@ func RunAdaptiveGranularityFrom(s Scale, static []IslandPoint) (*GranularityTraj
 		return level
 	}
 	for i, pct := range pcts {
-		best, err := staticBestLevel(s, prof, pct, static)
-		if err != nil {
-			return nil, err
-		}
 		phaseEnd := vclock.Nanos(i+1) * half
 		out.Phases = append(out.Phases, GranularityPhase{
 			MultiPct:      pct,
-			StaticBest:    best.String(),
+			StaticBest:    bestPoint(static[i]).level.String(),
 			AdaptiveLevel: levelAt(phaseEnd).String(),
 		})
 	}
 	return out, nil
-}
-
-// fillStaticPoints extends a precomputed island sweep with every (pct, level)
-// cell of the static baseline it does not already cover, measuring the
-// missing cells concurrently through the harness pool.
-func fillStaticPoints(s Scale, prof topology.Profile, pcts []int, static []IslandPoint) ([]IslandPoint, error) {
-	type cell struct {
-		pct   int
-		level topology.Level
-	}
-	var missing []cell
-	for _, pct := range pcts {
-		for _, level := range prof.Levels() {
-			if _, ok := findIslandPoint(static, prof.Name, pct, level.String()); !ok {
-				missing = append(missing, cell{pct, level})
-			}
-		}
-	}
-	if len(missing) == 0 {
-		return static, nil
-	}
-	measured := make([]IslandPoint, len(missing))
-	jobs := make([]PointFn, len(missing))
-	for i, c := range missing {
-		jobs[i] = func() error {
-			pt, err := RunIslandPoint(s, prof, c.level, c.pct)
-			if err != nil {
-				return fmt.Errorf("static baseline %s/%s/%d%%: %w", prof.Name, c.level, c.pct, err)
-			}
-			measured[i] = pt
-			return nil
-		}
-	}
-	if err := s.pool().Run(jobs); err != nil {
-		return nil, err
-	}
-	return append(static, measured...), nil
-}
-
-// staticBestLevel finds the island level with the highest throughput at a
-// fixed multisite percentage — the per-column winner of fig-islands. Levels
-// present in the precomputed points are taken from there; the rest are
-// measured.
-func staticBestLevel(s Scale, prof topology.Profile, pct int, static []IslandPoint) (topology.Level, error) {
-	best, bestTPS := topology.Level(0), -1.0
-	for _, level := range prof.Levels() {
-		pt, ok := findIslandPoint(static, prof.Name, pct, level.String())
-		if !ok {
-			var err error
-			pt, err = RunIslandPoint(s, prof, level, pct)
-			if err != nil {
-				return 0, err
-			}
-		}
-		if pt.TPS > bestTPS {
-			bestTPS = pt.TPS
-			lvl, err := topology.ParseLevel(pt.Level)
-			if err != nil {
-				return 0, err
-			}
-			best = lvl
-		}
-	}
-	return best, nil
-}
-
-// findIslandPoint looks a (profile, pct, level) cell up in a measured sweep.
-func findIslandPoint(points []IslandPoint, profile string, pct int, level string) (IslandPoint, bool) {
-	for _, pt := range points {
-		if pt.Profile == profile && pt.MultiPct == pct && pt.Level == level {
-			return pt, true
-		}
-	}
-	return IslandPoint{}, false
 }
 
 // FigAdaptiveGranularity is the adaptive-granularity experiment: the
@@ -323,7 +169,7 @@ func FigAdaptiveGranularity(s Scale) (*Table, error) {
 	for _, lc := range traj.Changes {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"t=%.0f: %s -> %s at measured multisite share %.2f; %d cores paused, logs %d reused/%d rebuilt, lock tables %d reused/%d rebuilt",
-			float64(lc.AtNanos)/float64(adaptiveWindow), lc.From, lc.To, lc.MultisiteShare,
+			float64(lc.At)/float64(adaptiveWindow), lc.From, lc.To, lc.MultisiteShare,
 			lc.AffectedCores, lc.ReusedLogs, lc.RebuiltLogs, lc.ReusedLockTables, lc.RebuiltLockTables))
 	}
 	return t, nil
@@ -403,27 +249,12 @@ func RunTracedDrift(s Scale, tracePath, metricsPath string) (*TracedDriftResult,
 			StartLevel: start.String(),
 			FinalLevel: res.IslandLevel,
 			Committed:  res.Committed,
+			Changes:    res.LevelChanges,
 		},
 		Trace:        tr.ExportChromeTrace(),
 		Metrics:      tr.ExportMetricsCSV(),
 		Decisions:    len(tr.Decisions()),
 		DroppedSpans: tr.Dropped(),
-	}
-	for _, lc := range res.LevelChanges {
-		out.Trajectory.Changes = append(out.Trajectory.Changes, GranularityChangeRecord{
-			AtNanos:           int64(lc.At),
-			From:              lc.From.String(),
-			To:                lc.To.String(),
-			MultisiteShare:    lc.MultisiteShare,
-			Cost:              int64(lc.Cost),
-			AffectedCores:     lc.AffectedCores,
-			ReusedLogs:        lc.ReusedLogs,
-			RebuiltLogs:       lc.RebuiltLogs,
-			ReusedLockTables:  lc.ReusedLockTables,
-			RebuiltLockTables: lc.RebuiltLockTables,
-			WinnerScores:      scoreTermsRecord(lc.WinnerScores),
-			RunnerUpScores:    scoreTermsRecord(lc.RunnerUpScores),
-		})
 	}
 	if err := obs.ValidateChromeTrace(out.Trace); err != nil {
 		return nil, fmt.Errorf("harness: exported trace invalid: %w", err)

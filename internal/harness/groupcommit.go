@@ -2,11 +2,7 @@ package harness
 
 import (
 	"fmt"
-
-	"atrapos/internal/engine"
-	"atrapos/internal/topology"
-	"atrapos/internal/wal"
-	"atrapos/internal/workload"
+	"strconv"
 )
 
 // groupCommitCoalesce is the write-combining threshold the sweep's "on"
@@ -22,126 +18,6 @@ func groupCommitLayouts() []string {
 	return []string{"nvme-per-socket", "single-sata"}
 }
 
-// GroupCommitPoint is one measured cell of the coalescing sweep: an island
-// granularity under one device layout with the write-combining accumulator on
-// or off, with the logical-vs-physical log split the run produced.
-type GroupCommitPoint struct {
-	Profile  string `json:"profile"`
-	Layout   string `json:"layout"`
-	Devices  int    `json:"devices"`
-	Level    string `json:"island_level"`
-	Coalesce int    `json:"coalesce_records"`
-
-	TPS       float64 `json:"virtual_tps"`
-	Committed int64   `json:"committed"`
-
-	// The split the tentpole accounting separates: logical records appended
-	// by transactions vs physical records and flushes that reached the
-	// device after write-combining.
-	LogicalRecords   int64 `json:"logical_records"`
-	PhysicalRecords  int64 `json:"physical_records"`
-	CoalescedRecords int64 `json:"coalesced_records"`
-	PhysicalFlushes  int64 `json:"physical_flushes"`
-	RideAlongFlushes int64 `json:"ride_along_flushes"`
-	PhysicalBytes    int64 `json:"physical_bytes"`
-
-	// RecordRatio is PhysicalRecords / LogicalRecords — the survival ratio
-	// after net-delta collapse (1.0 with coalescing off).
-	RecordRatio float64 `json:"record_ratio"`
-}
-
-// RunGroupCommitPoint measures the shared-nothing design at one island
-// granularity under one log-device layout, with the coalescing accumulator
-// configured by coalesce (0 = plain log).
-func RunGroupCommitPoint(s Scale, prof topology.Profile, layout string, level topology.Level, coalesce int) (GroupCommitPoint, error) {
-	wl := workload.ZipfHotkey(s.MicroRows, 10, 30)
-	cfg := engine.Config{
-		Design:       engine.SharedNothing,
-		IslandLevel:  level,
-		Workload:     wl,
-		Topology:     prof.Build(),
-		DeviceLayout: layout,
-	}
-	if coalesce > 0 {
-		lc := wal.DefaultConfig()
-		lc.CoalesceRecords = coalesce
-		cfg.LogConfig = &lc
-	}
-	e, err := engine.New(cfg)
-	if err != nil {
-		return GroupCommitPoint{}, err
-	}
-	res, err := e.Run(s.runOptions())
-	if err != nil {
-		return GroupCommitPoint{}, err
-	}
-	pt := GroupCommitPoint{
-		Profile:          prof.Name,
-		Layout:           layout,
-		Devices:          e.Devices().NumDevices(),
-		Level:            level.String(),
-		Coalesce:         coalesce,
-		TPS:              res.ThroughputTPS,
-		Committed:        res.Committed,
-		LogicalRecords:   res.Log.LogicalRecords,
-		PhysicalRecords:  res.Log.PhysicalRecords,
-		CoalescedRecords: res.Log.CoalescedRecords,
-		PhysicalFlushes:  res.Log.PhysicalFlushes,
-		RideAlongFlushes: res.Log.RideAlongFlushes,
-		PhysicalBytes:    res.Log.PhysicalBytes,
-	}
-	if pt.LogicalRecords > 0 {
-		// Control records (commit, 2PC) are physical but never logical, so
-		// subtract them by counting only write records: logical records all
-		// become physical on the plain log, making the off-ratio exactly 1.
-		pt.RecordRatio = float64(pt.LogicalRecords-pt.CoalescedRecords) / float64(pt.LogicalRecords)
-	}
-	return pt, nil
-}
-
-// GroupCommitSweep runs the coalescing on/off grid over the sweep layouts and
-// every island level the machine distinguishes. Points run through the
-// harness pool (Scale.Parallel) with results in grid order and per-point
-// errors aggregated.
-func GroupCommitSweep(s Scale) ([]GroupCommitPoint, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	prof, err := deviceSweepProfile(s)
-	if err != nil {
-		return nil, err
-	}
-	type cell struct {
-		layout   string
-		coalesce int
-		level    topology.Level
-	}
-	var grid []cell
-	for _, layout := range groupCommitLayouts() {
-		for _, coalesce := range []int{0, groupCommitCoalesce} {
-			for _, level := range prof.Levels() {
-				grid = append(grid, cell{layout, coalesce, level})
-			}
-		}
-	}
-	out := make([]GroupCommitPoint, len(grid))
-	jobs := make([]PointFn, len(grid))
-	for i, c := range grid {
-		jobs[i] = func() error {
-			pt, err := RunGroupCommitPoint(s, prof, c.layout, c.level, c.coalesce)
-			if err != nil {
-				return fmt.Errorf("group-commit %s/%s/%s/c=%d: %w", prof.Name, c.layout, c.level, c.coalesce, err)
-			}
-			out[i] = pt
-			return nil
-		}
-	}
-	if err := s.pool().Run(jobs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // FigGroupCommit is the coalescing group-commit sweep: on one machine it runs
 // the zipf-hotkey workload — hot-key concentrated updates, within-transaction
 // overwrite pairs, self-canceling churn — across island granularities and
@@ -151,64 +27,51 @@ func GroupCommitSweep(s Scale) ([]GroupCommitPoint, error) {
 // relief is worth the most, so the fine-vs-coarse crossover moves toward
 // finer islands relative to the coalescing-off runs.
 func FigGroupCommit(s Scale) (*Table, error) {
-	points, err := GroupCommitSweep(s)
+	grid, err := groupCommitSweep(s)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := deviceSweepProfile(s)
-	if err != nil {
-		return nil, err
-	}
-	levels := topology.Levels()
-	header := []string{"layout", "coalesce"}
-	for _, l := range levels {
-		header = append(header, l.String())
-	}
-	header = append(header, "best", "phys/logical")
-	t := &Table{
+	t := levelTable(&Table{
 		ID:     "fig-group-commit",
-		Title:  fmt.Sprintf("Coalescing group commit: zipf-hotkey throughput by layout, island granularity and write-combining (%s)", prof.Name),
-		Header: header,
+		Title:  fmt.Sprintf("Coalescing group commit: zipf-hotkey throughput by layout, island granularity and write-combining (%s)", grid[0][0].prof.Name),
+		Header: []string{"layout", "coalesce"},
 		Notes: []string{
 			"coalesce=0 is the plain per-island log; coalesce=64 folds committed records into (table,key) net deltas before flushing.",
 			"phys/logical is the surviving write-record ratio at the finest level; self-canceling and overwriting updates push it below 1.",
 			"Expected shift: on the single SATA device coalescing relieves the serialized flush path, moving the best island level finer and lifting throughput.",
 		},
-	}
-	type cell struct {
-		pt GroupCommitPoint
-		ok bool
-	}
-	byKey := make(map[string]cell)
-	key := func(layout string, coalesce int, level string) string {
-		return fmt.Sprintf("%s|%d|%s", layout, coalesce, level)
-	}
-	for _, pt := range points {
-		byKey[key(pt.Layout, pt.Coalesce, pt.Level)] = cell{pt: pt, ok: true}
-	}
-	for _, layout := range groupCommitLayouts() {
-		for _, coalesce := range []int{0, groupCommitCoalesce} {
-			row := []string{layout, fmt.Sprintf("%d", coalesce)}
-			bestLevel, bestTPS := "", -1.0
-			ratio := ""
-			for _, l := range levels {
-				c := byKey[key(layout, coalesce, l.String())]
-				if !c.ok {
-					row = append(row, "-")
-					continue
-				}
-				row = append(row, fmtTPS(c.pt.TPS))
-				if c.pt.TPS > bestTPS {
-					bestTPS = c.pt.TPS
-					bestLevel = c.pt.Level
-				}
-				if ratio == "" {
-					ratio = fmt.Sprintf("%.2f", c.pt.RecordRatio)
-				}
-			}
-			row = append(row, bestLevel, ratio)
-			t.AddRow(row...)
-		}
+	}, grid, func(row []point) []string {
+		return []string{row[0].layout, strconv.Itoa(row[0].coalesce)}
+	})
+	t.Header = append(t.Header, "phys/logical")
+	for r, row := range grid {
+		t.Rows[r] = append(t.Rows[r], fmt.Sprintf("%.2f", row[0].recordRatio()))
 	}
 	return t, nil
+}
+
+// groupCommitSweep measures the coalescing grid on the device-sweep profile:
+// every layout with the accumulator off and on, one row each.
+func groupCommitSweep(s Scale) ([][]point, error) {
+	prof, err := deviceSweepProfile(s)
+	if err != nil {
+		return nil, err
+	}
+	var rows []cell
+	for _, layout := range groupCommitLayouts() {
+		for _, coalesce := range []int{0, groupCommitCoalesce} {
+			rows = append(rows, cell{prof: prof, hotkey: true, layout: layout, coalesce: coalesce})
+		}
+	}
+	return sweep(s, "group-commit", rows)
+}
+
+// recordRatio is the share of logical write records that survived
+// write-combining (exactly 1 on the plain log). Control records (commit, 2PC)
+// are physical but never logical, so the ratio counts write records only.
+func (p point) recordRatio() float64 {
+	if p.res.Log.LogicalRecords == 0 {
+		return 0
+	}
+	return float64(p.res.Log.LogicalRecords-p.res.Log.CoalescedRecords) / float64(p.res.Log.LogicalRecords)
 }

@@ -91,7 +91,7 @@ func (s Scale) topologyWith(sockets int) *topology.Topology {
 }
 
 // Validate reports whether the scale is usable; today that means the pinned
-// machine profile, if any, names a known profile. RunExperiment and RunAll
+// machine profile, if any, names a known profile. RunExperiment and RunAllTimed
 // check it up front so a typo surfaces as an error instead of a panic deep
 // inside an experiment.
 func (s Scale) Validate() error {
@@ -230,7 +230,7 @@ func Registry() []Experiment {
 		{"ablation-subparts", "Ablation: sub-partition granularity of the monitor", AblationSubPartitions},
 		{"ablation-sli", "Ablation: speculative lock inheritance in the centralized design", AblationSLI},
 		{"fig-faults", "Fault injection: fail→degrade→restore schedule with device re-homing and elastic recovery", FigFaults},
-		{"fig-executed", "Executed storage: real sharded hash backend vs priced model, with cost-model calibration", FigExecuted},
+		{"fig-executed", "Executed storage: real sharded hash backend vs priced model, crossover direction and level-ranking correlation", FigExecuted},
 	}
 }
 
@@ -264,23 +264,8 @@ type ExperimentResult struct {
 	Err   error
 }
 
-// RunAll executes every experiment at the given scale. Experiments run
-// through the harness pool at Scale.Parallel concurrency; failures are
-// aggregated (every experiment runs) and joined into the returned error, with
-// the successful tables returned in registry order.
-func RunAll(s Scale) ([]*Table, error) {
-	results, err := RunAllTimed(s)
-	var out []*Table
-	for _, r := range results {
-		if r.Table != nil {
-			out = append(out, r.Table)
-		}
-	}
-	return out, err
-}
-
-// RunAllTimed is RunAll with per-experiment wall times: every experiment is
-// one pool point, results come back in registry order no matter the
+// RunAllTimed executes every experiment at the given scale: every experiment
+// is one pool point, results come back in registry order no matter the
 // completion order, and a failing experiment reports its error in its slot
 // (and in the joined return error) without aborting the others. Each
 // experiment's internal sweeps run serially, so the registry is the unit of

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"fmt"
+	"strconv"
 
-	"atrapos/internal/engine"
 	"atrapos/internal/topology"
-	"atrapos/internal/workload"
 )
 
 // islandSweepProfiles returns the machine profiles the islands experiment
@@ -36,85 +34,6 @@ func islandSweepProfiles(s Scale) []topology.Profile {
 	return out
 }
 
-// IslandPoint is one measured cell of the islands sweep: a machine profile, a
-// multisite probability, an island granularity, and the throughput the
-// parametric shared-nothing design achieved there.
-type IslandPoint struct {
-	Profile   string  `json:"profile"`
-	MultiPct  int     `json:"multisite_pct"`
-	Level     string  `json:"island_level"`
-	TPS       float64 `json:"virtual_tps"`
-	Committed int64   `json:"committed"`
-}
-
-// RunIslandPoint measures the shared-nothing design at one island granularity
-// on one machine profile under the multisite-update microbenchmark. It is the
-// primitive both the fig-islands experiment and the BENCH.json islands sweep
-// are built from.
-func RunIslandPoint(s Scale, prof topology.Profile, level topology.Level, pct int) (IslandPoint, error) {
-	wl := workload.MultisiteUpdate(s.MicroRows, pct)
-	e, err := engine.New(engine.Config{
-		Design:      engine.SharedNothing,
-		IslandLevel: level,
-		Workload:    wl,
-		Topology:    prof.Build(),
-	})
-	if err != nil {
-		return IslandPoint{}, err
-	}
-	res, err := e.Run(s.runOptions())
-	if err != nil {
-		return IslandPoint{}, err
-	}
-	return IslandPoint{
-		Profile:   prof.Name,
-		MultiPct:  pct,
-		Level:     level.String(),
-		TPS:       res.ThroughputTPS,
-		Committed: res.Committed,
-	}, nil
-}
-
-// IslandSweep runs the full grid: every profile, every multisite probability,
-// every island level that is distinct on the profile's machine. Points run
-// through the harness pool at Scale.Parallel concurrency; the returned slice
-// is always in grid order, and point failures are aggregated into one joined
-// error instead of aborting the sweep at the first bad cell.
-func IslandSweep(s Scale, pcts []int) ([]IslandPoint, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	type cell struct {
-		prof  topology.Profile
-		pct   int
-		level topology.Level
-	}
-	var grid []cell
-	for _, prof := range islandSweepProfiles(s) {
-		for _, pct := range pcts {
-			for _, level := range prof.Levels() {
-				grid = append(grid, cell{prof, pct, level})
-			}
-		}
-	}
-	out := make([]IslandPoint, len(grid))
-	jobs := make([]PointFn, len(grid))
-	for i, c := range grid {
-		jobs[i] = func() error {
-			pt, err := RunIslandPoint(s, c.prof, c.level, c.pct)
-			if err != nil {
-				return fmt.Errorf("islands %s/%s/%d%%: %w", c.prof.Name, c.level, c.pct, err)
-			}
-			out[i] = pt
-			return nil
-		}
-	}
-	if err := s.pool().Run(jobs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // FigIslands is the island-size sweep that motivates the islands line of
 // work: on every machine profile it deploys the parametric shared-nothing
 // design at each island granularity the machine distinguishes (core, die,
@@ -125,57 +44,25 @@ func IslandSweep(s Scale, pcts []int) ([]IslandPoint, error) {
 // boundaries — at machine granularity none do, at the price of shared
 // system-state structures.
 func FigIslands(s Scale) (*Table, error) {
-	pcts := []int{0, 25, 50, 100}
-	points, err := IslandSweep(s, pcts)
+	var rows []cell
+	for _, prof := range islandSweepProfiles(s) {
+		for _, pct := range []int{0, 25, 50, 100} {
+			rows = append(rows, cell{prof: prof, pct: pct})
+		}
+	}
+	grid, err := sweep(s, "islands", rows)
 	if err != nil {
 		return nil, err
 	}
-	levels := topology.Levels()
-	header := []string{"profile", "% multi-site"}
-	for _, l := range levels {
-		header = append(header, l.String())
-	}
-	header = append(header, "best")
-	t := &Table{
+	return levelTable(&Table{
 		ID:     "fig-islands",
 		Title:  "Throughput by island granularity, machine profile and multisite probability",
-		Header: header,
+		Header: []string{"profile", "% multi-site"},
 		Notes: []string{
 			"One shared-nothing instance per island at each granularity; '-' marks levels the profile's machine does not distinguish.",
 			"Expected crossover: fine islands win at low multisite probability, coarse islands win as it grows.",
 		},
-	}
-	// Index the measured points by (profile, pct, level).
-	type cell struct {
-		tps float64
-		ok  bool
-	}
-	byKey := make(map[string]cell)
-	key := func(profile string, pct int, level string) string {
-		return fmt.Sprintf("%s|%d|%s", profile, pct, level)
-	}
-	for _, pt := range points {
-		byKey[key(pt.Profile, pt.MultiPct, pt.Level)] = cell{tps: pt.TPS, ok: true}
-	}
-	for _, prof := range islandSweepProfiles(s) {
-		for _, pct := range pcts {
-			row := []string{prof.Name, fmt.Sprintf("%d", pct)}
-			bestLevel, bestTPS := "", -1.0
-			for _, l := range levels {
-				c := byKey[key(prof.Name, pct, l.String())]
-				if !c.ok {
-					row = append(row, "-")
-					continue
-				}
-				row = append(row, fmtTPS(c.tps))
-				if c.tps > bestTPS {
-					bestTPS = c.tps
-					bestLevel = l.String()
-				}
-			}
-			row = append(row, bestLevel)
-			t.AddRow(row...)
-		}
-	}
-	return t, nil
+	}, grid, func(row []point) []string {
+		return []string{row[0].prof.Name, strconv.Itoa(row[0].pct)}
+	}), nil
 }

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // PointFn is one independent unit of harness work: a sweep point, a fuzz
@@ -111,74 +109,4 @@ func (p *Pool) WithAllocToken(f func() error) error {
 	p.gate.Unlock()
 	p.gate.RLock()
 	return err
-}
-
-// ParallelReport is the harness_parallel BENCH.json payload: the serial and
-// pooled wall time of the same fixed-level sweep, the speedup, and whether
-// the two runs produced bit-identical point tables (they must).
-type ParallelReport struct {
-	// Concurrency is the pool concurrency of the parallel pass.
-	Concurrency int `json:"concurrency"`
-	// PointGoroutines is the goroutine count of one point's engine run: always
-	// 1. The record field predates the single-goroutine run loop and stays so
-	// the committed trajectory keeps decoding.
-	PointGoroutines int `json:"point_workers"`
-	// Points is how many sweep points each pass measured.
-	Points int `json:"points"`
-	// SerialWallMS / ParallelWallMS are host wall-clock milliseconds.
-	SerialWallMS   float64 `json:"serial_wall_ms"`
-	ParallelWallMS float64 `json:"parallel_wall_ms"`
-	// Speedup is SerialWallMS / ParallelWallMS.
-	Speedup float64 `json:"speedup"`
-	// Identical reports whether the two passes' island-point slices were
-	// equal field for field. Anything but true is a determinism regression.
-	Identical bool `json:"identical"`
-}
-
-// MeasureParallel runs the island sweep's multisite endpoints twice — once
-// serially, once through the pool at the scale's concurrency — and reports
-// wall times, speedup and bit-identity. It is the determinism harness behind
-// the harness_parallel trajectory record: the pool may only change wall
-// time, never a result.
-func MeasureParallel(s Scale) (*ParallelReport, error) {
-	if s.Parallel < 1 {
-		s.Parallel = runtime.GOMAXPROCS(0)
-	}
-	par := s
-	ser := s
-	ser.Parallel = 1
-	pcts := []int{0, 100}
-	start := time.Now()
-	serPts, err := IslandSweep(ser, pcts)
-	serialWall := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	parPts, err := IslandSweep(par, pcts)
-	parallelWall := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	identical := len(serPts) == len(parPts)
-	if identical {
-		for i := range serPts {
-			if serPts[i] != parPts[i] {
-				identical = false
-				break
-			}
-		}
-	}
-	rep := &ParallelReport{
-		Concurrency:     par.parallel(),
-		PointGoroutines: 1,
-		Points:          len(parPts),
-		SerialWallMS:    float64(serialWall.Nanoseconds()) / 1e6,
-		ParallelWallMS:  float64(parallelWall.Nanoseconds()) / 1e6,
-		Identical:       identical,
-	}
-	if parallelWall > 0 {
-		rep.Speedup = serialWall.Seconds() / parallelWall.Seconds()
-	}
-	return rep, nil
 }

@@ -96,42 +96,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Calibrated returns a copy of the model with the compute/memory term group
-// scaled by work and the messaging/coordination term group scaled by comm.
-// The factors come from an executed-vs-priced calibration pass (core package):
-// work corrects how the model prices row work, cache-line and DRAM traffic;
-// comm corrects inter-instance messages and payload movement. Factors of 1
-// return the model unchanged; scaling rounds to the nearest virtual
-// nanosecond and never drops a positive cost to zero (Validate requires the
-// local terms positive).
-func (m CostModel) Calibrated(work, comm float64) CostModel {
-	scale := func(c Cost, f float64) Cost {
-		if f == 1 || c == 0 {
-			return c
-		}
-		s := Cost(float64(c)*f + 0.5)
-		if s < 1 && c > 0 {
-			s = 1
-		}
-		return s
-	}
-	out := m
-	out.LocalAccess = scale(m.LocalAccess, work)
-	out.LocalAtomic = scale(m.LocalAtomic, work)
-	out.RemoteTransferPerHop = scale(m.RemoteTransferPerHop, work)
-	out.DieTransferPerHop = scale(m.DieTransferPerHop, work)
-	out.LocalDRAM = scale(m.LocalDRAM, work)
-	out.RemoteDRAMPerHop = scale(m.RemoteDRAMPerHop, work)
-	out.DieDRAMPerHop = scale(m.DieDRAMPerHop, work)
-	out.RowWork = scale(m.RowWork, work)
-	out.MessagePerHop = scale(m.MessagePerHop, comm)
-	out.DieMessagePerHop = scale(m.DieMessagePerHop, comm)
-	out.MessageLocal = scale(m.MessageLocal, comm)
-	out.ByteTransferPerHop = scale(m.ByteTransferPerHop, comm)
-	out.DieByteTransferPerHop = scale(m.DieByteTransferPerHop, comm)
-	return out
-}
-
 // Validate reports whether the cost model is usable.
 func (m CostModel) Validate() error {
 	if m.LocalAccess <= 0 || m.LocalAtomic <= 0 || m.LocalDRAM <= 0 {

@@ -11,7 +11,7 @@ import (
 // depends on the shape of the hardware islands, which varies by machine;
 // the profile library provides the shapes the experiments sweep over.
 type Profile struct {
-	// Name is the identifier used by the -profile flag and BENCH.json.
+	// Name is the identifier used by the -profile flag and the experiment tables.
 	Name string
 	// Description says what machine class the profile models.
 	Description string
