@@ -7,10 +7,11 @@
 #   make race         - the code that runs goroutines, under the race detector
 #   make bench-module - vet + short tests of the nested benchmark/ module
 #   make bench        - full hot-path microbenchmarks with allocation stats
-#   make experiments  - every registry experiment through the CLI
+#   make experiments  - every registry experiment through the CLI, on the
+#                       scale's own machine and on a pinned machine profile
 #   make tables-diff  - -experiment all on a parent commit and the working tree
-#                       (PARENT=<ref>): empty output = every deterministic
-#                       table byte-identical
+#                       (PARENT=<ref> [PROFILE=<name>]): empty output = every
+#                       deterministic table byte-identical
 #   make bench-trace  - traced adaptive-drift run: Perfetto trace + metrics CSV
 #   make bench-pair   - the repo benchmark on a parent commit and the working
 #                       tree in alternating pairs (PARENT=<ref> WORKLOAD=<name>
@@ -99,20 +100,27 @@ bench:
 # Every registry entry through its CLI path. The tier-1 tests assert the
 # experiments' claims; this keeps `-experiment` itself exercised, and
 # fig-executed errors here if priced and executed modes disagree on the
-# crossover direction on chiplet-2s4d.
+# crossover direction on chiplet-2s4d. The second pass pins a machine profile
+# whose shape differs from the scale's own (two sockets, not four): an
+# experiment that indexes the machine by the scale instead of by the topology
+# it built fails there and nowhere else.
 experiments:
 	$(GO) run ./cmd/atrapos-bench -experiment all
+	$(GO) run ./cmd/atrapos-bench -experiment all -profile chiplet-2s4d
 
 # The acceptance check of a refactor that must keep every number: run
 # -experiment all on PARENT and on the working tree and diff the tables.
 # "completed in" lines (wall time) and the fig-executed block (measured wall
-# clock) are stripped; anything printed is a changed table. The parent is
-# unpacked under $$TMPDIR and removed afterwards.
+# clock) are stripped; anything printed is a changed table. PROFILE pins a
+# machine profile on both sides (empty: the scale's own machine). A side that
+# fails keeps its error lines in the comparison, so a table that stopped (or
+# started) rendering shows up as a difference. The parent is unpacked under
+# $$TMPDIR and removed afterwards.
 tables-diff:
-	@test -n "$(PARENT)" || { echo "usage: make tables-diff PARENT=<ref> [SEED=42]"; exit 2; }
+	@test -n "$(PARENT)" || { echo "usage: make tables-diff PARENT=<ref> [SEED=42] [PROFILE=<name>]"; exit 2; }
 	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	git archive $(PARENT) | tar -x -C "$$dir"; \
-	tables() { $(GO) run ./cmd/atrapos-bench -experiment all -parallel 1 -seed $(SEED) > "$$1.raw" && \
+	tables() { $(GO) run ./cmd/atrapos-bench -experiment all -parallel 1 -seed $(SEED) -profile "$(PROFILE)" > "$$1.raw" 2>&1 || true; \
 		awk '/^fig-executed /{skip=1} /^\(fig-executed completed/{skip=0} !skip && !/completed in/' "$$1.raw" > "$$1"; }; \
 	(cd "$$dir" && tables "$$dir/parent.txt"); tables "$$dir/tree.txt"; \
 	diff "$$dir/parent.txt" "$$dir/tree.txt"

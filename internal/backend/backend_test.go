@@ -7,7 +7,6 @@ import (
 
 	"atrapos/internal/numa"
 	"atrapos/internal/schema"
-	"atrapos/internal/storage"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
 	"atrapos/internal/wal"
@@ -380,47 +379,6 @@ func BenchmarkExecutorShip(b *testing.B) {
 			close(stop)
 			wg.Wait()
 		})
-	}
-}
-
-func TestPricedBackendConformance(t *testing.T) {
-	d := testDomain(t)
-	mgr := storage.NewManager(d)
-	tbl, err := mgr.CreateTable(&schema.Table{
-		Name:       "alpha",
-		Columns:    []schema.Column{{Name: "id", Type: schema.Int64}},
-		PrimaryKey: []string{"id"},
-	}, nil, nil)
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	var billed numa.Cost
-	p := NewPriced([]*storage.Table{tbl}, []topology.CoreID{0, 1}, func(shard int, c numa.Cost) {
-		billed += c
-	})
-	if p.Shards() != 2 {
-		t.Fatalf("Shards() = %d, want 2", p.Shards())
-	}
-	p.Put(0, 0, 42, 1, 7)
-	if v, ok := p.Get(1, 0, 42); !ok || v != 7 {
-		t.Fatalf("Get = %d, %v; want 7, true", v, ok)
-	}
-	p.Put(0, 0, 42, 2, 8)
-	if v, _ := p.Get(0, 0, 42); v != 8 {
-		t.Fatalf("update lost: got %d", v)
-	}
-	n := p.Scan(0, 0, func(schema.Key, uint64) bool { return true })
-	if n != 1 {
-		t.Fatalf("Scan visited %d, want 1", n)
-	}
-	if !p.Delete(0, 0, 42, 3) {
-		t.Fatal("Delete returned false")
-	}
-	if _, ok := p.Get(0, 0, 42); ok {
-		t.Fatal("deleted key still present")
-	}
-	if billed == 0 {
-		t.Fatal("priced backend billed no cost")
 	}
 }
 

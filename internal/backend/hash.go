@@ -109,7 +109,7 @@ func (b *HashBackend) home(island int) topology.SocketID {
 	return b.homes[island]
 }
 
-// Shards implements Backend.
+// Shards returns the number of shard handles.
 func (b *HashBackend) Shards() int { return len(b.shards) }
 
 // Islands returns the island (executor / value-log) count.
@@ -136,17 +136,16 @@ func (b *HashBackend) Log(island int) *wal.CentralLog {
 	return b.logs[island]
 }
 
-var _ Backend = (*HashBackend)(nil)
-
-// Get implements Backend: one open-addressing probe, no locks — the shard is
-// owned by exactly one executor.
+// Get returns the value stored under key in the shard's table, if any: one
+// open-addressing probe, no locks — the shard is owned by exactly one executor.
 func (b *HashBackend) Get(shard, table int, key schema.Key) (uint64, bool) {
 	return b.shards[shard].idx[table].get(key)
 }
 
-// Put implements Backend: the index takes the new value and the write is
-// appended to the owning island's value log on behalf of txn (staged by the
-// coalescer until the transaction's commit record arrives).
+// Put stores val under key, inserting or overwriting: the index takes the new
+// value and the write is appended to the owning island's value log on behalf
+// of txn (staged by the coalescer until the transaction's commit record
+// arrives).
 func (b *HashBackend) Put(shard, table int, key schema.Key, txn, val uint64) {
 	inserted := b.shards[shard].idx[table].put(key, val)
 	typ := wal.Update
@@ -169,8 +168,9 @@ func (b *HashBackend) Increment(shard, table int, key schema.Key, txn uint64) ui
 	return v + 1
 }
 
-// Delete implements Backend: the key is tombstoned in the index and a delete
-// record is appended to the island value log.
+// Delete removes key on behalf of txn and reports whether it was present: the
+// key is tombstoned in the index and a delete record is appended to the island
+// value log.
 func (b *HashBackend) Delete(shard, table int, key schema.Key, txn uint64) bool {
 	if !b.shards[shard].idx[table].del(key) {
 		return false
@@ -182,7 +182,8 @@ func (b *HashBackend) Delete(shard, table int, key schema.Key, txn uint64) bool 
 	return true
 }
 
-// Scan implements Backend.
+// Scan visits the shard's live keys of one table in unspecified order until fn
+// returns false; it returns the number of keys visited.
 func (b *HashBackend) Scan(shard, table int, fn func(schema.Key, uint64) bool) int {
 	return b.shards[shard].idx[table].scan(fn)
 }

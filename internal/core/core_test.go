@@ -121,7 +121,7 @@ func TestCostModelResourceUtilization(t *testing.T) {
 	if ruSkewed <= ruBalanced {
 		t.Errorf("skewed RU %f should exceed balanced RU %f", ruSkewed, ruBalanced)
 	}
-	loads := model.CoreLoads(p, skewed)
+	loads := model.coreLoads(p, skewed)
 	if loads[0] != 900 || loads[1] != 100 {
 		t.Errorf("core loads = %v", loads)
 	}

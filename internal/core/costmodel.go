@@ -282,11 +282,6 @@ func (m CostModel) ResourceUtilization(p *partition.Placement, stats *Stats) flo
 	return ru
 }
 
-// CoreLoads exposes the per-core load estimate for observability and tests.
-func (m CostModel) CoreLoads(p *partition.Placement, stats *Stats) map[topology.CoreID]float64 {
-	return m.coreLoads(p, stats)
-}
-
 // SyncCost computes the hierarchical generalization of the paper's
 // C(s) = (nsocket(s)-1) * Distance(s) * Size(s) for one synchronization
 // signature under placement p: islands are counted at the die level and each

@@ -30,14 +30,6 @@ type WorkloadShape struct {
 	// flush; zero leaves the coalescing term conservative (no savings).
 	HotWriteShare  float64
 	OverwriteShare float64
-	// TotalKeys is the summed key span of the workload's tables; divided by
-	// the island count it bounds the key range one instance serves, which
-	// drives the lock-conflict term.
-	TotalKeys int64
-	// Concurrency is the number of worker threads executing transactions; the
-	// conflict term scales with the workers that actually share an instance,
-	// not with its core count.
-	Concurrency int
 }
 
 // LevelScore is one candidate granularity's predicted per-transaction
@@ -129,7 +121,7 @@ func (g GranularityModel) flushShare() float64 {
 	return float64(g.LogFlush)
 }
 
-// LevelBreakdown is one candidate level's score split into the model's five
+// LevelBreakdown is one candidate level's score split into the model's four
 // terms, the explanation the planner's decision log carries for every
 // evaluation. Total is the terms summed in the model's fixed order (it is
 // bit-identical to the single-accumulator Score of earlier versions); a term
@@ -137,7 +129,7 @@ func (g GranularityModel) flushShare() float64 {
 // alive islands have Total = +Inf and zero terms.
 type LevelBreakdown struct {
 	Level topology.Level
-	// Total is the score: Locality + TxnState + Commit + Conflict + Comm.
+	// Total is the score: Locality + TxnState + Commit + Comm.
 	Total float64
 	// Locality is the instance-locality term (shared state + row payload
 	// against the island home, speed-weighted over members).
@@ -148,8 +140,6 @@ type LevelBreakdown struct {
 	// Commit is the group-commit / device bill (flush imbalance, device
 	// service and queue-wait concentration, scaled by coalescing survival).
 	Commit float64
-	// Conflict is the lock-conflict retry term.
-	Conflict float64
 	// Comm is the communication term (remote round trips, 2PC, sync points).
 	Comm float64
 }
@@ -171,9 +161,6 @@ func (g GranularityModel) Score(level topology.Level, shape WorkloadShape) float
 //     transfer surcharge, and members below full speed (hybrid parts' E
 //     cores) pay it scaled by 1/Speed. Begin/commit touch the
 //     transaction-state stripe, which the machine level centralizes.
-//   - lock conflicts: workers sharing one instance's key range abort and
-//     retry; the expected retry work grows with the writers per instance and
-//     shrinks with the instance's key span.
 //   - communication: at multisite share s, remote actions pay round-trip
 //     messages between islands, writing transactions run 2PC over the
 //     expected participant set, and participants rendezvous at the
@@ -201,7 +188,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 	// access work, so an island of E-cores is priced dearer than a P-core
 	// island of the same size. Full-speed members divide by exactly 1, so
 	// uniform machines score bit-identically to the unweighted model.
-	var state, speedSum float64
+	var state float64
 	members := 0
 	for _, isl := range islands {
 		home := isl.Cores[0]
@@ -210,9 +197,6 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 				2*float64(g.Domain.CoreDRAMCost(c.ID, home.Socket))
 			if c.Speed != 1 && c.Speed > 0 {
 				cost /= c.Speed
-				speedSum += c.Speed
-			} else {
-				speedSum++
 			}
 			state += cost
 			members++
@@ -302,28 +286,6 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 		}
 	}
 
-	// Lock conflicts: an instance shared by several concurrent workers sees
-	// write conflicts proportional to the locks they hold over its key span;
-	// each conflict costs one aborted attempt's row work — executed by a
-	// member core, so the retry bill is divided by the members' average
-	// speed: on hybrid parts the aborted work re-runs on slower silicon.
-	// Uniform machines have average speed exactly 1 and score unchanged.
-	if shape.TotalKeys > 0 && shape.WritesPerTxn > 0 && shape.Concurrency > 0 {
-		perIsland := float64(shape.TotalKeys) / float64(n)
-		sharing := float64(shape.Concurrency) / float64(n)
-		if sharing > 1 && perIsland > 0 {
-			pConflict := (sharing - 1) * k * shape.WritesPerTxn / perIsland
-			if pConflict > 1 {
-				pConflict = 1
-			}
-			retry := pConflict * k * float64(g.Domain.Model.RowWork)
-			if avgSpeed := speedSum / float64(members); avgSpeed != 1 && avgSpeed > 0 {
-				retry /= avgSpeed
-			}
-			b.Conflict = retry
-		}
-	}
-
 	// Communication: only multisite transactions pay it, and only when there
 	// is more than one instance to cross into.
 	if n > 1 && shape.MultisiteShare > 0 {
@@ -366,7 +328,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 	// Summed left-to-right in the historical accumulation order, so Total is
 	// bit-identical to the pre-breakdown single-accumulator score (terms that
 	// did not apply add exactly +0.0, the identity).
-	b.Total = b.Locality + b.TxnState + b.Commit + b.Conflict + b.Comm
+	b.Total = b.Locality + b.TxnState + b.Commit + b.Comm
 	return b
 }
 

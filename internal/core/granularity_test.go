@@ -26,8 +26,6 @@ func granShape(share float64) WorkloadShape {
 		ActionsPerTxn:  10,
 		WritesPerTxn:   10,
 		SyncBytes:      88,
-		TotalKeys:      8000,
-		Concurrency:    8,
 	}
 }
 
@@ -93,14 +91,13 @@ func TestGranularityCrossoverMonotone(t *testing.T) {
 	}
 }
 
-// TestGranularityTiesResolveFiner: with flushes unpriced and no concurrency,
-// core and die islands on a chiplet machine score identically at 0% multisite
-// (both are fully island-local); the tie must resolve to the finer level.
+// TestGranularityTiesResolveFiner: with flushes unpriced, core and die islands
+// on a chiplet machine score identically at 0% multisite (both are fully
+// island-local); the tie must resolve to the finer level.
 func TestGranularityTiesResolveFiner(t *testing.T) {
 	g, _ := granModelFor(t, "chiplet-2s4d")
 	g.LogFlush = 0
 	shape := granShape(0)
-	shape.Concurrency = 1
 	core := g.Score(topology.LevelCore, shape)
 	die := g.Score(topology.LevelDie, shape)
 	if core != die {
@@ -119,7 +116,6 @@ func TestGranularityTiesResolveFiner(t *testing.T) {
 func TestGranularityFlushImbalance(t *testing.T) {
 	g, _ := granModelFor(t, "2s-fc")
 	shape := granShape(0)
-	shape.Concurrency = 1 // no conflict term: isolate the flush imbalance
 	core := g.Score(topology.LevelCore, shape)
 	socket := g.Score(topology.LevelSocket, shape)
 	if core >= socket {
@@ -267,8 +263,8 @@ func speedModelFor(t *testing.T, speeds []float64) GranularityModel {
 	return GranularityModel{Domain: d, LogFlush: 12000, LogGroupSize: 8}
 }
 
-// TestSpeedAwareScore asserts the scorer weights the locality and conflict
-// terms by member core speed, pinned on the hybrid-1s8c profile: an all-E
+// TestSpeedAwareScore asserts the scorer weights the locality term by member
+// core speed, pinned on the hybrid-1s8c profile: an all-E
 // deployment scores strictly worse than an all-P one of identical shape, the
 // 4P+4E hybrid lands strictly between them, and machines with uniform
 // full-speed cores score bit-identically to a twin with no speed assignment

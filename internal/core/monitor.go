@@ -33,7 +33,7 @@ const DefaultSubPartitions = 10
 // The space overhead is fixed per partition (it does not depend on the table
 // size or the transaction arrival rate), mirroring the paper's design. The
 // per-action CPU overhead charged to workers is modeled separately by the
-// engine (MonitoringCostPerAction).
+// engine (its monitoringCostPerAction constant).
 type Monitor struct {
 	subParts int
 	active   atomic.Int32

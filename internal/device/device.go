@@ -147,15 +147,6 @@ func (d *Device) Degrade(factor float64) {
 	d.degrade.Store(math.Float64bits(factor))
 }
 
-// DegradeFactor returns the current latency factor (1 when healthy).
-func (d *Device) DegradeFactor() float64 {
-	bits := d.degrade.Load()
-	if bits == 0 {
-		return 1
-	}
-	return math.Float64frombits(bits)
-}
-
 // Flush models one group-commit flush issued at virtual time now that writes
 // bytes to the device. The flush first drains the backlog by the virtual time
 // elapsed since the device's latest arrival (QueueDepth channels in

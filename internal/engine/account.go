@@ -35,15 +35,6 @@ func (e *Engine) charge(core topology.CoreID, comp vclock.Component, c numa.Cost
 	e.accounts[core].charge(comp, c)
 }
 
-// chargeAll adds cost c to every core's account; used when the system pauses
-// all regular work, e.g. during repartitioning.
-func (e *Engine) chargeAll(comp vclock.Component, c numa.Cost) {
-	for i := range e.accounts {
-		e.accounts[i].charge(comp, c)
-	}
-	e.noteTime(0)
-}
-
 // virtualNow returns the engine-wide virtual time as tracked by the monotonic
 // high-water mark: the maximum over the coordinators' clocks noted so far. It
 // is a lower bound on the exact value (the busiest core's clock) that the run

@@ -37,10 +37,6 @@ type adaptiveState struct {
 	// crossover. The ATraPos design uses the placement pipeline instead.
 	granularity bool
 	granModel   core.GranularityModel
-	// totalKeys is the summed key span of the workload's tables; it feeds the
-	// scorer's conflict term.
-	totalKeys int64
-
 	// nextCheck is the virtual time of the next monitoring boundary, compared
 	// against the high-water-mark clock once per transaction.
 	nextCheck vclock.Nanos
@@ -78,6 +74,10 @@ type adaptiveState struct {
 	// granularity mode only).
 	levelChanges []GranularityChange
 }
+
+// monitoringCostPerAction is the virtual cost charged per monitored action (or
+// per recorded transaction shape); it models the thread-local array updates.
+const monitoringCostPerAction numa.Cost = 15
 
 // granHysteresis is the relative score improvement a candidate island level
 // must promise before the planner re-wires the machine: the band around the
@@ -184,9 +184,6 @@ func newAdaptiveState(e *Engine, p *partition.Placement) *adaptiveState {
 			Devices:         e.devices,
 			CoalesceRecords: e.cfg.LogConfig.CoalesceRecords,
 		}
-		for _, spec := range e.wl.TableSpecs() {
-			a.totalKeys += spec.MaxKey
-		}
 	}
 	a.controller = core.NewIntervalController(e.cfg.AdaptiveInterval)
 	a.monitor.RegisterPlacement(p, maxKeys)
@@ -274,7 +271,7 @@ func (a *adaptiveState) recordTxn(coord topology.CoreID, t *workload.Transaction
 		bytes += t.SyncPoints[i].Bytes
 	}
 	a.monitor.RecordTxn(len(t.Actions), writes, overwrites, t.MultiSite, bytes)
-	a.e.charge(coord, vclock.Management, a.e.cfg.MonitoringCostPerAction)
+	a.e.charge(coord, vclock.Management, monitoringCostPerAction)
 }
 
 // adaptOnce processes one monitoring boundary: it measures the throughput of
@@ -364,14 +361,42 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	if err := rt.Validate(proposed); err != nil {
 		return
 	}
-	plan := core.BuildPlan(current, proposed, e.cfg.Topology)
-	outcome, err := a.executor.Execute(plan)
-	if err != nil {
+	cost, affected, ok := a.migrate(now, snap, proposed, diff, rt, snap.wiring, obs.KindPlannerRepartition)
+	if !ok {
 		return
 	}
-	// The migration pauses only the cores whose partitions moved (per
-	// Section VI-D a repartitioning takes a fraction of a second, not a
-	// global stall); everyone else keeps executing.
+	a.diffs = append(a.diffs, RepartitionDiff{
+		At:                now,
+		ChangedTables:     diff.ChangedTables(),
+		UnchangedTables:   diff.UnchangedTables(),
+		ReboundTables:     diff.ReboundTables(),
+		MovedPartitions:   diff.MovedPartitions(),
+		ReusedLockTables:  applied.ReusedManagers,
+		RebuiltLockTables: applied.RebuiltManagers,
+		AffectedCores:     affected,
+		Cost:              cost,
+	})
+}
+
+// migrate is the tail adaptOnce (partitions move between cores) and
+// changeLevel (the machine is re-wired at another island level) share: execute
+// the physical repartitioning, charge its cost only to the cores whose
+// partitions the diff touched (per Section VI-D a repartitioning takes a
+// fraction of a second, not a global stall — everyone else keeps executing),
+// install the new snapshot, re-register the monitoring arrays of the touched
+// tables (unchanged ones keep accumulating into their existing arrays) and
+// restart the interval controller behind a two-interval cooldown. Callers bail
+// out before migrate, never after: once the executor has touched the physical
+// tables the snapshot is installed unconditionally, so no transaction sees a
+// placement whose boundaries no longer match the trees. ok is false only when
+// the executor refused the plan.
+func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *partition.Placement, diff *partition.PlanDiff,
+	rt *partition.Runtime, wiring *islandWiring, kind obs.Kind) (cost vclock.Nanos, paused int, ok bool) {
+	e := a.e
+	outcome, err := a.executor.Execute(core.BuildPlan(snap.placement, desired, e.cfg.Topology))
+	if err != nil {
+		return 0, 0, false
+	}
 	affected := diff.AffectedCores()
 	for _, c := range affected {
 		e.charge(c, vclock.Management, numa.Cost(outcome.Cost))
@@ -381,15 +406,16 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 		a.adaptCharged += outcome.Cost * vclock.Nanos(len(affected))
 	}
 	if tr := e.tracer; tr != nil {
-		tr.Planner().Record(obs.Span{Start: now, Dur: outcome.Cost,
-			Kind: obs.KindPlannerRepartition, Arg: int64(len(affected))})
+		span := obs.Span{Start: now, Dur: outcome.Cost, Kind: kind, Arg: int64(len(affected))}
+		if wiring != nil {
+			span.Epoch = uint32(wiring.epoch)
+		}
+		tr.Planner().Record(span)
 	}
-	e.state.install(proposed, rt, e.activePartitionsPerCore(proposed, now), snap.wiring)
-	// Re-register monitoring arrays only for the tables the plan touched;
-	// unchanged tables keep accumulating into their existing arrays.
+	e.state.install(desired, rt, e.activePartitionsPerCore(desired, now), wiring)
 	for name, td := range diff.Tables {
 		if td.Kind != partition.TableUnchanged {
-			a.monitor.Register(name, proposed.Tables[name].Bounds, a.maxKeys[name])
+			a.monitor.Register(name, desired.Tables[name].Bounds, a.maxKeys[name])
 		}
 	}
 	a.controller.Repartitioned()
@@ -397,18 +423,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	a.cooldown = 2
 	a.repartitions++
 	a.repartitionCost += outcome.Cost
-
-	a.diffs = append(a.diffs, RepartitionDiff{
-		At:                now,
-		ChangedTables:     diff.ChangedTables(),
-		UnchangedTables:   diff.UnchangedTables(),
-		ReboundTables:     diff.ReboundTables(),
-		MovedPartitions:   diff.MovedPartitions(),
-		ReusedLockTables:  applied.ReusedManagers,
-		RebuiltLockTables: applied.RebuiltManagers,
-		AffectedCores:     len(affected),
-		Cost:              outcome.Cost,
-	})
+	return outcome.Cost, len(affected), true
 }
 
 // recordSample appends one planner-boundary metrics observation to the
@@ -520,9 +535,6 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 		SyncBytes:      stats.SyncBytesPerMultisiteTxn(),
 		HotWriteShare:  stats.HotWriteShare(),
 		OverwriteShare: stats.OverwriteShare(),
-		TotalKeys:      a.totalKeys,
-		// What a one-at-a-time issue loop can exhibit.
-		Concurrency: 1,
 	}
 	a.lastShare = shape.MultisiteShare
 	best, scores := a.granModel.Best(shape, granTieMargin)
@@ -608,7 +620,7 @@ func (a *adaptiveState) logDecision(now vclock.Nanos, epoch uint64, current, bes
 		for _, b := range bds {
 			d.Candidates = append(d.Candidates, obs.LevelScore{
 				Level: b.Level.String(), Total: b.Total, Locality: b.Locality,
-				TxnState: b.TxnState, Commit: b.Commit, Conflict: b.Conflict, Comm: b.Comm,
+				TxnState: b.TxnState, Commit: b.Commit, Comm: b.Comm,
 			})
 		}
 	}
@@ -616,13 +628,11 @@ func (a *adaptiveState) logDecision(now vclock.Nanos, epoch uint64, current, bes
 }
 
 // changeLevel re-wires the machine to the given island level: it derives the
-// per-island placement, migrates only what the cross-level diff names
-// (reusing lock tables of partitions whose key range and island home survive
-// the re-wiring, and per-island logs of islands whose core sets are
-// unchanged), validates the derived runtime against a fresh build, executes
-// the physical repartitioning, charges the migration cost only to the
-// affected cores, and installs the new snapshot with a bumped topology epoch;
-// the next transaction starts on the new wiring.
+// per-island placement and the wiring (bumped topology epoch) and migrates
+// only what the cross-level diff names, reusing lock tables of partitions
+// whose key range and island home survive the re-wiring and per-island logs
+// of islands whose core sets are unchanged; the next transaction starts on
+// the new wiring.
 func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock.Nanos, winner, runnerUp core.LevelBreakdown) {
 	e := a.e
 	top := e.cfg.Topology
@@ -665,57 +675,27 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 		return
 	}
 	// A table too small to split once per island would make site indices
-	// disagree with partition indices; skip the re-wiring. Every bail-out must
-	// happen before the executor touches the physical tables — once it runs,
-	// the new snapshot is installed unconditionally, so no transaction can
-	// see a placement whose boundaries no longer match the trees.
+	// disagree with partition indices; skip the re-wiring — like every
+	// bail-out, before migrate touches the physical tables.
 	if tp, ok := desired.Table(desired.TableNames()[0]); ok && len(tp.Cores) != len(wiring.sites) {
 		return
 	}
-	plan := core.BuildPlan(snap.placement, desired, top)
-	outcome, err := a.executor.Execute(plan)
-	if err != nil {
+	cost, affected, ok := a.migrate(now, snap, desired, diff, rt, wiring, obs.KindPlannerRewire)
+	if !ok {
 		return
 	}
-	// The migration pauses only the cores whose partitions the re-wiring
-	// touched; a die island surviving a die-to-socket merge (or any island
-	// whose partitions diff unchanged) keeps working and keeps its structures.
-	affected := diff.AffectedCores()
-	for _, c := range affected {
-		e.charge(c, vclock.Management, numa.Cost(outcome.Cost))
-	}
-	if len(affected) > 0 {
-		e.noteTime(affected[0])
-		a.adaptCharged += outcome.Cost * vclock.Nanos(len(affected))
-	}
-	if tr := e.tracer; tr != nil {
-		tr.Planner().Record(obs.Span{Start: now, Dur: outcome.Cost,
-			Kind: obs.KindPlannerRewire, Epoch: uint32(wiring.epoch), Arg: int64(len(affected))})
-	}
 	e.absorbRetiredLogs(wiring)
-	e.state.install(desired, rt, e.activePartitionsPerCore(desired, now), wiring)
 	// The executed backend's shard layout follows the wiring: compact the live
 	// entries into one shard and value log per island of the new level, routed
 	// by the placement just installed. No-op on the priced path.
 	e.reshardBackend(desired, wiring)
-	for name, td := range diff.Tables {
-		if td.Kind != partition.TableUnchanged {
-			a.monitor.Register(name, desired.Tables[name].Bounds, a.maxKeys[name])
-		}
-	}
-	a.controller.Repartitioned()
-	a.nextCheck = now + a.controller.Interval()
-	a.cooldown = 2
-	a.repartitions++
-	a.repartitionCost += outcome.Cost
-
 	a.levelChanges = append(a.levelChanges, GranularityChange{
 		At:                now,
 		From:              cur.level,
 		To:                to,
 		MultisiteShare:    share,
-		Cost:              outcome.Cost,
-		AffectedCores:     len(affected),
+		Cost:              cost,
+		AffectedCores:     affected,
 		ReusedLogs:        wiring.reusedLogs,
 		RebuiltLogs:       wiring.rebuiltLogs,
 		ReboundDevices:    wiring.reboundDevices,

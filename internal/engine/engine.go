@@ -156,24 +156,12 @@ type Config struct {
 	Adaptive bool
 	// AdaptiveInterval tunes the monitoring interval controller.
 	AdaptiveInterval core.IntervalConfig
-	// MonitoringCostPerAction is the virtual cost charged per action when
-	// monitoring is enabled; it models the thread-local array updates.
-	MonitoringCostPerAction numa.Cost
-	// OversaturationPenalty is the extra execution cost factor per additional
-	// partition worker sharing a core: a core owning k active partitions
-	// executes actions (1 + penalty*(k-1)) times slower. It models the
-	// oversaturation the paper demonstrates with the naïve placement (Fig. 6).
-	OversaturationPenalty float64
 	// Tracing enables the virtual-time span tracer: the engine pre-allocates
 	// fixed-capacity span rings (per worker core, per island log, per device,
 	// plus one planner ring) at construction and the hot paths record into
 	// them. Disabled (the default), every recording site is a nil check and
 	// the per-transaction path allocates nothing extra.
 	Tracing bool
-	// TraceRingCap is the capacity, in spans, of each ring when Tracing is
-	// enabled. Zero means the 16384-span default; overflowing rings drop new
-	// spans and count the drops rather than growing.
-	TraceRingCap int
 	// TimeCompression declares that the experiment compresses that many of
 	// the paper's wall-clock seconds into one unit of its (shorter) virtual
 	// timeline; the cost of repartitioning actions is scaled down by the same
@@ -207,17 +195,8 @@ func (c *Config) withDefaults() (*Config, error) {
 		lc := wal.DefaultConfig()
 		out.LogConfig = &lc
 	}
-	if out.MonitoringCostPerAction <= 0 {
-		out.MonitoringCostPerAction = 15
-	}
-	if out.OversaturationPenalty <= 0 {
-		out.OversaturationPenalty = 0.8
-	}
 	if out.Adaptive {
 		out.Monitoring = true
-	}
-	if out.Tracing && out.TraceRingCap <= 0 {
-		out.TraceRingCap = 1 << 14
 	}
 	// Resolve the island granularity: the legacy enum values pin it, the
 	// parametric design defaults to socket-grained instances.
@@ -237,6 +216,11 @@ func (c *Config) withDefaults() (*Config, error) {
 	}
 	return &out, nil
 }
+
+// traceRingCap is the capacity, in spans, of each trace ring when
+// Config.Tracing is enabled; overflowing rings drop new spans and count the
+// drops rather than growing.
+const traceRingCap = 1 << 14
 
 // Engine is a fully wired system instance ready to run workloads.
 type Engine struct {
@@ -347,7 +331,7 @@ func New(cfg Config) (*Engine, error) {
 			Devices:         e.devices,
 			CoalesceRecords: c.LogConfig.CoalesceRecords,
 		}
-		shape := core.WorkloadShape{ActionsPerTxn: 10, WritesPerTxn: 1, Concurrency: 1}
+		shape := core.WorkloadShape{ActionsPerTxn: 10, WritesPerTxn: 1}
 		if best, _ := g.Best(shape, granTieMargin); best.Valid() {
 			c.IslandLevel = best
 		}
@@ -363,7 +347,7 @@ func New(cfg Config) (*Engine, error) {
 		if e.devices != nil {
 			ndev = e.devices.NumDevices()
 		}
-		e.tracer = obs.NewTracer(c.Topology.NumCores(), c.Topology.NumCores(), ndev, c.TraceRingCap)
+		e.tracer = obs.NewTracer(c.Topology.NumCores(), c.Topology.NumCores(), ndev, traceRingCap)
 		for i, d := range e.deviceList() {
 			d.SetTrace(e.tracer.Device(i), int32(i))
 		}

@@ -341,7 +341,11 @@ func TestMonitoringOverheadIsSmall(t *testing.T) {
 func TestAdaptiveRepartitioningTriggersOnSkew(t *testing.T) {
 	// GetSubData with a sudden skew: the adaptive engine must detect the
 	// change and repartition at least once.
-	wl, err := workload.TATPSuddenSkew(4000, workload.Seconds(0.003))
+	wl, err := workload.TATP(workload.TATPOptions{
+		Subscribers: 4000,
+		Mix:         map[string]float64{workload.TATPGetSubData: 1},
+		Skew:        workload.Skew{HotDataFraction: 0.2, HotAccessFraction: 0.5, Start: workload.Seconds(0.003)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

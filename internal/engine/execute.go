@@ -360,6 +360,12 @@ func (e *Engine) executeSharedNothing(worker topology.CoreID, t *workload.Transa
 	return err == nil
 }
 
+// oversaturationPenalty is the extra execution cost factor per additional
+// partition worker sharing a core: a core owning k active partitions executes
+// actions (1 + penalty*(k-1)) times slower. It models the oversaturation the
+// paper demonstrates with the naïve placement (Fig. 6).
+const oversaturationPenalty = 0.8
+
 // executePartitioned runs one transaction under the data-oriented designs
 // (PLP, HWAware, ATraPos): actions are routed to partition-owning cores,
 // partition-local lock tables replace the centralized lock manager, and
@@ -426,7 +432,7 @@ func (e *Engine) executePartitioned(worker topology.CoreID, t *workload.Transact
 		// Execute the action on the owning core, inflated by the
 		// oversaturation factor if that core hosts several partition workers.
 		execCost, applied, err := performAction(e.tables[a.Table], a, owner)
-		factor := saturationFactor(e.cfg.OversaturationPenalty, snap.active(tp.Cores[idx]))
+		factor := saturationFactor(oversaturationPenalty, snap.active(tp.Cores[idx]))
 		execCost = numa.Cost(float64(execCost) * factor)
 		e.charge(pr.core, vclock.Execution, execCost)
 		if err != nil {
@@ -441,7 +447,7 @@ func (e *Engine) executePartitioned(worker topology.CoreID, t *workload.Transact
 		// Monitoring: thread-local trace arrays (ATraPos only).
 		if e.adaptive != nil {
 			e.adaptive.recordAction(a.Table, a.Key, vclock.Nanos(execCost))
-			e.charge(pr.core, vclock.Management, e.cfg.MonitoringCostPerAction)
+			e.charge(pr.core, vclock.Management, monitoringCostPerAction)
 		}
 	}
 

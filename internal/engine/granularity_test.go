@@ -141,7 +141,7 @@ func TestAdaptiveGranularityTracksStaticBest(t *testing.T) {
 			t.Errorf("%v->%v: winner breakdown prices %v, not the level switched to", lc.From, lc.To, w.Level)
 		}
 		for _, b := range []core.LevelBreakdown{w, ru} {
-			sum := b.Locality + b.TxnState + b.Commit + b.Conflict + b.Comm
+			sum := b.Locality + b.TxnState + b.Commit + b.Comm
 			if b.Level.Valid() && math.Abs(sum-b.Total) > 1e-6 {
 				t.Errorf("%v->%v: %v breakdown terms sum to %.9f, total says %.9f", lc.From, lc.To, b.Level, sum, b.Total)
 			}

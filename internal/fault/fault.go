@@ -240,15 +240,6 @@ func (s *Schedule) HasCrash() bool {
 	return false
 }
 
-// Last returns the firing time of the final event (zero for an empty
-// schedule); scenarios use it to leave settle time after the last fault.
-func (s *Schedule) Last() vclock.Nanos {
-	if len(s.events) == 0 {
-		return 0
-	}
-	return s.events[len(s.events)-1].At
-}
-
 // String renders the schedule compactly, e.g. for fuzzer reproducers.
 func (s *Schedule) String() string {
 	if len(s.events) == 0 {

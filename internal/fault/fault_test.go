@@ -27,9 +27,6 @@ func TestScheduleValid(t *testing.T) {
 	if !s.HasCrash() {
 		t.Error("HasCrash should see the crash drill")
 	}
-	if s.Last() != ms(5) {
-		t.Errorf("Last = %v, want %v", s.Last(), ms(5))
-	}
 	if got := s.Machine(); got.Sockets != 4 || got.Devices != 4 {
 		t.Errorf("Machine = %+v", got)
 	}

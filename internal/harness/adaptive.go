@@ -2,12 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"atrapos/internal/core"
 	"atrapos/internal/engine"
+	"atrapos/internal/fault"
 	"atrapos/internal/numa"
 	"atrapos/internal/schema"
 	"atrapos/internal/topology"
@@ -21,61 +21,51 @@ import (
 // time series completes in a few real seconds while preserving its shape.
 const adaptiveWindow = vclock.Nanos(time.Millisecond)
 
-// timeCompression is the corresponding compression factor passed to the
-// engine so repartitioning costs stay proportional to the compressed timeline.
-const timeCompression = float64(time.Second) / float64(adaptiveWindow)
-
 // paperSecond converts the paper's x-axis seconds to the compressed scale.
 func paperSecond(s float64) vclock.Nanos { return vclock.Nanos(float64(adaptiveWindow) * s) }
 
-// adaptiveInterval returns the monitoring-interval configuration with the
-// paper's 1 s initial and 8 s maximum intervals mapped to the compressed scale.
-func adaptiveInterval() core.IntervalConfig {
-	return core.IntervalConfig{
+// adaptive returns cfg with the planner enabled on the compressed timeline:
+// the paper's 1 s initial and 8 s maximum monitoring intervals mapped to the
+// compressed scale, and the compression factor passed to the engine so
+// repartitioning costs stay proportional to the compressed timeline.
+func adaptive(cfg engine.Config) engine.Config {
+	cfg.Adaptive = true
+	cfg.AdaptiveInterval = core.IntervalConfig{
 		Initial:         paperSecond(1),
 		Max:             paperSecond(8),
 		StableThreshold: 0.10,
 		History:         5,
 	}
+	cfg.TimeCompression = float64(time.Second) / float64(adaptiveWindow)
+	return cfg
 }
 
-// runSeries executes one engine for the given virtual duration and returns
-// its throughput series sampled at the compressed one-second window.
-func runSeries(e *engine.Engine, s Scale, duration vclock.Nanos, events []engine.Event) ([]vclock.Sample, *engine.Result, error) {
-	res, err := e.Run(engine.RunOptions{
-		Duration:        duration,
-		MaxTransactions: 40 * s.Transactions,
-		Seed:            s.Seed,
-		SampleWindow:    adaptiveWindow,
-		Events:          events,
-	})
-	if err != nil {
-		return nil, nil, err
+// staticVsAdaptive runs wl for the given virtual duration on a static
+// ATraPos engine (monitoring and adaptation disabled) and on an adaptive one
+// with the same initial placement, each on a machine of its own — a fault
+// schedule changes the machine it runs on. It returns the two throughput
+// series, labelled for seriesTable, and the adaptive run's result.
+func staticVsAdaptive(s Scale, wl *workload.Workload, duration vclock.Nanos, faults *fault.Schedule) (map[string][]vclock.Sample, *engine.Result, error) {
+	series := make(map[string][]vclock.Sample, 2)
+	var res *engine.Result
+	for _, label := range []string{"static", "atrapos"} {
+		top := s.Topology()
+		cfg := engine.Config{Design: engine.ATraPos, Workload: wl, Topology: top, Placement: engine.DerivePlacement(wl, top, true)}
+		if label == "atrapos" {
+			cfg = adaptive(cfg)
+		}
+		e, err := engine.New(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		opts := s.seriesOptions(duration)
+		opts.Faults = faults
+		if res, err = e.Run(opts); err != nil {
+			return nil, nil, err
+		}
+		series[label] = res.Series
 	}
-	return res.Series, res, nil
-}
-
-// staticAndAdaptive builds a static ATraPos engine (monitoring and adaptation
-// disabled) and an adaptive one over the same workload and placement.
-func staticAndAdaptive(wl *workload.Workload, top *topology.Topology) (*engine.Engine, *engine.Engine, error) {
-	place := engine.DerivePlacement(wl, top, true)
-	static, err := engine.New(engine.Config{Design: engine.ATraPos, Workload: wl, Topology: top, Placement: place})
-	if err != nil {
-		return nil, nil, err
-	}
-	adaptive, err := engine.New(engine.Config{
-		Design:           engine.ATraPos,
-		Workload:         wl,
-		Topology:         top,
-		Placement:        place,
-		Adaptive:         true,
-		AdaptiveInterval: adaptiveInterval(),
-		TimeCompression:  timeCompression,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return static, adaptive, nil
+	return series, res, nil
 }
 
 // Fig10 reproduces Figure 10: the TATP workload switches transaction class
@@ -96,7 +86,7 @@ func Fig10(s Scale) (*Table, error) {
 		return nil, err
 	}
 	wl.Name = "TATP-workload-change"
-	return adaptiveComparison(s, "fig10", "Adapting to workload changes (throughput over time)", wl, duration, nil,
+	return adaptiveComparison(s, "fig10", "Adapting to workload changes (throughput over time)", wl, duration,
 		"The workload switches every 30 time units: UpdSubData, then GetNewDest, then the TATP mix.")
 }
 
@@ -113,60 +103,32 @@ func Fig11(s Scale) (*Table, error) {
 		return nil, err
 	}
 	wl.Name = "TATP-sudden-skew"
-	return adaptiveComparison(s, "fig11", "Adapting to sudden workload skew", wl, duration, nil,
+	return adaptiveComparison(s, "fig11", "Adapting to sudden workload skew", wl, duration,
 		"At t=20 half of the requests start hitting 20% of the subscribers.")
 }
 
-// Fig12 reproduces Figure 12: one socket fails at t=20; the static system
-// overloads the fallback socket while ATraPos repartitions over the
-// remaining cores.
+// Fig12 reproduces Figure 12: the machine's last socket fails at t=20; the
+// static system overloads the fallback socket while ATraPos repartitions over
+// the remaining cores. A one-socket machine has no socket to lose, which the
+// schedule reports as an error.
 func Fig12(s Scale) (*Table, error) {
-	duration := paperSecond(50)
 	wl := workload.MustTATP(workload.TATPOptions{
 		Subscribers: s.Subscribers,
 		Mix:         map[string]float64{workload.TATPGetSubData: 1},
 	})
 	wl.Name = "TATP-socket-failure"
-	failAt := paperSecond(20)
-	failed := topology.SocketID(s.MaxSockets - 1)
-	events := func() []engine.Event {
-		return []engine.Event{{
-			At: failAt,
-			Do: func(e *engine.Engine) { _ = e.FailSocket(failed) },
-		}}
-	}
-	top1 := s.Topology()
-	top2 := s.Topology()
-	place1 := engine.DerivePlacement(wl, top1, true)
-	place2 := engine.DerivePlacement(wl, top2, true)
-	static, err := engine.New(engine.Config{Design: engine.ATraPos, Workload: wl, Topology: top1, Placement: place1})
+	sockets := s.Topology().Sockets()
+	faults, err := fault.NewSchedule(fault.Machine{Sockets: sockets},
+		fault.FailSocket(paperSecond(20), topology.SocketID(sockets-1)))
 	if err != nil {
 		return nil, err
 	}
-	adaptive, err := engine.New(engine.Config{
-		Design:           engine.ATraPos,
-		Workload:         wl,
-		Topology:         top2,
-		Placement:        place2,
-		Adaptive:         true,
-		AdaptiveInterval: adaptiveInterval(),
-		TimeCompression:  timeCompression,
-	})
+	series, res, err := staticVsAdaptive(s, wl, paperSecond(50), faults)
 	if err != nil {
 		return nil, err
 	}
-	staticSeries, _, err := runSeries(static, s, duration, events())
-	if err != nil {
-		return nil, err
-	}
-	adaptiveSeries, adaptiveRes, err := runSeries(adaptive, s, duration, events())
-	if err != nil {
-		return nil, err
-	}
-	t := seriesTable("fig12", "Adapting to hardware failures (one socket fails at t=20)", adaptiveWindow,
-		map[string][]vclock.Sample{"static": staticSeries, "atrapos": adaptiveSeries},
-		[]string{fmt.Sprintf("ATraPos repartitioned %d time(s) after the failure.", adaptiveRes.Repartitions)})
-	return t, nil
+	return seriesTable("fig12", "Adapting to hardware failures (one socket fails at t=20)", adaptiveWindow, series,
+		[]string{fmt.Sprintf("ATraPos repartitioned %d time(s) after the failure.", res.Repartitions)}), nil
 }
 
 // Fig13 reproduces Figure 13: the workload alternates between GetNewDest
@@ -190,32 +152,22 @@ func Fig13(s Scale) (*Table, error) {
 		return nil, err
 	}
 	wl.Name = "TATP-frequent-changes"
-	return adaptiveComparison(s, "fig13", "Adapting to frequent workload changes", wl, duration, nil,
+	return adaptiveComparison(s, "fig13", "Adapting to frequent workload changes", wl, duration,
 		"Workloads A (GetNewDest) and B (TATP mix) alternate with shrinking periods; ATraPos keeps re-adapting.")
 }
 
-func adaptiveComparison(s Scale, id, title string, wl *workload.Workload, duration vclock.Nanos, events []engine.Event, note string) (*Table, error) {
-	top := s.Topology()
-	static, adaptive, err := staticAndAdaptive(wl, top)
-	if err != nil {
-		return nil, err
-	}
-	staticSeries, _, err := runSeries(static, s, duration, events)
-	if err != nil {
-		return nil, err
-	}
-	adaptiveSeries, adaptiveRes, err := runSeries(adaptive, s, duration, events)
+func adaptiveComparison(s Scale, id, title string, wl *workload.Workload, duration vclock.Nanos, note string) (*Table, error) {
+	series, res, err := staticVsAdaptive(s, wl, duration, nil)
 	if err != nil {
 		return nil, err
 	}
 	notes := []string{note,
 		fmt.Sprintf("ATraPos repartitioned %d time(s); total repartitioning time %.1f ms (virtual); adaptation cost share %.4f.",
-			adaptiveRes.Repartitions, adaptiveRes.RepartitionTime.Seconds()*1e3, adaptiveRes.AdaptationCostShare)}
-	if summary := diffSummary(adaptiveRes.RepartitionDiffs); summary != "" {
+			res.Repartitions, res.RepartitionTime.Seconds()*1e3, res.AdaptationCostShare)}
+	if summary := diffSummary(res.RepartitionDiffs); summary != "" {
 		notes = append(notes, "repartition diffs: "+summary)
 	}
-	return seriesTable(id, title, adaptiveWindow,
-		map[string][]vclock.Sample{"static": staticSeries, "atrapos": adaptiveSeries}, notes), nil
+	return seriesTable(id, title, adaptiveWindow, series, notes), nil
 }
 
 // diffSummary renders the per-repartitioning diff sizes: how many tables
@@ -245,7 +197,7 @@ func FigDrift(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return adaptiveComparison(s, "fig-drift", "Adapting to a continuously drifting hotspot", wl, duration, nil,
+	return adaptiveComparison(s, "fig-drift", "Adapting to a continuously drifting hotspot", wl, duration,
 		"An 80%-hot window covering 10% of the subscribers shifts every 10 time units; only the Subscriber table carries load.")
 }
 
@@ -259,7 +211,7 @@ func FigOscillate(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return adaptiveComparison(s, "fig-oscillate", "Adapting to an oscillating access skew", wl, duration, nil,
+	return adaptiveComparison(s, "fig-oscillate", "Adapting to an oscillating access skew", wl, duration,
 		"The workload alternates every 15 time units between 60%-of-requests-to-20%-of-data skew and uniform access.")
 }
 
@@ -268,35 +220,26 @@ func FigOscillate(s Scale) (*Table, error) {
 // AblationTxnList compares the centralized active-transaction list (PLP)
 // against the per-socket lists (HWAware) with everything else equal.
 func AblationTxnList(s Scale) (*Table, error) {
-	return ablationDesigns(s, "ablation-txnlist",
-		"Centralized vs per-socket transaction list and state locks",
-		map[string]engine.Config{
-			"centralized state (PLP)":    {Design: engine.PLP},
-			"per-socket state (HWAware)": {Design: engine.HWAware},
-		})
+	return s.listTable(&Table{
+		ID:     "ablation-txnlist",
+		Title:  "Centralized vs per-socket transaction list and state locks",
+		Header: []string{"configuration", "throughput"},
+	}, s.partitionableWorkload(), s.Topology(), []column{
+		{label: "centralized state (PLP)", cfg: engine.Config{Design: engine.PLP}},
+		{label: "per-socket state (HWAware)", cfg: engine.Config{Design: engine.HWAware}},
+	}, tpsOnly)
 }
 
 // AblationStateLock isolates the shared state locks by comparing the
 // centralized design with and without a multisocket machine.
 func AblationStateLock(s Scale) (*Table, error) {
-	wl := s.partitionableWorkload()
-	t := &Table{
+	return s.sweepTable(&Table{
 		ID:     "ablation-statelock",
 		Title:  "Cost of centralized state as sockets grow (centralized design)",
 		Header: []string{"sockets", "throughput", "useful fraction"},
-	}
-	for _, n := range s.socketSweep() {
-		e, err := engine.New(engine.Config{Design: engine.Centralized, Workload: wl, Topology: s.topologyWith(n)})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run(s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", n), fmtTPS(res.ThroughputTPS), fmt.Sprintf("%.2f", res.UsefulFraction))
-	}
-	return t, nil
+	}, s.socketRows(), designs(engine.Centralized), func(r []*engine.Result) []string {
+		return []string{tpsCell(r[0]), usefulCell(r[0])}
+	})
 }
 
 // AblationPlacement compares the hardware-oblivious and hardware-aware
@@ -305,32 +248,14 @@ func AblationStateLock(s Scale) (*Table, error) {
 func AblationPlacement(s Scale) (*Table, error) {
 	wl := workload.TwoTableSimple(s.MicroRows)
 	top := s.Topology()
-	t := &Table{
+	return s.listTable(&Table{
 		ID:     "ablation-placement",
 		Title:  "Placement step (Algorithm 2) on vs off",
 		Header: []string{"placement", "throughput"},
-	}
-	for _, hw := range []bool{false, true} {
-		e, err := engine.New(engine.Config{
-			Design:    engine.ATraPos,
-			Workload:  wl,
-			Topology:  top,
-			Placement: engine.DerivePlacement(wl, top, hw),
-		})
-		if err != nil {
-			return nil, err
-		}
-		tps, _, err := runThroughput(e, s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		label := "hardware-oblivious"
-		if hw {
-			label = "hardware-aware"
-		}
-		t.AddRow(label, fmtTPS(tps))
-	}
-	return t, nil
+	}, wl, top, []column{
+		{label: "hardware-oblivious", cfg: engine.Config{Design: engine.ATraPos, Placement: engine.DerivePlacement(wl, top, false)}},
+		{label: "hardware-aware", cfg: engine.Config{Design: engine.ATraPos, Placement: engine.DerivePlacement(wl, top, true)}},
+	}, tpsOnly)
 }
 
 // AblationSubPartitions sweeps the number of sub-partitions the monitor
@@ -388,51 +313,12 @@ func maxKeysOf(wl *workload.Workload) map[string]schema.Key {
 // AblationSLI compares the centralized design with and without speculative
 // lock inheritance.
 func AblationSLI(s Scale) (*Table, error) {
-	wl := workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers})
-	t := &Table{
+	return s.listTable(&Table{
 		ID:     "ablation-sli",
 		Title:  "Speculative lock inheritance in the centralized design",
 		Header: []string{"SLI", "throughput"},
-	}
-	for _, disable := range []bool{false, true} {
-		e, err := engine.New(engine.Config{Design: engine.Centralized, Workload: wl, Topology: s.Topology(), DisableSLI: disable})
-		if err != nil {
-			return nil, err
-		}
-		tps, _, err := runThroughput(e, s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		label := "enabled"
-		if disable {
-			label = "disabled"
-		}
-		t.AddRow(label, fmtTPS(tps))
-	}
-	return t, nil
-}
-
-func ablationDesigns(s Scale, id, title string, cfgs map[string]engine.Config) (*Table, error) {
-	wl := s.partitionableWorkload()
-	t := &Table{ID: id, Title: title, Header: []string{"configuration", "throughput"}}
-	labels := make([]string, 0, len(cfgs))
-	for l := range cfgs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		cfg := cfgs[label]
-		cfg.Workload = wl
-		cfg.Topology = s.Topology()
-		e, err := engine.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		tps, _, err := runThroughput(e, s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(label, fmtTPS(tps))
-	}
-	return t, nil
+	}, workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers}), s.Topology(), []column{
+		{label: "enabled", cfg: engine.Config{Design: engine.Centralized}},
+		{label: "disabled", cfg: engine.Config{Design: engine.Centralized, DisableSLI: true}},
+	}, tpsOnly)
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,24 +41,11 @@ func TestDriftRepartitionsAreIncremental(t *testing.T) {
 	}
 	top := s.Topology()
 	place := engine.DerivePlacement(wl, top, true)
-	e, err := engine.New(engine.Config{
-		Design:           engine.ATraPos,
-		Workload:         wl,
-		Topology:         top,
-		Placement:        place,
-		Adaptive:         true,
-		AdaptiveInterval: adaptiveInterval(),
-		TimeCompression:  timeCompression,
-	})
+	e, err := engine.New(adaptive(engine.Config{Design: engine.ATraPos, Workload: wl, Topology: top, Placement: place}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(engine.RunOptions{
-		Duration:        paperSecond(60),
-		MaxTransactions: 40 * s.Transactions,
-		Seed:            s.Seed,
-		SampleWindow:    adaptiveWindow,
-	})
+	res, err := e.Run(s.seriesOptions(paperSecond(60)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,5 +73,57 @@ func TestDriftRepartitionsAreIncremental(t *testing.T) {
 	}
 	if res.AdaptationCostShare <= 0 || res.AdaptationCostShare >= 1 {
 		t.Errorf("adaptation cost share %.4f out of range (0,1)", res.AdaptationCostShare)
+	}
+}
+
+// pinnedProfile is a machine unlike the scale's own (two sockets where
+// MaxSockets says four), so an experiment that indexes the machine by
+// Scale.MaxSockets instead of by the topology it built breaks on it.
+const pinnedProfile = "chiplet-2s4d"
+
+// TestRegistryRunsOnPinnedProfile runs every experiment on a pinned machine
+// profile: none may fail because the profile's shape differs from the scale's.
+func TestRegistryRunsOnPinnedProfile(t *testing.T) {
+	s := testScale()
+	s.Profile = pinnedProfile
+	for _, e := range Registry() {
+		if _, err := e.Run(s); err != nil {
+			t.Errorf("%s on %s: %v", e.ID, pinnedProfile, err)
+		}
+	}
+}
+
+// TestFig12LosesASocketOnPinnedProfile checks the failure is really injected
+// on a pinned profile: after t=20 the static system collapses onto the
+// surviving socket and ATraPos repartitions around the loss. The transaction
+// cap (40 x Transactions) must outlast t=20 on the 32-core machine.
+func TestFig12LosesASocketOnPinnedProfile(t *testing.T) {
+	s := testScale()
+	s.Profile = pinnedProfile
+	s.Transactions = 2500
+	tbl, err := Fig12(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) < 30 {
+		t.Fatalf("series has %d windows; the run must outlast the failure at t=20", len(tbl.Rows))
+	}
+	// Columns are t, atrapos, static (labels sorted).
+	static := func(row int) float64 { v, _ := strconv.ParseFloat(tbl.Rows[row][2], 64); return v }
+	if before, after := static(9), static(24); after > 0.6*before {
+		t.Errorf("static throughput %.0f at t=25 vs %.0f at t=10: losing one of two sockets should about halve it", after, before)
+	}
+	if note := tbl.Notes[0]; strings.Contains(note, "repartitioned 0 time(s)") {
+		t.Errorf("ATraPos never repartitioned around the failed socket: %s", note)
+	}
+}
+
+// TestFig12NeedsASocketToLose: on a one-socket machine the failure cannot be
+// scheduled, which is an error rather than a figure with nothing injected.
+func TestFig12NeedsASocketToLose(t *testing.T) {
+	s := testScale()
+	s.Profile = "hybrid-1s8c"
+	if _, err := Fig12(s); err == nil {
+		t.Error("Fig12 on a one-socket profile should fail: there is no socket to lose")
 	}
 }

@@ -7,12 +7,17 @@ import (
 	"atrapos/internal/topology"
 )
 
-// deviceSweepProfile returns the machine the log-device sweep runs on: the
-// chiplet profile, whose machine distinguishes all four island levels, unless
-// the scale pins a different profile. An unknown pinned name errors rather
-// than silently sweeping a different machine than the points claim.
-func deviceSweepProfile(s Scale) (topology.Profile, error) {
-	name := "chiplet-2s4d"
+// deviceSweepProfile is the machine the device-layout experiments run on by
+// default: the chiplet profile, whose machine distinguishes all four island
+// levels.
+const deviceSweepProfile = "chiplet-2s4d"
+
+// profile resolves the machine profile an experiment runs on: the scale's
+// pinned profile when set, the experiment's own default otherwise. An unknown
+// pinned name errors rather than silently running on a different machine than
+// the points claim.
+func (s Scale) profile(def string) (topology.Profile, error) {
+	name := def
 	if s.Profile != "" {
 		name = s.Profile
 	}
@@ -60,7 +65,7 @@ func FigLogDevices(s Scale) (*Table, error) {
 // deviceSweep measures the log-device grid on the sweep profile: every
 // layout at every multisite probability, one row each.
 func deviceSweep(s Scale, pcts []int) ([][]point, error) {
-	prof, err := deviceSweepProfile(s)
+	prof, err := s.profile(deviceSweepProfile)
 	if err != nil {
 		return nil, err
 	}

@@ -15,13 +15,135 @@ import (
 	"atrapos/internal/workload"
 )
 
+// row is one row of a grid figure: its leading cells, and the workload and
+// machine every column of the row runs on.
+type row struct {
+	lead []string
+	wl   *workload.Workload
+	top  *topology.Topology
+}
+
+// column is one labelled engine configuration of a grid figure; the row
+// supplies Workload and Topology. place derives the hardware-aware
+// partitioning and placement from the row's workload and machine (figures
+// whose rows share one workload put a Placement in cfg directly).
+type column struct {
+	label string
+	cfg   engine.Config
+	place bool
+}
+
+// designs returns one column per design, labelled with the design's name.
+func designs(ds ...engine.Design) []column {
+	cols := make([]column, len(ds))
+	for i, d := range ds {
+		cols[i] = column{label: d.String(), cfg: engine.Config{Design: d}}
+	}
+	return cols
+}
+
+// socketRows is the row axis of the scaling figures: the perfectly
+// partitionable workload on 1, 2, 4, ... sockets.
+func (s Scale) socketRows() []row {
+	var rows []row
+	for _, n := range s.socketSweep() {
+		rows = append(rows, row{lead: []string{fmt.Sprint(n)}, wl: s.partitionableWorkload(), top: s.topologyWith(n)})
+	}
+	return rows
+}
+
+// multisiteRows is the row axis of Figures 3 and 4: the update microbenchmark
+// at each percentage of multi-site transactions, on the scale's machine.
+func (s Scale) multisiteRows(pcts ...int) []row {
+	var rows []row
+	for _, pct := range pcts {
+		rows = append(rows, row{lead: []string{fmt.Sprint(pct)}, wl: workload.MultisiteUpdate(s.MicroRows, pct), top: s.Topology()})
+	}
+	return rows
+}
+
+// grid runs every column's configuration on every row — one fixed-transaction
+// point per cell, row-major — and returns the results indexed [row][column].
+func (s Scale) grid(rows []row, cols []column) ([][]*engine.Result, error) {
+	out := make([][]*engine.Result, len(rows))
+	for r, rw := range rows {
+		out[r] = make([]*engine.Result, len(cols))
+		for c, col := range cols {
+			cfg := col.cfg
+			cfg.Workload, cfg.Topology = rw.wl, rw.top
+			if col.place {
+				cfg.Placement = engine.DerivePlacement(rw.wl, rw.top, true)
+			}
+			res, err := s.run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			out[r][c] = res
+		}
+	}
+	return out, nil
+}
+
+// sweepTable fills t with one table row per grid row: the row's leading cells
+// followed by cells of the results of its columns.
+func (s Scale) sweepTable(t *Table, rows []row, cols []column, cells func([]*engine.Result) []string) (*Table, error) {
+	results, err := s.grid(rows, cols)
+	if err != nil {
+		return nil, err
+	}
+	for r, rw := range rows {
+		t.AddRow(append(rw.lead, cells(results[r])...)...)
+	}
+	return t, nil
+}
+
+// listTable fills t with one table row per labelled configuration, all run on
+// one workload and machine: the label followed by cells of the
+// configuration's result (and, for relative columns, the first one's).
+func (s Scale) listTable(t *Table, wl *workload.Workload, top *topology.Topology, cols []column, cells func(res, first *engine.Result) []string) (*Table, error) {
+	results, err := s.grid([]row{{wl: wl, top: top}}, cols)
+	if err != nil {
+		return nil, err
+	}
+	for c, col := range cols {
+		t.AddRow(append([]string{col.label}, cells(results[0][c], results[0][0])...)...)
+	}
+	return t, nil
+}
+
+// each formats every result of a row with the same cell function.
+func each(cell func(*engine.Result) string) func([]*engine.Result) []string {
+	return func(results []*engine.Result) []string {
+		out := make([]string, len(results))
+		for i, res := range results {
+			out[i] = cell(res)
+		}
+		return out
+	}
+}
+
+func tpsCell(res *engine.Result) string { return fmtTPS(res.ThroughputTPS) }
+
+func usefulCell(res *engine.Result) string { return fmt.Sprintf("%.2f", res.UsefulFraction) }
+
+// tpsOnly is the listTable formatter of the single-column ablations.
+func tpsOnly(res, _ *engine.Result) []string { return []string{tpsCell(res)} }
+
+// ratio returns a/b, or 0 when b is not positive.
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
+}
+
 // Fig1 reproduces Figure 1: how efficiently each configuration uses the
 // processor on a perfectly partitionable workload as sockets grow. The paper
 // reports IPC from hardware counters; the reproduction reports the
 // useful-work fraction (execution time / total busy time), the same "how much
 // of the machine does real work" signal without hardware counters.
 func Fig1(s Scale) (*Table, error) {
-	t := &Table{
+	return s.sweepTable(&Table{
 		ID:     "fig1",
 		Title:  "Useful-work fraction on a perfectly partitionable workload (IPC proxy)",
 		Header: []string{"sockets", "extreme shared-nothing", "centralized", "plp"},
@@ -29,163 +151,91 @@ func Fig1(s Scale) (*Table, error) {
 			"The paper reports IPC; high centralized IPC there reflects spinning on contended locks.",
 			"The useful-work fraction makes the same point directly: the share of cycles doing transaction work.",
 		},
-	}
-	for _, n := range s.socketSweep() {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, d := range []engine.Design{engine.SharedNothingExtreme, engine.Centralized, engine.PLP} {
-			e, err := engine.New(engine.Config{Design: d, Workload: s.partitionableWorkload(), Topology: s.topologyWith(n)})
-			if err != nil {
-				return nil, err
-			}
-			res, err := e.Run(s.runOptions())
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.2f", res.UsefulFraction))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	}, s.socketRows(), designs(engine.SharedNothingExtreme, engine.Centralized, engine.PLP), each(usefulCell))
 }
 
 // Fig2 reproduces Figure 2: throughput of extreme shared-nothing, centralized
 // and PLP on the perfectly partitionable single-row-read microbenchmark as
 // the number of sockets grows.
 func Fig2(s Scale) (*Table, error) {
-	return scalingFigure(s, "fig2",
-		"Throughput of the shared-nothing, centralized and PLP architectures",
-		[]engine.Design{engine.SharedNothingExtreme, engine.Centralized, engine.PLP})
+	return scalingFigure(s, "fig2", "Throughput of the shared-nothing, centralized and PLP architectures",
+		designs(engine.SharedNothingExtreme, engine.Centralized, engine.PLP))
 }
 
 // Fig5 reproduces Figure 5: the same scaling experiment including ATraPos and
 // the coarse shared-nothing configuration.
 func Fig5(s Scale) (*Table, error) {
-	return scalingFigure(s, "fig5",
-		"Throughput of a perfectly partitionable workload",
-		[]engine.Design{engine.SharedNothingExtreme, engine.SharedNothingCoarse, engine.ATraPos, engine.PLP})
+	return scalingFigure(s, "fig5", "Throughput of a perfectly partitionable workload",
+		designs(engine.SharedNothingExtreme, engine.SharedNothingCoarse, engine.ATraPos, engine.PLP))
 }
 
-func scalingFigure(s Scale, id, title string, designs []engine.Design) (*Table, error) {
+func scalingFigure(s Scale, id, title string, cols []column) (*Table, error) {
 	header := []string{"sockets"}
-	for _, d := range designs {
-		header = append(header, d.String())
+	for _, c := range cols {
+		header = append(header, c.label)
 	}
-	t := &Table{ID: id, Title: title, Header: header}
-	for _, n := range s.socketSweep() {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, d := range designs {
-			e, err := engine.New(engine.Config{Design: d, Workload: s.partitionableWorkload(), Topology: s.topologyWith(n)})
-			if err != nil {
-				return nil, err
-			}
-			tps, _, err := runThroughput(e, s.runOptions())
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtTPS(tps))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return s.sweepTable(&Table{ID: id, Title: title, Header: header}, s.socketRows(), cols, each(tpsCell))
 }
 
 // Fig3 reproduces Figure 3: throughput of the shared-nothing configurations
 // and the centralized design as the percentage of multi-site update
 // transactions grows from 0 to 100.
 func Fig3(s Scale) (*Table, error) {
-	designs := []engine.Design{engine.SharedNothingExtreme, engine.SharedNothingCoarse, engine.Centralized}
-	t := &Table{
+	return s.sweepTable(&Table{
 		ID:     "fig3",
 		Title:  "Throughput as the percentage of multi-site transactions increases",
 		Header: []string{"% multi-site", "extreme shared-nothing", "coarse shared-nothing", "centralized"},
-	}
-	for _, pct := range []int{0, 20, 40, 60, 80, 100} {
-		row := []string{fmt.Sprintf("%d", pct)}
-		for _, d := range designs {
-			wl := workload.MultisiteUpdate(s.MicroRows, pct)
-			e, err := engine.New(engine.Config{Design: d, Workload: wl, Topology: s.Topology()})
-			if err != nil {
-				return nil, err
-			}
-			tps, _, err := runThroughput(e, s.runOptions())
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtTPS(tps))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	}, s.multisiteRows(0, 20, 40, 60, 80, 100),
+		designs(engine.SharedNothingExtreme, engine.SharedNothingCoarse, engine.Centralized), each(tpsCell))
 }
 
 // Fig4 reproduces Figure 4: the per-transaction time breakdown of the coarse
 // shared-nothing configuration as the percentage of multi-site transactions
 // grows, split into the paper's five components.
 func Fig4(s Scale) (*Table, error) {
-	t := &Table{
+	return s.sweepTable(&Table{
 		ID:     "fig4",
 		Title:  "Time breakdown per transaction, coarse shared-nothing (microseconds)",
 		Header: []string{"% multi-site", "xct management", "xct execution", "communication", "locking", "logging"},
-	}
-	for _, pct := range []int{0, 25, 50, 75, 100} {
-		wl := workload.MultisiteUpdate(s.MicroRows, pct)
-		e, err := engine.New(engine.Config{Design: engine.SharedNothingCoarse, Workload: wl, Topology: s.Topology()})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run(s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmt.Sprintf("%d", pct)}
-		for _, comp := range vclock.Components() {
-			row = append(row, fmtMicros(res.TimePerTransaction(comp)))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	}, s.multisiteRows(0, 25, 50, 75, 100), designs(engine.SharedNothingCoarse),
+		func(r []*engine.Result) []string {
+			var cells []string
+			for _, comp := range vclock.Components() {
+				cells = append(cells, fmtMicros(r[0].TimePerTransaction(comp)))
+			}
+			return cells
+		})
 }
 
 // Table1 reproduces Table I: per-socket throughput of one shared-nothing
 // instance per socket while the memory allocation policy varies between
-// local, central (all data on one node) and remote.
+// local, central (all data on the last node) and remote.
 func Table1(s Scale) (*Table, error) {
-	t := &Table{
-		ID:    "table1",
-		Title: "Throughput (TPS per socket) for various memory allocation policies",
-	}
+	top := s.Topology()
 	header := []string{"policy"}
-	for i := 0; i < s.MaxSockets; i++ {
+	for i := 0; i < top.Sockets(); i++ {
 		header = append(header, fmt.Sprintf("socket%d", i+1))
 	}
-	header = append(header, "QPI/IMC")
-	t.Header = header
-
-	wl := workload.ReadHundred(s.MicroRows)
+	var cols []column
 	for _, policy := range []numa.AllocPolicy{numa.AllocLocal, numa.AllocCentral, numa.AllocRemote} {
-		e, err := engine.New(engine.Config{
+		cols = append(cols, column{label: policy.String(), cfg: engine.Config{
 			Design:           engine.SharedNothingCoarse,
-			Workload:         wl,
-			Topology:         s.Topology(),
 			AllocPolicy:      policy,
-			CentralAllocNode: topology.SocketID(s.MaxSockets - 1),
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run(s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		row := []string{policy.String()}
-		for _, st := range res.PerSocket {
-			row = append(row, fmt.Sprintf("%.0f", st.Throughput))
-		}
-		row = append(row, fmt.Sprintf("%.2f", res.QPIToIMCRatio))
-		t.AddRow(row...)
+			CentralAllocNode: topology.SocketID(top.Sockets() - 1),
+		}})
 	}
-	t.Notes = append(t.Notes, "Local allocation should be fastest; central and remote lose single-digit percentages, and the interconnect-to-memory-controller traffic ratio jumps, as in the paper.")
-	return t, nil
+	return s.listTable(&Table{
+		ID:     "table1",
+		Title:  "Throughput (TPS per socket) for various memory allocation policies",
+		Header: append(header, "QPI/IMC"),
+		Notes:  []string{"Local allocation should be fastest; central and remote lose single-digit percentages, and the interconnect-to-memory-controller traffic ratio jumps, as in the paper."},
+	}, workload.ReadHundred(s.MicroRows), top, cols, func(res, _ *engine.Result) []string {
+		var cells []string
+		for _, st := range res.PerSocket {
+			cells = append(cells, fmt.Sprintf("%.0f", st.Throughput))
+		}
+		return append(cells, fmt.Sprintf("%.2f", res.QPIToIMCRatio))
+	})
 }
 
 // Fig6 reproduces Figure 6: the simple two-table transaction under the five
@@ -193,48 +243,23 @@ func Table1(s Scale) (*Table, error) {
 func Fig6(s Scale) (*Table, error) {
 	wl := workload.TwoTableSimple(s.MicroRows)
 	top := s.Topology()
-	t := &Table{
+	return s.listTable(&Table{
 		ID:     "fig6",
 		Title:  "Throughput of a simple transaction with varying partitioning and placement strategies",
 		Header: []string{"strategy", "throughput", "vs centralized"},
-	}
-	type strategy struct {
-		name string
-		cfg  engine.Config
-	}
-	strategies := []strategy{
-		{"centralized", engine.Config{Design: engine.Centralized, Workload: wl, Topology: top}},
-		{"plp", engine.Config{Design: engine.PLP, Workload: wl, Topology: top}},
-		{"hw-aware (naive per-core)", engine.Config{Design: engine.HWAware, Workload: wl, Topology: top}},
-		{"workload-aware (oblivious placement)", engine.Config{
-			Design: engine.ATraPos, Workload: wl, Topology: top,
-			Placement: engine.DerivePlacement(wl, top, false),
-		}},
-		{"atrapos (workload+hardware aware)", engine.Config{
-			Design: engine.ATraPos, Workload: wl, Topology: top,
-			Placement: engine.DerivePlacement(wl, top, true),
-		}},
-	}
-	var base float64
-	for i, st := range strategies {
-		e, err := engine.New(st.cfg)
-		if err != nil {
-			return nil, err
-		}
-		tps, _, err := runThroughput(e, s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			base = tps
-		}
+	}, wl, top, []column{
+		{label: "centralized", cfg: engine.Config{Design: engine.Centralized}},
+		{label: "plp", cfg: engine.Config{Design: engine.PLP}},
+		{label: "hw-aware (naive per-core)", cfg: engine.Config{Design: engine.HWAware}},
+		{label: "workload-aware (oblivious placement)", cfg: engine.Config{Design: engine.ATraPos, Placement: engine.DerivePlacement(wl, top, false)}},
+		{label: "atrapos (workload+hardware aware)", cfg: engine.Config{Design: engine.ATraPos, Placement: engine.DerivePlacement(wl, top, true)}},
+	}, func(res, first *engine.Result) []string {
 		rel := "1.00x"
-		if base > 0 {
-			rel = fmtFactor(tps / base)
+		if first.ThroughputTPS > 0 {
+			rel = fmtFactor(res.ThroughputTPS / first.ThroughputTPS)
 		}
-		t.AddRow(st.name, fmtTPS(tps), rel)
-	}
-	return t, nil
+		return []string{tpsCell(res), rel}
+	})
 }
 
 // Fig7 renders the TPC-C NewOrder transaction flow graph of Figure 7.
@@ -262,78 +287,39 @@ func Fig7(Scale) (*Table, error) {
 // individual TATP and TPC-C transactions and their standard mixes.
 func Fig8(s Scale) (*Table, error) {
 	top := s.Topology()
-	t := &Table{
-		ID:     "fig8",
-		Title:  "Normalized throughput of ATraPos over PLP (y = ATraPos/PLP)",
-		Header: []string{"benchmark", "workload", "plp", "atrapos", "improvement"},
-	}
-	type point struct {
-		bench string
-		label string
-		wl    *workload.Workload
-	}
-	tatp := func(mix map[string]float64) *workload.Workload {
-		return workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers, Mix: mix})
-	}
-	tpcc := func(mix map[string]float64) *workload.Workload {
-		return workload.MustTPCC(workload.TPCCOptions{
+	tpcc := func(label string, mix map[string]float64) row {
+		return row{lead: []string{"TPC-C", label}, top: top, wl: workload.MustTPCC(workload.TPCCOptions{
 			Warehouses:           s.Warehouses,
 			CustomersPerDistrict: s.CustomersPerDistrict,
 			Items:                s.Items,
 			Mix:                  mix,
-		})
+		})}
 	}
-	points := []point{
-		{"TATP", "GetSubData", tatp(map[string]float64{workload.TATPGetSubData: 1})},
-		{"TATP", "GetNewDest", tatp(map[string]float64{workload.TATPGetNewDest: 1})},
-		{"TATP", "UpdSubData", tatp(map[string]float64{workload.TATPUpdSubData: 1})},
-		{"TATP", "TATP-Mix", tatp(nil)},
-		{"TPC-C", "StockLevel", tpcc(map[string]float64{workload.TPCCStockLevel: 1})},
-		{"TPC-C", "OrderStatus", tpcc(map[string]float64{workload.TPCCOrderStatus: 1})},
-		{"TPC-C", "TPCC-Mix", tpcc(nil)},
-	}
-	for _, p := range points {
-		plpEngine, err := engine.New(engine.Config{Design: engine.PLP, Workload: p.wl, Topology: top})
-		if err != nil {
-			return nil, err
-		}
-		plpTPS, _, err := runThroughput(plpEngine, s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		atrEngine, err := engine.New(engine.Config{
-			Design:    engine.ATraPos,
-			Workload:  p.wl,
-			Topology:  top,
-			Placement: engine.DerivePlacement(p.wl, top, true),
-		})
-		if err != nil {
-			return nil, err
-		}
-		atrTPS, _, err := runThroughput(atrEngine, s.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		impr := 0.0
-		if plpTPS > 0 {
-			impr = atrTPS / plpTPS
-		}
-		t.AddRow(p.bench, p.label, fmtTPS(plpTPS), fmtTPS(atrTPS), fmtFactor(impr))
-	}
-	return t, nil
+	rows := s.tatpRows("TATP")
+	rows = append(rows,
+		tpcc("StockLevel", map[string]float64{workload.TPCCStockLevel: 1}),
+		tpcc("OrderStatus", map[string]float64{workload.TPCCOrderStatus: 1}),
+		tpcc("TPCC-Mix", nil))
+	return s.sweepTable(&Table{
+		ID:     "fig8",
+		Title:  "Normalized throughput of ATraPos over PLP (y = ATraPos/PLP)",
+		Header: []string{"benchmark", "workload", "plp", "atrapos", "improvement"},
+	}, rows, []column{
+		{label: "plp", cfg: engine.Config{Design: engine.PLP}},
+		{label: "atrapos", cfg: engine.Config{Design: engine.ATraPos}, place: true},
+	}, func(r []*engine.Result) []string {
+		plp, atr := r[0].ThroughputTPS, r[1].ThroughputTPS
+		return []string{fmtTPS(plp), fmtTPS(atr), fmtFactor(ratio(atr, plp))}
+	})
 }
 
-// Table2 reproduces Table II: the throughput of TATP workloads with the
-// ATraPos monitoring mechanism disabled and enabled, and the overhead in
-// percent.
-func Table2(s Scale) (*Table, error) {
+// tatpRows is the row axis Figure 8 and Table II share: three single-class
+// TATP workloads and the standard mix on the scale's machine, each row led by
+// the given cells and its workload label.
+func (s Scale) tatpRows(lead ...string) []row {
 	top := s.Topology()
-	t := &Table{
-		ID:     "table2",
-		Title:  "ATraPos monitoring overhead",
-		Header: []string{"workload", "no monitoring (TPS)", "monitoring (TPS)", "overhead"},
-	}
-	cases := []struct {
+	var rows []row
+	for _, c := range []struct {
 		label string
 		mix   map[string]float64
 	}{
@@ -341,40 +327,32 @@ func Table2(s Scale) (*Table, error) {
 		{"GetNewDest", map[string]float64{workload.TATPGetNewDest: 1}},
 		{"UpdSubData", map[string]float64{workload.TATPUpdSubData: 1}},
 		{"TATP-Mix", nil},
+	} {
+		rows = append(rows, row{
+			lead: append(append([]string(nil), lead...), c.label),
+			wl:   workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers, Mix: c.mix}),
+			top:  top,
+		})
 	}
-	for _, c := range cases {
-		wl := workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers, Mix: c.mix})
-		place := engine.DerivePlacement(wl, top, true)
-		run := func(monitoring bool) (float64, error) {
-			e, err := engine.New(engine.Config{
-				Design:     engine.ATraPos,
-				Workload:   wl,
-				Topology:   top,
-				Placement:  place,
-				Monitoring: monitoring,
-			})
-			if err != nil {
-				return 0, err
-			}
-			tps, _, err := runThroughput(e, s.runOptions())
-			return tps, err
-		}
-		off, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		on, err := run(true)
-		if err != nil {
-			return nil, err
-		}
-		overhead := 0.0
-		if off > 0 {
-			overhead = (off - on) / off
-		}
-		t.AddRow(c.label, fmt.Sprintf("%.0f", off), fmt.Sprintf("%.0f", on), fmtPercent(overhead))
-	}
-	t.Notes = append(t.Notes, "The paper reports at most 3.32% overhead (GetSubData worst case).")
-	return t, nil
+	return rows
+}
+
+// Table2 reproduces Table II: the throughput of TATP workloads with the
+// ATraPos monitoring mechanism disabled and enabled, and the overhead in
+// percent.
+func Table2(s Scale) (*Table, error) {
+	return s.sweepTable(&Table{
+		ID:     "table2",
+		Title:  "ATraPos monitoring overhead",
+		Header: []string{"workload", "no monitoring (TPS)", "monitoring (TPS)", "overhead"},
+		Notes:  []string{"The paper reports at most 3.32% overhead (GetSubData worst case)."},
+	}, s.tatpRows(), []column{
+		{label: "no monitoring", cfg: engine.Config{Design: engine.ATraPos}, place: true},
+		{label: "monitoring", cfg: engine.Config{Design: engine.ATraPos, Monitoring: true}, place: true},
+	}, func(r []*engine.Result) []string {
+		off, on := r[0].ThroughputTPS, r[1].ThroughputTPS
+		return []string{fmt.Sprintf("%.0f", off), fmt.Sprintf("%.0f", on), fmtPercent(ratio(off-on, off))}
+	})
 }
 
 // Fig9 reproduces Figure 9: the cost of merge, split and rearrange
@@ -437,13 +415,13 @@ func measureReplan(domain *numa.Domain, load func(parts int) (*storage.Manager, 
 	current.Tables["reparttbl"] = &partition.TablePlacement{
 		Table:  "reparttbl",
 		Bounds: btree.UniformBounds(int64(rows), fromParts),
-		Cores:  coresFor(domain, fromParts),
+		Cores:  coresFrom(domain, fromParts, 0),
 	}
 	desired := partition.NewPlacement()
 	desired.Tables["reparttbl"] = &partition.TablePlacement{
 		Table:  "reparttbl",
 		Bounds: btree.UniformBounds(int64(rows), toParts),
-		Cores:  coresForShifted(domain, toParts),
+		Cores:  coresFrom(domain, toParts, len(domain.Top.AliveCores())/2),
 	}
 	plan := core.BuildPlan(current, desired, domain.Top)
 	exec := core.NewExecutor(core.DefaultExecutorConfig(), domain, store)
@@ -454,19 +432,11 @@ func measureReplan(domain *numa.Domain, load func(parts int) (*storage.Manager, 
 	return out.Cost
 }
 
-func coresFor(domain *numa.Domain, n int) []topology.CoreID {
+// coresFrom returns n owner cores, round-robin over the alive cores starting
+// at the shift-th.
+func coresFrom(domain *numa.Domain, n, shift int) []topology.CoreID {
 	cores := domain.Top.AliveCores()
 	out := make([]topology.CoreID, n)
-	for i := range out {
-		out[i] = cores[i%len(cores)].ID
-	}
-	return out
-}
-
-func coresForShifted(domain *numa.Domain, n int) []topology.CoreID {
-	cores := domain.Top.AliveCores()
-	out := make([]topology.CoreID, n)
-	shift := len(cores) / 2
 	for i := range out {
 		out[i] = cores[(i+shift)%len(cores)].ID
 	}

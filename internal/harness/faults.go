@@ -70,26 +70,20 @@ func faultTimelineSchedule(sockets, devices int) (*fault.Schedule, error) {
 // fail→degrade→restore schedule. It is the data behind the fig-faults
 // experiment.
 func RunFaultTimeline(s Scale) (*FaultTimeline, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	prof, err := deviceSweepProfile(s)
+	prof, err := s.profile(deviceSweepProfile)
 	if err != nil {
 		return nil, err
 	}
 	const layout = "nvme-per-socket"
 	top := prof.Build()
 	wl := workload.MultisiteUpdate(s.MicroRows, 10)
-	e, err := engine.New(engine.Config{
-		Design:           engine.SharedNothing,
-		IslandLevel:      topology.LevelDie,
-		Workload:         wl,
-		Topology:         top,
-		DeviceLayout:     layout,
-		Adaptive:         true,
-		AdaptiveInterval: adaptiveInterval(),
-		TimeCompression:  timeCompression,
-	})
+	e, err := engine.New(adaptive(engine.Config{
+		Design:       engine.SharedNothing,
+		IslandLevel:  topology.LevelDie,
+		Workload:     wl,
+		Topology:     top,
+		DeviceLayout: layout,
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -97,13 +91,9 @@ func RunFaultTimeline(s Scale) (*FaultTimeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Run(engine.RunOptions{
-		Duration:        paperSecond(60),
-		MaxTransactions: 40 * s.Transactions,
-		Seed:            s.Seed,
-		SampleWindow:    adaptiveWindow,
-		Faults:          sched,
-	})
+	opts := s.seriesOptions(paperSecond(60))
+	opts.Faults = sched
+	res, err := e.Run(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -139,11 +139,7 @@ func buildScenario(s Scale, seed int64) (fuzzScenario, error) {
 	} else {
 		sc.crashDesign = engine.SharedNothing
 	}
-	ndev := 0
-	if sc.layout != "" {
-		ndev = deviceCount(sc.layout, top)
-	}
-	sched, err := randomFaultSchedule(rng, top.Sockets(), ndev, paperSecond(2), paperSecond(30), 1+rng.Intn(4))
+	sched, err := randomFaultSchedule(rng, top.Sockets(), deviceCount(sc.layout, top), paperSecond(2), paperSecond(30), 1+rng.Intn(4))
 	if err != nil {
 		return sc, fmt.Errorf("fuzz: schedule generation: %w", err)
 	}
@@ -156,8 +152,9 @@ func buildScenario(s Scale, seed int64) (fuzzScenario, error) {
 	return sc, nil
 }
 
-// deviceCount is how many devices a layout provisions on a machine; the
-// schedule validator needs the count before any engine exists.
+// deviceCount is how many devices a layout provisions on a machine (0 without
+// device modeling); the schedule validator needs the count before any engine
+// exists.
 func deviceCount(layout string, top *topology.Topology) int {
 	lay, ok := device.LayoutByName(layout)
 	if !ok {
@@ -241,17 +238,14 @@ func runScenario(pool *Pool, s Scale, sc fuzzScenario, seed int64) error {
 	// committing, and once the timeline settles the wiring must have converged
 	// onto the surviving hardware with no site on dead sockets and no island
 	// log on failed devices.
-	cfg := engine.Config{
-		Design:           engine.SharedNothing,
-		IslandLevel:      sc.level,
-		Workload:         sc.wl,
-		Topology:         sc.profile.Build(),
-		DeviceLayout:     sc.layout,
-		Adaptive:         true,
-		AdaptiveInterval: adaptiveInterval(),
-		TimeCompression:  timeCompression,
-		Tracing:          sc.tracing,
-	}
+	cfg := adaptive(engine.Config{
+		Design:       engine.SharedNothing,
+		IslandLevel:  sc.level,
+		Workload:     sc.wl,
+		Topology:     sc.profile.Build(),
+		DeviceLayout: sc.layout,
+		Tracing:      sc.tracing,
+	})
 	if sc.coalesce > 0 {
 		lc := wal.DefaultConfig()
 		lc.CoalesceRecords = sc.coalesce
@@ -262,13 +256,10 @@ func runScenario(pool *Pool, s Scale, sc fuzzScenario, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	res, err := e.Run(engine.RunOptions{
-		Duration:        paperSecond(45),
-		MaxTransactions: 40 * s.Transactions * sc.txnScale,
-		Seed:            seed,
-		SampleWindow:    adaptiveWindow,
-		Faults:          sc.sched,
-	})
+	opts := s.seriesOptions(paperSecond(45))
+	opts.MaxTransactions *= sc.txnScale
+	opts.Seed, opts.Faults = seed, sc.sched
+	res, err := e.Run(opts)
 	if err != nil {
 		return fmt.Errorf("faulted run: %w", err)
 	}
@@ -405,7 +396,7 @@ func runCrashPair(sc fuzzScenario, seed int64) error {
 		return fmt.Errorf("serial reference aborted %d transactions", refRes.Aborted)
 	}
 	ndev := 0
-	if sc.crashDesign == engine.SharedNothing && sc.layout != "" {
+	if sc.crashDesign == engine.SharedNothing {
 		ndev = deviceCount(sc.layout, sc.profile.Build())
 	}
 	sched, err := fault.NewSchedule(

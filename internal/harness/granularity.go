@@ -51,83 +51,91 @@ func granularityScenario(rows int) (*workload.Workload, vclock.Nanos, []int) {
 	return wl, half, []int{0, 100}
 }
 
-// RunAdaptiveGranularity executes the adaptive-granularity scenario on the
-// scale's profile (default 2s-fc): a parametric shared-nothing engine with
-// Adaptive enabled, started deliberately at a mid-axis granularity, under a
-// multisite share that drifts across the crossover. It also measures the
-// statically-best level at each phase's multisite percentage, so callers (the
-// fig-adaptive-granularity experiment and its test) can compare where the
-// planner converged against where the offline sweep says it should.
-func RunAdaptiveGranularity(s Scale) (*GranularityTrajectory, error) {
-	if err := s.Validate(); err != nil {
+// driftRun is one execution of the drifting-share scenario: the machine, the
+// start level, the phase layout, the engine (for its tracer) and the trajectory.
+type driftRun struct {
+	prof  topology.Profile
+	start topology.Level
+	half  vclock.Nanos
+	pcts  []int
+	e     *engine.Engine
+	traj  *GranularityTrajectory
+}
+
+// runDrift executes the drifting-share scenario on the scale's profile (def
+// unless pinned): a parametric shared-nothing engine with the planner enabled,
+// started deliberately in the middle of the granularity axis (the
+// second-coarsest level the machine distinguishes — socket on a multi-socket
+// part, die on a one-socket chiplet), so convergence to either endpoint is a
+// real move. tracing enables the span tracer; the run exports its documents
+// to tracePath/metricsPath when non-empty.
+func runDrift(s Scale, def string, tracing bool, tracePath, metricsPath string) (*driftRun, error) {
+	prof, err := s.profile(def)
+	if err != nil {
 		return nil, err
-	}
-	profName := s.Profile
-	if profName == "" {
-		profName = granularityProfile
-	}
-	prof, ok := topology.ProfileByName(profName)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown profile %q", profName)
 	}
 	wl, half, pcts := granularityScenario(s.MicroRows)
-	// Start in the middle of the granularity axis (the second-coarsest level
-	// the machine distinguishes — socket on a multi-socket part, die on a
-	// one-socket chiplet), so convergence to either endpoint is a real move.
-	levels := prof.Build().DistinctLevels()
+	top := prof.Build()
+	levels := top.DistinctLevels()
 	start := levels[len(levels)-2]
-	e, err := engine.New(engine.Config{
-		Design:           engine.SharedNothing,
-		IslandLevel:      start,
-		Workload:         wl,
-		Topology:         prof.Build(),
-		Adaptive:         true,
-		AdaptiveInterval: adaptiveInterval(),
-		TimeCompression:  timeCompression,
-	})
+	e, err := engine.New(adaptive(engine.Config{
+		Design:      engine.SharedNothing,
+		IslandLevel: start,
+		Workload:    wl,
+		Topology:    top,
+		Tracing:     tracing,
+	}))
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Run(engine.RunOptions{
-		Duration:        2 * half,
-		MaxTransactions: 40 * s.Transactions,
-		Seed:            s.Seed,
-		SampleWindow:    adaptiveWindow,
-	})
+	opts := s.seriesOptions(2 * half)
+	opts.TracePath, opts.MetricsPath = tracePath, metricsPath
+	res, err := e.Run(opts)
 	if err != nil {
 		return nil, err
 	}
-	// The static baseline: every level at each phase's multisite percentage,
-	// one fixed-level row per phase.
-	rows := make([]cell, len(pcts))
-	for i, pct := range pcts {
-		rows[i] = cell{prof: prof, pct: pct}
-	}
-	static, err := sweep(s, "static baseline", rows)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &GranularityTrajectory{
+	return &driftRun{prof: prof, start: start, half: half, pcts: pcts, e: e, traj: &GranularityTrajectory{
 		Profile:    prof.Name,
 		StartLevel: start.String(),
 		FinalLevel: res.IslandLevel,
 		Committed:  res.Committed,
 		Changes:    res.LevelChanges,
-	}
+	}}, nil
+}
 
+// RunAdaptiveGranularity executes the adaptive-granularity scenario on the
+// scale's profile (default 2s-fc) and measures the statically-best level at
+// each phase's multisite percentage, so callers (the fig-adaptive-granularity
+// experiment and its test) can compare where the planner converged against
+// where the offline sweep says it should.
+func RunAdaptiveGranularity(s Scale) (*GranularityTrajectory, error) {
+	run, err := runDrift(s, granularityProfile, false, "", "")
+	if err != nil {
+		return nil, err
+	}
+	// The static baseline: every level at each phase's multisite percentage,
+	// one fixed-level row per phase.
+	rows := make([]cell, len(run.pcts))
+	for i, pct := range run.pcts {
+		rows[i] = cell{prof: run.prof, pct: pct}
+	}
+	static, err := sweep(s, "static baseline", rows)
+	if err != nil {
+		return nil, err
+	}
+	out := run.traj
 	// levelAt replays the trajectory to find the level in force at a time.
 	levelAt := func(at vclock.Nanos) topology.Level {
-		level := start
-		for _, lc := range res.LevelChanges {
+		level := run.start
+		for _, lc := range out.Changes {
 			if lc.At <= at {
 				level = lc.To
 			}
 		}
 		return level
 	}
-	for i, pct := range pcts {
-		phaseEnd := vclock.Nanos(i+1) * half
+	for i, pct := range run.pcts {
+		phaseEnd := vclock.Nanos(i+1) * run.half
 		out.Phases = append(out.Phases, GranularityPhase{
 			MultiPct:      pct,
 			StaticBest:    bestPoint(static[i]).level.String(),
@@ -201,56 +209,16 @@ type TracedDriftResult struct {
 // the exported trace, is bit-identical on any host and at any Scale.Parallel
 // fan-out.
 func RunTracedDrift(s Scale, tracePath, metricsPath string) (*TracedDriftResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	profName := s.Profile
-	if profName == "" {
-		profName = tracedDriftProfile
-	}
-	prof, ok := topology.ProfileByName(profName)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown profile %q", profName)
-	}
-	wl, half, _ := granularityScenario(s.MicroRows)
-	levels := prof.Build().DistinctLevels()
-	start := levels[len(levels)-2]
-	e, err := engine.New(engine.Config{
-		Design:           engine.SharedNothing,
-		IslandLevel:      start,
-		Workload:         wl,
-		Topology:         prof.Build(),
-		Adaptive:         true,
-		AdaptiveInterval: adaptiveInterval(),
-		TimeCompression:  timeCompression,
-		Tracing:          true,
-	})
+	run, err := runDrift(s, tracedDriftProfile, true, tracePath, metricsPath)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Run(engine.RunOptions{
-		Duration:        2 * half,
-		MaxTransactions: 40 * s.Transactions,
-		Seed:            s.Seed,
-		SampleWindow:    adaptiveWindow,
-		TracePath:       tracePath,
-		MetricsPath:     metricsPath,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr := e.Tracer()
+	tr := run.e.Tracer()
 	if msg := tr.DropAccounting(); msg != "" {
 		return nil, fmt.Errorf("harness: trace drop accounting violated: %s", msg)
 	}
 	out := &TracedDriftResult{
-		Trajectory: &GranularityTrajectory{
-			Profile:    prof.Name,
-			StartLevel: start.String(),
-			FinalLevel: res.IslandLevel,
-			Committed:  res.Committed,
-			Changes:    res.LevelChanges,
-		},
+		Trajectory:   run.traj,
 		Trace:        tr.ExportChromeTrace(),
 		Metrics:      tr.ExportMetricsCSV(),
 		Decisions:    len(tr.Decisions()),

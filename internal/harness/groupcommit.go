@@ -53,7 +53,7 @@ func FigGroupCommit(s Scale) (*Table, error) {
 // groupCommitSweep measures the coalescing grid on the device-sweep profile:
 // every layout with the accumulator off and on, one row each.
 func groupCommitSweep(s Scale) ([][]point, error) {
-	prof, err := deviceSweepProfile(s)
+	prof, err := s.profile(deviceSweepProfile)
 	if err != nil {
 		return nil, err
 	}

@@ -315,12 +315,26 @@ func (s Scale) runOptions() engine.RunOptions {
 	return engine.RunOptions{Transactions: s.Transactions, Seed: s.Seed}
 }
 
-func runThroughput(e *engine.Engine, opts engine.RunOptions) (float64, *engine.Result, error) {
-	res, err := e.Run(opts)
+// run builds the engine cfg describes and runs one fixed-transaction point on
+// it: Scale.Transactions transactions at Scale.Seed.
+func (s Scale) run(cfg engine.Config) (*engine.Result, error) {
+	e, err := engine.New(cfg)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return res.ThroughputTPS, res, nil
+	return e.Run(s.runOptions())
+}
+
+// seriesOptions are the options of a duration-driven run: the virtual
+// duration, a transaction cap that bounds real runtime, and throughput samples
+// at the compressed one-second window.
+func (s Scale) seriesOptions(duration vclock.Nanos) engine.RunOptions {
+	return engine.RunOptions{
+		Duration:        duration,
+		MaxTransactions: 40 * s.Transactions,
+		Seed:            s.Seed,
+		SampleWindow:    adaptiveWindow,
+	}
 }
 
 func fmtTPS(v float64) string {
@@ -372,7 +386,7 @@ func seriesTable(id, title string, window vclock.Nanos, series map[string][]vclo
 	return t
 }
 
-// mixName gives the workload used by Figures 1, 2 and 5.
+// partitionableWorkload is the workload of Figures 1, 2 and 5.
 func (s Scale) partitionableWorkload() *workload.Workload {
 	return workload.SingleRowRead(s.MicroRows)
 }

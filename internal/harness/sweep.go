@@ -74,18 +74,11 @@ func runPoint(s Scale, pool *Pool, c cell) (point, error) {
 		lc.CoalesceRecords = c.coalesce
 		cfg.LogConfig = &lc
 	}
-	e, err := engine.New(cfg)
+	res, err := s.run(cfg)
 	if err != nil {
 		return point{}, err
 	}
-	res, err := e.Run(s.runOptions())
-	if err != nil {
-		return point{}, err
-	}
-	pt := point{cell: c, res: res}
-	if d := e.Devices(); d != nil {
-		pt.devices = d.NumDevices()
-	}
+	pt := point{cell: c, res: res, devices: deviceCount(c.layout, cfg.Topology)}
 	if c.executed {
 		cfg.Workload, cfg.Topology, cfg.Backend = c.workload(s), c.prof.Build(), backend.Hash
 		err = pool.WithAllocToken(func() error {

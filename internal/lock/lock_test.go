@@ -434,7 +434,7 @@ func TestSpeculativeLockInheritance(t *testing.T) {
 
 func TestLocalManagerStaysLocal(t *testing.T) {
 	d := newDomain(4)
-	m := NewLocalManager(d, 3)
+	m := NewLocalManagerAt(d, 6) // two cores per socket: core 6 is on socket 3
 	if m.Home() != 3 {
 		t.Errorf("Home = %d, want 3", m.Home())
 	}
@@ -453,14 +453,10 @@ func TestLocalManagerStaysLocal(t *testing.T) {
 	if cost, n := m.ReleaseAll(3, 99); n != 0 || cost != 0 {
 		t.Errorf("releasing nothing should be free, got cost %d count %d", cost, n)
 	}
-	// After rehoming to another socket, access from the old socket pays.
-	m.Rehome(d, 0)
-	if m.Home() != 0 {
-		t.Errorf("Home after rehome = %d", m.Home())
-	}
-	c, _ = m.Acquire(3, 2, res, X)
+	// Access from another socket pays the cache-line transfer.
+	c, _ = m.Acquire(0, 2, res, X)
 	if c <= d.Model.LocalAtomic {
-		t.Errorf("post-rehome remote acquisition cost %d should exceed local", c)
+		t.Errorf("remote acquisition cost %d should exceed local", c)
 	}
 	if m.Table() == nil {
 		t.Error("Table accessor returned nil")
@@ -493,7 +489,7 @@ func TestLockCycleZeroAllocs(t *testing.T) {
 	}{
 		{"central", NewCentralManager(d, 256, false)},
 		{"central-sli", NewCentralManager(d, 256, true)},
-		{"local", NewLocalManager(d, 0)},
+		{"local", NewLocalManagerAt(d, 0)},
 	}
 	for _, tc := range cases {
 		txn := TxnID(1)

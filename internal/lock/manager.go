@@ -124,17 +124,6 @@ type LocalManager struct {
 	homeDie topology.DieID
 }
 
-// NewLocalManager creates a partition-local lock table homed on socket home
-// (on its first die when the machine is hierarchical).
-func NewLocalManager(d *numa.Domain, home topology.SocketID) *LocalManager {
-	return &LocalManager{
-		table:   NewTable(1),
-		line:    numa.NewCacheLine(d, home),
-		home:    home,
-		homeDie: d.Top.FirstDieOn(home),
-	}
-}
-
 // NewLocalManagerAt creates a partition-local lock table homed on the island
 // of the given owner core: its socket for cost purposes and its die for
 // island-locality checks.
@@ -145,23 +134,6 @@ func NewLocalManagerAt(d *numa.Domain, owner topology.CoreID) *LocalManager {
 		home:    d.Top.SocketOf(owner),
 		homeDie: d.Top.DieOf(owner),
 	}
-}
-
-// Rehome moves the lock table's cache line to a new socket (its first die on
-// hierarchical machines). When the new owner core is known, prefer RehomeAt,
-// which keeps the die home consistent with the owner.
-func (m *LocalManager) Rehome(d *numa.Domain, home topology.SocketID) {
-	m.line = numa.NewCacheLine(d, home)
-	m.home = home
-	m.homeDie = d.Top.FirstDieOn(home)
-}
-
-// RehomeAt moves the lock table's cache line to the island of the given
-// owner core; called when repartitioning migrates a partition.
-func (m *LocalManager) RehomeAt(d *numa.Domain, owner topology.CoreID) {
-	m.line = numa.NewCacheLine(d, d.Top.SocketOf(owner))
-	m.home = d.Top.SocketOf(owner)
-	m.homeDie = d.Top.DieOf(owner)
 }
 
 // Home returns the socket the lock table is currently homed on.

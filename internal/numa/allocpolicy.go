@@ -35,24 +35,9 @@ func (p AllocPolicy) String() string {
 	}
 }
 
-// ParseAllocPolicy converts a string to an AllocPolicy.
-func ParseAllocPolicy(s string) (AllocPolicy, error) {
-	switch s {
-	case "local":
-		return AllocLocal, nil
-	case "central":
-		return AllocCentral, nil
-	case "remote":
-		return AllocRemote, nil
-	default:
-		return 0, fmt.Errorf("numa: unknown allocation policy %q", s)
-	}
-}
-
 // Placement maps each socket's instance to the memory node holding its data.
 type Placement struct {
-	policy AllocPolicy
-	node   []topology.SocketID
+	node []topology.SocketID
 }
 
 // NewPlacement computes the memory node of each socket's data under policy.
@@ -62,7 +47,7 @@ func NewPlacement(top *topology.Topology, policy AllocPolicy, centralNode topolo
 	if policy == AllocCentral && (int(centralNode) < 0 || int(centralNode) >= n) {
 		return nil, fmt.Errorf("numa: central node %d out of range [0,%d)", centralNode, n)
 	}
-	p := &Placement{policy: policy, node: make([]topology.SocketID, n)}
+	p := &Placement{node: make([]topology.SocketID, n)}
 	for s := 0; s < n; s++ {
 		switch policy {
 		case AllocLocal:
@@ -82,9 +67,6 @@ func NewPlacement(top *topology.Topology, policy AllocPolicy, centralNode topolo
 	}
 	return p, nil
 }
-
-// Policy returns the placement's policy.
-func (p *Placement) Policy() AllocPolicy { return p.policy }
 
 // NodeFor returns the memory node that holds the data of the instance bound
 // to socket s.

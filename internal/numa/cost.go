@@ -137,12 +137,6 @@ func MustNewDomain(top *topology.Topology, model CostModel) *Domain {
 	return d
 }
 
-// DefaultDomain returns a Domain over the paper's 8x10 topology with the
-// default cost model.
-func DefaultDomain() *Domain {
-	return MustNewDomain(topology.Default(), DefaultCostModel())
-}
-
 // AtomicCost returns the cost of an atomic operation issued by a thread on
 // socket `from` against a cache line last owned by socket `owner`.
 func (d *Domain) AtomicCost(from, owner topology.SocketID) Cost {
@@ -173,15 +167,6 @@ func (d *Domain) DRAMCost(from, node topology.SocketID) Cost {
 	return c
 }
 
-// MessageCost returns the cost of delivering one message from a thread on
-// socket `from` to a thread on socket `to` over shared memory channels.
-func (d *Domain) MessageCost(from, to topology.SocketID) Cost {
-	if from == to {
-		return d.Model.MessageLocal
-	}
-	return d.Model.MessageLocal + Cost(d.Top.Distance(from, to))*d.Model.MessagePerHop
-}
-
 // --- Core-granular (hierarchical) costs ---
 //
 // The Core* variants price communication with the full island hierarchy:
@@ -197,15 +182,6 @@ func (d *Domain) MessageCost(from, to topology.SocketID) Cost {
 func (d *Domain) CoreAtomicCost(from, owner topology.CoreID) Cost {
 	sockHops, dieHops := d.Top.CorePath(from, owner)
 	return d.Model.LocalAtomic +
-		Cost(sockHops)*d.Model.RemoteTransferPerHop +
-		Cost(dieHops)*d.Model.DieTransferPerHop
-}
-
-// CoreAccessCost returns the cost of a plain read/write of shared data that
-// currently lives in the cache of core `owner`.
-func (d *Domain) CoreAccessCost(from, owner topology.CoreID) Cost {
-	sockHops, dieHops := d.Top.CorePath(from, owner)
-	return d.Model.LocalAccess +
 		Cost(sockHops)*d.Model.RemoteTransferPerHop +
 		Cost(dieHops)*d.Model.DieTransferPerHop
 }
@@ -247,12 +223,11 @@ func (d *Domain) CoreDRAMCost(from topology.CoreID, node topology.SocketID) Cost
 
 // SyncPointCost implements the paper's synchronization-point formula
 // C(s) = (nsocket(s)-1) * Distance(s) * Size(s), where Distance(s) is the
-// average pairwise distance between the participating sockets (the same
-// average AvgRemoteDistance computes machine-wide) and Size(s) the number of
-// bytes exchanged. Participants on failed sockets are excluded, consistent
-// with AvgRemoteDistance: a dead socket cannot take part in a rendezvous, its
-// partitions having been redirected elsewhere, so the remaining participants
-// only pay for the exchange among themselves.
+// average pairwise distance between the participating sockets and Size(s) the
+// number of bytes exchanged. Participants on failed sockets are excluded: a
+// dead socket cannot take part in a rendezvous, its partitions having been
+// redirected elsewhere, so the remaining participants only pay for the
+// exchange among themselves.
 //
 // It runs on the transaction hot path, so duplicates are skipped with linear
 // scans over the (short, bounded by the socket count) participant list

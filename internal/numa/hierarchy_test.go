@@ -13,7 +13,7 @@ import (
 // additionally pinned to golden pre-refactor values on the paper's topology,
 // so a change to either formulation fails loudly.
 func TestFlatProfileCostEquivalence(t *testing.T) {
-	d := DefaultDomain() // the paper's 8x10 twisted cube, default cost model
+	d := MustNewDomain(topology.Default(), DefaultCostModel()) // the paper's 8x10 twisted cube
 	top := d.Top
 
 	// Golden pre-refactor values on the twisted cube: Distance(0,1)=1,
@@ -30,11 +30,13 @@ func TestFlatProfileCostEquivalence(t *testing.T) {
 	if got := d.DRAMCost(1, 2); got != 90+2*60 {
 		t.Errorf("DRAMCost(1,2) = %d, want 210", got)
 	}
-	if got := d.MessageCost(1, 2); got != 350+2*900 {
-		t.Errorf("MessageCost(1,2) = %d, want 2150", got)
+	// Messages are priced per core pair only; cores 10-19 are socket 1, 20-29
+	// socket 2, and one die per socket makes the pair cost the socket cost.
+	if got := d.CoreMessageCost(10, 20); got != 350+2*900 {
+		t.Errorf("CoreMessageCost(10,20) = %d, want 2150", got)
 	}
-	if got := d.MessageCost(1, 1); got != 350 {
-		t.Errorf("MessageCost(1,1) = %d, want 350", got)
+	if got := d.CoreMessageCost(10, 11); got != 350 {
+		t.Errorf("CoreMessageCost(10,11) = %d, want 350", got)
 	}
 	// SyncPointCost golden value: sockets {0,1,2}, pairwise distances
 	// 1 (0-1), 1 (0-2), 2 (1-2) -> avg 4/3; (3-1) * (4/3 * 88 * 2) = 468.
@@ -49,12 +51,6 @@ func TestFlatProfileCostEquivalence(t *testing.T) {
 		sa, sb := top.SocketOf(a), top.SocketOf(b)
 		if got, want := d.CoreAtomicCost(a, b), d.AtomicCost(sa, sb); got != want {
 			t.Errorf("CoreAtomicCost(%d,%d) = %d, want socket-level %d", a, b, got, want)
-		}
-		if got, want := d.CoreAccessCost(a, b), d.AccessCost(sa, sb); got != want {
-			t.Errorf("CoreAccessCost(%d,%d) = %d, want socket-level %d", a, b, got, want)
-		}
-		if got, want := d.CoreMessageCost(a, b), d.MessageCost(sa, sb); got != want {
-			t.Errorf("CoreMessageCost(%d,%d) = %d, want socket-level %d", a, b, got, want)
 		}
 		if got, want := d.CoreDRAMCost(a, sb), d.DRAMCost(sa, sb); got != want {
 			t.Errorf("CoreDRAMCost(%d,%d) = %d, want socket-level %d", a, sb, got, want)

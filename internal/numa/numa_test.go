@@ -39,9 +39,6 @@ func TestNewDomainValidation(t *testing.T) {
 	if _, err := NewDomain(topology.Small(), bad); err == nil {
 		t.Error("invalid cost model should error")
 	}
-	if d := DefaultDomain(); d.Top.Sockets() != 8 {
-		t.Errorf("DefaultDomain has %d sockets, want 8", d.Top.Sockets())
-	}
 }
 
 func TestCostsGrowWithDistance(t *testing.T) {
@@ -57,7 +54,8 @@ func TestCostsGrowWithDistance(t *testing.T) {
 	if d.DRAMCost(2, 2) >= d.DRAMCost(2, 5) {
 		t.Error("remote DRAM should cost more than local DRAM")
 	}
-	if d.MessageCost(3, 3) >= d.MessageCost(3, 4) {
+	// Two cores per socket: cores 6 and 7 share socket 3, core 8 is on socket 4.
+	if d.CoreMessageCost(6, 7) >= d.CoreMessageCost(6, 8) {
 		t.Error("cross-socket message should cost more than local message")
 	}
 }
@@ -267,18 +265,6 @@ func TestAllocPolicyString(t *testing.T) {
 	if AllocPolicy(42).String() == "" {
 		t.Error("unknown policy should still produce a string")
 	}
-	for _, s := range []string{"local", "central", "remote"} {
-		p, err := ParseAllocPolicy(s)
-		if err != nil {
-			t.Errorf("ParseAllocPolicy(%q) error: %v", s, err)
-		}
-		if p.String() != s {
-			t.Errorf("round trip %q -> %v", s, p)
-		}
-	}
-	if _, err := ParseAllocPolicy("bogus"); err == nil {
-		t.Error("bogus policy should not parse")
-	}
 }
 
 func TestPlacementPolicies(t *testing.T) {
@@ -302,9 +288,6 @@ func TestPlacementPolicies(t *testing.T) {
 		if central.NodeFor(topology.SocketID(s)) != 7 {
 			t.Errorf("central placement for socket %d is %d, want 7", s, central.NodeFor(topology.SocketID(s)))
 		}
-	}
-	if central.Policy() != AllocCentral {
-		t.Error("policy accessor mismatch")
 	}
 
 	remote, err := NewPlacement(top, AllocRemote, 0)

@@ -211,7 +211,7 @@ func (r *Ring) Reset() {
 }
 
 // LevelScore is one candidate island level's priced cost, split into the
-// granularity model's five terms. It mirrors core.LevelBreakdown with plain
+// granularity model's four terms. It mirrors core.LevelBreakdown with plain
 // floats and a string level so obs does not import core (which imports the
 // packages obs instruments).
 type LevelScore struct {
@@ -220,7 +220,6 @@ type LevelScore struct {
 	Locality float64 `json:"locality"`
 	TxnState float64 `json:"txn_state"`
 	Commit   float64 `json:"commit"`
-	Conflict float64 `json:"conflict"`
 	Comm     float64 `json:"comm"`
 }
 

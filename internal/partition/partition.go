@@ -177,22 +177,6 @@ func (p *Placement) TotalPartitions() int {
 	return total
 }
 
-// CoresUsed returns the distinct cores that own at least one partition.
-func (p *Placement) CoresUsed() []topology.CoreID {
-	seen := make(map[topology.CoreID]struct{})
-	for _, tp := range p.Tables {
-		for _, c := range tp.Cores {
-			seen[c] = struct{}{}
-		}
-	}
-	out := make([]topology.CoreID, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // PartitionsPerCore returns how many partitions each core owns.
 func (p *Placement) PartitionsPerCore() map[topology.CoreID]int {
 	out := make(map[topology.CoreID]int)
@@ -248,92 +232,6 @@ func PerIsland(top *topology.Topology, level topology.Level, tables []TableSpec)
 // PerIsland at the finest granularity.
 func NaivePerCore(top *topology.Topology, tables []TableSpec) *Placement {
 	return PerIsland(top, topology.LevelCore, tables)
-}
-
-// SpreadAcrossCores builds a placement with one partition per core in total
-// (not per table): the available cores are divided between the tables
-// proportionally to the supplied weights, so no core owns more than one
-// partition. With hardwareAware false the partitions are assigned to cores
-// round-robin across sockets (the "Workload-aware" strategy of Figure 6);
-// with hardwareAware true the partitions of each table are packed onto
-// consecutive cores so dependent tables share sockets (the ATraPos placement).
-func SpreadAcrossCores(top *topology.Topology, tables []TableSpec, weights []float64, hardwareAware bool) *Placement {
-	cores := top.AliveCores()
-	p := NewPlacement()
-	if len(tables) == 0 {
-		return p
-	}
-	if len(weights) != len(tables) {
-		weights = make([]float64, len(tables))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	var totalWeight float64
-	for _, w := range weights {
-		if w <= 0 {
-			w = 1
-		}
-		totalWeight += w
-	}
-	// Assign a contiguous (hardware-aware) or strided (oblivious) share of the
-	// cores to each table.
-	counts := make([]int, len(tables))
-	assigned := 0
-	for i := range tables {
-		w := weights[i]
-		if w <= 0 {
-			w = 1
-		}
-		counts[i] = int(float64(len(cores)) * w / totalWeight)
-		if counts[i] < 1 {
-			counts[i] = 1
-		}
-		assigned += counts[i]
-	}
-	// Trim or grow to the number of cores available.
-	for assigned > len(cores) && assigned > len(tables) {
-		for i := range counts {
-			if counts[i] > 1 && assigned > len(cores) {
-				counts[i]--
-				assigned--
-			}
-		}
-	}
-	next := 0
-	for ti, spec := range tables {
-		bounds := btree.UniformBounds(spec.MaxKey, counts[ti])
-		n := len(bounds)
-		tp := &TablePlacement{
-			Table:  spec.Name,
-			Bounds: bounds,
-			Cores:  make([]topology.CoreID, n),
-		}
-		for i := 0; i < n; i++ {
-			var core topology.Core
-			if hardwareAware {
-				core = cores[(next+i)%len(cores)]
-			} else {
-				// Hardware-oblivious: stride the partitions of this table
-				// across the machine so consecutive partitions land on
-				// different sockets.
-				stride := len(cores)/n + 1
-				core = cores[(next+i*stride)%len(cores)]
-			}
-			tp.Cores[i] = core.ID
-		}
-		next += n
-		p.Tables[spec.Name] = tp
-	}
-	return p
-}
-
-// PerSocket builds a placement with one partition per alive socket for each
-// table, owned by the first core of the socket. It mirrors the coarse
-// shared-nothing configuration's data layout and is PerIsland at socket
-// granularity.
-func PerSocket(top *topology.Topology, tables []TableSpec) *Placement {
-	return PerIsland(top, topology.LevelSocket, tables)
 }
 
 // Runtime is the per-partition runtime state of data-oriented execution: one

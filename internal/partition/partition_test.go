@@ -72,10 +72,6 @@ func TestPlacementAggregates(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("TableNames = %v", names)
 	}
-	cores := p.CoresUsed()
-	if len(cores) != 4 {
-		t.Errorf("CoresUsed = %v", cores)
-	}
 	per := p.PartitionsPerCore()
 	if per[1] != 2 || per[0] != 1 {
 		t.Errorf("PartitionsPerCore = %v", per)
@@ -128,71 +124,16 @@ func TestNaivePerCore(t *testing.T) {
 	if p2.Tables["a"].NumPartitions() != 12 {
 		t.Errorf("after socket failure: %d partitions, want 12", p2.Tables["a"].NumPartitions())
 	}
-	for _, c := range p2.CoresUsed() {
+	for c := range p2.PartitionsPerCore() {
 		if top.SocketOf(c) == 3 {
 			t.Errorf("core %d on failed socket still used", c)
 		}
 	}
 }
 
-func TestSpreadAcrossCores(t *testing.T) {
-	top := smallTop()
-	specs := []TableSpec{{Name: "a", MaxKey: 1000}, {Name: "b", MaxKey: 1000}}
-
-	for _, hw := range []bool{true, false} {
-		p := SpreadAcrossCores(top, specs, []float64{1, 1}, hw)
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if p.TotalPartitions() != 16 {
-			t.Errorf("hw=%v: total partitions %d, want 16 (one per core)", hw, p.TotalPartitions())
-		}
-		// No core is oversaturated.
-		for core, n := range p.PartitionsPerCore() {
-			if n > 2 {
-				t.Errorf("hw=%v: core %d owns %d partitions", hw, core, n)
-			}
-		}
-	}
-
-	// The hardware-aware variant packs each table's partitions onto fewer
-	// sockets than the oblivious variant spreads them over.
-	socketsOf := func(p *Placement, table string) int {
-		seen := map[topology.SocketID]struct{}{}
-		for _, c := range p.Tables[table].Cores {
-			seen[top.SocketOf(c)] = struct{}{}
-		}
-		return len(seen)
-	}
-	aware := SpreadAcrossCores(top, specs, []float64{1, 1}, true)
-	oblivious := SpreadAcrossCores(top, specs, []float64{1, 1}, false)
-	if socketsOf(aware, "a") > socketsOf(oblivious, "a") {
-		t.Errorf("hardware-aware placement uses %d sockets for table a, oblivious uses %d",
-			socketsOf(aware, "a"), socketsOf(oblivious, "a"))
-	}
-
-	// Weighted placement gives the heavier table more cores.
-	weighted := SpreadAcrossCores(top, specs, []float64{3, 1}, true)
-	if weighted.Tables["a"].NumPartitions() <= weighted.Tables["b"].NumPartitions() {
-		t.Errorf("weights ignored: a=%d b=%d partitions",
-			weighted.Tables["a"].NumPartitions(), weighted.Tables["b"].NumPartitions())
-	}
-
-	// Degenerate inputs.
-	if p := SpreadAcrossCores(top, nil, nil, true); p.TotalPartitions() != 0 {
-		t.Error("no tables should produce an empty placement")
-	}
-	if p := SpreadAcrossCores(top, specs, []float64{1}, true); p.TotalPartitions() == 0 {
-		t.Error("mismatched weights should fall back to equal weights")
-	}
-	if p := SpreadAcrossCores(top, specs, []float64{-1, 0}, true); p.TotalPartitions() == 0 {
-		t.Error("non-positive weights should be clamped")
-	}
-}
-
 func TestPerSocket(t *testing.T) {
 	top := smallTop()
-	p := PerSocket(top, []TableSpec{{Name: "a", MaxKey: 400}})
+	p := PerIsland(top, topology.LevelSocket, []TableSpec{{Name: "a", MaxKey: 400}})
 	if p.Tables["a"].NumPartitions() != 4 {
 		t.Errorf("per-socket placement has %d partitions", p.Tables["a"].NumPartitions())
 	}

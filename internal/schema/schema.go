@@ -256,39 +256,6 @@ func (c *Catalog) Tables() []*Table {
 	return out
 }
 
-// Names returns the sorted table names.
-func (c *Catalog) Names() []string {
-	tables := c.Tables()
-	out := make([]string, len(tables))
-	for i, t := range tables {
-		out[i] = t.Name
-	}
-	return out
-}
-
-// Dependencies returns, for each table, the set of tables it references via
-// foreign keys. ATraPos uses these static dependencies when it builds
-// transaction flow graphs and when it co-locates dependent partitions.
-func (c *Catalog) Dependencies() map[string][]string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string][]string, len(c.tables))
-	for name, t := range c.tables {
-		seen := map[string]struct{}{}
-		var refs []string
-		for _, fk := range t.ForeignKeys {
-			if _, dup := seen[fk.RefTable]; dup {
-				continue
-			}
-			seen[fk.RefTable] = struct{}{}
-			refs = append(refs, fk.RefTable)
-		}
-		sort.Strings(refs)
-		out[name] = refs
-	}
-	return out
-}
-
 // String renders the catalog as a compact schema listing.
 func (c *Catalog) String() string {
 	var b strings.Builder

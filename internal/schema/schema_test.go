@@ -205,16 +205,8 @@ func TestCatalog(t *testing.T) {
 	if _, ok := c.Table("nope"); ok {
 		t.Error("unexpected table")
 	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "customer" || names[1] != "orders" {
-		t.Errorf("Names = %v", names)
-	}
-	deps := c.Dependencies()
-	if len(deps["orders"]) != 1 || deps["orders"][0] != "customer" {
-		t.Errorf("Dependencies[orders] = %v", deps["orders"])
-	}
-	if len(deps["customer"]) != 0 {
-		t.Errorf("Dependencies[customer] = %v", deps["customer"])
+	if tables := c.Tables(); len(tables) != 2 || tables[0].Name != "customer" || tables[1].Name != "orders" {
+		t.Errorf("Tables = %v", tables)
 	}
 	if c.String() == "" {
 		t.Error("catalog String should not be empty")

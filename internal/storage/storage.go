@@ -112,15 +112,6 @@ func (m *Manager) Tables() []*Table {
 	return out
 }
 
-// TotalRows returns the total number of rows across all tables.
-func (m *Manager) TotalRows() int {
-	total := 0
-	for _, t := range m.Tables() {
-		total += t.Len()
-	}
-	return total
-}
-
 // Table is one physical table: a multi-rooted B-tree plus the memory node
 // each partition's data lives on. All row operations return the virtual cost
 // of the access as observed from the caller's core: the socket component of
@@ -137,9 +128,6 @@ type Table struct {
 	// avgRowBytes tracks an approximate row size for traffic accounting.
 	avgRowBytes int
 }
-
-// Definition returns the table's schema definition.
-func (t *Table) Definition() *schema.Table { return t.def }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.def.Name }
@@ -316,9 +304,6 @@ func (t *Table) rowBytes() int {
 	}
 	return t.avgRowBytes
 }
-
-// RowBytes returns the observed average row size in bytes.
-func (t *Table) RowBytes() int { return t.rowBytes() }
 
 // Split divides the partition owning key at into two and homes the new
 // partition on the same node as the original. It returns the index of the new

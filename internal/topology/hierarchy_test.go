@@ -109,12 +109,6 @@ func TestDieStructure(t *testing.T) {
 	if top.SocketOfDie(99) != InvalidSocket {
 		t.Error("SocketOfDie(unknown) should be InvalidSocket")
 	}
-	if cores := top.CoresOnDie(2); len(cores) != 2 || cores[0].ID != 4 {
-		t.Errorf("CoresOnDie(2) = %v", cores)
-	}
-	if top.CoresOnDie(99) != nil {
-		t.Error("CoresOnDie(unknown) should be nil")
-	}
 	// Die hops: same die 0, distinct dies of one socket 1 (uniform default),
 	// dies of different sockets 0 (socket axis covers them).
 	if top.DieHops(0, 0) != 0 || top.DieHops(0, 1) != 1 || top.DieHops(0, 4) != 0 {
@@ -129,20 +123,16 @@ func TestSharedLevelAndCorePath(t *testing.T) {
 	top := MustNew(Config{Sockets: 2, CoresPerSocket: 4, DiesPerSocket: 2})
 	cases := []struct {
 		a, b     CoreID
-		level    Level
 		sockHops int
 		dieHops  int
 	}{
-		{0, 0, LevelCore, 0, 0},
-		{0, 1, LevelDie, 0, 0},    // same die
-		{0, 2, LevelSocket, 0, 1}, // same socket, different die
-		{0, 4, LevelMachine, 1, 0},
-		{0, 99, LevelMachine, top.MaxDistance(), 0},
+		{0, 0, 0, 0},
+		{0, 1, 0, 0}, // same die
+		{0, 2, 0, 1}, // same socket, different die
+		{0, 4, 1, 0},
+		{0, 99, top.MaxDistance(), 0},
 	}
 	for _, tc := range cases {
-		if got := top.SharedLevel(tc.a, tc.b); got != tc.level {
-			t.Errorf("SharedLevel(%d,%d) = %v, want %v", tc.a, tc.b, got, tc.level)
-		}
 		s, d := top.CorePath(tc.a, tc.b)
 		if s != tc.sockHops || d != tc.dieHops {
 			t.Errorf("CorePath(%d,%d) = (%d,%d), want (%d,%d)", tc.a, tc.b, s, d, tc.sockHops, tc.dieHops)
@@ -336,34 +326,6 @@ func TestLevelParseAndOrdering(t *testing.T) {
 	}
 	if !(LevelCore < LevelDie && LevelDie < LevelSocket && LevelSocket < LevelMachine) {
 		t.Error("levels must order finest to coarsest")
-	}
-}
-
-// TestAvgRemoteDistanceExcludesFailedSockets is the regression test for the
-// failed-socket fix: killing the socket with the longest links must lower the
-// machine-wide average remote distance.
-func TestAvgRemoteDistanceExcludesFailedSockets(t *testing.T) {
-	// Socket 2 is two hops from everyone; sockets 0 and 1 are adjacent.
-	top := MustNew(Config{
-		Sockets:        3,
-		CoresPerSocket: 1,
-		Distance:       [][]int{{0, 1, 2}, {1, 0, 2}, {2, 2, 0}},
-	})
-	before := top.AvgRemoteDistance()
-	if err := top.FailSocket(2); err != nil {
-		t.Fatal(err)
-	}
-	after := top.AvgRemoteDistance()
-	if after >= before {
-		t.Errorf("AvgRemoteDistance should drop when the distant socket fails: before %f, after %f", before, after)
-	}
-	if after != 1 {
-		t.Errorf("remaining sockets are adjacent: want 1, got %f", after)
-	}
-	// With at most one alive socket there is no remote distance.
-	top.FailSocket(0)
-	if d := top.AvgRemoteDistance(); d != 0 {
-		t.Errorf("one alive socket should average 0, got %f", d)
 	}
 }
 

@@ -286,16 +286,6 @@ func (t *Topology) FirstDieOn(s SocketID) DieID {
 	return DieID(int(s) * t.diesPerSocket)
 }
 
-// CoresOnDie returns the cores that belong to die d.
-func (t *Topology) CoresOnDie(d DieID) []Core {
-	if int(d) < 0 || int(d) >= t.NumDies() {
-		return nil
-	}
-	perDie := t.perSocket / t.diesPerSocket
-	start := int(d) * perDie
-	return t.cores[start : start+perDie]
-}
-
 // DieHops returns the number of intra-socket die hops between dies a and b of
 // the same socket. Dies on different sockets return 0: their separation is
 // expressed entirely at the socket level (the Distance matrix), as the
@@ -322,26 +312,6 @@ func (t *Topology) MaxDieDistance() int {
 		}
 	}
 	return max
-}
-
-// SharedLevel returns the finest level of the island hierarchy that contains
-// both cores: LevelCore for the same core, LevelDie for distinct cores of one
-// die, LevelSocket for distinct dies of one socket, LevelMachine otherwise
-// (including unknown cores).
-func (t *Topology) SharedLevel(a, b CoreID) Level {
-	if int(a) < 0 || int(a) >= len(t.cores) || int(b) < 0 || int(b) >= len(t.cores) {
-		return LevelMachine
-	}
-	switch {
-	case a == b:
-		return LevelCore
-	case t.cores[a].Die == t.cores[b].Die:
-		return LevelDie
-	case t.cores[a].Socket == t.cores[b].Socket:
-		return LevelSocket
-	default:
-		return LevelMachine
-	}
 }
 
 // CorePath returns the hierarchical distance between two cores, decomposed
@@ -426,11 +396,6 @@ func (t *Topology) Distance(a, b SocketID) int {
 	return t.distance[a][b]
 }
 
-// CoreDistance returns the socket distance between the sockets of two cores.
-func (t *Topology) CoreDistance(a, b CoreID) int {
-	return t.Distance(t.SocketOf(a), t.SocketOf(b))
-}
-
 // MaxDistance returns the largest inter-socket distance in the machine.
 func (t *Topology) MaxDistance() int {
 	max := 0
@@ -442,32 +407,6 @@ func (t *Topology) MaxDistance() int {
 		}
 	}
 	return max
-}
-
-// AvgRemoteDistance returns the average distance between distinct alive
-// sockets. Failed sockets are excluded: after a processor failure no traffic
-// originates at or terminates on the dead socket, so including its links
-// would overstate (or, for a well-connected dead socket, understate) the
-// machine's effective remoteness. For a machine with at most one alive socket
-// it returns 0.
-func (t *Topology) AvgRemoteDistance() float64 {
-	sum, n := 0, 0
-	for i := 0; i < t.sockets; i++ {
-		if !t.Alive(SocketID(i)) {
-			continue
-		}
-		for j := 0; j < t.sockets; j++ {
-			if i == j || !t.Alive(SocketID(j)) {
-				continue
-			}
-			sum += t.distance[i][j]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
 }
 
 // FailSocket marks socket s as failed. Failed sockets remain part of the

@@ -104,9 +104,6 @@ func TestDistanceProperties(t *testing.T) {
 	if top.MaxDistance() < 1 {
 		t.Errorf("MaxDistance = %d, want >= 1", top.MaxDistance())
 	}
-	if top.AvgRemoteDistance() <= 0 {
-		t.Errorf("AvgRemoteDistance = %f, want > 0", top.AvgRemoteDistance())
-	}
 	// Unknown sockets are conservatively expensive.
 	if d := top.Distance(SocketID(-1), SocketID(0)); d != top.MaxDistance() {
 		t.Errorf("Distance(-1,0) = %d, want max %d", d, top.MaxDistance())
@@ -115,19 +112,16 @@ func TestDistanceProperties(t *testing.T) {
 
 func TestCoreDistance(t *testing.T) {
 	top := MustNew(Config{Sockets: 2, CoresPerSocket: 2})
-	if d := top.CoreDistance(0, 1); d != 0 {
+	if d, _ := top.CorePath(0, 1); d != 0 {
 		t.Errorf("same-socket core distance = %d, want 0", d)
 	}
-	if d := top.CoreDistance(0, 3); d != 1 {
+	if d, _ := top.CorePath(0, 3); d != 1 {
 		t.Errorf("cross-socket core distance = %d, want 1", d)
 	}
 }
 
 func TestSingleSocket(t *testing.T) {
 	top := MustNew(Config{Sockets: 1, CoresPerSocket: 8})
-	if d := top.AvgRemoteDistance(); d != 0 {
-		t.Errorf("AvgRemoteDistance on 1 socket = %f, want 0", d)
-	}
 	if d := top.MaxDistance(); d != 0 {
 		t.Errorf("MaxDistance on 1 socket = %d, want 0", d)
 	}

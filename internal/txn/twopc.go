@@ -60,20 +60,6 @@ type Coordinator struct {
 	homeCores []topology.CoreID
 }
 
-// NewCoordinator builds a 2PC coordinator over the per-instance logs. Each
-// instance's home core is taken to be the first core of its log's home
-// socket; use NewCoordinatorAt when the instances' actual home cores are
-// known (islands finer than a socket).
-func NewCoordinator(d *numa.Domain, logs *wal.PartitionedLog) *Coordinator {
-	homes := make([]topology.CoreID, logs.NumLogs())
-	for i := range homes {
-		if cores := d.Top.CoresOn(logs.Home(i)); len(cores) > 0 {
-			homes[i] = cores[0].ID
-		}
-	}
-	return &Coordinator{domain: d, logs: logs, homeCores: homes}
-}
-
 // NewCoordinatorAt builds a 2PC coordinator with an explicit home core per
 // instance; homeCores must be indexed like the logs' islands.
 func NewCoordinatorAt(d *numa.Domain, logs *wal.PartitionedLog, homeCores []topology.CoreID) *Coordinator {

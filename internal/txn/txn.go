@@ -229,19 +229,12 @@ func NewManager(d *numa.Domain, active ActiveList, state numa.StateLock) *Manage
 	return &Manager{domain: d, active: active, state: state}
 }
 
-// Begin starts a transaction on the given core and returns it together with
-// the virtual cost of transaction initialization (id assignment, volume lock
-// in read mode, insertion into the active list).
-func (m *Manager) Begin(core topology.CoreID) (*Txn, numa.Cost) {
-	t := new(Txn)
-	cost := m.BeginInto(t, core)
-	return t, cost
-}
-
-// BeginInto is Begin writing into a caller-owned Txn, so a worker can reuse
-// one Txn for its whole run instead of allocating one per transaction. The
-// Txn must not be in the active list (i.e. its previous use must have ended
-// in Commit or Abort).
+// BeginInto starts a transaction on the given core, writing it into the
+// caller-owned Txn — a worker reuses one Txn for its whole run instead of
+// allocating one per transaction — and returns the virtual cost of transaction
+// initialization (id assignment, volume lock in read mode, insertion into the
+// active list). The Txn must not be in the active list (i.e. its previous use
+// must have ended in Commit or Abort).
 func (m *Manager) BeginInto(t *Txn, core topology.CoreID) numa.Cost {
 	s := m.domain.Top.SocketOf(core)
 	*t = Txn{
@@ -296,17 +289,4 @@ type Stats struct {
 // Stats returns the lifetime counters.
 func (m *Manager) Stats() Stats {
 	return Stats{Begun: m.begun.Load(), Committed: m.committed.Load(), Aborted: m.aborted.Load()}
-}
-
-// Checkpoint simulates the background checkpointing operation: it takes the
-// state lock in write mode (excluding state changes) and snapshots the active
-// list. It returns the number of active transactions observed and the cost,
-// which the caller attributes to a background worker, not to the critical path.
-func (m *Manager) Checkpoint(s topology.SocketID) (int, numa.Cost) {
-	var cost numa.Cost
-	cost += m.state.Lock(s)
-	ids, c := m.active.Snapshot(s)
-	cost += c
-	cost += m.state.Unlock(s)
-	return len(ids), cost
 }

@@ -15,6 +15,18 @@ func newDomain(sockets, cores int) *numa.Domain {
 	return numa.MustNewDomain(top, numa.DefaultCostModel())
 }
 
+// perSocketCoordinator wires one log and one 2PC site per socket of a
+// one-core-per-socket domain, so site, socket and home core share an index.
+func perSocketCoordinator(d *numa.Domain) (*wal.PartitionedLog, *Coordinator) {
+	homes := make([]topology.SocketID, d.Top.Sockets())
+	cores := make([]topology.CoreID, len(homes))
+	for i := range homes {
+		homes[i], cores[i] = topology.SocketID(i), topology.CoreID(i)
+	}
+	logs := wal.NewPartitionedLogAtDevices(d, homes, wal.DefaultConfig(), nil)
+	return logs, NewCoordinatorAt(d, logs, cores)
+}
+
 func TestStateString(t *testing.T) {
 	for _, s := range []State{Active, Preparing, Committed, Aborted, State(9)} {
 		if s.String() == "" {
@@ -141,7 +153,8 @@ func TestManagerLifecycle(t *testing.T) {
 	d := newDomain(2, 2)
 	m := NewManager(d, NewPartitionedList(d), numa.NewPartitionedRWLock(d))
 
-	tx, cost := m.Begin(topology.CoreID(3))
+	tx := new(Txn)
+	cost := m.BeginInto(tx, topology.CoreID(3))
 	if cost <= 0 {
 		t.Error("Begin should have a positive cost")
 	}
@@ -168,7 +181,8 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Error("abort after commit should fail")
 	}
 
-	tx2, _ := m.Begin(topology.CoreID(0))
+	tx2 := new(Txn)
+	m.BeginInto(tx2, topology.CoreID(0))
 	if _, err := m.Abort(tx2); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +211,8 @@ func TestManagerAssignsUniqueIDs(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tx, _ := m.Begin(topology.CoreID(w))
+				tx := new(Txn)
+				m.BeginInto(tx, topology.CoreID(w))
 				mu.Lock()
 				if seen[tx.ID] {
 					t.Errorf("duplicate transaction id %d", tx.ID)
@@ -214,33 +229,9 @@ func TestManagerAssignsUniqueIDs(t *testing.T) {
 	}
 }
 
-func TestCheckpointSeesActiveTransactions(t *testing.T) {
-	d := newDomain(2, 2)
-	m := NewManager(d, NewPartitionedList(d), numa.NewPartitionedRWLock(d))
-	var txns []*Txn
-	for i := 0; i < 5; i++ {
-		tx, _ := m.Begin(topology.CoreID(i % 4))
-		txns = append(txns, tx)
-	}
-	n, cost := m.Checkpoint(0)
-	if n != 5 {
-		t.Errorf("checkpoint saw %d active transactions, want 5", n)
-	}
-	if cost <= 0 {
-		t.Error("checkpoint cost should be positive")
-	}
-	for _, tx := range txns {
-		m.Commit(tx)
-	}
-	if n, _ := m.Checkpoint(0); n != 0 {
-		t.Errorf("checkpoint after commits saw %d transactions", n)
-	}
-}
-
 func TestTwoPCCommit(t *testing.T) {
 	d := newDomain(4, 1)
-	logs := wal.NewPartitionedLog(d, wal.DefaultConfig())
-	coord := NewCoordinator(d, logs)
+	logs, coord := perSocketCoordinator(d)
 	tx := &Txn{ID: 7, State: Active, Socket: 0}
 
 	out, err := coord.Run(tx, 0, 0, []int{1, 2, 1}, 0, false)
@@ -266,15 +257,14 @@ func TestTwoPCCommit(t *testing.T) {
 		t.Error("total cost should be positive")
 	}
 	// Prepare records actually reached the participants' logs.
-	if logs.SocketLog(1).Tail() == 0 || logs.SocketLog(2).Tail() == 0 {
+	if logs.Log(1).Tail() == 0 || logs.Log(2).Tail() == 0 {
 		t.Error("participants did not log prepare records")
 	}
 }
 
 func TestTwoPCAbortAndErrors(t *testing.T) {
 	d := newDomain(4, 1)
-	logs := wal.NewPartitionedLog(d, wal.DefaultConfig())
-	coord := NewCoordinator(d, logs)
+	_, coord := perSocketCoordinator(d)
 
 	tx := &Txn{ID: 8, State: Active, Socket: 0}
 	out, err := coord.Run(tx, 0, 0, []int{3}, 0, true)
@@ -294,8 +284,7 @@ func TestTwoPCAbortAndErrors(t *testing.T) {
 
 func TestTwoPCMoreParticipantsCostMore(t *testing.T) {
 	d := newDomain(8, 1)
-	logs := wal.NewPartitionedLog(d, wal.DefaultConfig())
-	coord := NewCoordinator(d, logs)
+	_, coord := perSocketCoordinator(d)
 	two, _ := coord.Run(&Txn{ID: 1, State: Active}, 0, 0, []int{1, 2}, 0, false)
 	six, _ := coord.Run(&Txn{ID: 2, State: Active}, 0, 0, []int{1, 2, 3, 4, 5, 6}, 0, false)
 	if six.TotalCost() <= two.TotalCost() {

@@ -1,12 +1,12 @@
-// Package vclock implements the virtual-time accounting used by the engines.
+// Package vclock defines the units of the engines' virtual-time accounting.
 //
-// Every worker thread carries a Clock. Data-structure operations and the NUMA
-// cost model charge virtual nanoseconds to the clock of the worker that
-// performed them, tagged with the component the time was spent in (transaction
-// management, execution, communication, locking, logging). The harness derives
-// throughput from committed work divided by the maximum per-worker virtual
-// time, and regenerates the paper's time-breakdown figure (Fig. 4) from the
-// per-component totals.
+// The engine keeps one account per modeled core (engine.coreAccount).
+// Data-structure operations and the NUMA cost model charge virtual nanoseconds
+// to the account of the core that performed them, tagged with the component
+// the time was spent in (transaction management, execution, communication,
+// locking, logging). The harness derives throughput from committed work
+// divided by the maximum per-core virtual time, and regenerates the paper's
+// time-breakdown figure (Fig. 4) from the per-component totals.
 package vclock
 
 import (
@@ -72,91 +72,10 @@ func (c Component) String() string {
 	}
 }
 
-// Clock is the virtual clock of one worker thread. It is not safe for
-// concurrent use: each worker owns exactly one clock, which is the same
-// thread-locality discipline the paper uses for its monitoring structures.
-type Clock struct {
-	now     Nanos
-	byComp  [numComponents]Nanos
-	charges int64
-}
-
-// NewClock returns a clock at virtual time zero.
-func NewClock() *Clock { return &Clock{} }
-
-// Charge advances the clock by d, attributing the time to component c.
-// Negative charges are ignored.
-func (c *Clock) Charge(comp Component, d Nanos) {
-	if d <= 0 {
-		return
-	}
-	c.now += d
-	if comp >= 0 && comp < numComponents {
-		c.byComp[comp] += d
-	}
-	c.charges++
-}
-
-// Now returns the worker's current virtual time.
-func (c *Clock) Now() Nanos { return c.now }
-
-// AdvanceTo moves the clock forward to at least t. It is used when a worker
-// synchronizes with another worker whose virtual time is further ahead (e.g.
-// waiting for a rendezvous point or a 2PC vote). Moving backwards is a no-op.
-func (c *Clock) AdvanceTo(t Nanos) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
-// Charges returns how many individual charges were recorded.
-func (c *Clock) Charges() int64 { return c.charges }
-
-// Component returns the time charged to a single component.
-func (c *Clock) Component(comp Component) Nanos {
-	if comp < 0 || comp >= numComponents {
-		return 0
-	}
-	return c.byComp[comp]
-}
-
 // Breakdown is a per-component summary of virtual time.
 type Breakdown struct {
 	Total  Nanos
 	ByComp map[Component]Nanos
-}
-
-// Breakdown returns a copy of the clock's per-component totals.
-func (c *Clock) Breakdown() Breakdown {
-	b := Breakdown{Total: c.now, ByComp: make(map[Component]Nanos, int(numComponents))}
-	for comp := Component(0); comp < numComponents; comp++ {
-		b.ByComp[comp] = c.byComp[comp]
-	}
-	return b
-}
-
-// Reset returns the clock to virtual time zero and clears the breakdown.
-func (c *Clock) Reset() {
-	*c = Clock{}
-}
-
-// Merge accumulates per-component totals from several clocks (used by the
-// harness to produce a system-wide breakdown).
-func Merge(clocks ...*Clock) Breakdown {
-	out := Breakdown{ByComp: make(map[Component]Nanos, int(numComponents))}
-	for _, cl := range clocks {
-		if cl == nil {
-			continue
-		}
-		b := cl.Breakdown()
-		if b.Total > out.Total {
-			out.Total = b.Total
-		}
-		for comp, v := range b.ByComp {
-			out.ByComp[comp] += v
-		}
-	}
-	return out
 }
 
 // Sample is one point of a throughput time series.

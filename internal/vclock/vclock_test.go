@@ -2,84 +2,8 @@ package vclock
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestClockChargeAndBreakdown(t *testing.T) {
-	c := NewClock()
-	if c.Now() != 0 {
-		t.Fatalf("new clock at %d, want 0", c.Now())
-	}
-	c.Charge(Execution, 100)
-	c.Charge(Locking, 50)
-	c.Charge(Execution, 25)
-	c.Charge(Logging, -10) // ignored
-	if c.Now() != 175 {
-		t.Errorf("Now = %d, want 175", c.Now())
-	}
-	if c.Component(Execution) != 125 {
-		t.Errorf("Execution = %d, want 125", c.Component(Execution))
-	}
-	if c.Component(Locking) != 50 {
-		t.Errorf("Locking = %d, want 50", c.Component(Locking))
-	}
-	if c.Component(Logging) != 0 {
-		t.Errorf("Logging = %d, want 0", c.Component(Logging))
-	}
-	if c.Component(Component(99)) != 0 {
-		t.Error("unknown component should report 0")
-	}
-	if c.Charges() != 3 {
-		t.Errorf("Charges = %d, want 3", c.Charges())
-	}
-	b := c.Breakdown()
-	if b.Total != 175 {
-		t.Errorf("breakdown total = %d, want 175", b.Total)
-	}
-	var sum Nanos
-	for _, v := range b.ByComp {
-		sum += v
-	}
-	if sum != 175 {
-		t.Errorf("breakdown components sum to %d, want 175", sum)
-	}
-}
-
-func TestClockAdvanceToAndReset(t *testing.T) {
-	c := NewClock()
-	c.Charge(Execution, 10)
-	c.AdvanceTo(500)
-	if c.Now() != 500 {
-		t.Errorf("AdvanceTo(500) -> %d", c.Now())
-	}
-	c.AdvanceTo(100) // backwards is a no-op
-	if c.Now() != 500 {
-		t.Errorf("AdvanceTo(100) moved the clock backwards to %d", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 || c.Charges() != 0 || c.Component(Execution) != 0 {
-		t.Error("Reset did not clear the clock")
-	}
-}
-
-func TestChargeNeverDecreasesProperty(t *testing.T) {
-	prop := func(charges []int16) bool {
-		c := NewClock()
-		prev := Nanos(0)
-		for i, raw := range charges {
-			c.Charge(Component(i%5), Nanos(raw))
-			if c.Now() < prev {
-				return false
-			}
-			prev = c.Now()
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestComponentString(t *testing.T) {
 	for _, comp := range Components() {
@@ -102,24 +26,6 @@ func TestNanosConversions(t *testing.T) {
 	}
 	if n.Duration() != 1500*time.Millisecond {
 		t.Errorf("Duration = %v", n.Duration())
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := NewClock()
-	a.Charge(Execution, 100)
-	b := NewClock()
-	b.Charge(Execution, 300)
-	b.Charge(Locking, 40)
-	m := Merge(a, nil, b)
-	if m.Total != 340 {
-		t.Errorf("merged total = %d, want max worker time 340", m.Total)
-	}
-	if m.ByComp[Execution] != 400 {
-		t.Errorf("merged execution = %d, want 400", m.ByComp[Execution])
-	}
-	if m.ByComp[Locking] != 40 {
-		t.Errorf("merged locking = %d, want 40", m.ByComp[Locking])
 	}
 }
 

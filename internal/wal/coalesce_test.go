@@ -5,6 +5,7 @@ import (
 
 	"atrapos/internal/numa"
 	"atrapos/internal/schema"
+	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
 )
 
@@ -321,7 +322,7 @@ func TestStatsAddSub(t *testing.T) {
 func TestPartitionedLogDrainAndStats(t *testing.T) {
 	d := newDomain(2)
 	cfg := coalCfg(64)
-	p := NewPartitionedLog(d, cfg)
+	p := NewPartitionedLogAtDevices(d, []topology.SocketID{0, 1}, cfg, nil)
 	for i := 0; i < 2; i++ {
 		lg := p.Log(i)
 		lg.Append(p.Home(i), Record{Txn: uint64(i + 1), Type: Update, Table: "t", Key: schema.Key(i), Size: 96})

@@ -679,26 +679,12 @@ type PartitionedLog struct {
 	rebound int
 }
 
-// NewPartitionedLog builds one log per socket of the domain.
-func NewPartitionedLog(d *numa.Domain, cfg Config) *PartitionedLog {
-	homes := make([]topology.SocketID, d.Top.Sockets())
-	for i := range homes {
-		homes[i] = topology.SocketID(i)
-	}
-	return NewPartitionedLogAt(d, homes, cfg)
-}
-
-// NewPartitionedLogAt builds one log per entry of homes, each homed on the
-// given socket. It is the log layout of a shared-nothing deployment with one
+// NewPartitionedLogAtDevices builds one log per entry of homes, each homed on
+// the given socket — the log layout of a shared-nothing deployment with one
 // instance per island: homes[i] is the socket of island i's first core.
-func NewPartitionedLogAt(d *numa.Domain, homes []topology.SocketID, cfg Config) *PartitionedLog {
-	return NewPartitionedLogAtReusing(d, homes, cfg, nil, nil)
-}
-
-// NewPartitionedLogAtDevices is NewPartitionedLogAt with an explicit device
-// binding per island: devices[i] is the log device island i's log flushes to
-// (overriding cfg.Device). A nil or short devices slice leaves the remaining
-// islands on cfg.Device.
+// devices[i] is the log device island i's log flushes to (overriding
+// cfg.Device); a nil or short devices slice leaves the remaining islands on
+// cfg.Device.
 func NewPartitionedLogAtDevices(d *numa.Domain, homes []topology.SocketID, cfg Config, devices []*device.Device) *PartitionedLog {
 	return NewPartitionedLogAtReusing(d, homes, cfg, devices, nil)
 }
@@ -712,7 +698,7 @@ func NewPartitionedLogAtDevices(d *numa.Domain, homes []topology.SocketID, cfg C
 // only genuinely new islands get empty logs. A reused log whose device binding
 // disagrees with the island's device is re-derived: the log (and its records)
 // is carried over but re-bound to the island's device, never silently left on
-// the old one. A nil or short reuse slice behaves like NewPartitionedLogAt.
+// the old one. A nil or short reuse slice creates every remaining log fresh.
 func NewPartitionedLogAtReusing(d *numa.Domain, homes []topology.SocketID, cfg Config, devices []*device.Device, reuse []*CentralLog) *PartitionedLog {
 	if len(homes) == 0 {
 		homes = []topology.SocketID{0}
@@ -816,11 +802,6 @@ func (p *PartitionedLog) Tail() LSN {
 		}
 	}
 	return max
-}
-
-// SocketLog exposes the per-socket log for tests and instance-local recovery.
-func (p *PartitionedLog) SocketLog(s topology.SocketID) *CentralLog {
-	return p.logFor(s)
 }
 
 // Drain forces every island log's write-combining accumulator out; see

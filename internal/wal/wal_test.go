@@ -166,7 +166,7 @@ func TestDefaultConfigSanity(t *testing.T) {
 
 func TestPartitionedLogRoutesLocally(t *testing.T) {
 	d := newDomain(4)
-	p := NewPartitionedLog(d, DefaultConfig())
+	p := NewPartitionedLogAtDevices(d, []topology.SocketID{0, 1, 2, 3}, DefaultConfig(), nil)
 	// Appends from each socket land in that socket's log and stay cheap.
 	for s := 0; s < 4; s++ {
 		_, cost := p.Append(topology.SocketID(s), Record{Txn: uint64(s), Size: 64})
@@ -176,8 +176,8 @@ func TestPartitionedLogRoutesLocally(t *testing.T) {
 		}
 	}
 	for s := 0; s < 4; s++ {
-		if p.SocketLog(topology.SocketID(s)).Tail() != 1 {
-			t.Errorf("socket %d log tail = %d, want 1", s, p.SocketLog(topology.SocketID(s)).Tail())
+		if p.Log(s).Tail() != 1 {
+			t.Errorf("socket %d log tail = %d, want 1", s, p.Log(s).Tail())
 		}
 	}
 	if p.Tail() != 1 {
@@ -199,7 +199,7 @@ func TestPartitionedLogRoutesLocally(t *testing.T) {
 
 func TestPartitionedLogEmptyDurable(t *testing.T) {
 	d := newDomain(2)
-	p := NewPartitionedLog(d, DefaultConfig())
+	p := NewPartitionedLogAtDevices(d, []topology.SocketID{0, 1}, DefaultConfig(), nil)
 	if p.Durable() != 0 {
 		t.Errorf("empty partitioned log durable = %d, want 0", p.Durable())
 	}

@@ -50,71 +50,9 @@ func Schedule(phases []Phase) (func(at vclock.Nanos) map[string]float64, error) 
 	}, nil
 }
 
-// PhaseLabelAt returns the label of the phase active at virtual time at.
-func PhaseLabelAt(phases []Phase, at vclock.Nanos) string {
-	if len(phases) == 0 {
-		return ""
-	}
-	var total vclock.Nanos
-	for _, p := range phases {
-		total += p.Duration
-	}
-	if total <= 0 {
-		return phases[0].Label
-	}
-	offset := at % total
-	for _, p := range phases {
-		if offset < p.Duration {
-			return p.Label
-		}
-		offset -= p.Duration
-	}
-	return phases[len(phases)-1].Label
-}
-
 // Seconds is a convenience conversion from seconds of virtual time.
 func Seconds(s float64) vclock.Nanos {
 	return vclock.Nanos(s * float64(time.Second))
-}
-
-// TATPWorkloadChange builds the Figure 10 scenario: 30 s of UpdSubData only,
-// then 30 s of GetNewDest only, then 30 s of the standard TATP mix.
-func TATPWorkloadChange(subscribers int) (*Workload, []Phase, error) {
-	phases := []Phase{
-		{Label: "UpdSubData", Duration: Seconds(30), Mix: map[string]float64{TATPUpdSubData: 1}},
-		{Label: "GetNewDest", Duration: Seconds(30), Mix: map[string]float64{TATPGetNewDest: 1}},
-		{Label: "TATP-Mix", Duration: Seconds(30), Mix: TATPStandardMix()},
-	}
-	mixAt, err := Schedule(phases)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := TATP(TATPOptions{Subscribers: subscribers, MixAt: mixAt})
-	if err != nil {
-		return nil, nil, err
-	}
-	w.Name = "TATP-workload-change"
-	return w, phases, nil
-}
-
-// TATPFrequentChanges builds the Figure 13 scenario: the workload alternates
-// between GetNewDest (workload A) and the standard mix (workload B) with the
-// given period.
-func TATPFrequentChanges(subscribers int, period vclock.Nanos) (*Workload, []Phase, error) {
-	phases := []Phase{
-		{Label: "A", Duration: period, Mix: map[string]float64{TATPGetNewDest: 1}},
-		{Label: "B", Duration: period, Mix: TATPStandardMix()},
-	}
-	mixAt, err := Schedule(phases)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := TATP(TATPOptions{Subscribers: subscribers, MixAt: mixAt})
-	if err != nil {
-		return nil, nil, err
-	}
-	w.Name = "TATP-frequent-changes"
-	return w, phases, nil
 }
 
 // TATPDriftingHotspot builds the continuous-drift scenario: GetSubData where
@@ -156,21 +94,5 @@ func TATPSkewOscillation(subscribers int, period vclock.Nanos) (*Workload, error
 		return nil, err
 	}
 	w.Name = "TATP-skew-oscillation"
-	return w, nil
-}
-
-// TATPSuddenSkew builds the Figure 11 scenario: GetSubData with uniform
-// accesses that become skewed (50% of requests to 20% of the data) at the
-// given virtual time.
-func TATPSuddenSkew(subscribers int, at vclock.Nanos) (*Workload, error) {
-	w, err := TATP(TATPOptions{
-		Subscribers: subscribers,
-		Mix:         map[string]float64{TATPGetSubData: 1},
-		Skew:        Skew{HotDataFraction: 0.2, HotAccessFraction: 0.5, Start: at},
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.Name = "TATP-sudden-skew"
 	return w, nil
 }

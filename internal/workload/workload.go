@@ -167,16 +167,6 @@ type FlowGraph struct {
 	Syncs []FlowSync
 }
 
-// TableCounts returns the expected number of actions per table for one
-// execution of the class (using the midpoint of variable multiplicities).
-func (g *FlowGraph) TableCounts() map[string]float64 {
-	out := make(map[string]float64)
-	for _, n := range g.Nodes {
-		out[n.Table] += float64(n.MinCount+n.MaxCount) / 2
-	}
-	return out
-}
-
 // String renders the flow graph in a compact textual form.
 func (g *FlowGraph) String() string {
 	var b strings.Builder
@@ -358,16 +348,6 @@ func (w *Workload) TableDef(name string) (TableDef, bool) {
 func (w *Workload) Graph(class string) (*FlowGraph, bool) {
 	g, ok := w.Graphs[class]
 	return g, ok
-}
-
-// Classes returns the transaction class names in sorted order.
-func (w *Workload) Classes() []string {
-	out := make([]string, 0, len(w.Graphs))
-	for c := range w.Graphs {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // pickWeighted selects a key from weights proportionally to its weight.

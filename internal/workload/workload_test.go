@@ -134,8 +134,8 @@ func TestSingleRowRead(t *testing.T) {
 	if _, ok := w.TableDef("nope"); ok {
 		t.Error("unexpected table def")
 	}
-	if len(w.Classes()) != 1 {
-		t.Errorf("Classes = %v", w.Classes())
+	if len(w.Graphs) != 1 {
+		t.Errorf("Graphs = %v", w.Graphs)
 	}
 	if w.ClassWeights(0)["ReadOne"] != 1 {
 		t.Error("class weights should be 1 for the only class")
@@ -236,8 +236,8 @@ func TestTATPGeneratesAllClasses(t *testing.T) {
 	if len(w.Tables) != 4 {
 		t.Fatalf("TATP has %d tables", len(w.Tables))
 	}
-	if len(w.Classes()) != 7 {
-		t.Errorf("TATP has %d classes", len(w.Classes()))
+	if len(w.Graphs) != 7 {
+		t.Errorf("TATP has %d classes", len(w.Graphs))
 	}
 	gen := ctx(7)
 	seen := map[string]int{}
@@ -256,8 +256,8 @@ func TestTATPGeneratesAllClasses(t *testing.T) {
 		if !ok {
 			t.Fatalf("class %s has no flow graph", tx.Class)
 		}
-		if len(g.TableCounts()) == 0 {
-			t.Fatal("empty table counts")
+		if len(g.Nodes) == 0 {
+			t.Fatal("empty flow graph")
 		}
 	}
 	for _, class := range []string{TATPGetSubData, TATPGetNewDest, TATPGetAccData, TATPUpdSubData, TATPUpdLocation} {
@@ -311,8 +311,8 @@ func TestTPCCValidationAndGeneration(t *testing.T) {
 	if len(w.Tables) != 9 {
 		t.Fatalf("TPC-C has %d tables, want 9", len(w.Tables))
 	}
-	if len(w.Classes()) != 5 {
-		t.Errorf("TPC-C has %d classes", len(w.Classes()))
+	if len(w.Graphs) != 5 {
+		t.Errorf("TPC-C has %d classes", len(w.Graphs))
 	}
 	gen := ctx(11)
 	seen := map[string]int{}
@@ -382,10 +382,6 @@ func TestNewOrderFlowGraph(t *testing.T) {
 	if len(g.Syncs) != 4 {
 		t.Errorf("NewOrder flow graph has %d sync points, want 4", len(g.Syncs))
 	}
-	counts := g.TableCounts()
-	if counts["Item"] != 10 {
-		t.Errorf("expected ~10 Item accesses, got %f", counts["Item"])
-	}
 	s := g.String()
 	if !strings.Contains(s, "I(OrderLine) x(5-15)") || !strings.Contains(s, "sync") {
 		t.Errorf("flow graph rendering missing pieces:\n%s", s)
@@ -423,27 +419,21 @@ func TestSchedule(t *testing.T) {
 	if mixAt(-5)["a"] != 1 {
 		t.Error("negative times clamp to the first phase")
 	}
-	if PhaseLabelAt(phases, Seconds(15)) != "B" {
-		t.Error("PhaseLabelAt mismatch")
-	}
-	if PhaseLabelAt(phases, Seconds(95)) == "" {
-		t.Error("PhaseLabelAt should cycle")
-	}
-	if PhaseLabelAt(nil, 0) != "" {
-		t.Error("empty phases should return empty label")
-	}
-	if PhaseLabelAt([]Phase{{Label: "X"}}, Seconds(1)) != "X" {
-		t.Error("zero-duration phases fall back to the first label")
-	}
 }
 
 func TestDynamicScenarios(t *testing.T) {
-	w, phases, err := TATPWorkloadChange(1000)
+	// The Figure 10 shape: the class mix switches every 30 s.
+	mixAt, err := Schedule([]Phase{
+		{Label: "UpdSubData", Duration: Seconds(30), Mix: map[string]float64{TATPUpdSubData: 1}},
+		{Label: "GetNewDest", Duration: Seconds(30), Mix: map[string]float64{TATPGetNewDest: 1}},
+		{Label: "TATP-Mix", Duration: Seconds(30), Mix: TATPStandardMix()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(phases) != 3 {
-		t.Errorf("workload change has %d phases", len(phases))
+	w, err := TATP(TATPOptions{Subscribers: 1000, MixAt: mixAt})
+	if err != nil {
+		t.Fatal(err)
 	}
 	gen := ctx(13)
 	gen.At = Seconds(5)
@@ -455,19 +445,29 @@ func TestDynamicScenarios(t *testing.T) {
 		t.Errorf("phase 2 generated %s", tx.Class)
 	}
 
-	w2, phases2, err := TATPFrequentChanges(1000, Seconds(15))
+	// The Figure 13 shape: workloads A and B alternate.
+	mixAt, err = Schedule([]Phase{
+		{Label: "A", Duration: Seconds(15), Mix: map[string]float64{TATPGetNewDest: 1}},
+		{Label: "B", Duration: Seconds(15), Mix: TATPStandardMix()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(phases2) != 2 {
-		t.Errorf("frequent changes has %d phases", len(phases2))
+	w2, err := TATP(TATPOptions{Subscribers: 1000, MixAt: mixAt})
+	if err != nil {
+		t.Fatal(err)
 	}
 	gen.At = Seconds(5)
 	if tx := w2.Generate(gen); tx.Class != TATPGetNewDest {
 		t.Errorf("workload A generated %s", tx.Class)
 	}
 
-	w3, err := TATPSuddenSkew(1000, Seconds(20))
+	// The Figure 11 shape: uniform GetSubData turns skewed at t=20 s.
+	w3, err := TATP(TATPOptions{
+		Subscribers: 1000,
+		Mix:         map[string]float64{TATPGetSubData: 1},
+		Skew:        Skew{HotDataFraction: 0.2, HotAccessFraction: 0.5, Start: Seconds(20)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
