@@ -70,12 +70,16 @@ test:
 # goroutines that remain: executed mode (one executor goroutine per island,
 # shipping operations to each other over channels) and the harness pool's
 # concurrent sweep/fuzz paths (point scheduling, the allocation-measurement
-# token, parallel bit-identity). The counter-conservation oracle is repeated
-# (at its -short size): a lost update is a scheduling accident, and one clean
-# run proves little. The harness pass filters to the pool tests so the
-# race-slowed run stays bounded.
+# token, parallel bit-identity). The counter-conservation oracle (its
+# die-level mixed leg included) and the batch-protocol tests are repeated (the
+# oracle at its -short size): a lost update or a ship deadlock is a scheduling
+# accident, and one clean run proves little. ./internal/wal is here for
+# TestCentralLogConcurrentAppends: the priced tail is still shared by design.
+# The harness pass filters to the pool tests so the race-slowed run stays
+# bounded.
 race:
-	$(GO) test -race ./internal/backend
+	$(GO) test -race ./internal/backend ./internal/wal
+	$(GO) test -race -short -count=20 -run ExecutorBatch ./internal/backend
 	$(GO) test -race -run Executed ./internal/engine
 	$(GO) test -race -short -count=20 -run ExecutedCountersConserved ./internal/engine
 	$(GO) test -race -run 'TestPool|TestParallelSweepBitIdentical|TestFuzzShardDeterminism' ./internal/harness
@@ -92,7 +96,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchtime 100x -benchmem ./internal/engine
 	$(GO) test -run '^$$' -bench BenchmarkAcquireReleaseAll -benchtime 1000x -benchmem ./internal/lock
 	$(GO) test -run '^$$' -bench BenchmarkRepartition -benchtime 100x -benchmem ./internal/btree
-	$(GO) test -run '^$$' -bench BenchmarkExecutorShip -benchtime 200x -benchmem ./internal/backend
+	$(GO) test -run '^$$' -bench 'BenchmarkExecutorShip|BenchmarkHashCommit' -benchtime 200x -benchmem ./internal/backend
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchmem ./internal/engine

@@ -2,28 +2,16 @@ package backend
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
-	"atrapos/internal/numa"
 	"atrapos/internal/schema"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
 	"atrapos/internal/wal"
 )
-
-func testDomain(t testing.TB) *numa.Domain {
-	t.Helper()
-	top, err := topology.BuildProfile("2s-fc")
-	if err != nil {
-		t.Fatalf("BuildProfile: %v", err)
-	}
-	d, err := numa.NewDomain(top, numa.DefaultCostModel())
-	if err != nil {
-		t.Fatalf("NewDomain: %v", err)
-	}
-	return d
-}
 
 func testHash(t *testing.T, islands int) *HashBackend {
 	t.Helper()
@@ -38,7 +26,6 @@ func testHashLog(t testing.TB, islands int, log wal.Config) *HashBackend {
 		Tables:  []string{"alpha", "beta"},
 		Homes:   homes,
 		Log:     log,
-		Domain:  testDomain(t),
 	})
 	if err != nil {
 		t.Fatalf("NewHash: %v", err)
@@ -245,7 +232,10 @@ func TestExecutorShipping(t *testing.T) {
 				ex.Put(shard, 0, k, txn, uint64(k)*2)
 				ex.Poll()
 			}
-			ex.CommitLocal(txn, 0)
+			// The keys went to every island, so each one logs the commit.
+			for island := range execs {
+				ex.CommitRemote(island, txn, 0)
+			}
 			for i := 0; i < 100; i++ {
 				k := base + schema.Key(i)
 				shard := int(k) % b.Shards()
@@ -280,6 +270,17 @@ func TestExecutorShipping(t *testing.T) {
 	}
 	if ships == 0 {
 		t.Fatal("expected cross-island ships, saw none")
+	}
+	for island := range execs {
+		commits := 0
+		for _, r := range b.Log(island).Records() {
+			if r.Type == wal.Commit {
+				commits++
+			}
+		}
+		if commits != len(execs) {
+			t.Errorf("island %d logged %d commit records, want one per executor (%d)", island, commits, len(execs))
+		}
 	}
 }
 
@@ -329,10 +330,181 @@ func TestExecutorIncrementAtomic(t *testing.T) {
 	}
 }
 
-// BenchmarkExecutorShip measures one shipped operation's round trip between
-// two executors: to an owner idle in Serve, and to an owner busy with its own
+// TestExecutorBatchInOrderOnce stages a transaction's operations for two
+// remote owners and ships them: each owner must see one message, apply its
+// operations in staging order exactly once (the value log is the witness) and
+// append the commit record right behind them.
+func TestExecutorBatchInOrderOnce(t *testing.T) {
+	b := testHashLog(t, 4, wal.Config{GroupSize: 1}) // no coalescer: the log keeps every record in append order
+	execs := NewExecutors(b)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, ex := range execs[1:] {
+		wg.Add(1)
+		go func(ex *Executor) {
+			defer wg.Done()
+			ex.Serve(stop)
+		}(ex)
+	}
+	const txn = 9
+	ex := execs[0]
+	ex.Stage(OpPut, 1, 0, 10, txn, 5)       // insert 10 = 5
+	ex.Stage(OpIncrement, 2, 0, 20, txn, 0) // other owner, interleaved: 20 = 1
+	ex.Stage(OpIncrement, 1, 0, 10, txn, 0) // 10 = 6
+	ex.Stage(OpPut, 1, 0, 11, txn, 7)       // insert 11 = 7
+	ex.Stage(OpDelete, 1, 0, 11, txn, 0)    // and gone again
+	ex.Stage(OpIncrement, 1, 0, 10, txn, 0) // 10 = 7
+	ex.Stage(OpIncrement, 0, 0, 30, txn, 0) // own shard: applied at once, never shipped
+	if v, _ := b.Get(0, 0, 30); v != 1 {
+		t.Errorf("operation staged on the executor's own shard not applied at once: key 30 = %d", v)
+	}
+	if _, ok := b.Get(1, 0, 10); ok {
+		t.Error("a staged remote operation ran before ShipStaged")
+	}
+	ex.CommitLocal(txn, 0)
+	ex.ShipStaged(txn, 0)
+	ex.ShipStaged(txn, 0) // nothing staged any more: ships nothing
+	close(stop)
+	wg.Wait()
+
+	if v, _ := b.Get(1, 0, 10); v != 7 {
+		t.Errorf("key 10 = %d after put 5 and two increments, want 7", v)
+	}
+	if _, ok := b.Get(1, 0, 11); ok {
+		t.Error("key 11 survived its put-then-delete")
+	}
+	if v, _ := b.Get(2, 0, 20); v != 1 {
+		t.Errorf("key 20 = %d after one increment, want 1", v)
+	}
+	type rec struct {
+		typ wal.RecordType
+		key schema.Key
+	}
+	wantLogs := map[int][]rec{
+		1: {{wal.Insert, 10}, {wal.Update, 10}, {wal.Insert, 11}, {wal.Delete, 11}, {wal.Update, 10}, {wal.Commit, 0}},
+		2: {{wal.Insert, 20}, {wal.Commit, 0}},
+		3: nil,
+	}
+	for island, want := range wantLogs {
+		var got []rec
+		for _, r := range b.Log(island).Records() {
+			if r.Txn != txn {
+				t.Errorf("island %d logged a record of transaction %d", island, r.Txn)
+			}
+			got = append(got, rec{r.Type, r.Key})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("island %d log = %v, want %v", island, got, want)
+		}
+	}
+	if st := ex.Stats; st.Ships != 2 || st.ShippedOps != 8 {
+		t.Errorf("%d ships carrying %d operations, want 2 carrying 8 (6 operations + 2 commit records)", st.Ships, st.ShippedOps)
+	}
+	if s1, s2, s3 := execs[1].Stats.Serves, execs[2].Stats.Serves, execs[3].Stats.Serves; s1 != 1 || s2 != 1 || s3 != 0 {
+		t.Errorf("owners served %d/%d/%d messages, want 1/1/0", s1, s2, s3)
+	}
+}
+
+// TestExecutorBatchReadOnlyNoCommit: an owner that only reads for a
+// transaction is no write participant, so its batch carries no commit record
+// and leaves the owner's value log untouched; the reads still come back.
+func TestExecutorBatchReadOnlyNoCommit(t *testing.T) {
+	b := testHash(t, 2)
+	execs := NewExecutors(b)
+	b.Load(1, 0, 41, 99)
+	b.FinishLoad(0)
+	before := b.Log(1).Stats()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		execs[1].Serve(stop)
+	}()
+	ex := execs[0]
+	ex.Stage(OpGet, 1, 0, 41, 3, 0)
+	ex.Stage(OpGet, 1, 0, 42, 3, 0)
+	hit, miss := &ex.staged[1].ops[0], &ex.staged[1].ops[1]
+	ex.ShipStaged(3, 0)
+	close(stop)
+	<-done
+	if !hit.ok || hit.val != 99 || miss.ok {
+		t.Errorf("batched reads returned (%d, %v) and (%d, %v), want (99, true) and a miss", hit.val, hit.ok, miss.val, miss.ok)
+	}
+	if after := b.Log(1).Stats(); after != before {
+		t.Errorf("a read-only batch changed the owner's log: %+v -> %+v", before, after)
+	}
+	if st := ex.Stats; st.Ships != 1 || st.ShippedOps != 2 {
+		t.Errorf("%d ships carrying %d operations, want 1 carrying 2", st.Ships, st.ShippedOps)
+	}
+}
+
+// TestExecutorBatchesCrossing has every executor batch at every other one,
+// transaction after transaction, without ever polling: progress then rests
+// entirely on ship serving the inbox while it waits. It must finish — on one
+// P too, which the GOMAXPROCS=1 pass of `make test` checks — and conserve
+// every increment.
+func TestExecutorBatchesCrossing(t *testing.T) {
+	b := testHash(t, 4)
+	execs := NewExecutors(b)
+	const txns, perOwner = 400, 3
+	stop := make(chan struct{})
+	var work, all sync.WaitGroup
+	for _, ex := range execs {
+		work.Add(1)
+		all.Add(1)
+		go func(ex *Executor) {
+			defer all.Done()
+			for n := 0; n < txns; n++ {
+				txn := uint64(n*len(execs) + ex.ID() + 1)
+				for i := 0; i < perOwner; i++ {
+					for shard := range execs {
+						ex.Stage(OpIncrement, shard, 0, schema.Key(shard), txn, 0)
+					}
+				}
+				ex.CommitLocal(txn, int64(n))
+				ex.ShipStaged(txn, int64(n))
+			}
+			work.Done()
+			ex.Serve(stop)
+		}(ex)
+	}
+	finished := make(chan struct{})
+	go func() {
+		work.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatal("executors batching at each other did not finish in 60 s")
+	}
+	close(stop)
+	all.Wait()
+	for shard := range execs {
+		if v, _ := b.Get(shard, 0, schema.Key(shard)); v != uint64(len(execs)*txns*perOwner) {
+			t.Errorf("shard %d counter = %d, want %d", shard, v, len(execs)*txns*perOwner)
+		}
+	}
+	var ships, ops, serves int64
+	for _, ex := range execs {
+		ships += ex.Stats.Ships
+		ops += ex.Stats.ShippedOps
+		serves += ex.Stats.Serves
+	}
+	remote := int64(len(execs) * (len(execs) - 1) * txns)
+	if ships != remote || serves != remote || ops != remote*(perOwner+1) {
+		t.Errorf("%d ships, %d serves, %d carried operations; want %d, %d, %d",
+			ships, serves, ops, remote, remote, remote*(perOwner+1))
+	}
+}
+
+// BenchmarkExecutorShip measures one message's round trip between two
+// executors: to an owner idle in Serve, and to an owner busy with its own
 // transactions (ten local increments and a commit) that polls its inbox
-// between them, which is how the engine's work loop serves peers.
+// between them, which is how the engine's work loop serves peers. The plain
+// cases ship one Get; the batch5 cases ship what a multisite transaction sends
+// one participant — five increments and the commit record — and also report
+// the round trip per carried operation.
 func BenchmarkExecutorShip(b *testing.B) {
 	owners := []struct {
 		name string
@@ -354,31 +526,79 @@ func BenchmarkExecutorShip(b *testing.B) {
 			}
 		}},
 	}
-	for _, o := range owners {
-		b.Run(o.name, func(b *testing.B) {
-			h := testHashLog(b, 2, wal.DefaultConfig())
-			execs := NewExecutors(h)
-			h.Load(1, 0, 1, 1)
-			h.FinishLoad(0)
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				o.run(execs[1], stop)
-			}()
-			execs[0].Get(1, 0, 1) // the owner is up before the clock starts
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := execs[0].Get(1, 0, 1); !ok {
-					b.Fatal("shipped Get missed a loaded key")
-				}
+	messages := []struct {
+		prefix  string
+		carried int
+		ship    func(b *testing.B, ex *Executor, i int)
+	}{
+		{"", 1, func(b *testing.B, ex *Executor, _ int) {
+			if _, ok := ex.Get(1, 0, 1); !ok {
+				b.Fatal("shipped Get missed a loaded key")
 			}
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-		})
+		}},
+		{"batch5/", 6, func(_ *testing.B, ex *Executor, i int) {
+			txn := uint64(1)<<32 + uint64(i)
+			for k := schema.Key(0); k < 5; k++ {
+				ex.Stage(OpIncrement, 1, 0, 2*k+1, txn, 0)
+			}
+			ex.ShipStaged(txn, 0)
+		}},
+	}
+	for _, m := range messages {
+		for _, o := range owners {
+			b.Run(m.prefix+o.name, func(b *testing.B) {
+				h := testHashLog(b, 2, wal.DefaultConfig())
+				execs := NewExecutors(h)
+				h.Load(1, 0, 1, 1)
+				h.FinishLoad(0)
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					o.run(execs[1], stop)
+				}()
+				m.ship(b, execs[0], 0) // the owner is up and the staging buffer grown before the clock starts
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.ship(b, execs[0], i+1)
+				}
+				b.StopTimer()
+				if m.carried > 1 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m.carried), "ns/carried-op")
+				}
+				close(stop)
+				wg.Wait()
+			})
+		}
+	}
+}
+
+// BenchmarkHashCommit is the executed write path of one island with nobody
+// else on the machine: one Increment and its transaction's Commit on an
+// unpriced value log (the engine's default log configuration). Steady state
+// must not allocate.
+func BenchmarkHashCommit(b *testing.B) {
+	h := testHashLog(b, 1, wal.DefaultConfig())
+	for k := schema.Key(0); k < 1024; k++ {
+		h.Load(0, 0, k, uint64(k))
+	}
+	h.FinishLoad(0)
+	txn := func(i int) {
+		h.Increment(0, 0, schema.Key(i&1023), uint64(i))
+		h.Commit(0, uint64(i), vclock.Nanos(i))
+	}
+	for i := 1; i <= 8192; i++ { // fill the retained-record ring
+		txn(i)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { txn(9000) }); allocs != 0 {
+		b.Fatalf("Increment+Commit allocates %.1f times per transaction, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn(10_000 + i)
 	}
 }
 

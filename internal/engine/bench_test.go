@@ -170,7 +170,7 @@ func BenchmarkExecute(b *testing.B) {
 			for ai := range t.Actions {
 				a := &t.Actions[ai]
 				ti := tableIdx[a.Table]
-				applyAction(ex, a.Op, w.siteOf(tps[ti].CoreFor(a.Key)), ti, a.Key, txnID)
+				ex.Stage(backendOp(a.Op), w.siteOf(tps[ti].CoreFor(a.Key)), ti, a.Key, txnID, uint64(a.Key))
 			}
 			ex.CommitLocal(txnID, int64(n))
 		}

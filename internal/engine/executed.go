@@ -32,7 +32,6 @@ func (e *Engine) buildHashBackend() error {
 		Tables:  names,
 		Homes:   wiringHomes(w),
 		Log:     *e.cfg.LogConfig,
-		Domain:  e.domain,
 	})
 	if err != nil {
 		return err
@@ -123,10 +122,12 @@ type ExecutedResult struct {
 	IslandLevel  string
 	Shards       int
 	Executors    int
-	// Ships and Serves count the operations executors shipped to a remote
-	// owner and the shipped operations owners executed (equal once a run has
-	// joined): Ships / Committed is the measured ships per transaction.
-	Ships, Serves int64
+	// Ships and Serves count the messages executors shipped to a remote owner
+	// and the messages owners served (equal once a run has joined) — one per
+	// (transaction, remote participant), so Ships / Committed is the measured
+	// ships per transaction. ShippedOps counts what those messages carried:
+	// every remote operation, plus one per commit record riding a batch.
+	Ships, Serves, ShippedOps int64
 	// Components is the measured wall time attributed to the cost model's
 	// components, summed over executors: Execution holds local index and
 	// value-log op time, Logging the commit/group-commit time (both sampled,
@@ -140,15 +141,21 @@ type ExecutedResult struct {
 
 // execScratchX is the per-executor reusable state of the executed run loop;
 // like the priced path's execScratch, everything the steady-state loop needs
-// lives here so the loop body allocates nothing.
+// lives here so the loop body allocates nothing. The scratches are one
+// array, so the trailing pad puts a full cache line between one executor's
+// fields and the next one's: without it executor i's opNs/logNs shared a line
+// with executor i+1's src, which that executor rewrites on every RNG draw
+// (TestExecScratchPadded).
 type execScratchX struct {
 	src   splitMix
 	ctx   workload.GenContext
-	parts []int32
-	in    []bool
 	opNs  int64
 	logNs int64
+	_     [cacheLineSize]byte
 }
+
+// cacheLineSize is the coherence granule the scratch padding assumes.
+const cacheLineSize = 64
 
 // RunExecuted executes the workload on the hash backend with one executor
 // goroutine per island and returns measured wall-time results. The first call
@@ -203,8 +210,6 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	scratch := make([]execScratchX, islands)
 	for i := range scratch {
 		scratch[i].ctx = workload.GenContext{Rng: rand.New(&scratch[i].src)}
-		scratch[i].parts = make([]int32, 0, islands)
-		scratch[i].in = make([]bool, islands)
 	}
 
 	stop := make(chan struct{})
@@ -246,6 +251,7 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 		sc := &scratch[i]
 		res.Ships += st.Ships
 		res.Serves += st.Serves
+		res.ShippedOps += st.ShippedOps
 		res.Components[vclock.Execution] += sc.opNs
 		res.Components[vclock.Logging] += sc.logNs
 		res.Components[vclock.Communication] += st.ShipNs + st.ServeNs
@@ -264,28 +270,28 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 // per 10-update transaction, each about as long as the hash probe it timed.
 const timedEvery = 16
 
-// applyAction performs one generated action through the executor that runs
-// its transaction: locally when the executor owns shard, otherwise as one
-// shipped operation.
-func applyAction(ex *backend.Executor, op workload.OpType, shard, table int, key schema.Key, txn uint64) {
+// backendOp maps a generated action to the storage operation that executes
+// it; an update is one owner-side read-modify-write.
+func backendOp(op workload.OpType) backend.Op {
 	switch op {
-	case workload.Read:
-		ex.Get(shard, table, key)
 	case workload.Update:
-		ex.Increment(shard, table, key, txn)
+		return backend.OpIncrement
 	case workload.Insert:
-		ex.Put(shard, table, key, txn, uint64(key))
+		return backend.OpPut
 	case workload.Delete:
-		ex.Delete(shard, table, key, txn)
+		return backend.OpDelete
 	}
+	return backend.OpGet
 }
 
 // executedWorker is one executor's work loop: it owns transactions n with
 // n % islands == executor id, generates them from the same per-index seeds
 // the priced loop uses, routes every action through the placement to its
-// island, executes locally or ships to the owner, and commits with the
-// value-log group-commit — shipping the commit record to each remote
-// participant, the executed analogue of the 2PC decision round.
+// island, applies the local ones at once and stages the remote ones per
+// owner, commits with the value-log group-commit, and then ships each remote
+// owner one message: its operations in generation order plus, for a write
+// participant, the commit record — the executed analogue of the 2PC decision
+// round, riding the same message as the work.
 func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts RunOptions,
 	w *islandWiring, tps []*partition.TablePlacement, tableIdx map[string]int, start time.Time) {
 	islands := e.hash.Islands()
@@ -305,7 +311,6 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 		sc.ctx.At = vclock.Nanos(nowNs)
 		t := e.wl.Generate(&sc.ctx)
 		txnID := uint64(n)
-		sc.parts = sc.parts[:0]
 		for ai := range t.Actions {
 			a := &t.Actions[ai]
 			ti := tableIdx[a.Table]
@@ -315,31 +320,26 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 			}
 			shard := w.siteOf(tp.CoreFor(a.Key))
 			// Ship time is accounted inside the executor (ShipNs), so only
-			// local actions are timed here.
+			// local actions are timed here; Stage applies those at once.
 			if timed && shard == id {
 				t0 := time.Now()
-				applyAction(ex, a.Op, shard, ti, a.Key, txnID)
+				ex.Stage(backendOp(a.Op), shard, ti, a.Key, txnID, uint64(a.Key))
 				sc.opNs += timedEvery * time.Since(t0).Nanoseconds()
 			} else {
-				applyAction(ex, a.Op, shard, ti, a.Key, txnID)
-			}
-			if a.Op.IsWrite() && shard != id && !sc.in[shard] {
-				sc.in[shard] = true
-				sc.parts = append(sc.parts, int32(shard))
+				ex.Stage(backendOp(a.Op), shard, ti, a.Key, txnID, uint64(a.Key))
 			}
 		}
-		// Commit: the home island's record always, then the decision shipped
-		// to every remote write participant. The commit timestamp is read for
-		// every transaction (the coalescer's max-age deadline runs on it) and
-		// doubles as the sampled bracket's start.
-		nowNs = time.Since(start).Nanoseconds()
-		ex.CommitLocal(txnID, nowNs)
+		// Commit: the home island's record first, then the batches. The commit
+		// timestamp only drives the coalescer's max-age deadline (milliseconds),
+		// so an untimed transaction reuses its start-of-transaction read; a
+		// timed one reads the clock again to open the sampled bracket.
 		if timed {
+			nowNs = time.Since(start).Nanoseconds()
+			ex.CommitLocal(txnID, nowNs)
 			sc.logNs += timedEvery * (time.Since(start).Nanoseconds() - nowNs)
+		} else {
+			ex.CommitLocal(txnID, nowNs)
 		}
-		for _, p := range sc.parts {
-			ex.CommitRemote(int(p), txnID, nowNs)
-			sc.in[p] = false
-		}
+		ex.ShipStaged(txnID, nowNs)
 	}
 }

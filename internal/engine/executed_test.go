@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -187,15 +188,21 @@ func checkConserved(t *testing.T, e *Engine, opts RunOptions, sites int, home fu
 // load-once (the second must continue from the first one's values); a
 // read-modify-write shipped as a Get and a Put loses about 1,500 of each run's
 // 200,000 increments here. -short runs a fifth of the transactions, which is
-// how `make race` affords twenty repeats under the race detector.
+// how `make race` affords twenty repeats under the race detector. The
+// 50%-multisite leg at die level mixes site-local transactions, which never
+// leave their executor, with batches to up to seven owners at once.
 func TestExecutedCountersConserved(t *testing.T) {
 	txns := 20_000
 	if testing.Short() {
 		txns = 4_000
 	}
-	for _, level := range []topology.Level{topology.LevelSocket, topology.LevelDie} {
-		t.Run(level.String(), func(t *testing.T) {
-			e := executedEngine(t, workload.MultisiteUpdate(64, 100), level, false)
+	for _, leg := range []struct {
+		name      string
+		level     topology.Level
+		multisite int
+	}{{"socket", topology.LevelSocket, 100}, {"die", topology.LevelDie, 100}, {"die-50", topology.LevelDie, 50}} {
+		t.Run(leg.name, func(t *testing.T) {
+			e := executedEngine(t, workload.MultisiteUpdate(64, leg.multisite), leg.level, false)
 			// loadBackend's synthesized initial value of a row is its key.
 			want := make(map[schema.Key]uint64)
 			for k := int64(0); k < 64; k++ {
@@ -264,10 +271,12 @@ func TestPricedCountersConserved(t *testing.T) {
 }
 
 // TestExecutedMultiIslandShips runs die-grained executors on a multisite
-// workload and checks that cross-island operations really ship, exactly as
-// often as the stream implies: once per remote action — an update is one
-// shipped Increment, not a Get and a Put — plus one commit record per remote
-// write participant.
+// workload and checks that cross-island work really ships, exactly as often as
+// the stream implies: one message per (transaction, remote participant), which
+// together carry every remote action once — an update is one Increment, not a
+// Get and a Put — plus one commit record per remote write participant. The
+// carried count is what the one-message-per-operation protocol shipped as
+// 8,035 separate messages on this stream: batching loses nothing logical.
 func TestExecutedMultiIslandShips(t *testing.T) {
 	wl := workload.MultisiteUpdate(4000, 50)
 	e := executedEngine(t, wl, topology.LevelDie, false)
@@ -287,19 +296,36 @@ func TestExecutedMultiIslandShips(t *testing.T) {
 	}
 	snap := e.state.snapshot()
 	tp, _ := snap.placement.Table("mupd")
-	var want int64
+	var wantShips, wantOps int64
 	replayStream(e, opts, res.Executors, executedHome(res.Executors), func(home int, txn *workload.Transaction) {
 		participants := make(map[int]bool)
 		for i := range txn.Actions {
 			if shard := snap.wiring.siteOf(tp.CoreFor(txn.Actions[i].Key)); shard != home {
-				want++
+				wantOps++
 				participants[shard] = true
 			}
 		}
-		want += int64(len(participants))
+		wantShips += int64(len(participants))
+		wantOps += int64(len(participants)) // every action is an update: each participant gets a commit record
 	})
-	if res.Ships != want || res.Serves != want {
-		t.Errorf("shipped %d and served %d operations, the stream implies %d", res.Ships, res.Serves, want)
+	if res.Ships != wantShips || res.Serves != wantShips {
+		t.Errorf("shipped %d and served %d messages, the stream implies %d", res.Ships, res.Serves, wantShips)
+	}
+	if res.ShippedOps != wantOps || wantOps != 8035 {
+		t.Errorf("messages carried %d operations, the stream implies %d (8035 before batching)", res.ShippedOps, wantOps)
+	}
+}
+
+// TestExecScratchPadded pins the layout fix for false sharing between
+// neighbouring executors' scratch: the struct's last field is a pad of at
+// least one cache line, so in the contiguous scratch array no line holds
+// fields of two executors.
+func TestExecScratchPadded(t *testing.T) {
+	typ := reflect.TypeOf(execScratchX{})
+	last := typ.Field(typ.NumField() - 1)
+	if last.Name != "_" || last.Type.Size() < cacheLineSize {
+		t.Errorf("execScratchX ends in field %q of %d bytes, want a pad of >= %d",
+			last.Name, last.Type.Size(), cacheLineSize)
 	}
 }
 

@@ -17,6 +17,12 @@ import (
 // interconnect and the per-access cost grows with the machine's distances.
 // This is exactly the effect that makes centralized data structures the
 // scalability bottleneck the paper describes in Sections III and IV.
+//
+// A nil *CacheLine is the unpriced line: Touch and Atomic return 0 and record
+// nothing (the pattern obs.Ring uses). The executed hash backend's value logs
+// run on one — their cost is measured in wall time, and a priced line's
+// counters (the topology's traffic matrix above all) are memory two executors
+// would both write on every append.
 type CacheLine struct {
 	owner   atomic.Int64 // last owning socket
 	domain  *Domain
@@ -53,6 +59,9 @@ func (cl *CacheLine) Atomic(s topology.SocketID) Cost {
 }
 
 func (cl *CacheLine) record(s topology.SocketID, atomicOp bool) Cost {
+	if cl == nil {
+		return 0
+	}
 	prev := topology.SocketID(cl.owner.Swap(int64(s)))
 	var c Cost
 	if atomicOp {

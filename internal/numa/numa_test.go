@@ -130,6 +130,17 @@ func TestCacheLineTouchVsAtomic(t *testing.T) {
 	}
 }
 
+// TestNilCacheLineIsFree pins the unpriced line: a nil *CacheLine costs
+// nothing from any socket and has no state to record into.
+func TestNilCacheLineIsFree(t *testing.T) {
+	var cl *CacheLine
+	for s := topology.SocketID(0); s < 4; s++ {
+		if c := cl.Touch(s) + cl.Atomic(s); c != 0 {
+			t.Errorf("nil cache line charged %d from socket %d, want 0", c, s)
+		}
+	}
+}
+
 func TestCacheLineConcurrentAccessIsSafe(t *testing.T) {
 	d := testDomain(t, 4, 4)
 	cl := NewCacheLine(d, 0)

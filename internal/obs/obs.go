@@ -52,7 +52,8 @@ const (
 	KindPhysFlush
 	// KindDeviceWait is queueing delay at a log device (Arg=bytes).
 	KindDeviceWait
-	// KindBackendOp is one executed-backend operation (wall-ns timestamps).
+	// KindBackendOp is one shipped batch served on its owner's executor
+	// (wall-ns timestamps; Arg=operations carried, a commit record included).
 	KindBackendOp
 	// KindPlannerSeal is a monitor-epoch seal at a planner boundary.
 	KindPlannerSeal

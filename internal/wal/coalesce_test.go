@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"reflect"
 	"testing"
 
 	"atrapos/internal/numa"
@@ -257,6 +258,60 @@ func TestCoalesceRecoveryMatchesUncoalescedTwin(t *testing.T) {
 	}
 	if ps.PhysicalRecords >= ls.PhysicalRecords {
 		t.Fatalf("coalescing did not shrink physical records: %d vs %d", ps.PhysicalRecords, ls.PhysicalRecords)
+	}
+}
+
+// TestNilDomainLogMatchesPricedTwin runs one churny history through a priced
+// log and through a log built without a domain (the executed value logs'
+// shape), plain and coalescing: the unpriced one must assign the same LSNs,
+// retain the same records, reach the same durable point, recover the same
+// rows and report the same Stats — it differs only in charging no tail cost.
+func TestNilDomainLogMatchesPricedTwin(t *testing.T) {
+	plain := DefaultConfig()
+	plain.Keep = 0
+	for name, cfg := range map[string]Config{"plain": plain, "coalescing": coalCfg(4)} {
+		priced := NewCentralLog(newDomain(2), 1, cfg)
+		unpriced := NewCentralLog(nil, 1, cfg)
+		history := func(l *CentralLog) (cost numa.Cost) {
+			for txn := uint64(1); txn <= 40; txn++ {
+				sock := topology.SocketID(txn % 2)
+				_, c1 := l.Append(sock, Record{Txn: txn, Type: Update, Table: "t", Key: schema.Key(txn % 7), Size: 32})
+				_, c2 := l.Append(sock, Record{Txn: txn, Type: Insert, Table: "t", Key: schema.Key(100 + txn), Size: 32})
+				cost += c1 + c2
+				if txn%5 == 0 {
+					continue // a loser: no outcome record
+				}
+				lsn, c3 := l.Append(sock, Record{Txn: txn, Type: Commit, Size: 16})
+				cost += c3 + l.Flush(sock, lsn, vclock.Nanos(txn)*10)
+			}
+			l.Drain(1000)
+			return cost
+		}
+		pricedCost, unpricedCost := history(priced), history(unpriced)
+		if unpricedCost >= pricedCost {
+			t.Errorf("%s: unpriced log charged %d, priced twin %d: the tail cost should be gone", name, unpricedCost, pricedCost)
+		}
+		if p, u := priced.Stats(), unpriced.Stats(); p != u {
+			t.Errorf("%s: Stats differ: priced %+v, unpriced %+v", name, p, u)
+		}
+		if priced.Tail() != unpriced.Tail() || priced.Durable() != unpriced.Durable() {
+			t.Errorf("%s: tail/durable %d/%d priced, %d/%d unpriced", name,
+				priced.Tail(), priced.Durable(), unpriced.Tail(), unpriced.Durable())
+		}
+		pr, ur := priced.Records(), unpriced.Records()
+		if !reflect.DeepEqual(pr, ur) {
+			t.Fatalf("%s: retained records differ (%d priced, %d unpriced)", name, len(pr), len(ur))
+		}
+		rows := func(l *CentralLog) map[schema.Key]schema.Row {
+			store := newMapStore()
+			if _, err := Recover(l.Records(), l.Durable(), true, map[string]RowStore{"t": store}); err != nil {
+				t.Fatal(err)
+			}
+			return store.rows
+		}
+		if got, want := rows(unpriced), rows(priced); len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: unpriced log recovered %d rows, priced twin %d", name, len(got), len(want))
+		}
 	}
 }
 

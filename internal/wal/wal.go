@@ -302,7 +302,11 @@ func isWriteType(t RecordType) bool {
 	return false
 }
 
-// NewCentralLog creates a centralized log homed on socket home.
+// NewCentralLog creates a centralized log homed on socket home. A nil domain
+// builds the log without a priced tail: appends and flushes charge no
+// cache-line cost and record no traffic (the executed hash backend's value
+// logs, which measure wall time); everything else — LSNs, group commit, the
+// coalescer, retention, Stats — is the same code.
 func NewCentralLog(d *numa.Domain, home topology.SocketID, cfg Config) *CentralLog {
 	if cfg.GroupSize < 1 {
 		cfg.GroupSize = 1
@@ -310,7 +314,10 @@ func NewCentralLog(d *numa.Domain, home topology.SocketID, cfg Config) *CentralL
 	if cfg.PerByteCost < 0 {
 		cfg.PerByteCost = 0
 	}
-	l := &CentralLog{cfg: cfg, tail: numa.NewCacheLine(d, home), next: 1}
+	l := &CentralLog{cfg: cfg, next: 1}
+	if d != nil {
+		l.tail = numa.NewCacheLine(d, home)
+	}
 	if cfg.CoalesceRecords > 0 {
 		l.coal = newCoalescer()
 	}
