@@ -90,10 +90,12 @@ race:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# A short benchmark pass so hot-path regressions (time or allocations) fail
-# loudly in review; see DESIGN.md section 7 for the invariants.
+# A short benchmark pass so hot-path and load-path regressions (time or
+# allocations) fail loudly in review; see DESIGN.md section 7 for the invariants.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchtime 100x -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench BenchmarkLoad -benchtime 1x -benchmem ./internal/engine
+	$(GO) test -run TestLoadAllocBudget -v ./internal/storage
 	$(GO) test -run '^$$' -bench BenchmarkAcquireReleaseAll -benchtime 1000x -benchmem ./internal/lock
 	$(GO) test -run '^$$' -bench BenchmarkRepartition -benchtime 100x -benchmem ./internal/btree
 	$(GO) test -run '^$$' -bench 'BenchmarkExecutorShip|BenchmarkHashCommit' -benchtime 200x -benchmem ./internal/backend

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -637,23 +638,37 @@ func randomBounds(rng *rand.Rand, n int, limit int64) []schema.Key {
 // and the row-by-row reference with the same seeded stream of splits, merges,
 // re-boundings and row operations, and requires the same errors, indices,
 // moved counts, bounds, sizes and contents after every step, with checkTree
-// holding on every sub-tree.
+// holding on every sub-tree. Seeds 1..seeds start the path-cutting tree
+// inserted; as many more start it bulk-loaded (full, capped leaves).
 func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 	const keySpace = 20000
 	seeds, steps := 20, 300
 	if testing.Short() {
 		seeds, steps = 4, 200
 	}
-	for seed := 1; seed <= seeds; seed++ {
+	for seed := 1; seed <= 2*seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		bounds := randomBounds(rng, 1+rng.Intn(8), keySpace)
 		got, _ := NewMultiRooted(bounds)
 		model, _ := NewMultiRooted(bounds)
 		ref := &refMultiRooted{*model}
+		loaded := seed > seeds // got starts from the reference's rows, bulk-loaded
 		for i, n := 0, 500+rng.Intn(6000); i < n; i++ {
 			k := schema.Key(rng.Int63n(keySpace))
-			got.Insert(k, row(int64(i)))
+			if !loaded {
+				got.Insert(k, row(int64(i)))
+			}
 			ref.Insert(k, row(int64(i)))
+		}
+		if loaded {
+			keys, vals := scanAll(ref.Scan)
+			rows := make([]schema.Row, len(vals))
+			for i, v := range vals {
+				rows[i] = row(v)
+			}
+			if err := got.Load(keys, rows); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
 		}
 		for step := 0; step < steps; step++ {
 			var desc string
@@ -811,7 +826,7 @@ func TestRepartitionMovedRule(t *testing.T) {
 // TestRepartitionReusesUnchangedRoots: a sub-tree whose [lower, upper) the new
 // bounds leave alone is the same *Tree afterwards, root node included.
 func TestRepartitionReusesUnchangedRoots(t *testing.T) {
-	m := loadedUniform(10000, 8)
+	m := loadedUniform(10000, 8, true)
 	before := slices.Clone(m.roots)
 	rootNodes := make([]*node, len(before))
 	for i, tr := range before {
@@ -863,31 +878,147 @@ func TestJoinSplitsOverfullSpine(t *testing.T) {
 	}
 }
 
-// loadedUniform builds a table of rows keys 0..rows-1, loaded in key order into
-// parts uniform partitions.
-func loadedUniform(rows int64, parts int) *MultiRooted {
+// loadedUniform builds a table of rows keys 0..rows-1 in parts uniform
+// partitions, bulk-loaded (Load) or, with inserted set, inserted in key order.
+func loadedUniform(rows int64, parts int, inserted bool) *MultiRooted {
 	m, err := NewMultiRooted(UniformBounds(rows, parts))
 	if err != nil {
 		panic(err)
 	}
-	for i := int64(0); i < rows; i++ {
-		m.Insert(schema.KeyFromInt(i), row(i))
+	keys, vals := ascending(int(rows), 1)
+	if !inserted {
+		if err := m.Load(keys, vals); err != nil {
+			panic(err)
+		}
+		return m
+	}
+	for i, k := range keys {
+		m.Insert(k, vals[i])
 	}
 	return m
+}
+
+// ascending returns the keys 0, step, 2*step, … and a row per key holding it.
+func ascending(n int, step int64) ([]schema.Key, []schema.Row) {
+	keys, vals := make([]schema.Key, n), make([]schema.Row, n)
+	for i := range keys {
+		keys[i], vals[i] = schema.Key(int64(i)*step), row(int64(i)*step)
+	}
+	return keys, vals
+}
+
+// TestLoadMatchesInsert builds every size around the leaf and internal-node
+// capacities under one partition, 32 uniform ones, and bounds that reach past
+// the data (so the last partitions stay empty), and holds the bulk-loaded tree
+// to the structural oracle and to a twin built by Insert: same sizes, same
+// Ascend, same Get on every key and on the gaps between them, same Scan across
+// partition seams. Run-time inserts into the gaps, which grow the capped
+// leaves, and deletes must then keep both trees equal.
+func TestLoadMatchesInsert(t *testing.T) {
+	const step = 3 // keys 0, 3, 6, …: the gaps are where lookups miss
+	full := maxKeys()
+	for _, n := range []int{0, 1, full - 1, full, full + 1, full * (full + 1), full*(full+1) + 1, 100_000} {
+		limit := int64(max(n, 1)) * step
+		for _, layout := range []struct {
+			name   string
+			bounds []schema.Key
+		}{
+			{"one partition", []schema.Key{0}},
+			{"32 uniform", UniformBounds(limit, 32)},
+			{"past the data", UniformBounds(2*limit, 32)},
+		} {
+			where := fmt.Sprintf("%d rows, %s", n, layout.name)
+			keys, vals := ascending(n, step)
+			got, _ := NewMultiRooted(layout.bounds)
+			if err := got.Load(keys, vals); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			want, _ := NewMultiRooted(layout.bounds)
+			for i, k := range keys {
+				want.Insert(k, vals[i])
+			}
+			same := func(stage string) {
+				t.Helper()
+				checkMultiRooted(t, got)
+				if !slices.Equal(got.PartitionSizes(), want.PartitionSizes()) {
+					t.Fatalf("%s %s: sizes %v, inserted %v", where, stage, got.PartitionSizes(), want.PartitionSizes())
+				}
+				gk, gv := scanAll(got.Scan)
+				wk, wv := scanAll(want.Scan)
+				if !slices.Equal(gk, wk) || !slices.Equal(gv, wv) {
+					t.Fatalf("%s %s: contents differ (%d against %d rows)", where, stage, len(gk), len(wk))
+				}
+				var ascended []schema.Key
+				for _, tr := range got.roots {
+					tr.Ascend(func(k schema.Key, _ schema.Row) bool { ascended = append(ascended, k); return true })
+				}
+				if !slices.Equal(ascended, wk) {
+					t.Fatalf("%s %s: Ascend over the partitions differs from the inserted twin", where, stage)
+				}
+				for k := schema.Key(0); k < schema.Key(limit+step); k++ {
+					g, gok := got.Get(k)
+					w, wok := want.Get(k)
+					if gok != wok || (gok && g[0] != w[0]) {
+						t.Fatalf("%s %s: Get(%d) = %v, %v; inserted %v, %v", where, stage, k, g, gok, w, wok)
+					}
+				}
+				for i := 1; i < len(layout.bounds); i++ { // a scan straddling each seam
+					b := layout.bounds[i]
+					from, to := b-min(b, 2*step), b+2*step
+					var gs, ws []schema.Key
+					got.Scan(from, to, func(k schema.Key, _ schema.Row) bool { gs = append(gs, k); return true })
+					want.Scan(from, to, func(k schema.Key, _ schema.Row) bool { ws = append(ws, k); return true })
+					if !slices.Equal(gs, ws) {
+						t.Fatalf("%s %s: Scan(%d, %d) = %v, inserted %v", where, stage, from, to, gs, ws)
+					}
+				}
+			}
+			same("after load")
+			if n > 100_000/2 {
+				continue // the gap and delete legs gain nothing at this size
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			for i := 0; i < 200; i++ {
+				k := schema.Key(rng.Int63n(limit + step))
+				if k%step == 0 {
+					got.Delete(k)
+					want.Delete(k)
+				} else {
+					got.Insert(k, row(-int64(k)))
+					want.Insert(k, row(-int64(k)))
+				}
+			}
+			same("after inserts and deletes")
+		}
+	}
+	m, _ := NewMultiRooted([]schema.Key{0})
+	if err := m.Load([]schema.Key{1, 2}, []schema.Row{row(1)}); err == nil {
+		t.Error("a key without a row should fail")
+	}
+	if err := m.Load([]schema.Key{1, 2, 2}, []schema.Row{row(1), row(2), row(2)}); err == nil || !strings.Contains(err.Error(), "row 2") {
+		t.Errorf("duplicate key: err = %v, want one naming row 2", err)
+	}
+	m.Insert(5, row(5))
+	if err := m.Load([]schema.Key{1}, []schema.Row{row(1)}); err == nil {
+		t.Error("a load into a non-empty tree should fail")
+	}
 }
 
 // TestRepartitioningDoesNotFragment: 1,000 random full re-boundings of a
 // 100 K-row, 32-partition table leave at most a few seam nodes per partition
 // behind, and back on the load-time bounds no lookup is deeper than at load.
+// Seeds 1..seeds start from a table inserted in key order (half-full leaves),
+// as many more from a bulk-loaded one (full leaves); each is held to its own
+// shape at load.
 func TestRepartitioningDoesNotFragment(t *testing.T) {
 	const rows, parts = 100000, 32
 	seeds, rounds := 20, 1000
 	if testing.Short() {
 		seeds, rounds = 2, 200
 	}
-	for seed := 1; seed <= seeds; seed++ {
+	for seed := 1; seed <= 2*seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		m := loadedUniform(rows, parts)
+		m := loadedUniform(rows, parts, seed <= seeds)
 		loadLeaves, loadHeight := checkMultiRooted(t, m)
 		for round := 0; round < rounds; round++ {
 			if _, err := m.Repartition(randomBounds(rng, parts, rows)); err != nil {
@@ -917,7 +1048,8 @@ func TestRepartitioningDoesNotFragment(t *testing.T) {
 
 // BenchmarkRepartition measures what a repartitioning costs the host as the
 // table grows: it should stay flat in rows (a path cut and a seam join touch
-// O(height) nodes; only counting a cut-off piece walks its leaves).
+// O(height) nodes; only counting a cut-off piece walks its leaves). Each case
+// starts from a table inserted in key order and from a bulk-loaded one.
 func BenchmarkRepartition(b *testing.B) {
 	const parts = 32
 	for _, rows := range []int64{10_000, 100_000, 1_000_000} {
@@ -939,29 +1071,31 @@ func BenchmarkRepartition(b *testing.B) {
 			{"shift-all-32", shifted(func(int) bool { return true })},
 		}
 		for _, tc := range cases {
-			b.Run(fmt.Sprintf("rows=%d/%s", rows, tc.name), func(b *testing.B) {
-				m := loadedUniform(rows, parts)
-				home := m.Bounds()
-				at := home[parts/2] + schema.Key(rows/parts/2)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					switch {
-					case tc.alt == nil:
-						idx, err := m.Split(at)
-						if err != nil {
-							b.Fatal(err)
+			for _, start := range []string{"inserted", "loaded"} {
+				b.Run(fmt.Sprintf("rows=%d/%s/%s", rows, tc.name, start), func(b *testing.B) {
+					m := loadedUniform(rows, parts, start == "inserted")
+					home := m.Bounds()
+					at := home[parts/2] + schema.Key(rows/parts/2)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						switch {
+						case tc.alt == nil:
+							idx, err := m.Split(at)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if err := m.Merge(idx - 1); err != nil {
+								b.Fatal(err)
+							}
+						case i%2 == 0:
+							m.Repartition(tc.alt)
+						default:
+							m.Repartition(home)
 						}
-						if err := m.Merge(idx - 1); err != nil {
-							b.Fatal(err)
-						}
-					case i%2 == 0:
-						m.Repartition(tc.alt)
-					default:
-						m.Repartition(home)
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

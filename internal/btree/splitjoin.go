@@ -77,14 +77,39 @@ func cut(n *node, key schema.Key) (l, r *node) {
 	return n, r
 }
 
-// collapse makes one side of a cut a root: a missing side is an empty leaf,
-// and single-child nodes left at the top of the path are dropped.
+// collapse makes one side of a cut, or a join's result, a root: a missing side
+// is an empty leaf, a single-child root hands its child up, and a root whose
+// internal children's children fit in one node is replaced by that node. A
+// sub-tree that shrank thus sits no higher than its leaves need, however tall
+// it once grew. Leaves are left as they are: the seam coalescing in join is
+// what keeps their count down.
 func collapse(n *node) *node {
 	if n == nil {
 		return &node{leaf: true}
 	}
-	for !n.leaf && len(n.children) == 1 {
-		n = n.children[0]
+	for !n.leaf {
+		if len(n.children) == 1 {
+			n = n.children[0]
+			continue
+		}
+		if n.children[0].leaf {
+			return n
+		}
+		grand := 0
+		for _, c := range n.children {
+			if grand += len(c.children); grand > maxKeys()+1 {
+				return n
+			}
+		}
+		m := &node{keys: make([]schema.Key, 0, grand-1), children: make([]*node, 0, grand)}
+		for i, c := range n.children {
+			if i > 0 {
+				m.keys = append(m.keys, n.keys[i-1])
+			}
+			m.keys = append(m.keys, c.keys...)
+			m.children = append(m.children, c.children...)
+		}
+		n = m
 	}
 	return n
 }
@@ -92,8 +117,8 @@ func collapse(n *node) *node {
 // join appends right, whose keys must all be greater than t's, to t; right
 // must not be used afterwards. The shorter tree hangs off the taller one's
 // spine at its own height, and the seam is coalesced bottom-up: the boundary
-// leaves and then their ancestors merge into one node whenever the two fit, so
-// a split followed by a join at the same key restores the shape it started from.
+// leaves and then their ancestors merge into one node whenever the two fit, and
+// a root left with a level more than its leaves need is lowered (collapse).
 func (t *Tree) join(right *Tree) {
 	if right.size == 0 {
 		return
@@ -155,6 +180,7 @@ func (t *Tree) join(right *Tree) {
 		}
 		t.root = splitOverfull(rp[:hr-h], false)
 	}
+	t.root = collapse(t.root)
 }
 
 // splitOverfull splits, bottom-up, the nodes of a spine that attaching a child

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"atrapos/internal/backend"
@@ -201,4 +203,48 @@ func BenchmarkExecute(b *testing.B) {
 		}
 		benchSteadyState(b, e, false)
 	})
+}
+
+// BenchmarkLoad reports what engine.New costs per loaded row on TATP (13 rows
+// per subscriber over four tables), almost all of it the bulk load: ns/row,
+// allocs/row, and the heap the built engine still holds per row after a
+// collection (retained-B/row).
+//
+//	go test -run '^$' -bench BenchmarkLoad -benchmem ./internal/engine
+func BenchmarkLoad(b *testing.B) {
+	for _, subs := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("subscribers=%d", subs), func(b *testing.B) {
+			wl := workload.MustTATP(workload.TATPOptions{Subscribers: subs})
+			rows := 0
+			for _, td := range wl.Tables {
+				rows += td.Rows
+			}
+			var before, built, collected runtime.MemStats
+			var mallocs, retained uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				e, err := New(Config{Design: Centralized, Workload: wl, Topology: smallTopology()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&built)
+				runtime.GC()
+				runtime.ReadMemStats(&collected)
+				runtime.KeepAlive(e)
+				mallocs += built.Mallocs - before.Mallocs
+				retained += collected.HeapAlloc - before.HeapAlloc
+				b.StartTimer()
+			}
+			total := float64(b.N * rows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/row")
+			b.ReportMetric(float64(mallocs)/total, "allocs/row")
+			b.ReportMetric(float64(retained)/total, "retained-B/row")
+		})
+	}
 }

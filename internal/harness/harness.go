@@ -255,8 +255,8 @@ func IDs() []string {
 }
 
 // ExperimentResult is one experiment's outcome under RunAllTimed: the
-// rendered table (nil on failure), the experiment's own wall time, and its
-// error if it failed.
+// rendered table (nil if the experiment failed before rendering one), the
+// experiment's own wall time, and its error if it failed.
 type ExperimentResult struct {
 	ID    string
 	Table *Table
@@ -287,7 +287,6 @@ func RunAllTimed(s Scale) ([]ExperimentResult, error) {
 			t, err := e.Run(inner)
 			results[i] = ExperimentResult{ID: e.ID, Table: t, Wall: time.Since(start)}
 			if err != nil {
-				results[i].Table = nil
 				results[i].Err = fmt.Errorf("%s: %w", e.ID, err)
 				return results[i].Err
 			}

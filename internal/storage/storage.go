@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"atrapos/internal/btree"
 	"atrapos/internal/numa"
@@ -23,13 +22,12 @@ var ErrNotFound = errors.New("storage: key not found")
 // ErrDuplicate is returned when inserting a key that already exists.
 var ErrDuplicate = errors.New("storage: duplicate key")
 
-// Manager owns the catalog and the physical tables.
+// Manager owns the catalog and the physical tables. It is single-owner like
+// its tables (see Table).
 type Manager struct {
 	domain  *numa.Domain
 	catalog *schema.Catalog
-
-	mu     sync.RWMutex
-	tables map[string]*Table
+	tables  map[string]*Table
 }
 
 // NewManager creates an empty storage manager over the given NUMA domain.
@@ -68,9 +66,7 @@ func (m *Manager) CreateTable(def *schema.Table, bounds []schema.Key, homes []to
 		tree:   tree,
 		homes:  normalizeHomes(homes, len(bounds)),
 	}
-	m.mu.Lock()
 	m.tables[def.Name] = t
-	m.mu.Unlock()
 	return t, nil
 }
 
@@ -91,8 +87,6 @@ func normalizeHomes(homes []topology.SocketID, n int) []topology.SocketID {
 
 // Table returns the physical table with the given name.
 func (m *Manager) Table(name string) (*Table, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	t, ok := m.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown table %q", name)
@@ -102,8 +96,6 @@ func (m *Manager) Table(name string) (*Table, error) {
 
 // Tables returns all physical tables sorted by name.
 func (m *Manager) Tables() []*Table {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]*Table, 0, len(m.tables))
 	for _, t := range m.tables {
 		out = append(out, t)
@@ -117,15 +109,22 @@ func (m *Manager) Tables() []*Table {
 // of the access as observed from the caller's core: the socket component of
 // the distance prices cross-socket DRAM pulls and, on hierarchical machines,
 // the die component prices the on-package hop to the memory-controller die.
+//
+// A Table is single-owner, like the btree.MultiRooted it wraps: it holds no
+// lock, so it must never be reached from two goroutines at once. Nothing does.
+// A priced run is one goroutine, the planner included; the harness pool gives
+// every point its own engine and so its own Manager; executed-mode executors
+// touch only backend.HashBackend, and loadBackend reads the priced tables on
+// the caller's goroutine before any executor starts; the repo benchmark's
+// per-layer replay drives its tables serially.
 type Table struct {
 	def    *schema.Table
 	domain *numa.Domain
 	tree   *btree.MultiRooted
+	homes  []topology.SocketID
 
-	mu    sync.RWMutex
-	homes []topology.SocketID
-
-	// avgRowBytes tracks an approximate row size for traffic accounting.
+	// avgRowBytes tracks an approximate row size for traffic accounting: an
+	// integer moving average over every row loaded or inserted, in that order.
 	avgRowBytes int
 }
 
@@ -149,8 +148,6 @@ func (t *Table) PartitionFor(key schema.Key) int { return t.tree.PartitionFor(ke
 
 // Home returns the memory node of partition i.
 func (t *Table) Home(i int) topology.SocketID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if i < 0 || i >= len(t.homes) {
 		return 0
 	}
@@ -161,8 +158,6 @@ func (t *Table) Home(i int) topology.SocketID {
 // Go heap memory; only the cost model placement changes, which is the aspect
 // the experiments measure.)
 func (t *Table) SetHome(i int, s topology.SocketID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i < 0 || i >= len(t.homes) {
 		return fmt.Errorf("storage: partition %d out of range [0,%d)", i, len(t.homes))
 	}
@@ -172,8 +167,6 @@ func (t *Table) SetHome(i int, s topology.SocketID) error {
 
 // Homes returns a copy of the per-partition memory nodes.
 func (t *Table) Homes() []topology.SocketID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return append([]topology.SocketID(nil), t.homes...)
 }
 
@@ -214,7 +207,7 @@ func (t *Table) Insert(from topology.CoreID, key schema.Key, row schema.Row) (nu
 		return cost, ErrDuplicate
 	}
 	t.tree.Insert(key, row)
-	t.observeRowSize(row.Size())
+	t.avgRowBytes = nextAvgRowBytes(t.avgRowBytes, row.Size())
 	return cost + t.domain.Model.LocalAccess, nil
 }
 
@@ -258,47 +251,42 @@ func (t *Table) Scan(caller topology.CoreID, from, to schema.Key, fn func(schema
 	return cost
 }
 
-// Load bulk-inserts rows without cost accounting; it is used to populate
-// datasets before an experiment starts.
-func (t *Table) Load(rows []schema.Row) error {
-	for _, r := range rows {
-		key, err := schema.RowKey(t.def, r)
-		if err != nil {
-			return err
-		}
-		t.tree.Insert(key, r)
-		t.observeRowSize(r.Size())
-	}
-	return nil
-}
-
-// LoadFunc generates and inserts n rows produced by gen(i).
+// LoadFunc populates the empty table, without cost accounting, with the n rows
+// gen(0) … gen(n-1), whose keys must be strictly ascending; every workload's
+// row generator emits them that way. The rows are staged and the B-tree is
+// built bottom-up from them (btree.MultiRooted.Load). A key that does not
+// ascend, a duplicate included, and a table that already holds rows are errors
+// naming the table and, for a key, the row.
 func (t *Table) LoadFunc(n int, gen func(i int) schema.Row) error {
-	for i := 0; i < n; i++ {
+	keys := make([]schema.Key, n)
+	rows := make([]schema.Row, n)
+	avg := t.avgRowBytes
+	for i := range rows {
 		r := gen(i)
 		key, err := schema.RowKey(t.def, r)
 		if err != nil {
-			return err
+			return fmt.Errorf("storage: loading %s row %d: %w", t.def.Name, i, err)
 		}
-		t.tree.Insert(key, r)
-		t.observeRowSize(r.Size())
+		keys[i], rows[i] = key, r
+		avg = nextAvgRowBytes(avg, r.Size())
 	}
+	if err := t.tree.Load(keys, rows); err != nil {
+		return fmt.Errorf("storage: loading %s: %w", t.def.Name, err)
+	}
+	t.avgRowBytes = avg
 	return nil
 }
 
-func (t *Table) observeRowSize(size int) {
-	t.mu.Lock()
-	if t.avgRowBytes == 0 {
-		t.avgRowBytes = size
-	} else {
-		t.avgRowBytes = (t.avgRowBytes*15 + size) / 16
+// nextAvgRowBytes folds one row of size bytes into the moving average avg
+// (0: no row seen yet).
+func nextAvgRowBytes(avg, size int) int {
+	if avg == 0 {
+		return size
 	}
-	t.mu.Unlock()
+	return (avg*15 + size) / 16
 }
 
 func (t *Table) rowBytes() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.avgRowBytes == 0 {
 		return 64
 	}
@@ -314,12 +302,10 @@ func (t *Table) Split(at schema.Key) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	t.mu.Lock()
 	home := t.homes[oldIdx]
 	t.homes = append(t.homes, 0)
 	copy(t.homes[newIdx+1:], t.homes[newIdx:])
 	t.homes[newIdx] = home
-	t.mu.Unlock()
 	right, _ := t.tree.Partition(newIdx) // in range: Split just created it
 	return newIdx, right.Len(), nil
 }
@@ -335,9 +321,7 @@ func (t *Table) Merge(i int) (int, error) {
 	if err := t.tree.Merge(i); err != nil {
 		return 0, err
 	}
-	t.mu.Lock()
 	t.homes = append(t.homes[:i+1], t.homes[i+2:]...)
-	t.mu.Unlock()
 	return moved, nil
 }
 
@@ -348,8 +332,6 @@ func (t *Table) Repartition(bounds []schema.Key, homes []topology.SocketID) (int
 	if err != nil {
 		return 0, err
 	}
-	t.mu.Lock()
 	t.homes = normalizeHomes(homes, len(bounds))
-	t.mu.Unlock()
 	return moved, nil
 }

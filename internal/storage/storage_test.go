@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"atrapos/internal/btree"
@@ -164,16 +165,113 @@ func TestLoadAndScan(t *testing.T) {
 	if visited != 100 || cost <= 0 {
 		t.Errorf("scan visited %d rows at cost %d", visited, cost)
 	}
-	// Load with explicit rows and a bad row.
-	if err := tbl.Load([]schema.Row{{int64(2000), int64(1)}}); err != nil {
+	// A loaded table takes run-time inserts.
+	if _, err := tbl.Insert(0, schema.KeyFromInt(2000), schema.Row{int64(2000), int64(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Load([]schema.Row{{1.5, int64(1)}}); err == nil {
-		t.Error("bad primary key type should fail")
+	if _, err := tbl.Insert(0, schema.KeyFromInt(999), schema.Row{int64(999), int64(1)}); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("insert over a loaded key: err = %v", err)
 	}
-	if err := tbl.LoadFunc(1, func(int) schema.Row { return schema.Row{2.5, int64(1)} }); err == nil {
+	if r, _, err := tbl.Read(0, schema.KeyFromInt(2000)); err != nil || r[1].(int64) != 1 || tbl.Len() != 1001 {
+		t.Errorf("inserted row = %v, %v; %d rows", r, err, tbl.Len())
+	}
+	def := accountsDef()
+	def.Name = "fresh"
+	fresh, _ := m.CreateTable(def, nil, nil)
+	if err := fresh.LoadFunc(1, func(int) schema.Row { return schema.Row{2.5, int64(1)} }); err == nil {
 		t.Error("bad generated key should fail")
 	}
+}
+
+// TestLoadFuncRejects: the bulk load takes strictly ascending keys into an
+// empty table, and says which table and which row broke that.
+func TestLoadFuncRejects(t *testing.T) {
+	cases := []struct {
+		name string
+		keys []int64
+		want string
+	}{
+		{"descending key", []int64{0, 1, 2, 7, 5, 9}, "row 4"},
+		{"duplicate key", []int64{0, 1, 2, 2, 3}, "row 3"},
+	}
+	for _, tc := range cases {
+		tbl, _ := testManager(t).CreateTable(accountsDef(), btree.UniformBounds(10, 2), nil)
+		err := tbl.LoadFunc(len(tc.keys), func(i int) schema.Row { return schema.Row{tc.keys[i], int64(0)} })
+		if err == nil || !strings.Contains(err.Error(), "accounts") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming accounts and %s", tc.name, err, tc.want)
+		}
+		if tbl.Len() != 0 || tbl.rowBytes() != 64 {
+			t.Errorf("%s: a rejected load left %d rows, %d row bytes", tc.name, tbl.Len(), tbl.rowBytes())
+		}
+	}
+	tbl, _ := testManager(t).CreateTable(accountsDef(), nil, nil)
+	gen := func(i int) schema.Row { return schema.Row{int64(i), int64(0)} }
+	if err := tbl.LoadFunc(3, gen); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.LoadFunc(3, gen); err == nil || !strings.Contains(err.Error(), "accounts") {
+		t.Errorf("second load: err = %v, want one naming accounts", err)
+	}
+	if tbl.Len() != 3 {
+		t.Errorf("second load left %d rows, want 3", tbl.Len())
+	}
+}
+
+// TestLoadFuncRowBytesMatchesPerRow: the bulk load folds row sizes into the
+// moving average in generation order, with the integer arithmetic of one
+// Insert per row, so every virtual cost priced from rowBytes is unchanged.
+func TestLoadFuncRowBytesMatchesPerRow(t *testing.T) {
+	def := &schema.Table{
+		Name:       "wide",
+		Columns:    []schema.Column{{Name: "id", Type: schema.Int64}, {Name: "pad", Type: schema.String}},
+		PrimaryKey: []string{"id"},
+	}
+	gen := func(i int) schema.Row { return schema.Row{int64(i), strings.Repeat("x", (i*37)%300)} }
+	const n = 5000
+	loaded, _ := testManager(t).CreateTable(def, btree.UniformBounds(n, 4), nil)
+	if err := loaded.LoadFunc(n, gen); err != nil {
+		t.Fatal(err)
+	}
+	inserted, _ := testManager(t).CreateTable(def, btree.UniformBounds(n, 4), nil)
+	avg := 0
+	for i := range n {
+		r := gen(i)
+		if _, err := inserted.Insert(0, schema.KeyFromInt(int64(i)), r); err != nil {
+			t.Fatal(err)
+		}
+		if avg == 0 {
+			avg = r.Size()
+		} else {
+			avg = (avg*15 + r.Size()) / 16
+		}
+	}
+	if loaded.rowBytes() != avg || inserted.rowBytes() != avg {
+		t.Errorf("rowBytes: loaded %d, inserted %d, per-row reference %d", loaded.rowBytes(), inserted.rowBytes(), avg)
+	}
+}
+
+// TestLoadAllocBudget: loading costs the staging slices and the B-tree's
+// nodes and arrays, not an allocation per row. The generator hands out rows
+// built beforehand, so only the load itself is counted.
+func TestLoadAllocBudget(t *testing.T) {
+	const n = 100_000
+	pre := make([]schema.Row, n)
+	for i := range pre {
+		pre[i] = schema.Row{int64(i), int64(i)}
+	}
+	m := testManager(t)
+	allocs := testing.AllocsPerRun(3, func() {
+		tbl := &Table{def: accountsDef(), domain: m.domain}
+		tbl.tree, _ = btree.NewMultiRooted(btree.UniformBounds(n, 32))
+		if err := tbl.LoadFunc(n, func(i int) schema.Row { return pre[i] }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perRow := allocs / n
+	if perRow > 0.1 {
+		t.Errorf("LoadFunc costs %.3f allocs/row (%.0f per %d-row load), budget 0.1", perRow, allocs, n)
+	}
+	t.Logf("%.4f allocs/row (%.0f per %d-row load into 32 partitions)", perRow, allocs, n)
 }
 
 func TestHomes(t *testing.T) {

@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"atrapos/internal/schema"
 	"atrapos/internal/vclock"
 )
 
@@ -297,6 +300,49 @@ func TestTATPRowGeneratorsAlignWithSubscriber(t *testing.T) {
 	// i=10: s_id=2, sf_type=3, start=(80)%24=8 -> cf_id=2*96+2*24+8=248.
 	if row[0].(int64) != 248 {
 		t.Errorf("CallForwarding surrogate key = %v", row[0])
+	}
+}
+
+// TestZeroPad15MatchesSprintf: the TATP loader's padding helper is
+// fmt.Sprintf("%015d") for every non-negative int, below, at and past 15
+// digits.
+func TestZeroPad15MatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 99_999, 1e14, 1e15 - 1, 1e15, math.MaxInt} {
+		if got, want := zeroPad15(i), fmt.Sprintf("%015d", i); got != want {
+			t.Errorf("zeroPad15(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestRowGeneratorsAscend: the bulk load takes every table's rows in strictly
+// ascending key order, so every workload's generators must emit them so.
+func TestRowGeneratorsAscend(t *testing.T) {
+	workloads := []*Workload{
+		MustTATP(TATPOptions{Subscribers: 500}),
+		MustTPCC(TPCCOptions{Warehouses: 2, CustomersPerDistrict: 30, Items: 1000}),
+		YCSB(500, YCSBB),
+		ZipfHotkey(500, 10, 30),
+		MultisiteUpdate(500, 20),
+		TwoTableSimple(500),
+	}
+	for _, w := range workloads {
+		for _, td := range w.Tables {
+			if td.RowGen == nil {
+				continue
+			}
+			for i := 0; i < td.Rows; i++ {
+				k, err := schema.RowKey(td.Schema, td.RowGen(i))
+				if err != nil {
+					t.Fatalf("%s.%s row %d: %v", w.Name, td.Schema.Name, i, err)
+				}
+				if i > 0 {
+					prev, _ := schema.RowKey(td.Schema, td.RowGen(i-1))
+					if k <= prev {
+						t.Fatalf("%s.%s: row %d has key %d after %d", w.Name, td.Schema.Name, i, k, prev)
+					}
+				}
+			}
+		}
 	}
 }
 
