@@ -59,10 +59,6 @@ type Design = engine.Design
 const (
 	// DesignCentralized is the traditional centralized shared-everything design.
 	DesignCentralized = engine.Centralized
-	// DesignSharedNothingExtreme runs one logical instance per core.
-	DesignSharedNothingExtreme = engine.SharedNothingExtreme
-	// DesignSharedNothingCoarse runs one logical instance per socket.
-	DesignSharedNothingCoarse = engine.SharedNothingCoarse
 	// DesignPLP is physiological partitioning (the prior state of the art).
 	DesignPLP = engine.PLP
 	// DesignHWAware is PLP plus NUMA-aware system state with naïve placement.
@@ -71,15 +67,10 @@ const (
 	DesignATraPos = engine.ATraPos
 	// DesignSharedNothing is the parametric shared-nothing design: one
 	// logical instance per hardware island at Options.IslandLevel. The
-	// Extreme and Coarse designs are its fixed-granularity aliases.
+	// paper's extreme configuration is IslandLevel LevelCore, its coarse one
+	// LevelSocket.
 	DesignSharedNothing = engine.SharedNothing
 )
-
-// Designs returns the paper's six configurations in presentation order.
-// DesignSharedNothing is not listed separately: its core- and socket-grained
-// fixed points appear as the Extreme and Coarse aliases; other granularities
-// are reached through Options.IslandLevel or the fig-islands sweep.
-func Designs() []Design { return engine.Designs() }
 
 // Topology models a multisocket machine as a hierarchical island tree.
 type Topology = topology.Topology
@@ -216,7 +207,7 @@ func YCSB(rows int, mix YCSBMix) *Workload { return workload.YCSB(rows, mix) }
 
 // Options configures a System.
 type Options struct {
-	// Design selects the system design; the default is DesignATraPos.
+	// Design selects the system design; the zero value is DesignCentralized.
 	Design Design
 	// IslandLevel selects the instance granularity of DesignSharedNothing
 	// (one logical instance per island at this level); the zero value means

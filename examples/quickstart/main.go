@@ -24,16 +24,22 @@ func main() {
 	fmt.Printf("machine: %s\nworkload: %s\n\n", top, wl.Name)
 	fmt.Printf("%-28s %14s %10s\n", "design", "throughput", "useful")
 
-	for _, design := range []atrapos.Design{
-		atrapos.DesignCentralized,
-		atrapos.DesignSharedNothingExtreme,
-		atrapos.DesignPLP,
-		atrapos.DesignATraPos,
+	// Extreme shared-nothing is the parametric design with one instance per core.
+	for _, c := range []struct {
+		label  string
+		design atrapos.Design
+		level  atrapos.IslandLevel
+	}{
+		{"centralized", atrapos.DesignCentralized, 0},
+		{"shared-nothing-extreme", atrapos.DesignSharedNothing, atrapos.LevelCore},
+		{"plp", atrapos.DesignPLP, 0},
+		{"atrapos", atrapos.DesignATraPos, 0},
 	} {
 		sys, err := atrapos.Open(atrapos.Options{
-			Design:   design,
-			Workload: wl,
-			Topology: top,
+			Design:      c.design,
+			IslandLevel: c.level,
+			Workload:    wl,
+			Topology:    top,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -42,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-28s %11.0f TPS %9.0f%%\n", design, res.ThroughputTPS, res.UsefulFraction*100)
+		fmt.Printf("%-28s %11.0f TPS %9.0f%%\n", c.label, res.ThroughputTPS, res.UsefulFraction*100)
 	}
 
 	fmt.Println("\nThe centralized design loses throughput to contended shared state, while")

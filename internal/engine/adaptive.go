@@ -30,13 +30,11 @@ type adaptiveState struct {
 	executor *core.Executor
 	maxKeys  map[string]schema.Key
 
-	// granularity marks the adaptive-granularity mode of the parametric
-	// shared-nothing design: instead of moving partitions between cores, the
-	// planner re-derives the whole instance wiring at a different island
-	// level when the monitored multisite share crosses the scorer's
-	// crossover. The ATraPos design uses the placement pipeline instead.
-	granularity bool
-	granModel   core.GranularityModel
+	// granModel scores island levels when the design adapts its level:
+	// instead of moving partitions between cores, the planner re-derives the
+	// whole instance wiring at a different island level when the monitored
+	// multisite share crosses the scorer's crossover.
+	granModel core.GranularityModel
 	// nextCheck is the virtual time of the next monitoring boundary, compared
 	// against the high-water-mark clock once per transaction.
 	nextCheck vclock.Nanos
@@ -54,11 +52,10 @@ type adaptiveState struct {
 	// restored capacity instead of waiting for an instability signal.
 	hwEpoch uint64
 
-	// Metrics-sampler deltas: the previous boundary's aborted count, cumulative
-	// log counters, per-core committed counts, and the multisite share of the
+	// Metrics-sampler deltas: the previous boundary's cumulative log
+	// counters, per-core committed counts, and the multisite share of the
 	// last sealed epoch. The sampler piggybacks on the planner's boundary
 	// pipeline, so it adds nothing to the per-transaction path.
-	lastAborted       int64
 	lastLogStats      wal.Stats
 	lastShare         float64
 	prevCoreCommitted []int64
@@ -156,14 +153,8 @@ func newAdaptiveState(e *Engine, p *partition.Placement) *adaptiveState {
 	}
 	execCfg := core.DefaultExecutorConfig()
 	if tc := e.cfg.TimeCompression; tc > 1 {
-		execCfg.PerRowCost = numa.Cost(float64(execCfg.PerRowCost) / tc)
-		execCfg.PerActionCost = numa.Cost(float64(execCfg.PerActionCost) / tc)
-		if execCfg.PerRowCost < 1 {
-			execCfg.PerRowCost = 1
-		}
-		if execCfg.PerActionCost < 1 {
-			execCfg.PerActionCost = 1
-		}
+		execCfg.PerRowCost = max(1, numa.Cost(float64(execCfg.PerRowCost)/tc))
+		execCfg.PerActionCost = max(1, numa.Cost(float64(execCfg.PerActionCost)/tc))
 	}
 	a := &adaptiveState{
 		e:        e,
@@ -175,16 +166,7 @@ func newAdaptiveState(e *Engine, p *partition.Placement) *adaptiveState {
 	// At run time an idle table says nothing about future load; keeping its
 	// placement makes it diff as unchanged, so repartitioning skips it.
 	a.planner.PreserveIdle = true
-	if e.cfg.Design == SharedNothing {
-		a.granularity = true
-		a.granModel = core.GranularityModel{
-			Domain:          e.domain,
-			LogFlush:        e.cfg.LogConfig.FlushCost,
-			LogGroupSize:    e.cfg.LogConfig.GroupSize,
-			Devices:         e.devices,
-			CoalesceRecords: e.cfg.LogConfig.CoalesceRecords,
-		}
-	}
+	a.granModel = e.granularityModel()
 	a.controller = core.NewIntervalController(e.cfg.AdaptiveInterval)
 	a.monitor.RegisterPlacement(p, maxKeys)
 	a.nextCheck = a.controller.Interval()
@@ -202,7 +184,6 @@ func (a *adaptiveState) reset() {
 	a.repartitions = 0
 	a.repartitionCost = 0
 	a.adaptCharged = 0
-	a.lastAborted = 0
 	a.lastLogStats = a.e.logStats()
 	a.lastShare = 0
 	a.prevCoreCommitted = nil
@@ -222,27 +203,13 @@ func (a *adaptiveState) noteBoundary(committed, aborted int64) {
 	}
 }
 
-func (a *adaptiveState) recordAction(table string, key schema.Key, cost vclock.Nanos) {
-	if !a.e.cfg.Monitoring {
-		return
-	}
-	a.monitor.RecordAction(table, key, cost)
-}
-
-func (a *adaptiveState) recordSync(refs []core.PartitionRef, bytes int) {
-	if !a.e.cfg.Monitoring {
-		return
-	}
-	a.monitor.RecordSync(refs, bytes)
-}
-
 // recordTxn records one executed transaction's shape into the active monitor
 // epoch (adaptive-granularity mode): action and write counts, whether it was
 // multisite, and its synchronization payload. Recording takes no lock and
 // allocates nothing, so the shared-nothing hot path stays lean; the modeled
 // bookkeeping cost is charged to the coordinating core.
 func (a *adaptiveState) recordTxn(coord topology.CoreID, t *workload.Transaction) {
-	if !a.granularity || !a.e.cfg.Monitoring {
+	if a.e.row.adapts != adaptLevel {
 		return
 	}
 	writes, overwrites := 0, 0
@@ -291,23 +258,22 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	a.lastCommitted = committedSoFar
 	a.lastCheckAt = now
 	a.monitor.AdvanceWindow(window)
-	a.recordSample(now, window, throughput, committedSoFar, committedDelta, abortedSoFar)
+	a.recordSample(now, window, throughput, committedSoFar, abortedSoFar)
 
 	decision := a.controller.Observe(throughput)
 	a.nextCheck = now + a.controller.Interval()
 	if a.cooldown > 0 {
 		a.cooldown--
-		if a.granularity {
-			if cur := e.state.snapshot().wiring; cur != nil {
-				a.logDecision(now, cur.epoch, cur.level, cur.level, "cooldown", a.lastShare, nil)
-			}
+		if e.row.adapts == adaptLevel {
+			cur := e.state.snapshot().wiring
+			a.logDecision(now, cur.epoch, cur.level, cur.level, "cooldown", a.lastShare, nil)
 		}
 		return
 	}
 	// The parametric shared-nothing design adapts the island granularity
 	// instead of the placement: seal the epoch, read the multisite share and
 	// re-score the candidate levels every interval (the scorer is cheap).
-	if a.granularity {
+	if e.row.adapts == adaptLevel {
 		a.adaptGranularity(now)
 		return
 	}
@@ -321,7 +287,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 		a.hwEpoch = ep
 		decision = core.Evaluate
 	}
-	if decision != core.Evaluate && a.placementUsesDeadCore() {
+	if decision != core.Evaluate && usesDeadCore(e.state.snapshot().placement, e.cfg.Topology) {
 		decision = core.Evaluate
 	}
 	if decision != core.Evaluate {
@@ -430,7 +396,7 @@ func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *
 // tracer. The per-core committed counters and cumulative log stats it reads
 // are the ones the run's bookkeeping already maintains, so enabling the
 // sampler adds nothing to the per-transaction path.
-func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float64, committedSoFar, committedDelta, abortedSoFar int64) {
+func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float64, committedSoFar, abortedSoFar int64) {
 	e := a.e
 	tr := e.tracer
 	if tr == nil {
@@ -439,7 +405,7 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 	snap := e.state.snapshot()
 	s := obs.Sample{
 		At:             now,
-		Level:          e.cfg.Design.String(),
+		Level:          e.Design().String(),
 		TPS:            throughput,
 		Committed:      committedSoFar,
 		Aborted:        abortedSoFar,
@@ -448,13 +414,6 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 	if w := snap.wiring; w != nil {
 		s.Epoch = w.epoch
 		s.Level = w.level.String()
-	}
-	abortedDelta := abortedSoFar - a.lastAborted
-	a.lastAborted = abortedSoFar
-	// Conflict rate of the window: aborted attempts (every abort in these
-	// engines is a lock conflict) over attempts.
-	if attempts := committedDelta + abortedDelta; attempts > 0 {
-		s.ConflictRate = float64(abortedDelta) / float64(attempts)
 	}
 	logNow := e.logStats()
 	logDelta := logNow.Sub(a.lastLogStats)
@@ -475,20 +434,13 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 	if a.prevCoreCommitted == nil {
 		a.prevCoreCommitted = make([]int64, nCores)
 	}
-	nIslands := 1
-	if w := snap.wiring; w != nil && len(w.sites) > 0 {
-		nIslands = len(w.sites)
-	}
+	nIslands := snap.numSites()
 	s.IslandTPS = make([]float64, nIslands)
 	for c := 0; c < nCores; c++ {
 		cum := e.accounts[c].committed
 		delta := cum - a.prevCoreCommitted[c]
 		a.prevCoreCommitted[c] = cum
-		site := 0
-		if w := snap.wiring; w != nil {
-			site = w.siteOf(topology.CoreID(c))
-		}
-		if site >= 0 && site < nIslands {
+		if site := snap.wiring.siteOf(topology.CoreID(c)); site >= 0 && site < nIslands {
 			s.IslandTPS[site] += float64(delta)
 		}
 	}
@@ -512,9 +464,6 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 	stats := a.monitor.Seal()
 	snap := e.state.snapshot()
 	cur := snap.wiring
-	if cur == nil || !e.cfg.Adaptive {
-		return
-	}
 	if tr != nil {
 		tr.Planner().Record(obs.Span{Start: now, Kind: obs.KindPlannerSeal,
 			Epoch: uint32(cur.epoch), Arg: stats.Txns})
@@ -638,9 +587,6 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	top := e.cfg.Topology
 	snap := e.state.snapshot()
 	cur := snap.wiring
-	if cur == nil {
-		return
-	}
 	desired := partition.PerIsland(top, to, e.wl.TableSpecs())
 	if err := desired.Validate(); err != nil {
 		return
@@ -667,9 +613,7 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	// across the move, and a buffered net delta must not straddle the
 	// re-wiring — the old wiring's commits become durable on the old wiring's
 	// devices before any log changes hands.
-	if cur.logs != nil {
-		cur.logs.Drain(now)
-	}
+	cur.logs.Drain(now)
 	wiring := e.buildWiring(to, cur.epoch+1, cur)
 	if len(wiring.sites) == 0 {
 		return
@@ -728,9 +672,6 @@ func wiringStale(w *islandWiring, top *topology.Topology) bool {
 // flushes through a failed device — the storage half of the hardware-change
 // trigger.
 func wiringBindsFailedDevice(w *islandWiring) bool {
-	if w.logs == nil {
-		return false
-	}
 	for i := 0; i < w.logs.NumLogs(); i++ {
 		if d := w.logs.Log(i).Device(); d != nil && d.Failed() {
 			return true
@@ -739,12 +680,8 @@ func wiringBindsFailedDevice(w *islandWiring) bool {
 	return false
 }
 
-// placementUsesDeadCore reports whether any partition is owned by a core on a
-// failed socket, which ATraPos treats as a hardware-topology change.
-func (a *adaptiveState) placementUsesDeadCore() bool {
-	return usesDeadCore(a.e.state.snapshot().placement, a.e.cfg.Topology)
-}
-
+// usesDeadCore reports whether any partition is owned by a core on a failed
+// socket, which ATraPos treats as a hardware-topology change.
 func usesDeadCore(p *partition.Placement, top *topology.Topology) bool {
 	for _, tp := range p.Tables {
 		for _, c := range tp.Cores {
@@ -761,7 +698,7 @@ func usesDeadCore(p *partition.Placement, top *topology.Topology) bool {
 // score must drop by at least 5%.
 func (a *adaptiveState) improves(current, proposed *partition.Placement, stats *core.Stats) bool {
 	// Moving off a failed socket is always worth the pause.
-	if a.placementUsesDeadCore() && !usesDeadCore(proposed, a.e.cfg.Topology) {
+	if usesDeadCore(current, a.e.cfg.Topology) && !usesDeadCore(proposed, a.e.cfg.Topology) {
 		return true
 	}
 	model := a.planner.Model

@@ -35,7 +35,7 @@ func benchSteadyState(b *testing.B, e *Engine, adapt bool) {
 	src := &splitMix{}
 	rng := rand.New(src)
 	sc := newExecScratch()
-	ctx := workload.GenContext{Rng: rng, NumSites: e.numSites()}
+	ctx := workload.GenContext{Rng: rng, NumSites: e.state.snapshot().numSites()}
 	var committed int64
 
 	runOne := func(n int64) {
@@ -43,10 +43,10 @@ func benchSteadyState(b *testing.B, e *Engine, adapt bool) {
 		coord := alive[int(n)%len(alive)].ID
 		src.seed(n)
 		ctx.At = e.coreTime(coord)
-		ctx.HomeSite = e.siteOf(coord)
+		ctx.HomeSite = e.state.snapshot().wiring.siteOf(coord)
 		t := e.wl.Generate(&ctx)
 		sc.snap = e.state.snapshot()
-		if e.cfg.Design == PLP || e.cfg.Design == HWAware || e.cfg.Design == ATraPos {
+		if e.row.route == routeOwner {
 			if a, ok := dominantAction(t); ok {
 				if tp, ok := sc.snap.placement.Table(a.Table); ok {
 					coord = e.effectiveCore(tp.CoreFor(a.Key))
@@ -87,8 +87,8 @@ func BenchmarkExecute(b *testing.B) {
 	b.Run("centralized", func(b *testing.B) {
 		benchSteadyState(b, benchEngine(b, Config{Design: Centralized}), false)
 	})
-	b.Run("shared-nothing-extreme", func(b *testing.B) {
-		benchSteadyState(b, benchEngine(b, Config{Design: SharedNothingExtreme}), false)
+	b.Run("shared-nothing-core", func(b *testing.B) {
+		benchSteadyState(b, benchEngine(b, Config{Design: SharedNothing, IslandLevel: topology.LevelCore}), false)
 	})
 	b.Run("shared-nothing-die", func(b *testing.B) {
 		// The parametric design at die granularity on a hierarchical machine:
@@ -107,6 +107,9 @@ func BenchmarkExecute(b *testing.B) {
 	})
 	b.Run("plp", func(b *testing.B) {
 		benchSteadyState(b, benchEngine(b, Config{Design: PLP}), false)
+	})
+	b.Run("hw-aware", func(b *testing.B) {
+		benchSteadyState(b, benchEngine(b, Config{Design: HWAware}), false)
 	})
 	b.Run("atrapos", func(b *testing.B) {
 		// Monitoring on: the steady-state ATraPos path records every action

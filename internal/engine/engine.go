@@ -1,7 +1,7 @@
 // Package engine executes transactional workloads against the storage
 // substrate under the system designs the paper compares: the traditional
-// centralized shared-everything design, extreme and coarse-grained
-// shared-nothing, PLP (physiological partitioning), the naïve hardware-aware
+// centralized shared-everything design, shared-nothing at any island
+// granularity, PLP (physiological partitioning), the naïve hardware-aware
 // design of Section IV, and ATraPos with its workload- and hardware-aware
 // partitioning, monitoring and adaptive repartitioning.
 //
@@ -34,20 +34,24 @@ import (
 	"atrapos/internal/workload"
 )
 
-// Design enumerates the compared system designs.
+// Design enumerates the compared system designs. Each is one row of the
+// design table (designRows): a choice of action routing, lock scope, system
+// state scope, initial placement and what the planner adapts.
 type Design int
 
 const (
 	// Centralized is the traditional shared-everything design: one lock
 	// manager, one list of active transactions, one log, shared by all cores.
 	Centralized Design = iota
-	// SharedNothingExtreme runs one logical instance per core (H-Store
-	// style); multi-site transactions use two-phase commit. It is an alias
-	// for SharedNothing with Config.IslandLevel = topology.LevelCore.
-	SharedNothingExtreme
-	// SharedNothingCoarse runs one logical instance per socket. It is an
-	// alias for SharedNothing with Config.IslandLevel = topology.LevelSocket.
-	SharedNothingCoarse
+	// SharedNothing is the parametric shared-nothing design: one logical
+	// instance — data partition, transaction list and state-lock locality,
+	// write-ahead log, 2PC site — per hardware island at the granularity
+	// selected by Config.IslandLevel (core, die, socket or machine). The
+	// paper's extreme (H-Store style) and coarse configurations are its core-
+	// and socket-grained points; LevelDie deploys one instance per CCX/cluster
+	// on chiplet machines and LevelMachine a single instance spanning the
+	// whole box.
+	SharedNothing
 	// PLP is physiological partitioning: partition-local lock tables and
 	// multi-rooted B-trees over a shared-everything storage manager, but the
 	// remaining system state (transaction list, state locks) is centralized.
@@ -60,51 +64,92 @@ const (
 	// and placement of Section V, optionally with monitoring and adaptive
 	// repartitioning.
 	ATraPos
-	// SharedNothing is the parametric shared-nothing design: one logical
-	// instance — data partition, transaction list and state-lock locality,
-	// write-ahead log, 2PC site — per hardware island at the granularity
-	// selected by Config.IslandLevel (core, die, socket or machine). The
-	// Extreme and Coarse designs are fixed points of this axis; LevelDie
-	// deploys one instance per CCX/cluster on chiplet machines and
-	// LevelMachine a single instance spanning the whole box.
-	SharedNothing
 )
 
 // String implements fmt.Stringer.
 func (d Design) String() string {
-	switch d {
-	case Centralized:
-		return "centralized"
-	case SharedNothingExtreme:
-		return "shared-nothing-extreme"
-	case SharedNothingCoarse:
-		return "shared-nothing-coarse"
-	case SharedNothing:
-		return "shared-nothing"
-	case PLP:
-		return "plp"
-	case HWAware:
-		return "hw-aware"
-	case ATraPos:
-		return "atrapos"
-	default:
+	if d < 0 || int(d) >= len(designRows) {
 		return fmt.Sprintf("Design(%d)", int(d))
 	}
+	return designRows[d].name
 }
 
-// IsSharedNothing reports whether d deploys per-island instances (the
-// parametric design or one of its fixed-granularity aliases).
-func (d Design) IsSharedNothing() bool {
-	return d == SharedNothing || d == SharedNothingExtreme || d == SharedNothingCoarse
+// IsSharedNothing reports whether d deploys per-island instances.
+func (d Design) IsSharedNothing() bool { return d == SharedNothing }
+
+// route says where a design executes an action and what reaching it costs.
+type route int
+
+const (
+	// routeCoordinator runs every action on the coordinating core.
+	routeCoordinator route = iota
+	// routeOwner runs an action on its partition's owning core (redirected
+	// off a failed socket) behind an atomic enqueue on the owner's action
+	// queue. It implies dispatching the transaction to its dominant action's
+	// owner, pricing synchronization points, recording actions into the
+	// monitor and the oversaturation factor of a core hosting several
+	// partition workers.
+	routeOwner
+	// routeIsland runs an action on its island's instance — the coordinating
+	// core at home, a peer core of the remote island otherwise — behind a
+	// request/response message pair. It implies one write-ahead log per
+	// island and two-phase commit for updates spanning islands.
+	routeIsland
+)
+
+// stateScope lays out the transaction list and state lock: one for the
+// machine, one per socket, or the island wiring's (machine-wide at machine
+// grain, per socket below).
+type stateScope int
+
+const (
+	stateCentral stateScope = iota
+	statePerSocket
+	stateByLevel
+)
+
+// placementPolicy is a design's initial partitioning and placement: one
+// partition per table on round-robin cores (as a non-NUMA-aware allocator
+// would), Config.Placement or else one partition per core per table, or one
+// partition per island at Config.IslandLevel.
+type placementPolicy int
+
+const (
+	placeRoundRobin placementPolicy = iota
+	placePerCore
+	placePerIsland
+)
+
+// adaptTarget is what the monitoring planner changes at run time: nothing,
+// the partitioning and placement (Section V-D), or the island level.
+type adaptTarget int
+
+const (
+	adaptNothing adaptTarget = iota
+	adaptPlacement
+	adaptLevel
+)
+
+// designRow is one design's point in the design space the paper compares.
+// centralLocks selects the central lock manager with table intention locks
+// and speculative lock inheritance; otherwise every partition has its own
+// lock table.
+type designRow struct {
+	name         string
+	route        route
+	centralLocks bool
+	state        stateScope
+	placement    placementPolicy
+	adapts       adaptTarget
 }
 
-// Designs lists the paper's six configurations in presentation order. The
-// parametric SharedNothing design is not listed separately: its core- and
-// socket-grained fixed points appear as the Extreme and Coarse aliases, and
-// its other granularities are swept by the fig-islands experiment rather
-// than enumerated here.
-func Designs() []Design {
-	return []Design{Centralized, SharedNothingExtreme, SharedNothingCoarse, PLP, HWAware, ATraPos}
+// designRows is the design table, indexed by Design.
+var designRows = [...]designRow{
+	Centralized:   {"centralized", routeCoordinator, true, stateCentral, placeRoundRobin, adaptNothing},
+	SharedNothing: {"shared-nothing", routeIsland, false, stateByLevel, placePerIsland, adaptLevel},
+	PLP:           {"plp", routeOwner, false, stateCentral, placePerCore, adaptNothing},
+	HWAware:       {"hw-aware", routeOwner, false, statePerSocket, placePerCore, adaptNothing},
+	ATraPos:       {"atrapos", routeOwner, false, statePerSocket, placePerCore, adaptPlacement},
 }
 
 // Config describes one engine instance.
@@ -119,9 +164,7 @@ type Config struct {
 	CostModel numa.CostModel
 	// IslandLevel selects the instance granularity of the SharedNothing
 	// design: one logical instance per island at this level. The zero value
-	// defaults to topology.LevelSocket. The SharedNothingExtreme and
-	// SharedNothingCoarse designs force it to LevelCore respectively
-	// LevelSocket, so the legacy enum values keep their exact meaning.
+	// defaults to topology.LevelSocket. Ignored by the other designs.
 	IslandLevel topology.Level
 	// Placement optionally overrides the initial partitioning and placement
 	// for the partitioned designs (PLP, HWAware, ATraPos). Nil derives the
@@ -147,10 +190,12 @@ type Config struct {
 	// queueing cost. Empty means no device modeling: flushes cost the flat
 	// LogConfig.FlushCost exactly as before.
 	DeviceLayout string
-	// SLI enables speculative lock inheritance in the centralized lock
-	// manager (on by default for the centralized design, as in the paper).
+	// DisableSLI turns off speculative lock inheritance in the centralized
+	// lock manager (on by default for the centralized design, as in the paper).
 	DisableSLI bool
-	// Monitoring enables the ATraPos monitoring mechanism (ATraPos design only).
+	// Monitoring enables the monitoring mechanism of the designs whose planner
+	// adapts: action and synchronization traces for ATraPos, transaction
+	// shapes for SharedNothing. The other designs ignore it.
 	Monitoring bool
 	// Adaptive enables adaptive repartitioning; it implies Monitoring.
 	Adaptive bool
@@ -179,10 +224,14 @@ type Config struct {
 	autoIslandLevel bool
 }
 
-func (c *Config) withDefaults() (*Config, error) {
+func (c *Config) withDefaults() (*Config, designRow, error) {
 	if c.Workload == nil {
-		return nil, fmt.Errorf("engine: config needs a workload")
+		return nil, designRow{}, fmt.Errorf("engine: config needs a workload")
 	}
+	if c.Design < 0 || int(c.Design) >= len(designRows) {
+		return nil, designRow{}, fmt.Errorf("engine: unknown design %v", c.Design)
+	}
+	row := designRows[c.Design]
 	out := *c
 	if out.Topology == nil {
 		out.Topology = topology.Default()
@@ -198,23 +247,17 @@ func (c *Config) withDefaults() (*Config, error) {
 	if out.Adaptive {
 		out.Monitoring = true
 	}
-	// Resolve the island granularity: the legacy enum values pin it, the
-	// parametric design defaults to socket-grained instances.
-	switch out.Design {
-	case SharedNothingExtreme:
-		out.IslandLevel = topology.LevelCore
-	case SharedNothingCoarse:
-		out.IslandLevel = topology.LevelSocket
-	case SharedNothing:
+	// Island-routed designs default to socket-grained instances.
+	if row.route == routeIsland {
 		if out.IslandLevel == 0 {
 			out.IslandLevel = topology.LevelSocket
 			out.autoIslandLevel = true
 		}
 		if !out.IslandLevel.Valid() {
-			return nil, fmt.Errorf("engine: invalid island level %v", out.IslandLevel)
+			return nil, designRow{}, fmt.Errorf("engine: invalid island level %v", out.IslandLevel)
 		}
 	}
-	return &out, nil
+	return &out, row, nil
 }
 
 // traceRingCap is the capacity, in spans, of each trace ring when
@@ -225,17 +268,19 @@ const traceRingCap = 1 << 14
 // Engine is a fully wired system instance ready to run workloads.
 type Engine struct {
 	cfg    *Config
+	row    designRow
 	domain *numa.Domain
 	store  *storage.Manager
 	tables map[string]*storage.Table
 	wl     *workload.Workload
 
-	// System state structures of the non-shared-nothing designs; the
-	// shared-nothing designs carry their (level-dependent) equivalents in the
+	// System state structures of the designs that are not island-routed;
+	// island-routed designs carry their (level-dependent) equivalents in the
 	// snapshot's islandWiring so a granularity change swaps them as one.
+	// centralLocks is nil unless the design's row asks for it.
 	txnMgr       *txn.Manager
 	centralLocks *lock.CentralManager
-	log          wal.Log
+	log          *wal.CentralLog
 
 	// devices is the machine's log-device map (Config.DeviceLayout), shared by
 	// every island wiring the engine ever derives: wirings come and go with
@@ -292,7 +337,7 @@ func (e *Engine) aliveCores() []topology.Core {
 // New builds an engine: it creates and loads the physical tables and wires
 // the system-state structures required by the chosen design.
 func New(cfg Config) (*Engine, error) {
-	c, err := cfg.withDefaults()
+	c, row, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -302,6 +347,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      c,
+		row:      row,
 		domain:   domain,
 		store:    storage.NewManager(domain),
 		tables:   make(map[string]*storage.Table),
@@ -323,16 +369,9 @@ func New(cfg Config) (*Engine, error) {
 	// hardware-driven (no workload has been observed yet), and an explicit
 	// IslandLevel is never overridden. This must happen before the initial
 	// placement is derived, which depends on the level.
-	if c.autoIslandLevel && c.Design == SharedNothing && c.Adaptive && e.devices != nil {
-		g := core.GranularityModel{
-			Domain:          domain,
-			LogFlush:        c.LogConfig.FlushCost,
-			LogGroupSize:    c.LogConfig.GroupSize,
-			Devices:         e.devices,
-			CoalesceRecords: c.LogConfig.CoalesceRecords,
-		}
+	if c.autoIslandLevel && row.adapts == adaptLevel && c.Adaptive && e.devices != nil {
 		shape := core.WorkloadShape{ActionsPerTxn: 10, WritesPerTxn: 1}
-		if best, _ := g.Best(shape, granTieMargin); best.Valid() {
+		if best, _ := e.granularityModel().Best(shape, granTieMargin); best.Valid() {
 			c.IslandLevel = best
 		}
 	}
@@ -370,17 +409,15 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.wireStructures(placement)
 	if c.Backend == backend.Hash {
-		if !c.Design.IsSharedNothing() {
-			return nil, fmt.Errorf("engine: the hash backend needs a shared-nothing design, got %v", c.Design)
+		if row.route != routeIsland {
+			return nil, fmt.Errorf("engine: the hash backend needs a shared-nothing design, got %v", e.Design())
 		}
 		if err := e.buildHashBackend(); err != nil {
 			return nil, err
 		}
 	}
-	// ATraPos adapts its placement; the parametric SharedNothing design
-	// adapts its island granularity (the fixed-granularity aliases stay
-	// inert, preserving their exact legacy meaning).
-	if (c.Design == ATraPos || c.Design == SharedNothing) && (c.Monitoring || c.Adaptive) {
+	// Adaptive implies Monitoring (withDefaults).
+	if row.adapts != adaptNothing && c.Monitoring {
 		e.adaptive = newAdaptiveState(e, placement)
 	}
 	return e, nil
@@ -408,10 +445,7 @@ func (e *Engine) Topology() *topology.Topology { return e.cfg.Topology }
 func (e *Engine) Store() *storage.Manager { return e.store }
 
 // Placement returns a copy of the current partitioning and placement.
-func (e *Engine) Placement() *partition.Placement {
-	snap := e.state.snapshot()
-	return snap.placement.Clone()
-}
+func (e *Engine) Placement() *partition.Placement { return e.state.snapshot().placement.Clone() }
 
 // FailSocket simulates a processor failure at run time (Section VI-D3):
 // the socket's cores stop being used as transaction coordinators, and work
@@ -482,14 +516,12 @@ func (e *Engine) DegradeDevice(i int, factor float64) error {
 	return e.devices.DegradeDevice(i, factor)
 }
 
-// initialPlacement derives the default partitioning and placement of the design.
+// initialPlacement derives the design's default partitioning and placement.
 func (e *Engine) initialPlacement() (*partition.Placement, error) {
 	c := e.cfg
 	specs := c.Workload.TableSpecs()
-	switch c.Design {
-	case Centralized:
-		// One physical partition per table; data spread round-robin across
-		// memory nodes, as a non-NUMA-aware allocator would.
+	switch e.row.placement {
+	case placeRoundRobin:
 		p := partition.NewPlacement()
 		cores := c.Topology.AliveCores()
 		if len(cores) == 0 {
@@ -503,22 +535,15 @@ func (e *Engine) initialPlacement() (*partition.Placement, error) {
 			}
 		}
 		return p, nil
-	case SharedNothingExtreme, SharedNothingCoarse, SharedNothing:
+	case placePerIsland:
 		return partition.PerIsland(c.Topology, c.IslandLevel, specs), nil
-	case PLP, HWAware:
+	default:
 		if c.Placement != nil {
 			return c.Placement.Clone(), nil
 		}
-		return partition.NaivePerCore(c.Topology, specs), nil
-	case ATraPos:
-		if c.Placement != nil {
-			return c.Placement.Clone(), nil
-		}
-		// Without prior knowledge ATraPos starts from the naïve scheme and
+		// Without prior knowledge ATraPos starts from the naïve scheme too and
 		// adapts at run time (Section V-D, "Detecting changes").
 		return partition.NaivePerCore(c.Topology, specs), nil
-	default:
-		return nil, fmt.Errorf("engine: unknown design %v", c.Design)
 	}
 }
 
@@ -527,7 +552,7 @@ func (e *Engine) initialPlacement() (*partition.Placement, error) {
 // allocation policy for shared-nothing designs).
 func (e *Engine) createTables(p *partition.Placement) error {
 	var alloc *numa.Placement
-	if e.cfg.Design.IsSharedNothing() {
+	if e.row.route == routeIsland {
 		var err error
 		alloc, err = numa.NewPlacement(e.cfg.Topology, e.cfg.AllocPolicy, e.cfg.CentralAllocNode)
 		if err != nil {
@@ -569,41 +594,37 @@ func (e *Engine) loadData() error {
 	return nil
 }
 
-// wireStructures builds the design-specific system-state structures.
+// wireStructures builds the system-state structures the design's row asks for.
 func (e *Engine) wireStructures(p *partition.Placement) {
 	c := e.cfg
 	var w *islandWiring
-
-	// A centralized log homed on socket 0 flushes through the device serving
-	// socket 0's first die when a device layout is configured.
-	centralCfg := *c.LogConfig
-	if e.devices != nil {
-		centralCfg.Device = e.devices.DeviceFor(c.Topology.FirstDieOn(0))
-	}
-	switch c.Design {
-	case Centralized:
-		e.txnMgr = txn.NewManager(e.domain, txn.NewCentralList(e.domain), numa.NewCentralRWLock(e.domain))
-		e.centralLocks = lock.NewCentralManager(e.domain, 256, !c.DisableSLI)
-		e.log = wal.NewCentralLog(e.domain, 0, centralCfg)
-	case SharedNothingExtreme, SharedNothingCoarse, SharedNothing:
+	if e.row.route == routeIsland {
 		// One instance per island: the whole instance mapping — sites, log
 		// layout, 2PC wiring, transaction-state striping — is derived from the
 		// island level and lives in the snapshot, so the adaptive-granularity
 		// planner can re-derive it at a different level and swap it as a whole.
 		w = e.buildWiring(c.IslandLevel, 0, nil)
-		e.log = w.logs
-	case PLP:
-		e.txnMgr = txn.NewManager(e.domain, txn.NewCentralList(e.domain), numa.NewCentralRWLock(e.domain))
-		e.log = wal.NewCentralLog(e.domain, 0, centralCfg)
-	case HWAware, ATraPos:
-		e.txnMgr = txn.NewManager(e.domain, txn.NewPartitionedList(e.domain), numa.NewPartitionedRWLock(e.domain))
-		e.log = wal.NewCentralLog(e.domain, 0, centralCfg)
-	}
-	// Designs with one central log record its flush spans on island track 0.
-	if e.tracer != nil && w == nil {
-		if cl, ok := e.log.(*wal.CentralLog); ok {
-			cl.SetTrace(e.tracer.Island(0), 0)
+	} else {
+		// A centralized log homed on socket 0 flushes through the device
+		// serving socket 0's first die when a device layout is configured.
+		centralCfg := *c.LogConfig
+		if e.devices != nil {
+			centralCfg.Device = e.devices.DeviceFor(c.Topology.FirstDieOn(0))
 		}
+		e.log = wal.NewCentralLog(e.domain, 0, centralCfg)
+		// The central log records its flush spans on island track 0.
+		if e.tracer != nil {
+			e.log.SetTrace(e.tracer.Island(0), 0)
+		}
+	}
+	switch e.row.state {
+	case stateCentral:
+		e.txnMgr = txn.NewManager(e.domain, txn.NewCentralList(e.domain), numa.NewCentralRWLock(e.domain))
+	case statePerSocket:
+		e.txnMgr = txn.NewManager(e.domain, txn.NewPartitionedList(e.domain), numa.NewPartitionedRWLock(e.domain))
+	}
+	if e.row.centralLocks {
+		e.centralLocks = lock.NewCentralManager(e.domain, 256, !c.DisableSLI)
 	}
 	e.state.install(p, partition.NewRuntime(e.domain, p), e.activePartitionsPerCore(p, 0), w)
 }
@@ -661,6 +682,24 @@ func (w *islandWiring) siteOf(c topology.CoreID) int {
 		return 0
 	}
 	return int(w.siteOfCore[c])
+}
+
+// peer returns the core of site that serves a remote worker's requests: the
+// island member with the worker's local index, so a real instance spreads
+// incoming remote requests over all of its cores rather than funnelling them
+// through one. Single-core islands (core granularity) have exactly one choice.
+func (e *Engine) peer(w *islandWiring, site int, worker topology.CoreID) topology.Core {
+	if site < 0 || site >= len(w.sites) {
+		site = 0
+	}
+	if cores := w.siteCores[site]; len(cores) > 1 {
+		local := 0
+		if c, err := e.cfg.Topology.Core(worker); err == nil {
+			local = c.LocalIndex
+		}
+		return cores[local%len(cores)]
+	}
+	return w.sites[site]
 }
 
 // sameCores reports whether an island's alive member set is exactly the given
@@ -785,6 +824,18 @@ func (e *Engine) TopologyEpoch() uint64 {
 		return snap.wiring.epoch
 	}
 	return 0
+}
+
+// granularityModel prices island levels on the engine's machine, log
+// configuration and device layout.
+func (e *Engine) granularityModel() core.GranularityModel {
+	return core.GranularityModel{
+		Domain:          e.domain,
+		LogFlush:        e.cfg.LogConfig.FlushCost,
+		LogGroupSize:    e.cfg.LogConfig.GroupSize,
+		Devices:         e.devices,
+		CoalesceRecords: e.cfg.LogConfig.CoalesceRecords,
+	}
 }
 
 // Devices returns the engine's log-device map, or nil when no device layout

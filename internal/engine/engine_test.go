@@ -29,14 +29,25 @@ func runDesign(t *testing.T, design Design, wl *workload.Workload, txns int) *Re
 	return res
 }
 
-func TestDesignString(t *testing.T) {
-	if len(Designs()) != 6 {
-		t.Fatalf("Designs() = %v", Designs())
+// allDesigns lists every row of the design table.
+func allDesigns() []Design {
+	ds := make([]Design, len(designRows))
+	for i := range ds {
+		ds[i] = Design(i)
 	}
-	for _, d := range append(Designs(), Design(99)) {
-		if d.String() == "" {
-			t.Errorf("design %d has empty string", d)
+	return ds
+}
+
+func TestDesignString(t *testing.T) {
+	if len(designRows) != 5 {
+		t.Fatalf("design table has %d rows, want 5", len(designRows))
+	}
+	seen := map[string]bool{}
+	for _, d := range append(allDesigns(), Design(99)) {
+		if d.String() == "" || seen[d.String()] {
+			t.Errorf("design %d has an empty or repeated name %q", d, d.String())
 		}
+		seen[d.String()] = true
 	}
 }
 
@@ -61,7 +72,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEngineConstructionLoadsData(t *testing.T) {
 	wl := workload.SingleRowRead(2000)
-	for _, d := range Designs() {
+	for _, d := range allDesigns() {
 		e, err := New(Config{Design: d, Workload: wl, Topology: smallTopology()})
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
@@ -85,13 +96,13 @@ func TestEngineConstructionLoadsData(t *testing.T) {
 			if p.Tables["mbr"].NumPartitions() != 1 {
 				t.Errorf("centralized should have 1 partition, got %d", p.Tables["mbr"].NumPartitions())
 			}
-		case SharedNothingExtreme, PLP, HWAware, ATraPos:
+		case PLP, HWAware, ATraPos:
 			if p.Tables["mbr"].NumPartitions() != 16 {
 				t.Errorf("%v should have one partition per core, got %d", d, p.Tables["mbr"].NumPartitions())
 			}
-		case SharedNothingCoarse:
+		case SharedNothing:
 			if p.Tables["mbr"].NumPartitions() != 4 {
-				t.Errorf("coarse SN should have one partition per socket, got %d", p.Tables["mbr"].NumPartitions())
+				t.Errorf("socket-grained SN should have one partition per socket, got %d", p.Tables["mbr"].NumPartitions())
 			}
 		}
 	}
@@ -99,7 +110,7 @@ func TestEngineConstructionLoadsData(t *testing.T) {
 
 func TestAllDesignsCommitReadOnlyWorkload(t *testing.T) {
 	wl := workload.SingleRowRead(4000)
-	for _, d := range Designs() {
+	for _, d := range allDesigns() {
 		res := runDesign(t, d, wl, 600)
 		if res.Committed+res.Aborted != 600 {
 			t.Errorf("%v: committed %d aborted %d", d, res.Committed, res.Aborted)
@@ -121,7 +132,7 @@ func TestAllDesignsCommitReadOnlyWorkload(t *testing.T) {
 
 func TestAllDesignsCommitUpdateWorkload(t *testing.T) {
 	wl := workload.MultisiteUpdate(4000, 20)
-	for _, d := range Designs() {
+	for _, d := range allDesigns() {
 		res := runDesign(t, d, wl, 400)
 		if res.Committed < 350 {
 			t.Errorf("%v: committed only %d of 400", d, res.Committed)
@@ -137,7 +148,7 @@ func TestAllDesignsCommitUpdateWorkload(t *testing.T) {
 
 func TestTATPRunsOnAllDesigns(t *testing.T) {
 	wl := workload.MustTATP(workload.TATPOptions{Subscribers: 2000})
-	for _, d := range Designs() {
+	for _, d := range allDesigns() {
 		res := runDesign(t, d, wl, 400)
 		if res.Committed < 380 {
 			t.Errorf("%v: committed %d of 400 TATP transactions", d, res.Committed)
@@ -164,14 +175,18 @@ func TestPartitionableScalingShape(t *testing.T) {
 	// to extreme shared-nothing and to ATraPos, while ATraPos tracks the
 	// shared-nothing configurations.
 	wl := workload.SingleRowRead(8000)
-	throughput := func(d Design) float64 {
-		res := runDesign(t, d, wl, 1200)
+	throughput := func(d Design, level topology.Level) float64 {
+		e := MustNew(Config{Design: d, IslandLevel: level, Workload: wl, Topology: smallTopology()})
+		res, err := e.Run(RunOptions{Transactions: 1200, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.ThroughputTPS
 	}
-	central := throughput(Centralized)
-	extreme := throughput(SharedNothingExtreme)
-	atrapos := throughput(ATraPos)
-	plp := throughput(PLP)
+	central := throughput(Centralized, 0)
+	extreme := throughput(SharedNothing, topology.LevelCore)
+	atrapos := throughput(ATraPos, 0)
+	plp := throughput(PLP, 0)
 	if extreme <= central {
 		t.Errorf("extreme shared-nothing (%f) should beat centralized (%f)", extreme, central)
 	}
@@ -190,7 +205,7 @@ func TestPartitionableScalingShape(t *testing.T) {
 func TestMultisiteTransactionsHurtSharedNothing(t *testing.T) {
 	throughput := func(pct int) float64 {
 		wl := workload.MultisiteUpdate(8000, pct)
-		e := MustNew(Config{Design: SharedNothingCoarse, Workload: wl, Topology: smallTopology()})
+		e := MustNew(Config{Design: SharedNothing, IslandLevel: topology.LevelSocket, Workload: wl, Topology: smallTopology()})
 		res, err := e.Run(RunOptions{Transactions: 500, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -214,7 +229,7 @@ func TestMultisiteTransactionsHurtSharedNothing(t *testing.T) {
 func TestMultisiteBreakdownGrowsCommunication(t *testing.T) {
 	run := func(pct int) *Result {
 		wl := workload.MultisiteUpdate(8000, pct)
-		e := MustNew(Config{Design: SharedNothingCoarse, Workload: wl, Topology: smallTopology()})
+		e := MustNew(Config{Design: SharedNothing, IslandLevel: topology.LevelSocket, Workload: wl, Topology: smallTopology()})
 		res, err := e.Run(RunOptions{Transactions: 400, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +256,8 @@ func TestMemoryAllocationPolicies(t *testing.T) {
 	wl := workload.ReadHundred(20000)
 	run := func(policy numa.AllocPolicy) *Result {
 		e := MustNew(Config{
-			Design:           SharedNothingCoarse,
+			Design:           SharedNothing,
+			IslandLevel:      topology.LevelSocket,
 			Workload:         wl,
 			Topology:         smallTopology(),
 			AllocPolicy:      policy,

@@ -7,6 +7,7 @@ import (
 	"atrapos/internal/lock"
 	"atrapos/internal/numa"
 	"atrapos/internal/obs"
+	"atrapos/internal/partition"
 	"atrapos/internal/schema"
 	"atrapos/internal/storage"
 	"atrapos/internal/topology"
@@ -123,8 +124,9 @@ func (e *Engine) effectiveCore(c topology.CoreID) topology.CoreID {
 	return c
 }
 
-// lockedPartition remembers a (table, partition/site) whose local lock table
-// holds locks on behalf of the running transaction.
+// lockedPartition remembers where an action executed: its (table,
+// partition/site), whose local lock table holds the action's lock, and the
+// executing core and socket.
 type lockedPartition struct {
 	table string
 	idx   int
@@ -133,7 +135,8 @@ type lockedPartition struct {
 }
 
 // releaseLocal releases every partition-local lock table the transaction
-// touched, exactly once per distinct (table, partition). The release cost is
+// touched, exactly once per distinct (table, partition); entries that name no
+// lock table are skipped. The release cost is
 // charged to the owner recorded by the partition's most recent acquisition:
 // if a partition was re-locked from a different core mid-transaction (a
 // socket failure redirected ownership), the last recorded owner is the core
@@ -141,11 +144,10 @@ type lockedPartition struct {
 // rather than on whichever entry happened to be recorded first.
 func (e *Engine) releaseLocal(snap *stateSnapshot, id lock.TxnID, locked []lockedPartition) {
 	for i := range locked {
-		last := true
-		for j := i + 1; j < len(locked); j++ {
+		last := locked[i].table != ""
+		for j := i + 1; last && j < len(locked); j++ {
 			if locked[j].table == locked[i].table && locked[j].idx == locked[i].idx {
 				last = false
-				break
 			}
 		}
 		if !last {
@@ -159,173 +161,191 @@ func (e *Engine) releaseLocal(snap *stateSnapshot, id lock.TxnID, locked []locke
 	}
 }
 
-// executeCentralized runs one transaction under the traditional centralized
-// shared-everything design. All costs are charged to the coordinating worker.
-func (e *Engine) executeCentralized(worker topology.CoreID, t *workload.Transaction, sc *execScratch) bool {
-	s := e.cfg.Topology.SocketOf(worker)
-	tx := &sc.txn
-	e.charge(worker, vclock.Management, e.txnMgr.BeginInto(tx, worker))
+// oversaturationPenalty is the extra execution cost factor per additional
+// partition worker sharing a core: a core owning k active partitions executes
+// actions (1 + penalty*(k-1)) times slower. It models the oversaturation the
+// paper demonstrates with the naïve placement (Fig. 6).
+const oversaturationPenalty = 0.8
 
-	abort := func() bool {
-		cost, _ := e.centralLocks.ReleaseAll(s, lock.TxnID(tx.ID))
-		e.charge(worker, vclock.Locking, cost)
-		abortCost, _ := e.txnMgr.Abort(tx)
-		e.charge(worker, vclock.Management, abortCost)
-		return false
-	}
-
-	// Table-level intention locks first (hierarchical locking), then row locks.
-	for _, a := range t.Actions {
-		_, tm := lockModeFor(a.Op)
-		sc.upsertTableMode(a.Table, tm)
-	}
-	for _, tm := range sc.tableModes {
-		cost, err := e.centralLocks.Acquire(s, lock.TxnID(tx.ID), lock.TableResource(tm.table), tm.mode)
-		e.charge(worker, vclock.Locking, cost)
-		e.traceOp(sc, obs.KindLockAcquire, worker, cost, errArg(err))
-		if err != nil {
-			return abort()
-		}
-	}
-
-	wrote := false
-	for _, a := range t.Actions {
-		rowMode, _ := lockModeFor(a.Op)
-		cost, err := e.centralLocks.Acquire(s, lock.TxnID(tx.ID), lock.RowResource(a.Table, a.Key), rowMode)
-		e.charge(worker, vclock.Locking, cost)
-		e.traceOp(sc, obs.KindLockAcquire, worker, cost, errArg(err))
-		if err != nil {
-			return abort()
-		}
-		execCost, applied, err := performAction(e.tables[a.Table], a, worker)
-		e.charge(worker, vclock.Execution, execCost)
-		if err != nil {
-			return abort()
-		}
-		if a.Op.IsWrite() {
-			wrote = true
-			_, logCost := e.log.Append(s, wal.Record{Txn: uint64(tx.ID), Type: recordTypeFor(a.Op, applied), Table: a.Table, Key: a.Key, Size: 96})
-			e.charge(worker, vclock.Logging, logCost)
-			e.traceOp(sc, obs.KindWALAppend, worker, logCost, 96)
-		}
-	}
-	if wrote {
-		_, logCost := e.log.Append(s, wal.Record{Txn: uint64(tx.ID), Type: wal.Commit, Size: 48})
-		e.charge(worker, vclock.Logging, logCost)
-		e.traceOp(sc, obs.KindWALAppend, worker, logCost, 48)
-		e.charge(worker, vclock.Logging, e.log.Flush(s, e.log.Tail(), e.coreTime(worker)))
-	}
-	relCost, _ := e.centralLocks.ReleaseAll(s, lock.TxnID(tx.ID))
-	e.charge(worker, vclock.Locking, relCost)
-	for _, tm := range sc.tableModes {
-		e.centralLocks.RetainForSLI(s, lock.TableResource(tm.table), tm.mode)
-	}
-	commitCost, err := e.txnMgr.Commit(tx)
-	e.charge(worker, vclock.Management, commitCost)
-	return err == nil
-}
-
-// executeSharedNothing runs one transaction under the shared-nothing designs.
-// The worker's own instance coordinates; actions owned by other instances are
-// shipped over shared-memory channels and, for updates, committed with 2PC.
-// Every piece of instance wiring — sites, per-island logs, the 2PC
-// coordinator, the transaction manager — comes from the snapshot taken for
-// this transaction, so an online island-level change never splits one
+// execute runs one transaction under the engine's design row and returns
+// whether it committed: begin, lock, act and log every action where the row
+// routes it, then commit (two-phase across islands), release and end. The
+// caller owns sc and must have set sc.snap. Every piece of island wiring —
+// sites, per-island logs, the 2PC coordinator, the transaction manager — comes
+// from that snapshot, so an online island-level change never splits one
 // transaction across two machine layouts.
-func (e *Engine) executeSharedNothing(worker topology.CoreID, t *workload.Transaction, sc *execScratch) bool {
+func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *execScratch) bool {
+	sc.reset()
+	r := e.row
 	snap := sc.snap
 	w := snap.wiring
+	s := e.cfg.Topology.SocketOf(worker)
 	homeSite := w.siteOf(worker)
-	homeSocket := e.cfg.Topology.SocketOf(worker)
+	mgr := e.txnMgr
+	if r.state == stateByLevel {
+		mgr = w.txnMgr
+	}
 
 	tx := &sc.txn
-	e.charge(worker, vclock.Management, w.txnMgr.BeginInto(tx, worker))
+	e.charge(worker, vclock.Management, mgr.BeginInto(tx, worker))
+	id := lock.TxnID(tx.ID)
 
-	// siteInfo returns the core that executes an action owned by site: work on
-	// the coordinator's own instance runs on the coordinating core, work on a
-	// remote instance runs on that instance's "peer" core (the island member
-	// with the same local index), which is how a real instance spreads
-	// incoming remote requests over all of its cores rather than funnelling
-	// them through one. Single-core islands (extreme granularity) have exactly
-	// one choice.
-	workerLocal := 0
-	if c, err := e.cfg.Topology.Core(worker); err == nil {
-		workerLocal = c.LocalIndex
-	}
-	siteInfo := func(site int) (topology.CoreID, topology.SocketID) {
-		if site < 0 || site >= len(w.sites) {
-			site = 0
+	// end releases every lock the transaction holds and commits or aborts it.
+	end := func(commit bool) bool {
+		if r.centralLocks {
+			cost, _ := e.centralLocks.ReleaseAll(s, id)
+			e.charge(worker, vclock.Locking, cost)
+		} else {
+			e.releaseLocal(snap, id, sc.owners)
 		}
-		if site == homeSite {
-			return worker, homeSocket
+		if !commit {
+			cost, _ := mgr.Abort(tx)
+			e.charge(worker, vclock.Management, cost)
+			return false
 		}
-		if cores := w.siteCores[site]; len(cores) > 1 {
-			peer := cores[workerLocal%len(cores)]
-			return peer.ID, peer.Socket
+		// Only the central lock manager collects table modes; a committed
+		// transaction leaves its table locks to the next one on this socket.
+		for _, tm := range sc.tableModes {
+			e.centralLocks.RetainForSLI(s, lock.TableResource(tm.table), tm.mode)
 		}
-		c := w.sites[site]
-		return c.ID, c.Socket
+		cost, err := mgr.Commit(tx)
+		e.charge(worker, vclock.Management, cost)
+		return err == nil
 	}
 
-	remote := false
-
-	abort := func() bool {
-		e.releaseLocal(snap, lock.TxnID(tx.ID), sc.locked)
-		abortCost, _ := w.txnMgr.Abort(tx)
-		e.charge(worker, vclock.Management, abortCost)
-		return false
+	if r.centralLocks {
+		// Table-level intention locks first (hierarchical locking), then row
+		// locks.
+		for _, a := range t.Actions {
+			_, tm := lockModeFor(a.Op)
+			sc.upsertTableMode(a.Table, tm)
+		}
+		for _, tm := range sc.tableModes {
+			cost, err := e.centralLocks.Acquire(s, id, lock.TableResource(tm.table), tm.mode)
+			e.charge(worker, vclock.Locking, cost)
+			e.traceOp(sc, obs.KindLockAcquire, worker, cost, errArg(err))
+			if err != nil {
+				return end(false)
+			}
+		}
 	}
+
+	// owners records, per action index, where the action executed: the
+	// synchronization points index into it and partition-local locks are
+	// released from it (an action skipped before routing leaves a zero entry,
+	// which names no lock table).
+	sc.owners = append(sc.owners[:0], make([]lockedPartition, len(t.Actions))...)
 
 	wrote := false
-	for _, a := range t.Actions {
-		tp, ok := snap.placement.Table(a.Table)
-		if !ok {
-			continue
+	for i, a := range t.Actions {
+		at := lockedPartition{table: a.Table, core: worker, sock: s}
+		var tp *partition.TablePlacement
+		if r.route != routeCoordinator {
+			var ok bool
+			if tp, ok = snap.placement.Table(a.Table); !ok {
+				continue
+			}
+			at.idx = tp.PartitionFor(a.Key)
 		}
-		site := tp.PartitionFor(a.Key)
-		siteCore, siteSock := siteInfo(site)
-		sc.addParticipant(site)
-		if site != homeSite {
-			remote = true
-			sc.addRemoteCore(siteCore)
-			// Request and response over the shared-memory channel. The
-			// core-granular cost makes messages between die islands of one
-			// socket cheaper than cross-socket messages.
-			msg := e.domain.CoreMessageCost(worker, siteCore) + e.domain.CoreMessageCost(siteCore, worker)
-			e.charge(worker, vclock.Communication, msg)
+		switch {
+		case r.route == routeOwner:
+			at.core = e.effectiveCore(tp.Cores[at.idx])
+			at.sock = e.cfg.Topology.SocketOf(at.core)
+			// Action routing to the owning worker thread: an enqueue on the
+			// partition's action queue, i.e. an atomic on a cache line owned
+			// by the target island (DORA-style action passing, much cheaper
+			// than the inter-process channels of shared-nothing). The
+			// core-granular cost prices same-socket cross-die routing at the
+			// cheaper die-hop rate.
+			if at.core != worker {
+				e.charge(worker, vclock.Communication, e.domain.CoreAtomicCost(worker, at.core))
+			}
+		case r.route == routeIsland:
+			sc.addParticipant(at.idx)
+			if at.idx != homeSite {
+				peer := e.peer(w, at.idx, worker)
+				at.core, at.sock = peer.ID, peer.Socket
+				sc.addRemoteCore(at.core)
+				// Request and response over the shared-memory channel. The
+				// core-granular cost makes messages between die islands of
+				// one socket cheaper than cross-socket messages.
+				msg := e.domain.CoreMessageCost(worker, at.core) + e.domain.CoreMessageCost(at.core, worker)
+				e.charge(worker, vclock.Communication, msg)
+			}
 		}
-		lm, err := snap.runtime.Locks(a.Table, site)
-		if err != nil {
-			continue
-		}
+		sc.owners[i] = at
+
 		rowMode, _ := lockModeFor(a.Op)
-		lockCost, lockErr := lm.Acquire(siteSock, lock.TxnID(tx.ID), lock.RowResource(a.Table, a.Key), rowMode)
-		e.charge(siteCore, vclock.Locking, lockCost)
-		e.traceOp(sc, obs.KindLockAcquire, siteCore, lockCost, errArg(lockErr))
-		sc.locked = append(sc.locked, lockedPartition{table: a.Table, idx: site, core: siteCore, sock: siteSock})
-		if lockErr != nil {
-			return abort()
+		var lockCost numa.Cost
+		var lockErr error
+		if r.centralLocks {
+			lockCost, lockErr = e.centralLocks.Acquire(at.sock, id, lock.RowResource(a.Table, a.Key), rowMode)
+		} else {
+			lm, err := snap.runtime.Locks(a.Table, at.idx)
+			if err != nil {
+				continue
+			}
+			lockCost, lockErr = lm.Acquire(at.sock, id, lock.RowResource(a.Table, a.Key), rowMode)
 		}
-		execCost, applied, err := performAction(e.tables[a.Table], a, siteCore)
-		e.charge(siteCore, vclock.Execution, execCost)
+		e.charge(at.core, vclock.Locking, lockCost)
+		e.traceOp(sc, obs.KindLockAcquire, at.core, lockCost, errArg(lockErr))
+		if lockErr != nil {
+			return end(false)
+		}
+
+		execCost, applied, err := performAction(e.tables[a.Table], a, at.core)
+		if r.route == routeOwner {
+			// A core hosting several partition workers executes slower.
+			factor := saturationFactor(oversaturationPenalty, snap.active(tp.Cores[at.idx]))
+			execCost = numa.Cost(float64(execCost) * factor)
+		}
+		e.charge(at.core, vclock.Execution, execCost)
 		if err != nil {
-			return abort()
+			return end(false)
 		}
 		if a.Op.IsWrite() {
 			wrote = true
-			// Each island appends to its own write-ahead log.
-			_, logCost := w.logs.Log(site).Append(siteSock, wal.Record{Txn: uint64(tx.ID), Type: recordTypeFor(a.Op, applied), Table: a.Table, Key: a.Key, Size: 96})
-			e.charge(siteCore, vclock.Logging, logCost)
-			e.traceOp(sc, obs.KindWALAppend, siteCore, logCost, 96)
+			_, logCost := e.logAt(w, at.idx).Append(at.sock, wal.Record{Txn: uint64(tx.ID), Type: recordTypeFor(a.Op, applied), Table: a.Table, Key: a.Key, Size: 96})
+			e.charge(at.core, vclock.Logging, logCost)
+			e.traceOp(sc, obs.KindWALAppend, at.core, logCost, 96)
+		}
+		// Monitoring: thread-local trace arrays on the owning worker.
+		if r.route == routeOwner && e.adaptive != nil {
+			e.adaptive.monitor.RecordAction(a.Table, a.Key, vclock.Nanos(execCost))
+			e.charge(at.core, vclock.Management, monitoringCostPerAction)
 		}
 	}
 
-	committed2PC := true
-	if remote && wrote {
+	// Synchronization points: actions running on different owners must
+	// exchange their intermediate results. The cost is the hierarchical
+	// rendezvous formula: pairs of participants spanning sockets pay socket
+	// hops, pairs spanning dies of one socket pay the cheaper die hops.
+	if r.route == routeOwner {
+		for _, sp := range t.SyncPoints {
+			sc.syncCores = sc.syncCores[:0]
+			sc.syncRefs = sc.syncRefs[:0]
+			for _, ai := range sp.Actions {
+				if ai < 0 || ai >= len(sc.owners) || sc.owners[ai].table == "" {
+					continue
+				}
+				sc.syncCores = append(sc.syncCores, sc.owners[ai].core)
+				sc.syncRefs = append(sc.syncRefs, core.PartitionRef{Table: sc.owners[ai].table, Partition: sc.owners[ai].idx})
+			}
+			syncCost := e.domain.SyncPointCostAt(sc.syncCores, sp.Bytes)
+			e.charge(worker, vclock.Communication, syncCost)
+			e.traceOp(sc, obs.KindSyncPoint, worker, syncCost, int64(sp.Bytes))
+			if e.adaptive != nil {
+				e.adaptive.monitor.RecordSync(sc.syncRefs, sp.Bytes)
+			}
+		}
+	}
+
+	committed := true
+	if len(sc.remoteCores) > 0 && wrote {
 		// Distributed commit with the standard two-phase commit protocol;
 		// every participating instance (island) is its own 2PC site.
 		if out, err := w.coordinator.Run(tx, worker, homeSite, sc.participants, e.coreTime(worker), false); err == nil {
-			committed2PC = out.Committed
+			committed = out.Committed
 			for comp, cost := range out.ByComponent {
 				e.charge(worker, vclock.Component(comp), cost)
 			}
@@ -341,160 +361,20 @@ func (e *Engine) executeSharedNothing(worker topology.CoreID, t *workload.Transa
 			e.trace2PC(sc, worker, out.TotalCost(), out.PrepareCost, len(sc.participants), out.Committed)
 		}
 	} else if wrote {
-		home := w.logs.Log(homeSite)
-		_, logCost := home.Append(homeSocket, wal.Record{Txn: uint64(tx.ID), Type: wal.Commit, Size: 48})
+		log := e.logAt(w, homeSite)
+		_, logCost := log.Append(s, wal.Record{Txn: uint64(tx.ID), Type: wal.Commit, Size: 48})
 		e.charge(worker, vclock.Logging, logCost)
 		e.traceOp(sc, obs.KindWALAppend, worker, logCost, 48)
-		e.charge(worker, vclock.Logging, home.Flush(homeSocket, home.Tail(), e.coreTime(worker)))
+		e.charge(worker, vclock.Logging, log.Flush(s, log.Tail(), e.coreTime(worker)))
 	}
-
-	e.releaseLocal(snap, lock.TxnID(tx.ID), sc.locked)
-
-	if !committed2PC {
-		abortCost, _ := w.txnMgr.Abort(tx)
-		e.charge(worker, vclock.Management, abortCost)
-		return false
-	}
-	commitCost, err := w.txnMgr.Commit(tx)
-	e.charge(worker, vclock.Management, commitCost)
-	return err == nil
+	return end(committed)
 }
 
-// oversaturationPenalty is the extra execution cost factor per additional
-// partition worker sharing a core: a core owning k active partitions executes
-// actions (1 + penalty*(k-1)) times slower. It models the oversaturation the
-// paper demonstrates with the naïve placement (Fig. 6).
-const oversaturationPenalty = 0.8
-
-// executePartitioned runs one transaction under the data-oriented designs
-// (PLP, HWAware, ATraPos): actions are routed to partition-owning cores,
-// partition-local lock tables replace the centralized lock manager, and
-// synchronization points pay the paper's cross-socket rendezvous cost.
-func (e *Engine) executePartitioned(worker topology.CoreID, t *workload.Transaction, sc *execScratch) bool {
-	coordSocket := e.cfg.Topology.SocketOf(worker)
-	snap := sc.snap
-
-	tx := &sc.txn
-	e.charge(worker, vclock.Management, e.txnMgr.BeginInto(tx, worker))
-
-	// owners records, per action index, the partition that executed it; the
-	// synchronization points below index into it.
-	if cap(sc.owners) < len(t.Actions) {
-		sc.owners = make([]lockedPartition, len(t.Actions))
-	} else {
-		sc.owners = sc.owners[:len(t.Actions)]
+// logAt returns the write-ahead log that records work of the given site:
+// the island's own log under island routing, the central log otherwise.
+func (e *Engine) logAt(w *islandWiring, site int) *wal.CentralLog {
+	if e.row.route == routeIsland {
+		return w.logs.Log(site)
 	}
-	for i := range sc.owners {
-		sc.owners[i] = lockedPartition{}
-	}
-
-	abort := func() bool {
-		e.releaseLocal(snap, lock.TxnID(tx.ID), sc.locked)
-		abortCost, _ := e.txnMgr.Abort(tx)
-		e.charge(worker, vclock.Management, abortCost)
-		return false
-	}
-
-	wrote := false
-	for i, a := range t.Actions {
-		tp, ok := snap.placement.Table(a.Table)
-		if !ok {
-			continue
-		}
-		idx := tp.PartitionFor(a.Key)
-		owner := e.effectiveCore(tp.Cores[idx])
-		oSock := e.cfg.Topology.SocketOf(owner)
-		pr := lockedPartition{table: a.Table, idx: idx, core: owner, sock: oSock}
-		sc.owners[i] = pr
-
-		// Action routing to the owning worker thread: an enqueue on the
-		// partition's action queue, i.e. an atomic on a cache line owned by
-		// the target island (DORA-style action passing, much cheaper than the
-		// inter-process channels of the shared-nothing configurations). The
-		// core-granular cost prices same-socket cross-die routing at the
-		// cheaper die-hop rate.
-		if owner != worker {
-			e.charge(worker, vclock.Communication, e.domain.CoreAtomicCost(worker, owner))
-		}
-		// Partition-local locking (no centralized lock manager).
-		lm, err := snap.runtime.Locks(a.Table, idx)
-		if err != nil {
-			continue
-		}
-		rowMode, _ := lockModeFor(a.Op)
-		lockCost, lockErr := lm.Acquire(oSock, lock.TxnID(tx.ID), lock.RowResource(a.Table, a.Key), rowMode)
-		e.charge(pr.core, vclock.Locking, lockCost)
-		e.traceOp(sc, obs.KindLockAcquire, pr.core, lockCost, errArg(lockErr))
-		sc.locked = append(sc.locked, pr)
-		if lockErr != nil {
-			return abort()
-		}
-		// Execute the action on the owning core, inflated by the
-		// oversaturation factor if that core hosts several partition workers.
-		execCost, applied, err := performAction(e.tables[a.Table], a, owner)
-		factor := saturationFactor(oversaturationPenalty, snap.active(tp.Cores[idx]))
-		execCost = numa.Cost(float64(execCost) * factor)
-		e.charge(pr.core, vclock.Execution, execCost)
-		if err != nil {
-			return abort()
-		}
-		if a.Op.IsWrite() {
-			wrote = true
-			_, logCost := e.log.Append(oSock, wal.Record{Txn: uint64(tx.ID), Type: recordTypeFor(a.Op, applied), Table: a.Table, Key: a.Key, Size: 96})
-			e.charge(pr.core, vclock.Logging, logCost)
-			e.traceOp(sc, obs.KindWALAppend, pr.core, logCost, 96)
-		}
-		// Monitoring: thread-local trace arrays (ATraPos only).
-		if e.adaptive != nil {
-			e.adaptive.recordAction(a.Table, a.Key, vclock.Nanos(execCost))
-			e.charge(pr.core, vclock.Management, monitoringCostPerAction)
-		}
-	}
-
-	// Synchronization points: actions running on different islands must
-	// exchange their intermediate results. The cost is the hierarchical
-	// rendezvous formula: pairs of participants spanning sockets pay socket
-	// hops, pairs spanning dies of one socket pay the cheaper die hops.
-	for _, sp := range t.SyncPoints {
-		sc.syncCores = sc.syncCores[:0]
-		sc.syncRefs = sc.syncRefs[:0]
-		for _, ai := range sp.Actions {
-			if ai < 0 || ai >= len(sc.owners) || sc.owners[ai].table == "" {
-				continue
-			}
-			sc.syncCores = append(sc.syncCores, sc.owners[ai].core)
-			sc.syncRefs = append(sc.syncRefs, core.PartitionRef{Table: sc.owners[ai].table, Partition: sc.owners[ai].idx})
-		}
-		syncCost := e.domain.SyncPointCostAt(sc.syncCores, sp.Bytes)
-		e.charge(worker, vclock.Communication, syncCost)
-		e.traceOp(sc, obs.KindSyncPoint, worker, syncCost, int64(sp.Bytes))
-		if e.adaptive != nil {
-			e.adaptive.recordSync(sc.syncRefs, sp.Bytes)
-		}
-	}
-
-	if wrote {
-		_, logCost := e.log.Append(coordSocket, wal.Record{Txn: uint64(tx.ID), Type: wal.Commit, Size: 48})
-		e.charge(worker, vclock.Logging, logCost)
-		e.traceOp(sc, obs.KindWALAppend, worker, logCost, 48)
-		e.charge(worker, vclock.Logging, e.log.Flush(coordSocket, e.log.Tail(), e.coreTime(worker)))
-	}
-	e.releaseLocal(snap, lock.TxnID(tx.ID), sc.locked)
-	commitCost, err := e.txnMgr.Commit(tx)
-	e.charge(worker, vclock.Management, commitCost)
-	return err == nil
-}
-
-// execute dispatches one transaction to the design-specific path and returns
-// whether it committed. The caller owns sc and must have set sc.snap.
-func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *execScratch) bool {
-	sc.reset()
-	switch e.cfg.Design {
-	case Centralized:
-		return e.executeCentralized(worker, t, sc)
-	case SharedNothingExtreme, SharedNothingCoarse, SharedNothing:
-		return e.executeSharedNothing(worker, t, sc)
-	default:
-		return e.executePartitioned(worker, t, sc)
-	}
+	return e.log
 }

@@ -20,9 +20,6 @@ import (
 // goroutine per island, laid out exactly as the wiring prescribes.
 func (e *Engine) buildHashBackend() error {
 	w := e.state.snapshot().wiring
-	if w == nil {
-		return fmt.Errorf("engine: hash backend needs an island wiring")
-	}
 	names := make([]string, len(e.wl.Tables))
 	for i, td := range e.wl.Tables {
 		names[i] = td.Schema.Name
@@ -60,7 +57,7 @@ func wiringHomes(w *islandWiring) []topology.SocketID {
 // after the re-shard is the shard the next transaction will look for it on.
 // No-op on the priced path.
 func (e *Engine) reshardBackend(p *partition.Placement, w *islandWiring) {
-	if e.hash == nil || w == nil {
+	if e.hash == nil {
 		return
 	}
 	tps := make([]*partition.TablePlacement, len(e.wl.Tables))
@@ -90,9 +87,6 @@ func (e *Engine) loadBackend(snap *stateSnapshot) error {
 		return fmt.Errorf("engine: no hash backend configured")
 	}
 	w := snap.wiring
-	if w == nil {
-		return fmt.Errorf("engine: executed run needs an island wiring")
-	}
 	for ti, td := range e.wl.Tables {
 		tp, ok := snap.placement.Table(td.Schema.Name)
 		if !ok {
@@ -178,9 +172,6 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 		return nil, fmt.Errorf("engine: executed run needs a transaction count")
 	}
 	snap := e.state.snapshot()
-	if snap.wiring == nil {
-		return nil, fmt.Errorf("engine: executed run needs an island wiring")
-	}
 	if !e.hashLoaded {
 		if err := e.loadBackend(snap); err != nil {
 			return nil, err

@@ -63,18 +63,15 @@ func (e *Engine) compileFaults(s *fault.Schedule) ([]Event, error) {
 // per-island logs of the installed wiring for shared-nothing designs, the
 // central log otherwise.
 func (e *Engine) crashLogs() []*wal.CentralLog {
-	if snap := e.state.snapshot(); snap != nil && snap.wiring != nil && snap.wiring.logs != nil {
-		logs := snap.wiring.logs
+	if w := e.state.snapshot().wiring; w != nil {
+		logs := w.logs
 		out := make([]*wal.CentralLog, logs.NumLogs())
 		for i := range out {
 			out[i] = logs.Log(i)
 		}
 		return out
 	}
-	if cl, ok := e.log.(*wal.CentralLog); ok {
-		return []*wal.CentralLog{cl}
-	}
-	return nil
+	return []*wal.CentralLog{e.log}
 }
 
 // logStats sums the activity counters of every log the engine currently
@@ -217,11 +214,8 @@ func (e *Engine) TableKeySets() map[string][]schema.Key {
 // converged it is always false; tests and the fuzzer assert that instead of
 // eyeballing timelines.
 func (e *Engine) WiringBindsFailedDevice() bool {
-	snap := e.state.snapshot()
-	if snap == nil || snap.wiring == nil {
-		return false
-	}
-	return wiringBindsFailedDevice(snap.wiring)
+	w := e.state.snapshot().wiring
+	return w != nil && wiringBindsFailedDevice(w)
 }
 
 // WiringConverged reports whether the installed wiring matches the current
@@ -230,9 +224,6 @@ func (e *Engine) WiringBindsFailedDevice() bool {
 // Engines without island wiring (non-shared-nothing designs) are trivially
 // converged.
 func (e *Engine) WiringConverged() bool {
-	snap := e.state.snapshot()
-	if snap == nil || snap.wiring == nil {
-		return true
-	}
-	return !wiringStale(snap.wiring, e.cfg.Topology) && !wiringBindsFailedDevice(snap.wiring)
+	w := e.state.snapshot().wiring
+	return w == nil || !wiringStale(w, e.cfg.Topology) && !wiringBindsFailedDevice(w)
 }

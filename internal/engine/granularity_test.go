@@ -204,27 +204,6 @@ func TestMonitoringOnlyNeverRewires(t *testing.T) {
 	}
 }
 
-// TestAliasesStayInert: the fixed-granularity aliases must not grow an
-// adaptation pipeline even with Adaptive set — their legacy meaning is a
-// frozen level.
-func TestAliasesStayInert(t *testing.T) {
-	prof, _ := topology.ProfileByName("2s-fc")
-	for _, d := range []Design{SharedNothingExtreme, SharedNothingCoarse} {
-		e, err := New(Config{
-			Design:   d,
-			Workload: workload.MultisiteUpdate(3000, 50),
-			Topology: prof.Build(),
-			Adaptive: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.adaptive != nil {
-			t.Errorf("%v: alias designs must not adapt", d)
-		}
-	}
-}
-
 // TestBuildWiringReuse: islands whose core sets survive a level change keep
 // their write-ahead logs. After a socket failure the surviving socket's
 // island is exactly the machine island, so a socket->machine re-wiring

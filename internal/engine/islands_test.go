@@ -27,43 +27,11 @@ func runIsland(t *testing.T, top *topology.Topology, design Design, level topolo
 	return res
 }
 
-// TestSharedNothingAliases asserts the legacy enum values are exact aliases
-// of the parametric granularity: byte-for-byte identical results, not merely
-// similar ones.
-func TestSharedNothingAliases(t *testing.T) {
-	cases := []struct {
-		legacy Design
-		level  topology.Level
-	}{
-		{SharedNothingExtreme, topology.LevelCore},
-		{SharedNothingCoarse, topology.LevelSocket},
-	}
-	for _, tc := range cases {
-		for _, pct := range []int{0, 50} {
-			legacy := runIsland(t, smallTopology(), tc.legacy, 0, pct)
-			param := runIsland(t, smallTopology(), SharedNothing, tc.level, pct)
-			if legacy.Committed != param.Committed || legacy.Aborted != param.Aborted {
-				t.Errorf("%v vs shared-nothing@%v at %d%%: committed %d/%d aborted %d/%d",
-					tc.legacy, tc.level, pct, legacy.Committed, param.Committed, legacy.Aborted, param.Aborted)
-			}
-			if legacy.VirtualTime != param.VirtualTime || legacy.ThroughputTPS != param.ThroughputTPS {
-				t.Errorf("%v vs shared-nothing@%v at %d%%: vt %v/%v tps %f/%f",
-					tc.legacy, tc.level, pct, legacy.VirtualTime, param.VirtualTime,
-					legacy.ThroughputTPS, param.ThroughputTPS)
-			}
-			if legacy.MultiSite != param.MultiSite {
-				t.Errorf("%v vs shared-nothing@%v at %d%%: multisite %d/%d",
-					tc.legacy, tc.level, pct, legacy.MultiSite, param.MultiSite)
-			}
-		}
-	}
-}
-
 // TestSharedNothingDefaultsToSocket checks the parametric design's zero-value
 // granularity.
 func TestSharedNothingDefaultsToSocket(t *testing.T) {
 	def := runIsland(t, smallTopology(), SharedNothing, 0, 50)
-	coarse := runIsland(t, smallTopology(), SharedNothingCoarse, 0, 50)
+	coarse := runIsland(t, smallTopology(), SharedNothing, topology.LevelSocket, 50)
 	if def.Committed != coarse.Committed || def.ThroughputTPS != coarse.ThroughputTPS {
 		t.Errorf("unset IslandLevel should mean socket granularity: %f vs %f", def.ThroughputTPS, coarse.ThroughputTPS)
 	}
@@ -82,8 +50,8 @@ func TestMachineLevelIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.numSites() != 1 {
-		t.Fatalf("machine-level deployment has %d sites, want 1", e.numSites())
+	if e.state.snapshot().numSites() != 1 {
+		t.Fatalf("machine-level deployment has %d sites, want 1", e.state.snapshot().numSites())
 	}
 	res, err := e.Run(RunOptions{Transactions: 400, Seed: 7})
 	if err != nil {
@@ -111,8 +79,8 @@ func TestDieLevelIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.numSites() != top.NumDies() {
-		t.Fatalf("die-level deployment has %d sites, want %d", e.numSites(), top.NumDies())
+	if e.state.snapshot().numSites() != top.NumDies() {
+		t.Fatalf("die-level deployment has %d sites, want %d", e.state.snapshot().numSites(), top.NumDies())
 	}
 	for site, cores := range e.state.snapshot().wiring.siteCores {
 		for _, c := range cores {
@@ -202,8 +170,8 @@ func TestIslandLevelSurvivesSocketFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.numSites() != 2 {
-		t.Fatalf("only socket 0's two dies should form sites, got %d", e.numSites())
+	if e.state.snapshot().numSites() != 2 {
+		t.Fatalf("only socket 0's two dies should form sites, got %d", e.state.snapshot().numSites())
 	}
 	res, err := e.Run(RunOptions{Transactions: 200, Seed: 7})
 	if err != nil {

@@ -10,13 +10,18 @@ import (
 
 // TestLockLayerKeepsVirtualTime pins absolute virtual-time numbers of the
 // designs that cross package lock (central manager with and without SLI,
-// partition-local tables under PLP, ATraPos and die-grained shared-nothing).
+// partition-local tables under PLP, HWAware, ATraPos and shared-nothing at
+// die, core and socket grain) and, between them, every row of the design
+// table: owner routing with and without the monitor, island routing with and
+// without 2PC, the coordinator with inserts, deletes and updates.
 // The determinism tests compare one fresh engine with another, so a lock-layer
 // change that shifted every result identically — a different bucket for a
 // resource, one more cache-line access per release, a changed ReleaseAll
 // count — would pass them and fail only in the repo benchmark. The numbers
 // were captured at the commit before lock.Table got its held list; a change
-// that moves them on purpose re-captures them and says so.
+// that moves them on purpose re-captures them and says so. The rows after
+// shared-nothing-die were captured at the commit before the three priced
+// execute paths became one.
 func TestLockLayerKeepsVirtualTime(t *testing.T) {
 	chiplet := func() *topology.Topology {
 		prof, _ := topology.ProfileByName("chiplet-2s4d")
@@ -25,21 +30,30 @@ func TestLockLayerKeepsVirtualTime(t *testing.T) {
 	cases := []struct {
 		name      string
 		cfg       Config
+		wl        *workload.Workload // nil: TATP at 4,000 subscribers
 		committed int64
 		virtual   vclock.Nanos // Result.VirtualTime
 		busy      vclock.Nanos // sum of Result.Breakdown.ByComp over all components
 		locking   vclock.Nanos // Result.Breakdown.ByComp[vclock.Locking]
 	}{
-		{"centralized", Config{Design: Centralized, Topology: smallTopology()}, 3000, 3740190, 54394134, 8426640},
-		{"centralized-no-sli", Config{Design: Centralized, Topology: smallTopology(), DisableSLI: true}, 3000, 4237750, 60775814, 14808320},
-		{"plp", Config{Design: PLP, Topology: smallTopology()}, 3000, 8936920, 126303310, 425280},
-		{"atrapos", Config{Design: ATraPos, Topology: smallTopology()}, 3000, 8138840, 114832590, 425280},
-		{"shared-nothing-die", Config{Design: SharedNothing, IslandLevel: topology.LevelDie, Topology: chiplet()}, 3000, 2160461, 57693784, 8286640},
+		{"centralized", Config{Design: Centralized, Topology: smallTopology()}, nil, 3000, 3740190, 54394134, 8426640},
+		{"centralized-no-sli", Config{Design: Centralized, Topology: smallTopology(), DisableSLI: true}, nil, 3000, 4237750, 60775814, 14808320},
+		{"plp", Config{Design: PLP, Topology: smallTopology()}, nil, 3000, 8936920, 126303310, 425280},
+		{"atrapos", Config{Design: ATraPos, Topology: smallTopology()}, nil, 3000, 8138840, 114832590, 425280},
+		{"shared-nothing-die", Config{Design: SharedNothing, IslandLevel: topology.LevelDie, Topology: chiplet()}, nil, 3000, 2160461, 57693784, 8286640},
+		{"hw-aware", Config{Design: HWAware, Topology: smallTopology()}, nil, 3000, 8138840, 114832590, 425280},
+		{"atrapos-monitoring", Config{Design: ATraPos, Topology: smallTopology(), Monitoring: true}, nil, 3000, 8142605, 114885750, 425280},
+		{"shared-nothing-core-2pc", Config{Design: SharedNothing, IslandLevel: topology.LevelCore, Topology: smallTopology()}, workload.MultisiteUpdate(4000, 50), 3000, 74682604, 1156292972, 755383460},
+		{"shared-nothing-socket-2pc", Config{Design: SharedNothing, IslandLevel: topology.LevelSocket, Topology: smallTopology()}, workload.MultisiteUpdate(4000, 50), 3000, 34429101, 535040077, 177567157},
+		{"centralized-updates", Config{Design: Centralized, Topology: smallTopology()}, updateMix(), 3000, 8192564, 97890938, 15297040},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Workload = workload.MustTATP(workload.TATPOptions{Subscribers: 4000})
+			cfg.Workload = tc.wl
+			if cfg.Workload == nil {
+				cfg.Workload = workload.MustTATP(workload.TATPOptions{Subscribers: 4000})
+			}
 			res, err := MustNew(cfg).Run(RunOptions{Transactions: 3000, Seed: 42})
 			if err != nil {
 				t.Fatal(err)
@@ -55,4 +69,16 @@ func TestLockLayerKeepsVirtualTime(t *testing.T) {
 			}
 		})
 	}
+}
+
+// updateMix is TATP restricted to its four writing classes: updates, inserts
+// that may collide and deletes that may miss, so every write outcome —
+// applied, turned into an update, or a logged no-op — takes its turn.
+func updateMix() *workload.Workload {
+	return workload.MustTATP(workload.TATPOptions{Subscribers: 4000, Mix: map[string]float64{
+		workload.TATPUpdSubData:  1,
+		workload.TATPUpdLocation: 1,
+		workload.TATPInsCallFwd:  1,
+		workload.TATPDelCallFwd:  1,
+	}})
 }

@@ -230,11 +230,11 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		if t.MultiSite {
 			multiSite++
 		}
-		// Data-oriented designs dispatch the transaction to the worker thread
+		// Owner-routed designs dispatch the transaction to the worker thread
 		// that owns the partition doing most of its work, as DORA does; the
 		// coordinating core follows the data and the bulk of the actions
 		// execute locally.
-		if e.cfg.Design == PLP || e.cfg.Design == HWAware || e.cfg.Design == ATraPos {
+		if e.row.route == routeOwner {
 			if a, ok := dominantAction(t); ok {
 				if tp, ok := sc.snap.placement.Table(a.Table); ok {
 					coord = e.effectiveCore(tp.CoreFor(a.Key))
@@ -285,7 +285,7 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	e.drainLogs(e.virtualNowExact())
 
 	res := &Result{
-		Design:    e.cfg.Design,
+		Design:    e.Design(),
 		Workload:  e.wl.Name,
 		Committed: committed,
 		Aborted:   aborted,
@@ -332,18 +332,6 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// siteOf returns the site of core under the currently installed wiring; the
-// hot path uses the per-transaction snapshot instead so generation and
-// execution agree (see the run loop above).
-func (e *Engine) siteOf(core topology.CoreID) int {
-	return e.state.snapshot().wiring.siteOf(core)
-}
-
-// numSites returns the instance count of the currently installed wiring.
-func (e *Engine) numSites() int {
-	return e.state.snapshot().numSites()
 }
 
 // numSites returns the snapshot's instance count; non-shared-nothing designs

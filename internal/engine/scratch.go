@@ -13,8 +13,7 @@ import (
 // Every buffer is reset with a re-slice to length zero and keeps its backing
 // array, so after the first few transactions the steady-state execution of a
 // transaction performs no heap allocations at all. One scratch per run is
-// threaded through all three design paths (centralized, shared-nothing,
-// partitioned).
+// threaded through every transaction the run executes.
 type execScratch struct {
 	// snap is the partitioning snapshot taken once per transaction; dispatch
 	// and execution read the same snapshot, so one transaction never sees two
@@ -24,25 +23,23 @@ type execScratch struct {
 	// txn is the reusable transaction object filled by Manager.BeginInto.
 	txn txn.Txn
 
-	// owners records, per action index, the partition that executed it.
+	// owners records, per action index, the partition (and core) that
+	// executed it; partition-local locks are released from it.
 	owners []lockedPartition
-	// locked records every partition whose local lock table holds locks on
-	// behalf of the running transaction (possibly with duplicates).
-	locked []lockedPartition
 
-	// tableModes collects the table-level intention modes of the centralized
-	// path; transactions touch at most ~10 distinct tables, so a linear scan
+	// tableModes collects the table-level intention modes of the central
+	// lock manager; transactions touch at most ~10 distinct tables, so a linear scan
 	// beats a map and allocates nothing.
 	tableModes []tableMode
 
 	// syncCores/syncRefs are the per-synchronization-point participant
-	// buffers of the partitioned path; participants are tracked as executing
+	// buffers of owner routing; participants are tracked as executing
 	// cores so the rendezvous cost can distinguish die and socket crossings.
 	syncCores []topology.CoreID
 	syncRefs  []core.PartitionRef
 
 	// participants/remoteCores are the distinct 2PC participant instances
-	// (site indices) and remote executor cores of the shared-nothing path.
+	// (site indices) and remote executor cores of island routing.
 	participants []int
 	remoteCores  []topology.CoreID
 
@@ -64,7 +61,6 @@ type tableMode struct {
 func newExecScratch() *execScratch {
 	return &execScratch{
 		owners:       make([]lockedPartition, 0, 32),
-		locked:       make([]lockedPartition, 0, 32),
 		tableModes:   make([]tableMode, 0, 8),
 		syncCores:    make([]topology.CoreID, 0, 16),
 		syncRefs:     make([]core.PartitionRef, 0, 16),
@@ -76,7 +72,6 @@ func newExecScratch() *execScratch {
 // reset prepares the scratch for one transaction attempt.
 func (sc *execScratch) reset() {
 	sc.owners = sc.owners[:0]
-	sc.locked = sc.locked[:0]
 	sc.tableModes = sc.tableModes[:0]
 	sc.participants = sc.participants[:0]
 	sc.remoteCores = sc.remoteCores[:0]

@@ -42,6 +42,13 @@ func designs(ds ...engine.Design) []column {
 	return cols
 }
 
+// The paper's two fixed-grain shared-nothing configurations: one instance per
+// core (extreme, H-Store style) and one per socket (coarse).
+var (
+	snExtreme = column{label: "shared-nothing-extreme", cfg: engine.Config{Design: engine.SharedNothing, IslandLevel: topology.LevelCore}}
+	snCoarse  = column{label: "shared-nothing-coarse", cfg: engine.Config{Design: engine.SharedNothing, IslandLevel: topology.LevelSocket}}
+)
+
 // socketRows is the row axis of the scaling figures: the perfectly
 // partitionable workload on 1, 2, 4, ... sockets.
 func (s Scale) socketRows() []row {
@@ -151,7 +158,7 @@ func Fig1(s Scale) (*Table, error) {
 			"The paper reports IPC; high centralized IPC there reflects spinning on contended locks.",
 			"The useful-work fraction makes the same point directly: the share of cycles doing transaction work.",
 		},
-	}, s.socketRows(), designs(engine.SharedNothingExtreme, engine.Centralized, engine.PLP), each(usefulCell))
+	}, s.socketRows(), append([]column{snExtreme}, designs(engine.Centralized, engine.PLP)...), each(usefulCell))
 }
 
 // Fig2 reproduces Figure 2: throughput of extreme shared-nothing, centralized
@@ -159,14 +166,14 @@ func Fig1(s Scale) (*Table, error) {
 // the number of sockets grows.
 func Fig2(s Scale) (*Table, error) {
 	return scalingFigure(s, "fig2", "Throughput of the shared-nothing, centralized and PLP architectures",
-		designs(engine.SharedNothingExtreme, engine.Centralized, engine.PLP))
+		append([]column{snExtreme}, designs(engine.Centralized, engine.PLP)...))
 }
 
 // Fig5 reproduces Figure 5: the same scaling experiment including ATraPos and
 // the coarse shared-nothing configuration.
 func Fig5(s Scale) (*Table, error) {
 	return scalingFigure(s, "fig5", "Throughput of a perfectly partitionable workload",
-		designs(engine.SharedNothingExtreme, engine.SharedNothingCoarse, engine.ATraPos, engine.PLP))
+		append([]column{snExtreme, snCoarse}, designs(engine.ATraPos, engine.PLP)...))
 }
 
 func scalingFigure(s Scale, id, title string, cols []column) (*Table, error) {
@@ -186,7 +193,7 @@ func Fig3(s Scale) (*Table, error) {
 		Title:  "Throughput as the percentage of multi-site transactions increases",
 		Header: []string{"% multi-site", "extreme shared-nothing", "coarse shared-nothing", "centralized"},
 	}, s.multisiteRows(0, 20, 40, 60, 80, 100),
-		designs(engine.SharedNothingExtreme, engine.SharedNothingCoarse, engine.Centralized), each(tpsCell))
+		append([]column{snExtreme, snCoarse}, designs(engine.Centralized)...), each(tpsCell))
 }
 
 // Fig4 reproduces Figure 4: the per-transaction time breakdown of the coarse
@@ -197,7 +204,7 @@ func Fig4(s Scale) (*Table, error) {
 		ID:     "fig4",
 		Title:  "Time breakdown per transaction, coarse shared-nothing (microseconds)",
 		Header: []string{"% multi-site", "xct management", "xct execution", "communication", "locking", "logging"},
-	}, s.multisiteRows(0, 25, 50, 75, 100), designs(engine.SharedNothingCoarse),
+	}, s.multisiteRows(0, 25, 50, 75, 100), []column{snCoarse},
 		func(r []*engine.Result) []string {
 			var cells []string
 			for _, comp := range vclock.Components() {
@@ -219,7 +226,8 @@ func Table1(s Scale) (*Table, error) {
 	var cols []column
 	for _, policy := range []numa.AllocPolicy{numa.AllocLocal, numa.AllocCentral, numa.AllocRemote} {
 		cols = append(cols, column{label: policy.String(), cfg: engine.Config{
-			Design:           engine.SharedNothingCoarse,
+			Design:           engine.SharedNothing,
+			IslandLevel:      topology.LevelSocket,
 			AllocPolicy:      policy,
 			CentralAllocNode: topology.SocketID(top.Sockets() - 1),
 		}})

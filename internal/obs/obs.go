@@ -248,7 +248,6 @@ type Sample struct {
 	TPS             float64
 	Committed       int64
 	Aborted         int64
-	ConflictRate    float64
 	MultisiteShare  float64
 	CoalesceRatio   float64
 	DeviceBacklogNs float64

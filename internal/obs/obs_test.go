@@ -144,15 +144,15 @@ func TestValidateChromeTraceRejectsBadDocuments(t *testing.T) {
 }
 
 func TestValidateMetricsCSVRejectsBadDocuments(t *testing.T) {
-	good := MetricsCSVHeader + "\n100,0,socket,1.000000,1,0,0.000000,0.000000,1.000000,0.000000,1.000000\n"
+	good := MetricsCSVHeader + "\n100,0,socket,1.000000,1,0,0.000000,1.000000,0.000000,1.000000\n"
 	if err := ValidateMetricsCSV([]byte(good)); err != nil {
 		t.Fatalf("good CSV rejected: %v", err)
 	}
 	cases := map[string]string{
 		"bad header":      "nope\n",
 		"short row":       MetricsCSVHeader + "\n100,0,socket\n",
-		"bad at_ns":       MetricsCSVHeader + "\nx,0,socket,1,1,0,0,0,1,0,1\n",
-		"time regression": MetricsCSVHeader + "\n200,0,s,1,1,0,0,0,1,0,1\n100,0,s,1,1,0,0,0,1,0,1\n",
+		"bad at_ns":       MetricsCSVHeader + "\nx,0,socket,1,1,0,0,1,0,1\n",
+		"time regression": MetricsCSVHeader + "\n200,0,s,1,1,0,0,1,0,1\n100,0,s,1,1,0,0,1,0,1\n",
 	}
 	for name, doc := range cases {
 		if err := ValidateMetricsCSV([]byte(doc)); err == nil {
