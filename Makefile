@@ -73,15 +73,16 @@ test:
 # token, parallel bit-identity). The counter-conservation oracle (its
 # die-level mixed leg included) and the batch-protocol tests are repeated (the
 # oracle at its -short size): a lost update or a ship deadlock is a scheduling
-# accident, and one clean run proves little. ./internal/wal is here for
-# TestCentralLogConcurrentAppends: the priced tail is still shared by design.
-# The harness pass filters to the pool tests so the race-slowed run stays
-# bounded.
+# accident, and one clean run proves little. The traced executed run is
+# repeated too: the span rings are single-owner, so a ring two executors share
+# shows up only here. The harness pass filters to the pool tests so the
+# race-slowed run stays bounded.
 race:
-	$(GO) test -race ./internal/backend ./internal/wal
+	$(GO) test -race ./internal/backend
 	$(GO) test -race -short -count=20 -run ExecutorBatch ./internal/backend
 	$(GO) test -race -run Executed ./internal/engine
 	$(GO) test -race -short -count=20 -run ExecutedCountersConserved ./internal/engine
+	$(GO) test -race -count=10 -run TestExecutedTracedIslandsShareNothing ./internal/engine
 	$(GO) test -race -run 'TestPool|TestParallelSweepBitIdentical|TestFuzzShardDeterminism' ./internal/harness
 
 # benchmark/ is a nested module the root `go build ./... && go test ./...` does
@@ -97,6 +98,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkLoad -benchtime 1x -benchmem ./internal/engine
 	$(GO) test -run TestLoadAllocBudget -v ./internal/storage
 	$(GO) test -run '^$$' -bench BenchmarkAcquireReleaseAll -benchtime 1000x -benchmem ./internal/lock
+	$(GO) test -run '^$$' -bench BenchmarkCacheLine -benchtime 100000x -benchmem ./internal/numa
 	$(GO) test -run '^$$' -bench BenchmarkRepartition -benchtime 100x -benchmem ./internal/btree
 	$(GO) test -run '^$$' -bench 'BenchmarkExecutorShip|BenchmarkHashCommit' -benchtime 200x -benchmem ./internal/backend
 

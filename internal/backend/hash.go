@@ -57,7 +57,9 @@ type HashConfig struct {
 	Homes []topology.SocketID
 	// Log tunes the island value logs. Keep must be 0 for crash drills (a
 	// bounded ring cannot replay the full history); CoalesceRecords batches
-	// physical flushes through the wal coalescer.
+	// physical flushes through the wal coalescer. Log.Device is ignored: a
+	// priced device model is single-owner, and every executor would flush
+	// into the same one.
 	Log wal.Config
 	// Domain is ignored: the value logs are built without a priced tail
 	// (wal.NewCentralLog with a nil domain), so an executed run writes no
@@ -82,12 +84,15 @@ func NewHash(cfg HashConfig) (*HashBackend, error) {
 		logCfg:  cfg.Log,
 		loadTxn: ^uint64(0) - 1<<20,
 	}
+	b.logCfg.Device = nil
 	b.build()
 	return b, nil
 }
 
-// build (re)creates the shard and log arrays empty; the logs are unpriced
-// (see HashConfig.Domain).
+// build (re)creates the shard and log arrays empty; the logs are unpriced: no
+// cache-line tail (see HashConfig.Domain) and no device. Island i's log is
+// appended to only by executor i, its owner, so the wal's single-owner
+// argument holds for it too.
 func (b *HashBackend) build() {
 	n := nextPow2(b.islands)
 	b.mask = uint64(n - 1)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"atrapos/internal/btree"
@@ -11,78 +10,9 @@ import (
 	"atrapos/internal/vclock"
 )
 
-// TestMonitorSealWhileRecording drives recorders concurrently with repeated
-// seals and checks that every recorded action is eventually aggregated
-// exactly once: the double buffer may defer a racing record to the next
-// epoch, but it never loses or duplicates it.
-func TestMonitorSealWhileRecording(t *testing.T) {
-	m := NewMonitor(4)
-	m.Register("a", []schema.Key{0, 500}, schema.KeyFromInt(1000))
-
-	const workers = 4
-	const perWorker = 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				m.RecordAction("a", schema.KeyFromInt(int64((w*perWorker+i)%1000)), 1)
-				if i%10 == 0 {
-					m.RecordSync([]PartitionRef{{Table: "a", Partition: 0}, {Table: "a", Partition: 1}}, 64)
-				}
-			}
-		}(w)
-	}
-
-	var total int64
-	var syncCount int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			stats := m.Seal()
-			for _, parts := range stats.Sub {
-				for _, subs := range parts {
-					for _, sl := range subs {
-						total += sl.Actions
-					}
-				}
-			}
-			for _, s := range stats.Syncs {
-				syncCount += s.Count
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-
-	// Two final seals drain both epochs (a racing record may sit in either).
-	for i := 0; i < 2; i++ {
-		stats := m.Seal()
-		for _, parts := range stats.Sub {
-			for _, subs := range parts {
-				for _, sl := range subs {
-					total += sl.Actions
-				}
-			}
-		}
-		for _, s := range stats.Syncs {
-			syncCount += s.Count
-		}
-	}
-
-	if want := int64(workers * perWorker); total != want {
-		t.Errorf("aggregated %d actions across epochs, want %d", total, want)
-	}
-	if want := int64(workers * perWorker / 10); syncCount != want {
-		t.Errorf("aggregated %d sync occurrences, want %d", syncCount, want)
-	}
-}
-
 // TestMonitorSealSteadyStateAllocs pins Seal's steady-state allocation
-// behavior: once the reusable aggregate is warmed up (both epochs sealed
-// once), a record-and-seal cycle must not allocate. Runs with many planner
+// behavior: once the reusable aggregate is warmed up (sealed once), a
+// record-and-seal cycle must not allocate. Runs with many planner
 // intervals — single slow device, high virtual time per txn — seal often
 // enough that a per-seal allocation shows up in the fuzzer's whole-run
 // allocs-per-txn budget.
@@ -100,24 +30,9 @@ func TestMonitorSealSteadyStateAllocs(t *testing.T) {
 		m.AdvanceWindow(vclock.Nanos(1000))
 		m.Seal()
 	}
-	cycle()
-	cycle() // warm both epochs' scratch paths
+	cycle() // warm the scratch aggregate and the sync pool
 	if avg := testing.AllocsPerRun(50, cycle); avg > 0 {
 		t.Errorf("steady-state record+seal cycle allocates %.1f objects", avg)
-	}
-}
-
-// TestMonitorWindowLandsInSealedEpoch checks AdvanceWindow applies to the
-// epoch the next Seal returns, and that the flip resets it.
-func TestMonitorWindowLandsInSealedEpoch(t *testing.T) {
-	m := NewMonitor(2)
-	m.Register("a", []schema.Key{0}, schema.KeyFromInt(100))
-	m.AdvanceWindow(vclock.Nanos(1234))
-	if w := m.Seal().Window; w != 1234 {
-		t.Errorf("sealed window = %d, want 1234", w)
-	}
-	if w := m.Seal().Window; w != 0 {
-		t.Errorf("fresh epoch window = %d, want 0", w)
 	}
 }
 

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"atrapos/internal/partition"
 	"atrapos/internal/schema"
@@ -22,13 +21,12 @@ const DefaultSubPartitions = 10
 // records every executed action and synchronization point; a monitoring pass
 // seals the current epoch and aggregates it into Stats.
 //
-// The arrays are double-buffered into two epochs so that monitoring runs
-// concurrently with evaluation: workers record into the active epoch while
-// the planner thread reads (and clears) the sealed one. Seal flips the
-// active epoch with a single atomic store; a worker that loaded the old
-// epoch index just before the flip finishes its record into the sealed
-// buffer, where it is picked up by the next seal — records are never lost,
-// at worst attributed one epoch late.
+// A Monitor is single-owner: one epoch of plain fields, no mutex, no atomics.
+// It belongs to one engine's adaptive state (or to a one-shot derivation), and
+// the priced run records into it and seals it on its one goroutine — the
+// planner runs inline at a boundary of the transaction stream — so no record
+// can race a seal, and Seal aggregates the epoch and resets it in place.
+// Executed mode records nothing.
 //
 // The space overhead is fixed per partition (it does not depend on the table
 // size or the transaction arrival rate), mirroring the paper's design. The
@@ -36,20 +34,7 @@ const DefaultSubPartitions = 10
 // engine (its monitoringCostPerAction constant).
 type Monitor struct {
 	subParts int
-	active   atomic.Int32
-	epochs   [2]*monitorEpoch
-	// scratch is the reusable Stats buffer Seal returns. Sealing is
-	// single-threaded (the planner goroutine, or a one-shot derivation), and
-	// the returned Stats is only valid until the next Seal — which lets the
-	// steady state reuse every map and slice instead of reallocating the
-	// whole aggregate once per monitoring interval.
-	scratch *Stats
-}
-
-// monitorEpoch is one buffer of the double-buffered monitoring arrays.
-type monitorEpoch struct {
-	mu     sync.Mutex
-	tables map[string]*tableMonitor
+	tables   map[string]*tableMonitor
 	// syncs is keyed by an order-independent hash of the participant set, so
 	// recording a synchronization point in the transaction hot path performs
 	// no allocations (the previous string key allocated per record). The
@@ -62,23 +47,22 @@ type monitorEpoch struct {
 	syncFree []*syncAgg
 	window   vclock.Nanos
 
-	// Transaction-shape counters, recorded with plain atomics (no epoch
-	// mutex): the multisite share and action profile drive the
-	// adaptive-granularity scorer, and the shared-nothing hot path must be
-	// able to record them without taking a lock or allocating.
-	txns          atomic.Int64
-	multisiteTxns atomic.Int64
-	actions       atomic.Int64
-	writes        atomic.Int64
-	overwrites    atomic.Int64
-	syncBytes     atomic.Int64
+	// Transaction-shape counters (RecordTxn): the multisite share and action
+	// profile drive the adaptive-granularity scorer.
+	txns, multisiteTxns, actions, writes, overwrites, syncBytes int64
 	// writeKeySlots is a coarse 64-slot histogram of write-key hashes
 	// (RecordWriteKey). The hottest slot's share of all recorded writes
 	// approximates the workload's hot-key concentration, which prices the
 	// write-combining accumulator's expected coalescing ratio in the
-	// granularity scorer. Fixed-size and atomic: the hot path neither locks
-	// nor allocates to feed it.
-	writeKeySlots [64]atomic.Int64
+	// granularity scorer. Fixed-size: the hot path does not allocate to feed
+	// it.
+	writeKeySlots [64]int64
+
+	// scratch is the reusable Stats buffer Seal returns: the returned Stats
+	// is only valid until the next Seal, which lets the steady state reuse
+	// every map and slice instead of reallocating the whole aggregate once
+	// per monitoring interval.
+	scratch *Stats
 }
 
 type tableMonitor struct {
@@ -100,40 +84,33 @@ func NewMonitor(subParts int) *Monitor {
 	if subParts <= 0 {
 		subParts = DefaultSubPartitions
 	}
-	m := &Monitor{subParts: subParts}
-	for i := range m.epochs {
-		m.epochs[i] = &monitorEpoch{
-			tables: make(map[string]*tableMonitor),
-			syncs:  make(map[uint64]*syncAgg),
-		}
+	return &Monitor{
+		subParts: subParts,
+		tables:   make(map[string]*tableMonitor),
+		syncs:    make(map[uint64]*syncAgg),
 	}
-	return m
 }
 
 // SubPartitions returns the number of sub-partitions tracked per partition.
 func (m *Monitor) SubPartitions() int { return m.subParts }
 
 // Register (re-)initializes the monitoring arrays for a table under the given
-// placement bounds and maximum key, in both epochs. It is called when the
-// monitor is created and, after a repartitioning, for exactly the tables the
-// plan diff touched — unchanged tables keep accumulating into their existing
-// arrays, which is what makes repartitioning cost proportional to the diff.
+// placement bounds and maximum key. It is called when the monitor is created
+// and, after a repartitioning, for exactly the tables the plan diff touched —
+// unchanged tables keep accumulating into their existing arrays, which is
+// what makes repartitioning cost proportional to the diff.
 func (m *Monitor) Register(table string, bounds []schema.Key, maxKey schema.Key) {
-	for _, e := range m.epochs {
-		tm := &tableMonitor{
-			bounds: append([]schema.Key(nil), bounds...),
-			maxKey: maxKey,
-			costs:  make([][]vclock.Nanos, len(bounds)),
-			counts: make([][]int64, len(bounds)),
-		}
-		for i := range tm.costs {
-			tm.costs[i] = make([]vclock.Nanos, m.subParts)
-			tm.counts[i] = make([]int64, m.subParts)
-		}
-		e.mu.Lock()
-		e.tables[table] = tm
-		e.mu.Unlock()
+	tm := &tableMonitor{
+		bounds: append([]schema.Key(nil), bounds...),
+		maxKey: maxKey,
+		costs:  make([][]vclock.Nanos, len(bounds)),
+		counts: make([][]int64, len(bounds)),
 	}
+	for i := range tm.costs {
+		tm.costs[i] = make([]vclock.Nanos, m.subParts)
+		tm.counts[i] = make([]int64, m.subParts)
+	}
+	m.tables[table] = tm
 }
 
 // RegisterPlacement registers every table of a placement, using the supplied
@@ -170,22 +147,13 @@ func (tm *tableMonitor) locate(key schema.Key, subParts int) (int, int) {
 	return p, sp
 }
 
-// activeEpoch returns the epoch workers currently record into.
-func (m *Monitor) activeEpoch() *monitorEpoch {
-	return m.epochs[m.active.Load()&1]
-}
-
 // RecordAction records that an action on table touched key and cost cost.
 func (m *Monitor) RecordAction(table string, key schema.Key, cost vclock.Nanos) {
-	e := m.activeEpoch()
-	e.mu.Lock()
-	tm, ok := e.tables[table]
-	if ok {
+	if tm, ok := m.tables[table]; ok {
 		p, sp := tm.locate(key, m.subParts)
 		tm.costs[p][sp] += cost
 		tm.counts[p][sp]++
 	}
-	e.mu.Unlock()
 }
 
 // RecordSync records one occurrence of a synchronization point between the
@@ -196,22 +164,19 @@ func (m *Monitor) RecordSync(participants []PartitionRef, bytes int) {
 		return
 	}
 	key := syncHash(participants)
-	e := m.activeEpoch()
-	e.mu.Lock()
-	agg, ok := e.syncs[key]
+	agg, ok := m.syncs[key]
 	if !ok {
-		if n := len(e.syncFree); n > 0 {
-			agg = e.syncFree[n-1]
-			e.syncFree = e.syncFree[:n-1]
+		if n := len(m.syncFree); n > 0 {
+			agg = m.syncFree[n-1]
+			m.syncFree = m.syncFree[:n-1]
 		} else {
 			agg = &syncAgg{}
 		}
 		agg.participants = append(agg.participants, participants...)
-		e.syncs[key] = agg
+		m.syncs[key] = agg
 	}
 	agg.count++
 	agg.bytes += int64(bytes)
-	e.mu.Unlock()
 }
 
 // syncHash returns an order-independent hash of a participant set: the sum of
@@ -237,93 +202,75 @@ func syncHash(refs []PartitionRef) uint64 {
 // transaction had already written (overwrites — the coalescing scorer's
 // self-canceling signal), whether it crossed instance boundaries, and how
 // many synchronization-point bytes it exchanged. It is the entire monitoring
-// obligation of the shared-nothing hot path — a handful of atomic adds on the
-// active epoch, no locks, no allocations.
+// obligation of the shared-nothing hot path — a handful of adds, no
+// allocations.
 func (m *Monitor) RecordTxn(actions, writes, overwrites int, multisite bool, syncBytes int) {
-	e := m.activeEpoch()
-	e.txns.Add(1)
-	e.actions.Add(int64(actions))
-	e.writes.Add(int64(writes))
+	m.txns++
+	m.actions += int64(actions)
+	m.writes += int64(writes)
 	if overwrites > 0 {
-		e.overwrites.Add(int64(overwrites))
+		m.overwrites += int64(overwrites)
 	}
 	if multisite {
-		e.multisiteTxns.Add(1)
-		e.syncBytes.Add(int64(syncBytes))
+		m.multisiteTxns++
+		m.syncBytes += int64(syncBytes)
 	}
 }
 
 // RecordWriteKey records one write's key hash into the coarse write-key
 // histogram; the sealed epoch's hottest-slot share approximates hot-key
-// concentration. One atomic add, no locks.
+// concentration. One add.
 func (m *Monitor) RecordWriteKey(hash uint64) {
-	e := m.activeEpoch()
-	e.writeKeySlots[(hash*0x9E3779B97F4A7C15)>>58].Add(1)
+	m.writeKeySlots[(hash*0x9E3779B97F4A7C15)>>58]++
 }
 
-// AdvanceWindow extends the virtual-time span the active epoch's statistics
-// cover. The planner calls it just before Seal, so the window lands in the
-// epoch about to be sealed.
+// AdvanceWindow extends the virtual-time span the epoch's statistics cover.
+// The planner calls it just before Seal.
 func (m *Monitor) AdvanceWindow(d vclock.Nanos) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		m.window += d
 	}
-	e := m.activeEpoch()
-	e.mu.Lock()
-	e.window += d
-	e.mu.Unlock()
 }
 
-// Seal flips the double buffer and aggregates the epoch that was active
-// until now: workers immediately start recording into the other epoch, and
-// the sealed arrays are read and cleared without ever blocking recording.
-// Records from workers that raced the flip land in the sealed (now idle)
-// buffer and are picked up by the next Seal.
+// Seal aggregates the epoch recorded since the previous Seal (or since
+// creation) and resets it: the arrays, counters and window start the next
+// epoch at zero.
 //
 // The returned Stats is a buffer owned by the Monitor: it is valid until the
-// next Seal/Aggregate call, which reuses it. Every caller (the planner
-// goroutine, one-shot derivations, ablations) consumes the aggregate before
-// sealing again, and the reuse is what keeps steady-state sealing
-// allocation-free — monitoring overhead stays flat no matter how many
-// planner intervals a run packs in.
+// next Seal/Aggregate call, which reuses it. Every caller (the inline planner,
+// one-shot derivations, ablations) consumes the aggregate before sealing
+// again, and the reuse is what keeps steady-state sealing allocation-free —
+// monitoring overhead stays flat no matter how many planner intervals a run
+// packs in.
 func (m *Monitor) Seal() *Stats {
-	idx := m.active.Load() & 1
-	m.active.Store(1 - idx)
-	sealed := m.epochs[idx]
-	sealed.mu.Lock()
-	defer sealed.mu.Unlock()
 	stats := m.scratch
 	if stats == nil {
 		stats = &Stats{
-			Sub:     make(map[string][][]SubLoad, len(sealed.tables)),
-			Bounds:  make(map[string][]schema.Key, len(sealed.tables)),
-			MaxKeys: make(map[string]schema.Key, len(sealed.tables)),
+			Sub:     make(map[string][][]SubLoad, len(m.tables)),
+			Bounds:  make(map[string][]schema.Key, len(m.tables)),
+			MaxKeys: make(map[string]schema.Key, len(m.tables)),
 		}
 		m.scratch = stats
 	}
-	stats.Window = sealed.window
-	stats.Txns = sealed.txns.Swap(0)
-	stats.MultisiteTxns = sealed.multisiteTxns.Swap(0)
-	stats.Actions = sealed.actions.Swap(0)
-	stats.Writes = sealed.writes.Swap(0)
-	stats.Overwrites = sealed.overwrites.Swap(0)
-	stats.SyncBytes = sealed.syncBytes.Swap(0)
-	stats.WriteHot = 0
-	for i := range sealed.writeKeySlots {
-		if n := sealed.writeKeySlots[i].Swap(0); n > stats.WriteHot {
-			stats.WriteHot = n
-		}
-	}
+	stats.Window, m.window = m.window, 0
+	stats.Txns, m.txns = m.txns, 0
+	stats.MultisiteTxns, m.multisiteTxns = m.multisiteTxns, 0
+	stats.Actions, m.actions = m.actions, 0
+	stats.Writes, m.writes = m.writes, 0
+	stats.Overwrites, m.overwrites = m.overwrites, 0
+	stats.SyncBytes, m.syncBytes = m.syncBytes, 0
+	stats.WriteHot = slices.Max(m.writeKeySlots[:])
+	clear(m.writeKeySlots[:])
 	// A table no longer registered must not linger in the reused maps, or
 	// its last interval's loads would leak into every later aggregate.
 	for name := range stats.Sub {
-		if _, ok := sealed.tables[name]; !ok {
+		if _, ok := m.tables[name]; !ok {
 			delete(stats.Sub, name)
 			delete(stats.Bounds, name)
 			delete(stats.MaxKeys, name)
 		}
 	}
-	for name, tm := range sealed.tables {
+	for name, tm := range m.tables {
 		stats.Bounds[name] = append(stats.Bounds[name][:0], tm.bounds...)
 		stats.MaxKeys[name] = tm.maxKey
 		parts := stats.Sub[name]
@@ -352,7 +299,7 @@ func (m *Monitor) Seal() *Stats {
 		stats.Sub[name] = parts
 	}
 	syncs := stats.Syncs[:0]
-	for key, agg := range sealed.syncs {
+	for key, agg := range m.syncs {
 		avgBytes := int64(0)
 		if agg.count > 0 {
 			avgBytes = agg.bytes / agg.count
@@ -371,8 +318,8 @@ func (m *Monitor) Seal() *Stats {
 		})
 		agg.participants = agg.participants[:0]
 		agg.count, agg.bytes = 0, 0
-		sealed.syncFree = append(sealed.syncFree, agg)
-		delete(sealed.syncs, key)
+		m.syncFree = append(m.syncFree, agg)
+		delete(m.syncs, key)
 	}
 	if len(syncs) > 1 {
 		sort.Slice(syncs, func(i, j int) bool {
@@ -380,7 +327,6 @@ func (m *Monitor) Seal() *Stats {
 		})
 	}
 	stats.Syncs = syncs
-	sealed.window = 0
 	return stats
 }
 

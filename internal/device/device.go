@@ -16,9 +16,6 @@ package device
 
 import (
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 
 	"atrapos/internal/numa"
 	"atrapos/internal/obs"
@@ -49,7 +46,14 @@ type Spec struct {
 }
 
 // Device is one instantiated log device: a Spec plus the deterministic
-// virtual-time queue state. It is safe for concurrent use.
+// virtual-time queue state.
+//
+// A Device is single-owner: plain fields, no mutex, no atomics. Its queue is
+// priced, never enacted. A device belongs to one engine's device map; the
+// island logs bound to it flush, the fault events fail and degrade it, and
+// the planner reads its backlog, all on the priced run's one goroutine, and
+// the harness pool builds a fresh map for every point. Executed value logs
+// never bind a device (backend.HashConfig.Log).
 //
 // The queue is a drain-based backlog: every flush deposits its service time
 // into the device's backlog, and the backlog drains as the issuing workers'
@@ -65,16 +69,12 @@ type Spec struct {
 type Device struct {
 	spec Spec
 
-	// failed and degrade are the fault-injection state. They are atomics —
-	// not guarded by mu — because Service runs lock-free under the commit
-	// hot path (group-commit ride-alongs price their share without taking
-	// the queue lock). degrade holds the float64 bits of the latency
-	// factor; zero means the device is healthy (factor 1.0), so fault-free
-	// runs never touch float arithmetic and stay bit-identical.
-	failed  atomic.Bool
-	degrade atomic.Uint64
+	// failed and degrade are the fault-injection state. degrade is the
+	// latency factor; zero means the device is healthy (factor 1.0), so
+	// fault-free runs never touch float arithmetic and stay bit-identical.
+	failed  bool
+	degrade float64
 
-	mu sync.Mutex
 	// backlog is the service work deposited by flushes and not yet drained.
 	backlog vclock.Nanos
 	// horizon is the latest arrival time seen; clock progress beyond it
@@ -117,8 +117,8 @@ func (d *Device) Service(bytes int) numa.Cost {
 		bytes = 0
 	}
 	s := d.spec.FlushLatency + numa.Cost(bytes)*d.spec.PerByteCost
-	if bits := d.degrade.Load(); bits != 0 {
-		s = numa.Cost(float64(s) * math.Float64frombits(bits))
+	if d.degrade != 0 {
+		s = numa.Cost(float64(s) * d.degrade)
 	}
 	return s
 }
@@ -127,13 +127,13 @@ func (d *Device) Service(bytes int) numa.Cost {
 // logs still bound to it (the model has no data loss to represent — failure
 // is a re-homing trigger), but the planner treats any wiring bound to it as
 // stale and re-homes the affected island logs to surviving devices.
-func (d *Device) Fail() { d.failed.Store(true) }
+func (d *Device) Fail() { d.failed = true }
 
 // Restore clears the failed mark.
-func (d *Device) Restore() { d.failed.Store(false) }
+func (d *Device) Restore() { d.failed = false }
 
 // Failed reports whether the device is marked failed.
-func (d *Device) Failed() bool { return d.failed.Load() }
+func (d *Device) Failed() bool { return d.failed }
 
 // Degrade sets the device's latency factor: every subsequent service time is
 // multiplied by it, modeling a device that still works but has slowed down
@@ -141,10 +141,9 @@ func (d *Device) Failed() bool { return d.failed.Load() }
 // clamped to one; Degrade(1) restores full speed.
 func (d *Device) Degrade(factor float64) {
 	if factor <= 1 {
-		d.degrade.Store(0)
-		return
+		factor = 0
 	}
-	d.degrade.Store(math.Float64bits(factor))
+	d.degrade = factor
 }
 
 // Flush models one group-commit flush issued at virtual time now that writes
@@ -158,7 +157,6 @@ func (d *Device) Degrade(factor float64) {
 func (d *Device) Flush(now vclock.Nanos, bytes int) numa.Cost {
 	service := d.Service(bytes)
 	depth := vclock.Nanos(d.spec.QueueDepth)
-	d.mu.Lock()
 	if now > d.horizon {
 		drained := (now - d.horizon) * depth
 		if drained >= d.backlog {
@@ -177,25 +175,17 @@ func (d *Device) Flush(now vclock.Nanos, bytes int) numa.Cost {
 	}
 	d.backlog += vclock.Nanos(service)
 	d.flushes++
-	d.mu.Unlock()
 	return numa.Cost(wait) + service
 }
 
 // SetTrace attaches (or, with a nil ring, detaches) the span ring the device
 // records queue waits into, stamped with the device's layout index id.
-func (d *Device) SetTrace(r *obs.Ring, id int32) {
-	d.mu.Lock()
-	d.trace = r
-	d.traceID = id
-	d.mu.Unlock()
-}
+func (d *Device) SetTrace(r *obs.Ring, id int32) { d.trace, d.traceID = r, id }
 
 // BacklogAt returns the service backlog that would remain at virtual time
 // now — the drain formula of Flush applied read-only. The metrics sampler
 // reads it at planner boundaries.
 func (d *Device) BacklogAt(now vclock.Nanos) vclock.Nanos {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	backlog := d.backlog
 	if now > d.horizon {
 		drained := (now - d.horizon) * vclock.Nanos(d.spec.QueueDepth)
@@ -219,8 +209,6 @@ type Stats struct {
 
 // Stats returns the device's counters.
 func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return Stats{Flushes: d.flushes, Queued: d.queuedFl, QueueWait: d.queueWait}
 }
 
@@ -228,10 +216,8 @@ func (d *Device) Stats() Stats {
 // every run: runs restart virtual time at zero, so a backlog or arrival
 // horizon left over from a previous run would be pure phantom contention.
 func (d *Device) Reset() {
-	d.mu.Lock()
 	d.backlog, d.horizon = 0, 0
 	d.flushes, d.queuedFl, d.queueWait = 0, 0, 0
-	d.mu.Unlock()
 }
 
 // String implements fmt.Stringer.

@@ -183,13 +183,12 @@ func TestCoalescerDrainAcrossLevelChangesAndRehoming(t *testing.T) {
 	e.Devices().ResetFaults()
 }
 
-// TestConcurrentCommitsCoalescingVsPlanner is the coalescing half of the
-// package's race surface (`make race` runs it under the detector): four
-// workers commit into the shared per-island accumulators while the
-// granularity planner changes levels and re-homes a failed device
-// concurrently. The post-run invariants catch a drain the detector cannot:
-// every surviving log fully durable, nothing stranded in an accumulator.
-func TestConcurrentCommitsCoalescingVsPlanner(t *testing.T) {
+// TestCoalescingCommitsAcrossLevelChanges: commits fold into the per-island
+// accumulators while the inline granularity planner changes levels and
+// re-homes a failed device between transactions. The post-run invariants
+// catch a missed drain: every surviving log fully durable, nothing stranded
+// in an accumulator.
+func TestCoalescingCommitsAcrossLevelChanges(t *testing.T) {
 	prof, ok := topology.ProfileByName("subnuma-4s2d")
 	if !ok {
 		t.Fatal("subnuma-4s2d missing")
@@ -234,7 +233,7 @@ func TestConcurrentCommitsCoalescingVsPlanner(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Committed == 0 {
-		t.Fatal("run should keep committing through concurrent coalescing and level changes")
+		t.Fatal("run should keep committing through coalescing and level changes")
 	}
 	if res.Log.LogicalRecords == 0 {
 		t.Fatal("the drifting update workload appended no logical records")

@@ -250,13 +250,13 @@ func TestAdaptivePlannerReexpandsOnRestore(t *testing.T) {
 	}
 }
 
-// TestConcurrentFaultsAndLevelChanges (satellite 3): the whole fault
-// vocabulary fires while the granularity planner is changing levels (the
-// workload drifts from 0% to 100% multisite mid-run, forcing a coarsening)
-// and four workers execute throughout. `make race` runs this package with
-// the race detector, so this is the concurrency surface that must stay
-// clean; the post-run invariants catch torn wiring the detector cannot.
-func TestConcurrentFaultsAndLevelChanges(t *testing.T) {
+// TestFaultsDuringLevelChanges: the whole fault vocabulary fires while the
+// granularity planner is changing levels (the workload drifts from 0% to 100%
+// multisite mid-run, forcing a coarsening). The run is one goroutine, so
+// faults and re-wirings interleave at transaction boundaries; the post-run
+// invariants catch torn wiring: socket 3 restored, no island log on the failed
+// device, the placement and device binding valid on live hardware.
+func TestFaultsDuringLevelChanges(t *testing.T) {
 	prof, ok := topology.ProfileByName("subnuma-4s2d")
 	if !ok {
 		t.Fatal("subnuma-4s2d missing")
@@ -301,7 +301,7 @@ func TestConcurrentFaultsAndLevelChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Committed == 0 {
-		t.Fatal("run should keep committing through concurrent faults and level changes")
+		t.Fatal("run should keep committing through faults and level changes")
 	}
 	top := e.Topology()
 	if !top.Alive(3) {

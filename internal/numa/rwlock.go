@@ -1,19 +1,18 @@
 package numa
 
-import (
-	"sync"
-
-	"atrapos/internal/topology"
-)
+import "atrapos/internal/topology"
 
 // StateLock is the interface of the read/write locks that protect global
 // system state (the volume lock, the checkpoint mutex, ...). Transactions
 // acquire them in read mode in the critical path; background operations
 // (checkpointing, page cleaning) acquire them in write mode.
 //
-// Both implementations do the real synchronization with sync.RWMutex and
-// additionally return the virtual cost of the acquisition so the caller can
-// charge it to its worker clock.
+// Both implementations are priced lines, not host locks: an acquisition or
+// release touches the modeled cache line(s) and returns the virtual cost for
+// the caller to charge to its worker clock. Nothing blocks. A state lock
+// belongs to one engine's transaction manager (or one island's), which only
+// the priced run's single goroutine drives — executed mode never begins a
+// priced transaction — so there is no host concurrency to exclude.
 type StateLock interface {
 	// RLock acquires the lock in read mode on behalf of a thread running on
 	// socket s and returns the virtual cost of doing so.
@@ -30,7 +29,6 @@ type StateLock interface {
 // one cache line, shared by every thread in the system. Read acquisitions
 // from different sockets bounce the line across the interconnect.
 type CentralRWLock struct {
-	mu   sync.RWMutex
 	line *CacheLine
 }
 
@@ -40,84 +38,42 @@ func NewCentralRWLock(d *Domain) *CentralRWLock {
 }
 
 // RLock implements StateLock.
-func (l *CentralRWLock) RLock(s topology.SocketID) Cost {
-	c := l.line.Atomic(s)
-	l.mu.RLock()
-	return c
-}
+func (l *CentralRWLock) RLock(s topology.SocketID) Cost { return l.line.Atomic(s) }
 
 // RUnlock implements StateLock.
-func (l *CentralRWLock) RUnlock(s topology.SocketID) Cost {
-	l.mu.RUnlock()
-	return l.line.Atomic(s)
-}
+func (l *CentralRWLock) RUnlock(s topology.SocketID) Cost { return l.line.Atomic(s) }
 
 // Lock implements StateLock.
-func (l *CentralRWLock) Lock(s topology.SocketID) Cost {
-	c := l.line.Atomic(s)
-	l.mu.Lock()
-	return c
-}
+func (l *CentralRWLock) Lock(s topology.SocketID) Cost { return l.line.Atomic(s) }
 
 // Unlock implements StateLock.
-func (l *CentralRWLock) Unlock(s topology.SocketID) Cost {
-	l.mu.Unlock()
-	return l.line.Atomic(s)
-}
+func (l *CentralRWLock) Unlock(s topology.SocketID) Cost { return l.line.Atomic(s) }
 
 // PartitionedRWLock is the NUMA-aware state lock of Section IV: one
 // reader/writer lock per socket. Readers only ever touch their socket-local
 // lock; writers must acquire every per-socket lock, which is acceptable
 // because write acquisitions never happen in the critical path.
 type PartitionedRWLock struct {
-	domain *Domain
-	locks  []sync.RWMutex
-	lines  []*CacheLine
+	lines *Striped
 }
 
 // NewPartitionedRWLock builds one reader/writer lock per socket.
 func NewPartitionedRWLock(d *Domain) *PartitionedRWLock {
-	n := d.Top.Sockets()
-	p := &PartitionedRWLock{
-		domain: d,
-		locks:  make([]sync.RWMutex, n),
-		lines:  make([]*CacheLine, n),
-	}
-	for i := range p.lines {
-		p.lines[i] = NewCacheLine(d, topology.SocketID(i))
-	}
-	return p
-}
-
-func (l *PartitionedRWLock) stripe(s topology.SocketID) int {
-	if int(s) < 0 || int(s) >= len(l.locks) {
-		return 0
-	}
-	return int(s)
+	return &PartitionedRWLock{lines: NewStriped(d)}
 }
 
 // RLock implements StateLock: readers acquire only the socket-local stripe.
-func (l *PartitionedRWLock) RLock(s topology.SocketID) Cost {
-	i := l.stripe(s)
-	c := l.lines[i].Atomic(s)
-	l.locks[i].RLock()
-	return c
-}
+func (l *PartitionedRWLock) RLock(s topology.SocketID) Cost { return l.lines.Local(s).Atomic(s) }
 
 // RUnlock implements StateLock.
-func (l *PartitionedRWLock) RUnlock(s topology.SocketID) Cost {
-	i := l.stripe(s)
-	l.locks[i].RUnlock()
-	return l.lines[i].Atomic(s)
-}
+func (l *PartitionedRWLock) RUnlock(s topology.SocketID) Cost { return l.lines.Local(s).Atomic(s) }
 
-// Lock implements StateLock: writers grab every per-socket stripe, in order,
-// to exclude all readers on all sockets.
+// Lock implements StateLock: writers take every per-socket stripe, in order,
+// which is what excludes all readers on all sockets.
 func (l *PartitionedRWLock) Lock(s topology.SocketID) Cost {
 	var c Cost
-	for i := range l.locks {
-		c += l.lines[i].Atomic(s)
-		l.locks[i].Lock()
+	for _, line := range l.lines.All() {
+		c += line.Atomic(s)
 	}
 	return c
 }
@@ -125,9 +81,9 @@ func (l *PartitionedRWLock) Lock(s topology.SocketID) Cost {
 // Unlock implements StateLock.
 func (l *PartitionedRWLock) Unlock(s topology.SocketID) Cost {
 	var c Cost
-	for i := len(l.locks) - 1; i >= 0; i-- {
-		l.locks[i].Unlock()
-		c += l.lines[i].Atomic(s)
+	all := l.lines.All()
+	for i := len(all) - 1; i >= 0; i-- {
+		c += all[i].Atomic(s)
 	}
 	return c
 }

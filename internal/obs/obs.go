@@ -23,11 +23,7 @@
 // without an import cycle.
 package obs
 
-import (
-	"sync"
-
-	"atrapos/internal/vclock"
-)
+import "atrapos/internal/vclock"
 
 // Kind is the span vocabulary: each value names one priced operation class.
 type Kind uint8
@@ -119,12 +115,16 @@ type Span struct {
 }
 
 // Ring is a fixed-capacity span buffer. Record never allocates: a full ring
-// drops the new span and counts the attempt, so Dropped() is exact. The ring
-// carries its own mutex because some producers are shared across owners —
-// a reused island log serves two wirings during a level change, and the
-// planner goroutine records into island rings concurrently with workers.
+// drops the new span and counts the attempt, so Dropped() is exact.
+//
+// A Ring is single-owner, with no mutex. In a priced run every producer — the
+// workers' execution path, the island logs (a reused one carried into the
+// next wiring included), the devices and the inline planner — records on the
+// run's one goroutine. In an executed run executor i records into island ring
+// i and nothing else does; the engine reads the rings only after every
+// executor has joined (TestExecutedTracedIslandsShareNothing runs that case
+// under the race detector).
 type Ring struct {
-	mu       sync.Mutex
 	spans    []Span
 	attempts int64
 }
@@ -144,12 +144,10 @@ func (r *Ring) Record(sp Span) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.attempts++
 	if len(r.spans) < cap(r.spans) {
 		r.spans = append(r.spans, sp)
 	}
-	r.mu.Unlock()
 }
 
 // Snapshot returns a copy of the recorded spans.
@@ -157,8 +155,6 @@ func (r *Ring) Snapshot() []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]Span(nil), r.spans...)
 }
 
@@ -167,8 +163,6 @@ func (r *Ring) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.spans)
 }
 
@@ -185,8 +179,6 @@ func (r *Ring) Attempts() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.attempts
 }
 
@@ -195,8 +187,6 @@ func (r *Ring) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.attempts - int64(len(r.spans))
 }
 
@@ -205,10 +195,8 @@ func (r *Ring) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.spans = r.spans[:0]
 	r.attempts = 0
-	r.mu.Unlock()
 }
 
 // LevelScore is one candidate island level's priced cost, split into the
@@ -259,13 +247,15 @@ type Sample struct {
 // for queue waits, one planner ring, the decision log and the metrics
 // samples. All accessors are nil-receiver safe, so a disabled engine holds a
 // nil *Tracer and every producer site stays a single-branch no-op.
+//
+// A Tracer is single-owner like its rings: the decision log and the metrics
+// series are appended to only by the inline planner of a priced run.
 type Tracer struct {
 	workers []*Ring
 	islands []*Ring
 	devices []*Ring
 	planner *Ring
 
-	mu        sync.Mutex
 	decisions []Decision
 	samples   []Sample
 }
@@ -330,9 +320,7 @@ func (t *Tracer) RecordDecision(d Decision) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.decisions = append(t.decisions, d)
-	t.mu.Unlock()
 }
 
 // RecordSample appends one metrics observation.
@@ -340,9 +328,7 @@ func (t *Tracer) RecordSample(s Sample) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.samples = append(t.samples, s)
-	t.mu.Unlock()
 }
 
 // Decisions returns a copy of the decision log.
@@ -350,8 +336,6 @@ func (t *Tracer) Decisions() []Decision {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]Decision(nil), t.decisions...)
 }
 
@@ -360,8 +344,6 @@ func (t *Tracer) Samples() []Sample {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]Sample(nil), t.samples...)
 }
 
@@ -381,10 +363,8 @@ func (t *Tracer) Reset() {
 		r.Reset()
 	}
 	t.planner.Reset()
-	t.mu.Lock()
 	t.decisions = nil
 	t.samples = nil
-	t.mu.Unlock()
 }
 
 // rings iterates every ring with a stable label, in a fixed order.

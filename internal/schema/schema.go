@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // ColumnType enumerates the supported column types.
@@ -211,9 +210,10 @@ func RowKey(t *Table, r Row) (Key, error) {
 	}
 }
 
-// Catalog is a thread-safe registry of table definitions.
+// Catalog is a registry of table definitions. It is single-owner, with no
+// mutex: each storage.Manager holds one, and only its engine's goroutine
+// creates tables in it (engine.New) or looks them up.
 type Catalog struct {
-	mu     sync.RWMutex
 	tables map[string]*Table
 }
 
@@ -227,8 +227,6 @@ func (c *Catalog) Add(t *Table) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, exists := c.tables[t.Name]; exists {
 		return fmt.Errorf("schema: table %s already exists", t.Name)
 	}
@@ -238,16 +236,12 @@ func (c *Catalog) Add(t *Table) error {
 
 // Table looks a table up by name.
 func (c *Catalog) Table(name string) (*Table, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
 	return t, ok
 }
 
 // Tables returns all table definitions sorted by name.
 func (c *Catalog) Tables() []*Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]*Table, 0, len(c.tables))
 	for _, t := range c.tables {
 		out = append(out, t)

@@ -11,10 +11,7 @@
 // does this thread / cache line / memory page live on" is answered here.
 package topology
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // CoreID identifies a logical processor core within a Topology.
 // Cores are numbered densely from 0 across all sockets.
@@ -60,6 +57,11 @@ type Core struct {
 // Distance matrix) and die-level hops (DieHops) are separate axes priced by
 // separate cost-model constants, because a die-to-die hop inside a package is
 // much cheaper than a QPI/UPI hop between packages.
+//
+// The shape is immutable after New. The liveness flags, their epoch and the
+// traffic counters are plain fields written only by the priced run on it, one
+// goroutine; the harness pool builds a fresh Topology per point, and executed
+// executors read only the shape. Never run two engines on one concurrently.
 type Topology struct {
 	name          string
 	sockets       int
@@ -68,13 +70,13 @@ type Topology struct {
 	cores         []Core
 	distance      [][]int
 	dieDistance   [][]int // intra-socket die hop matrix (diesPerSocket x diesPerSocket)
-	failed        []atomic.Bool
-	qpiBytes      []atomic.Int64 // interconnect traffic counters, indexed by socket
-	localBytes    []atomic.Int64 // memory-controller (local) traffic counters
+	failed        []bool
+	qpiBytes      []int64 // interconnect traffic counters, indexed by socket
+	localBytes    []int64 // memory-controller (local) traffic counters
 	// epoch increments on every liveness change (FailSocket/RestoreSocket).
 	// Engines key their cached alive-core lists on it so the transaction hot
 	// path never has to rebuild the list.
-	epoch atomic.Uint64
+	epoch uint64
 }
 
 // Config describes a topology to build.
@@ -194,9 +196,9 @@ func New(cfg Config) (*Topology, error) {
 		diesPerSocket: dies,
 		distance:      dist,
 		dieDistance:   dieDist,
-		failed:        make([]atomic.Bool, cfg.Sockets),
-		qpiBytes:      make([]atomic.Int64, cfg.Sockets),
-		localBytes:    make([]atomic.Int64, cfg.Sockets),
+		failed:        make([]bool, cfg.Sockets),
+		qpiBytes:      make([]int64, cfg.Sockets),
+		localBytes:    make([]int64, cfg.Sockets),
 	}
 	perDie := cfg.CoresPerSocket / dies
 	t.cores = make([]Core, 0, cfg.Sockets*cfg.CoresPerSocket)
@@ -417,8 +419,8 @@ func (t *Topology) FailSocket(s SocketID) error {
 	if int(s) < 0 || int(s) >= t.sockets {
 		return fmt.Errorf("topology: cannot fail unknown socket %d", s)
 	}
-	t.failed[s].Store(true)
-	t.epoch.Add(1)
+	t.failed[s] = true
+	t.epoch++
 	return nil
 }
 
@@ -427,22 +429,22 @@ func (t *Topology) RestoreSocket(s SocketID) error {
 	if int(s) < 0 || int(s) >= t.sockets {
 		return fmt.Errorf("topology: cannot restore unknown socket %d", s)
 	}
-	t.failed[s].Store(false)
-	t.epoch.Add(1)
+	t.failed[s] = false
+	t.epoch++
 	return nil
 }
 
 // Epoch returns the liveness epoch: a counter that increments whenever a
 // socket fails or is restored. A cached view of the alive cores is valid for
 // as long as the epoch it was built under stays current.
-func (t *Topology) Epoch() uint64 { return t.epoch.Load() }
+func (t *Topology) Epoch() uint64 { return t.epoch }
 
 // Alive reports whether socket s is operational.
 func (t *Topology) Alive(s SocketID) bool {
 	if int(s) < 0 || int(s) >= t.sockets {
 		return false
 	}
-	return !t.failed[s].Load()
+	return !t.failed[s]
 }
 
 // AliveSockets returns the ids of all operational sockets.
@@ -476,10 +478,10 @@ func (t *Topology) RecordTraffic(from, to SocketID, bytes int64) {
 		return
 	}
 	if from == to {
-		t.localBytes[from].Add(bytes)
+		t.localBytes[from] += bytes
 		return
 	}
-	t.qpiBytes[from].Add(bytes)
+	t.qpiBytes[from] += bytes
 }
 
 // TrafficStats summarizes the interconnect and memory-controller traffic
@@ -493,18 +495,16 @@ type TrafficStats struct {
 func (t *Topology) Traffic() TrafficStats {
 	var st TrafficStats
 	for s := 0; s < t.sockets; s++ {
-		st.InterconnectBytes += t.qpiBytes[s].Load()
-		st.LocalBytes += t.localBytes[s].Load()
+		st.InterconnectBytes += t.qpiBytes[s]
+		st.LocalBytes += t.localBytes[s]
 	}
 	return st
 }
 
 // ResetTraffic zeroes the traffic counters.
 func (t *Topology) ResetTraffic() {
-	for s := 0; s < t.sockets; s++ {
-		t.qpiBytes[s].Store(0)
-		t.localBytes[s].Store(0)
-	}
+	clear(t.qpiBytes)
+	clear(t.localBytes)
 }
 
 // QPIToIMCRatio returns the ratio of interconnect traffic to local memory

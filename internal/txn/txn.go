@@ -7,9 +7,7 @@ package txn
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"atrapos/internal/numa"
 	"atrapos/internal/topology"
@@ -65,6 +63,14 @@ type Txn struct {
 // ActiveList is the list of in-flight transactions. Shore-MT keeps it as one
 // lock-free list whose head every beginning and finishing transaction CASes;
 // ATraPos partitions it per socket (Section IV, "List of transactions").
+//
+// Both implementations are single-owner: the head CAS is priced on a
+// numa.CacheLine, and the list itself is a plain slice of ids, no mutex. A list
+// belongs to one engine's transaction manager (or one island's), the priced
+// run that drives it is one goroutine, and executed mode never begins a
+// priced transaction. That run holds one transaction at a time, so a list is
+// a handful of entries at most: append on Add, a backward scan and a
+// swap-remove on Remove.
 type ActiveList interface {
 	// Add registers t as active on behalf of a worker on socket s.
 	Add(s topology.SocketID, t *Txn) numa.Cost
@@ -78,79 +84,66 @@ type ActiveList interface {
 	Len() int
 }
 
+// idSet is one list of active transactions, by id.
+type idSet []ID
+
+// remove deletes id by swapping the last entry into its slot; the order of a
+// set is not observable (Snapshot sorts).
+func (l *idSet) remove(id ID) {
+	s := *l
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == id {
+			s[i] = s[len(s)-1]
+			*l = s[:len(s)-1]
+			return
+		}
+	}
+}
+
 // CentralList is the traditional single list of active transactions. Every
 // Add/Remove does an atomic on the shared list head.
 type CentralList struct {
 	head *numa.CacheLine
-	mu   sync.Mutex
-	set  map[ID]*Txn
+	set  idSet
 }
 
 // NewCentralList builds a centralized active-transaction list homed on socket 0.
 func NewCentralList(d *numa.Domain) *CentralList {
-	return &CentralList{head: numa.NewCacheLine(d, 0), set: make(map[ID]*Txn)}
+	return &CentralList{head: numa.NewCacheLine(d, 0)}
 }
 
 // Add implements ActiveList.
 func (l *CentralList) Add(s topology.SocketID, t *Txn) numa.Cost {
-	c := l.head.Atomic(s)
-	l.mu.Lock()
-	l.set[t.ID] = t
-	l.mu.Unlock()
-	return c
+	l.set = append(l.set, t.ID)
+	return l.head.Atomic(s)
 }
 
 // Remove implements ActiveList.
 func (l *CentralList) Remove(s topology.SocketID, t *Txn) numa.Cost {
-	c := l.head.Atomic(s)
-	l.mu.Lock()
-	delete(l.set, t.ID)
-	l.mu.Unlock()
-	return c
+	l.set.remove(t.ID)
+	return l.head.Atomic(s)
 }
 
 // Snapshot implements ActiveList.
 func (l *CentralList) Snapshot(s topology.SocketID) ([]ID, numa.Cost) {
-	c := l.head.Touch(s)
-	l.mu.Lock()
-	out := make([]ID, 0, len(l.set))
-	for id := range l.set {
-		out = append(out, id)
-	}
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, c
+	out := slices.Clone(l.set)
+	slices.Sort(out)
+	return out, l.head.Touch(s)
 }
 
 // Len implements ActiveList.
-func (l *CentralList) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.set)
-}
+func (l *CentralList) Len() int { return len(l.set) }
 
 // PartitionedList keeps one active-transaction list per socket, so adding and
 // removing a transaction in the critical path never crosses a socket.
 type PartitionedList struct {
-	domain *numa.Domain
-	lines  *numa.Striped
-	mu     []sync.Mutex
-	sets   []map[ID]*Txn
+	lines *numa.Striped
+	sets  []idSet
 }
 
 // NewPartitionedList builds one list per socket of the domain.
 func NewPartitionedList(d *numa.Domain) *PartitionedList {
-	n := d.Top.Sockets()
-	p := &PartitionedList{
-		domain: d,
-		lines:  numa.NewStriped(d),
-		mu:     make([]sync.Mutex, n),
-		sets:   make([]map[ID]*Txn, n),
-	}
-	for i := range p.sets {
-		p.sets[i] = make(map[ID]*Txn)
-	}
-	return p
+	return &PartitionedList{lines: numa.NewStriped(d), sets: make([]idSet, d.Top.Sockets())}
 }
 
 func (p *PartitionedList) stripe(s topology.SocketID) int {
@@ -163,21 +156,14 @@ func (p *PartitionedList) stripe(s topology.SocketID) int {
 // Add implements ActiveList.
 func (p *PartitionedList) Add(s topology.SocketID, t *Txn) numa.Cost {
 	i := p.stripe(s)
-	c := p.lines.Local(s).Atomic(s)
-	p.mu[i].Lock()
-	p.sets[i][t.ID] = t
-	p.mu[i].Unlock()
-	return c
+	p.sets[i] = append(p.sets[i], t.ID)
+	return p.lines.Local(s).Atomic(s)
 }
 
 // Remove implements ActiveList.
 func (p *PartitionedList) Remove(s topology.SocketID, t *Txn) numa.Cost {
-	i := p.stripe(s)
-	c := p.lines.Local(s).Atomic(s)
-	p.mu[i].Lock()
-	delete(p.sets[i], t.ID)
-	p.mu[i].Unlock()
-	return c
+	p.sets[p.stripe(s)].remove(t.ID)
+	return p.lines.Local(s).Atomic(s)
 }
 
 // Snapshot implements ActiveList: background operations traverse every
@@ -187,23 +173,17 @@ func (p *PartitionedList) Snapshot(s topology.SocketID) ([]ID, numa.Cost) {
 	var out []ID
 	for i := range p.sets {
 		cost += p.lines.Local(topology.SocketID(i)).Touch(s)
-		p.mu[i].Lock()
-		for id := range p.sets[i] {
-			out = append(out, id)
-		}
-		p.mu[i].Unlock()
+		out = append(out, p.sets[i]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, cost
 }
 
 // Len implements ActiveList.
 func (p *PartitionedList) Len() int {
 	total := 0
-	for i := range p.sets {
-		p.mu[i].Lock()
-		total += len(p.sets[i])
-		p.mu[i].Unlock()
+	for _, set := range p.sets {
+		total += len(set)
 	}
 	return total
 }
@@ -212,16 +192,16 @@ func (p *PartitionedList) Len() int {
 // the active list and the global state lock that transactions acquire in read
 // mode during begin (the "volume lock" of Shore-MT). Both the active list and
 // the state lock are injected, so the same manager code runs with centralized
-// structures (the baseline designs) or NUMA-aware ones (ATraPos).
+// structures (the baseline designs) or NUMA-aware ones (ATraPos). Like the
+// lists, a Manager is single-owner: its id sequence and counters are plain
+// integers, advanced only by the priced run's one goroutine.
 type Manager struct {
 	domain *numa.Domain
-	nextID atomic.Uint64
+	nextID ID
 	active ActiveList
 	state  numa.StateLock
 
-	begun     atomic.Int64
-	committed atomic.Int64
-	aborted   atomic.Int64
+	begun, committed, aborted int64
 }
 
 // NewManager builds a transaction manager.
@@ -237,8 +217,9 @@ func NewManager(d *numa.Domain, active ActiveList, state numa.StateLock) *Manage
 // must have ended in Commit or Abort).
 func (m *Manager) BeginInto(t *Txn, core topology.CoreID) numa.Cost {
 	s := m.domain.Top.SocketOf(core)
+	m.nextID++
 	*t = Txn{
-		ID:     ID(m.nextID.Add(1)),
+		ID:     m.nextID,
 		State:  Active,
 		Core:   core,
 		Socket: s,
@@ -247,7 +228,7 @@ func (m *Manager) BeginInto(t *Txn, core topology.CoreID) numa.Cost {
 	cost += m.state.RLock(s)
 	cost += m.state.RUnlock(s)
 	cost += m.active.Add(s, t)
-	m.begun.Add(1)
+	m.begun++
 	return cost
 }
 
@@ -258,7 +239,7 @@ func (m *Manager) Commit(t *Txn) (numa.Cost, error) {
 	}
 	t.State = Committed
 	cost := m.active.Remove(t.Socket, t)
-	m.committed.Add(1)
+	m.committed++
 	return cost, nil
 }
 
@@ -272,7 +253,7 @@ func (m *Manager) Abort(t *Txn) (numa.Cost, error) {
 	}
 	t.State = Aborted
 	cost := m.active.Remove(t.Socket, t)
-	m.aborted.Add(1)
+	m.aborted++
 	return cost, nil
 }
 
@@ -288,5 +269,5 @@ type Stats struct {
 
 // Stats returns the lifetime counters.
 func (m *Manager) Stats() Stats {
-	return Stats{Begun: m.begun.Load(), Committed: m.committed.Load(), Aborted: m.aborted.Load()}
+	return Stats{Begun: m.begun, Committed: m.committed, Aborted: m.aborted}
 }

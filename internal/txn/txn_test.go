@@ -1,7 +1,6 @@
 package txn
 
 import (
-	"sync"
 	"testing"
 
 	"atrapos/internal/numa"
@@ -126,29 +125,6 @@ func TestCentralVsPartitionedListContention(t *testing.T) {
 	}
 }
 
-func TestConcurrentListUse(t *testing.T) {
-	d := newDomain(4, 4)
-	for _, l := range []ActiveList{NewCentralList(d), NewPartitionedList(d)} {
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				s := topology.SocketID(w % 4)
-				for i := 0; i < 200; i++ {
-					tx := &Txn{ID: ID(w*1000 + i)}
-					l.Add(s, tx)
-					l.Remove(s, tx)
-				}
-			}(w)
-		}
-		wg.Wait()
-		if l.Len() != 0 {
-			t.Errorf("list not empty after concurrent use: %d", l.Len())
-		}
-	}
-}
-
 func TestManagerLifecycle(t *testing.T) {
 	d := newDomain(2, 2)
 	m := NewManager(d, NewPartitionedList(d), numa.NewPartitionedRWLock(d))
@@ -203,29 +179,36 @@ func TestManagerLifecycle(t *testing.T) {
 func TestManagerAssignsUniqueIDs(t *testing.T) {
 	d := newDomain(2, 4)
 	m := NewManager(d, NewCentralList(d), numa.NewCentralRWLock(d))
-	var mu sync.Mutex
 	seen := make(map[ID]bool)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tx := new(Txn)
-				m.BeginInto(tx, topology.CoreID(w))
-				mu.Lock()
-				if seen[tx.ID] {
-					t.Errorf("duplicate transaction id %d", tx.ID)
-				}
-				seen[tx.ID] = true
-				mu.Unlock()
-				m.Commit(tx)
+	// Interleave eight workers' transactions, each worker keeping one open
+	// while the others begin, so ids are drawn with several in flight.
+	open := make([]*Txn, 8)
+	for i := 0; i < 800; i++ {
+		w := i % 8
+		if open[w] != nil {
+			if _, err := m.Commit(open[w]); err != nil {
+				t.Fatal(err)
 			}
-		}(w)
+		}
+		tx := new(Txn)
+		m.BeginInto(tx, topology.CoreID(w))
+		if seen[tx.ID] {
+			t.Errorf("duplicate transaction id %d", tx.ID)
+		}
+		seen[tx.ID] = true
+		open[w] = tx
 	}
-	wg.Wait()
 	if len(seen) != 800 {
 		t.Errorf("saw %d unique ids, want 800", len(seen))
+	}
+	if m.Active() != 8 {
+		t.Errorf("Active = %d with one transaction open per worker, want 8", m.Active())
+	}
+	for _, tx := range open {
+		m.Commit(tx)
+	}
+	if m.Active() != 0 {
+		t.Errorf("Active = %d after every commit, want 0", m.Active())
 	}
 }
 

@@ -12,7 +12,6 @@ package vclock
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -86,11 +85,11 @@ type Sample struct {
 	Throughput float64
 }
 
-// Series collects throughput samples over virtual time. It is safe for
-// concurrent use; workers report commits and the series buckets them into
-// fixed windows.
+// Series collects throughput samples over virtual time: the run loop reports
+// commits and the series buckets them into fixed windows. It is single-owner,
+// with no mutex: one engine.Run builds it and records into it on the priced
+// run's one goroutine.
 type Series struct {
-	mu     sync.Mutex
 	window Nanos
 	counts map[int64]int64
 }
@@ -108,9 +107,7 @@ func (s *Series) Record(t Nanos, n int64) {
 	if n <= 0 {
 		return
 	}
-	s.mu.Lock()
 	s.counts[int64(t)/int64(s.window)] += n
-	s.mu.Unlock()
 }
 
 // Window returns the sampling window.
@@ -120,8 +117,6 @@ func (s *Series) Window() Nanos { return s.window }
 // included (throughput zero) between the first and last populated window so
 // plots show gaps honestly.
 func (s *Series) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.counts) == 0 {
 		return nil
 	}

@@ -10,7 +10,6 @@ package wal
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"atrapos/internal/device"
 	"atrapos/internal/numa"
@@ -149,11 +148,18 @@ func DefaultConfig() Config {
 // CentralLog is an Aether-style centralized log. The buffer tail is modeled
 // as a cache line; every append performs one atomic on it (the LSN/space
 // reservation), so appends from many sockets pay coherence traffic.
+//
+// A CentralLog is single-owner: plain fields, no mutex. Appends from many
+// sockets are priced on the tail line, never enacted. A priced log belongs to
+// one engine — its central log, or one island's log, which an online
+// re-wiring may carry into the next wiring between transactions — and the
+// priced run is one goroutine. An executed value log (backend.HashBackend)
+// belongs to one island and is appended to only by that island's executor;
+// the engine loads, drains and reads it only while no executor runs.
 type CentralLog struct {
 	cfg  Config
 	tail *numa.CacheLine
 
-	mu      sync.Mutex
 	next    LSN
 	durable LSN
 	pending int
@@ -187,6 +193,12 @@ type CentralLog struct {
 	physFlushes int64
 	rideAlongs  int64
 	physBytes   int64
+
+	// The trailing pad keeps the next log off this one's last cache line.
+	// Executed value logs are allocated back to back, one per executor:
+	// without it, executor i's per-record counters above shared a line with
+	// executor i+1's cfg, read on every append (TestCentralLogPadded).
+	_ [64]byte
 }
 
 // coalKey identifies one net-delta accumulator entry: the row the collapsed
@@ -325,7 +337,7 @@ func NewCentralLog(d *numa.Domain, home topology.SocketID, cfg Config) *CentralL
 }
 
 // ringAppend stores rec in the retained-record ring and counts it as a
-// physical record. Callers hold l.mu and have already assigned rec.LSN.
+// physical record. Callers have already assigned rec.LSN.
 func (l *CentralLog) ringAppend(rec Record) {
 	l.physRecords++
 	if l.cfg.Keep > 0 {
@@ -354,7 +366,6 @@ func (l *CentralLog) ringAppend(rec Record) {
 // physical flush work, not the logical logging work.
 func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 	cost := l.tail.Atomic(s) + numa.Cost(rec.Size)*l.cfg.PerByteCost
-	l.mu.Lock()
 	rec.LSN = l.next
 	l.next++
 	l.appends++
@@ -364,7 +375,6 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 	if l.coal == nil {
 		l.pendingBytes += rec.Size
 		l.ringAppend(rec)
-		l.mu.Unlock()
 		return rec.LSN, cost
 	}
 	if isWriteType(rec.Type) {
@@ -373,7 +383,6 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 			recs = l.coal.takeSlice()
 		}
 		l.coal.staging[rec.Txn] = append(recs, rec)
-		l.mu.Unlock()
 		return rec.LSN, cost
 	}
 	// A control record: fold the transaction's staged writes into the
@@ -384,7 +393,6 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 	}
 	l.pendingBytes += rec.Size
 	l.ringAppend(rec)
-	l.mu.Unlock()
 	return rec.LSN, cost
 }
 
@@ -397,8 +405,6 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 // they do not occupy a device channel.
 func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.Cost {
 	cost := l.tail.Touch(s)
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if lsn <= l.durable {
 		return cost
 	}
@@ -411,7 +417,7 @@ func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.
 			(l.cfg.CoalesceBytes > 0 && c.bytes+l.pendingBytes >= l.cfg.CoalesceBytes) ||
 			(l.cfg.CoalesceMaxAge > 0 && now-c.epochStart >= l.cfg.CoalesceMaxAge)
 		if full {
-			cost += l.physicalFlushLocked(now, false)
+			cost += l.physicalFlush(now, false)
 			l.durable = l.next - 1
 		} else {
 			// Ride along: the commit's net deltas stay in the open flush
@@ -463,16 +469,15 @@ func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.
 	return cost
 }
 
-// physicalFlushLocked writes the accumulator out: net-delta entries are
+// physicalFlush writes the accumulator out: net-delta entries are
 // emitted to the retained ring in fold order and the device (or flat flush
 // cost) is billed for the physical bytes — buffered control bytes plus the
 // collapsed entry bytes, not the logical append volume. When leftovers is
 // true (drains), the staged records of transactions that never logged an
 // outcome here are emitted verbatim too, ordered by first-record LSN, so a
 // crash drill's ring holds exactly the information the uncoalesced log would:
-// recovery classifies them by the absence of an outcome record. Callers hold
-// l.mu.
-func (l *CentralLog) physicalFlushLocked(now vclock.Nanos, leftovers bool) numa.Cost {
+// recovery classifies them by the absence of an outcome record.
+func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 	c := l.coal
 	bytes := l.pendingBytes + c.bytes
 	l.pendingBytes = 0
@@ -527,8 +532,6 @@ func (l *CentralLog) physicalFlushLocked(now vclock.Nanos, leftovers bool) numa.
 // a no-op on a log without coalescing or with nothing buffered; the returned
 // cost is the physical flush the drain issued.
 func (l *CentralLog) Drain(now vclock.Nanos) numa.Cost {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.coal == nil {
 		return 0
 	}
@@ -536,17 +539,13 @@ func (l *CentralLog) Drain(now vclock.Nanos) numa.Cost {
 	if len(c.entries) == 0 && len(c.staging) == 0 && l.pendingBytes == 0 && l.durable == l.next-1 {
 		return 0
 	}
-	cost := l.physicalFlushLocked(now, true)
+	cost := l.physicalFlush(now, true)
 	l.durable = l.next - 1
 	return cost
 }
 
 // Device returns the log device the log is bound to, or nil.
-func (l *CentralLog) Device() *device.Device {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cfg.Device
-}
+func (l *CentralLog) Device() *device.Device { return l.cfg.Device }
 
 // SetTrace attaches (or, with a nil ring, detaches) the island span ring the
 // log emits physical-flush and coalesce-fold spans into, stamped with site.
@@ -554,13 +553,11 @@ func (l *CentralLog) Device() *device.Device {
 // fold mark restarts at the current coalesced count so the first fold span
 // after the move reports only new folds.
 func (l *CentralLog) SetTrace(r *obs.Ring, site int32) {
-	l.mu.Lock()
 	l.trace = r
 	l.traceSite = site
 	if l.coal != nil {
 		l.traceFoldMark = l.coal.coalesced
 	}
-	l.mu.Unlock()
 }
 
 // bindDevice re-binds the log to a different device, keeping its records,
@@ -568,30 +565,16 @@ func (l *CentralLog) SetTrace(r *obs.Ring, site int32) {
 // it when a reused island log's device assignment changed: silently keeping
 // the old binding would charge future flushes to a device the island no
 // longer owns.
-func (l *CentralLog) bindDevice(d *device.Device) {
-	l.mu.Lock()
-	l.cfg.Device = d
-	l.mu.Unlock()
-}
+func (l *CentralLog) bindDevice(d *device.Device) { l.cfg.Device = d }
 
 // Durable implements Log.
-func (l *CentralLog) Durable() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable
-}
+func (l *CentralLog) Durable() LSN { return l.durable }
 
 // Tail implements Log.
-func (l *CentralLog) Tail() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - 1
-}
+func (l *CentralLog) Tail() LSN { return l.next - 1 }
 
 // Records returns the retained records (most recent Keep entries), oldest first.
 func (l *CentralLog) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	out := make([]Record, l.count)
 	for i := 0; i < l.count; i++ {
 		out[i] = l.ring[(l.start+i)%len(l.ring)]
@@ -655,8 +638,6 @@ func (s Stats) Sub(o Stats) Stats {
 
 // Stats returns the log's activity counters.
 func (l *CentralLog) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	st := Stats{
 		Appends:          l.appends,
 		LogicalRecords:   l.logical,

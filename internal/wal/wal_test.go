@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"sync"
+	"reflect"
 	"testing"
 
 	"atrapos/internal/device"
@@ -127,23 +127,14 @@ func TestCentralLogRecordsRetention(t *testing.T) {
 	}
 }
 
-func TestCentralLogConcurrentAppends(t *testing.T) {
-	d := newDomain(4)
-	l := NewCentralLog(d, 0, DefaultConfig())
-	var wg sync.WaitGroup
-	const perWorker = 200
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				l.Append(topology.SocketID(w), Record{Txn: uint64(w), Size: 16})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if l.Tail() != LSN(4*perWorker) {
-		t.Errorf("Tail = %d, want %d", l.Tail(), 4*perWorker)
+// TestCentralLogPadded pins the layout that keeps two executors' value logs
+// apart: the struct ends in a pad of at least one cache line, so a log
+// allocated right behind another never shares a line with its hot fields.
+func TestCentralLogPadded(t *testing.T) {
+	typ := reflect.TypeOf(CentralLog{})
+	last := typ.Field(typ.NumField() - 1)
+	if last.Name != "_" || last.Type.Size() < 64 {
+		t.Errorf("CentralLog ends in field %q of %d bytes, want a pad of >= 64", last.Name, last.Type.Size())
 	}
 }
 
