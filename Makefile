@@ -100,6 +100,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkAcquireReleaseAll -benchtime 1000x -benchmem ./internal/lock
 	$(GO) test -run '^$$' -bench BenchmarkCacheLine -benchtime 100000x -benchmem ./internal/numa
 	$(GO) test -run '^$$' -bench BenchmarkRepartition -benchtime 100x -benchmem ./internal/btree
+	$(GO) test -run '^$$' -bench BenchmarkTreeGet -benchtime 200000x -benchmem ./internal/btree
 	$(GO) test -run '^$$' -bench 'BenchmarkExecutorShip|BenchmarkHashCommit' -benchtime 200x -benchmem ./internal/backend
 
 bench:

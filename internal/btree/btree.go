@@ -38,12 +38,10 @@ func New() *Tree {
 func (t *Tree) Len() int { return t.size }
 
 // Get returns the row stored under key.
-func (t *Tree) Get(key schema.Key) (schema.Row, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i, ok := findKey(n.keys, key)
+func (t *Tree) Get(key schema.Key) (schema.Row, bool) { return t.get(key, fences{}) }
+
+func (t *Tree) get(key schema.Key, f fences) (schema.Row, bool) {
+	n, i, ok := find(t.root, key, f)
 	if !ok {
 		return nil, false
 	}
@@ -71,12 +69,11 @@ func maxKeys() int { return 2*degree - 1 }
 
 func insertNonFull(n *node, key schema.Key, value schema.Row) bool {
 	if n.leaf {
-		i, ok := findKey(n.keys, key)
+		_, i, ok := find(n, key, fences{})
 		if ok {
 			n.values[i] = value
 			return false
 		}
-		i = upperBound(n.keys, key)
 		n.keys = append(n.keys, 0)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
@@ -85,7 +82,7 @@ func insertNonFull(n *node, key schema.Key, value schema.Row) bool {
 		n.values[i] = value
 		return true
 	}
-	i := childIndex(n.keys, key)
+	i := childIndex(n.keys, key, 0, 0)
 	if len(n.children[i].keys) == maxKeys() {
 		splitChild(n, i)
 		if key >= n.keys[i] {
@@ -128,62 +125,51 @@ func splitChild(p *node, i int) {
 // Deletion uses lazy structural maintenance: leaves may under-fill, which is
 // acceptable for the workloads at hand (deletes are rare in TATP/TPC-C) and
 // keeps the range-scan chain intact.
-func (t *Tree) Delete(key schema.Key) bool {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
+func (t *Tree) Delete(key schema.Key) bool { return t.delete(key, fences{}) }
+
+func (t *Tree) delete(key schema.Key, f fences) bool {
+	n, i, ok := find(t.root, key, f)
+	if ok {
+		n.keys = append(n.keys[:i], n.keys[i+1:]...)
+		n.values = append(n.values[:i], n.values[i+1:]...)
+		t.size--
 	}
-	i, ok := findKey(n.keys, key)
-	if !ok {
-		return false
-	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.values = append(n.values[:i], n.values[i+1:]...)
-	t.size--
-	return true
+	return ok
 }
 
 // Update applies fn to the row stored under key in place and reports whether
 // the key was found. fn receives the stored row and returns the new row.
 func (t *Tree) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
+	return t.update(key, fn, fences{})
+}
+
+func (t *Tree) update(key schema.Key, fn func(schema.Row) schema.Row, f fences) bool {
+	n, i, ok := find(t.root, key, f)
+	if ok {
+		n.values[i] = fn(n.values[i])
 	}
-	i, ok := findKey(n.keys, key)
-	if !ok {
-		return false
-	}
-	n.values[i] = fn(n.values[i])
-	return true
+	return ok
 }
 
 // Scan visits entries with from <= key < to in ascending key order, calling fn
 // for each. Scanning stops early if fn returns false.
 func (t *Tree) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, from)]
-	}
-	for n != nil {
-		for i, k := range n.keys {
-			if k < from {
-				continue
-			}
-			if k >= to {
-				return
-			}
-			if !fn(k, n.values[i]) {
+	n, i, _ := find(t.root, from, fences{})
+	walk(n, i, func(k schema.Key, v schema.Row) bool { return k < to && fn(k, v) })
+}
+
+// Ascend visits every entry in ascending key order, the largest key included.
+func (t *Tree) Ascend(fn func(schema.Key, schema.Row) bool) { walk(edge(t.root, false), 0, fn) }
+
+// walk calls fn on the entries from leaf n's i-th on until fn returns false.
+func walk(n *node, i int, fn func(schema.Key, schema.Row) bool) {
+	for ; n != nil; n, i = n.next, 0 {
+		for ; i < len(n.keys); i++ {
+			if !fn(n.keys[i], n.values[i]) {
 				return
 			}
 		}
-		n = n.next
 	}
-}
-
-// Ascend visits every entry in ascending key order.
-func (t *Tree) Ascend(fn func(schema.Key, schema.Row) bool) {
-	t.Scan(0, ^schema.Key(0), fn)
 }
 
 // Min returns the smallest key in the tree.
@@ -206,45 +192,74 @@ func (t *Tree) Max() (schema.Key, bool) {
 
 // --- helpers ---
 
-// findKey returns the index of key in keys and whether it is present.
-func findKey(keys []schema.Key, key schema.Key) (int, bool) {
-	i := lowerBound(keys, key)
-	if i < len(keys) && keys[i] == key {
-		return i, true
-	}
-	return i, false
-}
+// fences bracket a node's keys: its partition's [lo, hi) at a partition root,
+// its parent's separators below. hi <= lo (the zero value) means none.
+type fences struct{ lo, hi schema.Key }
 
-// lowerBound returns the first index whose key is >= key.
-func lowerBound(keys []schema.Key, key schema.Key) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+// find descends from n, fenced by f, to key's leaf and returns it, key's lower
+// bound there and whether key is there. A child's separators fence it.
+func find(n *node, key schema.Key, f fences) (*node, int, bool) {
+	for !n.leaf {
+		i := childIndex(n.keys, key, f.lo, f.hi)
+		if i > 0 {
+			f.lo = n.keys[i-1]
 		}
-	}
-	return lo
-}
-
-// upperBound returns the first index whose key is > key.
-func upperBound(keys []schema.Key, key schema.Key) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
+		if i < len(n.keys) {
+			f.hi = n.keys[i]
 		}
+		n = n.children[i]
 	}
-	return lo
+	i := search(n.keys, key, f.lo, f.hi)
+	return n, i, i < len(n.keys) && n.keys[i] == key
 }
 
 // childIndex returns the child slot to follow for key in an internal node
-// whose separator keys partition the space as [..k0) [k0..k1) ... [kn..].
-func childIndex(keys []schema.Key, key schema.Key) int {
-	return upperBound(keys, key)
+// whose separator keys partition the space as [..k0) [k0..k1) ... [kn..]: the
+// first separator above key, which is key+1's lower bound.
+func childIndex(keys []schema.Key, key, lo, hi schema.Key) int {
+	if key == ^schema.Key(0) {
+		return len(keys)
+	}
+	return search(keys, key+1, lo, hi)
+}
+
+// search returns the first index of the ascending keys whose key is >= key,
+// sort.Search's lower bound. Keys are dense or regularly strided in every
+// workload, so it probes where key lies between the fences lo and hi (none: the
+// first and last key), gallops until the answer is bracketed and binary-searches
+// the bracket. Wrong fences cost probes, never the result; O(log n) at worst.
+func search(keys []schema.Key, key, lo, hi schema.Key) int {
+	n := len(keys)
+	if n == 0 {
+		return 0
+	}
+	if hi <= lo {
+		lo, hi = keys[0], keys[n-1]
+	}
+	g := 0
+	if key >= hi {
+		g = n - 1
+	} else if key > lo {
+		g = min(int(float64(key-lo)*float64(n)/float64(hi-lo)), n-1)
+	}
+	a, b, step := -1, n, 1 // the answer lies in (a, b]: keys[a] < key <= keys[b]
+	if keys[g] < key {
+		for a = g; a+step < n && keys[a+step] < key; step *= 2 {
+			a += step
+		}
+		b = min(a+step, n)
+	} else {
+		for b = g; b-step >= 0 && keys[b-step] >= key; step *= 2 {
+			b -= step
+		}
+		a = max(b-step, -1)
+	}
+	for b-a > 1 {
+		if mid := (a + b) / 2; keys[mid] < key {
+			a = mid
+		} else {
+			b = mid
+		}
+	}
+	return b
 }

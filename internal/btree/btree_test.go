@@ -3,6 +3,7 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -171,6 +172,46 @@ func TestScanAndAscend(t *testing.T) {
 	tr.Ascend(func(schema.Key, schema.Row) bool { count++; return true })
 	if count != 1000 {
 		t.Errorf("Ascend visited %d, want 1000", count)
+	}
+}
+
+// TestLargestKeyIsAnEntry: a row stored under ^schema.Key(0), the key
+// schema.KeyFromString gives any string that opens with eight 0xFF bytes, is
+// found, overwritten, visited by Ascend and deleted like any other, in a
+// one-leaf tree, a multi-level one and the last partition of a multi-rooted one.
+func TestLargestKeyIsAnEntry(t *testing.T) {
+	top := schema.KeyFromString("\xff\xff\xff\xff\xff\xff\xff\xff-subscriber")
+	if top != ^schema.Key(0) {
+		t.Fatalf("KeyFromString = %d, want the largest key", top)
+	}
+	for _, n := range []int{0, 1, 5000} {
+		tr := New()
+		m, _ := NewMultiRooted(UniformBounds(int64(n)+1, 4))
+		for i := 0; i < n; i++ {
+			tr.Insert(schema.Key(i), row(int64(i)))
+			m.Insert(schema.Key(i), row(int64(i)))
+		}
+		if !tr.Insert(top, row(-1)) || tr.Insert(top, row(-2)) || !m.Insert(top, row(-2)) {
+			t.Fatalf("%d rows: inserting the largest key twice did not insert, then overwrite", n)
+		}
+		if v, ok := tr.Get(top); !ok || v[0].(int64) != -2 || tr.Len() != n+1 {
+			t.Fatalf("%d rows: Get(top) = %v, %v; Len %d", n, v, ok, tr.Len())
+		}
+		if v, ok := m.Get(top); !ok || v[0].(int64) != -2 || m.PartitionFor(top) != m.NumPartitions()-1 {
+			t.Fatalf("%d rows: multi-rooted Get(top) = %v, %v in partition %d", n, v, ok, m.PartitionFor(top))
+		}
+		var last schema.Key
+		count := 0
+		tr.Ascend(func(k schema.Key, _ schema.Row) bool { last, count = k, count+1; return true })
+		if count != n+1 || last != top {
+			t.Fatalf("%d rows: Ascend visited %d entries ending at %d, want %d ending at the largest key", n, count, last, n+1)
+		}
+		if !tr.Delete(top) || tr.Delete(top) || !m.Delete(top) {
+			t.Fatalf("%d rows: deleting the largest key twice did not find it once", n)
+		}
+		if _, ok := tr.Get(top); ok || tr.Len() != n {
+			t.Fatalf("%d rows: the largest key survived its delete", n)
+		}
 	}
 }
 
@@ -447,16 +488,51 @@ func BenchmarkTreeInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeGet probes bulk-loaded tables, full leaves as the engine's
+// tables have them, at uniformly random keys drawn up front: the storage
+// layer's point reads, where each level of a descent is a cache miss. The
+// single-partition cases probe the sub-tree (Tree.Get), the partitioned one the
+// multi-rooted tree (partition resolution, then a descent within its fences).
 func BenchmarkTreeGet(b *testing.B) {
-	tr := New()
-	const n = 100000
-	for i := 0; i < n; i++ {
-		tr.Insert(schema.KeyFromInt(int64(i)), row(int64(i)))
+	cases := []struct {
+		name  string
+		rows  int
+		step  int64
+		parts int
+	}{
+		{"dense-100K", 100_000, 1, 1},
+		{"dense-1M", 1_000_000, 1, 1},
+		{"stride96-400K", 400_000, 96, 1},
+		{"dense-1M-32parts", 1_000_000, 1, 32},
 	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Get(schema.KeyFromInt(int64(i % n)))
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			keys, vals := ascending(tc.rows, tc.step)
+			rng := rand.New(rand.NewSource(1))
+			probes := make([]schema.Key, 1<<16)
+			for i := range probes {
+				probes[i] = keys[rng.Intn(len(keys))]
+			}
+			m, _ := NewMultiRooted(UniformBounds(int64(tc.rows)*tc.step, tc.parts))
+			if err := m.Load(keys, vals); err != nil {
+				b.Fatal(err)
+			}
+			get := m.Get
+			if tc.parts == 1 {
+				get = m.roots[0].Get
+			}
+			if allocs := testing.AllocsPerRun(100, func() { get(probes[0]) }); allocs != 0 {
+				b.Fatalf("Get allocates %.1f times, want 0", allocs)
+			}
+			runtime.GC() // no mark phase of the load's garbage runs beside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := get(probes[i%len(probes)]); !ok {
+					b.Fatalf("Get(%d) missed", probes[i%len(probes)])
+				}
+			}
+		})
 	}
 }
 

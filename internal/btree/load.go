@@ -2,7 +2,6 @@ package btree
 
 import (
 	"fmt"
-	"sort"
 
 	"atrapos/internal/schema"
 )
@@ -41,7 +40,7 @@ func (m *MultiRooted) Load(keys []schema.Key, rows []schema.Row) error {
 		hi := len(keys)
 		if p+1 < len(m.bounds) {
 			next := m.bounds[p+1]
-			hi = lo + sort.Search(hi-lo, func(i int) bool { return keys[lo+i] >= next })
+			hi = lo + search(keys[lo:], next, 0, 0)
 		}
 		*t = build(keys[lo:hi], rows[lo:hi])
 		lo = hi

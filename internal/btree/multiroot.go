@@ -2,7 +2,6 @@ package btree
 
 import (
 	"fmt"
-	"sort"
 
 	"atrapos/internal/schema"
 )
@@ -78,11 +77,17 @@ func (m *MultiRooted) Bounds() []schema.Key {
 	return append([]schema.Key(nil), m.bounds...)
 }
 
-// PartitionFor returns the index of the partition that owns key.
+// PartitionFor returns the index of the partition that owns key: its last bound <= key.
 func (m *MultiRooted) PartitionFor(key schema.Key) int {
-	// The partition is the last bound <= key.
-	i := sort.Search(len(m.bounds), func(i int) bool { return m.bounds[i] > key })
-	return i - 1
+	return childIndex(m.bounds, key, 0, 0) - 1
+}
+
+// fences returns partition p's key range; the last one has no upper fence.
+func (m *MultiRooted) fences(p int) fences {
+	if p+1 < len(m.bounds) {
+		return fences{m.bounds[p], m.bounds[p+1]}
+	}
+	return fences{lo: m.bounds[p]}
 }
 
 // Partition returns the sub-tree of partition i.
@@ -95,22 +100,42 @@ func (m *MultiRooted) Partition(i int) (*Tree, error) {
 
 // Get returns the row stored under key.
 func (m *MultiRooted) Get(key schema.Key) (schema.Row, bool) {
-	return m.roots[m.PartitionFor(key)].Get(key)
+	return m.GetIn(m.PartitionFor(key), key)
+}
+
+// GetIn is Get for a caller that has resolved key's partition p already.
+func (m *MultiRooted) GetIn(p int, key schema.Key) (schema.Row, bool) {
+	return m.roots[p].get(key, m.fences(p))
 }
 
 // Insert stores value under key in the owning partition.
 func (m *MultiRooted) Insert(key schema.Key, value schema.Row) bool {
-	return m.roots[m.PartitionFor(key)].Insert(key, value)
+	return m.InsertIn(m.PartitionFor(key), key, value)
+}
+
+// InsertIn is Insert for a caller that has resolved key's partition p already.
+func (m *MultiRooted) InsertIn(p int, key schema.Key, value schema.Row) bool {
+	return m.roots[p].Insert(key, value)
 }
 
 // Update applies fn to the row under key in the owning partition.
 func (m *MultiRooted) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
-	return m.roots[m.PartitionFor(key)].Update(key, fn)
+	return m.UpdateIn(m.PartitionFor(key), key, fn)
+}
+
+// UpdateIn is Update for a caller that has resolved key's partition p already.
+func (m *MultiRooted) UpdateIn(p int, key schema.Key, fn func(schema.Row) schema.Row) bool {
+	return m.roots[p].update(key, fn, m.fences(p))
 }
 
 // Delete removes key from its owning partition.
 func (m *MultiRooted) Delete(key schema.Key) bool {
-	return m.roots[m.PartitionFor(key)].Delete(key)
+	return m.DeleteIn(m.PartitionFor(key), key)
+}
+
+// DeleteIn is Delete for a caller that has resolved key's partition p already.
+func (m *MultiRooted) DeleteIn(p int, key schema.Key) bool {
+	return m.roots[p].delete(key, m.fences(p))
 }
 
 // Len returns the total number of entries across all partitions.

@@ -31,7 +31,7 @@ func (t *Tree) splitAt(key schema.Key) *Tree {
 // node is nil, and a node that falls entirely on one side is handed over as is.
 func cut(n *node, key schema.Key) (l, r *node) {
 	if n.leaf {
-		i := lowerBound(n.keys, key)
+		i := search(n.keys, key, 0, 0)
 		if i == 0 {
 			return nil, n
 		}
@@ -48,7 +48,7 @@ func cut(n *node, key schema.Key) (l, r *node) {
 		n.keys, n.values = n.keys[:i], n.values[:i]
 		return n, r
 	}
-	i := childIndex(n.keys, key)
+	i := childIndex(n.keys, key, 0, 0)
 	cl, cr := cut(n.children[i], key)
 	// n keeps children[:keep], the sibling takes children[from:]; the child on
 	// the path counts for a side only if the cut left it something there.

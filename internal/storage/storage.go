@@ -183,17 +183,18 @@ func (t *Table) indexProbeCost(from topology.CoreID, home topology.SocketID, row
 	return t.domain.RowWorkAt(from) + 2*t.domain.Model.LocalAccess + lines*t.domain.CoreDRAMCost(from, home)
 }
 
-func (t *Table) accessCost(from topology.CoreID, key schema.Key, rowBytes int) numa.Cost {
+// accessCost resolves key's partition, once per row operation, and prices it.
+func (t *Table) accessCost(from topology.CoreID, key schema.Key, rowBytes int) (int, numa.Cost) {
 	p := t.tree.PartitionFor(key)
 	home := t.Home(p)
 	t.domain.Top.RecordTraffic(t.domain.Top.SocketOf(from), home, int64(rowBytes))
-	return t.indexProbeCost(from, home, rowBytes)
+	return p, t.indexProbeCost(from, home, rowBytes)
 }
 
 // Read returns the row stored under key.
 func (t *Table) Read(from topology.CoreID, key schema.Key) (schema.Row, numa.Cost, error) {
-	cost := t.accessCost(from, key, t.rowBytes())
-	row, ok := t.tree.Get(key)
+	p, cost := t.accessCost(from, key, t.rowBytes())
+	row, ok := t.tree.GetIn(p, key)
 	if !ok {
 		return nil, cost, ErrNotFound
 	}
@@ -202,19 +203,19 @@ func (t *Table) Read(from topology.CoreID, key schema.Key) (schema.Row, numa.Cos
 
 // Insert adds a new row under key; it fails with ErrDuplicate if the key exists.
 func (t *Table) Insert(from topology.CoreID, key schema.Key, row schema.Row) (numa.Cost, error) {
-	cost := t.accessCost(from, key, row.Size())
-	if _, exists := t.tree.Get(key); exists {
+	p, cost := t.accessCost(from, key, row.Size())
+	if _, exists := t.tree.GetIn(p, key); exists {
 		return cost, ErrDuplicate
 	}
-	t.tree.Insert(key, row)
+	t.tree.InsertIn(p, key, row)
 	t.avgRowBytes = nextAvgRowBytes(t.avgRowBytes, row.Size())
 	return cost + t.domain.Model.LocalAccess, nil
 }
 
 // Update applies fn to the row under key.
 func (t *Table) Update(from topology.CoreID, key schema.Key, fn func(schema.Row) schema.Row) (numa.Cost, error) {
-	cost := t.accessCost(from, key, t.rowBytes())
-	if !t.tree.Update(key, fn) {
+	p, cost := t.accessCost(from, key, t.rowBytes())
+	if !t.tree.UpdateIn(p, key, fn) {
 		return cost, ErrNotFound
 	}
 	return cost + t.domain.Model.LocalAccess, nil
@@ -222,8 +223,8 @@ func (t *Table) Update(from topology.CoreID, key schema.Key, fn func(schema.Row)
 
 // Delete removes the row under key.
 func (t *Table) Delete(from topology.CoreID, key schema.Key) (numa.Cost, error) {
-	cost := t.accessCost(from, key, t.rowBytes())
-	if !t.tree.Delete(key) {
+	p, cost := t.accessCost(from, key, t.rowBytes())
+	if !t.tree.DeleteIn(p, key) {
 		return cost, ErrNotFound
 	}
 	return cost, nil
