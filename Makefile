@@ -2,16 +2,17 @@
 #
 #   make check        - everything CI runs: format, vet, static analysis, build,
 #                       test, race, the benchmark module's own vet + tests,
-#                       bench smoke, every experiment through the CLI, traced
-#                       run, fault-scenario fuzz smoke
+#                       bench smoke, every experiment through the CLI, the
+#                       examples, traced run, fault-scenario fuzz smoke
 #   make race         - the code that runs goroutines, under the race detector
 #   make bench-module - vet + short tests of the nested benchmark/ module
 #   make bench        - full hot-path microbenchmarks with allocation stats
 #   make experiments  - every registry experiment through the CLI, on the
 #                       scale's own machine and on a pinned machine profile
-#   make tables-diff  - -experiment all on a parent commit and the working tree
-#                       (PARENT=<ref> [PROFILE=<name>]): empty output = every
-#                       deterministic table byte-identical
+#   make examples     - the four examples/ programs, end to end
+#   make tables-diff  - -experiment all and the examples on a parent commit and
+#                       the working tree (PARENT=<ref> [PROFILE=<name>]): empty
+#                       output = every deterministic table byte-identical
 #   make bench-trace  - traced adaptive-drift run: Perfetto trace + metrics CSV
 #   make bench-pair   - the repo benchmark on a parent commit and the working
 #                       tree in alternating pairs (PARENT=<ref> WORKLOAD=<name>
@@ -27,10 +28,11 @@ GO ?= go
 FUZZ_SEED ?= 42
 PAIRS ?= 10
 SEED ?= 42
+EXAMPLES = quickstart adaptive tatp tpcc
 
-.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments tables-diff bench-trace bench-pair fuzz-smoke
+.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments examples tables-diff bench-trace bench-pair fuzz-smoke
 
-check: fmt vet staticcheck build test race bench-module bench-smoke experiments bench-trace fuzz-smoke
+check: fmt vet staticcheck build test race bench-module bench-smoke experiments examples bench-trace fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -117,8 +119,14 @@ experiments:
 	$(GO) run ./cmd/atrapos-bench -experiment all
 	$(GO) run ./cmd/atrapos-bench -experiment all -profile chiplet-2s4d
 
+# The example programs print fixed-seed virtual-time results, so their output
+# is deterministic too; tables-diff compares it.
+examples:
+	@for ex in $(EXAMPLES); do echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; done
+
 # The acceptance check of a refactor that must keep every number: run
-# -experiment all on PARENT and on the working tree and diff the tables.
+# -experiment all and the examples on PARENT and on the working tree and diff
+# the output. The examples run on their own fixed machines and seeds.
 # "completed in" lines (wall time) and the fig-executed block (measured wall
 # clock) are stripped; anything printed is a changed table. PROFILE pins a
 # machine profile on both sides (empty: the scale's own machine). A side that
@@ -130,6 +138,7 @@ tables-diff:
 	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	git archive $(PARENT) | tar -x -C "$$dir"; \
 	tables() { $(GO) run ./cmd/atrapos-bench -experiment all -parallel 1 -seed $(SEED) -profile "$(PROFILE)" > "$$1.raw" 2>&1 || true; \
+		for ex in $(EXAMPLES); do echo "== examples/$$ex"; $(GO) run ./examples/$$ex 2>&1 || true; done >> "$$1.raw"; \
 		awk '/^fig-executed /{skip=1} /^\(fig-executed completed/{skip=0} !skip && !/completed in/' "$$1.raw" > "$$1"; }; \
 	(cd "$$dir" && tables "$$dir/parent.txt"); tables "$$dir/tree.txt"; \
 	diff "$$dir/parent.txt" "$$dir/tree.txt"

@@ -31,6 +31,11 @@
 //	res, err := sys.Run(atrapos.RunOptions{Transactions: 100_000})
 //	fmt.Println(res.ThroughputTPS)
 //
+// Mid-run hardware events — socket and log-device failures, restores, crash
+// drills — are declared as a FaultSchedule on RunOptions.Faults. A System
+// opened with Options.Tracing exports its spans, planner decisions and
+// metrics through Tracer().
+//
 // The experiments of the paper's evaluation section are available through
 // RunExperiment and the atrapos-bench command.
 package atrapos
@@ -241,9 +246,9 @@ type Options struct {
 	Monitoring bool
 	// Tracing enables the virtual-time span tracer: spans, planner decisions
 	// and metrics samples are recorded into pre-allocated rings, exportable
-	// via RunOptions.TracePath (Chrome trace-event JSON, Perfetto-loadable)
-	// and RunOptions.MetricsPath (CSV). Off (the default), the hot paths pay
-	// one nil check per recording site and allocate nothing extra.
+	// through System.Tracer() (Chrome trace-event JSON, Perfetto-loadable,
+	// and a metrics CSV). Off (the default), the hot paths pay one nil check
+	// per recording site and allocate nothing extra.
 	Tracing bool
 	// AllocPolicy places instance memory for the shared-nothing designs.
 	AllocPolicy AllocPolicy
@@ -313,22 +318,6 @@ type RepartitionDiff = engine.RepartitionDiff
 // previous layout (logs, lock tables) the re-wiring reused.
 type GranularityChange = engine.GranularityChange
 
-// Event is an environment change scheduled at a point of virtual time.
-type Event = engine.Event
-
-// FailSocketAt returns an Event that simulates the failure of the given
-// socket once the run's virtual time passes at (the Figure 12 scenario).
-func FailSocketAt(at VirtualTime, socket int) Event {
-	return Event{At: at, Do: func(e *engine.Engine) { _ = e.FailSocket(topology.SocketID(socket)) }}
-}
-
-// RestoreSocketAt returns an Event that returns a failed socket to service
-// once the run's virtual time passes at — the elastic half of the Figure 12
-// scenario: the adaptive planner re-expands onto the restored capacity.
-func RestoreSocketAt(at VirtualTime, socket int) Event {
-	return Event{At: at, Do: func(e *engine.Engine) { _ = e.RestoreSocket(topology.SocketID(socket)) }}
-}
-
 // Run executes the workload and returns the measured result.
 func (s *System) Run(opts RunOptions) (*Result, error) { return s.engine.Run(opts) }
 
@@ -336,8 +325,9 @@ func (s *System) Run(opts RunOptions) (*Result, error) { return s.engine.Run(opt
 type Tracer = obs.Tracer
 
 // Tracer returns the System's tracer, or nil unless Options.Tracing was set.
-// Besides the file exports of RunOptions, it gives programmatic access to the
-// recorded spans, planner decisions, metrics samples and drop accounting.
+// It exports the trace (ExportChromeTrace) and the metrics series
+// (ExportMetricsCSV) and gives programmatic access to the recorded spans,
+// planner decisions, metrics samples and drop accounting.
 func (s *System) Tracer() *Tracer { return s.engine.Tracer() }
 
 // ExecutedResult is the outcome of a RunExecuted: real operations on the

@@ -81,10 +81,14 @@ func socketFailure(top *atrapos.Topology) {
 	// level (minus the re-wiring it paid for along the way). Each system
 	// needs a fresh topology so one run's failure does not leak into the
 	// next.
-	compare(top, wl, atrapos.Seconds(80*paperSecond), []atrapos.Event{
-		atrapos.FailSocketAt(atrapos.Seconds(20*paperSecond), top.Sockets()-1),
-		atrapos.RestoreSocketAt(atrapos.Seconds(50*paperSecond), top.Sockets()-1),
-	}, []phase{
+	faults, err := atrapos.NewFaultSchedule(atrapos.FaultMachine{Sockets: top.Sockets()},
+		atrapos.FailSocketFault(atrapos.Seconds(20*paperSecond), top.Sockets()-1),
+		atrapos.RestoreSocketFault(atrapos.Seconds(50*paperSecond), top.Sockets()-1),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	compare(top, wl, atrapos.Seconds(80*paperSecond), faults, []phase{
 		// Phase windows skip two paper seconds after each event so the
 		// adaptive planner's re-wiring settles, and the restored phase ends
 		// well before the run does: duration-driven runs taper off toward the
@@ -125,7 +129,7 @@ func phaseTPS(res *atrapos.Result, p phase) float64 {
 // and prints their average throughput plus the adaptive system's
 // repartitioning activity. When phases are given, both systems also get a
 // per-phase throughput breakdown.
-func compare(top *atrapos.Topology, wl *atrapos.Workload, duration atrapos.VirtualTime, events []atrapos.Event, phases []phase) {
+func compare(top *atrapos.Topology, wl *atrapos.Workload, duration atrapos.VirtualTime, faults *atrapos.FaultSchedule, phases []phase) {
 	run := func(adaptive bool) *atrapos.Result {
 		freshTop, err := atrapos.NewTopology(top.Sockets(), top.CoresPerSocket())
 		if err != nil {
@@ -153,7 +157,7 @@ func compare(top *atrapos.Topology, wl *atrapos.Workload, duration atrapos.Virtu
 			Duration:     duration,
 			Seed:         5,
 			SampleWindow: atrapos.Seconds(paperSecond),
-			Events:       events,
+			Faults:       faults,
 		})
 		if err != nil {
 			log.Fatal(err)

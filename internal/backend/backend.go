@@ -24,17 +24,8 @@ const (
 	Hash Kind = "hash"
 )
 
-// nextPow2 returns the smallest power of two >= n (and >= 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// mix64 is the splitmix64 finalizer, the hash both the shard router and the
-// open-addressing indexes probe with.
+// mix64 is the splitmix64 finalizer, the hash the open-addressing indexes
+// probe with.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -33,39 +33,40 @@ func testHashLog(t testing.TB, islands int, log wal.Config) *HashBackend {
 	return b
 }
 
+// islandOf routes a test key to an island the way a placement with
+// key-modulo partitions would.
+func islandOf(k schema.Key, islands int) int { return int(k) % islands }
+
 func TestHashBackendPutGetDelete(t *testing.T) {
 	b := testHash(t, 3)
-	if got := b.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want next pow2 of 3 = 4", got)
+	for i := 0; i < 1000; i++ {
+		k := schema.Key(i * 7)
+		b.Put(islandOf(k, 3), 0, k, 1, uint64(i))
 	}
 	for i := 0; i < 1000; i++ {
 		k := schema.Key(i * 7)
-		b.Put(b.ShardOf(0, k), 0, k, 1, uint64(i))
-	}
-	for i := 0; i < 1000; i++ {
-		k := schema.Key(i * 7)
-		v, ok := b.Get(b.ShardOf(0, k), 0, k)
+		v, ok := b.Get(islandOf(k, 3), 0, k)
 		if !ok || v != uint64(i) {
 			t.Fatalf("Get(%d) = %d, %v; want %d, true", k, v, ok, i)
 		}
 	}
 	// Other table stays empty.
-	if _, ok := b.Get(b.ShardOf(1, 7), 1, 7); ok {
+	if _, ok := b.Get(islandOf(7, 3), 1, 7); ok {
 		t.Fatal("key leaked across tables")
 	}
 	// Overwrite then delete.
 	k := schema.Key(7)
-	b.Put(b.ShardOf(0, k), 0, k, 2, 999)
-	if v, _ := b.Get(b.ShardOf(0, k), 0, k); v != 999 {
+	b.Put(islandOf(k, 3), 0, k, 2, 999)
+	if v, _ := b.Get(islandOf(k, 3), 0, k); v != 999 {
 		t.Fatalf("overwrite lost: got %d", v)
 	}
-	if !b.Delete(b.ShardOf(0, k), 0, k, 3) {
+	if !b.Delete(islandOf(k, 3), 0, k, 3) {
 		t.Fatal("Delete of present key returned false")
 	}
-	if _, ok := b.Get(b.ShardOf(0, k), 0, k); ok {
+	if _, ok := b.Get(islandOf(k, 3), 0, k); ok {
 		t.Fatal("deleted key still readable")
 	}
-	if b.Delete(b.ShardOf(0, k), 0, k, 4) {
+	if b.Delete(islandOf(k, 3), 0, k, 4) {
 		t.Fatal("Delete of absent key returned true")
 	}
 }
@@ -128,7 +129,7 @@ func TestHashBackendCrashRecover(t *testing.T) {
 	// Bulk load, committed via FinishLoad.
 	for i := 0; i < 64; i++ {
 		k := schema.Key(i)
-		b.Load(b.ShardOf(0, k), 0, k, uint64(i))
+		b.Load(islandOf(k, 2), 0, k, uint64(i))
 		shadow[0][k] = true
 	}
 	b.FinishLoad(0)
@@ -138,14 +139,13 @@ func TestHashBackendCrashRecover(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ti := rng.Intn(2)
 		k := schema.Key(rng.Intn(128))
-		shard := b.ShardOf(ti, k)
-		island := b.Owner(shard)
+		island := islandOf(k, 2)
 		if rng.Intn(4) == 0 {
-			if b.Delete(shard, ti, k, txn) {
+			if b.Delete(island, ti, k, txn) {
 				delete(shadow[ti], k)
 			}
 		} else {
-			b.Put(shard, ti, k, txn, uint64(i))
+			b.Put(island, ti, k, txn, uint64(i))
 			shadow[ti][k] = true
 		}
 		b.Commit(island, txn, vnanos(i))
@@ -153,7 +153,7 @@ func TestHashBackendCrashRecover(t *testing.T) {
 	}
 	// A loser: writes with no commit record must not survive recovery.
 	loserKey := schema.Key(5000)
-	b.Put(b.ShardOf(0, loserKey), 0, loserKey, txn, 1)
+	b.Put(islandOf(loserKey, 2), 0, loserKey, txn, 1)
 
 	b.CrashAndRecover(vnanos(1000))
 
@@ -169,7 +169,7 @@ func TestHashBackendCrashRecover(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := b.Get(b.ShardOf(0, loserKey), 0, loserKey); ok {
+	if _, ok := b.Get(islandOf(loserKey, 2), 0, loserKey); ok {
 		t.Fatal("uncommitted write survived recovery")
 	}
 }
@@ -179,7 +179,7 @@ func TestHashBackendReshard(t *testing.T) {
 	want := make(map[schema.Key]uint64)
 	for i := 0; i < 500; i++ {
 		k := schema.Key(i * 3)
-		b.Put(b.ShardOf(0, k), 0, k, 1, uint64(i))
+		b.Put(islandOf(k, 4), 0, k, 1, uint64(i))
 		want[k] = uint64(i)
 	}
 	before := b.TableKeySets()["alpha"]
@@ -188,8 +188,8 @@ func TestHashBackendReshard(t *testing.T) {
 	b.Reshard(2, []topology.SocketID{0, 1}, func(table int, key schema.Key) int {
 		return int(key) % 2
 	})
-	if b.Islands() != 2 || b.Shards() != 2 {
-		t.Fatalf("after reshard: islands=%d shards=%d, want 2/2", b.Islands(), b.Shards())
+	if b.Islands() != 2 {
+		t.Fatalf("after reshard: islands=%d, want 2", b.Islands())
 	}
 	after := b.TableKeySets()["alpha"]
 	if len(after) != len(before) {
@@ -214,6 +214,10 @@ func TestHashBackendReshard(t *testing.T) {
 	}
 }
 
+// TestExecutorShipping: every executor writes keys spread over all islands
+// in one transaction and reads them back. The writes travel in the
+// transaction's batches; every island then holds each executor's commit
+// record.
 func TestExecutorShipping(t *testing.T) {
 	b := testHash(t, 4)
 	execs := NewExecutors(b)
@@ -222,24 +226,17 @@ func TestExecutorShipping(t *testing.T) {
 	for _, ex := range execs {
 		go func(ex *Executor) {
 			got := make(map[schema.Key]uint64)
-			// Each executor writes 100 keys spread over ALL shards (so
-			// most ops are shipped), then reads them back.
 			base := schema.Key(ex.ID() * 1000)
 			txn := uint64(ex.ID() + 1)
 			for i := 0; i < 100; i++ {
 				k := base + schema.Key(i)
-				shard := int(k) % b.Shards()
-				ex.Put(shard, 0, k, txn, uint64(k)*2)
-				ex.Poll()
+				ex.Stage(OpPut, islandOf(k, len(execs)), 0, k, txn, uint64(k)*2)
 			}
-			// The keys went to every island, so each one logs the commit.
-			for island := range execs {
-				ex.CommitRemote(island, txn, 0)
-			}
+			ex.CommitLocal(txn, 0)
+			ex.ShipStaged(txn, 0)
 			for i := 0; i < 100; i++ {
 				k := base + schema.Key(i)
-				shard := int(k) % b.Shards()
-				if v, ok := ex.Get(shard, 0, k); ok {
+				if v, ok := ex.Get(islandOf(k, len(execs)), 0, k); ok {
 					got[k] = v
 				}
 				ex.Poll()
@@ -264,12 +261,11 @@ func TestExecutorShipping(t *testing.T) {
 			t.Fatalf("key %d = %d, want %d", k, v, uint64(k)*2)
 		}
 	}
-	ships := int64(0)
 	for _, ex := range execs {
-		ships += ex.Stats.Ships
-	}
-	if ships == 0 {
-		t.Fatal("expected cross-island ships, saw none")
+		// One batch per remote island, then one Get per remote key.
+		if want := int64(len(execs)-1) + 75; ex.Stats.Ships != want {
+			t.Errorf("executor %d shipped %d messages, want %d", ex.ID(), ex.Stats.Ships, want)
+		}
 	}
 	for island := range execs {
 		commits := 0
@@ -285,9 +281,10 @@ func TestExecutorShipping(t *testing.T) {
 }
 
 // TestExecutorIncrementAtomic has every executor increment the same few keys,
-// spread over all shards so most increments are shipped: the read-modify-write
-// runs on the owner as one operation, so no increment may be lost, a missing
-// key counts from zero, and each remote increment is exactly one ship.
+// spread over all islands, one transaction per round, polling its inbox
+// between rounds: each increment runs on the owner as one operation, so none
+// may be lost, a missing key counts from zero, and each (round, remote owner)
+// is exactly one ship.
 func TestExecutorIncrementAtomic(t *testing.T) {
 	b := testHash(t, 4)
 	execs := NewExecutors(b)
@@ -299,14 +296,15 @@ func TestExecutorIncrementAtomic(t *testing.T) {
 		all.Add(1)
 		go func(ex *Executor) {
 			defer all.Done()
-			txn := uint64(ex.ID() + 1)
 			for i := 0; i < rounds; i++ {
+				txn := uint64(i*len(execs) + ex.ID() + 1)
 				for k := schema.Key(0); k < keys; k++ {
-					ex.Increment(int(k)%b.Shards(), 0, k, txn)
+					ex.Stage(OpIncrement, islandOf(k, len(execs)), 0, k, txn, 0)
 				}
+				ex.CommitLocal(txn, 0)
+				ex.ShipStaged(txn, 0)
 				ex.Poll()
 			}
-			ex.CommitLocal(txn, 0)
 			work.Done()
 			ex.Serve(stop)
 		}(ex)
@@ -315,7 +313,7 @@ func TestExecutorIncrementAtomic(t *testing.T) {
 	close(stop)
 	all.Wait()
 	for k := schema.Key(0); k < keys; k++ {
-		if v, _ := b.Get(int(k)%b.Shards(), 0, k); v != uint64(len(execs)*rounds) {
+		if v, _ := b.Get(islandOf(k, len(execs)), 0, k); v != uint64(len(execs)*rounds) {
 			t.Errorf("key %d = %d after %d increments", k, v, len(execs)*rounds)
 		}
 	}
@@ -324,9 +322,8 @@ func TestExecutorIncrementAtomic(t *testing.T) {
 		ships += ex.Stats.Ships
 		serves += ex.Stats.Serves
 	}
-	// Each executor owns keys/len(execs) of the keys and ships the rest.
-	if want := int64(len(execs) * rounds * (keys - keys/len(execs))); ships != want || serves != want {
-		t.Errorf("%d ships and %d serves, want %d of each (one per remote increment)", ships, serves, want)
+	if want := int64(len(execs) * rounds * (len(execs) - 1)); ships != want || serves != want {
+		t.Errorf("%d ships and %d serves, want %d of each (one per round and remote owner)", ships, serves, want)
 	}
 }
 
@@ -519,7 +516,7 @@ func BenchmarkExecutorShip(b *testing.B) {
 				default:
 				}
 				for k := schema.Key(0); k < 10; k++ {
-					owner.Increment(1, 0, 2*k+1, txn)
+					owner.Stage(OpIncrement, 1, 0, 2*k+1, txn, 0)
 				}
 				owner.CommitLocal(txn, 0)
 				owner.Poll()
@@ -603,32 +600,3 @@ func BenchmarkHashCommit(b *testing.B) {
 }
 
 func vnanos(i int) vclock.Nanos { return vclock.Nanos(i) * 1000 }
-
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 32: 32, 33: 64, 40: 64}
-	for in, want := range cases {
-		if got := nextPow2(in); got != want {
-			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-func TestShardOfStable(t *testing.T) {
-	b := testHash(t, 8)
-	for i := 0; i < 100; i++ {
-		k := schema.Key(i)
-		s1 := b.ShardOf(0, k)
-		s2 := b.ShardOf(0, k)
-		if s1 != s2 {
-			t.Fatalf("ShardOf unstable for key %d", k)
-		}
-		if s1 < 0 || s1 >= b.Shards() {
-			t.Fatalf("ShardOf(%d) = %d out of range", k, s1)
-		}
-		if b.ShardOf(0, k) == b.ShardOf(1, k) && i == 0 {
-			// Tables may collide on individual keys; just ensure the
-			// distributions differ somewhere.
-			continue
-		}
-	}
-}

@@ -78,8 +78,8 @@ type ExecStats struct {
 	ServeNs    int64
 }
 
-// Executor is the single owner of one island's shards: all index mutations on
-// those shards happen on its goroutine. The goroutine is an ordinary one — Go
+// Executor is the single owner of one island's shard: all index mutations on
+// it happen on its goroutine. The goroutine is an ordinary one — Go
 // offers no CPU affinity, and locking it to a floating OS thread only turned
 // every blocking channel hop into a futex park plus a P hand-off (DESIGN.md
 // section 15) — so what the wiring prescribes is ownership, not placement.
@@ -99,7 +99,7 @@ type Executor struct {
 
 	// staged holds the current transaction's remote operations per owner;
 	// touched lists the owners with something staged, in first-use order.
-	// one backs the single-operation ships of Get/Put/Increment/Delete.
+	// one backs Get's single-operation ship.
 	staged  []ownerBatch
 	touched []int32
 	one     [1]batchOp
@@ -145,7 +145,7 @@ func (e *Executor) Pin(fn func()) { fn() }
 // ID returns the executor's island index.
 func (e *Executor) ID() int { return e.id }
 
-// apply runs one operation on this executor's own shards and writes the
+// apply runs one operation on this executor's own shard and writes the
 // result back into it.
 func (e *Executor) apply(o *batchOp, txn uint64) {
 	switch o.op {
@@ -162,7 +162,7 @@ func (e *Executor) apply(o *batchOp, txn uint64) {
 	}
 }
 
-// serve executes a shipped batch against this executor's shards — its
+// serve executes a shipped batch against this executor's shard — its
 // operations in order, then the commit record if it carries one — and hands
 // it back to the sender, accounting the wall time under ServeNs.
 func (e *Executor) serve(r *Request) {
@@ -241,14 +241,13 @@ func (e *Executor) ship(owner int) {
 // this executor owns has nobody to wait for and is applied at once.
 func (e *Executor) Stage(op Op, shard, table int, key schema.Key, txn, val uint64) {
 	o := batchOp{op: op, table: int32(table), shard: int32(shard), key: key, val: val}
-	owner := e.b.Owner(shard)
-	if owner == e.id {
+	if shard == e.id {
 		e.apply(&o, txn)
 		return
 	}
-	sb := &e.staged[owner]
+	sb := &e.staged[shard]
 	if len(sb.ops) == 0 {
-		e.touched = append(e.touched, int32(owner))
+		e.touched = append(e.touched, int32(shard))
 	}
 	sb.ops = append(sb.ops, o)
 	// Every operation but a read appends to the owner's value log, which
@@ -273,65 +272,18 @@ func (e *Executor) ShipStaged(txn uint64, nowNs int64) {
 	e.touched = e.touched[:0]
 }
 
-// shipOne ships a single operation to its owner and returns it completed.
-func (e *Executor) shipOne(owner int, txn uint64, o batchOp) *batchOp {
-	e.one[0] = o
-	e.out = Request{txn: txn, ops: e.one[:]}
-	e.ship(owner)
-	return &e.one[0]
-}
-
 // Get reads (table, key) from shard, locally when this executor owns it,
-// otherwise shipped to the owner.
+// otherwise in a one-operation ship to the owner. Executed runs stage their
+// reads like every other operation; Get serves the benchmark module's replay
+// of one round trip.
 func (e *Executor) Get(shard, table int, key schema.Key) (uint64, bool) {
-	owner := e.b.Owner(shard)
-	if owner == e.id {
+	if shard == e.id {
 		return e.b.Get(shard, table, key)
 	}
-	r := e.shipOne(owner, 0, batchOp{op: OpGet, table: int32(table), shard: int32(shard), key: key})
-	return r.val, r.ok
-}
-
-// Put writes (table, key) = val on behalf of txn.
-func (e *Executor) Put(shard, table int, key schema.Key, txn, val uint64) {
-	owner := e.b.Owner(shard)
-	if owner == e.id {
-		e.b.Put(shard, table, key, txn, val)
-		return
-	}
-	e.shipOne(owner, txn, batchOp{op: OpPut, table: int32(table), shard: int32(shard), key: key, val: val})
-}
-
-// Increment adds one to (table, key) on behalf of txn and returns the new
-// value. The read-modify-write runs on the owner as one operation, so it is
-// atomic against every other operation on the shard, and a remote one costs
-// one ship, not a Get and a Put.
-func (e *Executor) Increment(shard, table int, key schema.Key, txn uint64) uint64 {
-	owner := e.b.Owner(shard)
-	if owner == e.id {
-		return e.b.Increment(shard, table, key, txn)
-	}
-	return e.shipOne(owner, txn, batchOp{op: OpIncrement, table: int32(table), shard: int32(shard), key: key}).val
-}
-
-// Delete removes (table, key) on behalf of txn.
-func (e *Executor) Delete(shard, table int, key schema.Key, txn uint64) bool {
-	owner := e.b.Owner(shard)
-	if owner == e.id {
-		return e.b.Delete(shard, table, key, txn)
-	}
-	return e.shipOne(owner, txn, batchOp{op: OpDelete, table: int32(table), shard: int32(shard), key: key}).ok
-}
-
-// CommitRemote ships txn's commit record alone to a participant island's log.
-// nowNs is the committer's wall offset in nanoseconds.
-func (e *Executor) CommitRemote(island int, txn uint64, nowNs int64) {
-	if island == e.id {
-		e.b.Commit(e.id, txn, vclock.Nanos(nowNs))
-		return
-	}
-	e.out = Request{txn: txn, commit: true, nowNs: nowNs}
-	e.ship(island)
+	e.one[0] = batchOp{op: OpGet, table: int32(table), shard: int32(shard), key: key}
+	e.out = Request{ops: e.one[:]}
+	e.ship(shard)
+	return e.one[0].val, e.one[0].ok
 }
 
 // CommitLocal appends txn's commit record to this executor's own island log.

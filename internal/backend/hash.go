@@ -18,12 +18,11 @@ import (
 // append-only value log — a wal.CentralLog, so the write-combining coalescer
 // batches committed writes into net-delta flush epochs exactly as the priced
 // engine's island logs do. The in-memory indexes are the crash-volatile half:
-// CrashAndRecover drops them and rebuilds by replaying the island value logs.
+// CrashAndRecover drops them and rebuilds them with wal.Recover over the
+// island value logs.
 //
-// The shard count is rounded up to a power of two so the self-routing hash
-// (ShardOf) is a mask, not a division; shards beyond the island count are
-// owned by island (shard % islands) and stay empty under the engine's
-// site-indexed routing.
+// Shard i is island i's: the placement routes every key to its island, so a
+// shard index is an island index and nothing hashes keys to shards.
 type HashBackend struct {
 	tables  []string
 	islands int
@@ -32,7 +31,6 @@ type HashBackend struct {
 
 	shards []hashShard
 	logs   []*wal.CentralLog
-	mask   uint64
 
 	execs []*Executor
 
@@ -48,8 +46,7 @@ type hashShard struct {
 
 // HashConfig sizes a HashBackend.
 type HashConfig struct {
-	// Islands is the number of islands (= executors = value logs); the shard
-	// count is the next power of two.
+	// Islands is the number of islands (= shards = executors = value logs).
 	Islands int
 	// Tables are the table names, indexed by table id (TableSpecs order).
 	Tables []string
@@ -94,9 +91,7 @@ func NewHash(cfg HashConfig) (*HashBackend, error) {
 // appended to only by executor i, its owner, so the wal's single-owner
 // argument holds for it too.
 func (b *HashBackend) build() {
-	n := nextPow2(b.islands)
-	b.mask = uint64(n - 1)
-	b.shards = make([]hashShard, n)
+	b.shards = make([]hashShard, b.islands)
 	for s := range b.shards {
 		b.shards[s].idx = make([]openIndex, len(b.tables))
 	}
@@ -113,24 +108,14 @@ func (b *HashBackend) home(island int) topology.SocketID {
 	return b.homes[island]
 }
 
-// Shards returns the number of shard handles.
-func (b *HashBackend) Shards() int { return len(b.shards) }
-
 // Islands returns the island (executor / value-log) count.
 func (b *HashBackend) Islands() int { return b.islands }
 
 // Tables returns the registered table names in table-id order.
 func (b *HashBackend) Tables() []string { return b.tables }
 
-// Owner returns the island owning a shard.
-func (b *HashBackend) Owner(shard int) int { return shard % b.islands }
-
-// ShardOf self-routes a key: its hash masked to the power-of-two shard count.
-// The engine's site routing supersedes this (placement decides ownership);
-// self-routing serves callers without a placement, like the backend tests.
-func (b *HashBackend) ShardOf(table int, key schema.Key) int {
-	return int(mix64(uint64(key)+uint64(table)<<56) & b.mask)
-}
+// Owner returns the island owning a shard: the shard's own index.
+func (b *HashBackend) Owner(shard int) int { return shard }
 
 // Log returns island i's value log.
 func (b *HashBackend) Log(island int) *wal.CentralLog {
@@ -156,8 +141,7 @@ func (b *HashBackend) Put(shard, table int, key schema.Key, txn, val uint64) {
 	if inserted {
 		typ = wal.Insert
 	}
-	island := b.Owner(shard)
-	b.logs[island].Append(b.home(island), wal.Record{
+	b.logs[shard].Append(b.home(shard), wal.Record{
 		Txn: txn, Type: typ, Table: b.tables[table], Key: key, Size: 32,
 	})
 }
@@ -179,8 +163,7 @@ func (b *HashBackend) Delete(shard, table int, key schema.Key, txn uint64) bool 
 	if !b.shards[shard].idx[table].del(key) {
 		return false
 	}
-	island := b.Owner(shard)
-	b.logs[island].Append(b.home(island), wal.Record{
+	b.logs[shard].Append(b.home(shard), wal.Record{
 		Txn: txn, Type: wal.Delete, Table: b.tables[table], Key: key, Size: 24,
 	})
 	return true
@@ -234,72 +217,34 @@ func (b *HashBackend) Stats() wal.Stats {
 	return s
 }
 
-// tableID resolves a table name to its registration index, or -1.
-func (b *HashBackend) tableID(name string) int {
-	for i, t := range b.tables {
-		if t == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // CrashAndRecover simulates an instance crash and restart: every in-memory
-// index is dropped (the crash-volatile state) and rebuilt by replaying the
-// island value logs, Bitcask's startup scan. The logs are drained first — the
-// drill models a crash after the last commit became durable, mirroring the
-// priced engine's crash drill, which drains before snapshotting the rings.
-// Replay applies only winner transactions (those with a commit record on the
-// log, which with coalescing is also exactly what survives in the ring as net
-// deltas); records of transactions without an outcome are ignored.
+// index is dropped (the crash-volatile state) and rebuilt by wal.Recover over
+// each island's value log, Bitcask's startup scan. The logs are drained first
+// — the drill models a crash after the last commit became durable, mirroring
+// the priced engine's crash drill, which drains before snapshotting the
+// rings. Recovery redoes only winner transactions (those with a commit record
+// on the log, which with coalescing is also exactly what survives in the ring
+// as net deltas). The records carry no value payload, so a recovered entry
+// restarts at its key, as a loaded one does.
 func (b *HashBackend) CrashAndRecover(now vclock.Nanos) {
 	b.Drain(now)
-	// Drop the crash-volatile state.
-	for s := range b.shards {
-		b.shards[s].idx = make([]openIndex, len(b.tables))
-	}
 	for island, l := range b.logs {
-		recs := l.Records()
-		winners := make(map[uint64]bool)
-		for _, r := range recs {
-			if r.Type == wal.Commit || r.Type == wal.EndOfDistributed {
-				winners[r.Txn] = true
-			}
+		idx := make([]openIndex, len(b.tables))
+		b.shards[island].idx = idx
+		stores := make(map[string]wal.RowStore, len(b.tables))
+		for ti, name := range b.tables {
+			stores[name] = indexStore{&idx[ti]}
 		}
-		for _, r := range recs {
-			if !winners[r.Txn] {
-				continue
-			}
-			ti := b.tableID(r.Table)
-			if ti < 0 {
-				continue
-			}
-			shard := b.shardOnIsland(island, ti, r.Key)
-			switch r.Type {
-			case wal.Insert, wal.Update:
-				b.shards[shard].idx[ti].put(r.Key, uint64(r.LSN))
-			case wal.Delete:
-				b.shards[shard].idx[ti].del(r.Key)
-			}
-		}
+		// Recover fails only without a table map.
+		_, _ = wal.Recover(l.Records(), l.Durable(), false, stores)
 	}
 }
 
-// shardOnIsland finds the shard owned by island that self-routing would place
-// (table, key) on; with shards == islands (the common case) that is island
-// itself. Recovery needs it because the log knows its island, not the shard.
-func (b *HashBackend) shardOnIsland(island, table int, key schema.Key) int {
-	if len(b.shards) == b.islands {
-		return island
-	}
-	// Probe the island's shards in order; replay is not hot, determinism is
-	// what matters: the same (island, table, key) always lands on the same
-	// shard, and TableKeySets aggregates across shards anyway.
-	for s := island; s < len(b.shards); s += b.islands {
-		return s
-	}
-	return island
-}
+// indexStore adapts one shard's table index to wal.RowStore.
+type indexStore struct{ idx *openIndex }
+
+func (s indexStore) ApplyInsert(key schema.Key, _ schema.Row) { s.idx.put(key, uint64(key)) }
+func (s indexStore) ApplyDelete(key schema.Key)               { s.idx.del(key) }
 
 // TableKeySets returns the live keys of every table, sorted, aggregated
 // across shards — the equivalence check of the crash drill.
@@ -337,9 +282,10 @@ func (b *HashBackend) Reshard(islands int, homes []topology.SocketID, route func
 	for s := range old {
 		for ti := 0; ti < oldTables; ti++ {
 			old[s].idx[ti].scan(func(k schema.Key, v uint64) bool {
+				// A table the placement does not know stays on island 0.
 				target := route(ti, k)
 				if target < 0 || target >= len(b.shards) {
-					target = b.ShardOf(ti, k)
+					target = 0
 				}
 				b.Put(target, ti, k, b.loadTxn, v)
 				return true

@@ -32,13 +32,6 @@ type WorkloadShape struct {
 	OverwriteShare float64
 }
 
-// LevelScore is one candidate granularity's predicted per-transaction
-// overhead (virtual nanoseconds, excluding the level-independent row work).
-type LevelScore struct {
-	Level topology.Level
-	Score float64
-}
-
 // GranularityModel prices candidate island levels for a shared-nothing
 // deployment, using the same core-granular machinery the engine charges at
 // run time and the fig-islands sweep measures offline: CoreAtomicCost and
@@ -332,39 +325,22 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 	return b
 }
 
-// Breakdowns prices every structurally distinct island level, finest first,
-// with full per-term detail; it is Scores with the explanation kept.
-func (g GranularityModel) Breakdowns(shape WorkloadShape) []LevelBreakdown {
+// Best prices every island level that is structurally distinct on the
+// machine and returns the cheapest one, with every level's breakdown, finest
+// first. Near-ties (within tieMargin, relatively) resolve to the finer level,
+// matching the sweep's empirical preference for fine islands when
+// coordination is free; pass 0 to pick the strict minimum.
+func (g GranularityModel) Best(shape WorkloadShape, tieMargin float64) (topology.Level, []LevelBreakdown) {
 	levels := g.Domain.Top.DistinctLevels()
-	out := make([]LevelBreakdown, len(levels))
+	bds := make([]LevelBreakdown, len(levels))
 	for i, l := range levels {
-		out[i] = g.Breakdown(l, shape)
+		bds[i] = g.Breakdown(l, shape)
 	}
-	return out
-}
-
-// Scores prices every island level that is structurally distinct on the
-// machine, finest first.
-func (g GranularityModel) Scores(shape WorkloadShape) []LevelScore {
-	levels := g.Domain.Top.DistinctLevels()
-	out := make([]LevelScore, len(levels))
-	for i, l := range levels {
-		out[i] = LevelScore{Level: l, Score: g.Score(l, shape)}
-	}
-	return out
-}
-
-// Best returns the cheapest level for the shape. Near-ties (within tieMargin,
-// relatively) resolve to the finer level, matching the sweep's empirical
-// preference for fine islands when coordination is free; pass 0 to pick the
-// strict minimum.
-func (g GranularityModel) Best(shape WorkloadShape, tieMargin float64) (topology.Level, []LevelScore) {
-	scores := g.Scores(shape)
-	best := scores[0]
-	for _, ls := range scores[1:] {
-		if ls.Score < best.Score*(1-tieMargin) {
-			best = ls
+	best := bds[0]
+	for _, b := range bds[1:] {
+		if b.Total < best.Total*(1-tieMargin) {
+			best = b
 		}
 	}
-	return best.Level, scores
+	return best.Level, bds
 }

@@ -47,11 +47,11 @@ func TestGranularityExtremes(t *testing.T) {
 		}
 		// At 0% the cost ordering follows coarseness: every level is at least
 		// as cheap as the next coarser one.
-		scores := g.Scores(granShape(0))
+		_, scores := g.Best(granShape(0), 0)
 		for i := 1; i < len(scores); i++ {
-			if scores[i-1].Score > scores[i].Score {
+			if scores[i-1].Total > scores[i].Total {
 				t.Errorf("%s: at 0%% multisite %v (%f) should not cost more than %v (%f)",
-					profile, scores[i-1].Level, scores[i-1].Score, scores[i].Level, scores[i].Score)
+					profile, scores[i-1].Level, scores[i-1].Total, scores[i].Level, scores[i].Total)
 			}
 		}
 		_ = top
@@ -141,16 +141,17 @@ func TestGranularitySurvivesFailure(t *testing.T) {
 		t.Errorf("best level after failure at 0%% = %v (%v)", atZero, scores)
 	}
 	for _, ls := range scores {
-		if math.IsInf(ls.Score, 1) {
+		if math.IsInf(ls.Total, 1) {
 			t.Errorf("level %v scored +Inf on a machine with alive cores", ls.Level)
 		}
 	}
 	if err := top.FailSocket(0); err != nil {
 		t.Fatal(err)
 	}
-	for _, ls := range g.Scores(granShape(0)) {
-		if !math.IsInf(ls.Score, 1) {
-			t.Errorf("level %v should score +Inf with no alive sockets, got %f", ls.Level, ls.Score)
+	_, scores = g.Best(granShape(0), 0)
+	for _, ls := range scores {
+		if !math.IsInf(ls.Total, 1) {
+			t.Errorf("level %v should score +Inf with no alive sockets, got %f", ls.Level, ls.Total)
 		}
 	}
 }
@@ -293,9 +294,10 @@ func TestSpeedAwareScore(t *testing.T) {
 
 	// The weighted scorer must still rank levels sanely on the hybrid part:
 	// every level scores finite and positive.
-	for _, ls := range hybrid.Scores(shape) {
-		if math.IsInf(ls.Score, 0) || ls.Score <= 0 {
-			t.Errorf("hybrid-1s8c %v: unusable score %f", ls.Level, ls.Score)
+	_, scores := hybrid.Best(shape, 0)
+	for _, ls := range scores {
+		if math.IsInf(ls.Total, 0) || ls.Total <= 0 {
+			t.Errorf("hybrid-1s8c %v: unusable score %f", ls.Level, ls.Total)
 		}
 	}
 }

@@ -486,11 +486,9 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 		OverwriteShare: stats.OverwriteShare(),
 	}
 	a.lastShare = shape.MultisiteShare
-	best, scores := a.granModel.Best(shape, granTieMargin)
 	// The per-term breakdowns explain the decision: they feed the planner
-	// decision log and, on a change, the GranularityChange record. Computed
-	// over a handful of levels, so the cost is noise.
-	bds := a.granModel.Breakdowns(shape)
+	// decision log and, on a change, the GranularityChange record.
+	best, bds := a.granModel.Best(shape, granTieMargin)
 	winner, runnerUp := pickWinnerRunnerUp(bds, best)
 	if tr != nil {
 		tr.Planner().Record(obs.Span{Start: now, Kind: obs.KindPlannerScore,
@@ -509,21 +507,24 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 		a.logDecision(now, cur.epoch, cur.level, best, "hold-current", shape.MultisiteShare, bds)
 		return
 	}
-	// Score the current level directly: it may be a structurally redundant
-	// level on this machine (e.g. a socket-grained start on a one-socket
-	// part) that DistinctLevels — and therefore scores — does not list.
-	curScore := a.granModel.Score(cur.level, shape)
-	var bestScore float64
-	for _, ls := range scores {
-		if ls.Level == best {
-			bestScore = ls.Score
+	// The current level may be a structurally redundant level on this
+	// machine (e.g. a socket-grained start on a one-socket part) that
+	// DistinctLevels — and therefore bds — does not list; it is scored
+	// directly then.
+	curScore, listed := 0.0, false
+	for _, b := range bds {
+		if b.Level == cur.level {
+			curScore, listed = b.Total, true
 		}
+	}
+	if !listed {
+		curScore = a.granModel.Score(cur.level, shape)
 	}
 	// Hysteresis around the measured crossover: switch only when the
 	// candidate clearly beats the current level, so the system does not
 	// oscillate between near-equivalent granularities while the share
 	// hovers at the crossover.
-	if curScore <= 0 || bestScore >= (1-granHysteresis)*curScore {
+	if curScore <= 0 || winner.Total >= (1-granHysteresis)*curScore {
 		a.logDecision(now, cur.epoch, cur.level, best, "hysteresis-hold", shape.MultisiteShare, bds)
 		return
 	}

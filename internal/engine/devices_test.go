@@ -168,7 +168,7 @@ func TestRecoveryAcrossLevelChange(t *testing.T) {
 		t.Fatal("no transactions committed before the re-wire")
 	}
 	w1 := e.state.snapshot().wiring
-	preTail := w1.logs.Tail()
+	preTail := w1.logs.Log(0).Tail()
 	if preTail == 0 {
 		t.Fatal("no records appended before the re-wire")
 	}

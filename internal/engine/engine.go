@@ -377,9 +377,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	if c.Tracing {
-		// One worker ring per core (worker spans land on the coordinator's
-		// core track), one island ring per possible island (core-grained is
-		// the finest level, so NumCores bounds it), one ring per log device.
+		// One worker ring (the run is one goroutine; each span lands on its
+		// coordinator's core track), one island ring per possible island
+		// (core-grained is the finest level, so NumCores bounds it), one ring
+		// per log device.
 		// Built before wireStructures so the initial wiring can attach its
 		// island logs to the rings.
 		ndev := 0

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -114,7 +113,6 @@ type ExecutedResult struct {
 	// MeasuredKTPS is Committed / wall seconds / 1000.
 	MeasuredKTPS float64
 	IslandLevel  string
-	Shards       int
 	Executors    int
 	// Ships and Serves count the messages executors shipped to a remote owner
 	// and the messages owners served (equal once a run has joined) — one per
@@ -138,11 +136,10 @@ type ExecutedResult struct {
 // lives here so the loop body allocates nothing. The scratches are one
 // array, so the trailing pad puts a full cache line between one executor's
 // fields and the next one's: without it executor i's opNs/logNs shared a line
-// with executor i+1's src, which that executor rewrites on every RNG draw
-// (TestExecScratchPadded).
+// with executor i+1's generator state, which that executor rewrites on every
+// RNG draw (TestExecScratchPadded).
 type execScratchX struct {
-	src   splitMix
-	ctx   workload.GenContext
+	gen   txnSource
 	opNs  int64
 	logNs int64
 	_     [cacheLineSize]byte
@@ -162,7 +159,7 @@ const cacheLineSize = 64
 // no aborts, so Committed always equals the transaction count; what holds
 // instead of isolation is that every operation runs on its shard's single
 // owner, one at a time, and an update is one such operation
-// (Executor.Increment) — increments are never lost, but a multi-action
+// (backend.OpIncrement) — increments are never lost, but a multi-action
 // transaction is not isolated from its peers.
 func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	if e.hash == nil {
@@ -170,6 +167,9 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	}
 	if opts.Transactions <= 0 {
 		return nil, fmt.Errorf("engine: executed run needs a transaction count")
+	}
+	if f := ignoredByExecuted(opts); f != "" {
+		return nil, fmt.Errorf("engine: an executed run reads only Transactions and Seed; %s is not supported (leave it unset)", f)
 	}
 	snap := e.state.snapshot()
 	if !e.hashLoaded {
@@ -199,9 +199,6 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 		}
 	}
 	scratch := make([]execScratchX, islands)
-	for i := range scratch {
-		scratch[i].ctx = workload.GenContext{Rng: rand.New(&scratch[i].src)}
-	}
 
 	stop := make(chan struct{})
 	var wgWork, wgAll sync.WaitGroup
@@ -230,7 +227,6 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 		Committed:   int64(opts.Transactions),
 		WallNS:      wall,
 		IslandLevel: w.level.String(),
-		Shards:      e.hash.Shards(),
 		Executors:   islands,
 		Log:         e.hash.Stats().Sub(logStart),
 	}
@@ -252,6 +248,22 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// ignoredByExecuted names the first option RunExecuted would otherwise drop
+// silently, or returns "".
+func ignoredByExecuted(o RunOptions) string {
+	switch {
+	case o.Duration != 0:
+		return "Duration"
+	case o.MaxTransactions != 0:
+		return "MaxTransactions"
+	case o.SampleWindow != 0:
+		return "SampleWindow"
+	case o.Faults != nil:
+		return "Faults"
+	}
+	return ""
 }
 
 // timedEvery is the sampling period of the executed loop's component timers:
@@ -287,8 +299,6 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 	w *islandWiring, tps []*partition.TablePlacement, tableIdx map[string]int, start time.Time) {
 	islands := e.hash.Islands()
 	id := ex.ID()
-	sc.ctx.NumSites = islands
-	sc.ctx.HomeSite = id
 	mine := 0
 	for n := int64(1); n <= int64(opts.Transactions); n++ {
 		if int(n%int64(islands)) != id {
@@ -298,9 +308,7 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 		mine++
 		ex.Poll()
 		nowNs := time.Since(start).Nanoseconds()
-		sc.src.seed(opts.Seed + n)
-		sc.ctx.At = vclock.Nanos(nowNs)
-		t := e.wl.Generate(&sc.ctx)
+		t := sc.gen.generate(e.wl, opts.Seed, n, vclock.Nanos(nowNs), id, islands)
 		txnID := uint64(n)
 		for ai := range t.Actions {
 			a := &t.Actions[ai]

@@ -4,10 +4,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"atrapos/internal/backend"
+	"atrapos/internal/fault"
 	"atrapos/internal/obs"
 	"atrapos/internal/partition"
 	"atrapos/internal/schema"
@@ -41,6 +43,33 @@ func executedEngine(t testing.TB, wl *workload.Workload, level topology.Level, k
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestRunExecutedRejectsIgnoredOptions: RunExecuted reads only Transactions
+// and Seed, so a caller who sets anything a priced run would honour gets an
+// error naming the field, not a run that silently drops it.
+func TestRunExecutedRejectsIgnoredOptions(t *testing.T) {
+	e := executedEngine(t, workload.YCSB(2000, workload.YCSBB), topology.LevelSocket, false)
+	sched, err := fault.NewSchedule(fault.Machine{Sockets: 2, Devices: 0}, fault.FailSocket(granWindow, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		opts  RunOptions
+	}{
+		{"Duration", RunOptions{Transactions: 100, Duration: granWindow}},
+		{"MaxTransactions", RunOptions{Transactions: 100, MaxTransactions: 50}},
+		{"SampleWindow", RunOptions{Transactions: 100, SampleWindow: granWindow}},
+		{"Faults", RunOptions{Transactions: 100, Faults: sched}},
+	} {
+		if _, err := e.RunExecuted(tc.opts); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s set: error %v, want one naming the field", tc.field, err)
+		}
+	}
+	if _, err := e.RunExecuted(RunOptions{Transactions: 100, Seed: 3}); err != nil {
+		t.Fatalf("Transactions and Seed alone: %v", err)
+	}
 }
 
 // TestExecutedCrashDrillEquivalence mirrors TestCrashDrillEquivalence on the
@@ -220,7 +249,7 @@ func TestExecutedCountersConserved(t *testing.T) {
 				}
 				got := make(map[schema.Key]uint64)
 				h := e.HashBackend()
-				for s := 0; s < h.Shards(); s++ {
+				for s := 0; s < h.Islands(); s++ {
 					h.Scan(s, 0, func(k schema.Key, v uint64) bool {
 						got[k] += v // a row living on two shards would show as a doubled counter
 						return true

@@ -11,52 +11,47 @@ import (
 	"atrapos/internal/wal"
 )
 
-// compileFaults validates a declarative fault schedule against this engine's
-// hardware and compiles it into run events. The schedule was already
-// validated against a machine descriptor at construction; this re-check
-// catches a schedule built for a different machine shape than the engine it
-// was attached to.
-func (e *Engine) compileFaults(s *fault.Schedule) ([]Event, error) {
+// checkFaults validates a declarative fault schedule against this engine's
+// hardware. The schedule was already validated against a machine descriptor
+// at construction; this re-check catches a schedule built for a different
+// machine shape than the engine it was attached to.
+func (e *Engine) checkFaults(s *fault.Schedule) error {
 	m := s.Machine()
 	top := e.cfg.Topology
 	if m.Sockets != top.Sockets() {
-		return nil, fmt.Errorf("engine: fault schedule targets a %d-socket machine, engine runs on %d sockets", m.Sockets, top.Sockets())
+		return fmt.Errorf("engine: fault schedule targets a %d-socket machine, engine runs on %d sockets", m.Sockets, top.Sockets())
 	}
 	ndev := 0
 	if e.devices != nil {
 		ndev = e.devices.NumDevices()
 	}
 	if m.Devices != ndev {
-		return nil, fmt.Errorf("engine: fault schedule targets %d log devices, engine has %d", m.Devices, ndev)
+		return fmt.Errorf("engine: fault schedule targets %d log devices, engine has %d", m.Devices, ndev)
 	}
-	if s.HasCrash() {
-		// A bounded log ring drops old records; recovery from it would be
-		// silently partial, so the drill demands full retention.
-		if e.cfg.LogConfig.Keep != 0 {
-			return nil, fmt.Errorf("engine: a crash-and-recover drill requires unbounded log retention (LogConfig.Keep=0), got Keep=%d", e.cfg.LogConfig.Keep)
-		}
+	// A bounded log ring drops old records; recovery from it would be
+	// silently partial, so the drill demands full retention.
+	if s.HasCrash() && e.cfg.LogConfig.Keep != 0 {
+		return fmt.Errorf("engine: a crash-and-recover drill requires unbounded log retention (LogConfig.Keep=0), got Keep=%d", e.cfg.LogConfig.Keep)
 	}
-	out := make([]Event, 0, s.Len())
-	for _, ev := range s.Events() {
-		ev := ev
-		var do func(*Engine)
-		switch ev.Kind {
-		case fault.KindFailSocket:
-			do = func(e *Engine) { _ = e.FailSocket(ev.Socket) }
-		case fault.KindRestoreSocket:
-			do = func(e *Engine) { _ = e.RestoreSocket(ev.Socket) }
-		case fault.KindFailDevice:
-			do = func(e *Engine) { _ = e.FailDevice(ev.Device) }
-		case fault.KindDegradeDevice:
-			do = func(e *Engine) { _ = e.DegradeDevice(ev.Device, ev.LatencyFactor) }
-		case fault.KindCrashAndRecover:
-			do = func(e *Engine) { _, _ = e.CrashAndRecover() }
-		default:
-			return nil, fmt.Errorf("engine: fault schedule has unknown event kind %v", ev.Kind)
-		}
-		out = append(out, Event{At: ev.At, Do: do})
+	return nil
+}
+
+// applyFault fires one event of a checked schedule. An event the engine
+// refuses (say, a restore of a socket failed by hand and already restored)
+// leaves the run unchanged.
+func (e *Engine) applyFault(ev fault.Event) {
+	switch ev.Kind {
+	case fault.KindFailSocket:
+		_ = e.FailSocket(ev.Socket)
+	case fault.KindRestoreSocket:
+		_ = e.RestoreSocket(ev.Socket)
+	case fault.KindFailDevice:
+		_ = e.FailDevice(ev.Device)
+	case fault.KindDegradeDevice:
+		_ = e.DegradeDevice(ev.Device, ev.LatencyFactor)
+	case fault.KindCrashAndRecover:
+		_, _ = e.CrashAndRecover()
 	}
-	return out, nil
 }
 
 // crashLogs returns every write-ahead log the engine currently owns: the

@@ -463,7 +463,11 @@ func TestRecoveryAcrossDeviceFailureAndLevelChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1 := e.state.snapshot().wiring
-	if w1.logs.Tail() == 0 {
+	var tail wal.LSN
+	for i := 0; i < w1.logs.NumLogs(); i++ {
+		tail += w1.logs.Log(i).Tail()
+	}
+	if tail == 0 {
 		t.Fatal("no records before the failure")
 	}
 	if err := e.FailDevice(0); err != nil {

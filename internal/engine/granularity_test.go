@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"atrapos/internal/core"
+	"atrapos/internal/fault"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
 	"atrapos/internal/workload"
@@ -256,11 +257,13 @@ func TestBuildWiringReuse(t *testing.T) {
 func TestAdaptiveGranularityRewiresOffDeadSocket(t *testing.T) {
 	wl := workload.MultisiteUpdateDrifting(8000, func(vclock.Nanos) int { return 0 })
 	e := adaptiveGranEngine(t, "subnuma-4s2d", topology.LevelDie, wl)
-	failAt := 10 * granWindow
+	sched, err := fault.NewSchedule(fault.Machine{Sockets: e.Topology().Sockets()}, fault.FailSocket(10*granWindow, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := e.Run(RunOptions{
 		Duration: 30 * granWindow, MaxTransactions: 100_000,
-		Seed: 7, SampleWindow: granWindow,
-		Events: []Event{{At: failAt, Do: func(e *Engine) { _ = e.FailSocket(3) }}},
+		Seed: 7, SampleWindow: granWindow, Faults: sched,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,17 +4,23 @@ import (
 	"fmt"
 	"testing"
 
+	"atrapos/internal/fault"
+	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
+	"atrapos/internal/workload"
 )
 
 // TestRepartitioningKeepsVirtualTime pins absolute numbers of the two adaptive
-// configurations of TestRunIsAFunctionOfSeedAndConfig. Every virtual nanosecond
+// configurations of TestRunIsAFunctionOfSeedAndConfig and of ATraPos riding
+// out a socket failure and restore. Every virtual nanosecond
 // of a repartitioning is billed from a row count the B-tree layer returns
 // (storage.Table.Split/Merge/Repartition's moved), so a change to how sub-trees
 // are cut and joined that miscounted one piece would shift RepartitionTime, the
 // planner boundaries after it and the final bounds — identically on two fresh
 // engines, which is all the determinism test compares. The numbers were captured
-// at the commit before btree repartitioned by path split and join; a change that
+// at the commit before btree repartitioned by path split and join (the
+// atrapos-socket-fail-restore row at the last commit that fired socket
+// failures through closures instead of the fault schedule); a change that
 // moves them on purpose re-captures them and says so.
 func TestRepartitioningKeepsVirtualTime(t *testing.T) {
 	cases := []struct {
@@ -40,6 +46,12 @@ func TestRepartitioningKeepsVirtualTime(t *testing.T) {
 			name: "adaptive-granularity-fail-restore", build: granularityFailRestoreRun,
 			committed: 9312, virtual: 40037746, repartitions: 4, repartTime: 105025, movedParts: 0,
 			bounds: "mupd[0];",
+		},
+		{
+			name: "atrapos-socket-fail-restore", build: atraposFailRestoreRun,
+			committed: 41126, virtual: 30003428, repartitions: 5, repartTime: 103848, movedParts: 75,
+			bounds: "AccessInfo[0];CallForwarding[0];SpecialFacility[0];" +
+				"Subscriber[0 278 556 840 1099 1351 1575 1846 2084 2364 2625 2897 3152 3431 3683 3921];",
 		},
 	}
 	for _, tc := range cases {
@@ -68,4 +80,25 @@ func TestRepartitioningKeepsVirtualTime(t *testing.T) {
 			}
 		})
 	}
+}
+
+// atraposFailRestoreRun is examples/adaptive's processor-failure scenario at
+// test size: ATraPos adapting its placement while the last socket fails and
+// comes back.
+func atraposFailRestoreRun(t *testing.T) (Config, RunOptions) {
+	top := smallTopology()
+	last := topology.SocketID(top.Sockets() - 1)
+	sched, err := fault.NewSchedule(fault.Machine{Sockets: top.Sockets()},
+		fault.FailSocket(10*granWindow, last),
+		fault.RestoreSocket(20*granWindow, last),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := workload.MustTATP(workload.TATPOptions{Subscribers: 4000, Mix: map[string]float64{"GetSubData": 1}})
+	return Config{
+			Design: ATraPos, Workload: wl, Topology: top,
+			Adaptive: true, AdaptiveInterval: adaptiveTestInterval, TimeCompression: 1000,
+		},
+		RunOptions{Duration: 30 * granWindow, MaxTransactions: 200_000, Seed: 5, SampleWindow: granWindow, Faults: sched}
 }

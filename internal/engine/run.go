@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"atrapos/internal/fault"
@@ -34,28 +33,11 @@ type RunOptions struct {
 	// SampleWindow is the width of the throughput time-series buckets; zero
 	// means one virtual second.
 	SampleWindow vclock.Nanos
-	// Events are fired once each when the engine's virtual time first passes
-	// their timestamp; the adaptivity experiments use them to change the
-	// environment mid-run (e.g. fail a socket at t=20s, Figure 12).
-	Events []Event
 	// Faults attaches a declarative fault schedule to the run: the engine
-	// validates it against its own topology and device layout and compiles it
-	// into Events. Nil leaves the run untouched (fault-free runs stay
-	// bit-identical).
+	// validates it against its own topology and device layout and fires each
+	// event once, when the run's virtual time first passes it (e.g. fail a
+	// socket at t=20s, Figure 12). Nil leaves the run untouched.
 	Faults *fault.Schedule
-	// TracePath, when non-empty, writes the run's span rings and planner
-	// decision log as a Chrome trace-event JSON file (loadable in Perfetto or
-	// chrome://tracing) when the run finishes. Requires Config.Tracing.
-	TracePath string
-	// MetricsPath, when non-empty, writes the planner-boundary metrics time
-	// series as CSV when the run finishes. Requires Config.Tracing.
-	MetricsPath string
-}
-
-// Event is an environment change scheduled at a point of virtual time.
-type Event struct {
-	At vclock.Nanos
-	Do func(*Engine)
 }
 
 func (o RunOptions) withDefaults() (RunOptions, error) {
@@ -146,23 +128,20 @@ func (r *Result) TimePerTransaction(comp vclock.Component) float64 {
 // time zero but keeps the data loaded in the tables.
 //
 // A run is one host goroutine issuing transactions one at a time; the
-// simulated cores are virtual-time accounts, not threads. Environment events
-// and the adaptive planner fire inline at fixed points of the transaction
+// simulated cores are virtual-time accounts, not threads. Fault events and
+// the adaptive planner fire inline at fixed points of the transaction
 // stream, so the result is a pure function of the seed and the configuration.
 func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	var faults []fault.Event
 	if opts.Faults != nil {
-		faultEvents, err := e.compileFaults(opts.Faults)
-		if err != nil {
+		if err := e.checkFaults(opts.Faults); err != nil {
 			return nil, err
 		}
-		opts.Events = append(append([]Event(nil), opts.Events...), faultEvents...)
-	}
-	if (opts.TracePath != "" || opts.MetricsPath != "") && e.tracer == nil {
-		return nil, fmt.Errorf("engine: run requested a trace export but the engine was built without Config.Tracing")
+		faults = opts.Faults.Events()
 	}
 	e.resetAccounts()
 	e.cfg.Topology.ResetTraffic()
@@ -185,26 +164,21 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	if e.adaptive != nil {
 		e.adaptive.reset()
 	}
-	eventFired := make([]bool, len(opts.Events))
 
-	src := &splitMix{}
 	// All per-transaction state lives in reusable buffers: the steady-state
 	// loop body allocates nothing.
+	var gen txnSource
 	sc := newExecScratch()
 	sc.ring = e.tracer.Worker(0)
-	ctx := workload.GenContext{Rng: rand.New(src)}
 	for n := int64(1); n <= int64(opts.Transactions); n++ {
 		now := e.virtualNow()
 		if opts.Duration > 0 && now >= opts.Duration {
 			break
 		}
-		for i := range opts.Events {
-			if !eventFired[i] && now >= opts.Events[i].At {
-				eventFired[i] = true
-				if opts.Events[i].Do != nil {
-					opts.Events[i].Do(e)
-				}
-			}
+		// The schedule is time-ordered, so the due events are a prefix.
+		for len(faults) > 0 && now >= faults[0].At {
+			e.applyFault(faults[0])
+			faults = faults[1:]
 		}
 		// Round-robin the coordinating core over the machine; a core on a
 		// failed socket is replaced by its fallback. The alive list is cached
@@ -214,19 +188,13 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 			break
 		}
 		coord := alive[int(n)%len(alive)].ID
-		// Seed the generator from the transaction index, so transaction n is
-		// the same transaction in the priced and the executed run loop.
-		src.seed(opts.Seed + n)
 		// One partitioning snapshot per transaction, taken before generation:
 		// the generator's view of the instance layout (site count, home site)
 		// and the execution wiring come from the same snapshot, so a
 		// repartitioning or island-level change fired by this transaction's
 		// own boundary check applies from the next transaction on.
 		sc.snap = e.state.snapshot()
-		ctx.At = e.coreTime(coord)
-		ctx.NumSites = sc.snap.numSites()
-		ctx.HomeSite = sc.snap.wiring.siteOf(coord)
-		t := e.wl.Generate(&ctx)
+		t := gen.generate(e.wl, opts.Seed, n, e.coreTime(coord), sc.snap.wiring.siteOf(coord), sc.snap.numSites())
 		if t.MultiSite {
 			multiSite++
 		}
@@ -321,16 +289,6 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	res.Interconnect = e.cfg.Topology.Traffic()
 	res.QPIToIMCRatio = e.cfg.Topology.QPIToIMCRatio()
 	res.Log = e.logStats().Sub(logStart)
-	if opts.TracePath != "" {
-		if err := os.WriteFile(opts.TracePath, e.tracer.ExportChromeTrace(), 0o644); err != nil {
-			return nil, fmt.Errorf("engine: writing trace: %w", err)
-		}
-	}
-	if opts.MetricsPath != "" {
-		if err := os.WriteFile(opts.MetricsPath, e.tracer.ExportMetricsCSV(), 0o644); err != nil {
-			return nil, fmt.Errorf("engine: writing metrics: %w", err)
-		}
-	}
 	return res, nil
 }
 
@@ -341,6 +299,27 @@ func (s *stateSnapshot) numSites() int {
 		return 1
 	}
 	return len(s.wiring.sites)
+}
+
+// txnSource is the transaction stream both run loops draw from: transaction
+// n is generated from a splitMix reseeded with seed+n, so it is the same
+// transaction in the priced and the executed loop, whichever goroutine
+// generates it. The generator keeps a pointer to src, so a txnSource must not
+// be copied once used.
+type txnSource struct {
+	src splitMix
+	ctx workload.GenContext
+}
+
+// generate returns transaction n of the stream seeded with seed, for a worker
+// of site home out of sites at time at.
+func (s *txnSource) generate(wl *workload.Workload, seed, n int64, at vclock.Nanos, home, sites int) *workload.Transaction {
+	if s.ctx.Rng == nil {
+		s.ctx.Rng = rand.New(&s.src)
+	}
+	s.src.seed(seed + n)
+	s.ctx.At, s.ctx.HomeSite, s.ctx.NumSites = at, home, sites
+	return wl.Generate(&s.ctx)
 }
 
 // splitMix is a tiny allocation-free rand.Source64 (splitmix64) that can be

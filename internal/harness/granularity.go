@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"os"
 
 	"atrapos/internal/engine"
 	"atrapos/internal/obs"
@@ -67,9 +68,8 @@ type driftRun struct {
 // started deliberately in the middle of the granularity axis (the
 // second-coarsest level the machine distinguishes — socket on a multi-socket
 // part, die on a one-socket chiplet), so convergence to either endpoint is a
-// real move. tracing enables the span tracer; the run exports its documents
-// to tracePath/metricsPath when non-empty.
-func runDrift(s Scale, def string, tracing bool, tracePath, metricsPath string) (*driftRun, error) {
+// real move. tracing enables the span tracer.
+func runDrift(s Scale, def string, tracing bool) (*driftRun, error) {
 	prof, err := s.profile(def)
 	if err != nil {
 		return nil, err
@@ -88,9 +88,7 @@ func runDrift(s Scale, def string, tracing bool, tracePath, metricsPath string) 
 	if err != nil {
 		return nil, err
 	}
-	opts := s.seriesOptions(2 * half)
-	opts.TracePath, opts.MetricsPath = tracePath, metricsPath
-	res, err := e.Run(opts)
+	res, err := e.Run(s.seriesOptions(2 * half))
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +107,7 @@ func runDrift(s Scale, def string, tracing bool, tracePath, metricsPath string) 
 // experiment and its test) can compare where the planner converged against
 // where the offline sweep says it should.
 func RunAdaptiveGranularity(s Scale) (*GranularityTrajectory, error) {
-	run, err := runDrift(s, granularityProfile, false, "", "")
+	run, err := runDrift(s, granularityProfile, false)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +192,7 @@ const tracedDriftProfile = "chiplet-2s4d"
 type TracedDriftResult struct {
 	Trajectory *GranularityTrajectory
 	// Trace and Metrics are the exported documents, byte-identical to the
-	// files written at TracePath/MetricsPath.
+	// files written at tracePath/metricsPath.
 	Trace   []byte
 	Metrics []byte
 	// Decisions is how many planner decisions the trace explains; DroppedSpans
@@ -209,7 +207,7 @@ type TracedDriftResult struct {
 // the exported trace, is bit-identical on any host and at any Scale.Parallel
 // fan-out.
 func RunTracedDrift(s Scale, tracePath, metricsPath string) (*TracedDriftResult, error) {
-	run, err := runDrift(s, tracedDriftProfile, true, tracePath, metricsPath)
+	run, err := runDrift(s, tracedDriftProfile, true)
 	if err != nil {
 		return nil, err
 	}
@@ -224,6 +222,14 @@ func RunTracedDrift(s Scale, tracePath, metricsPath string) (*TracedDriftResult,
 		Decisions:    len(tr.Decisions()),
 		DroppedSpans: tr.Dropped(),
 	}
+	// Written before validation, so a document that fails it is still on
+	// disk to inspect.
+	if err := writeIfNamed(tracePath, out.Trace); err != nil {
+		return nil, err
+	}
+	if err := writeIfNamed(metricsPath, out.Metrics); err != nil {
+		return nil, err
+	}
 	if err := obs.ValidateChromeTrace(out.Trace); err != nil {
 		return nil, fmt.Errorf("harness: exported trace invalid: %w", err)
 	}
@@ -231,4 +237,15 @@ func RunTracedDrift(s Scale, tracePath, metricsPath string) (*TracedDriftResult,
 		return nil, fmt.Errorf("harness: exported metrics invalid: %w", err)
 	}
 	return out, nil
+}
+
+// writeIfNamed writes data to path unless path is empty.
+func writeIfNamed(path string, data []byte) error {
+	if path == "" {
+		return nil
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("harness: writing %s: %w", path, err)
+	}
+	return nil
 }

@@ -65,12 +65,11 @@ type metaArgs struct {
 }
 
 type spanArgs struct {
-	Class  string `json:"class,omitempty"`
-	Worker int32  `json:"worker"`
-	Core   int32  `json:"core"`
-	Site   int32  `json:"site"`
-	Epoch  uint32 `json:"epoch"`
-	Arg    int64  `json:"arg"`
+	Class string `json:"class,omitempty"`
+	Core  int32  `json:"core"`
+	Site  int32  `json:"site"`
+	Epoch uint32 `json:"epoch"`
+	Arg   int64  `json:"arg"`
 }
 
 type decisionArgs struct {
@@ -106,7 +105,7 @@ func (t *Tracer) ExportChromeTrace() []byte {
 		metaEvent{Name: "process_name", Ph: "M", Pid: pidPlanner, Args: metaArgs{Name: "planner"}},
 	)
 	if t != nil {
-		for i := range t.workers {
+		for i := 0; i < t.cores; i++ {
 			events = append(events, metaEvent{Name: "thread_name", Ph: "M", Pid: pidCores, Tid: i,
 				Args: metaArgs{Name: fmt.Sprintf("core %d", i)}})
 		}
@@ -133,8 +132,8 @@ func (t *Tracer) ExportChromeTrace() []byte {
 			pid = pidPlanner
 		}
 		spans := r.Snapshot()
-		// Worker rings are filled by one goroutine in virtual-time order per
-		// core but cores interleave; island and planner rings mix producers.
+		// The worker ring is filled in virtual-time order per core but cores
+		// interleave; island and planner rings mix producers.
 		// Sort by (start, core, kind, arg) so the byte stream does not depend
 		// on goroutine interleaving.
 		sort.SliceStable(spans, func(i, j int) bool {
@@ -155,8 +154,7 @@ func (t *Tracer) ExportChromeTrace() []byte {
 			if group == "worker" {
 				eTid = int(sp.Core)
 			}
-			args := spanArgs{Class: sp.Class, Worker: sp.Worker, Core: sp.Core,
-				Site: sp.Site, Epoch: sp.Epoch, Arg: sp.Arg}
+			args := spanArgs{Class: sp.Class, Core: sp.Core, Site: sp.Site, Epoch: sp.Epoch, Arg: sp.Arg}
 			if sp.Dur > 0 {
 				events = append(events, completeEvent{Name: sp.Kind.String(), Ph: "X",
 					Ts: jsonMicro(sp.Start), Dur: jsonMicro(sp.Dur), Pid: pid, Tid: eTid, Args: args})

@@ -100,25 +100,25 @@ func (k Kind) String() string {
 }
 
 // Span is one recorded virtual-time interval. Start and Dur are virtual
-// nanoseconds (wall nanoseconds only for KindBackendOp). Worker, Core, Site
-// and Epoch stamp where in the machine and under which wiring the work
-// happened; Class is the transaction class for KindTxn spans (a string from
-// the workload's fixed class table, so recording it does not allocate).
+// nanoseconds (wall nanoseconds only for KindBackendOp). Core, Site and Epoch
+// stamp where in the machine and under which wiring the work happened; Class
+// is the transaction class for KindTxn spans (a string from the workload's
+// fixed class table, so recording it does not allocate).
 type Span struct {
-	Start              vclock.Nanos
-	Dur                vclock.Nanos
-	Kind               Kind
-	Worker, Core, Site int32
-	Epoch              uint32
-	Arg                int64
-	Class              string
+	Start      vclock.Nanos
+	Dur        vclock.Nanos
+	Kind       Kind
+	Core, Site int32
+	Epoch      uint32
+	Arg        int64
+	Class      string
 }
 
 // Ring is a fixed-capacity span buffer. Record never allocates: a full ring
 // drops the new span and counts the attempt, so Dropped() is exact.
 //
 // A Ring is single-owner, with no mutex. In a priced run every producer — the
-// workers' execution path, the island logs (a reused one carried into the
+// execution path, the island logs (a reused one carried into the
 // next wiring included), the devices and the inline planner — records on the
 // run's one goroutine. In an executed run executor i records into island ring
 // i and nothing else does; the engine reads the rings only after every
@@ -242,16 +242,19 @@ type Sample struct {
 	IslandTPS       []float64
 }
 
-// Tracer owns every ring and series of one engine: per-worker rings for
-// execution-path spans, per-island rings for WAL activity, per-device rings
-// for queue waits, one planner ring, the decision log and the metrics
-// samples. All accessors are nil-receiver safe, so a disabled engine holds a
-// nil *Tracer and every producer site stays a single-branch no-op.
+// Tracer owns every ring and series of one engine: one worker ring for the
+// execution-path spans of the run's one goroutine (each span names its core),
+// per-island rings for WAL activity, per-device rings for queue waits, one
+// planner ring, the decision log and the metrics samples. All accessors are
+// nil-receiver safe, so a disabled engine holds a nil *Tracer and every
+// producer site stays a single-branch no-op.
 //
 // A Tracer is single-owner like its rings: the decision log and the metrics
 // series are appended to only by the inline planner of a priced run.
 type Tracer struct {
-	workers []*Ring
+	worker *Ring
+	// cores is how many core tracks the trace export names.
+	cores   int
 	islands []*Ring
 	devices []*Ring
 	planner *Ring
@@ -260,18 +263,16 @@ type Tracer struct {
 	samples   []Sample
 }
 
-// NewTracer pre-allocates rings: one per worker slot (indexed by core),
-// one per island slot, one per device, and one for the planner, each with
-// ringCap capacity.
-func NewTracer(workers, islands, devices, ringCap int) *Tracer {
+// NewTracer pre-allocates rings: the worker ring, one per island slot, one
+// per device, and one for the planner, each with ringCap capacity. cores is
+// the machine's core count, which names the export's core tracks.
+func NewTracer(cores, islands, devices, ringCap int) *Tracer {
 	t := &Tracer{
-		workers: make([]*Ring, workers),
+		worker:  NewRing(ringCap),
+		cores:   cores,
 		islands: make([]*Ring, islands),
 		devices: make([]*Ring, devices),
 		planner: NewRing(ringCap),
-	}
-	for i := range t.workers {
-		t.workers[i] = NewRing(ringCap)
 	}
 	for i := range t.islands {
 		t.islands[i] = NewRing(ringCap)
@@ -282,13 +283,13 @@ func NewTracer(workers, islands, devices, ringCap int) *Tracer {
 	return t
 }
 
-// Worker returns worker slot i's ring, or nil when t is nil or i is out of
-// range.
+// Worker returns the worker ring for i == 0, and nil otherwise or when t is
+// nil: a run is one goroutine, so there is one worker.
 func (t *Tracer) Worker(i int) *Ring {
-	if t == nil || i < 0 || i >= len(t.workers) {
+	if t == nil || i != 0 {
 		return nil
 	}
-	return t.workers[i]
+	return t.worker
 }
 
 // Island returns island slot i's ring, or nil.
@@ -353,9 +354,7 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	for _, r := range t.workers {
-		r.Reset()
-	}
+	t.worker.Reset()
 	for _, r := range t.islands {
 		r.Reset()
 	}
@@ -372,9 +371,7 @@ func (t *Tracer) rings(fn func(group string, idx int, r *Ring)) {
 	if t == nil {
 		return
 	}
-	for i, r := range t.workers {
-		fn("worker", i, r)
-	}
+	fn("worker", 0, t.worker)
 	for i, r := range t.islands {
 		fn("island", i, r)
 	}

@@ -49,6 +49,9 @@ func TestNilRingAndTracerAreNoOps(t *testing.T) {
 	if tr.Dropped() != 0 || tr.DropAccounting() != "" {
 		t.Fatal("nil tracer reported drops")
 	}
+	if NewTracer(4, 1, 0, 1).Worker(1) != nil {
+		t.Fatal("a tracer has one worker ring; Worker(1) must be nil")
+	}
 	if len(tr.ExportChromeTrace()) == 0 {
 		t.Fatal("nil tracer exported an empty document")
 	}
@@ -72,7 +75,7 @@ func TestExportChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 	build := func() *Tracer {
 		tr := NewTracer(2, 2, 1, 16)
 		tr.Worker(0).Record(Span{Start: 1000, Dur: 500, Kind: KindTxn, Core: 0, Class: "mixed"})
-		tr.Worker(1).Record(Span{Start: 1200, Dur: 300, Kind: KindLockAcquire, Core: 1})
+		tr.Worker(0).Record(Span{Start: 1200, Dur: 300, Kind: KindLockAcquire, Core: 1})
 		tr.Island(0).Record(Span{Start: 1500, Dur: 100, Kind: KindPhysFlush, Site: 0, Arg: 4096})
 		tr.Island(1).Record(Span{Start: 1500, Kind: KindCoalesceFold, Site: 1, Arg: 7})
 		tr.Device(0).Record(Span{Start: 1600, Dur: 50, Kind: KindDeviceWait})

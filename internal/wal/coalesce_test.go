@@ -384,14 +384,18 @@ func TestPartitionedLogDrainAndStats(t *testing.T) {
 		lsn, _ := lg.Append(p.Home(i), Record{Txn: uint64(i + 1), Type: Commit, Size: 48})
 		lg.Flush(p.Home(i), lsn, 0)
 	}
-	if p.Durable() != 0 {
-		t.Fatalf("Durable = %d before drain, want 0 (open epochs)", p.Durable())
+	for i := 0; i < 2; i++ {
+		if p.Log(i).Durable() != 0 {
+			t.Fatalf("island %d Durable = %d before drain, want 0 (open epoch)", i, p.Log(i).Durable())
+		}
 	}
 	if cost := p.Drain(0); cost <= 0 {
 		t.Fatal("partitioned drain with buffered work should pay")
 	}
-	if p.Durable() == 0 {
-		t.Fatal("drain must close every island's epoch")
+	for i := 0; i < 2; i++ {
+		if p.Log(i).Durable() == 0 {
+			t.Fatalf("drain must close island %d's epoch", i)
+		}
 	}
 	st := p.Stats()
 	if st.Appends != 4 || st.LogicalRecords != 2 || st.PhysicalFlushes != 2 {

@@ -2,8 +2,8 @@
 // centralized log follows the Aether design used by Shore-MT: transactions
 // append records to a single log buffer whose tail is a heavily contended
 // cache line, and commits are made durable with group commit. Shared-nothing
-// configurations use one Log per instance, so every append stays socket-local;
-// the centralized shared-everything configuration shares one Log across the
+// configurations use one log per instance, so every append stays island-local;
+// the centralized shared-everything configuration shares one log across the
 // whole machine, which is one of the contention points the paper measures.
 package wal
 
@@ -80,23 +80,6 @@ type Record struct {
 	Table string
 	Key   schema.Key
 	Size  int
-}
-
-// Log is the interface of a write-ahead log.
-type Log interface {
-	// Append adds a record on behalf of a worker on socket s and returns the
-	// assigned LSN and the virtual cost of the insert.
-	Append(s topology.SocketID, rec Record) (LSN, numa.Cost)
-	// Flush makes everything up to lsn durable (group commit) and returns the
-	// cost. now is the flushing worker's virtual time: logs bound to a device
-	// feed it to the device's queueing model, so a flush issued while the
-	// device is busy pays the wait behind the flushes ahead of it. Logs
-	// without a device ignore it.
-	Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.Cost
-	// Durable returns the highest durable LSN.
-	Durable() LSN
-	// Tail returns the highest assigned LSN.
-	Tail() LSN
 }
 
 // Config tunes the log cost model.
@@ -358,10 +341,12 @@ func (l *CentralLog) ringAppend(rec Record) {
 	}
 }
 
-// Append implements Log. With coalescing enabled, write records stage per
-// transaction — they reach the accumulator only when their transaction's
-// outcome record arrives — while control records go straight to the ring so
-// recovery's winner determination sees them at any crash point. Every append
+// Append adds a record on behalf of a worker on socket s and returns the
+// assigned LSN and the virtual cost of the insert. With coalescing enabled,
+// write records stage per transaction — they reach the accumulator only when
+// their transaction's outcome record arrives — while control records go
+// straight to the ring so recovery's winner determination sees them at any
+// crash point. Every append
 // pays the same tail reservation and copy cost either way: coalescing saves
 // physical flush work, not the logical logging work.
 func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
@@ -396,13 +381,14 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 	return rec.LSN, cost
 }
 
-// Flush implements Log. Group commit: a flush is charged only once per
-// GroupSize committing transactions; other commits ride along for free.
-// With a device bound, the full flush pays the device's queueing model (the
-// flush is issued at the committer's virtual time now and waits behind the
-// flushes queued ahead of it) and writes out the bytes pending since the
-// previous full flush; ride-alongs pay the amortized device service only —
-// they do not occupy a device channel.
+// Flush makes everything up to lsn durable and returns the cost. Group
+// commit: a flush is charged only once per GroupSize committing
+// transactions; other commits ride along for free. With a device bound, the
+// full flush pays the device's queueing model (the flush is issued at the
+// committer's virtual time now and waits behind the flushes queued ahead of
+// it) and writes out the bytes pending since the previous full flush;
+// ride-alongs pay the amortized device service only — they do not occupy a
+// device channel.
 func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.Cost {
 	cost := l.tail.Touch(s)
 	if lsn <= l.durable {
@@ -567,10 +553,10 @@ func (l *CentralLog) SetTrace(r *obs.Ring, site int32) {
 // longer owns.
 func (l *CentralLog) bindDevice(d *device.Device) { l.cfg.Device = d }
 
-// Durable implements Log.
+// Durable returns the highest durable LSN.
 func (l *CentralLog) Durable() LSN { return l.durable }
 
-// Tail implements Log.
+// Tail returns the highest assigned LSN.
 func (l *CentralLog) Tail() LSN { return l.next - 1 }
 
 // Records returns the retained records (most recent Keep entries), oldest first.
@@ -654,15 +640,10 @@ func (l *CentralLog) Stats() Stats {
 
 // PartitionedLog gives each island its own CentralLog, as in a shared-nothing
 // deployment with one instance per socket (the classic layout) or one per
-// die/core island. Appends and flushes through the socket-keyed Log interface
-// are routed to the first log homed on that socket; callers that know their
-// island index (the engine's shared-nothing hot path) address their island's
-// log directly with Log(i).
+// die/core island. Callers address island i's log with Log(i).
 type PartitionedLog struct {
 	logs  []*CentralLog
 	homes []topology.SocketID
-	// bySocket maps a socket to the index of the first log homed on it, or -1.
-	bySocket []int
 	// rebound counts reused logs whose device binding had to be re-derived.
 	rebound int
 }
@@ -692,12 +673,8 @@ func NewPartitionedLogAtReusing(d *numa.Domain, homes []topology.SocketID, cfg C
 		homes = []topology.SocketID{0}
 	}
 	p := &PartitionedLog{
-		logs:     make([]*CentralLog, len(homes)),
-		homes:    append([]topology.SocketID(nil), homes...),
-		bySocket: make([]int, d.Top.Sockets()),
-	}
-	for i := range p.bySocket {
-		p.bySocket[i] = -1
+		logs:  make([]*CentralLog, len(homes)),
+		homes: append([]topology.SocketID(nil), homes...),
 	}
 	for i, h := range p.homes {
 		want := cfg.Device
@@ -714,9 +691,6 @@ func NewPartitionedLogAtReusing(d *numa.Domain, homes []topology.SocketID, cfg C
 			islandCfg := cfg
 			islandCfg.Device = want
 			p.logs[i] = NewCentralLog(d, h, islandCfg)
-		}
-		if int(h) >= 0 && int(h) < len(p.bySocket) && p.bySocket[h] < 0 {
-			p.bySocket[h] = i
 		}
 	}
 	return p
@@ -745,51 +719,6 @@ func (p *PartitionedLog) Log(i int) *CentralLog {
 		return p.logs[0]
 	}
 	return p.logs[i]
-}
-
-func (p *PartitionedLog) logFor(s topology.SocketID) *CentralLog {
-	if int(s) >= 0 && int(s) < len(p.bySocket) {
-		if i := p.bySocket[s]; i >= 0 {
-			return p.logs[i]
-		}
-	}
-	return p.logs[0]
-}
-
-// Append implements Log.
-func (p *PartitionedLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
-	return p.logFor(s).Append(s, rec)
-}
-
-// Flush implements Log.
-func (p *PartitionedLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.Cost {
-	return p.logFor(s).Flush(s, lsn, now)
-}
-
-// Durable implements Log; it returns the minimum durable LSN across sockets,
-// which is the conservative system-wide durability horizon.
-func (p *PartitionedLog) Durable() LSN {
-	min := LSN(^uint64(0))
-	for _, l := range p.logs {
-		if d := l.Durable(); d < min {
-			min = d
-		}
-	}
-	if min == LSN(^uint64(0)) {
-		return 0
-	}
-	return min
-}
-
-// Tail implements Log; it returns the maximum assigned LSN across sockets.
-func (p *PartitionedLog) Tail() LSN {
-	var max LSN
-	for _, l := range p.logs {
-		if t := l.Tail(); t > max {
-			max = t
-		}
-	}
-	return max
 }
 
 // Drain forces every island log's write-combining accumulator out; see

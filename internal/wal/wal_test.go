@@ -158,44 +158,36 @@ func TestDefaultConfigSanity(t *testing.T) {
 func TestPartitionedLogRoutesLocally(t *testing.T) {
 	d := newDomain(4)
 	p := NewPartitionedLogAtDevices(d, []topology.SocketID{0, 1, 2, 3}, DefaultConfig(), nil)
-	// Appends from each socket land in that socket's log and stay cheap.
-	for s := 0; s < 4; s++ {
-		_, cost := p.Append(topology.SocketID(s), Record{Txn: uint64(s), Size: 64})
-		maxLocal := d.Model.LocalAtomic + 64*DefaultConfig().PerByteCost
-		if cost > maxLocal {
-			t.Errorf("socket %d append cost %d, want <= %d", s, cost, maxLocal)
+	// An island's appends land in its own log, homed on its socket, and stay
+	// cheap.
+	maxLocal := d.Model.LocalAtomic + 64*DefaultConfig().PerByteCost
+	for i := 0; i < p.NumLogs(); i++ {
+		if _, cost := p.Log(i).Append(p.Home(i), Record{Txn: uint64(i), Size: 64}); cost > maxLocal {
+			t.Errorf("island %d append cost %d, want <= %d", i, cost, maxLocal)
 		}
 	}
-	for s := 0; s < 4; s++ {
-		if p.Log(s).Tail() != 1 {
-			t.Errorf("socket %d log tail = %d, want 1", s, p.Log(s).Tail())
+	for i := 0; i < p.NumLogs(); i++ {
+		if p.Log(i).Tail() != 1 {
+			t.Errorf("island %d log tail = %d, want 1", i, p.Log(i).Tail())
 		}
 	}
-	if p.Tail() != 1 {
-		t.Errorf("global tail = %d, want 1", p.Tail())
-	}
-	// Durability horizon is the minimum across sockets.
-	lsn, _ := p.Append(0, Record{Type: Commit, Size: 8})
-	for i := 0; i < 10; i++ {
-		p.Flush(0, lsn, 0)
-	}
-	if p.Durable() != 0 {
-		t.Errorf("Durable = %d, want 0 while other sockets have flushed nothing", p.Durable())
-	}
-	// Unknown sockets fall back to socket 0.
-	if _, cost := p.Append(topology.SocketID(99), Record{Size: 8}); cost <= 0 {
-		t.Error("fallback append should still be charged")
+	// A stale island index falls back to island 0.
+	if p.Log(99) != p.Log(0) || p.Home(99) != p.Home(0) {
+		t.Error("out-of-range island should map to island 0")
 	}
 }
 
 func TestPartitionedLogEmptyDurable(t *testing.T) {
 	d := newDomain(2)
 	p := NewPartitionedLogAtDevices(d, []topology.SocketID{0, 1}, DefaultConfig(), nil)
-	if p.Durable() != 0 {
-		t.Errorf("empty partitioned log durable = %d, want 0", p.Durable())
+	for i := 0; i < p.NumLogs(); i++ {
+		if p.Log(i).Durable() != 0 || p.Log(i).Tail() != 0 {
+			t.Errorf("empty island log %d: durable %d, tail %d, want 0, 0", i, p.Log(i).Durable(), p.Log(i).Tail())
+		}
 	}
-	if p.Tail() != 0 {
-		t.Errorf("empty partitioned log tail = %d, want 0", p.Tail())
+	// No homes still builds one log, on socket 0.
+	if one := NewPartitionedLogAtDevices(d, nil, DefaultConfig(), nil); one.NumLogs() != 1 || one.Home(0) != 0 {
+		t.Errorf("homeless log set: %d logs, home %d; want 1 log on socket 0", one.NumLogs(), one.Home(0))
 	}
 }
 
