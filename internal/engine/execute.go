@@ -135,25 +135,19 @@ type lockedPartition struct {
 }
 
 // releaseLocal releases every partition-local lock table the transaction
-// touched, exactly once per distinct (table, partition); entries that name no
-// lock table are skipped. The release cost is
-// charged to the owner recorded by the partition's most recent acquisition:
-// if a partition was re-locked from a different core mid-transaction (a
-// socket failure redirected ownership), the last recorded owner is the core
-// that actually holds the lock table, so the cost lands there consistently
-// rather than on whichever entry happened to be recorded first.
+// touched, walking the recorded owners last to first; entries that name no
+// lock table are skipped. The release cost is thereby charged to the owner
+// recorded by the partition's most recent acquisition: if a partition was
+// re-locked from a different core mid-transaction (a socket failure
+// redirected ownership), the last recorded owner is the core that actually
+// holds the lock table. An earlier entry of the same partition finds nothing
+// left to release, and a release of nothing costs nothing.
 func (e *Engine) releaseLocal(snap *stateSnapshot, id lock.TxnID, locked []lockedPartition) {
-	for i := range locked {
-		last := locked[i].table != ""
-		for j := i + 1; last && j < len(locked); j++ {
-			if locked[j].table == locked[i].table && locked[j].idx == locked[i].idx {
-				last = false
-			}
-		}
-		if !last {
+	for i := len(locked) - 1; i >= 0; i-- {
+		lp := locked[i]
+		if lp.table == "" {
 			continue
 		}
-		lp := locked[i]
 		if lm, err := snap.runtime.Locks(lp.table, lp.idx); err == nil {
 			cost, _ := lm.ReleaseAll(lp.sock, id)
 			e.charge(lp.core, vclock.Locking, cost)

@@ -71,6 +71,58 @@ func TestLockLayerKeepsVirtualTime(t *testing.T) {
 	}
 }
 
+// TestPricedRunLeavesNoLocks pins the premise package lock is built on: a
+// priced run has one transaction in flight, and every path out of execute
+// releases everything it holds, so after a Run the central lock table and
+// every partition-local table of the final snapshot are empty. It runs the
+// central manager with SLI, PLP's partition-local tables, shared-nothing with
+// 2PC across sockets, and an adaptive run whose repartitionings swap runtimes.
+func TestPricedRunLeavesNoLocks(t *testing.T) {
+	tatp := workload.MustTATP(workload.TATPOptions{Subscribers: 4000})
+	static := func(cfg Config) func(*testing.T) (Config, RunOptions) {
+		return func(*testing.T) (Config, RunOptions) { return cfg, RunOptions{Transactions: 3000, Seed: 42} }
+	}
+	cases := []struct {
+		name  string
+		build func(*testing.T) (Config, RunOptions)
+	}{
+		{"centralized", static(Config{Design: Centralized, Workload: tatp, Topology: smallTopology()})},
+		{"plp", static(Config{Design: PLP, Workload: tatp, Topology: smallTopology()})},
+		{"shared-nothing-socket-2pc", static(Config{Design: SharedNothing, IslandLevel: topology.LevelSocket, Workload: workload.MultisiteUpdate(4000, 50), Topology: smallTopology()})},
+		{"adaptive-drift-atrapos", adaptiveDriftRun},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, opts := tc.build(t)
+			e := MustNew(cfg)
+			res, err := e.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Committed == 0 {
+				t.Fatal("run committed nothing")
+			}
+			if e.centralLocks != nil {
+				if n := e.centralLocks.Table().Len(); n != 0 {
+					t.Errorf("central lock table holds %d resources after the run", n)
+				}
+			}
+			snap := e.state.snapshot()
+			for name := range snap.placement.Tables {
+				for i := 0; i < snap.runtime.NumPartitions(name); i++ {
+					lm, err := snap.runtime.Locks(name, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n := lm.Table().Len(); n != 0 {
+						t.Errorf("table %q partition %d: lock table holds %d resources after the run", name, i, n)
+					}
+				}
+			}
+		})
+	}
+}
+
 // updateMix is TATP restricted to its four writing classes: updates, inserts
 // that may collide and deletes that may miss, so every write outcome —
 // applied, turned into an update, or a logged no-op — takes its turn.

@@ -2,12 +2,16 @@
 // hierarchical (table/row) lock table with intention modes, a centralized
 // lock manager whose buckets live on shared cache lines (the design that
 // collapses on multisockets), partition-local lock tables as used by PLP and
-// ATraPos, and speculative lock inheritance for hot table-level locks.
+// ATraPos, and speculative lock inheritance for hot table-level locks. The
+// contention is priced, not enacted: a lock table is the list of its grants,
+// and the bucket headers exist only as the central manager's priced cache
+// lines.
 package lock
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"atrapos/internal/schema"
 )
@@ -120,37 +124,20 @@ func RowResource(table string, key schema.Key) ResourceID {
 // without a waits-for graph.
 var ErrConflict = errors.New("lock: conflicting lock held")
 
-// holder is one transaction's mode on a resource.
-type holder struct {
+// grant is one transaction's mode on one resource.
+type grant struct {
+	res  ResourceID
 	txn  TxnID
 	mode Mode
 }
 
-type entry struct {
-	res ResourceID
-	// holders starts on the entry's own one-element array: a priced run has
-	// one transaction in flight, so one holder is the only case it produces.
-	holders []holder
-	first   [1]holder
-	// nextFree links entries on the table's free list while they are not in
-	// use. Pooling freed entries keeps the acquire hot path allocation-free in
-	// steady state: a transaction's locks are created and fully released every
-	// few microseconds, and without the pool every acquire of a fresh resource
-	// would allocate an entry.
-	nextFree *entry
-}
-
-// heldLock records that txn was granted a lock on e's resource.
-type heldLock struct {
-	txn TxnID
-	e   *entry
-}
-
-// Table is one lock table: a hash map from resources to lock entries plus the
-// list of granted locks, so releasing a transaction costs O(locks held) and
-// does not depend on the bucket count. A Table on its own is NUMA-oblivious;
-// the managers in manager.go decide how many tables exist and which bucket
-// header (BucketFor) an access is priced on.
+// Table is one lock table: the list of granted locks, one record per (txn,
+// resource), and nothing else. A priced run has one transaction holding locks
+// at a time and releases all of them when it ends, so the list is as long as
+// that transaction's lock set and every operation scans it; transactions that
+// share the list (the lock tests keep several in flight) still conflict. A
+// Table on its own is NUMA-oblivious: the managers in manager.go decide how
+// many tables exist and which priced cache line an access lands on.
 //
 // A Table, like the managers that wrap it, is single-owner: it has no
 // synchronisation and must only be used by one goroutine at a time. A priced
@@ -160,96 +147,50 @@ type heldLock struct {
 // TestParallelSweepBitIdentical for: it prices many engines concurrently, so
 // a table reachable from two of them is a data race the detector reports.
 type Table struct {
-	nBuckets int
-	entries  map[ResourceID]*entry
-	// held has one record per (txn, resource) grant, appended when the
-	// transaction first locks the resource (an upgrade adds none) and removed
-	// by ReleaseAll.
-	held []heldLock
-	free *entry
+	// held is appended when a transaction first locks a resource (an upgrade
+	// changes the record in place) and compacted in order by ReleaseAll.
+	held []grant
 }
 
-// NewTable creates a lock table whose resources spread over the given number
-// of bucket headers.
-func NewTable(nBuckets int) *Table {
-	if nBuckets < 1 {
-		nBuckets = 1
-	}
-	return &Table{nBuckets: nBuckets, entries: make(map[ResourceID]*entry)}
-}
-
-// BucketFor returns the bucket index for a resource; exported so managers can
-// attribute cache-line costs to the right bucket.
-func (t *Table) BucketFor(res ResourceID) int {
-	h := uint64(14695981039346656037)
-	for _, c := range res.Table {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	h ^= uint64(res.Key)
-	h *= 1099511628211
-	h ^= uint64(res.Kind)
-	return int(h % uint64(t.nBuckets))
-}
+// NewTable creates an empty lock table.
+func NewTable() *Table { return &Table{} }
 
 // Acquire grants mode on res to txn, or returns ErrConflict. Re-acquisition
 // by the same transaction succeeds if the held mode already subsumes the
-// request; otherwise the held mode is upgraded when no other holder conflicts.
+// request; otherwise the held mode is upgraded when no other transaction's
+// grant conflicts.
 func (t *Table) Acquire(txn TxnID, res ResourceID, mode Mode) error {
-	e := t.entries[res]
-	if e == nil {
-		if e = t.free; e != nil {
-			t.free, e.nextFree = e.nextFree, nil
-		} else {
-			e = &entry{}
-			e.holders = e.first[:0]
-		}
-		e.res = res
-		t.entries[res] = e
-	}
 	own, conflict := -1, false
-	for i, h := range e.holders {
-		if h.txn == txn {
+	for i := range t.held {
+		g := &t.held[i]
+		if g.res != res {
+			continue
+		}
+		if g.txn == txn {
 			own = i
-		} else if !Compatible(mode, h.mode) {
+		} else if !Compatible(mode, g.mode) {
 			conflict = true
 		}
 	}
 	switch {
-	case own >= 0 && stronger(e.holders[own].mode, mode):
+	case own >= 0 && stronger(t.held[own].mode, mode):
 	case conflict:
 		return ErrConflict
 	case own >= 0:
-		e.holders[own].mode = mode
+		t.held[own].mode = mode
 	default:
-		e.holders = append(e.holders, holder{txn, mode})
-		t.held = append(t.held, heldLock{txn, e})
+		t.held = append(t.held, grant{res, txn, mode})
 	}
 	return nil
 }
 
 // ReleaseAll drops every lock held by txn and returns how many were released.
-// It walks the held list only: records of other transactions are compacted in
-// place, in order.
+// Records of other transactions are compacted in place, in order.
 func (t *Table) ReleaseAll(txn TxnID) int {
 	kept := t.held[:0]
-	for _, h := range t.held {
-		if h.txn != txn {
-			kept = append(kept, h)
-			continue
-		}
-		e := h.e
-		last := len(e.holders) - 1
-		for i := range e.holders {
-			if e.holders[i].txn == txn {
-				e.holders[i] = e.holders[last]
-				e.holders = e.holders[:last]
-				break
-			}
-		}
-		if last == 0 {
-			delete(t.entries, e.res)
-			e.nextFree, t.free = t.free, e
+	for _, g := range t.held {
+		if g.txn != txn {
+			kept = append(kept, g)
 		}
 	}
 	released := len(t.held) - len(kept)
@@ -259,11 +200,9 @@ func (t *Table) ReleaseAll(txn TxnID) int {
 
 // Held returns the mode txn holds on res, if any.
 func (t *Table) Held(txn TxnID, res ResourceID) (Mode, bool) {
-	if e := t.entries[res]; e != nil {
-		for _, h := range e.holders {
-			if h.txn == txn {
-				return h.mode, true
-			}
+	for _, g := range t.held {
+		if g.txn == txn && g.res == res {
+			return g.mode, true
 		}
 	}
 	return 0, false
@@ -271,11 +210,22 @@ func (t *Table) Held(txn TxnID, res ResourceID) (Mode, bool) {
 
 // Holders returns how many transactions hold a lock on res.
 func (t *Table) Holders(res ResourceID) int {
-	if e := t.entries[res]; e != nil {
-		return len(e.holders)
+	n := 0
+	for _, g := range t.held {
+		if g.res == res {
+			n++
+		}
 	}
-	return 0
+	return n
 }
 
 // Len returns the number of locked resources (for observability and tests).
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int {
+	n := 0
+	for i, g := range t.held {
+		if !slices.ContainsFunc(t.held[:i], func(h grant) bool { return h.res == g.res }) {
+			n++
+		}
+	}
+	return n
+}

@@ -61,7 +61,7 @@ func TestResourceHelpers(t *testing.T) {
 }
 
 func TestTableAcquireReleaseBasics(t *testing.T) {
-	lt := NewTable(16)
+	lt := NewTable()
 	res := RowResource("a", schema.KeyFromInt(1))
 
 	if err := lt.Acquire(1, res, S); err != nil {
@@ -99,7 +99,7 @@ func TestTableAcquireReleaseBasics(t *testing.T) {
 }
 
 func TestTableReacquireAndUpgrade(t *testing.T) {
-	lt := NewTable(4)
+	lt := NewTable()
 	res := RowResource("a", schema.KeyFromInt(9))
 	if err := lt.Acquire(1, res, S); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestTableReacquireAndUpgrade(t *testing.T) {
 }
 
 func TestIntentionLocks(t *testing.T) {
-	lt := NewTable(4)
+	lt := NewTable()
 	table := TableResource("orders")
 	if err := lt.Acquire(1, table, IX); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestIntentionLocks(t *testing.T) {
 }
 
 func TestReleaseUnknownIsNoop(t *testing.T) {
-	lt := NewTable(2)
+	lt := NewTable()
 	if n := lt.ReleaseAll(1); n != 0 {
 		t.Errorf("ReleaseAll of unknown txn = %d", n)
 	}
@@ -161,17 +161,14 @@ func TestReleaseUnknownIsNoop(t *testing.T) {
 // refTable is the lock table as it was before the held list: bucket-striped
 // maps of per-entry holder maps, released by scanning every entry of every
 // bucket. It is kept, without its mutexes and entry pool, as the reference the
-// O(locks held) Table is compared against.
+// grant-list Table is compared against.
 type refTable struct {
 	buckets []map[ResourceID]map[TxnID]Mode
-	hash    *Table // BucketFor only: the bucket of a resource is not under test
+	hash    *CentralManager // BucketFor only: the bucket of a resource is not under test
 }
 
 func newRefTable(nBuckets int) *refTable {
-	if nBuckets < 1 {
-		nBuckets = 1
-	}
-	t := &refTable{buckets: make([]map[ResourceID]map[TxnID]Mode, nBuckets), hash: NewTable(nBuckets)}
+	t := &refTable{buckets: make([]map[ResourceID]map[TxnID]Mode, nBuckets), hash: NewCentralManager(newDomain(1), nBuckets, false)}
 	for i := range t.buckets {
 		t.buckets[i] = make(map[ResourceID]map[TxnID]Mode)
 	}
@@ -237,11 +234,55 @@ func (t *refTable) Len() int {
 	return total
 }
 
+// matchReference requires the Table and the reference to agree on Len, on
+// Holders of every resource of universe, on Held of every transaction 1..txns
+// on it, and the held list to have one record per grant.
+func matchReference(t *testing.T, step int, got *Table, want *refTable, universe []ResourceID, txns TxnID) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("step %d: Len = %d, reference %d", step, got.Len(), want.Len())
+	}
+	grants := 0
+	for _, res := range universe {
+		if g, w := got.Holders(res), want.Holders(res); g != w {
+			t.Fatalf("step %d: Holders(%v) = %d, reference %d", step, res, g, w)
+		}
+		grants += want.Holders(res)
+		for id := TxnID(1); id <= txns; id++ {
+			gm, gok := got.Held(id, res)
+			wm, wok := want.Held(id, res)
+			if gm != wm || gok != wok {
+				t.Fatalf("step %d: Held(%d, %v) = %v,%v, reference %v,%v", step, id, res, gm, gok, wm, wok)
+			}
+		}
+	}
+	if len(got.held) != grants {
+		t.Fatalf("step %d: held list has %d records for %d grants", step, len(got.held), grants)
+	}
+}
+
+// acquireBoth and releaseBoth apply one step to the Table and the reference
+// and require the same error or release count.
+func acquireBoth(t *testing.T, step int, got *Table, want *refTable, id TxnID, res ResourceID, mode Mode) {
+	t.Helper()
+	if g, w := got.Acquire(id, res, mode), want.Acquire(id, res, mode); g != w {
+		t.Fatalf("step %d: Acquire(%d, %v, %v) = %v, reference %v", step, id, res, mode, g, w)
+	}
+}
+
+func releaseBoth(t *testing.T, step int, got *Table, want *refTable, id TxnID) {
+	t.Helper()
+	if g, w := got.ReleaseAll(id), want.ReleaseAll(id); g != w {
+		t.Fatalf("step %d: ReleaseAll(%d) = %d, reference %d", step, id, g, w)
+	}
+}
+
 // TestTableMatchesScanEveryBucketReference drives the Table and the reference
 // with the same seeded random streams — several transactions in flight,
 // acquires, re-acquires, upgrades, conflicting requests, releases of holders
 // and of transactions that hold nothing — and requires identical errors,
-// release counts, Held, Holders and Len at every step.
+// release counts, Held, Holders and Len at every step. The bucket count
+// stripes only the reference; the Table has none.
 func TestTableMatchesScanEveryBucketReference(t *testing.T) {
 	var universe []ResourceID
 	for _, table := range []string{"a", "b"} {
@@ -255,50 +296,17 @@ func TestTableMatchesScanEveryBucketReference(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("buckets=%d/seed=%d", buckets, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				got, want := NewTable(buckets), newRefTable(buckets)
-				compare := func(step int) {
-					t.Helper()
-					if got.Len() != want.Len() {
-						t.Fatalf("step %d: Len = %d, reference %d", step, got.Len(), want.Len())
-					}
-					grants := 0
-					for _, res := range universe {
-						if g, w := got.Holders(res), want.Holders(res); g != w {
-							t.Fatalf("step %d: Holders(%v) = %d, reference %d", step, res, g, w)
-						}
-						grants += want.Holders(res)
-						for id := TxnID(1); id <= txns; id++ {
-							gm, gok := got.Held(id, res)
-							wm, wok := want.Held(id, res)
-							if gm != wm || gok != wok {
-								t.Fatalf("step %d: Held(%d, %v) = %v,%v, reference %v,%v", step, id, res, gm, gok, wm, wok)
-							}
-						}
-					}
-					if len(got.held) != grants {
-						t.Fatalf("step %d: held list has %d records for %d grants", step, len(got.held), grants)
-					}
-				}
+				got, want := NewTable(), newRefTable(buckets)
 				for step := 0; step < 4000; step++ {
 					if rng.Intn(10) < 8 {
-						id := TxnID(1 + rng.Intn(txns))
-						res := universe[rng.Intn(len(universe))]
-						mode := Mode(rng.Intn(4))
-						if g, w := got.Acquire(id, res, mode), want.Acquire(id, res, mode); g != w {
-							t.Fatalf("step %d: Acquire(%d, %v, %v) = %v, reference %v", step, id, res, mode, g, w)
-						}
+						acquireBoth(t, step, got, want, TxnID(1+rng.Intn(txns)), universe[rng.Intn(len(universe))], Mode(rng.Intn(4)))
 					} else {
-						id := TxnID(1 + rng.Intn(txns+2))
-						if g, w := got.ReleaseAll(id), want.ReleaseAll(id); g != w {
-							t.Fatalf("step %d: ReleaseAll(%d) = %d, reference %d", step, id, g, w)
-						}
+						releaseBoth(t, step, got, want, TxnID(1+rng.Intn(txns+2)))
 					}
-					compare(step)
+					matchReference(t, step, got, want, universe, txns)
 				}
 				for id := TxnID(1); id <= txns; id++ {
-					if g, w := got.ReleaseAll(id), want.ReleaseAll(id); g != w {
-						t.Fatalf("final ReleaseAll(%d) = %d, reference %d", id, g, w)
-					}
+					releaseBoth(t, -1, got, want, id)
 				}
 				if got.Len() != 0 || len(got.held) != 0 {
 					t.Errorf("after releasing every transaction: Len = %d, %d held records", got.Len(), len(got.held))
@@ -308,10 +316,39 @@ func TestTableMatchesScanEveryBucketReference(t *testing.T) {
 	}
 }
 
+// FuzzTable holds the Table to the reference on arbitrary step sequences. Each
+// byte is one step: with the top bit clear it is an acquire by transaction
+// 1+bits 5-6 in mode bits 3-4 of resource bits 0-2 (two table resources and
+// three rows of each table); with it set, a ReleaseAll of transaction 1+bits
+// 0-2, so transactions 5..8 only ever release nothing. The seeds below run
+// with every `go test`; `go test -fuzz FuzzTable ./internal/lock` explores.
+func FuzzTable(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte{0x00, 0x18, 0x80})                         // IS upgraded to X on table a, released
+	f.Add([]byte{0x12, 0x32, 0x52, 0x72, 0x3a, 0x81, 0x82}) // four S holders of a row; an X upgrade conflicts
+	f.Add([]byte{0x08, 0x18, 0x28, 0x04, 0x24, 0x80, 0x28}) // X on table a shuts out another IX until released
+	f.Add([]byte{0x1c, 0x3c, 0x5d, 0x87, 0x7f, 0x7e, 0x83, 0x80, 0x1c})
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		universe := []ResourceID{TableResource("a"), TableResource("b")}
+		for k := int64(0); k < 3; k++ {
+			universe = append(universe, RowResource("a", schema.KeyFromInt(k)), RowResource("b", schema.KeyFromInt(k)))
+		}
+		got, want := NewTable(), newRefTable(8)
+		for i, b := range steps {
+			if b&0x80 == 0 {
+				acquireBoth(t, i, got, want, TxnID(1+b>>5&3), universe[b&7], Mode(b>>3&3))
+			} else {
+				releaseBoth(t, i, got, want, TxnID(1+b&7))
+			}
+			matchReference(t, i, got, want, universe, 4)
+		}
+	})
+}
+
 // TestUpgradeAddsNoHeldRecord: a lock upgraded in place is still one lock, so
 // ReleaseAll reports (and the central manager prices) one release.
 func TestUpgradeAddsNoHeldRecord(t *testing.T) {
-	lt := NewTable(8)
+	lt := NewTable()
 	row, table := RowResource("a", schema.KeyFromInt(1)), TableResource("a")
 	for _, step := range []struct {
 		res  ResourceID
@@ -332,13 +369,6 @@ func TestUpgradeAddsNoHeldRecord(t *testing.T) {
 	}
 	if lt.Len() != 0 {
 		t.Errorf("Len = %d after ReleaseAll", lt.Len())
-	}
-}
-
-func TestNewTableClampsBuckets(t *testing.T) {
-	lt := NewTable(0)
-	if err := lt.Acquire(1, RowResource("x", 1), S); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -430,6 +460,62 @@ func TestSpeculativeLockInheritance(t *testing.T) {
 	if m2.Table() == nil || m.Table() == nil {
 		t.Error("Table accessor returned nil")
 	}
+
+	// The per-socket retained lists: each case retains table locks on a fresh
+	// manager, checks how many records each socket keeps, then probes which
+	// table-lock requests SLI serves (cost 0, one hit) and which pay a bucket.
+	type retain struct {
+		s     topology.SocketID
+		table string
+		mode  Mode
+	}
+	type probe struct {
+		s     topology.SocketID
+		table string
+		mode  Mode
+		hit   bool
+	}
+	cases := []struct {
+		name    string
+		retains []retain
+		records []int // per socket
+		probes  []probe
+	}{
+		{"two sockets inherit independently",
+			[]retain{{0, "a", IX}, {1, "a", IS}}, []int{1, 1},
+			[]probe{{0, "a", IX, true}, {1, "a", IS, true}, {1, "a", IX, false}, {0, "b", IS, false}}},
+		{"two tables on one socket",
+			[]retain{{0, "a", IX}, {0, "b", IS}}, []int{2, 0},
+			[]probe{{0, "a", IS, true}, {0, "b", IS, true}, {0, "b", IX, false}, {1, "a", IS, false}}},
+		{"an upgrade is one record",
+			[]retain{{0, "a", IS}, {0, "a", IX}}, []int{1, 0},
+			[]probe{{0, "a", IX, true}, {0, "a", IS, true}}},
+		{"IS does not serve IX",
+			[]retain{{1, "a", IS}}, []int{0, 1},
+			[]probe{{1, "a", IX, false}, {1, "a", S, false}, {1, "a", IS, true}}},
+	}
+	for _, tc := range cases {
+		m := NewCentralManager(d, 16, true)
+		for _, r := range tc.retains {
+			m.RetainForSLI(r.s, TableResource(r.table), r.mode)
+		}
+		for s, want := range tc.records {
+			if got := len(m.sli[s]); got != want {
+				t.Errorf("%s: socket %d keeps %d records, want %d", tc.name, s, got, want)
+			}
+		}
+		for i, p := range tc.probes {
+			hits := m.SLIHits()
+			c, err := m.Acquire(p.s, TxnID(100+i), TableResource(p.table), p.mode)
+			if err != nil {
+				t.Fatalf("%s: probe %d: %v", tc.name, i, err)
+			}
+			if hit := m.SLIHits() > hits; hit != p.hit || hit != (c == 0) {
+				t.Errorf("%s: %v on %q from socket %d: hit=%v cost=%d, want hit=%v", tc.name, p.mode, p.table, p.s, hit, c, p.hit)
+			}
+			m.ReleaseAll(p.s, TxnID(100+i))
+		}
+	}
 }
 
 func TestLocalManagerStaysLocal(t *testing.T) {
@@ -463,38 +549,43 @@ func TestLocalManagerStaysLocal(t *testing.T) {
 	}
 }
 
-// lockCycle is the steady-state shape of a priced transaction: an intention
-// lock and row locks through one manager, then the release of all of them
-// (and, on a central manager, the SLI hand-over, a no-op with SLI off).
-func lockCycle(m Manager, txn TxnID, rows int) {
-	table := TableResource("t")
-	m.Acquire(0, txn, table, IX)
+// lockRows is the acquire half of a priced transaction's steady-state shape:
+// an intention lock, then row locks, through one manager's Acquire.
+func lockRows(acquire func(topology.SocketID, TxnID, ResourceID, Mode) (numa.Cost, error), txn TxnID, rows int) {
+	acquire(0, txn, TableResource("t"), IX)
 	for k := 0; k < rows; k++ {
-		m.Acquire(0, txn, RowResource("t", schema.Key(uint64(txn)*16+uint64(k))), X)
-	}
-	m.ReleaseAll(0, txn)
-	if c, ok := m.(*CentralManager); ok {
-		c.RetainForSLI(0, table, IX)
+		acquire(0, txn, RowResource("t", schema.Key(uint64(txn)*16+uint64(k))), X)
 	}
 }
 
-// TestLockCycleZeroAllocs pins the pooling: once entries, the held list and
-// the SLI cache are warm, acquiring and releasing fresh resources allocates
-// nothing, on either manager, with SLI on or off.
+// TestLockCycleZeroAllocs: once the held list and the SLI list are warm,
+// acquiring and releasing fresh resources allocates nothing, on either
+// manager, with SLI on or off (the SLI hand-over is a no-op with it off).
 func TestLockCycleZeroAllocs(t *testing.T) {
 	d := newDomain(2)
+	central := func(m *CentralManager) func(TxnID) {
+		return func(txn TxnID) {
+			lockRows(m.Acquire, txn, 2)
+			m.ReleaseAll(0, txn)
+			m.RetainForSLI(0, TableResource("t"), IX)
+		}
+	}
+	local := NewLocalManagerAt(d, 0)
 	cases := []struct {
-		name string
-		m    Manager
+		name  string
+		cycle func(TxnID)
 	}{
-		{"central", NewCentralManager(d, 256, false)},
-		{"central-sli", NewCentralManager(d, 256, true)},
-		{"local", NewLocalManagerAt(d, 0)},
+		{"central", central(NewCentralManager(d, 256, false))},
+		{"central-sli", central(NewCentralManager(d, 256, true))},
+		{"local", func(txn TxnID) {
+			lockRows(local.Acquire, txn, 2)
+			local.ReleaseAll(0, txn)
+		}},
 	}
 	for _, tc := range cases {
 		txn := TxnID(1)
 		cycle := func() {
-			lockCycle(tc.m, txn, 2)
+			tc.cycle(txn)
 			txn++
 		}
 		cycle()
@@ -505,17 +596,22 @@ func TestLockCycleZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkAcquireReleaseAll is the lock layer's own number: one transaction's
-// acquires and its ReleaseAll on a bare Table. ns/op grows with the locks per
-// transaction and must not grow with the bucket count.
+// acquires and its ReleaseAll on a bare Table, with inflight other
+// transactions holding a row lock each in the same table. Every operation
+// scans the grant list, so ns/op grows with the locks per transaction and
+// with the grants of the transactions in flight beside it.
 func BenchmarkAcquireReleaseAll(b *testing.B) {
-	for _, buckets := range []int{8, 256, 4096} {
+	for _, inflight := range []int{0, 8} {
 		for _, locks := range []int{1, 3, 10} {
-			b.Run(fmt.Sprintf("buckets=%d/locks=%d", buckets, locks), func(b *testing.B) {
-				lt := NewTable(buckets)
+			b.Run(fmt.Sprintf("inflight=%d/locks=%d", inflight, locks), func(b *testing.B) {
+				lt := NewTable()
+				for j := 0; j < inflight; j++ {
+					lt.Acquire(TxnID(j+1), RowResource("u", schema.Key(j)), X)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					txn := TxnID(i + 1)
+					txn := TxnID(inflight + i + 1)
 					for k := 0; k < locks; k++ {
 						lt.Acquire(txn, RowResource("t", schema.Key(i*16+k)), X)
 					}

@@ -5,24 +5,13 @@ import (
 	"atrapos/internal/topology"
 )
 
-// Manager is the interface the execution engines use to acquire locks. Every
-// call returns the virtual cost of the operation so the caller can charge it
-// to the worker's clock; implementations differ in how much of that cost
-// crosses socket boundaries.
-type Manager interface {
-	// Acquire requests mode on res for txn on behalf of a worker running on
-	// socket s.
-	Acquire(s topology.SocketID, txn TxnID, res ResourceID, mode Mode) (numa.Cost, error)
-	// ReleaseAll drops all locks of txn and returns the cost and the number
-	// of locks released.
-	ReleaseAll(s topology.SocketID, txn TxnID) (numa.Cost, int)
-}
-
 // CentralManager is the traditional centralized lock manager: one lock table
 // shared by every worker in the system. Each bucket header is modeled as a
 // cache line homed on socket 0, so acquisitions from other sockets pay
 // cache-line transfer costs — the contention the paper identifies as the
-// first scalability bottleneck of shared-everything designs.
+// first scalability bottleneck of shared-everything designs. Every call
+// returns the virtual cost of the operation so the caller can charge it to the
+// worker's clock.
 //
 // CentralManager optionally applies speculative lock inheritance (SLI):
 // table-level intention locks released at commit are retained by the worker
@@ -37,17 +26,26 @@ type CentralManager struct {
 	lines []*numa.CacheLine
 
 	sliEnabled bool
-	sli        map[topology.SocketID]map[ResourceID]Mode
-	sliHits    int64
+	// sli holds, per socket, the table locks that socket's worker retained:
+	// one record per table, a handful per socket.
+	sli     [][]retained
+	sliHits int64
 }
 
-// NewCentralManager builds a centralized manager over domain d.
+// retained is one table-level lock a socket inherits under SLI.
+type retained struct {
+	table string
+	mode  Mode
+}
+
+// NewCentralManager builds a centralized manager over domain d whose
+// resources spread over the given number of bucket headers.
 func NewCentralManager(d *numa.Domain, buckets int, sli bool) *CentralManager {
 	m := &CentralManager{
-		table:      NewTable(buckets),
+		table:      NewTable(),
 		lines:      make([]*numa.CacheLine, buckets),
 		sliEnabled: sli,
-		sli:        make(map[topology.SocketID]map[ResourceID]Mode),
+		sli:        make([][]retained, d.Top.Sockets()),
 	}
 	for i := range m.lines {
 		m.lines[i] = numa.NewCacheLine(d, 0)
@@ -55,21 +53,47 @@ func NewCentralManager(d *numa.Domain, buckets int, sli bool) *CentralManager {
 	return m
 }
 
-// Acquire implements Manager.
+// BucketFor returns the bucket header a resource's accesses are priced on:
+// FNV-1a over the table name, the key and the kind, modulo the bucket count.
+func (m *CentralManager) BucketFor(res ResourceID) int {
+	h := uint64(14695981039346656037)
+	for _, c := range res.Table {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	h ^= uint64(res.Key)
+	h *= 1099511628211
+	h ^= uint64(res.Kind)
+	return int(h % uint64(len(m.lines)))
+}
+
+// retainedOn returns table's record in s's SLI list, or nil.
+func (m *CentralManager) retainedOn(s topology.SocketID, table string) *retained {
+	for i := range m.sli[s] {
+		if m.sli[s][i].table == table {
+			return &m.sli[s][i]
+		}
+	}
+	return nil
+}
+
+// Acquire requests mode on res for txn on behalf of a worker running on
+// socket s.
 func (m *CentralManager) Acquire(s topology.SocketID, txn TxnID, res ResourceID, mode Mode) (numa.Cost, error) {
 	if m.sliEnabled && res.Kind == TableKind {
-		if held, ok := m.sli[s][res]; ok && stronger(held, mode) {
+		if r := m.retainedOn(s, res.Table); r != nil && stronger(r.mode, mode) {
 			m.sliHits++
 			// The lock is inherited: only a thread-local check is needed.
 			return 0, nil
 		}
 	}
-	cost := m.lines[m.table.BucketFor(res)].Atomic(s)
+	cost := m.lines[m.BucketFor(res)].Atomic(s)
 	return cost, m.table.Acquire(txn, res, mode)
 }
 
-// ReleaseAll implements Manager; with SLI the caller follows up with
-// RetainForSLI for the table-level locks the socket should inherit.
+// ReleaseAll drops all locks of txn and returns the cost and the number of
+// locks released; with SLI the caller follows up with RetainForSLI for the
+// table-level locks the socket should inherit.
 //
 // Releasing touches bucket headers again, priced as one atomic access per
 // released lock — but on lines 0..released-1, not on the buckets the locks
@@ -88,15 +112,17 @@ func (m *CentralManager) ReleaseAll(s topology.SocketID, txn TxnID) (numa.Cost, 
 
 // RetainForSLI records that the worker on socket s finished a transaction
 // that held mode on table resource res; subsequent acquisitions of a weaker
-// or equal mode from the same socket are served from the cache.
+// or equal mode from the same socket are served from the cache. A later
+// retain of the same table replaces the mode.
 func (m *CentralManager) RetainForSLI(s topology.SocketID, res ResourceID, mode Mode) {
 	if !m.sliEnabled || res.Kind != TableKind {
 		return
 	}
-	if m.sli[s] == nil {
-		m.sli[s] = make(map[ResourceID]Mode)
+	if r := m.retainedOn(s, res.Table); r != nil {
+		r.mode = mode
+		return
 	}
-	m.sli[s][res] = mode
+	m.sli[s] = append(m.sli[s], retained{res.Table, mode})
 }
 
 // SLIHits returns how many acquisitions were served by speculative lock inheritance.
@@ -109,8 +135,8 @@ func (m *CentralManager) Table() *Table { return m.table }
 // each logical partition has its own small lock table accessed by exactly one
 // worker thread, so acquisitions are island-local and uncontended. The cost
 // charged is the local atomic cost of the owning socket's stripe. The table
-// has a single bucket header — the partition's one cache line — and, like
-// every Table, a single owner on the host.
+// is priced on a single cache line — the partition's one bucket header — and,
+// like every Table, has a single owner on the host.
 //
 // A LocalManager is homed on the island of the partition's owning core: it
 // records both the socket (which prices the cache-line stripe) and, on
@@ -129,7 +155,7 @@ type LocalManager struct {
 // island-locality checks.
 func NewLocalManagerAt(d *numa.Domain, owner topology.CoreID) *LocalManager {
 	return &LocalManager{
-		table:   NewTable(1),
+		table:   NewTable(),
 		line:    numa.NewCacheLine(d, d.Top.SocketOf(owner)),
 		home:    d.Top.SocketOf(owner),
 		homeDie: d.Top.DieOf(owner),
@@ -142,12 +168,14 @@ func (m *LocalManager) Home() topology.SocketID { return m.home }
 // HomeDie returns the die the lock table is currently homed on.
 func (m *LocalManager) HomeDie() topology.DieID { return m.homeDie }
 
-// Acquire implements Manager.
+// Acquire requests mode on res for txn on behalf of a worker running on
+// socket s.
 func (m *LocalManager) Acquire(s topology.SocketID, txn TxnID, res ResourceID, mode Mode) (numa.Cost, error) {
 	return m.line.Atomic(s), m.table.Acquire(txn, res, mode)
 }
 
-// ReleaseAll implements Manager.
+// ReleaseAll drops all locks of txn and returns the cost and the number of
+// locks released. Releasing nothing touches no line and costs nothing.
 func (m *LocalManager) ReleaseAll(s topology.SocketID, txn TxnID) (numa.Cost, int) {
 	released := m.table.ReleaseAll(txn)
 	var cost numa.Cost

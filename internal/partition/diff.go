@@ -233,10 +233,13 @@ type ApplyStats struct {
 // previous runtime's slice; for rebounded tables each desired partition that
 // still covers the same key range on the same socket keeps its lock table.
 //
-// The receiver is not modified: workers holding the previous snapshot keep a
-// consistent runtime, and transactions spanning the switch release their
-// locks on the managers they acquired them from. ApplyDiff with a nil diff
-// (or a diff computed against a different placement) falls back to a full
+// The receiver is not modified. A priced run installs a new runtime between
+// two transactions, when no lock table holds a grant, so reuse is not needed
+// for correctness. What it keeps is the warm numa.CacheLine state (last
+// owning socket, contention window) of every reused lock table, and the
+// virtual-time baselines depend on it; whether that warmth is part of the
+// model or an accident of reuse is still open. ApplyDiff with a nil diff (or
+// a diff computed against a different placement) falls back to a full
 // rebuild, which is always correct.
 func (r *Runtime) ApplyDiff(p *Placement, diff *PlanDiff) (*Runtime, ApplyStats) {
 	var stats ApplyStats
