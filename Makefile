@@ -74,7 +74,9 @@ test:
 # concurrent sweep/fuzz paths (point scheduling, the allocation-measurement
 # token, parallel bit-identity). The counter-conservation oracle (its
 # die-level mixed leg included) and the batch-protocol tests are repeated (the
-# oracle at its -short size): a lost update or a ship deadlock is a scheduling
+# oracle at its -short size), and so are the ship that outwaits its bounded
+# spin and parks, and the oversubscribed executed runs: a lost update, a ship
+# deadlock or a wakeup lost between the spin and the park is a scheduling
 # accident, and one clean run proves little. The traced executed run is
 # repeated too: the span rings are single-owner, so a ring two executors share
 # shows up only here. The harness pass filters to the pool tests so the
@@ -82,8 +84,10 @@ test:
 race:
 	$(GO) test -race ./internal/backend
 	$(GO) test -race -short -count=20 -run ExecutorBatch ./internal/backend
+	$(GO) test -race -count=10 -run TestExecutorShipParksBehindSilentOwner ./internal/backend
 	$(GO) test -race -run Executed ./internal/engine
 	$(GO) test -race -short -count=20 -run ExecutedCountersConserved ./internal/engine
+	$(GO) test -race -count=10 -run TestExecutedOversubscribed ./internal/engine
 	$(GO) test -race -count=10 -run TestExecutedTracedIslandsShareNothing ./internal/engine
 	$(GO) test -race -run 'TestPool|TestParallelSweepBitIdentical|TestFuzzShardDeterminism' ./internal/harness
 
@@ -104,6 +108,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkRepartition -benchtime 100x -benchmem ./internal/btree
 	$(GO) test -run '^$$' -bench BenchmarkTreeGet -benchtime 200000x -benchmem ./internal/btree
 	$(GO) test -run '^$$' -bench 'BenchmarkExecutorShip|BenchmarkHashCommit' -benchtime 200x -benchmem ./internal/backend
+	$(GO) test -run '^$$' -bench BenchmarkRunExecuted -benchtime 10000x -benchmem ./internal/engine
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchmem ./internal/engine

@@ -3,6 +3,7 @@ package backend
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -492,6 +493,65 @@ func TestExecutorBatchesCrossing(t *testing.T) {
 	if ships != remote || serves != remote || ops != remote*(perOwner+1) {
 		t.Errorf("%d ships, %d serves, %d carried operations; want %d, %d, %d",
 			ships, serves, ops, remote, remote, remote*(perOwner+1))
+	}
+}
+
+// TestExecutorShipParksBehindSilentOwner covers the blocking end of ship's
+// wait: the owner leaves the request in its inbox for at least 10 ms and
+// 4×shipSpins of its own yields — busy with local transactions, never
+// polling — so the sender exhausts its bounded spin and parks in the select.
+// When the owner finally polls, the reply must wake the sender, the batch
+// must have been applied once, and the one ship must be the one serve.
+func TestExecutorShipParksBehindSilentOwner(t *testing.T) {
+	b := testHash(t, 2)
+	execs := NewExecutors(b)
+	sender, owner := execs[0], execs[1]
+	const silent = 10 * time.Millisecond
+	var busyTxns int
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		for len(owner.in) == 0 {
+			runtime.Gosched()
+		}
+		t0 := time.Now()
+		for n := 0; n < 4*shipSpins || time.Since(t0) < silent; n++ {
+			txn := uint64(1000 + n)
+			owner.Stage(OpIncrement, 1, 0, 99, txn, 0)
+			owner.CommitLocal(txn, 0)
+			busyTxns++
+			runtime.Gosched()
+		}
+		owner.Poll()
+	}()
+	shipped := make(chan struct{})
+	go func() {
+		defer close(shipped)
+		for k := schema.Key(1); k <= 5; k++ {
+			sender.Stage(OpIncrement, 1, 0, k, 7, 0)
+		}
+		sender.CommitLocal(7, 0)
+		sender.ShipStaged(7, 0)
+	}()
+	select {
+	case <-shipped:
+	case <-time.After(60 * time.Second):
+		t.Fatal("a ship to an owner that polled after 10 ms did not complete in 60 s")
+	}
+	<-ownerDone
+	if d := time.Duration(sender.Stats.ShipNs); d < silent {
+		t.Errorf("ship waited %v for an owner silent for %v", d, silent)
+	}
+	for k := schema.Key(1); k <= 5; k++ {
+		if v, _ := b.Get(1, 0, k); v != 1 {
+			t.Errorf("key %d = %d after one shipped increment", k, v)
+		}
+	}
+	if v, _ := b.Get(1, 0, 99); v != uint64(busyTxns) {
+		t.Errorf("owner's own counter = %d after %d local increments", v, busyTxns)
+	}
+	if ships, serves := sender.Stats.Ships, owner.Stats.Serves; ships != 1 || serves != ships {
+		t.Errorf("%d ships and %d serves, want 1 of each", ships, serves)
 	}
 }
 

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"runtime"
 	"time"
 
 	"atrapos/internal/obs"
@@ -45,8 +46,9 @@ type ownerBatch struct {
 // with real time. An executor owns exactly one reusable Request (its out
 // field) and the ops slice points into its own staging buffers, so shipping
 // allocates nothing in steady state: the sender fills out, hands the pointer
-// to the owner's inbox, and blocks on its own reply channel until the owner
-// has written the results back into ops and signalled it.
+// to the owner's inbox, and waits — polling, then parked — on its own reply
+// channel until the owner has written the results back into ops and signalled
+// it.
 type Request struct {
 	txn    uint64
 	ops    []batchOp
@@ -213,10 +215,20 @@ func (e *Executor) Poll() {
 	}
 }
 
-// ship sends the executor's out request to the owner and waits for the reply,
-// serving its own inbox in the meantime. The wait (minus any time spent
-// serving peers, which serve accounts separately) lands in ShipNs — the
-// executed analogue of the priced model's message round-trip.
+// shipSpins bounds how many times a shipping executor polls for its reply,
+// yielding its processor between polls, before it parks. A parked sender is
+// readied onto the replying owner's P and runs only when that owner blocks or
+// another P steals it — tens of µs behind a busy owner — while a yielding
+// sender goes straight back on a run queue and finds the reply on its next
+// poll. The bound keeps a long wait (an owner that has not polled for
+// hundreds of yields) from stealing turns from the executors it waits on
+// when they share one P.
+const shipSpins = 128
+
+// ship sends the executor's out request to the owner and waits for the reply.
+// The wait (minus any time spent serving peers, which serve accounts
+// separately) lands in ShipNs — the executed analogue of the priced model's
+// message round-trip.
 func (e *Executor) ship(owner int) {
 	e.Stats.Ships++
 	e.Stats.ShippedOps += e.out.carried()
@@ -224,10 +236,27 @@ func (e *Executor) ship(owner int) {
 	t0 := time.Now()
 	served := e.Stats.ServeNs
 	e.b.execs[owner].in <- &e.out
+	e.awaitReply()
+	e.Stats.ShipNs += time.Since(t0).Nanoseconds() - (e.Stats.ServeNs - served)
+}
+
+// awaitReply returns once the owner has replied, serving this executor's own
+// inbox meanwhile: up to shipSpins polls with a runtime.Gosched after each
+// empty one (a served peer counts as a poll), then a blocking select.
+func (e *Executor) awaitReply() {
+	for spin := 0; spin < shipSpins; spin++ {
+		select {
+		case <-e.reply:
+			return
+		case r := <-e.in:
+			e.serve(r)
+		default:
+			runtime.Gosched()
+		}
+	}
 	for {
 		select {
 		case <-e.reply:
-			e.Stats.ShipNs += time.Since(t0).Nanoseconds() - (e.Stats.ServeNs - served)
 			return
 		case r := <-e.in:
 			e.serve(r)

@@ -615,7 +615,7 @@ func (e *Engine) wireStructures(p *partition.Placement) {
 		e.log = wal.NewCentralLog(e.domain, 0, centralCfg)
 		// The central log records its flush spans on island track 0.
 		if e.tracer != nil {
-			e.log.SetTrace(e.tracer.Island(0), 0)
+			e.log.SetTrace(e.tracer.BindIsland(0), 0)
 		}
 	}
 	switch e.row.state {
@@ -792,7 +792,7 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 		// Attach every island log (reused ones move to their new island's
 		// ring) so flush spans carry the wiring's site index.
 		for i := range islands {
-			w.logs.Log(i).SetTrace(e.tracer.Island(i), int32(i))
+			w.logs.Log(i).SetTrace(e.tracer.BindIsland(i), int32(i))
 		}
 	}
 	w.coordinator = txn.NewCoordinatorAt(e.domain, w.logs, homeCores)

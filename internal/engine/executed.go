@@ -181,8 +181,9 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	islands := e.hash.Islands()
 	logStart := e.hash.Stats()
 
-	// Per-table placements resolved once so the per-action path is an array
-	// index, not a map lookup.
+	// Per-table placements resolved once and indexed by table: the per-action
+	// path makes one map lookup, table name to index, and that index is both
+	// the table the backend addresses and the slot of its placement.
 	tps := make([]*partition.TablePlacement, len(e.wl.Tables))
 	tableIdx := make(map[string]int, len(e.wl.Tables))
 	for i, td := range e.wl.Tables {
@@ -195,7 +196,7 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 		// Executed-path spans carry wall time, recorded on the island rings'
 		// executor; set before any executor goroutine starts serving.
 		for i := range execs {
-			execs[i].SetTrace(e.tracer.Island(i))
+			execs[i].SetTrace(e.tracer.BindIsland(i))
 		}
 	}
 	scratch := make([]execScratchX, islands)

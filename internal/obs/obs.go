@@ -244,10 +244,11 @@ type Sample struct {
 
 // Tracer owns every ring and series of one engine: one worker ring for the
 // execution-path spans of the run's one goroutine (each span names its core),
-// per-island rings for WAL activity, per-device rings for queue waits, one
-// planner ring, the decision log and the metrics samples. All accessors are
-// nil-receiver safe, so a disabled engine holds a nil *Tracer and every
-// producer site stays a single-branch no-op.
+// per-island rings for WAL activity (allocated when a producer first binds
+// one), per-device rings for queue waits, one planner ring, the decision log
+// and the metrics samples. All accessors are nil-receiver safe, so a disabled
+// engine holds a nil *Tracer and every producer site stays a single-branch
+// no-op.
 //
 // A Tracer is single-owner like its rings: the decision log and the metrics
 // series are appended to only by the inline planner of a priced run.
@@ -255,6 +256,7 @@ type Tracer struct {
 	worker *Ring
 	// cores is how many core tracks the trace export names.
 	cores   int
+	ringCap int
 	islands []*Ring
 	devices []*Ring
 	planner *Ring
@@ -263,19 +265,19 @@ type Tracer struct {
 	samples   []Sample
 }
 
-// NewTracer pre-allocates rings: the worker ring, one per island slot, one
-// per device, and one for the planner, each with ringCap capacity. cores is
-// the machine's core count, which names the export's core tracks.
+// NewTracer pre-allocates rings of ringCap capacity: the worker ring, one per
+// device, and one for the planner. Each of the islands island slots gets its
+// ring on first BindIsland: a wiring binds one slot per island, so a socket-
+// or die-grained run leaves most of a per-core slot array empty. cores is the
+// machine's core count, which names the export's core tracks.
 func NewTracer(cores, islands, devices, ringCap int) *Tracer {
 	t := &Tracer{
 		worker:  NewRing(ringCap),
 		cores:   cores,
+		ringCap: ringCap,
 		islands: make([]*Ring, islands),
 		devices: make([]*Ring, devices),
 		planner: NewRing(ringCap),
-	}
-	for i := range t.islands {
-		t.islands[i] = NewRing(ringCap)
 	}
 	for i := range t.devices {
 		t.devices[i] = NewRing(ringCap)
@@ -292,10 +294,22 @@ func (t *Tracer) Worker(i int) *Ring {
 	return t.worker
 }
 
-// Island returns island slot i's ring, or nil.
+// Island returns island slot i's ring, or nil when no producer has bound it.
 func (t *Tracer) Island(i int) *Ring {
 	if t == nil || i < 0 || i >= len(t.islands) {
 		return nil
+	}
+	return t.islands[i]
+}
+
+// BindIsland returns island slot i's ring for a producer to record into,
+// allocating it on first use; nil when t is nil or i is out of range.
+func (t *Tracer) BindIsland(i int) *Ring {
+	if t == nil || i < 0 || i >= len(t.islands) {
+		return nil
+	}
+	if t.islands[i] == nil {
+		t.islands[i] = NewRing(t.ringCap)
 	}
 	return t.islands[i]
 }

@@ -43,7 +43,7 @@ func TestNilRingAndTracerAreNoOps(t *testing.T) {
 	tr.RecordDecision(Decision{})
 	tr.RecordSample(Sample{})
 	tr.Reset()
-	if tr.Worker(0) != nil || tr.Island(0) != nil || tr.Device(0) != nil || tr.Planner() != nil {
+	if tr.Worker(0) != nil || tr.Island(0) != nil || tr.BindIsland(0) != nil || tr.Device(0) != nil || tr.Planner() != nil {
 		t.Fatal("nil tracer returned a ring")
 	}
 	if tr.Dropped() != 0 || tr.DropAccounting() != "" {
@@ -57,11 +57,31 @@ func TestNilRingAndTracerAreNoOps(t *testing.T) {
 	}
 }
 
+// TestIslandRingsAllocateOnBind: an island slot no producer has bound holds
+// no ring — Island reads nil, which records nothing and counts 0 attempts —
+// and BindIsland allocates it once, at the tracer's ring capacity.
+func TestIslandRingsAllocateOnBind(t *testing.T) {
+	tr := NewTracer(4, 4, 0, 8)
+	if tr.Island(2) != nil {
+		t.Fatal("an unbound island slot has a ring")
+	}
+	r := tr.BindIsland(2)
+	if r == nil || r.Capacity() != 8 {
+		t.Fatalf("BindIsland(2) = %v, want a ring of capacity 8", r)
+	}
+	if tr.BindIsland(2) != r || tr.Island(2) != r {
+		t.Fatal("a bound island slot returned a different ring")
+	}
+	if tr.Island(1) != nil || tr.BindIsland(4) != nil {
+		t.Fatal("binding slot 2 touched another slot, or slot 4 exists")
+	}
+}
+
 func TestTracerDropAccounting(t *testing.T) {
 	tr := NewTracer(2, 1, 1, 2)
 	tr.Worker(0).Record(Span{Kind: KindTxn})
 	for i := 0; i < 5; i++ {
-		tr.Island(0).Record(Span{Kind: KindPhysFlush})
+		tr.BindIsland(0).Record(Span{Kind: KindPhysFlush})
 	}
 	if got := tr.Dropped(); got != 3 {
 		t.Fatalf("Dropped = %d, want 3", got)
@@ -76,8 +96,8 @@ func TestExportChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 		tr := NewTracer(2, 2, 1, 16)
 		tr.Worker(0).Record(Span{Start: 1000, Dur: 500, Kind: KindTxn, Core: 0, Class: "mixed"})
 		tr.Worker(0).Record(Span{Start: 1200, Dur: 300, Kind: KindLockAcquire, Core: 1})
-		tr.Island(0).Record(Span{Start: 1500, Dur: 100, Kind: KindPhysFlush, Site: 0, Arg: 4096})
-		tr.Island(1).Record(Span{Start: 1500, Kind: KindCoalesceFold, Site: 1, Arg: 7})
+		tr.BindIsland(0).Record(Span{Start: 1500, Dur: 100, Kind: KindPhysFlush, Site: 0, Arg: 4096})
+		tr.BindIsland(1).Record(Span{Start: 1500, Kind: KindCoalesceFold, Site: 1, Arg: 7})
 		tr.Device(0).Record(Span{Start: 1600, Dur: 50, Kind: KindDeviceWait})
 		tr.Planner().Record(Span{Start: 2000, Kind: KindPlannerSeal})
 		tr.RecordDecision(Decision{At: 2000, Current: "socket", Best: "core", Verdict: "change",
