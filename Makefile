@@ -109,6 +109,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkTreeGet -benchtime 200000x -benchmem ./internal/btree
 	$(GO) test -run '^$$' -bench 'BenchmarkExecutorShip|BenchmarkHashCommit' -benchtime 200x -benchmem ./internal/backend
 	$(GO) test -run '^$$' -bench BenchmarkRunExecuted -benchtime 10000x -benchmem ./internal/engine
+	$(GO) test -run '^$$' -bench BenchmarkZipfKey -benchtime 100000x -benchmem ./internal/workload
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchmem ./internal/engine

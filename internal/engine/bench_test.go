@@ -254,37 +254,49 @@ func BenchmarkLoad(b *testing.B) {
 
 // BenchmarkRunExecuted is the executed engine end to end: RunExecuted on
 // chiplet-2s4d at socket, die and core level (2, 8 and 32 executors) over
-// MultisiteUpdate with 20 % and 100 % of its transactions multisite, b.N
-// transactions in one run, reported as txn/s. Each cell builds and loads its
-// engine once, outside the timer; later b.N rounds continue from the state
-// the previous one left. Run at GOMAXPROCS=1 and 2 it is the shape matrix the
-// ship wait's spin bound (backend.shipSpins) is sized against: 32 executors
-// on one P is where a spinning sender steals turns from the owner it waits
-// for.
+// MultisiteUpdate with 20 % and 100 % of its transactions multisite, plus
+// site-local YCSB-B over 100,000 rows at socket level (the repo benchmark's
+// exec-local shape, where the generator and the clock reads are most of the
+// time), b.N transactions in one run, reported as txn/s. Each cell builds and
+// loads its engine once, outside the timer; later b.N rounds continue from
+// the state the previous one left. Run at GOMAXPROCS=1 and 2 it is the shape
+// matrix the ship wait's spin bound (backend.shipSpins) is sized against: 32
+// executors on one P is where a spinning sender steals turns from the owner
+// it waits for.
 func BenchmarkRunExecuted(b *testing.B) {
+	type cell struct {
+		name  string
+		level topology.Level
+		wl    *workload.Workload
+	}
+	var cells []cell
 	for _, level := range []topology.Level{topology.LevelSocket, topology.LevelDie, topology.LevelCore} {
 		for _, pct := range []int{20, 100} {
-			var e *Engine
-			b.Run(fmt.Sprintf("%v/multisite=%d", level, pct), func(b *testing.B) {
-				if e == nil {
-					e = executedEngine(b, workload.MultisiteUpdate(100_000, pct), level, false)
-					// The first run loads the backend from the priced tables.
-					if _, err := e.RunExecuted(RunOptions{Transactions: 1000, Seed: 1}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				res, err := e.RunExecuted(RunOptions{Transactions: b.N, Seed: 42})
-				b.StopTimer()
-				if err != nil {
+			cells = append(cells, cell{fmt.Sprintf("%v/multisite=%d", level, pct), level, workload.MultisiteUpdate(100_000, pct)})
+		}
+	}
+	cells = append(cells, cell{"socket/ycsb-b", topology.LevelSocket, workload.YCSB(100_000, workload.YCSBB)})
+	for _, c := range cells {
+		var e *Engine
+		b.Run(c.name, func(b *testing.B) {
+			if e == nil {
+				e = executedEngine(b, c.wl, c.level, false)
+				// The first run loads the backend from the priced tables.
+				if _, err := e.RunExecuted(RunOptions{Transactions: 1000, Seed: 1}); err != nil {
 					b.Fatal(err)
 				}
-				if res.Committed != int64(b.N) {
-					b.Fatalf("committed %d of %d", res.Committed, b.N)
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "txn/s")
-			})
-		}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			res, err := e.RunExecuted(RunOptions{Transactions: b.N, Seed: 42})
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Committed != int64(b.N) {
+				b.Fatalf("committed %d of %d", res.Committed, b.N)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "txn/s")
+		})
 	}
 }

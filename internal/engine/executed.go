@@ -267,11 +267,16 @@ func ignoredByExecuted(o RunOptions) string {
 	return ""
 }
 
-// timedEvery is the sampling period of the executed loop's component timers:
-// an executor brackets the local actions and the commit of every timedEvery-th
+// timedEvery is the sampling period of the executed loop's clock reads: an
+// executor brackets the local actions and the commit of every timedEvery-th
 // of its transactions, starting with its first, with clock reads and scales
 // what it measured by timedEvery. Bracketing every action cost 24 clock reads
 // per 10-update transaction, each about as long as the hash probe it timed.
+// The timed transactions' reads are also the only ones the generator's At and
+// the commit and ship timestamps see: the timedEvery-1 transactions after a
+// timed one reuse its last read, so those timestamps trail the wall clock by
+// at most the time timedEvery transactions take (microseconds unless a ship
+// waits), against a coalescer max-age deadline of milliseconds.
 const timedEvery = 16
 
 // backendOp maps a generated action to the storage operation that executes
@@ -301,6 +306,7 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 	islands := e.hash.Islands()
 	id := ex.ID()
 	mine := 0
+	var nowNs int64 // the last clock read, taken on timed transactions only (see timedEvery)
 	for n := int64(1); n <= int64(opts.Transactions); n++ {
 		if int(n%int64(islands)) != id {
 			continue
@@ -308,14 +314,18 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 		timed := mine%timedEvery == 0
 		mine++
 		ex.Poll()
-		nowNs := time.Since(start).Nanoseconds()
+		if timed {
+			nowNs = time.Since(start).Nanoseconds()
+		}
 		t := sc.gen.generate(e.wl, opts.Seed, n, vclock.Nanos(nowNs), id, islands)
 		txnID := uint64(n)
 		for ai := range t.Actions {
 			a := &t.Actions[ai]
-			ti := tableIdx[a.Table]
+			// An action on a table the workload does not declare is skipped,
+			// as the priced loop skips it.
+			ti, ok := tableIdx[a.Table]
 			tp := tps[ti]
-			if tp == nil {
+			if !ok || tp == nil {
 				continue
 			}
 			shard := w.siteOf(tp.CoreFor(a.Key))
@@ -331,8 +341,8 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 		}
 		// Commit: the home island's record first, then the batches. The commit
 		// timestamp only drives the coalescer's max-age deadline (milliseconds),
-		// so an untimed transaction reuses its start-of-transaction read; a
-		// timed one reads the clock again to open the sampled bracket.
+		// so an untimed transaction reuses the last timed read; a timed one
+		// reads the clock again to open the sampled bracket.
 		if timed {
 			nowNs = time.Since(start).Nanoseconds()
 			ex.CommitLocal(txnID, nowNs)

@@ -346,6 +346,79 @@ func TestExecutedMultiIslandShips(t *testing.T) {
 	}
 }
 
+// TestExecutedCoalesceMaxAgeFires drives the value logs' max-age deadline in
+// executed mode. A commit's wall timestamp feeds nothing else, and executors
+// read the clock only every timedEvery transactions, so this is what would
+// notice a timestamp that stopped advancing. With a record threshold the run
+// cannot reach, every physical flush but the end-of-run drain's one per
+// island is the deadline firing.
+func TestExecutedCoalesceMaxAgeFires(t *testing.T) {
+	const maxAge = time.Millisecond
+	prof, _ := topology.ProfileByName("chiplet-2s4d")
+	lc := wal.DefaultConfig()
+	lc.CoalesceRecords = 1 << 30
+	lc.CoalesceMaxAge = vclock.Nanos(maxAge)
+	e, err := New(Config{
+		Design:      SharedNothing,
+		IslandLevel: topology.LevelSocket,
+		Workload:    workload.YCSB(10_000, workload.YCSBB),
+		Topology:    prof.Build(),
+		LogConfig:   &lc,
+		Backend:     backend.Hash,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunExecuted(RunOptions{Transactions: 200_000, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.WallNS < int64(3*maxAge) {
+		t.Fatalf("the run took %v, too short to span several %v deadlines; raise its transaction count",
+			time.Duration(res.WallNS), maxAge)
+	}
+	if drains := int64(res.Executors); res.Log.PhysicalFlushes <= drains {
+		t.Errorf("%d physical flushes over %v of commits, no more than the drain's %d: the %v deadline never fired",
+			res.Log.PhysicalFlushes, time.Duration(res.WallNS), drains, maxAge)
+	}
+}
+
+// TestExecutedSkipsUndeclaredTable: an action on a table the workload does
+// not declare is skipped, as the priced loop skips it, instead of landing on
+// table 0.
+func TestExecutedSkipsUndeclaredTable(t *testing.T) {
+	const rows = 64
+	wl := workload.MultisiteUpdate(rows, 0)
+	wl.Generate = func(ctx *workload.GenContext) *workload.Transaction {
+		txn := ctx.Txn("UpdateLocal10")
+		txn.Add("undeclared", workload.Update, schema.KeyFromInt(ctx.Rng.Int63n(rows)))
+		return txn
+	}
+	e := executedEngine(t, wl, topology.LevelSocket, false)
+	res, err := e.RunExecuted(RunOptions{Transactions: 1000, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Log.LogicalRecords != 0 {
+		t.Errorf("logged %d write records for actions on an undeclared table, want 0", res.Log.LogicalRecords)
+	}
+	h := e.HashBackend()
+	seen := 0
+	for s := 0; s < h.Islands(); s++ {
+		h.Scan(s, 0, func(k schema.Key, v uint64) bool {
+			seen++
+			// loadBackend's synthesized initial value of a row is its key.
+			if v != uint64(k) {
+				t.Errorf("table 0 key %d holds %d, want its untouched initial value", k, v)
+			}
+			return true
+		})
+	}
+	if seen != rows {
+		t.Errorf("table 0 holds %d rows, want %d", seen, rows)
+	}
+}
+
 // TestExecutedTracedIslandsShareNothing is the race surface of the
 // single-owner span rings: obs.Ring has no mutex, so a traced executed run is
 // safe only because executor i records into island ring i and nothing else

@@ -211,6 +211,7 @@ type GenContext struct {
 
 	txn   Transaction
 	mixes mixCache
+	zipf  zipfMemo
 	// idx is scratch for generators that assemble irregular sync-point
 	// member lists (e.g. TPC-C NewOrder) before copying them into the
 	// transaction.

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 
 	"atrapos/internal/schema"
 	"atrapos/internal/vclock"
@@ -77,7 +76,7 @@ func ZipfHotkey(rows, pctMultiSite, churnPct int) *Workload {
 	w.Generate = func(ctx *GenContext) *Transaction {
 		lo, hi := siteKeyRange(int64(rows), ctx.HomeSite, ctx.NumSites)
 		localKey := func() schema.Key {
-			return schema.KeyFromInt(lo + zipfKey(ctx.Rng, hi-lo))
+			return schema.KeyFromInt(lo + ctx.zipfKey(hi-lo))
 		}
 		if ctx.Rng.Intn(100) < churnPct {
 			// Two self-canceling pairs: Delete then Insert on the same
@@ -96,7 +95,7 @@ func ZipfHotkey(rows, pctMultiSite, churnPct int) *Workload {
 			t.MultiSite = true
 			t.Add(table, Update, localKey())
 			for i := 0; i < 9; i++ {
-				t.Add(table, Update, schema.KeyFromInt(zipfKey(ctx.Rng, int64(rows))))
+				t.Add(table, Update, schema.KeyFromInt(ctx.zipfKey(int64(rows))))
 			}
 			t.AddSyncRange(88, 0, len(t.Actions))
 			return t
@@ -117,18 +116,74 @@ func ZipfHotkey(rows, pctMultiSite, churnPct int) *Workload {
 // zipfKey draws a Zipf-like skewed key in [0, span): the result is
 // floor(span^u)-1 for uniform u, which concentrates mass near zero (roughly
 // half of all draws land in the first sqrt(span) keys) while still covering
-// the whole range. It needs no precomputed tables, so it stays cheap and
-// deterministic per seed.
-func zipfKey(rng *rand.Rand, span int64) int64 {
+// the whole range. It needs no precomputed tables and is deterministic per
+// seed. What span^u derives from the span alone is cached in the context's
+// zipfMemo, so a draw costs one Exp, not a Pow; the keys are bit-identical
+// to int64(math.Pow(float64(span), u))-1 (see zipfSpan.pow).
+func (ctx *GenContext) zipfKey(span int64) int64 {
 	if span <= 1 {
 		return 0
 	}
-	k := int64(math.Pow(float64(span), rng.Float64())) - 1
+	return ctx.zipf.lookup(span).key(ctx.Rng.Float64())
+}
+
+// zipfMemo caches the spans a generator draws from, most recently added
+// first. Two entries hold what one executor's generator alternates between,
+// its site's range and the whole table; a miss recomputes only Log and Sqrt.
+type zipfMemo [2]zipfSpan
+
+// lookup returns span's entry, computing it on a miss.
+func (m *zipfMemo) lookup(span int64) *zipfSpan {
+	if m[0].span == span {
+		return &m[0]
+	}
+	if m[1].span != span {
+		m[1] = m[0]
+		m[0] = newZipfSpan(span)
+		return &m[0]
+	}
+	return &m[1]
+}
+
+// zipfSpan holds what math.Pow(x, u) computes from x = span alone.
+type zipfSpan struct {
+	span         int64
+	x, log, sqrt float64
+}
+
+func newZipfSpan(span int64) zipfSpan {
+	x := float64(span)
+	return zipfSpan{span: span, x: x, log: math.Log(x), sqrt: math.Sqrt(x)}
+}
+
+// key is zipfKey's body for one uniform u in [0, 1).
+func (z *zipfSpan) key(u float64) int64 {
+	k := int64(z.pow(u)) - 1
 	if k < 0 {
 		k = 0
 	}
-	if k >= span {
-		k = span - 1
+	if k >= z.span {
+		k = z.span - 1
 	}
 	return k
+}
+
+// pow is math.Pow(z.x, u) for u in [0, 1), bit for bit. For x > 1 and such a
+// u, the pure-Go math.Pow (every platform but s390x) returns 1 at u == 0,
+// Sqrt(x) at u == 0.5, Exp(u*Log(x)) below 0.5 and, above it,
+// Ldexp(Exp((u-1)*Log(x))*x1, xe) with x1, xe = Frexp(x). The branches below
+// are those, with Log and Sqrt hoisted. The last one multiplies by x instead
+// of by x1 and then by 2^xe, which rounds identically: outside the subnormal
+// and overflow ranges scaling by a power of two is exact, and this product
+// stays far from both.
+func (z *zipfSpan) pow(u float64) float64 {
+	switch {
+	case u == 0:
+		return 1
+	case u == 0.5:
+		return z.sqrt
+	case u > 0.5:
+		return math.Exp((u-1)*z.log) * z.x
+	}
+	return math.Exp(u * z.log)
 }

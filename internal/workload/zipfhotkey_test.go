@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -99,12 +101,12 @@ func TestZipfHotkeyDeterminism(t *testing.T) {
 // TestZipfKeySkew: the cheap zipf approximation concentrates mass at the low
 // end but still covers the range.
 func TestZipfKeySkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	gc := &GenContext{Rng: rand.New(rand.NewSource(3))}
 	const span = 10000
 	low, max := 0, int64(0)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		k := zipfKey(rng, span)
+		k := gc.zipfKey(span)
 		if k < 0 || k >= span {
 			t.Fatalf("key %d outside [0,%d)", k, span)
 		}
@@ -121,7 +123,111 @@ func TestZipfKeySkew(t *testing.T) {
 	if max < span/2 {
 		t.Errorf("max draw %d never reached the upper half; want full coverage", max)
 	}
-	if zipfKey(rng, 1) != 0 || zipfKey(rng, 0) != 0 {
+	if gc.zipfKey(1) != 0 || gc.zipfKey(0) != 0 {
 		t.Error("degenerate spans should return 0")
+	}
+}
+
+// powKey is the reference zipf key: floor(span^u)-1 by math.Pow, clamped
+// into [0, span).
+func powKey(span int64, u float64) int64 {
+	if span <= 1 {
+		return 0
+	}
+	k := int64(math.Pow(float64(span), u)) - 1
+	if k < 0 {
+		k = 0
+	}
+	if k >= span {
+		k = span - 1
+	}
+	return k
+}
+
+// zipfEdges are the u at and around math.Pow's branch points.
+var zipfEdges = []float64{0, 0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), math.Nextafter(1, 0), 5e-324}
+
+// checkZipfPow holds one draw of the sampler to math.Pow: the power bit for
+// bit, since a one-ulp slip rarely moves the truncated key, and the key.
+func checkZipfPow(t *testing.T, z *zipfSpan, u float64) {
+	t.Helper()
+	if got, want := z.pow(u), math.Pow(z.x, u); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("span %d, u %v (%#x): power %v, math.Pow gives %v", z.span, u, math.Float64bits(u), got, want)
+	}
+	if got, want := z.key(u), powKey(z.span, u); got != want {
+		t.Fatalf("span %d, u %v (%#x): key %d, math.Pow gives %d", z.span, u, math.Float64bits(u), got, want)
+	}
+}
+
+// TestZipfSamplerIsMathPow holds the memoized sampler to math.Pow bit for
+// bit on a million seeded draws and the branch edges of u per span: the
+// smallest spans, the site spans of 100,000 rows over 1, 2, 8 and 32 sites,
+// and a span past a million. Every eighth draw is from the widest span
+// instead, as a multisite generator alternates between its site range and
+// the whole table, so both memo slots and the evictions between cases are
+// exercised too.
+func TestZipfSamplerIsMathPow(t *testing.T) {
+	if runtime.GOARCH == "s390x" {
+		t.Skip("math.Pow is an assembly routine on s390x, not the pure-Go pow the sampler replicates")
+	}
+	const wide, n = 1_300_000, 1_000_000
+	gc := &GenContext{Rng: rand.New(rand.NewSource(11))}
+	ref := rand.New(rand.NewSource(11))
+	for _, span := range []int64{2, 3, 100_000, 50_000, 12_500, 3125, wide} {
+		z := newZipfSpan(span)
+		for i := 0; i < n; i++ {
+			if i%8 == 7 {
+				if got, want := gc.zipfKey(wide), powKey(wide, ref.Float64()); got != want {
+					t.Fatalf("span %d, draw %d: key %d, math.Pow gives %d", wide, i, got, want)
+				}
+			}
+			u := ref.Float64()
+			checkZipfPow(t, &z, u)
+			if got, want := gc.zipfKey(span), z.key(u); got != want {
+				t.Fatalf("span %d, draw %d: the memo's key %d, the span's own %d", span, i, got, want)
+			}
+		}
+		for _, u := range zipfEdges {
+			checkZipfPow(t, &z, u)
+		}
+	}
+}
+
+// FuzzZipfPow holds the sampler to math.Pow on arbitrary spans and any u in
+// [0, 1). The seeds below run with every `go test`; `go test -fuzz
+// FuzzZipfPow ./internal/workload` explores.
+func FuzzZipfPow(f *testing.F) {
+	for _, span := range []int64{2, 3, 3125, 50_000, 1_300_000, math.MaxInt64} {
+		for _, u := range zipfEdges {
+			f.Add(span, math.Float64bits(u))
+		}
+	}
+	f.Add(int64(1)<<53+1, math.Float64bits(0.75))
+	f.Fuzz(func(t *testing.T, span int64, bits uint64) {
+		u := math.Float64frombits(bits)
+		if span <= 1 || !(u >= 0 && u < 1) {
+			t.Skip()
+		}
+		if runtime.GOARCH == "s390x" {
+			t.Skip("math.Pow is an assembly routine on s390x")
+		}
+		z := newZipfSpan(span)
+		checkZipfPow(t, &z, u)
+	})
+}
+
+var zipfSink int64
+
+// BenchmarkZipfKey is one generator draw on exec-local's site span (100,000
+// rows over two sites): the RNG draw and the memoized Pow, 0 allocs asserted.
+func BenchmarkZipfKey(b *testing.B) {
+	gc := &GenContext{Rng: rand.New(rand.NewSource(1))}
+	if allocs := testing.AllocsPerRun(100, func() { zipfSink += gc.zipfKey(50_000) }); allocs != 0 {
+		b.Fatalf("zipfKey allocates %.1f times, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		zipfSink += gc.zipfKey(50_000)
 	}
 }
