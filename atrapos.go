@@ -80,10 +80,6 @@ const (
 // Topology models a multisocket machine as a hierarchical island tree.
 type Topology = topology.Topology
 
-// TopologyConfig describes a machine to build, including its sub-socket
-// (die/CCX) structure and per-level hop distances.
-type TopologyConfig = topology.Config
-
 // IslandLevel names one tier of the island hierarchy (core, die, socket,
 // machine).
 type IslandLevel = topology.Level
@@ -96,9 +92,6 @@ const (
 	LevelMachine = topology.LevelMachine
 )
 
-// ParseIslandLevel converts "core", "die", "socket" or "machine" to a level.
-func ParseIslandLevel(s string) (IslandLevel, error) { return topology.ParseLevel(s) }
-
 // MachineProfile is a named machine shape from the profile library.
 type MachineProfile = topology.Profile
 
@@ -108,29 +101,15 @@ func Profiles() []MachineProfile { return topology.Profiles() }
 // BuildProfile instantiates a named machine profile.
 func BuildProfile(name string) (*Topology, error) { return topology.BuildProfile(name) }
 
-// DefaultTopology returns the paper's 8-socket, 80-core machine.
-func DefaultTopology() *Topology { return topology.Default() }
-
 // NewTopology builds a machine with the given number of sockets and cores per
 // socket, connected with a twisted-cube-like interconnect. For machines with
-// sub-socket structure build from a TopologyConfig or a MachineProfile.
+// sub-socket structure build a MachineProfile.
 func NewTopology(sockets, coresPerSocket int) (*Topology, error) {
 	return topology.New(topology.Config{Sockets: sockets, CoresPerSocket: coresPerSocket})
 }
 
-// NewTopologyFromConfig builds a machine from a full hierarchical description.
-func NewTopologyFromConfig(cfg TopologyConfig) (*Topology, error) { return topology.New(cfg) }
-
-// ParseNumactl builds a topology configuration from a real machine's
-// `numactl --hardware` dump: per-node cpu lists become the socket layout and
-// the SLIT distance table becomes the hop matrix.
-func ParseNumactl(dump string) (TopologyConfig, error) { return topology.ParseNumactl(dump) }
-
 // CostModel holds the NUMA latencies of the simulation.
 type CostModel = numa.CostModel
-
-// DefaultCostModel returns the calibrated cost model.
-func DefaultCostModel() CostModel { return numa.DefaultCostModel() }
 
 // AllocPolicy selects where shared-nothing instances allocate their memory.
 type AllocPolicy = numa.AllocPolicy
@@ -157,26 +136,11 @@ type Skew = workload.Skew
 // TATP builds the TATP telecom benchmark workload.
 func TATP(opts TATPOptions) (*Workload, error) { return workload.TATP(opts) }
 
-// TATPDriftingHotspot builds the continuous-drift adaptivity scenario: a hot
-// window over the subscribers that slides to the next position every period.
-func TATPDriftingHotspot(subscribers int, period VirtualTime) (*Workload, error) {
-	return workload.TATPDriftingHotspot(subscribers, period)
-}
-
-// TATPSkewOscillation builds the skew-oscillation adaptivity scenario: the
-// access distribution alternates between skewed and uniform every period.
-func TATPSkewOscillation(subscribers int, period VirtualTime) (*Workload, error) {
-	return workload.TATPSkewOscillation(subscribers, period)
-}
-
 // MustTATP is TATP but panics on configuration errors.
 func MustTATP(opts TATPOptions) *Workload { return workload.MustTATP(opts) }
 
 // TPCC builds the TPC-C wholesale supplier benchmark workload.
 func TPCC(opts TPCCOptions) (*Workload, error) { return workload.TPCC(opts) }
-
-// MustTPCC is TPCC but panics on configuration errors.
-func MustTPCC(opts TPCCOptions) *Workload { return workload.MustTPCC(opts) }
 
 // SingleRowRead returns the perfectly partitionable microbenchmark of the
 // paper's Figures 1, 2 and 5.
@@ -308,16 +272,6 @@ type RunOptions = engine.RunOptions
 // Result is the outcome of a run.
 type Result = engine.Result
 
-// RepartitionDiff summarizes one adaptive repartitioning event: how much of
-// the placement it touched and how much of the previous runtime it reused.
-type RepartitionDiff = engine.RepartitionDiff
-
-// GranularityChange records one online island-level change of the adaptive
-// parametric shared-nothing design: when the planner re-wired the machine,
-// between which levels, at what measured multisite share, and how much of the
-// previous layout (logs, lock tables) the re-wiring reused.
-type GranularityChange = engine.GranularityChange
-
 // Run executes the workload and returns the measured result.
 func (s *System) Run(opts RunOptions) (*Result, error) { return s.engine.Run(opts) }
 
@@ -353,30 +307,6 @@ func (s *System) Topology() *Topology { return s.engine.Topology() }
 // Placement returns a copy of the current partitioning and placement.
 func (s *System) Placement() *partition.Placement { return s.engine.Placement() }
 
-// FailSocket simulates a processor failure.
-func (s *System) FailSocket(socket int) error {
-	return s.engine.FailSocket(topology.SocketID(socket))
-}
-
-// RestoreSocket returns a failed socket to service, mirroring FailSocket. It
-// errors on an unknown or already-alive socket.
-func (s *System) RestoreSocket(socket int) error {
-	return s.engine.RestoreSocket(topology.SocketID(socket))
-}
-
-// FailDevice marks log device i failed; the planner re-homes the island logs
-// bound to it onto surviving devices, preserving their records.
-func (s *System) FailDevice(i int) error { return s.engine.FailDevice(i) }
-
-// RestoreDevice clears the failed mark on log device i.
-func (s *System) RestoreDevice(i int) error { return s.engine.RestoreDevice(i) }
-
-// DegradeDevice multiplies log device i's service time by factor (>= 1);
-// factor 1 restores full speed.
-func (s *System) DegradeDevice(i int, factor float64) error {
-	return s.engine.DegradeDevice(i, factor)
-}
-
 // VirtualTime is a span of virtual time in nanoseconds; throughput and the
 // adaptivity experiments are measured against it.
 type VirtualTime = vclock.Nanos
@@ -386,10 +316,6 @@ func Seconds(s float64) VirtualTime { return workload.Seconds(s) }
 
 // IntervalConfig tunes the adaptive monitoring interval controller.
 type IntervalConfig = core.IntervalConfig
-
-// DefaultIntervalConfig returns the paper's controller parameters
-// (1 s initial interval, 8 s maximum, 10% threshold, 5-sample history).
-func DefaultIntervalConfig() IntervalConfig { return core.DefaultIntervalConfig() }
 
 // Scale controls how large the reproduction experiments run.
 type Scale = harness.Scale

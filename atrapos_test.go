@@ -21,15 +21,6 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := NewTopology(0, 1); err == nil {
 		t.Error("invalid topology should fail")
 	}
-	if DefaultTopology().Sockets() != 8 {
-		t.Error("default topology should have 8 sockets")
-	}
-	if err := DefaultCostModel().Validate(); err != nil {
-		t.Error(err)
-	}
-	if DefaultIntervalConfig().History != 5 {
-		t.Error("unexpected default interval config")
-	}
 }
 
 func TestOpenAndRunEveryDesign(t *testing.T) {
@@ -65,9 +56,6 @@ func TestWorkloadConstructors(t *testing.T) {
 	if MustTATP(TATPOptions{Subscribers: 100}).Name != "TATP" {
 		t.Error("unexpected TATP name")
 	}
-	if MustTPCC(TPCCOptions{Warehouses: 1, CustomersPerDistrict: 10, Items: 100}).Name != "TPC-C" {
-		t.Error("unexpected TPC-C name")
-	}
 	if len(MultisiteUpdate(100, 50).Tables) != 1 || len(TwoTableSimple(100).Tables) != 2 {
 		t.Error("microbenchmark table counts wrong")
 	}
@@ -81,17 +69,20 @@ func TestWorkloadConstructors(t *testing.T) {
 
 func TestAdaptiveSystemAndFailSocket(t *testing.T) {
 	wl := MustTATP(TATPOptions{Subscribers: 2000, Mix: map[string]float64{"GetSubData": 1}})
-	sys, err := Open(Options{Design: DesignATraPos, Workload: wl, Topology: smallTop(t), Adaptive: true})
+	top := smallTop(t)
+	sys, err := Open(Options{Design: DesignATraPos, Workload: wl, Topology: top, Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.FailSocket(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.FailSocket(99); err == nil {
+	machine := FaultMachine{Sockets: top.Sockets()}
+	if _, err := NewFaultSchedule(machine, FailSocketFault(1, 99)); err == nil {
 		t.Error("failing an unknown socket should error")
 	}
-	res, err := sys.Run(RunOptions{Transactions: 500, Seed: 2})
+	faults, err := NewFaultSchedule(machine, FailSocketFault(1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(RunOptions{Transactions: 500, Seed: 2, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

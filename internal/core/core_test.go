@@ -424,37 +424,3 @@ func TestRepartitionCostScalesWithActions(t *testing.T) {
 		t.Error("more repartitioning actions should cost more")
 	}
 }
-
-// TestResourceUtilizationWeighsCoreCapacity asserts the balance metric
-// divides per-core load by core speed: on a hybrid part, routing the heavy
-// partition to an efficiency core must score as more imbalanced than routing
-// it to a full-speed core, so the placement search prefers loading P-cores.
-func TestResourceUtilizationWeighsCoreCapacity(t *testing.T) {
-	top := topology.MustNew(topology.Config{
-		Sockets: 1, CoresPerSocket: 2,
-		CoreSpeeds: []float64{1, 0.5},
-	})
-	m := CostModel{Domain: numa.MustNewDomain(top, numa.DefaultCostModel())}
-	stats := &Stats{Sub: map[string][][]SubLoad{
-		"t": {{{Cost: 3000}}, {{Cost: 1000}}},
-	}}
-	place := func(heavy topology.CoreID, light topology.CoreID) *partition.Placement {
-		p := partition.NewPlacement()
-		p.Tables["t"] = &partition.TablePlacement{
-			Table:  "t",
-			Bounds: []schema.Key{0, 500},
-			Cores:  []topology.CoreID{heavy, light},
-		}
-		return p
-	}
-	onFast := m.ResourceUtilization(place(0, 1), stats)
-	onSlow := m.ResourceUtilization(place(1, 0), stats)
-	if !(onFast < onSlow) {
-		t.Errorf("heavy partition on the P-core should balance better: RU fast %f, slow %f", onFast, onSlow)
-	}
-	// On a uniform machine the two assignments are symmetric.
-	uni := CostModel{Domain: numa.MustNewDomain(topology.MustNew(topology.Config{Sockets: 1, CoresPerSocket: 2}), numa.DefaultCostModel())}
-	if a, b := uni.ResourceUtilization(place(0, 1), stats), uni.ResourceUtilization(place(1, 0), stats); a != b {
-		t.Errorf("uniform machine should score symmetric assignments equally: %f vs %f", a, b)
-	}
-}

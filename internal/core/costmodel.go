@@ -168,10 +168,7 @@ type CostModel struct {
 }
 
 // coreLoads computes RU(c) for every core under placement p: the sum of the
-// costs of all actions that use partitions placed on that core, divided by
-// the core's relative speed — work assigned to an efficiency core occupies
-// it proportionally longer, so capacity-weighted utilization is what the
-// balance metric must compare. On uniform machines the weighting is a no-op.
+// costs of all actions that use partitions placed on that core.
 // When the statistics carry the key bounds they were collected under, each
 // sub-partition's load is re-mapped onto the candidate placement by its key
 // range, so placements with a different partition structure are evaluated
@@ -236,13 +233,6 @@ func (m CostModel) coreLoads(p *partition.Placement, stats *Stats) map[topology.
 					idx = len(tp.Cores) - 1
 				}
 				loads[tp.Cores[idx]] += float64(sl.Cost)
-			}
-		}
-	}
-	if m.Domain.Top.Heterogeneous() {
-		for c := range loads {
-			if speed := m.Domain.Top.SpeedOf(c); speed != 1 {
-				loads[c] /= speed
 			}
 		}
 	}

@@ -125,7 +125,7 @@ type LevelBreakdown struct {
 	// Total is the score: Locality + TxnState + Commit + Comm.
 	Total float64
 	// Locality is the instance-locality term (shared state + row payload
-	// against the island home, speed-weighted over members).
+	// against the island home, averaged over members).
 	Locality float64
 	// TxnState is the transaction-state stripe term (begin/commit touches,
 	// centralized at machine level).
@@ -151,8 +151,7 @@ func (g GranularityModel) Score(level topology.Level, shape WorkloadShape) float
 //   - instance locality: every action touches the instance's shared state
 //     (lock table stripe, log tail) and data homed on the island's first
 //     core; members on other dies or sockets of a coarse island pay the
-//     transfer surcharge, and members below full speed (hybrid parts' E
-//     cores) pay it scaled by 1/Speed. Begin/commit touch the
+//     transfer surcharge. Begin/commit touch the
 //     transaction-state stripe, which the machine level centralizes.
 //   - communication: at multisite share s, remote actions pay round-trip
 //     messages between islands, writing transactions run 2PC over the
@@ -176,22 +175,13 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 
 	// Instance locality: per-action shared-state atomic plus two cache lines
 	// of row payload against the island home, averaged over member cores.
-	// Each member's contribution is weighted by its relative speed, mirroring
-	// numa.RowWorkAt: an efficiency core takes 1/Speed as long for the same
-	// access work, so an island of E-cores is priced dearer than a P-core
-	// island of the same size. Full-speed members divide by exactly 1, so
-	// uniform machines score bit-identically to the unweighted model.
 	var state float64
 	members := 0
 	for _, isl := range islands {
 		home := isl.Cores[0]
 		for _, c := range isl.Cores {
-			cost := float64(g.Domain.CoreAtomicCost(c.ID, home.ID)) +
+			state += float64(g.Domain.CoreAtomicCost(c.ID, home.ID)) +
 				2*float64(g.Domain.CoreDRAMCost(c.ID, home.Socket))
-			if c.Speed != 1 && c.Speed > 0 {
-				cost /= c.Speed
-			}
-			state += cost
 			members++
 		}
 	}

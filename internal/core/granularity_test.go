@@ -245,59 +245,3 @@ func TestGranularityDeviceTerm(t *testing.T) {
 		t.Error("read-only shapes should not pay the device term")
 	}
 }
-
-// speedModelFor builds a scorer over a 1-socket 8-core machine with the given
-// per-core speeds (nil = uniform full speed), using the same cost model as
-// granModelFor so scores are directly comparable across speed assignments.
-func speedModelFor(t *testing.T, speeds []float64) GranularityModel {
-	t.Helper()
-	top, err := topology.New(topology.Config{
-		Name:           "1s8c speed twin",
-		Sockets:        1,
-		CoresPerSocket: 8,
-		CoreSpeeds:     speeds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := numa.MustNewDomain(top, numa.DefaultCostModel())
-	return GranularityModel{Domain: d, LogFlush: 12000, LogGroupSize: 8}
-}
-
-// TestSpeedAwareScore asserts the scorer weights the locality term by member
-// core speed, pinned on the hybrid-1s8c profile: an all-E
-// deployment scores strictly worse than an all-P one of identical shape, the
-// 4P+4E hybrid lands strictly between them, and machines with uniform
-// full-speed cores score bit-identically to a twin with no speed assignment
-// at all (the weighting must not perturb every existing profile's scores).
-func TestSpeedAwareScore(t *testing.T) {
-	shape := granShape(0.2)
-	hybrid, _ := granModelFor(t, "hybrid-1s8c")
-	uniform := speedModelFor(t, nil)
-	explicitUniform := speedModelFor(t, []float64{1, 1, 1, 1, 1, 1, 1, 1})
-	allE := speedModelFor(t, []float64{0.55, 0.55, 0.55, 0.55, 0.55, 0.55, 0.55, 0.55})
-
-	for _, level := range uniform.Domain.Top.DistinctLevels() {
-		p := uniform.Score(level, shape)
-		e := allE.Score(level, shape)
-		h := hybrid.Score(level, shape)
-		if !(e > p) {
-			t.Errorf("%v: all-E islands should score worse than all-P islands (E %f, P %f)", level, e, p)
-		}
-		if !(h > p && h < e) {
-			t.Errorf("%v: the 4P+4E hybrid should land between all-P %f and all-E %f, got %f", level, p, e, h)
-		}
-		if got := explicitUniform.Score(level, shape); got != p {
-			t.Errorf("%v: an explicit all-1.0 speed assignment must score bit-identically (%f vs %f)", level, got, p)
-		}
-	}
-
-	// The weighted scorer must still rank levels sanely on the hybrid part:
-	// every level scores finite and positive.
-	_, scores := hybrid.Best(shape, 0)
-	for _, ls := range scores {
-		if math.IsInf(ls.Total, 0) || ls.Total <= 0 {
-			t.Errorf("hybrid-1s8c %v: unusable score %f", ls.Level, ls.Total)
-		}
-	}
-}

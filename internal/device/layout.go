@@ -209,20 +209,6 @@ func (m *Map) FailDevice(i int) error {
 	return nil
 }
 
-// RestoreDevice clears the failed mark on device i, erroring when the device
-// is not failed (mirroring Engine.RestoreSocket).
-func (m *Map) RestoreDevice(i int) error {
-	d, err := m.Device(i)
-	if err != nil {
-		return err
-	}
-	if !d.Failed() {
-		return fmt.Errorf("device: device %d (%s) is not failed", i, d.spec.Name)
-	}
-	d.Restore()
-	return nil
-}
-
 // DegradeDevice sets device i's latency factor. Factors below one are
 // rejected rather than clamped so a schedule typo surfaces as an error.
 func (m *Map) DegradeDevice(i int, factor float64) error {

@@ -500,14 +500,6 @@ func (e *Engine) FailDevice(i int) error {
 	return e.devices.FailDevice(i)
 }
 
-// RestoreDevice clears the failed mark on log device i.
-func (e *Engine) RestoreDevice(i int) error {
-	if e.devices == nil {
-		return fmt.Errorf("engine: no log-device layout configured")
-	}
-	return e.devices.RestoreDevice(i)
-}
-
 // DegradeDevice multiplies log device i's service time by factor (>= 1),
 // modeling a device that still works but slowed down.
 func (e *Engine) DegradeDevice(i int, factor float64) error {

@@ -46,7 +46,6 @@ func TestDeviceFaultsWithoutLayoutRejected(t *testing.T) {
 	}
 	for name, call := range map[string]func() error{
 		"fail":    func() error { return e.FailDevice(0) },
-		"restore": func() error { return e.RestoreDevice(0) },
 		"degrade": func() error { return e.DegradeDevice(0, 2) },
 	} {
 		if err := call(); err == nil || !strings.Contains(err.Error(), "no log-device layout") {

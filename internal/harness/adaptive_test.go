@@ -127,7 +127,7 @@ func TestFig12LosesASocketOnPinnedProfile(t *testing.T) {
 // scheduled, which is an error rather than a figure with nothing injected.
 func TestFig12NeedsASocketToLose(t *testing.T) {
 	s := testScale()
-	s.Profile = "hybrid-1s8c"
+	s.Profile = "consumer-1s4d"
 	if _, err := Fig12(s); err == nil {
 		t.Error("Fig12 on a one-socket profile should fail: there is no socket to lose")
 	}

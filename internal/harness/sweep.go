@@ -106,7 +106,7 @@ func sweep(s Scale, label string, rows []cell) ([][]point, error) {
 	out := make([][]point, len(rows))
 	var jobs []PointFn
 	for r, row := range rows {
-		levels := row.prof.Levels()
+		levels := row.prof.Build().DistinctLevels()
 		out[r] = make([]point, len(levels))
 		for l, level := range levels {
 			c := row

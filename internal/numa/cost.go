@@ -195,18 +195,6 @@ func (d *Domain) CoreMessageCost(from, to topology.CoreID) Cost {
 		Cost(dieHops)*d.Model.DieMessagePerHop
 }
 
-// RowWorkAt returns the per-row CPU cost as executed by core `from`: the
-// model's RowWork divided by the core's relative speed, so efficiency cores
-// (speed < 1) take proportionally longer for the same row. On machines with
-// uniform full-speed cores it returns Model.RowWork exactly.
-func (d *Domain) RowWorkAt(from topology.CoreID) Cost {
-	speed := d.Top.SpeedOf(from)
-	if speed == 1 {
-		return d.Model.RowWork
-	}
-	return Cost(float64(d.Model.RowWork) / speed)
-}
-
 // CoreDRAMCost returns the cost of a memory access from core `from` to a page
 // allocated on memory node `node`. On hierarchical machines a socket's memory
 // controller is modeled as living on its first die (the IO-die layout of

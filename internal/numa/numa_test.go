@@ -315,23 +315,6 @@ func TestPlacementRemoteNeverLocalProperty(t *testing.T) {
 	}
 }
 
-func TestRowWorkAtScalesWithCoreSpeed(t *testing.T) {
-	top := topology.MustNew(topology.Config{
-		Sockets: 1, CoresPerSocket: 2,
-		CoreSpeeds: []float64{1, 0.5},
-	})
-	d := MustNewDomain(top, DefaultCostModel())
-	if got := d.RowWorkAt(0); got != d.Model.RowWork {
-		t.Errorf("P-core row work %d, want %d", got, d.Model.RowWork)
-	}
-	if got := d.RowWorkAt(1); got != 2*d.Model.RowWork {
-		t.Errorf("E-core at half speed pays %d, want %d", got, 2*d.Model.RowWork)
-	}
-	if got := d.RowWorkAt(topology.CoreID(99)); got != d.Model.RowWork {
-		t.Errorf("unknown core pays %d, want the base %d", got, d.Model.RowWork)
-	}
-}
-
 // BenchmarkCacheLine is the host cost of one priced coherence access — every
 // lock-table bucket, active-list head, state lock and log tail of a priced
 // run goes through it. "one-socket" keeps the line home; "four-sockets"

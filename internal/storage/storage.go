@@ -173,14 +173,13 @@ func (t *Table) Homes() []topology.SocketID {
 // indexProbeCost models a root-to-leaf B-tree traversal within a partition
 // whose data lives on memory node home, performed from core from. The row
 // payload spans rowBytes/64 cache lines, each of which pays the DRAM
-// placement cost; on top of that comes the per-row CPU work, scaled by the
-// executing core's speed (an efficiency core takes proportionally longer).
+// placement cost; on top of that comes the per-row CPU work.
 func (t *Table) indexProbeCost(from topology.CoreID, home topology.SocketID, rowBytes int) numa.Cost {
 	lines := numa.Cost(rowBytes / 64)
 	if lines < 1 {
 		lines = 1
 	}
-	return t.domain.RowWorkAt(from) + 2*t.domain.Model.LocalAccess + lines*t.domain.CoreDRAMCost(from, home)
+	return t.domain.Model.RowWork + 2*t.domain.Model.LocalAccess + lines*t.domain.CoreDRAMCost(from, home)
 }
 
 // accessCost resolves key's partition, once per row operation, and prices it.

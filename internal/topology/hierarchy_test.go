@@ -44,14 +44,6 @@ func TestTwistedCubeDistancePropertiesAcrossSizes(t *testing.T) {
 	}
 }
 
-func TestMeshDistancePropertiesAcrossSizes(t *testing.T) {
-	for _, dims := range [][2]int{{1, 1}, {1, 4}, {2, 2}, {2, 3}, {3, 3}, {4, 4}, {4, 8}} {
-		rows, cols := dims[0], dims[1]
-		// A mesh's diameter is the Manhattan distance between opposite corners.
-		checkDistanceMatrix(t, "mesh", MeshDistance(rows, cols), rows-1+cols-1)
-	}
-}
-
 func TestProfileDistanceProperties(t *testing.T) {
 	for _, p := range Profiles() {
 		top := p.Build()
@@ -77,8 +69,8 @@ func TestProfileDistanceProperties(t *testing.T) {
 			}
 			checkDistanceMatrix(t, p.Name+"/dies", dd, top.MaxDieDistance())
 		}
-		// The profile's level list is consistent with its shape.
-		levels := p.Levels()
+		// The machine's level list spans core to machine.
+		levels := top.DistinctLevels()
 		if levels[0] != LevelCore || levels[len(levels)-1] != LevelMachine {
 			t.Errorf("%s: levels %v should span core..machine", p.Name, levels)
 		}
@@ -211,28 +203,9 @@ func TestAliveIslandsFiltering(t *testing.T) {
 	}
 }
 
-// TestNewProfileShapes pins the shapes of the mesh and consumer profiles: the
-// mesh grid's hop counts are Manhattan distances, and the one-socket consumer
-// part distinguishes die islands but not socket islands.
+// TestNewProfileShapes pins the shape of the one-socket consumer part: it
+// distinguishes die islands but not socket islands.
 func TestNewProfileShapes(t *testing.T) {
-	mesh, err := BuildProfile("mesh-3x3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mesh.Sockets() != 9 || mesh.NumCores() != 36 || mesh.Hierarchical() {
-		t.Errorf("mesh-3x3 shape wrong: %s", mesh)
-	}
-	// Corner to opposite corner of the 3x3 grid is 4 hops; adjacent tiles 1.
-	if got := mesh.Distance(0, 8); got != 4 {
-		t.Errorf("mesh corner distance = %d, want 4", got)
-	}
-	if got := mesh.Distance(0, 1); got != 1 {
-		t.Errorf("mesh adjacent distance = %d, want 1", got)
-	}
-	if got := mesh.MaxDistance(); got != 4 {
-		t.Errorf("mesh max distance = %d, want 4", got)
-	}
-
 	consumer, err := BuildProfile("consumer-1s4d")
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +213,7 @@ func TestNewProfileShapes(t *testing.T) {
 	if consumer.Sockets() != 1 || consumer.NumDies() != 4 || !consumer.Hierarchical() {
 		t.Errorf("consumer-1s4d shape wrong: %s", consumer)
 	}
-	p, _ := ProfileByName("consumer-1s4d")
-	levels := p.Levels()
+	levels := consumer.DistinctLevels()
 	want := []Level{LevelCore, LevelDie, LevelMachine}
 	if len(levels) != len(want) {
 		t.Fatalf("consumer levels = %v, want %v", levels, want)
@@ -250,13 +222,6 @@ func TestNewProfileShapes(t *testing.T) {
 		if levels[i] != want[i] {
 			t.Fatalf("consumer levels = %v, want %v", levels, want)
 		}
-	}
-	// DistinctLevels agrees with the profile's level list on both shapes.
-	if got := consumer.DistinctLevels(); len(got) != 3 || got[1] != LevelDie {
-		t.Errorf("consumer DistinctLevels = %v", got)
-	}
-	if got := mesh.DistinctLevels(); len(got) != 3 || got[1] != LevelSocket {
-		t.Errorf("mesh DistinctLevels = %v", got)
 	}
 }
 

@@ -28,21 +28,6 @@ type Profile struct {
 // Build instantiates the profile's topology.
 func (p Profile) Build() *Topology { return MustNew(p.Config) }
 
-// Levels returns the island levels that are distinct on this profile's
-// machine, finest to coarsest: LevelDie is included only when the profile has
-// more than one die per socket, and LevelSocket only when it has more than
-// one socket (on a one-socket machine socket and machine islands coincide).
-func (p Profile) Levels() []Level {
-	out := []Level{LevelCore}
-	if p.Config.DiesPerSocket > 1 {
-		out = append(out, LevelDie)
-	}
-	if p.Config.Sockets > 1 {
-		out = append(out, LevelSocket)
-	}
-	return append(out, LevelMachine)
-}
-
 // Profiles returns the built-in machine profiles, smallest first.
 func Profiles() []Profile {
 	ps := []Profile{
@@ -88,36 +73,6 @@ func Profiles() []Profile {
 			Description: "the paper's platform: 8 sockets x 10 cores, twisted-cube QPI interconnect",
 			Config:      Config{Name: "8-socket x 10-core twisted cube", Sockets: 8, CoresPerSocket: 10},
 			LogDevices:  "nvme-per-socket",
-		},
-		{
-			Name:        "mesh-3x3",
-			Description: "mesh interconnect: 9 sockets in a 3x3 grid x 4 cores, hop count = Manhattan distance (Tilera-style tiles)",
-			Config: Config{
-				Name:           "3x3 mesh x 4-core",
-				Sockets:        9,
-				CoresPerSocket: 4,
-				Distance:       MeshDistance(3, 3),
-			},
-			LogDevices: "nvme-per-socket",
-		},
-		{
-			Name:        "harvested-4s",
-			Description: "4-socket ring interconnect harvested from a real numactl --hardware dump (SLIT 10/21/31)",
-			Config:      harvested4SConfig(),
-			LogDevices:  "nvme-per-socket",
-		},
-		{
-			Name:        "hybrid-1s8c",
-			Description: "hybrid consumer part: 1 socket, 4 P-cores plus 4 E-cores at 0.55x speed",
-			Config: Config{
-				Name:           "1-socket hybrid (4P + 4E)",
-				Sockets:        1,
-				CoresPerSocket: 8,
-				// The P-cores lead the socket so island home cores (the first
-				// core of each island) land on full-speed hardware.
-				CoreSpeeds: []float64{1, 1, 1, 1, 0.55, 0.55, 0.55, 0.55},
-			},
-			LogDevices: "nvme-per-socket",
 		},
 		{
 			Name:        "consumer-1s4d",

@@ -40,11 +40,6 @@ type Core struct {
 	Die DieID
 	// Index of the core within its socket (0..CoresPerSocket-1).
 	LocalIndex int
-	// Speed is the core's relative execution speed: 1.0 is a full-speed
-	// (P) core, values below 1 model efficiency (E) cores and thermally
-	// limited dies. Cost models divide per-row CPU work by it, and the
-	// placement search weights per-core utilization by it.
-	Speed float64
 }
 
 // Topology describes a multisocket machine as a hierarchical island tree:
@@ -69,7 +64,6 @@ type Topology struct {
 	diesPerSocket int
 	cores         []Core
 	distance      [][]int
-	dieDistance   [][]int // intra-socket die hop matrix (diesPerSocket x diesPerSocket)
 	failed        []bool
 	qpiBytes      []int64 // interconnect traffic counters, indexed by socket
 	localBytes    []int64 // memory-controller (local) traffic counters
@@ -93,57 +87,34 @@ type Config struct {
 	Distance [][]int
 	// DiesPerSocket splits each socket's cores into that many dies (CCXs,
 	// chiplets, sub-NUMA clusters). Zero or one means a flat socket (one die).
-	// CoresPerSocket must be divisible by it.
+	// CoresPerSocket must be divisible by it. Two distinct dies of one
+	// socket are one die hop apart.
 	DiesPerSocket int
-	// DieDistance is an optional DiesPerSocket x DiesPerSocket matrix of
-	// intra-socket die hop counts, with the same symmetry/zero-diagonal rules
-	// as Distance. If nil, every pair of distinct dies is one die-hop apart.
-	DieDistance [][]int
-	// CoreSpeeds optionally assigns a relative speed to each core of a
-	// socket, by local index; the pattern repeats on every socket (modern
-	// hybrid parts are built from identical packages). Length must be
-	// CoresPerSocket and every entry positive. Nil means uniform full-speed
-	// cores (1.0).
-	CoreSpeeds []float64
 }
 
-// validateSquare checks a hop matrix for size, zero diagonal, symmetry and
-// non-negative entries.
-func validateSquare(what string, dist [][]int, n int) error {
+// validateDistance checks an n x n hop matrix for size, zero diagonal,
+// symmetry and non-negative entries.
+func validateDistance(dist [][]int, n int) error {
 	if len(dist) != n {
-		return fmt.Errorf("topology: %s matrix has %d rows, want %d", what, len(dist), n)
+		return fmt.Errorf("topology: distance matrix has %d rows, want %d", len(dist), n)
 	}
 	for i, row := range dist {
 		if len(row) != n {
-			return fmt.Errorf("topology: %s row %d has %d columns, want %d", what, i, len(row), n)
+			return fmt.Errorf("topology: distance row %d has %d columns, want %d", i, len(row), n)
 		}
 		if row[i] != 0 {
-			return fmt.Errorf("topology: %s[%d][%d] must be 0, got %d", what, i, i, row[i])
+			return fmt.Errorf("topology: distance[%d][%d] must be 0, got %d", i, i, row[i])
 		}
 		for j, d := range row {
 			if d < 0 {
-				return fmt.Errorf("topology: negative %s[%d][%d] = %d", what, i, j, d)
+				return fmt.Errorf("topology: negative distance[%d][%d] = %d", i, j, d)
 			}
 			if dist[j][i] != d {
-				return fmt.Errorf("topology: %s matrix not symmetric at (%d,%d)", what, i, j)
+				return fmt.Errorf("topology: distance matrix not symmetric at (%d,%d)", i, j)
 			}
 		}
 	}
 	return nil
-}
-
-// uniformDistance returns an n x n matrix with hop off the diagonal.
-func uniformDistance(n, hop int) [][]int {
-	out := make([][]int, n)
-	for i := range out {
-		out[i] = make([]int, n)
-		for j := range out[i] {
-			if i != j {
-				out[i][j] = hop
-			}
-		}
-	}
-	return out
 }
 
 // New builds a Topology from cfg.
@@ -165,25 +136,8 @@ func New(cfg Config) (*Topology, error) {
 	if dist == nil {
 		dist = TwistedCubeDistance(cfg.Sockets)
 	}
-	if err := validateSquare("distance", dist, cfg.Sockets); err != nil {
+	if err := validateDistance(dist, cfg.Sockets); err != nil {
 		return nil, err
-	}
-	dieDist := cfg.DieDistance
-	if dieDist == nil {
-		dieDist = uniformDistance(dies, 1)
-	}
-	if err := validateSquare("die distance", dieDist, dies); err != nil {
-		return nil, err
-	}
-	if cfg.CoreSpeeds != nil {
-		if len(cfg.CoreSpeeds) != cfg.CoresPerSocket {
-			return nil, fmt.Errorf("topology: %d core speeds for %d cores per socket", len(cfg.CoreSpeeds), cfg.CoresPerSocket)
-		}
-		for i, s := range cfg.CoreSpeeds {
-			if !(s > 0) {
-				return nil, fmt.Errorf("topology: core speed [%d] = %v must be positive", i, s)
-			}
-		}
 	}
 	name := cfg.Name
 	if name == "" {
@@ -195,7 +149,6 @@ func New(cfg Config) (*Topology, error) {
 		perSocket:     cfg.CoresPerSocket,
 		diesPerSocket: dies,
 		distance:      dist,
-		dieDistance:   dieDist,
 		failed:        make([]bool, cfg.Sockets),
 		qpiBytes:      make([]int64, cfg.Sockets),
 		localBytes:    make([]int64, cfg.Sockets),
@@ -204,16 +157,11 @@ func New(cfg Config) (*Topology, error) {
 	t.cores = make([]Core, 0, cfg.Sockets*cfg.CoresPerSocket)
 	for s := 0; s < cfg.Sockets; s++ {
 		for c := 0; c < cfg.CoresPerSocket; c++ {
-			speed := 1.0
-			if cfg.CoreSpeeds != nil {
-				speed = cfg.CoreSpeeds[c]
-			}
 			t.cores = append(t.cores, Core{
 				ID:         CoreID(len(t.cores)),
 				Socket:     SocketID(s),
 				Die:        DieID(s*dies + c/perDie),
 				LocalIndex: c,
-				Speed:      speed,
 			})
 		}
 	}
@@ -297,23 +245,19 @@ func (t *Topology) DieHops(a, b DieID) int {
 	if int(a) < 0 || int(a) >= t.NumDies() || int(b) < 0 || int(b) >= t.NumDies() {
 		return t.MaxDieDistance()
 	}
-	if t.SocketOfDie(a) != t.SocketOfDie(b) {
+	if a == b || t.SocketOfDie(a) != t.SocketOfDie(b) {
 		return 0
 	}
-	return t.dieDistance[int(a)%t.diesPerSocket][int(b)%t.diesPerSocket]
+	return 1
 }
 
-// MaxDieDistance returns the largest intra-socket die distance.
+// MaxDieDistance returns the largest intra-socket die distance: one hop on a
+// machine with more than one die per socket, zero on a flat one.
 func (t *Topology) MaxDieDistance() int {
-	max := 0
-	for _, row := range t.dieDistance {
-		for _, d := range row {
-			if d > max {
-				max = d
-			}
-		}
+	if t.diesPerSocket > 1 {
+		return 1
 	}
-	return max
+	return 0
 }
 
 // CorePath returns the hierarchical distance between two cores, decomposed
@@ -332,7 +276,7 @@ func (t *Topology) CorePath(a, b CoreID) (socketHops, dieHops int) {
 		return t.distance[ca.Socket][cb.Socket], 0
 	}
 	if ca.Die != cb.Die {
-		return 0, t.dieDistance[int(ca.Die)%t.diesPerSocket][int(cb.Die)%t.diesPerSocket]
+		return 0, 1
 	}
 	return 0, 0
 }
@@ -358,25 +302,6 @@ func (t *Topology) SocketOf(id CoreID) SocketID {
 		return InvalidSocket
 	}
 	return t.cores[id].Socket
-}
-
-// SpeedOf returns the relative execution speed of core id. Unknown cores
-// report full speed so cost formulas stay finite.
-func (t *Topology) SpeedOf(id CoreID) float64 {
-	if int(id) < 0 || int(id) >= len(t.cores) {
-		return 1
-	}
-	return t.cores[id].Speed
-}
-
-// Heterogeneous reports whether the machine mixes core speeds (P/E cores).
-func (t *Topology) Heterogeneous() bool {
-	for i := range t.cores {
-		if t.cores[i].Speed != 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // CoresOn returns the cores that belong to socket s.
@@ -569,28 +494,4 @@ func TwistedCubeDistance(n int) [][]int {
 		}
 	}
 	return dist
-}
-
-// MeshDistance generates a hop-count matrix for cores organized in a
-// rows x cols mesh, as in the Tilera chips mentioned in Section II-A. It is
-// provided for experiments with Islands that form within a single chip.
-func MeshDistance(rows, cols int) [][]int {
-	n := rows * cols
-	dist := make([][]int, n)
-	for i := range dist {
-		dist[i] = make([]int, n)
-		ri, ci := i/cols, i%cols
-		for j := 0; j < n; j++ {
-			rj, cj := j/cols, j%cols
-			dist[i][j] = abs(ri-rj) + abs(ci-cj)
-		}
-	}
-	return dist
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

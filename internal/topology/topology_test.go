@@ -242,208 +242,9 @@ func TestTwistedCubeHasShortAndLongLinks(t *testing.T) {
 	}
 }
 
-func TestMeshDistance(t *testing.T) {
-	d := MeshDistance(2, 3)
-	if len(d) != 6 {
-		t.Fatalf("mesh matrix has %d rows, want 6", len(d))
-	}
-	// Core 0 is at (0,0); core 5 is at (1,2): manhattan distance 3.
-	if d[0][5] != 3 {
-		t.Errorf("d[0][5] = %d, want 3", d[0][5])
-	}
-	if d[0][0] != 0 || d[3][3] != 0 {
-		t.Error("diagonal of mesh matrix must be zero")
-	}
-	for i := range d {
-		for j := range d {
-			if d[i][j] != d[j][i] {
-				t.Fatalf("mesh distance not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestStringer(t *testing.T) {
 	top := Default()
 	if top.String() == "" || top.Name() == "" {
 		t.Error("String/Name must be non-empty")
-	}
-}
-
-func TestCoreSpeeds(t *testing.T) {
-	top := MustNew(Config{
-		Sockets: 2, CoresPerSocket: 4,
-		CoreSpeeds: []float64{1, 1, 0.5, 0.5},
-	})
-	if !top.Heterogeneous() {
-		t.Fatal("mixed-speed machine should report Heterogeneous")
-	}
-	// The pattern repeats per socket, by local index.
-	for _, c := range top.Cores() {
-		want := 1.0
-		if c.LocalIndex >= 2 {
-			want = 0.5
-		}
-		if c.Speed != want || top.SpeedOf(c.ID) != want {
-			t.Errorf("core %d (local %d): speed %v, want %v", c.ID, c.LocalIndex, c.Speed, want)
-		}
-	}
-	// Unknown cores report full speed; uniform machines are not heterogeneous.
-	if top.SpeedOf(CoreID(-1)) != 1 || top.SpeedOf(CoreID(999)) != 1 {
-		t.Error("unknown cores should report speed 1")
-	}
-	if Small().Heterogeneous() {
-		t.Error("uniform machine should not report Heterogeneous")
-	}
-}
-
-func TestCoreSpeedsValidation(t *testing.T) {
-	if _, err := New(Config{Sockets: 1, CoresPerSocket: 4, CoreSpeeds: []float64{1, 1}}); err == nil {
-		t.Error("wrong-length speed pattern should be rejected")
-	}
-	if _, err := New(Config{Sockets: 1, CoresPerSocket: 2, CoreSpeeds: []float64{1, 0}}); err == nil {
-		t.Error("zero speed should be rejected")
-	}
-	if _, err := New(Config{Sockets: 1, CoresPerSocket: 2, CoreSpeeds: []float64{1, -2}}); err == nil {
-		t.Error("negative speed should be rejected")
-	}
-}
-
-func TestHybridProfile(t *testing.T) {
-	p, ok := ProfileByName("hybrid-1s8c")
-	if !ok {
-		t.Fatal("hybrid-1s8c missing")
-	}
-	top := p.Build()
-	if !top.Heterogeneous() || top.NumCores() != 8 {
-		t.Fatalf("hybrid profile wrong shape: %s", top)
-	}
-	fast, slow := 0, 0
-	for _, c := range top.Cores() {
-		switch c.Speed {
-		case 1:
-			fast++
-		case 0.55:
-			slow++
-		}
-	}
-	if fast != 4 || slow != 4 {
-		t.Errorf("hybrid profile has %d P-cores and %d E-cores, want 4+4", fast, slow)
-	}
-	// Island home cores (first core of each island) are P-cores.
-	for _, isl := range top.IslandsAt(LevelMachine) {
-		if isl.Cores[0].Speed != 1 {
-			t.Error("machine island home core should be a P-core")
-		}
-	}
-}
-
-func TestParseNumactl(t *testing.T) {
-	cfg, err := ParseNumactl(numactl4SRing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Sockets != 4 || cfg.CoresPerSocket != 8 {
-		t.Fatalf("parsed %d sockets x %d cores, want 4 x 8", cfg.Sockets, cfg.CoresPerSocket)
-	}
-	// SLIT 10 -> local, 21 -> 1 hop, 31 -> 2 hops; the ring shape survives.
-	want := [][]int{
-		{0, 1, 2, 1},
-		{1, 0, 1, 2},
-		{2, 1, 0, 1},
-		{1, 2, 1, 0},
-	}
-	for i := range want {
-		for j := range want[i] {
-			if cfg.Distance[i][j] != want[i][j] {
-				t.Errorf("hops[%d][%d] = %d, want %d", i, j, cfg.Distance[i][j], want[i][j])
-			}
-		}
-	}
-	// The parsed config builds a valid topology (validateSquare accepts it).
-	top, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.MaxDistance() != 2 {
-		t.Errorf("max distance %d, want 2", top.MaxDistance())
-	}
-}
-
-func TestParseNumactlRejectsMalformedDumps(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"no cpus":        "available: 2 nodes (0-1)\nnode distances:\nnode 0 1\n 0: 10 21\n 1: 21 10\n",
-		"empty node":     "node 0 cpus: 0 1\nnode 1 cpus:\nnode distances:\nnode 0 1\n 0: 10 21\n 1: 21 10\n",
-		"node gap":       "node 0 cpus: 0 1\nnode 2 cpus: 2 3\nnode distances:\nnode 0 2\n 0: 10 21\n 2: 21 10\n",
-		"missing rows":   "node 0 cpus: 0\nnode 1 cpus: 1\nnode distances:\nnode 0 1\n 0: 10 21\n",
-		"short row":      "node 0 cpus: 0\nnode 1 cpus: 1\nnode distances:\nnode 0 1\n 0: 10\n 1: 21 10\n",
-		"bad number":     "node 0 cpus: 0\nnode 1 cpus: 1\nnode distances:\nnode 0 1\n 0: 10 xx\n 1: 21 10\n",
-		"remote < local": "node 0 cpus: 0\nnode 1 cpus: 1\nnode distances:\nnode 0 1\n 0: 10 5\n 1: 5 10\n",
-	}
-	for name, dump := range cases {
-		if _, err := ParseNumactl(dump); err == nil {
-			t.Errorf("%s: malformed dump accepted", name)
-		}
-	}
-}
-
-func TestParseNumactlAsymmetricSymmetrized(t *testing.T) {
-	dump := "node 0 cpus: 0\nnode 1 cpus: 1\nnode distances:\nnode 0 1\n 0: 10 31\n 1: 21 10\n"
-	cfg, err := ParseNumactl(dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Distance[0][1] != 2 || cfg.Distance[1][0] != 2 {
-		t.Errorf("asymmetric pair should symmetrize to the larger hop count, got %v", cfg.Distance)
-	}
-}
-
-// TestParseNumactlNonUniformCores feeds a dump whose nodes expose different
-// cpu counts (offlined cores on node 1, an extra SMT sibling on node 3): the
-// parser must accept it and truncate to the largest uniform sub-machine
-// rather than reject the whole dump.
-func TestParseNumactlNonUniformCores(t *testing.T) {
-	dump := `available: 4 nodes (0-3)
-node 0 cpus: 0 1 2 3
-node 0 size: 31854 MB
-node 1 cpus: 4 5 6
-node 2 cpus: 8 9 10 11
-node 3 cpus: 12 13 14 15 16
-node distances:
-node   0   1   2   3
-  0:  10  21  31  21
-  1:  21  10  21  31
-  2:  31  21  10  21
-  3:  21  31  21  10
-`
-	cfg, err := ParseNumactl(dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Sockets != 4 || cfg.CoresPerSocket != 3 {
-		t.Fatalf("parsed %d sockets x %d cores, want 4 x 3 (truncated to node 1's count)",
-			cfg.Sockets, cfg.CoresPerSocket)
-	}
-	top, err := New(cfg)
-	if err != nil {
-		t.Fatalf("truncated config should build: %v", err)
-	}
-	if top.Distance(0, 2) != 2 || top.Distance(0, 1) != 1 {
-		t.Error("truncation must not disturb the distance matrix")
-	}
-}
-
-func TestHarvestedProfile(t *testing.T) {
-	p, ok := ProfileByName("harvested-4s")
-	if !ok {
-		t.Fatal("harvested-4s missing")
-	}
-	top := p.Build()
-	if top.Sockets() != 4 || top.CoresPerSocket() != 8 {
-		t.Fatalf("harvested profile wrong shape: %s", top)
-	}
-	if top.Distance(0, 2) != 2 || top.Distance(0, 1) != 1 {
-		t.Error("harvested profile lost the ring distances")
 	}
 }

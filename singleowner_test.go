@@ -16,11 +16,9 @@ import (
 // gives each point its own engine, and the executed executors, which touch
 // none of these packages' mutable state — so a sync import here is either
 // dead weight on every priced transaction or a sharing bug to fix where it
-// is. The one exception is topology's memoized numactl parse, which the
-// pool's goroutines reach through profile lookups.
+// is.
 func TestPricedPackagesAreSingleOwner(t *testing.T) {
 	packages := []string{"numa", "txn", "core", "wal", "obs", "vclock", "device", "topology", "schema", "lock", "btree", "storage"}
-	allowed := map[string]string{"internal/topology/numactl.go": "sync"}
 	fset := token.NewFileSet()
 	for _, pkg := range packages {
 		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
@@ -38,9 +36,6 @@ func TestPricedPackagesAreSingleOwner(t *testing.T) {
 			for _, imp := range f.Imports {
 				name, _ := strconv.Unquote(imp.Path.Value)
 				if name != "sync" && name != "sync/atomic" {
-					continue
-				}
-				if allowed[filepath.ToSlash(path)] == name {
 					continue
 				}
 				t.Errorf("%s imports %q: the priced model is single-owner; write the who-reaches-it argument instead", path, name)
