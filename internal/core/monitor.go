@@ -34,7 +34,10 @@ const DefaultSubPartitions = 10
 // engine (its monitoringCostPerAction constant).
 type Monitor struct {
 	subParts int
-	tables   map[string]*tableMonitor
+	// tables holds the monitoring arrays by dense table index: a table's
+	// first Register gives it the next index, and index maps its name to it.
+	tables []*tableMonitor
+	index  map[string]int
 	// syncs is keyed by an order-independent hash of the participant set, so
 	// recording a synchronization point in the transaction hot path performs
 	// no allocations (the previous string key allocated per record). The
@@ -66,6 +69,7 @@ type Monitor struct {
 }
 
 type tableMonitor struct {
+	name   string
 	bounds []schema.Key // partition lower bounds at registration time
 	maxKey schema.Key
 	costs  [][]vclock.Nanos // [partition][subpartition]
@@ -86,7 +90,7 @@ func NewMonitor(subParts int) *Monitor {
 	}
 	return &Monitor{
 		subParts: subParts,
-		tables:   make(map[string]*tableMonitor),
+		index:    make(map[string]int),
 		syncs:    make(map[uint64]*syncAgg),
 	}
 }
@@ -98,9 +102,12 @@ func (m *Monitor) SubPartitions() int { return m.subParts }
 // placement bounds and maximum key. It is called when the monitor is created
 // and, after a repartitioning, for exactly the tables the plan diff touched —
 // unchanged tables keep accumulating into their existing arrays, which is
-// what makes repartitioning cost proportional to the diff.
+// what makes repartitioning cost proportional to the diff. A table keeps the
+// dense index its first registration gave it (RecordIn takes that index);
+// the engine registers its tables in workload order, so the index is its own.
 func (m *Monitor) Register(table string, bounds []schema.Key, maxKey schema.Key) {
 	tm := &tableMonitor{
+		name:   table,
 		bounds: append([]schema.Key(nil), bounds...),
 		maxKey: maxKey,
 		costs:  make([][]vclock.Nanos, len(bounds)),
@@ -110,7 +117,21 @@ func (m *Monitor) Register(table string, bounds []schema.Key, maxKey schema.Key)
 		tm.costs[i] = make([]vclock.Nanos, m.subParts)
 		tm.counts[i] = make([]int64, m.subParts)
 	}
-	m.tables[table] = tm
+	if ti, ok := m.index[table]; ok {
+		m.tables[ti] = tm
+		return
+	}
+	m.index[table] = len(m.tables)
+	m.tables = append(m.tables, tm)
+}
+
+// Bounds returns a copy of the partition lower bounds table was last
+// registered with, or nil for a table never registered.
+func (m *Monitor) Bounds(table string) []schema.Key {
+	if ti, ok := m.index[table]; ok {
+		return append([]schema.Key(nil), m.tables[ti].bounds...)
+	}
+	return nil
 }
 
 // RegisterPlacement registers every table of a placement, using the supplied
@@ -121,20 +142,15 @@ func (m *Monitor) RegisterPlacement(p *partition.Placement, maxKeys map[string]s
 	}
 }
 
-// locate returns the partition and sub-partition of a key.
-func (tm *tableMonitor) locate(key schema.Key, subParts int) (int, int) {
-	// Partition: last bound <= key.
-	p := sort.Search(len(tm.bounds), func(i int) bool { return tm.bounds[i] > key }) - 1
-	if p < 0 {
-		p = 0
-	}
+// sub returns the sub-partition of key inside partition p.
+func (tm *tableMonitor) sub(p int, key schema.Key, subParts int) int {
 	lo := tm.bounds[p]
 	hi := tm.maxKey
 	if p+1 < len(tm.bounds) {
 		hi = tm.bounds[p+1]
 	}
 	if hi <= lo {
-		return p, 0
+		return 0
 	}
 	span := uint64(hi-lo) / uint64(subParts)
 	if span == 0 {
@@ -144,16 +160,26 @@ func (tm *tableMonitor) locate(key schema.Key, subParts int) (int, int) {
 	if sp >= subParts {
 		sp = subParts - 1
 	}
-	return p, sp
+	return sp
 }
 
 // RecordAction records that an action on table touched key and cost cost.
 func (m *Monitor) RecordAction(table string, key schema.Key, cost vclock.Nanos) {
-	if tm, ok := m.tables[table]; ok {
-		p, sp := tm.locate(key, m.subParts)
-		tm.costs[p][sp] += cost
-		tm.counts[p][sp]++
+	if ti, ok := m.index[table]; ok {
+		// Partition: last bound <= key.
+		bounds := m.tables[ti].bounds
+		p := max(0, sort.Search(len(bounds), func(i int) bool { return bounds[i] > key })-1)
+		m.RecordIn(ti, p, key, cost)
 	}
+}
+
+// RecordIn is RecordAction for a caller that has resolved the action's
+// dense table index ti and its partition p under the registered bounds.
+func (m *Monitor) RecordIn(ti, p int, key schema.Key, cost vclock.Nanos) {
+	tm := m.tables[ti]
+	sp := tm.sub(p, key, m.subParts)
+	tm.costs[p][sp] += cost
+	tm.counts[p][sp]++
 }
 
 // RecordSync records one occurrence of a synchronization point between the
@@ -261,16 +287,8 @@ func (m *Monitor) Seal() *Stats {
 	stats.SyncBytes, m.syncBytes = m.syncBytes, 0
 	stats.WriteHot = slices.Max(m.writeKeySlots[:])
 	clear(m.writeKeySlots[:])
-	// A table no longer registered must not linger in the reused maps, or
-	// its last interval's loads would leak into every later aggregate.
-	for name := range stats.Sub {
-		if _, ok := m.tables[name]; !ok {
-			delete(stats.Sub, name)
-			delete(stats.Bounds, name)
-			delete(stats.MaxKeys, name)
-		}
-	}
-	for name, tm := range m.tables {
+	for _, tm := range m.tables {
+		name := tm.name
 		stats.Bounds[name] = append(stats.Bounds[name][:0], tm.bounds...)
 		stats.MaxKeys[name] = tm.maxKey
 		parts := stats.Sub[name]

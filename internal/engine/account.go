@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"atrapos/internal/lock"
 	"atrapos/internal/numa"
 	"atrapos/internal/partition"
 	"atrapos/internal/topology"
@@ -115,6 +116,11 @@ type stateSnapshot struct {
 	// designs. Swapping it with the placement is what lets the planner re-wire
 	// the machine online without ever splitting a transaction across layouts.
 	wiring *islandWiring
+	// tps and locks are the placement and the runtime's lock tables by dense
+	// table index (nil for a table the placement does not hold), so routing
+	// and locking index a slice where they would look a name up.
+	tps   []*partition.TablePlacement
+	locks [][]*lock.LocalManager
 }
 
 // active returns the number of active partitions hosted by core c.
@@ -125,8 +131,18 @@ func (s *stateSnapshot) active(c topology.CoreID) int {
 	return int(s.activePerCore[c])
 }
 
-func (s *partitionedState) install(p *partition.Placement, rt *partition.Runtime, active []int32, w *islandWiring) {
-	s.snap = &stateSnapshot{placement: p, runtime: rt, activePerCore: active, wiring: w}
+// install makes a snapshot of the placement, its runtime and wiring the one
+// the next transaction takes.
+func (e *Engine) install(p *partition.Placement, rt *partition.Runtime, active []int32, w *islandWiring) {
+	snap := &stateSnapshot{placement: p, runtime: rt, activePerCore: active, wiring: w,
+		tps:   make([]*partition.TablePlacement, len(e.wl.Tables)),
+		locks: make([][]*lock.LocalManager, len(e.wl.Tables)),
+	}
+	for ti, td := range e.wl.Tables {
+		snap.tps[ti] = p.Tables[td.Schema.Name]
+		snap.locks[ti] = rt.TableLocks(td.Schema.Name)
+	}
+	e.state.snap = snap
 }
 
 func (s *partitionedState) snapshot() *stateSnapshot { return s.snap }

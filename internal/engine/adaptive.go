@@ -168,6 +168,11 @@ func newAdaptiveState(e *Engine, p *partition.Placement) *adaptiveState {
 	a.planner.PreserveIdle = true
 	a.granModel = e.granularityModel()
 	a.controller = core.NewIntervalController(e.cfg.AdaptiveInterval)
+	// Workload order first: a table's monitor index is then its dense table
+	// index, which execute records under (Monitor.RecordIn).
+	for _, td := range e.wl.Tables {
+		a.monitor.Register(td.Schema.Name, nil, 0)
+	}
 	a.monitor.RegisterPlacement(p, maxKeys)
 	a.nextCheck = a.controller.Interval()
 	return a
@@ -378,7 +383,7 @@ func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *
 		}
 		tr.Planner().Record(span)
 	}
-	e.state.install(desired, rt, e.activePartitionsPerCore(desired, now), wiring)
+	e.install(desired, rt, e.activePartitionsPerCore(desired, now), wiring)
 	for name, td := range diff.Tables {
 		if td.Kind != partition.TableUnchanged {
 			a.monitor.Register(name, desired.Tables[name].Bounds, a.maxKeys[name])

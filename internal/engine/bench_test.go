@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"atrapos/internal/backend"
-	"atrapos/internal/partition"
 	"atrapos/internal/topology"
 	"atrapos/internal/wal"
 	"atrapos/internal/workload"
@@ -46,13 +45,7 @@ func benchSteadyState(b *testing.B, e *Engine, adapt bool) {
 		ctx.HomeSite = e.state.snapshot().wiring.siteOf(coord)
 		t := e.wl.Generate(&ctx)
 		sc.snap = e.state.snapshot()
-		if e.row.route == routeOwner {
-			if a, ok := dominantAction(t); ok {
-				if tp, ok := sc.snap.placement.Table(a.Table); ok {
-					coord = e.effectiveCore(tp.CoreFor(a.Key))
-				}
-			}
-		}
+		coord = e.dispatch(coord, t, sc)
 		ok := e.execute(coord, t, sc)
 		e.noteTime(coord)
 		if ok {
@@ -159,12 +152,6 @@ func BenchmarkExecute(b *testing.B) {
 			b.Fatal(err)
 		}
 		ex := backend.NewExecutors(e.HashBackend())[0]
-		tps := make([]*partition.TablePlacement, len(e.wl.Tables))
-		tableIdx := make(map[string]int, len(e.wl.Tables))
-		for i, td := range e.wl.Tables {
-			tps[i], _ = snap.placement.Table(td.Schema.Name)
-			tableIdx[td.Schema.Name] = i
-		}
 		w := snap.wiring
 		src := &splitMix{}
 		ctx := workload.GenContext{Rng: rand.New(src), NumSites: 1}
@@ -174,8 +161,8 @@ func BenchmarkExecute(b *testing.B) {
 			txnID := uint64(n + 1)
 			for ai := range t.Actions {
 				a := &t.Actions[ai]
-				ti := tableIdx[a.Table]
-				ex.Stage(backendOp(a.Op), w.siteOf(tps[ti].CoreFor(a.Key)), ti, a.Key, txnID, uint64(a.Key))
+				ti := e.tableIdx[a.Table]
+				ex.Stage(backendOp(a.Op), w.siteOf(snap.tps[ti].CoreFor(a.Key)), ti, a.Key, txnID, uint64(a.Key))
 			}
 			ex.CommitLocal(txnID, int64(n))
 		}

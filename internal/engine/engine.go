@@ -271,8 +271,12 @@ type Engine struct {
 	row    designRow
 	domain *numa.Domain
 	store  *storage.Manager
-	tables map[string]*storage.Table
 	wl     *workload.Workload
+	// tables holds the physical tables by dense table index, which follows
+	// the workload's table order; tableIdx maps a table name to its index.
+	// dispatch makes the one name lookup of an action.
+	tables   []*storage.Table
+	tableIdx map[string]int
 
 	// System state structures of the designs that are not island-routed;
 	// island-routed designs carry their (level-dependent) equivalents in the
@@ -350,7 +354,8 @@ func New(cfg Config) (*Engine, error) {
 		row:      row,
 		domain:   domain,
 		store:    storage.NewManager(domain),
-		tables:   make(map[string]*storage.Table),
+		tables:   make([]*storage.Table, len(c.Workload.Tables)),
+		tableIdx: make(map[string]int, len(c.Workload.Tables)),
 		wl:       c.Workload,
 		accounts: make([]coreAccount, c.Topology.NumCores()),
 	}
@@ -552,7 +557,7 @@ func (e *Engine) createTables(p *partition.Placement) error {
 			return err
 		}
 	}
-	for _, td := range e.wl.Tables {
+	for ti, td := range e.wl.Tables {
 		tp, ok := p.Tables[td.Schema.Name]
 		if !ok {
 			return fmt.Errorf("engine: placement is missing table %s", td.Schema.Name)
@@ -569,14 +574,15 @@ func (e *Engine) createTables(p *partition.Placement) error {
 		if err != nil {
 			return err
 		}
-		e.tables[td.Schema.Name] = tbl
+		e.tables[ti] = tbl
+		e.tableIdx[td.Schema.Name] = ti
 	}
 	return nil
 }
 
 func (e *Engine) loadData() error {
-	for _, td := range e.wl.Tables {
-		tbl := e.tables[td.Schema.Name]
+	for ti, td := range e.wl.Tables {
+		tbl := e.tables[ti]
 		if td.RowGen == nil {
 			continue
 		}
@@ -619,7 +625,7 @@ func (e *Engine) wireStructures(p *partition.Placement) {
 	if e.row.centralLocks {
 		e.centralLocks = lock.NewCentralManager(e.domain, 256, !c.DisableSLI)
 	}
-	e.state.install(p, partition.NewRuntime(e.domain, p), e.activePartitionsPerCore(p, 0), w)
+	e.install(p, partition.NewRuntime(e.domain, p), e.activePartitionsPerCore(p, 0), w)
 }
 
 // islandWiring is the shared-nothing instance mapping derived from one island

@@ -7,7 +7,6 @@ import (
 	"atrapos/internal/lock"
 	"atrapos/internal/numa"
 	"atrapos/internal/obs"
-	"atrapos/internal/partition"
 	"atrapos/internal/schema"
 	"atrapos/internal/storage"
 	"atrapos/internal/topology"
@@ -21,10 +20,10 @@ import (
 // table. Duplicate inserts are treated as updates and missing rows as no-ops,
 // so replayed or colliding generator keys never wedge an experiment; applied
 // is false for those no-ops so the caller can log them faithfully.
-func performAction(tbl *storage.Table, a workload.Action, from topology.CoreID) (cost numa.Cost, applied bool, err error) {
+func performAction(tbl *storage.Table, p int, a workload.Action, from topology.CoreID) (cost numa.Cost, applied bool, err error) {
 	switch a.Op {
 	case workload.Read:
-		_, cost, err := tbl.Read(from, a.Key)
+		_, cost, err := tbl.ReadIn(p, from, a.Key)
 		if errors.Is(err, storage.ErrNotFound) {
 			return cost, false, nil
 		}
@@ -35,20 +34,20 @@ func performAction(tbl *storage.Table, a workload.Action, from topology.CoreID) 
 			row := a.Row
 			fn = func(schema.Row) schema.Row { return row }
 		}
-		cost, err := tbl.Update(from, a.Key, fn)
+		cost, err := tbl.UpdateIn(p, from, a.Key, fn)
 		if errors.Is(err, storage.ErrNotFound) {
 			return cost, false, nil
 		}
 		return cost, err == nil, err
 	case workload.Insert:
-		cost, err := tbl.Insert(from, a.Key, a.Row)
+		cost, err := tbl.InsertIn(p, from, a.Key, a.Row)
 		if errors.Is(err, storage.ErrDuplicate) {
-			extra, uerr := tbl.Update(from, a.Key, func(schema.Row) schema.Row { return a.Row })
+			extra, uerr := tbl.UpdateIn(p, from, a.Key, func(schema.Row) schema.Row { return a.Row })
 			return cost + extra, uerr == nil, uerr
 		}
 		return cost, err == nil, err
 	case workload.Delete:
-		cost, err := tbl.Delete(from, a.Key)
+		cost, err := tbl.DeleteIn(p, from, a.Key)
 		if errors.Is(err, storage.ErrNotFound) {
 			return cost, false, nil
 		}
@@ -125,34 +124,67 @@ func (e *Engine) effectiveCore(c topology.CoreID) topology.CoreID {
 }
 
 // lockedPartition remembers where an action executed: its (table,
-// partition/site), whose local lock table holds the action's lock, and the
-// executing core and socket.
+// partition/site), the local lock table that holds the action's lock (nil
+// under the central lock manager), and the executing core and socket.
 type lockedPartition struct {
 	table string
 	idx   int
+	lm    *lock.LocalManager
 	core  topology.CoreID
 	sock  topology.SocketID
 }
 
 // releaseLocal releases every partition-local lock table the transaction
-// touched, walking the recorded owners last to first; entries that name no
+// touched, walking the recorded owners last to first; entries that hold no
 // lock table are skipped. The release cost is thereby charged to the owner
 // recorded by the partition's most recent acquisition: if a partition was
 // re-locked from a different core mid-transaction (a socket failure
 // redirected ownership), the last recorded owner is the core that actually
 // holds the lock table. An earlier entry of the same partition finds nothing
 // left to release, and a release of nothing costs nothing.
-func (e *Engine) releaseLocal(snap *stateSnapshot, id lock.TxnID, locked []lockedPartition) {
+func (e *Engine) releaseLocal(id lock.TxnID, locked []lockedPartition) {
 	for i := len(locked) - 1; i >= 0; i-- {
-		lp := locked[i]
-		if lp.table == "" {
-			continue
-		}
-		if lm, err := snap.runtime.Locks(lp.table, lp.idx); err == nil {
-			cost, _ := lm.ReleaseAll(lp.sock, id)
+		if lp := locked[i]; lp.lm != nil {
+			cost, _ := lp.lm.ReleaseAll(lp.sock, id)
 			e.charge(lp.core, vclock.Locking, cost)
 		}
 	}
+}
+
+// resolvedAction is what dispatch resolved of one action: its table's dense
+// index (-1 for a table the workload does not declare, which every design
+// skips) and the partition owning its key.
+type resolvedAction struct {
+	table, part int
+}
+
+// dispatch resolves every action of t once, into sc.acts: the table's dense
+// index, which is the one table-name lookup an action makes, and the
+// partition, from the snapshot's placement for the routed designs and from the
+// table's tree for the coordinator-routed one. No later layer searches again.
+// It returns the core that executes t: coord, or under owner routing the owner
+// of the dominant action's partition, as DORA dispatches a transaction so the
+// bulk of its actions execute locally. The caller must have set sc.snap.
+func (e *Engine) dispatch(coord topology.CoreID, t *workload.Transaction, sc *execScratch) topology.CoreID {
+	sc.acts = sc.acts[:0]
+	for i := range t.Actions {
+		a := &t.Actions[i]
+		ra := resolvedAction{table: -1}
+		if ti, ok := e.tableIdx[a.Table]; ok {
+			if e.row.route == routeCoordinator {
+				ra = resolvedAction{ti, e.tables[ti].PartitionFor(a.Key)}
+			} else if tp := sc.snap.tps[ti]; tp != nil {
+				ra = resolvedAction{ti, tp.PartitionFor(a.Key)}
+			}
+		}
+		sc.acts = append(sc.acts, ra)
+	}
+	if e.row.route == routeOwner && len(sc.acts) > 0 {
+		if ra := sc.acts[dominantAction(sc.acts)]; ra.table >= 0 {
+			coord = e.effectiveCore(sc.snap.tps[ra.table].Cores[ra.part])
+		}
+	}
+	return coord
 }
 
 // oversaturationPenalty is the extra execution cost factor per additional
@@ -167,7 +199,8 @@ const oversaturationPenalty = 0.8
 // caller owns sc and must have set sc.snap. Every piece of island wiring —
 // sites, per-island logs, the 2PC coordinator, the transaction manager — comes
 // from that snapshot, so an online island-level change never splits one
-// transaction across two machine layouts.
+// transaction across two machine layouts. dispatch must have resolved t's
+// actions into sc.acts.
 func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *execScratch) bool {
 	sc.reset()
 	r := e.row
@@ -190,7 +223,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 			cost, _ := e.centralLocks.ReleaseAll(s, id)
 			e.charge(worker, vclock.Locking, cost)
 		} else {
-			e.releaseLocal(snap, id, sc.owners)
+			e.releaseLocal(id, sc.owners)
 		}
 		if !commit {
 			cost, _ := mgr.Abort(tx)
@@ -200,7 +233,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 		// Only the central lock manager collects table modes; a committed
 		// transaction leaves its table locks to the next one on this socket.
 		for _, tm := range sc.tableModes {
-			e.centralLocks.RetainForSLI(s, lock.TableResource(tm.table), tm.mode)
+			e.centralLocks.RetainForSLI(s, lock.TableResource(e.tables[tm.table].Name()), tm.mode)
 		}
 		cost, err := mgr.Commit(tx)
 		e.charge(worker, vclock.Management, cost)
@@ -210,12 +243,14 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 	if r.centralLocks {
 		// Table-level intention locks first (hierarchical locking), then row
 		// locks.
-		for _, a := range t.Actions {
-			_, tm := lockModeFor(a.Op)
-			sc.upsertTableMode(a.Table, tm)
+		for i, a := range t.Actions {
+			if ti := sc.acts[i].table; ti >= 0 {
+				_, tm := lockModeFor(a.Op)
+				sc.upsertTableMode(ti, tm)
+			}
 		}
 		for _, tm := range sc.tableModes {
-			cost, err := e.centralLocks.Acquire(s, id, lock.TableResource(tm.table), tm.mode)
+			cost, err := e.centralLocks.Acquire(s, id, lock.TableResource(e.tables[tm.table].Name()), tm.mode)
 			e.charge(worker, vclock.Locking, cost)
 			e.traceOp(sc, obs.KindLockAcquire, worker, cost, errArg(err))
 			if err != nil {
@@ -226,21 +261,18 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 
 	// owners records, per action index, where the action executed: the
 	// synchronization points index into it and partition-local locks are
-	// released from it (an action skipped before routing leaves a zero entry,
-	// which names no lock table).
+	// released from it (a skipped action leaves a zero entry, which names no
+	// lock table).
 	sc.owners = append(sc.owners[:0], make([]lockedPartition, len(t.Actions))...)
 
 	wrote := false
 	for i, a := range t.Actions {
-		at := lockedPartition{table: a.Table, core: worker, sock: s}
-		var tp *partition.TablePlacement
-		if r.route != routeCoordinator {
-			var ok bool
-			if tp, ok = snap.placement.Table(a.Table); !ok {
-				continue
-			}
-			at.idx = tp.PartitionFor(a.Key)
+		ra := sc.acts[i]
+		if ra.table < 0 {
+			continue
 		}
+		at := lockedPartition{table: a.Table, idx: ra.part, core: worker, sock: s}
+		tp := snap.tps[ra.table]
 		switch {
 		case r.route == routeOwner:
 			at.core = e.effectiveCore(tp.Cores[at.idx])
@@ -267,6 +299,9 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 				e.charge(worker, vclock.Communication, msg)
 			}
 		}
+		if !r.centralLocks {
+			at.lm = snap.locks[ra.table][at.idx]
+		}
 		sc.owners[i] = at
 
 		rowMode, _ := lockModeFor(a.Op)
@@ -275,11 +310,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 		if r.centralLocks {
 			lockCost, lockErr = e.centralLocks.Acquire(at.sock, id, lock.RowResource(a.Table, a.Key), rowMode)
 		} else {
-			lm, err := snap.runtime.Locks(a.Table, at.idx)
-			if err != nil {
-				continue
-			}
-			lockCost, lockErr = lm.Acquire(at.sock, id, lock.RowResource(a.Table, a.Key), rowMode)
+			lockCost, lockErr = at.lm.Acquire(at.sock, id, lock.RowResource(a.Table, a.Key), rowMode)
 		}
 		e.charge(at.core, vclock.Locking, lockCost)
 		e.traceOp(sc, obs.KindLockAcquire, at.core, lockCost, errArg(lockErr))
@@ -287,7 +318,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 			return end(false)
 		}
 
-		execCost, applied, err := performAction(e.tables[a.Table], a, at.core)
+		execCost, applied, err := performAction(e.tables[ra.table], at.idx, a, at.core)
 		if r.route == routeOwner {
 			// A core hosting several partition workers executes slower.
 			factor := saturationFactor(oversaturationPenalty, snap.active(tp.Cores[at.idx]))
@@ -305,7 +336,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 		}
 		// Monitoring: thread-local trace arrays on the owning worker.
 		if r.route == routeOwner && e.adaptive != nil {
-			e.adaptive.monitor.RecordAction(a.Table, a.Key, vclock.Nanos(execCost))
+			e.adaptive.monitor.RecordIn(ra.table, at.idx, a.Key, vclock.Nanos(execCost))
 			e.charge(at.core, vclock.Management, monitoringCostPerAction)
 		}
 	}

@@ -87,12 +87,11 @@ func (e *Engine) loadBackend(snap *stateSnapshot) error {
 	}
 	w := snap.wiring
 	for ti, td := range e.wl.Tables {
-		tp, ok := snap.placement.Table(td.Schema.Name)
-		if !ok {
+		tp := snap.tps[ti]
+		if tp == nil {
 			return fmt.Errorf("engine: placement is missing table %s", td.Schema.Name)
 		}
-		tbl := e.tables[td.Schema.Name]
-		tbl.Scan(0, 0, ^schema.Key(0), func(k schema.Key, _ schema.Row) bool {
+		e.tables[ti].Scan(0, 0, ^schema.Key(0), func(k schema.Key, _ schema.Row) bool {
 			e.hash.Load(w.siteOf(tp.CoreFor(k)), ti, k, uint64(k))
 			return true
 		})
@@ -181,16 +180,6 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	islands := e.hash.Islands()
 	logStart := e.hash.Stats()
 
-	// Per-table placements resolved once and indexed by table: the per-action
-	// path makes one map lookup, table name to index, and that index is both
-	// the table the backend addresses and the slot of its placement.
-	tps := make([]*partition.TablePlacement, len(e.wl.Tables))
-	tableIdx := make(map[string]int, len(e.wl.Tables))
-	for i, td := range e.wl.Tables {
-		tps[i], _ = snap.placement.Table(td.Schema.Name)
-		tableIdx[td.Schema.Name] = i
-	}
-
 	execs := backend.NewExecutors(e.hash)
 	if e.tracer != nil {
 		// Executed-path spans carry wall time, recorded on the island rings'
@@ -209,7 +198,7 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 		wgAll.Add(1)
 		go func(ex *backend.Executor, sc *execScratchX) {
 			defer wgAll.Done()
-			e.executedWorker(ex, sc, opts, w, tps, tableIdx, start)
+			e.executedWorker(ex, sc, opts, snap, start)
 			wgWork.Done()
 			// Serve slower peers until every executor's work loop is done; no
 			// ship can be in flight after that (ships complete synchronously),
@@ -302,7 +291,8 @@ func backendOp(op workload.OpType) backend.Op {
 // participant, the commit record — the executed analogue of the 2PC decision
 // round, riding the same message as the work.
 func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts RunOptions,
-	w *islandWiring, tps []*partition.TablePlacement, tableIdx map[string]int, start time.Time) {
+	snap *stateSnapshot, start time.Time) {
+	w, tps, tableIdx := snap.wiring, snap.tps, e.tableIdx
 	islands := e.hash.Islands()
 	id := ex.ID()
 	mine := 0
@@ -321,8 +311,10 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 		txnID := uint64(n)
 		for ai := range t.Actions {
 			a := &t.Actions[ai]
-			// An action on a table the workload does not declare is skipped,
-			// as the priced loop skips it.
+			// The per-action path makes one map lookup, table name to index,
+			// and that index is both the table the backend addresses and the
+			// slot of its placement. An action on a table the workload does
+			// not declare is skipped, as the priced loop skips it.
 			ti, ok := tableIdx[a.Table]
 			tp := tps[ti]
 			if !ok || tp == nil {

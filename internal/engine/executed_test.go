@@ -277,7 +277,7 @@ func TestPricedCountersConserved(t *testing.T) {
 	}
 	counters := func() map[schema.Key]uint64 {
 		m := make(map[schema.Key]uint64)
-		e.tables["mupd"].Scan(0, 0, ^schema.Key(0), func(k schema.Key, r schema.Row) bool {
+		e.tables[e.tableIdx["mupd"]].Scan(0, 0, ^schema.Key(0), func(k schema.Key, r schema.Row) bool {
 			m[k] = uint64(r[len(r)-1].(int64))
 			return true
 		})

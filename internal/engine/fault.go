@@ -171,17 +171,17 @@ func (e *Engine) CrashAndRecover() (wal.RecoveryStats, error) {
 		}
 	}
 	for name, keys := range touched {
-		tbl, ok := e.tables[name]
+		ti, ok := e.tableIdx[name]
 		if !ok {
 			continue
 		}
 		for k := range keys {
-			_, _ = tbl.Delete(0, k)
+			_, _ = e.tables[ti].Delete(0, k)
 		}
 	}
 	stores := make(map[string]wal.RowStore, len(e.tables))
-	for name, tbl := range e.tables {
-		stores[name] = tableStore{t: tbl}
+	for _, tbl := range e.tables {
+		stores[tbl.Name()] = tableStore{t: tbl}
 	}
 	return wal.Recover(records, durable, false, stores)
 }
@@ -193,13 +193,13 @@ func (e *Engine) CrashAndRecover() (wal.RecoveryStats, error) {
 // after-image payload), so key sets are exactly the state recovery defines.
 func (e *Engine) TableKeySets() map[string][]schema.Key {
 	out := make(map[string][]schema.Key, len(e.tables))
-	for name, tbl := range e.tables {
+	for _, tbl := range e.tables {
 		keys := make([]schema.Key, 0, tbl.Len())
 		tbl.Scan(0, 0, ^schema.Key(0), func(k schema.Key, _ schema.Row) bool {
 			keys = append(keys, k)
 			return true
 		})
-		out[name] = keys
+		out[tbl.Name()] = keys
 	}
 	return out
 }

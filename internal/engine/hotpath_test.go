@@ -27,11 +27,11 @@ func TestReleaseLocalDedupChargesRecordedOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	locked := []lockedPartition{
-		{table: "mbr", idx: 0, core: 1, sock: 0},
-		{table: "mbr", idx: 0, core: 9, sock: 2}, // re-locked from another socket
+		{table: "mbr", idx: 0, lm: lm, core: 1, sock: 0},
+		{table: "mbr", idx: 0, lm: lm, core: 9, sock: 2}, // re-locked from another socket
 	}
 	e.resetAccounts()
-	e.releaseLocal(snap, txnID, locked)
+	e.releaseLocal(txnID, locked)
 	if n := lm.Table().Len(); n != 0 {
 		t.Errorf("expected all locks released, %d remain", n)
 	}

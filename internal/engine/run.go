@@ -200,15 +200,8 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		}
 		// Owner-routed designs dispatch the transaction to the worker thread
 		// that owns the partition doing most of its work, as DORA does; the
-		// coordinating core follows the data and the bulk of the actions
-		// execute locally.
-		if e.row.route == routeOwner {
-			if a, ok := dominantAction(t); ok {
-				if tp, ok := sc.snap.placement.Table(a.Table); ok {
-					coord = e.effectiveCore(tp.CoreFor(a.Key))
-				}
-			}
-		}
+		// coordinating core follows the data.
+		coord = e.dispatch(coord, t, sc)
 		var txnStart vclock.Nanos
 		if sc.ring != nil {
 			// Stamp the transaction's spans with the snapshot's wiring epoch

@@ -6,7 +6,6 @@ import (
 	"atrapos/internal/obs"
 	"atrapos/internal/topology"
 	"atrapos/internal/txn"
-	"atrapos/internal/workload"
 )
 
 // execScratch is the run loop's reusable state of the transaction hot path.
@@ -22,6 +21,10 @@ type execScratch struct {
 
 	// txn is the reusable transaction object filled by Manager.BeginInto.
 	txn txn.Txn
+
+	// acts is dispatch's resolution of the transaction's actions, by action
+	// index: dense table index and partition.
+	acts []resolvedAction
 
 	// owners records, per action index, the partition (and core) that
 	// executed it; partition-local locks are released from it.
@@ -51,8 +54,9 @@ type execScratch struct {
 	epoch uint32
 }
 
+// tableMode is a table's (dense index) strongest intention mode.
 type tableMode struct {
-	table string
+	table int
 	mode  lock.Mode
 }
 
@@ -60,6 +64,7 @@ type tableMode struct {
 // larger transactions grow the buffers once and then reuse them.
 func newExecScratch() *execScratch {
 	return &execScratch{
+		acts:         make([]resolvedAction, 0, 32),
 		owners:       make([]lockedPartition, 0, 32),
 		tableModes:   make([]tableMode, 0, 8),
 		syncCores:    make([]topology.CoreID, 0, 16),
@@ -78,7 +83,7 @@ func (sc *execScratch) reset() {
 }
 
 // upsertTableMode records the strongest intention mode seen for a table.
-func (sc *execScratch) upsertTableMode(table string, mode lock.Mode) {
+func (sc *execScratch) upsertTableMode(table int, mode lock.Mode) {
 	for i := range sc.tableModes {
 		if sc.tableModes[i].table == table {
 			if mode == lock.IX && sc.tableModes[i].mode == lock.IS {
@@ -110,23 +115,18 @@ func (sc *execScratch) addRemoteCore(c topology.CoreID) {
 	sc.remoteCores = append(sc.remoteCores, c)
 }
 
-// dominantAction returns the first action of the table that appears most
-// often in the transaction; the transaction is dispatched to that action's
-// partition owner so the largest share of its work stays thread-local.
-// Ties go to the table that appears first, as before; the count map of the
-// previous implementation is replaced by linear scans over the (short) action
-// list so dispatch allocates nothing.
-func dominantAction(t *workload.Transaction) (workload.Action, bool) {
-	if len(t.Actions) == 0 {
-		return workload.Action{}, false
-	}
-	bestTable := t.Actions[0].Table
-	best := 0
-	for i := range t.Actions {
-		table := t.Actions[i].Table
+// dominantAction returns the index of the first action of the table that
+// appears most often among the resolved actions (at least one); the
+// transaction is dispatched to that action's partition owner so the largest
+// share of its work stays thread-local. Ties go to the table that appears
+// first. Tables are compared by dense index, so the scans compare ints.
+func dominantAction(acts []resolvedAction) int {
+	best, bestAt := 0, 0
+	for i := range acts {
+		table := acts[i].table
 		seen := false
 		for j := 0; j < i; j++ {
-			if t.Actions[j].Table == table {
+			if acts[j].table == table {
 				seen = true
 				break
 			}
@@ -135,23 +135,17 @@ func dominantAction(t *workload.Transaction) (workload.Action, bool) {
 			continue
 		}
 		count := 0
-		for j := i; j < len(t.Actions); j++ {
-			if t.Actions[j].Table == table {
+		for j := i; j < len(acts); j++ {
+			if acts[j].table == table {
 				count++
 			}
 		}
 		if count > best {
-			best = count
-			bestTable = table
+			best, bestAt = count, i
 		}
-		if best > len(t.Actions)/2 {
+		if best > len(acts)/2 {
 			break // absolute majority: no other table can beat it
 		}
 	}
-	for i := range t.Actions {
-		if t.Actions[i].Table == bestTable {
-			return t.Actions[i], true
-		}
-	}
-	return t.Actions[0], true
+	return bestAt
 }

@@ -144,6 +144,7 @@ func TestTracingDisabledZeroAllocs(t *testing.T) {
 		ctx.HomeSite = e.state.snapshot().wiring.siteOf(coord)
 		txn := e.wl.Generate(&ctx)
 		sc.snap = e.state.snapshot()
+		coord = e.dispatch(coord, txn, sc)
 		e.execute(coord, txn, sc)
 		e.noteTime(coord)
 	}

@@ -270,6 +270,10 @@ func (r *Runtime) Locks(name string, idx int) (*lock.LocalManager, error) {
 	return ms[idx], nil
 }
 
+// TableLocks returns the local lock managers of table name by partition
+// index, or nil for a table the runtime does not hold.
+func (r *Runtime) TableLocks(name string) []*lock.LocalManager { return r.locks[name] }
+
 // NumPartitions returns the number of partitions of table name in the runtime.
 func (r *Runtime) NumPartitions(name string) int {
 	return len(r.locks[name])

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"atrapos/internal/btree"
@@ -169,4 +170,48 @@ func TestRuntime(t *testing.T) {
 	if r.NumPartitions("zzz") != 0 {
 		t.Error("unknown table should have zero partitions")
 	}
+}
+
+// FuzzPartitionFor checks the invariant that lets storage take the partition
+// the engine's dispatch resolved instead of searching its tree again: for any
+// strictly ascending bounds that start at 0, the placement's router and the
+// multi-rooted tree's agree on every key. Each 9-byte chunk of raw adds one
+// bound: a gap of the chunk's last 8 bytes shifted right by its first byte
+// (mod 64), so gaps of every magnitude occur. Besides the fuzzed key, 0,
+// ^schema.Key(0) and every bound ±1 are checked.
+func FuzzPartitionFor(f *testing.F) {
+	f.Add([]byte(nil), uint64(0))
+	f.Add([]byte{60, 255, 255, 255, 255, 255, 255, 255, 255}, uint64(15))
+	f.Add([]byte{
+		56, 0, 0, 0, 0, 0, 0, 0, 100,
+		56, 0, 0, 0, 0, 0, 0, 0, 1,
+		0, 0, 0, 0, 0, 0, 0, 0, 64,
+	}, uint64(100))
+	f.Add([]byte{0, 255, 255, 255, 255, 255, 255, 255, 127, 0, 255, 255, 255, 255, 255, 255, 255, 127}, ^uint64(0))
+	f.Add([]byte{63, 0, 0, 0, 0, 0, 0, 0, 128, 63, 0, 0, 0, 0, 0, 0, 0, 128, 1, 2, 3}, uint64(1))
+	f.Fuzz(func(t *testing.T, raw []byte, key uint64) {
+		bounds := []schema.Key{0}
+		for ; len(raw) >= 9 && len(bounds) < 256; raw = raw[9:] {
+			gap := binary.LittleEndian.Uint64(raw[1:9])>>(raw[0]%64) | 1
+			next := bounds[len(bounds)-1] + schema.Key(gap)
+			if next <= bounds[len(bounds)-1] {
+				break // the key space is exhausted
+			}
+			bounds = append(bounds, next)
+		}
+		tp := &TablePlacement{Table: "t", Bounds: bounds, Cores: make([]topology.CoreID, len(bounds))}
+		tree, err := btree.NewMultiRooted(bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := []schema.Key{schema.Key(key), 0, ^schema.Key(0)}
+		for _, b := range bounds {
+			keys = append(keys, b-1, b, b+1)
+		}
+		for _, k := range keys {
+			if got, want := tp.PartitionFor(k), tree.PartitionFor(k); got != want {
+				t.Fatalf("bounds %v key %d: placement routes to partition %d, tree to %d", bounds, k, got, want)
+			}
+		}
+	})
 }

@@ -182,17 +182,21 @@ func (t *Table) indexProbeCost(from topology.CoreID, home topology.SocketID, row
 	return t.domain.Model.RowWork + 2*t.domain.Model.LocalAccess + lines*t.domain.CoreDRAMCost(from, home)
 }
 
-// accessCost resolves key's partition, once per row operation, and prices it.
-func (t *Table) accessCost(from topology.CoreID, key schema.Key, rowBytes int) (int, numa.Cost) {
-	p := t.tree.PartitionFor(key)
+// accessCost prices one row operation on partition p and records its traffic.
+func (t *Table) accessCost(from topology.CoreID, p, rowBytes int) numa.Cost {
 	home := t.Home(p)
 	t.domain.Top.RecordTraffic(t.domain.Top.SocketOf(from), home, int64(rowBytes))
-	return p, t.indexProbeCost(from, home, rowBytes)
+	return t.indexProbeCost(from, home, rowBytes)
 }
 
 // Read returns the row stored under key.
 func (t *Table) Read(from topology.CoreID, key schema.Key) (schema.Row, numa.Cost, error) {
-	p, cost := t.accessCost(from, key, t.rowBytes())
+	return t.ReadIn(t.tree.PartitionFor(key), from, key)
+}
+
+// ReadIn is Read for a caller that has resolved key's partition p already.
+func (t *Table) ReadIn(p int, from topology.CoreID, key schema.Key) (schema.Row, numa.Cost, error) {
+	cost := t.accessCost(from, p, t.rowBytes())
 	row, ok := t.tree.GetIn(p, key)
 	if !ok {
 		return nil, cost, ErrNotFound
@@ -202,7 +206,12 @@ func (t *Table) Read(from topology.CoreID, key schema.Key) (schema.Row, numa.Cos
 
 // Insert adds a new row under key; it fails with ErrDuplicate if the key exists.
 func (t *Table) Insert(from topology.CoreID, key schema.Key, row schema.Row) (numa.Cost, error) {
-	p, cost := t.accessCost(from, key, row.Size())
+	return t.InsertIn(t.tree.PartitionFor(key), from, key, row)
+}
+
+// InsertIn is Insert for a caller that has resolved key's partition p already.
+func (t *Table) InsertIn(p int, from topology.CoreID, key schema.Key, row schema.Row) (numa.Cost, error) {
+	cost := t.accessCost(from, p, row.Size())
 	if _, exists := t.tree.GetIn(p, key); exists {
 		return cost, ErrDuplicate
 	}
@@ -213,7 +222,12 @@ func (t *Table) Insert(from topology.CoreID, key schema.Key, row schema.Row) (nu
 
 // Update applies fn to the row under key.
 func (t *Table) Update(from topology.CoreID, key schema.Key, fn func(schema.Row) schema.Row) (numa.Cost, error) {
-	p, cost := t.accessCost(from, key, t.rowBytes())
+	return t.UpdateIn(t.tree.PartitionFor(key), from, key, fn)
+}
+
+// UpdateIn is Update for a caller that has resolved key's partition p already.
+func (t *Table) UpdateIn(p int, from topology.CoreID, key schema.Key, fn func(schema.Row) schema.Row) (numa.Cost, error) {
+	cost := t.accessCost(from, p, t.rowBytes())
 	if !t.tree.UpdateIn(p, key, fn) {
 		return cost, ErrNotFound
 	}
@@ -222,7 +236,12 @@ func (t *Table) Update(from topology.CoreID, key schema.Key, fn func(schema.Row)
 
 // Delete removes the row under key.
 func (t *Table) Delete(from topology.CoreID, key schema.Key) (numa.Cost, error) {
-	p, cost := t.accessCost(from, key, t.rowBytes())
+	return t.DeleteIn(t.tree.PartitionFor(key), from, key)
+}
+
+// DeleteIn is Delete for a caller that has resolved key's partition p already.
+func (t *Table) DeleteIn(p int, from topology.CoreID, key schema.Key) (numa.Cost, error) {
+	cost := t.accessCost(from, p, t.rowBytes())
 	if !t.tree.DeleteIn(p, key) {
 		return cost, ErrNotFound
 	}

@@ -11,7 +11,6 @@ package vclock
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -91,7 +90,10 @@ type Sample struct {
 // run's one goroutine.
 type Series struct {
 	window Nanos
-	counts map[int64]int64
+	// counts[i] is the commits of window base+i. The first and the last entry
+	// are populated windows; nothing before the first commit's window is kept.
+	base   int64
+	counts []int64
 }
 
 // NewSeries creates a Series with the given sampling window (e.g. one virtual second).
@@ -99,7 +101,7 @@ func NewSeries(window Nanos) *Series {
 	if window <= 0 {
 		window = Nanos(time.Second)
 	}
-	return &Series{window: window, counts: make(map[int64]int64)}
+	return &Series{window: window}
 }
 
 // Record adds n committed transactions at virtual time t.
@@ -107,7 +109,19 @@ func (s *Series) Record(t Nanos, n int64) {
 	if n <= 0 {
 		return
 	}
-	s.counts[int64(t)/int64(s.window)] += n
+	w := int64(t) / int64(s.window)
+	switch {
+	case len(s.counts) == 0:
+		s.base = w
+	case w < s.base:
+		s.counts = append(make([]int64, s.base-w, s.base-w+int64(len(s.counts))), s.counts...)
+		s.base = w
+	}
+	i := w - s.base
+	if i >= int64(len(s.counts)) {
+		s.counts = append(s.counts, make([]int64, i+1-int64(len(s.counts)))...)
+	}
+	s.counts[i] += n
 }
 
 // Window returns the sampling window.
@@ -120,19 +134,12 @@ func (s *Series) Samples() []Sample {
 	if len(s.counts) == 0 {
 		return nil
 	}
-	keys := make([]int64, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	first, last := keys[0], keys[len(keys)-1]
-	out := make([]Sample, 0, last-first+1)
-	for w := first; w <= last; w++ {
-		count := s.counts[w]
-		out = append(out, Sample{
-			At:         Nanos((w + 1) * int64(s.window)),
+	out := make([]Sample, len(s.counts))
+	for i, count := range s.counts {
+		out[i] = Sample{
+			At:         Nanos((s.base + int64(i) + 1) * int64(s.window)),
 			Throughput: float64(count) / s.window.Seconds(),
-		})
+		}
 	}
 	return out
 }

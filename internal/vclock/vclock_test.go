@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -56,6 +57,23 @@ func TestSeries(t *testing.T) {
 	}
 	if samples[0].At != Nanos(time.Second) {
 		t.Errorf("window 0 ends at %d", samples[0].At)
+	}
+
+	// A first commit in a late window starts the series there; a gap in the
+	// middle reads as zero-throughput windows; a commit before the first
+	// populated window moves the start back.
+	late := NewSeries(Nanos(time.Second))
+	late.Record(Nanos(7200*time.Millisecond), 3)
+	late.Record(Nanos(10100*time.Millisecond), 4)
+	late.Record(Nanos(7900*time.Millisecond), 1)
+	want := []Sample{{At: Nanos(8 * time.Second), Throughput: 4}, {At: Nanos(9 * time.Second)}, {At: Nanos(10 * time.Second)}, {At: Nanos(11 * time.Second), Throughput: 4}}
+	if got := late.Samples(); !slices.Equal(got, want) {
+		t.Errorf("late-start series = %v, want %v", got, want)
+	}
+	late.Record(Nanos(5500*time.Millisecond), 2)
+	want = append([]Sample{{At: Nanos(6 * time.Second), Throughput: 2}, {At: Nanos(7 * time.Second)}}, want...)
+	if got := late.Samples(); !slices.Equal(got, want) {
+		t.Errorf("series after an earlier commit = %v, want %v", got, want)
 	}
 }
 
