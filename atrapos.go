@@ -49,9 +49,7 @@ import (
 	"atrapos/internal/engine"
 	"atrapos/internal/fault"
 	"atrapos/internal/harness"
-	"atrapos/internal/numa"
 	"atrapos/internal/obs"
-	"atrapos/internal/partition"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
 	"atrapos/internal/workload"
@@ -107,19 +105,6 @@ func BuildProfile(name string) (*Topology, error) { return topology.BuildProfile
 func NewTopology(sockets, coresPerSocket int) (*Topology, error) {
 	return topology.New(topology.Config{Sockets: sockets, CoresPerSocket: coresPerSocket})
 }
-
-// CostModel holds the NUMA latencies of the simulation.
-type CostModel = numa.CostModel
-
-// AllocPolicy selects where shared-nothing instances allocate their memory.
-type AllocPolicy = numa.AllocPolicy
-
-// Memory allocation policies (Table I).
-const (
-	AllocLocal   = numa.AllocLocal
-	AllocCentral = numa.AllocCentral
-	AllocRemote  = numa.AllocRemote
-)
 
 // Workload couples a dataset with a transaction generator.
 type Workload = workload.Workload
@@ -195,8 +180,6 @@ type Options struct {
 	Workload *Workload
 	// Topology models the machine; nil means the paper's 8-socket box.
 	Topology *Topology
-	// CostModel overrides the NUMA latencies; zero value means defaults.
-	CostModel CostModel
 	// Adaptive enables ATraPos monitoring and adaptive repartitioning.
 	Adaptive bool
 	// AdaptiveInterval tunes the monitoring interval controller; the zero
@@ -206,21 +189,12 @@ type Options struct {
 	// seconds of the modeled scenario into one virtual second; repartitioning
 	// costs are scaled down accordingly. Zero or one means no compression.
 	TimeCompression float64
-	// Monitoring enables the monitoring mechanism without adaptation.
-	Monitoring bool
 	// Tracing enables the virtual-time span tracer: spans, planner decisions
 	// and metrics samples are recorded into pre-allocated rings, exportable
 	// through System.Tracer() (Chrome trace-event JSON, Perfetto-loadable,
 	// and a metrics CSV). Off (the default), the hot paths pay one nil check
 	// per recording site and allocate nothing extra.
 	Tracing bool
-	// AllocPolicy places instance memory for the shared-nothing designs.
-	AllocPolicy AllocPolicy
-	// WorkloadAwarePlacement derives the initial partitioning and placement
-	// from the workload's static information (flow graphs and class mix)
-	// using the paper's Algorithms 1 and 2; it applies to DesignATraPos and
-	// defaults to true.
-	WorkloadAwarePlacement *bool
 }
 
 // System is an instantiated storage manager plus execution engine.
@@ -244,19 +218,12 @@ func Open(opts Options) (*System, error) {
 		Backend:          opts.Backend,
 		Workload:         opts.Workload,
 		Topology:         top,
-		CostModel:        opts.CostModel,
 		Adaptive:         opts.Adaptive,
 		AdaptiveInterval: opts.AdaptiveInterval,
 		TimeCompression:  opts.TimeCompression,
-		Monitoring:       opts.Monitoring || opts.Adaptive,
-		AllocPolicy:      opts.AllocPolicy,
 		Tracing:          opts.Tracing,
 	}
-	wap := true
-	if opts.WorkloadAwarePlacement != nil {
-		wap = *opts.WorkloadAwarePlacement
-	}
-	if opts.Design == engine.ATraPos && wap {
+	if opts.Design == engine.ATraPos {
 		cfg.Placement = engine.DerivePlacement(opts.Workload, top, true)
 	}
 	e, err := engine.New(cfg)
@@ -303,9 +270,6 @@ func (s *System) Design() Design { return s.engine.Design() }
 
 // Topology returns the modeled machine.
 func (s *System) Topology() *Topology { return s.engine.Topology() }
-
-// Placement returns a copy of the current partitioning and placement.
-func (s *System) Placement() *partition.Placement { return s.engine.Placement() }
 
 // VirtualTime is a span of virtual time in nanoseconds; throughput and the
 // adaptivity experiments are measured against it.

@@ -40,7 +40,7 @@ func TestOpenAndRunEveryDesign(t *testing.T) {
 		if res.Committed == 0 || res.ThroughputTPS <= 0 {
 			t.Errorf("%v: empty result", d)
 		}
-		if err := sys.Placement().Validate(); err != nil {
+		if err := sys.engine.Placement().Validate(); err != nil {
 			t.Errorf("%v: invalid placement: %v", d, err)
 		}
 	}
@@ -88,26 +88,6 @@ func TestAdaptiveSystemAndFailSocket(t *testing.T) {
 	}
 	if res.Committed < 450 {
 		t.Errorf("committed %d of 500", res.Committed)
-	}
-}
-
-func TestWorkloadAwarePlacementToggle(t *testing.T) {
-	wl := TwoTableSimple(2000)
-	off := false
-	naive, err := Open(Options{Design: DesignATraPos, Workload: wl, Topology: smallTop(t), WorkloadAwarePlacement: &off})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aware, err := Open(Options{Design: DesignATraPos, Workload: wl, Topology: smallTop(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The naive placement has one partition of each table per core (16
-	// partitions on the 8-core machine); the workload-aware placement has
-	// roughly one partition per core in total.
-	if naive.Placement().TotalPartitions() <= aware.Placement().TotalPartitions() {
-		t.Errorf("naive placement should have more partitions: %d vs %d",
-			naive.Placement().TotalPartitions(), aware.Placement().TotalPartitions())
 	}
 }
 

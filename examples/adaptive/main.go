@@ -143,10 +143,8 @@ func compare(top *atrapos.Topology, wl *atrapos.Workload, duration atrapos.Virtu
 			// The paper's 1 s / 8 s monitoring intervals, mapped onto the
 			// compressed time scale of the demo.
 			AdaptiveInterval: atrapos.IntervalConfig{
-				Initial:         atrapos.Seconds(paperSecond),
-				Max:             atrapos.Seconds(8 * paperSecond),
-				StableThreshold: 0.10,
-				History:         5,
+				Initial: atrapos.Seconds(paperSecond),
+				Max:     atrapos.Seconds(8 * paperSecond),
 			},
 			TimeCompression: 1 / paperSecond,
 		})

@@ -6,43 +6,34 @@ import (
 	"atrapos/internal/vclock"
 )
 
-// IntervalConfig tunes the adaptive monitoring interval controller.
+// IntervalConfig tunes the adaptive monitoring interval controller. The zero
+// value is the paper's controller: a 1 s initial and an 8 s maximum interval.
 type IntervalConfig struct {
 	// Initial is the starting (and post-repartitioning) monitoring interval;
-	// the paper uses 1 second.
+	// zero means the paper's 1 second.
 	Initial vclock.Nanos
-	// Max is the upper bound the interval can grow to; the paper uses 8 seconds.
+	// Max is the upper bound the interval can grow to; zero means the
+	// paper's 8 seconds.
 	Max vclock.Nanos
-	// StableThreshold is the relative throughput deviation below which the
-	// workload is considered stable; the paper uses 10%.
-	StableThreshold float64
-	// History is how many previous measurements the deviation is computed
-	// against; the paper uses 5.
-	History int
 }
 
-// DefaultIntervalConfig returns the controller parameters used in the paper.
-func DefaultIntervalConfig() IntervalConfig {
-	return IntervalConfig{
-		Initial:         vclock.Nanos(time.Second),
-		Max:             vclock.Nanos(8 * time.Second),
-		StableThreshold: 0.10,
-		History:         5,
-	}
-}
+// The controller's fixed parameters (Section V-D): throughput within
+// stableDeviation of the average of the last historyLen measurements counts
+// as stable.
+const (
+	stableDeviation = 0.10
+	historyLen      = 5
+)
 
 func (c IntervalConfig) sanitized() IntervalConfig {
 	if c.Initial <= 0 {
 		c.Initial = vclock.Nanos(time.Second)
 	}
+	if c.Max <= 0 {
+		c.Max = vclock.Nanos(8 * time.Second)
+	}
 	if c.Max < c.Initial {
 		c.Max = c.Initial
-	}
-	if c.StableThreshold <= 0 {
-		c.StableThreshold = 0.10
-	}
-	if c.History <= 0 {
-		c.History = 5
 	}
 	return c
 }
@@ -87,8 +78,8 @@ func (c *IntervalController) Interval() vclock.Nanos { return c.interval }
 func (c *IntervalController) Observe(throughput float64) Decision {
 	defer func() {
 		c.history = append(c.history, throughput)
-		if len(c.history) > c.cfg.History {
-			c.history = c.history[len(c.history)-c.cfg.History:]
+		if len(c.history) > historyLen {
+			c.history = c.history[len(c.history)-historyLen:]
 		}
 	}()
 	if len(c.history) == 0 {
@@ -109,7 +100,7 @@ func (c *IntervalController) Observe(throughput float64) Decision {
 	if dev < 0 {
 		dev = -dev
 	}
-	if dev <= c.cfg.StableThreshold {
+	if dev <= stableDeviation {
 		c.interval *= 2
 		if c.interval > c.cfg.Max {
 			c.interval = c.cfg.Max

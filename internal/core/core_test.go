@@ -45,7 +45,7 @@ func TestMonitorRecordAndAggregate(t *testing.T) {
 	m.AdvanceWindow(vclock.Nanos(time.Second))
 	m.AdvanceWindow(-5)
 
-	stats := m.Aggregate()
+	stats := m.Seal()
 	if stats.Window != vclock.Nanos(time.Second) {
 		t.Errorf("window = %d", stats.Window)
 	}
@@ -68,7 +68,7 @@ func TestMonitorRecordAndAggregate(t *testing.T) {
 		t.Errorf("sync stats = %+v", stats.Syncs)
 	}
 	// Aggregation clears the arrays.
-	stats2 := m.Aggregate()
+	stats2 := m.Seal()
 	if stats2.TotalCost() != 0 || len(stats2.Syncs) != 0 || stats2.Window != 0 {
 		t.Error("aggregate did not reset the monitor")
 	}
@@ -80,7 +80,7 @@ func TestMonitorRegisterPlacement(t *testing.T) {
 	m := NewMonitor(5)
 	m.RegisterPlacement(p, map[string]schema.Key{"A": schema.KeyFromInt(1600), "B": schema.KeyFromInt(1600)})
 	m.RecordAction("B", schema.KeyFromInt(1599), 7)
-	stats := m.Aggregate()
+	stats := m.Seal()
 	if len(stats.Sub["B"]) != p.Tables["B"].NumPartitions() {
 		t.Errorf("B partitions = %d", len(stats.Sub["B"]))
 	}
@@ -92,7 +92,7 @@ func TestMonitorRegisterPlacement(t *testing.T) {
 	m2.Register("tiny", []schema.Key{0, 1}, 1)
 	m2.RecordAction("tiny", 0, 5)
 	m2.RecordAction("tiny", 1, 5)
-	if m2.Aggregate().TableCost("tiny") != 10 {
+	if m2.Seal().TableCost("tiny") != 10 {
 		t.Error("tiny table cost mismatch")
 	}
 }
@@ -256,8 +256,8 @@ func TestPlannerPlacementReducesSyncCost(t *testing.T) {
 }
 
 func TestIntervalController(t *testing.T) {
-	cfg := DefaultIntervalConfig()
-	c := NewIntervalController(cfg)
+	// The zero config is the paper's controller: 1 s initial, 8 s maximum.
+	c := NewIntervalController(IntervalConfig{})
 	if c.Interval() != vclock.Nanos(time.Second) {
 		t.Fatalf("initial interval = %v", c.Interval())
 	}
@@ -274,7 +274,7 @@ func TestIntervalController(t *testing.T) {
 	if c.Interval() != vclock.Nanos(8*time.Second) {
 		t.Errorf("interval after stability = %v, want 8s", c.Interval().Duration())
 	}
-	if len(c.History()) != cfg.History {
+	if len(c.History()) != historyLen {
 		t.Errorf("history length = %d", len(c.History()))
 	}
 	// A big drop triggers evaluation.
@@ -285,6 +285,14 @@ func TestIntervalController(t *testing.T) {
 	c.Repartitioned()
 	if c.Interval() != vclock.Nanos(time.Second) || len(c.History()) != 0 {
 		t.Error("Repartitioned did not reset the controller")
+	}
+	// A maximum below the initial interval pins the interval.
+	pinned := NewIntervalController(IntervalConfig{Initial: vclock.Nanos(2 * time.Second), Max: vclock.Nanos(time.Second)})
+	for i := 0; i < 3; i++ {
+		pinned.Observe(1000)
+	}
+	if pinned.Interval() != vclock.Nanos(2*time.Second) {
+		t.Errorf("pinned interval = %v, want 2s", pinned.Interval().Duration())
 	}
 	// Zero-throughput history followed by work triggers evaluation.
 	c2 := NewIntervalController(IntervalConfig{})
@@ -335,7 +343,7 @@ func TestBuildPlanAndExecute(t *testing.T) {
 		t.Error("expected at least one move (partition 1 changes socket)")
 	}
 
-	exec := NewExecutor(ExecutorConfig{}, d, store)
+	exec := NewExecutor(DefaultExecutorConfig(), d, store)
 	out, err := exec.Execute(plan)
 	if err != nil {
 		t.Fatal(err)

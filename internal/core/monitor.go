@@ -263,7 +263,7 @@ func (m *Monitor) AdvanceWindow(d vclock.Nanos) {
 // epoch at zero.
 //
 // The returned Stats is a buffer owned by the Monitor: it is valid until the
-// next Seal/Aggregate call, which reuses it. Every caller (the inline planner,
+// next Seal call, which reuses it. Every caller (the inline planner,
 // one-shot derivations, ablations) consumes the aggregate before sealing
 // again, and the reuse is what keeps steady-state sealing allocation-free —
 // monitoring overhead stays flat no matter how many planner intervals a run
@@ -347,12 +347,6 @@ func (m *Monitor) Seal() *Stats {
 	stats.Syncs = syncs
 	return stats
 }
-
-// Aggregate returns the statistics collected since the last Aggregate (or
-// since creation) and clears the arrays. It is Seal under the name the
-// single-threaded callers (static placement derivation, ablations) use, and
-// shares its contract: the returned Stats is valid until the next call.
-func (m *Monitor) Aggregate() *Stats { return m.Seal() }
 
 func syncKey(refs []PartitionRef) string {
 	parts := make([]string, len(refs))

@@ -47,8 +47,6 @@ type RepartitionAction struct {
 	// Partition is the partition index for MergeAction (merge with its right
 	// neighbour) and MoveAction.
 	Partition int
-	// Target is the destination core for MoveAction.
-	Target topology.CoreID
 }
 
 // Plan is an ordered list of repartitioning actions leading from one
@@ -118,7 +116,7 @@ func BuildPlan(current, desired *partition.Placement, top *topology.Topology) *P
 			key := want.Bounds[i]
 			curCore := have.CoreFor(key)
 			if top.SocketOf(curCore) != top.SocketOf(c) {
-				plan.Actions = append(plan.Actions, RepartitionAction{Kind: MoveAction, Table: name, Partition: i, Target: c})
+				plan.Actions = append(plan.Actions, RepartitionAction{Kind: MoveAction, Table: name, Partition: i})
 			}
 		}
 	}
@@ -157,15 +155,6 @@ type Executor struct {
 
 // NewExecutor builds an executor over the storage manager.
 func NewExecutor(cfg ExecutorConfig, domain *numa.Domain, store *storage.Manager) *Executor {
-	if cfg.PerRowCost <= 0 {
-		cfg.PerRowCost = DefaultExecutorConfig().PerRowCost
-	}
-	if cfg.PerActionCost <= 0 {
-		cfg.PerActionCost = DefaultExecutorConfig().PerActionCost
-	}
-	if cfg.SplitMetadataFactor <= 0 {
-		cfg.SplitMetadataFactor = DefaultExecutorConfig().SplitMetadataFactor
-	}
 	return &Executor{cfg: cfg, domain: domain, store: store}
 }
 

@@ -143,7 +143,7 @@ func TestCoalescerDrainAcrossLevelChangesAndRehoming(t *testing.T) {
 		LogConfig:    &lc,
 		Adaptive:     true,
 		AdaptiveInterval: core.IntervalConfig{
-			Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5,
+			Initial: granWindow, Max: 4 * granWindow,
 		},
 		TimeCompression: 1000,
 	})
@@ -156,7 +156,7 @@ func TestCoalescerDrainAcrossLevelChangesAndRehoming(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.Run(RunOptions{
-		Duration: 30 * granWindow, MaxTransactions: 200_000,
+		Duration: 30 * granWindow, Transactions: 200_000,
 		Seed: 7, SampleWindow: granWindow,
 		Faults: sched,
 	})
@@ -210,7 +210,7 @@ func TestCoalescingCommitsAcrossLevelChanges(t *testing.T) {
 		LogConfig:    &lc,
 		Adaptive:     true,
 		AdaptiveInterval: core.IntervalConfig{
-			Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5,
+			Initial: granWindow, Max: 4 * granWindow,
 		},
 		TimeCompression: 1000,
 	})
@@ -225,7 +225,7 @@ func TestCoalescingCommitsAcrossLevelChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.Run(RunOptions{
-		Duration: 30 * granWindow, MaxTransactions: 120_000,
+		Duration: 30 * granWindow, Transactions: 120_000,
 		Seed: 13, SampleWindow: granWindow,
 		Faults: sched,
 	})

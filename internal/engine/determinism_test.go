@@ -18,7 +18,7 @@ func chipletTopology() *topology.Topology {
 	return prof.Build()
 }
 
-var adaptiveTestInterval = core.IntervalConfig{Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5}
+var adaptiveTestInterval = core.IntervalConfig{Initial: granWindow, Max: 4 * granWindow}
 
 // adaptiveDriftRun is the placement pipeline under a sliding hotspot: ATraPos
 // re-bounding the TATP tables every few windows.
@@ -31,7 +31,7 @@ func adaptiveDriftRun(t *testing.T) (Config, RunOptions) {
 			Design: ATraPos, Workload: wl, Topology: smallTopology(),
 			Adaptive: true, AdaptiveInterval: adaptiveTestInterval, TimeCompression: 1000,
 		},
-		RunOptions{Duration: 40 * granWindow, MaxTransactions: 200_000, Seed: 5, SampleWindow: granWindow}
+		RunOptions{Duration: 40 * granWindow, Transactions: 200_000, Seed: 5, SampleWindow: granWindow}
 }
 
 // granularityFailRestoreRun is the granularity pipeline: the multisite share
@@ -50,7 +50,7 @@ func granularityFailRestoreRun(t *testing.T) (Config, RunOptions) {
 			DeviceLayout: "nvme-per-socket",
 			Adaptive:     true, AdaptiveInterval: adaptiveTestInterval, TimeCompression: 1000,
 		},
-		RunOptions{Duration: 40 * granWindow, MaxTransactions: 200_000, Seed: 7, SampleWindow: granWindow, Faults: sched}
+		RunOptions{Duration: 40 * granWindow, Transactions: 200_000, Seed: 7, SampleWindow: granWindow, Faults: sched}
 }
 
 // TestRunIsAFunctionOfSeedAndConfig pins the contract of the single-goroutine

@@ -70,7 +70,7 @@ func TestBoundsAgreeAcrossLayers(t *testing.T) {
 			var seen *stateSnapshot
 			var committed int64
 			installs := 0
-			for n := int64(1); n <= int64(opts.MaxTransactions) && e.virtualNow() < opts.Duration; n++ {
+			for n := int64(1); n <= int64(opts.Transactions) && e.virtualNow() < opts.Duration; n++ {
 				for len(faults) > 0 && e.virtualNow() >= faults[0].At {
 					e.applyFault(faults[0])
 					faults = faults[1:]

@@ -160,8 +160,6 @@ type Config struct {
 	Workload *workload.Workload
 	// Topology models the machine; nil means the paper's 8-socket, 80-core box.
 	Topology *topology.Topology
-	// CostModel holds the NUMA latencies; the zero value means defaults.
-	CostModel numa.CostModel
 	// IslandLevel selects the instance granularity of the SharedNothing
 	// design: one logical instance per island at this level. The zero value
 	// defaults to topology.LevelSocket. Ignored by the other designs.
@@ -171,10 +169,9 @@ type Config struct {
 	// design's default placement.
 	Placement *partition.Placement
 	// AllocPolicy controls on which memory node each instance's data is
-	// allocated for the shared-nothing designs (Table I). Default: local.
+	// allocated for the shared-nothing designs (Table I). Default: local;
+	// AllocCentral puts every instance's data on the last socket.
 	AllocPolicy numa.AllocPolicy
-	// CentralAllocNode is the node used by AllocCentral.
-	CentralAllocNode topology.SocketID
 	// LogConfig tunes the write-ahead log; nil means defaults.
 	LogConfig *wal.Config
 	// Backend selects the storage engine behind the executors. The zero value
@@ -214,14 +211,6 @@ type Config struct {
 	// experiments (Figures 10-13) compress one paper second into one virtual
 	// millisecond and therefore use 1000. Zero or one means no compression.
 	TimeCompression float64
-	// SkipLoad leaves the tables empty; tests that only exercise construction
-	// use it to stay fast.
-	SkipLoad bool
-
-	// autoIslandLevel notes that IslandLevel was defaulted rather than chosen
-	// by the caller; the device-aware adaptive start level (New) only
-	// overrides a defaulted level, never an explicit choice.
-	autoIslandLevel bool
 }
 
 func (c *Config) withDefaults() (*Config, designRow, error) {
@@ -236,10 +225,6 @@ func (c *Config) withDefaults() (*Config, designRow, error) {
 	if out.Topology == nil {
 		out.Topology = topology.Default()
 	}
-	zero := numa.CostModel{}
-	if out.CostModel == zero {
-		out.CostModel = numa.DefaultCostModel()
-	}
 	if out.LogConfig == nil {
 		lc := wal.DefaultConfig()
 		out.LogConfig = &lc
@@ -251,7 +236,6 @@ func (c *Config) withDefaults() (*Config, designRow, error) {
 	if row.route == routeIsland {
 		if out.IslandLevel == 0 {
 			out.IslandLevel = topology.LevelSocket
-			out.autoIslandLevel = true
 		}
 		if !out.IslandLevel.Valid() {
 			return nil, designRow{}, fmt.Errorf("engine: invalid island level %v", out.IslandLevel)
@@ -345,7 +329,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	domain, err := numa.NewDomain(c.Topology, c.CostModel)
+	domain, err := numa.NewDomain(c.Topology, numa.DefaultCostModel())
 	if err != nil {
 		return nil, err
 	}
@@ -365,22 +349,6 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	// Device-aware adaptive start level: when the caller left the island
-	// granularity unset and the planner is going to adapt it anyway, seed the
-	// initial level from the granularity scorer's device-aware prediction
-	// instead of the blind socket default — on a scarce layout (single SATA)
-	// the planner would converge there after a few intervals; starting there
-	// skips the detour. A synthetic single-site shape keeps the choice purely
-	// hardware-driven (no workload has been observed yet), and an explicit
-	// IslandLevel is never overridden. This must happen before the initial
-	// placement is derived, which depends on the level.
-	if c.autoIslandLevel && row.adapts == adaptLevel && c.Adaptive && e.devices != nil {
-		shape := core.WorkloadShape{ActionsPerTxn: 10, WritesPerTxn: 1}
-		if best, _ := e.granularityModel().Best(shape, granTieMargin); best.Valid() {
-			c.IslandLevel = best
-		}
-	}
-
 	if c.Tracing {
 		// One worker ring (the run is one goroutine; each span lands on its
 		// coordinator's core track), one island ring per possible island
@@ -408,10 +376,8 @@ func New(cfg Config) (*Engine, error) {
 	if err := e.createTables(placement); err != nil {
 		return nil, err
 	}
-	if !c.SkipLoad {
-		if err := e.loadData(); err != nil {
-			return nil, err
-		}
+	if err := e.loadData(); err != nil {
+		return nil, err
 	}
 	e.wireStructures(placement)
 	if c.Backend == backend.Hash {
@@ -552,7 +518,7 @@ func (e *Engine) createTables(p *partition.Placement) error {
 	var alloc *numa.Placement
 	if e.row.route == routeIsland {
 		var err error
-		alloc, err = numa.NewPlacement(e.cfg.Topology, e.cfg.AllocPolicy, e.cfg.CentralAllocNode)
+		alloc, err = numa.NewPlacement(e.cfg.Topology, e.cfg.AllocPolicy)
 		if err != nil {
 			return err
 		}

@@ -58,7 +58,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Design: Design(42), Workload: workload.SingleRowRead(100), Topology: smallTopology()}); err == nil {
 		t.Error("unknown design should fail")
 	}
-	e := MustNew(Config{Design: ATraPos, Workload: workload.SingleRowRead(100), Topology: smallTopology(), SkipLoad: true})
+	e := MustNew(Config{Design: ATraPos, Workload: workload.SingleRowRead(100), Topology: smallTopology()})
 	if _, err := e.Run(RunOptions{}); err == nil {
 		t.Error("run without a limit should fail")
 	}
@@ -256,12 +256,11 @@ func TestMemoryAllocationPolicies(t *testing.T) {
 	wl := workload.ReadHundred(20000)
 	run := func(policy numa.AllocPolicy) *Result {
 		e := MustNew(Config{
-			Design:           SharedNothing,
-			IslandLevel:      topology.LevelSocket,
-			Workload:         wl,
-			Topology:         smallTopology(),
-			AllocPolicy:      policy,
-			CentralAllocNode: 3,
+			Design:      SharedNothing,
+			IslandLevel: topology.LevelSocket,
+			Workload:    wl,
+			Topology:    smallTopology(),
+			AllocPolicy: policy,
 		})
 		res, err := e.Run(RunOptions{Transactions: 200, Seed: 3})
 		if err != nil {
@@ -426,7 +425,7 @@ func TestAdaptiveSocketFailure(t *testing.T) {
 }
 
 func TestFailSocketUnknown(t *testing.T) {
-	e := MustNew(Config{Design: ATraPos, Workload: workload.SingleRowRead(100), Topology: smallTopology(), SkipLoad: true})
+	e := MustNew(Config{Design: ATraPos, Workload: workload.SingleRowRead(100), Topology: smallTopology()})
 	if err := e.FailSocket(topology.SocketID(99)); err == nil {
 		t.Error("failing an unknown socket should error")
 	}
@@ -436,10 +435,10 @@ func TestDurationDrivenRunProducesSeries(t *testing.T) {
 	wl := workload.SingleRowRead(4000)
 	e := MustNew(Config{Design: ATraPos, Workload: wl, Topology: smallTopology()})
 	res, err := e.Run(RunOptions{
-		Duration:        workload.Seconds(0.02),
-		MaxTransactions: 100000,
-		Seed:            1,
-		SampleWindow:    workload.Seconds(0.005),
+		Duration:     workload.Seconds(0.02),
+		Transactions: 100000,
+		Seed:         1,
+		SampleWindow: workload.Seconds(0.005),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -483,9 +482,7 @@ func TestOversaturationPenalty(t *testing.T) {
 // shows up within short test runs.
 func coreIntervalForTests() core.IntervalConfig {
 	return core.IntervalConfig{
-		Initial:         vclock.Nanos(time.Millisecond),
-		Max:             vclock.Nanos(8 * time.Millisecond),
-		StableThreshold: 0.10,
-		History:         3,
+		Initial: vclock.Nanos(time.Millisecond),
+		Max:     vclock.Nanos(8 * time.Millisecond),
 	}
 }

@@ -246,8 +246,6 @@ func ignoredByExecuted(o RunOptions) string {
 	switch {
 	case o.Duration != 0:
 		return "Duration"
-	case o.MaxTransactions != 0:
-		return "MaxTransactions"
 	case o.SampleWindow != 0:
 		return "SampleWindow"
 	case o.Faults != nil:

@@ -59,7 +59,6 @@ func TestRunExecutedRejectsIgnoredOptions(t *testing.T) {
 		opts  RunOptions
 	}{
 		{"Duration", RunOptions{Transactions: 100, Duration: granWindow}},
-		{"MaxTransactions", RunOptions{Transactions: 100, MaxTransactions: 50}},
 		{"SampleWindow", RunOptions{Transactions: 100, SampleWindow: granWindow}},
 		{"Faults", RunOptions{Transactions: 100, Faults: sched}},
 	} {

@@ -165,7 +165,7 @@ func TestAdaptivePlannerRehomesFailedDevice(t *testing.T) {
 		DeviceLayout: "nvme-per-socket",
 		Adaptive:     true,
 		AdaptiveInterval: core.IntervalConfig{
-			Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5,
+			Initial: granWindow, Max: 4 * granWindow,
 		},
 		TimeCompression: 1000,
 	})
@@ -177,7 +177,7 @@ func TestAdaptivePlannerRehomesFailedDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.Run(RunOptions{
-		Duration: 30 * granWindow, MaxTransactions: 200_000,
+		Duration: 30 * granWindow, Transactions: 200_000,
 		Seed: 7, SampleWindow: granWindow,
 		Faults: sched,
 	})
@@ -217,7 +217,7 @@ func TestAdaptivePlannerReexpandsOnRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.Run(RunOptions{
-		Duration: 40 * granWindow, MaxTransactions: 200_000,
+		Duration: 40 * granWindow, Transactions: 200_000,
 		Seed: 7, SampleWindow: granWindow,
 		Faults: sched,
 	})
@@ -274,7 +274,7 @@ func TestFaultsDuringLevelChanges(t *testing.T) {
 		DeviceLayout: "nvme-per-socket",
 		Adaptive:     true,
 		AdaptiveInterval: core.IntervalConfig{
-			Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5,
+			Initial: granWindow, Max: 4 * granWindow,
 		},
 		TimeCompression: 1000,
 	})
@@ -292,7 +292,7 @@ func TestFaultsDuringLevelChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.Run(RunOptions{
-		Duration: 30 * granWindow, MaxTransactions: 120_000,
+		Duration: 30 * granWindow, Transactions: 120_000,
 		Seed: 13, SampleWindow: granWindow,
 		Faults: sched,
 	})

@@ -30,7 +30,7 @@ func adaptiveGranEngine(t *testing.T, profile string, start topology.Level, wl *
 		Topology:    prof.Build(),
 		Adaptive:    true,
 		AdaptiveInterval: core.IntervalConfig{
-			Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5,
+			Initial: granWindow, Max: 4 * granWindow,
 		},
 		TimeCompression: 1000,
 	})
@@ -90,7 +90,7 @@ func TestAdaptiveGranularityTracksStaticBest(t *testing.T) {
 	half := 30 * granWindow
 	e := adaptiveGranEngine(t, profile, topology.LevelSocket, driftAcrossCrossover(8000, half))
 	res, err := e.Run(RunOptions{
-		Duration: 2 * half, MaxTransactions: 200_000,
+		Duration: 2 * half, Transactions: 200_000,
 		Seed: 7, SampleWindow: granWindow,
 	})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestAdaptiveGranularityPartialPause(t *testing.T) {
 	wl := workload.MultisiteUpdateDrifting(8000, func(vclock.Nanos) int { return 100 })
 	e := adaptiveGranEngine(t, "chiplet-2s4d", topology.LevelDie, wl)
 	res, err := e.Run(RunOptions{
-		Duration: 20 * granWindow, MaxTransactions: 100_000,
+		Duration: 20 * granWindow, Transactions: 100_000,
 		Seed: 7, SampleWindow: granWindow,
 	})
 	if err != nil {
@@ -218,7 +218,6 @@ func TestBuildWiringReuse(t *testing.T) {
 		IslandLevel: topology.LevelSocket,
 		Workload:    workload.MultisiteUpdate(3000, 0),
 		Topology:    top,
-		SkipLoad:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +261,7 @@ func TestAdaptiveGranularityRewiresOffDeadSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.Run(RunOptions{
-		Duration: 30 * granWindow, MaxTransactions: 100_000,
+		Duration: 30 * granWindow, Transactions: 100_000,
 		Seed: 7, SampleWindow: granWindow, Faults: sched,
 	})
 	if err != nil {

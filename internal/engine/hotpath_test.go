@@ -16,7 +16,7 @@ import (
 // whichever entry happened to come first.
 func TestReleaseLocalDedupChargesRecordedOwner(t *testing.T) {
 	wl := workload.SingleRowRead(100)
-	e := MustNew(Config{Design: PLP, Workload: wl, Topology: smallTopology(), SkipLoad: true})
+	e := MustNew(Config{Design: PLP, Workload: wl, Topology: smallTopology()})
 	snap := e.state.snapshot()
 	lm, err := snap.runtime.Locks("mbr", 0)
 	if err != nil {
@@ -48,7 +48,7 @@ func TestReleaseLocalDedupChargesRecordedOwner(t *testing.T) {
 // the socket ring, and keep the core's local index.
 func TestEffectiveCoreWrapsPastDeadSockets(t *testing.T) {
 	top := smallTopology() // 4 sockets x 4 cores
-	e := MustNew(Config{Design: PLP, Workload: workload.SingleRowRead(100), Topology: top, SkipLoad: true})
+	e := MustNew(Config{Design: PLP, Workload: workload.SingleRowRead(100), Topology: top})
 
 	coreOn := func(s topology.SocketID, local int) topology.CoreID {
 		return top.CoresOn(s)[local].ID
@@ -112,7 +112,7 @@ func TestSplitMixSeedDecorrelation(t *testing.T) {
 // list is invalidated by socket failures and restorations mid-run.
 func TestAliveCoreCacheFollowsEpoch(t *testing.T) {
 	top := smallTopology()
-	e := MustNew(Config{Design: PLP, Workload: workload.SingleRowRead(100), Topology: top, SkipLoad: true})
+	e := MustNew(Config{Design: PLP, Workload: workload.SingleRowRead(100), Topology: top})
 	if got := len(e.aliveCores()); got != 16 {
 		t.Fatalf("expected 16 alive cores, got %d", got)
 	}
@@ -134,7 +134,7 @@ func TestAliveCoreCacheFollowsEpoch(t *testing.T) {
 // per-transaction view lags monotonically behind the exact scan and catches
 // up when the run loop notes a core or an exact recomputation runs.
 func TestVirtualNowHighWaterMark(t *testing.T) {
-	e := MustNew(Config{Design: PLP, Workload: workload.SingleRowRead(100), Topology: smallTopology(), SkipLoad: true})
+	e := MustNew(Config{Design: PLP, Workload: workload.SingleRowRead(100), Topology: smallTopology()})
 	e.resetAccounts()
 	e.charge(5, 1, 1000)
 	if now := e.virtualNow(); now != 0 {

@@ -147,7 +147,6 @@ func TestInvalidIslandLevel(t *testing.T) {
 		IslandLevel: topology.Level(42),
 		Workload:    workload.MultisiteUpdate(100, 0),
 		Topology:    smallTopology(),
-		SkipLoad:    true,
 	})
 	if err == nil {
 		t.Fatal("invalid island level should be rejected")

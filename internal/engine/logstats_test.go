@@ -102,7 +102,7 @@ func TestAdaptiveRunLogStatsCumulative(t *testing.T) {
 	half := 30 * granWindow
 	e := adaptiveGranEngine(t, "2s-fc", topology.LevelSocket, driftAcrossCrossover(8000, half))
 	res, err := e.Run(RunOptions{
-		Duration: 2 * half, MaxTransactions: 200_000,
+		Duration: 2 * half, Transactions: 200_000,
 		Seed: 7, SampleWindow: granWindow,
 	})
 	if err != nil {

@@ -100,5 +100,5 @@ func atraposFailRestoreRun(t *testing.T) (Config, RunOptions) {
 			Design: ATraPos, Workload: wl, Topology: top,
 			Adaptive: true, AdaptiveInterval: adaptiveTestInterval, TimeCompression: 1000,
 		},
-		RunOptions{Duration: 30 * granWindow, MaxTransactions: 200_000, Seed: 5, SampleWindow: granWindow, Faults: sched}
+		RunOptions{Duration: 30 * granWindow, Transactions: 200_000, Seed: 5, SampleWindow: granWindow, Faults: sched}
 }

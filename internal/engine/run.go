@@ -17,13 +17,11 @@ import (
 type RunOptions struct {
 	// Transactions is the number of transactions to execute. Either
 	// Transactions or Duration (or both) must be positive; the run stops at
-	// whichever limit is hit first.
+	// whichever limit is hit first. A duration-driven run that sets no count
+	// stops after maxRunTransactions at the latest.
 	Transactions int
 	// Duration stops the run when the engine's virtual time passes it.
 	Duration vclock.Nanos
-	// MaxTransactions caps a duration-driven run as a safety net; zero means
-	// ten million.
-	MaxTransactions int
 	// Workers is a remnant of the goroutine-pool run loop, kept only because
 	// the frozen benchmark module still assigns it: priced and executed runs
 	// ignore it; 0 or 1 is accepted and Run rejects anything larger.
@@ -40,6 +38,10 @@ type RunOptions struct {
 	Faults *fault.Schedule
 }
 
+// maxRunTransactions bounds a duration-driven run that sets no transaction
+// count.
+const maxRunTransactions = 10_000_000
+
 func (o RunOptions) withDefaults() (RunOptions, error) {
 	if o.Transactions <= 0 && o.Duration <= 0 {
 		return o, fmt.Errorf("engine: run needs a transaction count or a duration")
@@ -47,13 +49,8 @@ func (o RunOptions) withDefaults() (RunOptions, error) {
 	if o.Workers > 1 {
 		return o, fmt.Errorf("engine: a run is one goroutine; Workers=%d is not supported (leave it unset)", o.Workers)
 	}
-	if o.MaxTransactions <= 0 {
-		o.MaxTransactions = 10_000_000
-	}
-	if o.Transactions <= 0 || o.Transactions > o.MaxTransactions {
-		if o.Duration > 0 {
-			o.Transactions = o.MaxTransactions
-		}
+	if o.Transactions <= 0 {
+		o.Transactions = maxRunTransactions
 	}
 	if o.SampleWindow <= 0 {
 		o.SampleWindow = vclock.Nanos(time.Second)
@@ -104,8 +101,6 @@ type Result struct {
 	// LevelChanges is the island-level trajectory of the run: one record per
 	// online re-wiring the adaptive-granularity planner executed.
 	LevelChanges []GranularityChange
-	// Interconnect summarizes the traffic counters of the run.
-	Interconnect topology.TrafficStats
 	// QPIToIMCRatio is the interconnect-to-memory-controller traffic ratio.
 	QPIToIMCRatio float64
 	// Log is the write-ahead-log activity of this run (a delta against the
@@ -279,7 +274,6 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 			res.AdaptationCostShare = float64(e.adaptive.adaptCharged) / float64(total)
 		}
 	}
-	res.Interconnect = e.cfg.Topology.Traffic()
 	res.QPIToIMCRatio = e.cfg.Topology.QPIToIMCRatio()
 	res.Log = e.logStats().Sub(logStart)
 	return res, nil

@@ -132,5 +132,5 @@ func syntheticStats(wl *workload.Workload, p *partition.Placement, maxKeys map[s
 			}
 		}
 	}
-	return monitor.Aggregate()
+	return monitor.Seal()
 }

@@ -27,7 +27,7 @@ func tracedDriftEngine(t *testing.T, half vclock.Nanos) *Engine {
 		Topology:    prof.Build(),
 		Adaptive:    true,
 		AdaptiveInterval: core.IntervalConfig{
-			Initial: granWindow, Max: 4 * granWindow, StableThreshold: 0.10, History: 5,
+			Initial: granWindow, Max: 4 * granWindow,
 		},
 		TimeCompression: 1000,
 		Tracing:         true,
@@ -48,7 +48,7 @@ func TestTraceDeterminism(t *testing.T) {
 	runOnce := func() ([]byte, []byte, *Result) {
 		e := tracedDriftEngine(t, half)
 		res, err := e.Run(RunOptions{
-			Duration: 2 * half, MaxTransactions: 200_000,
+			Duration: 2 * half, Transactions: 200_000,
 			Seed: 7, SampleWindow: granWindow,
 		})
 		if err != nil {
@@ -82,7 +82,7 @@ func TestTraceDeterminism(t *testing.T) {
 	// level switched to.
 	e := tracedDriftEngine(t, half)
 	if _, err := e.Run(RunOptions{
-		Duration: 2 * half, MaxTransactions: 200_000,
+		Duration: 2 * half, Transactions: 200_000,
 		Seed: 7, SampleWindow: granWindow,
 	}); err != nil {
 		t.Fatal(err)

@@ -31,10 +31,8 @@ func paperSecond(s float64) vclock.Nanos { return vclock.Nanos(float64(adaptiveW
 func adaptive(cfg engine.Config) engine.Config {
 	cfg.Adaptive = true
 	cfg.AdaptiveInterval = core.IntervalConfig{
-		Initial:         paperSecond(1),
-		Max:             paperSecond(8),
-		StableThreshold: 0.10,
-		History:         5,
+		Initial: paperSecond(1),
+		Max:     paperSecond(8),
 	}
 	cfg.TimeCompression = float64(time.Second) / float64(adaptiveWindow)
 	return cfg
@@ -60,7 +58,7 @@ func staticVsAdaptive(s Scale, wl *workload.Workload, duration vclock.Nanos, fau
 		}
 		opts := s.seriesOptions(duration)
 		opts.Faults = faults
-		if res, err = e.Run(opts); err != nil {
+		if res, err = runSeries(e, opts); err != nil {
 			return nil, nil, err
 		}
 		series[label] = res.Series
@@ -286,7 +284,7 @@ func AblationSubPartitions(s Scale) (*Table, error) {
 			}
 			monitor.RecordAction("Subscriber", schema.KeyFromInt(key), 1000)
 		}
-		stats := monitor.Aggregate()
+		stats := monitor.Seal()
 		planner := core.NewPlanner(model, subs)
 		proposed := planner.ChoosePartitioning(place, stats, maxKeys)
 		ru := model.ResourceUtilization(proposed, stats)

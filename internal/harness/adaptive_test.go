@@ -132,3 +132,41 @@ func TestFig12NeedsASocketToLose(t *testing.T) {
 		t.Error("Fig12 on a one-socket profile should fail: there is no socket to lose")
 	}
 }
+
+// TestSeriesRunStoppedByItsCapErrors: a series run that its transaction count
+// stops before its duration is no measurement, and runSeries says so; the same
+// run left to the engine's own bound reaches its duration.
+func TestSeriesRunStoppedByItsCapErrors(t *testing.T) {
+	s := testScale()
+	wl := workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers, Mix: map[string]float64{workload.TATPGetSubData: 1}})
+	opts := s.seriesOptions(paperSecond(5))
+	for _, limit := range []int{100, 0} {
+		e, err := engine.New(engine.Config{Design: engine.ATraPos, Workload: wl, Topology: s.Topology()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Transactions = limit
+		_, err = runSeries(e, opts)
+		if limit > 0 && (err == nil || !strings.Contains(err.Error(), "stopped at")) {
+			t.Errorf("a run capped at %d transactions: error %v, want one saying where it stopped", limit, err)
+		}
+		if limit == 0 && err != nil {
+			t.Errorf("uncapped run: %v", err)
+		}
+	}
+}
+
+// TestSeriesExperimentsReachTheirDuration: at the quick scale every experiment
+// built on a duration-driven series runs to its duration rather than stopping
+// on a transaction count.
+func TestSeriesExperimentsReachTheirDuration(t *testing.T) {
+	for _, id := range []string{"fig10", "fig11", "fig12", "fig13", "fig-drift", "fig-oscillate", "fig-faults", "fig-adaptive-granularity"} {
+		exp, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s is not registered", id)
+		}
+		if _, err := exp.Run(QuickScale()); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
+	}
+}

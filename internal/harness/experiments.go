@@ -226,10 +226,9 @@ func Table1(s Scale) (*Table, error) {
 	var cols []column
 	for _, policy := range []numa.AllocPolicy{numa.AllocLocal, numa.AllocCentral, numa.AllocRemote} {
 		cols = append(cols, column{label: policy.String(), cfg: engine.Config{
-			Design:           engine.SharedNothing,
-			IslandLevel:      topology.LevelSocket,
-			AllocPolicy:      policy,
-			CentralAllocNode: topology.SocketID(top.Sockets() - 1),
+			Design:      engine.SharedNothing,
+			IslandLevel: topology.LevelSocket,
+			AllocPolicy: policy,
 		}})
 	}
 	return s.listTable(&Table{

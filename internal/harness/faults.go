@@ -93,7 +93,7 @@ func RunFaultTimeline(s Scale) (*FaultTimeline, error) {
 	}
 	opts := s.seriesOptions(paperSecond(60))
 	opts.Faults = sched
-	res, err := e.Run(opts)
+	res, err := runSeries(e, opts)
 	if err != nil {
 		return nil, err
 	}

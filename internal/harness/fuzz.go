@@ -257,7 +257,7 @@ func runScenario(pool *Pool, s Scale, sc fuzzScenario, seed int64) error {
 		return fmt.Errorf("engine: %w", err)
 	}
 	opts := s.seriesOptions(paperSecond(45))
-	opts.MaxTransactions *= sc.txnScale
+	opts.Transactions = 40 * s.Transactions * sc.txnScale
 	opts.Seed, opts.Faults = seed, sc.sched
 	res, err := e.Run(opts)
 	if err != nil {

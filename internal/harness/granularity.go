@@ -88,7 +88,7 @@ func runDrift(s Scale, def string, tracing bool) (*driftRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Run(s.seriesOptions(2 * half))
+	res, err := runSeries(e, s.seriesOptions(2*half))
 	if err != nil {
 		return nil, err
 	}

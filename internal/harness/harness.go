@@ -325,15 +325,30 @@ func (s Scale) run(cfg engine.Config) (*engine.Result, error) {
 }
 
 // seriesOptions are the options of a duration-driven run: the virtual
-// duration, a transaction cap that bounds real runtime, and throughput samples
-// at the compressed one-second window.
+// duration and throughput samples at the compressed one-second window. They
+// set no transaction count, so only the engine's own bound can stop the run
+// short of its duration, which runSeries reports.
 func (s Scale) seriesOptions(duration vclock.Nanos) engine.RunOptions {
 	return engine.RunOptions{
-		Duration:        duration,
-		MaxTransactions: 40 * s.Transactions,
-		Seed:            s.Seed,
-		SampleWindow:    adaptiveWindow,
+		Duration:     duration,
+		Seed:         s.Seed,
+		SampleWindow: adaptiveWindow,
 	}
+}
+
+// runSeries runs a duration-driven series and fails when the run stopped
+// before its duration: a run cut off by its transaction count under-counts
+// windows long before its end, so its series is not a measurement.
+func runSeries(e *engine.Engine, opts engine.RunOptions) (*engine.Result, error) {
+	res, err := e.Run(opts)
+	if err != nil {
+		return nil, err
+	}
+	if res.VirtualTime < opts.Duration {
+		return nil, fmt.Errorf("harness: run stopped at %v of its %v after %d transactions",
+			res.VirtualTime.Duration(), opts.Duration.Duration(), res.Committed+res.Aborted)
+	}
+	return res, nil
 }
 
 func fmtTPS(v float64) string {

@@ -15,7 +15,8 @@ type AllocPolicy int
 const (
 	// AllocLocal allocates each instance's memory on its own socket.
 	AllocLocal AllocPolicy = iota
-	// AllocCentral allocates every instance's memory on one designated socket.
+	// AllocCentral allocates every instance's memory on the last socket, as
+	// the paper does.
 	AllocCentral
 	// AllocRemote allocates each instance's memory on a different remote socket.
 	AllocRemote
@@ -41,19 +42,15 @@ type Placement struct {
 }
 
 // NewPlacement computes the memory node of each socket's data under policy.
-// centralNode is only used by AllocCentral; the paper uses the last socket.
-func NewPlacement(top *topology.Topology, policy AllocPolicy, centralNode topology.SocketID) (*Placement, error) {
+func NewPlacement(top *topology.Topology, policy AllocPolicy) (*Placement, error) {
 	n := top.Sockets()
-	if policy == AllocCentral && (int(centralNode) < 0 || int(centralNode) >= n) {
-		return nil, fmt.Errorf("numa: central node %d out of range [0,%d)", centralNode, n)
-	}
 	p := &Placement{node: make([]topology.SocketID, n)}
 	for s := 0; s < n; s++ {
 		switch policy {
 		case AllocLocal:
 			p.node[s] = topology.SocketID(s)
 		case AllocCentral:
-			p.node[s] = centralNode
+			p.node[s] = topology.SocketID(n - 1)
 		case AllocRemote:
 			// Every instance allocates on a different remote node: shift by
 			// half the machine so instance s never lands on itself.

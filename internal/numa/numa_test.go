@@ -254,7 +254,7 @@ func TestAllocPolicyString(t *testing.T) {
 func TestPlacementPolicies(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 8, CoresPerSocket: 1})
 
-	local, err := NewPlacement(top, AllocLocal, 0)
+	local, err := NewPlacement(top, AllocLocal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestPlacementPolicies(t *testing.T) {
 		}
 	}
 
-	central, err := NewPlacement(top, AllocCentral, 7)
+	central, err := NewPlacement(top, AllocCentral)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestPlacementPolicies(t *testing.T) {
 		}
 	}
 
-	remote, err := NewPlacement(top, AllocRemote, 0)
+	remote, err := NewPlacement(top, AllocRemote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +284,7 @@ func TestPlacementPolicies(t *testing.T) {
 		}
 	}
 
-	if _, err := NewPlacement(top, AllocCentral, 99); err == nil {
-		t.Error("central node out of range should error")
-	}
-	if _, err := NewPlacement(top, AllocPolicy(9), 0); err == nil {
+	if _, err := NewPlacement(top, AllocPolicy(9)); err == nil {
 		t.Error("unknown policy should error")
 	}
 	if n := local.NodeFor(topology.SocketID(-1)); n != 0 {
@@ -299,7 +296,7 @@ func TestPlacementRemoteNeverLocalProperty(t *testing.T) {
 	prop := func(nRaw uint8) bool {
 		n := int(nRaw%10) + 2 // 2..11 sockets
 		top := topology.MustNew(topology.Config{Sockets: n, CoresPerSocket: 1})
-		p, err := NewPlacement(top, AllocRemote, 0)
+		p, err := NewPlacement(top, AllocRemote)
 		if err != nil {
 			return false
 		}

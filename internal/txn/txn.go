@@ -53,9 +53,6 @@ type Txn struct {
 	State  State
 	Core   topology.CoreID
 	Socket topology.SocketID
-	// Reads and Writes count row accesses, for observability.
-	Reads  int
-	Writes int
 	// Distributed marks transactions that span more than one shared-nothing instance.
 	Distributed bool
 }

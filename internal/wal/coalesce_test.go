@@ -128,21 +128,6 @@ func TestCoalesceRecordThresholdFires(t *testing.T) {
 	}
 }
 
-func TestCoalesceByteThresholdFires(t *testing.T) {
-	d := newDomain(1)
-	cfg := coalCfg(1 << 20)
-	cfg.CoalesceBytes = 200
-	l := NewCentralLog(d, 0, cfg)
-	appendTxn(l, 1, 0, Record{Type: Update, Table: "t", Key: 1, Size: 96})
-	if got := l.Stats().PhysicalFlushes; got != 0 {
-		t.Fatalf("PhysicalFlushes = %d, want 0 under the byte threshold", got)
-	}
-	appendTxn(l, 2, 0, Record{Type: Update, Table: "t", Key: 2, Size: 96})
-	if got := l.Stats().PhysicalFlushes; got != 1 {
-		t.Fatalf("PhysicalFlushes = %d, want 1 once buffered bytes cross the threshold", got)
-	}
-}
-
 func TestCoalesceMaxAgeFires(t *testing.T) {
 	d := newDomain(1)
 	cfg := coalCfg(1 << 20)

@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"slices"
 	"testing"
 
 	"atrapos/internal/numa"
 	"atrapos/internal/schema"
 	"atrapos/internal/topology"
+	"atrapos/internal/vclock"
 )
 
 // mapStore is a trivial RowStore for recovery tests.
@@ -98,4 +100,109 @@ func TestRecoverValidation(t *testing.T) {
 	if err != nil || stats.Scanned != 0 {
 		t.Errorf("empty recovery: %+v, %v", stats, err)
 	}
+}
+
+// recoverOp encodes one step of FuzzRecover's stream: bits 0-1 pick one of
+// four transaction slots, bits 2-4 a key of table "t", bits 5-7 the step.
+// Steps below recoverCommit write recoverWrites[step], opening a transaction in
+// the slot if none is open; the others end the slot's transaction.
+func recoverOp(step, key, slot byte) byte { return step<<5 | key<<2 | slot }
+
+var recoverWrites = [...]RecordType{Insert, Update, Delete, Update}
+
+const (
+	recoverCommit  byte = 4 // and 5: the transaction commits
+	recoverAbort   byte = 6 // logs an Abort: a loser
+	recoverAbandon byte = 7 // logs nothing: a loser still in flight at the drain
+)
+
+// replayStream appends the decoded stream to l, flushing each commit as the
+// engine does, and drains the log. Writers hold their keys until their outcome
+// record, as under strict two-phase locking: a write on a key another open
+// transaction wrote is dropped (the lock layer would make it wait), so every
+// key's writes commit in the order they were logged. A transaction abandoned
+// in flight keeps its keys.
+func replayStream(l *CentralLog, data []byte) {
+	var open [4]uint64
+	var owner [8]uint64
+	release := func(txn uint64) {
+		for k, o := range owner {
+			if o == txn {
+				owner[k] = 0
+			}
+		}
+	}
+	next := uint64(1)
+	for i, b := range data {
+		step, key, slot := b>>5, b>>2&7, b&3
+		txn := open[slot]
+		switch {
+		case step < recoverCommit:
+			if owner[key] != 0 && owner[key] != txn {
+				continue
+			}
+			if txn == 0 {
+				txn, next = next, next+1
+				open[slot] = txn
+			}
+			owner[key] = txn
+			l.Append(0, Record{Txn: txn, Type: recoverWrites[step], Table: "t", Key: schema.Key(key), Size: 32})
+			continue
+		case txn == 0: // no transaction open in the slot
+		case step < recoverAbort:
+			lsn, _ := l.Append(0, Record{Txn: txn, Type: Commit, Size: 16})
+			l.Flush(0, lsn, vclock.Nanos(i))
+			release(txn)
+		case step == recoverAbort:
+			l.Append(0, Record{Txn: txn, Type: Abort, Size: 16})
+			release(txn)
+		}
+		open[slot] = 0
+	}
+	l.Drain(vclock.Nanos(len(data)))
+}
+
+// FuzzRecover holds the coalescer to the uncoalesced log: one stream of
+// interleaved transactions, each a few writes on eight keys that end in a
+// commit or stay losers, goes into a coalescing log and into a plain one, and
+// redo recovery must rebuild the same key set from both.
+func FuzzRecover(f *testing.F) {
+	f.Add(uint8(3), []byte(nil))
+	// A winner inserts key 1; a second transaction deletes it and aborts.
+	f.Add(uint8(3), []byte{recoverOp(0, 1, 0), recoverOp(recoverCommit, 0, 0),
+		recoverOp(2, 1, 1), recoverOp(recoverAbort, 0, 1)})
+	// The same, with the loser still in flight at the drain.
+	f.Add(uint8(3), []byte{recoverOp(0, 1, 0), recoverOp(recoverCommit, 0, 0),
+		recoverOp(2, 1, 1), recoverOp(recoverAbandon, 0, 1)})
+	// Interleaved writers, an insert-delete pair netting to a tombstone, and
+	// a one-entry threshold that flushes on every commit.
+	f.Add(uint8(0), []byte{recoverOp(0, 2, 0), recoverOp(1, 2, 1), recoverOp(0, 3, 1), recoverOp(2, 3, 1),
+		recoverOp(recoverCommit, 0, 1), recoverOp(1, 2, 2), recoverOp(recoverCommit, 0, 0), recoverOp(2, 2, 2)})
+	f.Fuzz(func(t *testing.T, coalesce uint8, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		threshold := 1 + int(coalesce%8)
+		plainCfg := DefaultConfig()
+		plainCfg.Keep = 0
+		plain := NewCentralLog(nil, 0, plainCfg)
+		coal := NewCentralLog(nil, 0, coalCfg(threshold))
+		replayStream(plain, data)
+		replayStream(coal, data)
+		keys := func(l *CentralLog) []schema.Key {
+			store := newMapStore()
+			if _, err := Recover(l.Records(), l.Durable(), false, map[string]RowStore{"t": store}); err != nil {
+				t.Fatal(err)
+			}
+			out := make([]schema.Key, 0, len(store.rows))
+			for k := range store.rows {
+				out = append(out, k)
+			}
+			slices.Sort(out)
+			return out
+		}
+		if got, want := keys(coal), keys(plain); !slices.Equal(got, want) {
+			t.Fatalf("coalesced log (threshold %d) recovered keys %v, plain log %v", threshold, got, want)
+		}
+	})
 }

@@ -104,16 +104,12 @@ type Config struct {
 	// write records of committing transactions land in a (table, key)-keyed
 	// buffer in front of the log where overwrites and self-canceling pairs
 	// collapse to net deltas, and a physical flush is issued once the
-	// accumulator holds this many net entries (or a byte/age condition below
+	// accumulator holds this many net entries (or the age condition below
 	// fires) instead of every GroupSize-th commit. Commits between physical
 	// flushes ride along as before but are not acknowledged as durable until
 	// the flush epoch holding their last record is written out. Zero disables
 	// coalescing and reproduces the record-per-write cost model bit for bit.
 	CoalesceRecords int
-	// CoalesceBytes optionally adds a byte threshold: a physical flush is
-	// issued once the buffered net-entry and control bytes reach it. Zero
-	// means no byte condition.
-	CoalesceBytes int
 	// CoalesceMaxAge optionally bounds, in virtual time, how long a flush
 	// epoch may stay open: a commit arriving after the deadline forces the
 	// physical flush even when the record threshold has not been reached, so
@@ -400,7 +396,6 @@ func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.
 			c.epochStart = now
 		}
 		full := len(c.entries) >= l.cfg.CoalesceRecords ||
-			(l.cfg.CoalesceBytes > 0 && c.bytes+l.pendingBytes >= l.cfg.CoalesceBytes) ||
 			(l.cfg.CoalesceMaxAge > 0 && now-c.epochStart >= l.cfg.CoalesceMaxAge)
 		if full {
 			cost += l.physicalFlush(now, false)
