@@ -5,7 +5,11 @@
 // worker thread that owns it (Section III-A, "PLP").
 package btree
 
-import "atrapos/internal/schema"
+import (
+	"slices"
+
+	"atrapos/internal/schema"
+)
 
 // degree is the minimum fan-out of internal nodes. Leaves hold up to
 // 2*degree-1 entries.
@@ -48,48 +52,55 @@ func (t *Tree) get(key schema.Key, f fences) (schema.Row, bool) {
 	return n.values[i], true
 }
 
-// Insert stores value under key, replacing any previous value. It reports
-// whether a new key was inserted (false means an existing key was updated).
-func (t *Tree) Insert(key schema.Key, value schema.Row) bool {
-	r := t.root
-	if len(r.keys) == maxKeys() {
-		newRoot := &node{children: []*node{r}}
-		splitChild(newRoot, 0)
-		t.root = newRoot
-		r = newRoot
+// Insert stores value under key unless key is present, and reports whether it
+// did: an existing key keeps its row. It descends once, and a second time,
+// splitting, only when key is absent and its leaf is full.
+func (t *Tree) Insert(key schema.Key, value schema.Row) bool { return t.insert(key, value, fences{}) }
+
+func (t *Tree) insert(key schema.Key, value schema.Row, f fences) bool {
+	n, i, ok := find(t.root, key, f)
+	if ok {
+		return false
 	}
-	inserted := insertNonFull(r, key, value)
-	if inserted {
-		t.size++
+	if len(n.keys) == maxKeys() {
+		n, i = t.splitDown(key, f)
 	}
-	return inserted
+	n.keys = slices.Insert(n.keys, i, key)
+	n.values = slices.Insert(n.values, i, value)
+	t.size++
+	return true
 }
 
 func maxKeys() int { return 2*degree - 1 }
 
-func insertNonFull(n *node, key schema.Key, value schema.Row) bool {
-	if n.leaf {
-		_, i, ok := find(n, key, fences{})
-		if ok {
-			n.values[i] = value
-			return false
-		}
-		n.keys = append(n.keys, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.values = append(n.values, nil)
-		copy(n.values[i+1:], n.values[i:])
-		n.values[i] = value
-		return true
+// splitDown descends again, fenced by f, to the full leaf an absent key goes
+// to, splitting the root and every full child on the way as a top-down B-tree
+// insert does, and returns the leaf the key now goes to and its position.
+// Only an insert that will add a key splits, so a duplicate changes nothing.
+func (t *Tree) splitDown(key schema.Key, f fences) (*node, int) {
+	n := t.root
+	if len(n.keys) == maxKeys() {
+		t.root = &node{children: []*node{n}}
+		splitChild(t.root, 0)
+		n = t.root
 	}
-	i := childIndex(n.keys, key, 0, 0)
-	if len(n.children[i].keys) == maxKeys() {
-		splitChild(n, i)
-		if key >= n.keys[i] {
-			i++
+	for !n.leaf {
+		i := childIndex(n.keys, key, f.lo, f.hi)
+		if len(n.children[i].keys) == maxKeys() {
+			splitChild(n, i)
+			if key >= n.keys[i] {
+				i++
+			}
 		}
+		if i > 0 {
+			f.lo = n.keys[i-1]
+		}
+		if i < len(n.keys) {
+			f.hi = n.keys[i]
+		}
+		n = n.children[i]
 	}
-	return insertNonFull(n.children[i], key, value)
+	return n, search(n.keys, key, f.lo, f.hi)
 }
 
 // splitChild splits the full child at index i of parent p.

@@ -59,7 +59,7 @@ func TestInsertGetSequential(t *testing.T) {
 	}
 }
 
-func TestInsertRandomAndOverwrite(t *testing.T) {
+func TestInsertRandomAndDuplicate(t *testing.T) {
 	tr := New()
 	rng := rand.New(rand.NewSource(7))
 	keys := rng.Perm(3000)
@@ -69,16 +69,49 @@ func TestInsertRandomAndOverwrite(t *testing.T) {
 	if tr.Len() != 3000 {
 		t.Fatalf("Len = %d, want 3000", tr.Len())
 	}
-	// Overwrites do not change the size.
+	// A duplicate insert changes neither the size nor the row.
 	if tr.Insert(schema.KeyFromInt(42), row(999)) {
-		t.Error("overwrite should report update, not insert")
+		t.Error("a duplicate insert reported an insert")
 	}
 	if tr.Len() != 3000 {
-		t.Errorf("Len changed on overwrite: %d", tr.Len())
+		t.Errorf("Len changed on a duplicate insert: %d", tr.Len())
 	}
 	v, _ := tr.Get(schema.KeyFromInt(42))
-	if v[0].(int64) != 999 {
-		t.Errorf("overwritten value = %v", v)
+	if v[0].(int64) != 42 {
+		t.Errorf("row after a duplicate insert = %v, want 42", v)
+	}
+}
+
+// TestInsertInRejectsDuplicates inserts keys of a multi-rooted tree a second
+// time, through InsertIn's fenced descent, after the first pass has filled
+// and split its nodes: each duplicate must report no insert and leave the row
+// and the structure as they were, full nodes unsplit.
+func TestInsertInRejectsDuplicates(t *testing.T) {
+	m, _ := NewMultiRooted(UniformBounds(20000, 5))
+	rng := rand.New(rand.NewSource(3))
+	keys := rng.Perm(20000)
+	for _, k := range keys {
+		if !m.InsertIn(m.PartitionFor(schema.Key(k)), schema.Key(k), row(int64(k))) {
+			t.Fatalf("first insert of %d reported a duplicate", k)
+		}
+	}
+	leaves, height := checkMultiRooted(t, m)
+	for _, k := range keys[:5000] {
+		if m.InsertIn(m.PartitionFor(schema.Key(k)), schema.Key(k), row(-1)) {
+			t.Fatalf("duplicate insert of %d reported an insert", k)
+		}
+	}
+	if l, h := checkMultiRooted(t, m); l != leaves || h != height {
+		t.Fatalf("duplicate inserts reshaped the tree: %d leaves, height %d; was %d, %d", l, h, leaves, height)
+	}
+	if m.Len() != 20000 {
+		t.Fatalf("Len = %d after duplicate inserts, want 20000", m.Len())
+	}
+	_, vals := scanAll(m.Scan)
+	for i, v := range vals {
+		if v != int64(i) {
+			t.Fatalf("row %d = %d after duplicate inserts", i, v)
+		}
 	}
 }
 
@@ -177,8 +210,9 @@ func TestScanAndAscend(t *testing.T) {
 
 // TestLargestKeyIsAnEntry: a row stored under ^schema.Key(0), the key
 // schema.KeyFromString gives any string that opens with eight 0xFF bytes, is
-// found, overwritten, visited by Ascend and deleted like any other, in a
-// one-leaf tree, a multi-level one and the last partition of a multi-rooted one.
+// found, kept against a duplicate insert, visited by Ascend and deleted like
+// any other, in a one-leaf tree, a multi-level one and the last partition of a
+// multi-rooted one.
 func TestLargestKeyIsAnEntry(t *testing.T) {
 	top := schema.KeyFromString("\xff\xff\xff\xff\xff\xff\xff\xff-subscriber")
 	if top != ^schema.Key(0) {
@@ -192,9 +226,9 @@ func TestLargestKeyIsAnEntry(t *testing.T) {
 			m.Insert(schema.Key(i), row(int64(i)))
 		}
 		if !tr.Insert(top, row(-1)) || tr.Insert(top, row(-2)) || !m.Insert(top, row(-2)) {
-			t.Fatalf("%d rows: inserting the largest key twice did not insert, then overwrite", n)
+			t.Fatalf("%d rows: inserting the largest key twice did not insert, then refuse", n)
 		}
-		if v, ok := tr.Get(top); !ok || v[0].(int64) != -2 || tr.Len() != n+1 {
+		if v, ok := tr.Get(top); !ok || v[0].(int64) != -1 || tr.Len() != n+1 {
 			t.Fatalf("%d rows: Get(top) = %v, %v; Len %d", n, v, ok, tr.Len())
 		}
 		if v, ok := m.Get(top); !ok || v[0].(int64) != -2 || m.PartitionFor(top) != m.NumPartitions()-1 {
@@ -223,8 +257,13 @@ func TestTreeMatchesMapProperty(t *testing.T) {
 			k := schema.KeyFromInt(int64(op % 64))
 			switch {
 			case op%3 == 0:
-				tr.Insert(k, row(int64(op)))
-				ref[k] = int64(op)
+				_, had := ref[k]
+				if tr.Insert(k, row(int64(op))) == had {
+					return false
+				}
+				if !had {
+					ref[k] = int64(op)
+				}
 			case op%3 == 1:
 				delete(ref, k)
 				tr.Delete(k)

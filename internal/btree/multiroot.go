@@ -108,14 +108,15 @@ func (m *MultiRooted) GetIn(p int, key schema.Key) (schema.Row, bool) {
 	return m.roots[p].get(key, m.fences(p))
 }
 
-// Insert stores value under key in the owning partition.
+// Insert stores value under key in the owning partition unless key is
+// present, and reports whether it did.
 func (m *MultiRooted) Insert(key schema.Key, value schema.Row) bool {
 	return m.InsertIn(m.PartitionFor(key), key, value)
 }
 
 // InsertIn is Insert for a caller that has resolved key's partition p already.
 func (m *MultiRooted) InsertIn(p int, key schema.Key, value schema.Row) bool {
-	return m.roots[p].Insert(key, value)
+	return m.roots[p].insert(key, value, m.fences(p))
 }
 
 // Update applies fn to the row under key in the owning partition.

@@ -212,10 +212,9 @@ func (t *Table) Insert(from topology.CoreID, key schema.Key, row schema.Row) (nu
 // InsertIn is Insert for a caller that has resolved key's partition p already.
 func (t *Table) InsertIn(p int, from topology.CoreID, key schema.Key, row schema.Row) (numa.Cost, error) {
 	cost := t.accessCost(from, p, row.Size())
-	if _, exists := t.tree.GetIn(p, key); exists {
+	if !t.tree.InsertIn(p, key, row) {
 		return cost, ErrDuplicate
 	}
-	t.tree.InsertIn(p, key, row)
 	t.avgRowBytes = nextAvgRowBytes(t.avgRowBytes, row.Size())
 	return cost + t.domain.Model.LocalAccess, nil
 }

@@ -86,8 +86,10 @@ func TestRowOperations(t *testing.T) {
 	if err != nil || cost <= 0 {
 		t.Fatalf("Insert cost %d err %v", cost, err)
 	}
-	if _, err := tbl.Insert(0, key, row); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("duplicate insert err = %v", err)
+	// A duplicate pays the probe without the local write and keeps the row.
+	dupCost, err := tbl.Insert(0, key, schema.Row{int64(10), int64(7)})
+	if !errors.Is(err, ErrDuplicate) || dupCost != cost-m.domain.Model.LocalAccess {
+		t.Errorf("duplicate insert: cost %d err %v, want %d and ErrDuplicate", dupCost, err, cost-m.domain.Model.LocalAccess)
 	}
 	got, cost, err := tbl.Read(0, key)
 	if err != nil || cost <= 0 {

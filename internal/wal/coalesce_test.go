@@ -2,8 +2,11 @@ package wal
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"atrapos/internal/device"
 	"atrapos/internal/numa"
 	"atrapos/internal/schema"
 	"atrapos/internal/topology"
@@ -385,5 +388,322 @@ func TestPartitionedLogDrainAndStats(t *testing.T) {
 	st := p.Stats()
 	if st.Appends != 4 || st.LogicalRecords != 2 || st.PhysicalFlushes != 2 {
 		t.Fatalf("aggregated stats = %+v", st)
+	}
+}
+
+// refLog is the map-based coalescing log this package had before the
+// net-delta index became a stamped slot array: a staging map per transaction,
+// a (table, key) map into the entries, and leftovers sorted by first LSN at a
+// drain. It is FuzzCoalescer's oracle. It keeps every record it writes, prices
+// appends and flushes without a tail line, like a log built with a nil domain,
+// and implements only the coalescing paths.
+type refLog struct {
+	cfg          Config
+	next         LSN
+	durable      LSN
+	pendingBytes int
+	recs         []Record
+	st           Stats
+
+	staging    map[uint64][]Record
+	entries    []Record
+	index      map[refCoalKey]int
+	bytes      int
+	epochStart vclock.Nanos
+}
+
+type refCoalKey struct {
+	table string
+	key   schema.Key
+}
+
+func newRefLog(cfg Config) *refLog {
+	return &refLog{cfg: cfg, next: 1, staging: map[uint64][]Record{},
+		index: map[refCoalKey]int{}, epochStart: -1}
+}
+
+func (r *refLog) write(rec Record) {
+	r.st.PhysicalRecords++
+	r.recs = append(r.recs, rec)
+}
+
+func (r *refLog) Append(rec Record) (LSN, numa.Cost) {
+	cost := numa.Cost(rec.Size) * r.cfg.PerByteCost
+	rec.LSN = r.next
+	r.next++
+	r.st.Appends++
+	if isWriteType(rec.Type) {
+		r.st.LogicalRecords++
+		r.staging[rec.Txn] = append(r.staging[rec.Txn], rec)
+		return rec.LSN, cost
+	}
+	if rec.Type == Commit || rec.Type == EndOfDistributed {
+		recs := r.staging[rec.Txn]
+		delete(r.staging, rec.Txn)
+		for _, w := range recs {
+			r.merge(w)
+		}
+	}
+	r.pendingBytes += rec.Size
+	r.write(rec)
+	return rec.LSN, cost
+}
+
+func (r *refLog) merge(w Record) {
+	k := refCoalKey{w.Table, w.Key}
+	i, ok := r.index[k]
+	if !ok {
+		r.index[k] = len(r.entries)
+		r.entries = append(r.entries, w)
+		r.bytes += w.Size
+		return
+	}
+	e := &r.entries[i]
+	r.st.CoalescedRecords++
+	e.Txn, e.LSN = w.Txn, w.LSN
+	if w.Type != NoopWrite {
+		r.bytes += w.Size - e.Size
+		e.Type, e.Size = w.Type, w.Size
+	}
+}
+
+func (r *refLog) Flush(lsn LSN, now vclock.Nanos) numa.Cost {
+	if lsn <= r.durable {
+		return 0
+	}
+	if r.epochStart < 0 {
+		r.epochStart = now
+	}
+	if len(r.entries) >= r.cfg.CoalesceRecords ||
+		(r.cfg.CoalesceMaxAge > 0 && now-r.epochStart >= r.cfg.CoalesceMaxAge) {
+		cost := r.physicalFlush(now, false)
+		r.durable = r.next - 1
+		return cost
+	}
+	r.st.RideAlongFlushes++
+	if r.cfg.Device != nil {
+		return r.cfg.Device.Service(0) / numa.Cost(r.cfg.GroupSize)
+	}
+	return r.cfg.FlushCost / numa.Cost(r.cfg.GroupSize)
+}
+
+func (r *refLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
+	bytes := r.pendingBytes + r.bytes
+	r.pendingBytes = 0
+	for _, e := range r.entries {
+		r.write(e)
+	}
+	r.entries = r.entries[:0]
+	clear(r.index)
+	r.bytes = 0
+	r.epochStart = -1
+	if leftovers {
+		var rest [][]Record
+		for _, recs := range r.staging {
+			rest = append(rest, recs)
+		}
+		sort.Slice(rest, func(i, j int) bool { return rest[i][0].LSN < rest[j][0].LSN })
+		for _, recs := range rest {
+			for _, w := range recs {
+				bytes += w.Size
+				r.write(w)
+			}
+		}
+		clear(r.staging)
+	}
+	r.st.PhysicalFlushes++
+	r.st.PhysicalBytes += int64(bytes)
+	if r.cfg.Device != nil {
+		return r.cfg.Device.Flush(now, bytes)
+	}
+	return r.cfg.FlushCost
+}
+
+func (r *refLog) Drain(now vclock.Nanos) numa.Cost {
+	if len(r.entries) == 0 && len(r.staging) == 0 && r.pendingBytes == 0 && r.durable == r.next-1 {
+		return 0
+	}
+	cost := r.physicalFlush(now, true)
+	r.durable = r.next - 1
+	return cost
+}
+
+// Records returns the last Keep records written (all of them if Keep is 0).
+func (r *refLog) Records() []Record {
+	if r.cfg.Keep > 0 && len(r.recs) > r.cfg.Keep {
+		return r.recs[len(r.recs)-r.cfg.Keep:]
+	}
+	return r.recs
+}
+
+// coalTables are FuzzCoalescer's table names; key k exists in each of them.
+var coalTables = [...]string{"subscriber", "call_forwarding", "t"}
+
+// coalOp encodes one step of FuzzCoalescer's stream as two bytes. The first
+// holds the kind (bits 0-2), a transaction slot (bits 3-4) and, for a write,
+// its record type (bits 5-6). The second is a write's row — table arg%3, key
+// arg/3 — and any other step's advance of the virtual clock.
+func coalOp(kind, slot, typ, arg byte) []byte { return []byte{typ<<5 | slot<<3 | kind, arg} }
+
+// coalRow is the second byte of a write to key of coalTables[table].
+func coalRow(table, key byte) byte { return 3*key + table }
+
+// FuzzCoalescer's step kinds; kinds below coalCommit write a row.
+const (
+	coalCommit   byte = 3 // Commit, then a flush of the tail
+	coalEnd      byte = 4 // EndOfDistributed, then a flush of the tail
+	coalAbort    byte = 5 // Abort: the slot's transaction is a loser
+	coalPrepare  byte = 6 // Prepare, then a flush; the transaction stays open
+	coalFlushOrD byte = 7 // a flush of the tail, or a drain when arg%4 == 0
+)
+
+var (
+	coalWrites   = [...]RecordType{Update, Insert, Delete, NoopWrite}
+	coalControls = [...]RecordType{Commit, EndOfDistributed, Abort, Prepare}
+)
+
+// FuzzCoalescer holds the coalescing log to the map-based reference: one
+// stream of interleaved transactions over three tables, with control records,
+// flushes at an advancing clock and drains, goes into both, and every LSN,
+// returned cost, durable point, Stats and the retained records must match.
+func FuzzCoalescer(f *testing.F) {
+	var oneKeyTwoTables, wideEpoch, manyEpochs, loserAcrossFlush []byte
+	// Key 5 is written in two tables by one transaction; a second transaction
+	// updates it in the second table only, which must merge there.
+	oneKeyTwoTables = slices.Concat(
+		coalOp(0, 0, 1, coalRow(0, 5)), coalOp(0, 0, 1, coalRow(1, 5)), coalOp(coalCommit, 0, 0, 1),
+		coalOp(0, 1, 0, coalRow(1, 5)), coalOp(0, 1, 3, coalRow(2, 5)), coalOp(coalCommit, 1, 0, 1),
+		coalOp(0, 2, 2, coalRow(0, 5)), coalOp(coalEnd, 2, 0, 1), coalOp(coalFlushOrD, 0, 0, 0))
+	// One transaction writes 60 distinct rows into one epoch: the index grows
+	// from 16 slots while entries are live.
+	for k := byte(0); k < 60; k++ {
+		wideEpoch = append(wideEpoch, coalOp(0, 0, k%4, coalRow(k%3, k/3))...)
+	}
+	wideEpoch = append(wideEpoch, coalOp(coalCommit, 0, 0, 1)...)
+	for k := byte(0); k < 60; k += 7 {
+		wideEpoch = append(wideEpoch, coalOp(0, 1, 0, coalRow(k%3, k/3))...)
+	}
+	wideEpoch = append(wideEpoch, coalOp(coalCommit, 1, 0, 2)...)
+	// 511 flush epochs at a one-entry threshold: a ten-row transaction opens
+	// every 255th, one-row transactions fill the rest. The stamp wraps twice,
+	// each time right before ten rows probe the slots the first epoch stamped.
+	for i := 0; i < 511; i++ {
+		if i%255 == 0 {
+			for k := byte(0); k < 10; k++ {
+				manyEpochs = append(manyEpochs, coalOp(0, 0, k%4, coalRow(k%3, k))...)
+			}
+		} else {
+			manyEpochs = append(manyEpochs, coalOp(0, 0, byte(i%3), coalRow(2, 40))...)
+		}
+		manyEpochs = append(manyEpochs, coalOp(coalCommit, 0, 0, 1)...)
+	}
+	// A loser stays open while another transaction commits and flushes, then
+	// writes again and is drained.
+	loserAcrossFlush = slices.Concat(
+		coalOp(0, 0, 1, coalRow(0, 1)), coalOp(0, 1, 0, coalRow(0, 2)), coalOp(0, 1, 0, coalRow(0, 1)),
+		coalOp(coalCommit, 1, 0, 3), coalOp(0, 0, 2, coalRow(1, 1)), coalOp(coalPrepare, 0, 0, 1),
+		coalOp(0, 2, 0, coalRow(2, 3)), coalOp(coalAbort, 2, 0, 1), coalOp(coalFlushOrD, 0, 0, 4))
+	f.Add(uint8(79), uint8(0), uint8(0), false, oneKeyTwoTables)
+	f.Add(uint8(0), uint8(0), uint8(0), true, oneKeyTwoTables)
+	f.Add(uint8(79), uint8(0), uint8(0), false, wideEpoch)
+	f.Add(uint8(0), uint8(0), uint8(40), true, manyEpochs)
+	f.Add(uint8(7), uint8(0), uint8(0), false, loserAcrossFlush)
+	f.Add(uint8(0), uint8(2), uint8(5), true, loserAcrossFlush)
+	f.Fuzz(func(t *testing.T, records, age, keep uint8, withDevice bool, data []byte) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		cfg := DefaultConfig()
+		cfg.CoalesceRecords = 1 + int(records%80)
+		cfg.CoalesceMaxAge = 4 * vclock.Nanos(age)
+		cfg.Keep = int(keep % 48)
+		refCfg := cfg
+		if withDevice {
+			spec := device.Spec{Class: "sata", FlushLatency: 9000, PerByteCost: 2}
+			cfg.Device, refCfg.Device = device.New(spec), device.New(spec)
+		}
+		l, ref := NewCentralLog(nil, 0, cfg), newRefLog(refCfg)
+		var open [4]uint64
+		next, now := uint64(1), vclock.Nanos(0)
+		txnOf := func(slot byte) uint64 {
+			if open[slot] == 0 {
+				open[slot], next = next, next+1
+			}
+			return open[slot]
+		}
+		check := func(i int, what string, got, want numa.Cost) {
+			t.Helper()
+			if got != want {
+				t.Fatalf("op %d %s: cost %d, reference %d", i/2, what, got, want)
+			}
+			if l.Durable() != ref.durable || l.Stats() != ref.st {
+				t.Fatalf("op %d %s: durable %d stats %+v, reference %d %+v", i/2, what, l.Durable(), l.Stats(), ref.durable, ref.st)
+			}
+		}
+		control := func(i int, rec Record) {
+			lsn, cost := l.Append(0, rec)
+			rlsn, rcost := ref.Append(rec)
+			if lsn != rlsn {
+				t.Fatalf("op %d %v: LSN %d, reference %d", i/2, rec.Type, lsn, rlsn)
+			}
+			check(i, rec.Type.String(), cost, rcost)
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			kind, slot, typ, arg := data[i]&7, data[i]>>3&3, data[i]>>5&3, data[i+1]
+			if kind < coalCommit {
+				control(i, Record{Txn: txnOf(slot), Type: coalWrites[typ], Table: coalTables[arg%3], Key: schema.Key(arg / 3), Size: 24 + 8*int(typ)})
+				continue
+			}
+			now += vclock.Nanos(arg)
+			switch {
+			case kind == coalFlushOrD && arg%4 == 0:
+				check(i, "drain", l.Drain(now), ref.Drain(now))
+				open = [4]uint64{}
+				continue
+			case kind < coalFlushOrD:
+				control(i, Record{Txn: txnOf(slot), Type: coalControls[kind-coalCommit], Size: 48})
+				if kind != coalPrepare {
+					open[slot] = 0
+				}
+				if kind == coalAbort {
+					continue
+				}
+			}
+			check(i, "flush", l.Flush(0, l.Tail(), now), ref.Flush(ref.next-1, now))
+		}
+		check(len(data), "final drain", l.Drain(now+1), ref.Drain(now+1))
+		if got, want := l.Records(), ref.Records(); !slices.Equal(got, want) {
+			t.Fatalf("retained records differ:\n got %v\nwant %v", got, want)
+		}
+	})
+}
+
+// TestCoalescingLogSteadyStateAllocatesNothing runs a warmed coalescing log
+// through a cycle of staged writes, a ride-along commit, an overwrite and a
+// commit whose flush goes physical: none of it may allocate.
+func TestCoalescingLogSteadyStateAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CoalesceRecords = 4
+	l := NewCentralLog(newDomain(1), 0, cfg)
+	txn := uint64(0)
+	cycle := func() {
+		for _, keys := range [][]schema.Key{{1, 2}, {1, 3, 4}} {
+			txn++
+			for _, k := range keys {
+				l.Append(0, Record{Txn: txn, Type: Update, Table: "t", Key: k, Size: 96})
+			}
+			lsn, _ := l.Append(0, Record{Txn: txn, Type: Commit, Size: 48})
+			l.Flush(0, lsn, vclock.Nanos(txn))
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	before := l.Stats()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a steady-state coalescing cycle allocates %.1f times", allocs)
+	}
+	if d := l.Stats().Sub(before); d.PhysicalFlushes != 101 || d.RideAlongFlushes != 101 || d.CoalescedRecords != 101 {
+		t.Fatalf("cycle did not ride along, coalesce and flush once each: %+v", d)
 	}
 }

@@ -9,7 +9,8 @@ package wal
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"atrapos/internal/device"
 	"atrapos/internal/numa"
@@ -146,8 +147,9 @@ type CentralLog struct {
 	// flush; a device-bound flush writes them out and pays their bandwidth.
 	pendingBytes int
 	// Retained records live in a fixed-capacity ring so the append hot path
-	// never allocates: ring[(start+i)%len(ring)] for i in [0,count) are the
-	// most recent records, oldest first. With Keep == 0 the ring grows
+	// never allocates: ring[start:count] then ring[:start] are the most recent
+	// records, oldest first (start moves once the ring is full, wrapping by a
+	// comparison, not a division). With Keep == 0 the ring grows
 	// without bound instead (recovery tests rely on a complete log).
 	ring  []Record
 	start int
@@ -180,13 +182,6 @@ type CentralLog struct {
 	_ [64]byte
 }
 
-// coalKey identifies one net-delta accumulator entry: the row the collapsed
-// records describe.
-type coalKey struct {
-	table string
-	key   schema.Key
-}
-
 // coalescer is the per-log write-combining accumulator. Write records stage
 // per transaction first and fold into the shared (table, key)-keyed net-delta
 // buffer only when their transaction's outcome record (Commit or
@@ -197,17 +192,23 @@ type coalKey struct {
 // verbatim and unmerged, where recovery classifies them by the absence of a
 // commit record exactly as it would have without coalescing.
 type coalescer struct {
-	staging map[uint64][]Record
-	// free recycles staged record slices so the steady state stays
-	// allocation-free once per-transaction capacities have warmed up.
-	free [][]Record
+	// open holds the staged writes of the transactions without an outcome
+	// here, in order of their first LSN: one at a time plus losers on a priced
+	// log, the few its executor interleaves on an executed one, so a scan from
+	// the end finds the writer. A folded transaction's slice is parked past
+	// the end for the next transaction to open.
+	open []staged
 
 	// entries is the committed net-delta buffer in fold order (insertion
-	// order, so flushes drain deterministically); index maps a row to its
-	// entry. bytes is the summed Size of the entries.
+	// order, so flushes drain deterministically); bytes is their summed Size.
 	entries []Record
-	index   map[coalKey]int
 	bytes   int
+	// slots indexes entries by (table, key): a power-of-two, linearly probed
+	// array whose slots count only when stamped with the open flush epoch's
+	// stamp, so a physical flush empties the index by bumping the stamp.
+	slots []slot
+	stamp uint8
+	shift uint8
 
 	// epochStart is the virtual time the open flush epoch started at (the
 	// first commit flushed after the previous physical flush); -1 while the
@@ -218,44 +219,60 @@ type coalescer struct {
 	coalesced int64
 }
 
+// staged is one open transaction's write records, oldest first.
+type staged struct {
+	txn  uint64
+	recs []Record
+}
+
+// slot is one index slot: entries[pos], if stamp is the open epoch's.
+type slot struct {
+	stamp uint8
+	pos   int32
+}
+
 func newCoalescer() *coalescer {
-	return &coalescer{
-		staging:    make(map[uint64][]Record),
-		index:      make(map[coalKey]int),
-		epochStart: -1,
-	}
+	return &coalescer{stamp: 1, epochStart: -1}
 }
 
-// takeSlice returns a recycled staged-record slice, or nil (append grows it).
-func (c *coalescer) takeSlice() []Record {
-	if n := len(c.free); n > 0 {
-		s := c.free[n-1]
-		c.free = c.free[:n-1]
-		return s
+// find returns the index of txn's open entry, or -1.
+func (c *coalescer) find(txn uint64) int {
+	for i := len(c.open) - 1; i >= 0; i-- {
+		if c.open[i].txn == txn {
+			return i
+		}
 	}
-	return nil
+	return -1
 }
 
-func (c *coalescer) putSlice(s []Record) {
-	if cap(s) == 0 {
-		return
+// stage adds a write record to its transaction's open entry, opening one on
+// the transaction's first write.
+func (c *coalescer) stage(r Record) {
+	i := c.find(r.Txn)
+	if i < 0 {
+		i = len(c.open)
+		c.open = slices.Grow(c.open, 1)[:i+1]
+		c.open[i].txn, c.open[i].recs = r.Txn, c.open[i].recs[:0]
 	}
-	c.free = append(c.free, s[:0])
+	c.open[i].recs = append(c.open[i].recs, r)
 }
 
 // fold merges the staged records of a transaction that just logged its
 // outcome into the net-delta buffer, oldest first, so intra-transaction
 // self-canceling pairs collapse on the spot.
 func (c *coalescer) fold(txn uint64) {
-	recs, ok := c.staging[txn]
-	if !ok {
+	i := c.find(txn)
+	if i < 0 {
 		return
 	}
-	delete(c.staging, txn)
-	for i := range recs {
-		c.merge(recs[i])
+	s := c.open[i]
+	for j := range s.recs {
+		c.merge(&s.recs[j])
 	}
-	c.putSlice(recs)
+	last := len(c.open) - 1
+	copy(c.open[i:], c.open[i+1:])
+	c.open[last] = s
+	c.open = c.open[:last]
 }
 
 // merge applies one committed write record to the net-delta buffer. The entry
@@ -264,23 +281,50 @@ func (c *coalescer) fold(txn uint64) {
 // tombstone — redo of a missing-key delete is a no-op, so emitting the
 // tombstone is always safe — and vice versa), while a NoopWrite is absorbed
 // without changing what redo will re-establish.
-func (c *coalescer) merge(r Record) {
-	k := coalKey{table: r.Table, key: r.Key}
-	if i, ok := c.index[k]; ok {
-		e := &c.entries[i]
-		c.coalesced++
-		e.Txn = r.Txn
-		e.LSN = r.LSN
-		if r.Type != NoopWrite {
-			c.bytes += r.Size - e.Size
-			e.Type = r.Type
-			e.Size = r.Size
-		}
+func (c *coalescer) merge(r *Record) {
+	if 2*len(c.entries) >= len(c.slots) {
+		c.grow()
+	}
+	s := c.slotFor(r)
+	if s.stamp != c.stamp {
+		*s = slot{stamp: c.stamp, pos: int32(len(c.entries))}
+		c.entries = append(c.entries, *r)
+		c.bytes += r.Size
 		return
 	}
-	c.index[k] = len(c.entries)
-	c.entries = append(c.entries, r)
-	c.bytes += r.Size
+	e := &c.entries[s.pos]
+	c.coalesced++
+	e.Txn = r.Txn
+	e.LSN = r.LSN
+	if r.Type != NoopWrite {
+		c.bytes += r.Size - e.Size
+		e.Type = r.Type
+		e.Size = r.Size
+	}
+}
+
+// slotFor probes from r's key (Fibonacci hashing) for the slot of r's row:
+// its entry's, or the free slot that ends the probe.
+func (c *coalescer) slotFor(r *Record) *slot {
+	mask := len(c.slots) - 1
+	for h := int(uint64(r.Key) * 0x9E3779B97F4A7C15 >> c.shift); ; h = (h + 1) & mask {
+		s := &c.slots[h]
+		if s.stamp != c.stamp {
+			return s
+		}
+		if e := &c.entries[s.pos]; e.Key == r.Key && e.Table == r.Table {
+			return s
+		}
+	}
+}
+
+// grow doubles the index, to at least 16 slots, and re-places the entries.
+func (c *coalescer) grow() {
+	c.slots = make([]slot, max(16, 2*len(c.slots)))
+	c.shift = uint8(64 - bits.TrailingZeros(uint(len(c.slots))))
+	for i := range c.entries {
+		*c.slotFor(&c.entries[i]) = slot{stamp: c.stamp, pos: int32(i)}
+	}
 }
 
 // isWriteType reports whether t is a row write record (as opposed to a
@@ -323,13 +367,15 @@ func (l *CentralLog) ringAppend(rec Record) {
 		if l.ring == nil {
 			l.ring = make([]Record, l.cfg.Keep)
 		}
-		if l.count == len(l.ring) {
+		if l.count < len(l.ring) {
+			l.ring[l.count] = rec
+			l.count++
+		} else {
 			// Overwrite the oldest record (the "archive" discards it).
 			l.ring[l.start] = rec
-			l.start = (l.start + 1) % len(l.ring)
-		} else {
-			l.ring[(l.start+l.count)%len(l.ring)] = rec
-			l.count++
+			if l.start++; l.start == len(l.ring) {
+				l.start = 0
+			}
 		}
 	} else {
 		l.ring = append(l.ring, rec)
@@ -359,11 +405,7 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 		return rec.LSN, cost
 	}
 	if isWriteType(rec.Type) {
-		recs, ok := l.coal.staging[rec.Txn]
-		if !ok {
-			recs = l.coal.takeSlice()
-		}
-		l.coal.staging[rec.Txn] = append(recs, rec)
+		l.coal.stage(rec)
 		return rec.LSN, cost
 	}
 	// A control record: fold the transaction's staged writes into the
@@ -455,9 +497,10 @@ func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.
 // cost) is billed for the physical bytes — buffered control bytes plus the
 // collapsed entry bytes, not the logical append volume. When leftovers is
 // true (drains), the staged records of transactions that never logged an
-// outcome here are emitted verbatim too, ordered by first-record LSN, so a
-// crash drill's ring holds exactly the information the uncoalesced log would:
-// recovery classifies them by the absence of an outcome record.
+// outcome here are emitted verbatim too, by first-record LSN (the open list's
+// order), so a crash drill's ring holds exactly the information the
+// uncoalesced log would: recovery classifies them by the absence of an
+// outcome record.
 func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 	c := l.coal
 	bytes := l.pendingBytes + c.bytes
@@ -465,24 +508,19 @@ func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 	for i := range c.entries {
 		l.ringAppend(c.entries[i])
 	}
-	c.entries = c.entries[:0]
-	clear(c.index)
-	c.bytes = 0
-	c.epochStart = -1
-	if leftovers && len(c.staging) > 0 {
-		rest := make([][]Record, 0, len(c.staging))
-		for _, recs := range c.staging {
-			rest = append(rest, recs)
-		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i][0].LSN < rest[j][0].LSN })
-		for _, recs := range rest {
-			for i := range recs {
-				bytes += recs[i].Size
-				l.ringAppend(recs[i])
+	c.entries, c.bytes, c.epochStart = c.entries[:0], 0, -1
+	if c.stamp++; c.stamp == 0 { // a wrapped stamp would revive stale slots
+		clear(c.slots)
+		c.stamp = 1
+	}
+	if leftovers {
+		for _, s := range c.open {
+			for i := range s.recs {
+				bytes += s.recs[i].Size
+				l.ringAppend(s.recs[i])
 			}
-			c.putSlice(recs)
 		}
-		clear(c.staging)
+		c.open = c.open[:0]
 	}
 	l.pending = 0
 	l.physFlushes++
@@ -517,7 +555,7 @@ func (l *CentralLog) Drain(now vclock.Nanos) numa.Cost {
 		return 0
 	}
 	c := l.coal
-	if len(c.entries) == 0 && len(c.staging) == 0 && l.pendingBytes == 0 && l.durable == l.next-1 {
+	if len(c.entries) == 0 && len(c.open) == 0 && l.pendingBytes == 0 && l.durable == l.next-1 {
 		return 0
 	}
 	cost := l.physicalFlush(now, true)
@@ -557,9 +595,8 @@ func (l *CentralLog) Tail() LSN { return l.next - 1 }
 // Records returns the retained records (most recent Keep entries), oldest first.
 func (l *CentralLog) Records() []Record {
 	out := make([]Record, l.count)
-	for i := 0; i < l.count; i++ {
-		out[i] = l.ring[(l.start+i)%len(l.ring)]
-	}
+	n := copy(out, l.ring[l.start:l.count])
+	copy(out[n:], l.ring)
 	return out
 }
 
