@@ -70,7 +70,9 @@ test:
 
 # A priced run is one goroutine, so the race detector is pointed at the
 # goroutines that remain: executed mode (one executor goroutine per island,
-# shipping operations to each other over channels) and the harness pool's
+# shipping operations to each other over channels), engine.New's loader
+# workers (up to GOMAXPROCS goroutines filling disjoint chunks of one
+# storage.Load each, joined before its Finish) and the harness pool's
 # concurrent sweep/fuzz paths (point scheduling, the allocation-measurement
 # token, parallel bit-identity). The counter-conservation oracle (its
 # die-level mixed leg included) and the batch-protocol tests are repeated (the
@@ -89,6 +91,7 @@ race:
 	$(GO) test -race -short -count=20 -run ExecutedCountersConserved ./internal/engine
 	$(GO) test -race -count=10 -run TestExecutedOversubscribed ./internal/engine
 	$(GO) test -race -count=10 -run TestExecutedTracedIslandsShareNothing ./internal/engine
+	$(GO) test -race -count=3 -run TestLoadDataMatchesSerialLoad ./internal/engine
 	$(GO) test -race -run 'TestPool|TestParallelSweepBitIdentical|TestFuzzShardDeterminism' ./internal/harness
 
 # benchmark/ is a nested module the root `go build ./... && go test ./...` does

@@ -17,6 +17,9 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"atrapos/internal/backend"
 	"atrapos/internal/core"
@@ -546,14 +549,52 @@ func (e *Engine) createTables(p *partition.Placement) error {
 	return nil
 }
 
+const loadChunk = 1 << 14 // rows a loader worker generates per claim
+
+// loadData bulk-loads every table: min(GOMAXPROCS, chunks) workers, the caller
+// among them, claim all tables' loadChunk-row chunks in order and Fill them
+// (generators are pure, so the worker count changes no slot). After the join
+// each table in turn reports its lowest failing chunk or is finished, as a
+// serial load would.
 func (e *Engine) loadData() error {
+	type chunk struct{ ti, lo, hi int }
+	loads := make([]*storage.Load, len(e.wl.Tables))
+	var chunks []chunk
 	for ti, td := range e.wl.Tables {
-		tbl := e.tables[ti]
-		if td.RowGen == nil {
-			continue
+		if td.RowGen != nil {
+			loads[ti] = e.tables[ti].NewLoad(td.Rows)
+			for lo := 0; lo < td.Rows; lo += loadChunk {
+				chunks = append(chunks, chunk{ti, lo, min(lo+loadChunk, td.Rows)})
+			}
 		}
-		if err := tbl.LoadFunc(td.Rows, td.RowGen); err != nil {
-			return fmt.Errorf("engine: loading %s: %w", td.Schema.Name, err)
+	}
+	errs := make([]error, len(chunks))
+	var next atomic.Int64
+	work := func() {
+		for c := int(next.Add(1) - 1); c < len(chunks); c = int(next.Add(1) - 1) {
+			ch := chunks[c]
+			errs[c] = loads[ch.ti].Fill(ch.lo, ch.hi, e.wl.Tables[ch.ti].RowGen)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(chunks)) - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
+	for ti, l := range loads {
+		var err error
+		for c, ch := range chunks {
+			if ch.ti == ti && err == nil {
+				err = errs[c]
+			}
+		}
+		if err == nil && l != nil {
+			err = l.Finish()
+		}
+		if err != nil {
+			return fmt.Errorf("engine: loading %s: %w", e.wl.Tables[ti].Schema.Name, err)
 		}
 	}
 	return nil

@@ -386,7 +386,7 @@ func Fig9(s Scale) (*Table, error) {
 		if err != nil {
 			panic(err)
 		}
-		tbl.LoadFunc(rows, func(i int) schema.Row {
+		err = tbl.LoadFunc(rows, func(i int) schema.Row {
 			r := make(schema.Row, 11)
 			r[0] = int64(i)
 			for c := 1; c < 11; c++ {
@@ -394,6 +394,9 @@ func Fig9(s Scale) (*Table, error) {
 			}
 			return r
 		})
+		if err != nil {
+			panic(err)
+		}
 		return store, tbl
 	}
 	maxActions := top.NumCores()

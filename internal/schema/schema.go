@@ -178,21 +178,40 @@ func CompositeKey(primary int64, secondary int64) Key {
 	return Key((uint64(primary) << 20) | (uint64(secondary) & ((1 << 20) - 1)))
 }
 
+// KeyColumns is a table's primary key resolved to column positions, so a
+// caller that extracts the keys of many rows looks the columns up by name once.
+type KeyColumns struct {
+	t *Table
+	// pos holds the positions of the first two primary-key columns, -1 for a
+	// column that does not exist or is not declared.
+	pos [2]int
+}
+
+// KeyColumns resolves the table's primary-key columns for RowKey.
+func (t *Table) KeyColumns() KeyColumns {
+	k := KeyColumns{t: t, pos: [2]int{-1, -1}}
+	for i := 0; i < len(k.pos) && i < len(t.PrimaryKey); i++ {
+		k.pos[i] = t.ColumnIndex(t.PrimaryKey[i])
+	}
+	return k
+}
+
 // RowKey extracts the Key of a row according to the table's primary key.
 // Integer single-column keys use KeyFromInt; multi-column integer keys use
 // CompositeKey over the first two columns; string keys use KeyFromString.
-func RowKey(t *Table, r Row) (Key, error) {
+func (k KeyColumns) RowKey(r Row) (Key, error) {
+	t := k.t
 	if len(t.PrimaryKey) == 0 {
 		return 0, fmt.Errorf("schema: table %s has no primary key", t.Name)
 	}
-	idx0 := t.ColumnIndex(t.PrimaryKey[0])
+	idx0 := k.pos[0]
 	if idx0 < 0 || idx0 >= len(r) {
 		return 0, fmt.Errorf("schema: row for %s is missing primary key column %s", t.Name, t.PrimaryKey[0])
 	}
 	switch v := r[idx0].(type) {
 	case int64:
 		if len(t.PrimaryKey) >= 2 {
-			idx1 := t.ColumnIndex(t.PrimaryKey[1])
+			idx1 := k.pos[1]
 			if idx1 < 0 || idx1 >= len(r) {
 				return 0, fmt.Errorf("schema: row for %s is missing primary key column %s", t.Name, t.PrimaryKey[1])
 			}

@@ -128,7 +128,7 @@ func TestCompositeKeyOrdering(t *testing.T) {
 
 func TestRowKey(t *testing.T) {
 	tb := sampleTable()
-	k, err := RowKey(tb, Row{int64(42), int64(7), 1.0, "x"})
+	k, err := tb.KeyColumns().RowKey(Row{int64(42), int64(7), 1.0, "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRowKey(t *testing.T) {
 		Columns:    []Column{{Name: "w_id", Type: Int64}, {Name: "i_id", Type: Int64}},
 		PrimaryKey: []string{"w_id", "i_id"},
 	}
-	k, err = RowKey(comp, Row{int64(3), int64(9)})
+	k, err = comp.KeyColumns().RowKey(Row{int64(3), int64(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,18 +156,18 @@ func TestRowKey(t *testing.T) {
 		Columns:    []Column{{Name: "n", Type: String}},
 		PrimaryKey: []string{"n"},
 	}
-	if _, err := RowKey(str, Row{"abc"}); err != nil {
+	if _, err := str.KeyColumns().RowKey(Row{"abc"}); err != nil {
 		t.Errorf("string RowKey error: %v", err)
 	}
 
 	// Errors.
-	if _, err := RowKey(&Table{Name: "x", Columns: []Column{{Name: "a", Type: Int64}}}, Row{int64(1)}); err == nil {
+	if _, err := (&Table{Name: "x", Columns: []Column{{Name: "a", Type: Int64}}}).KeyColumns().RowKey(Row{int64(1)}); err == nil {
 		t.Error("table without primary key should error")
 	}
-	if _, err := RowKey(tb, Row{}); err == nil {
+	if _, err := tb.KeyColumns().RowKey(Row{}); err == nil {
 		t.Error("short row should error")
 	}
-	if _, err := RowKey(tb, Row{3.14, int64(1), 1.0, "x"}); err == nil {
+	if _, err := tb.KeyColumns().RowKey(Row{3.14, int64(1), 1.0, "x"}); err == nil {
 		t.Error("float primary key should error")
 	}
 	badComp := &Table{
@@ -175,7 +175,7 @@ func TestRowKey(t *testing.T) {
 		Columns:    []Column{{Name: "a", Type: Int64}, {Name: "b", Type: String}},
 		PrimaryKey: []string{"a", "b"},
 	}
-	if _, err := RowKey(badComp, Row{int64(1), "x"}); err == nil {
+	if _, err := badComp.KeyColumns().RowKey(Row{int64(1), "x"}); err == nil {
 		t.Error("non-integer second key column should error")
 	}
 }

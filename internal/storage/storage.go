@@ -112,11 +112,12 @@ func (m *Manager) Tables() []*Table {
 //
 // A Table is single-owner, like the btree.MultiRooted it wraps: it holds no
 // lock, so it must never be reached from two goroutines at once. Nothing does.
-// A priced run is one goroutine, the planner included; the harness pool gives
-// every point its own engine and so its own Manager; executed-mode executors
-// touch only backend.HashBackend, and loadBackend reads the priced tables on
-// the caller's goroutine before any executor starts; the repo benchmark's
-// per-layer replay drives its tables serially.
+// A priced run is one goroutine, the planner included; engine.New's loader
+// workers Fill disjoint slots of a Load, never the Table; the harness pool
+// gives every point its own engine and so its own Manager; executed-mode
+// executors touch only backend.HashBackend, and loadBackend reads the priced
+// tables on the caller's goroutine before any executor starts; the repo
+// benchmark's per-layer replay drives its tables serially.
 type Table struct {
 	def    *schema.Table
 	domain *numa.Domain
@@ -270,28 +271,56 @@ func (t *Table) Scan(caller topology.CoreID, from, to schema.Key, fn func(schema
 }
 
 // LoadFunc populates the empty table, without cost accounting, with the n rows
-// gen(0) … gen(n-1), whose keys must be strictly ascending; every workload's
-// row generator emits them that way. The rows are staged and the B-tree is
-// built bottom-up from them (btree.MultiRooted.Load). A key that does not
-// ascend, a duplicate included, and a table that already holds rows are errors
-// naming the table and, for a key, the row.
+// gen(0) … gen(n-1): a Load filled in one range.
 func (t *Table) LoadFunc(n int, gen func(i int) schema.Row) error {
-	keys := make([]schema.Key, n)
-	rows := make([]schema.Row, n)
-	avg := t.avgRowBytes
-	for i := range rows {
+	l := t.NewLoad(n)
+	if err := l.Fill(0, n, gen); err != nil {
+		return err
+	}
+	return l.Finish()
+}
+
+// Load stages a bulk load into an empty table. A Fill writes only its rows'
+// slots, so disjoint Fills may run on goroutines that are joined before Finish.
+type Load struct {
+	t     *Table
+	key   schema.KeyColumns
+	keys  []schema.Key
+	rows  []schema.Row
+	sizes []int
+}
+
+// NewLoad allocates the staging slots of an n-row load into t.
+func (t *Table) NewLoad(n int) *Load {
+	return &Load{t, t.def.KeyColumns(), make([]schema.Key, n), make([]schema.Row, n), make([]int, n)}
+}
+
+// Fill stages rows lo … hi-1 of the generator and stops at the first row whose
+// key cannot be extracted, naming the table and the row.
+func (l *Load) Fill(lo, hi int, gen func(i int) schema.Row) error {
+	for i := lo; i < hi; i++ {
 		r := gen(i)
-		key, err := schema.RowKey(t.def, r)
+		key, err := l.key.RowKey(r)
 		if err != nil {
-			return fmt.Errorf("storage: loading %s row %d: %w", t.def.Name, i, err)
+			return fmt.Errorf("storage: loading %s row %d: %w", l.t.def.Name, i, err)
 		}
-		keys[i], rows[i] = key, r
-		avg = nextAvgRowBytes(avg, r.Size())
+		l.keys[i], l.rows[i], l.sizes[i] = key, r, r.Size()
 	}
-	if err := t.tree.Load(keys, rows); err != nil {
-		return fmt.Errorf("storage: loading %s: %w", t.def.Name, err)
+	return nil
+}
+
+// Finish folds the row sizes into the table's average in row order and builds
+// the B-tree bottom-up (btree.MultiRooted.Load): keys that do not strictly
+// ascend, or a table that holds rows, are errors naming the table and row.
+func (l *Load) Finish() error {
+	avg := l.t.avgRowBytes
+	for _, size := range l.sizes {
+		avg = nextAvgRowBytes(avg, size)
 	}
-	t.avgRowBytes = avg
+	if err := l.t.tree.Load(l.keys, l.rows); err != nil {
+		return fmt.Errorf("storage: loading %s: %w", l.t.def.Name, err)
+	}
+	l.t.avgRowBytes = avg
 	return nil
 }
 

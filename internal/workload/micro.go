@@ -43,6 +43,26 @@ func siteKeyRange(maxKey int64, site, numSites int) (lo, hi int64) {
 	return lo, hi
 }
 
+// siteMemo is the last siteKeyRange a generator context computed, keyed on
+// its arguments. Its zero value is a valid entry: siteKeyRange(0, 0, 0) is
+// (0, 0).
+type siteMemo struct {
+	maxKey         int64
+	site, numSites int
+	lo, hi         int64
+}
+
+// siteKeyRange is siteKeyRange(maxKey, ctx.HomeSite, ctx.NumSites), computed
+// only when one of the three changed since the previous call.
+func (ctx *GenContext) siteKeyRange(maxKey int64) (lo, hi int64) {
+	m := &ctx.site
+	if m.maxKey != maxKey || m.site != ctx.HomeSite || m.numSites != ctx.NumSites {
+		lo, hi = siteKeyRange(maxKey, ctx.HomeSite, ctx.NumSites)
+		*m = siteMemo{maxKey: maxKey, site: ctx.HomeSite, numSites: ctx.NumSites, lo: lo, hi: hi}
+	}
+	return m.lo, m.hi
+}
+
 func tenColumnRow(i int) schema.Row {
 	row := make(schema.Row, 11)
 	row[0] = int64(i)
@@ -86,7 +106,7 @@ func SingleRowReadSkewed(rows int, skew Skew) *Workload {
 		if ctx.NumSites > 1 && !skew.Active(ctx.At) {
 			// Perfectly partitionable: each client only asks its own
 			// instance's key range, as in the paper's Figure 2/5 setup.
-			lo, hi := siteKeyRange(int64(rows), ctx.HomeSite, ctx.NumSites)
+			lo, hi := ctx.siteKeyRange(int64(rows))
 			key = lo + ctx.Rng.Int63n(hi-lo)
 		} else {
 			key = skew.Pick(ctx.Rng, int64(rows), ctx.At)
@@ -131,7 +151,7 @@ func ReadHundred(rows int) *Workload {
 		// lives, not which instance serves the request.
 		lo, hi := int64(0), int64(rows)
 		if ctx.NumSites > 1 {
-			lo, hi = siteKeyRange(int64(rows), ctx.HomeSite, ctx.NumSites)
+			lo, hi = ctx.siteKeyRange(int64(rows))
 		}
 		for i := 0; i < 100; i++ {
 			key := lo + ctx.Rng.Int63n(hi-lo)
@@ -186,7 +206,7 @@ func MultisiteUpdate(rows int, pctMultiSite int) *Workload {
 		},
 	}
 	w.Generate = func(ctx *GenContext) *Transaction {
-		lo, hi := siteKeyRange(int64(rows), ctx.HomeSite, ctx.NumSites)
+		lo, hi := ctx.siteKeyRange(int64(rows))
 		localKey := func() schema.Key {
 			return schema.KeyFromInt(lo + ctx.Rng.Int63n(hi-lo))
 		}
@@ -262,7 +282,7 @@ func MultisiteUpdateDrifting(rows int, pctAt func(vclock.Nanos) int) *Workload {
 	}
 	w.Generate = func(ctx *GenContext) *Transaction {
 		pct := clampPct(pctAt(ctx.At))
-		lo, hi := siteKeyRange(int64(rows), ctx.HomeSite, ctx.NumSites)
+		lo, hi := ctx.siteKeyRange(int64(rows))
 		localKey := func() schema.Key {
 			return schema.KeyFromInt(lo + ctx.Rng.Int63n(hi-lo))
 		}

@@ -190,6 +190,10 @@ type TableDef struct {
 	Schema *schema.Table
 	Rows   int
 	MaxKey int64
+	// RowGen returns row i of the initial population, for i in [0, Rows),
+	// with keys strictly ascending in i. It must be a pure function of i: the
+	// loader calls it from several goroutines at once, each over its own
+	// range of rows, so it may neither keep nor share mutable state.
 	RowGen func(i int) schema.Row
 }
 
@@ -212,6 +216,7 @@ type GenContext struct {
 	txn   Transaction
 	mixes mixCache
 	zipf  zipfMemo
+	site  siteMemo
 	// idx is scratch for generators that assemble irregular sync-point
 	// member lists (e.g. TPC-C NewOrder) before copying them into the
 	// transaction.

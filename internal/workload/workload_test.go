@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"atrapos/internal/schema"
 	"atrapos/internal/vclock"
 )
 
@@ -200,6 +199,35 @@ func TestMultisiteUpdate(t *testing.T) {
 	}
 }
 
+// TestSiteKeyRangeMemo checks the context's memoized range against
+// siteKeyRange for every site, out-of-range ones included, at 1 to 80 sites,
+// on row counts that do and do not divide: each lookup follows one with a
+// different argument, so both the refresh and the hit are compared.
+func TestSiteKeyRangeMemo(t *testing.T) {
+	gen := &GenContext{}
+	if lo, hi := gen.siteKeyRange(0); lo != 0 || hi != 0 {
+		t.Fatalf("zero context: range [%d,%d), want [0,0)", lo, hi)
+	}
+	for _, maxKey := range []int64{0, 1, 79, 8000, 1_000_003} {
+		for n := 1; n <= 80; n++ {
+			gen.NumSites = n
+			for site := -1; site <= n; site++ {
+				gen.HomeSite = site
+				wantLo, wantHi := siteKeyRange(maxKey, site, n)
+				for pass := 0; pass < 2; pass++ {
+					if lo, hi := gen.siteKeyRange(maxKey); lo != wantLo || hi != wantHi {
+						t.Fatalf("maxKey %d site %d of %d pass %d: memo [%d,%d), want [%d,%d)",
+							maxKey, site, n, pass, lo, hi, wantLo, wantHi)
+					}
+				}
+				// A lookup on another table size in between must not leave
+				// a stale entry behind.
+				gen.siteKeyRange(maxKey + 1)
+			}
+		}
+	}
+}
+
 func TestTwoTableSimple(t *testing.T) {
 	w := TwoTableSimple(500)
 	tx := w.Generate(ctx(5))
@@ -330,13 +358,14 @@ func TestRowGeneratorsAscend(t *testing.T) {
 			if td.RowGen == nil {
 				continue
 			}
+			key := td.Schema.KeyColumns()
 			for i := 0; i < td.Rows; i++ {
-				k, err := schema.RowKey(td.Schema, td.RowGen(i))
+				k, err := key.RowKey(td.RowGen(i))
 				if err != nil {
 					t.Fatalf("%s.%s row %d: %v", w.Name, td.Schema.Name, i, err)
 				}
 				if i > 0 {
-					prev, _ := schema.RowKey(td.Schema, td.RowGen(i-1))
+					prev, _ := key.RowKey(td.RowGen(i - 1))
 					if k <= prev {
 						t.Fatalf("%s.%s: row %d has key %d after %d", w.Name, td.Schema.Name, i, k, prev)
 					}

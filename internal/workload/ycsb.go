@@ -83,7 +83,7 @@ func YCSB(rows int, mix YCSBMix) *Workload {
 		},
 	}
 	w.Generate = func(ctx *GenContext) *Transaction {
-		lo, hi := siteKeyRange(int64(rows), ctx.HomeSite, ctx.NumSites)
+		lo, hi := ctx.siteKeyRange(int64(rows))
 		key := schema.KeyFromInt(lo + ctx.zipfKey(hi-lo))
 		if ctx.Rng.Intn(100) < readPct {
 			t := ctx.Txn(readClass)

@@ -74,7 +74,7 @@ func ZipfHotkey(rows, pctMultiSite, churnPct int) *Workload {
 		},
 	}
 	w.Generate = func(ctx *GenContext) *Transaction {
-		lo, hi := siteKeyRange(int64(rows), ctx.HomeSite, ctx.NumSites)
+		lo, hi := ctx.siteKeyRange(int64(rows))
 		localKey := func() schema.Key {
 			return schema.KeyFromInt(lo + ctx.zipfKey(hi-lo))
 		}
