@@ -18,9 +18,9 @@ const degree = 32
 type node struct {
 	leaf     bool
 	keys     []schema.Key
-	values   []schema.Row // only for leaves
-	children []*node      // only for internal nodes
-	next     *node        // leaf chaining for range scans
+	values   [][]byte // only for leaves
+	children []*node  // only for internal nodes
+	next     *node    // leaf chaining for range scans
 }
 
 // Tree is a single-rooted B+-tree. It is single-owner: it holds no lock, so a
@@ -42,9 +42,9 @@ func New() *Tree {
 func (t *Tree) Len() int { return t.size }
 
 // Get returns the row stored under key.
-func (t *Tree) Get(key schema.Key) (schema.Row, bool) { return t.get(key, fences{}) }
+func (t *Tree) Get(key schema.Key) ([]byte, bool) { return t.get(key, fences{}) }
 
-func (t *Tree) get(key schema.Key, f fences) (schema.Row, bool) {
+func (t *Tree) get(key schema.Key, f fences) ([]byte, bool) {
 	n, i, ok := find(t.root, key, f)
 	if !ok {
 		return nil, false
@@ -55,9 +55,9 @@ func (t *Tree) get(key schema.Key, f fences) (schema.Row, bool) {
 // Insert stores value under key unless key is present, and reports whether it
 // did: an existing key keeps its row. It descends once, and a second time,
 // splitting, only when key is absent and its leaf is full.
-func (t *Tree) Insert(key schema.Key, value schema.Row) bool { return t.insert(key, value, fences{}) }
+func (t *Tree) Insert(key schema.Key, value []byte) bool { return t.insert(key, value, fences{}) }
 
-func (t *Tree) insert(key schema.Key, value schema.Row, f fences) bool {
+func (t *Tree) insert(key schema.Key, value []byte, f fences) bool {
 	n, i, ok := find(t.root, key, f)
 	if ok {
 		return false
@@ -150,11 +150,11 @@ func (t *Tree) delete(key schema.Key, f fences) bool {
 
 // Update applies fn to the row stored under key in place and reports whether
 // the key was found. fn receives the stored row and returns the new row.
-func (t *Tree) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
+func (t *Tree) Update(key schema.Key, fn func([]byte) []byte) bool {
 	return t.update(key, fn, fences{})
 }
 
-func (t *Tree) update(key schema.Key, fn func(schema.Row) schema.Row, f fences) bool {
+func (t *Tree) update(key schema.Key, fn func([]byte) []byte, f fences) bool {
 	n, i, ok := find(t.root, key, f)
 	if ok {
 		n.values[i] = fn(n.values[i])
@@ -164,16 +164,16 @@ func (t *Tree) update(key schema.Key, fn func(schema.Row) schema.Row, f fences) 
 
 // Scan visits entries with from <= key < to in ascending key order, calling fn
 // for each. Scanning stops early if fn returns false.
-func (t *Tree) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool) {
+func (t *Tree) Scan(from, to schema.Key, fn func(schema.Key, []byte) bool) {
 	n, i, _ := find(t.root, from, fences{})
-	walk(n, i, func(k schema.Key, v schema.Row) bool { return k < to && fn(k, v) })
+	walk(n, i, func(k schema.Key, v []byte) bool { return k < to && fn(k, v) })
 }
 
 // Ascend visits every entry in ascending key order, the largest key included.
-func (t *Tree) Ascend(fn func(schema.Key, schema.Row) bool) { walk(edge(t.root, false), 0, fn) }
+func (t *Tree) Ascend(fn func(schema.Key, []byte) bool) { walk(edge(t.root, false), 0, fn) }
 
 // walk calls fn on the entries from leaf n's i-th on until fn returns false.
-func walk(n *node, i int, fn func(schema.Key, schema.Row) bool) {
+func walk(n *node, i int, fn func(schema.Key, []byte) bool) {
 	for ; n != nil; n, i = n.next, 0 {
 		for ; i < len(n.keys); i++ {
 			if !fn(n.keys[i], n.values[i]) {

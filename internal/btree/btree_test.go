@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -13,7 +14,11 @@ import (
 	"atrapos/internal/schema"
 )
 
-func row(v int64) schema.Row { return schema.Row{v} }
+// row is the 8-byte row a test stores under a key: v, little-endian.
+func row(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+
+// val is the value row stored.
+func val(r []byte) int64 { return int64(binary.LittleEndian.Uint64(r)) }
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
@@ -50,7 +55,7 @@ func TestInsertGetSequential(t *testing.T) {
 		if !ok {
 			t.Fatalf("Get(%d) missed", i)
 		}
-		if v[0].(int64) != int64(i*10) {
+		if val(v) != int64(i*10) {
 			t.Fatalf("Get(%d) = %v", i, v)
 		}
 	}
@@ -77,7 +82,7 @@ func TestInsertRandomAndDuplicate(t *testing.T) {
 		t.Errorf("Len changed on a duplicate insert: %d", tr.Len())
 	}
 	v, _ := tr.Get(schema.KeyFromInt(42))
-	if v[0].(int64) != 42 {
+	if val(v) != 42 {
 		t.Errorf("row after a duplicate insert = %v, want 42", v)
 	}
 }
@@ -158,17 +163,17 @@ func TestDelete(t *testing.T) {
 func TestUpdate(t *testing.T) {
 	tr := New()
 	tr.Insert(schema.KeyFromInt(7), row(1))
-	ok := tr.Update(schema.KeyFromInt(7), func(r schema.Row) schema.Row {
-		return schema.Row{r[0].(int64) + 100}
+	ok := tr.Update(schema.KeyFromInt(7), func(r []byte) []byte {
+		return row(val(r) + 100)
 	})
 	if !ok {
 		t.Fatal("Update missed existing key")
 	}
 	v, _ := tr.Get(schema.KeyFromInt(7))
-	if v[0].(int64) != 101 {
+	if val(v) != 101 {
 		t.Errorf("updated value = %v", v)
 	}
-	if tr.Update(schema.KeyFromInt(8), func(r schema.Row) schema.Row { return r }) {
+	if tr.Update(schema.KeyFromInt(8), func(r []byte) []byte { return r }) {
 		t.Error("Update of absent key should report absence")
 	}
 }
@@ -179,7 +184,7 @@ func TestScanAndAscend(t *testing.T) {
 		tr.Insert(schema.KeyFromInt(int64(i)), row(int64(i)))
 	}
 	var got []int64
-	tr.Scan(schema.KeyFromInt(100), schema.KeyFromInt(200), func(k schema.Key, v schema.Row) bool {
+	tr.Scan(schema.KeyFromInt(100), schema.KeyFromInt(200), func(k schema.Key, v []byte) bool {
 		got = append(got, k.Int())
 		return true
 	})
@@ -193,7 +198,7 @@ func TestScanAndAscend(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	tr.Scan(0, ^schema.Key(0), func(schema.Key, schema.Row) bool {
+	tr.Scan(0, ^schema.Key(0), func(schema.Key, []byte) bool {
 		count++
 		return count < 10
 	})
@@ -202,7 +207,7 @@ func TestScanAndAscend(t *testing.T) {
 	}
 	// Ascend covers everything.
 	count = 0
-	tr.Ascend(func(schema.Key, schema.Row) bool { count++; return true })
+	tr.Ascend(func(schema.Key, []byte) bool { count++; return true })
 	if count != 1000 {
 		t.Errorf("Ascend visited %d, want 1000", count)
 	}
@@ -228,15 +233,15 @@ func TestLargestKeyIsAnEntry(t *testing.T) {
 		if !tr.Insert(top, row(-1)) || tr.Insert(top, row(-2)) || !m.Insert(top, row(-2)) {
 			t.Fatalf("%d rows: inserting the largest key twice did not insert, then refuse", n)
 		}
-		if v, ok := tr.Get(top); !ok || v[0].(int64) != -1 || tr.Len() != n+1 {
+		if v, ok := tr.Get(top); !ok || val(v) != -1 || tr.Len() != n+1 {
 			t.Fatalf("%d rows: Get(top) = %v, %v; Len %d", n, v, ok, tr.Len())
 		}
-		if v, ok := m.Get(top); !ok || v[0].(int64) != -2 || m.PartitionFor(top) != m.NumPartitions()-1 {
+		if v, ok := m.Get(top); !ok || val(v) != -2 || m.PartitionFor(top) != m.NumPartitions()-1 {
 			t.Fatalf("%d rows: multi-rooted Get(top) = %v, %v in partition %d", n, v, ok, m.PartitionFor(top))
 		}
 		var last schema.Key
 		count := 0
-		tr.Ascend(func(k schema.Key, _ schema.Row) bool { last, count = k, count+1; return true })
+		tr.Ascend(func(k schema.Key, _ []byte) bool { last, count = k, count+1; return true })
 		if count != n+1 || last != top {
 			t.Fatalf("%d rows: Ascend visited %d entries ending at %d, want %d ending at the largest key", n, count, last, n+1)
 		}
@@ -273,7 +278,7 @@ func TestTreeMatchesMapProperty(t *testing.T) {
 				if ok != rok {
 					return false
 				}
-				if ok && v[0].(int64) != rv {
+				if ok && val(v) != rv {
 					return false
 				}
 			}
@@ -283,7 +288,7 @@ func TestTreeMatchesMapProperty(t *testing.T) {
 		}
 		for k, rv := range ref {
 			v, ok := tr.Get(k)
-			if !ok || v[0].(int64) != rv {
+			if !ok || val(v) != rv {
 				return false
 			}
 		}
@@ -301,7 +306,7 @@ func TestAscendIsSortedProperty(t *testing.T) {
 			tr.Insert(schema.Key(r), row(int64(r)))
 		}
 		var keys []schema.Key
-		tr.Ascend(func(k schema.Key, _ schema.Row) bool {
+		tr.Ascend(func(k schema.Key, _ []byte) bool {
 			keys = append(keys, k)
 			return true
 		})
@@ -377,10 +382,10 @@ func TestMultiRootedRouting(t *testing.T) {
 		t.Error("key 999 should be in partition 3")
 	}
 	v, ok := m.Get(schema.KeyFromInt(640))
-	if !ok || v[0].(int64) != 640 {
+	if !ok || val(v) != 640 {
 		t.Errorf("Get(640) = %v %v", v, ok)
 	}
-	if !m.Update(schema.KeyFromInt(640), func(r schema.Row) schema.Row { return row(1) }) {
+	if !m.Update(schema.KeyFromInt(640), func(r []byte) []byte { return row(1) }) {
 		t.Error("Update missed")
 	}
 	if !m.Delete(schema.KeyFromInt(640)) {
@@ -403,7 +408,7 @@ func TestMultiRootedScanAcrossPartitions(t *testing.T) {
 		m.Insert(schema.KeyFromInt(i), row(i))
 	}
 	var got []int64
-	m.Scan(schema.KeyFromInt(20), schema.KeyFromInt(80), func(k schema.Key, _ schema.Row) bool {
+	m.Scan(schema.KeyFromInt(20), schema.KeyFromInt(80), func(k schema.Key, _ []byte) bool {
 		got = append(got, k.Int())
 		return true
 	})
@@ -417,7 +422,7 @@ func TestMultiRootedScanAcrossPartitions(t *testing.T) {
 	}
 	// Early stop across partitions.
 	count := 0
-	m.Scan(0, ^schema.Key(0), func(schema.Key, schema.Row) bool {
+	m.Scan(0, ^schema.Key(0), func(schema.Key, []byte) bool {
 		count++
 		return count < 5
 	})
@@ -589,11 +594,11 @@ func (m *refMultiRooted) Split(at schema.Key) (int, error) {
 		return 0, fmt.Errorf("btree: partition already starts at key %d", at)
 	}
 	old, right := m.roots[idx], New()
-	old.Scan(at, ^schema.Key(0), func(k schema.Key, v schema.Row) bool {
+	old.Scan(at, ^schema.Key(0), func(k schema.Key, v []byte) bool {
 		right.Insert(k, v)
 		return true
 	})
-	right.Ascend(func(k schema.Key, _ schema.Row) bool {
+	right.Ascend(func(k schema.Key, _ []byte) bool {
 		old.Delete(k)
 		return true
 	})
@@ -608,7 +613,7 @@ func (m *refMultiRooted) Merge(i int) error {
 		return fmt.Errorf("btree: cannot merge partition %d of %d", i, len(m.roots))
 	}
 	left, right := m.roots[i], m.roots[i+1]
-	right.Ascend(func(k schema.Key, v schema.Row) bool {
+	right.Ascend(func(k schema.Key, v []byte) bool {
 		left.Insert(k, v)
 		return true
 	})
@@ -632,7 +637,7 @@ func (m *refMultiRooted) Repartition(newBounds []schema.Key) (moved int, err err
 		roots[i] = New()
 	}
 	for oldIdx, t := range m.roots {
-		t.Ascend(func(k schema.Key, v schema.Row) bool {
+		t.Ascend(func(k schema.Key, v []byte) bool {
 			ni := sort.Search(len(newBounds), func(i int) bool { return newBounds[i] > k }) - 1
 			roots[ni].Insert(k, v)
 			// An entry "moved" if its new partition range differs from its old one.
@@ -727,9 +732,9 @@ func checkMultiRooted(t *testing.T, m *MultiRooted) (leaves, height int) {
 	return leaves, height
 }
 
-func scanAll(scan func(from, to schema.Key, fn func(schema.Key, schema.Row) bool)) (keys []schema.Key, vals []int64) {
-	scan(0, ^schema.Key(0), func(k schema.Key, v schema.Row) bool {
-		keys, vals = append(keys, k), append(vals, v[0].(int64))
+func scanAll(scan func(from, to schema.Key, fn func(schema.Key, []byte) bool)) (keys []schema.Key, vals []int64) {
+	scan(0, ^schema.Key(0), func(k schema.Key, v []byte) bool {
+		keys, vals = append(keys, k), append(vals, val(v))
 		return true
 	})
 	return keys, vals
@@ -777,7 +782,7 @@ func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 		}
 		if loaded {
 			keys, vals := scanAll(ref.Scan)
-			rows := make([]schema.Row, len(vals))
+			rows := make([][]byte, len(vals))
 			for i, v := range vals {
 				rows[i] = row(v)
 			}
@@ -840,7 +845,7 @@ func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 			case 9:
 				k := randKey()
 				desc = fmt.Sprintf("Update(%d)", k)
-				bump := func(r schema.Row) schema.Row { return row(r[0].(int64) + 1) }
+				bump := func(r []byte) []byte { return row(val(r) + 1) }
 				gotOut[0], refOut[0] = btoi(got.Update(k, bump)), btoi(ref.Update(k, bump))
 			case 10:
 				k := randKey()
@@ -854,9 +859,9 @@ func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 				to := from + schema.Key(rng.Intn(keySpace/2))
 				desc = fmt.Sprintf("Scan(%d, %d)", from, to)
 				count := func(m interface {
-					Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool)
+					Scan(from, to schema.Key, fn func(schema.Key, []byte) bool)
 				}) (n, sum int) {
-					m.Scan(from, to, func(k schema.Key, _ schema.Row) bool { n, sum = n+1, sum+int(k); return true })
+					m.Scan(from, to, func(k schema.Key, _ []byte) bool { n, sum = n+1, sum+int(k); return true })
 					return n, sum
 				}
 				gotOut[0], gotOut[1] = count(got)
@@ -986,7 +991,7 @@ func TestJoinSplitsOverfullSpine(t *testing.T) {
 			t.Errorf("%s: %d leaves, height %d, %d entries", name, n, height, tr.Len())
 		}
 		for _, i := range []int{0, leaves / 2, leaves - 1} {
-			if v, ok := tr.Get(schema.Key(i * maxKeys())); !ok || v[0].(int64) != int64(i) {
+			if v, ok := tr.Get(schema.Key(i * maxKeys())); !ok || val(v) != int64(i) {
 				t.Errorf("%s: first key of leaf %d = %v, %v", name, i, v, ok)
 			}
 		}
@@ -1014,8 +1019,8 @@ func loadedUniform(rows int64, parts int, inserted bool) *MultiRooted {
 }
 
 // ascending returns the keys 0, step, 2*step, … and a row per key holding it.
-func ascending(n int, step int64) ([]schema.Key, []schema.Row) {
-	keys, vals := make([]schema.Key, n), make([]schema.Row, n)
+func ascending(n int, step int64) ([]schema.Key, [][]byte) {
+	keys, vals := make([]schema.Key, n), make([][]byte, n)
 	for i := range keys {
 		keys[i], vals[i] = schema.Key(int64(i)*step), row(int64(i)*step)
 	}
@@ -1065,7 +1070,7 @@ func TestLoadMatchesInsert(t *testing.T) {
 				}
 				var ascended []schema.Key
 				for _, tr := range got.roots {
-					tr.Ascend(func(k schema.Key, _ schema.Row) bool { ascended = append(ascended, k); return true })
+					tr.Ascend(func(k schema.Key, _ []byte) bool { ascended = append(ascended, k); return true })
 				}
 				if !slices.Equal(ascended, wk) {
 					t.Fatalf("%s %s: Ascend over the partitions differs from the inserted twin", where, stage)
@@ -1081,8 +1086,8 @@ func TestLoadMatchesInsert(t *testing.T) {
 					b := layout.bounds[i]
 					from, to := b-min(b, 2*step), b+2*step
 					var gs, ws []schema.Key
-					got.Scan(from, to, func(k schema.Key, _ schema.Row) bool { gs = append(gs, k); return true })
-					want.Scan(from, to, func(k schema.Key, _ schema.Row) bool { ws = append(ws, k); return true })
+					got.Scan(from, to, func(k schema.Key, _ []byte) bool { gs = append(gs, k); return true })
+					want.Scan(from, to, func(k schema.Key, _ []byte) bool { ws = append(ws, k); return true })
 					if !slices.Equal(gs, ws) {
 						t.Fatalf("%s %s: Scan(%d, %d) = %v, inserted %v", where, stage, from, to, gs, ws)
 					}
@@ -1107,14 +1112,14 @@ func TestLoadMatchesInsert(t *testing.T) {
 		}
 	}
 	m, _ := NewMultiRooted([]schema.Key{0})
-	if err := m.Load([]schema.Key{1, 2}, []schema.Row{row(1)}); err == nil {
+	if err := m.Load([]schema.Key{1, 2}, [][]byte{row(1)}); err == nil {
 		t.Error("a key without a row should fail")
 	}
-	if err := m.Load([]schema.Key{1, 2, 2}, []schema.Row{row(1), row(2), row(2)}); err == nil || !strings.Contains(err.Error(), "row 2") {
+	if err := m.Load([]schema.Key{1, 2, 2}, [][]byte{row(1), row(2), row(2)}); err == nil || !strings.Contains(err.Error(), "row 2") {
 		t.Errorf("duplicate key: err = %v, want one naming row 2", err)
 	}
 	m.Insert(5, row(5))
-	if err := m.Load([]schema.Key{1}, []schema.Row{row(1)}); err == nil {
+	if err := m.Load([]schema.Key{1}, [][]byte{row(1)}); err == nil {
 		t.Error("a load into a non-empty tree should fail")
 	}
 }

@@ -23,7 +23,7 @@ import (
 // arrays the same way, so an Insert or join that grows a node reallocates it
 // instead of writing into its neighbour. The caller must not use either slice
 // once Load has returned.
-func (m *MultiRooted) Load(keys []schema.Key, rows []schema.Row) error {
+func (m *MultiRooted) Load(keys []schema.Key, rows [][]byte) error {
 	if len(keys) != len(rows) {
 		return fmt.Errorf("btree: load of %d keys with %d rows", len(keys), len(rows))
 	}
@@ -50,7 +50,7 @@ func (m *MultiRooted) Load(keys []schema.Key, rows []schema.Row) error {
 
 // build returns a tree over the ascending run keys/rows, whose arrays its
 // leaves keep.
-func build(keys []schema.Key, rows []schema.Row) Tree {
+func build(keys []schema.Key, rows [][]byte) Tree {
 	n := len(keys)
 	if n == 0 {
 		return *New()

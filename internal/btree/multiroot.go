@@ -99,33 +99,33 @@ func (m *MultiRooted) Partition(i int) (*Tree, error) {
 }
 
 // Get returns the row stored under key.
-func (m *MultiRooted) Get(key schema.Key) (schema.Row, bool) {
+func (m *MultiRooted) Get(key schema.Key) ([]byte, bool) {
 	return m.GetIn(m.PartitionFor(key), key)
 }
 
 // GetIn is Get for a caller that has resolved key's partition p already.
-func (m *MultiRooted) GetIn(p int, key schema.Key) (schema.Row, bool) {
+func (m *MultiRooted) GetIn(p int, key schema.Key) ([]byte, bool) {
 	return m.roots[p].get(key, m.fences(p))
 }
 
 // Insert stores value under key in the owning partition unless key is
 // present, and reports whether it did.
-func (m *MultiRooted) Insert(key schema.Key, value schema.Row) bool {
+func (m *MultiRooted) Insert(key schema.Key, value []byte) bool {
 	return m.InsertIn(m.PartitionFor(key), key, value)
 }
 
 // InsertIn is Insert for a caller that has resolved key's partition p already.
-func (m *MultiRooted) InsertIn(p int, key schema.Key, value schema.Row) bool {
+func (m *MultiRooted) InsertIn(p int, key schema.Key, value []byte) bool {
 	return m.roots[p].insert(key, value, m.fences(p))
 }
 
 // Update applies fn to the row under key in the owning partition.
-func (m *MultiRooted) Update(key schema.Key, fn func(schema.Row) schema.Row) bool {
+func (m *MultiRooted) Update(key schema.Key, fn func([]byte) []byte) bool {
 	return m.UpdateIn(m.PartitionFor(key), key, fn)
 }
 
 // UpdateIn is Update for a caller that has resolved key's partition p already.
-func (m *MultiRooted) UpdateIn(p int, key schema.Key, fn func(schema.Row) schema.Row) bool {
+func (m *MultiRooted) UpdateIn(p int, key schema.Key, fn func([]byte) []byte) bool {
 	return m.roots[p].update(key, fn, m.fences(p))
 }
 
@@ -159,14 +159,14 @@ func (m *MultiRooted) PartitionSizes() []int {
 
 // Scan visits entries with from <= key < to across partition boundaries in
 // ascending key order.
-func (m *MultiRooted) Scan(from, to schema.Key, fn func(schema.Key, schema.Row) bool) {
+func (m *MultiRooted) Scan(from, to schema.Key, fn func(schema.Key, []byte) bool) {
 	start := m.PartitionFor(from)
 	for i := start; i < len(m.roots); i++ {
 		if i > start && m.bounds[i] >= to {
 			return
 		}
 		stopped := false
-		m.roots[i].Scan(from, to, func(k schema.Key, v schema.Row) bool {
+		m.roots[i].Scan(from, to, func(k schema.Key, v []byte) bool {
 			if !fn(k, v) {
 				stopped = true
 				return false

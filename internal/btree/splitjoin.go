@@ -41,7 +41,7 @@ func cut(n *node, key schema.Key) (l, r *node) {
 		r = &node{
 			leaf:   true,
 			keys:   append([]schema.Key(nil), n.keys[i:]...),
-			values: append([]schema.Row(nil), n.values[i:]...),
+			values: append([][]byte(nil), n.values[i:]...),
 			next:   n.next,
 		}
 		clear(n.values[i:])

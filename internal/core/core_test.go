@@ -318,7 +318,7 @@ func TestBuildPlanAndExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.LoadFunc(1000, func(i int) schema.Row { return schema.Row{int64(i), int64(i)} })
+	tbl.LoadFunc(1000, func(i int, w *schema.RowWriter) { w.Ints(int64(i), int64(i)) })
 
 	current := partition.NewPlacement()
 	current.Tables["A"] = &partition.TablePlacement{
@@ -411,7 +411,7 @@ func TestRepartitionCostScalesWithActions(t *testing.T) {
 			PrimaryKey: []string{"id"},
 		}
 		tbl, _ := store.CreateTable(def, []schema.Key{0}, nil)
-		tbl.LoadFunc(8000, func(i int) schema.Row { return schema.Row{int64(i)} })
+		tbl.LoadFunc(8000, func(i int, w *schema.RowWriter) { w.Int(int64(i)) })
 		current := partition.NewPlacement()
 		current.Tables["A"] = &partition.TablePlacement{Table: "A", Bounds: []schema.Key{0}, Cores: []topology.CoreID{0}}
 		desired := partition.NewPlacement()

@@ -197,17 +197,25 @@ func BenchmarkExecute(b *testing.B) {
 
 // BenchmarkLoad reports what engine.New costs per loaded row on TATP (13 rows
 // per subscriber over four tables), almost all of it the bulk load: ns/row,
-// allocs/row, and the heap the built engine still holds per row after a
-// collection (retained-B/row).
+// allocs/row, the heap the built engine still holds per row after a
+// collection (retained-B/row), and that heap per byte of logical row data,
+// the rows' summed Row.Size (retained-B/logical-B, the space amplification).
 //
 //	go test -run '^$' -bench BenchmarkLoad -benchmem ./internal/engine
 func BenchmarkLoad(b *testing.B) {
 	for _, subs := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("subscribers=%d", subs), func(b *testing.B) {
 			wl := workload.MustTATP(workload.TATPOptions{Subscribers: subs})
-			rows := 0
+			rows, logical := 0, 0
 			for _, td := range wl.Tables {
 				rows += td.Rows
+				w := td.Schema.Layout().Writer()
+				for i := range td.Rows {
+					w.Reset()
+					td.RowGen(i, w)
+					_, size, _ := w.Row()
+					logical += size
+				}
 			}
 			var before, built, collected runtime.MemStats
 			var mallocs, retained uint64
@@ -235,6 +243,7 @@ func BenchmarkLoad(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/row")
 			b.ReportMetric(float64(mallocs)/total, "allocs/row")
 			b.ReportMetric(float64(retained)/total, "retained-B/row")
+			b.ReportMetric(float64(retained)/float64(b.N*logical), "retained-B/logical-B")
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"atrapos/internal/lock"
 	"atrapos/internal/numa"
 	"atrapos/internal/obs"
-	"atrapos/internal/schema"
 	"atrapos/internal/storage"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
@@ -29,20 +28,29 @@ func performAction(tbl *storage.Table, p int, a workload.Action, from topology.C
 		}
 		return cost, false, err
 	case workload.Update:
-		fn := incrementLastColumn
-		if a.Row != nil {
-			row := a.Row
-			fn = func(schema.Row) schema.Row { return row }
+		var cost numa.Cost
+		var err error
+		if a.Row == nil {
+			cost, err = tbl.IncrementIn(p, from, a.Key)
+		} else {
+			row, eerr := tbl.Layout().Encode(a.Row)
+			if eerr != nil {
+				return 0, false, eerr
+			}
+			cost, err = tbl.ReplaceIn(p, from, a.Key, row)
 		}
-		cost, err := tbl.UpdateIn(p, from, a.Key, fn)
 		if errors.Is(err, storage.ErrNotFound) {
 			return cost, false, nil
 		}
 		return cost, err == nil, err
 	case workload.Insert:
-		cost, err := tbl.InsertIn(p, from, a.Key, a.Row)
+		row, err := tbl.Layout().Encode(a.Row)
+		if err != nil {
+			return 0, false, err
+		}
+		cost, err := tbl.InsertIn(p, from, a.Key, row)
 		if errors.Is(err, storage.ErrDuplicate) {
-			extra, uerr := tbl.UpdateIn(p, from, a.Key, func(schema.Row) schema.Row { return a.Row })
+			extra, uerr := tbl.ReplaceIn(p, from, a.Key, row)
 			return cost + extra, uerr == nil, uerr
 		}
 		return cost, err == nil, err
@@ -55,23 +63,6 @@ func performAction(tbl *storage.Table, p int, a workload.Action, from topology.C
 	default:
 		return 0, false, nil
 	}
-}
-
-// incrementLastColumn is the in-place update applied when an update action
-// carries no row payload. It is a package-level function rather than a
-// closure in performAction (a closure capturing the action escapes into the
-// storage layer and costs one heap allocation per update), and the counter
-// wraps at 256 so the boxed value stays inside the runtime's static
-// small-integer cache — an unbounded counter would allocate on every store
-// into the schema.Value interface. No experiment reads the counter; the row
-// write itself is what the model charges for.
-func incrementLastColumn(r schema.Row) schema.Row {
-	if len(r) > 1 {
-		if v, ok := r[len(r)-1].(int64); ok {
-			r[len(r)-1] = (v + 1) & 0xff
-		}
-	}
-	return r
 }
 
 // recordTypeFor maps an executed write action to its log record type. A write

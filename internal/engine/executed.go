@@ -91,7 +91,7 @@ func (e *Engine) loadBackend(snap *stateSnapshot) error {
 		if tp == nil {
 			return fmt.Errorf("engine: placement is missing table %s", td.Schema.Name)
 		}
-		e.tables[ti].Scan(0, 0, ^schema.Key(0), func(k schema.Key, _ schema.Row) bool {
+		e.tables[ti].AscendKeys(func(k schema.Key) bool {
 			e.hash.Load(w.siteOf(tp.CoreFor(k)), ti, k, uint64(k))
 			return true
 		})

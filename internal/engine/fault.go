@@ -106,12 +106,18 @@ func (e *Engine) drainLogs(now vclock.Nanos) {
 
 // tableStore adapts a storage table to the wal.RowStore recovery interface:
 // redo applies row images without cost accounting (recovery replays history,
-// it does not re-execute it).
+// it does not re-execute it), inserting or replacing the row as a duplicate
+// insert action does.
 type tableStore struct{ t *storage.Table }
 
 func (s tableStore) ApplyInsert(key schema.Key, row schema.Row) {
-	if _, err := s.t.Insert(0, key, row); errors.Is(err, storage.ErrDuplicate) {
-		_, _ = s.t.Update(0, key, func(schema.Row) schema.Row { return row })
+	b, err := s.t.Layout().Encode(row)
+	if err != nil {
+		return
+	}
+	p := s.t.PartitionFor(key)
+	if _, err := s.t.InsertIn(p, 0, key, b); errors.Is(err, storage.ErrDuplicate) {
+		_, _ = s.t.ReplaceIn(p, 0, key, b)
 	}
 }
 
@@ -195,7 +201,7 @@ func (e *Engine) TableKeySets() map[string][]schema.Key {
 	out := make(map[string][]schema.Key, len(e.tables))
 	for _, tbl := range e.tables {
 		keys := make([]schema.Key, 0, tbl.Len())
-		tbl.Scan(0, 0, ^schema.Key(0), func(k schema.Key, _ schema.Row) bool {
+		tbl.AscendKeys(func(k schema.Key) bool {
 			keys = append(keys, k)
 			return true
 		})

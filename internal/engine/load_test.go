@@ -38,11 +38,15 @@ func withProcs(n int, fn func()) {
 func TestLoadDataMatchesSerialLoad(t *testing.T) {
 	varying := workload.SingleRowRead(3*loadChunk + 100)
 	varying.Name = "varying-row-sizes"
-	gen := varying.Tables[0].RowGen
-	varying.Tables[0].RowGen = func(i int) schema.Row {
-		r := gen(i)
-		r[len(r)-1] = strings.Repeat("x", i*7919%251)
-		return r
+	def := *varying.Tables[0].Schema
+	def.Columns = append([]schema.Column(nil), def.Columns...)
+	def.Columns[len(def.Columns)-1].Type = schema.String
+	varying.Tables[0].Schema = &def
+	varying.Tables[0].RowGen = func(i int, w *schema.RowWriter) {
+		for c := range len(def.Columns) - 1 {
+			w.Int(int64(i * max(c, 1)))
+		}
+		w.Str(strings.Repeat("x", i*7919%251))
 	}
 	workloads := []*workload.Workload{
 		workload.MustTATP(workload.TATPOptions{Subscribers: 20_000}),
@@ -181,12 +185,11 @@ func loadErrorsMatchSerialLoad(t *testing.T) {
 	badKeys := func(lateSeen chan struct{}) *workload.Workload {
 		wl := workload.SingleRowRead(5 * loadChunk)
 		gen := wl.Tables[0].RowGen
-		wl.Tables[0].RowGen = func(i int) schema.Row {
-			r := gen(i)
+		wl.Tables[0].RowGen = func(i int, w *schema.RowWriter) {
 			switch i {
 			case late:
 				close(lateSeen)
-				r[0] = float64(i)
+				w.Float(float64(i))
 			case early:
 				if runtime.GOMAXPROCS(0) > 1 {
 					select {
@@ -196,19 +199,18 @@ func loadErrorsMatchSerialLoad(t *testing.T) {
 					case <-time.After(5 * time.Second):
 					}
 				}
-				r[0] = float64(i)
+				w.Float(float64(i))
 			}
-			return r
+			gen(i, w)
 		}
 		return wl
 	}
-	repeatAt := func(gen func(int) schema.Row, at int) func(int) schema.Row {
-		return func(i int) schema.Row {
-			r := gen(i)
+	repeatAt := func(gen func(int, *schema.RowWriter), at int) func(int, *schema.RowWriter) {
+		return func(i int, w *schema.RowWriter) {
 			if i == at {
-				r[0] = int64(i - 1)
+				i-- // the previous row again, key and all
 			}
-			return r
+			gen(i, w)
 		}
 	}
 	// wl builds a case's workload; the reference builds the one the serial
@@ -233,12 +235,11 @@ func loadErrorsMatchSerialLoad(t *testing.T) {
 			wl := workload.TwoTableSimple(2 * loadChunk)
 			wl.Tables[0].RowGen = repeatAt(wl.Tables[0].RowGen, loadChunk+1)
 			gen := wl.Tables[1].RowGen
-			wl.Tables[1].RowGen = func(i int) schema.Row {
-				r := gen(i)
+			wl.Tables[1].RowGen = func(i int, w *schema.RowWriter) {
 				if i == 3 {
-					r[0] = float64(i)
+					w.Float(float64(i))
 				}
-				return r
+				gen(i, w)
 			}
 			return wl
 		}},

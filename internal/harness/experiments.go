@@ -386,13 +386,11 @@ func Fig9(s Scale) (*Table, error) {
 		if err != nil {
 			panic(err)
 		}
-		err = tbl.LoadFunc(rows, func(i int) schema.Row {
-			r := make(schema.Row, 11)
-			r[0] = int64(i)
+		err = tbl.LoadFunc(rows, func(i int, w *schema.RowWriter) {
+			w.Int(int64(i))
 			for c := 1; c < 11; c++ {
-				r[c] = int64(i * c)
+				w.Int(int64(i * c))
 			}
-			return r
 		})
 		if err != nil {
 			panic(err)

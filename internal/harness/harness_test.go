@@ -253,32 +253,74 @@ func TestFig8Shape(t *testing.T) {
 	}
 }
 
+// TestTable2Shape holds Table 2 to the paper's bound: monitoring costs at most
+// 3.32 % of throughput in every class (GetSubData is the paper's worst case).
 func TestTable2Shape(t *testing.T) {
 	tbl, err := Table2(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range tbl.Rows {
-		overhead, _ := strconv.ParseFloat(strings.TrimSuffix(row[3], "%"), 64)
-		if overhead > 10 {
-			t.Errorf("%s: monitoring overhead %.2f%% exceeds 10%%", row[0], overhead)
+		overhead, err := strconv.ParseFloat(strings.TrimSuffix(row[3], "%"), 64)
+		if err != nil || overhead > 3.32 {
+			t.Errorf("%s: monitoring overhead %s exceeds the paper's 3.32%% (%v)", row[0], row[3], err)
 		}
 	}
 }
 
+// TestFig9Shape holds Figure 9's claim that repartitioning cost grows
+// linearly with the number of repartitioning actions: for the merge and the
+// split columns, a least-squares line in the action count explains at least
+// 0.99 of the variance, and its slope is positive. It runs at the CLI's quick
+// scale, the figure as published here (2–16 actions, ~50 ms); testScale's
+// 1–8 actions on 3,000 rows merge in odd/even steps. The rearrange column
+// joins the check once it is measured rather than summed from the other two.
 func TestFig9Shape(t *testing.T) {
-	tbl, err := Fig9(testScale())
+	tbl, err := Fig9(QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) < 2 {
+	if len(tbl.Rows) < 3 {
 		t.Fatalf("fig9 has %d rows", len(tbl.Rows))
 	}
-	firstSplit, _ := strconv.ParseFloat(tbl.Rows[0][2], 64)
-	lastSplit, _ := strconv.ParseFloat(tbl.Rows[len(tbl.Rows)-1][2], 64)
-	if lastSplit <= firstSplit {
-		t.Error("split cost should grow with the number of repartitioning actions")
+	col := func(c int) []float64 {
+		out := make([]float64, len(tbl.Rows))
+		for i, row := range tbl.Rows {
+			v, err := strconv.ParseFloat(row[c], 64)
+			if err != nil {
+				t.Fatalf("fig9 row %d column %d: %v", i, c, err)
+			}
+			out[i] = v
+		}
+		return out
 	}
+	actions := col(0)
+	for c, name := range map[int]string{1: "merge", 2: "split"} {
+		slope, r2 := linearFit(actions, col(c))
+		if slope <= 0 || r2 < 0.99 {
+			t.Errorf("%s cost vs actions: slope %.4g ms/action, R² %.4f; want a rising line with R² >= 0.99", name, slope, r2)
+		}
+	}
+}
+
+// linearFit returns the slope of the least-squares line through (x, y) and the
+// share of y's variance it explains (R²).
+func linearFit(x, y []float64) (slope, r2 float64) {
+	n := float64(len(x))
+	var sx, sy float64
+	for i := range x {
+		sx, sy = sx+x[i], sy+y[i]
+	}
+	mx, my := sx/n, sy/n
+	var sxx, sxy, syy float64
+	for i := range x {
+		dx, dy := x[i]-mx, y[i]-my
+		sxx, sxy, syy = sxx+dx*dx, sxy+dx*dy, syy+dy*dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0, 0
+	}
+	return sxy / sxx, sxy * sxy / (sxx * syy)
 }
 
 func TestFig10Series(t *testing.T) {

@@ -112,7 +112,9 @@ func (t *Table) ColumnIndex(name string) int {
 // Value is one cell value. Only int64, float64 and string are used.
 type Value any
 
-// Row is a tuple: one value per column, in column order.
+// Row is a tuple: one value per column, in column order. It is the boxed form
+// of a row at the API edge (generated actions, the keyed table operations,
+// recovery); stored rows are flat byte slices in their table's Layout.
 type Row []Value
 
 // Clone returns a copy of the row (values are immutable scalars, so a shallow
@@ -123,8 +125,9 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Size returns the approximate size of the row in bytes; it feeds the
-// Data(s) = Distance(s) * Size(s) term of the synchronization cost model.
+// Size returns the approximate size of the row in bytes: 8 per non-string
+// value plus each string's length. Layout.Size and RowWriter report the same
+// for a flat row.
 func (r Row) Size() int {
 	size := 0
 	for _, v := range r {
@@ -176,57 +179,6 @@ func KeyFromString(s string) Key {
 // component dominates the ordering; the secondary must fit in 20 bits.
 func CompositeKey(primary int64, secondary int64) Key {
 	return Key((uint64(primary) << 20) | (uint64(secondary) & ((1 << 20) - 1)))
-}
-
-// KeyColumns is a table's primary key resolved to column positions, so a
-// caller that extracts the keys of many rows looks the columns up by name once.
-type KeyColumns struct {
-	t *Table
-	// pos holds the positions of the first two primary-key columns, -1 for a
-	// column that does not exist or is not declared.
-	pos [2]int
-}
-
-// KeyColumns resolves the table's primary-key columns for RowKey.
-func (t *Table) KeyColumns() KeyColumns {
-	k := KeyColumns{t: t, pos: [2]int{-1, -1}}
-	for i := 0; i < len(k.pos) && i < len(t.PrimaryKey); i++ {
-		k.pos[i] = t.ColumnIndex(t.PrimaryKey[i])
-	}
-	return k
-}
-
-// RowKey extracts the Key of a row according to the table's primary key.
-// Integer single-column keys use KeyFromInt; multi-column integer keys use
-// CompositeKey over the first two columns; string keys use KeyFromString.
-func (k KeyColumns) RowKey(r Row) (Key, error) {
-	t := k.t
-	if len(t.PrimaryKey) == 0 {
-		return 0, fmt.Errorf("schema: table %s has no primary key", t.Name)
-	}
-	idx0 := k.pos[0]
-	if idx0 < 0 || idx0 >= len(r) {
-		return 0, fmt.Errorf("schema: row for %s is missing primary key column %s", t.Name, t.PrimaryKey[0])
-	}
-	switch v := r[idx0].(type) {
-	case int64:
-		if len(t.PrimaryKey) >= 2 {
-			idx1 := k.pos[1]
-			if idx1 < 0 || idx1 >= len(r) {
-				return 0, fmt.Errorf("schema: row for %s is missing primary key column %s", t.Name, t.PrimaryKey[1])
-			}
-			second, ok := r[idx1].(int64)
-			if !ok {
-				return 0, fmt.Errorf("schema: composite key column %s of %s is not int64", t.PrimaryKey[1], t.Name)
-			}
-			return CompositeKey(v, second), nil
-		}
-		return KeyFromInt(v), nil
-	case string:
-		return KeyFromString(v), nil
-	default:
-		return 0, fmt.Errorf("schema: unsupported primary key type %T in table %s", v, t.Name)
-	}
 }
 
 // Catalog is a registry of table definitions. It is single-owner, with no

@@ -126,9 +126,20 @@ func TestCompositeKeyOrdering(t *testing.T) {
 	}
 }
 
+// rowKey is the key Layout.Key extracts from r in tb's flat layout.
+func rowKey(t *testing.T, tb *Table, r Row) (Key, error) {
+	t.Helper()
+	l := tb.Layout()
+	b, err := l.Encode(r)
+	if err != nil {
+		t.Fatalf("encoding %v: %v", r, err)
+	}
+	return l.Key(b)
+}
+
 func TestRowKey(t *testing.T) {
 	tb := sampleTable()
-	k, err := tb.KeyColumns().RowKey(Row{int64(42), int64(7), 1.0, "x"})
+	k, err := rowKey(t, tb, Row{int64(42), int64(7), 1.0, "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +153,15 @@ func TestRowKey(t *testing.T) {
 		Columns:    []Column{{Name: "w_id", Type: Int64}, {Name: "i_id", Type: Int64}},
 		PrimaryKey: []string{"w_id", "i_id"},
 	}
-	k, err = comp.KeyColumns().RowKey(Row{int64(3), int64(9)})
+	k, err = rowKey(t, comp, Row{int64(3), int64(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k != CompositeKey(3, 9) {
 		t.Errorf("composite RowKey = %d, want %d", k, CompositeKey(3, 9))
+	}
+	if _, err := rowKey(t, comp, Row{int64(3)}); err == nil {
+		t.Error("a row without the second key column should error")
 	}
 
 	// String key.
@@ -156,18 +170,19 @@ func TestRowKey(t *testing.T) {
 		Columns:    []Column{{Name: "n", Type: String}},
 		PrimaryKey: []string{"n"},
 	}
-	if _, err := str.KeyColumns().RowKey(Row{"abc"}); err != nil {
-		t.Errorf("string RowKey error: %v", err)
+	if k, err := rowKey(t, str, Row{"abc"}); err != nil || k != KeyFromString("abc") {
+		t.Errorf("string RowKey = %d, %v", k, err)
 	}
 
 	// Errors.
-	if _, err := (&Table{Name: "x", Columns: []Column{{Name: "a", Type: Int64}}}).KeyColumns().RowKey(Row{int64(1)}); err == nil {
+	if _, err := rowKey(t, &Table{Name: "x", Columns: []Column{{Name: "a", Type: Int64}}}, Row{int64(1)}); err == nil {
 		t.Error("table without primary key should error")
 	}
-	if _, err := tb.KeyColumns().RowKey(Row{}); err == nil {
+	if _, err := rowKey(t, tb, Row{}); err == nil {
 		t.Error("short row should error")
 	}
-	if _, err := tb.KeyColumns().RowKey(Row{3.14, int64(1), 1.0, "x"}); err == nil {
+	float := &Table{Name: "f", Columns: []Column{{Name: "a", Type: Float64}}, PrimaryKey: []string{"a"}}
+	if _, err := rowKey(t, float, Row{3.14}); err == nil {
 		t.Error("float primary key should error")
 	}
 	badComp := &Table{
@@ -175,7 +190,7 @@ func TestRowKey(t *testing.T) {
 		Columns:    []Column{{Name: "a", Type: Int64}, {Name: "b", Type: String}},
 		PrimaryKey: []string{"a", "b"},
 	}
-	if _, err := badComp.KeyColumns().RowKey(Row{int64(1), "x"}); err == nil {
+	if _, err := rowKey(t, badComp, Row{int64(1), "x"}); err == nil {
 		t.Error("non-integer second key column should error")
 	}
 }

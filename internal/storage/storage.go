@@ -6,6 +6,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -62,6 +63,7 @@ func (m *Manager) CreateTable(def *schema.Table, bounds []schema.Key, homes []to
 	}
 	t := &Table{
 		def:    def,
+		layout: def.Layout(),
 		domain: m.domain,
 		tree:   tree,
 		homes:  normalizeHomes(homes, len(bounds)),
@@ -120,6 +122,7 @@ func (m *Manager) Tables() []*Table {
 // benchmark's per-layer replay drives its tables serially.
 type Table struct {
 	def    *schema.Table
+	layout *schema.Layout
 	domain *numa.Domain
 	tree   *btree.MultiRooted
 	homes  []topology.SocketID
@@ -190,13 +193,19 @@ func (t *Table) accessCost(from topology.CoreID, p, rowBytes int) numa.Cost {
 	return t.indexProbeCost(from, home, rowBytes)
 }
 
-// Read returns the row stored under key.
-func (t *Table) Read(from topology.CoreID, key schema.Key) (schema.Row, numa.Cost, error) {
-	return t.ReadIn(t.tree.PartitionFor(key), from, key)
-}
+// The positional operations below (ReadIn, InsertIn, ReplaceIn, IncrementIn,
+// DeleteIn) are the engine's hot path: the caller has resolved the key's
+// partition p, and rows are flat, in the table's Layout. The keyed ones (Read,
+// Insert, Update, Delete, Scan) resolve the partition and take and return
+// boxed rows, decoding and encoding at that edge; the costs of both are the
+// same, priced from row sizes only.
 
-// ReadIn is Read for a caller that has resolved key's partition p already.
-func (t *Table) ReadIn(p int, from topology.CoreID, key schema.Key) (schema.Row, numa.Cost, error) {
+// Layout returns the flat row format of the table.
+func (t *Table) Layout() *schema.Layout { return t.layout }
+
+// ReadIn returns the flat row stored under key in partition p. The row is the
+// stored one, not a copy.
+func (t *Table) ReadIn(p int, from topology.CoreID, key schema.Key) ([]byte, numa.Cost, error) {
 	cost := t.accessCost(from, p, t.rowBytes())
 	row, ok := t.tree.GetIn(p, key)
 	if !ok {
@@ -205,28 +214,36 @@ func (t *Table) ReadIn(p int, from topology.CoreID, key schema.Key) (schema.Row,
 	return row, cost, nil
 }
 
-// Insert adds a new row under key; it fails with ErrDuplicate if the key exists.
-func (t *Table) Insert(from topology.CoreID, key schema.Key, row schema.Row) (numa.Cost, error) {
-	return t.InsertIn(t.tree.PartitionFor(key), from, key, row)
-}
-
-// InsertIn is Insert for a caller that has resolved key's partition p already.
-func (t *Table) InsertIn(p int, from topology.CoreID, key schema.Key, row schema.Row) (numa.Cost, error) {
-	cost := t.accessCost(from, p, row.Size())
+// InsertIn adds the flat row under key in partition p, which keeps the slice;
+// it fails with ErrDuplicate if the key exists.
+func (t *Table) InsertIn(p int, from topology.CoreID, key schema.Key, row []byte) (numa.Cost, error) {
+	size := t.layout.Size(row)
+	cost := t.accessCost(from, p, size)
 	if !t.tree.InsertIn(p, key, row) {
 		return cost, ErrDuplicate
 	}
-	t.avgRowBytes = nextAvgRowBytes(t.avgRowBytes, row.Size())
+	t.avgRowBytes = nextAvgRowBytes(t.avgRowBytes, size)
 	return cost + t.domain.Model.LocalAccess, nil
 }
 
-// Update applies fn to the row under key.
-func (t *Table) Update(from topology.CoreID, key schema.Key, fn func(schema.Row) schema.Row) (numa.Cost, error) {
-	return t.UpdateIn(t.tree.PartitionFor(key), from, key, fn)
+// ReplaceIn stores the flat row under the existing key in partition p in
+// place of the row there, and keeps the slice.
+func (t *Table) ReplaceIn(p int, from topology.CoreID, key schema.Key, row []byte) (numa.Cost, error) {
+	return t.updateIn(p, from, key, func([]byte) []byte { return row })
 }
 
-// UpdateIn is Update for a caller that has resolved key's partition p already.
-func (t *Table) UpdateIn(p int, from topology.CoreID, key schema.Key, fn func(schema.Row) schema.Row) (numa.Cost, error) {
+// IncrementIn adds one to the last column of the row under key in partition
+// p, in place (schema.Layout.Increment): the update of an action that carries
+// no row.
+func (t *Table) IncrementIn(p int, from topology.CoreID, key schema.Key) (numa.Cost, error) {
+	return t.updateIn(p, from, key, func(row []byte) []byte {
+		t.layout.Increment(row)
+		return row
+	})
+}
+
+// updateIn applies fn to the flat row under key in partition p.
+func (t *Table) updateIn(p int, from topology.CoreID, key schema.Key, fn func([]byte) []byte) (numa.Cost, error) {
 	cost := t.accessCost(from, p, t.rowBytes())
 	if !t.tree.UpdateIn(p, key, fn) {
 		return cost, ErrNotFound
@@ -234,18 +251,61 @@ func (t *Table) UpdateIn(p int, from topology.CoreID, key schema.Key, fn func(sc
 	return cost + t.domain.Model.LocalAccess, nil
 }
 
-// Delete removes the row under key.
-func (t *Table) Delete(from topology.CoreID, key schema.Key) (numa.Cost, error) {
-	return t.DeleteIn(t.tree.PartitionFor(key), from, key)
-}
-
-// DeleteIn is Delete for a caller that has resolved key's partition p already.
+// DeleteIn removes the row under key in partition p.
 func (t *Table) DeleteIn(p int, from topology.CoreID, key schema.Key) (numa.Cost, error) {
 	cost := t.accessCost(from, p, t.rowBytes())
 	if !t.tree.DeleteIn(p, key) {
 		return cost, ErrNotFound
 	}
 	return cost, nil
+}
+
+// AscendKeys visits every key in ascending order, without cost accounting,
+// until fn returns false.
+func (t *Table) AscendKeys(fn func(schema.Key) bool) {
+	t.tree.Scan(0, ^schema.Key(0), func(k schema.Key, _ []byte) bool { return fn(k) })
+}
+
+// Read returns the row stored under key.
+func (t *Table) Read(from topology.CoreID, key schema.Key) (schema.Row, numa.Cost, error) {
+	row, cost, err := t.ReadIn(t.tree.PartitionFor(key), from, key)
+	if err != nil {
+		return nil, cost, err
+	}
+	return t.layout.Decode(row), cost, nil
+}
+
+// Insert adds a new row under key; it fails with ErrDuplicate if the key
+// exists, and before any access if row does not fit the table's layout.
+func (t *Table) Insert(from topology.CoreID, key schema.Key, row schema.Row) (numa.Cost, error) {
+	b, err := t.layout.Encode(row)
+	if err != nil {
+		return 0, fmt.Errorf("storage: inserting into %s: %w", t.def.Name, err)
+	}
+	return t.InsertIn(t.tree.PartitionFor(key), from, key, b)
+}
+
+// Update replaces the row under key with fn's result; a result that does not
+// fit the table's layout leaves the row as it was and is an error.
+func (t *Table) Update(from topology.CoreID, key schema.Key, fn func(schema.Row) schema.Row) (numa.Cost, error) {
+	var encErr error
+	cost, err := t.updateIn(t.tree.PartitionFor(key), from, key, func(old []byte) []byte {
+		b, err := t.layout.Encode(fn(t.layout.Decode(old)))
+		if err != nil {
+			encErr = fmt.Errorf("storage: updating %s: %w", t.def.Name, err)
+			return old
+		}
+		return b
+	})
+	if err == nil {
+		err = encErr
+	}
+	return cost, err
+}
+
+// Delete removes the row under key.
+func (t *Table) Delete(from topology.CoreID, key schema.Key) (numa.Cost, error) {
+	return t.DeleteIn(t.tree.PartitionFor(key), from, key)
 }
 
 // Scan visits rows in [from, to) in key order and returns the access cost,
@@ -262,17 +322,17 @@ func (t *Table) Scan(caller topology.CoreID, from, to schema.Key, fn func(schema
 		cost += t.indexProbeCost(caller, t.Home(p), t.rowBytes())
 	}
 	rows := 0
-	t.tree.Scan(from, to, func(k schema.Key, r schema.Row) bool {
+	t.tree.Scan(from, to, func(k schema.Key, r []byte) bool {
 		rows++
-		return fn(k, r)
+		return fn(k, t.layout.Decode(r))
 	})
 	cost += numa.Cost(rows) * t.domain.Model.LocalAccess
 	return cost
 }
 
 // LoadFunc populates the empty table, without cost accounting, with the n rows
-// gen(0) … gen(n-1): a Load filled in one range.
-func (t *Table) LoadFunc(n int, gen func(i int) schema.Row) error {
+// gen writes for 0 … n-1: a Load filled in one range.
+func (t *Table) LoadFunc(n int, gen func(i int, w *schema.RowWriter)) error {
 	l := t.NewLoad(n)
 	if err := l.Fill(0, n, gen); err != nil {
 		return err
@@ -284,27 +344,34 @@ func (t *Table) LoadFunc(n int, gen func(i int) schema.Row) error {
 // slots, so disjoint Fills may run on goroutines that are joined before Finish.
 type Load struct {
 	t     *Table
-	key   schema.KeyColumns
 	keys  []schema.Key
-	rows  []schema.Row
+	rows  [][]byte
 	sizes []int
 }
 
 // NewLoad allocates the staging slots of an n-row load into t.
 func (t *Table) NewLoad(n int) *Load {
-	return &Load{t, t.def.KeyColumns(), make([]schema.Key, n), make([]schema.Row, n), make([]int, n)}
+	return &Load{t, make([]schema.Key, n), make([][]byte, n), make([]int, n)}
 }
 
-// Fill stages rows lo … hi-1 of the generator and stops at the first row whose
-// key cannot be extracted, naming the table and the row.
-func (l *Load) Fill(lo, hi int, gen func(i int) schema.Row) error {
+// Fill stages rows lo … hi-1 of the generator, each copied out of the writer
+// into one allocation of its own, and stops at the first row that does not fit
+// the table's layout or whose key cannot be extracted, naming the table and
+// the row.
+func (l *Load) Fill(lo, hi int, gen func(i int, w *schema.RowWriter)) error {
+	w := l.t.layout.Writer()
 	for i := lo; i < hi; i++ {
-		r := gen(i)
-		key, err := l.key.RowKey(r)
+		w.Reset()
+		gen(i, w)
+		row, size, err := w.Row()
+		var key schema.Key
+		if err == nil {
+			key, err = l.t.layout.Key(row)
+		}
 		if err != nil {
 			return fmt.Errorf("storage: loading %s row %d: %w", l.t.def.Name, i, err)
 		}
-		l.keys[i], l.rows[i], l.sizes[i] = key, r, r.Size()
+		l.keys[i], l.rows[i], l.sizes[i] = key, bytes.Clone(row), size
 	}
 	return nil
 }

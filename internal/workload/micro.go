@@ -63,13 +63,11 @@ func (ctx *GenContext) siteKeyRange(maxKey int64) (lo, hi int64) {
 	return m.lo, m.hi
 }
 
-func tenColumnRow(i int) schema.Row {
-	row := make(schema.Row, 11)
-	row[0] = int64(i)
+func tenColumnRow(i int, w *schema.RowWriter) {
+	w.Int(int64(i))
 	for c := 1; c < 11; c++ {
-		row[c] = int64(i * c)
+		w.Int(int64(i * c))
 	}
-	return row
 }
 
 // SingleRowRead is the perfectly partitionable microbenchmark of Figures 1, 2

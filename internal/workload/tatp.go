@@ -92,8 +92,10 @@ func TATP(opts TATPOptions) (*Workload, error) {
 				},
 				Rows:   opts.Subscribers,
 				MaxKey: subs,
-				RowGen: func(i int) schema.Row {
-					return schema.Row{int64(i), zeroPad15(i), int64(i % 2), int64(i * 7 % 1000), int64(i * 13 % 1000)}
+				RowGen: func(i int, w *schema.RowWriter) {
+					w.Int(int64(i))
+					zeroPad15(w, i)
+					w.Ints(int64(i%2), int64(i*7%1000), int64(i*13%1000))
 				},
 			},
 			{
@@ -110,8 +112,8 @@ func TATP(opts TATPOptions) (*Workload, error) {
 				},
 				Rows:   opts.Subscribers * 4,
 				MaxKey: subs * 4,
-				RowGen: func(i int) schema.Row {
-					return schema.Row{int64(i), int64(i / 4), int64(i%4 + 1), int64(i % 256)}
+				RowGen: func(i int, w *schema.RowWriter) {
+					w.Ints(int64(i), int64(i/4), int64(i%4+1), int64(i%256))
 				},
 			},
 			{
@@ -128,8 +130,8 @@ func TATP(opts TATPOptions) (*Workload, error) {
 				},
 				Rows:   opts.Subscribers * 4,
 				MaxKey: subs * 4,
-				RowGen: func(i int) schema.Row {
-					return schema.Row{int64(i), int64(i / 4), int64(i%4 + 1), int64(1)}
+				RowGen: func(i int, w *schema.RowWriter) {
+					w.Ints(int64(i), int64(i/4), int64(i%4+1), 1)
 				},
 			},
 			{
@@ -147,12 +149,13 @@ func TATP(opts TATPOptions) (*Workload, error) {
 				},
 				Rows:   opts.Subscribers * 4, // ~1 forwarding record per facility on average
 				MaxKey: subs * 96,
-				RowGen: func(i int) schema.Row {
+				RowGen: func(i int, w *schema.RowWriter) {
 					sID := int64(i / 4)
 					sfType := int64(i%4 + 1)
 					startHour := int64((i * 8) % 24)
 					cfID := sID*96 + (sfType-1)*24 + startHour
-					return schema.Row{cfID, sID, sfType, startHour, zeroPad15(i)}
+					w.Ints(cfID, sID, sfType, startHour)
+					zeroPad15(w, i)
 				},
 			},
 		},
@@ -213,15 +216,18 @@ func TATP(opts TATPOptions) (*Workload, error) {
 	return w, nil
 }
 
-// zeroPad15 is fmt.Sprintf("%015d", i) for every i >= 0 without fmt's
-// reflection: the loader calls it for every Subscriber and CallForwarding row.
-func zeroPad15(i int) string {
+// zeroPad15 writes fmt.Sprintf("%015d", i) for every i >= 0 as the next
+// column, formatted in a stack buffer without fmt's reflection or a string
+// allocation: the loader calls it for every Subscriber and CallForwarding row.
+func zeroPad15(w *schema.RowWriter, i int) {
 	var buf [19]byte // math.MaxInt has 19 digits
 	b := strconv.AppendInt(buf[:0], int64(i), 10)
-	if len(b) >= 15 {
-		return string(b)
+	if pad := 15 - len(b); pad > 0 {
+		copy(buf[pad:], b)
+		copy(buf[:pad], "000000000000000")
+		b = buf[:15]
 	}
-	return "000000000000000"[len(b):] + string(b)
+	w.StrBytes(b)
 }
 
 // MustTATP is TATP but panics on configuration errors; intended for benches

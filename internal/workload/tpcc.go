@@ -108,7 +108,7 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 			{
 				Schema: &schema.Table{Name: "Warehouse", Columns: intCol("w_id", "w_tax", "w_ytd"), PrimaryKey: []string{"w_id"}},
 				Rows:   int(w), MaxKey: w,
-				RowGen: func(i int) schema.Row { return schema.Row{int64(i), int64(7), int64(0)} },
+				RowGen: func(i int, w *schema.RowWriter) { w.Ints(int64(i), 7, 0) },
 			},
 			{
 				Schema: &schema.Table{
@@ -117,8 +117,8 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 					ForeignKeys: []schema.ForeignKey{fk("d_w_id", "Warehouse", "w_id")},
 				},
 				Rows: int(districts), MaxKey: districts,
-				RowGen: func(i int) schema.Row {
-					return schema.Row{int64(i), int64(i / tpccDistrictsPerWarehouse), int64(5), int64(tpccInitialOrdersPerDist), int64(0)}
+				RowGen: func(i int, w *schema.RowWriter) {
+					w.Ints(int64(i), int64(i/tpccDistrictsPerWarehouse), 5, tpccInitialOrdersPerDist, 0)
 				},
 			},
 			{
@@ -128,9 +128,9 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 					ForeignKeys: []schema.ForeignKey{fk("c_d_id", "District", "d_id")},
 				},
 				Rows: int(customers), MaxKey: customers,
-				RowGen: func(i int) schema.Row {
+				RowGen: func(i int, w *schema.RowWriter) {
 					d := int64(i) / int64(custPerDist)
-					return schema.Row{int64(i), d, d / tpccDistrictsPerWarehouse, int64(-10), int64(10), int64(1)}
+					w.Ints(int64(i), d, d/tpccDistrictsPerWarehouse, -10, 10, 1)
 				},
 			},
 			{
@@ -140,8 +140,8 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 					ForeignKeys: []schema.ForeignKey{fk("h_c_id", "Customer", "c_id")},
 				},
 				Rows: int(customers), MaxKey: customers * 4,
-				RowGen: func(i int) schema.Row {
-					return schema.Row{int64(i), int64(i), int64(i) / int64(custPerDist), int64(10)}
+				RowGen: func(i int, w *schema.RowWriter) {
+					w.Ints(int64(i), int64(i), int64(i)/int64(custPerDist), 10)
 				},
 			},
 			{
@@ -151,10 +151,10 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 					ForeignKeys: []schema.ForeignKey{fk("no_d_id", "District", "d_id")},
 				},
 				Rows: int(districts) * 900, MaxKey: maxOrders,
-				RowGen: func(i int) schema.Row {
+				RowGen: func(i int, w *schema.RowWriter) {
 					d := int64(i) / 900
 					o := orderKey(d, int64(tpccInitialOrdersPerDist)-900+int64(i)%900)
-					return schema.Row{o, d, d / tpccDistrictsPerWarehouse}
+					w.Ints(o, d, d/tpccDistrictsPerWarehouse)
 				},
 			},
 			{
@@ -164,10 +164,10 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 					ForeignKeys: []schema.ForeignKey{fk("o_d_id", "District", "d_id"), fk("o_c_id", "Customer", "c_id")},
 				},
 				Rows: int(districts) * tpccInitialOrdersPerDist, MaxKey: maxOrders,
-				RowGen: func(i int) schema.Row {
+				RowGen: func(i int, w *schema.RowWriter) {
 					d := int64(i) / tpccInitialOrdersPerDist
 					o := orderKey(d, int64(i)%tpccInitialOrdersPerDist)
-					return schema.Row{o, d, d / tpccDistrictsPerWarehouse, d*int64(custPerDist) + int64(i)%int64(custPerDist), int64(10)}
+					w.Ints(o, d, d/tpccDistrictsPerWarehouse, d*int64(custPerDist)+int64(i)%int64(custPerDist), 10)
 				},
 			},
 			{
@@ -177,16 +177,16 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 					ForeignKeys: []schema.ForeignKey{fk("ol_o_id", "Order", "o_id"), fk("ol_i_id", "Item", "i_id")},
 				},
 				Rows: int(districts) * tpccInitialOrdersPerDist * 10, MaxKey: maxOrders * 15,
-				RowGen: func(i int) schema.Row {
+				RowGen: func(i int, w *schema.RowWriter) {
 					d := int64(i) / (tpccInitialOrdersPerDist * 10)
 					o := orderKey(d, (int64(i)/10)%tpccInitialOrdersPerDist)
-					return schema.Row{o*15 + int64(i)%10, o, d, int64(i) % int64(items), int64(42)}
+					w.Ints(o*15+int64(i)%10, o, d, int64(i)%int64(items), 42)
 				},
 			},
 			{
 				Schema: &schema.Table{Name: "Item", Columns: intCol("i_id", "i_price", "i_im_id"), PrimaryKey: []string{"i_id"}},
 				Rows:   items, MaxKey: int64(items),
-				RowGen: func(i int) schema.Row { return schema.Row{int64(i), int64(i%100 + 1), int64(i % 10000)} },
+				RowGen: func(i int, w *schema.RowWriter) { w.Ints(int64(i), int64(i%100+1), int64(i%10000)) },
 			},
 			{
 				Schema: &schema.Table{
@@ -195,8 +195,8 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 					ForeignKeys: []schema.ForeignKey{fk("s_w_id", "Warehouse", "w_id"), fk("s_i_id", "Item", "i_id")},
 				},
 				Rows: int(stock), MaxKey: stock,
-				RowGen: func(i int) schema.Row {
-					return schema.Row{int64(i), int64(i) / int64(items), int64(i) % int64(items), int64(50), int64(0), int64(0)}
+				RowGen: func(i int, w *schema.RowWriter) {
+					w.Ints(int64(i), int64(i)/int64(items), int64(i)%int64(items), 50, 0, 0)
 				},
 			},
 		},

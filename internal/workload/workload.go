@@ -190,11 +190,12 @@ type TableDef struct {
 	Schema *schema.Table
 	Rows   int
 	MaxKey int64
-	// RowGen returns row i of the initial population, for i in [0, Rows),
-	// with keys strictly ascending in i. It must be a pure function of i: the
-	// loader calls it from several goroutines at once, each over its own
-	// range of rows, so it may neither keep nor share mutable state.
-	RowGen func(i int) schema.Row
+	// RowGen writes row i of the initial population, for i in [0, Rows),
+	// through w, column by column, with keys strictly ascending in i. It must
+	// be a pure function of i: the loader calls it from several goroutines at
+	// once, each over its own range of rows and with its own writer, so it may
+	// neither keep nor share mutable state.
+	RowGen func(i int, w *schema.RowWriter)
 }
 
 // GenContext is the context available when generating one transaction. One

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"atrapos/internal/schema"
 	"atrapos/internal/vclock"
 )
 
@@ -143,7 +144,7 @@ func TestSingleRowRead(t *testing.T) {
 		t.Error("class weights should be 1 for the only class")
 	}
 	// Row generator produces valid rows for the schema.
-	row := w.Tables[0].RowGen(5)
+	row := genRow(t, w.Tables[0], 5)
 	if len(row) != len(w.Tables[0].Schema.Columns) {
 		t.Errorf("row has %d values for %d columns", len(row), len(w.Tables[0].Schema.Columns))
 	}
@@ -309,7 +310,7 @@ func TestTATPGeneratesAllClasses(t *testing.T) {
 	}
 	// Row generators are schema-compatible.
 	for _, td := range w.Tables {
-		row := td.RowGen(3)
+		row := genRow(t, td, 3)
 		if len(row) != len(td.Schema.Columns) {
 			t.Errorf("table %s: row has %d values for %d columns", td.Schema.Name, len(row), len(td.Schema.Columns))
 		}
@@ -319,12 +320,12 @@ func TestTATPGeneratesAllClasses(t *testing.T) {
 func TestTATPRowGeneratorsAlignWithSubscriber(t *testing.T) {
 	w := MustTATP(TATPOptions{Subscribers: 100})
 	ai, _ := w.TableDef("AccessInfo")
-	row := ai.RowGen(41)
+	row := genRow(t, ai, 41)
 	if row[0].(int64) != 41 || row[1].(int64) != 10 {
 		t.Errorf("AccessInfo row 41 = %v", row)
 	}
 	cf, _ := w.TableDef("CallForwarding")
-	row = cf.RowGen(10)
+	row = genRow(t, cf, 10)
 	// i=10: s_id=2, sf_type=3, start=(80)%24=8 -> cf_id=2*96+2*24+8=248.
 	if row[0].(int64) != 248 {
 		t.Errorf("CallForwarding surrogate key = %v", row[0])
@@ -335,11 +336,60 @@ func TestTATPRowGeneratorsAlignWithSubscriber(t *testing.T) {
 // fmt.Sprintf("%015d") for every non-negative int, below, at and past 15
 // digits.
 func TestZeroPad15MatchesSprintf(t *testing.T) {
+	l := (&schema.Table{Name: "pad", Columns: []schema.Column{{Name: "s", Type: schema.String}}}).Layout()
+	w := l.Writer()
 	for _, i := range []int{0, 9, 10, 99_999, 1e14, 1e15 - 1, 1e15, math.MaxInt} {
-		if got, want := zeroPad15(i), fmt.Sprintf("%015d", i); got != want {
-			t.Errorf("zeroPad15(%d) = %q, want %q", i, got, want)
+		w.Reset()
+		zeroPad15(w, i)
+		b, _, err := w.Row()
+		if got, _ := l.Str(b, 0); err != nil || got != fmt.Sprintf("%015d", i) {
+			t.Errorf("zeroPad15(%d) wrote %q (%v), want %q", i, got, err, fmt.Sprintf("%015d", i))
 		}
 	}
+}
+
+// TestActionRowsFitTheirTables: every row a generated transaction carries
+// encodes into its table's flat layout, as the engine encodes it to store it.
+func TestActionRowsFitTheirTables(t *testing.T) {
+	for _, w := range []*Workload{
+		MustTATP(TATPOptions{Subscribers: 500}),
+		MustTPCC(TPCCOptions{Warehouses: 2, CustomersPerDistrict: 30, Items: 1000}),
+	} {
+		layouts := make(map[string]*schema.Layout)
+		for _, td := range w.Tables {
+			layouts[td.Schema.Name] = td.Schema.Layout()
+		}
+		c := ctx(7)
+		rows := 0
+		for range 5000 {
+			for _, a := range w.Generate(c).Actions {
+				if a.Row == nil {
+					continue
+				}
+				rows++
+				if _, err := layouts[a.Table].Encode(a.Row); err != nil {
+					t.Fatalf("%s: %v row %v: %v", w.Name, a.Op, a.Row, err)
+				}
+			}
+		}
+		if rows == 0 {
+			t.Errorf("%s generated no action rows", w.Name)
+		}
+	}
+}
+
+// genRow is row i of td's generator, written through its layout's writer
+// (which rejects a value that does not fit its column) and decoded.
+func genRow(t *testing.T, td TableDef, i int) schema.Row {
+	t.Helper()
+	l := td.Schema.Layout()
+	w := l.Writer()
+	td.RowGen(i, w)
+	b, _, err := w.Row()
+	if err != nil {
+		t.Fatalf("%s row %d: %v", td.Schema.Name, i, err)
+	}
+	return l.Decode(b)
 }
 
 // TestRowGeneratorsAscend: the bulk load takes every table's rows in strictly
@@ -358,18 +408,24 @@ func TestRowGeneratorsAscend(t *testing.T) {
 			if td.RowGen == nil {
 				continue
 			}
-			key := td.Schema.KeyColumns()
+			l := td.Schema.Layout()
+			rw := l.Writer()
+			var prev schema.Key
 			for i := 0; i < td.Rows; i++ {
-				k, err := key.RowKey(td.RowGen(i))
+				rw.Reset()
+				td.RowGen(i, rw)
+				b, _, err := rw.Row()
+				var k schema.Key
+				if err == nil {
+					k, err = l.Key(b)
+				}
 				if err != nil {
 					t.Fatalf("%s.%s row %d: %v", w.Name, td.Schema.Name, i, err)
 				}
-				if i > 0 {
-					prev, _ := key.RowKey(td.RowGen(i - 1))
-					if k <= prev {
-						t.Fatalf("%s.%s: row %d has key %d after %d", w.Name, td.Schema.Name, i, k, prev)
-					}
+				if i > 0 && k <= prev {
+					t.Fatalf("%s.%s: row %d has key %d after %d", w.Name, td.Schema.Name, i, k, prev)
 				}
+				prev = k
 			}
 		}
 	}
@@ -433,7 +489,7 @@ func TestTPCCValidationAndGeneration(t *testing.T) {
 	}
 	// Row generators are schema-compatible.
 	for _, td := range w.Tables {
-		row := td.RowGen(7)
+		row := genRow(t, td, 7)
 		if len(row) != len(td.Schema.Columns) {
 			t.Errorf("table %s: row width mismatch", td.Schema.Name)
 		}
