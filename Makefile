@@ -10,9 +10,10 @@
 #   make experiments  - every registry experiment through the CLI, on the
 #                       scale's own machine and on a pinned machine profile
 #   make examples     - the four examples/ programs, end to end
-#   make tables-diff  - -experiment all and the examples on a parent commit and
-#                       the working tree (PARENT=<ref> [PROFILE=<name>]): empty
-#                       output = every deterministic table byte-identical
+#   make tables-diff  - -experiment all, the examples and the traced drift run
+#                       on a parent commit and the working tree (PARENT=<ref>
+#                       [SEED=42] [PROFILE=<name>]): empty output = every
+#                       deterministic table, trace and metrics file identical
 #   make bench-trace  - traced adaptive-drift run: Perfetto trace + metrics CSV
 #   make bench-pair   - the repo benchmark on a parent commit and the working
 #                       tree in alternating pairs (PARENT=<ref> WORKLOAD=<name>
@@ -134,23 +135,30 @@ examples:
 	@for ex in $(EXAMPLES); do echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; done
 
 # The acceptance check of a refactor that must keep every number: run
-# -experiment all and the examples on PARENT and on the working tree and diff
-# the output. The examples run on their own fixed machines and seeds.
-# "completed in" lines (wall time) and the fig-executed block (measured wall
-# clock) are stripped; anything printed is a changed table. PROFILE pins a
-# machine profile on both sides (empty: the scale's own machine). A side that
-# fails keeps its error lines in the comparison, so a table that stopped (or
-# started) rendering shows up as a difference. The parent is unpacked under
-# $$TMPDIR and removed afterwards.
+# -experiment all, the examples and the traced adaptive-drift run on PARENT and
+# on the working tree and compare. The examples run on their own fixed machines
+# and seeds. "completed in" lines (wall time) and the fig-executed block
+# (measured wall clock) are stripped; anything printed is a changed table. The
+# traced run's trace JSON and metrics CSV are compared byte for byte with cmp.
+# PROFILE pins a machine profile on both sides (empty: the scale's own
+# machine); SEED feeds the tables and the traced run alike. A side that fails
+# keeps its error lines in the comparison (a failed traced run leaves no
+# documents, which cmp reports), so a table that stopped (or started)
+# rendering shows up as a difference. The parent is unpacked under $$TMPDIR
+# and removed afterwards.
 tables-diff:
 	@test -n "$(PARENT)" || { echo "usage: make tables-diff PARENT=<ref> [SEED=42] [PROFILE=<name>]"; exit 2; }
 	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	git archive $(PARENT) | tar -x -C "$$dir"; \
 	tables() { $(GO) run ./cmd/atrapos-bench -experiment all -parallel 1 -seed $(SEED) -profile "$(PROFILE)" > "$$1.raw" 2>&1 || true; \
 		for ex in $(EXAMPLES); do echo "== examples/$$ex"; $(GO) run ./examples/$$ex 2>&1 || true; done >> "$$1.raw"; \
-		awk '/^fig-executed /{skip=1} /^\(fig-executed completed/{skip=0} !skip && !/completed in/' "$$1.raw" > "$$1"; }; \
-	(cd "$$dir" && tables "$$dir/parent.txt"); tables "$$dir/tree.txt"; \
-	diff "$$dir/parent.txt" "$$dir/tree.txt"
+		$(GO) run ./cmd/atrapos-bench -trace "$$1.json" -metrics "$$1.csv" -seed $(SEED) -profile "$(PROFILE)" 2>> "$$1.raw" > /dev/null || true; \
+		awk '/^fig-executed /{skip=1} /^\(fig-executed completed/{skip=0} !skip && !/completed in/' "$$1.raw" > "$$1.txt"; }; \
+	(cd "$$dir" && tables "$$dir/parent"); tables "$$dir/tree"; \
+	st=0; diff "$$dir/parent.txt" "$$dir/tree.txt" || st=1; \
+	cmp "$$dir/parent.json" "$$dir/tree.json" || st=1; \
+	cmp "$$dir/parent.csv" "$$dir/tree.csv" || st=1; \
+	exit $$st
 
 # The tracing smoke: run the traced adaptive-drift scenario and write the
 # Chrome-trace JSON (Perfetto-loadable) and metrics CSV. The command validates

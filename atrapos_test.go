@@ -3,6 +3,9 @@ package atrapos
 import (
 	"strings"
 	"testing"
+
+	"atrapos/internal/engine"
+	"atrapos/internal/wal"
 )
 
 func smallTop(t *testing.T) *Topology {
@@ -88,6 +91,83 @@ func TestAdaptiveSystemAndFailSocket(t *testing.T) {
 	}
 	if res.Committed < 450 {
 		t.Errorf("committed %d of 500", res.Committed)
+	}
+}
+
+// TestFaultSchedules runs README's "Fault schedules" snippet, one second of it
+// compressed into one virtual millisecond, on a shared-nothing system whose
+// island logs sit on a built-in device layout, then a degrade and a crash
+// drill. Together the two schedules use every public fault constructor.
+func TestFaultSchedules(t *testing.T) {
+	const ms VirtualTime = 1_000_000
+	layout := LogDeviceLayouts()[0]
+	top, err := NewTopology(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Open(Options{
+		Design:           DesignSharedNothing,
+		DeviceLayout:     layout.Name,
+		Workload:         MultisiteUpdate(2000, 10),
+		Topology:         top,
+		Adaptive:         true,
+		AdaptiveInterval: IntervalConfig{Initial: ms, Max: 8 * ms},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := FaultMachine{Sockets: top.Sockets(), Devices: sys.engine.Devices().NumDevices()}
+	if machine.Devices < 2 {
+		t.Fatalf("layout %s provisions %d devices on two sockets, want at least 2", layout.Name, machine.Devices)
+	}
+	if _, err := NewFaultSchedule(machine, FailDeviceFault(ms, machine.Devices)); err == nil {
+		t.Error("failing a device the machine does not have should error")
+	}
+	sched, err := NewFaultSchedule(machine,
+		FailDeviceFault(10*ms, 0),    // island logs re-home
+		FailSocketFault(30*ms, 1),    // planner contracts
+		RestoreSocketFault(40*ms, 1), // ... and re-expands
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(RunOptions{Duration: 60 * ms, Seed: 1, Faults: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed == 0 || len(res.LevelChanges) == 0 {
+		t.Errorf("the fault schedule run committed %d transactions over %d re-wirings, want both positive", res.Committed, len(res.LevelChanges))
+	}
+	if !sys.engine.WiringConverged() {
+		t.Error("the wiring did not converge on the restored machine and the surviving devices")
+	}
+
+	// Options has no log-retention setting and the default log keeps a
+	// bounded ring, which a crash drill refuses (recovery from it would be
+	// partial), so the drill runs on an engine built with full retention.
+	lc := wal.DefaultConfig()
+	lc.Keep = 0
+	e, err := engine.New(engine.Config{
+		Design:       engine.SharedNothing,
+		DeviceLayout: layout.Name,
+		Workload:     MultisiteUpdate(2000, 10),
+		Topology:     smallTop(t),
+		LogConfig:    &lc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drillMachine := FaultMachine{Sockets: e.Topology().Sockets(), Devices: e.Devices().NumDevices()}
+	drill, err := NewFaultSchedule(drillMachine, DegradeDeviceFault(2*ms, 1, 4), CrashAndRecoverFault(5*ms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = (&System{engine: e}).Run(RunOptions{Duration: 10 * ms, Seed: 1, Faults: drill})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed == 0 {
+		t.Error("the degrade and crash drill run committed nothing")
 	}
 }
 

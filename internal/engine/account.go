@@ -95,26 +95,22 @@ func (e *Engine) resetAccounts() {
 	e.hwm = 0
 }
 
-// partitionedState is the mutable partitioning/placement state. The run loop
-// takes exactly one snapshot per transaction; the planner installs a new one
-// between transactions.
-type partitionedState struct {
-	snap *stateSnapshot
-}
-
 // stateSnapshot bundles everything that changes together during repartitioning
-// and (for the shared-nothing designs) during an online island-level change.
+// and during an online island-level change. The run loop takes exactly one
+// snapshot per transaction; the planner installs a new one between
+// transactions.
 type stateSnapshot struct {
 	placement *partition.Placement
 	runtime   *partition.Runtime
 	// activePerCore is the number of active partitions each core hosts,
 	// indexed by CoreID; the oversaturation penalty reads it per action.
 	activePerCore []int32
-	// wiring is the shared-nothing instance mapping (sites, per-island logs,
-	// 2PC coordinator, transaction-state striping) derived from the island
-	// level in force when the snapshot was installed; nil for the other
-	// designs. Swapping it with the placement is what lets the planner re-wire
-	// the machine online without ever splitting a transaction across layouts.
+	// wiring is the instance mapping (sites, per-island logs, 2PC
+	// coordinator, transaction manager) derived from the island level in force
+	// when the snapshot was installed: the island-routed design's level, one
+	// machine-wide site for the others. Swapping it with the placement is what
+	// lets the planner re-wire the machine online without ever splitting a
+	// transaction across layouts.
 	wiring *islandWiring
 	// tps and locks are the placement and the runtime's lock tables by dense
 	// table index (nil for a table the placement does not hold), so routing
@@ -142,10 +138,8 @@ func (e *Engine) install(p *partition.Placement, rt *partition.Runtime, active [
 		snap.tps[ti] = p.Tables[td.Schema.Name]
 		snap.locks[ti] = rt.TableLocks(td.Schema.Name)
 	}
-	e.state.snap = snap
+	e.snap = snap
 }
-
-func (s *partitionedState) snapshot() *stateSnapshot { return s.snap }
 
 // saturationFactor returns the execution cost multiplier of a core that hosts
 // n active partition workers under the configured penalty.

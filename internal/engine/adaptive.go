@@ -194,7 +194,7 @@ func (a *adaptiveState) reset() {
 	a.prevCoreCommitted = nil
 	a.diffs = nil
 	a.levelChanges = nil
-	a.monitor.RegisterPlacement(a.e.state.snapshot().placement, a.maxKeys)
+	a.monitor.RegisterPlacement(a.e.snap.placement, a.maxKeys)
 }
 
 // noteBoundary is the run loop's per-transaction obligation to the adaptation
@@ -270,7 +270,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	if a.cooldown > 0 {
 		a.cooldown--
 		if e.row.adapts == adaptLevel {
-			cur := e.state.snapshot().wiring
+			cur := e.snap.wiring
 			a.logDecision(now, cur.epoch, cur.level, cur.level, "cooldown", a.lastShare, nil)
 		}
 		return
@@ -292,7 +292,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 		a.hwEpoch = ep
 		decision = core.Evaluate
 	}
-	if decision != core.Evaluate && usesDeadCore(e.state.snapshot().placement, e.cfg.Topology) {
+	if decision != core.Evaluate && usesDeadCore(e.snap.placement, e.cfg.Topology) {
 		decision = core.Evaluate
 	}
 	if decision != core.Evaluate {
@@ -305,7 +305,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	if stats.TotalCost() == 0 {
 		return
 	}
-	snap := e.state.snapshot()
+	snap := e.snap
 	current := snap.placement
 	proposed := a.planner.Plan(current, stats, a.maxKeys)
 	if err := proposed.Validate(); err != nil {
@@ -377,11 +377,7 @@ func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *
 		a.adaptCharged += outcome.Cost * vclock.Nanos(len(affected))
 	}
 	if tr := e.tracer; tr != nil {
-		span := obs.Span{Start: now, Dur: outcome.Cost, Kind: kind, Arg: int64(len(affected))}
-		if wiring != nil {
-			span.Epoch = uint32(wiring.epoch)
-		}
-		tr.Planner().Record(span)
+		tr.Planner().Record(obs.Span{Start: now, Dur: outcome.Cost, Kind: kind, Epoch: uint32(wiring.epoch), Arg: int64(len(affected))})
 	}
 	e.install(desired, rt, e.activePartitionsPerCore(desired, now), wiring)
 	for name, td := range diff.Tables {
@@ -407,18 +403,18 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 	if tr == nil {
 		return
 	}
-	snap := e.state.snapshot()
+	snap := e.snap
 	s := obs.Sample{
 		At:             now,
+		Epoch:          snap.wiring.epoch,
 		Level:          e.Design().String(),
 		TPS:            throughput,
 		Committed:      committedSoFar,
 		Aborted:        abortedSoFar,
 		MultisiteShare: a.lastShare,
 	}
-	if w := snap.wiring; w != nil {
-		s.Epoch = w.epoch
-		s.Level = w.level.String()
+	if e.row.route == routeIsland {
+		s.Level = snap.wiring.level.String()
 	}
 	logNow := e.logStats()
 	logDelta := logNow.Sub(a.lastLogStats)
@@ -434,7 +430,8 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 	}
 	s.DeviceBacklogNs = float64(backlog)
 	// Per-island committed TPS from the per-core counters, grouped by the
-	// installed wiring's site map (one machine-wide entry without a wiring).
+	// installed wiring's site map (one machine-wide entry for a design that
+	// is not island-routed).
 	nCores := len(e.accounts)
 	if a.prevCoreCommitted == nil {
 		a.prevCoreCommitted = make([]int64, nCores)
@@ -467,7 +464,7 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 	e := a.e
 	tr := e.tracer
 	stats := a.monitor.Seal()
-	snap := e.state.snapshot()
+	snap := e.snap
 	cur := snap.wiring
 	if tr != nil {
 		tr.Planner().Record(obs.Span{Start: now, Kind: obs.KindPlannerSeal,
@@ -591,7 +588,7 @@ func (a *adaptiveState) logDecision(now vclock.Nanos, epoch uint64, current, bes
 func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock.Nanos, winner, runnerUp core.LevelBreakdown) {
 	e := a.e
 	top := e.cfg.Topology
-	snap := e.state.snapshot()
+	snap := e.snap
 	cur := snap.wiring
 	desired := partition.PerIsland(top, to, e.wl.TableSpecs())
 	if err := desired.Validate(); err != nil {

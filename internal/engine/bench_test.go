@@ -34,7 +34,7 @@ func benchSteadyState(b *testing.B, e *Engine, adapt bool) {
 	src := &splitMix{}
 	rng := rand.New(src)
 	sc := newExecScratch()
-	ctx := workload.GenContext{Rng: rng, NumSites: e.state.snapshot().numSites()}
+	ctx := workload.GenContext{Rng: rng, NumSites: e.snap.numSites()}
 	var committed int64
 
 	runOne := func(n int64) {
@@ -42,9 +42,9 @@ func benchSteadyState(b *testing.B, e *Engine, adapt bool) {
 		coord := alive[int(n)%len(alive)].ID
 		src.seed(n)
 		ctx.At = e.coreTime(coord)
-		ctx.HomeSite = e.state.snapshot().wiring.siteOf(coord)
+		ctx.HomeSite = e.snap.wiring.siteOf(coord)
 		t := e.wl.Generate(&ctx)
-		sc.snap = e.state.snapshot()
+		sc.snap = e.snap
 		coord = e.dispatch(coord, t, sc)
 		ok := e.execute(coord, t, sc)
 		e.noteTime(coord)
@@ -147,7 +147,7 @@ func BenchmarkExecute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		snap := e.state.snapshot()
+		snap := e.snap
 		if err := e.loadBackend(snap); err != nil {
 			b.Fatal(err)
 		}

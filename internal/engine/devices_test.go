@@ -35,10 +35,7 @@ func deviceEngine(t *testing.T, layout string, level topology.Level) *Engine {
 func TestWiringBindsIslandDevices(t *testing.T) {
 	for _, level := range []topology.Level{topology.LevelCore, topology.LevelDie, topology.LevelSocket, topology.LevelMachine} {
 		e := deviceEngine(t, "nvme-per-socket", level)
-		w := e.state.snapshot().wiring
-		if w == nil {
-			t.Fatalf("%v: no wiring", level)
-		}
+		w := e.snap.wiring
 		top := e.cfg.Topology
 		for i, site := range w.sites {
 			want := e.devices.DeviceFor(top.DieOf(site.ID))
@@ -107,7 +104,7 @@ func TestLevelChangeReusesDeviceBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1 := e.state.snapshot().wiring
+	w1 := e.snap.wiring
 	w2 := e.buildWiring(topology.LevelMachine, 1, w1)
 	if w2.reusedLogs != 1 || w2.rebuiltLogs != 0 {
 		t.Fatalf("socket->machine on a one-socket part should reuse the log: reused %d, rebuilt %d",
@@ -123,7 +120,7 @@ func TestLevelChangeReusesDeviceBindings(t *testing.T) {
 	// A die->socket merge on the chiplet machine rebuilds every log; each
 	// fresh log must bind to its home die's device.
 	ec := deviceEngine(t, "nvme-per-socket", topology.LevelDie)
-	wd := ec.state.snapshot().wiring
+	wd := ec.snap.wiring
 	ws := ec.buildWiring(topology.LevelSocket, 1, wd)
 	if ws.reusedLogs != 0 {
 		t.Fatalf("die->socket on the chiplet machine should rebuild all logs, reused %d", ws.reusedLogs)
@@ -167,7 +164,7 @@ func TestRecoveryAcrossLevelChange(t *testing.T) {
 	if res.Committed == 0 {
 		t.Fatal("no transactions committed before the re-wire")
 	}
-	w1 := e.state.snapshot().wiring
+	w1 := e.snap.wiring
 	preTail := w1.logs.Log(0).Tail()
 	if preTail == 0 {
 		t.Fatal("no records appended before the re-wire")

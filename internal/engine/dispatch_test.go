@@ -75,7 +75,7 @@ func TestBoundsAgreeAcrossLayers(t *testing.T) {
 					e.applyFault(faults[0])
 					faults = faults[1:]
 				}
-				if sc.snap = e.state.snapshot(); sc.snap != seen {
+				if sc.snap = e.snap; sc.snap != seen {
 					seen = sc.snap
 					installs++
 					checkBoundsAgree(t, e, n)
@@ -113,7 +113,7 @@ func TestBoundsAgreeAcrossLayers(t *testing.T) {
 // partition bounds (placement, tree, monitor) are equal.
 func checkBoundsAgree(t *testing.T, e *Engine, n int64) {
 	t.Helper()
-	snap := e.state.snapshot()
+	snap := e.snap
 	for ti, td := range e.wl.Tables {
 		name := td.Schema.Name
 		place, tree, mon := snap.tps[ti].Bounds, e.tables[ti].Bounds(), e.adaptive.monitor.Bounds(name)

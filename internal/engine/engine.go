@@ -265,13 +265,10 @@ type Engine struct {
 	tables   []*storage.Table
 	tableIdx map[string]int
 
-	// System state structures of the designs that are not island-routed;
-	// island-routed designs carry their (level-dependent) equivalents in the
-	// snapshot's islandWiring so a granularity change swaps them as one.
-	// centralLocks is nil unless the design's row asks for it.
-	txnMgr       *txn.Manager
+	// centralLocks is the central lock manager, nil unless the design's row
+	// asks for it. The rest of the system state (logs, 2PC coordinator,
+	// transaction manager) lives in the snapshot's islandWiring.
 	centralLocks *lock.CentralManager
-	log          *wal.CentralLog
 
 	// devices is the machine's log-device map (Config.DeviceLayout), shared by
 	// every island wiring the engine ever derives: wirings come and go with
@@ -280,9 +277,9 @@ type Engine struct {
 	// Nil when no layout is configured.
 	devices *device.Map
 
-	// Partitioned designs: placement, per-partition runtime state and, for the
-	// shared-nothing designs, the island wiring — all swapped as one snapshot.
-	state partitionedState
+	// snap is the installed placement, per-partition runtime state and island
+	// wiring, swapped as one; the run loop takes it once per transaction.
+	snap *stateSnapshot
 
 	accounts []coreAccount
 	adaptive *adaptiveState
@@ -420,7 +417,7 @@ func (e *Engine) Topology() *topology.Topology { return e.cfg.Topology }
 func (e *Engine) Store() *storage.Manager { return e.store }
 
 // Placement returns a copy of the current partitioning and placement.
-func (e *Engine) Placement() *partition.Placement { return e.state.snapshot().placement.Clone() }
+func (e *Engine) Placement() *partition.Placement { return e.snap.placement.Clone() }
 
 // FailSocket simulates a processor failure at run time (Section VI-D3):
 // the socket's cores stop being used as transaction coordinators, and work
@@ -601,43 +598,26 @@ func (e *Engine) loadData() error {
 }
 
 // wireStructures builds the system-state structures the design's row asks for.
+// Every design runs on an island wiring: the island-routed design at its
+// level, the others as one machine-wide site whose log is homed on the first
+// alive socket (socket 0 on a machine with no failed socket).
+// The whole instance mapping lives in the snapshot, so the adaptive-
+// granularity planner can re-derive it at a different level and swap it as a
+// whole.
 func (e *Engine) wireStructures(p *partition.Placement) {
-	c := e.cfg
-	var w *islandWiring
+	level := topology.LevelMachine
 	if e.row.route == routeIsland {
-		// One instance per island: the whole instance mapping — sites, log
-		// layout, 2PC wiring, transaction-state striping — is derived from the
-		// island level and lives in the snapshot, so the adaptive-granularity
-		// planner can re-derive it at a different level and swap it as a whole.
-		w = e.buildWiring(c.IslandLevel, 0, nil)
-	} else {
-		// A centralized log homed on socket 0 flushes through the device
-		// serving socket 0's first die when a device layout is configured.
-		centralCfg := *c.LogConfig
-		if e.devices != nil {
-			centralCfg.Device = e.devices.DeviceFor(c.Topology.FirstDieOn(0))
-		}
-		e.log = wal.NewCentralLog(e.domain, 0, centralCfg)
-		// The central log records its flush spans on island track 0.
-		if e.tracer != nil {
-			e.log.SetTrace(e.tracer.BindIsland(0), 0)
-		}
-	}
-	switch e.row.state {
-	case stateCentral:
-		e.txnMgr = txn.NewManager(e.domain, txn.NewCentralList(e.domain), numa.NewCentralRWLock(e.domain))
-	case statePerSocket:
-		e.txnMgr = txn.NewManager(e.domain, txn.NewPartitionedList(e.domain), numa.NewPartitionedRWLock(e.domain))
+		level = e.cfg.IslandLevel
 	}
 	if e.row.centralLocks {
-		e.centralLocks = lock.NewCentralManager(e.domain, 256, !c.DisableSLI)
+		e.centralLocks = lock.NewCentralManager(e.domain, 256, !e.cfg.DisableSLI)
 	}
-	e.install(p, partition.NewRuntime(e.domain, p), e.activePartitionsPerCore(p, 0), w)
+	e.install(p, partition.NewRuntime(e.domain, p), e.activePartitionsPerCore(p, 0), e.buildWiring(level, 0, nil))
 }
 
-// islandWiring is the shared-nothing instance mapping derived from one island
-// granularity: one site per alive island at wiring's level, in island order —
-// the same order the per-island data partitioning is built, so site index ==
+// islandWiring is the instance mapping derived from one island granularity:
+// one site per alive island at wiring's level, in island order — the same
+// order the per-island data partitioning is built, so site index ==
 // partition index. A site's home core is its island's first alive core; the
 // full alive member list is kept so remote requests spread over the island's
 // cores instead of funnelling through one.
@@ -662,11 +642,11 @@ type islandWiring struct {
 	logs        *wal.PartitionedLog
 	coordinator *txn.Coordinator
 
-	// txnMgr is the transaction-state layout of this granularity: a
-	// machine-level deployment is one instance whose transaction list and
-	// state lock are shared by every core (and ping-pong accordingly); any
-	// finer granularity keeps them striped per socket, which is island-local
-	// for socket-grained and finer instances alike.
+	// txnMgr is the transaction-state layout the design's row asks for: one
+	// transaction list and state lock shared by every core (and ping-pong
+	// accordingly), or striped per socket. Under stateByLevel a machine-level
+	// deployment is the shared one and any finer granularity the striped one,
+	// which is island-local for socket-grained and finer instances alike.
 	txnMgr *txn.Manager
 
 	// reusedLogs/rebuiltLogs count how many island logs the wiring carried
@@ -684,7 +664,7 @@ type islandWiring struct {
 
 // siteOf returns the site index of the instance whose island contains core c.
 func (w *islandWiring) siteOf(c topology.CoreID) int {
-	if w == nil || int(c) < 0 || int(c) >= len(w.siteOfCore) {
+	if int(c) < 0 || int(c) >= len(w.siteOfCore) {
 		return 0
 	}
 	return int(w.siteOfCore[c])
@@ -804,7 +784,7 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 	machineGrained := level == topology.LevelMachine
 	if prev != nil && (prev.level == topology.LevelMachine) == machineGrained {
 		w.txnMgr = prev.txnMgr
-	} else if machineGrained {
+	} else if e.row.state == stateCentral || e.row.state == stateByLevel && machineGrained {
 		w.txnMgr = txn.NewManager(e.domain, txn.NewCentralList(e.domain), numa.NewCentralRWLock(e.domain))
 	} else {
 		w.txnMgr = txn.NewManager(e.domain, txn.NewPartitionedList(e.domain), numa.NewPartitionedRWLock(e.domain))
@@ -812,25 +792,9 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 	return w
 }
 
-// IslandLevel returns the island granularity the engine currently runs at:
-// the level of the installed wiring for the shared-nothing designs (which the
-// adaptive-granularity planner may have changed since construction), or the
-// configured level otherwise.
-func (e *Engine) IslandLevel() topology.Level {
-	if snap := e.state.snapshot(); snap != nil && snap.wiring != nil {
-		return snap.wiring.level
-	}
-	return e.cfg.IslandLevel
-}
-
 // TopologyEpoch returns the epoch of the installed island wiring: 0 at
 // construction, incremented by every online re-wiring.
-func (e *Engine) TopologyEpoch() uint64 {
-	if snap := e.state.snapshot(); snap != nil && snap.wiring != nil {
-		return snap.wiring.epoch
-	}
-	return 0
-}
+func (e *Engine) TopologyEpoch() uint64 { return e.snap.wiring.epoch }
 
 // granularityModel prices island levels on the engine's machine, log
 // configuration and device layout.

@@ -199,10 +199,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 	w := snap.wiring
 	s := e.cfg.Topology.SocketOf(worker)
 	homeSite := w.siteOf(worker)
-	mgr := e.txnMgr
-	if r.state == stateByLevel {
-		mgr = w.txnMgr
-	}
+	mgr := w.txnMgr
 
 	tx := &sc.txn
 	e.charge(worker, vclock.Management, mgr.BeginInto(tx, worker))
@@ -321,7 +318,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 		}
 		if a.Op.IsWrite() {
 			wrote = true
-			_, logCost := e.logAt(w, at.idx).Append(at.sock, wal.Record{Txn: uint64(tx.ID), Type: recordTypeFor(a.Op, applied), Table: a.Table, Key: a.Key, Size: 96})
+			_, logCost := w.logs.Log(w.siteOf(at.core)).Append(at.sock, wal.Record{Txn: uint64(tx.ID), Type: recordTypeFor(a.Op, applied), Table: a.Table, Key: a.Key, Size: 96})
 			e.charge(at.core, vclock.Logging, logCost)
 			e.traceOp(sc, obs.KindWALAppend, at.core, logCost, 96)
 		}
@@ -377,20 +374,11 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 			e.trace2PC(sc, worker, out.TotalCost(), out.PrepareCost, len(sc.participants), out.Committed)
 		}
 	} else if wrote {
-		log := e.logAt(w, homeSite)
+		log := w.logs.Log(homeSite)
 		_, logCost := log.Append(s, wal.Record{Txn: uint64(tx.ID), Type: wal.Commit, Size: 48})
 		e.charge(worker, vclock.Logging, logCost)
 		e.traceOp(sc, obs.KindWALAppend, worker, logCost, 48)
 		e.charge(worker, vclock.Logging, log.Flush(s, log.Tail(), e.coreTime(worker)))
 	}
 	return end(committed)
-}
-
-// logAt returns the write-ahead log that records work of the given site:
-// the island's own log under island routing, the central log otherwise.
-func (e *Engine) logAt(w *islandWiring, site int) *wal.CentralLog {
-	if e.row.route == routeIsland {
-		return w.logs.Log(site)
-	}
-	return e.log
 }

@@ -18,7 +18,7 @@ import (
 // island wiring: one shard, one value log and (at run time) one executor
 // goroutine per island, laid out exactly as the wiring prescribes.
 func (e *Engine) buildHashBackend() error {
-	w := e.state.snapshot().wiring
+	w := e.snap.wiring
 	names := make([]string, len(e.wl.Tables))
 	for i, td := range e.wl.Tables {
 		names[i] = td.Schema.Name
@@ -170,7 +170,7 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	if f := ignoredByExecuted(opts); f != "" {
 		return nil, fmt.Errorf("engine: an executed run reads only Transactions and Seed; %s is not supported (leave it unset)", f)
 	}
-	snap := e.state.snapshot()
+	snap := e.snap
 	if !e.hashLoaded {
 		if err := e.loadBackend(snap); err != nil {
 			return nil, err

@@ -284,7 +284,7 @@ func TestPricedCountersConserved(t *testing.T) {
 		return m
 	}
 	want := counters()
-	snap := e.state.snapshot()
+	snap := e.snap
 	alive := e.aliveCores()
 	home := func(n int64) int { return snap.wiring.siteOf(alive[int(n)%len(alive)].ID) }
 	for run := int64(0); run < 2; run++ {
@@ -386,7 +386,7 @@ func TestExecutedMultiIslandShips(t *testing.T) {
 	if res.Components[vclock.Communication] == 0 {
 		t.Error("50%% multisite at die grain measured zero communication time")
 	}
-	snap := e.state.snapshot()
+	snap := e.snap
 	tp, _ := snap.placement.Table("mupd")
 	var wantShips, wantOps int64
 	replayStream(e, opts, res.Executors, executedHome(res.Executors), func(home int, txn *workload.Transaction) {
@@ -574,7 +574,7 @@ func TestExecutedOversubscribed(t *testing.T) {
 func TestExecutedReshard(t *testing.T) {
 	wl := workload.MustTATP(workload.TATPOptions{Subscribers: 1500})
 	e := executedEngine(t, wl, topology.LevelDie, true)
-	snap := e.state.snapshot()
+	snap := e.snap
 	if err := e.loadBackend(snap); err != nil {
 		t.Fatal(err)
 	}

@@ -55,18 +55,14 @@ func (e *Engine) applyFault(ev fault.Event) {
 }
 
 // crashLogs returns every write-ahead log the engine currently owns: the
-// per-island logs of the installed wiring for shared-nothing designs, the
-// central log otherwise.
+// per-island logs of the installed wiring.
 func (e *Engine) crashLogs() []*wal.CentralLog {
-	if w := e.state.snapshot().wiring; w != nil {
-		logs := w.logs
-		out := make([]*wal.CentralLog, logs.NumLogs())
-		for i := range out {
-			out[i] = logs.Log(i)
-		}
-		return out
+	logs := e.snap.wiring.logs
+	out := make([]*wal.CentralLog, logs.NumLogs())
+	for i := range out {
+		out[i] = logs.Log(i)
 	}
-	return []*wal.CentralLog{e.log}
+	return out
 }
 
 // logStats sums the activity counters of every log the engine currently
@@ -87,7 +83,7 @@ func (e *Engine) logStats() wal.Stats {
 // not retire anything, or the totals would double-count logs that were never
 // actually dropped.
 func (e *Engine) absorbRetiredLogs(w *islandWiring) {
-	if w == nil || w.retiredLogStats == (wal.Stats{}) {
+	if w.retiredLogStats == (wal.Stats{}) {
 		return
 	}
 	e.retiredLogStats = e.retiredLogStats.Add(w.retiredLogStats)
@@ -211,20 +207,20 @@ func (e *Engine) TableKeySets() map[string][]schema.Key {
 }
 
 // WiringBindsFailedDevice reports whether any island log of the installed
-// wiring flushes through a failed device. After the planner's re-homing has
-// converged it is always false; tests and the fuzzer assert that instead of
-// eyeballing timelines.
+// wiring of an island-routed design flushes through a failed device. After
+// the planner's re-homing has converged it is always false; tests and the
+// fuzzer assert that instead of eyeballing timelines. The other designs are
+// never re-wired, so it is false for them.
 func (e *Engine) WiringBindsFailedDevice() bool {
-	w := e.state.snapshot().wiring
-	return w != nil && wiringBindsFailedDevice(w)
+	return e.row.route == routeIsland && wiringBindsFailedDevice(e.snap.wiring)
 }
 
 // WiringConverged reports whether the installed wiring matches the current
 // hardware: every site homed on an alive socket, every alive island at the
 // wiring's level represented, and no island log bound to a failed device.
-// Engines without island wiring (non-shared-nothing designs) are trivially
+// Designs that are not island-routed are never re-wired and are trivially
 // converged.
 func (e *Engine) WiringConverged() bool {
-	w := e.state.snapshot().wiring
-	return w == nil || !wiringStale(w, e.cfg.Topology) && !wiringBindsFailedDevice(w)
+	w := e.snap.wiring
+	return e.row.route != routeIsland || !wiringStale(w, e.cfg.Topology) && !wiringBindsFailedDevice(w)
 }

@@ -131,7 +131,7 @@ func TestWiringNeverBindsFailedDevice(t *testing.T) {
 	if !e.WiringBindsFailedDevice() {
 		t.Fatal("the installed wiring should still reference the just-failed device")
 	}
-	w1 := e.state.snapshot().wiring
+	w1 := e.snap.wiring
 	w2 := e.buildWiring(topology.LevelDie, w1.epoch+1, w1)
 	for i := 0; i < w2.logs.NumLogs(); i++ {
 		if d := w2.logs.Log(i).Device(); d == nil || d.Failed() {
@@ -231,7 +231,7 @@ func TestAdaptivePlannerReexpandsOnRestore(t *testing.T) {
 	if !e.WiringConverged() {
 		t.Fatal("wiring did not re-expand onto the restored socket")
 	}
-	w := e.state.snapshot().wiring
+	w := e.snap.wiring
 	onRestored := false
 	for _, s := range w.sites {
 		if s.Socket == 3 {
@@ -461,7 +461,7 @@ func TestRecoveryAcrossDeviceFailureAndLevelChange(t *testing.T) {
 	if _, err := e.Run(RunOptions{Transactions: 200, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	w1 := e.state.snapshot().wiring
+	w1 := e.snap.wiring
 	var tail wal.LSN
 	for i := 0; i < w1.logs.NumLogs(); i++ {
 		tail += w1.logs.Log(i).Tail()

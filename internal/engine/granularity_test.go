@@ -222,7 +222,7 @@ func TestBuildWiringReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := e.state.snapshot().wiring
+	cur := e.snap.wiring
 	if cur == nil || cur.epoch != 0 {
 		t.Fatalf("fresh wiring should have epoch 0: %+v", cur)
 	}
@@ -268,7 +268,7 @@ func TestAdaptiveGranularityRewiresOffDeadSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := e.Topology()
-	w := e.state.snapshot().wiring
+	w := e.snap.wiring
 	if wiringStale(w, top) {
 		t.Fatalf("post-failure wiring still homes a site on the dead socket: %+v", w.sites)
 	}

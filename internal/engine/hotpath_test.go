@@ -17,7 +17,7 @@ import (
 func TestReleaseLocalDedupChargesRecordedOwner(t *testing.T) {
 	wl := workload.SingleRowRead(100)
 	e := MustNew(Config{Design: PLP, Workload: wl, Topology: smallTopology()})
-	snap := e.state.snapshot()
+	snap := e.snap
 	lm, err := snap.runtime.Locks("mbr", 0)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,9 @@ package engine
 import (
 	"testing"
 
+	"atrapos/internal/numa"
 	"atrapos/internal/topology"
+	"atrapos/internal/txn"
 	"atrapos/internal/workload"
 )
 
@@ -50,8 +52,8 @@ func TestMachineLevelIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.state.snapshot().numSites() != 1 {
-		t.Fatalf("machine-level deployment has %d sites, want 1", e.state.snapshot().numSites())
+	if e.snap.numSites() != 1 {
+		t.Fatalf("machine-level deployment has %d sites, want 1", e.snap.numSites())
 	}
 	res, err := e.Run(RunOptions{Transactions: 400, Seed: 7})
 	if err != nil {
@@ -79,10 +81,10 @@ func TestDieLevelIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.state.snapshot().numSites() != top.NumDies() {
-		t.Fatalf("die-level deployment has %d sites, want %d", e.state.snapshot().numSites(), top.NumDies())
+	if e.snap.numSites() != top.NumDies() {
+		t.Fatalf("die-level deployment has %d sites, want %d", e.snap.numSites(), top.NumDies())
 	}
-	for site, cores := range e.state.snapshot().wiring.siteCores {
+	for site, cores := range e.snap.wiring.siteCores {
 		for _, c := range cores {
 			if top.DieOf(c.ID) != topology.DieID(site) {
 				t.Errorf("site %d contains core %d of die %d", site, c.ID, top.DieOf(c.ID))
@@ -169,8 +171,8 @@ func TestIslandLevelSurvivesSocketFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.state.snapshot().numSites() != 2 {
-		t.Fatalf("only socket 0's two dies should form sites, got %d", e.state.snapshot().numSites())
+	if e.snap.numSites() != 2 {
+		t.Fatalf("only socket 0's two dies should form sites, got %d", e.snap.numSites())
 	}
 	res, err := e.Run(RunOptions{Transactions: 200, Seed: 7})
 	if err != nil {
@@ -178,5 +180,86 @@ func TestIslandLevelSurvivesSocketFailure(t *testing.T) {
 	}
 	if res.Committed == 0 {
 		t.Fatal("run on the surviving islands should commit")
+	}
+}
+
+// managerTrace is the cost of a fixed begin/commit sequence alternating
+// between the first cores of sockets 0 and 1. A central transaction list and
+// state lock bounce between the sockets where per-socket ones stay local, so
+// the sum tells the two layouts apart.
+func managerTrace(m *txn.Manager, top *topology.Topology) numa.Cost {
+	var cost numa.Cost
+	var a, b txn.Txn
+	for range 4 {
+		cost += m.BeginInto(&a, top.CoresOn(0)[0].ID)
+		cost += m.BeginInto(&b, top.CoresOn(1)[0].ID)
+		ca, _ := m.Commit(&a)
+		cb, _ := m.Commit(&b)
+		cost += ca + cb
+	}
+	return cost
+}
+
+// TestEveryDesignHasAWiring checks that every design runs on an island
+// wiring. The island-routed design has at least one site; the others run as
+// one machine-wide site whose log is homed on socket 0 (and flushes through
+// the device of socket 0's first die), with the transaction manager their
+// row's state scope asks for, and still report no island level and a wiring
+// that a socket failure cannot make stale.
+func TestEveryDesignHasAWiring(t *testing.T) {
+	prof, ok := topology.ProfileByName("chiplet-2s4d")
+	if !ok {
+		t.Fatal("chiplet-2s4d missing")
+	}
+	for _, d := range allDesigns() {
+		e, err := New(Config{
+			Design:       d,
+			Workload:     workload.MultisiteUpdate(2000, 0),
+			Topology:     prof.Build(),
+			DeviceLayout: "nvme-per-socket",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := e.snap.wiring
+		if len(w.sites) == 0 {
+			t.Fatalf("%v: wiring has no site", d)
+		}
+		if d == SharedNothing {
+			continue
+		}
+		top := e.cfg.Topology
+		if len(w.sites) != 1 || w.logs.NumLogs() != 1 || w.logs.Home(0) != 0 {
+			t.Errorf("%v: %d sites, %d logs, log 0 homed on socket %d; want one site and one log on socket 0",
+				d, len(w.sites), w.logs.NumLogs(), w.logs.Home(0))
+		}
+		if got, want := w.logs.Log(0).Device(), e.devices.DeviceFor(top.FirstDieOn(0)); got != want {
+			t.Errorf("%v: log bound to %v, want socket 0's first-die device %v", d, got, want)
+		}
+		central := managerTrace(txn.NewManager(e.domain, txn.NewCentralList(e.domain), numa.NewCentralRWLock(e.domain)), top)
+		perSocket := managerTrace(txn.NewManager(e.domain, txn.NewPartitionedList(e.domain), numa.NewPartitionedRWLock(e.domain)), top)
+		if central == perSocket {
+			t.Fatalf("the trace cannot tell a central manager (%d) from a per-socket one", central)
+		}
+		want, kind := central, "central"
+		if d == HWAware || d == ATraPos {
+			want, kind = perSocket, "per-socket"
+		}
+		if got := managerTrace(w.txnMgr, top); got != want {
+			t.Errorf("%v: transaction manager trace costs %d, want the %s manager's %d", d, got, kind, want)
+		}
+		res, err := e.Run(RunOptions{Transactions: 200, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.IslandLevel != "" {
+			t.Errorf("%v: Result.IslandLevel = %q, want empty", d, res.IslandLevel)
+		}
+		if err := e.FailSocket(1); err != nil {
+			t.Fatal(err)
+		}
+		if !e.WiringConverged() {
+			t.Errorf("%v: wiring reported stale after FailSocket(1); the design is never re-wired", d)
+		}
 	}
 }

@@ -107,7 +107,7 @@ func TestPricedRunLeavesNoLocks(t *testing.T) {
 					t.Errorf("central lock table holds %d resources after the run", n)
 				}
 			}
-			snap := e.state.snapshot()
+			snap := e.snap
 			for name := range snap.placement.Tables {
 				for i := 0; i < snap.runtime.NumPartitions(name); i++ {
 					lm, err := snap.runtime.Locks(name, i)

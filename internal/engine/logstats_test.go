@@ -29,7 +29,7 @@ func TestBuildWiringRetiredLogStats(t *testing.T) {
 	if before.Appends == 0 || before.LogicalRecords == 0 {
 		t.Fatalf("run produced no log activity: %+v", before)
 	}
-	cur := e.state.snapshot().wiring
+	cur := e.snap.wiring
 
 	// Socket -> core rebuilds every log (no core island matches a socket
 	// island's member set), so the retired counters are the whole total.
@@ -72,7 +72,7 @@ func TestBuildWiringRetiredLogStatsPartialReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.logStats()
-	cur := e.state.snapshot().wiring
+	cur := e.snap.wiring
 	if err := top.FailSocket(1); err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		// and the execution wiring come from the same snapshot, so a
 		// repartitioning or island-level change fired by this transaction's
 		// own boundary check applies from the next transaction on.
-		sc.snap = e.state.snapshot()
+		sc.snap = e.snap
 		t := gen.generate(e.wl, opts.Seed, n, e.coreTime(coord), sc.snap.wiring.siteOf(coord), sc.snap.numSites())
 		if t.MultiSite {
 			multiSite++
@@ -202,10 +202,7 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 			// Stamp the transaction's spans with the snapshot's wiring epoch
 			// and the coordinator's site before executing.
 			sc.site = int32(sc.snap.wiring.siteOf(coord))
-			sc.epoch = 0
-			if sc.snap.wiring != nil {
-				sc.epoch = uint32(sc.snap.wiring.epoch)
-			}
+			sc.epoch = uint32(sc.snap.wiring.epoch)
 			txnStart = e.coreTime(coord)
 		}
 		ok := e.execute(coord, t, sc)
@@ -262,8 +259,8 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		res.UsefulFraction = float64(useful) / float64(total)
 	}
 	res.PerSocket = e.perSocketThroughput()
-	if w := e.state.snapshot().wiring; w != nil {
-		res.IslandLevel = w.level.String()
+	if e.row.route == routeIsland {
+		res.IslandLevel = e.snap.wiring.level.String()
 	}
 	if e.adaptive != nil {
 		res.Repartitions = e.adaptive.repartitions
@@ -279,14 +276,9 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// numSites returns the snapshot's instance count; non-shared-nothing designs
-// (no wiring) count as one site.
-func (s *stateSnapshot) numSites() int {
-	if s == nil || s.wiring == nil || len(s.wiring.sites) == 0 {
-		return 1
-	}
-	return len(s.wiring.sites)
-}
+// numSites returns the snapshot's instance count; a design that is not
+// island-routed runs as one machine-wide site.
+func (s *stateSnapshot) numSites() int { return len(s.wiring.sites) }
 
 // txnSource is the transaction stream both run loops draw from: transaction
 // n is generated from a splitMix reseeded with seed+n, so it is the same

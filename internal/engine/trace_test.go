@@ -133,7 +133,7 @@ func TestTracingDisabledZeroAllocs(t *testing.T) {
 	src := &splitMix{}
 	rng := rand.New(src)
 	sc := newExecScratch()
-	ctx := workload.GenContext{Rng: rng, NumSites: e.state.snapshot().numSites()}
+	ctx := workload.GenContext{Rng: rng, NumSites: e.snap.numSites()}
 	n := int64(0)
 	runOne := func() {
 		n++
@@ -141,9 +141,9 @@ func TestTracingDisabledZeroAllocs(t *testing.T) {
 		coord := alive[int(n)%len(alive)].ID
 		src.seed(n)
 		ctx.At = e.coreTime(coord)
-		ctx.HomeSite = e.state.snapshot().wiring.siteOf(coord)
+		ctx.HomeSite = e.snap.wiring.siteOf(coord)
 		txn := e.wl.Generate(&ctx)
-		sc.snap = e.state.snapshot()
+		sc.snap = e.snap
 		coord = e.dispatch(coord, txn, sc)
 		e.execute(coord, txn, sc)
 		e.noteTime(coord)
