@@ -174,7 +174,8 @@ type Options struct {
 	DeviceLayout string
 	// Backend selects the storage backend: the zero value is the priced
 	// virtual-time path; BackendHash adds the executed sharded hash engine
-	// (shared-nothing designs only) and enables System.RunExecuted.
+	// (shared-nothing designs only, not with Adaptive) and enables
+	// System.RunExecuted.
 	Backend BackendKind
 	// Workload supplies the dataset and transaction generator. Required.
 	Workload *Workload

@@ -175,46 +175,6 @@ func TestHashBackendCrashRecover(t *testing.T) {
 	}
 }
 
-func TestHashBackendReshard(t *testing.T) {
-	b := testHash(t, 4)
-	want := make(map[schema.Key]uint64)
-	for i := 0; i < 500; i++ {
-		k := schema.Key(i * 3)
-		b.Put(islandOf(k, 4), 0, k, 1, uint64(i))
-		want[k] = uint64(i)
-	}
-	before := b.TableKeySets()["alpha"]
-
-	// Coarsen 4 islands -> 2, routing by parity.
-	b.Reshard(2, []topology.SocketID{0, 1}, func(table int, key schema.Key) int {
-		return int(key) % 2
-	})
-	if b.Islands() != 2 {
-		t.Fatalf("after reshard: islands=%d, want 2", b.Islands())
-	}
-	after := b.TableKeySets()["alpha"]
-	if len(after) != len(before) {
-		t.Fatalf("reshard lost keys: %d -> %d", len(before), len(after))
-	}
-	for i := range after {
-		if after[i] != before[i] {
-			t.Fatalf("keyset changed at %d: %d vs %d", i, after[i], before[i])
-		}
-	}
-	for k, v := range want {
-		shard := int(k) % 2
-		got, ok := b.Get(shard, 0, k)
-		if !ok || got != v {
-			t.Fatalf("after reshard Get(%d) = %d, %v; want %d on shard %d", k, got, ok, v, shard)
-		}
-	}
-	// The compacted value logs must survive a crash drill too.
-	b.CrashAndRecover(0)
-	if got := b.TableKeySets()["alpha"]; len(got) != len(before) {
-		t.Fatalf("post-reshard recovery lost keys: %d, want %d", len(got), len(before))
-	}
-}
-
 // TestExecutorShipping: every executor writes keys spread over all islands
 // in one transaction and reads them back. The writes travel in the
 // transaction's batches; every island then holds each executor's commit

@@ -34,8 +34,8 @@ type HashBackend struct {
 
 	execs []*Executor
 
-	// loadTxn numbers bulk-load and compaction transactions from the top of
-	// the id space so they can never collide with the engine's per-run txn ids.
+	// loadTxn numbers bulk-load transactions from the top of the id space so
+	// they can never collide with the engine's per-run txn ids.
 	loadTxn uint64
 }
 
@@ -82,15 +82,9 @@ func NewHash(cfg HashConfig) (*HashBackend, error) {
 		loadTxn: ^uint64(0) - 1<<20,
 	}
 	b.logCfg.Device = nil
-	b.build()
-	return b, nil
-}
-
-// build (re)creates the shard and log arrays empty; the logs are unpriced: no
-// cache-line tail (see HashConfig.Domain) and no device. Island i's log is
-// appended to only by executor i, its owner, so the wal's single-owner
-// argument holds for it too.
-func (b *HashBackend) build() {
+	// The logs are unpriced: no cache-line tail (see HashConfig.Domain) and no
+	// device. Island i's log is appended to only by executor i, its owner, so
+	// the wal's single-owner argument holds for it too.
 	b.shards = make([]hashShard, b.islands)
 	for s := range b.shards {
 		b.shards[s].idx = make([]openIndex, len(b.tables))
@@ -99,6 +93,7 @@ func (b *HashBackend) build() {
 	for i := range b.logs {
 		b.logs[i] = wal.NewCentralLog(nil, b.home(i), b.logCfg)
 	}
+	return b, nil
 }
 
 func (b *HashBackend) home(island int) topology.SocketID {
@@ -262,35 +257,4 @@ func (b *HashBackend) TableKeySets() map[string][]schema.Key {
 		out[name] = keys
 	}
 	return out
-}
-
-// Reshard rebuilds the backend for a new island layout — the storage half of
-// an online granularity change. Live entries are routed to their new shards
-// by route (the new placement's site mapping) and replayed into the new
-// island value logs under a compaction transaction, Bitcask's merge: the new
-// logs start from a compacted image of the live keyset rather than the full
-// history, and recovery after a re-shard replays exactly that image.
-// Executors must be stopped (the engine re-shards from the planner, never
-// under a running executed workload).
-func (b *HashBackend) Reshard(islands int, homes []topology.SocketID, route func(table int, key schema.Key) int) {
-	old := b.shards
-	oldTables := len(b.tables)
-	b.islands = islands
-	b.homes = append(b.homes[:0], homes...)
-	b.execs = nil
-	b.build()
-	for s := range old {
-		for ti := 0; ti < oldTables; ti++ {
-			old[s].idx[ti].scan(func(k schema.Key, v uint64) bool {
-				// A table the placement does not know stays on island 0.
-				target := route(ti, k)
-				if target < 0 || target >= len(b.shards) {
-					target = 0
-				}
-				b.Put(target, ti, k, b.loadTxn, v)
-				return true
-			})
-		}
-	}
-	b.FinishLoad(0)
 }

@@ -101,7 +101,6 @@ func (e *Engine) resetAccounts() {
 // transactions.
 type stateSnapshot struct {
 	placement *partition.Placement
-	runtime   *partition.Runtime
 	// activePerCore is the number of active partitions each core hosts,
 	// indexed by CoreID; the oversaturation penalty reads it per action.
 	activePerCore []int32
@@ -112,9 +111,12 @@ type stateSnapshot struct {
 	// lets the planner re-wire the machine online without ever splitting a
 	// transaction across layouts.
 	wiring *islandWiring
-	// tps and locks are the placement and the runtime's lock tables by dense
+	// tps and locks are the placement and its partition lock tables by dense
 	// table index (nil for a table the placement does not hold), so routing
-	// and locking index a slice where they would look a name up.
+	// and locking index a slice where they would look a name up. The lock
+	// tables are built fresh at every install, each homed on the island of
+	// its partition's owner (partition.NewRuntime); the snapshot is installed
+	// between two transactions, when no lock table holds a grant.
 	tps   []*partition.TablePlacement
 	locks [][]*lock.LocalManager
 }
@@ -127,10 +129,11 @@ func (s *stateSnapshot) active(c topology.CoreID) int {
 	return int(s.activePerCore[c])
 }
 
-// install makes a snapshot of the placement, its runtime and wiring the one
-// the next transaction takes.
-func (e *Engine) install(p *partition.Placement, rt *partition.Runtime, active []int32, w *islandWiring) {
-	snap := &stateSnapshot{placement: p, runtime: rt, activePerCore: active, wiring: w,
+// install makes a snapshot of the placement, fresh lock tables for it and the
+// wiring the one the next transaction takes.
+func (e *Engine) install(p *partition.Placement, active []int32, w *islandWiring) {
+	rt := partition.NewRuntime(e.domain, p)
+	snap := &stateSnapshot{placement: p, activePerCore: active, wiring: w,
 		tps:   make([]*partition.TablePlacement, len(e.wl.Tables)),
 		locks: make([][]*lock.LocalManager, len(e.wl.Tables)),
 	}

@@ -18,8 +18,8 @@ import (
 // check per transaction; the transaction that crosses a monitoring boundary
 // runs the planner inline — it consults the interval controller, seals the
 // monitor epoch, runs the two-step search and, when the cost model predicts an
-// improvement, installs a snapshot derived incrementally from the previous one
-// via Runtime.ApplyDiff. The paper's claim that this is cheap enough to run
+// improvement, moves only the partitions the plan diff names and installs the
+// new placement's snapshot. The paper's claim that this is cheap enough to run
 // continuously lives in virtual time: the migration pause is charged only to
 // the cores whose partitions actually moved; cores owning unchanged partitions
 // keep working.
@@ -87,8 +87,8 @@ const granHysteresis = 0.10
 const granTieMargin = 0.02
 
 // GranularityChange records one online island-level change: when it happened,
-// what the planner measured and decided, what the re-wiring cost and how much
-// of the previous machine layout it reused.
+// what the planner measured and decided, what the re-wiring cost and how many
+// of the previous wiring's logs it reused.
 type GranularityChange struct {
 	// At is the virtual time of the change.
 	At vclock.Nanos
@@ -108,9 +108,6 @@ type GranularityChange struct {
 	// ReboundDevices counts the reused logs whose device binding the
 	// re-wiring had to re-derive.
 	ReusedLogs, RebuiltLogs, ReboundDevices int
-	// ReusedLockTables / RebuiltLockTables count partition lock tables
-	// carried over across the level change.
-	ReusedLockTables, RebuiltLockTables int
 	// WinnerScores and RunnerUpScores are the granularity scorer's per-term
 	// breakdowns for the level the planner switched to and for the next-best
 	// candidate it rejected — the explanation of the decision. On a
@@ -119,14 +116,13 @@ type GranularityChange struct {
 }
 
 // RepartitionDiff summarizes one adaptive repartitioning event: when it
-// happened, how much of the placement it touched and how much of the
-// previous runtime it reused. It is the per-event record behind the
-// "repartitioning cost scales with the diff" property.
+// happened and how much of the placement it touched. It is the per-event
+// record behind the "repartitioning cost scales with the diff" property.
 type RepartitionDiff struct {
 	// At is the virtual time of the event.
 	At vclock.Nanos
 	// ChangedTables / UnchangedTables split the tables by whether the plan
-	// touched them; unchanged tables keep their runtime and monitor arrays.
+	// touched them; the executor moves no row of an unchanged table.
 	ChangedTables   int
 	UnchangedTables int
 	// ReboundTables counts tables whose partition boundaries changed.
@@ -134,9 +130,9 @@ type RepartitionDiff struct {
 	// MovedPartitions is the number of partitions whose key range or owning
 	// core changed — the size of the migration.
 	MovedPartitions int
-	// ReusedLockTables / RebuiltLockTables count partition lock tables
-	// carried over from, respectively built fresh against, the previous
-	// runtime.
+	// ReusedLockTables is always 0 and RebuiltLockTables the new placement's
+	// partition count: every install builds fresh lock tables. Both stay for
+	// the repo benchmark, which reports their share.
 	ReusedLockTables  int
 	RebuiltLockTables int
 	// AffectedCores is how many cores paused for the migration.
@@ -322,17 +318,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	if diff.Empty() {
 		return
 	}
-	// Derive the new runtime incrementally: unchanged tables keep their lock
-	// tables (and NUMA homes); only moved partitions are rebuilt. The
-	// invariant check refuses a runtime that is not equivalent to a fresh
-	// build, so a diffing bug degrades to a skipped repartitioning rather
-	// than a torn snapshot — which is why it must run before the executor
-	// touches the physical tables.
-	rt, applied := snap.runtime.ApplyDiff(proposed, diff)
-	if err := rt.Validate(proposed); err != nil {
-		return
-	}
-	cost, affected, ok := a.migrate(now, snap, proposed, diff, rt, snap.wiring, obs.KindPlannerRepartition)
+	cost, affected, ok := a.migrate(now, snap, proposed, diff, snap.wiring, obs.KindPlannerRepartition)
 	if !ok {
 		return
 	}
@@ -342,8 +328,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 		UnchangedTables:   diff.UnchangedTables(),
 		ReboundTables:     diff.ReboundTables(),
 		MovedPartitions:   diff.MovedPartitions(),
-		ReusedLockTables:  applied.ReusedManagers,
-		RebuiltLockTables: applied.RebuiltManagers,
+		RebuiltLockTables: proposed.TotalPartitions(),
 		AffectedCores:     affected,
 		Cost:              cost,
 	})
@@ -354,15 +339,16 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 // the physical repartitioning, charge its cost only to the cores whose
 // partitions the diff touched (per Section VI-D a repartitioning takes a
 // fraction of a second, not a global stall — everyone else keeps executing),
-// install the new snapshot, re-register the monitoring arrays of the touched
-// tables (unchanged ones keep accumulating into their existing arrays) and
-// restart the interval controller behind a two-interval cooldown. Callers bail
-// out before migrate, never after: once the executor has touched the physical
-// tables the snapshot is installed unconditionally, so no transaction sees a
-// placement whose boundaries no longer match the trees. ok is false only when
-// the executor refused the plan.
+// install the new snapshot, register the monitoring arrays of every table
+// against the new placement (both callers sealed the epoch just before, so
+// no array holds a count yet) and restart the interval controller behind a
+// two-interval cooldown. Callers bail out before migrate, never after: once
+// the executor has touched the physical tables the snapshot is installed
+// unconditionally, so no transaction sees a placement whose boundaries no
+// longer match the trees. ok is false only when the executor refused the
+// plan.
 func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *partition.Placement, diff *partition.PlanDiff,
-	rt *partition.Runtime, wiring *islandWiring, kind obs.Kind) (cost vclock.Nanos, paused int, ok bool) {
+	wiring *islandWiring, kind obs.Kind) (cost vclock.Nanos, paused int, ok bool) {
 	e := a.e
 	outcome, err := a.executor.Execute(core.BuildPlan(snap.placement, desired, e.cfg.Topology))
 	if err != nil {
@@ -379,12 +365,8 @@ func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *
 	if tr := e.tracer; tr != nil {
 		tr.Planner().Record(obs.Span{Start: now, Dur: outcome.Cost, Kind: kind, Epoch: uint32(wiring.epoch), Arg: int64(len(affected))})
 	}
-	e.install(desired, rt, e.activePartitionsPerCore(desired, now), wiring)
-	for name, td := range diff.Tables {
-		if td.Kind != partition.TableUnchanged {
-			a.monitor.Register(name, desired.Tables[name].Bounds, a.maxKeys[name])
-		}
-	}
+	e.install(desired, e.activePartitionsPerCore(desired, now), wiring)
+	a.monitor.RegisterPlacement(desired, a.maxKeys)
 	a.controller.Repartitioned()
 	a.nextCheck = now + a.controller.Interval()
 	a.cooldown = 2
@@ -581,10 +563,9 @@ func (a *adaptiveState) logDecision(now vclock.Nanos, epoch uint64, current, bes
 
 // changeLevel re-wires the machine to the given island level: it derives the
 // per-island placement and the wiring (bumped topology epoch) and migrates
-// only what the cross-level diff names, reusing lock tables of partitions
-// whose key range and island home survive the re-wiring and per-island logs
-// of islands whose core sets are unchanged; the next transaction starts on
-// the new wiring.
+// only what the cross-level diff names, reusing the per-island logs of
+// islands whose core sets are unchanged; the next transaction starts on the
+// new wiring.
 func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock.Nanos, winner, runnerUp core.LevelBreakdown) {
 	e := a.e
 	top := e.cfg.Topology
@@ -605,12 +586,6 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 		return
 	}
 	diff := partition.Diff(snap.placement, desired)
-	rt, applied := snap.runtime.ApplyDiff(desired, diff)
-	// The incremental runtime must be indistinguishable from a fresh build: a
-	// diffing bug degrades to a skipped re-wiring, never a torn snapshot.
-	if err := rt.Validate(desired); err != nil {
-		return
-	}
 	// Drain the write-combining accumulators before deriving the new log set:
 	// reused island logs carry their rings (and possibly a new device binding)
 	// across the move, and a buffered net delta must not straddle the
@@ -627,29 +602,23 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	if tp, ok := desired.Table(desired.TableNames()[0]); ok && len(tp.Cores) != len(wiring.sites) {
 		return
 	}
-	cost, affected, ok := a.migrate(now, snap, desired, diff, rt, wiring, obs.KindPlannerRewire)
+	cost, affected, ok := a.migrate(now, snap, desired, diff, wiring, obs.KindPlannerRewire)
 	if !ok {
 		return
 	}
 	e.absorbRetiredLogs(wiring)
-	// The executed backend's shard layout follows the wiring: compact the live
-	// entries into one shard and value log per island of the new level, routed
-	// by the placement just installed. No-op on the priced path.
-	e.reshardBackend(desired, wiring)
 	a.levelChanges = append(a.levelChanges, GranularityChange{
-		At:                now,
-		From:              cur.level,
-		To:                to,
-		MultisiteShare:    share,
-		Cost:              cost,
-		AffectedCores:     affected,
-		ReusedLogs:        wiring.reusedLogs,
-		RebuiltLogs:       wiring.rebuiltLogs,
-		ReboundDevices:    wiring.reboundDevices,
-		ReusedLockTables:  applied.ReusedManagers,
-		RebuiltLockTables: applied.RebuiltManagers,
-		WinnerScores:      winner,
-		RunnerUpScores:    runnerUp,
+		At:             now,
+		From:           cur.level,
+		To:             to,
+		MultisiteShare: share,
+		Cost:           cost,
+		AffectedCores:  affected,
+		ReusedLogs:     wiring.reusedLogs,
+		RebuiltLogs:    wiring.rebuiltLogs,
+		ReboundDevices: wiring.reboundDevices,
+		WinnerScores:   winner,
+		RunnerUpScores: runnerUp,
 	})
 }
 

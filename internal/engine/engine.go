@@ -181,7 +181,8 @@ type Config struct {
 	// is the priced path (virtual costs on B-trees); backend.Hash builds the
 	// executed sharded hash engine alongside the priced tables — one shard and
 	// one value log per island of the current wiring — which RunExecuted
-	// drives with real, measured operations. Shared-nothing designs only.
+	// drives with real, measured operations. Shared-nothing designs only, and
+	// not with Adaptive.
 	Backend backend.Kind
 	// DeviceLayout optionally names a log-device layout (device.Layouts) to
 	// instantiate on the machine: island logs are then bound to the layout's
@@ -235,6 +236,16 @@ func (c *Config) withDefaults() (*Config, designRow, error) {
 	if out.Adaptive {
 		out.Monitoring = true
 	}
+	if out.Backend == backend.Hash {
+		if row.route != routeIsland {
+			return nil, designRow{}, fmt.Errorf("engine: the hash backend needs a shared-nothing design, got %v", out.Design)
+		}
+		// The hash backend is laid out for the wiring New installs; a planner
+		// that re-wires the islands would leave it behind.
+		if out.Adaptive {
+			return nil, designRow{}, fmt.Errorf("engine: the hash backend cannot run under the adaptive planner")
+		}
+	}
 	// Island-routed designs default to socket-grained instances.
 	if row.route == routeIsland {
 		if out.IslandLevel == 0 {
@@ -277,7 +288,7 @@ type Engine struct {
 	// Nil when no layout is configured.
 	devices *device.Map
 
-	// snap is the installed placement, per-partition runtime state and island
+	// snap is the installed placement, its partition lock tables and island
 	// wiring, swapped as one; the run loop takes it once per transaction.
 	snap *stateSnapshot
 
@@ -290,10 +301,10 @@ type Engine struct {
 	tracer *obs.Tracer
 
 	// hash is the executed storage engine (Config.Backend == backend.Hash):
-	// one shard per island of the installed wiring, re-sharded by the
-	// adaptive-granularity planner on every level change. Nil on the priced
-	// path. hashLoaded is set once loadBackend has filled it from the priced
-	// tables, which the first RunExecuted does.
+	// one shard per island of the wiring New installs (New refuses it with
+	// Adaptive, so no planner re-wires the islands under it). Nil on the
+	// priced path. hashLoaded is set once loadBackend has filled it from the
+	// priced tables, which the first RunExecuted does.
 	hash       *backend.HashBackend
 	hashLoaded bool
 
@@ -381,9 +392,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.wireStructures(placement)
 	if c.Backend == backend.Hash {
-		if row.route != routeIsland {
-			return nil, fmt.Errorf("engine: the hash backend needs a shared-nothing design, got %v", e.Design())
-		}
 		if err := e.buildHashBackend(); err != nil {
 			return nil, err
 		}
@@ -612,7 +620,7 @@ func (e *Engine) wireStructures(p *partition.Placement) {
 	if e.row.centralLocks {
 		e.centralLocks = lock.NewCentralManager(e.domain, 256, !e.cfg.DisableSLI)
 	}
-	e.install(p, partition.NewRuntime(e.domain, p), e.activePartitionsPerCore(p, 0), e.buildWiring(level, 0, nil))
+	e.install(p, e.activePartitionsPerCore(p, 0), e.buildWiring(level, 0, nil))
 }
 
 // islandWiring is the instance mapping derived from one island granularity:
@@ -701,11 +709,9 @@ func sameCores(a, b []topology.Core) bool {
 // buildWiring derives the island wiring at the given level. When prev is
 // non-nil (an online re-wiring), structures owned by islands whose alive core
 // sets are unchanged by the level change are carried over: their write-ahead
-// logs keep their records and group-commit state, exactly as an unchanged
-// partition keeps its lock table across a repartitioning. The transaction
-// manager is carried over whenever the state striping is the same on both
-// sides (both machine-grained or both finer), so in-flight bookkeeping
-// survives the swap.
+// logs keep their records and group-commit state. The transaction manager is
+// carried over whenever the state striping is the same on both sides (both
+// machine-grained or both finer), so its id sequence survives the swap.
 func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWiring) *islandWiring {
 	top := e.cfg.Topology
 	w := &islandWiring{

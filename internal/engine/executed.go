@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"atrapos/internal/backend"
-	"atrapos/internal/partition"
 	"atrapos/internal/schema"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
@@ -48,39 +47,15 @@ func wiringHomes(w *islandWiring) []topology.SocketID {
 	return homes
 }
 
-// reshardBackend rebuilds the hash backend's shard layout for a freshly
-// installed placement and wiring — the storage half of an online granularity
-// change, called by the planner right after the new snapshot is installed.
-// Live entries are compacted into the new island value logs; routing follows
-// the new placement exactly like the executed run loop does, so a key's shard
-// after the re-shard is the shard the next transaction will look for it on.
-// No-op on the priced path.
-func (e *Engine) reshardBackend(p *partition.Placement, w *islandWiring) {
-	if e.hash == nil {
-		return
-	}
-	tps := make([]*partition.TablePlacement, len(e.wl.Tables))
-	for i, td := range e.wl.Tables {
-		tps[i], _ = p.Table(td.Schema.Name)
-	}
-	e.hash.Reshard(len(w.sites), wiringHomes(w), func(table int, key schema.Key) int {
-		tp := tps[table]
-		if tp == nil {
-			return -1
-		}
-		return w.siteOf(tp.CoreFor(key))
-	})
-}
-
 // loadBackend bulk-loads the empty hash backend from the priced tables'
 // current keysets, routed through the snapshot's placement the same way the
 // run loop routes actions, so both modes start from the same logical database.
 // RunExecuted calls it on first use only — not engine.New, which every priced
 // engine would pay for — and from then on executed state carries from run to
-// run as the priced tables' does (reshardBackend moves the live image across a
-// level change). Values are synthesized from the key: the executed engine
-// stores opaque fixed-width values, and a counter that starts at its key is as
-// good as any.
+// run as the priced tables' does (an adaptive engine, whose planner could
+// re-wire the islands under it, has no hash backend). Values are synthesized
+// from the key: the executed engine stores opaque fixed-width values, and a
+// counter that starts at its key is as good as any.
 func (e *Engine) loadBackend(snap *stateSnapshot) error {
 	if e.hash == nil {
 		return fmt.Errorf("engine: no hash backend configured")

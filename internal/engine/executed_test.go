@@ -12,7 +12,6 @@ import (
 	"atrapos/internal/backend"
 	"atrapos/internal/fault"
 	"atrapos/internal/obs"
-	"atrapos/internal/partition"
 	"atrapos/internal/schema"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
@@ -44,6 +43,23 @@ func executedEngine(t testing.TB, wl *workload.Workload, level topology.Level, k
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestHashBackendRejectsAdaptive: the hash backend is laid out for the wiring
+// New installs, so New refuses it together with the adaptive planner, which
+// could re-wire the islands under it.
+func TestHashBackendRejectsAdaptive(t *testing.T) {
+	_, err := New(Config{
+		Design:      SharedNothing,
+		IslandLevel: topology.LevelSocket,
+		Workload:    workload.YCSB(2000, workload.YCSBB),
+		Topology:    chipletTopology(),
+		Backend:     backend.Hash,
+		Adaptive:    true,
+	})
+	if err == nil {
+		t.Fatal("New accepted the hash backend with Adaptive")
+	}
 }
 
 // TestRunExecutedRejectsIgnoredOptions: RunExecuted reads only Transactions
@@ -565,48 +581,6 @@ func TestExecutedOversubscribed(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("%v level: 4000 transactions did not finish in 60 s at GOMAXPROCS=1", level)
 		}
-	}
-}
-
-// TestExecutedReshard exercises the planner hook's machinery directly: after
-// a level change the backend must hold the same live keyset, re-routed to the
-// new wiring's islands, and remain recoverable from the compacted logs.
-func TestExecutedReshard(t *testing.T) {
-	wl := workload.MustTATP(workload.TATPOptions{Subscribers: 1500})
-	e := executedEngine(t, wl, topology.LevelDie, true)
-	snap := e.snap
-	if err := e.loadBackend(snap); err != nil {
-		t.Fatal(err)
-	}
-	before := e.HashBackend().TableKeySets()
-	if e.HashBackend().Islands() != 8 {
-		t.Fatalf("die level on chiplet-2s4d = %d islands, want 8", e.HashBackend().Islands())
-	}
-
-	desired := partition.PerIsland(e.cfg.Topology, topology.LevelSocket, e.wl.TableSpecs())
-	w := e.buildWiring(topology.LevelSocket, snap.wiring.epoch+1, snap.wiring)
-	e.reshardBackend(desired, w)
-
-	if got := e.HashBackend().Islands(); got != 2 {
-		t.Fatalf("socket level = %d islands, want 2", got)
-	}
-	if where, ok := keySetsEqual(before, e.HashBackend().TableKeySets()); !ok {
-		t.Errorf("reshard changed the live keyset at %s", where)
-	}
-	// Every key must now live on the shard the new placement routes it to.
-	for ti, td := range e.wl.Tables {
-		tp, _ := desired.Table(td.Schema.Name)
-		for _, k := range before[td.Schema.Name] {
-			shard := w.siteOf(tp.CoreFor(k))
-			if _, ok := e.HashBackend().Get(shard, ti, k); !ok {
-				t.Fatalf("table %s key %d missing from its new shard %d", td.Schema.Name, k, shard)
-			}
-		}
-	}
-	// The compacted logs are the new recovery image.
-	e.HashBackend().CrashAndRecover(0)
-	if where, ok := keySetsEqual(before, e.HashBackend().TableKeySets()); !ok {
-		t.Errorf("post-reshard recovery lost state at %s", where)
 	}
 }
 

@@ -17,11 +17,7 @@ import (
 func TestReleaseLocalDedupChargesRecordedOwner(t *testing.T) {
 	wl := workload.SingleRowRead(100)
 	e := MustNew(Config{Design: PLP, Workload: wl, Topology: smallTopology()})
-	snap := e.snap
-	lm, err := snap.runtime.Locks("mbr", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lm := e.snap.locks[e.tableIdx["mbr"]][0]
 	const txnID = lock.TxnID(7)
 	if _, err := lm.Acquire(0, txnID, lock.RowResource("mbr", 1), lock.X); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
+	"atrapos/internal/lock"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
 	"atrapos/internal/workload"
@@ -107,16 +109,63 @@ func TestPricedRunLeavesNoLocks(t *testing.T) {
 					t.Errorf("central lock table holds %d resources after the run", n)
 				}
 			}
-			snap := e.snap
-			for name := range snap.placement.Tables {
-				for i := 0; i < snap.runtime.NumPartitions(name); i++ {
-					lm, err := snap.runtime.Locks(name, i)
-					if err != nil {
-						t.Fatal(err)
-					}
+			for ti, lms := range e.snap.locks {
+				for i, lm := range lms {
 					if n := lm.Table().Len(); n != 0 {
-						t.Errorf("table %q partition %d: lock table holds %d resources after the run", name, i, n)
+						t.Errorf("table %q partition %d: lock table holds %d resources after the run", e.wl.Tables[ti].Schema.Name, i, n)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestInstallBuildsFreshLockTables: a migration builds its lock tables fresh.
+// After an ATraPos repartitioning run and after an island-level change no
+// partition lock table of the engine's first snapshot is one of the installed
+// snapshot's, not even a table the plans never touched, and the monitor's
+// arrays follow the installed placement's bounds table for table.
+func TestInstallBuildsFreshLockTables(t *testing.T) {
+	drift, driftOpts := adaptiveDriftRun(t)
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		opts     RunOptions
+		migrated func(*Result) bool
+	}{
+		{"repartitioning", drift, driftOpts, func(r *Result) bool { return r.Repartitions > 0 }},
+		{"level-change", Config{
+			Design: SharedNothing, IslandLevel: topology.LevelDie, Topology: chipletTopology(),
+			Workload: workload.MultisiteUpdateDrifting(8000, func(vclock.Nanos) int { return 100 }),
+			Adaptive: true, AdaptiveInterval: adaptiveTestInterval, TimeCompression: 1000,
+		}, RunOptions{Duration: 20 * granWindow, Transactions: 100_000, Seed: 7, SampleWindow: granWindow},
+			func(r *Result) bool { return len(r.LevelChanges) > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := MustNew(tc.cfg)
+			first := make(map[*lock.LocalManager]bool)
+			for _, lms := range e.snap.locks {
+				for _, lm := range lms {
+					first[lm] = true
+				}
+			}
+			res, err := e.Run(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.migrated(res) {
+				t.Fatal("the run never migrated")
+			}
+			for ti, lms := range e.snap.locks {
+				for i, lm := range lms {
+					if first[lm] {
+						t.Errorf("table %q partition %d: lock table carried over from the first snapshot", e.wl.Tables[ti].Schema.Name, i)
+					}
+				}
+			}
+			for name, tp := range e.snap.placement.Tables {
+				if got := e.adaptive.monitor.Bounds(name); !slices.Equal(got, tp.Bounds) {
+					t.Errorf("table %q: monitor bounds %v, installed placement %v", name, got, tp.Bounds)
 				}
 			}
 		})

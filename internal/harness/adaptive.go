@@ -169,16 +169,16 @@ func adaptiveComparison(s Scale, id, title string, wl *workload.Workload, durati
 }
 
 // diffSummary renders the per-repartitioning diff sizes: how many tables
-// changed vs. were left untouched, how many partitions migrated, and how
-// many partition lock tables the incremental runtime build reused.
+// changed vs. were left untouched, how many partitions migrated and how many
+// cores paused for it.
 func diffSummary(diffs []engine.RepartitionDiff) string {
 	if len(diffs) == 0 {
 		return ""
 	}
 	parts := make([]string, len(diffs))
 	for i, d := range diffs {
-		parts[i] = fmt.Sprintf("[%d changed/%d unchanged tables, %d moved partitions, %d reused/%d rebuilt lock tables, %d cores paused]",
-			d.ChangedTables, d.UnchangedTables, d.MovedPartitions, d.ReusedLockTables, d.RebuiltLockTables, d.AffectedCores)
+		parts[i] = fmt.Sprintf("[%d changed/%d unchanged tables, %d moved partitions, %d cores paused]",
+			d.ChangedTables, d.UnchangedTables, d.MovedPartitions, d.AffectedCores)
 	}
 	return strings.Join(parts, " ")
 }

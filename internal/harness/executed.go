@@ -15,8 +15,9 @@ const executedCrossoverProfile = "chiplet-2s4d"
 
 // errCrossoverDisagrees is FigExecuted's verdict when the two modes disagree
 // on the crossover direction on executedCrossoverProfile. The executed side is
-// a wall-clock measurement, so a host too busy to time the cells (other
-// experiments running beside it, say) can flip it.
+// a wall-clock measurement, so a host too busy to time the cells can flip it.
+// No other harness point runs beside a timed cell (the pool's token, shared
+// with RunAllTimed's experiments), but other processes may.
 var errCrossoverDisagrees = errors.New("fig-executed: priced and executed modes disagree on the fine-vs-coarse crossover direction")
 
 // executedVerdict compares the two modes on one machine profile.

@@ -174,9 +174,9 @@ func FigAdaptiveGranularity(s Scale) (*Table, error) {
 	}
 	for _, lc := range traj.Changes {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"t=%.0f: %s -> %s at measured multisite share %.2f; %d cores paused, logs %d reused/%d rebuilt, lock tables %d reused/%d rebuilt",
+			"t=%.0f: %s -> %s at measured multisite share %.2f; %d cores paused, logs %d reused/%d rebuilt",
 			float64(lc.At)/float64(adaptiveWindow), lc.From, lc.To, lc.MultisiteShare,
-			lc.AffectedCores, lc.ReusedLogs, lc.RebuiltLogs, lc.ReusedLockTables, lc.RebuiltLockTables))
+			lc.AffectedCores, lc.ReusedLogs, lc.RebuiltLogs))
 	}
 	return t, nil
 }

@@ -46,6 +46,11 @@ type Scale struct {
 	// their sweep; everything that uses the scale's largest machine uses the
 	// profile's shape.
 	Profile string
+
+	// within is the pool of the enclosing run when this scale runs inside
+	// one of its points (RunAllTimed's experiments); the scale's sweeps then
+	// run their points inline on it, under its token.
+	within *Pool
 }
 
 // QuickScale returns a scale suitable for tests and benchmarks: a 4-socket,
@@ -268,17 +273,24 @@ type ExperimentResult struct {
 // is one pool point, results come back in registry order no matter the
 // completion order, and a failing experiment reports its error in its slot
 // (and in the joined return error) without aborting the others. Each
-// experiment's internal sweeps run serially, so the registry is the unit of
-// parallelism.
+// experiment's internal sweeps run inline on its point, so the registry is
+// the unit of parallelism.
 func RunAllTimed(s Scale) ([]ExperimentResult, error) {
+	return runExperiments(s, Registry())
+}
+
+// runExperiments is RunAllTimed over the experiments reg.
+func runExperiments(s Scale, reg []Experiment) ([]ExperimentResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	// No nested pooling: C experiments x C sweep points would oversubscribe
-	// quadratically, and the registry alone has enough fan-out.
+	// No nested fan-out: C experiments x C sweep points would oversubscribe
+	// quadratically, and the registry alone has enough. The experiments'
+	// sweeps share the registry's token, so fig-executed's timed cells run
+	// with no other experiment in flight.
+	pool := s.pool()
 	inner := s
-	inner.Parallel = 1
-	reg := Registry()
+	inner.within = pool.inside()
 	results := make([]ExperimentResult, len(reg))
 	jobs := make([]PointFn, len(reg))
 	for i, e := range reg {
@@ -293,7 +305,7 @@ func RunAllTimed(s Scale) ([]ExperimentResult, error) {
 			return nil
 		}
 	}
-	err := s.pool().Run(jobs)
+	err := pool.Run(jobs)
 	return results, err
 }
 
@@ -307,8 +319,14 @@ func (s Scale) parallel() int {
 	return s.Parallel
 }
 
-// pool returns the scheduler the scale's sweeps fan their points into.
-func (s Scale) pool() *Pool { return NewPool(s.parallel()) }
+// pool returns the scheduler the scale's sweeps fan their points into: the
+// enclosing run's inline pool inside one of its points, else a fresh pool.
+func (s Scale) pool() *Pool {
+	if s.within != nil {
+		return s.within
+	}
+	return NewPool(s.parallel())
+}
 
 func (s Scale) runOptions() engine.RunOptions {
 	return engine.RunOptions{Transactions: s.Transactions, Seed: s.Seed}

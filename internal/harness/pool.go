@@ -26,16 +26,22 @@ type PointFn func() error
 //     function of its seed and configuration — parallel speedup comes only
 //     from running points concurrently, never from reshaping a point.
 //
-// Process-global measurements (heap allocation accounting) cannot overlap
-// other points; such sections run under WithAllocToken, which excludes every
-// other in-flight point for their duration.
+// Process-global measurements (heap allocation accounting, wall-clock
+// timing) cannot overlap other points; such sections run under
+// WithAllocToken, which excludes every other in-flight point for their
+// duration — including the points of the pool a nested pool (inside) runs in.
 type Pool struct {
 	concurrency int
 	// gate is the allocation-measurement token: every running point holds the
 	// read side, an alloc-gated section upgrades to the write side. A plain
 	// RWMutex gives exactly the needed semantics — writers exclude all
 	// readers, and a waiting writer blocks new points from starting.
-	gate sync.RWMutex
+	gate *sync.RWMutex
+	// inline marks a pool made by inside: it runs its jobs one after another
+	// on the calling point, under the read token that point already holds.
+	// Taking the token again would be a recursive RLock, which deadlocks once
+	// a writer waits.
+	inline bool
 }
 
 // NewPool returns a pool running at most concurrency points at once; values
@@ -44,8 +50,13 @@ func NewPool(concurrency int) *Pool {
 	if concurrency < 1 {
 		concurrency = 1
 	}
-	return &Pool{concurrency: concurrency}
+	return &Pool{concurrency: concurrency, gate: new(sync.RWMutex)}
 }
+
+// inside returns the pool for work nested in one of p's points: it shares p's
+// token and runs its jobs inline, so an alloc-token section reached through
+// it excludes every in-flight point of p.
+func (p *Pool) inside() *Pool { return &Pool{concurrency: 1, gate: p.gate, inline: true} }
 
 // Concurrency is the maximum number of points in flight.
 func (p *Pool) Concurrency() int { return p.concurrency }
@@ -65,8 +76,13 @@ func (p *Pool) Run(jobs []PointFn) error {
 	}
 	if workers == 1 {
 		// Serial fast path: identical job order to the pre-pool loops. The
-		// token is still held so WithAllocToken behaves uniformly.
+		// token is still held (an inline pool's point holds it already) so
+		// WithAllocToken behaves uniformly.
 		for i, job := range jobs {
+			if p.inline {
+				errs[i] = job()
+				continue
+			}
 			p.gate.RLock()
 			errs[i] = job()
 			p.gate.RUnlock()

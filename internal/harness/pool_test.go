@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // poolTestScale is a reduced quick scale: sweep points stay real simulations
@@ -148,6 +149,54 @@ func TestPoolAllocToken(t *testing.T) {
 	}
 }
 
+// TestNestedAllocTokenExcludesEveryPoint: a token section reached through an
+// experiment's own pool, the way fig-executed times its executed cells under
+// RunAllTimed, runs with no other experiment in flight. The sweep inside an
+// experiment runs inline on the experiment's point and shares the registry's
+// token; a fresh pool per sweep would exclude only its own points and let
+// the other experiments run through the section.
+func TestNestedAllocTokenExcludesEveryPoint(t *testing.T) {
+	var busy atomic.Int64 // experiments inside their work
+	var inSection atomic.Bool
+	var violations atomic.Int64
+	const steps, step = 5, 5 * time.Millisecond
+	timed := Experiment{ID: "timed", Run: func(s Scale) (*Table, error) {
+		pool := s.pool()
+		return nil, pool.Run([]PointFn{func() error {
+			return pool.WithAllocToken(func() error {
+				inSection.Store(true)
+				defer inSection.Store(false)
+				for range steps {
+					if busy.Load() != 0 {
+						violations.Add(1)
+					}
+					time.Sleep(step)
+				}
+				return nil
+			})
+		}})
+	}}
+	other := Experiment{ID: "other", Run: func(Scale) (*Table, error) {
+		busy.Add(1)
+		defer busy.Add(-1)
+		for range steps {
+			if inSection.Load() {
+				violations.Add(1)
+			}
+			time.Sleep(step)
+		}
+		return nil, nil
+	}}
+	s := poolTestScale()
+	s.Parallel = 4
+	if _, err := runExperiments(s, []Experiment{other, timed, other, other, other, other}); err != nil {
+		t.Fatal(err)
+	}
+	if v := violations.Load(); v != 0 {
+		t.Errorf("another experiment ran inside the nested token section %d times", v)
+	}
+}
+
 // TestPoolRunEmptyAndSerial: degenerate shapes keep working.
 func TestPoolRunEmptyAndSerial(t *testing.T) {
 	if err := NewPool(4).Run(nil); err != nil {
@@ -175,7 +224,7 @@ func TestPoolRunEmptyAndSerial(t *testing.T) {
 // TestRunAllTimedOrdering: RunAllTimed returns one result per registry entry,
 // in registry order, each with its table, on a tiny healthy scale. The one
 // failure it tolerates is fig-executed's crossover disagreement: that verdict
-// is measured in wall time with three other experiments running beside it
+// is measured in wall time, and the other packages' tests may share the host
 // (TestFigExecutedCrossover asserts it on a quiet host).
 func TestRunAllTimedOrdering(t *testing.T) {
 	if testing.Short() {

@@ -95,9 +95,10 @@ func runPoint(s Scale, pool *Pool, c cell) (point, error) {
 
 // sweep measures every row at every island level its machine distinguishes,
 // finest first. Points run through the harness pool at Scale.Parallel
-// concurrency; the result is always in grid order (out[r] is rows[r], one
-// point per level), and point failures are joined into one error naming each
-// bad cell instead of aborting the sweep at the first.
+// concurrency (inline on the experiment's point under RunAllTimed); the
+// result is always in grid order (out[r] is rows[r], one point per level),
+// and point failures are joined into one error naming each bad cell instead
+// of aborting the sweep at the first.
 func sweep(s Scale, label string, rows []cell) ([][]point, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"atrapos/internal/lock"
 	"atrapos/internal/schema"
 	"atrapos/internal/topology"
 )
@@ -53,7 +52,7 @@ type TableDiff struct {
 // PlanDiff is the structured difference between the current placement and a
 // desired one: which tables are untouched, which only moved partitions
 // between cores, and which changed their partition boundaries. The adaptive
-// pipeline migrates only what the diff names; everything else is reused.
+// pipeline migrates only what the diff names.
 type PlanDiff struct {
 	Old, New *Placement
 	Tables   map[string]*TableDiff
@@ -216,89 +215,24 @@ func (d *PlanDiff) AffectedCores() []topology.CoreID {
 	return out
 }
 
-// ApplyStats reports how much of the previous runtime an ApplyDiff reused.
-type ApplyStats struct {
-	// ReusedTables counts tables whose entire runtime slice was carried over.
-	ReusedTables int
-	// ReusedManagers counts individual partition lock tables carried over.
-	ReusedManagers int
-	// RebuiltManagers counts partition lock tables built fresh (the moved
-	// key sub-ranges and re-homed partitions).
-	RebuiltManagers int
-}
+// ApplyStats is ApplyDiff's second result; it reports nothing, since
+// ApplyDiff reuses nothing.
+type ApplyStats struct{}
 
-// ApplyDiff derives the runtime for placement p from r, reusing the lock
-// tables (and thereby the NUMA homes) of every partition the diff reports
-// unchanged and rebuilding only the moved ones. Unchanged tables share the
-// previous runtime's slice; for rebounded tables each desired partition that
-// still covers the same key range on the same socket keeps its lock table.
-//
-// The receiver is not modified. A priced run installs a new runtime between
-// two transactions, when no lock table holds a grant, so reuse is not needed
-// for correctness. What it keeps is the warm numa.CacheLine state (last
-// owning socket, contention window) of every reused lock table, and the
-// virtual-time baselines depend on it; whether that warmth is part of the
-// model or an accident of reuse is still open. ApplyDiff with a nil diff (or
-// a diff computed against a different placement) falls back to a full
-// rebuild, which is always correct.
-func (r *Runtime) ApplyDiff(p *Placement, diff *PlanDiff) (*Runtime, ApplyStats) {
-	var stats ApplyStats
-	out := &Runtime{domain: r.domain, locks: make(map[string][]*lock.LocalManager, len(p.Tables))}
-	for name, tp := range p.Tables {
-		var td *TableDiff
-		if diff != nil {
-			td = diff.Tables[name]
-		}
-		old := r.locks[name]
-		if td != nil && td.Kind == TableUnchanged && len(old) == len(tp.Cores) {
-			out.locks[name] = old
-			stats.ReusedTables++
-			stats.ReusedManagers += len(old)
-			continue
-		}
-		ms := make([]*lock.LocalManager, len(tp.Cores))
-		switch {
-		case td != nil && td.Kind == TableMoved && len(old) == len(tp.Cores):
-			copy(ms, old)
-			stats.ReusedManagers += len(ms)
-			for _, i := range td.Moved {
-				ms[i] = lock.NewLocalManagerAt(r.domain, tp.Cores[i])
-				stats.ReusedManagers--
-				stats.RebuiltManagers++
-			}
-		case td != nil && td.Kind == TableRebounded && diff.Old != nil && diff.Old.Tables[name] != nil:
-			have := diff.Old.Tables[name]
-			top := r.domain.Top
-			for i, core := range tp.Cores {
-				// A surviving lock table is reusable only if it is homed on the
-				// new owner's island: the same socket and, on hierarchical
-				// machines, the same die.
-				if j, ok := matchingPartition(have, tp, i); ok && j < len(old) && old[j] != nil &&
-					old[j].Home() == top.SocketOf(core) && old[j].HomeDie() == top.DieOf(core) {
-					ms[i] = old[j]
-					stats.ReusedManagers++
-					continue
-				}
-				ms[i] = lock.NewLocalManagerAt(r.domain, core)
-				stats.RebuiltManagers++
-			}
-		default:
-			for i, core := range tp.Cores {
-				ms[i] = lock.NewLocalManagerAt(r.domain, core)
-				stats.RebuiltManagers++
-			}
-		}
-		out.locks[name] = ms
-	}
-	return out, stats
+// ApplyDiff returns a fresh runtime for placement p, exactly NewRuntime's; the
+// diff is not consulted. A priced run installs a new runtime between two
+// transactions, when no lock table holds a grant, and carrying unchanged
+// partitions' lock tables over moved no result, so nothing is carried. The
+// method stays because the repo benchmark's replay times it as a layer of
+// its own.
+func (r *Runtime) ApplyDiff(p *Placement, _ *PlanDiff) (*Runtime, ApplyStats) {
+	return NewRuntime(r.domain, p), ApplyStats{}
 }
 
 // Validate checks that the runtime is structurally equivalent to a fresh
 // NewRuntime build for placement p: every table is present with one lock
 // manager per partition, and every manager is homed on the island of the
-// partition's owning core (its socket and its die). It is the invariant
-// ApplyDiff must preserve; the engine refuses to install a snapshot whose
-// runtime fails it.
+// partition's owning core (its socket and its die).
 func (r *Runtime) Validate(p *Placement) error {
 	if len(r.locks) != len(p.Tables) {
 		return fmt.Errorf("partition: runtime has %d tables, placement has %d", len(r.locks), len(p.Tables))

@@ -7,7 +7,6 @@ package txn
 
 import (
 	"fmt"
-	"slices"
 
 	"atrapos/internal/numa"
 	"atrapos/internal/topology"
@@ -61,47 +60,23 @@ type Txn struct {
 // lock-free list whose head every beginning and finishing transaction CASes;
 // ATraPos partitions it per socket (Section IV, "List of transactions").
 //
-// Both implementations are single-owner: the head CAS is priced on a
-// numa.CacheLine, and the list itself is a plain slice of ids, no mutex. A list
-// belongs to one engine's transaction manager (or one island's), the priced
-// run that drives it is one goroutine, and executed mode never begins a
-// priced transaction. That run holds one transaction at a time, so a list is
-// a handful of entries at most: append on Add, a backward scan and a
-// swap-remove on Remove.
+// Both implementations price that head CAS on a numa.CacheLine and keep no
+// ids: a priced run holds one transaction at a time, and nothing reads the
+// list's contents. They are single-owner like the cache lines they price: a
+// list belongs to one engine's transaction manager (or one island's), and the
+// priced run that drives it is one goroutine.
 type ActiveList interface {
-	// Add registers t as active on behalf of a worker on socket s.
-	Add(s topology.SocketID, t *Txn) numa.Cost
-	// Remove unregisters t; it must be called from the same socket that
-	// added it (thread binding guarantees this in ATraPos).
-	Remove(s topology.SocketID, t *Txn) numa.Cost
-	// Snapshot returns the ids of all active transactions; it is used by
-	// background operations (checkpointing) and may touch all sockets.
-	Snapshot(s topology.SocketID) ([]ID, numa.Cost)
-	// Len returns the number of active transactions.
-	Len() int
-}
-
-// idSet is one list of active transactions, by id.
-type idSet []ID
-
-// remove deletes id by swapping the last entry into its slot; the order of a
-// set is not observable (Snapshot sorts).
-func (l *idSet) remove(id ID) {
-	s := *l
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == id {
-			s[i] = s[len(s)-1]
-			*l = s[:len(s)-1]
-			return
-		}
-	}
+	// Add registers a transaction as active on behalf of a worker on socket s.
+	Add(s topology.SocketID) numa.Cost
+	// Remove unregisters a transaction; it must be called from the same
+	// socket that added it (thread binding guarantees this in ATraPos).
+	Remove(s topology.SocketID) numa.Cost
 }
 
 // CentralList is the traditional single list of active transactions. Every
 // Add/Remove does an atomic on the shared list head.
 type CentralList struct {
 	head *numa.CacheLine
-	set  idSet
 }
 
 // NewCentralList builds a centralized active-transaction list homed on socket 0.
@@ -110,95 +85,40 @@ func NewCentralList(d *numa.Domain) *CentralList {
 }
 
 // Add implements ActiveList.
-func (l *CentralList) Add(s topology.SocketID, t *Txn) numa.Cost {
-	l.set = append(l.set, t.ID)
-	return l.head.Atomic(s)
-}
+func (l *CentralList) Add(s topology.SocketID) numa.Cost { return l.head.Atomic(s) }
 
 // Remove implements ActiveList.
-func (l *CentralList) Remove(s topology.SocketID, t *Txn) numa.Cost {
-	l.set.remove(t.ID)
-	return l.head.Atomic(s)
-}
-
-// Snapshot implements ActiveList.
-func (l *CentralList) Snapshot(s topology.SocketID) ([]ID, numa.Cost) {
-	out := slices.Clone(l.set)
-	slices.Sort(out)
-	return out, l.head.Touch(s)
-}
-
-// Len implements ActiveList.
-func (l *CentralList) Len() int { return len(l.set) }
+func (l *CentralList) Remove(s topology.SocketID) numa.Cost { return l.head.Atomic(s) }
 
 // PartitionedList keeps one active-transaction list per socket, so adding and
 // removing a transaction in the critical path never crosses a socket.
 type PartitionedList struct {
 	lines *numa.Striped
-	sets  []idSet
 }
 
 // NewPartitionedList builds one list per socket of the domain.
 func NewPartitionedList(d *numa.Domain) *PartitionedList {
-	return &PartitionedList{lines: numa.NewStriped(d), sets: make([]idSet, d.Top.Sockets())}
-}
-
-func (p *PartitionedList) stripe(s topology.SocketID) int {
-	if int(s) < 0 || int(s) >= len(p.sets) {
-		return 0
-	}
-	return int(s)
+	return &PartitionedList{lines: numa.NewStriped(d)}
 }
 
 // Add implements ActiveList.
-func (p *PartitionedList) Add(s topology.SocketID, t *Txn) numa.Cost {
-	i := p.stripe(s)
-	p.sets[i] = append(p.sets[i], t.ID)
-	return p.lines.Local(s).Atomic(s)
-}
+func (p *PartitionedList) Add(s topology.SocketID) numa.Cost { return p.lines.Local(s).Atomic(s) }
 
 // Remove implements ActiveList.
-func (p *PartitionedList) Remove(s topology.SocketID, t *Txn) numa.Cost {
-	p.sets[p.stripe(s)].remove(t.ID)
-	return p.lines.Local(s).Atomic(s)
-}
-
-// Snapshot implements ActiveList: background operations traverse every
-// per-socket list, paying cross-socket costs outside the critical path.
-func (p *PartitionedList) Snapshot(s topology.SocketID) ([]ID, numa.Cost) {
-	var cost numa.Cost
-	var out []ID
-	for i := range p.sets {
-		cost += p.lines.Local(topology.SocketID(i)).Touch(s)
-		out = append(out, p.sets[i]...)
-	}
-	slices.Sort(out)
-	return out, cost
-}
-
-// Len implements ActiveList.
-func (p *PartitionedList) Len() int {
-	total := 0
-	for _, set := range p.sets {
-		total += len(set)
-	}
-	return total
-}
+func (p *PartitionedList) Remove(s topology.SocketID) numa.Cost { return p.lines.Local(s).Atomic(s) }
 
 // Manager creates, commits and aborts transactions. It owns the id sequence,
 // the active list and the global state lock that transactions acquire in read
 // mode during begin (the "volume lock" of Shore-MT). Both the active list and
 // the state lock are injected, so the same manager code runs with centralized
 // structures (the baseline designs) or NUMA-aware ones (ATraPos). Like the
-// lists, a Manager is single-owner: its id sequence and counters are plain
-// integers, advanced only by the priced run's one goroutine.
+// lists, a Manager is single-owner: its id sequence is a plain integer,
+// advanced only by the priced run's one goroutine.
 type Manager struct {
 	domain *numa.Domain
 	nextID ID
 	active ActiveList
 	state  numa.StateLock
-
-	begun, committed, aborted int64
 }
 
 // NewManager builds a transaction manager.
@@ -224,8 +144,7 @@ func (m *Manager) BeginInto(t *Txn, core topology.CoreID) numa.Cost {
 	var cost numa.Cost
 	cost += m.state.RLock(s)
 	cost += m.state.RUnlock(s)
-	cost += m.active.Add(s, t)
-	m.begun++
+	cost += m.active.Add(s)
 	return cost
 }
 
@@ -235,9 +154,7 @@ func (m *Manager) Commit(t *Txn) (numa.Cost, error) {
 		return 0, fmt.Errorf("txn: commit of transaction %d in state %v", t.ID, t.State)
 	}
 	t.State = Committed
-	cost := m.active.Remove(t.Socket, t)
-	m.committed++
-	return cost, nil
+	return m.active.Remove(t.Socket), nil
 }
 
 // Abort rolls t back and removes it from the active list.
@@ -249,22 +166,5 @@ func (m *Manager) Abort(t *Txn) (numa.Cost, error) {
 		return 0, nil
 	}
 	t.State = Aborted
-	cost := m.active.Remove(t.Socket, t)
-	m.aborted++
-	return cost, nil
-}
-
-// Active returns the number of in-flight transactions.
-func (m *Manager) Active() int { return m.active.Len() }
-
-// Stats describes the manager's lifetime counters.
-type Stats struct {
-	Begun     int64
-	Committed int64
-	Aborted   int64
-}
-
-// Stats returns the lifetime counters.
-func (m *Manager) Stats() Stats {
-	return Stats{Begun: m.begun, Committed: m.committed, Aborted: m.aborted}
+	return m.active.Remove(t.Socket), nil
 }
