@@ -20,6 +20,8 @@
 #                       PAIRS=10 SEED=42): per-pair values, medians, quartiles,
 #                       wins — the protocol behind every performance claim
 #   make fuzz-smoke   - bounded seeded fault-scenario fuzz run (FUZZ_SEED=...)
+#   make loc          - non-test Go lines outside benchmark/, in total and per
+#                       package (the code-size count ROADMAP quotes)
 #
 # The experiment and fuzz targets run through the parallel point scheduler
 # (atrapos-bench -parallel, default GOMAXPROCS); results are bit-identical at
@@ -31,7 +33,7 @@ PAIRS ?= 10
 SEED ?= 42
 EXAMPLES = quickstart adaptive tatp tpcc
 
-.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments examples tables-diff bench-trace bench-pair fuzz-smoke
+.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments examples tables-diff bench-trace bench-pair fuzz-smoke loc
 
 check: fmt vet staticcheck build test race bench-module bench-smoke experiments examples bench-trace fuzz-smoke
 
@@ -186,3 +188,11 @@ bench-pair:
 # sweep a different slice.
 fuzz-smoke:
 	$(GO) run ./cmd/atrapos-bench -fuzz 100 -seed $(FUZZ_SEED)
+
+# Non-test Go lines outside benchmark/: the total, then per package — a
+# directory under internal/, cmd and examples as one each, and the root
+# package's files by name.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { n = split($$2, p, "/"); k = (p[2] == "internal") ? p[3] : p[2]; by[k] += $$1; all += $$1 } \
+	END { printf "total %d\n", all; for (k in by) printf "%s %d\n", k, by[k] | "sort -k2,2nr" }'

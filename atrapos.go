@@ -294,8 +294,13 @@ func PaperScale() Scale { return harness.PaperScale() }
 // ExperimentTable is the rendered result of one experiment.
 type ExperimentTable = harness.Table
 
-// Experiments lists the ids of every reproducible table and figure.
-func Experiments() []string { return harness.IDs() }
+// Experiment is one reproducible table or figure: its id, what it shows and
+// its driver.
+type Experiment = harness.Experiment
+
+// Experiments lists every reproducible table and figure in presentation
+// order.
+func Experiments() []Experiment { return harness.Registry() }
 
 // RunExperiment reproduces one of the paper's tables or figures by id
 // (e.g. "fig2", "table1").

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -23,20 +24,22 @@ import (
 	"atrapos"
 )
 
-// runFuzz runs n composed fuzz scenarios from the base seed and reports every
-// invariant violation with its minimal reproducer; any failure is fatal. The
-// scenarios fan out across parallel goroutines; verdicts are independent of
-// the concurrency (each scenario derives everything from its own seed).
-func runFuzz(n int, seed int64, parallel int) error {
+// runFuzz runs n composed fuzz scenarios at the given scale, from its seed,
+// and reports every invariant violation with its minimal reproducer; any
+// failure is fatal. The scenarios fan out across scale.Parallel goroutines;
+// verdicts are independent of the concurrency (each scenario derives
+// everything from its own seed). The fuzzer composes its own machines, so a
+// scale pinned to a profile is refused.
+func runFuzz(n int, scaleName string, scale atrapos.Scale) error {
 	start := time.Now()
-	rep, err := atrapos.FuzzScenarios(atrapos.FuzzOptions{Scenarios: n, Seed: seed, Parallel: parallel})
+	rep, err := atrapos.FuzzScenarios(atrapos.FuzzOptions{Scenarios: n, Scale: scale})
 	if err != nil {
 		return err
 	}
 	if rep.Failed() {
 		for _, f := range rep.Failures {
-			fmt.Fprintf(os.Stderr, "scenario %d (seed %d): %s\n  scenario: %s\n  reproduce: %s\n",
-				f.Scenario, f.Seed, f.Err, f.Descr, f.Reproduce)
+			fmt.Fprintf(os.Stderr, "scenario %d (seed %d): %s\n  scenario: %s\n  reproduce: %s -scale %s\n",
+				f.Scenario, f.Seed, f.Err, f.Descr, f.Reproduce, scaleName)
 		}
 		return fmt.Errorf("%d of %d scenarios violated an invariant", len(rep.Failures), rep.Scenarios)
 	}
@@ -67,6 +70,14 @@ func runTraced(scale atrapos.Scale, tracePath, metricsPath string) error {
 	return nil
 }
 
+// listExperiments prints every experiment's id and description.
+func listExperiments(w io.Writer) {
+	fmt.Fprintln(w, "available experiments:")
+	for _, e := range atrapos.Experiments() {
+		fmt.Fprintf(w, "  %-24s %s\n", e.ID, e.Description)
+	}
+}
+
 // parseScale resolves -scale and -profile into the scale every mode runs at.
 // It runs before mode dispatch, so an unknown value of either is rejected
 // whatever else the command line asks for.
@@ -92,7 +103,7 @@ func main() {
 		list       = flag.Bool("list", false, "list the available experiments and exit")
 		listProf   = flag.Bool("list-profiles", false, "list the available machine profiles and exit")
 		seed       = flag.Int64("seed", 42, "random seed")
-		fuzzN      = flag.Int("fuzz", 0, "run N seeded fuzz scenarios (composed workload/machine/layout/fault schedules) and check every standing invariant")
+		fuzzN      = flag.Int("fuzz", 0, "run N seeded fuzz scenarios (composed workload/machine/layout/fault schedules) at -scale and check every standing invariant; not with -profile")
 		tracePath  = flag.String("trace", "", "run the traced adaptive-drift scenario and write a Perfetto-loadable Chrome trace to this path")
 		metricsCSV = flag.String("metrics", "", "with -trace (or alone): write the planner-boundary metrics samples as CSV to this path")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep points / fuzz scenarios / experiments run concurrently (1 = serial); results are bit-identical at any value")
@@ -116,7 +127,7 @@ func main() {
 	}
 
 	if *fuzzN > 0 {
-		if err := runFuzz(*fuzzN, *seed, *parallel); err != nil {
+		if err := runFuzz(*fuzzN, *scaleName, scale); err != nil {
 			fmt.Fprintf(os.Stderr, "fuzz: %v\n", err)
 			os.Exit(1)
 		}
@@ -132,10 +143,7 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("available experiments:")
-		for _, id := range atrapos.Experiments() {
-			fmt.Printf("  %s\n", id)
-		}
+		listExperiments(os.Stdout)
 		return
 	}
 

@@ -16,7 +16,7 @@ import (
 
 func testHash(t *testing.T, islands int) *HashBackend {
 	t.Helper()
-	return testHashLog(t, islands, wal.Config{PerByteCost: 1, FlushCost: 12000, GroupSize: 4, Keep: 0, CoalesceRecords: 8})
+	return testHashLog(t, islands, wal.Config{CoalesceRecords: 8})
 }
 
 func testHashLog(t testing.TB, islands int, log wal.Config) *HashBackend {
@@ -293,7 +293,7 @@ func TestExecutorIncrementAtomic(t *testing.T) {
 // operations in staging order exactly once (the value log is the witness) and
 // append the commit record right behind them.
 func TestExecutorBatchInOrderOnce(t *testing.T) {
-	b := testHashLog(t, 4, wal.Config{GroupSize: 1}) // no coalescer: the log keeps every record in append order
+	b := testHashLog(t, 4, wal.Config{}) // no coalescer: the log keeps every record in append order
 	execs := NewExecutors(b)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

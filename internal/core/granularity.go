@@ -6,6 +6,7 @@ import (
 	"atrapos/internal/device"
 	"atrapos/internal/numa"
 	"atrapos/internal/topology"
+	"atrapos/internal/wal"
 )
 
 // WorkloadShape is the measured workload profile the granularity scorer
@@ -42,18 +43,16 @@ type WorkloadShape struct {
 // only what actually changes with the granularity.
 type GranularityModel struct {
 	Domain *numa.Domain
-	// LogFlush and LogGroupSize mirror the engine's log configuration
-	// (FlushCost and the group-commit size). They price two level-dependent
-	// effects: the amortized flush a 2PC participant pays per prepare, and the
-	// group-commit imbalance of coarse islands — with one log shared by m
-	// member cores, the full flush of every group lands on the same member
-	// (commit order round-robins the members deterministically), so the
-	// island's busiest core pays almost every full flush while a per-core log
-	// spreads them evenly. Throughput is committed work divided by the busiest
-	// core's time, so the scorer prices the busiest member's flush bill.
-	// LogFlush == 0 means flushes are not priced.
-	LogFlush     numa.Cost
-	LogGroupSize int
+	// The log's group-commit price (wal.FlushCost, wal.GroupSize) enters two
+	// level-dependent effects: the amortized flush a 2PC participant pays per
+	// prepare, and the group-commit imbalance of coarse islands — with one log
+	// shared by m member cores, the full flush of every group lands on the
+	// same member (commit order round-robins the members deterministically),
+	// so the island's busiest core pays almost every full flush while a
+	// per-core log spreads them evenly. Throughput is committed work divided
+	// by the busiest core's time, so the scorer prices the busiest member's
+	// flush bill.
+	//
 	// Devices optionally binds the scorer to the machine's log-device map:
 	// candidate levels then pay a commit-latency term priced from the devices
 	// their island logs would bind to — the device's flush service latency
@@ -107,12 +106,7 @@ func (g GranularityModel) coalesceSurvival(shape WorkloadShape) float64 {
 }
 
 // flushShare is the amortized (ride-along) group-commit cost per commit.
-func (g GranularityModel) flushShare() float64 {
-	if g.LogGroupSize > 1 {
-		return float64(g.LogFlush) / float64(g.LogGroupSize)
-	}
-	return float64(g.LogFlush)
-}
+const flushShare = float64(wal.FlushCost) / float64(wal.GroupSize)
 
 // LevelBreakdown is one candidate level's score split into the model's four
 // terms, the explanation the planner's decision log carries for every
@@ -210,26 +204,23 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 	// Group-commit cost: the busiest member of an island whose log is shared
 	// by m cores pays min(m, G)/G of the full flushes plus the ride-along
 	// share; a single-member island spreads them evenly. Without a device
-	// map the full flush costs the flat LogFlush. With one, the same
+	// map the full flush costs the flat wal.FlushCost. With one, the same
 	// imbalance formula is priced per island from the device its log binds
-	// to — service replaces LogFlush (never both: the engine's flush path
+	// to — service replaces FlushCost (never both: the engine's flush path
 	// pays exactly one of them too) — plus a queue-wait surcharge: a device
 	// absorbs the commit streams of the cores funnelled into it up to its
 	// queue depth, and beyond that full flushes wait. Funneling is what the
 	// level decides (a machine-grained wiring concentrates every core on its
 	// home island's device and leaves the rest idle), so the surcharge is
 	// what moves the crossover with the storage profile.
-	if shape.WritesPerTxn > 0 && (g.LogFlush > 0 || g.Devices != nil) {
+	if shape.WritesPerTxn > 0 {
 		// With the write-combining accumulator enabled, only the surviving
 		// net-delta fraction of the write volume reaches the device; the
 		// whole flush bill scales down with it. Survival is 1 without
 		// coalescing (or without monitored write-shape data), leaving the
 		// scores untouched.
 		survive := g.coalesceSurvival(shape)
-		group := g.LogGroupSize
-		if group < 1 {
-			group = 1
-		}
+		const group = wal.GroupSize
 		m := members / n
 		if m < 1 {
 			m = 1
@@ -239,7 +230,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 			busiest = group
 		}
 		if g.Devices == nil {
-			b.Commit = survive * (float64(g.LogFlush)*float64(busiest)/float64(group) + g.flushShare())
+			b.Commit = survive * (float64(wal.FlushCost)*float64(busiest)/float64(group) + flushShare)
 		} else {
 			var bill float64
 			for _, isl := range islands {
@@ -291,7 +282,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 		if shape.WritesPerTxn > 0 {
 			// 2PC: prepare and decision round trips plus the prepare and end
 			// flushes on every remote participant's log.
-			comm += (participants - 1) * (2*roundTrip + 2*g.flushShare())
+			comm += (participants - 1) * (2*roundTrip + 2*flushShare)
 		}
 		if shape.SyncBytes > 0 {
 			nSync := int(math.Ceil(participants))

@@ -17,7 +17,7 @@ func granModelFor(t *testing.T, profile string) (GranularityModel, *topology.Top
 	}
 	top := p.Build()
 	d := numa.MustNewDomain(top, numa.DefaultCostModel())
-	return GranularityModel{Domain: d, LogFlush: 12000, LogGroupSize: 8}, top
+	return GranularityModel{Domain: d}, top
 }
 
 func granShape(share float64) WorkloadShape {
@@ -91,13 +91,14 @@ func TestGranularityCrossoverMonotone(t *testing.T) {
 	}
 }
 
-// TestGranularityTiesResolveFiner: with flushes unpriced, core and die islands
-// on a chiplet machine score identically at 0% multisite (both are fully
-// island-local); the tie must resolve to the finer level.
+// TestGranularityTiesResolveFiner: with flushes unpriced (a read-only shape
+// pays no commit term), core and die islands on a chiplet machine score
+// identically at 0% multisite (both are fully island-local); the tie must
+// resolve to the finer level.
 func TestGranularityTiesResolveFiner(t *testing.T) {
 	g, _ := granModelFor(t, "chiplet-2s4d")
-	g.LogFlush = 0
 	shape := granShape(0)
+	shape.WritesPerTxn = 0
 	core := g.Score(topology.LevelCore, shape)
 	die := g.Score(topology.LevelDie, shape)
 	if core != die {
@@ -121,7 +122,7 @@ func TestGranularityFlushImbalance(t *testing.T) {
 	if core >= socket {
 		t.Errorf("core (%f) should beat socket (%f) at 0%% multisite via flush imbalance", core, socket)
 	}
-	g.LogFlush = 0
+	shape.WritesPerTxn = 0 // a read-only shape leaves flushes unpriced
 	if g.Score(topology.LevelCore, shape) != g.Score(topology.LevelSocket, shape) {
 		t.Errorf("without flush pricing core and socket should tie on a flat machine at 0%%")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"atrapos/internal/partition"
@@ -99,12 +100,11 @@ func NewMonitor(subParts int) *Monitor {
 func (m *Monitor) SubPartitions() int { return m.subParts }
 
 // Register (re-)initializes the monitoring arrays for a table under the given
-// placement bounds and maximum key. It is called when the monitor is created
-// and, after a repartitioning, for exactly the tables the plan diff touched —
-// unchanged tables keep accumulating into their existing arrays, which is
-// what makes repartitioning cost proportional to the diff. A table keeps the
-// dense index its first registration gave it (RecordIn takes that index);
-// the engine registers its tables in workload order, so the index is its own.
+// placement bounds and maximum key, starting them empty. It is called when the
+// monitor is created and, through RegisterPlacement, for every table at each
+// run's start and after each migration. A table keeps the dense index its first registration gave
+// it (RecordIn takes that index); the engine registers its tables in workload
+// order, so the index is its own.
 func (m *Monitor) Register(table string, bounds []schema.Key, maxKey schema.Key) {
 	tm := &tableMonitor{
 		name:   table,
@@ -351,30 +351,8 @@ func (m *Monitor) Seal() *Stats {
 func syncKey(refs []PartitionRef) string {
 	parts := make([]string, len(refs))
 	for i, r := range refs {
-		parts[i] = r.Table + "#" + itoa(r.Partition)
+		parts[i] = r.Table + "#" + strconv.Itoa(r.Partition)
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "|")
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -606,7 +606,6 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	if !ok {
 		return
 	}
-	e.absorbRetiredLogs(wiring)
 	a.levelChanges = append(a.levelChanges, GranularityChange{
 		At:             now,
 		From:           cur.level,

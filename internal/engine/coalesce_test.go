@@ -103,12 +103,12 @@ func TestCrashDrillEquivalenceCoalesced(t *testing.T) {
 	}
 }
 
-// drainedLogs asserts every log the engine owns ended the run fully drained:
-// the accumulator holds nothing, so everything appended is durable. Run end,
-// level changes and the crash drill all guarantee this.
+// drainedLogs asserts every log the engine's wirings made ended the run fully
+// drained: the accumulator holds nothing, so everything appended is durable.
+// Run end, level changes and the crash drill all guarantee this.
 func drainedLogs(t *testing.T, e *Engine) {
 	t.Helper()
-	for i, l := range e.crashLogs() {
+	for i, l := range e.logs {
 		if l.Durable() != l.Tail() {
 			t.Errorf("log %d not drained: durable %d, tail %d", i, l.Durable(), l.Tail())
 		}

@@ -189,7 +189,7 @@ type Config struct {
 	// physical devices — one NVMe per socket, a shared device per die pair, a
 	// single SATA-class device — and commits pay each device's service and
 	// queueing cost. Empty means no device modeling: flushes cost the flat
-	// LogConfig.FlushCost exactly as before.
+	// wal.FlushCost.
 	DeviceLayout string
 	// DisableSLI turns off speculative lock inheritance in the centralized
 	// lock manager (on by default for the centralized design, as in the paper).
@@ -308,11 +308,11 @@ type Engine struct {
 	hash       *backend.HashBackend
 	hashLoaded bool
 
-	// retiredLogStats accumulates the activity counters of island logs an
-	// online re-wiring dropped (rebuilt rather than reused), so logStats —
-	// and through it Result.Log — stays cumulative across level changes
-	// instead of under-reporting whenever the planner rebuilds a log.
-	retiredLogStats wal.Stats
+	// logs is every priced log a wiring created, the installed wiring's and
+	// the ones a re-wiring dropped or an abandoned wiring never used, so
+	// logStats — and through it Result.Log — stays cumulative across level
+	// changes.
+	logs []*wal.CentralLog
 
 	// hwm is the monotonic high-water mark of the engine-wide virtual time;
 	// see virtualNow/virtualNowExact in account.go.
@@ -661,13 +661,6 @@ type islandWiring struct {
 	// over from its predecessor versus created fresh; reboundDevices counts
 	// the reused logs whose device binding the re-wiring had to re-derive.
 	reusedLogs, rebuiltLogs, reboundDevices int
-
-	// retiredLogStats is the summed activity counters of the predecessor's
-	// logs this wiring did NOT carry over: their records live on in the
-	// recovery rings but their counters would vanish with the dropped logs.
-	// The engine absorbs the sum into its cumulative retired-stats account
-	// when (and only when) the wiring is actually installed.
-	retiredLogStats wal.Stats
 }
 
 // siteOf returns the site index of the instance whose island contains core c.
@@ -712,6 +705,7 @@ func sameCores(a, b []topology.Core) bool {
 // logs keep their records and group-commit state. The transaction manager is
 // carried over whenever the state striping is the same on both sides (both
 // machine-grained or both finer), so its id sequence survives the swap.
+// Every log it creates joins Engine.logs.
 func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWiring) *islandWiring {
 	top := e.cfg.Topology
 	w := &islandWiring{
@@ -727,10 +721,8 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 		devs = make([]*device.Device, 0, len(islands))
 	}
 	var reuse []*wal.CentralLog
-	var reusedPrev []bool
 	if prev != nil {
 		reuse = make([]*wal.CentralLog, len(islands))
-		reusedPrev = make([]bool, len(prev.siteCores))
 	}
 	for i, isl := range islands {
 		w.sites = append(w.sites, isl.Cores[0])
@@ -760,7 +752,6 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 			for j, cores := range prev.siteCores {
 				if sameCores(cores, isl.Cores) {
 					reuse[i] = prev.logs.Log(j)
-					reusedPrev[j] = true
 					w.reusedLogs++
 					break
 				}
@@ -768,17 +759,13 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 		}
 	}
 	w.rebuiltLogs = len(islands) - w.reusedLogs
-	if prev != nil && prev.logs != nil {
-		// Snapshot the counters of every log this wiring drops, so the
-		// engine's cumulative log accounting survives the rebuild.
-		for j := range prev.siteCores {
-			if !reusedPrev[j] {
-				w.retiredLogStats = w.retiredLogStats.Add(prev.logs.Log(j).Stats())
-			}
-		}
-	}
 	w.logs = wal.NewPartitionedLogAtReusing(e.domain, homes, *e.cfg.LogConfig, devs, reuse)
 	w.reboundDevices = w.logs.ReboundDevices()
+	for i := range w.logs.NumLogs() {
+		if i >= len(reuse) || reuse[i] == nil {
+			e.logs = append(e.logs, w.logs.Log(i))
+		}
+	}
 	if e.tracer != nil {
 		// Attach every island log (reused ones move to their new island's
 		// ring) so flush spans carry the wiring's site index.
@@ -807,8 +794,6 @@ func (e *Engine) TopologyEpoch() uint64 { return e.snap.wiring.epoch }
 func (e *Engine) granularityModel() core.GranularityModel {
 	return core.GranularityModel{
 		Domain:          e.domain,
-		LogFlush:        e.cfg.LogConfig.FlushCost,
-		LogGroupSize:    e.cfg.LogConfig.GroupSize,
 		Devices:         e.devices,
 		CoalesceRecords: e.cfg.LogConfig.CoalesceRecords,
 	}

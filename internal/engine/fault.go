@@ -7,7 +7,6 @@ import (
 	"atrapos/internal/fault"
 	"atrapos/internal/schema"
 	"atrapos/internal/storage"
-	"atrapos/internal/vclock"
 	"atrapos/internal/wal"
 )
 
@@ -54,50 +53,17 @@ func (e *Engine) applyFault(ev fault.Event) {
 	}
 }
 
-// crashLogs returns every write-ahead log the engine currently owns: the
-// per-island logs of the installed wiring.
-func (e *Engine) crashLogs() []*wal.CentralLog {
-	logs := e.snap.wiring.logs
-	out := make([]*wal.CentralLog, logs.NumLogs())
-	for i := range out {
-		out[i] = logs.Log(i)
-	}
-	return out
-}
-
-// logStats sums the activity counters of every log the engine currently
-// owns, plus the counters of logs retired by online re-wirings: the total is
-// cumulative over the engine's whole history, so Result.Log deltas never
-// under-report because a level change rebuilt a log mid-run.
+// logStats sums the activity counters of every log the engine's wirings
+// created. A log a re-wiring dropped takes no more appends and one built for
+// an abandoned wiring never took any, so the total is cumulative over the
+// engine's whole history: Result.Log deltas never under-report because a
+// level change rebuilt a log mid-run.
 func (e *Engine) logStats() wal.Stats {
 	var s wal.Stats
-	for _, l := range e.crashLogs() {
+	for _, l := range e.logs {
 		s = s.Add(l.Stats())
 	}
-	return s.Add(e.retiredLogStats)
-}
-
-// absorbRetiredLogs folds a freshly-derived wiring's dropped-log counters
-// into the engine's cumulative account. Called exactly when the wiring is
-// installed — a derived-but-abandoned wiring (a changeLevel bail-out) must
-// not retire anything, or the totals would double-count logs that were never
-// actually dropped.
-func (e *Engine) absorbRetiredLogs(w *islandWiring) {
-	if w.retiredLogStats == (wal.Stats{}) {
-		return
-	}
-	e.retiredLogStats = e.retiredLogStats.Add(w.retiredLogStats)
-}
-
-// drainLogs forces every owned log's write-combining accumulator out (see
-// wal.CentralLog.Drain): buffered net deltas and staged records hit the
-// retained rings and everything appended so far becomes durable. Run end and
-// the crash drill call it so the final-flush guarantee holds; without
-// coalescing it is a no-op.
-func (e *Engine) drainLogs(now vclock.Nanos) {
-	for _, l := range e.crashLogs() {
-		l.Drain(now)
-	}
+	return s
 }
 
 // tableStore adapts a storage table to the wal.RowStore recovery interface:
@@ -136,21 +102,16 @@ func (s tableStore) ApplyDelete(key schema.Key) {
 // along a later group, so the committed-state equivalence the drill asserts
 // is defined against commit records, not the flush horizon.
 func (e *Engine) CrashAndRecover() (wal.RecoveryStats, error) {
-	logs := e.crashLogs()
-	if len(logs) == 0 {
-		return wal.RecoveryStats{}, fmt.Errorf("engine: no write-ahead logs to recover from")
-	}
 	// The crash happens at the drill's point of virtual time; the modeled
 	// instance flushes its write-combining accumulators on the way down (the
 	// final-flush guarantee), so the rings recovery reads hold every committed
 	// transaction's net deltas and the staged records of in-flight losers.
-	now := e.virtualNowExact()
-	for _, l := range logs {
-		l.Drain(now)
-	}
+	logs := e.snap.wiring.logs
+	logs.Drain(e.virtualNowExact())
 	var records []wal.Record
 	var durable wal.LSN
-	for _, l := range logs {
+	for i := range logs.NumLogs() {
+		l := logs.Log(i)
 		records = append(records, l.Records()...)
 		if d := l.Durable(); d > durable {
 			durable = d

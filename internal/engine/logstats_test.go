@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"atrapos/internal/topology"
-	"atrapos/internal/wal"
 	"atrapos/internal/workload"
 )
 
-// TestBuildWiringRetiredLogStats: a re-wiring that rebuilds island logs must
-// capture the dropped logs' activity counters on the new wiring, so the
-// engine's cumulative log accounting loses nothing across the rebuild.
+// TestBuildWiringRetiredLogStats: a re-wiring that rebuilds island logs adds
+// the new logs to the engine's account and keeps the retired ones in it, so
+// logStats loses nothing across the rebuild; the new logs are empty, so
+// deriving a wiring — installed or abandoned — leaves the totals unchanged.
 func TestBuildWiringRetiredLogStats(t *testing.T) {
 	prof, _ := topology.ProfileByName("2s-fc")
 	e, err := New(Config{
@@ -30,32 +30,28 @@ func TestBuildWiringRetiredLogStats(t *testing.T) {
 		t.Fatalf("run produced no log activity: %+v", before)
 	}
 	cur := e.snap.wiring
+	if got := cur.logs.Stats(); got != before {
+		t.Fatalf("before any re-wiring the account is the installed logs:\n  account %+v\n  wiring  %+v", before, got)
+	}
+	made := len(e.logs)
 
 	// Socket -> core rebuilds every log (no core island matches a socket
-	// island's member set), so the retired counters are the whole total.
+	// island's member set): every new log joins the account.
 	w := e.buildWiring(topology.LevelCore, cur.epoch+1, cur)
 	if w.reusedLogs != 0 {
 		t.Fatalf("socket->core should reuse no logs, reused %d", w.reusedLogs)
 	}
-	if w.retiredLogStats != before {
-		t.Errorf("full rebuild should retire the whole pre-rewire totals:\n  retired %+v\n  before  %+v", w.retiredLogStats, before)
+	if got, want := len(e.logs), made+w.logs.NumLogs(); got != want {
+		t.Errorf("account holds %d logs after a full rebuild, want %d", got, want)
 	}
-
-	// A derived-but-never-installed wiring must not have touched the
-	// engine's account.
 	if got := e.logStats(); got != before {
-		t.Errorf("deriving a wiring changed the totals: %+v vs %+v", got, before)
-	}
-	e.absorbRetiredLogs(w)
-	if e.retiredLogStats != before {
-		t.Errorf("absorbed account %+v, want the retired totals %+v", e.retiredLogStats, before)
+		t.Errorf("deriving a wiring changed the totals:\n  got    %+v\n  before %+v", got, before)
 	}
 }
 
-// TestBuildWiringRetiredLogStatsPartialReuse: only the logs the re-wiring
-// actually drops are retired; a carried-over log keeps counting through the
-// live side of logStats, so retired + surviving == the pre-rewire totals
-// with no double count.
+// TestBuildWiringRetiredLogStatsPartialReuse: a carried-over log is not
+// counted twice, and the log the re-wiring retires keeps its counters in the
+// account, so the totals equal the pre-rewire ones.
 func TestBuildWiringRetiredLogStatsPartialReuse(t *testing.T) {
 	prof, _ := topology.ProfileByName("2s-fc")
 	top := prof.Build()
@@ -72,6 +68,7 @@ func TestBuildWiringRetiredLogStatsPartialReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.logStats()
+	made := len(e.logs)
 	cur := e.snap.wiring
 	if err := top.FailSocket(1); err != nil {
 		t.Fatal(err)
@@ -82,18 +79,19 @@ func TestBuildWiringRetiredLogStatsPartialReuse(t *testing.T) {
 	if w.reusedLogs != 1 {
 		t.Fatalf("expected the surviving socket's log to be reused, reused %d", w.reusedLogs)
 	}
-	survivor := w.logs.Log(0).Stats()
-	if got := w.retiredLogStats.Add(survivor); got != before {
-		t.Errorf("retired + surviving should equal the pre-rewire totals:\n  got    %+v\n  before %+v", got, before)
+	if len(e.logs) != made {
+		t.Errorf("a reused log joined the account again: %d logs, want %d", len(e.logs), made)
 	}
-	if w.retiredLogStats == (wal.Stats{}) {
-		t.Error("the dead socket's log activity should have been retired")
+	if got := e.logStats(); got != before {
+		t.Errorf("the totals changed across a partial reuse:\n  got    %+v\n  before %+v", got, before)
+	}
+	if survivor := w.logs.Log(0).Stats(); survivor == before {
+		t.Error("the dead socket's log took no appends; the test needs its counters to bite")
 	}
 }
 
-// TestAdaptiveRunLogStatsCumulative is the PR 7 known-approximation
-// regression: adaptive level changes rebuild island logs, and before the
-// retired-stats account existed, Result.Log lost the dropped logs' counters.
+// TestAdaptiveRunLogStatsCumulative: adaptive level changes rebuild island
+// logs, and Result.Log must keep the dropped logs' counters.
 // Every committed transaction of the drifting-update workload appends at
 // least one logical write record, so a run whose planner re-wired the
 // machine must still report at least one logical record per commit — exactly

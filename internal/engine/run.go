@@ -235,7 +235,7 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	// counters are read so the closing physical flush is part of this run's
 	// logical-vs-physical split. It is uncharged — the run is over, there is
 	// no worker core to bill.
-	e.drainLogs(e.virtualNowExact())
+	e.snap.wiring.logs.Drain(e.virtualNowExact())
 
 	res := &Result{
 		Design:    e.Design(),

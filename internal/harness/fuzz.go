@@ -20,18 +20,17 @@ import (
 type FuzzOptions struct {
 	// Scenarios is how many composed scenarios to run; zero means 25.
 	Scenarios int
-	// Seed is the base seed; scenario i derives everything from Seed+i, so any
-	// failing scenario reproduces alone with Scenarios=1, Seed=Seed+i.
-	Seed int64
 	// Scale sizes the datasets and transaction counts; the zero value means
-	// QuickScale.
+	// QuickScale. Scale.Seed is the base seed: scenario i derives everything
+	// from Seed+i, so any failing scenario reproduces alone with Scenarios=1
+	// and Seed+i. Scale.Parallel is how many scenarios run concurrently
+	// through the harness pool (0 or 1 = serial); verdicts are
+	// seed-deterministic at any concurrency: each scenario derives everything
+	// from its own seed, and the process-global allocs/txn measurement runs
+	// under the pool's allocation token, which excludes every other in-flight
+	// scenario. Scale.Profile must be empty: the fuzzer composes its own
+	// machines.
 	Scale Scale
-	// Parallel is how many scenarios run concurrently through the harness
-	// pool (0 or 1 = serial). Scenario verdicts are seed-deterministic at any
-	// concurrency: each scenario derives everything from its own seed, and
-	// the process-global allocs/txn measurement runs under the pool's
-	// allocation token, which excludes every other in-flight scenario.
-	Parallel int
 }
 
 // FuzzFailure is one scenario whose invariants did not hold, with the minimal
@@ -455,20 +454,20 @@ func FuzzScenarios(opts FuzzOptions) (*FuzzReport, error) {
 	if s.Transactions == 0 {
 		s = QuickScale()
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if s.Profile != "" {
+		return nil, fmt.Errorf("harness: the fuzzer composes its own machines; a pinned profile (%q) does not apply", s.Profile)
 	}
 	report := &FuzzReport{Scenarios: opts.Scenarios}
 	// One pool point per scenario. Verdicts land in per-scenario slots and
 	// are compacted in submission order afterwards, so the failure list is
 	// identical at any concurrency; scenario construction errors are harness
 	// bugs and abort via the joined pool error.
-	pool := NewPool(opts.Parallel)
+	pool := NewPool(s.Parallel)
 	verdicts := make([]*FuzzFailure, opts.Scenarios)
 	jobs := make([]PointFn, opts.Scenarios)
 	for i := 0; i < opts.Scenarios; i++ {
 		jobs[i] = func() error {
-			seed := opts.Seed + int64(i)
+			seed := s.Seed + int64(i)
 			sc, err := buildScenario(s, seed)
 			if err != nil {
 				return err

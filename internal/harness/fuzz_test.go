@@ -10,7 +10,7 @@ import (
 // smoke runs via `make fuzz-smoke`; this keeps a smaller slice inside plain
 // `go test`.
 func TestFuzzSmoke(t *testing.T) {
-	rep, err := FuzzScenarios(FuzzOptions{Scenarios: 6, Seed: 42})
+	rep, err := FuzzScenarios(FuzzOptions{Scenarios: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,6 +19,16 @@ func TestFuzzSmoke(t *testing.T) {
 	}
 	for _, f := range rep.Failures {
 		t.Errorf("scenario %d (seed %d) %s: %s\n  reproduce: %s", f.Scenario, f.Seed, f.Descr, f.Err, f.Reproduce)
+	}
+}
+
+// TestFuzzRejectsPinnedProfile: the fuzzer composes its own machines, so a
+// scale pinned to a profile is an error instead of a profile silently ignored.
+func TestFuzzRejectsPinnedProfile(t *testing.T) {
+	s := QuickScale()
+	s.Profile = "chiplet-2s4d"
+	if _, err := FuzzScenarios(FuzzOptions{Scenarios: 1, Scale: s}); err == nil {
+		t.Error("a fuzz run on a pinned profile should fail")
 	}
 }
 

@@ -59,7 +59,9 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 func TestFuzzShardDeterminism(t *testing.T) {
 	run := func(parallel int) *FuzzReport {
 		t.Helper()
-		rep, err := FuzzScenarios(FuzzOptions{Scenarios: 4, Seed: 42, Scale: poolTestScale(), Parallel: parallel})
+		s := poolTestScale()
+		s.Parallel = parallel
+		rep, err := FuzzScenarios(FuzzOptions{Scenarios: 4, Scale: s})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}

@@ -428,7 +428,7 @@ func (r *refLog) write(rec Record) {
 }
 
 func (r *refLog) Append(rec Record) (LSN, numa.Cost) {
-	cost := numa.Cost(rec.Size) * r.cfg.PerByteCost
+	cost := numa.Cost(rec.Size) * PerByteCost
 	rec.LSN = r.next
 	r.next++
 	r.st.Appends++
@@ -482,9 +482,9 @@ func (r *refLog) Flush(lsn LSN, now vclock.Nanos) numa.Cost {
 	}
 	r.st.RideAlongFlushes++
 	if r.cfg.Device != nil {
-		return r.cfg.Device.Service(0) / numa.Cost(r.cfg.GroupSize)
+		return r.cfg.Device.Service(0) / GroupSize
 	}
-	return r.cfg.FlushCost / numa.Cost(r.cfg.GroupSize)
+	return FlushCost / GroupSize
 }
 
 func (r *refLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
@@ -516,7 +516,7 @@ func (r *refLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 	if r.cfg.Device != nil {
 		return r.cfg.Device.Flush(now, bytes)
 	}
-	return r.cfg.FlushCost
+	return FlushCost
 }
 
 func (r *refLog) Drain(now vclock.Nanos) numa.Cost {

@@ -65,9 +65,7 @@ func TestRecoverRedoesOnlyWinners(t *testing.T) {
 func TestRecoverDurableBoundary(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 1, CoresPerSocket: 1})
 	d := numa.MustNewDomain(top, numa.DefaultCostModel())
-	cfg := DefaultConfig()
-	cfg.GroupSize = 1
-	l := NewCentralLog(d, 0, cfg)
+	l := NewCentralLog(d, 0, DefaultConfig())
 
 	l.Append(0, Record{Txn: 1, Type: Update, Table: "t", Key: 1, Size: 16})
 	lsn, _ := l.Append(0, Record{Txn: 1, Type: Commit, Size: 16})

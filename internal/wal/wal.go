@@ -83,16 +83,21 @@ type Record struct {
 	Size  int
 }
 
-// Config tunes the log cost model.
-type Config struct {
+// The group-commit price every log charges. The island-level scorer
+// (core.GranularityModel) prices candidate levels with the same constants.
+const (
 	// PerByteCost is the cost of copying one byte into the log buffer.
-	PerByteCost numa.Cost
+	PerByteCost numa.Cost = 1
 	// FlushCost is the device latency of one group-commit flush when no
 	// Device is bound; with a Device the flush pays the device's service and
 	// queueing cost instead.
-	FlushCost numa.Cost
+	FlushCost numa.Cost = 12000
 	// GroupSize is the number of commits amortized by one flush.
-	GroupSize int
+	GroupSize = 8
+)
+
+// Config tunes a log's retention, device binding and coalescing.
+type Config struct {
 	// Keep is the maximum number of records retained in memory for
 	// inspection; older records are discarded (the "archive"). Zero keeps all.
 	Keep int
@@ -122,7 +127,7 @@ type Config struct {
 // DefaultConfig returns the log configuration used by the evaluation:
 // memory-mapped log device with group commit.
 func DefaultConfig() Config {
-	return Config{PerByteCost: 1, FlushCost: 12000, GroupSize: 8, Keep: 4096}
+	return Config{Keep: 4096}
 }
 
 // CentralLog is an Aether-style centralized log. The buffer tail is modeled
@@ -343,12 +348,6 @@ func isWriteType(t RecordType) bool {
 // logs, which measure wall time); everything else — LSNs, group commit, the
 // coalescer, retention, Stats — is the same code.
 func NewCentralLog(d *numa.Domain, home topology.SocketID, cfg Config) *CentralLog {
-	if cfg.GroupSize < 1 {
-		cfg.GroupSize = 1
-	}
-	if cfg.PerByteCost < 0 {
-		cfg.PerByteCost = 0
-	}
 	l := &CentralLog{cfg: cfg, next: 1}
 	if d != nil {
 		l.tail = numa.NewCacheLine(d, home)
@@ -392,7 +391,7 @@ func (l *CentralLog) ringAppend(rec Record) {
 // pays the same tail reservation and copy cost either way: coalescing saves
 // physical flush work, not the logical logging work.
 func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
-	cost := l.tail.Atomic(s) + numa.Cost(rec.Size)*l.cfg.PerByteCost
+	cost := l.tail.Atomic(s) + numa.Cost(rec.Size)*PerByteCost
 	rec.LSN = l.next
 	l.next++
 	l.appends++
@@ -420,8 +419,8 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 }
 
 // Flush makes everything up to lsn durable and returns the cost. Group
-// commit: a flush is charged only once per GroupSize committing
-// transactions; other commits ride along for free. With a device bound, the
+// commit: a full flush is charged only once per GroupSize committing
+// transactions; the other commits ride along (see rideAlong). With a device bound, the
 // full flush pays the device's queueing model (the flush is issued at the
 // committer's virtual time now and waits behind the flushes queued ahead of
 // it) and writes out the bytes pending since the previous full flush;
@@ -445,51 +444,50 @@ func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.
 		} else {
 			// Ride along: the commit's net deltas stay in the open flush
 			// epoch, so the transaction is *not* acknowledged as durable yet
-			// — durability arrives with the epoch's physical flush. The
-			// commit still pays the amortized group-forming latency.
-			l.rideAlongs++
-			if l.cfg.Device != nil {
-				cost += l.cfg.Device.Service(0) / numa.Cost(l.cfg.GroupSize)
-			} else {
-				cost += l.cfg.FlushCost / numa.Cost(l.cfg.GroupSize)
-			}
+			// — durability arrives with the epoch's physical flush.
+			cost += l.rideAlong()
 		}
 		return cost
 	}
-	l.pending++
-	if l.pending >= l.cfg.GroupSize {
-		l.pending = 0
-		l.physFlushes++
-		// The full flush writes out everything pending, with or without
-		// a device: a log that runs device-blind for a while and is
-		// later re-bound must not bill its whole append history to the
-		// first device flush.
-		bytes := l.pendingBytes
-		l.pendingBytes = 0
-		l.physBytes += int64(bytes)
-		var flushCost numa.Cost
-		if l.cfg.Device != nil {
-			flushCost = l.cfg.Device.Flush(now, bytes)
-		} else {
-			flushCost = l.cfg.FlushCost
-		}
-		cost += flushCost
-		l.trace.Record(obs.Span{Start: now, Dur: vclock.Nanos(flushCost),
-			Kind: obs.KindPhysFlush, Site: l.traceSite, Arg: int64(bytes)})
+	if l.pending++; l.pending >= GroupSize {
+		cost += l.flush(now, l.pendingBytes)
 	} else {
-		// Riding on a group commit still pays a fraction of the flush
-		// latency (waiting for the group to form).
-		l.rideAlongs++
-		if l.cfg.Device != nil {
-			cost += l.cfg.Device.Service(0) / numa.Cost(l.cfg.GroupSize)
-		} else {
-			cost += l.cfg.FlushCost / numa.Cost(l.cfg.GroupSize)
-		}
+		cost += l.rideAlong()
 	}
 	if lsn > l.durable {
 		l.durable = lsn
 	}
 	return cost
+}
+
+// flush is the bill of one full group-commit flush issued at now that writes
+// out bytes: the bound device's queueing model, or the flat FlushCost. It
+// writes out everything pending, with or without a device: a log that runs
+// device-blind for a while and is later re-bound must not bill its whole
+// append history to the first device flush.
+func (l *CentralLog) flush(now vclock.Nanos, bytes int) numa.Cost {
+	l.pending, l.pendingBytes = 0, 0
+	l.physFlushes++
+	l.physBytes += int64(bytes)
+	cost := FlushCost
+	if l.cfg.Device != nil {
+		cost = l.cfg.Device.Flush(now, bytes)
+	}
+	l.trace.Record(obs.Span{Start: now, Dur: vclock.Nanos(cost),
+		Kind: obs.KindPhysFlush, Site: l.traceSite, Arg: int64(bytes)})
+	return cost
+}
+
+// rideAlong is the bill of a commit that rides on a group commit: a
+// GroupSize-th of the flush latency (waiting for the group to form), the
+// bound device's unqueued service or the flat FlushCost. A ride-along does
+// not occupy a device channel.
+func (l *CentralLog) rideAlong() numa.Cost {
+	l.rideAlongs++
+	if l.cfg.Device != nil {
+		return l.cfg.Device.Service(0) / GroupSize
+	}
+	return FlushCost / GroupSize
 }
 
 // physicalFlush writes the accumulator out: net-delta entries are
@@ -504,7 +502,6 @@ func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.
 func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 	c := l.coal
 	bytes := l.pendingBytes + c.bytes
-	l.pendingBytes = 0
 	for i := range c.entries {
 		l.ringAppend(c.entries[i])
 	}
@@ -522,25 +519,12 @@ func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 		}
 		c.open = c.open[:0]
 	}
-	l.pending = 0
-	l.physFlushes++
-	l.physBytes += int64(bytes)
-	var flushCost numa.Cost
-	if l.cfg.Device != nil {
-		flushCost = l.cfg.Device.Flush(now, bytes)
-	} else {
-		flushCost = l.cfg.FlushCost
+	if folded := c.coalesced - l.traceFoldMark; l.trace != nil && folded > 0 {
+		l.trace.Record(obs.Span{Start: now, Kind: obs.KindCoalesceFold,
+			Site: l.traceSite, Arg: folded})
+		l.traceFoldMark = c.coalesced
 	}
-	if l.trace != nil {
-		if folded := c.coalesced - l.traceFoldMark; folded > 0 {
-			l.trace.Record(obs.Span{Start: now, Kind: obs.KindCoalesceFold,
-				Site: l.traceSite, Arg: folded})
-			l.traceFoldMark = c.coalesced
-		}
-		l.trace.Record(obs.Span{Start: now, Dur: vclock.Nanos(flushCost),
-			Kind: obs.KindPhysFlush, Site: l.traceSite, Arg: int64(bytes)})
-	}
-	return flushCost
+	return l.flush(now, bytes)
 }
 
 // Drain forces the write-combining accumulator out: committed net deltas and
@@ -634,8 +618,8 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // Sub returns the field-wise difference s-o, floored at zero per field, so a
-// delta across a run stays meaningful even when the baseline snapshot came
-// from a different log set (an adaptive re-wiring may retire logs).
+// delta against a baseline taken from a different log set never goes
+// negative.
 func (s Stats) Sub(o Stats) Stats {
 	f := func(a, b int64) int64 {
 		if a < b {

@@ -68,23 +68,21 @@ func TestCentralLogRemoteAppendsCostMore(t *testing.T) {
 
 func TestGroupCommit(t *testing.T) {
 	d := newDomain(1)
-	cfg := DefaultConfig()
-	cfg.GroupSize = 4
-	l := NewCentralLog(d, 0, cfg)
+	l := NewCentralLog(d, 0, DefaultConfig())
 	var lsns []LSN
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*GroupSize; i++ {
 		lsn, _ := l.Append(0, Record{Txn: uint64(i), Type: Commit, Size: 32})
 		lsns = append(lsns, lsn)
 	}
 	var fullFlushes int
 	for _, lsn := range lsns {
 		cost := l.Flush(0, lsn, 0)
-		if cost >= cfg.FlushCost {
+		if cost >= FlushCost {
 			fullFlushes++
 		}
 	}
 	if fullFlushes != 2 {
-		t.Errorf("with group size 4 and 8 commits, want 2 full flushes, got %d", fullFlushes)
+		t.Errorf("with group size %d and %d commits, want 2 full flushes, got %d", GroupSize, len(lsns), fullFlushes)
 	}
 	if l.Durable() != lsns[len(lsns)-1] {
 		t.Errorf("Durable = %d, want %d", l.Durable(), lsns[len(lsns)-1])
@@ -92,11 +90,11 @@ func TestGroupCommit(t *testing.T) {
 	if got := l.Stats().PhysicalFlushes; got != 2 {
 		t.Errorf("PhysicalFlushes = %d, want 2", got)
 	}
-	if got := l.Stats().RideAlongFlushes; got != 6 {
-		t.Errorf("RideAlongFlushes = %d, want 6", got)
+	if got := l.Stats().RideAlongFlushes; got != 2*GroupSize-2 {
+		t.Errorf("RideAlongFlushes = %d, want %d", got, 2*GroupSize-2)
 	}
 	// Flushing an already durable LSN is cheap and does not count.
-	if cost := l.Flush(0, lsns[0], 0); cost >= cfg.FlushCost {
+	if cost := l.Flush(0, lsns[0], 0); cost >= FlushCost {
 		t.Errorf("stale flush cost %d should be small", cost)
 	}
 }
@@ -139,19 +137,11 @@ func TestCentralLogPadded(t *testing.T) {
 }
 
 func TestDefaultConfigSanity(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.GroupSize < 1 || cfg.FlushCost <= 0 {
+	if GroupSize < 1 || FlushCost <= 0 || PerByteCost < 0 {
+		t.Errorf("suspicious group-commit price: GroupSize %d, FlushCost %d, PerByteCost %d", GroupSize, FlushCost, PerByteCost)
+	}
+	if cfg := DefaultConfig(); cfg.Keep <= 0 || cfg.CoalesceRecords != 0 {
 		t.Errorf("suspicious default config %+v", cfg)
-	}
-	// A config with nonsense values is clamped by the constructor.
-	d := newDomain(1)
-	l := NewCentralLog(d, 0, Config{GroupSize: 0, PerByteCost: -5, FlushCost: 100})
-	lsn, cost := l.Append(0, Record{Size: 100})
-	if lsn != 1 || cost <= 0 {
-		t.Errorf("append with clamped config: lsn %d cost %d", lsn, cost)
-	}
-	if c := l.Flush(0, lsn, 0); c < 100 {
-		t.Errorf("group size 1 should always pay the full flush, got %d", c)
 	}
 }
 
@@ -160,7 +150,7 @@ func TestPartitionedLogRoutesLocally(t *testing.T) {
 	p := NewPartitionedLogAtDevices(d, []topology.SocketID{0, 1, 2, 3}, DefaultConfig(), nil)
 	// An island's appends land in its own log, homed on its socket, and stay
 	// cheap.
-	maxLocal := d.Model.LocalAtomic + 64*DefaultConfig().PerByteCost
+	maxLocal := d.Model.LocalAtomic + 64*PerByteCost
 	for i := 0; i < p.NumLogs(); i++ {
 		if _, cost := p.Log(i).Append(p.Home(i), Record{Txn: uint64(i), Size: 64}); cost > maxLocal {
 			t.Errorf("island %d append cost %d, want <= %d", i, cost, maxLocal)
@@ -227,9 +217,8 @@ func TestReusedLogRebindsChangedDevice(t *testing.T) {
 	// And future flushes pay the new device: a full group on the re-bound log
 	// must cost devB's service latency, not devA's.
 	lg := p2.Log(0)
-	cfg := DefaultConfig()
 	var flushCost numa.Cost
-	for i := 0; i < cfg.GroupSize; i++ {
+	for i := 0; i < GroupSize; i++ {
 		lsn, _ := lg.Append(0, Record{Txn: uint64(10 + i), Type: Update, Table: "t", Key: schema.Key(i), Size: 64})
 		if c := lg.Flush(0, lsn, 0); c > flushCost {
 			flushCost = c
