@@ -118,6 +118,11 @@ type TPCCOptions = workload.TPCCOptions
 // Skew describes a hot-set access skew.
 type Skew = workload.Skew
 
+// Phase is one segment of a time-varying TATP class mix
+// (TATPOptions.Phases): its Mix is in force for its Duration of virtual time,
+// and the phase list repeats after its last phase.
+type Phase = workload.Phase
+
 // TATP builds the TATP telecom benchmark workload.
 func TATP(opts TATPOptions) (*Workload, error) { return workload.TATP(opts) }
 

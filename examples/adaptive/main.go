@@ -35,17 +35,13 @@ func main() {
 }
 
 func workloadChange(top *atrapos.Topology) {
+	phase := atrapos.Seconds(30 * paperSecond)
 	wl, err := atrapos.TATP(atrapos.TATPOptions{
 		Subscribers: subscribers,
-		MixAt: func(at atrapos.VirtualTime) map[string]float64 {
-			switch {
-			case at < atrapos.Seconds(30*paperSecond):
-				return map[string]float64{"UpdSubData": 1}
-			case at < atrapos.Seconds(60*paperSecond):
-				return map[string]float64{"GetNewDest": 1}
-			default:
-				return map[string]float64{"GetSubData": 35, "GetNewDest": 10, "GetAccData": 35, "UpdSubData": 2, "UpdLocation": 14, "InsCallFwd": 2, "DelCallFwd": 2}
-			}
+		Phases: []atrapos.Phase{
+			{Duration: phase, Mix: map[string]float64{"UpdSubData": 1}},
+			{Duration: phase, Mix: map[string]float64{"GetNewDest": 1}},
+			{Duration: phase, Mix: map[string]float64{"GetSubData": 35, "GetNewDest": 10, "GetAccData": 35, "UpdSubData": 2, "UpdLocation": 14, "InsCallFwd": 2, "DelCallFwd": 2}},
 		},
 	})
 	if err != nil {

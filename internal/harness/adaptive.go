@@ -71,15 +71,11 @@ func staticVsAdaptive(s Scale, wl *workload.Workload, duration vclock.Nanos, fau
 // partitioning while ATraPos adapts.
 func Fig10(s Scale) (*Table, error) {
 	duration := paperSecond(90)
-	mixAt, err := workload.Schedule([]workload.Phase{
-		{Label: "UpdSubData", Duration: paperSecond(30), Mix: map[string]float64{workload.TATPUpdSubData: 1}},
-		{Label: "GetNewDest", Duration: paperSecond(30), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
-		{Label: "TATP-Mix", Duration: paperSecond(30), Mix: workload.TATPStandardMix()},
-	})
-	if err != nil {
-		return nil, err
-	}
-	wl, err := workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, MixAt: mixAt})
+	wl, err := workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Phases: []workload.Phase{
+		{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPUpdSubData: 1}},
+		{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
+		{Duration: paperSecond(30), Mix: workload.TATPStandardMix()},
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -134,18 +130,16 @@ func Fig12(s Scale) (*Table, error) {
 // re-tunes its monitoring interval.
 func Fig13(s Scale) (*Table, error) {
 	duration := paperSecond(180)
-	mixAt, err := workload.Schedule([]workload.Phase{
-		{Label: "A", Duration: paperSecond(60), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
-		{Label: "B", Duration: paperSecond(30), Mix: workload.TATPStandardMix()},
-		{Label: "A", Duration: paperSecond(30), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
-		{Label: "B", Duration: paperSecond(30), Mix: workload.TATPStandardMix()},
-		{Label: "A", Duration: paperSecond(15), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
-		{Label: "B", Duration: paperSecond(15), Mix: workload.TATPStandardMix()},
-	})
-	if err != nil {
-		return nil, err
-	}
-	wl, err := workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, MixAt: mixAt})
+	a := map[string]float64{workload.TATPGetNewDest: 1}
+	b := workload.TATPStandardMix()
+	wl, err := workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Phases: []workload.Phase{
+		{Duration: paperSecond(60), Mix: a},
+		{Duration: paperSecond(30), Mix: b},
+		{Duration: paperSecond(30), Mix: a},
+		{Duration: paperSecond(30), Mix: b},
+		{Duration: paperSecond(15), Mix: a},
+		{Duration: paperSecond(15), Mix: b},
+	}})
 	if err != nil {
 		return nil, err
 	}

@@ -140,3 +140,15 @@ func TestFigOscillateRecovers(t *testing.T) {
 	}
 	checkRecovery(t, "fig-oscillate", 90, changes)
 }
+
+// TestFigDriftRecovers: the 80%-hot window slides to the next tenth of the
+// subscribers every 10 windows; after the moves at t=10 and t=20 ATraPos is
+// back at 90% of its level within 5 windows, far above the static placement
+// tuned for the first window. The span ends at t=30: from there both series
+// drain in steps (direction 1, checkRecovery's skipped tail).
+func TestFigDriftRecovers(t *testing.T) {
+	checkRecovery(t, "fig-drift", 30, []phaseChange{
+		{at: 10, share: 0.9, windows: 5, hold: 20},
+		{at: 20, share: 0.9, windows: 5, hold: 30},
+	})
+}

@@ -98,7 +98,7 @@ func (cl *CacheLine) Owner() topology.SocketID { return cl.owner }
 
 // Striped is a set of per-socket cache lines. NUMA-aware data structures use
 // one stripe per socket so the critical path only ever touches the local
-// stripe; background operations may touch all stripes.
+// stripe.
 type Striped struct {
 	lines []*CacheLine
 }
@@ -120,6 +120,3 @@ func (s *Striped) Local(sock topology.SocketID) *CacheLine {
 	}
 	return s.lines[sock]
 }
-
-// All returns every stripe, for background traversals.
-func (s *Striped) All() []*CacheLine { return s.lines }

@@ -161,8 +161,8 @@ func TestMoreSocketsMakeSharedLineMoreExpensive(t *testing.T) {
 func TestStriped(t *testing.T) {
 	d := testDomain(t, 4, 2)
 	s := NewStriped(d)
-	if len(s.All()) != 4 {
-		t.Fatalf("striped has %d stripes, want 4", len(s.All()))
+	if len(s.lines) != 4 {
+		t.Fatalf("striped has %d stripes, want 4", len(s.lines))
 	}
 	// Local stripes keep accesses socket-local and therefore cheap.
 	for sock := 0; sock < 4; sock++ {
@@ -171,7 +171,7 @@ func TestStriped(t *testing.T) {
 			t.Errorf("stripe %d local atomic cost %d, want %d", sock, c, d.Model.LocalAtomic)
 		}
 	}
-	if s.Local(topology.SocketID(-3)) != s.All()[0] {
+	if s.Local(topology.SocketID(-3)) != s.lines[0] {
 		t.Error("out-of-range socket should map to stripe 0")
 	}
 }
@@ -195,43 +195,6 @@ func TestCentralVsPartitionedStateLock(t *testing.T) {
 	if partedCost*2 >= centralCost {
 		t.Errorf("partitioned read lock cost %d should be well below centralized %d", partedCost, centralCost)
 	}
-}
-
-// TestPartitionedWriteLockExcludesAllReaders: the state locks are priced,
-// not enacted, so exclusion is the writer owning every reader's stripe line.
-// After a write cycle from socket 0 a reader on any other socket pays to take
-// its stripe back, where on an untouched lock it reads at the local price.
-func TestPartitionedWriteLockExcludesAllReaders(t *testing.T) {
-	d := testDomain(t, 4, 1)
-	l := NewPartitionedRWLock(d)
-	if c := l.Lock(0); c <= 4*d.Model.LocalAtomic {
-		t.Errorf("write lock cost %d, want more than four local atomics: it takes every stripe", c)
-	}
-	l.Unlock(0)
-	for s := topology.SocketID(1); s < 4; s++ {
-		if c := l.RLock(s); c <= d.Model.LocalAtomic {
-			t.Errorf("reader on socket %d paid %d after the write cycle, want a remote transfer", s, c)
-		}
-		l.RUnlock(s)
-		if c := NewPartitionedRWLock(d).RLock(s); c != d.Model.LocalAtomic {
-			t.Errorf("reader on socket %d paid %d on an untouched lock, want %d", s, c, d.Model.LocalAtomic)
-		}
-	}
-}
-
-func TestCentralRWLockWriteCycle(t *testing.T) {
-	d := testDomain(t, 2, 1)
-	l := NewCentralRWLock(d)
-	if c := l.Lock(1); c <= 0 {
-		t.Error("write lock cost should be positive")
-	}
-	if c := l.Unlock(1); c <= 0 {
-		t.Error("unlock cost should be positive")
-	}
-	if c := l.RLock(0); c <= 0 {
-		t.Error("read lock cost should be positive")
-	}
-	l.RUnlock(0)
 }
 
 func TestPartitionedRWLockUnknownSocket(t *testing.T) {

@@ -1,42 +1,92 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"atrapos/internal/vclock"
 )
 
-// TestPickClassMatchesPickWeighted pins the compiled mix chooser to the
+// pickWeighted is the reference class chooser: it selects a key from weights
+// proportionally to its weight, sorting the map on every draw.
+func pickWeighted(rng *rand.Rand, weights map[string]float64) string {
+	keys := make([]string, 0, len(weights))
+	total := 0.0
+	for k, w := range weights {
+		if w > 0 {
+			keys = append(keys, k)
+			total += w
+		}
+	}
+	sort.Strings(keys)
+	if total <= 0 || len(keys) == 0 {
+		return ""
+	}
+	x := rng.Float64() * total
+	for _, k := range keys {
+		x -= weights[k]
+		if x <= 0 {
+			return k
+		}
+	}
+	return keys[len(keys)-1]
+}
+
+// TestCompiledMixMatchesPickWeighted pins the compiled mix chooser to the
 // reference implementation: for the same random stream both must select the
-// same class sequence, so swapping the hot path in did not change any seeded
+// same class sequence, so compiling the mixes did not change any seeded
 // workload.
-func TestPickClassMatchesPickWeighted(t *testing.T) {
+func TestCompiledMixMatchesPickWeighted(t *testing.T) {
 	weights := TATPStandardMix()
 	ref := rand.New(rand.NewSource(1))
-	ctx := &GenContext{Rng: rand.New(rand.NewSource(1))}
+	rng := rand.New(rand.NewSource(1))
+	mix := compileMix(weights)
 	for i := 0; i < 2000; i++ {
 		want := pickWeighted(ref, weights)
-		got := ctx.PickClass(weights)
+		got := mix.pick(rng)
 		if got != want {
 			t.Fatalf("pick %d: compiled chooser chose %q, reference chose %q", i, got, want)
 		}
 	}
 }
 
-// TestPickClassEdgeCases mirrors the pickWeighted edge cases.
-func TestPickClassEdgeCases(t *testing.T) {
-	ctx := &GenContext{Rng: rand.New(rand.NewSource(2))}
-	if got := ctx.PickClass(map[string]float64{}); got != "" {
+// TestCompiledMixEdgeCases mirrors the pickWeighted edge cases.
+func TestCompiledMixEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	if got := compileMix(map[string]float64{}).pick(rng); got != "" {
 		t.Errorf("empty mix should pick nothing, got %q", got)
 	}
-	if got := ctx.PickClass(map[string]float64{"x": 0}); got != "" {
+	if got := compileMix(map[string]float64{"x": 0}).pick(rng); got != "" {
 		t.Errorf("all-zero mix should pick nothing, got %q", got)
 	}
-	only := map[string]float64{"solo": 3}
-	if got := ctx.PickClass(only); got != "solo" {
+	if got := compileMix(map[string]float64{"solo": 3}).pick(rng); got != "solo" {
 		t.Errorf("single-class mix picked %q", got)
 	}
+}
+
+// FuzzMix holds the compiled chooser to the reference: up to eight classes
+// with integer weights in [0, 1000] (two bytes per class) and a seed; over
+// 256 draws from the same stream both must choose the same classes.
+func FuzzMix(f *testing.F) {
+	f.Add([]byte{}, int64(1))
+	f.Add([]byte{0, 0, 0, 0}, int64(2))
+	f.Add([]byte{0, 35, 0, 10, 0, 35, 0, 2, 0, 14, 0, 2, 0, 2}, int64(42))
+	f.Add([]byte{3, 232, 0, 0, 3, 232, 0, 1, 0, 0, 3, 231, 1, 0, 2, 255}, int64(-7))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		weights := map[string]float64{}
+		for i := 0; i+1 < len(data) && i < 16; i += 2 {
+			weights[fmt.Sprintf("c%d", i/2)] = float64((int(data[i])<<8 | int(data[i+1])) % 1001)
+		}
+		mix := compileMix(weights)
+		ref, rng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i := 0; i < 256; i++ {
+			if got, want := mix.pick(rng), pickWeighted(ref, weights); got != want {
+				t.Fatalf("draw %d of %v: compiled chooser chose %q, reference chose %q", i, weights, got, want)
+			}
+		}
+	})
 }
 
 // TestTransactionBuilderReuse checks that the reusable transaction builder

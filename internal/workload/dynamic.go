@@ -2,52 +2,80 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"atrapos/internal/vclock"
 )
 
-// Phase is one segment of a time-varying workload: the given class mix is
-// active for Duration of virtual time.
+// Phase is one segment of a time-varying class mix (TATPOptions.Phases): Mix
+// is in force for Duration of virtual time, then the next phase's.
 type Phase struct {
-	// Label names the phase in reports ("A", "B", "UpdSubData only", ...).
-	Label string
-	// Duration is how long the phase lasts in virtual time.
+	// Duration is how long the phase lasts in virtual time; it must be
+	// positive.
 	Duration vclock.Nanos
-	// Mix is the class mix active during the phase.
+	// Mix is the weight of each transaction class during the phase; it must
+	// name at least one class, and only classes the workload defines.
 	Mix map[string]float64
 }
 
-// Schedule turns a list of phases into a mix function of virtual time. After
-// the last phase ends the schedule cycles back to the first phase, so
-// arbitrarily long runs keep alternating (as in Figure 13).
-func Schedule(phases []Phase) (func(at vclock.Nanos) map[string]float64, error) {
-	if len(phases) == 0 {
-		return nil, fmt.Errorf("workload: empty schedule")
+// phases is a class-mix schedule compiled when its workload is built: one
+// classMix per phase. After the last phase ends the schedule cycles back to
+// the first, so arbitrarily long runs keep alternating (as in Figure 13). A
+// fixed mix is a schedule of one phase.
+type phases struct {
+	list  []Phase
+	mixes []*classMix
+	cycle vclock.Nanos
+}
+
+// compilePhases checks every phase against the workload's flow graphs and
+// compiles its mix.
+func compilePhases(list []Phase, graphs map[string]*FlowGraph) (*phases, error) {
+	if len(list) == 0 {
+		return nil, fmt.Errorf("empty schedule")
 	}
-	var total vclock.Nanos
-	for i, p := range phases {
-		if p.Duration <= 0 {
-			return nil, fmt.Errorf("workload: phase %d has non-positive duration", i)
+	p := &phases{list: list, mixes: make([]*classMix, len(list))}
+	for i, ph := range list {
+		if ph.Duration <= 0 {
+			return nil, fmt.Errorf("phase %d has non-positive duration", i)
 		}
-		if len(p.Mix) == 0 {
-			return nil, fmt.Errorf("workload: phase %d has an empty mix", i)
+		if len(ph.Mix) == 0 {
+			return nil, fmt.Errorf("phase %d has an empty mix", i)
 		}
-		total += p.Duration
-	}
-	return func(at vclock.Nanos) map[string]float64 {
-		if at < 0 {
-			at = 0
-		}
-		offset := at % total
-		for _, p := range phases {
-			if offset < p.Duration {
-				return p.Mix
+		for class := range ph.Mix {
+			if _, ok := graphs[class]; !ok {
+				return nil, fmt.Errorf("phase %d names unknown class %q", i, class)
 			}
-			offset -= p.Duration
 		}
-		return phases[len(phases)-1].Mix
-	}, nil
+		p.mixes[i] = compileMix(ph.Mix)
+		p.cycle += ph.Duration
+	}
+	return p, nil
+}
+
+// index returns the phase in force at virtual time at; negative times read
+// as the first phase.
+func (p *phases) index(at vclock.Nanos) int {
+	if at < 0 {
+		at = 0
+	}
+	offset := at % p.cycle
+	for i, ph := range p.list {
+		if offset < ph.Duration {
+			return i
+		}
+		offset -= ph.Duration
+	}
+	return len(p.list) - 1
+}
+
+// weights is the class mix in force at virtual time at.
+func (p *phases) weights(at vclock.Nanos) map[string]float64 { return p.list[p.index(at)].Mix }
+
+// pick draws the class of a transaction generated at virtual time at.
+func (p *phases) pick(rng *rand.Rand, at vclock.Nanos) string {
+	return p.mixes[p.index(at)].pick(rng)
 }
 
 // Seconds is a convenience conversion from seconds of virtual time.

@@ -70,48 +70,43 @@ func tenColumnRow(i int, w *schema.RowWriter) {
 	}
 }
 
-// SingleRowRead is the perfectly partitionable microbenchmark of Figures 1, 2
-// and 5: every transaction reads one row of a ten-integer-column table.
-func SingleRowRead(rows int) *Workload {
-	return SingleRowReadSkewed(rows, Skew{})
+// microWorkload is the shape every single-table microbenchmark shares: a
+// rows-sized tenColumnTable, the given flow graphs keyed by class and a fixed
+// class mix.
+func microWorkload(name, table string, rows int, mix map[string]float64, graphs ...*FlowGraph) *Workload {
+	w := &Workload{
+		Name:         name,
+		Tables:       []TableDef{{Schema: tenColumnTable(table), Rows: rows, MaxKey: int64(rows), RowGen: tenColumnRow}},
+		Graphs:       make(map[string]*FlowGraph, len(graphs)),
+		ClassWeights: func(vclock.Nanos) map[string]float64 { return mix },
+	}
+	for _, g := range graphs {
+		w.Graphs[g.Class] = g
+	}
+	return w
 }
 
-// SingleRowReadSkewed is SingleRowRead with a hot-set skew, used by the
-// Figure 11 experiment (50% of requests to 20% of the data after t=20s).
-func SingleRowReadSkewed(rows int, skew Skew) *Workload {
-	const class = "ReadOne"
-	table := "mbr"
-	w := &Workload{
-		Name: "single-row-read",
-		Tables: []TableDef{{
-			Schema: tenColumnTable(table),
-			Rows:   rows,
-			MaxKey: int64(rows),
-			RowGen: tenColumnRow,
-		}},
-		Graphs: map[string]*FlowGraph{
-			class: {
-				Class: class,
-				Nodes: []FlowNode{{Table: table, Op: Read, MinCount: 1, MaxCount: 1}},
-			},
-		},
-		ClassWeights: func(vclock.Nanos) map[string]float64 {
-			return map[string]float64{class: 1}
-		},
-	}
+// accesses is the one-node flow graph of a class that applies op to n rows
+// of table.
+func accesses(class, table string, op OpType, n int, syncs ...FlowSync) *FlowGraph {
+	return &FlowGraph{Class: class, Nodes: []FlowNode{{Table: table, Op: op, MinCount: n, MaxCount: n}}, Syncs: syncs}
+}
+
+// percent clamps p to [0, 100].
+func percent(p int) int { return min(max(p, 0), 100) }
+
+// SingleRowRead is the perfectly partitionable microbenchmark of Figures 1, 2
+// and 5: every transaction reads one row of a ten-integer-column table, from
+// the key range of the generating worker's own instance, as in the paper's
+// Figure 2/5 setup.
+func SingleRowRead(rows int) *Workload {
+	const class, table = "ReadOne", "mbr"
+	w := microWorkload("single-row-read", table, rows, map[string]float64{class: 1}, accesses(class, table, Read, 1))
 	w.Generate = func(ctx *GenContext) *Transaction {
-		var key int64
-		if ctx.NumSites > 1 && !skew.Active(ctx.At) {
-			// Perfectly partitionable: each client only asks its own
-			// instance's key range, as in the paper's Figure 2/5 setup.
-			lo, hi := ctx.siteKeyRange(int64(rows))
-			key = lo + ctx.Rng.Int63n(hi-lo)
-		} else {
-			key = skew.Pick(ctx.Rng, int64(rows), ctx.At)
-		}
+		lo, hi := ctx.siteKeyRange(int64(rows))
 		t := ctx.Txn(class)
 		t.ReadOnly = true
-		t.Add(table, Read, schema.KeyFromInt(key))
+		t.Add(table, Read, schema.KeyFromInt(lo+ctx.Rng.Int63n(hi-lo)))
 		return t
 	}
 	return w
@@ -121,39 +116,17 @@ func SingleRowReadSkewed(rows int, skew Skew) *Workload {
 // each transaction reads 100 rows chosen uniformly at random from a large
 // table, defeating caches and prefetchers.
 func ReadHundred(rows int) *Workload {
-	const class = "Read100"
-	table := "mbig"
-	w := &Workload{
-		Name: "read-100-random-rows",
-		Tables: []TableDef{{
-			Schema: tenColumnTable(table),
-			Rows:   rows,
-			MaxKey: int64(rows),
-			RowGen: tenColumnRow,
-		}},
-		Graphs: map[string]*FlowGraph{
-			class: {
-				Class: class,
-				Nodes: []FlowNode{{Table: table, Op: Read, MinCount: 100, MaxCount: 100}},
-			},
-		},
-		ClassWeights: func(vclock.Nanos) map[string]float64 {
-			return map[string]float64{class: 1}
-		},
-	}
+	const class, table = "Read100", "mbig"
+	w := microWorkload("read-100-random-rows", table, rows, map[string]float64{class: 1}, accesses(class, table, Read, 100))
 	w.Generate = func(ctx *GenContext) *Transaction {
 		t := ctx.Txn(class)
 		t.ReadOnly = true
 		// Each client reads from its own instance's dataset; the allocation
 		// policy experiment (Table I) varies only where that dataset's memory
 		// lives, not which instance serves the request.
-		lo, hi := int64(0), int64(rows)
-		if ctx.NumSites > 1 {
-			lo, hi = ctx.siteKeyRange(int64(rows))
-		}
+		lo, hi := ctx.siteKeyRange(int64(rows))
 		for i := 0; i < 100; i++ {
-			key := lo + ctx.Rng.Int63n(hi-lo)
-			t.Add(table, Read, schema.KeyFromInt(key))
+			t.Add(table, Read, schema.KeyFromInt(lo+ctx.Rng.Int63n(hi-lo)))
 		}
 		return t
 	}
@@ -166,68 +139,7 @@ func ReadHundred(rows int) *Workload {
 // the whole dataset. pctMultiSite is the percentage (0..100) of multi-site
 // transactions.
 func MultisiteUpdate(rows int, pctMultiSite int) *Workload {
-	const (
-		localClass = "UpdateLocal10"
-		multiClass = "UpdateMultiSite"
-	)
-	table := "mupd"
-	if pctMultiSite < 0 {
-		pctMultiSite = 0
-	}
-	if pctMultiSite > 100 {
-		pctMultiSite = 100
-	}
-	w := &Workload{
-		Name: "multisite-update",
-		Tables: []TableDef{{
-			Schema: tenColumnTable(table),
-			Rows:   rows,
-			MaxKey: int64(rows),
-			RowGen: tenColumnRow,
-		}},
-		Graphs: map[string]*FlowGraph{
-			localClass: {
-				Class: localClass,
-				Nodes: []FlowNode{{Table: table, Op: Update, MinCount: 10, MaxCount: 10}},
-			},
-			multiClass: {
-				Class: multiClass,
-				Nodes: []FlowNode{{Table: table, Op: Update, MinCount: 10, MaxCount: 10}},
-				Syncs: []FlowSync{{Nodes: []int{0}, Bytes: 88}},
-			},
-		},
-		ClassWeights: func(vclock.Nanos) map[string]float64 {
-			return map[string]float64{
-				localClass: float64(100 - pctMultiSite),
-				multiClass: float64(pctMultiSite),
-			}
-		},
-	}
-	w.Generate = func(ctx *GenContext) *Transaction {
-		lo, hi := ctx.siteKeyRange(int64(rows))
-		localKey := func() schema.Key {
-			return schema.KeyFromInt(lo + ctx.Rng.Int63n(hi-lo))
-		}
-		multi := ctx.Rng.Intn(100) < pctMultiSite
-		if !multi {
-			t := ctx.Txn(localClass)
-			for i := 0; i < 10; i++ {
-				t.Add(table, Update, localKey())
-			}
-			return t
-		}
-		t := ctx.Txn(multiClass)
-		t.MultiSite = true
-		t.Add(table, Update, localKey())
-		for i := 0; i < 9; i++ {
-			key := ctx.Rng.Int63n(int64(rows))
-			t.Add(table, Update, schema.KeyFromInt(key))
-		}
-		// All ten updates synchronize at commit.
-		t.AddSyncRange(88, 0, len(t.Actions))
-		return t
-	}
-	return w
+	return multisiteUpdate("multisite-update", rows, func(vclock.Nanos) int { return pctMultiSite })
 }
 
 // MultisiteUpdateDrifting is MultisiteUpdate with a time-varying multisite
@@ -237,49 +149,28 @@ func MultisiteUpdate(rows int, pctMultiSite int) *Workload {
 // drifts across the island-size crossover, the statically-best island level
 // changes, and an adaptive deployment must re-wire itself to follow.
 func MultisiteUpdateDrifting(rows int, pctAt func(vclock.Nanos) int) *Workload {
+	return multisiteUpdate("multisite-update-drift", rows, pctAt)
+}
+
+// multisiteUpdate is the generator of both multisite microbenchmarks.
+func multisiteUpdate(name string, rows int, pctAt func(vclock.Nanos) int) *Workload {
 	const (
 		localClass = "UpdateLocal10"
 		multiClass = "UpdateMultiSite"
+		table      = "mupd"
 	)
-	table := "mupd"
-	clampPct := func(p int) int {
-		if p < 0 {
-			return 0
+	w := microWorkload(name, table, rows, nil,
+		accesses(localClass, table, Update, 10),
+		accesses(multiClass, table, Update, 10, FlowSync{Nodes: []int{0}, Bytes: 88}))
+	w.ClassWeights = func(at vclock.Nanos) map[string]float64 {
+		pct := percent(pctAt(at))
+		return map[string]float64{
+			localClass: float64(100 - pct),
+			multiClass: float64(pct),
 		}
-		if p > 100 {
-			return 100
-		}
-		return p
-	}
-	w := &Workload{
-		Name: "multisite-update-drift",
-		Tables: []TableDef{{
-			Schema: tenColumnTable(table),
-			Rows:   rows,
-			MaxKey: int64(rows),
-			RowGen: tenColumnRow,
-		}},
-		Graphs: map[string]*FlowGraph{
-			localClass: {
-				Class: localClass,
-				Nodes: []FlowNode{{Table: table, Op: Update, MinCount: 10, MaxCount: 10}},
-			},
-			multiClass: {
-				Class: multiClass,
-				Nodes: []FlowNode{{Table: table, Op: Update, MinCount: 10, MaxCount: 10}},
-				Syncs: []FlowSync{{Nodes: []int{0}, Bytes: 88}},
-			},
-		},
-		ClassWeights: func(at vclock.Nanos) map[string]float64 {
-			pct := clampPct(pctAt(at))
-			return map[string]float64{
-				localClass: float64(100 - pct),
-				multiClass: float64(pct),
-			}
-		},
 	}
 	w.Generate = func(ctx *GenContext) *Transaction {
-		pct := clampPct(pctAt(ctx.At))
+		pct := percent(pctAt(ctx.At))
 		lo, hi := ctx.siteKeyRange(int64(rows))
 		localKey := func() schema.Key {
 			return schema.KeyFromInt(lo + ctx.Rng.Int63n(hi-lo))
@@ -295,9 +186,9 @@ func MultisiteUpdateDrifting(rows int, pctAt func(vclock.Nanos) int) *Workload {
 		t.MultiSite = true
 		t.Add(table, Update, localKey())
 		for i := 0; i < 9; i++ {
-			key := ctx.Rng.Int63n(int64(rows))
-			t.Add(table, Update, schema.KeyFromInt(key))
+			t.Add(table, Update, schema.KeyFromInt(ctx.Rng.Int63n(int64(rows))))
 		}
+		// All ten updates synchronize at commit.
 		t.AddSyncRange(88, 0, len(t.Actions))
 		return t
 	}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"atrapos/internal/schema"
-	"atrapos/internal/vclock"
 )
 
 // TATP transaction class names.
@@ -41,9 +40,11 @@ type TATPOptions struct {
 	// TATP mix. A single-entry map runs only that class, as the paper does
 	// for the per-transaction results of Figure 8.
 	Mix map[string]float64
-	// MixAt optionally makes the mix a function of virtual time, overriding
-	// Mix, for the adaptivity experiments (Figures 10 and 13).
-	MixAt func(at vclock.Nanos) map[string]float64
+	// Phases, when set, makes the mix change over virtual time and overrides
+	// Mix: each phase's mix is in force for its Duration, in order, and the
+	// list repeats after the last phase (Figures 10 and 13). Every phase's
+	// mix is checked and compiled when the workload is built.
+	Phases []Phase
 	// Skew optionally skews the subscriber id distribution (Figure 11).
 	Skew Skew
 }
@@ -61,18 +62,18 @@ func TATP(opts TATPOptions) (*Workload, error) {
 		return nil, fmt.Errorf("workload: TATP needs a positive subscriber count")
 	}
 	subs := int64(opts.Subscribers)
-	mixFn := opts.MixAt
-	if mixFn == nil {
+	list := opts.Phases
+	if list == nil {
 		mix := opts.Mix
 		if mix == nil {
 			mix = TATPStandardMix()
 		}
-		for class := range mix {
-			if _, ok := tatpGraphs()[class]; !ok {
-				return nil, fmt.Errorf("workload: unknown TATP class %q", class)
-			}
-		}
-		mixFn = func(vclock.Nanos) map[string]float64 { return mix }
+		list = []Phase{{Duration: 1, Mix: mix}}
+	}
+	graphs := tatpGraphs()
+	mixes, err := compilePhases(list, graphs)
+	if err != nil {
+		return nil, fmt.Errorf("workload: TATP: %w", err)
 	}
 
 	w := &Workload{
@@ -159,13 +160,13 @@ func TATP(opts TATPOptions) (*Workload, error) {
 				},
 			},
 		},
-		Graphs:       tatpGraphs(),
-		ClassWeights: mixFn,
+		Graphs:       graphs,
+		ClassWeights: mixes.weights,
 	}
 
 	skew := opts.Skew
 	w.Generate = func(ctx *GenContext) *Transaction {
-		class := ctx.PickClass(mixFn(ctx.At))
+		class := mixes.pick(ctx.Rng, ctx.At)
 		sID := skew.Pick(ctx.Rng, subs, ctx.At)
 		subKey := schema.KeyFromInt(sID)
 		aiKey := schema.KeyFromInt(sID*4 + ctx.Rng.Int63n(4))

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"atrapos/internal/schema"
-	"atrapos/internal/vclock"
 )
 
 // TPC-C transaction class names.
@@ -67,10 +66,10 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 	if mix == nil {
 		mix = TPCCStandardMix()
 	}
-	for class := range mix {
-		if _, ok := tpccGraphs()[class]; !ok {
-			return nil, fmt.Errorf("workload: unknown TPC-C class %q", class)
-		}
+	graphs := tpccGraphs()
+	mixes, err := compilePhases([]Phase{{Duration: 1, Mix: mix}}, graphs)
+	if err != nil {
+		return nil, fmt.Errorf("workload: TPC-C: %w", err)
 	}
 	custPerDist := opts.CustomersPerDistrict
 	if custPerDist <= 0 {
@@ -200,10 +199,8 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 				},
 			},
 		},
-		Graphs: tpccGraphs(),
-		ClassWeights: func(vclock.Nanos) map[string]float64 {
-			return mix
-		},
+		Graphs:       graphs,
+		ClassWeights: mixes.weights,
 	}
 
 	// One order-id sequence per district, as in TPC-C's d_next_o_id.
@@ -217,7 +214,7 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 	}
 
 	wl.Generate = func(ctx *GenContext) *Transaction {
-		class := ctx.PickClass(mix)
+		class := mixes.pick(ctx.Rng, ctx.At)
 		wh := ctx.Rng.Int63n(w)
 		dist := wh*tpccDistrictsPerWarehouse + ctx.Rng.Int63n(tpccDistrictsPerWarehouse)
 		cust := dist*int64(custPerDist) + ctx.Rng.Int63n(int64(custPerDist))

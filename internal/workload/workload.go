@@ -9,7 +9,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 
@@ -214,10 +213,9 @@ type GenContext struct {
 	HomeSite int
 	NumSites int
 
-	txn   Transaction
-	mixes mixCache
-	zipf  zipfMemo
-	site  siteMemo
+	txn  Transaction
+	zipf zipfMemo
+	site siteMemo
 	// idx is scratch for generators that assemble irregular sync-point
 	// member lists (e.g. TPC-C NewOrder) before copying them into the
 	// transaction.
@@ -231,15 +229,6 @@ func (ctx *GenContext) Txn(class string) *Transaction {
 	return &ctx.txn
 }
 
-// PickClass selects a transaction class from weights proportionally to its
-// weight, deterministically in the caller's Rng. The weights map is compiled
-// into a cumulative table once and cached per map identity, so the per-call
-// path neither sorts nor allocates. Passing a freshly built map on every call
-// defeats the cache; reuse the same map (or the same per-phase maps) instead.
-func (ctx *GenContext) PickClass(weights map[string]float64) string {
-	return ctx.mixes.get(weights).pick(ctx.Rng)
-}
-
 // classMix is a compiled weighted chooser over transaction classes.
 type classMix struct {
 	classes []string
@@ -248,7 +237,8 @@ type classMix struct {
 }
 
 // compileMix builds a classMix, ordering classes alphabetically exactly like
-// pickWeighted so seeded runs generate the same class sequence.
+// pickWeighted, the tests' reference chooser, so seeded runs generate the same
+// class sequence.
 func compileMix(weights map[string]float64) *classMix {
 	m := &classMix{}
 	for k, w := range weights {
@@ -278,43 +268,6 @@ func (m *classMix) pick(rng *rand.Rand) string {
 	return m.classes[len(m.classes)-1]
 }
 
-// mixCache memoizes compiled mixes by map identity. Workloads hand out a
-// small, stable set of weight maps (one per phase), so a short linear list
-// suffices; if a workload cycles through more maps than the cache holds, the
-// oldest entry is overwritten. Each entry retains the map it was compiled
-// from: a cached address can therefore never be recycled by the allocator
-// for a different map, which makes the pointer-identity comparison sound
-// even for callers that build short-lived maps.
-type mixCache struct {
-	entries [8]mixEntry
-	n       int
-	next    int
-}
-
-type mixEntry struct {
-	src map[string]float64
-	mix *classMix
-}
-
-func (c *mixCache) get(weights map[string]float64) *classMix {
-	p := reflect.ValueOf(weights).Pointer()
-	for i := 0; i < c.n; i++ {
-		if reflect.ValueOf(c.entries[i].src).Pointer() == p {
-			return c.entries[i].mix
-		}
-	}
-	m := compileMix(weights)
-	e := mixEntry{src: weights, mix: m}
-	if c.n < len(c.entries) {
-		c.entries[c.n] = e
-		c.n++
-	} else {
-		c.entries[c.next] = e
-		c.next = (c.next + 1) % len(c.entries)
-	}
-	return m
-}
-
 // Workload couples a dataset with a transaction generator.
 type Workload struct {
 	// Name identifies the workload in reports.
@@ -327,7 +280,8 @@ type Workload struct {
 	Generate func(ctx *GenContext) *Transaction
 	// ClassWeights returns the probability of each class at virtual time at;
 	// ATraPos uses it as the dynamic workload information of its cost model
-	// and the harness prints it for reference.
+	// and the harness prints it for reference. The map is the workload's own
+	// (one per phase of a time-varying mix): callers read it and never write.
 	ClassWeights func(at vclock.Nanos) map[string]float64
 }
 
@@ -355,30 +309,6 @@ func (w *Workload) TableDef(name string) (TableDef, bool) {
 func (w *Workload) Graph(class string) (*FlowGraph, bool) {
 	g, ok := w.Graphs[class]
 	return g, ok
-}
-
-// pickWeighted selects a key from weights proportionally to its weight.
-func pickWeighted(rng *rand.Rand, weights map[string]float64) string {
-	keys := make([]string, 0, len(weights))
-	total := 0.0
-	for k, w := range weights {
-		if w > 0 {
-			keys = append(keys, k)
-			total += w
-		}
-	}
-	sort.Strings(keys)
-	if total <= 0 || len(keys) == 0 {
-		return ""
-	}
-	x := rng.Float64() * total
-	for _, k := range keys {
-		x -= weights[k]
-		if x <= 0 {
-			return k
-		}
-	}
-	return keys[len(keys)-1]
 }
 
 // Skew describes a hot-set access skew: HotAccessFraction of the requests go

@@ -519,50 +519,58 @@ func TestNewOrderFlowGraph(t *testing.T) {
 	}
 }
 
-func TestSchedule(t *testing.T) {
-	if _, err := Schedule(nil); err == nil {
-		t.Error("empty schedule should fail")
+// TestPhases: a schedule needs phases with a positive duration and a
+// non-empty mix of known classes; it cycles after its last phase, reads
+// negative times as the first phase, and picks only the classes of the phase
+// in force.
+func TestPhases(t *testing.T) {
+	graphs := map[string]*FlowGraph{"a": {Class: "a"}, "b": {Class: "b"}}
+	for _, bad := range [][]Phase{
+		nil,
+		{{Duration: 0, Mix: map[string]float64{"a": 1}}},
+		{{Duration: Seconds(1)}},
+		{{Duration: Seconds(1), Mix: map[string]float64{"zzz": 1}}},
+	} {
+		if _, err := compilePhases(bad, graphs); err == nil {
+			t.Errorf("compilePhases(%v) should fail", bad)
+		}
 	}
-	if _, err := Schedule([]Phase{{Duration: 0, Mix: map[string]float64{"a": 1}}}); err == nil {
-		t.Error("zero duration should fail")
+	if _, err := TATP(TATPOptions{Subscribers: 10, Phases: []Phase{{Duration: 1, Mix: map[string]float64{"a": 1}}}}); err == nil {
+		t.Error("a TATP phase naming an unknown class should fail")
 	}
-	if _, err := Schedule([]Phase{{Duration: Seconds(1)}}); err == nil {
-		t.Error("empty mix should fail")
-	}
-	phases := []Phase{
-		{Label: "A", Duration: Seconds(10), Mix: map[string]float64{"a": 1}},
-		{Label: "B", Duration: Seconds(20), Mix: map[string]float64{"b": 1}},
-	}
-	mixAt, err := Schedule(phases)
+	p, err := compilePhases([]Phase{
+		{Duration: Seconds(10), Mix: map[string]float64{"a": 1}},
+		{Duration: Seconds(20), Mix: map[string]float64{"b": 1}},
+	}, graphs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mixAt(Seconds(5))["a"] != 1 {
-		t.Error("phase A should be active at t=5s")
-	}
-	if mixAt(Seconds(15))["b"] != 1 {
-		t.Error("phase B should be active at t=15s")
-	}
-	// Cycles after the last phase.
-	if mixAt(Seconds(35))["a"] != 1 {
-		t.Error("schedule should cycle back to phase A at t=35s")
-	}
-	if mixAt(-5)["a"] != 1 {
-		t.Error("negative times clamp to the first phase")
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		at   vclock.Nanos
+		want string
+	}{
+		{Seconds(5), "a"},
+		{Seconds(15), "b"},
+		{Seconds(35), "a"}, // cycles after the last phase
+		{-5, "a"},          // negative times clamp to the first phase
+	} {
+		if got := p.weights(c.at)[c.want]; got != 1 {
+			t.Errorf("weights at %v: %v, want phase %s", c.at, p.weights(c.at), c.want)
+		}
+		if got := p.pick(rng, c.at); got != c.want {
+			t.Errorf("pick at %v = %q, want %q", c.at, got, c.want)
+		}
 	}
 }
 
 func TestDynamicScenarios(t *testing.T) {
 	// The Figure 10 shape: the class mix switches every 30 s.
-	mixAt, err := Schedule([]Phase{
-		{Label: "UpdSubData", Duration: Seconds(30), Mix: map[string]float64{TATPUpdSubData: 1}},
-		{Label: "GetNewDest", Duration: Seconds(30), Mix: map[string]float64{TATPGetNewDest: 1}},
-		{Label: "TATP-Mix", Duration: Seconds(30), Mix: TATPStandardMix()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := TATP(TATPOptions{Subscribers: 1000, MixAt: mixAt})
+	w, err := TATP(TATPOptions{Subscribers: 1000, Phases: []Phase{
+		{Duration: Seconds(30), Mix: map[string]float64{TATPUpdSubData: 1}},
+		{Duration: Seconds(30), Mix: map[string]float64{TATPGetNewDest: 1}},
+		{Duration: Seconds(30), Mix: TATPStandardMix()},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,14 +585,10 @@ func TestDynamicScenarios(t *testing.T) {
 	}
 
 	// The Figure 13 shape: workloads A and B alternate.
-	mixAt, err = Schedule([]Phase{
-		{Label: "A", Duration: Seconds(15), Mix: map[string]float64{TATPGetNewDest: 1}},
-		{Label: "B", Duration: Seconds(15), Mix: TATPStandardMix()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := TATP(TATPOptions{Subscribers: 1000, MixAt: mixAt})
+	w2, err := TATP(TATPOptions{Subscribers: 1000, Phases: []Phase{
+		{Duration: Seconds(15), Mix: map[string]float64{TATPGetNewDest: 1}},
+		{Duration: Seconds(15), Mix: TATPStandardMix()},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"atrapos/internal/schema"
-	"atrapos/internal/vclock"
-)
+import "atrapos/internal/schema"
 
 // YCSBMix names one of the YCSB core mixes reproduced here: single-row
 // operations over a skewed key distribution, with the read share the only
@@ -54,34 +51,12 @@ func YCSB(rows int, mix YCSBMix) *Workload {
 	const (
 		readClass   = "YCSBRead"
 		updateClass = "YCSBUpdate"
+		table       = "ycsb"
 	)
-	table := "ycsb"
 	readPct := mix.readPct()
-	w := &Workload{
-		Name: mix.String(),
-		Tables: []TableDef{{
-			Schema: tenColumnTable(table),
-			Rows:   rows,
-			MaxKey: int64(rows),
-			RowGen: tenColumnRow,
-		}},
-		Graphs: map[string]*FlowGraph{
-			readClass: {
-				Class: readClass,
-				Nodes: []FlowNode{{Table: table, Op: Read, MinCount: 1, MaxCount: 1}},
-			},
-			updateClass: {
-				Class: updateClass,
-				Nodes: []FlowNode{{Table: table, Op: Update, MinCount: 1, MaxCount: 1}},
-			},
-		},
-		ClassWeights: func(vclock.Nanos) map[string]float64 {
-			return map[string]float64{
-				readClass:   float64(readPct),
-				updateClass: float64(100 - readPct),
-			}
-		},
-	}
+	w := microWorkload(mix.String(), table, rows,
+		map[string]float64{readClass: float64(readPct), updateClass: float64(100 - readPct)},
+		accesses(readClass, table, Read, 1), accesses(updateClass, table, Update, 1))
 	w.Generate = func(ctx *GenContext) *Transaction {
 		lo, hi := ctx.siteKeyRange(int64(rows))
 		key := schema.KeyFromInt(lo + ctx.zipfKey(hi-lo))

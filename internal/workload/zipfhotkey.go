@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"atrapos/internal/schema"
-	"atrapos/internal/vclock"
 )
 
 // ZipfHotkey is the group-commit signature workload: updates follow a
@@ -24,55 +23,24 @@ func ZipfHotkey(rows, pctMultiSite, churnPct int) *Workload {
 		hotClass   = "ZipfHotUpdate"
 		multiClass = "ZipfMultiUpdate"
 		churnClass = "ZipfChurnPair"
+		table      = "mzipf"
 	)
-	table := "mzipf"
-	clamp := func(p int) int {
-		if p < 0 {
-			return 0
-		}
-		if p > 100 {
-			return 100
-		}
-		return p
-	}
-	pctMultiSite = clamp(pctMultiSite)
-	churnPct = clamp(churnPct)
-	w := &Workload{
-		Name: "zipf-hotkey",
-		Tables: []TableDef{{
-			Schema: tenColumnTable(table),
-			Rows:   rows,
-			MaxKey: int64(rows),
-			RowGen: tenColumnRow,
-		}},
-		Graphs: map[string]*FlowGraph{
-			hotClass: {
-				Class: hotClass,
-				Nodes: []FlowNode{{Table: table, Op: Update, MinCount: 10, MaxCount: 10}},
-			},
-			multiClass: {
-				Class: multiClass,
-				Nodes: []FlowNode{{Table: table, Op: Update, MinCount: 10, MaxCount: 10}},
-				Syncs: []FlowSync{{Nodes: []int{0}, Bytes: 88}},
-			},
-			churnClass: {
-				Class: churnClass,
-				Nodes: []FlowNode{
-					{Table: table, Op: Delete, MinCount: 2, MaxCount: 2},
-					{Table: table, Op: Insert, MinCount: 2, MaxCount: 2},
-				},
-			},
+	pctMultiSite = percent(pctMultiSite)
+	churnPct = percent(churnPct)
+	churn := float64(churnPct)
+	rest := 100 - churn
+	w := microWorkload("zipf-hotkey", table, rows,
+		map[string]float64{
+			churnClass: churn,
+			multiClass: rest * float64(pctMultiSite) / 100,
+			hotClass:   rest * float64(100-pctMultiSite) / 100,
 		},
-		ClassWeights: func(vclock.Nanos) map[string]float64 {
-			churn := float64(churnPct)
-			rest := 100 - churn
-			return map[string]float64{
-				churnClass: churn,
-				multiClass: rest * float64(pctMultiSite) / 100,
-				hotClass:   rest * float64(100-pctMultiSite) / 100,
-			}
-		},
-	}
+		accesses(hotClass, table, Update, 10),
+		accesses(multiClass, table, Update, 10, FlowSync{Nodes: []int{0}, Bytes: 88}),
+		&FlowGraph{Class: churnClass, Nodes: []FlowNode{
+			{Table: table, Op: Delete, MinCount: 2, MaxCount: 2},
+			{Table: table, Op: Insert, MinCount: 2, MaxCount: 2},
+		}})
 	w.Generate = func(ctx *GenContext) *Transaction {
 		lo, hi := ctx.siteKeyRange(int64(rows))
 		localKey := func() schema.Key {
