@@ -22,6 +22,8 @@
 #   make fuzz-smoke   - bounded seeded fault-scenario fuzz run (FUZZ_SEED=...)
 #   make loc          - non-test Go lines outside benchmark/, in total and per
 #                       package (the code-size count ROADMAP quotes)
+#   make loc-diff     - the same count on a parent commit and the working tree,
+#                       side by side with the change (PARENT=<ref>)
 #
 # The experiment and fuzz targets run through the parallel point scheduler
 # (atrapos-bench -parallel, default GOMAXPROCS); results are bit-identical at
@@ -33,7 +35,7 @@ PAIRS ?= 10
 SEED ?= 42
 EXAMPLES = quickstart adaptive tatp tpcc
 
-.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments examples tables-diff bench-trace bench-pair fuzz-smoke loc
+.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments examples tables-diff bench-trace bench-pair fuzz-smoke loc loc-diff
 
 check: fmt vet staticcheck build test race bench-module bench-smoke experiments examples bench-trace fuzz-smoke
 
@@ -196,3 +198,18 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -exec wc -l {} + | \
 	awk '$$2 != "total" { n = split($$2, p, "/"); k = (p[2] == "internal") ? p[3] : p[2]; by[k] += $$1; all += $$1 } \
 	END { printf "total %d\n", all; for (k in by) printf "%s %d\n", k, by[k] | "sort -k2,2nr" }'
+
+# make loc on PARENT (unpacked under $$TMPDIR with git archive, as tables-diff
+# does, and counted with this Makefile's rule) and on the working tree: one
+# row per package with the parent's count, the tree's and the change, the
+# total first and then the packages by the tree's count.
+loc-diff:
+	@test -n "$(PARENT)" || { echo "usage: make loc-diff PARENT=<ref>"; exit 2; }
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/src"; git archive $(PARENT) | tar -x -C "$$dir/src"; \
+	(cd "$$dir/src" && $(MAKE) -s --no-print-directory -f "$(CURDIR)/Makefile" loc) > "$$dir/parent"; \
+	$(MAKE) -s --no-print-directory loc > "$$dir/tree"; \
+	awk 'NR == FNR { p[$$1] = $$2; next } { t[$$1] = $$2 } \
+		END { for (k in p) t[k] += 0; for (k in t) print k, p[k] + 0, t[k], t[k] - p[k] }' "$$dir/parent" "$$dir/tree" > "$$dir/rows"; \
+	{ echo package parent tree delta; grep '^total ' "$$dir/rows"; grep -v '^total ' "$$dir/rows" | sort -k3,3nr -k1,1; } | \
+		awk 'NR == 1 { printf "%-12s %7s %7s %7s\n", $$1, $$2, $$3, $$4; next } { printf "%-12s %7d %7d %+7d\n", $$1, $$2, $$3, $$4 }'

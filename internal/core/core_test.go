@@ -15,7 +15,7 @@ import (
 
 func testDomain() *numa.Domain {
 	top := topology.MustNew(topology.Config{Sockets: 4, CoresPerSocket: 4})
-	return numa.MustNewDomain(top, numa.DefaultCostModel())
+	return numa.NewDomain(top)
 }
 
 func twoTablePlacement(top *topology.Topology) *partition.Placement {
@@ -100,7 +100,7 @@ func TestMonitorRegisterPlacement(t *testing.T) {
 func TestCostModelResourceUtilization(t *testing.T) {
 	// A 1-socket, 2-core machine so the imbalance metric is easy to reason about.
 	top := topology.MustNew(topology.Config{Sockets: 1, CoresPerSocket: 2})
-	d := numa.MustNewDomain(top, numa.DefaultCostModel())
+	d := numa.NewDomain(top)
 	model := CostModel{Domain: d}
 	p := partition.NewPlacement()
 	p.Tables["A"] = &partition.TablePlacement{
@@ -307,12 +307,12 @@ func TestIntervalController(t *testing.T) {
 
 func TestBuildPlanAndExecute(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 2, CoresPerSocket: 2})
-	d := numa.MustNewDomain(top, numa.DefaultCostModel())
+	d := numa.NewDomain(top)
 	store := storage.NewManager(d)
 	def := &schema.Table{
 		Name:       "A",
 		Columns:    []schema.Column{{Name: "id", Type: schema.Int64}, {Name: "v", Type: schema.Int64}},
-		PrimaryKey: []string{"id"},
+		PrimaryKey: "id",
 	}
 	tbl, err := store.CreateTable(def, btree.UniformBounds(1000, 2), []topology.SocketID{0, 1})
 	if err != nil {
@@ -401,14 +401,14 @@ func TestActionKindString(t *testing.T) {
 
 func TestRepartitionCostScalesWithActions(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 4, CoresPerSocket: 4})
-	d := numa.MustNewDomain(top, numa.DefaultCostModel())
+	d := numa.NewDomain(top)
 
 	costOfSplit := func(nSplits int) vclock.Nanos {
 		store := storage.NewManager(d)
 		def := &schema.Table{
 			Name:       "A",
 			Columns:    []schema.Column{{Name: "id", Type: schema.Int64}},
-			PrimaryKey: []string{"id"},
+			PrimaryKey: "id",
 		}
 		tbl, _ := store.CreateTable(def, []schema.Key{0}, nil)
 		tbl.LoadFunc(8000, func(i int, w *schema.RowWriter) { w.Int(int64(i)) })

@@ -299,10 +299,7 @@ func (m CostModel) SyncCost(p *partition.Placement, sync SyncStat) float64 {
 		}
 		cores = append(cores, tp.Cores[idx])
 	}
-	dieFrac := 0.5
-	if m.Domain.Model.ByteTransferPerHop > 0 {
-		dieFrac = float64(m.Domain.Model.DieByteTransferPerHop) / float64(m.Domain.Model.ByteTransferPerHop)
-	}
+	const dieFrac = float64(numa.DieByteTransferPerHop) / float64(numa.ByteTransferPerHop)
 	// Distinct dies, preserving first-seen order.
 	uniq := cores[:0]
 	for i, c := range cores {

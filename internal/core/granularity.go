@@ -198,7 +198,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 		}
 		b.TxnState = 2 * sum / float64(len(alive))
 	} else {
-		b.TxnState = 2 * float64(g.Domain.Model.LocalAtomic)
+		b.TxnState = 2 * float64(numa.LocalAtomic)
 	}
 
 	// Group-commit cost: the busiest member of an island whose log is shared

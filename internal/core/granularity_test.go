@@ -16,7 +16,7 @@ func granModelFor(t *testing.T, profile string) (GranularityModel, *topology.Top
 		t.Fatalf("unknown profile %s", profile)
 	}
 	top := p.Build()
-	d := numa.MustNewDomain(top, numa.DefaultCostModel())
+	d := numa.NewDomain(top)
 	return GranularityModel{Domain: d}, top
 }
 

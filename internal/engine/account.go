@@ -74,6 +74,20 @@ func (e *Engine) coreTime(core topology.CoreID) vclock.Nanos {
 	return e.accounts[core].busy
 }
 
+// clockSpread returns the least, mean and greatest busy clock over every core,
+// the failed ones included. Max is the exact engine-wide virtual time.
+func (e *Engine) clockSpread() vclock.Spread {
+	s := vclock.Spread{Min: e.accounts[0].busy}
+	var sum vclock.Nanos
+	for i := range e.accounts {
+		b := e.accounts[i].busy
+		s.Min, s.Max = min(s.Min, b), max(s.Max, b)
+		sum += b
+	}
+	s.Mean = sum / vclock.Nanos(len(e.accounts))
+	return s
+}
+
 // breakdown aggregates the per-component costs across all cores.
 func (e *Engine) breakdown() vclock.Breakdown {
 	out := vclock.Breakdown{ByComp: make(map[vclock.Component]vclock.Nanos, 5)}

@@ -394,6 +394,7 @@ func (a *adaptiveState) recordSample(now, window vclock.Nanos, throughput float6
 		Committed:      committedSoFar,
 		Aborted:        abortedSoFar,
 		MultisiteShare: a.lastShare,
+		Clocks:         e.clockSpread(),
 	}
 	if e.row.route == routeIsland {
 		s.Level = snap.wiring.level.String()
@@ -673,7 +674,7 @@ func (a *adaptiveState) improves(current, proposed *partition.Placement, stats *
 		return true
 	}
 	model := a.planner.Model
-	weight := float64(a.e.domain.Model.ByteTransferPerHop)
+	weight := float64(numa.ByteTransferPerHop)
 	curScore := model.ResourceUtilization(current, stats) + weight*model.TransactionSync(current, stats)
 	newScore := model.ResourceUtilization(proposed, stats) + weight*model.TransactionSync(proposed, stats)
 	if curScore <= 0 {

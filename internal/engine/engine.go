@@ -340,10 +340,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	domain, err := numa.NewDomain(c.Topology, numa.DefaultCostModel())
-	if err != nil {
-		return nil, err
-	}
+	domain := numa.NewDomain(c.Topology)
 	e := &Engine{
 		cfg:      c,
 		row:      row,

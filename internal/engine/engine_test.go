@@ -156,6 +156,18 @@ func TestTATPRunsOnAllDesigns(t *testing.T) {
 	}
 }
 
+// TestClockSpreadAtRunEnd: every design reports the spread of its cores'
+// clocks at the end of a run, whose greatest is the run's virtual time.
+func TestClockSpreadAtRunEnd(t *testing.T) {
+	wl := workload.MustTATP(workload.TATPOptions{Subscribers: 2000})
+	for _, d := range allDesigns() {
+		res := runDesign(t, d, wl, 400)
+		if c := res.Clocks; c.Max != res.VirtualTime || c.Min < 0 || c.Min > c.Mean || c.Mean > c.Max {
+			t.Errorf("%v: clocks %+v at run end, virtual time %d", d, c, res.VirtualTime)
+		}
+	}
+}
+
 func TestTPCCRunsOnPartitionedDesigns(t *testing.T) {
 	wl := workload.MustTPCC(workload.TPCCOptions{Warehouses: 8, CustomersPerDistrict: 30, Items: 1000})
 	for _, d := range []Design{Centralized, PLP, ATraPos} {

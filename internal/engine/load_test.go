@@ -152,11 +152,7 @@ func sameTable(t *testing.T, got *storage.Table, gotTop *topology.Topology, want
 // single-partition table, and returns the first error as engine.New words it.
 func serialLoadError(t *testing.T, wl *workload.Workload) error {
 	t.Helper()
-	domain, err := numa.NewDomain(smallTopology(), numa.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := storage.NewManager(domain)
+	store := storage.NewManager(numa.NewDomain(smallTopology()))
 	for _, td := range wl.Tables {
 		tbl, err := store.CreateTable(td.Schema, nil, nil)
 		if err != nil {
@@ -189,7 +185,7 @@ func loadErrorsMatchSerialLoad(t *testing.T) {
 			switch i {
 			case late:
 				close(lateSeen)
-				w.Float(float64(i))
+				w.Str("x") // not the Int64 key column
 			case early:
 				if runtime.GOMAXPROCS(0) > 1 {
 					select {
@@ -199,7 +195,7 @@ func loadErrorsMatchSerialLoad(t *testing.T) {
 					case <-time.After(5 * time.Second):
 					}
 				}
-				w.Float(float64(i))
+				w.Str("x") // not the Int64 key column
 			}
 			gen(i, w)
 		}
@@ -237,7 +233,7 @@ func loadErrorsMatchSerialLoad(t *testing.T) {
 			gen := wl.Tables[1].RowGen
 			wl.Tables[1].RowGen = func(i int, w *schema.RowWriter) {
 				if i == 3 {
-					w.Float(float64(i))
+					w.Str("x") // not the Int64 key column
 				}
 				gen(i, w)
 			}

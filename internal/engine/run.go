@@ -73,6 +73,9 @@ type Result struct {
 	MultiSite int64
 	// VirtualTime is the busiest core's virtual time at the end of the run.
 	VirtualTime vclock.Nanos
+	// Clocks is the spread of every core's virtual clock at the end of the
+	// run; Clocks.Max is VirtualTime.
+	Clocks vclock.Spread
 	// ThroughputTPS is Committed divided by VirtualTime.
 	ThroughputTPS float64
 	// Breakdown is the per-component virtual time summed over all cores.
@@ -246,6 +249,7 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		Series:    series.Samples(),
 	}
 	res.VirtualTime = e.virtualNowExact()
+	res.Clocks = e.clockSpread()
 	if res.VirtualTime > 0 {
 		res.ThroughputTPS = float64(res.Committed) / res.VirtualTime.Seconds()
 	}

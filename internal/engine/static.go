@@ -22,7 +22,7 @@ import (
 // hardwareAware false the placement step is skipped, which is the
 // hardware-oblivious "Workload-aware" strategy of Figure 6.
 func DerivePlacement(wl *workload.Workload, top *topology.Topology, hardwareAware bool) *partition.Placement {
-	domain := numa.MustNewDomain(top, numa.DefaultCostModel())
+	domain := numa.NewDomain(top)
 	naive := partition.NaivePerCore(top, wl.TableSpecs())
 	maxKeys := make(map[string]schema.Key, len(wl.Tables))
 	for _, spec := range wl.TableSpecs() {

@@ -112,6 +112,12 @@ func TestTraceDeterminism(t *testing.T) {
 	if len(e.Tracer().Samples()) == 0 {
 		t.Error("traced adaptive run recorded no metrics samples")
 	}
+	// A boundary fires on the exact engine-wide clock, the busiest core's.
+	for _, s := range e.Tracer().Samples() {
+		if c := s.Clocks; c.Max != s.At || c.Min > c.Mean || c.Mean > c.Max {
+			t.Errorf("sample at %d: clocks %+v", s.At, c)
+		}
+	}
 }
 
 // TestTracingDisabledZeroAllocs: with Config.Tracing off, the per-transaction

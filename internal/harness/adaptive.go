@@ -41,10 +41,12 @@ func adaptive(cfg engine.Config) engine.Config {
 // staticVsAdaptive runs wl for the given virtual duration on a static
 // ATraPos engine (monitoring and adaptation disabled) and on an adaptive one
 // with the same initial placement, each on a machine of its own — a fault
-// schedule changes the machine it runs on. It returns the two throughput
-// series, labelled for seriesTable, and the adaptive run's result.
-func staticVsAdaptive(s Scale, wl *workload.Workload, duration vclock.Nanos, faults *fault.Schedule) (map[string][]vclock.Sample, *engine.Result, error) {
+// schedule changes the machine it runs on. It returns the table of the two
+// throughput series, which also keeps each run's clock spread, and the
+// adaptive run's result.
+func staticVsAdaptive(s Scale, id, title string, wl *workload.Workload, duration vclock.Nanos, faults *fault.Schedule) (*Table, *engine.Result, error) {
 	series := make(map[string][]vclock.Sample, 2)
+	clocks := make(map[string]vclock.Spread, 2)
 	var res *engine.Result
 	for _, label := range []string{"static", "atrapos"} {
 		top := s.Topology()
@@ -61,9 +63,11 @@ func staticVsAdaptive(s Scale, wl *workload.Workload, duration vclock.Nanos, fau
 		if res, err = runSeries(e, opts); err != nil {
 			return nil, nil, err
 		}
-		series[label] = res.Series
+		series[label], clocks[label] = res.Series, res.Clocks
 	}
-	return series, res, nil
+	tbl := seriesTable(id, title, adaptiveWindow, series, nil)
+	tbl.clocks = clocks
+	return tbl, res, nil
 }
 
 // Fig10 reproduces Figure 10: the TATP workload switches transaction class
@@ -117,12 +121,12 @@ func Fig12(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	series, res, err := staticVsAdaptive(s, wl, paperSecond(50), faults)
+	tbl, res, err := staticVsAdaptive(s, "fig12", "Adapting to hardware failures (one socket fails at t=20)", wl, paperSecond(50), faults)
 	if err != nil {
 		return nil, err
 	}
-	return seriesTable("fig12", "Adapting to hardware failures (one socket fails at t=20)", adaptiveWindow, series,
-		[]string{fmt.Sprintf("ATraPos repartitioned %d time(s) after the failure.", res.Repartitions)}), nil
+	tbl.Notes = []string{fmt.Sprintf("ATraPos repartitioned %d time(s) after the failure.", res.Repartitions)}
+	return tbl, nil
 }
 
 // Fig13 reproduces Figure 13: the workload alternates between GetNewDest
@@ -149,7 +153,7 @@ func Fig13(s Scale) (*Table, error) {
 }
 
 func adaptiveComparison(s Scale, id, title string, wl *workload.Workload, duration vclock.Nanos, note string) (*Table, error) {
-	series, res, err := staticVsAdaptive(s, wl, duration, nil)
+	tbl, res, err := staticVsAdaptive(s, id, title, wl, duration, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +163,8 @@ func adaptiveComparison(s Scale, id, title string, wl *workload.Workload, durati
 	if summary := diffSummary(res.RepartitionDiffs); summary != "" {
 		notes = append(notes, "repartition diffs: "+summary)
 	}
-	return seriesTable(id, title, adaptiveWindow, series, notes), nil
+	tbl.Notes = notes
+	return tbl, nil
 }
 
 // diffSummary renders the per-repartitioning diff sizes: how many tables
@@ -256,7 +261,7 @@ func AblationPlacement(s Scale) (*Table, error) {
 // a synthetic skewed trace.
 func AblationSubPartitions(s Scale) (*Table, error) {
 	top := s.Topology()
-	domain := numa.MustNewDomain(top, numa.DefaultCostModel())
+	domain := numa.NewDomain(top)
 	model := core.CostModel{Domain: domain}
 	wl := workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers})
 	place := engine.DerivePlacement(wl, top, true)

@@ -366,7 +366,7 @@ func Table2(s Scale) (*Table, error) {
 // repartitioning sequences as the number of repartitioning actions grows.
 func Fig9(s Scale) (*Table, error) {
 	top := s.Topology()
-	domain := numa.MustNewDomain(top, numa.DefaultCostModel())
+	domain := numa.NewDomain(top)
 	t := &Table{
 		ID:     "fig9",
 		Title:  "Repartitioning cost (ms) vs number of repartitioning actions",
@@ -378,7 +378,7 @@ func Fig9(s Scale) (*Table, error) {
 		for i := 0; i < 10; i++ {
 			cols = append(cols, schema.Column{Name: fmt.Sprintf("c%d", i), Type: schema.Int64})
 		}
-		return &schema.Table{Name: "reparttbl", Columns: cols, PrimaryKey: []string{"id"}}
+		return &schema.Table{Name: "reparttbl", Columns: cols, PrimaryKey: "id"}
 	}
 	loadTable := func(parts int) (*storage.Manager, *storage.Table) {
 		store := storage.NewManager(domain)

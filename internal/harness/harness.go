@@ -145,6 +145,9 @@ type Table struct {
 	// Notes carries commentary printed under the table (e.g. how a metric
 	// maps onto the paper's).
 	Notes []string
+	// clocks is, per series label of a static-vs-adaptive figure, the spread
+	// of that run's core clocks at its end. It is not printed.
+	clocks map[string]vclock.Spread
 }
 
 // AddRow appends a formatted row.

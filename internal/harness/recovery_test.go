@@ -3,6 +3,8 @@ package harness
 import (
 	"strconv"
 	"testing"
+
+	"atrapos/internal/vclock"
 )
 
 // Figures 10-12 of the paper: after every change — of the transaction mix
@@ -28,8 +30,9 @@ type phaseChange struct {
 const preWindows = 5
 
 // figSeries runs one registry experiment at the quick scale and returns its
-// adaptive and static series, indexed by window (index 0 is window 1).
-func figSeries(t *testing.T, id string) (adaptive, static []float64) {
+// adaptive and static series, indexed by window (index 0 is window 1), and
+// each run's core clocks at its end, by series label.
+func figSeries(t *testing.T, id string) (adaptive, static []float64, clocks map[string]vclock.Spread) {
 	t.Helper()
 	exp, ok := Lookup(id)
 	if !ok {
@@ -48,7 +51,7 @@ func figSeries(t *testing.T, id string) (adaptive, static []float64) {
 		}
 		adaptive, static = append(adaptive, a), append(static, s)
 	}
-	return adaptive, static
+	return adaptive, static, tbl.clocks
 }
 
 // mean is the average of series over windows [from, to).
@@ -66,7 +69,7 @@ func mean(series []float64, from, to int) float64 {
 // skipped subtest holds them to the level the span ended at.
 func checkRecovery(t *testing.T, id string, end int, changes []phaseChange) {
 	t.Helper()
-	adaptive, static := figSeries(t, id)
+	adaptive, static, clocks := figSeries(t, id)
 	if len(adaptive) < end {
 		t.Fatalf("%s: %d windows, want at least %d", id, len(adaptive), end)
 	}
@@ -91,6 +94,10 @@ func checkRecovery(t *testing.T, id string, end int, changes []phaseChange) {
 		t.Errorf("%s: the adaptive series ends at %.0f TPS, not above static's %.0f (windows %d-%d)", id, level, s, end-preWindows, end-1)
 	}
 	t.Run("tail", func(t *testing.T) {
+		for _, label := range []string{"static", "atrapos"} {
+			c := clocks[label]
+			t.Logf("%s %s core clocks at run end: min %d, mean %d, max %d ns", id, label, c.Min, c.Mean, c.Max)
+		}
 		t.Skip("direction 1 (one clock): the last windows hold only the cores whose clocks ran furthest, " +
 			"so both series drain in steps (ROADMAP direction 1, 'Symptoms at this anchor')")
 		for w := end; w <= len(adaptive); w++ {

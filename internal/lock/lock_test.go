@@ -374,7 +374,7 @@ func TestUpgradeAddsNoHeldRecord(t *testing.T) {
 
 func newDomain(sockets int) *numa.Domain {
 	top := topology.MustNew(topology.Config{Sockets: sockets, CoresPerSocket: 2})
-	return numa.MustNewDomain(top, numa.DefaultCostModel())
+	return numa.NewDomain(top)
 }
 
 func TestCentralManagerCostsGrowAcrossSockets(t *testing.T) {
@@ -529,11 +529,11 @@ func TestLocalManagerStaysLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c != d.Model.LocalAtomic {
-		t.Errorf("local acquisition cost %d, want %d", c, d.Model.LocalAtomic)
+	if c != numa.LocalAtomic {
+		t.Errorf("local acquisition cost %d, want %d", c, numa.LocalAtomic)
 	}
 	cost, n := m.ReleaseAll(3, 1)
-	if n != 1 || cost != d.Model.LocalAtomic {
+	if n != 1 || cost != numa.LocalAtomic {
 		t.Errorf("ReleaseAll cost %d count %d", cost, n)
 	}
 	if cost, n := m.ReleaseAll(3, 99); n != 0 || cost != 0 {
@@ -541,7 +541,7 @@ func TestLocalManagerStaysLocal(t *testing.T) {
 	}
 	// Access from another socket pays the cache-line transfer.
 	c, _ = m.Acquire(0, 2, res, X)
-	if c <= d.Model.LocalAtomic {
+	if c <= numa.LocalAtomic {
 		t.Errorf("remote acquisition cost %d should exceed local", c)
 	}
 	if m.Table() == nil {

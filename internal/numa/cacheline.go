@@ -68,7 +68,7 @@ func (cl *CacheLine) record(s topology.SocketID, atomicOp bool) Cost {
 	if atomicOp {
 		c = cl.domain.AtomicCost(s, prev)
 		if n := cl.noteContender(s); n > 1 {
-			c += Cost(n-1) * cl.domain.Model.RemoteTransferPerHop
+			c += Cost(n-1) * RemoteTransferPerHop
 		}
 	} else {
 		c = cl.domain.AccessCost(s, prev)

@@ -1,6 +1,6 @@
 // Package numa provides the NUMA cost primitives that the rest of the system
-// uses to model non-uniform memory access on hardware Islands: a configurable
-// cost model, a cache-line ownership model that makes accesses to shared
+// uses to model non-uniform memory access on hardware Islands: the cost
+// constants, a cache-line ownership model that makes accesses to shared
 // mutable state more expensive the more sockets touch it, NUMA-aware
 // (per-socket) reader/writer locks, and memory-allocation placement policies.
 //
@@ -9,140 +9,91 @@
 package numa
 
 import (
-	"fmt"
-
 	"atrapos/internal/topology"
 )
 
 // Cost is a duration expressed in virtual nanoseconds.
 type Cost int64
 
-// CostModel holds the base latencies used to convert topology distances into
-// virtual time. The defaults are calibrated to the published latencies of
-// Westmere-EX class machines: an L3 hit around 20 ns, a local atomic
-// operation in the tens of nanoseconds, and a cache line transfer over one
-// QPI hop in the low hundreds of nanoseconds.
-type CostModel struct {
+// The base latencies that convert topology distances into virtual time. They
+// are calibrated to the published latencies of Westmere-EX class machines: an
+// L3 hit around 20 ns, a local atomic operation in the tens of nanoseconds,
+// and a cache line transfer over one QPI hop in the low hundreds of
+// nanoseconds. The die-level constants are calibrated to published chiplet
+// latencies (cross-CCX cache transfers land between an L3 hit and a one-hop
+// QPI transfer; messages and payload bytes scale likewise). On flat machine
+// profiles no core pair spans dies within a socket, so none of the die-level
+// terms is ever charged.
+const (
 	// LocalAccess is the cost of reading or writing data that is already in
 	// a socket-local cache.
-	LocalAccess Cost
+	LocalAccess Cost = 20
 	// LocalAtomic is the cost of an atomic operation (CAS, fetch-and-add) on
 	// a cache line owned by the local socket.
-	LocalAtomic Cost
+	LocalAtomic Cost = 60
 	// RemoteTransferPerHop is the additional cost of pulling a cache line
 	// from a socket that is one interconnect hop away. Multi-hop transfers
 	// scale linearly with the hop count.
-	RemoteTransferPerHop Cost
+	RemoteTransferPerHop Cost = 320
 	// DieTransferPerHop is the additional cost of pulling a cache line from
 	// another die of the same socket (CCX-to-CCX, cluster-to-cluster). It is
 	// the sub-NUMA analogue of RemoteTransferPerHop and much cheaper: the
 	// transfer stays on the package. Flat machines (one die per socket) never
 	// incur it.
-	DieTransferPerHop Cost
+	DieTransferPerHop Cost = 110
 	// LocalDRAM is the cost of a miss to the local memory node.
-	LocalDRAM Cost
+	LocalDRAM Cost = 90
 	// RemoteDRAMPerHop is the additional DRAM access cost per interconnect hop.
-	RemoteDRAMPerHop Cost
+	RemoteDRAMPerHop Cost = 60
 	// DieDRAMPerHop is the additional DRAM access cost per intra-socket die
 	// hop: on chiplet CPUs every memory access from a compute die crosses the
 	// package fabric to the die hosting the memory controller. Flat machines
 	// never incur it.
-	DieDRAMPerHop Cost
+	DieDRAMPerHop Cost = 25
 	// MessagePerHop is the cost of a shared-memory message between instances
 	// whose receiving thread is one hop away (used by the distributed
 	// transaction layer of shared-nothing configurations).
-	MessagePerHop Cost
+	MessagePerHop Cost = 900
 	// DieMessagePerHop is the additional cost of a shared-memory message to a
 	// thread on another die of the same socket, per die hop.
-	DieMessagePerHop Cost
+	DieMessagePerHop Cost = 300
 	// MessageLocal is the cost of a shared-memory message delivered within a socket.
-	MessageLocal Cost
+	MessageLocal Cost = 350
 	// ByteTransferPerHop is the per-byte cost of moving payload data between
 	// sockets at a synchronization point.
-	ByteTransferPerHop Cost
+	ByteTransferPerHop Cost = 2
 	// DieByteTransferPerHop is the per-byte cost of moving payload data
 	// between dies of the same socket at a synchronization point.
-	DieByteTransferPerHop Cost
+	DieByteTransferPerHop Cost = 1
 	// RowWork is the CPU cost of processing one row inside an action
 	// (instruction execution, predicate evaluation, tuple copy), independent
 	// of where the row's memory lives. OLTP row processing dominates the raw
 	// memory latency, which is why the paper measures only single-digit
 	// percentage effects from remote memory placement (Table I).
-	RowWork Cost
-}
+	RowWork Cost = 9000
+)
 
-// DefaultCostModel returns the cost model used throughout the evaluation.
-// The die-level constants are calibrated to published chiplet latencies
-// (cross-CCX cache transfers land between an L3 hit and a one-hop QPI
-// transfer; messages and payload bytes scale likewise). On flat machine
-// profiles no core pair spans dies within a socket, so none of the die-level
-// terms is ever charged and the model reproduces the pre-hierarchy numbers
-// exactly.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		LocalAccess:           20,
-		LocalAtomic:           60,
-		RemoteTransferPerHop:  320,
-		DieTransferPerHop:     110,
-		LocalDRAM:             90,
-		RemoteDRAMPerHop:      60,
-		DieDRAMPerHop:         25,
-		MessagePerHop:         900,
-		DieMessagePerHop:      300,
-		MessageLocal:          350,
-		ByteTransferPerHop:    2,
-		DieByteTransferPerHop: 1,
-		RowWork:               9000,
-	}
-}
-
-// Validate reports whether the cost model is usable.
-func (m CostModel) Validate() error {
-	if m.LocalAccess <= 0 || m.LocalAtomic <= 0 || m.LocalDRAM <= 0 {
-		return fmt.Errorf("numa: local costs must be positive: %+v", m)
-	}
-	if m.RemoteTransferPerHop < 0 || m.RemoteDRAMPerHop < 0 || m.MessagePerHop < 0 ||
-		m.MessageLocal < 0 || m.ByteTransferPerHop < 0 || m.RowWork < 0 ||
-		m.DieTransferPerHop < 0 || m.DieDRAMPerHop < 0 || m.DieMessagePerHop < 0 ||
-		m.DieByteTransferPerHop < 0 {
-		return fmt.Errorf("numa: costs must be non-negative: %+v", m)
-	}
-	return nil
-}
-
-// Domain couples a topology with a cost model. It is the object the engines
-// consult for every cost decision.
+// Domain is the topology the engines price every cost decision on.
 type Domain struct {
-	Top   *topology.Topology
-	Model CostModel
+	Top *topology.Topology
+	// Model repeats ByteTransferPerHop for the benchmark module's replay,
+	// which reads it from here; nothing in this module does.
+	Model struct{ ByteTransferPerHop Cost }
 }
 
-// NewDomain builds a Domain, validating the cost model.
-func NewDomain(top *topology.Topology, model CostModel) (*Domain, error) {
-	if top == nil {
-		return nil, fmt.Errorf("numa: nil topology")
-	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	return &Domain{Top: top, Model: model}, nil
-}
-
-// MustNewDomain is like NewDomain but panics on error.
-func MustNewDomain(top *topology.Topology, model CostModel) *Domain {
-	d, err := NewDomain(top, model)
-	if err != nil {
-		panic(err)
-	}
+// NewDomain returns the domain of top.
+func NewDomain(top *topology.Topology) *Domain {
+	d := &Domain{Top: top}
+	d.Model.ByteTransferPerHop = ByteTransferPerHop
 	return d
 }
 
 // AtomicCost returns the cost of an atomic operation issued by a thread on
 // socket `from` against a cache line last owned by socket `owner`.
 func (d *Domain) AtomicCost(from, owner topology.SocketID) Cost {
-	c := d.Model.LocalAtomic
+	c := LocalAtomic
 	if from != owner {
-		c += Cost(d.Top.Distance(from, owner)) * d.Model.RemoteTransferPerHop
+		c += Cost(d.Top.Distance(from, owner)) * RemoteTransferPerHop
 	}
 	return c
 }
@@ -150,9 +101,9 @@ func (d *Domain) AtomicCost(from, owner topology.SocketID) Cost {
 // AccessCost returns the cost of a plain read/write of shared data that
 // currently lives in the cache of socket `owner`.
 func (d *Domain) AccessCost(from, owner topology.SocketID) Cost {
-	c := d.Model.LocalAccess
+	c := LocalAccess
 	if from != owner {
-		c += Cost(d.Top.Distance(from, owner)) * d.Model.RemoteTransferPerHop
+		c += Cost(d.Top.Distance(from, owner)) * RemoteTransferPerHop
 	}
 	return c
 }
@@ -160,9 +111,9 @@ func (d *Domain) AccessCost(from, owner topology.SocketID) Cost {
 // DRAMCost returns the cost of a memory access from socket `from` to a page
 // allocated on memory node `node`.
 func (d *Domain) DRAMCost(from, node topology.SocketID) Cost {
-	c := d.Model.LocalDRAM
+	c := LocalDRAM
 	if from != node {
-		c += Cost(d.Top.Distance(from, node)) * d.Model.RemoteDRAMPerHop
+		c += Cost(d.Top.Distance(from, node)) * RemoteDRAMPerHop
 	}
 	return c
 }
@@ -181,18 +132,18 @@ func (d *Domain) DRAMCost(from, node topology.SocketID) Cost {
 // on core `from` against a cache line last owned by core `owner`.
 func (d *Domain) CoreAtomicCost(from, owner topology.CoreID) Cost {
 	sockHops, dieHops := d.Top.CorePath(from, owner)
-	return d.Model.LocalAtomic +
-		Cost(sockHops)*d.Model.RemoteTransferPerHop +
-		Cost(dieHops)*d.Model.DieTransferPerHop
+	return LocalAtomic +
+		Cost(sockHops)*RemoteTransferPerHop +
+		Cost(dieHops)*DieTransferPerHop
 }
 
 // CoreMessageCost returns the cost of delivering one message from a thread on
 // core `from` to a thread on core `to` over shared memory channels.
 func (d *Domain) CoreMessageCost(from, to topology.CoreID) Cost {
 	sockHops, dieHops := d.Top.CorePath(from, to)
-	return d.Model.MessageLocal +
-		Cost(sockHops)*d.Model.MessagePerHop +
-		Cost(dieHops)*d.Model.DieMessagePerHop
+	return MessageLocal +
+		Cost(sockHops)*MessagePerHop +
+		Cost(dieHops)*DieMessagePerHop
 }
 
 // CoreDRAMCost returns the cost of a memory access from core `from` to a page
@@ -204,7 +155,7 @@ func (d *Domain) CoreDRAMCost(from topology.CoreID, node topology.SocketID) Cost
 	c := d.DRAMCost(fromSock, node)
 	if fromSock == node && d.Top.Hierarchical() {
 		ctrl := d.Top.FirstDieOn(node)
-		c += Cost(d.Top.DieHops(d.Top.DieOf(from), ctrl)) * d.Model.DieDRAMPerHop
+		c += Cost(d.Top.DieHops(d.Top.DieOf(from), ctrl)) * DieDRAMPerHop
 	}
 	return c
 }
@@ -240,7 +191,7 @@ func (d *Domain) SyncPointCost(sockets []topology.SocketID, bytes int) Cost {
 		return 0
 	}
 	dist := float64(sum) / float64(pairs)
-	return Cost(n-1) * Cost(dist*float64(bytes)*float64(d.Model.ByteTransferPerHop))
+	return Cost(n-1) * Cost(dist*float64(bytes)*float64(ByteTransferPerHop))
 }
 
 // SyncPointCostAt is the hierarchical generalization of SyncPointCost: the
@@ -270,8 +221,8 @@ func (d *Domain) SyncPointCostAt(cores []topology.CoreID, bytes int) Cost {
 				continue
 			}
 			sockHops, dieHops := top.CorePath(cores[i], cores[j])
-			sum += float64(sockHops)*float64(d.Model.ByteTransferPerHop) +
-				float64(dieHops)*float64(d.Model.DieByteTransferPerHop)
+			sum += float64(sockHops)*float64(ByteTransferPerHop) +
+				float64(dieHops)*float64(DieByteTransferPerHop)
 			pairs++
 		}
 		n++

@@ -13,7 +13,7 @@ import (
 // additionally pinned to golden pre-refactor values on the paper's topology,
 // so a change to either formulation fails loudly.
 func TestFlatProfileCostEquivalence(t *testing.T) {
-	d := MustNewDomain(topology.Default(), DefaultCostModel()) // the paper's 8x10 twisted cube
+	d := NewDomain(topology.Default()) // the paper's 8x10 twisted cube
 	top := d.Top
 
 	// Golden pre-refactor values on the twisted cube: Distance(0,1)=1,
@@ -81,7 +81,7 @@ func TestFlatProfileCostEquivalence(t *testing.T) {
 // messages and DRAM.
 func TestHierarchicalCostsOrdering(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 2, CoresPerSocket: 8, DiesPerSocket: 4})
-	d := MustNewDomain(top, DefaultCostModel())
+	d := NewDomain(top)
 	// Cores 0,1 share die 0; core 2 is on die 1 (same socket); core 8 is on
 	// socket 1.
 	sameDie := d.CoreAtomicCost(0, 1)
@@ -133,7 +133,7 @@ func TestSyncPointCostDropsAfterSocketFailure(t *testing.T) {
 		CoresPerSocket: 2,
 		Distance:       [][]int{{0, 1, 2}, {1, 0, 2}, {2, 2, 0}},
 	})
-	d := MustNewDomain(top, DefaultCostModel())
+	d := NewDomain(top)
 	participants := []topology.SocketID{0, 1, 2}
 	before := d.SyncPointCost(participants, 88)
 	// Three sockets, avg distance (1+2+2)/3 -> cost (3-1)*(5/3*88*2) = 586.

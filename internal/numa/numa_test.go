@@ -10,34 +10,7 @@ import (
 func testDomain(t *testing.T, sockets, cores int) *Domain {
 	t.Helper()
 	top := topology.MustNew(topology.Config{Sockets: sockets, CoresPerSocket: cores})
-	return MustNewDomain(top, DefaultCostModel())
-}
-
-func TestCostModelValidate(t *testing.T) {
-	if err := DefaultCostModel().Validate(); err != nil {
-		t.Fatalf("default cost model invalid: %v", err)
-	}
-	bad := DefaultCostModel()
-	bad.LocalAccess = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero LocalAccess should be invalid")
-	}
-	bad = DefaultCostModel()
-	bad.RemoteTransferPerHop = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative RemoteTransferPerHop should be invalid")
-	}
-}
-
-func TestNewDomainValidation(t *testing.T) {
-	if _, err := NewDomain(nil, DefaultCostModel()); err == nil {
-		t.Error("nil topology should error")
-	}
-	bad := DefaultCostModel()
-	bad.LocalAtomic = 0
-	if _, err := NewDomain(topology.Small(), bad); err == nil {
-		t.Error("invalid cost model should error")
-	}
+	return NewDomain(top)
 }
 
 func TestCostsGrowWithDistance(t *testing.T) {
@@ -90,20 +63,20 @@ func TestCacheLineOwnershipMigration(t *testing.T) {
 	// Repeated access from the home socket stays cheap.
 	c1 := cl.Atomic(0)
 	c2 := cl.Atomic(0)
-	if c1 != c2 || c1 != d.Model.LocalAtomic {
-		t.Errorf("local atomics cost %d then %d, want %d", c1, c2, d.Model.LocalAtomic)
+	if c1 != c2 || c1 != LocalAtomic {
+		t.Errorf("local atomics cost %d then %d, want %d", c1, c2, LocalAtomic)
 	}
 	// An access from a remote socket pays the transfer and steals ownership.
 	c3 := cl.Atomic(2)
-	if c3 <= d.Model.LocalAtomic {
-		t.Errorf("remote atomic cost %d, want > local %d", c3, d.Model.LocalAtomic)
+	if c3 <= LocalAtomic {
+		t.Errorf("remote atomic cost %d, want > local %d", c3, LocalAtomic)
 	}
 	if cl.Owner() != 2 {
 		t.Errorf("owner after remote access = %d, want 2", cl.Owner())
 	}
 	// The original socket now pays to take the line back.
 	c4 := cl.Atomic(0)
-	if c4 <= d.Model.LocalAtomic {
+	if c4 <= LocalAtomic {
 		t.Errorf("bounce-back atomic cost %d, want > local", c4)
 	}
 	// The two bounces cost the same: a one-hop transfer plus the contention
@@ -111,7 +84,7 @@ func TestCacheLineOwnershipMigration(t *testing.T) {
 	if c3 != c4 {
 		t.Errorf("bounce costs %d then %d, want equal", c3, c4)
 	}
-	if want := d.AtomicCost(0, 2) + d.Model.RemoteTransferPerHop; c4 != want {
+	if want := d.AtomicCost(0, 2) + RemoteTransferPerHop; c4 != want {
 		t.Errorf("bounce-back atomic cost %d, want transfer %d plus one contender", c4, want)
 	}
 }
@@ -119,10 +92,10 @@ func TestCacheLineOwnershipMigration(t *testing.T) {
 func TestCacheLineTouchVsAtomic(t *testing.T) {
 	d := testDomain(t, 2, 1)
 	cl := NewCacheLine(d, 0)
-	if cl.Touch(0) != d.Model.LocalAccess {
+	if cl.Touch(0) != LocalAccess {
 		t.Error("local touch should cost LocalAccess")
 	}
-	if cl.Atomic(0) != d.Model.LocalAtomic {
+	if cl.Atomic(0) != LocalAtomic {
 		t.Error("local atomic should cost LocalAtomic")
 	}
 }
@@ -142,7 +115,7 @@ func TestMoreSocketsMakeSharedLineMoreExpensive(t *testing.T) {
 	// Average per-access cost of a line hammered by 1 socket vs 8 sockets.
 	avgCost := func(sockets int) float64 {
 		top := topology.MustNew(topology.Config{Sockets: 8, CoresPerSocket: 1})
-		d := MustNewDomain(top, DefaultCostModel())
+		d := NewDomain(top)
 		cl := NewCacheLine(d, 0)
 		var total Cost
 		const rounds = 400
@@ -167,8 +140,8 @@ func TestStriped(t *testing.T) {
 	// Local stripes keep accesses socket-local and therefore cheap.
 	for sock := 0; sock < 4; sock++ {
 		c := s.Local(topology.SocketID(sock)).Atomic(topology.SocketID(sock))
-		if c != d.Model.LocalAtomic {
-			t.Errorf("stripe %d local atomic cost %d, want %d", sock, c, d.Model.LocalAtomic)
+		if c != LocalAtomic {
+			t.Errorf("stripe %d local atomic cost %d, want %d", sock, c, LocalAtomic)
 		}
 	}
 	if s.Local(topology.SocketID(-3)) != s.lines[0] {
@@ -281,7 +254,7 @@ func TestPlacementRemoteNeverLocalProperty(t *testing.T) {
 // bounces it round-robin, the centralized designs' case, with the contention
 // window and the traffic counters working. Both must stay at 0 allocs/op.
 func BenchmarkCacheLine(b *testing.B) {
-	d := MustNewDomain(topology.MustNew(topology.Config{Sockets: 4, CoresPerSocket: 2}), DefaultCostModel())
+	d := NewDomain(topology.MustNew(topology.Config{Sockets: 4, CoresPerSocket: 2}))
 	for _, op := range []struct {
 		name   string
 		access func(*CacheLine, topology.SocketID) Cost

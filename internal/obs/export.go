@@ -191,7 +191,7 @@ func (t *Tracer) ExportChromeTrace() []byte {
 }
 
 // MetricsCSVHeader is the first line of the metrics CSV.
-const MetricsCSVHeader = "at_ns,epoch,level,tps,committed,aborted,multisite_share,coalesce_ratio,device_backlog_ns,island_tps"
+const MetricsCSVHeader = "at_ns,epoch,level,tps,committed,aborted,multisite_share,coalesce_ratio,device_backlog_ns,busy_min_ns,busy_mean_ns,busy_max_ns,island_tps"
 
 // ExportMetricsCSV renders the planner-boundary metrics series as CSV, one
 // row per sample. IslandTPS is ';'-joined inside the last column. Floats are
@@ -205,9 +205,10 @@ func (t *Tracer) ExportMetricsCSV() []byte {
 		for i, v := range s.IslandTPS {
 			island[i] = strconv.FormatFloat(v, 'f', 6, 64)
 		}
-		fmt.Fprintf(&buf, "%d,%d,%s,%.6f,%d,%d,%.6f,%.6f,%.6f,%s\n",
+		fmt.Fprintf(&buf, "%d,%d,%s,%.6f,%d,%d,%.6f,%.6f,%.6f,%d,%d,%d,%s\n",
 			int64(s.At), s.Epoch, s.Level, s.TPS, s.Committed, s.Aborted,
 			s.MultisiteShare, s.CoalesceRatio, s.DeviceBacklogNs,
+			int64(s.Clocks.Min), int64(s.Clocks.Mean), int64(s.Clocks.Max),
 			strings.Join(island, ";"))
 	}
 	return buf.Bytes()

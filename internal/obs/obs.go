@@ -239,7 +239,9 @@ type Sample struct {
 	MultisiteShare  float64
 	CoalesceRatio   float64
 	DeviceBacklogNs float64
-	IslandTPS       []float64
+	// Clocks is the spread of the cores' virtual clocks at the boundary.
+	Clocks    vclock.Spread
+	IslandTPS []float64
 }
 
 // Tracer owns every ring and series of one engine: one worker ring for the

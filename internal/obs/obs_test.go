@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"atrapos/internal/vclock"
 )
 
 func TestRingOverflowAccounting(t *testing.T) {
@@ -102,7 +104,8 @@ func TestExportChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 		tr.Planner().Record(Span{Start: 2000, Kind: KindPlannerSeal})
 		tr.RecordDecision(Decision{At: 2000, Current: "socket", Best: "core", Verdict: "change",
 			Candidates: []LevelScore{{Level: "core", Total: 1, Locality: 1}}})
-		tr.RecordSample(Sample{At: 2000, Level: "socket", TPS: 10, IslandTPS: []float64{5, 5}})
+		tr.RecordSample(Sample{At: 2000, Level: "socket", TPS: 10,
+			Clocks: vclock.Spread{Min: 1000, Mean: 1500, Max: 2000}, IslandTPS: []float64{5, 5}})
 		return tr
 	}
 	a, b := build().ExportChromeTrace(), build().ExportChromeTrace()
@@ -124,6 +127,9 @@ func TestExportChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 	if err := ValidateMetricsCSV(csvA); err != nil {
 		t.Fatalf("exported CSV fails validation: %v", err)
 	}
+	if !strings.Contains(string(csvA), ",1000,1500,2000,") {
+		t.Fatalf("exported CSV is missing the clock spread: %s", csvA)
+	}
 }
 
 func TestValidateChromeTraceRejectsBadDocuments(t *testing.T) {
@@ -144,15 +150,15 @@ func TestValidateChromeTraceRejectsBadDocuments(t *testing.T) {
 }
 
 func TestValidateMetricsCSVRejectsBadDocuments(t *testing.T) {
-	good := MetricsCSVHeader + "\n100,0,socket,1.000000,1,0,0.000000,1.000000,0.000000,1.000000\n"
+	good := MetricsCSVHeader + "\n100,0,socket,1.000000,1,0,0.000000,1.000000,0.000000,90,95,100,1.000000\n"
 	if err := ValidateMetricsCSV([]byte(good)); err != nil {
 		t.Fatalf("good CSV rejected: %v", err)
 	}
 	cases := map[string]string{
 		"bad header":      "nope\n",
 		"short row":       MetricsCSVHeader + "\n100,0,socket\n",
-		"bad at_ns":       MetricsCSVHeader + "\nx,0,socket,1,1,0,0,1,0,1\n",
-		"time regression": MetricsCSVHeader + "\n200,0,s,1,1,0,0,1,0,1\n100,0,s,1,1,0,0,1,0,1\n",
+		"bad at_ns":       MetricsCSVHeader + "\nx,0,socket,1,1,0,0,1,0,0,0,0,1\n",
+		"time regression": MetricsCSVHeader + "\n200,0,s,1,1,0,0,1,0,0,0,0,1\n100,0,s,1,1,0,0,1,0,0,0,0,1\n",
 	}
 	for name, doc := range cases {
 		if err := ValidateMetricsCSV([]byte(doc)); err == nil {

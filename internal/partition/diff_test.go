@@ -157,7 +157,7 @@ func TestDiffAcrossIslandLevels(t *testing.T) {
 
 	// One die per socket: die and socket islands are the same core sets.
 	flat := topology.MustNew(topology.Config{Sockets: 2, CoresPerSocket: 4})
-	dom := numa.MustNewDomain(flat, numa.DefaultCostModel())
+	dom := numa.NewDomain(flat)
 	die := PerIsland(flat, topology.LevelDie, specs)
 	sock := PerIsland(flat, topology.LevelSocket, specs)
 	diff := Diff(die, sock)
@@ -197,7 +197,7 @@ func TestDiffAcrossIslandLevels(t *testing.T) {
 	if err := failed.FailSocket(1); err != nil {
 		t.Fatal(err)
 	}
-	domF := numa.MustNewDomain(failed, numa.DefaultCostModel())
+	domF := numa.NewDomain(failed)
 	sockF := PerIsland(failed, topology.LevelSocket, specs)
 	machF := PerIsland(failed, topology.LevelMachine, specs)
 	diffF := Diff(sockF, machF)
@@ -213,7 +213,7 @@ func TestDiffAcrossIslandLevels(t *testing.T) {
 
 func TestRuntimeValidateCatchesMismatches(t *testing.T) {
 	top := smallTop()
-	dom := numa.MustNewDomain(top, numa.DefaultCostModel())
+	dom := numa.NewDomain(top)
 	p := twoTablePlacement()
 	rt := NewRuntime(dom, p)
 

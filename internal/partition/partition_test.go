@@ -147,7 +147,7 @@ func TestPerSocket(t *testing.T) {
 
 func TestRuntime(t *testing.T) {
 	top := smallTop()
-	d := numa.MustNewDomain(top, numa.DefaultCostModel())
+	d := numa.NewDomain(top)
 	p := NaivePerCore(top, []TableSpec{{Name: "a", MaxKey: 1600}})
 	r := NewRuntime(d, p)
 	if r.NumPartitions("a") != 16 {

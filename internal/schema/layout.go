@@ -3,12 +3,11 @@ package schema
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Layout is a table's flat row format, resolved once per table: its columns
-// in declared order, 8 bytes little-endian per Int64 or Float64 column and a
-// uvarint length followed by the bytes per String column. A stored row is one
+// in declared order, 8 bytes little-endian per Int64 column and a uvarint
+// length followed by the bytes per String column. A stored row is one
 // byte slice in this format, the way a storage manager keeps a record as a
 // byte image in its page.
 //
@@ -21,16 +20,15 @@ type Layout struct {
 	// fixed is the number of leading columns before the first String column:
 	// column i < fixed starts at byte 8*i.
 	fixed int
-	// pos holds the positions of the first two primary-key columns; pos[1] is
-	// -1 for a single-column key. keyErr is why the key cannot be extracted
-	// from any row of the table, if it cannot.
-	pos    [2]int
+	// pk is the position of the primary-key column; keyErr is why the key
+	// cannot be extracted from any row of the table, if it cannot.
+	pk     int
 	keyErr error
 }
 
-// Layout resolves the table's flat row format and its primary-key columns.
+// Layout resolves the table's flat row format and its primary-key column.
 func (t *Table) Layout() *Layout {
-	l := &Layout{t: t, types: make([]ColumnType, len(t.Columns)), pos: [2]int{-1, -1}}
+	l := &Layout{t: t, types: make([]ColumnType, len(t.Columns)), pk: t.ColumnIndex(t.PrimaryKey)}
 	l.fixed = len(t.Columns)
 	for i, c := range t.Columns {
 		l.types[i] = c.Type
@@ -39,23 +37,12 @@ func (t *Table) Layout() *Layout {
 		}
 	}
 	switch {
-	case len(t.PrimaryKey) == 0:
+	case t.PrimaryKey == "":
 		l.keyErr = fmt.Errorf("schema: table %s has no primary key", t.Name)
-	case t.ColumnIndex(t.PrimaryKey[0]) < 0:
-		l.keyErr = l.missing(0)
-	default:
-		l.pos[0] = t.ColumnIndex(t.PrimaryKey[0])
-		switch first := l.types[l.pos[0]]; {
-		case first == Float64:
-			l.keyErr = fmt.Errorf("schema: unsupported primary key type %s in table %s", first, t.Name)
-		case first == Int64 && len(t.PrimaryKey) >= 2:
-			l.pos[1] = t.ColumnIndex(t.PrimaryKey[1])
-			if l.pos[1] < 0 {
-				l.keyErr = l.missing(1)
-			} else if l.types[l.pos[1]] != Int64 {
-				l.keyErr = fmt.Errorf("schema: composite key column %s of %s is not int64", t.PrimaryKey[1], t.Name)
-			}
-		}
+	case l.pk < 0:
+		l.keyErr = fmt.Errorf("schema: table %s primary key column %s does not exist", t.Name, t.PrimaryKey)
+	case l.types[l.pk] != Int64:
+		l.keyErr = fmt.Errorf("schema: primary key %s of %s is %s, not int64", t.PrimaryKey, t.Name, l.types[l.pk])
 	}
 	return l
 }
@@ -159,8 +146,8 @@ func (l *Layout) Increment(b []byte) bool {
 	return true
 }
 
-// Size returns Row.Size of the columns b holds: 8 bytes per Int64 or Float64
-// column and the length of each string. It prices a row in the cost model.
+// Size returns Row.Size of the columns b holds: 8 bytes per Int64 column and
+// the length of each string. It prices a row in the cost model.
 func (l *Layout) Size(b []byte) int {
 	size := 0
 	for c, off := 0, 0; c < len(l.types); c++ {
@@ -174,37 +161,16 @@ func (l *Layout) Size(b []byte) int {
 	return size
 }
 
-// Key extracts row b's primary key: KeyFromInt of a single Int64 column,
-// CompositeKey of the first two Int64 key columns, KeyFromString of a String
-// column.
+// Key extracts row b's primary key: KeyFromInt of its primary-key column.
 func (l *Layout) Key(b []byte) (Key, error) {
 	if l.keyErr != nil {
 		return 0, l.keyErr
 	}
-	if l.types[l.pos[0]] == String {
-		s, ok := l.Str(b, l.pos[0])
-		if !ok {
-			return 0, l.missing(0)
-		}
-		return KeyFromString(s), nil
-	}
-	first, ok := l.Int(b, l.pos[0])
+	v, ok := l.Int(b, l.pk)
 	if !ok {
-		return 0, l.missing(0)
+		return 0, fmt.Errorf("schema: row for %s is missing primary key column %s", l.t.Name, l.t.PrimaryKey)
 	}
-	if l.pos[1] < 0 {
-		return KeyFromInt(first), nil
-	}
-	second, ok := l.Int(b, l.pos[1])
-	if !ok {
-		return 0, l.missing(1)
-	}
-	return CompositeKey(first, second), nil
-}
-
-// missing is the error of a row that lacks primary-key column i.
-func (l *Layout) missing(i int) error {
-	return fmt.Errorf("schema: row for %s is missing primary key column %s", l.t.Name, l.t.PrimaryKey[i])
+	return KeyFromInt(v), nil
 }
 
 // Decode returns the boxed form of the columns row b holds (nil for a row
@@ -219,12 +185,9 @@ func (l *Layout) Decode(b []byte) Row {
 		if r == nil {
 			r = make(Row, 0, len(l.types))
 		}
-		switch l.types[c] {
-		case Int64:
+		if l.types[c] == Int64 {
 			r = append(r, int64(binary.LittleEndian.Uint64(b[lo:])))
-		case Float64:
-			r = append(r, math.Float64frombits(binary.LittleEndian.Uint64(b[lo:])))
-		default:
+		} else {
 			r = append(r, string(b[lo:hi]))
 		}
 		off = hi
@@ -249,7 +212,16 @@ func (l *Layout) Encode(r Row) ([]byte, error) {
 	}
 	w := RowWriter{l: l, buf: make([]byte, 0, n)}
 	for _, v := range r {
-		w.Value(v)
+		switch x := v.(type) {
+		case int64:
+			w.Int(x)
+		case string:
+			w.Str(x)
+		default:
+			if w.err == nil {
+				w.err = fmt.Errorf("schema: unsupported value type %T in a row for %s", v, l.t.Name)
+			}
+		}
 	}
 	return w.buf, w.err
 }
@@ -315,14 +287,6 @@ func (w *RowWriter) Ints(vs ...int64) {
 	}
 }
 
-// Float writes the next column, a Float64.
-func (w *RowWriter) Float(v float64) {
-	if w.next(Float64) {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-		w.size += 8
-	}
-}
-
 // Str writes the next column, a String.
 func (w *RowWriter) Str(s string) {
 	if w.next(String) {
@@ -339,22 +303,6 @@ func (w *RowWriter) StrBytes(s []byte) {
 		w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
 		w.buf = append(w.buf, s...)
 		w.size += len(s)
-	}
-}
-
-// Value writes the next column from a boxed value: int64, float64 or string.
-func (w *RowWriter) Value(v Value) {
-	switch x := v.(type) {
-	case int64:
-		w.Int(x)
-	case float64:
-		w.Float(x)
-	case string:
-		w.Str(x)
-	default:
-		if w.err == nil {
-			w.err = fmt.Errorf("schema: unsupported value type %T in a row for %s", v, w.l.t.Name)
-		}
 	}
 }
 

@@ -11,13 +11,10 @@ func sampleTable() *Table {
 		Columns: []Column{
 			{Name: "o_id", Type: Int64},
 			{Name: "o_c_id", Type: Int64},
-			{Name: "o_total", Type: Float64},
+			{Name: "o_total", Type: Int64},
 			{Name: "o_comment", Type: String},
 		},
-		PrimaryKey: []string{"o_id"},
-		ForeignKeys: []ForeignKey{
-			{Column: "o_c_id", RefTable: "customer", RefColumn: "c_id"},
-		},
+		PrimaryKey: "o_id",
 	}
 }
 
@@ -33,10 +30,10 @@ func TestTableValidate(t *testing.T) {
 		{"no columns", func(tb *Table) { tb.Columns = nil }},
 		{"empty column name", func(tb *Table) { tb.Columns[0].Name = "" }},
 		{"duplicate column", func(tb *Table) { tb.Columns[1].Name = "o_id" }},
-		{"no primary key", func(tb *Table) { tb.PrimaryKey = nil }},
-		{"unknown pk column", func(tb *Table) { tb.PrimaryKey = []string{"nope"} }},
-		{"unknown fk column", func(tb *Table) { tb.ForeignKeys[0].Column = "nope" }},
-		{"incomplete fk", func(tb *Table) { tb.ForeignKeys[0].RefTable = "" }},
+		{"no primary key", func(tb *Table) { tb.PrimaryKey = "" }},
+		{"unknown pk column", func(tb *Table) { tb.PrimaryKey = "nope" }},
+		{"string pk column", func(tb *Table) { tb.PrimaryKey = "o_comment" }},
+		{"unsupported column type", func(tb *Table) { tb.Columns[2].Type = ColumnType(2) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,7 +54,7 @@ func TestColumnIndexAndTypeString(t *testing.T) {
 	if tb.ColumnIndex("missing") != -1 {
 		t.Error("missing column should return -1")
 	}
-	for _, ct := range []ColumnType{Int64, Float64, String, ColumnType(9)} {
+	for _, ct := range []ColumnType{Int64, String, ColumnType(9)} {
 		if ct.String() == "" {
 			t.Errorf("empty string for %d", ct)
 		}
@@ -65,7 +62,7 @@ func TestColumnIndexAndTypeString(t *testing.T) {
 }
 
 func TestRowCloneAndSize(t *testing.T) {
-	r := Row{int64(1), 2.5, "hello"}
+	r := Row{int64(1), int64(2), "hello"}
 	c := r.Clone()
 	c[0] = int64(9)
 	if r[0].(int64) != 1 {
@@ -108,24 +105,6 @@ func TestKeyFromIntRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKeyFromStringPrefixOrder(t *testing.T) {
-	if KeyFromString("apple") >= KeyFromString("banana") {
-		t.Error("apple should order before banana")
-	}
-	if KeyFromString("") >= KeyFromString("a") {
-		t.Error("empty string should order first")
-	}
-}
-
-func TestCompositeKeyOrdering(t *testing.T) {
-	if CompositeKey(1, 500) >= CompositeKey(2, 1) {
-		t.Error("primary component must dominate ordering")
-	}
-	if CompositeKey(3, 1) >= CompositeKey(3, 2) {
-		t.Error("secondary component must break ties")
-	}
-}
-
 // rowKey is the key Layout.Key extracts from r in tb's flat layout.
 func rowKey(t *testing.T, tb *Table, r Row) (Key, error) {
 	t.Helper()
@@ -139,39 +118,12 @@ func rowKey(t *testing.T, tb *Table, r Row) (Key, error) {
 
 func TestRowKey(t *testing.T) {
 	tb := sampleTable()
-	k, err := rowKey(t, tb, Row{int64(42), int64(7), 1.0, "x"})
+	k, err := rowKey(t, tb, Row{int64(42), int64(7), int64(1), "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k != KeyFromInt(42) {
 		t.Errorf("RowKey = %d, want %d", k, KeyFromInt(42))
-	}
-
-	// Composite integer key.
-	comp := &Table{
-		Name:       "stock",
-		Columns:    []Column{{Name: "w_id", Type: Int64}, {Name: "i_id", Type: Int64}},
-		PrimaryKey: []string{"w_id", "i_id"},
-	}
-	k, err = rowKey(t, comp, Row{int64(3), int64(9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != CompositeKey(3, 9) {
-		t.Errorf("composite RowKey = %d, want %d", k, CompositeKey(3, 9))
-	}
-	if _, err := rowKey(t, comp, Row{int64(3)}); err == nil {
-		t.Error("a row without the second key column should error")
-	}
-
-	// String key.
-	str := &Table{
-		Name:       "names",
-		Columns:    []Column{{Name: "n", Type: String}},
-		PrimaryKey: []string{"n"},
-	}
-	if k, err := rowKey(t, str, Row{"abc"}); err != nil || k != KeyFromString("abc") {
-		t.Errorf("string RowKey = %d, %v", k, err)
 	}
 
 	// Errors.
@@ -181,49 +133,8 @@ func TestRowKey(t *testing.T) {
 	if _, err := rowKey(t, tb, Row{}); err == nil {
 		t.Error("short row should error")
 	}
-	float := &Table{Name: "f", Columns: []Column{{Name: "a", Type: Float64}}, PrimaryKey: []string{"a"}}
-	if _, err := rowKey(t, float, Row{3.14}); err == nil {
-		t.Error("float primary key should error")
-	}
-	badComp := &Table{
-		Name:       "bad",
-		Columns:    []Column{{Name: "a", Type: Int64}, {Name: "b", Type: String}},
-		PrimaryKey: []string{"a", "b"},
-	}
-	if _, err := rowKey(t, badComp, Row{int64(1), "x"}); err == nil {
-		t.Error("non-integer second key column should error")
-	}
-}
-
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
-	if err := c.Add(sampleTable()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add(sampleTable()); err == nil {
-		t.Error("duplicate table should be rejected")
-	}
-	if err := c.Add(&Table{Name: ""}); err == nil {
-		t.Error("invalid table should be rejected")
-	}
-	customer := &Table{
-		Name:       "customer",
-		Columns:    []Column{{Name: "c_id", Type: Int64}},
-		PrimaryKey: []string{"c_id"},
-	}
-	if err := c.Add(customer); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Table("orders"); !ok {
-		t.Error("orders not found")
-	}
-	if _, ok := c.Table("nope"); ok {
-		t.Error("unexpected table")
-	}
-	if tables := c.Tables(); len(tables) != 2 || tables[0].Name != "customer" || tables[1].Name != "orders" {
-		t.Errorf("Tables = %v", tables)
-	}
-	if c.String() == "" {
-		t.Error("catalog String should not be empty")
+	str := &Table{Name: "s", Columns: []Column{{Name: "a", Type: String}}, PrimaryKey: "a"}
+	if _, err := rowKey(t, str, Row{"abc"}); err == nil {
+		t.Error("string primary key should error")
 	}
 }

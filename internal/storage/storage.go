@@ -23,36 +23,31 @@ var ErrNotFound = errors.New("storage: key not found")
 // ErrDuplicate is returned when inserting a key that already exists.
 var ErrDuplicate = errors.New("storage: duplicate key")
 
-// Manager owns the catalog and the physical tables. It is single-owner like
-// its tables (see Table).
+// Manager owns the physical tables, one per name. It is single-owner like its
+// tables (see Table).
 type Manager struct {
-	domain  *numa.Domain
-	catalog *schema.Catalog
-	tables  map[string]*Table
+	domain *numa.Domain
+	tables map[string]*Table
 }
 
 // NewManager creates an empty storage manager over the given NUMA domain.
 func NewManager(domain *numa.Domain) *Manager {
-	return &Manager{
-		domain:  domain,
-		catalog: schema.NewCatalog(),
-		tables:  make(map[string]*Table),
-	}
+	return &Manager{domain: domain, tables: make(map[string]*Table)}
 }
 
 // Domain returns the NUMA domain the manager charges costs against.
 func (m *Manager) Domain() *numa.Domain { return m.domain }
 
-// Catalog returns the schema catalog.
-func (m *Manager) Catalog() *schema.Catalog { return m.catalog }
-
-// CreateTable registers def and creates its physical table with the given
+// CreateTable validates def and creates its physical table with the given
 // partition lower bounds and per-partition memory homes. If homes is nil all
 // partitions are homed on socket 0; if it is shorter than bounds the last
-// home is repeated.
+// home is repeated. A second table of the same name is an error.
 func (m *Manager) CreateTable(def *schema.Table, bounds []schema.Key, homes []topology.SocketID) (*Table, error) {
-	if err := m.catalog.Add(def); err != nil {
+	if err := def.Validate(); err != nil {
 		return nil, err
+	}
+	if _, dup := m.tables[def.Name]; dup {
+		return nil, fmt.Errorf("storage: table %s already exists", def.Name)
 	}
 	if len(bounds) == 0 {
 		bounds = []schema.Key{0}
@@ -183,7 +178,7 @@ func (t *Table) indexProbeCost(from topology.CoreID, home topology.SocketID, row
 	if lines < 1 {
 		lines = 1
 	}
-	return t.domain.Model.RowWork + 2*t.domain.Model.LocalAccess + lines*t.domain.CoreDRAMCost(from, home)
+	return numa.RowWork + 2*numa.LocalAccess + lines*t.domain.CoreDRAMCost(from, home)
 }
 
 // accessCost prices one row operation on partition p and records its traffic.
@@ -223,7 +218,7 @@ func (t *Table) InsertIn(p int, from topology.CoreID, key schema.Key, row []byte
 		return cost, ErrDuplicate
 	}
 	t.avgRowBytes = nextAvgRowBytes(t.avgRowBytes, size)
-	return cost + t.domain.Model.LocalAccess, nil
+	return cost + numa.LocalAccess, nil
 }
 
 // ReplaceIn stores the flat row under the existing key in partition p in
@@ -248,7 +243,7 @@ func (t *Table) updateIn(p int, from topology.CoreID, key schema.Key, fn func([]
 	if !t.tree.UpdateIn(p, key, fn) {
 		return cost, ErrNotFound
 	}
-	return cost + t.domain.Model.LocalAccess, nil
+	return cost + numa.LocalAccess, nil
 }
 
 // DeleteIn removes the row under key in partition p.
@@ -326,7 +321,7 @@ func (t *Table) Scan(caller topology.CoreID, from, to schema.Key, fn func(schema
 		rows++
 		return fn(k, t.layout.Decode(r))
 	})
-	cost += numa.Cost(rows) * t.domain.Model.LocalAccess
+	cost += numa.Cost(rows) * numa.LocalAccess
 	return cost
 }
 

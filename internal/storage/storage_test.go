@@ -15,7 +15,7 @@ import (
 func testManager(t *testing.T) *Manager {
 	t.Helper()
 	top := topology.MustNew(topology.Config{Sockets: 4, CoresPerSocket: 2})
-	return NewManager(numa.MustNewDomain(top, numa.DefaultCostModel()))
+	return NewManager(numa.NewDomain(top))
 }
 
 func accountsDef() *schema.Table {
@@ -25,11 +25,11 @@ func accountsDef() *schema.Table {
 			{Name: "id", Type: schema.Int64},
 			{Name: "balance", Type: schema.Int64},
 		},
-		PrimaryKey: []string{"id"},
+		PrimaryKey: "id",
 	}
 }
 
-func TestCreateTableAndCatalog(t *testing.T) {
+func TestCreateTable(t *testing.T) {
 	m := testManager(t)
 	tbl, err := m.CreateTable(accountsDef(), btree.UniformBounds(1000, 4), []topology.SocketID{0, 1, 2, 3})
 	if err != nil {
@@ -47,7 +47,7 @@ func TestCreateTableAndCatalog(t *testing.T) {
 	if _, err := m.CreateTable(&schema.Table{
 		Name:       "badbounds",
 		Columns:    []schema.Column{{Name: "id", Type: schema.Int64}},
-		PrimaryKey: []string{"id"},
+		PrimaryKey: "id",
 	}, []schema.Key{5}, nil); err == nil {
 		t.Error("invalid bounds should fail")
 	}
@@ -60,7 +60,7 @@ func TestCreateTableAndCatalog(t *testing.T) {
 	if len(m.Tables()) != 1 {
 		t.Errorf("Tables() returned %d", len(m.Tables()))
 	}
-	if m.Domain() == nil || m.Catalog() == nil {
+	if m.Domain() == nil {
 		t.Error("nil accessors")
 	}
 	// Default bounds and homes.
@@ -88,8 +88,8 @@ func TestRowOperations(t *testing.T) {
 	}
 	// A duplicate pays the probe without the local write and keeps the row.
 	dupCost, err := tbl.Insert(0, key, schema.Row{int64(10), int64(7)})
-	if !errors.Is(err, ErrDuplicate) || dupCost != cost-m.domain.Model.LocalAccess {
-		t.Errorf("duplicate insert: cost %d err %v, want %d and ErrDuplicate", dupCost, err, cost-m.domain.Model.LocalAccess)
+	if !errors.Is(err, ErrDuplicate) || dupCost != cost-numa.LocalAccess {
+		t.Errorf("duplicate insert: cost %d err %v, want %d and ErrDuplicate", dupCost, err, cost-numa.LocalAccess)
 	}
 	got, cost, err := tbl.Read(0, key)
 	if err != nil || cost <= 0 {
@@ -237,7 +237,7 @@ func TestLoadAndScan(t *testing.T) {
 	def := accountsDef()
 	def.Name = "fresh"
 	fresh, _ := m.CreateTable(def, nil, nil)
-	if err := fresh.LoadFunc(1, func(_ int, w *schema.RowWriter) { w.Float(2.5); w.Int(1) }); err == nil {
+	if err := fresh.LoadFunc(1, func(_ int, w *schema.RowWriter) { w.Str("x"); w.Int(1) }); err == nil {
 		t.Error("bad generated key should fail")
 	}
 }
@@ -283,7 +283,7 @@ func TestLoadFuncRowBytesMatchesPerRow(t *testing.T) {
 	def := &schema.Table{
 		Name:       "wide",
 		Columns:    []schema.Column{{Name: "id", Type: schema.Int64}, {Name: "pad", Type: schema.String}},
-		PrimaryKey: []string{"id"},
+		PrimaryKey: "id",
 	}
 	pad := func(i int) string { return strings.Repeat("x", (i*37)%300) }
 	gen := func(i int, w *schema.RowWriter) { w.Int(int64(i)); w.Str(pad(i)) }

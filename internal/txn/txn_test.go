@@ -11,7 +11,7 @@ import (
 
 func newDomain(sockets, cores int) *numa.Domain {
 	top := topology.MustNew(topology.Config{Sockets: sockets, CoresPerSocket: cores})
-	return numa.MustNewDomain(top, numa.DefaultCostModel())
+	return numa.NewDomain(top)
 }
 
 // perSocketCoordinator wires one log and one 2PC site per socket of a
@@ -52,11 +52,11 @@ func TestPartitionedListIsSocketLocal(t *testing.T) {
 	p := NewPartitionedList(d)
 	// Every add/remove from its own socket costs exactly a local atomic.
 	for s := 0; s < 4; s++ {
-		if c := p.Add(topology.SocketID(s)); c != d.Model.LocalAtomic {
-			t.Errorf("socket %d add cost %d, want local atomic %d", s, c, d.Model.LocalAtomic)
+		if c := p.Add(topology.SocketID(s)); c != numa.LocalAtomic {
+			t.Errorf("socket %d add cost %d, want local atomic %d", s, c, numa.LocalAtomic)
 		}
-		if c := p.Remove(topology.SocketID(s)); c != d.Model.LocalAtomic {
-			t.Errorf("socket %d remove cost %d, want local atomic %d", s, c, d.Model.LocalAtomic)
+		if c := p.Remove(topology.SocketID(s)); c != numa.LocalAtomic {
+			t.Errorf("socket %d remove cost %d, want local atomic %d", s, c, numa.LocalAtomic)
 		}
 	}
 	// Out-of-range sockets fall back to stripe 0.
@@ -75,18 +75,18 @@ func TestPartitionedListSnapshotSeesAllSockets(t *testing.T) {
 	// sockets, whereas the central list's head moves on every remote add.
 	var centralCost numa.Cost
 	for s := 0; s < 4; s++ {
-		if c := p.Add(topology.SocketID(s)); c != d.Model.LocalAtomic {
-			t.Errorf("socket %d add cost %d, want local atomic %d", s, c, d.Model.LocalAtomic)
+		if c := p.Add(topology.SocketID(s)); c != numa.LocalAtomic {
+			t.Errorf("socket %d add cost %d, want local atomic %d", s, c, numa.LocalAtomic)
 		}
 		centralCost += central.Add(topology.SocketID(s))
 	}
 	for s := 0; s < 4; s++ {
-		if c := p.Remove(topology.SocketID(s)); c != d.Model.LocalAtomic {
-			t.Errorf("socket %d remove cost %d, want local atomic %d", s, c, d.Model.LocalAtomic)
+		if c := p.Remove(topology.SocketID(s)); c != numa.LocalAtomic {
+			t.Errorf("socket %d remove cost %d, want local atomic %d", s, c, numa.LocalAtomic)
 		}
 	}
-	if centralCost <= 4*d.Model.LocalAtomic {
-		t.Errorf("central list adds from 4 sockets cost %d, want more than 4 local atomics (%d)", centralCost, 4*d.Model.LocalAtomic)
+	if centralCost <= 4*numa.LocalAtomic {
+		t.Errorf("central list adds from 4 sockets cost %d, want more than 4 local atomics (%d)", centralCost, 4*numa.LocalAtomic)
 	}
 }
 

@@ -76,6 +76,13 @@ type Breakdown struct {
 	ByComp map[Component]Nanos
 }
 
+// Spread is the least, mean and greatest of a set of per-core clocks. Each
+// simulated core keeps its own clock, so how far they drift apart is how far
+// a run's commits are from one shared timeline.
+type Spread struct {
+	Min, Mean, Max Nanos
+}
+
 // Sample is one point of a throughput time series.
 type Sample struct {
 	// At is the end of the sampling window, in virtual time.

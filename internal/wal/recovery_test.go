@@ -22,7 +22,7 @@ func (m *mapStore) ApplyDelete(key schema.Key)                 { delete(m.rows, 
 
 func TestRecoverRedoesOnlyWinners(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 2, CoresPerSocket: 1})
-	d := numa.MustNewDomain(top, numa.DefaultCostModel())
+	d := numa.NewDomain(top)
 	l := NewCentralLog(d, 0, DefaultConfig())
 
 	// Winner transaction 1: two updates and a commit.
@@ -64,7 +64,7 @@ func TestRecoverRedoesOnlyWinners(t *testing.T) {
 
 func TestRecoverDurableBoundary(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 1, CoresPerSocket: 1})
-	d := numa.MustNewDomain(top, numa.DefaultCostModel())
+	d := numa.NewDomain(top)
 	l := NewCentralLog(d, 0, DefaultConfig())
 
 	l.Append(0, Record{Txn: 1, Type: Update, Table: "t", Key: 1, Size: 16})

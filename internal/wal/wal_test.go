@@ -12,7 +12,7 @@ import (
 
 func newDomain(sockets int) *numa.Domain {
 	top := topology.MustNew(topology.Config{Sockets: sockets, CoresPerSocket: 2})
-	return numa.MustNewDomain(top, numa.DefaultCostModel())
+	return numa.NewDomain(top)
 }
 
 func TestRecordTypeString(t *testing.T) {
@@ -150,7 +150,7 @@ func TestPartitionedLogRoutesLocally(t *testing.T) {
 	p := NewPartitionedLogAtDevices(d, []topology.SocketID{0, 1, 2, 3}, DefaultConfig(), nil)
 	// An island's appends land in its own log, homed on its socket, and stay
 	// cheap.
-	maxLocal := d.Model.LocalAtomic + 64*PerByteCost
+	maxLocal := numa.LocalAtomic + 64*PerByteCost
 	for i := 0; i < p.NumLogs(); i++ {
 		if _, cost := p.Log(i).Append(p.Home(i), Record{Txn: uint64(i), Size: 64}); cost > maxLocal {
 			t.Errorf("island %d append cost %d, want <= %d", i, cost, maxLocal)

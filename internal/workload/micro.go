@@ -12,7 +12,7 @@ func tenColumnTable(name string) *schema.Table {
 	for i := 0; i < 10; i++ {
 		cols = append(cols, schema.Column{Name: fmtCol(i), Type: schema.Int64})
 	}
-	return &schema.Table{Name: name, Columns: cols, PrimaryKey: []string{"id"}}
+	return &schema.Table{Name: name, Columns: cols, PrimaryKey: "id"}
 }
 
 func fmtCol(i int) string { return "c" + string(rune('0'+i)) }
@@ -203,8 +203,8 @@ func TwoTableSimple(rows int) *Workload {
 	w := &Workload{
 		Name: "two-table-simple",
 		Tables: []TableDef{
-			{Schema: twoTableDef("A", ""), Rows: rows, MaxKey: int64(rows), RowGen: tenColumnRow},
-			{Schema: twoTableDef("B", "A"), Rows: rows, MaxKey: int64(rows), RowGen: tenColumnRow},
+			{Schema: tenColumnTable("A"), Rows: rows, MaxKey: int64(rows), RowGen: tenColumnRow},
+			{Schema: tenColumnTable("B"), Rows: rows, MaxKey: int64(rows), RowGen: tenColumnRow},
 		},
 		Graphs: map[string]*FlowGraph{
 			class: {
@@ -231,12 +231,4 @@ func TwoTableSimple(rows int) *Workload {
 		return t
 	}
 	return w
-}
-
-func twoTableDef(name, ref string) *schema.Table {
-	t := tenColumnTable(name)
-	if ref != "" {
-		t.ForeignKeys = []schema.ForeignKey{{Column: "id", RefTable: ref, RefColumn: "id"}}
-	}
-	return t
 }

@@ -89,7 +89,7 @@ func TATP(opts TATPOptions) (*Workload, error) {
 						{Name: "msc_location", Type: schema.Int64},
 						{Name: "vlr_location", Type: schema.Int64},
 					},
-					PrimaryKey: []string{"s_id"},
+					PrimaryKey: "s_id",
 				},
 				Rows:   opts.Subscribers,
 				MaxKey: subs,
@@ -108,8 +108,7 @@ func TATP(opts TATPOptions) (*Workload, error) {
 						{Name: "ai_type", Type: schema.Int64},
 						{Name: "data1", Type: schema.Int64},
 					},
-					PrimaryKey:  []string{"ai_id"},
-					ForeignKeys: []schema.ForeignKey{{Column: "s_id", RefTable: "Subscriber", RefColumn: "s_id"}},
+					PrimaryKey: "ai_id",
 				},
 				Rows:   opts.Subscribers * 4,
 				MaxKey: subs * 4,
@@ -126,8 +125,7 @@ func TATP(opts TATPOptions) (*Workload, error) {
 						{Name: "sf_type", Type: schema.Int64},
 						{Name: "is_active", Type: schema.Int64},
 					},
-					PrimaryKey:  []string{"sf_id"},
-					ForeignKeys: []schema.ForeignKey{{Column: "s_id", RefTable: "Subscriber", RefColumn: "s_id"}},
+					PrimaryKey: "sf_id",
 				},
 				Rows:   opts.Subscribers * 4,
 				MaxKey: subs * 4,
@@ -145,8 +143,7 @@ func TATP(opts TATPOptions) (*Workload, error) {
 						{Name: "start_hour", Type: schema.Int64},
 						{Name: "number_x", Type: schema.String},
 					},
-					PrimaryKey:  []string{"cf_id"},
-					ForeignKeys: []schema.ForeignKey{{Column: "s_id", RefTable: "SpecialFacility", RefColumn: "sf_id"}},
+					PrimaryKey: "cf_id",
 				},
 				Rows:   opts.Subscribers * 4, // ~1 forwarding record per facility on average
 				MaxKey: subs * 96,

@@ -97,23 +97,19 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 		}
 		return cols
 	}
-	fk := func(col, refTable, refCol string) schema.ForeignKey {
-		return schema.ForeignKey{Column: col, RefTable: refTable, RefColumn: refCol}
-	}
 
 	wl := &Workload{
 		Name: "TPC-C",
 		Tables: []TableDef{
 			{
-				Schema: &schema.Table{Name: "Warehouse", Columns: intCol("w_id", "w_tax", "w_ytd"), PrimaryKey: []string{"w_id"}},
+				Schema: &schema.Table{Name: "Warehouse", Columns: intCol("w_id", "w_tax", "w_ytd"), PrimaryKey: "w_id"},
 				Rows:   int(w), MaxKey: w,
 				RowGen: func(i int, w *schema.RowWriter) { w.Ints(int64(i), 7, 0) },
 			},
 			{
 				Schema: &schema.Table{
 					Name: "District", Columns: intCol("d_id", "d_w_id", "d_tax", "d_next_o_id", "d_ytd"),
-					PrimaryKey:  []string{"d_id"},
-					ForeignKeys: []schema.ForeignKey{fk("d_w_id", "Warehouse", "w_id")},
+					PrimaryKey: "d_id",
 				},
 				Rows: int(districts), MaxKey: districts,
 				RowGen: func(i int, w *schema.RowWriter) {
@@ -123,8 +119,7 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 			{
 				Schema: &schema.Table{
 					Name: "Customer", Columns: intCol("c_id", "c_d_id", "c_w_id", "c_balance", "c_ytd_payment", "c_payment_cnt"),
-					PrimaryKey:  []string{"c_id"},
-					ForeignKeys: []schema.ForeignKey{fk("c_d_id", "District", "d_id")},
+					PrimaryKey: "c_id",
 				},
 				Rows: int(customers), MaxKey: customers,
 				RowGen: func(i int, w *schema.RowWriter) {
@@ -135,8 +130,7 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 			{
 				Schema: &schema.Table{
 					Name: "History", Columns: intCol("h_id", "h_c_id", "h_d_id", "h_amount"),
-					PrimaryKey:  []string{"h_id"},
-					ForeignKeys: []schema.ForeignKey{fk("h_c_id", "Customer", "c_id")},
+					PrimaryKey: "h_id",
 				},
 				Rows: int(customers), MaxKey: customers * 4,
 				RowGen: func(i int, w *schema.RowWriter) {
@@ -146,8 +140,7 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 			{
 				Schema: &schema.Table{
 					Name: "NewOrder", Columns: intCol("no_o_id", "no_d_id", "no_w_id"),
-					PrimaryKey:  []string{"no_o_id"},
-					ForeignKeys: []schema.ForeignKey{fk("no_d_id", "District", "d_id")},
+					PrimaryKey: "no_o_id",
 				},
 				Rows: int(districts) * 900, MaxKey: maxOrders,
 				RowGen: func(i int, w *schema.RowWriter) {
@@ -159,8 +152,7 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 			{
 				Schema: &schema.Table{
 					Name: "Order", Columns: intCol("o_id", "o_d_id", "o_w_id", "o_c_id", "o_ol_cnt"),
-					PrimaryKey:  []string{"o_id"},
-					ForeignKeys: []schema.ForeignKey{fk("o_d_id", "District", "d_id"), fk("o_c_id", "Customer", "c_id")},
+					PrimaryKey: "o_id",
 				},
 				Rows: int(districts) * tpccInitialOrdersPerDist, MaxKey: maxOrders,
 				RowGen: func(i int, w *schema.RowWriter) {
@@ -172,8 +164,7 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 			{
 				Schema: &schema.Table{
 					Name: "OrderLine", Columns: intCol("ol_id", "ol_o_id", "ol_d_id", "ol_i_id", "ol_amount"),
-					PrimaryKey:  []string{"ol_id"},
-					ForeignKeys: []schema.ForeignKey{fk("ol_o_id", "Order", "o_id"), fk("ol_i_id", "Item", "i_id")},
+					PrimaryKey: "ol_id",
 				},
 				Rows: int(districts) * tpccInitialOrdersPerDist * 10, MaxKey: maxOrders * 15,
 				RowGen: func(i int, w *schema.RowWriter) {
@@ -183,15 +174,14 @@ func TPCC(opts TPCCOptions) (*Workload, error) {
 				},
 			},
 			{
-				Schema: &schema.Table{Name: "Item", Columns: intCol("i_id", "i_price", "i_im_id"), PrimaryKey: []string{"i_id"}},
+				Schema: &schema.Table{Name: "Item", Columns: intCol("i_id", "i_price", "i_im_id"), PrimaryKey: "i_id"},
 				Rows:   items, MaxKey: int64(items),
 				RowGen: func(i int, w *schema.RowWriter) { w.Ints(int64(i), int64(i%100+1), int64(i%10000)) },
 			},
 			{
 				Schema: &schema.Table{
 					Name: "Stock", Columns: intCol("s_id", "s_w_id", "s_i_id", "s_quantity", "s_ytd", "s_order_cnt"),
-					PrimaryKey:  []string{"s_id"},
-					ForeignKeys: []schema.ForeignKey{fk("s_w_id", "Warehouse", "w_id"), fk("s_i_id", "Item", "i_id")},
+					PrimaryKey: "s_id",
 				},
 				Rows: int(stock), MaxKey: stock,
 				RowGen: func(i int, w *schema.RowWriter) {

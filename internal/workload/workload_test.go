@@ -241,11 +241,6 @@ func TestTwoTableSimple(t *testing.T) {
 	if len(tx.SyncPoints) != 1 || len(tx.SyncPoints[0].Actions) != 2 {
 		t.Error("missing sync point")
 	}
-	// Table B declares its dependency on A.
-	def, _ := w.TableDef("B")
-	if len(def.Schema.ForeignKeys) != 1 || def.Schema.ForeignKeys[0].RefTable != "A" {
-		t.Error("B should reference A")
-	}
 }
 
 func TestTATPValidation(t *testing.T) {
