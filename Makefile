@@ -143,11 +143,13 @@ examples:
 # on the working tree and compare. The examples run on their own fixed machines
 # and seeds. "completed in" lines (wall time) and the fig-executed block
 # (measured wall clock) are stripped; anything printed is a changed table. The
-# traced run's trace JSON and metrics CSV are compared byte for byte with cmp.
+# traced run's trace JSON is compared byte for byte with cmp, its metrics CSV
+# by column name (scripts/csvdiff.awk: added and removed columns, then the
+# first differing line and column of the shared ones; any difference fails).
 # PROFILE pins a machine profile on both sides (empty: the scale's own
 # machine); SEED feeds the tables and the traced run alike. A side that fails
 # keeps its error lines in the comparison (a failed traced run leaves no
-# documents, which cmp reports), so a table that stopped (or started)
+# documents, which cmp and awk report), so a table that stopped (or started)
 # rendering shows up as a difference. The parent is unpacked under $$TMPDIR
 # and removed afterwards.
 tables-diff:
@@ -161,7 +163,7 @@ tables-diff:
 	(cd "$$dir" && tables "$$dir/parent"); tables "$$dir/tree"; \
 	st=0; diff "$$dir/parent.txt" "$$dir/tree.txt" || st=1; \
 	cmp "$$dir/parent.json" "$$dir/tree.json" || st=1; \
-	cmp "$$dir/parent.csv" "$$dir/tree.csv" || st=1; \
+	awk -F, -f scripts/csvdiff.awk "$$dir/parent.csv" "$$dir/tree.csv" || st=1; \
 	exit $$st
 
 # The tracing smoke: run the traced adaptive-drift scenario and write the

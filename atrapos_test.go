@@ -1,11 +1,9 @@
 package atrapos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-
-	"atrapos/internal/engine"
-	"atrapos/internal/wal"
 )
 
 func smallTop(t *testing.T) *Topology {
@@ -135,39 +133,51 @@ func TestFaultSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed == 0 || len(res.LevelChanges) == 0 {
-		t.Errorf("the fault schedule run committed %d transactions over %d re-wirings, want both positive", res.Committed, len(res.LevelChanges))
+	if res.Committed == 0 || len(res.RepartitionDiffs) == 0 {
+		t.Errorf("the fault schedule run committed %d transactions over %d re-wirings, want both positive", res.Committed, len(res.RepartitionDiffs))
 	}
 	if !sys.engine.WiringConverged() {
 		t.Error("the wiring did not converge on the restored machine and the surviving devices")
 	}
 
-	// Options has no log-retention setting and the default log keeps a
-	// bounded ring, which a crash drill refuses (recovery from it would be
-	// partial), so the drill runs on an engine built with full retention.
-	lc := wal.DefaultConfig()
-	lc.Keep = 0
-	e, err := engine.New(engine.Config{
-		Design:       engine.SharedNothing,
-		DeviceLayout: layout.Name,
-		Workload:     MultisiteUpdate(2000, 10),
-		Topology:     smallTop(t),
-		LogConfig:    &lc,
-	})
+	// The crash drill runs on Open's default, bounded logs: Run switches them
+	// to full retention before the first transaction. Recovery must leave the
+	// key sets of a fault-free twin; TATP's call-forwarding inserts and
+	// deletes make them depend on recovery.
+	open := func() *System {
+		sys, err := Open(Options{
+			Design:       DesignSharedNothing,
+			DeviceLayout: layout.Name,
+			Workload:     MustTATP(TATPOptions{Subscribers: 2000}),
+			Topology:     smallTop(t),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	const txns = 1500
+	twin := open()
+	ref, err := twin.Run(RunOptions{Transactions: txns, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drillMachine := FaultMachine{Sockets: e.Topology().Sockets(), Devices: e.Devices().NumDevices()}
-	drill, err := NewFaultSchedule(drillMachine, DegradeDeviceFault(2*ms, 1, 4), CrashAndRecoverFault(5*ms))
+	crashed := open()
+	drillMachine := FaultMachine{Sockets: crashed.Topology().Sockets(), Devices: crashed.engine.Devices().NumDevices()}
+	drill, err := NewFaultSchedule(drillMachine,
+		DegradeDeviceFault(ref.VirtualTime/4, 1, 4), CrashAndRecoverFault(ref.VirtualTime/2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = (&System{engine: e}).Run(RunOptions{Duration: 10 * ms, Seed: 1, Faults: drill})
+	res, err = crashed.Run(RunOptions{Transactions: txns, Seed: 1, Faults: drill})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed == 0 {
-		t.Error("the degrade and crash drill run committed nothing")
+	if res.Committed != ref.Committed {
+		t.Errorf("committed diverged: drill %d, fault-free %d", res.Committed, ref.Committed)
+	}
+	if !reflect.DeepEqual(crashed.engine.TableKeySets(), twin.engine.TableKeySets()) {
+		t.Error("post-recovery key sets differ from the fault-free twin's")
 	}
 }
 

@@ -329,27 +329,22 @@ func TestBuildPlanAndExecute(t *testing.T) {
 		Table: "A", Bounds: btree.UniformBounds(1000, 4), Cores: []topology.CoreID{0, 2, 1, 3},
 	}
 
-	plan := BuildPlan(current, desired, top)
-	if plan.Empty() {
-		t.Fatal("plan should not be empty")
-	}
-	if plan.Splits() != 2 {
-		t.Errorf("Splits = %d, want 2 (two new boundaries)", plan.Splits())
-	}
-	if plan.Merges() != 0 {
-		t.Errorf("Merges = %d, want 0", plan.Merges())
-	}
-	if plan.Moves() == 0 {
-		t.Error("expected at least one move (partition 1 changes socket)")
-	}
-
 	exec := NewExecutor(DefaultExecutorConfig(), d, store)
-	out, err := exec.Execute(plan)
+	out, err := exec.Execute(BuildPlan(current, desired, top))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Actions == 0 || out.Cost <= 0 {
-		t.Errorf("outcome = %+v", out)
+	if out.Splits != 2 {
+		t.Errorf("Splits = %d, want 2 (two new boundaries)", out.Splits)
+	}
+	if out.Merges != 0 {
+		t.Errorf("Merges = %d, want 0", out.Merges)
+	}
+	if out.Moves == 0 {
+		t.Error("expected at least one move (partition 1 changes socket)")
+	}
+	if out.Splits+out.Merges+out.Moves == 0 || out.Cost <= 0 {
+		t.Errorf("plan should not be empty and should cost: %+v", out)
 	}
 	if tbl.NumPartitions() != 4 {
 		t.Errorf("table has %d partitions after repartitioning, want 4", tbl.NumPartitions())
@@ -363,39 +358,32 @@ func TestBuildPlanAndExecute(t *testing.T) {
 	}
 
 	// Reverse plan: merges back to 2 partitions.
-	back := BuildPlan(desired, current, top)
-	if back.Merges() != 2 {
-		t.Errorf("reverse plan merges = %d, want 2", back.Merges())
-	}
-	if _, err := exec.Execute(back); err != nil {
+	back, err := exec.Execute(BuildPlan(desired, current, top))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if back.Merges != 2 {
+		t.Errorf("reverse plan merges = %d, want 2", back.Merges)
 	}
 	if tbl.NumPartitions() != 2 || tbl.Len() != 1000 {
 		t.Errorf("after reverse: %d partitions, %d rows", tbl.NumPartitions(), tbl.Len())
 	}
 
 	// Executing an empty or nil plan is free.
-	if out, err := exec.Execute(nil); err != nil || out.Actions != 0 {
+	if out, err := exec.Execute(nil); err != nil || out != (Outcome{}) {
 		t.Error("nil plan should be a no-op")
 	}
-	if out, err := exec.Execute(&Plan{New: current.Clone()}); err != nil || out.Cost != 0 {
+	if out, err := exec.Execute(BuildPlan(current, current, top)); err != nil || out.Cost != 0 {
 		t.Errorf("empty plan should be free, got %+v err %v", out, err)
 	}
-	// A plan referencing an unknown table errors.
-	badPlan := &Plan{
-		Actions: []RepartitionAction{{Kind: SplitAction, Table: "nope", Key: 5}},
-		New:     current.Clone(),
-	}
-	if _, err := exec.Execute(badPlan); err == nil {
+	// A plan with work on an unknown table errors.
+	nope := partition.NewPlacement()
+	nope.Tables["nope"] = &partition.TablePlacement{Table: "nope", Bounds: []schema.Key{0}, Cores: []topology.CoreID{0}}
+	split := nope.Clone()
+	split.Tables["nope"].Bounds = []schema.Key{0, 5}
+	split.Tables["nope"].Cores = []topology.CoreID{0, 0}
+	if _, err := exec.Execute(BuildPlan(nope, split, top)); err == nil {
 		t.Error("unknown table should error")
-	}
-}
-
-func TestActionKindString(t *testing.T) {
-	for _, k := range []ActionKind{SplitAction, MergeAction, MoveAction, ActionKind(9)} {
-		if k.String() == "" {
-			t.Errorf("kind %d has empty string", k)
-		}
 	}
 }
 

@@ -67,9 +67,6 @@ type adaptiveState struct {
 	adaptCharged vclock.Nanos
 
 	diffs []RepartitionDiff
-	// levelChanges records the island-level trajectory of the run (adaptive
-	// granularity mode only).
-	levelChanges []GranularityChange
 }
 
 // monitoringCostPerAction is the virtual cost charged per monitored action (or
@@ -86,38 +83,12 @@ const granHysteresis = 0.10
 // the sweep's empirical preference for fine islands when coordination is free.
 const granTieMargin = 0.02
 
-// GranularityChange records one online island-level change: when it happened,
-// what the planner measured and decided, what the re-wiring cost and how many
-// of the previous wiring's logs it reused.
-type GranularityChange struct {
-	// At is the virtual time of the change.
-	At vclock.Nanos
-	// From and To are the island levels before and after.
-	From, To topology.Level
-	// MultisiteShare is the sealed epoch's measured multisite share that
-	// triggered the decision.
-	MultisiteShare float64
-	// Cost is the modeled virtual time of the re-wiring migration (charged to
-	// each affected core).
-	Cost vclock.Nanos
-	// AffectedCores is how many cores paused for the migration; everyone else
-	// kept executing against the previous snapshot.
-	AffectedCores int
-	// ReusedLogs / RebuiltLogs count per-island write-ahead logs carried over
-	// from, respectively built fresh against, the previous wiring;
-	// ReboundDevices counts the reused logs whose device binding the
-	// re-wiring had to re-derive.
-	ReusedLogs, RebuiltLogs, ReboundDevices int
-	// WinnerScores and RunnerUpScores are the granularity scorer's per-term
-	// breakdowns for the level the planner switched to and for the next-best
-	// candidate it rejected — the explanation of the decision. On a
-	// hardware-forced rebuild the winner may equal the current level.
-	WinnerScores, RunnerUpScores core.LevelBreakdown
-}
-
-// RepartitionDiff summarizes one adaptive repartitioning event: when it
-// happened and how much of the placement it touched. It is the per-event
-// record behind the "repartitioning cost scales with the diff" property.
+// RepartitionDiff records one migration: a repartitioning of the placement
+// or an online island-level change. It says when it happened, how much of the
+// placement it touched and what it cost — the per-event record behind the
+// "repartitioning cost scales with the diff" property — and, for a level
+// change, what the planner measured and decided and how many of the previous
+// wiring's logs it reused.
 type RepartitionDiff struct {
 	// At is the virtual time of the event.
 	At vclock.Nanos
@@ -135,11 +106,31 @@ type RepartitionDiff struct {
 	// the repo benchmark, which reports their share.
 	ReusedLockTables  int
 	RebuiltLockTables int
-	// AffectedCores is how many cores paused for the migration.
+	// AffectedCores is how many cores paused for the migration; everyone else
+	// kept executing against the previous snapshot.
 	AffectedCores int
 	// Cost is the modeled virtual time of the migration (charged to each
 	// affected core).
 	Cost vclock.Nanos
+
+	// The remaining fields describe a level change and are zero for a
+	// repartitioning inside one wiring.
+
+	// From and To are the island levels before and after.
+	From, To topology.Level
+	// MultisiteShare is the sealed epoch's measured multisite share that
+	// triggered the decision.
+	MultisiteShare float64
+	// ReusedLogs / RebuiltLogs count per-island write-ahead logs carried over
+	// from, respectively built fresh against, the previous wiring;
+	// ReboundDevices counts the reused logs whose device binding the
+	// re-wiring had to re-derive.
+	ReusedLogs, RebuiltLogs, ReboundDevices int
+	// WinnerScores and RunnerUpScores are the granularity scorer's per-term
+	// breakdowns for the level the planner switched to and for the next-best
+	// candidate it rejected — the explanation of the decision. On a
+	// hardware-forced rebuild the winner may equal the current level.
+	WinnerScores, RunnerUpScores core.LevelBreakdown
 }
 
 func newAdaptiveState(e *Engine, p *partition.Placement) *adaptiveState {
@@ -189,7 +180,6 @@ func (a *adaptiveState) reset() {
 	a.lastShare = 0
 	a.prevCoreCommitted = nil
 	a.diffs = nil
-	a.levelChanges = nil
 	a.monitor.RegisterPlacement(a.e.snap.placement, a.maxKeys)
 }
 
@@ -318,20 +308,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	if diff.Empty() {
 		return
 	}
-	cost, affected, ok := a.migrate(now, snap, proposed, diff, snap.wiring, obs.KindPlannerRepartition)
-	if !ok {
-		return
-	}
-	a.diffs = append(a.diffs, RepartitionDiff{
-		At:                now,
-		ChangedTables:     diff.ChangedTables(),
-		UnchangedTables:   diff.UnchangedTables(),
-		ReboundTables:     diff.ReboundTables(),
-		MovedPartitions:   diff.MovedPartitions(),
-		RebuiltLockTables: proposed.TotalPartitions(),
-		AffectedCores:     affected,
-		Cost:              cost,
-	})
+	a.migrate(now, snap, proposed, diff, snap.wiring, obs.KindPlannerRepartition, RepartitionDiff{})
 }
 
 // migrate is the tail adaptOnce (partitions move between cores) and
@@ -342,17 +319,18 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 // install the new snapshot, register the monitoring arrays of every table
 // against the new placement (both callers sealed the epoch just before, so
 // no array holds a count yet) and restart the interval controller behind a
-// two-interval cooldown. Callers bail out before migrate, never after: once
-// the executor has touched the physical tables the snapshot is installed
-// unconditionally, so no transaction sees a placement whose boundaries no
-// longer match the trees. ok is false only when the executor refused the
-// plan.
+// two-interval cooldown. It appends the migration's record: rec carries the
+// level-change fields (zero for a repartitioning), migrate fills in the rest.
+// Callers bail out before migrate, never after: once the executor has touched
+// the physical tables the snapshot is installed unconditionally, so no
+// transaction sees a placement whose boundaries no longer match the trees.
+// A plan the executor refuses migrates nothing and records nothing.
 func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *partition.Placement, diff *partition.PlanDiff,
-	wiring *islandWiring, kind obs.Kind) (cost vclock.Nanos, paused int, ok bool) {
+	wiring *islandWiring, kind obs.Kind, rec RepartitionDiff) {
 	e := a.e
 	outcome, err := a.executor.Execute(core.BuildPlan(snap.placement, desired, e.cfg.Topology))
 	if err != nil {
-		return 0, 0, false
+		return
 	}
 	affected := diff.AffectedCores()
 	for _, c := range affected {
@@ -372,7 +350,15 @@ func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *
 	a.cooldown = 2
 	a.repartitions++
 	a.repartitionCost += outcome.Cost
-	return outcome.Cost, len(affected), true
+	rec.At = now
+	rec.ChangedTables = diff.ChangedTables()
+	rec.UnchangedTables = diff.UnchangedTables()
+	rec.ReboundTables = diff.ReboundTables()
+	rec.MovedPartitions = diff.MovedPartitions()
+	rec.RebuiltLockTables = desired.TotalPartitions()
+	rec.AffectedCores = len(affected)
+	rec.Cost = outcome.Cost
+	a.diffs = append(a.diffs, rec)
 }
 
 // recordSample appends one planner-boundary metrics observation to the
@@ -472,7 +458,7 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 	}
 	a.lastShare = shape.MultisiteShare
 	// The per-term breakdowns explain the decision: they feed the planner
-	// decision log and, on a change, the GranularityChange record.
+	// decision log and, on a change, the RepartitionDiff record.
 	best, bds := a.granModel.Best(shape, granTieMargin)
 	winner, runnerUp := pickWinnerRunnerUp(bds, best)
 	if tr != nil {
@@ -603,17 +589,10 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	if tp, ok := desired.Table(desired.TableNames()[0]); ok && len(tp.Cores) != len(wiring.sites) {
 		return
 	}
-	cost, affected, ok := a.migrate(now, snap, desired, diff, wiring, obs.KindPlannerRewire)
-	if !ok {
-		return
-	}
-	a.levelChanges = append(a.levelChanges, GranularityChange{
-		At:             now,
+	a.migrate(now, snap, desired, diff, wiring, obs.KindPlannerRewire, RepartitionDiff{
 		From:           cur.level,
 		To:             to,
 		MultisiteShare: share,
-		Cost:           cost,
-		AffectedCores:  affected,
 		ReusedLogs:     wiring.reusedLogs,
 		RebuiltLogs:    wiring.rebuiltLogs,
 		ReboundDevices: wiring.reboundDevices,

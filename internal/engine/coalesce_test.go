@@ -166,11 +166,11 @@ func TestCoalescerDrainAcrossLevelChangesAndRehoming(t *testing.T) {
 	if res.Committed == 0 {
 		t.Fatal("run should keep committing across the device failure and level changes")
 	}
-	if len(res.LevelChanges) == 0 {
+	if len(res.RepartitionDiffs) == 0 {
 		t.Fatal("the drift never forced a level change; the drain-across-rewiring path was not exercised")
 	}
 	rebound := 0
-	for _, c := range res.LevelChanges {
+	for _, c := range res.RepartitionDiffs {
 		rebound += c.ReboundDevices
 	}
 	if rebound == 0 && e.WiringBindsFailedDevice() {

@@ -140,3 +140,43 @@ func TestRunRejectsWorkers(t *testing.T) {
 		t.Errorf("Workers=2 should be rejected, got err = %v", err)
 	}
 }
+
+// TestOneRecordPerMigration: both adaptive designs leave one RepartitionDiff
+// per migration they count — a repartitioning of the ATraPos placement or a
+// re-wiring of the shared-nothing design. A repartitioning moves partitions
+// and carries no level; a re-wiring names both levels, its winner is the
+// level it moved to, and it changes the level, re-binds a log device or moves
+// partitions (a rebuild at the same level after a socket fails or returns).
+func TestOneRecordPerMigration(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) (Config, RunOptions)
+	}{
+		{"atrapos", adaptiveDriftRun},
+		{"shared-nothing", granularityFailRestoreRun},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, opts := tc.build(t)
+			res, err := MustNew(cfg).Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Repartitions == 0 || len(res.RepartitionDiffs) != int(res.Repartitions) {
+				t.Fatalf("%d records for %d migrations, want one per migration and at least one",
+					len(res.RepartitionDiffs), res.Repartitions)
+			}
+			for i, d := range res.RepartitionDiffs {
+				var ok bool
+				if cfg.Design == SharedNothing {
+					ok = d.From != 0 && d.WinnerScores.Level == d.To &&
+						(d.From != d.To || d.ReboundDevices > 0 || d.MovedPartitions > 0)
+				} else {
+					ok = d.From == 0 && d.To == 0 && d.MovedPartitions > 0
+				}
+				if !ok {
+					t.Errorf("record %d does not describe its migration: %+v", i, d)
+				}
+			}
+		})
+	}
+}

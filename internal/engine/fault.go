@@ -28,9 +28,21 @@ func (e *Engine) checkFaults(s *fault.Schedule) error {
 		return fmt.Errorf("engine: fault schedule targets %d log devices, engine has %d", m.Devices, ndev)
 	}
 	// A bounded log ring drops old records; recovery from it would be
-	// silently partial, so the drill demands full retention.
+	// silently partial, so the drill runs on full retention: every log
+	// switches to it, and so do the logs later re-wirings build, unless a
+	// log has already dropped a record.
 	if s.HasCrash() && e.cfg.LogConfig.Keep != 0 {
-		return fmt.Errorf("engine: a crash-and-recover drill requires unbounded log retention (LogConfig.Keep=0), got Keep=%d", e.cfg.LogConfig.Keep)
+		for i, l := range e.logs {
+			if n := l.Discarded(); n > 0 {
+				return fmt.Errorf("engine: a crash-and-recover drill requires complete logs, but log %d already discarded %d records (LogConfig.Keep=%d)", i, n, e.cfg.LogConfig.Keep)
+			}
+		}
+		lc := *e.cfg.LogConfig
+		lc.Keep = 0
+		e.cfg.LogConfig = &lc
+		for _, l := range e.logs {
+			l.RetainAll()
+		}
 	}
 	return nil
 }

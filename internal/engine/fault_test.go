@@ -83,10 +83,55 @@ func TestCompileFaultsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A bounded log that has dropped records cannot recover completely, so
+	// the drill is refused with the reason.
+	lc := wal.Config{Keep: 8}
+	dropped := MustNew(Config{
+		Design: SharedNothing, IslandLevel: topology.LevelDie, Workload: workload.MultisiteUpdate(2000, 0),
+		Topology: chipletTopology(), DeviceLayout: "nvme-per-socket", LogConfig: &lc,
+	})
+	if _, err := dropped.Run(RunOptions{Transactions: 200}); err != nil {
+		t.Fatal(err)
+	}
 	opts.Faults = crash
-	// Default Keep is bounded: the drill must demand full retention.
-	if _, err := e.Run(opts); err == nil || !strings.Contains(err.Error(), "unbounded log retention") {
-		t.Errorf("crash drill with bounded ring: err = %v", err)
+	if _, err := dropped.Run(opts); err == nil || !strings.Contains(err.Error(), "already discarded") {
+		t.Errorf("crash drill after the bounded ring dropped records: err = %v", err)
+	}
+}
+
+// TestCrashDrillRetainsEveryLog: a crash drill on bounded logs that have
+// dropped nothing yet switches every log to full retention before the first
+// transaction, and the logs later re-wirings build inherit it. The caller's
+// log config is left as it was.
+func TestCrashDrillRetainsEveryLog(t *testing.T) {
+	cfg, opts := granularityFailRestoreRun(t)
+	lc := wal.Config{Keep: 8}
+	cfg.LogConfig = &lc
+	sched, err := fault.NewSchedule(fault.Machine{Sockets: 2, Devices: 2},
+		fault.FailSocket(5*granWindow, 1),
+		fault.RestoreSocket(15*granWindow, 1),
+		fault.CrashAndRecover(30*granWindow),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Faults = sched
+	e := MustNew(cfg)
+	built := len(e.logs)
+	res, err := e.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Repartitions == 0 || len(e.logs) == built {
+		t.Fatalf("no re-wiring built a log (%d migrations, %d logs)", res.Repartitions, len(e.logs))
+	}
+	for i, l := range e.logs {
+		if n := l.Discarded(); n > 0 {
+			t.Errorf("log %d discarded %d records", i, n)
+		}
+	}
+	if lc.Keep != 8 {
+		t.Errorf("the caller's log config changed: Keep = %d", lc.Keep)
 	}
 }
 
@@ -194,11 +239,11 @@ func TestAdaptivePlannerRehomesFailedDevice(t *testing.T) {
 		t.Error("wiring did not converge after the device failure")
 	}
 	rebound := 0
-	for _, lc := range res.LevelChanges {
+	for _, lc := range res.RepartitionDiffs {
 		rebound += lc.ReboundDevices
 	}
 	if rebound == 0 {
-		t.Errorf("no island log was rebound across the failure; changes: %+v", res.LevelChanges)
+		t.Errorf("no island log was rebound across the failure; changes: %+v", res.RepartitionDiffs)
 	}
 	e.Devices().ResetFaults()
 }

@@ -96,8 +96,8 @@ func TestAdaptiveGranularityTracksStaticBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LevelChanges) < 2 {
-		t.Fatalf("expected at least two level changes across the drift, got %+v", res.LevelChanges)
+	if len(res.RepartitionDiffs) < 2 {
+		t.Fatalf("expected at least two level changes across the drift, got %+v", res.RepartitionDiffs)
 	}
 	wantLow := staticBestLevel(t, profile, 0)
 	wantHigh := staticBestLevel(t, profile, 100)
@@ -107,7 +107,7 @@ func TestAdaptiveGranularityTracksStaticBest(t *testing.T) {
 	// The level in force at the end of the low-multisite phase.
 	levelAt := func(at vclock.Nanos) topology.Level {
 		level := topology.LevelSocket // starting level
-		for _, lc := range res.LevelChanges {
+		for _, lc := range res.RepartitionDiffs {
 			if lc.At <= at {
 				level = lc.To
 			}
@@ -116,21 +116,21 @@ func TestAdaptiveGranularityTracksStaticBest(t *testing.T) {
 	}
 	if got := levelAt(half); got != wantLow {
 		t.Errorf("level before the drift = %v, statically best at 0%% is %v (changes: %+v)",
-			got, wantLow, res.LevelChanges)
+			got, wantLow, res.RepartitionDiffs)
 	}
 	if got := res.IslandLevel; got != wantHigh.String() {
 		t.Errorf("final level = %v, statically best at 100%% is %v (changes: %+v)",
-			got, wantHigh, res.LevelChanges)
+			got, wantHigh, res.RepartitionDiffs)
 	}
-	if e.TopologyEpoch() != uint64(len(res.LevelChanges)) {
-		t.Errorf("topology epoch %d should count the %d re-wirings", e.TopologyEpoch(), len(res.LevelChanges))
+	if e.TopologyEpoch() != uint64(len(res.RepartitionDiffs)) {
+		t.Errorf("topology epoch %d should count the %d re-wirings", e.TopologyEpoch(), len(res.RepartitionDiffs))
 	}
 	// The run kept committing throughout: every re-wiring happened off the
 	// hot path, concurrently with execution.
 	if res.Committed == 0 {
 		t.Fatal("no transactions committed")
 	}
-	for _, lc := range res.LevelChanges {
+	for _, lc := range res.RepartitionDiffs {
 		if lc.AffectedCores == 0 || lc.Cost < 0 {
 			t.Errorf("level change %+v should charge a positive cost to its affected cores", lc)
 		}
@@ -167,10 +167,10 @@ func TestAdaptiveGranularityPartialPause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LevelChanges) == 0 {
+	if len(res.RepartitionDiffs) == 0 {
 		t.Fatal("constant 100% multisite should trigger a die->machine re-wiring")
 	}
-	first := res.LevelChanges[0]
+	first := res.RepartitionDiffs[0]
 	if first.To != topology.LevelMachine {
 		t.Errorf("expected a change to machine granularity, got %+v", first)
 	}
@@ -199,9 +199,9 @@ func TestMonitoringOnlyNeverRewires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LevelChanges) != 0 || res.IslandLevel != "socket" || e.TopologyEpoch() != 0 {
+	if len(res.RepartitionDiffs) != 0 || res.IslandLevel != "socket" || e.TopologyEpoch() != 0 {
 		t.Errorf("monitoring-only run re-wired the machine: level=%s changes=%+v epoch=%d",
-			res.IslandLevel, res.LevelChanges, e.TopologyEpoch())
+			res.IslandLevel, res.RepartitionDiffs, e.TopologyEpoch())
 	}
 }
 

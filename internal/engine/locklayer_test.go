@@ -139,7 +139,7 @@ func TestInstallBuildsFreshLockTables(t *testing.T) {
 			Workload: workload.MultisiteUpdateDrifting(8000, func(vclock.Nanos) int { return 100 }),
 			Adaptive: true, AdaptiveInterval: adaptiveTestInterval, TimeCompression: 1000,
 		}, RunOptions{Duration: 20 * granWindow, Transactions: 100_000, Seed: 7, SampleWindow: granWindow},
-			func(r *Result) bool { return len(r.LevelChanges) > 0 }},
+			func(r *Result) bool { return len(r.RepartitionDiffs) > 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := MustNew(tc.cfg)

@@ -106,11 +106,11 @@ func TestAdaptiveRunLogStatsCumulative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.LevelChanges) == 0 {
+	if len(res.RepartitionDiffs) == 0 {
 		t.Fatal("the drift should force at least one level change")
 	}
 	rebuilt := 0
-	for _, lc := range res.LevelChanges {
+	for _, lc := range res.RepartitionDiffs {
 		rebuilt += lc.RebuiltLogs
 	}
 	if rebuilt == 0 {
@@ -118,7 +118,7 @@ func TestAdaptiveRunLogStatsCumulative(t *testing.T) {
 	}
 	if res.Log.LogicalRecords < res.Committed {
 		t.Errorf("adaptive run under-reports its log activity: %d logical records for %d commits (changes: %+v)",
-			res.Log.LogicalRecords, res.Committed, res.LevelChanges)
+			res.Log.LogicalRecords, res.Committed, res.RepartitionDiffs)
 	}
 	// The fixed-level twin of the first phase obeys the same invariant, so
 	// the adaptive assertion above compares like with like.

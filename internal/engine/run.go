@@ -91,8 +91,10 @@ type Result struct {
 	Repartitions int64
 	// RepartitionTime is the total virtual time spent repartitioning.
 	RepartitionTime vclock.Nanos
-	// RepartitionDiffs records, per repartitioning event, how much of the
-	// placement changed and how much of the previous runtime was reused.
+	// RepartitionDiffs records every migration of the run, one entry per
+	// repartitioning or online island-level change: how much of the placement
+	// changed, what it cost and, for a level change, the level trajectory and
+	// the scores that decided it.
 	RepartitionDiffs []RepartitionDiff
 	// AdaptationCostShare is the fraction of total core busy time spent on
 	// migration pauses (repartition cost summed over the affected cores).
@@ -101,9 +103,6 @@ type Result struct {
 	// (shared-nothing designs only; empty otherwise). With adaptive
 	// granularity it is where the planner converged.
 	IslandLevel string
-	// LevelChanges is the island-level trajectory of the run: one record per
-	// online re-wiring the adaptive-granularity planner executed.
-	LevelChanges []GranularityChange
 	// QPIToIMCRatio is the interconnect-to-memory-controller traffic ratio.
 	QPIToIMCRatio float64
 	// Log is the write-ahead-log activity of this run (a delta against the
@@ -270,7 +269,6 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		res.Repartitions = e.adaptive.repartitions
 		res.RepartitionTime = e.adaptive.repartitionCost
 		res.RepartitionDiffs = e.adaptive.diffs
-		res.LevelChanges = e.adaptive.levelChanges
 		if total > 0 {
 			res.AdaptationCostShare = float64(e.adaptive.adaptCharged) / float64(total)
 		}

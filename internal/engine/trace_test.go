@@ -74,7 +74,7 @@ func TestTraceDeterminism(t *testing.T) {
 	if err := obs.ValidateMetricsCSV(csv1); err != nil {
 		t.Errorf("exported metrics malformed: %v", err)
 	}
-	if len(res.LevelChanges) == 0 {
+	if len(res.RepartitionDiffs) == 0 {
 		t.Fatal("drift run produced no level changes; the trace has nothing to explain")
 	}
 	// Every level change must be explained: a "change" decision with a full
@@ -106,8 +106,8 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Errorf("change decision at %d switches to %s but %s scored best", d.At, d.Best, bestLevel)
 		}
 	}
-	if changes != len(res.LevelChanges) {
-		t.Errorf("%d level changes but %d change decisions in the log", len(res.LevelChanges), changes)
+	if changes != len(res.RepartitionDiffs) {
+		t.Errorf("%d level changes but %d change decisions in the log", len(res.RepartitionDiffs), changes)
 	}
 	if len(e.Tracer().Samples()) == 0 {
 		t.Error("traced adaptive run recorded no metrics samples")

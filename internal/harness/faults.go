@@ -129,7 +129,7 @@ func RunFaultTimeline(s Scale) (*FaultTimeline, error) {
 		phases[i].AvgTPS = avg(phases[i].FromS, phases[i].ToS)
 	}
 	rehomed := 0
-	for _, lc := range res.LevelChanges {
+	for _, lc := range res.RepartitionDiffs {
 		rehomed += lc.ReboundDevices
 	}
 	healthy, devFailed := phases[0].AvgTPS, phases[1].AvgTPS

@@ -35,7 +35,7 @@ type GranularityTrajectory struct {
 	FinalLevel string
 	Committed  int64
 	Phases     []GranularityPhase
-	Changes    []engine.GranularityChange
+	Changes    []engine.RepartitionDiff
 }
 
 // granularityScenario returns the drifting workload and phase layout: 0%
@@ -97,7 +97,7 @@ func runDrift(s Scale, def string, tracing bool) (*driftRun, error) {
 		StartLevel: start.String(),
 		FinalLevel: res.IslandLevel,
 		Committed:  res.Committed,
-		Changes:    res.LevelChanges,
+		Changes:    res.RepartitionDiffs,
 	}}, nil
 }
 

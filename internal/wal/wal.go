@@ -576,6 +576,16 @@ func (l *CentralLog) Durable() LSN { return l.durable }
 // Tail returns the highest assigned LSN.
 func (l *CentralLog) Tail() LSN { return l.next - 1 }
 
+// Discarded returns how many records the bounded ring has overwritten.
+func (l *CentralLog) Discarded() int64 { return l.physRecords - int64(l.count) }
+
+// RetainAll switches the log to unbounded retention (Keep 0): every record
+// from now on is kept beside the ones the ring still holds.
+func (l *CentralLog) RetainAll() {
+	l.ring, l.start = l.Records(), 0
+	l.cfg.Keep = 0
+}
+
 // Records returns the retained records (most recent Keep entries), oldest first.
 func (l *CentralLog) Records() []Record {
 	out := make([]Record, l.count)
