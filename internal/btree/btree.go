@@ -15,12 +15,102 @@ import (
 // 2*degree-1 entries.
 const degree = 32
 
+// A leaf is a slotted page: its rows lie back to back in rows, and ends,
+// parallel to keys, holds where each one ends, so row i is
+// rows[ends[i-1]:ends[i]] (the first starts at 0). A row is handed out capped
+// (cap == len), so an append to it reallocates instead of overwriting the
+// next row, and it stays valid until the next write to the leaf's tree.
 type node struct {
 	leaf     bool
 	keys     []schema.Key
-	values   [][]byte // only for leaves
+	rows     []byte   // only for leaves
+	ends     []uint32 // only for leaves
 	children []*node  // only for internal nodes
 	next     *node    // leaf chaining for range scans
+}
+
+// start returns where leaf n's i-th row begins in n.rows.
+func (n *node) start(i int) uint32 {
+	if i == 0 {
+		return 0
+	}
+	return n.ends[i-1]
+}
+
+// row returns leaf n's i-th row, capped.
+func (n *node) row(i int) []byte {
+	lo, hi := n.start(i), n.ends[i]
+	return n.rows[lo:hi:hi]
+}
+
+// insertRow copies r in as leaf n's i-th row under key.
+func (n *node) insertRow(i int, key schema.Key, r []byte) {
+	at := n.start(i)
+	n.keys = slices.Insert(n.keys, i, key)
+	n.rows = slices.Insert(n.rows, int(at), r...)
+	n.ends = slices.Insert(n.ends, i, at)
+	n.shiftEnds(i, len(r))
+}
+
+// setRow stores r as leaf n's i-th row: a copy over the old bytes when the
+// length is unchanged (none when r is the stored row, changed in place), else
+// spliced in place of them.
+func (n *node) setRow(i int, r []byte) {
+	lo, hi := n.start(i), n.ends[i]
+	if len(r) == int(hi-lo) {
+		if lo < hi && &r[0] != &n.rows[lo] {
+			copy(n.rows[lo:hi], r)
+		}
+		return
+	}
+	n.rows = slices.Replace(n.rows, int(lo), int(hi), r...)
+	n.shiftEnds(i, len(r)-int(hi-lo))
+}
+
+// deleteRow removes leaf n's i-th row and its key.
+func (n *node) deleteRow(i int) {
+	lo, hi := n.start(i), n.ends[i]
+	n.keys = append(n.keys[:i], n.keys[i+1:]...)
+	n.ends = append(n.ends[:i], n.ends[i+1:]...)
+	if lo < hi {
+		n.rows = append(n.rows[:lo], n.rows[hi:]...)
+		n.shiftEnds(i, -int(hi-lo))
+	}
+}
+
+// shiftEnds moves the ends from the i-th on by d bytes.
+func (n *node) shiftEnds(i, d int) {
+	if d == 0 {
+		return
+	}
+	for j := i; j < len(n.ends); j++ {
+		n.ends[j] += uint32(d)
+	}
+}
+
+// moveTail moves leaf n's k > 0 entries from the i-th on into the empty leaf
+// r, with room for spare more at their mean row length: the keys and the row
+// bytes are copied, the ends rebased to start at 0.
+func (n *node) moveTail(i int, r *node, spare int) {
+	at, k := n.start(i), len(n.keys)-i
+	tail := len(n.rows) - int(at)
+	r.keys = append(make([]schema.Key, 0, k+spare), n.keys[i:]...)
+	r.rows = append(make([]byte, 0, tail+tail/k*spare), n.rows[at:]...)
+	r.ends = make([]uint32, k, k+spare)
+	for j, e := range n.ends[i:] {
+		r.ends[j] = e - at
+	}
+	n.keys, n.rows, n.ends = n.keys[:i], n.rows[:at], n.ends[:i]
+}
+
+// appendLeaf appends leaf r's entries to leaf n's, rebasing r's ends.
+func (n *node) appendLeaf(r *node) {
+	base := uint32(len(n.rows))
+	n.keys = append(n.keys, r.keys...)
+	n.rows = append(n.rows, r.rows...)
+	for _, e := range r.ends {
+		n.ends = append(n.ends, base+e)
+	}
 }
 
 // Tree is a single-rooted B+-tree. It is single-owner: it holds no lock, so a
@@ -49,12 +139,12 @@ func (t *Tree) get(key schema.Key, f fences) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return n.values[i], true
+	return n.row(i), true
 }
 
-// Insert stores value under key unless key is present, and reports whether it
-// did: an existing key keeps its row. It descends once, and a second time,
-// splitting, only when key is absent and its leaf is full.
+// Insert stores a copy of value under key unless key is present, and reports
+// whether it did: an existing key keeps its row. It descends once, and a
+// second time, splitting, only when key is absent and its leaf is full.
 func (t *Tree) Insert(key schema.Key, value []byte) bool { return t.insert(key, value, fences{}) }
 
 func (t *Tree) insert(key schema.Key, value []byte, f fences) bool {
@@ -65,8 +155,7 @@ func (t *Tree) insert(key schema.Key, value []byte, f fences) bool {
 	if len(n.keys) == maxKeys() {
 		n, i = t.splitDown(key, f)
 	}
-	n.keys = slices.Insert(n.keys, i, key)
-	n.values = slices.Insert(n.values, i, value)
+	n.insertRow(i, key, value)
 	t.size++
 	return true
 }
@@ -111,10 +200,7 @@ func splitChild(p *node, i int) {
 	right := &node{leaf: child.leaf}
 	if child.leaf {
 		sep = child.keys[mid]
-		right.keys = append(right.keys, child.keys[mid:]...)
-		right.values = append(right.values, child.values[mid:]...)
-		child.keys = child.keys[:mid]
-		child.values = child.values[:mid]
+		child.moveTail(mid, right, 1) // only an insert splits a leaf, and its row may go right
 		right.next = child.next
 		child.next = right
 	} else {
@@ -141,15 +227,16 @@ func (t *Tree) Delete(key schema.Key) bool { return t.delete(key, fences{}) }
 func (t *Tree) delete(key schema.Key, f fences) bool {
 	n, i, ok := find(t.root, key, f)
 	if ok {
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.values = append(n.values[:i], n.values[i+1:]...)
+		n.deleteRow(i)
 		t.size--
 	}
 	return ok
 }
 
-// Update applies fn to the row stored under key in place and reports whether
-// the key was found. fn receives the stored row and returns the new row.
+// Update applies fn to the row stored under key and reports whether the key
+// was found. fn receives the stored row, capped, and returns the new row: the
+// stored one changed in place, or another whose bytes are copied in (spliced
+// in when its length differs).
 func (t *Tree) Update(key schema.Key, fn func([]byte) []byte) bool {
 	return t.update(key, fn, fences{})
 }
@@ -157,7 +244,7 @@ func (t *Tree) Update(key schema.Key, fn func([]byte) []byte) bool {
 func (t *Tree) update(key schema.Key, fn func([]byte) []byte, f fences) bool {
 	n, i, ok := find(t.root, key, f)
 	if ok {
-		n.values[i] = fn(n.values[i])
+		n.setRow(i, fn(n.row(i)))
 	}
 	return ok
 }
@@ -176,7 +263,7 @@ func (t *Tree) Ascend(fn func(schema.Key, []byte) bool) { walk(edge(t.root, fals
 func walk(n *node, i int, fn func(schema.Key, []byte) bool) {
 	for ; n != nil; n, i = n.next, 0 {
 		for ; i < len(n.keys); i++ {
-			if !fn(n.keys[i], n.values[i]) {
+			if !fn(n.keys[i], n.row(i)) {
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -19,6 +20,44 @@ func row(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v
 
 // val is the value row stored.
 func val(r []byte) int64 { return int64(binary.LittleEndian.Uint64(r)) }
+
+// rowOf is a row of 8+pad bytes: v, little-endian, then pad bytes that follow
+// from v, so rows of one value and length are equal.
+func rowOf(v int64, pad int) []byte {
+	r := row(v)
+	for j := 0; j < pad; j++ {
+		r = append(r, byte(v)+byte(j))
+	}
+	return r
+}
+
+// loadSlabRows is how many rows load packs into one slab: not a multiple of a
+// leaf's capacity, so some leaves straddle two slabs.
+const loadSlabRows = 100
+
+// load bulk-loads m with keys[i] -> rows[i] (MultiRooted.Load) the way a
+// storage load stages them: the rows packed back to back, loadSlabRows to a
+// slab.
+func load(m *MultiRooted, keys []schema.Key, rows [][]byte) error {
+	lens, slabs := packRows(rows, loadSlabRows)
+	return m.Load(keys, lens, slabs)
+}
+
+// packRows returns rows' lengths and their bytes packed back to back, per rows
+// to a slab.
+func packRows(rows [][]byte, per int) ([]uint32, [][]byte) {
+	lens := make([]uint32, len(rows))
+	var slabs [][]byte
+	for lo := 0; lo < len(rows); lo += per {
+		var slab []byte
+		for i := lo; i < min(lo+per, len(rows)); i++ {
+			lens[i] = uint32(len(rows[i]))
+			slab = append(slab, rows[i]...)
+		}
+		slabs = append(slabs, slab)
+	}
+	return lens, slabs
+}
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
@@ -112,12 +151,14 @@ func TestInsertInRejectsDuplicates(t *testing.T) {
 	if m.Len() != 20000 {
 		t.Fatalf("Len = %d after duplicate inserts, want 20000", m.Len())
 	}
-	_, vals := scanAll(m.Scan)
-	for i, v := range vals {
-		if v != int64(i) {
-			t.Fatalf("row %d = %d after duplicate inserts", i, v)
+	i := int64(0)
+	m.Scan(0, ^schema.Key(0), func(_ schema.Key, r []byte) bool {
+		if val(r) != i {
+			t.Fatalf("row %d = %d after duplicate inserts", i, val(r))
 		}
-	}
+		i++
+		return true
+	})
 }
 
 func TestMinMax(t *testing.T) {
@@ -250,32 +291,41 @@ func TestLargestKeyIsAnEntry(t *testing.T) {
 	}
 }
 
+// TestTreeMatchesMapProperty: inserts, deletes, reads and updates of rows of
+// 8 to 47 bytes, an update changing the row's length as often as not, leave
+// the tree holding what a map holds.
 func TestTreeMatchesMapProperty(t *testing.T) {
 	prop := func(ops []int16) bool {
 		tr := New()
-		ref := make(map[schema.Key]int64)
+		ref := make(map[schema.Key]string)
 		for _, op := range ops {
 			k := schema.KeyFromInt(int64(op % 64))
-			switch {
-			case op%3 == 0:
+			r := rowOf(int64(op), int(uint16(op))%40)
+			switch op % 4 {
+			case 0:
 				_, had := ref[k]
-				if tr.Insert(k, row(int64(op))) == had {
+				if tr.Insert(k, r) == had {
 					return false
 				}
 				if !had {
-					ref[k] = int64(op)
+					ref[k] = string(r)
 				}
-			case op%3 == 1:
+			case 1, -1:
 				delete(ref, k)
 				tr.Delete(k)
-			default:
+			case 2, -2:
 				v, ok := tr.Get(k)
 				rv, rok := ref[k]
-				if ok != rok {
+				if ok != rok || string(v) != rv {
 					return false
 				}
-				if ok && val(v) != rv {
+			default:
+				_, had := ref[k]
+				if tr.Update(k, func([]byte) []byte { return r }) != had {
 					return false
+				}
+				if had {
+					ref[k] = string(r)
 				}
 			}
 		}
@@ -284,7 +334,7 @@ func TestTreeMatchesMapProperty(t *testing.T) {
 		}
 		for k, rv := range ref {
 			v, ok := tr.Get(k)
-			if !ok || val(v) != rv {
+			if !ok || string(v) != rv {
 				return false
 			}
 		}
@@ -554,7 +604,7 @@ func BenchmarkTreeGet(b *testing.B) {
 				probes[i] = keys[rng.Intn(len(keys))]
 			}
 			m, _ := NewMultiRooted(UniformBounds(int64(tc.rows)*tc.step, tc.parts))
-			if err := m.Load(keys, vals); err != nil {
+			if err := load(m, keys, vals); err != nil {
 				b.Fatal(err)
 			}
 			get := m.Get
@@ -672,8 +722,8 @@ func checkTree(t *testing.T, tr *Tree, lo, hi schema.Key) (leaves, height int) {
 			if height >= 0 && depth != height {
 				t.Fatalf("leaf at depth %d, another at %d", depth, height)
 			}
-			if len(n.values) != len(n.keys) || n.children != nil {
-				t.Fatalf("leaf with %d keys, %d values, %d children", len(n.keys), len(n.values), len(n.children))
+			if err := checkLeaf(n); err != nil || n.children != nil {
+				t.Fatalf("leaf with %d children: %v", len(n.children), err)
 			}
 			height = depth
 			entries += len(n.keys)
@@ -728,12 +778,26 @@ func checkMultiRooted(t *testing.T, m *MultiRooted) (leaves, height int) {
 	return leaves, height
 }
 
-func scanAll(scan func(from, to schema.Key, fn func(schema.Key, []byte) bool)) (keys []schema.Key, vals []int64) {
+// contents is what a tree holds: its keys in order and their rows back to
+// back, each after its length.
+type contents struct {
+	keys []schema.Key
+	rows []byte
+}
+
+// read fills c from a full scan, reusing c's arrays, and returns c.
+func (c *contents) read(scan func(from, to schema.Key, fn func(schema.Key, []byte) bool)) *contents {
+	c.keys, c.rows = c.keys[:0], c.rows[:0]
 	scan(0, ^schema.Key(0), func(k schema.Key, v []byte) bool {
-		keys, vals = append(keys, k), append(vals, val(v))
+		c.keys = append(c.keys, k)
+		c.rows = append(binary.AppendUvarint(c.rows, uint64(len(v))), v...)
 		return true
 	})
-	return keys, vals
+	return c
+}
+
+func (c *contents) equal(o *contents) bool {
+	return slices.Equal(c.keys, o.keys) && bytes.Equal(c.rows, o.rows)
 }
 
 // randomBounds returns 0 plus n-1 distinct random keys below limit, ascending.
@@ -754,7 +818,8 @@ func randomBounds(rng *rand.Rand, n int, limit int64) []schema.Key {
 // and the row-by-row reference with the same seeded stream of splits, merges,
 // re-boundings and row operations, and requires the same errors, indices,
 // moved counts, bounds, sizes and contents after every step, with checkTree
-// holding on every sub-tree. Seeds 1..seeds start the path-cutting tree
+// holding on every sub-tree. Rows are 8 to 31 bytes and an update changes a
+// row's length as often as not. Seeds 1..seeds start the path-cutting tree
 // inserted; as many more start it bulk-loaded (full, capped leaves).
 func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 	const keySpace = 20000
@@ -762,6 +827,7 @@ func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 	if testing.Short() {
 		seeds, steps = 4, 200
 	}
+	var gc, rc contents // reused step after step
 	for seed := 1; seed <= 2*seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		bounds := randomBounds(rng, 1+rng.Intn(8), keySpace)
@@ -771,18 +837,20 @@ func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 		loaded := seed > seeds // got starts from the reference's rows, bulk-loaded
 		for i, n := 0, 500+rng.Intn(6000); i < n; i++ {
 			k := schema.Key(rng.Int63n(keySpace))
+			r := rowOf(int64(i), i%24)
 			if !loaded {
-				got.Insert(k, row(int64(i)))
+				got.Insert(k, r)
 			}
-			ref.Insert(k, row(int64(i)))
+			ref.Insert(k, r)
 		}
 		if loaded {
-			keys, vals := scanAll(ref.Scan)
-			rows := make([][]byte, len(vals))
-			for i, v := range vals {
-				rows[i] = row(v)
-			}
-			if err := got.Load(keys, rows); err != nil {
+			var keys []schema.Key
+			var rows [][]byte
+			ref.Scan(0, ^schema.Key(0), func(k schema.Key, v []byte) bool {
+				keys, rows = append(keys, k), append(rows, slices.Clone(v))
+				return true
+			})
+			if err := load(got, keys, rows); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
@@ -836,16 +904,16 @@ func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 			case 8:
 				k := randKey()
 				desc = fmt.Sprintf("Insert(%d)", k)
-				gotOut[0] = btoi(got.Insert(k, row(int64(step))))
-				refOut[0] = btoi(ref.Insert(k, row(int64(step))))
+				gotOut[0] = btoi(got.Insert(k, rowOf(int64(step), step%24)))
+				refOut[0] = btoi(ref.Insert(k, rowOf(int64(step), step%24)))
 			case 9:
 				k := randKey()
 				desc = fmt.Sprintf("Update(%d)", k)
-				bump := func(r []byte) []byte { return row(val(r) + 1) }
+				bump := func(r []byte) []byte { v := val(r) + 1; return rowOf(v, int(v%24)) }
 				gotOut[0], refOut[0] = btoi(got.Update(k, bump)), btoi(ref.Update(k, bump))
 			case 10:
 				k := randKey()
-				if keys, _ := scanAll(got.Scan); len(keys) > 0 && rng.Intn(4) > 0 {
+				if keys := gc.read(got.Scan).keys; len(keys) > 0 && rng.Intn(4) > 0 {
 					k = keys[rng.Intn(len(keys))]
 				}
 				desc = fmt.Sprintf("Delete(%d)", k)
@@ -876,10 +944,8 @@ func TestRepartitioningMatchesReferenceModel(t *testing.T) {
 			if !slices.Equal(got.PartitionSizes(), ref.PartitionSizes()) || got.Len() != ref.Len() {
 				t.Fatalf("%s: sizes %v, reference %v", where, got.PartitionSizes(), ref.PartitionSizes())
 			}
-			gk, gv := scanAll(got.Scan)
-			rk, rv := scanAll(ref.Scan)
-			if !slices.Equal(gk, rk) || !slices.Equal(gv, rv) {
-				t.Fatalf("%s: contents differ from the reference (%d against %d rows)", where, len(gk), len(rk))
+			if !gc.read(got.Scan).equal(rc.read(ref.Scan)) {
+				t.Fatalf("%s: contents differ from the reference (%d against %d rows)", where, len(gc.keys), len(rc.keys))
 			}
 			checkMultiRooted(t, got)
 			if t.Failed() {
@@ -1003,7 +1069,7 @@ func loadedUniform(rows int64, parts int, inserted bool) *MultiRooted {
 	}
 	keys, vals := ascending(int(rows), 1)
 	if !inserted {
-		if err := m.Load(keys, vals); err != nil {
+		if err := load(m, keys, vals); err != nil {
 			panic(err)
 		}
 		return m
@@ -1046,7 +1112,7 @@ func TestLoadMatchesInsert(t *testing.T) {
 			where := fmt.Sprintf("%d rows, %s", n, layout.name)
 			keys, vals := ascending(n, step)
 			got, _ := NewMultiRooted(layout.bounds)
-			if err := got.Load(keys, vals); err != nil {
+			if err := load(got, keys, vals); err != nil {
 				t.Fatalf("%s: %v", where, err)
 			}
 			want, _ := NewMultiRooted(layout.bounds)
@@ -1059,11 +1125,11 @@ func TestLoadMatchesInsert(t *testing.T) {
 				if !slices.Equal(got.PartitionSizes(), want.PartitionSizes()) {
 					t.Fatalf("%s %s: sizes %v, inserted %v", where, stage, got.PartitionSizes(), want.PartitionSizes())
 				}
-				gk, gv := scanAll(got.Scan)
-				wk, wv := scanAll(want.Scan)
-				if !slices.Equal(gk, wk) || !slices.Equal(gv, wv) {
-					t.Fatalf("%s %s: contents differ (%d against %d rows)", where, stage, len(gk), len(wk))
+				var gc, wc contents
+				if !gc.read(got.Scan).equal(wc.read(want.Scan)) {
+					t.Fatalf("%s %s: contents differ (%d against %d rows)", where, stage, len(gc.keys), len(wc.keys))
 				}
+				wk := wc.keys
 				var ascended []schema.Key
 				for _, tr := range got.roots {
 					tr.Ascend(func(k schema.Key, _ []byte) bool { ascended = append(ascended, k); return true })
@@ -1108,14 +1174,17 @@ func TestLoadMatchesInsert(t *testing.T) {
 		}
 	}
 	m, _ := NewMultiRooted([]schema.Key{0})
-	if err := m.Load([]schema.Key{1, 2}, [][]byte{row(1)}); err == nil {
+	if err := load(m, []schema.Key{1, 2}, [][]byte{row(1)}); err == nil {
 		t.Error("a key without a row should fail")
 	}
-	if err := m.Load([]schema.Key{1, 2, 2}, [][]byte{row(1), row(2), row(2)}); err == nil || !strings.Contains(err.Error(), "row 2") {
+	if err := m.Load([]schema.Key{1, 2}, []uint32{8, 8}, [][]byte{row(1)}); err == nil {
+		t.Error("rows longer than the slabs should fail")
+	}
+	if err := load(m, []schema.Key{1, 2, 2}, [][]byte{row(1), row(2), row(2)}); err == nil || !strings.Contains(err.Error(), "row 2") {
 		t.Errorf("duplicate key: err = %v, want one naming row 2", err)
 	}
 	m.Insert(5, row(5))
-	if err := m.Load([]schema.Key{1}, [][]byte{row(1)}); err == nil {
+	if err := load(m, []schema.Key{1}, [][]byte{row(1)}); err == nil {
 		t.Error("a load into a non-empty tree should fail")
 	}
 }

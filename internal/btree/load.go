@@ -6,11 +6,13 @@ import (
 	"atrapos/internal/schema"
 )
 
-// Load populates the empty multi-rooted tree with keys[i] -> rows[i]; keys must
-// be strictly ascending. The run is cut at the partition bounds and every
-// partition's sub-tree is built bottom-up once (Section III-A: one sub-tree
-// root per logical partition), instead of pushing rows one at a time through
-// Insert, whose leaf splits leave ascending input half full.
+// Load populates the empty multi-rooted tree with keys[i] -> row i, where row
+// i is the next lens[i] bytes of the slabs read back to back; keys must be
+// strictly ascending and the lens must add up to the slabs' bytes. The run is
+// cut at the partition bounds and every partition's sub-tree is built
+// bottom-up once (Section III-A: one sub-tree root per logical partition),
+// instead of pushing rows one at a time through Insert, whose leaf splits leave
+// ascending input half full.
 //
 // Nodes are full: a partition of n rows gets ceil(n/maxKeys()) leaves with the
 // remainder spread evenly, so only a one-leaf sub-tree holds fewer than degree-1
@@ -18,14 +20,15 @@ import (
 // way. Each separator is the first key of the child to its right, the rule
 // splitChild follows.
 //
-// Load takes ownership of keys and rows: the leaves are capped sub-slices
-// (cap == len) of them, and an internal level's nodes share that level's
-// arrays the same way, so an Insert or join that grows a node reallocates it
-// instead of writing into its neighbour. The caller must not use either slice
-// once Load has returned.
-func (m *MultiRooted) Load(keys []schema.Key, rows [][]byte) error {
-	if len(keys) != len(rows) {
-		return fmt.Errorf("btree: load of %d keys with %d rows", len(keys), len(rows))
+// Load takes ownership of keys, lens and slabs: the leaves' keys and rows are
+// capped sub-slices (cap == len) of them, only a leaf whose rows straddle two
+// slabs gets a copy, and the lens become the leaves' ends in place. An
+// internal level's nodes share that level's arrays the same way, so an Insert
+// or join that grows a node reallocates it instead of writing into its
+// neighbour. The caller must not use any of them once Load has returned.
+func (m *MultiRooted) Load(keys []schema.Key, lens []uint32, slabs [][]byte) error {
+	if len(keys) != len(lens) {
+		return fmt.Errorf("btree: load of %d keys with %d rows", len(keys), len(lens))
 	}
 	if n := m.Len(); n > 0 {
 		return fmt.Errorf("btree: load into a tree that holds %d entries", n)
@@ -35,6 +38,17 @@ func (m *MultiRooted) Load(keys []schema.Key, rows [][]byte) error {
 			return fmt.Errorf("btree: load row %d: key %d does not ascend past row %d's key %d", i, keys[i], i-1, keys[i-1])
 		}
 	}
+	var rowBytes, slabBytes int
+	for _, n := range lens {
+		rowBytes += int(n)
+	}
+	for _, s := range slabs {
+		slabBytes += len(s)
+	}
+	if rowBytes != slabBytes {
+		return fmt.Errorf("btree: load of %d row bytes from %d slab bytes", rowBytes, slabBytes)
+	}
+	src := slabReader{slabs: slabs}
 	lo := 0
 	for p, t := range m.roots {
 		hi := len(keys)
@@ -42,15 +56,47 @@ func (m *MultiRooted) Load(keys []schema.Key, rows [][]byte) error {
 			next := m.bounds[p+1]
 			hi = lo + search(keys[lo:], next, 0, 0)
 		}
-		*t = build(keys[lo:hi], rows[lo:hi])
+		*t = build(keys[lo:hi], lens[lo:hi], &src)
 		lo = hi
 	}
 	return nil
 }
 
-// build returns a tree over the ascending run keys/rows, whose arrays its
-// leaves keep.
-func build(keys []schema.Key, rows [][]byte) Tree {
+// slabReader hands out the bytes of slabs in order.
+type slabReader struct {
+	slabs [][]byte
+	at    int // offset of the next byte in slabs[0]
+}
+
+// take returns the next n bytes: a capped sub-slice of one slab, or a copy
+// when they straddle slabs.
+func (r *slabReader) take(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	for r.at == len(r.slabs[0]) {
+		r.slabs, r.at = r.slabs[1:], 0
+	}
+	if s, end := r.slabs[0], r.at+n; end <= len(s) {
+		r.at = end
+		return s[end-n : end : end]
+	}
+	b := make([]byte, 0, n)
+	for len(b) < n {
+		s := r.slabs[0][r.at:]
+		k := min(len(s), n-len(b))
+		b = append(b, s[:k]...)
+		if r.at += k; r.at == len(r.slabs[0]) {
+			r.slabs, r.at = r.slabs[1:], 0
+		}
+	}
+	return b
+}
+
+// build returns a tree over the ascending run keys whose rows are lens bytes
+// long each, read from src; its leaves keep keys, turn lens into their ends and
+// keep src's bytes.
+func build(keys []schema.Key, lens []uint32, src *slabReader) Tree {
 	n := len(keys)
 	if n == 0 {
 		return *New()
@@ -59,7 +105,11 @@ func build(keys []schema.Key, rows [][]byte) Tree {
 	firsts := make([]schema.Key, len(level)) // the first key under each node of level
 	for i, lo := 0, 0; i < len(level); i++ {
 		hi := lo + width(n, len(level), i)
-		level[i] = &node{leaf: true, keys: keys[lo:hi:hi], values: rows[lo:hi:hi]}
+		ends := lens[lo:hi:hi]
+		for j := 1; j < len(ends); j++ {
+			ends[j] += ends[j-1]
+		}
+		level[i] = &node{leaf: true, keys: keys[lo:hi:hi], rows: src.take(int(ends[len(ends)-1])), ends: ends}
 		firsts[i] = keys[lo]
 		if i > 0 {
 			level[i-1].next = level[i]

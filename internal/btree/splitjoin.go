@@ -38,14 +38,8 @@ func cut(n *node, key schema.Key) (l, r *node) {
 		if i == len(n.keys) {
 			return n, nil
 		}
-		r = &node{
-			leaf:   true,
-			keys:   append([]schema.Key(nil), n.keys[i:]...),
-			values: append([][]byte(nil), n.values[i:]...),
-			next:   n.next,
-		}
-		clear(n.values[i:])
-		n.keys, n.values = n.keys[:i], n.values[:i]
+		r = &node{leaf: true, next: n.next}
+		n.moveTail(i, r, 0)
 		return n, r
 	}
 	i := childIndex(n.keys, key, 0, 0)
@@ -136,8 +130,7 @@ func (t *Tree) join(right *Tree) {
 	var sep schema.Key // bounds l from r while the two stay apart
 	merged := len(l.keys)+len(r.keys) <= maxKeys()
 	if merged {
-		l.keys = append(l.keys, r.keys...)
-		l.values = append(l.values, r.values...)
+		l.appendLeaf(r)
 		l.next = r.next
 	} else {
 		l.next, sep = r, r.keys[0]

@@ -559,14 +559,14 @@ const loadChunk = 1 << 14 // rows a loader worker generates per claim
 // each table in turn reports its lowest failing chunk or is finished, as a
 // serial load would.
 func (e *Engine) loadData() error {
-	type chunk struct{ ti, lo, hi int }
+	type chunk struct{ ti, c, lo, hi int }
 	loads := make([]*storage.Load, len(e.wl.Tables))
 	var chunks []chunk
 	for ti, td := range e.wl.Tables {
 		if td.RowGen != nil {
-			loads[ti] = e.tables[ti].NewLoad(td.Rows)
+			loads[ti] = e.tables[ti].NewLoad(td.Rows, (td.Rows+loadChunk-1)/loadChunk)
 			for lo := 0; lo < td.Rows; lo += loadChunk {
-				chunks = append(chunks, chunk{ti, lo, min(lo+loadChunk, td.Rows)})
+				chunks = append(chunks, chunk{ti, lo / loadChunk, lo, min(lo+loadChunk, td.Rows)})
 			}
 		}
 	}
@@ -575,7 +575,7 @@ func (e *Engine) loadData() error {
 	work := func() {
 		for c := int(next.Add(1) - 1); c < len(chunks); c = int(next.Add(1) - 1) {
 			ch := chunks[c]
-			errs[c] = loads[ch.ti].Fill(ch.lo, ch.hi, e.wl.Tables[ch.ti].RowGen)
+			errs[c] = loads[ch.ti].Fill(ch.c, ch.lo, ch.hi, e.wl.Tables[ch.ti].RowGen)
 		}
 	}
 	var wg sync.WaitGroup

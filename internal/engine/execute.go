@@ -18,8 +18,10 @@ import (
 // core and returns its cost plus whether the action actually modified the
 // table. Duplicate inserts are treated as updates and missing rows as no-ops,
 // so replayed or colliding generator keys never wedge an experiment; applied
-// is false for those no-ops so the caller can log them faithfully.
-func performAction(tbl *storage.Table, p int, a workload.Action, from topology.CoreID) (cost numa.Cost, applied bool, err error) {
+// is false for those no-ops so the caller can log them faithfully. An action's
+// row is encoded into *enc, the caller's buffer reused action after action:
+// storage copies the row it stores and keeps no row the caller holds.
+func performAction(tbl *storage.Table, p int, a workload.Action, from topology.CoreID, enc *[]byte) (cost numa.Cost, applied bool, err error) {
 	switch a.Op {
 	case workload.Read:
 		_, cost, err := tbl.ReadIn(p, from, a.Key)
@@ -33,7 +35,8 @@ func performAction(tbl *storage.Table, p int, a workload.Action, from topology.C
 		if a.Row == nil {
 			cost, err = tbl.IncrementIn(p, from, a.Key)
 		} else {
-			row, eerr := tbl.Layout().Encode(a.Row)
+			row, eerr := tbl.Layout().AppendEncode((*enc)[:0], a.Row)
+			*enc = row
 			if eerr != nil {
 				return 0, false, eerr
 			}
@@ -44,7 +47,8 @@ func performAction(tbl *storage.Table, p int, a workload.Action, from topology.C
 		}
 		return cost, err == nil, err
 	case workload.Insert:
-		row, err := tbl.Layout().Encode(a.Row)
+		row, err := tbl.Layout().AppendEncode((*enc)[:0], a.Row)
+		*enc = row
 		if err != nil {
 			return 0, false, err
 		}
@@ -306,7 +310,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 			return end(false)
 		}
 
-		execCost, applied, err := performAction(e.tables[ra.table], at.idx, a, at.core)
+		execCost, applied, err := performAction(e.tables[ra.table], at.idx, a, at.core, &sc.row)
 		if r.route == routeOwner {
 			// A core hosting several partition workers executes slower.
 			factor := saturationFactor(oversaturationPenalty, snap.active(tp.Cores[at.idx]))

@@ -46,6 +46,9 @@ type execScratch struct {
 	participants []int
 	remoteCores  []topology.CoreID
 
+	// row is the buffer performAction encodes an action's row into.
+	row []byte
+
 	// ring is the run's span ring (nil with tracing off); site and epoch
 	// stamp its spans. The run loop sets them per transaction from the
 	// snapshot it took.

@@ -3,6 +3,7 @@ package schema
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Layout is a table's flat row format, resolved once per table: its columns
@@ -198,10 +199,11 @@ func (l *Layout) Decode(b []byte) Row {
 // Encode returns the flat form of the boxed row r in one allocation (nil for
 // a row with no columns). A value whose type is not its column's, or a value
 // past the last column, is an error.
-func (l *Layout) Encode(r Row) ([]byte, error) {
-	if len(r) == 0 {
-		return nil, nil
-	}
+func (l *Layout) Encode(r Row) ([]byte, error) { return l.AppendEncode(nil, r) }
+
+// AppendEncode appends the flat form of the boxed row r to dst, growing it at
+// most once, and returns the extended slice; errors are Encode's.
+func (l *Layout) AppendEncode(dst []byte, r Row) ([]byte, error) {
 	n := 0
 	for _, v := range r {
 		if s, ok := v.(string); ok {
@@ -210,7 +212,7 @@ func (l *Layout) Encode(r Row) ([]byte, error) {
 			n += 8
 		}
 	}
-	w := RowWriter{l: l, buf: make([]byte, 0, n)}
+	w := RowWriter{l: l, buf: slices.Grow(dst, n)}
 	for _, v := range r {
 		switch x := v.(type) {
 		case int64:

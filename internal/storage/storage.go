@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"atrapos/internal/btree"
@@ -199,7 +200,8 @@ func (t *Table) accessCost(from topology.CoreID, p, rowBytes int) numa.Cost {
 func (t *Table) Layout() *schema.Layout { return t.layout }
 
 // ReadIn returns the flat row stored under key in partition p. The row is the
-// stored one, not a copy.
+// stored bytes, not a copy, capped so an append cannot reach the next row; it
+// is valid until the next write to partition p.
 func (t *Table) ReadIn(p int, from topology.CoreID, key schema.Key) ([]byte, numa.Cost, error) {
 	cost := t.accessCost(from, p, t.rowBytes())
 	row, ok := t.tree.GetIn(p, key)
@@ -209,8 +211,8 @@ func (t *Table) ReadIn(p int, from topology.CoreID, key schema.Key) ([]byte, num
 	return row, cost, nil
 }
 
-// InsertIn adds the flat row under key in partition p, which keeps the slice;
-// it fails with ErrDuplicate if the key exists.
+// InsertIn adds a copy of the flat row under key in partition p; it fails with
+// ErrDuplicate if the key exists.
 func (t *Table) InsertIn(p int, from topology.CoreID, key schema.Key, row []byte) (numa.Cost, error) {
 	size := t.layout.Size(row)
 	cost := t.accessCost(from, p, size)
@@ -221,8 +223,8 @@ func (t *Table) InsertIn(p int, from topology.CoreID, key schema.Key, row []byte
 	return cost + numa.LocalAccess, nil
 }
 
-// ReplaceIn stores the flat row under the existing key in partition p in
-// place of the row there, and keeps the slice.
+// ReplaceIn copies the flat row over the one under the existing key in
+// partition p.
 func (t *Table) ReplaceIn(p int, from topology.CoreID, key schema.Key, row []byte) (numa.Cost, error) {
 	return t.updateIn(p, from, key, func([]byte) []byte { return row })
 }
@@ -326,35 +328,42 @@ func (t *Table) Scan(caller topology.CoreID, from, to schema.Key, fn func(schema
 }
 
 // LoadFunc populates the empty table, without cost accounting, with the n rows
-// gen writes for 0 … n-1: a Load filled in one range.
+// gen writes for 0 … n-1: a Load filled as one chunk.
 func (t *Table) LoadFunc(n int, gen func(i int, w *schema.RowWriter)) error {
-	l := t.NewLoad(n)
-	if err := l.Fill(0, n, gen); err != nil {
+	l := t.NewLoad(n, 1)
+	if err := l.Fill(0, 0, n, gen); err != nil {
 		return err
 	}
 	return l.Finish()
 }
 
-// Load stages a bulk load into an empty table. A Fill writes only its rows'
-// slots, so disjoint Fills may run on goroutines that are joined before Finish.
+// Load stages a bulk load into an empty table in chunks: chunk c is a run of
+// rows after chunk c-1's, and its rows lie back to back in slab c. A Fill
+// writes only its rows' slots and its chunk's slab, so Fills of distinct
+// chunks may run on goroutines that are joined before Finish.
 type Load struct {
 	t     *Table
 	keys  []schema.Key
-	rows  [][]byte
-	sizes []int
+	lens  []uint32 // each row's bytes
+	sizes []int    // each row's Row.Size
+	slabs [][]byte
 }
 
-// NewLoad allocates the staging slots of an n-row load into t.
-func (t *Table) NewLoad(n int) *Load {
-	return &Load{t, make([]schema.Key, n), make([][]byte, n), make([]int, n)}
+// NewLoad allocates the staging slots of an n-row load into t in the given
+// number of chunks.
+func (t *Table) NewLoad(n, chunks int) *Load {
+	return &Load{t, make([]schema.Key, n), make([]uint32, n), make([]int, n), make([][]byte, chunks)}
 }
 
-// Fill stages rows lo … hi-1 of the generator, each copied out of the writer
-// into one allocation of its own, and stops at the first row that does not fit
-// the table's layout or whose key cannot be extracted, naming the table and
-// the row.
-func (l *Load) Fill(lo, hi int, gen func(i int, w *schema.RowWriter)) error {
+// Fill stages rows lo … hi-1 of the generator as chunk c, their bytes copied
+// out of the writer into the chunk's slab, and stops at the first row that
+// does not fit the table's layout or whose key cannot be extracted, naming the
+// table and the row. The slab is sized for the rows left at the mean row
+// length so far whenever it fills, so rows of one length take one allocation
+// of their size; one left with more than 1/64 spare is copied to its size.
+func (l *Load) Fill(c, lo, hi int, gen func(i int, w *schema.RowWriter)) error {
 	w := l.t.layout.Writer()
+	var slab []byte
 	for i := lo; i < hi; i++ {
 		w.Reset()
 		gen(i, w)
@@ -366,20 +375,30 @@ func (l *Load) Fill(lo, hi int, gen func(i int, w *schema.RowWriter)) error {
 		if err != nil {
 			return fmt.Errorf("storage: loading %s row %d: %w", l.t.def.Name, i, err)
 		}
-		l.keys[i], l.rows[i], l.sizes[i] = key, bytes.Clone(row), size
+		l.keys[i], l.lens[i], l.sizes[i] = key, uint32(len(row)), size
+		if n := len(slab) + len(row); n > cap(slab) {
+			mean := n / (i - lo + 1)
+			slab = slices.Grow(slab, max(len(row)+mean*(hi-i-1), n/8))
+		}
+		slab = append(slab, row...)
 	}
+	if cap(slab)-len(slab) > len(slab)/64 {
+		slab = bytes.Clone(slab)
+	}
+	l.slabs[c] = slab
 	return nil
 }
 
 // Finish folds the row sizes into the table's average in row order and builds
-// the B-tree bottom-up (btree.MultiRooted.Load): keys that do not strictly
-// ascend, or a table that holds rows, are errors naming the table and row.
+// the B-tree bottom-up (btree.MultiRooted.Load), whose leaves keep sub-slices
+// of the slabs: keys that do not strictly ascend, or a table that holds rows,
+// are errors naming the table and row.
 func (l *Load) Finish() error {
 	avg := l.t.avgRowBytes
 	for _, size := range l.sizes {
 		avg = nextAvgRowBytes(avg, size)
 	}
-	if err := l.t.tree.Load(l.keys, l.rows); err != nil {
+	if err := l.t.tree.Load(l.keys, l.lens, l.slabs); err != nil {
 		return fmt.Errorf("storage: loading %s: %w", l.t.def.Name, err)
 	}
 	l.t.avgRowBytes = avg

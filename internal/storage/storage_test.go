@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -310,9 +311,10 @@ func TestLoadFuncRowBytesMatchesPerRow(t *testing.T) {
 	}
 }
 
-// TestLoadAllocBudget: a load costs one allocation per row, the row's own
-// bytes, plus the staging slices and the B-tree's nodes and arrays. The
-// generator writes through the load's writer, so it allocates nothing itself.
+// TestLoadAllocBudget: a load costs no allocation per row, only the staging
+// slices, the slab (rows of one length take one allocation) and the B-tree's
+// nodes and arrays, about one leaf per 63 rows. The generator writes through
+// the load's writer, so it allocates nothing itself.
 func TestLoadAllocBudget(t *testing.T) {
 	const n = 100_000
 	m := testManager(t)
@@ -325,10 +327,36 @@ func TestLoadAllocBudget(t *testing.T) {
 		}
 	})
 	perRow := allocs / n
-	if perRow > 1.1 {
-		t.Errorf("LoadFunc costs %.3f allocs/row (%.0f per %d-row load), budget 1.1", perRow, allocs, n)
+	if perRow > 0.02 {
+		t.Errorf("LoadFunc costs %.4f allocs/row (%.0f per %d-row load), budget 0.02", perRow, allocs, n)
 	}
 	t.Logf("%.4f allocs/row (%.0f per %d-row load into 32 partitions)", perRow, allocs, n)
+}
+
+// TestLoadBytesPerRow: a loaded table keeps about its keys (8 B a row), its
+// leaves' ends (4 B) and its rows' bytes (16 B for two Int64 columns), with
+// 15 % for the nodes and the slack of the size classes. A row is not an
+// allocation of its own with a slice header in its leaf (48 B a row here).
+func TestLoadBytesPerRow(t *testing.T) {
+	const n = 100_000
+	m := testManager(t)
+	def := accountsDef()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl := &Table{def: def, layout: def.Layout(), domain: m.domain}
+	tbl.tree, _ = btree.NewMultiRooted(btree.UniformBounds(n, 32))
+	if err := tbl.LoadFunc(n, func(i int, w *schema.RowWriter) { w.Ints(int64(i), int64(i)) }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tbl)
+	perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	if budget := (8 + 4 + 16) * 1.15; perRow > budget {
+		t.Errorf("a loaded table holds %.1f B/row, budget %.1f", perRow, budget)
+	}
+	t.Logf("%.1f B/row retained", perRow)
 }
 
 func TestHomes(t *testing.T) {
