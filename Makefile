@@ -11,9 +11,10 @@
 #                       scale's own machine and on a pinned machine profile
 #   make examples     - the four examples/ programs, end to end
 #   make tables-diff  - -experiment all, the examples and the traced drift run
-#                       on a parent commit and the working tree (PARENT=<ref>
-#                       [SEED=42] [PROFILE=<name>]): empty output = every
-#                       deterministic table, trace and metrics file identical
+#                       on a parent commit (-parallel 1) and the working tree
+#                       (-parallel 4) (PARENT=<ref> [SEED=42] [PROFILE=<name>]):
+#                       empty output = every deterministic table, trace and
+#                       metrics file identical, across schedulers too
 #   make bench-trace  - traced adaptive-drift run: Perfetto trace + metrics CSV
 #   make bench-pair   - the repo benchmark on a parent commit and the working
 #                       tree in alternating pairs (PARENT=<ref> WORKLOAD=<name>
@@ -140,7 +141,10 @@ examples:
 
 # The acceptance check of a refactor that must keep every number: run
 # -experiment all, the examples and the traced adaptive-drift run on PARENT and
-# on the working tree and compare. The examples run on their own fixed machines
+# on the working tree and compare. PARENT's -experiment all runs one point at a
+# time (-parallel 1), the tree's four at a time (-parallel 4), so an empty
+# output also shows every deterministic table independent of the scheduler.
+# The examples run on their own fixed machines
 # and seeds. "completed in" lines (wall time) and the fig-executed block
 # (measured wall clock) are stripped; anything printed is a changed table. The
 # traced run's trace JSON is compared byte for byte with cmp, its metrics CSV
@@ -156,11 +160,11 @@ tables-diff:
 	@test -n "$(PARENT)" || { echo "usage: make tables-diff PARENT=<ref> [SEED=42] [PROFILE=<name>]"; exit 2; }
 	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	git archive $(PARENT) | tar -x -C "$$dir"; \
-	tables() { $(GO) run ./cmd/atrapos-bench -experiment all -parallel 1 -seed $(SEED) -profile "$(PROFILE)" > "$$1.raw" 2>&1 || true; \
+	tables() { $(GO) run ./cmd/atrapos-bench -experiment all -parallel $$2 -seed $(SEED) -profile "$(PROFILE)" > "$$1.raw" 2>&1 || true; \
 		for ex in $(EXAMPLES); do echo "== examples/$$ex"; $(GO) run ./examples/$$ex 2>&1 || true; done >> "$$1.raw"; \
 		$(GO) run ./cmd/atrapos-bench -trace "$$1.json" -metrics "$$1.csv" -seed $(SEED) -profile "$(PROFILE)" 2>> "$$1.raw" > /dev/null || true; \
 		awk '/^fig-executed /{skip=1} /^\(fig-executed completed/{skip=0} !skip && !/completed in/' "$$1.raw" > "$$1.txt"; }; \
-	(cd "$$dir" && tables "$$dir/parent"); tables "$$dir/tree"; \
+	(cd "$$dir" && tables "$$dir/parent" 1); tables "$$dir/tree" 4; \
 	st=0; diff "$$dir/parent.txt" "$$dir/tree.txt" || st=1; \
 	cmp "$$dir/parent.json" "$$dir/tree.json" || st=1; \
 	awk -F, -f scripts/csvdiff.awk "$$dir/parent.csv" "$$dir/tree.csv" || st=1; \
@@ -186,8 +190,12 @@ bench-pair:
 # {workload, machine, device layout, fault schedule} scenarios, every standing
 # invariant checked on each. Scenarios fan out across the point scheduler
 # (verdicts are seed-derived, so concurrency never changes them). On a
-# 2-vCPU host `-fuzz 100 -seed 42` took 21.0-22.2 s serial and 22.1-26.5 s
-# at -parallel 2: the fan-out buys nothing there.
+# 2-vCPU host `-fuzz 100 -seed 42` took 15.4-19.0 s serial and 20.1-22.1 s
+# at -parallel 2: the fan-out buys nothing there, because each scenario's
+# allocs/txn window (three measured 8,000-transaction runs, two forced GCs
+# before each) holds the pool's allocation token, which excludes every other
+# scenario; on 30 scenarios at seed 42 that window was 60-62 % of the serial
+# wall time.
 # Deterministic per seed; override with `make fuzz-smoke FUZZ_SEED=1007` to
 # sweep a different slice.
 fuzz-smoke:

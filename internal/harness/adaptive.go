@@ -38,70 +38,62 @@ func adaptive(cfg engine.Config) engine.Config {
 	return cfg
 }
 
-// staticVsAdaptive runs wl for the given virtual duration on a static
-// ATraPos engine (monitoring and adaptation disabled) and on an adaptive one
-// with the same initial placement, each on a machine of its own — a fault
-// schedule changes the machine it runs on. It returns the table of the two
+// staticVsAdaptive runs the workload build makes for the given virtual
+// duration on a static ATraPos engine (monitoring and adaptation disabled)
+// and on an adaptive one with the same initial placement, two points each on
+// a machine and workload of its own. It returns the table of the two
 // throughput series, which also keeps each run's clock spread, and the
 // adaptive run's result.
-func staticVsAdaptive(s Scale, id, title string, wl *workload.Workload, duration vclock.Nanos, faults *fault.Schedule) (*Table, *engine.Result, error) {
-	series := make(map[string][]vclock.Sample, 2)
-	clocks := make(map[string]vclock.Spread, 2)
-	var res *engine.Result
-	for _, label := range []string{"static", "atrapos"} {
-		top := s.Topology()
-		cfg := engine.Config{Design: engine.ATraPos, Workload: wl, Topology: top, Placement: engine.DerivePlacement(wl, top, true)}
-		if label == "atrapos" {
-			cfg = adaptive(cfg)
-		}
-		e, err := engine.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts := s.seriesOptions(duration)
-		opts.Faults = faults
-		if res, err = runSeries(e, opts); err != nil {
-			return nil, nil, err
-		}
-		series[label], clocks[label] = res.Series, res.Clocks
+func staticVsAdaptive(s Scale, id, title string, build func() (*workload.Workload, error), duration vclock.Nanos, faults *fault.Schedule) (*Table, *engine.Result, error) {
+	if _, err := build(); err != nil {
+		return nil, nil, err
+	}
+	// build is deterministic: having succeeded once, it succeeds for every point.
+	wl := func() *workload.Workload { w, _ := build(); return w }
+	opts := s.seriesOptions(duration)
+	opts.Faults = faults
+	static := engine.Config{Design: engine.ATraPos}
+	cols := []column{{label: "static", cfg: static, place: true}, {label: "atrapos", cfg: adaptive(static), place: true}}
+	grid, err := runGrid(s, id, gridPoints([]row{{wl: wl, top: s.Topology}}, cols, opts))
+	if err != nil {
+		return nil, nil, err
+	}
+	series := make(map[string][]vclock.Sample, len(cols))
+	clocks := make(map[string]vclock.Spread, len(cols))
+	for c, col := range cols {
+		series[col.label], clocks[col.label] = grid[0][c].res.Series, grid[0][c].res.Clocks
 	}
 	tbl := seriesTable(id, title, adaptiveWindow, series, nil)
 	tbl.clocks = clocks
-	return tbl, res, nil
+	return tbl, grid[0][1].res, nil
 }
 
 // Fig10 reproduces Figure 10: the TATP workload switches transaction class
 // every 30 (compressed) seconds; the static system keeps its initial
 // partitioning while ATraPos adapts.
 func Fig10(s Scale) (*Table, error) {
-	duration := paperSecond(90)
-	wl, err := workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Phases: []workload.Phase{
-		{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPUpdSubData: 1}},
-		{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
-		{Duration: paperSecond(30), Mix: workload.TATPStandardMix()},
-	}})
-	if err != nil {
-		return nil, err
+	wl := func() (*workload.Workload, error) {
+		return workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Phases: []workload.Phase{
+			{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPUpdSubData: 1}},
+			{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
+			{Duration: paperSecond(30), Mix: workload.TATPStandardMix()},
+		}})
 	}
-	wl.Name = "TATP-workload-change"
-	return adaptiveComparison(s, "fig10", "Adapting to workload changes (throughput over time)", wl, duration,
+	return adaptiveComparison(s, "fig10", "Adapting to workload changes (throughput over time)", wl, paperSecond(90),
 		"The workload switches every 30 time units: UpdSubData, then GetNewDest, then the TATP mix.")
 }
 
 // Fig11 reproduces Figure 11: GetSubData with uniform accesses until t=20,
 // then 50% of the requests hit 20% of the data.
 func Fig11(s Scale) (*Table, error) {
-	duration := paperSecond(50)
-	wl, err := workload.TATP(workload.TATPOptions{
-		Subscribers: s.Subscribers,
-		Mix:         map[string]float64{workload.TATPGetSubData: 1},
-		Skew:        workload.Skew{HotDataFraction: 0.2, HotAccessFraction: 0.5, Start: paperSecond(20)},
-	})
-	if err != nil {
-		return nil, err
+	wl := func() (*workload.Workload, error) {
+		return workload.TATP(workload.TATPOptions{
+			Subscribers: s.Subscribers,
+			Mix:         map[string]float64{workload.TATPGetSubData: 1},
+			Skew:        workload.Skew{HotDataFraction: 0.2, HotAccessFraction: 0.5, Start: paperSecond(20)},
+		})
 	}
-	wl.Name = "TATP-sudden-skew"
-	return adaptiveComparison(s, "fig11", "Adapting to sudden workload skew", wl, duration,
+	return adaptiveComparison(s, "fig11", "Adapting to sudden workload skew", wl, paperSecond(50),
 		"At t=20 half of the requests start hitting 20% of the subscribers.")
 }
 
@@ -110,11 +102,9 @@ func Fig11(s Scale) (*Table, error) {
 // the remaining cores. A one-socket machine has no socket to lose, which the
 // schedule reports as an error.
 func Fig12(s Scale) (*Table, error) {
-	wl := workload.MustTATP(workload.TATPOptions{
-		Subscribers: s.Subscribers,
-		Mix:         map[string]float64{workload.TATPGetSubData: 1},
-	})
-	wl.Name = "TATP-socket-failure"
+	wl := func() (*workload.Workload, error) {
+		return workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Mix: map[string]float64{workload.TATPGetSubData: 1}})
+	}
 	sockets := s.Topology().Sockets()
 	faults, err := fault.NewSchedule(fault.Machine{Sockets: sockets},
 		fault.FailSocket(paperSecond(20), topology.SocketID(sockets-1)))
@@ -133,26 +123,23 @@ func Fig12(s Scale) (*Table, error) {
 // (workload A) and the TATP mix (workload B); ATraPos keeps adapting and
 // re-tunes its monitoring interval.
 func Fig13(s Scale) (*Table, error) {
-	duration := paperSecond(180)
 	a := map[string]float64{workload.TATPGetNewDest: 1}
 	b := workload.TATPStandardMix()
-	wl, err := workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Phases: []workload.Phase{
-		{Duration: paperSecond(60), Mix: a},
-		{Duration: paperSecond(30), Mix: b},
-		{Duration: paperSecond(30), Mix: a},
-		{Duration: paperSecond(30), Mix: b},
-		{Duration: paperSecond(15), Mix: a},
-		{Duration: paperSecond(15), Mix: b},
-	}})
-	if err != nil {
-		return nil, err
+	wl := func() (*workload.Workload, error) {
+		return workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Phases: []workload.Phase{
+			{Duration: paperSecond(60), Mix: a},
+			{Duration: paperSecond(30), Mix: b},
+			{Duration: paperSecond(30), Mix: a},
+			{Duration: paperSecond(30), Mix: b},
+			{Duration: paperSecond(15), Mix: a},
+			{Duration: paperSecond(15), Mix: b},
+		}})
 	}
-	wl.Name = "TATP-frequent-changes"
-	return adaptiveComparison(s, "fig13", "Adapting to frequent workload changes", wl, duration,
+	return adaptiveComparison(s, "fig13", "Adapting to frequent workload changes", wl, paperSecond(180),
 		"Workloads A (GetNewDest) and B (TATP mix) alternate with shrinking periods; ATraPos keeps re-adapting.")
 }
 
-func adaptiveComparison(s Scale, id, title string, wl *workload.Workload, duration vclock.Nanos, note string) (*Table, error) {
+func adaptiveComparison(s Scale, id, title string, wl func() (*workload.Workload, error), duration vclock.Nanos, note string) (*Table, error) {
 	tbl, res, err := staticVsAdaptive(s, id, title, wl, duration, nil)
 	if err != nil {
 		return nil, err
@@ -189,12 +176,10 @@ func diffSummary(diffs []engine.RepartitionDiff) string {
 // leaves it; ATraPos chases the window with small diffs that leave the three
 // unloaded TATP tables untouched.
 func FigDrift(s Scale) (*Table, error) {
-	duration := paperSecond(60)
-	wl, err := workload.TATPDriftingHotspot(s.Subscribers, paperSecond(10))
-	if err != nil {
-		return nil, err
+	wl := func() (*workload.Workload, error) {
+		return workload.TATPDriftingHotspot(s.Subscribers, paperSecond(10))
 	}
-	return adaptiveComparison(s, "fig-drift", "Adapting to a continuously drifting hotspot", wl, duration,
+	return adaptiveComparison(s, "fig-drift", "Adapting to a continuously drifting hotspot", wl, paperSecond(60),
 		"An 80%-hot window covering 10% of the subscribers shifts every 10 time units; only the Subscriber table carries load.")
 }
 
@@ -203,12 +188,10 @@ func FigDrift(s Scale) (*Table, error) {
 // the ideal placement oscillates between two fixed points and the interval
 // controller has to keep re-engaging without thrashing.
 func FigOscillate(s Scale) (*Table, error) {
-	duration := paperSecond(90)
-	wl, err := workload.TATPSkewOscillation(s.Subscribers, paperSecond(15))
-	if err != nil {
-		return nil, err
+	wl := func() (*workload.Workload, error) {
+		return workload.TATPSkewOscillation(s.Subscribers, paperSecond(15))
 	}
-	return adaptiveComparison(s, "fig-oscillate", "Adapting to an oscillating access skew", wl, duration,
+	return adaptiveComparison(s, "fig-oscillate", "Adapting to an oscillating access skew", wl, paperSecond(90),
 		"The workload alternates every 15 time units between 60%-of-requests-to-20%-of-data skew and uniform access.")
 }
 
@@ -221,7 +204,7 @@ func AblationTxnList(s Scale) (*Table, error) {
 		ID:     "ablation-txnlist",
 		Title:  "Centralized vs per-socket transaction list and state locks",
 		Header: []string{"configuration", "throughput"},
-	}, s.partitionableWorkload(), s.Topology(), []column{
+	}, s.micro(workload.SingleRowRead), s.Topology, []column{
 		{label: "centralized state (PLP)", cfg: engine.Config{Design: engine.PLP}},
 		{label: "per-socket state (HWAware)", cfg: engine.Config{Design: engine.HWAware}},
 	}, tpsOnly)
@@ -234,8 +217,8 @@ func AblationStateLock(s Scale) (*Table, error) {
 		ID:     "ablation-statelock",
 		Title:  "Cost of centralized state as sockets grow (centralized design)",
 		Header: []string{"sockets", "throughput", "useful fraction"},
-	}, s.socketRows(), designs(engine.Centralized), func(r []*engine.Result) []string {
-		return []string{tpsCell(r[0]), usefulCell(r[0])}
+	}, s.socketRows(), designs(engine.Centralized), func(r []point) []string {
+		return []string{tpsCell(r[0].res), usefulCell(r[0].res)}
 	})
 }
 
@@ -243,15 +226,13 @@ func AblationStateLock(s Scale) (*Table, error) {
 // placements of the same workload-aware partitioning (the Figure 6 step from
 // "Workload-aware" to "ATraPos").
 func AblationPlacement(s Scale) (*Table, error) {
-	wl := workload.TwoTableSimple(s.MicroRows)
-	top := s.Topology()
 	return s.listTable(&Table{
 		ID:     "ablation-placement",
 		Title:  "Placement step (Algorithm 2) on vs off",
 		Header: []string{"placement", "throughput"},
-	}, wl, top, []column{
-		{label: "hardware-oblivious", cfg: engine.Config{Design: engine.ATraPos, Placement: engine.DerivePlacement(wl, top, false)}},
-		{label: "hardware-aware", cfg: engine.Config{Design: engine.ATraPos, Placement: engine.DerivePlacement(wl, top, true)}},
+	}, s.micro(workload.TwoTableSimple), s.Topology, []column{
+		{label: "hardware-oblivious", cfg: engine.Config{Design: engine.ATraPos}, place: true, oblivious: true},
+		{label: "hardware-aware", cfg: engine.Config{Design: engine.ATraPos}, place: true},
 	}, tpsOnly)
 }
 
@@ -314,7 +295,7 @@ func AblationSLI(s Scale) (*Table, error) {
 		ID:     "ablation-sli",
 		Title:  "Speculative lock inheritance in the centralized design",
 		Header: []string{"SLI", "throughput"},
-	}, workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers}), s.Topology(), []column{
+	}, s.tatp(nil), s.Topology, []column{
 		{label: "enabled", cfg: engine.Config{Design: engine.Centralized}},
 		{label: "disabled", cfg: engine.Config{Design: engine.Centralized, DisableSLI: true}},
 	}, tpsOnly)

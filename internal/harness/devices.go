@@ -58,7 +58,7 @@ func FigLogDevices(s Scale) (*Table, error) {
 			"Expected shift: scarcer devices erase the fine-island flush advantage, so the crossover moves toward coarser islands at lower multisite shares.",
 		},
 	}, grid, func(row []point) []string {
-		return []string{row[0].layout, strconv.Itoa(row[0].devices), strconv.Itoa(row[0].pct)}
+		return []string{row[0].layout, strconv.Itoa(deviceCount(row[0].layout, row[0].prof.Build())), strconv.Itoa(row[0].pct)}
 	}), nil
 }
 
@@ -75,5 +75,5 @@ func deviceSweep(s Scale, pcts []int) ([][]point, error) {
 			rows = append(rows, cell{prof: prof, layout: layout, pct: pct})
 		}
 	}
-	return sweep(s, "log-devices", rows)
+	return runGrid(s, "fig-log-devices", levelGrid(s, rows))
 }

@@ -47,13 +47,13 @@ func TestDeviceSweepCrossoverShift(t *testing.T) {
 		t.Errorf("core/socket throughput ratio should drop below 1 as devices get scarce: per-socket NVMe %.3f, single SATA %.3f",
 			rPlentiful, rScarce)
 	}
-	// Every point carries its layout's device count, names its cell and
-	// committed work.
+	// Every point's machine has its layout's device count, and every point
+	// names its cell and committed work.
 	for _, row := range grid {
 		for _, pt := range row {
 			want := map[string]int{"nvme-per-socket": 2, "nvme-per-die-pair": 4, "single-sata": 1}[pt.layout]
-			if pt.devices != want {
-				t.Errorf("%s reports %d devices, want %d", pt.layout, pt.devices, want)
+			if got := deviceCount(pt.layout, pt.prof.Build()); got != want {
+				t.Errorf("%s reports %d devices, want %d", pt.layout, got, want)
 			}
 			if pt.prof.Name == "" || !pt.level.Valid() || pt.res.Committed <= 0 {
 				t.Errorf("point %s is incomplete (committed %d)", pt.cell, pt.res.Committed)

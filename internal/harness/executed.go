@@ -41,10 +41,16 @@ func executedSweep(s Scale) ([][]point, error) {
 	var rows []cell
 	for _, prof := range islandSweepProfiles(s) {
 		for _, pct := range []int{0, 100} {
-			rows = append(rows, cell{prof: prof, pct: pct, executed: true})
+			rows = append(rows, cell{prof: prof, pct: pct})
 		}
 	}
-	return sweep(s, "executed sweep", rows)
+	grid := levelGrid(s, rows)
+	for _, row := range grid {
+		for i := range row {
+			row[i].executed = true
+		}
+	}
+	return runGrid(s, "fig-executed", grid)
 }
 
 // executedVerdicts derives one verdict per profile from executedSweep's grid.

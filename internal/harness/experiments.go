@@ -15,22 +15,22 @@ import (
 	"atrapos/internal/workload"
 )
 
-// row is one row of a grid figure: its leading cells, and the workload and
-// machine every column of the row runs on.
+// row is one row of a grid figure: its leading cells, and the builders of
+// the workload and machine every column of the row runs on.
 type row struct {
 	lead []string
-	wl   *workload.Workload
-	top  *topology.Topology
+	wl   func() *workload.Workload
+	top  func() *topology.Topology
 }
 
 // column is one labelled engine configuration of a grid figure; the row
-// supplies Workload and Topology. place derives the hardware-aware
-// partitioning and placement from the row's workload and machine (figures
-// whose rows share one workload put a Placement in cfg directly).
+// supplies Workload and Topology. place derives the workload-aware
+// partitioning and hardware-aware placement from the point's workload and
+// machine; oblivious leaves out the placement step.
 type column struct {
-	label string
-	cfg   engine.Config
-	place bool
+	label            string
+	cfg              engine.Config
+	place, oblivious bool
 }
 
 // designs returns one column per design, labelled with the design's name.
@@ -54,7 +54,8 @@ var (
 func (s Scale) socketRows() []row {
 	var rows []row
 	for _, n := range s.socketSweep() {
-		rows = append(rows, row{lead: []string{fmt.Sprint(n)}, wl: s.partitionableWorkload(), top: s.topologyWith(n)})
+		rows = append(rows, row{lead: []string{fmt.Sprint(n)}, wl: s.micro(workload.SingleRowRead),
+			top: func() *topology.Topology { return s.topologyWith(n) }})
 	}
 	return rows
 }
@@ -64,66 +65,66 @@ func (s Scale) socketRows() []row {
 func (s Scale) multisiteRows(pcts ...int) []row {
 	var rows []row
 	for _, pct := range pcts {
-		rows = append(rows, row{lead: []string{fmt.Sprint(pct)}, wl: workload.MultisiteUpdate(s.MicroRows, pct), top: s.Topology()})
+		rows = append(rows, row{lead: []string{fmt.Sprint(pct)}, top: s.Topology,
+			wl: func() *workload.Workload { return workload.MultisiteUpdate(s.MicroRows, pct) }})
 	}
 	return rows
 }
 
-// grid runs every column's configuration on every row — one fixed-transaction
-// point per cell, row-major — and returns the results indexed [row][column].
-func (s Scale) grid(rows []row, cols []column) ([][]*engine.Result, error) {
-	out := make([][]*engine.Result, len(rows))
+// gridPoints crosses rows with columns: one point per cell, run with opts,
+// indexed [row][column].
+func gridPoints(rows []row, cols []column, opts engine.RunOptions) [][]point {
+	grid := make([][]point, len(rows))
 	for r, rw := range rows {
-		out[r] = make([]*engine.Result, len(cols))
+		grid[r] = make([]point, len(cols))
 		for c, col := range cols {
-			cfg := col.cfg
-			cfg.Workload, cfg.Topology = rw.wl, rw.top
-			if col.place {
-				cfg.Placement = engine.DerivePlacement(rw.wl, rw.top, true)
-			}
-			res, err := s.run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			out[r][c] = res
+			grid[r][c] = point{name: fmt.Sprintf("%v %s", rw.lead, col.label), opts: opts,
+				config: func() engine.Config {
+					cfg := col.cfg
+					cfg.Workload, cfg.Topology = rw.wl(), rw.top()
+					if col.place {
+						cfg.Placement = engine.DerivePlacement(cfg.Workload, cfg.Topology, !col.oblivious)
+					}
+					return cfg
+				}}
 		}
 	}
-	return out, nil
+	return grid
 }
 
 // sweepTable fills t with one table row per grid row: the row's leading cells
-// followed by cells of the results of its columns.
-func (s Scale) sweepTable(t *Table, rows []row, cols []column, cells func([]*engine.Result) []string) (*Table, error) {
-	results, err := s.grid(rows, cols)
+// followed by cells of the points of its columns.
+func (s Scale) sweepTable(t *Table, rows []row, cols []column, cells func([]point) []string) (*Table, error) {
+	grid, err := runGrid(s, t.ID, gridPoints(rows, cols, s.runOptions()))
 	if err != nil {
 		return nil, err
 	}
 	for r, rw := range rows {
-		t.AddRow(append(rw.lead, cells(results[r])...)...)
+		t.AddRow(append(rw.lead, cells(grid[r])...)...)
 	}
 	return t, nil
 }
 
 // listTable fills t with one table row per labelled configuration, all run on
-// one workload and machine: the label followed by cells of the
-// configuration's result (and, for relative columns, the first one's).
-func (s Scale) listTable(t *Table, wl *workload.Workload, top *topology.Topology, cols []column, cells func(res, first *engine.Result) []string) (*Table, error) {
-	results, err := s.grid([]row{{wl: wl, top: top}}, cols)
+// the workload and machine wl and top build: the label followed by cells of
+// the configuration's result (and, for relative columns, the first one's).
+func (s Scale) listTable(t *Table, wl func() *workload.Workload, top func() *topology.Topology, cols []column, cells func(res, first *engine.Result) []string) (*Table, error) {
+	grid, err := runGrid(s, t.ID, gridPoints([]row{{wl: wl, top: top}}, cols, s.runOptions()))
 	if err != nil {
 		return nil, err
 	}
 	for c, col := range cols {
-		t.AddRow(append([]string{col.label}, cells(results[0][c], results[0][0])...)...)
+		t.AddRow(append([]string{col.label}, cells(grid[0][c].res, grid[0][0].res)...)...)
 	}
 	return t, nil
 }
 
-// each formats every result of a row with the same cell function.
-func each(cell func(*engine.Result) string) func([]*engine.Result) []string {
-	return func(results []*engine.Result) []string {
-		out := make([]string, len(results))
-		for i, res := range results {
-			out[i] = cell(res)
+// each formats every point of a row with the same cell function.
+func each(cell func(*engine.Result) string) func([]point) []string {
+	return func(row []point) []string {
+		out := make([]string, len(row))
+		for i, pt := range row {
+			out[i] = cell(pt.res)
 		}
 		return out
 	}
@@ -205,10 +206,10 @@ func Fig4(s Scale) (*Table, error) {
 		Title:  "Time breakdown per transaction, coarse shared-nothing (microseconds)",
 		Header: []string{"% multi-site", "xct management", "xct execution", "communication", "locking", "logging"},
 	}, s.multisiteRows(0, 25, 50, 75, 100), []column{snCoarse},
-		func(r []*engine.Result) []string {
+		func(r []point) []string {
 			var cells []string
 			for _, comp := range vclock.Components() {
-				cells = append(cells, fmtMicros(r[0].TimePerTransaction(comp)))
+				cells = append(cells, fmtMicros(r[0].res.TimePerTransaction(comp)))
 			}
 			return cells
 		})
@@ -236,7 +237,7 @@ func Table1(s Scale) (*Table, error) {
 		Title:  "Throughput (TPS per socket) for various memory allocation policies",
 		Header: append(header, "QPI/IMC"),
 		Notes:  []string{"Local allocation should be fastest; central and remote lose single-digit percentages, and the interconnect-to-memory-controller traffic ratio jumps, as in the paper."},
-	}, workload.ReadHundred(s.MicroRows), top, cols, func(res, _ *engine.Result) []string {
+	}, s.micro(workload.ReadHundred), s.Topology, cols, func(res, _ *engine.Result) []string {
 		var cells []string
 		for _, st := range res.PerSocket {
 			cells = append(cells, fmt.Sprintf("%.0f", st.Throughput))
@@ -248,18 +249,16 @@ func Table1(s Scale) (*Table, error) {
 // Fig6 reproduces Figure 6: the simple two-table transaction under the five
 // partitioning and placement strategies the paper compares.
 func Fig6(s Scale) (*Table, error) {
-	wl := workload.TwoTableSimple(s.MicroRows)
-	top := s.Topology()
 	return s.listTable(&Table{
 		ID:     "fig6",
 		Title:  "Throughput of a simple transaction with varying partitioning and placement strategies",
 		Header: []string{"strategy", "throughput", "vs centralized"},
-	}, wl, top, []column{
+	}, s.micro(workload.TwoTableSimple), s.Topology, []column{
 		{label: "centralized", cfg: engine.Config{Design: engine.Centralized}},
 		{label: "plp", cfg: engine.Config{Design: engine.PLP}},
 		{label: "hw-aware (naive per-core)", cfg: engine.Config{Design: engine.HWAware}},
-		{label: "workload-aware (oblivious placement)", cfg: engine.Config{Design: engine.ATraPos, Placement: engine.DerivePlacement(wl, top, false)}},
-		{label: "atrapos (workload+hardware aware)", cfg: engine.Config{Design: engine.ATraPos, Placement: engine.DerivePlacement(wl, top, true)}},
+		{label: "workload-aware (oblivious placement)", cfg: engine.Config{Design: engine.ATraPos}, place: true, oblivious: true},
+		{label: "atrapos (workload+hardware aware)", cfg: engine.Config{Design: engine.ATraPos}, place: true},
 	}, func(res, first *engine.Result) []string {
 		rel := "1.00x"
 		if first.ThroughputTPS > 0 {
@@ -293,14 +292,15 @@ func Fig7(Scale) (*Table, error) {
 // Fig8 reproduces Figure 8: the throughput of ATraPos normalized over PLP for
 // individual TATP and TPC-C transactions and their standard mixes.
 func Fig8(s Scale) (*Table, error) {
-	top := s.Topology()
 	tpcc := func(label string, mix map[string]float64) row {
-		return row{lead: []string{"TPC-C", label}, top: top, wl: workload.MustTPCC(workload.TPCCOptions{
-			Warehouses:           s.Warehouses,
-			CustomersPerDistrict: s.CustomersPerDistrict,
-			Items:                s.Items,
-			Mix:                  mix,
-		})}
+		return row{lead: []string{"TPC-C", label}, top: s.Topology, wl: func() *workload.Workload {
+			return workload.MustTPCC(workload.TPCCOptions{
+				Warehouses:           s.Warehouses,
+				CustomersPerDistrict: s.CustomersPerDistrict,
+				Items:                s.Items,
+				Mix:                  mix,
+			})
+		}}
 	}
 	rows := s.tatpRows("TATP")
 	rows = append(rows,
@@ -314,8 +314,8 @@ func Fig8(s Scale) (*Table, error) {
 	}, rows, []column{
 		{label: "plp", cfg: engine.Config{Design: engine.PLP}},
 		{label: "atrapos", cfg: engine.Config{Design: engine.ATraPos}, place: true},
-	}, func(r []*engine.Result) []string {
-		plp, atr := r[0].ThroughputTPS, r[1].ThroughputTPS
+	}, func(r []point) []string {
+		plp, atr := r[0].res.ThroughputTPS, r[1].res.ThroughputTPS
 		return []string{fmtTPS(plp), fmtTPS(atr), fmtFactor(ratio(atr, plp))}
 	})
 }
@@ -324,7 +324,6 @@ func Fig8(s Scale) (*Table, error) {
 // TATP workloads and the standard mix on the scale's machine, each row led by
 // the given cells and its workload label.
 func (s Scale) tatpRows(lead ...string) []row {
-	top := s.Topology()
 	var rows []row
 	for _, c := range []struct {
 		label string
@@ -337,8 +336,8 @@ func (s Scale) tatpRows(lead ...string) []row {
 	} {
 		rows = append(rows, row{
 			lead: append(append([]string(nil), lead...), c.label),
-			wl:   workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers, Mix: c.mix}),
-			top:  top,
+			wl:   s.tatp(c.mix),
+			top:  s.Topology,
 		})
 	}
 	return rows
@@ -356,8 +355,8 @@ func Table2(s Scale) (*Table, error) {
 	}, s.tatpRows(), []column{
 		{label: "no monitoring", cfg: engine.Config{Design: engine.ATraPos}, place: true},
 		{label: "monitoring", cfg: engine.Config{Design: engine.ATraPos, Monitoring: true}, place: true},
-	}, func(r []*engine.Result) []string {
-		off, on := r[0].ThroughputTPS, r[1].ThroughputTPS
+	}, func(r []point) []string {
+		off, on := r[0].res.ThroughputTPS, r[1].res.ThroughputTPS
 		return []string{fmt.Sprintf("%.0f", off), fmt.Sprintf("%.0f", on), fmtPercent(ratio(off-on, off))}
 	})
 }

@@ -117,7 +117,7 @@ func RunAdaptiveGranularity(s Scale) (*GranularityTrajectory, error) {
 	for i, pct := range run.pcts {
 		rows[i] = cell{prof: run.prof, pct: pct}
 	}
-	static, err := sweep(s, "static baseline", rows)
+	static, err := runGrid(s, "fig-adaptive-granularity static baseline", levelGrid(s, rows))
 	if err != nil {
 		return nil, err
 	}

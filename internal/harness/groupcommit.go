@@ -63,7 +63,7 @@ func groupCommitSweep(s Scale) ([][]point, error) {
 			rows = append(rows, cell{prof: prof, hotkey: true, layout: layout, coalesce: coalesce})
 		}
 	}
-	return sweep(s, "group-commit", rows)
+	return runGrid(s, "fig-group-commit", levelGrid(s, rows))
 }
 
 // recordRatio is the share of logical write records that survived

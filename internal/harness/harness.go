@@ -33,7 +33,7 @@ type Scale struct {
 	Items                int
 	// Transactions is the number of transactions per measured point.
 	Transactions int
-	// Parallel is how many independent sweep points / experiments the harness
+	// Parallel is how many independent figure points / experiments the harness
 	// pool runs concurrently: 0 or 1 runs them one at a time in order, N > 1
 	// fans them out across N goroutines. A point is one single-goroutine
 	// engine run, so the value changes wall time only, never a result.
@@ -48,7 +48,7 @@ type Scale struct {
 	Profile string
 
 	// within is the pool of the enclosing run when this scale runs inside
-	// one of its points (RunAllTimed's experiments); the scale's sweeps then
+	// one of its points (RunAllTimed's experiments); the scale's grids then
 	// run their points inline on it, under its token.
 	within *Pool
 }
@@ -276,7 +276,7 @@ type ExperimentResult struct {
 // is one pool point, results come back in registry order no matter the
 // completion order, and a failing experiment reports its error in its slot
 // (and in the joined return error) without aborting the others. Each
-// experiment's internal sweeps run inline on its point, so the registry is
+// experiment's own grid runs inline on its point, so the registry is
 // the unit of parallelism.
 func RunAllTimed(s Scale) ([]ExperimentResult, error) {
 	return runExperiments(s, Registry())
@@ -287,9 +287,9 @@ func runExperiments(s Scale, reg []Experiment) ([]ExperimentResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	// No nested fan-out: C experiments x C sweep points would oversubscribe
+	// No nested fan-out: C experiments x C grid points would oversubscribe
 	// quadratically, and the registry alone has enough. The experiments'
-	// sweeps share the registry's token, so fig-executed's timed cells run
+	// grids share the registry's token, so fig-executed's timed cells run
 	// with no other experiment in flight.
 	pool := s.pool()
 	inner := s
@@ -322,7 +322,7 @@ func (s Scale) parallel() int {
 	return s.Parallel
 }
 
-// pool returns the scheduler the scale's sweeps fan their points into: the
+// pool returns the scheduler runGrid fans a figure's points into: the
 // enclosing run's inline pool inside one of its points, else a fresh pool.
 func (s Scale) pool() *Pool {
 	if s.within != nil {
@@ -333,16 +333,6 @@ func (s Scale) pool() *Pool {
 
 func (s Scale) runOptions() engine.RunOptions {
 	return engine.RunOptions{Transactions: s.Transactions, Seed: s.Seed}
-}
-
-// run builds the engine cfg describes and runs one fixed-transaction point on
-// it: Scale.Transactions transactions at Scale.Seed.
-func (s Scale) run(cfg engine.Config) (*engine.Result, error) {
-	e, err := engine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(s.runOptions())
 }
 
 // seriesOptions are the options of a duration-driven run: the virtual
@@ -357,9 +347,10 @@ func (s Scale) seriesOptions(duration vclock.Nanos) engine.RunOptions {
 	}
 }
 
-// runSeries runs a duration-driven series and fails when the run stopped
-// before its duration: a run cut off by its transaction count under-counts
-// windows long before its end, so its series is not a measurement.
+// runSeries runs e and, for a duration-driven series, fails when the run
+// stopped before its duration: a run cut off by its transaction count
+// under-counts windows long before its end, so its series is not a
+// measurement. A fixed-count run (no Duration) passes the check trivially.
 func runSeries(e *engine.Engine, opts engine.RunOptions) (*engine.Result, error) {
 	res, err := e.Run(opts)
 	if err != nil {
@@ -421,7 +412,15 @@ func seriesTable(id, title string, window vclock.Nanos, series map[string][]vclo
 	return t
 }
 
-// partitionableWorkload is the workload of Figures 1, 2 and 5.
-func (s Scale) partitionableWorkload() *workload.Workload {
-	return workload.SingleRowRead(s.MicroRows)
+// micro is the builder of a microbenchmark at the scale's row count.
+func (s Scale) micro(build func(rows int) *workload.Workload) func() *workload.Workload {
+	return func() *workload.Workload { return build(s.MicroRows) }
+}
+
+// tatp is the builder of TATP at the scale's population under mix (nil is the
+// standard mix).
+func (s Scale) tatp(mix map[string]float64) func() *workload.Workload {
+	return func() *workload.Workload {
+		return workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers, Mix: mix})
+	}
 }

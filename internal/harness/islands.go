@@ -50,7 +50,7 @@ func FigIslands(s Scale) (*Table, error) {
 			rows = append(rows, cell{prof: prof, pct: pct})
 		}
 	}
-	grid, err := sweep(s, "islands", rows)
+	grid, err := runGrid(s, "fig-islands", levelGrid(s, rows))
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// PointFn is one independent unit of harness work: a sweep point, a fuzz
+// PointFn is one independent unit of harness work: a figure point, a fuzz
 // scenario, or a whole experiment. A point owns its engine(s) and shares
 // nothing with other points except process-global resources (the Go heap,
 // GOMAXPROCS), which is what makes reordered execution safe: any interleaving

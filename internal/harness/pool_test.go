@@ -20,11 +20,13 @@ func poolTestScale() Scale {
 	return s
 }
 
-// TestParallelSweepBitIdentical is the pool's determinism guarantee: the
-// fig-islands, fig-log-devices and fig-group-commit tables rendered at
-// -parallel 1 and -parallel 8 are equal byte for byte. A point is one
-// single-goroutine engine run, so fanning points out can change only wall
-// time, never a cell.
+// TestParallelSweepBitIdentical is the pool's determinism guarantee: tables
+// rendered at -parallel 1 and -parallel 8 are equal byte for byte — the level
+// sweeps (fig-islands, fig-log-devices, fig-group-commit), the design grids
+// (fig3, fig8), a list table (table1) and a static-vs-adaptive series with a
+// socket failure (fig12). A point is one single-goroutine engine run on a
+// machine and workload of its own, so fanning points out can change only
+// wall time, never a cell.
 func TestParallelSweepBitIdentical(t *testing.T) {
 	serial := poolTestScale()
 	serial.Parallel = 1
@@ -37,6 +39,10 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 		{"fig-islands", FigIslands},
 		{"fig-log-devices", FigLogDevices},
 		{"fig-group-commit", FigGroupCommit},
+		{"fig3", Fig3},
+		{"fig8", Fig8},
+		{"table1", Table1},
+		{"fig12", Fig12},
 	} {
 		a, err := exp.run(serial)
 		if err != nil {
