@@ -20,18 +20,17 @@
 #                       tree in alternating pairs (PARENT=<ref> WORKLOAD=<name>
 #                       PAIRS=10 SEED=42): per-pair values, medians, quartiles,
 #                       wins — the protocol behind every performance claim
-#   make fuzz-smoke   - bounded seeded fault-scenario fuzz run (FUZZ_SEED=...)
+#   make fuzz-smoke   - the fault-scenario fuzz target for 40 s (go test -fuzz)
 #   make loc          - non-test Go lines outside benchmark/, in total and per
 #                       package (the code-size count ROADMAP quotes)
 #   make loc-diff     - the same count on a parent commit and the working tree,
 #                       side by side with the change (PARENT=<ref>)
 #
-# The experiment and fuzz targets run through the parallel point scheduler
+# The experiment targets run through the parallel point scheduler
 # (atrapos-bench -parallel, default GOMAXPROCS); results are bit-identical at
 # any concurrency, so only wall time varies across hosts.
 
 GO ?= go
-FUZZ_SEED ?= 42
 PAIRS ?= 10
 SEED ?= 42
 EXAMPLES = quickstart adaptive tatp tpcc
@@ -79,8 +78,8 @@ test:
 # shipping operations to each other over channels), engine.New's loader
 # workers (up to GOMAXPROCS goroutines filling disjoint chunks of one
 # storage.Load each, joined before its Finish) and the harness pool's
-# concurrent sweep/fuzz paths (point scheduling, the allocation-measurement
-# token, parallel bit-identity). The counter-conservation oracle (its
+# concurrent sweep paths (point scheduling, the allocation-measurement token,
+# parallel bit-identity). The counter-conservation oracle (its
 # die-level mixed leg included) and the batch-protocol tests are repeated (the
 # oracle at its -short size), and so are the ship that outwaits its bounded
 # spin and parks, and the oversubscribed executed runs: a lost update, a ship
@@ -98,7 +97,7 @@ race:
 	$(GO) test -race -count=10 -run TestExecutedOversubscribed ./internal/engine
 	$(GO) test -race -count=10 -run TestExecutedTracedIslandsShareNothing ./internal/engine
 	$(GO) test -race -count=3 -run TestLoadDataMatchesSerialLoad ./internal/engine
-	$(GO) test -race -run 'TestPool|TestNestedAllocTokenExcludesEveryPoint|TestParallelSweepBitIdentical|TestFuzzShardDeterminism' ./internal/harness
+	$(GO) test -race -run 'TestPool|TestNestedAllocTokenExcludesEveryPoint|TestParallelSweepBitIdentical' ./internal/harness
 
 # benchmark/ is a nested module the root `go build ./... && go test ./...` does
 # not reach, yet it compiles against the engine's API; vet and short-test it so
@@ -186,20 +185,14 @@ bench-pair:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pair PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=42]"; exit 2; }
 	$(GO) run ./cmd/bench-pair -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
-# A bounded, fixed-seed run of the fault-scenario fuzzer: 100 composed
-# {workload, machine, device layout, fault schedule} scenarios, every standing
-# invariant checked on each. Scenarios fan out across the point scheduler
-# (verdicts are seed-derived, so concurrency never changes them). On a
-# 2-vCPU host `-fuzz 100 -seed 42` took 15.4-19.0 s serial and 20.1-22.1 s
-# at -parallel 2: the fan-out buys nothing there, because each scenario's
-# allocs/txn window (three measured 8,000-transaction runs, two forced GCs
-# before each) holds the pool's allocation token, which excludes every other
-# scenario; on 30 scenarios at seed 42 that window was 60-62 % of the serial
-# wall time.
-# Deterministic per seed; override with `make fuzz-smoke FUZZ_SEED=1007` to
-# sweep a different slice.
+# The fault-scenario fuzz target, explored past the seeds 42-47 tier-1
+# replays, like the repo's other fuzz targets in CI: each input is one seed
+# that composes a {workload, machine, device layout, fault schedule}
+# scenario, every standing invariant checked on it. A failing input is
+# written to internal/harness/testdata/fuzz/FuzzScenario/, where plain
+# `go test` replays it. On a 2-vCPU host 40 s ran about 170 scenarios.
 fuzz-smoke:
-	$(GO) run ./cmd/atrapos-bench -fuzz 100 -seed $(FUZZ_SEED)
+	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime 40s ./internal/harness
 
 # Non-test Go lines outside benchmark/: the total, then per package — a
 # directory under internal/, cmd and examples as one each, and the root

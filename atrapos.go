@@ -419,22 +419,3 @@ const (
 	// island.
 	BackendHash = backend.Hash
 )
-
-// FuzzOptions configures the invariant-checking scenario fuzzer.
-type FuzzOptions = harness.FuzzOptions
-
-// FuzzReport summarizes a fuzzer run; FuzzFailure carries one violated
-// scenario with its minimal reproducer.
-type (
-	FuzzReport  = harness.FuzzReport
-	FuzzFailure = harness.FuzzFailure
-)
-
-// FuzzScenarios composes seeded random {workload, machine profile, device
-// layout, fault schedule} scenarios and checks the standing invariants on
-// every one: the system keeps committing under faults, no site lands on dead
-// hardware or a failed device, the planner converges, committed state
-// survives a crash drill, and the steady state stays allocation-free.
-func FuzzScenarios(opts FuzzOptions) (*FuzzReport, error) {
-	return harness.FuzzScenarios(opts)
-}

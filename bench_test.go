@@ -251,12 +251,6 @@ func BenchmarkFig13_FrequentChanges(b *testing.B) { runExperimentBench(b, "fig13
 // BenchmarkAblationTxnList compares centralized vs per-socket system state.
 func BenchmarkAblationTxnList(b *testing.B) { runExperimentBench(b, "ablation-txnlist", nil) }
 
-// BenchmarkAblationStateLock measures the centralized design as sockets grow.
-func BenchmarkAblationStateLock(b *testing.B) { runExperimentBench(b, "ablation-statelock", nil) }
-
-// BenchmarkAblationPlacement compares Algorithm 2 on vs off.
-func BenchmarkAblationPlacement(b *testing.B) { runExperimentBench(b, "ablation-placement", nil) }
-
 // BenchmarkAblationSubPartitions sweeps the monitoring sub-partition granularity.
 func BenchmarkAblationSubPartitions(b *testing.B) {
 	runExperimentBench(b, "ablation-subparts", nil)

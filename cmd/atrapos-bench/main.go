@@ -24,29 +24,6 @@ import (
 	"atrapos"
 )
 
-// runFuzz runs n composed fuzz scenarios at the given scale, from its seed,
-// and reports every invariant violation with its minimal reproducer; any
-// failure is fatal. The scenarios fan out across scale.Parallel goroutines;
-// verdicts are independent of the concurrency (each scenario derives
-// everything from its own seed). The fuzzer composes its own machines, so a
-// scale pinned to a profile is refused.
-func runFuzz(n int, scaleName string, scale atrapos.Scale) error {
-	start := time.Now()
-	rep, err := atrapos.FuzzScenarios(atrapos.FuzzOptions{Scenarios: n, Scale: scale})
-	if err != nil {
-		return err
-	}
-	if rep.Failed() {
-		for _, f := range rep.Failures {
-			fmt.Fprintf(os.Stderr, "scenario %d (seed %d): %s\n  scenario: %s\n  reproduce: %s -scale %s\n",
-				f.Scenario, f.Seed, f.Err, f.Descr, f.Reproduce, scaleName)
-		}
-		return fmt.Errorf("%d of %d scenarios violated an invariant", len(rep.Failures), rep.Scenarios)
-	}
-	fmt.Printf("fuzz: %d scenarios, all invariants held (%v)\n", rep.Scenarios, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
 // runTraced executes the traced adaptive-drift scenario and writes the trace
 // and metrics documents. RunTracedDrift validates both documents itself
 // (Chrome-trace schema, CSV header and row shape, ring drop accounting), so a
@@ -103,10 +80,9 @@ func main() {
 		list       = flag.Bool("list", false, "list the available experiments and exit")
 		listProf   = flag.Bool("list-profiles", false, "list the available machine profiles and exit")
 		seed       = flag.Int64("seed", 42, "random seed")
-		fuzzN      = flag.Int("fuzz", 0, "run N seeded fuzz scenarios (composed workload/machine/layout/fault schedules) at -scale and check every standing invariant; not with -profile")
 		tracePath  = flag.String("trace", "", "run the traced adaptive-drift scenario and write a Perfetto-loadable Chrome trace to this path")
 		metricsCSV = flag.String("metrics", "", "with -trace (or alone): write the planner-boundary metrics samples as CSV to this path")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep points / fuzz scenarios / experiments run concurrently (1 = serial); results are bit-identical at any value")
+		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep points / experiments run concurrently (1 = serial); results are bit-identical at any value")
 	)
 	flag.Parse()
 
@@ -121,14 +97,6 @@ func main() {
 	if *tracePath != "" || *metricsCSV != "" {
 		if err := runTraced(scale, *tracePath, *metricsCSV); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fuzzN > 0 {
-		if err := runFuzz(*fuzzN, *scaleName, scale); err != nil {
-			fmt.Fprintf(os.Stderr, "fuzz: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -50,17 +50,3 @@ func TestListPrintsDescriptions(t *testing.T) {
 		}
 	}
 }
-
-// TestFuzzTakesTheParsedScale: -fuzz runs at the scale the command line
-// parsed, so a pinned -profile reaches the fuzzer — which composes its own
-// machines and refuses it — instead of being dropped with the rest of the
-// scale.
-func TestFuzzTakesTheParsedScale(t *testing.T) {
-	scale, err := parseScale("quick", "chiplet-2s4d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runFuzz(1, "quick", scale); err == nil || !strings.Contains(err.Error(), "profile") {
-		t.Errorf("-fuzz with -profile: error %v, want one naming the profile", err)
-	}
-}

@@ -189,23 +189,22 @@ func TestMapReset(t *testing.T) {
 	}
 }
 
-// TestProfileLayoutsResolve checks every machine profile's canonical storage
-// shape names a real layout and instantiates cleanly on the profile's machine.
+// TestProfileLayoutsResolve checks every layout instantiates cleanly on every
+// machine profile (any layout pairs with any machine) and maps every die of
+// the machine to a device.
 func TestProfileLayoutsResolve(t *testing.T) {
 	for _, p := range topology.Profiles() {
-		if p.LogDevices == "" {
-			t.Errorf("profile %s has no log-device layout", p.Name)
-			continue
-		}
-		m, err := BuildLayout(p.LogDevices, p.Build())
-		if err != nil {
-			t.Errorf("profile %s: %v", p.Name, err)
-			continue
-		}
-		top := p.Build()
-		for d := 0; d < top.NumDies(); d++ {
-			if m.DeviceFor(topology.DieID(d)) == nil {
-				t.Errorf("profile %s: die %d has no device", p.Name, d)
+		for _, l := range Layouts() {
+			top := p.Build()
+			m, err := BuildLayout(l.Name, top)
+			if err != nil {
+				t.Errorf("profile %s, layout %s: %v", p.Name, l.Name, err)
+				continue
+			}
+			for d := 0; d < top.NumDies(); d++ {
+				if m.DeviceFor(topology.DieID(d)) == nil {
+					t.Errorf("profile %s, layout %s: die %d has no device", p.Name, l.Name, d)
+				}
 			}
 		}
 	}

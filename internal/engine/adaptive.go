@@ -60,12 +60,8 @@ type adaptiveState struct {
 	lastShare         float64
 	prevCoreCommitted []int64
 
-	repartitions    int64
-	repartitionCost vclock.Nanos
-	// adaptCharged is the total virtual time actually charged to cores for
-	// migrations (cost x affected cores); it feeds AdaptationCostShare.
-	adaptCharged vclock.Nanos
-
+	// diffs holds one record per migration of the current run; summarize
+	// derives the result's repartition count, time and cost share from it.
 	diffs []RepartitionDiff
 }
 
@@ -134,10 +130,7 @@ type RepartitionDiff struct {
 }
 
 func newAdaptiveState(e *Engine, p *partition.Placement) *adaptiveState {
-	maxKeys := make(map[string]schema.Key)
-	for _, spec := range e.wl.TableSpecs() {
-		maxKeys[spec.Name] = schema.KeyFromInt(spec.MaxKey)
-	}
+	maxKeys := e.wl.MaxKeys()
 	execCfg := core.DefaultExecutorConfig()
 	if tc := e.cfg.TimeCompression; tc > 1 {
 		execCfg.PerRowCost = max(1, numa.Cost(float64(execCfg.PerRowCost)/tc))
@@ -173,14 +166,28 @@ func (a *adaptiveState) reset() {
 	a.lastCommitted = 0
 	a.cooldown = 0
 	a.hwEpoch = a.e.cfg.Topology.Epoch()
-	a.repartitions = 0
-	a.repartitionCost = 0
-	a.adaptCharged = 0
 	a.lastLogStats = a.e.logStats()
 	a.lastShare = 0
 	a.prevCoreCommitted = nil
 	a.diffs = nil
 	a.monitor.RegisterPlacement(a.e.snap.placement, a.maxKeys)
+}
+
+// summarize fills the run's repartition count, time and cost share from the
+// migration records; busy is the cores' total busy time. Each migration
+// charged its cost to every affected core.
+func (a *adaptiveState) summarize(res *Result, busy vclock.Nanos) {
+	var charged vclock.Nanos
+	for i := range a.diffs {
+		d := &a.diffs[i]
+		res.RepartitionTime += d.Cost
+		charged += d.Cost * vclock.Nanos(d.AffectedCores)
+	}
+	res.Repartitions = int64(len(a.diffs))
+	res.RepartitionDiffs = a.diffs
+	if busy > 0 {
+		res.AdaptationCostShare = float64(charged) / float64(busy)
+	}
 }
 
 // noteBoundary is the run loop's per-transaction obligation to the adaptation
@@ -338,7 +345,6 @@ func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *
 	}
 	if len(affected) > 0 {
 		e.noteTime(affected[0])
-		a.adaptCharged += outcome.Cost * vclock.Nanos(len(affected))
 	}
 	if tr := e.tracer; tr != nil {
 		tr.Planner().Record(obs.Span{Start: now, Dur: outcome.Cost, Kind: kind, Epoch: uint32(wiring.epoch), Arg: int64(len(affected))})
@@ -348,8 +354,6 @@ func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *
 	a.controller.Repartitioned()
 	a.nextCheck = now + a.controller.Interval()
 	a.cooldown = 2
-	a.repartitions++
-	a.repartitionCost += outcome.Cost
 	rec.At = now
 	rec.ChangedTables = diff.ChangedTables()
 	rec.UnchangedTables = diff.UnchangedTables()

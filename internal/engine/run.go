@@ -266,12 +266,7 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		res.IslandLevel = e.snap.wiring.level.String()
 	}
 	if e.adaptive != nil {
-		res.Repartitions = e.adaptive.repartitions
-		res.RepartitionTime = e.adaptive.repartitionCost
-		res.RepartitionDiffs = e.adaptive.diffs
-		if total > 0 {
-			res.AdaptationCostShare = float64(e.adaptive.adaptCharged) / float64(total)
-		}
+		e.adaptive.summarize(res, total)
 	}
 	res.QPIToIMCRatio = e.cfg.Topology.QPIToIMCRatio()
 	res.Log = e.logStats().Sub(logStart)

@@ -24,10 +24,7 @@ import (
 func DerivePlacement(wl *workload.Workload, top *topology.Topology, hardwareAware bool) *partition.Placement {
 	domain := numa.NewDomain(top)
 	naive := partition.NaivePerCore(top, wl.TableSpecs())
-	maxKeys := make(map[string]schema.Key, len(wl.Tables))
-	for _, spec := range wl.TableSpecs() {
-		maxKeys[spec.Name] = schema.KeyFromInt(spec.MaxKey)
-	}
+	maxKeys := wl.MaxKeys()
 	planner := core.NewPlanner(core.CostModel{Domain: domain}, core.DefaultSubPartitions)
 
 	stats := syntheticStats(wl, naive, maxKeys)

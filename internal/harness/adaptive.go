@@ -210,32 +210,6 @@ func AblationTxnList(s Scale) (*Table, error) {
 	}, tpsOnly)
 }
 
-// AblationStateLock isolates the shared state locks by comparing the
-// centralized design with and without a multisocket machine.
-func AblationStateLock(s Scale) (*Table, error) {
-	return s.sweepTable(&Table{
-		ID:     "ablation-statelock",
-		Title:  "Cost of centralized state as sockets grow (centralized design)",
-		Header: []string{"sockets", "throughput", "useful fraction"},
-	}, s.socketRows(), designs(engine.Centralized), func(r []point) []string {
-		return []string{tpsCell(r[0].res), usefulCell(r[0].res)}
-	})
-}
-
-// AblationPlacement compares the hardware-oblivious and hardware-aware
-// placements of the same workload-aware partitioning (the Figure 6 step from
-// "Workload-aware" to "ATraPos").
-func AblationPlacement(s Scale) (*Table, error) {
-	return s.listTable(&Table{
-		ID:     "ablation-placement",
-		Title:  "Placement step (Algorithm 2) on vs off",
-		Header: []string{"placement", "throughput"},
-	}, s.micro(workload.TwoTableSimple), s.Topology, []column{
-		{label: "hardware-oblivious", cfg: engine.Config{Design: engine.ATraPos}, place: true, oblivious: true},
-		{label: "hardware-aware", cfg: engine.Config{Design: engine.ATraPos}, place: true},
-	}, tpsOnly)
-}
-
 // AblationSubPartitions sweeps the number of sub-partitions the monitor
 // tracks per partition and reports how many partitions the planner proposes
 // and how balanced the proposal is relative to the starting placement, under
@@ -246,7 +220,7 @@ func AblationSubPartitions(s Scale) (*Table, error) {
 	model := core.CostModel{Domain: domain}
 	wl := workload.MustTATP(workload.TATPOptions{Subscribers: s.Subscribers})
 	place := engine.DerivePlacement(wl, top, true)
-	maxKeys := maxKeysOf(wl)
+	maxKeys := wl.MaxKeys()
 	t := &Table{
 		ID:     "ablation-subparts",
 		Title:  "Sub-partition granularity of the monitoring arrays",
@@ -277,15 +251,6 @@ func AblationSubPartitions(s Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "Finer sub-partitioning lets Algorithm 1 isolate hot ranges; the paper uses 10 as the space/precision trade-off.")
 	return t, nil
-}
-
-// maxKeysOf maps every table of a workload to its maximum key.
-func maxKeysOf(wl *workload.Workload) map[string]schema.Key {
-	out := make(map[string]schema.Key, len(wl.Tables))
-	for _, spec := range wl.TableSpecs() {
-		out[spec.Name] = schema.KeyFromInt(spec.MaxKey)
-	}
-	return out
 }
 
 // AblationSLI compares the centralized design with and without speculative

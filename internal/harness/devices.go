@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"atrapos/internal/device"
 	"atrapos/internal/topology"
 )
 
@@ -33,6 +34,16 @@ func (s Scale) profile(def string) (topology.Profile, error) {
 // machine-wide device.
 func deviceSweepLayouts() []string {
 	return []string{"nvme-per-socket", "nvme-per-die-pair", "single-sata"}
+}
+
+// deviceCount is how many devices a layout provisions on a machine (0 without
+// device modeling).
+func deviceCount(layout string, top *topology.Topology) int {
+	lay, ok := device.LayoutByName(layout)
+	if !ok {
+		return 0
+	}
+	return lay.Build(top).NumDevices()
 }
 
 // FigLogDevices is the heterogeneous log-device sweep: on one machine it

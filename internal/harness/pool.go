@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// PointFn is one independent unit of harness work: a figure point, a fuzz
-// scenario, or a whole experiment. A point owns its engine(s) and shares
+// PointFn is one independent unit of harness work: a figure point or a whole
+// experiment. A point owns its engine(s) and shares
 // nothing with other points except process-global resources (the Go heap,
 // GOMAXPROCS), which is what makes reordered execution safe: any interleaving
 // of points produces the same per-point results as running them one at a time.

@@ -59,29 +59,6 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFuzzShardDeterminism: the same base seed produces the same per-scenario
-// verdicts at any pool concurrency — every scenario derives everything from
-// its own seed, and the reports compact failures in submission order.
-func TestFuzzShardDeterminism(t *testing.T) {
-	run := func(parallel int) *FuzzReport {
-		t.Helper()
-		s := poolTestScale()
-		s.Parallel = parallel
-		rep, err := FuzzScenarios(FuzzOptions{Scenarios: 4, Scale: s})
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
-		}
-		return rep
-	}
-	ref := run(1)
-	for _, parallel := range []int{4, 8} {
-		got := run(parallel)
-		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("verdicts differ between concurrency 1 and %d:\n  serial   %+v\n  parallel %+v", parallel, ref, got)
-		}
-	}
-}
-
 // TestPoolErrorAggregation: a failing point aborts nothing — every job runs,
 // results land in submission-order slots, and the joined error carries every
 // failure.
@@ -118,7 +95,7 @@ func TestPoolErrorAggregation(t *testing.T) {
 }
 
 // TestPoolAllocToken: a token section runs with no other point in flight —
-// the exclusion the fuzzer's process-global allocs/txn window depends on.
+// the exclusion fig-executed's wall-clock runs depend on.
 // Run under -race (make race) this also proves the token's handover is
 // properly synchronized.
 func TestPoolAllocToken(t *testing.T) {

@@ -17,12 +17,6 @@ type Profile struct {
 	Description string
 	// Config is the topology configuration; Build instantiates it.
 	Config Config
-	// LogDevices names the log-device layout (device.Layouts) that matches
-	// the machine class: the storage shape the profile's class of server
-	// ships with. Engines and experiments that model log devices resolve the
-	// name through the device package; an empty name means the profile has no
-	// canonical storage shape and callers pick one explicitly.
-	LogDevices string
 }
 
 // Build instantiates the profile's topology.
@@ -35,13 +29,11 @@ func Profiles() []Profile {
 			Name:        "2s-fc",
 			Description: "2-socket fully-connected box, 8 cores per socket (commodity dual-socket server)",
 			Config:      Config{Name: "2-socket fully-connected", Sockets: 2, CoresPerSocket: 8},
-			LogDevices:  "nvme-per-socket",
 		},
 		{
 			Name:        "4s-fc",
 			Description: "4-socket fully-connected box, 8 cores per socket (QPI point-to-point, 1 hop everywhere)",
 			Config:      Config{Name: "4-socket fully-connected", Sockets: 4, CoresPerSocket: 8},
-			LogDevices:  "nvme-per-socket",
 		},
 		{
 			Name:        "chiplet-2s4d",
@@ -55,7 +47,6 @@ func Profiles() []Profile {
 				// a direct point-to-point socket link.
 				Distance: [][]int{{0, 2}, {2, 0}},
 			},
-			LogDevices: "nvme-per-die-pair",
 		},
 		{
 			Name:        "subnuma-4s2d",
@@ -66,13 +57,11 @@ func Profiles() []Profile {
 				CoresPerSocket: 10,
 				DiesPerSocket:  2,
 			},
-			LogDevices: "nvme-per-socket",
 		},
 		{
 			Name:        "paper-8s",
 			Description: "the paper's platform: 8 sockets x 10 cores, twisted-cube QPI interconnect",
 			Config:      Config{Name: "8-socket x 10-core twisted cube", Sockets: 8, CoresPerSocket: 10},
-			LogDevices:  "nvme-per-socket",
 		},
 		{
 			Name:        "consumer-1s4d",
@@ -83,7 +72,6 @@ func Profiles() []Profile {
 				CoresPerSocket: 16,
 				DiesPerSocket:  4,
 			},
-			LogDevices: "single-sata",
 		},
 	}
 	return ps

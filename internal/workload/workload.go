@@ -295,6 +295,16 @@ func (w *Workload) TableSpecs() []partition.TableSpec {
 	return out
 }
 
+// MaxKeys maps every table to its key-space bound, the form the monitor and
+// the planner size their sub-partitions by.
+func (w *Workload) MaxKeys() map[string]schema.Key {
+	out := make(map[string]schema.Key, len(w.Tables))
+	for _, t := range w.Tables {
+		out[t.Schema.Name] = schema.KeyFromInt(t.MaxKey)
+	}
+	return out
+}
+
 // TableDef returns the definition of the named table.
 func (w *Workload) TableDef(name string) (TableDef, bool) {
 	for _, t := range w.Tables {
