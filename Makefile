@@ -20,7 +20,7 @@
 #                       tree in alternating pairs (PARENT=<ref> WORKLOAD=<name>
 #                       PAIRS=10 SEED=42): per-pair values, medians, quartiles,
 #                       wins — the protocol behind every performance claim
-#   make fuzz-smoke   - the fault-scenario fuzz target for 40 s (go test -fuzz)
+#   make fuzz-smoke   - the fault-scenario fuzz target for 40 s, on a fresh fuzz cache
 #   make loc          - non-test Go lines outside benchmark/, in total and per
 #                       package (the code-size count ROADMAP quotes)
 #   make loc-diff     - the same count on a parent commit and the working tree,
@@ -78,7 +78,7 @@ test:
 # shipping operations to each other over channels), engine.New's loader
 # workers (up to GOMAXPROCS goroutines filling disjoint chunks of one
 # storage.Load each, joined before its Finish) and the harness pool's
-# concurrent sweep paths (point scheduling, the allocation-measurement token,
+# concurrent sweep paths (point scheduling, the Exclusive token,
 # parallel bit-identity). The counter-conservation oracle (its
 # die-level mixed leg included) and the batch-protocol tests are repeated (the
 # oracle at its -short size), and so are the ship that outwaits its bounded
@@ -97,7 +97,7 @@ race:
 	$(GO) test -race -count=10 -run TestExecutedOversubscribed ./internal/engine
 	$(GO) test -race -count=10 -run TestExecutedTracedIslandsShareNothing ./internal/engine
 	$(GO) test -race -count=3 -run TestLoadDataMatchesSerialLoad ./internal/engine
-	$(GO) test -race -run 'TestPool|TestNestedAllocTokenExcludesEveryPoint|TestParallelSweepBitIdentical' ./internal/harness
+	$(GO) test -race -run 'TestPool|TestNestedExclusiveExcludesEveryPoint|TestParallelSweepBitIdentical' ./internal/harness
 
 # benchmark/ is a nested module the root `go build ./... && go test ./...` does
 # not reach, yet it compiles against the engine's API; vet and short-test it so
@@ -190,9 +190,16 @@ bench-pair:
 # that composes a {workload, machine, device layout, fault schedule}
 # scenario, every standing invariant checked on it. A failing input is
 # written to internal/harness/testdata/fuzz/FuzzScenario/, where plain
-# `go test` replays it. On a 2-vCPU host 40 s ran about 170 scenarios.
+# `go test` replays it. The test binary, built with the fuzzer's coverage
+# instrumentation, runs on a fuzz cache of its own that is removed afterwards:
+# `go test -fuzz` would start from the inputs earlier runs kept in the shared
+# build cache, and on a warm cache it reported nothing new.
+# On a 2-vCPU host 40 s ran about 170 scenarios.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime 40s ./internal/harness
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -c -fuzz '^FuzzScenario$$' -o "$$dir/harness.test" ./internal/harness; \
+	cd internal/harness && "$$dir/harness.test" -test.run '^$$' -test.fuzz '^FuzzScenario$$' \
+		-test.fuzztime 40s -test.fuzzcachedir "$$dir/cache"
 
 # Non-test Go lines outside benchmark/: the total, then per package — a
 # directory under internal/, cmd and examples as one each, and the root

@@ -54,9 +54,9 @@ func runGrid(s Scale, id string, grid [][]point) ([][]point, error) {
 }
 
 // run measures the point on the priced (virtual-time) path and, when it asks
-// for it, once more on the executed path. The executed run holds the pool's
-// alloc token, which makes it a full barrier: wall-clock throughput only
-// means something when no other point shares the host.
+// for it, once more on the executed path. The executed run is Exclusive, a
+// full barrier: wall-clock throughput only means something when no other
+// point shares the host.
 func (pt *point) run(pool *Pool) error {
 	e, err := engine.New(pt.config())
 	if err != nil {
@@ -65,7 +65,7 @@ func (pt *point) run(pool *Pool) error {
 	if pt.res, err = runSeries(e, pt.opts); err != nil || !pt.executed {
 		return err
 	}
-	return pool.WithAllocToken(func() error {
+	return pool.Exclusive(func() error {
 		cfg := pt.config()
 		cfg.Backend = backend.Hash
 		x, err := engine.New(cfg)

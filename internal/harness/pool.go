@@ -26,14 +26,14 @@ type PointFn func() error
 //     function of its seed and configuration — parallel speedup comes only
 //     from running points concurrently, never from reshaping a point.
 //
-// Process-global measurements (heap allocation accounting, wall-clock
-// timing) cannot overlap other points; such sections run under
-// WithAllocToken, which excludes every other in-flight point for their
-// duration — including the points of the pool a nested pool (inside) runs in.
+// A wall-clock measurement means something only when no other point shares
+// the host; such a section runs under Exclusive, which excludes every other
+// in-flight point for its duration — including the points of the pool a
+// nested pool (inside) runs in.
 type Pool struct {
 	concurrency int
-	// gate is the allocation-measurement token: every running point holds the
-	// read side, an alloc-gated section upgrades to the write side. A plain
+	// gate is the exclusion token: every running point holds the read side,
+	// an Exclusive section upgrades to the write side. A plain
 	// RWMutex gives exactly the needed semantics — writers exclude all
 	// readers, and a waiting writer blocks new points from starting.
 	gate *sync.RWMutex
@@ -54,8 +54,8 @@ func NewPool(concurrency int) *Pool {
 }
 
 // inside returns the pool for work nested in one of p's points: it shares p's
-// token and runs its jobs inline, so an alloc-token section reached through
-// it excludes every in-flight point of p.
+// token and runs its jobs inline, so an Exclusive section reached through it
+// excludes every in-flight point of p.
 func (p *Pool) inside() *Pool { return &Pool{concurrency: 1, gate: p.gate, inline: true} }
 
 // Concurrency is the maximum number of points in flight.
@@ -77,7 +77,7 @@ func (p *Pool) Run(jobs []PointFn) error {
 	if workers == 1 {
 		// Serial fast path: identical job order to the pre-pool loops. The
 		// token is still held (an inline pool's point holds it already) so
-		// WithAllocToken behaves uniformly.
+		// Exclusive behaves uniformly.
 		for i, job := range jobs {
 			if p.inline {
 				errs[i] = job()
@@ -110,15 +110,13 @@ func (p *Pool) Run(jobs []PointFn) error {
 	return errors.Join(errs...)
 }
 
-// WithAllocToken runs f with the pool's allocation-measurement token held:
-// every other in-flight point has finished before f starts, and no new point
-// starts until f returns. Heap-allocation accounting (runtime.ReadMemStats,
-// Mallocs deltas) is process-global, so an allocs/txn invariant measured
-// while other points execute would see their allocations; the token turns
-// the measured window into a full barrier. Must only be called from inside a
-// running point (the point's read token is released and re-acquired around
-// f).
-func (p *Pool) WithAllocToken(f func() error) error {
+// Exclusive runs f with the pool's exclusion token held: every other
+// in-flight point has finished before f starts, and no new point starts
+// until f returns. Wall-clock throughput measured while other points execute
+// would share the host's cores with them; the token turns the measured window
+// into a full barrier. Must only be called from inside a running point (the
+// point's read token is released and re-acquired around f).
+func (p *Pool) Exclusive(f func() error) error {
 	p.gate.RUnlock()
 	p.gate.Lock()
 	err := f()

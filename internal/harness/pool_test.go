@@ -94,11 +94,11 @@ func TestPoolErrorAggregation(t *testing.T) {
 	}
 }
 
-// TestPoolAllocToken: a token section runs with no other point in flight —
+// TestPoolExclusive: an Exclusive section runs with no other point in flight —
 // the exclusion fig-executed's wall-clock runs depend on.
 // Run under -race (make race) this also proves the token's handover is
 // properly synchronized.
-func TestPoolAllocToken(t *testing.T) {
+func TestPoolExclusive(t *testing.T) {
 	p := NewPool(8)
 	var running atomic.Int64
 	var tokenViolations atomic.Int64
@@ -112,8 +112,8 @@ func TestPoolAllocToken(t *testing.T) {
 				return nil
 			}
 			// A point waiting for the token is in flight but not running, so
-			// a token point counts itself only once it holds the token.
-			return p.WithAllocToken(func() error {
+			// an Exclusive point counts itself only once it holds the token.
+			return p.Exclusive(func() error {
 				running.Add(1)
 				defer running.Add(-1)
 				// Only this section's own increment may be visible: the token
@@ -130,17 +130,17 @@ func TestPoolAllocToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v := tokenViolations.Load(); v != 0 {
-		t.Errorf("%d token sections overlapped another running point", v)
+		t.Errorf("%d Exclusive sections overlapped another running point", v)
 	}
 }
 
-// TestNestedAllocTokenExcludesEveryPoint: a token section reached through an
+// TestNestedExclusiveExcludesEveryPoint: an Exclusive section reached through an
 // experiment's own pool, the way fig-executed times its executed cells under
 // RunAllTimed, runs with no other experiment in flight. The sweep inside an
 // experiment runs inline on the experiment's point and shares the registry's
 // token; a fresh pool per sweep would exclude only its own points and let
 // the other experiments run through the section.
-func TestNestedAllocTokenExcludesEveryPoint(t *testing.T) {
+func TestNestedExclusiveExcludesEveryPoint(t *testing.T) {
 	var busy atomic.Int64 // experiments inside their work
 	var inSection atomic.Bool
 	var violations atomic.Int64
@@ -148,7 +148,7 @@ func TestNestedAllocTokenExcludesEveryPoint(t *testing.T) {
 	timed := Experiment{ID: "timed", Run: func(s Scale) (*Table, error) {
 		pool := s.pool()
 		return nil, pool.Run([]PointFn{func() error {
-			return pool.WithAllocToken(func() error {
+			return pool.Exclusive(func() error {
 				inSection.Store(true)
 				defer inSection.Store(false)
 				for range steps {
@@ -178,7 +178,7 @@ func TestNestedAllocTokenExcludesEveryPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v := violations.Load(); v != 0 {
-		t.Errorf("another experiment ran inside the nested token section %d times", v)
+		t.Errorf("another experiment ran inside the nested Exclusive section %d times", v)
 	}
 }
 

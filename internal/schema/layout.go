@@ -3,14 +3,15 @@ package schema
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
 // Layout is a table's flat row format, resolved once per table: its columns
-// in declared order, 8 bytes little-endian per Int64 column and a uvarint
-// length followed by the bytes per String column. A stored row is one
-// byte slice in this format, the way a storage manager keeps a record as a
-// byte image in its page.
+// in declared order, a zigzag varint per Int64 column (binary.AppendVarint's
+// encoding, one byte for -64 … 63) and a uvarint length followed by the bytes
+// per String column. A stored row is one byte slice in this format, the way a
+// storage manager keeps a record as a byte image in its page.
 //
 // A row may hold only a prefix of the columns (a short row): recovery redoes
 // one-column rows and some workloads insert rows with no columns at all. The
@@ -18,9 +19,7 @@ import (
 type Layout struct {
 	t     *Table
 	types []ColumnType
-	// fixed is the number of leading columns before the first String column:
-	// column i < fixed starts at byte 8*i.
-	fixed int
+	ints  []int // ints[c]: how many Int64 columns run from column c on
 	// pk is the position of the primary-key column; keyErr is why the key
 	// cannot be extracted from any row of the table, if it cannot.
 	pk     int
@@ -29,12 +28,10 @@ type Layout struct {
 
 // Layout resolves the table's flat row format and its primary-key column.
 func (t *Table) Layout() *Layout {
-	l := &Layout{t: t, types: make([]ColumnType, len(t.Columns)), pk: t.ColumnIndex(t.PrimaryKey)}
-	l.fixed = len(t.Columns)
-	for i, c := range t.Columns {
-		l.types[i] = c.Type
-		if c.Type == String && l.fixed == len(t.Columns) {
-			l.fixed = i
+	l := &Layout{t: t, types: make([]ColumnType, len(t.Columns)), ints: make([]int, len(t.Columns)+1), pk: t.ColumnIndex(t.PrimaryKey)}
+	for i := len(t.Columns) - 1; i >= 0; i-- {
+		if l.types[i] = t.Columns[i].Type; l.types[i] == Int64 {
+			l.ints[i] = l.ints[i+1] + 1
 		}
 	}
 	switch {
@@ -51,17 +48,19 @@ func (t *Table) Layout() *Layout {
 // field returns the bytes [lo, hi) of column c's value in b, given that the
 // column's encoding starts at off, or ok=false when b does not hold all of it.
 func (l *Layout) field(b []byte, c, off int) (lo, hi int, ok bool) {
-	if off > len(b) {
+	if off >= len(b) {
 		return 0, 0, false
 	}
-	if l.types[c] != String {
-		return off, off + 8, off+8 <= len(b)
+	if l.types[c] == Int64 { // a varint ends at its first byte below 0x80
+		for i := off; i < min(len(b), off+binary.MaxVarintLen64); i++ {
+			if b[i] < 0x80 {
+				return off, i + 1, true
+			}
+		}
+		return 0, 0, false
 	}
-	var n uint64
-	var k int
-	if off < len(b) && b[off] < 0x80 { // a string shorter than 128 bytes
-		n, k = uint64(b[off]), 1
-	} else {
+	n, k := uint64(b[off]), 1
+	if n >= 0x80 { // a string of 128 bytes or more
 		n, k = binary.Uvarint(b[off:])
 	}
 	if k <= 0 || n > uint64(len(b)-off-k) {
@@ -70,58 +69,73 @@ func (l *Layout) field(b []byte, c, off int) (lo, hi int, ok bool) {
 	return off + k, off + k + int(n), true
 }
 
+// scan walks the first k columns of b from column 0 and returns how many of
+// them b holds whole, the offset just past them when that is all k, and their
+// Row.Size. A varint ends at its first byte below 0x80, so in a run of Int64
+// columns eight bytes that end fewer varints than are left are skipped at once.
+func (l *Layout) scan(b []byte, k int) (n, off, size int) {
+	for n < k {
+		if end := n + min(l.ints[n], k-n); end > n {
+			for ; off+8 <= len(b); off += 8 {
+				t := bits.OnesCount64(^binary.LittleEndian.Uint64(b[off:]) & 0x8080808080808080)
+				if n+t >= end {
+					break
+				}
+				n, size = n+t, size+8*t
+			}
+			for ; n < end && off < len(b); off++ {
+				if b[off] < 0x80 {
+					n, size = n+1, size+8
+				}
+			}
+			if n < end {
+				break
+			}
+		} else if lo, hi, ok := l.field(b, n, off); ok {
+			n, off, size = n+1, hi, size+hi-lo
+		} else {
+			break
+		}
+	}
+	return n, off, size
+}
+
 // column returns the bytes of column i's value in b, or ok=false when i is not
 // a column of the layout or b is too short to hold it.
 func (l *Layout) column(b []byte, i int) (lo, hi int, ok bool) {
 	if i < 0 || i >= len(l.types) {
 		return 0, 0, false
 	}
-	c := min(i, l.fixed)
-	off := 8 * c
-	for ; ; c++ {
-		if lo, hi, ok = l.field(b, c, off); !ok || c == i {
-			return lo, hi, ok
-		}
-		off = hi
+	if n, off, _ := l.scan(b, i); n == i {
+		return l.field(b, i, off)
 	}
+	return 0, 0, false
 }
 
-// last returns how many whole columns b holds and where the last one's value
-// starts.
-func (l *Layout) last(b []byte) (n, lo int) {
-	if l.fixed == len(l.types) {
-		n = min(len(b)/8, len(l.types))
-		return n, 8 * (n - 1)
-	}
-	for off := 0; n < len(l.types); n++ {
-		start, hi, ok := l.field(b, n, off)
-		if !ok {
-			break
+// last returns how many whole columns b holds and, if any, the bytes [lo, hi)
+// of the last one's value.
+func (l *Layout) last(b []byte) (n, lo, hi int) {
+	n, hi, _ = l.scan(b, len(l.types))
+	if n == len(l.types) && n >= 2 && l.ints[n-2] >= 2 { // the varint before ends where this one starts
+		for lo = hi - 1; b[lo-1] >= 0x80; lo-- {
 		}
-		lo, off = start, hi
+		return n, lo, hi
 	}
-	return n, lo
+	if n > 0 {
+		lo, hi, _ = l.column(b, n-1)
+	}
+	return n, lo, hi
 }
 
 // Int returns Int64 column i of row b; ok is false when the column is absent
 // or of another type.
 func (l *Layout) Int(b []byte, i int) (v int64, ok bool) {
-	lo, _, ok := l.column(b, i)
+	lo, hi, ok := l.column(b, i)
 	if !ok || l.types[i] != Int64 {
 		return 0, false
 	}
-	return int64(binary.LittleEndian.Uint64(b[lo:])), true
-}
-
-// SetInt overwrites Int64 column i of row b in place and reports whether the
-// column is there to overwrite.
-func (l *Layout) SetInt(b []byte, i int, v int64) bool {
-	lo, _, ok := l.column(b, i)
-	if !ok || l.types[i] != Int64 {
-		return false
-	}
-	binary.LittleEndian.PutUint64(b[lo:], uint64(v))
-	return true
+	v, _ = binary.Varint(b[lo:hi])
+	return v, true
 }
 
 // Str returns String column i of row b; ok is false when the column is absent
@@ -134,44 +148,31 @@ func (l *Layout) Str(b []byte, i int) (s string, ok bool) {
 	return string(b[lo:hi]), true
 }
 
-// Increment adds one, in place and without wrapping, to the last column row b
-// holds if that column is an Int64 and b holds more than one column, and
-// reports whether it did. It is the update the engine applies for an update
-// action that carries no row.
-func (l *Layout) Increment(b []byte) bool {
-	n, lo := l.last(b)
+// Increment adds one, without wrapping, to the last column row b holds if
+// that column is an Int64 and b holds more than one column, and reports
+// whether it did. It writes in place when the new value's varint is as wide as
+// the old one's; otherwise it leaves b as it was and returns the row rebuilt
+// in *scratch, the caller's buffer. It is the update the engine applies for an
+// update action that carries no row.
+func (l *Layout) Increment(b []byte, scratch *[]byte) ([]byte, bool) {
+	n, lo, hi := l.last(b)
 	if n < 2 || l.types[n-1] != Int64 {
-		return false
+		return b, false
 	}
-	binary.LittleEndian.PutUint64(b[lo:], binary.LittleEndian.Uint64(b[lo:])+1)
-	return true
+	v, _ := binary.Varint(b[lo:hi])
+	if v++; varintLen(v) == hi-lo {
+		binary.PutVarint(b[lo:], v)
+		return b, true
+	}
+	*scratch = append(binary.AppendVarint(append((*scratch)[:0], b[:lo]...), v), b[hi:]...)
+	return *scratch, true
 }
 
-// Size returns Row.Size of the columns b holds: 8 bytes per Int64 column and
-// the length of each string. It prices a row in the cost model.
+// Size returns Row.Size of the columns b holds: 8 bytes per Int64 column, as
+// wide as its varint may be, and the length of each string. It prices a row.
 func (l *Layout) Size(b []byte) int {
-	size := 0
-	for c, off := 0, 0; c < len(l.types); c++ {
-		lo, hi, ok := l.field(b, c, off)
-		if !ok {
-			break
-		}
-		size += hi - lo
-		off = hi
-	}
+	_, _, size := l.scan(b, len(l.types))
 	return size
-}
-
-// Key extracts row b's primary key: KeyFromInt of its primary-key column.
-func (l *Layout) Key(b []byte) (Key, error) {
-	if l.keyErr != nil {
-		return 0, l.keyErr
-	}
-	v, ok := l.Int(b, l.pk)
-	if !ok {
-		return 0, fmt.Errorf("schema: row for %s is missing primary key column %s", l.t.Name, l.t.PrimaryKey)
-	}
-	return KeyFromInt(v), nil
 }
 
 // Decode returns the boxed form of the columns row b holds (nil for a row
@@ -187,7 +188,8 @@ func (l *Layout) Decode(b []byte) Row {
 			r = make(Row, 0, len(l.types))
 		}
 		if l.types[c] == Int64 {
-			r = append(r, int64(binary.LittleEndian.Uint64(b[lo:])))
+			v, _ := binary.Varint(b[lo:hi])
+			r = append(r, v)
 		} else {
 			r = append(r, string(b[lo:hi]))
 		}
@@ -204,15 +206,19 @@ func (l *Layout) Encode(r Row) ([]byte, error) { return l.AppendEncode(nil, r) }
 // AppendEncode appends the flat form of the boxed row r to dst, growing it at
 // most once, and returns the extended slice; errors are Encode's.
 func (l *Layout) AppendEncode(dst []byte, r Row) ([]byte, error) {
+	if len(r) == 0 {
+		return dst, nil
+	}
 	n := 0
 	for _, v := range r {
-		if s, ok := v.(string); ok {
-			n += uvarintLen(len(s)) + len(s)
-		} else {
-			n += 8
+		switch x := v.(type) {
+		case int64:
+			n += varintLen(x)
+		case string:
+			n += uvarintLen(uint64(len(x))) + len(x)
 		}
 	}
-	w := RowWriter{l: l, buf: slices.Grow(dst, n)}
+	w := RowWriter{l: l, buf: slices.Grow(dst, n+binary.MaxVarintLen64)} // Ints writes into room for one more varint
 	for _, v := range r {
 		switch x := v.(type) {
 		case int64:
@@ -228,14 +234,11 @@ func (l *Layout) AppendEncode(dst []byte, r Row) ([]byte, error) {
 	return w.buf, w.err
 }
 
-// uvarintLen is the length of n's uvarint encoding.
-func uvarintLen(n int) int {
-	k := 1
-	for ; n >= 0x80; n >>= 7 {
-		k++
-	}
-	return k
-}
+// varintLen is the length of v's zigzag varint encoding.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // RowWriter encodes one row of a Layout, column by column in declared order.
 // Writing a value of the wrong type, or past the last column, records an error
@@ -244,8 +247,9 @@ func uvarintLen(n int) int {
 type RowWriter struct {
 	l    *Layout
 	buf  []byte
-	n    int // columns written
-	size int // Row.Size of what was written
+	n    int   // columns written
+	size int   // Row.Size of what was written
+	key  int64 // the primary-key column's value, once written
 	err  error
 }
 
@@ -275,18 +279,32 @@ func (w *RowWriter) next(t ColumnType) bool {
 }
 
 // Int writes the next column, an Int64.
-func (w *RowWriter) Int(v int64) {
-	if w.next(Int64) {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
-		w.size += 8
-	}
-}
+func (w *RowWriter) Int(v int64) { w.Ints(v) }
 
 // Ints writes the next len(vs) columns, all Int64.
 func (w *RowWriter) Ints(vs ...int64) {
-	for _, v := range vs {
-		w.Int(v)
+	if w.err != nil || w.l.ints[w.n] < len(vs) {
+		for w.next(Int64) { // up to the column that does not fit, recording why
+		}
+		return
 	}
+	if i := w.l.pk - w.n; i >= 0 && i < len(vs) {
+		w.key = vs[i]
+	}
+	w.buf = slices.Grow(w.buf, len(vs)*binary.MaxVarintLen64)
+	b, n := w.buf[:cap(w.buf)], len(w.buf)
+	for _, v := range vs { // up to three bytes without a loop: ids and counters
+		if x := uint64(v<<1) ^ uint64(v>>63); x < 1<<21 {
+			b[n], b[n+1], b[n+2] = byte(x)|0x80, byte(x>>7)|0x80, byte(x>>14)
+			n += uvarintLen(x)
+			b[n-1] &= 0x7f
+		} else {
+			n += binary.PutUvarint(b[n:], x)
+		}
+	}
+	w.buf = w.buf[:n]
+	w.n += len(vs)
+	w.size += 8 * len(vs)
 }
 
 // Str writes the next column, a String.
@@ -306,6 +324,15 @@ func (w *RowWriter) StrBytes(s []byte) {
 		w.buf = append(w.buf, s...)
 		w.size += len(s)
 	}
+}
+
+// Key returns the primary key of the row written since the last Reset:
+// KeyFromInt of its primary-key column.
+func (w *RowWriter) Key() (Key, error) {
+	if w.l.keyErr == nil && w.n <= w.l.pk {
+		return 0, fmt.Errorf("schema: row for %s is missing primary key column %s", w.l.t.Name, w.l.t.PrimaryKey)
+	}
+	return KeyFromInt(w.key), w.l.keyErr
 }
 
 // Row returns the row written since the last Reset, which stays valid only

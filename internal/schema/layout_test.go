@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,27 +35,41 @@ func fuzzRow(data []byte) (*Table, Row) {
 	return tb, r
 }
 
+// intSeed is the fuzz input of a row of Int64 columns holding vs.
+func intSeed(vs ...int64) []byte {
+	b := []byte{byte(len(vs) - 1)}
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(append(b, byte(Int64)), uint64(v))
+	}
+	return b
+}
+
 // sameRow reports whether got deep-equals want, a row with no columns being
 // nil.
 func sameRow(got, want Row) bool {
 	return len(got) == 0 && len(want) == 0 || reflect.DeepEqual(got, want)
 }
 
-// write writes r through w as a generator would, with the typed writes.
+// write writes r through w as a generator would, with the typed writes: a run
+// of Int64 values in one Ints call.
 func write(w *RowWriter, r Row) {
 	w.Reset()
+	var ints []int64
 	for _, v := range r {
-		switch x := v.(type) {
-		case int64:
-			w.Int(x)
-		case string:
-			w.StrBytes([]byte(x))
+		if x, ok := v.(int64); ok {
+			ints = append(ints, x)
+			continue
 		}
+		w.Ints(ints...)
+		ints = ints[:0]
+		w.StrBytes([]byte(v.(string)))
 	}
+	w.Ints(ints...)
 }
 
 // checkColumns fails t unless the accessors agree with the boxed row r on
-// every column b holds and report every column past r as absent.
+// every column b holds and report every column past r as absent, and that
+// b's column count, its last column and its Layout.Size are r's.
 func checkColumns(t *testing.T, l *Layout, b []byte, r Row) {
 	t.Helper()
 	for i := range len(l.types) {
@@ -72,19 +88,34 @@ func checkColumns(t *testing.T, l *Layout, b []byte, r Row) {
 	if _, ok := l.Int(b, len(l.types)); ok {
 		t.Fatal("Int reads a column past the layout")
 	}
+	n, lo, hi := l.last(b)
+	if n != len(r) || l.Size(b) != r.Size() {
+		t.Fatalf("%d-column row: last counts %d columns, Size is %d, want %d", len(r), n, l.Size(b), r.Size())
+	}
+	if clo, chi, _ := l.column(b, n-1); n > 0 && (lo != clo || hi != chi) {
+		t.Fatalf("%d-column row: last puts its last column at [%d, %d), column at [%d, %d)", n, lo, hi, clo, chi)
+	}
 }
 
 // FuzzRowLayout checks the flat row format against the boxed Row as oracle:
-// a row written through the writer decodes to itself and reports its
-// Row.Size; the typed accessors agree with it on every column, SetInt changes
-// exactly its column, and every strict prefix of the row, and its bytes cut
-// inside a column, report the columns they lack as absent.
+// a row written through the writer is binary.AppendVarint of each Int64 and
+// a uvarint length and the bytes of each string, decodes to itself and
+// reports its Row.Size; the typed accessors agree with it on every column;
+// Increment adds one to the last column, in place when the varint's width
+// holds and leaving the input untouched when it does not; and every strict
+// prefix of the row, and its bytes cut inside a column, report the columns
+// they lack as absent. The seeds after the fifth put values at the edges of
+// the varint widths, where an increment widens or narrows the row.
 func FuzzRowLayout(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 128, 0, 'a', 'b', 'c', 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0})
 	f.Add(append([]byte{2, 2, 127, 0}, bytes.Repeat([]byte{'x'}, 127)...))
 	f.Add(append([]byte{11, 2, 44, 1, 0}, bytes.Repeat([]byte{7}, 400)...))
 	f.Add([]byte(strings.Repeat("\x05\x00\x01\x02\xff\xff\xff\xff\xff\xff\xff\x7f", 8)))
+	for _, v := range []int64{63, 64, -64, -65, 8191, 8192, 1<<20 - 1, 1 << 20, math.MinInt64, math.MaxInt64} {
+		f.Add(intSeed(7, v))
+	}
+	f.Add(intSeed(63, -65, 8191, 1<<20-1, math.MaxInt64, math.MinInt64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb, r := fuzzRow(data)
 		l := tb.Layout()
@@ -95,6 +126,17 @@ func FuzzRowLayout(f *testing.F) {
 			t.Fatal(err)
 		}
 		b = bytes.Clone(b)
+		var want []byte
+		for _, v := range r {
+			if x, ok := v.(int64); ok {
+				want = binary.AppendVarint(want, x)
+			} else {
+				want = append(binary.AppendUvarint(want, uint64(len(v.(string)))), v.(string)...)
+			}
+		}
+		if !bytes.Equal(b, want) {
+			t.Fatalf("writer wrote %x, want %x", b, want)
+		}
 		if size != r.Size() || l.Size(b) != r.Size() {
 			t.Fatalf("writer size %d, Layout.Size %d, Row.Size %d", size, l.Size(b), r.Size())
 		}
@@ -106,29 +148,27 @@ func FuzzRowLayout(f *testing.F) {
 		}
 		checkColumns(t, l, b, r)
 
-		for i, v := range r {
-			old, isInt := v.(int64)
-			if ok := l.SetInt(b, i, ^old); ok != isInt {
-				t.Fatalf("SetInt on a %s column reports %v", tb.Columns[i].Type, ok)
-			}
-			if !isInt {
-				continue
-			}
-			want := append(Row(nil), r...)
-			want[i] = ^old
-			if got := l.Decode(b); !reflect.DeepEqual(got, want) {
-				t.Fatalf("after SetInt(%d): %#v, want %#v", i, got, want)
-			}
-			l.SetInt(b, i, old)
-		}
 		last, lastInt := r[len(r)-1].(int64)
-		if ok := l.Increment(b); ok != (lastInt && len(r) > 1) {
+		in := bytes.Clone(b)
+		var scratch []byte
+		got, ok := l.Increment(in, &scratch)
+		switch inPlace := &got[0] == &in[0]; {
+		case ok != (lastInt && len(r) > 1):
 			t.Fatalf("Increment of a %d-column row ending in %s reports %v", len(r), tb.Columns[len(r)-1].Type, ok)
-		} else if ok {
-			if got, _ := l.Int(b, len(r)-1); got != last+1 {
-				t.Fatalf("Increment made %d of %d", got, last)
+		case !ok:
+			if !inPlace || !bytes.Equal(in, b) {
+				t.Fatalf("a refused Increment changed the row to %x", got)
 			}
-			l.SetInt(b, len(r)-1, last)
+		case inPlace != (varintLen(last+1) == varintLen(last)):
+			t.Fatalf("Increment of %d in place: %v", last, inPlace)
+		case !inPlace && !bytes.Equal(in, b):
+			t.Fatalf("Increment of %d wrote into its input: %x", last, in)
+		default:
+			want := slices.Clone(r)
+			want[len(r)-1] = last + 1
+			if d := l.Decode(got); !reflect.DeepEqual(d, want) {
+				t.Fatalf("Increment made %#v of %#v", d, r)
+			}
 		}
 
 		var cuts []int // byte lengths that end inside a column or right after one
@@ -157,14 +197,26 @@ func FuzzRowLayout(f *testing.F) {
 	})
 }
 
+// TestEncodeAllocatesOnce: Encode grows its result once, whatever the widths
+// of the row's varints.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	l := sampleTable().Layout()
+	for _, r := range []Row{{int64(1)}, {int64(1), int64(2), int64(3), "x"}, {int64(math.MinInt64), int64(1 << 20), int64(-65), strings.Repeat("y", 200)}} {
+		if a := testing.AllocsPerRun(10, func() { l.Encode(r) }); a != 1 {
+			t.Errorf("Encode(%.20v) costs %.1f allocations, want 1", r, a)
+		}
+	}
+}
+
 // TestRowWriterRejects: a value of the wrong type, a value past the last
 // column and an unsupported boxed value are errors, and the first one sticks.
 func TestRowWriterRejects(t *testing.T) {
 	l := sampleTable().Layout()
 	w := l.Writer()
 	cases := map[string]func(){
-		"string into int64": func() { w.Str("x") },
-		"too many columns":  func() { w.Ints(1, 2, 3); w.Str("x"); w.Int(5) },
+		"string into int64":  func() { w.Str("x") },
+		"too many columns":   func() { w.Ints(1, 2, 3); w.Str("x"); w.Int(5) },
+		"ints into a string": func() { w.Ints(1, 2, 3, 4) },
 	}
 	for name, write := range cases {
 		w.Reset()

@@ -105,15 +105,15 @@ func TestKeyFromIntRoundTrip(t *testing.T) {
 	}
 }
 
-// rowKey is the key Layout.Key extracts from r in tb's flat layout.
+// rowKey is the key a RowWriter of tb's layout reports for r.
 func rowKey(t *testing.T, tb *Table, r Row) (Key, error) {
 	t.Helper()
-	l := tb.Layout()
-	b, err := l.Encode(r)
-	if err != nil {
-		t.Fatalf("encoding %v: %v", r, err)
+	w := tb.Layout().Writer()
+	write(w, r)
+	if _, _, err := w.Row(); err != nil {
+		t.Fatalf("writing %v: %v", r, err)
 	}
-	return l.Key(b)
+	return w.Key()
 }
 
 func TestRowKey(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"atrapos/internal/btree"
@@ -126,6 +125,7 @@ type Table struct {
 	// avgRowBytes tracks an approximate row size for traffic accounting: an
 	// integer moving average over every row loaded or inserted, in that order.
 	avgRowBytes int
+	scratch     []byte // a row an increment widened or narrowed, until its leaf copies it
 }
 
 // Name returns the table name.
@@ -230,11 +230,11 @@ func (t *Table) ReplaceIn(p int, from topology.CoreID, key schema.Key, row []byt
 }
 
 // IncrementIn adds one to the last column of the row under key in partition
-// p, in place (schema.Layout.Increment): the update of an action that carries
-// no row.
+// p, in place when its width holds (schema.Layout.Increment): the update of an
+// action that carries no row.
 func (t *Table) IncrementIn(p int, from topology.CoreID, key schema.Key) (numa.Cost, error) {
 	return t.updateIn(p, from, key, func(row []byte) []byte {
-		t.layout.Increment(row)
+		row, _ = t.layout.Increment(row, &t.scratch)
 		return row
 	})
 }
@@ -358,9 +358,11 @@ func (t *Table) NewLoad(n, chunks int) *Load {
 // Fill stages rows lo … hi-1 of the generator as chunk c, their bytes copied
 // out of the writer into the chunk's slab, and stops at the first row that
 // does not fit the table's layout or whose key cannot be extracted, naming the
-// table and the row. The slab is sized for the rows left at the mean row
-// length so far whenever it fills, so rows of one length take one allocation
-// of their size; one left with more than 1/64 spare is copied to its size.
+// table and the row. Whenever the slab fills it is reallocated with room for
+// the rows left at the mean row length so far and 1/128 of its bytes besides,
+// so rows of one length take one allocation of their size and rows that grow
+// (ascending keys widen their varints) a few more; one left with more than
+// 1/64 spare is copied to its size.
 func (l *Load) Fill(c, lo, hi int, gen func(i int, w *schema.RowWriter)) error {
 	w := l.t.layout.Writer()
 	var slab []byte
@@ -370,15 +372,14 @@ func (l *Load) Fill(c, lo, hi int, gen func(i int, w *schema.RowWriter)) error {
 		row, size, err := w.Row()
 		var key schema.Key
 		if err == nil {
-			key, err = l.t.layout.Key(row)
+			key, err = w.Key()
 		}
 		if err != nil {
 			return fmt.Errorf("storage: loading %s row %d: %w", l.t.def.Name, i, err)
 		}
 		l.keys[i], l.lens[i], l.sizes[i] = key, uint32(len(row)), size
 		if n := len(slab) + len(row); n > cap(slab) {
-			mean := n / (i - lo + 1)
-			slab = slices.Grow(slab, max(len(row)+mean*(hi-i-1), n/8))
+			slab = append(make([]byte, 0, n+n*(hi-i-1)/(i-lo+1)+n/128), slab...)
 		}
 		slab = append(slab, row...)
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -184,6 +185,44 @@ func TestFlatRowOperations(t *testing.T) {
 	}
 }
 
+// TestIncrementChangesWidth: an increment that carries a mid-leaf row's last
+// column across a varint width (63→64, 8191→8192 widen it, -65→-64
+// narrows it) stores the new row length and leaves every other row of the
+// leaf as it was, and one that keeps the width allocates nothing.
+func TestIncrementChangesWidth(t *testing.T) {
+	m := testManager(t)
+	tbl, _ := m.CreateTable(accountsDef(), []schema.Key{0}, nil)
+	want := make([]int64, 60)
+	for i := range want {
+		want[i] = int64(i) * 100
+	}
+	want[30], want[31], want[32] = 62, 8190, -65
+	if err := tbl.LoadFunc(len(want), func(i int, w *schema.RowWriter) { w.Ints(int64(i), want[i]) }); err != nil {
+		t.Fatal(err)
+	}
+	l := tbl.Layout()
+	check := func(after string) {
+		t.Helper()
+		for i, v := range want {
+			row, _, err := tbl.ReadIn(0, 0, schema.KeyFromInt(int64(i)))
+			if got := l.Decode(row); err != nil || !reflect.DeepEqual(got, schema.Row{int64(i), v}) {
+				t.Fatalf("after %s row %d is %v, %v; want [%d %d]", after, i, got, err, i, v)
+			}
+		}
+	}
+	for _, i := range []int{30, 30, 31, 31, 32} {
+		if _, err := tbl.IncrementIn(0, 0, schema.KeyFromInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		want[i]++
+		check(fmt.Sprintf("incrementing row %d to %d", i, want[i]))
+	}
+	allocs := testing.AllocsPerRun(100, func() { tbl.IncrementIn(0, 0, schema.KeyFromInt(10)) })
+	if allocs != 0 {
+		t.Errorf("an increment that keeps its width costs %.1f allocs", allocs)
+	}
+}
+
 func TestRemoteAccessCostsMore(t *testing.T) {
 	m := testManager(t)
 	tbl, _ := m.CreateTable(accountsDef(), btree.UniformBounds(100, 4), []topology.SocketID{0, 1, 2, 3})
@@ -334,9 +373,10 @@ func TestLoadAllocBudget(t *testing.T) {
 }
 
 // TestLoadBytesPerRow: a loaded table keeps about its keys (8 B a row), its
-// leaves' ends (4 B) and its rows' bytes (16 B for two Int64 columns), with
-// 15 % for the nodes and the slack of the size classes. A row is not an
-// allocation of its own with a slice header in its leaf (48 B a row here).
+// leaves' ends (4 B) and its rows' bytes (6 B for two Int64 columns below
+// 2^20, three varint bytes each), with 15 % for the nodes and the slack of the
+// size classes. A row is not an allocation of its own with a slice header in
+// its leaf (48 B a row), nor 8 fixed bytes per Int64 column (29.9 B a row).
 func TestLoadBytesPerRow(t *testing.T) {
 	const n = 100_000
 	m := testManager(t)
@@ -353,7 +393,7 @@ func TestLoadBytesPerRow(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(tbl)
 	perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
-	if budget := (8 + 4 + 16) * 1.15; perRow > budget {
+	if budget := (8 + 4 + 6) * 1.15; perRow > budget {
 		t.Errorf("a loaded table holds %.1f B/row, budget %.1f", perRow, budget)
 	}
 	t.Logf("%.1f B/row retained", perRow)

@@ -64,10 +64,11 @@ func (ctx *GenContext) siteKeyRange(maxKey int64) (lo, hi int64) {
 }
 
 func tenColumnRow(i int, w *schema.RowWriter) {
-	w.Int(int64(i))
-	for c := 1; c < 11; c++ {
-		w.Int(int64(i * c))
+	vs := [11]int64{int64(i)}
+	for c := 1; c < len(vs); c++ {
+		vs[c] = int64(i * c)
 	}
+	w.Ints(vs[:]...)
 }
 
 // microWorkload is the shape every single-table microbenchmark shares: a

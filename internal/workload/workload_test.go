@@ -409,10 +409,10 @@ func TestRowGeneratorsAscend(t *testing.T) {
 			for i := 0; i < td.Rows; i++ {
 				rw.Reset()
 				td.RowGen(i, rw)
-				b, _, err := rw.Row()
+				_, _, err := rw.Row()
 				var k schema.Key
 				if err == nil {
-					k, err = l.Key(b)
+					k, err = rw.Key()
 				}
 				if err != nil {
 					t.Fatalf("%s.%s row %d: %v", w.Name, td.Schema.Name, i, err)
