@@ -21,6 +21,8 @@
 #                       PAIRS=10 SEED=42): per-pair values, medians, quartiles,
 #                       wins — the protocol behind every performance claim
 #   make fuzz-smoke   - the fault-scenario fuzz target for 40 s, on a fresh fuzz cache
+#   make fuzz-targets - every other fuzz target for 20 s each, in turn, stopping
+#                       at the first failure (CI runs it after make check)
 #   make loc          - non-test Go lines outside benchmark/, in total and per
 #                       package (the code-size count ROADMAP quotes)
 #   make loc-diff     - the same count on a parent commit and the working tree,
@@ -35,7 +37,7 @@ PAIRS ?= 10
 SEED ?= 42
 EXAMPLES = quickstart adaptive tatp tpcc
 
-.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments examples tables-diff bench-trace bench-pair fuzz-smoke loc loc-diff
+.PHONY: check fmt vet staticcheck build test race bench-module bench-smoke bench experiments examples tables-diff bench-trace bench-pair fuzz-smoke fuzz-targets loc loc-diff
 
 check: fmt vet staticcheck build test race bench-module bench-smoke experiments examples bench-trace fuzz-smoke
 
@@ -200,6 +202,29 @@ fuzz-smoke:
 	$(GO) test -c -fuzz '^FuzzScenario$$' -o "$$dir/harness.test" ./internal/harness; \
 	cd internal/harness && "$$dir/harness.test" -test.run '^$$' -test.fuzz '^FuzzScenario$$' \
 		-test.fuzztime 40s -test.fuzzcachedir "$$dir/cache"
+
+# The other fuzz targets, one (package, target) pair a line with what it
+# holds the code to. Tier-1 replays each target's seeds; fuzz-targets explores
+# past them for 20 s per pair, in this order, and stops at the first failure,
+# naming it. A failing input is written to the package's testdata/fuzz/.
+FUZZ_TARGETS  = internal/btree:FuzzSearch         # the interpolating in-node search to sort.Search
+FUZZ_TARGETS += internal/btree:FuzzLeafRows       # packed leaf rows to a map through inserts, deletes, length-changing updates, splits, merges, re-boundings and bulk loads, leaf invariants checked after every step
+FUZZ_TARGETS += internal/lock:FuzzTable           # the grant-list lock table to the scan-every-bucket reference
+FUZZ_TARGETS += internal/workload:FuzzZipfPow     # the memoized Zipf sampler to math.Pow bit for bit
+FUZZ_TARGETS += internal/workload:FuzzMix         # the compiled class mix to the sort-every-draw reference chooser
+FUZZ_TARGETS += internal/fault:FuzzNewSchedule    # fault-schedule validation to the reference replay
+FUZZ_TARGETS += internal/partition:FuzzPartitionFor # the placement's router to the multi-rooted tree's
+FUZZ_TARGETS += internal/wal:FuzzRecover          # recovery from a coalescing log to the uncoalesced log's
+FUZZ_TARGETS += internal/wal:FuzzCoalescer        # the slot-indexed accumulator to the map-based reference
+FUZZ_TARGETS += internal/schema:FuzzRowLayout     # the flat row format to the boxed Row it replaced
+
+fuzz-targets:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg="$${t%%:*}"; fn="$${t#*:}"; \
+		echo "== $$fn (./$$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 20s "./$$pkg" || \
+			{ echo "fuzz-targets: $$fn in ./$$pkg failed"; exit 1; }; \
+	done
 
 # Non-test Go lines outside benchmark/: the total, then per package — a
 # directory under internal/, cmd and examples as one each, and the root

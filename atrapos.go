@@ -398,9 +398,10 @@ func DegradeDeviceFault(at VirtualTime, dev int, latencyFactor float64) FaultEve
 
 // CrashAndRecoverFault schedules a crash drill at virtual time at: volatile
 // state covered by the write-ahead logs is dropped and recovery replays the
-// retained records before the run continues. A run whose schedule holds one
-// switches bounded logs to full retention before its first transaction, and
-// refuses the drill if a log has already dropped a record.
+// logged records before the run continues. Logs retain no records by
+// default; a run whose schedule holds a drill switches every log to full
+// retention before its first transaction, and refuses the drill if a log has
+// already dropped a record.
 func CrashAndRecoverFault(at VirtualTime) FaultEvent {
 	return fault.CrashAndRecover(at)
 }

@@ -140,10 +140,10 @@ func TestFaultSchedules(t *testing.T) {
 		t.Error("the wiring did not converge on the restored machine and the surviving devices")
 	}
 
-	// The crash drill runs on Open's default, bounded logs: Run switches them
-	// to full retention before the first transaction. Recovery must leave the
-	// key sets of a fault-free twin; TATP's call-forwarding inserts and
-	// deletes make them depend on recovery.
+	// The crash drill runs on Open's default logs, which retain no records:
+	// Run switches them to full retention before the first transaction.
+	// Recovery must leave the key sets of a fault-free twin; TATP's
+	// call-forwarding inserts and deletes make them depend on recovery.
 	open := func() *System {
 		sys, err := Open(Options{
 			Design:       DesignSharedNothing,

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,7 +157,9 @@ func TestHashBackendCrashRecover(t *testing.T) {
 	loserKey := schema.Key(5000)
 	b.Put(islandOf(loserKey, 2), 0, loserKey, txn, 1)
 
-	b.CrashAndRecover(vnanos(1000))
+	if err := b.CrashAndRecover(vnanos(1000)); err != nil {
+		t.Fatal(err)
+	}
 
 	sets := b.TableKeySets()
 	for ti, name := range []string{"alpha", "beta"} {
@@ -172,6 +175,29 @@ func TestHashBackendCrashRecover(t *testing.T) {
 	}
 	if _, ok := b.Get(islandOf(loserKey, 2), 0, loserKey); ok {
 		t.Fatal("uncommitted write survived recovery")
+	}
+}
+
+// TestHashBackendCrashRecoverRefusesPartialLog: value logs on the default
+// config retain no records, so a drill must fail, naming the island, and
+// keep every index as it was. Island 0's log takes more than 4,096 records,
+// more than a bounded ring would have held.
+func TestHashBackendCrashRecoverRefusesPartialLog(t *testing.T) {
+	b := testHashLog(t, 2, wal.DefaultConfig())
+	for txn := uint64(1); txn <= 2500; txn++ {
+		k := schema.Key(2 * (txn % 300))
+		b.Put(0, 0, k, txn, txn)
+		b.Commit(0, txn, vnanos(int(txn)))
+	}
+	if n := b.Log(0).Stats().PhysicalRecords; n <= 4096 {
+		t.Fatalf("island 0's log took %d records, want more than 4096", n)
+	}
+	before := b.TableKeySets()
+	if err := b.CrashAndRecover(vnanos(5000)); err == nil || !strings.Contains(err.Error(), "island 0's value log discarded") {
+		t.Fatalf("drill on logs that kept no records: err = %v", err)
+	}
+	if after := b.TableKeySets(); !reflect.DeepEqual(before, after) {
+		t.Errorf("a refused drill changed the indexes: %d keys before, %d after", len(before["alpha"]), len(after["alpha"]))
 	}
 }
 

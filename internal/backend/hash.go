@@ -52,8 +52,8 @@ type HashConfig struct {
 	Tables []string
 	// Homes are the per-island log home sockets (island first-core sockets).
 	Homes []topology.SocketID
-	// Log tunes the island value logs. Keep must be 0 for crash drills (a
-	// bounded ring cannot replay the full history); CoalesceRecords batches
+	// Log tunes the island value logs. Keep must be 0 for crash drills (any
+	// other value retains no records to replay); CoalesceRecords batches
 	// physical flushes through the wal coalescer. Log.Device is ignored: a
 	// priced device model is single-owner, and every executor would flush
 	// into the same one.
@@ -216,13 +216,20 @@ func (b *HashBackend) Stats() wal.Stats {
 // index is dropped (the crash-volatile state) and rebuilt by wal.Recover over
 // each island's value log, Bitcask's startup scan. The logs are drained first
 // — the drill models a crash after the last commit became durable, mirroring
-// the priced engine's crash drill, which drains before snapshotting the
-// rings. Recovery redoes only winner transactions (those with a commit record
-// on the log, which with coalescing is also exactly what survives in the ring
-// as net deltas). The records carry no value payload, so a recovered entry
-// restarts at its key, as a loaded one does.
-func (b *HashBackend) CrashAndRecover(now vclock.Nanos) {
+// the priced engine's crash drill, which drains before reading the records.
+// Recovery redoes only winner transactions (those with a commit record on the
+// log, which with coalescing is also exactly what survives in the log as net
+// deltas). The records carry no value payload, so a recovered entry
+// restarts at its key, as a loaded one does. It returns an error, before
+// dropping any index, when an island log discarded a record (Log.Keep is not
+// 0): recovery from a partial log would silently lose keys.
+func (b *HashBackend) CrashAndRecover(now vclock.Nanos) error {
 	b.Drain(now)
+	for island, l := range b.logs {
+		if n := l.Discarded(); n > 0 {
+			return fmt.Errorf("backend: crash recovery needs every log record, but island %d's value log discarded %d (Log.Keep=%d)", island, n, b.logCfg.Keep)
+		}
+	}
 	for island, l := range b.logs {
 		idx := make([]openIndex, len(b.tables))
 		b.shards[island].idx = idx
@@ -233,6 +240,7 @@ func (b *HashBackend) CrashAndRecover(now vclock.Nanos) {
 		// Recover fails only without a table map.
 		_, _ = wal.Recover(l.Records(), l.Durable(), false, stores)
 	}
+	return nil
 }
 
 // indexStore adapts one shard's table index to wal.RowStore.

@@ -12,7 +12,7 @@ import (
 )
 
 // coalescedCrashDrillEngine is crashDrillEngine with the write-combining
-// accumulator on: unbounded retention for the drill, and a threshold above
+// accumulator on: full retention for the drill, and a threshold above
 // the per-transaction distinct-key count so flushes genuinely batch across
 // commits instead of degrading to one per transaction.
 func coalescedCrashDrillEngine(t *testing.T, wl *workload.Workload) *Engine {

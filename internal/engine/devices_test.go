@@ -147,12 +147,15 @@ func (m mapStore) ApplyDelete(key schema.Key)                 { delete(m, key) }
 func TestRecoveryAcrossLevelChange(t *testing.T) {
 	prof, _ := topology.ProfileByName("consumer-1s4d")
 	wl := workload.MultisiteUpdate(2000, 0)
+	lc := wal.DefaultConfig()
+	lc.Keep = 0 // the test replays every record
 	e, err := New(Config{
 		Design:       SharedNothing,
 		IslandLevel:  topology.LevelSocket,
 		Workload:     wl,
 		Topology:     prof.Build(),
 		DeviceLayout: "single-sata",
+		LogConfig:    &lc,
 	})
 	if err != nil {
 		t.Fatal(err)

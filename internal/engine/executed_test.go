@@ -21,8 +21,8 @@ import (
 
 // executedEngine builds a shared-nothing engine with the hash backend at the
 // given level on chiplet-2s4d. keepAll retains the full value-log history
-// (wal Keep=0) for recovery drills; otherwise the default bounded ring is
-// used, which is what the allocation budget measures.
+// (wal Keep=0) for recovery drills; otherwise the default config, which
+// retains no records, is used, which is what the allocation budget measures.
 func executedEngine(t testing.TB, wl *workload.Workload, level topology.Level, keepAll bool) *Engine {
 	t.Helper()
 	prof, _ := topology.ProfileByName("chiplet-2s4d")
@@ -118,7 +118,9 @@ func TestExecutedCrashDrillEquivalence(t *testing.T) {
 	if drillRes.Committed != refRes.Committed {
 		t.Fatalf("twin committed %d, ref %d", drillRes.Committed, refRes.Committed)
 	}
-	drill.HashBackend().CrashAndRecover(vclock.Nanos(drillRes.WallNS))
+	if err := drill.HashBackend().CrashAndRecover(vclock.Nanos(drillRes.WallNS)); err != nil {
+		t.Fatal(err)
+	}
 	if where, ok := keySetsEqual(want, drill.HashBackend().TableKeySets()); !ok {
 		t.Errorf("recovered keyset differs from fault-free twin at %s", where)
 	}

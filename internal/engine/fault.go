@@ -27,10 +27,9 @@ func (e *Engine) checkFaults(s *fault.Schedule) error {
 	if m.Devices != ndev {
 		return fmt.Errorf("engine: fault schedule targets %d log devices, engine has %d", m.Devices, ndev)
 	}
-	// A bounded log ring drops old records; recovery from it would be
-	// silently partial, so the drill runs on full retention: every log
-	// switches to it, and so do the logs later re-wirings build, unless a
-	// log has already dropped a record.
+	// A log that retains no records cannot be recovered from, so the drill
+	// runs on full retention: every log switches to it, and so do the logs
+	// later re-wirings build, unless a log has already dropped a record.
 	if s.HasCrash() && e.cfg.LogConfig.Keep != 0 {
 		for i, l := range e.logs {
 			if n := l.Discarded(); n > 0 {
@@ -104,10 +103,11 @@ func (s tableStore) ApplyDelete(key schema.Key) {
 // durability the log is responsible for; base data loaded before the run is
 // durable by definition and stays — and then replays wal.Recover from the
 // logs the engine currently owns. Committed transactions' effects are
-// re-established, in-flight losers are discarded. With an unbounded log
-// retention (LogConfig.Keep=0) on a serial run, the post-recovery table state
-// is equivalent to a fault-free run's; tests and the fuzzer assert exactly
-// that.
+// re-established, in-flight losers are discarded. It needs every record
+// (LogConfig.Keep=0, which a scheduled drill switches on) and returns an
+// error, before touching any table, when a log it would replay discarded
+// one. On a serial run the post-recovery table state is equivalent to a
+// fault-free run's; tests and the fuzzer assert exactly that.
 //
 // Recovery replays all retained records rather than only the durable prefix:
 // the reproduction's group commit acknowledges transactions whose flush rides
@@ -116,14 +116,18 @@ func (s tableStore) ApplyDelete(key schema.Key) {
 func (e *Engine) CrashAndRecover() (wal.RecoveryStats, error) {
 	// The crash happens at the drill's point of virtual time; the modeled
 	// instance flushes its write-combining accumulators on the way down (the
-	// final-flush guarantee), so the rings recovery reads hold every committed
-	// transaction's net deltas and the staged records of in-flight losers.
+	// final-flush guarantee), so the records recovery reads hold every
+	// committed transaction's net deltas and the staged records of in-flight
+	// losers.
 	logs := e.snap.wiring.logs
 	logs.Drain(e.virtualNowExact())
 	var records []wal.Record
 	var durable wal.LSN
 	for i := range logs.NumLogs() {
 		l := logs.Log(i)
+		if n := l.Discarded(); n > 0 {
+			return wal.RecoveryStats{}, fmt.Errorf("engine: crash recovery needs every log record, but island log %d discarded %d (LogConfig.Keep=%d)", i, n, e.cfg.LogConfig.Keep)
+		}
 		records = append(records, l.Records()...)
 		if d := l.Durable(); d > durable {
 			durable = d

@@ -83,9 +83,9 @@ func TestCompileFaultsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A bounded log that has dropped records cannot recover completely, so
-	// the drill is refused with the reason.
-	lc := wal.Config{Keep: 8}
+	// A log that retains no records has dropped every one it took, so a
+	// drill scheduled after it took some is refused with the reason.
+	lc := wal.DefaultConfig()
 	dropped := MustNew(Config{
 		Design: SharedNothing, IslandLevel: topology.LevelDie, Workload: workload.MultisiteUpdate(2000, 0),
 		Topology: chipletTopology(), DeviceLayout: "nvme-per-socket", LogConfig: &lc,
@@ -95,17 +95,17 @@ func TestCompileFaultsValidation(t *testing.T) {
 	}
 	opts.Faults = crash
 	if _, err := dropped.Run(opts); err == nil || !strings.Contains(err.Error(), "already discarded") {
-		t.Errorf("crash drill after the bounded ring dropped records: err = %v", err)
+		t.Errorf("crash drill after the log dropped records: err = %v", err)
 	}
 }
 
-// TestCrashDrillRetainsEveryLog: a crash drill on bounded logs that have
-// dropped nothing yet switches every log to full retention before the first
-// transaction, and the logs later re-wirings build inherit it. The caller's
-// log config is left as it was.
+// TestCrashDrillRetainsEveryLog: a crash drill on default-config logs, which
+// retain nothing but have taken no record yet, switches every log to full
+// retention before the first transaction, and the logs later re-wirings
+// build inherit it. The caller's log config is left as it was.
 func TestCrashDrillRetainsEveryLog(t *testing.T) {
 	cfg, opts := granularityFailRestoreRun(t)
-	lc := wal.Config{Keep: 8}
+	lc := wal.DefaultConfig()
 	cfg.LogConfig = &lc
 	sched, err := fault.NewSchedule(fault.Machine{Sockets: 2, Devices: 2},
 		fault.FailSocket(5*granWindow, 1),
@@ -130,8 +130,8 @@ func TestCrashDrillRetainsEveryLog(t *testing.T) {
 			t.Errorf("log %d discarded %d records", i, n)
 		}
 	}
-	if lc.Keep != 8 {
-		t.Errorf("the caller's log config changed: Keep = %d", lc.Keep)
+	if lc != wal.DefaultConfig() {
+		t.Errorf("the caller's log config changed: %+v", lc)
 	}
 }
 
@@ -364,7 +364,7 @@ func TestFaultsDuringLevelChanges(t *testing.T) {
 }
 
 // crashDrillEngine builds a serial-drill-capable engine: fixed island level,
-// unbounded log retention, no adaptivity.
+// full log retention, no adaptivity.
 func crashDrillEngine(t *testing.T, wl *workload.Workload) *Engine {
 	t.Helper()
 	prof, _ := topology.ProfileByName("chiplet-2s4d")
@@ -481,6 +481,28 @@ func TestCrashAndRecoverCentralLog(t *testing.T) {
 	}
 	if where, ok := keySetsEqual(want, e.TableKeySets()); !ok {
 		t.Errorf("central-log recovery state differs from the fault-free run at %s", where)
+	}
+}
+
+// TestCrashAndRecoverRefusesPartialLog: a default-config log retains no
+// records, so a direct drill on it must fail, naming the log, and leave
+// every table as it was, rather than "recover" from what little it kept.
+// The run writes more than 4,096 records to the one central log, more than
+// a bounded ring would have held.
+func TestCrashAndRecoverRefusesPartialLog(t *testing.T) {
+	e := MustNew(Config{Design: Centralized, Workload: workload.MultisiteUpdate(2000, 0), Topology: topology.Small()})
+	if _, err := e.Run(RunOptions{Transactions: 500, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.logStats().PhysicalRecords; len(e.logs) != 1 || n <= 4096 {
+		t.Fatalf("%d logs took %d records, want one log with more than 4096", len(e.logs), n)
+	}
+	before := e.TableKeySets()
+	if _, err := e.CrashAndRecover(); err == nil || !strings.Contains(err.Error(), "island log 0 discarded") {
+		t.Fatalf("drill on a log that kept no records: err = %v", err)
+	}
+	if where, ok := keySetsEqual(before, e.TableKeySets()); !ok {
+		t.Errorf("a refused drill changed the tables at %s", where)
 	}
 }
 

@@ -197,19 +197,6 @@ func FigOscillate(s Scale) (*Table, error) {
 
 // --- Ablation benches for the design choices DESIGN.md calls out ---
 
-// AblationTxnList compares the centralized active-transaction list (PLP)
-// against the per-socket lists (HWAware) with everything else equal.
-func AblationTxnList(s Scale) (*Table, error) {
-	return s.listTable(&Table{
-		ID:     "ablation-txnlist",
-		Title:  "Centralized vs per-socket transaction list and state locks",
-		Header: []string{"configuration", "throughput"},
-	}, s.micro(workload.SingleRowRead), s.Topology, []column{
-		{label: "centralized state (PLP)", cfg: engine.Config{Design: engine.PLP}},
-		{label: "per-socket state (HWAware)", cfg: engine.Config{Design: engine.HWAware}},
-	}, tpsOnly)
-}
-
 // AblationSubPartitions sweeps the number of sub-partitions the monitor
 // tracks per partition and reports how many partitions the planner proposes
 // and how balanced the proposal is relative to the starting placement, under

@@ -232,7 +232,6 @@ func Registry() []Experiment {
 		{"fig-log-devices", "Log-device sweep: island granularity under progressively scarcer log devices", FigLogDevices},
 		{"fig-group-commit", "Coalescing group commit: write-combining WAL accumulator on/off across device layouts", FigGroupCommit},
 		{"fig-adaptive-granularity", "Adaptive island granularity: the planner re-wires the machine as the multisite share drifts", FigAdaptiveGranularity},
-		{"ablation-txnlist", "Ablation: centralized vs per-socket transaction list", AblationTxnList},
 		{"ablation-subparts", "Ablation: sub-partition granularity of the monitor", AblationSubPartitions},
 		{"ablation-sli", "Ablation: speculative lock inheritance in the centralized design", AblationSLI},
 		{"fig-faults", "Fault injection: fail→degrade→restore schedule with device re-homing and elastic recovery", FigFaults},

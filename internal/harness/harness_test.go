@@ -350,7 +350,7 @@ func TestFig11And12And13Run(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	for _, fn := range []func(Scale) (*Table, error){
-		AblationTxnList, AblationSubPartitions, AblationSLI,
+		AblationSubPartitions, AblationSLI,
 	} {
 		tbl, err := fn(testScale())
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 	"atrapos/internal/vclock"
 )
 
-// coalCfg is a coalescing config with an unbounded ring so recovery tests see
+// coalCfg is a coalescing config with full retention so recovery tests see
 // the complete log.
 func coalCfg(records int) Config {
 	cfg := DefaultConfig()
@@ -528,10 +528,10 @@ func (r *refLog) Drain(now vclock.Nanos) numa.Cost {
 	return cost
 }
 
-// Records returns the last Keep records written (all of them if Keep is 0).
+// Records returns every record written if Keep is 0, and none otherwise.
 func (r *refLog) Records() []Record {
-	if r.cfg.Keep > 0 && len(r.recs) > r.cfg.Keep {
-		return r.recs[len(r.recs)-r.cfg.Keep:]
+	if r.cfg.Keep != 0 {
+		return nil
 	}
 	return r.recs
 }
@@ -616,7 +616,7 @@ func FuzzCoalescer(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.CoalesceRecords = 1 + int(records%80)
 		cfg.CoalesceMaxAge = 4 * vclock.Nanos(age)
-		cfg.Keep = int(keep % 48)
+		cfg.Keep = int(keep % 2)
 		refCfg := cfg
 		if withDevice {
 			spec := device.Spec{Class: "sata", FlushLatency: 9000, PerByteCost: 2}
@@ -672,8 +672,12 @@ func FuzzCoalescer(f *testing.F) {
 			check(i, "flush", l.Flush(0, l.Tail(), now), ref.Flush(ref.next-1, now))
 		}
 		check(len(data), "final drain", l.Drain(now+1), ref.Drain(now+1))
-		if got, want := l.Records(), ref.Records(); !slices.Equal(got, want) {
+		got, want := l.Records(), ref.Records()
+		if !slices.Equal(got, want) {
 			t.Fatalf("retained records differ:\n got %v\nwant %v", got, want)
+		}
+		if d := l.Discarded(); d != ref.st.PhysicalRecords-int64(len(want)) {
+			t.Fatalf("discarded %d of %d physical records, %d retained", d, ref.st.PhysicalRecords, len(want))
 		}
 	})
 }

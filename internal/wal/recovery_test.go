@@ -23,7 +23,7 @@ func (m *mapStore) ApplyDelete(key schema.Key)                 { delete(m.rows, 
 func TestRecoverRedoesOnlyWinners(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 2, CoresPerSocket: 1})
 	d := numa.NewDomain(top)
-	l := NewCentralLog(d, 0, DefaultConfig())
+	l := NewCentralLog(d, 0, keepAllConfig())
 
 	// Winner transaction 1: two updates and a commit.
 	l.Append(0, Record{Txn: 1, Type: Update, Table: "t", Key: 10, Size: 32})
@@ -65,7 +65,7 @@ func TestRecoverRedoesOnlyWinners(t *testing.T) {
 func TestRecoverDurableBoundary(t *testing.T) {
 	top := topology.MustNew(topology.Config{Sockets: 1, CoresPerSocket: 1})
 	d := numa.NewDomain(top)
-	l := NewCentralLog(d, 0, DefaultConfig())
+	l := NewCentralLog(d, 0, keepAllConfig())
 
 	l.Append(0, Record{Txn: 1, Type: Update, Table: "t", Key: 1, Size: 16})
 	lsn, _ := l.Append(0, Record{Txn: 1, Type: Commit, Size: 16})

@@ -98,8 +98,10 @@ const (
 
 // Config tunes a log's retention, device binding and coalescing.
 type Config struct {
-	// Keep is the maximum number of records retained in memory for
-	// inspection; older records are discarded (the "archive"). Zero keeps all.
+	// Keep selects retention, all or nothing: zero keeps every physical
+	// record in memory for crash recovery (Records); any other value keeps
+	// none and only counts them (Discarded). Recovery from a partial log
+	// would be silently wrong, so there is no bounded middle.
 	Keep int
 	// Device optionally binds the log to a modeled log device: full flushes
 	// then pay the device's queueing model (service latency, per-byte
@@ -125,9 +127,10 @@ type Config struct {
 }
 
 // DefaultConfig returns the log configuration used by the evaluation:
-// memory-mapped log device with group commit.
+// memory-mapped log device with group commit, retaining no records. A crash
+// drill switches its logs to full retention (Keep 0) before the first append.
 func DefaultConfig() Config {
-	return Config{Keep: 4096}
+	return Config{Keep: -1}
 }
 
 // CentralLog is an Aether-style centralized log. The buffer tail is modeled
@@ -151,14 +154,10 @@ type CentralLog struct {
 	// pendingBytes accumulates the record bytes appended since the last full
 	// flush; a device-bound flush writes them out and pays their bandwidth.
 	pendingBytes int
-	// Retained records live in a fixed-capacity ring so the append hot path
-	// never allocates: ring[start:count] then ring[:start] are the most recent
-	// records, oldest first (start moves once the ring is full, wrapping by a
-	// comparison, not a division). With Keep == 0 the ring grows
-	// without bound instead (recovery tests rely on a complete log).
-	ring  []Record
-	start int
-	count int
+	// kept holds every physical record, oldest first, when Keep is 0 (crash
+	// recovery replays them); with any other Keep it stays empty, so the
+	// append hot path never allocates.
+	kept []Record
 
 	// coal is the write-combining accumulator (Config.CoalesceRecords > 0);
 	// nil leaves every path below on the legacy record-per-write arithmetic.
@@ -193,7 +192,7 @@ type CentralLog struct {
 // EndOfDistributed) is appended to this log — so every accumulator entry
 // belongs to a winner and cross-transaction merging can never launder a loser
 // record into a committed one. Staged records of transactions that never log
-// an outcome here (aborts, in-flight work at a drain) are emitted to the ring
+// an outcome here (aborts, in-flight work at a drain) are emitted to the log
 // verbatim and unmerged, where recovery classifies them by the absence of a
 // commit record exactly as it would have without coalescing.
 type coalescer struct {
@@ -358,27 +357,12 @@ func NewCentralLog(d *numa.Domain, home topology.SocketID, cfg Config) *CentralL
 	return l
 }
 
-// ringAppend stores rec in the retained-record ring and counts it as a
-// physical record. Callers have already assigned rec.LSN.
-func (l *CentralLog) ringAppend(rec Record) {
+// emit counts rec as a physical record and keeps it when the log retains
+// records. Callers have already assigned rec.LSN.
+func (l *CentralLog) emit(rec Record) {
 	l.physRecords++
-	if l.cfg.Keep > 0 {
-		if l.ring == nil {
-			l.ring = make([]Record, l.cfg.Keep)
-		}
-		if l.count < len(l.ring) {
-			l.ring[l.count] = rec
-			l.count++
-		} else {
-			// Overwrite the oldest record (the "archive" discards it).
-			l.ring[l.start] = rec
-			if l.start++; l.start == len(l.ring) {
-				l.start = 0
-			}
-		}
-	} else {
-		l.ring = append(l.ring, rec)
-		l.count = len(l.ring)
+	if l.cfg.Keep == 0 {
+		l.kept = append(l.kept, rec)
 	}
 }
 
@@ -386,7 +370,7 @@ func (l *CentralLog) ringAppend(rec Record) {
 // assigned LSN and the virtual cost of the insert. With coalescing enabled,
 // write records stage per transaction — they reach the accumulator only when
 // their transaction's outcome record arrives — while control records go
-// straight to the ring so recovery's winner determination sees them at any
+// straight to the log so recovery's winner determination sees them at any
 // crash point. Every append
 // pays the same tail reservation and copy cost either way: coalescing saves
 // physical flush work, not the logical logging work.
@@ -400,7 +384,7 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 	}
 	if l.coal == nil {
 		l.pendingBytes += rec.Size
-		l.ringAppend(rec)
+		l.emit(rec)
 		return rec.LSN, cost
 	}
 	if isWriteType(rec.Type) {
@@ -414,7 +398,7 @@ func (l *CentralLog) Append(s topology.SocketID, rec Record) (LSN, numa.Cost) {
 		l.coal.fold(rec.Txn)
 	}
 	l.pendingBytes += rec.Size
-	l.ringAppend(rec)
+	l.emit(rec)
 	return rec.LSN, cost
 }
 
@@ -491,19 +475,19 @@ func (l *CentralLog) rideAlong() numa.Cost {
 }
 
 // physicalFlush writes the accumulator out: net-delta entries are
-// emitted to the retained ring in fold order and the device (or flat flush
+// emitted to the log in fold order and the device (or flat flush
 // cost) is billed for the physical bytes — buffered control bytes plus the
 // collapsed entry bytes, not the logical append volume. When leftovers is
 // true (drains), the staged records of transactions that never logged an
 // outcome here are emitted verbatim too, by first-record LSN (the open list's
-// order), so a crash drill's ring holds exactly the information the
+// order), so a crash drill's log holds exactly the information the
 // uncoalesced log would: recovery classifies them by the absence of an
 // outcome record.
 func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 	c := l.coal
 	bytes := l.pendingBytes + c.bytes
 	for i := range c.entries {
-		l.ringAppend(c.entries[i])
+		l.emit(c.entries[i])
 	}
 	c.entries, c.bytes, c.epochStart = c.entries[:0], 0, -1
 	if c.stamp++; c.stamp == 0 { // a wrapped stamp would revive stale slots
@@ -514,7 +498,7 @@ func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 		for _, s := range c.open {
 			for i := range s.recs {
 				bytes += s.recs[i].Size
-				l.ringAppend(s.recs[i])
+				l.emit(s.recs[i])
 			}
 		}
 		c.open = c.open[:0]
@@ -528,10 +512,10 @@ func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 }
 
 // Drain forces the write-combining accumulator out: committed net deltas and
-// the staged records of transactions still in flight hit the ring, and
+// the staged records of transactions still in flight hit the log, and
 // everything appended so far becomes durable (the final-flush guarantee).
 // The engine calls it before an island re-wiring carries logs into a new
-// island set, before a crash drill snapshots the ring, and at run end. It is
+// island set, before a crash drill reads the records, and at run end. It is
 // a no-op on a log without coalescing or with nothing buffered; the returned
 // cost is the physical flush the drain issued.
 func (l *CentralLog) Drain(now vclock.Nanos) numa.Cost {
@@ -576,28 +560,23 @@ func (l *CentralLog) Durable() LSN { return l.durable }
 // Tail returns the highest assigned LSN.
 func (l *CentralLog) Tail() LSN { return l.next - 1 }
 
-// Discarded returns how many records the bounded ring has overwritten.
-func (l *CentralLog) Discarded() int64 { return l.physRecords - int64(l.count) }
+// Discarded returns how many physical records the log did not keep: every
+// one emitted while it retained none. A log with Discarded() > 0 cannot be
+// recovered from.
+func (l *CentralLog) Discarded() int64 { return l.physRecords - int64(len(l.kept)) }
 
-// RetainAll switches the log to unbounded retention (Keep 0): every record
-// from now on is kept beside the ones the ring still holds.
-func (l *CentralLog) RetainAll() {
-	l.ring, l.start = l.Records(), 0
-	l.cfg.Keep = 0
-}
+// RetainAll switches the log to full retention (Keep 0): every record from
+// now on is kept. Records emitted before stay discarded.
+func (l *CentralLog) RetainAll() { l.cfg.Keep = 0 }
 
-// Records returns the retained records (most recent Keep entries), oldest first.
-func (l *CentralLog) Records() []Record {
-	out := make([]Record, l.count)
-	n := copy(out, l.ring[l.start:l.count])
-	copy(out[n:], l.ring)
-	return out
-}
+// Records returns a copy of the kept records, oldest first: every physical
+// record when Discarded() is 0.
+func (l *CentralLog) Records() []Record { return slices.Clone(l.kept) }
 
 // Stats summarizes log activity. Appends counts every appended record (the
 // logical logging work, paid on the hot path regardless of coalescing);
 // LogicalRecords is the row-write subset of Appends; PhysicalRecords counts
-// records actually written to the retained ring — with coalescing several
+// records actually written to the log — with coalescing several
 // logical records collapse into one physical entry; CoalescedRecords counts
 // logical records absorbed into an existing net-delta entry.
 // PhysicalFlushes and RideAlongFlushes split group commit exactly: flushes

@@ -99,29 +99,53 @@ func TestGroupCommit(t *testing.T) {
 	}
 }
 
+// keepAllConfig is DefaultConfig retaining every record (Keep 0), for the
+// tests that read Records.
+func keepAllConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Keep = 0
+	return cfg
+}
+
+// TestCentralLogRecordsRetention: a log keeps every record or none. Keep 0
+// keeps all of them, oldest first; any other value keeps none and counts
+// each as discarded; RetainAll keeps every later record while the earlier
+// ones stay discarded.
 func TestCentralLogRecordsRetention(t *testing.T) {
 	d := newDomain(1)
-	cfg := DefaultConfig()
-	cfg.Keep = 10
-	l := NewCentralLog(d, 0, cfg)
-	for i := 0; i < 25; i++ {
-		l.Append(0, Record{Txn: uint64(i), Size: 8})
+	appendTxns := func(l *CentralLog, from, n int) {
+		for i := from; i < from+n; i++ {
+			l.Append(0, Record{Txn: uint64(i), Size: 8})
+		}
 	}
-	recs := l.Records()
-	if len(recs) != 10 {
-		t.Fatalf("retained %d records, want 10", len(recs))
+	for _, keep := range []int{DefaultConfig().Keep, 10, 4096} {
+		cfg := DefaultConfig()
+		cfg.Keep = keep
+		l := NewCentralLog(d, 0, cfg)
+		appendTxns(l, 0, 25)
+		if n, dropped := len(l.Records()), l.Discarded(); n != 0 || dropped != 25 {
+			t.Errorf("Keep %d: retained %d records and discarded %d, want 0 and 25", keep, n, dropped)
+		}
 	}
-	if recs[0].Txn != 15 {
-		t.Errorf("oldest retained record txn = %d, want 15", recs[0].Txn)
+
+	all := NewCentralLog(d, 0, keepAllConfig())
+	appendTxns(all, 0, 25)
+	recs := all.Records()
+	if len(recs) != 25 || all.Discarded() != 0 {
+		t.Fatalf("Keep 0: retained %d records and discarded %d, want 25 and 0", len(recs), all.Discarded())
 	}
-	// Keep == 0 retains everything.
-	cfg.Keep = 0
-	l2 := NewCentralLog(d, 0, cfg)
-	for i := 0; i < 25; i++ {
-		l2.Append(0, Record{Size: 8})
+	for i, r := range recs {
+		if r.Txn != uint64(i) {
+			t.Fatalf("record %d holds txn %d: not oldest first", i, r.Txn)
+		}
 	}
-	if len(l2.Records()) != 25 {
-		t.Errorf("unbounded log retained %d records", len(l2.Records()))
+
+	late := NewCentralLog(d, 0, DefaultConfig())
+	appendTxns(late, 0, 5)
+	late.RetainAll()
+	appendTxns(late, 5, 7)
+	if recs = late.Records(); len(recs) != 7 || recs[0].Txn != 5 || late.Discarded() != 5 {
+		t.Errorf("RetainAll after 5 records: retained %v, discarded %d; want txns 5-11, 5 discarded", recs, late.Discarded())
 	}
 }
 
@@ -140,7 +164,9 @@ func TestDefaultConfigSanity(t *testing.T) {
 	if GroupSize < 1 || FlushCost <= 0 || PerByteCost < 0 {
 		t.Errorf("suspicious group-commit price: GroupSize %d, FlushCost %d, PerByteCost %d", GroupSize, FlushCost, PerByteCost)
 	}
-	if cfg := DefaultConfig(); cfg.Keep <= 0 || cfg.CoalesceRecords != 0 {
+	// The default retains no records: only a crash drill reads them, and it
+	// switches its logs to full retention itself.
+	if cfg := DefaultConfig(); cfg.Keep == 0 || cfg.CoalesceRecords != 0 {
 		t.Errorf("suspicious default config %+v", cfg)
 	}
 }
@@ -191,12 +217,12 @@ func TestReusedLogRebindsChangedDevice(t *testing.T) {
 	devA := device.New(device.Spec{Name: "a", Class: "nvme", FlushLatency: 100, QueueDepth: 1})
 	devB := device.New(device.Spec{Name: "b", Class: "sata", FlushLatency: 900, QueueDepth: 1})
 	homes := []topology.SocketID{0, 1}
-	p1 := NewPartitionedLogAtDevices(d, homes, DefaultConfig(), []*device.Device{devA, devA})
+	p1 := NewPartitionedLogAtDevices(d, homes, keepAllConfig(), []*device.Device{devA, devA})
 	p1.Log(0).Append(0, Record{Txn: 1, Type: Update, Table: "t", Key: 7, Size: 64})
 	p1.Log(0).Append(0, Record{Txn: 1, Type: Commit, Size: 48})
 
 	// Rebuild reusing both logs, but island 0's device moved to devB.
-	p2 := NewPartitionedLogAtReusing(d, homes, DefaultConfig(),
+	p2 := NewPartitionedLogAtReusing(d, homes, keepAllConfig(),
 		[]*device.Device{devB, devA}, []*CentralLog{p1.Log(0), p1.Log(1)})
 	if p2.Log(0) != p1.Log(0) {
 		t.Fatal("island 0's log should be reused")
@@ -236,7 +262,7 @@ func TestRecoveryAcrossDeviceRebinding(t *testing.T) {
 	devA := device.New(device.Spec{Name: "a", FlushLatency: 100, QueueDepth: 1})
 	devB := device.New(device.Spec{Name: "b", FlushLatency: 900, QueueDepth: 1})
 	homes := []topology.SocketID{0, 1}
-	p1 := NewPartitionedLogAtDevices(d, homes, DefaultConfig(), []*device.Device{devA, devA})
+	p1 := NewPartitionedLogAtDevices(d, homes, keepAllConfig(), []*device.Device{devA, devA})
 	for i := 0; i < 10; i++ {
 		lg := p1.Log(i % 2)
 		home := p1.Home(i % 2)
@@ -244,7 +270,7 @@ func TestRecoveryAcrossDeviceRebinding(t *testing.T) {
 		lsn, _ := lg.Append(home, Record{Txn: uint64(i), Type: Commit, Size: 48})
 		lg.Flush(home, lsn, 0)
 	}
-	p2 := NewPartitionedLogAtReusing(d, homes, DefaultConfig(),
+	p2 := NewPartitionedLogAtReusing(d, homes, keepAllConfig(),
 		[]*device.Device{devB, devB}, []*CentralLog{p1.Log(0), p1.Log(1)})
 	if p2.ReboundDevices() != 2 {
 		t.Fatalf("rebound count = %d, want 2", p2.ReboundDevices())
