@@ -80,8 +80,8 @@ test:
 # shipping operations to each other over channels), engine.New's loader
 # workers (up to GOMAXPROCS goroutines filling disjoint chunks of one
 # storage.Load each, joined before its Finish) and the harness pool's
-# concurrent sweep paths (point scheduling, the Exclusive token,
-# parallel bit-identity). The counter-conservation oracle (its
+# concurrent sweep paths (point scheduling, measured experiments run after
+# the pool has joined, parallel bit-identity). The counter-conservation oracle (its
 # die-level mixed leg included) and the batch-protocol tests are repeated (the
 # oracle at its -short size), and so are the ship that outwaits its bounded
 # spin and parks, and the oversubscribed executed runs: a lost update, a ship
@@ -99,7 +99,7 @@ race:
 	$(GO) test -race -count=10 -run TestExecutedOversubscribed ./internal/engine
 	$(GO) test -race -count=10 -run TestExecutedTracedIslandsShareNothing ./internal/engine
 	$(GO) test -race -count=3 -run TestLoadDataMatchesSerialLoad ./internal/engine
-	$(GO) test -race -run 'TestPool|TestNestedExclusiveExcludesEveryPoint|TestParallelSweepBitIdentical' ./internal/harness
+	$(GO) test -race -run 'TestPool|TestMeasuredExperimentsRunAlone|TestParallelSweepBitIdentical' ./internal/harness
 
 # benchmark/ is a nested module the root `go build ./... && go test ./...` does
 # not reach, yet it compiles against the engine's API; vet and short-test it so

@@ -263,10 +263,11 @@ type ExecutedResult = engine.ExecutedResult
 
 // RunExecuted executes the workload on the executed hash backend (requires
 // Options.Backend == BackendHash) with one executor goroutine per island, and
-// returns wall-clock-measured results. The transaction stream is the same
-// deterministic stream Run generates for the same seed; the first call loads
-// the backend from the priced tables and later calls continue from the state
-// the previous one left.
+// returns wall-clock-measured results. Every transaction is generated at
+// virtual time 0, so a run measures the workload's t = 0 mix; for a workload
+// whose mix does not vary over time the stream is the deterministic stream Run
+// generates for the same seed. The first call loads the backend from the
+// priced tables and later calls continue from the state the previous one left.
 func (s *System) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	return s.engine.RunExecuted(opts)
 }
@@ -326,9 +327,10 @@ func RunExperiment(id string, scale Scale) (*ExperimentTable, error) {
 type ExperimentResult = harness.ExperimentResult
 
 // RunAllExperimentsTimed reproduces every table and figure at the given
-// scale, fanning independent experiments across Scale.Parallel goroutines,
-// and returns per-experiment results in registry order. A failed experiment
-// does not abort the rest; the returned error joins every failure.
+// scale, fanning the priced experiments across Scale.Parallel goroutines and
+// then running the wall-clock-measured ones alone, and returns per-experiment
+// results in registry order. A failed experiment does not abort the rest; the
+// returned error joins every failure.
 func RunAllExperimentsTimed(scale Scale) ([]ExperimentResult, error) {
 	return harness.RunAllTimed(scale)
 }

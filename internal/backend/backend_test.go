@@ -219,8 +219,8 @@ func TestExecutorShipping(t *testing.T) {
 				k := base + schema.Key(i)
 				ex.Stage(OpPut, islandOf(k, len(execs)), 0, k, txn, uint64(k)*2)
 			}
-			ex.CommitLocal(txn, 0)
-			ex.ShipStaged(txn, 0)
+			ex.CommitLocal(txn)
+			ex.ShipStaged(txn)
 			for i := 0; i < 100; i++ {
 				k := base + schema.Key(i)
 				if v, ok := ex.Get(islandOf(k, len(execs)), 0, k); ok {
@@ -288,8 +288,8 @@ func TestExecutorIncrementAtomic(t *testing.T) {
 				for k := schema.Key(0); k < keys; k++ {
 					ex.Stage(OpIncrement, islandOf(k, len(execs)), 0, k, txn, 0)
 				}
-				ex.CommitLocal(txn, 0)
-				ex.ShipStaged(txn, 0)
+				ex.CommitLocal(txn)
+				ex.ShipStaged(txn)
 				ex.Poll()
 			}
 			work.Done()
@@ -345,9 +345,9 @@ func TestExecutorBatchInOrderOnce(t *testing.T) {
 	if _, ok := b.Get(1, 0, 10); ok {
 		t.Error("a staged remote operation ran before ShipStaged")
 	}
-	ex.CommitLocal(txn, 0)
-	ex.ShipStaged(txn, 0)
-	ex.ShipStaged(txn, 0) // nothing staged any more: ships nothing
+	ex.CommitLocal(txn)
+	ex.ShipStaged(txn)
+	ex.ShipStaged(txn) // nothing staged any more: ships nothing
 	close(stop)
 	wg.Wait()
 
@@ -408,7 +408,7 @@ func TestExecutorBatchReadOnlyNoCommit(t *testing.T) {
 	ex.Stage(OpGet, 1, 0, 41, 3, 0)
 	ex.Stage(OpGet, 1, 0, 42, 3, 0)
 	hit, miss := &ex.staged[1].ops[0], &ex.staged[1].ops[1]
-	ex.ShipStaged(3, 0)
+	ex.ShipStaged(3)
 	close(stop)
 	<-done
 	if !hit.ok || hit.val != 99 || miss.ok {
@@ -445,8 +445,8 @@ func TestExecutorBatchesCrossing(t *testing.T) {
 						ex.Stage(OpIncrement, shard, 0, schema.Key(shard), txn, 0)
 					}
 				}
-				ex.CommitLocal(txn, int64(n))
-				ex.ShipStaged(txn, int64(n))
+				ex.CommitLocal(txn)
+				ex.ShipStaged(txn)
 			}
 			work.Done()
 			ex.Serve(stop)
@@ -504,7 +504,7 @@ func TestExecutorShipParksBehindSilentOwner(t *testing.T) {
 		for n := 0; n < 4*shipSpins || time.Since(t0) < silent; n++ {
 			txn := uint64(1000 + n)
 			owner.Stage(OpIncrement, 1, 0, 99, txn, 0)
-			owner.CommitLocal(txn, 0)
+			owner.CommitLocal(txn)
 			busyTxns++
 			runtime.Gosched()
 		}
@@ -516,8 +516,8 @@ func TestExecutorShipParksBehindSilentOwner(t *testing.T) {
 		for k := schema.Key(1); k <= 5; k++ {
 			sender.Stage(OpIncrement, 1, 0, k, 7, 0)
 		}
-		sender.CommitLocal(7, 0)
-		sender.ShipStaged(7, 0)
+		sender.CommitLocal(7)
+		sender.ShipStaged(7)
 	}()
 	select {
 	case <-shipped:
@@ -564,7 +564,7 @@ func BenchmarkExecutorShip(b *testing.B) {
 				for k := schema.Key(0); k < 10; k++ {
 					owner.Stage(OpIncrement, 1, 0, 2*k+1, txn, 0)
 				}
-				owner.CommitLocal(txn, 0)
+				owner.CommitLocal(txn)
 				owner.Poll()
 			}
 		}},
@@ -584,7 +584,7 @@ func BenchmarkExecutorShip(b *testing.B) {
 			for k := schema.Key(0); k < 5; k++ {
 				ex.Stage(OpIncrement, 1, 0, 2*k+1, txn, 0)
 			}
-			ex.ShipStaged(txn, 0)
+			ex.ShipStaged(txn)
 		}},
 	}
 	for _, m := range messages {

@@ -41,9 +41,7 @@ type ownerBatch struct {
 
 // Request is the one message of the ship protocol: the operations one
 // transaction has for one remote owner, in order, plus — when commit is set —
-// the transaction's commit record for the owner's value log, stamped with the
-// committer's wall offset nowNs so the owner's group-commit deadline advances
-// with real time. An executor owns exactly one reusable Request (its out
+// the transaction's commit record for the owner's value log. An executor owns exactly one reusable Request (its out
 // field) and the ops slice points into its own staging buffers, so shipping
 // allocates nothing in steady state: the sender fills out, hands the pointer
 // to the owner's inbox, and waits — polling, then parked — on its own reply
@@ -53,7 +51,6 @@ type Request struct {
 	txn    uint64
 	ops    []batchOp
 	commit bool
-	nowNs  int64
 	from   *Executor
 }
 
@@ -174,7 +171,7 @@ func (e *Executor) serve(r *Request) {
 		e.apply(&r.ops[i], r.txn)
 	}
 	if r.commit {
-		e.b.Commit(e.id, r.txn, vclock.Nanos(r.nowNs))
+		e.b.Commit(e.id, r.txn, 0)
 	}
 	carried := r.carried()
 	// The sender owns r again once the reply is sent; nothing below reads it.
@@ -288,13 +285,12 @@ func (e *Executor) Stage(op Op, shard, table int, key schema.Key, txn, val uint6
 // remote owner: the owner applies them in order and, if any of them writes,
 // appends txn's commit record to its own value log right behind them — the
 // decision round-trip of a multi-island transaction riding the same message.
-// nowNs is the committer's wall offset. The engine calls it after
-// CommitLocal, so a participant's commit record never precedes the home
-// island's.
-func (e *Executor) ShipStaged(txn uint64, nowNs int64) {
+// The engine calls it after CommitLocal, so a participant's commit record
+// never precedes the home island's.
+func (e *Executor) ShipStaged(txn uint64) {
 	for _, owner := range e.touched {
 		sb := &e.staged[owner]
-		e.out = Request{txn: txn, ops: sb.ops, commit: sb.commit, nowNs: nowNs}
+		e.out = Request{txn: txn, ops: sb.ops, commit: sb.commit}
 		e.ship(int(owner))
 		sb.ops, sb.commit = sb.ops[:0], false
 	}
@@ -316,6 +312,6 @@ func (e *Executor) Get(shard, table int, key schema.Key) (uint64, bool) {
 }
 
 // CommitLocal appends txn's commit record to this executor's own island log.
-func (e *Executor) CommitLocal(txn uint64, nowNs int64) {
-	e.b.Commit(e.id, txn, vclock.Nanos(nowNs))
+func (e *Executor) CommitLocal(txn uint64) {
+	e.b.Commit(e.id, txn, 0)
 }

@@ -172,8 +172,7 @@ func (b *HashBackend) Scan(shard, table int, fn func(schema.Key, uint64) bool) i
 
 // Commit appends txn's commit record to island's value log (folding its
 // staged writes into the coalescer's net-delta buffer) and runs group commit.
-// now is the committer's wall-clock offset, which drives the coalescer's
-// max-age deadline.
+// A value log has no device, so now prices nothing; executed runs pass 0.
 func (b *HashBackend) Commit(island int, txn uint64, now vclock.Nanos) {
 	l := b.Log(island)
 	lsn, _ := l.Append(b.home(island), wal.Record{Txn: txn, Type: wal.Commit, Size: 16})

@@ -90,13 +90,13 @@ func (e *Engine) clockSpread() vclock.Spread {
 
 // breakdown aggregates the per-component costs across all cores.
 func (e *Engine) breakdown() vclock.Breakdown {
-	out := vclock.Breakdown{ByComp: make(map[vclock.Component]vclock.Nanos, 5)}
+	var out vclock.Breakdown
 	for i := range e.accounts {
 		if t := e.accounts[i].busy; t > out.Total {
 			out.Total = t
 		}
-		for _, comp := range vclock.Components() {
-			out.ByComp[comp] += e.accounts[i].comp[comp]
+		for comp, ns := range e.accounts[i].comp {
+			out.ByComp[comp] += ns
 		}
 	}
 	return out

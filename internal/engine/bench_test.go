@@ -164,7 +164,7 @@ func BenchmarkExecute(b *testing.B) {
 				ti := e.tableIdx[a.Table]
 				ex.Stage(backendOp(a.Op), w.siteOf(snap.tps[ti].CoreFor(a.Key)), ti, a.Key, txnID, uint64(a.Key))
 			}
-			ex.CommitLocal(txnID, int64(n))
+			ex.CommitLocal(txnID)
 		}
 		for i := int64(0); i < 2000; i++ {
 			runOne(i)

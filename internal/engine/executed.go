@@ -125,11 +125,13 @@ const cacheLineSize = 64
 // RunExecuted executes the workload on the hash backend with one executor
 // goroutine per island and returns measured wall-time results. The first call
 // loads the backend from the priced tables; later calls continue from the
-// state the previous one left. The transaction stream is the same
-// deterministic stream the priced Run generates (same seed → same
-// transactions); transaction n is executed by executor n % islands, so the
-// assignment is scheduler-independent too. Only wall times vary between
-// repeats — committed counts and final keysets do not. There are no locks and
+// state the previous one left. Every transaction is generated at virtual time
+// 0, so an executed run measures the workload's t = 0 mix: a time-varying
+// workload does not drift with the host's speed. With that, the stream is the
+// one the priced Run generates for a workload whose mix does not vary (same
+// seed → same transactions); transaction n is executed by executor
+// n % islands, so the assignment is scheduler-independent too. Only wall times
+// vary between repeats — committed counts and final keysets do not. There are no locks and
 // no aborts, so Committed always equals the transaction count; what holds
 // instead of isolation is that every operation runs on its shard's single
 // owner, one at a time, and an update is one such operation
@@ -173,7 +175,7 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 		wgAll.Add(1)
 		go func(ex *backend.Executor, sc *execScratchX) {
 			defer wgAll.Done()
-			e.executedWorker(ex, sc, opts, snap, start)
+			e.executedWorker(ex, sc, opts, snap)
 			wgWork.Done()
 			// Serve slower peers until every executor's work loop is done; no
 			// ship can be in flight after that (ships complete synchronously),
@@ -185,7 +187,7 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	close(stop)
 	wgAll.Wait()
 	wall := time.Since(start).Nanoseconds()
-	e.hash.Drain(vclock.Nanos(wall))
+	e.hash.Drain(0)
 
 	res := &ExecutedResult{
 		Workload:    e.wl.Name,
@@ -234,11 +236,8 @@ func ignoredByExecuted(o RunOptions) string {
 // of its transactions, starting with its first, with clock reads and scales
 // what it measured by timedEvery. Bracketing every action cost 24 clock reads
 // per 10-update transaction, each about as long as the hash probe it timed.
-// The timed transactions' reads are also the only ones the generator's At and
-// the commit and ship timestamps see: the timedEvery-1 transactions after a
-// timed one reuse its last read, so those timestamps trail the wall clock by
-// at most the time timedEvery transactions take (microseconds unless a ship
-// waits), against a coalescer max-age deadline of milliseconds.
+// These brackets are the loop's only clock reads: nothing the run executes
+// depends on the wall clock.
 const timedEvery = 16
 
 // backendOp maps a generated action to the storage operation that executes
@@ -263,13 +262,11 @@ func backendOp(op workload.OpType) backend.Op {
 // owner one message: its operations in generation order plus, for a write
 // participant, the commit record — the executed analogue of the 2PC decision
 // round, riding the same message as the work.
-func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts RunOptions,
-	snap *stateSnapshot, start time.Time) {
+func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts RunOptions, snap *stateSnapshot) {
 	w, tps, tableIdx := snap.wiring, snap.tps, e.tableIdx
 	islands := e.hash.Islands()
 	id := ex.ID()
 	mine := 0
-	var nowNs int64 // the last clock read, taken on timed transactions only (see timedEvery)
 	for n := int64(1); n <= int64(opts.Transactions); n++ {
 		if int(n%int64(islands)) != id {
 			continue
@@ -277,10 +274,7 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 		timed := mine%timedEvery == 0
 		mine++
 		ex.Poll()
-		if timed {
-			nowNs = time.Since(start).Nanoseconds()
-		}
-		t := sc.gen.generate(e.wl, opts.Seed, n, vclock.Nanos(nowNs), id, islands)
+		t := sc.gen.generate(e.wl, opts.Seed, n, 0, id, islands)
 		txnID := uint64(n)
 		for ai := range t.Actions {
 			a := &t.Actions[ai]
@@ -304,17 +298,14 @@ func (e *Engine) executedWorker(ex *backend.Executor, sc *execScratchX, opts Run
 				ex.Stage(backendOp(a.Op), shard, ti, a.Key, txnID, uint64(a.Key))
 			}
 		}
-		// Commit: the home island's record first, then the batches. The commit
-		// timestamp only drives the coalescer's max-age deadline (milliseconds),
-		// so an untimed transaction reuses the last timed read; a timed one
-		// reads the clock again to open the sampled bracket.
+		// Commit: the home island's record first, then the batches.
 		if timed {
-			nowNs = time.Since(start).Nanoseconds()
-			ex.CommitLocal(txnID, nowNs)
-			sc.logNs += timedEvery * (time.Since(start).Nanoseconds() - nowNs)
+			t0 := time.Now()
+			ex.CommitLocal(txnID)
+			sc.logNs += timedEvery * time.Since(t0).Nanoseconds()
 		} else {
-			ex.CommitLocal(txnID, nowNs)
+			ex.CommitLocal(txnID)
 		}
-		ex.ShipStaged(txnID, nowNs)
+		ex.ShipStaged(txnID)
 	}
 }

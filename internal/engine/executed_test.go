@@ -426,40 +426,26 @@ func TestExecutedMultiIslandShips(t *testing.T) {
 	}
 }
 
-// TestExecutedCoalesceMaxAgeFires drives the value logs' max-age deadline in
-// executed mode. A commit's wall timestamp feeds nothing else, and executors
-// read the clock only every timedEvery transactions, so this is what would
-// notice a timestamp that stopped advancing. With a record threshold the run
-// cannot reach, every physical flush but the end-of-run drain's one per
-// island is the deadline firing.
-func TestExecutedCoalesceMaxAgeFires(t *testing.T) {
-	const maxAge = time.Millisecond
-	prof, _ := topology.ProfileByName("chiplet-2s4d")
-	lc := wal.DefaultConfig()
-	lc.CoalesceRecords = 1 << 30
-	lc.CoalesceMaxAge = vclock.Nanos(maxAge)
-	e, err := New(Config{
-		Design:      SharedNothing,
-		IslandLevel: topology.LevelSocket,
-		Workload:    workload.YCSB(10_000, workload.YCSBB),
-		Topology:    prof.Build(),
-		LogConfig:   &lc,
-		Backend:     backend.Hash,
+// TestExecutedGeneratesAtTimeZero: an executed run generates every
+// transaction at virtual time 0, so a time-varying workload measures its t = 0
+// mix however fast the host is. The probe's mix is all site-local at t = 0 and
+// all multisite after it; a generator that saw the wall clock shipped nearly
+// one message per transaction.
+func TestExecutedGeneratesAtTimeZero(t *testing.T) {
+	wl := workload.MultisiteUpdateDrifting(4000, func(at vclock.Nanos) int {
+		if at > 0 {
+			return 100
+		}
+		return 0
 	})
+	e := executedEngine(t, wl, topology.LevelSocket, false)
+	res, err := e.RunExecuted(RunOptions{Transactions: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunExecuted(RunOptions{Transactions: 200_000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WallNS < int64(3*maxAge) {
-		t.Fatalf("the run took %v, too short to span several %v deadlines; raise its transaction count",
-			time.Duration(res.WallNS), maxAge)
-	}
-	if drains := int64(res.Executors); res.Log.PhysicalFlushes <= drains {
-		t.Errorf("%d physical flushes over %v of commits, no more than the drain's %d: the %v deadline never fired",
-			res.Log.PhysicalFlushes, time.Duration(res.WallNS), drains, maxAge)
+	if res.Committed != 2000 || res.Ships != 0 {
+		t.Errorf("committed %d and shipped %d messages, want 2000 and 0: the generator saw a clock past t = 0",
+			res.Committed, res.Ships)
 	}
 }
 

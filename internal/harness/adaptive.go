@@ -72,15 +72,18 @@ func staticVsAdaptive(s Scale, id, title string, build func() (*workload.Workloa
 // every 30 (compressed) seconds; the static system keeps its initial
 // partitioning while ATraPos adapts.
 func Fig10(s Scale) (*Table, error) {
-	wl := func() (*workload.Workload, error) {
-		return workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Phases: []workload.Phase{
-			{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPUpdSubData: 1}},
-			{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
-			{Duration: paperSecond(30), Mix: workload.TATPStandardMix()},
-		}})
-	}
-	return adaptiveComparison(s, "fig10", "Adapting to workload changes (throughput over time)", wl, paperSecond(90),
+	return adaptiveComparison(s, "fig10", "Adapting to workload changes (throughput over time)", s.fig10Workload, paperSecond(90),
 		"The workload switches every 30 time units: UpdSubData, then GetNewDest, then the TATP mix.")
+}
+
+// fig10Workload is Figure 10's TATP workload: UpdSubData, GetNewDest, then
+// the standard mix, 30 time units each.
+func (s Scale) fig10Workload() (*workload.Workload, error) {
+	return workload.TATP(workload.TATPOptions{Subscribers: s.Subscribers, Phases: []workload.Phase{
+		{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPUpdSubData: 1}},
+		{Duration: paperSecond(30), Mix: map[string]float64{workload.TATPGetNewDest: 1}},
+		{Duration: paperSecond(30), Mix: workload.TATPStandardMix()},
+	}})
 }
 
 // Fig11 reproduces Figure 11: GetSubData with uniform accesses until t=20,

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"runtime"
 
+	"atrapos/internal/backend"
 	"atrapos/internal/core"
+	"atrapos/internal/engine"
 )
 
 // executedCrossoverProfile is the machine whose crossover-direction agreement
@@ -16,8 +18,8 @@ const executedCrossoverProfile = "chiplet-2s4d"
 // errCrossoverDisagrees is FigExecuted's verdict when the two modes disagree
 // on the crossover direction on executedCrossoverProfile. The executed side is
 // a wall-clock measurement, so a host too busy to time the cells can flip it.
-// No other harness point runs beside a timed cell (the pool's token, shared
-// with RunAllTimed's experiments), but other processes may.
+// No other harness point runs beside a timed cell (executedSweep and
+// runExperiments order the work so), but other processes may.
 var errCrossoverDisagrees = errors.New("fig-executed: priced and executed modes disagree on the fine-vs-coarse crossover direction")
 
 // executedVerdict compares the two modes on one machine profile.
@@ -34,9 +36,12 @@ type executedVerdict struct {
 }
 
 // executedSweep runs the islands grid (profile x multisite probability x
-// island level) in both storage modes. The multisite endpoints {0, 100} are
-// enough for the crossover direction and keep the executed cells — each one a
-// full barrier in the pool — cheap. Rows come in (0%, 100%) pairs per profile.
+// island level) in both storage modes. The priced grid runs through runGrid;
+// once its pool has joined, each point's executed twin runs in turn on the
+// calling goroutine, so no other point of the grid shares the host with a
+// timed cell. The multisite endpoints {0, 100} are enough for the crossover
+// direction and keep the serial executed cells cheap. Rows come in
+// (0%, 100%) pairs per profile.
 func executedSweep(s Scale) ([][]point, error) {
 	var rows []cell
 	for _, prof := range islandSweepProfiles(s) {
@@ -44,13 +49,32 @@ func executedSweep(s Scale) ([][]point, error) {
 			rows = append(rows, cell{prof: prof, pct: pct})
 		}
 	}
-	grid := levelGrid(s, rows)
+	grid, err := runGrid(s, "fig-executed", levelGrid(s, rows))
+	if err != nil {
+		return nil, err
+	}
+	var errs []error
 	for _, row := range grid {
 		for i := range row {
-			row[i].executed = true
+			if err := row[i].runExecuted(); err != nil {
+				errs = append(errs, fmt.Errorf("fig-executed %s: %w", row[i].name, err))
+			}
 		}
 	}
-	return runGrid(s, "fig-executed", grid)
+	return grid, errors.Join(errs...)
+}
+
+// runExecuted measures the point's executed twin: the same configuration on
+// the hash backend, timed in wall time.
+func (pt *point) runExecuted() error {
+	cfg := pt.config()
+	cfg.Backend = backend.Hash
+	x, err := engine.New(cfg)
+	if err != nil {
+		return err
+	}
+	pt.exec, err = x.RunExecuted(pt.opts)
+	return err
 }
 
 // executedVerdicts derives one verdict per profile from executedSweep's grid.

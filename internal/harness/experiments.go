@@ -8,7 +8,6 @@ import (
 	"atrapos/internal/engine"
 	"atrapos/internal/numa"
 	"atrapos/internal/partition"
-	"atrapos/internal/schema"
 	"atrapos/internal/storage"
 	"atrapos/internal/topology"
 	"atrapos/internal/vclock"
@@ -372,25 +371,15 @@ func Fig9(s Scale) (*Table, error) {
 		Header: []string{"actions", "merge", "split", "rearrange"},
 	}
 	rows := s.MicroRows
-	def := func() *schema.Table {
-		cols := []schema.Column{{Name: "id", Type: schema.Int64}}
-		for i := 0; i < 10; i++ {
-			cols = append(cols, schema.Column{Name: fmt.Sprintf("c%d", i), Type: schema.Int64})
-		}
-		return &schema.Table{Name: "reparttbl", Columns: cols, PrimaryKey: "id"}
-	}
+	// The microbenchmark table of Section III: id plus ten Int64 columns.
+	td := workload.SingleRowRead(rows).Tables[0]
 	loadTable := func(parts int) (*storage.Manager, *storage.Table) {
 		store := storage.NewManager(domain)
-		tbl, err := store.CreateTable(def(), btree.UniformBounds(int64(rows), parts), nil)
+		tbl, err := store.CreateTable(td.Schema, btree.UniformBounds(int64(rows), parts), nil)
 		if err != nil {
 			panic(err)
 		}
-		err = tbl.LoadFunc(rows, func(i int, w *schema.RowWriter) {
-			w.Int(int64(i))
-			for c := 1; c < 11; c++ {
-				w.Int(int64(i * c))
-			}
-		})
+		err = tbl.LoadFunc(rows, td.RowGen)
 		if err != nil {
 			panic(err)
 		}
@@ -402,11 +391,11 @@ func Fig9(s Scale) (*Table, error) {
 			n = 1
 		}
 		// Merge: start with 2n partitions, merge n pairs.
-		mergeCost := measureReplan(domain, loadTable, 2*n, n+1, rows)
+		mergeCost := measureReplan(domain, loadTable, td.Schema.Name, 2*n, n+1, rows)
 		// Split: start with n+1 partitions, split each into two.
-		splitCost := measureReplan(domain, loadTable, n+1, 2*n+1, rows)
+		splitCost := measureReplan(domain, loadTable, td.Schema.Name, n+1, 2*n+1, rows)
 		// Rearrange: change both boundaries and ownership (split+merge mix).
-		rearrangeCost := measureReplan(domain, loadTable, 2*n, 2*n, rows) + mergeCost/2 + splitCost/2
+		rearrangeCost := measureReplan(domain, loadTable, td.Schema.Name, 2*n, 2*n, rows) + mergeCost/2 + splitCost/2
 		t.AddRow(fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", mergeCost.Seconds()*1e3),
 			fmt.Sprintf("%.1f", splitCost.Seconds()*1e3),
@@ -416,17 +405,17 @@ func Fig9(s Scale) (*Table, error) {
 	return t, nil
 }
 
-func measureReplan(domain *numa.Domain, load func(parts int) (*storage.Manager, *storage.Table), fromParts, toParts, rows int) vclock.Nanos {
+func measureReplan(domain *numa.Domain, load func(parts int) (*storage.Manager, *storage.Table), table string, fromParts, toParts, rows int) vclock.Nanos {
 	store, _ := load(fromParts)
 	current := partition.NewPlacement()
-	current.Tables["reparttbl"] = &partition.TablePlacement{
-		Table:  "reparttbl",
+	current.Tables[table] = &partition.TablePlacement{
+		Table:  table,
 		Bounds: btree.UniformBounds(int64(rows), fromParts),
 		Cores:  coresFrom(domain, fromParts, 0),
 	}
 	desired := partition.NewPlacement()
-	desired.Tables["reparttbl"] = &partition.TablePlacement{
-		Table:  "reparttbl",
+	desired.Tables[table] = &partition.TablePlacement{
+		Table:  table,
 		Bounds: btree.UniformBounds(int64(rows), toParts),
 		Cores:  coresFrom(domain, toParts, len(domain.Top.AliveCores())/2),
 	}

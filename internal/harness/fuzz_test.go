@@ -238,7 +238,6 @@ func runScenario(s Scale, sc fuzzScenario, seed int64) error {
 	if sc.coalesce > 0 {
 		lc := wal.DefaultConfig()
 		lc.CoalesceRecords = sc.coalesce
-		lc.CoalesceMaxAge = paperSecond(2)
 		cfg.LogConfig = &lc
 	}
 	e, err := engine.New(cfg)

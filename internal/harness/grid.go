@@ -3,78 +3,61 @@ package harness
 import (
 	"fmt"
 
-	"atrapos/internal/backend"
 	"atrapos/internal/engine"
 	"atrapos/internal/topology"
 	"atrapos/internal/wal"
 	"atrapos/internal/workload"
 )
 
-// point is one engine run of a figure: its configuration, its run options (a
-// fixed transaction count, or a series with its window, duration and faults)
-// and whether it also measures its executed twin. config builds a fresh
-// Topology and Workload on every call: Run mutates a topology's liveness and
-// traffic counters, and a TPC-C workload its order sequences. cell holds a
-// level-grid point's coordinates; res and exec are what runGrid measured.
+// point is one engine run of a figure: its configuration and its run options
+// (a fixed transaction count, or a series with its window, duration and
+// faults). config builds a fresh Topology and Workload on every call: Run
+// mutates a topology's liveness and traffic counters, and a TPC-C workload its
+// order sequences. cell holds a level-grid point's coordinates; res is what
+// runGrid measured, and exec the point's executed twin where fig-executed
+// measured one.
 type point struct {
-	name     string
-	config   func() engine.Config
-	opts     engine.RunOptions
-	executed bool
+	name   string
+	config func() engine.Config
+	opts   engine.RunOptions
 	cell
 	res  *engine.Result
 	exec *engine.ExecutedResult
 }
 
-// runGrid runs every point of a figure through the harness pool at
-// Scale.Parallel concurrency (inline on the experiment's point under
-// RunAllTimed) and returns the grid with each point's results in its own
-// slot. Every point is a pure function of (seed, config), so the grid is the
-// same at any concurrency. Point failures are joined into one error naming
-// each bad point instead of aborting at the first; a failed point's results
-// stay nil.
+// runGrid runs every point of a figure through a harness pool at
+// Scale.Parallel concurrency and returns the grid with each point's result in
+// its own slot. Every point is a pure function of (seed, config), so the grid
+// is the same at any concurrency. Point failures are joined into one error
+// naming each bad point instead of aborting at the first; a failed point's
+// result stays nil.
 func runGrid(s Scale, id string, grid [][]point) ([][]point, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	pool := s.pool()
 	var jobs []PointFn
 	for r := range grid {
 		for c := range grid[r] {
 			pt := &grid[r][c]
 			jobs = append(jobs, func() error {
-				if err := pt.run(pool); err != nil {
+				if err := pt.run(); err != nil {
 					return fmt.Errorf("%s %s: %w", id, pt.name, err)
 				}
 				return nil
 			})
 		}
 	}
-	return grid, pool.Run(jobs)
+	return grid, NewPool(s.parallel()).Run(jobs)
 }
 
-// run measures the point on the priced (virtual-time) path and, when it asks
-// for it, once more on the executed path. The executed run is Exclusive, a
-// full barrier: wall-clock throughput only means something when no other
-// point shares the host.
-func (pt *point) run(pool *Pool) error {
+// run measures the point on the priced (virtual-time) path.
+func (pt *point) run() error {
 	e, err := engine.New(pt.config())
 	if err != nil {
 		return err
 	}
-	if pt.res, err = runSeries(e, pt.opts); err != nil || !pt.executed {
-		return err
-	}
-	return pool.Exclusive(func() error {
-		cfg := pt.config()
-		cfg.Backend = backend.Hash
-		x, err := engine.New(cfg)
-		if err != nil {
-			return err
-		}
-		pt.exec, err = x.RunExecuted(pt.opts)
-		return err
-	})
+	pt.res, err = runSeries(e, pt.opts)
+	return err
 }
 
 // cell is one point of a level-grid figure: the parametric shared-nothing

@@ -1,11 +1,13 @@
 // Package harness drives the experiments of the paper's evaluation section:
 // one driver per table and figure, each producing the same rows or series the
-// paper reports. The drivers are used by the root-level benchmarks and by the
-// atrapos-bench command.
+// paper reports. The drivers are used by the root package's RunExperiment
+// and RunAllExperimentsTimed and by the atrapos-bench command.
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -46,11 +48,6 @@ type Scale struct {
 	// their sweep; everything that uses the scale's largest machine uses the
 	// profile's shape.
 	Profile string
-
-	// within is the pool of the enclosing run when this scale runs inside
-	// one of its points (RunAllTimed's experiments); the scale's grids then
-	// run their points inline on it, under its token.
-	within *Pool
 }
 
 // QuickScale returns a scale suitable for tests and benchmarks: a 4-socket,
@@ -208,35 +205,45 @@ type Experiment struct {
 	Run         func(Scale) (*Table, error)
 }
 
-// Registry returns every experiment in presentation order.
+// Registry returns every experiment in presentation order: the priced
+// experiments, then the measured ones.
 func Registry() []Experiment {
-	return []Experiment{
-		{"fig1", "Instructions retired per cycle (useful-work fraction proxy) on a perfectly partitionable workload", Fig1},
-		{"fig2", "Throughput of shared-nothing, centralized and PLP as sockets grow", Fig2},
-		{"fig3", "Throughput as the percentage of multi-site transactions grows", Fig3},
-		{"fig4", "Per-transaction time breakdown for coarse shared-nothing", Fig4},
-		{"table1", "Throughput per socket under local/central/remote memory allocation", Table1},
-		{"fig5", "Throughput of a perfectly partitionable workload including ATraPos", Fig5},
-		{"fig6", "Simple two-table transaction under different partitioning/placement strategies", Fig6},
-		{"fig7", "TPC-C NewOrder transaction flow graph", Fig7},
-		{"fig8", "TATP and TPC-C throughput of ATraPos normalized over PLP", Fig8},
-		{"table2", "Monitoring overhead on TATP", Table2},
-		{"fig9", "Repartitioning cost as the number of actions grows", Fig9},
-		{"fig10", "Adapting to workload changes (static vs ATraPos)", Fig10},
-		{"fig11", "Adapting to sudden workload skew", Fig11},
-		{"fig12", "Adapting to a processor failure", Fig12},
-		{"fig13", "Adapting to frequent workload changes", Fig13},
-		{"fig-drift", "Adapting to a continuously drifting hotspot (new scenario)", FigDrift},
-		{"fig-oscillate", "Adapting to an oscillating access skew (new scenario)", FigOscillate},
-		{"fig-islands", "Island-size sweep: shared-nothing granularity per machine profile and multisite probability", FigIslands},
-		{"fig-log-devices", "Log-device sweep: island granularity under progressively scarcer log devices", FigLogDevices},
-		{"fig-group-commit", "Coalescing group commit: write-combining WAL accumulator on/off across device layouts", FigGroupCommit},
-		{"fig-adaptive-granularity", "Adaptive island granularity: the planner re-wires the machine as the multisite share drifts", FigAdaptiveGranularity},
-		{"ablation-subparts", "Ablation: sub-partition granularity of the monitor", AblationSubPartitions},
-		{"ablation-sli", "Ablation: speculative lock inheritance in the centralized design", AblationSLI},
-		{"fig-faults", "Fault injection: fail→degrade→restore schedule with device re-homing and elastic recovery", FigFaults},
-		{"fig-executed", "Executed storage: real sharded hash backend vs priced model, crossover direction and level-ranking correlation", FigExecuted},
-	}
+	return slices.Concat(pricedExperiments, measuredExperiments)
+}
+
+// pricedExperiments are the experiments whose every number is virtual time:
+// a pure function of (seed, config), whatever else runs on the host.
+var pricedExperiments = []Experiment{
+	{"fig1", "Instructions retired per cycle (useful-work fraction proxy) on a perfectly partitionable workload", Fig1},
+	{"fig2", "Throughput of shared-nothing, centralized and PLP as sockets grow", Fig2},
+	{"fig3", "Throughput as the percentage of multi-site transactions grows", Fig3},
+	{"fig4", "Per-transaction time breakdown for coarse shared-nothing", Fig4},
+	{"table1", "Throughput per socket under local/central/remote memory allocation", Table1},
+	{"fig5", "Throughput of a perfectly partitionable workload including ATraPos", Fig5},
+	{"fig6", "Simple two-table transaction under different partitioning/placement strategies", Fig6},
+	{"fig7", "TPC-C NewOrder transaction flow graph", Fig7},
+	{"fig8", "TATP and TPC-C throughput of ATraPos normalized over PLP", Fig8},
+	{"table2", "Monitoring overhead on TATP", Table2},
+	{"fig9", "Repartitioning cost as the number of actions grows", Fig9},
+	{"fig10", "Adapting to workload changes (static vs ATraPos)", Fig10},
+	{"fig11", "Adapting to sudden workload skew", Fig11},
+	{"fig12", "Adapting to a processor failure", Fig12},
+	{"fig13", "Adapting to frequent workload changes", Fig13},
+	{"fig-drift", "Adapting to a continuously drifting hotspot (new scenario)", FigDrift},
+	{"fig-oscillate", "Adapting to an oscillating access skew (new scenario)", FigOscillate},
+	{"fig-islands", "Island-size sweep: shared-nothing granularity per machine profile and multisite probability", FigIslands},
+	{"fig-log-devices", "Log-device sweep: island granularity under progressively scarcer log devices", FigLogDevices},
+	{"fig-group-commit", "Coalescing group commit: write-combining WAL accumulator on/off across device layouts", FigGroupCommit},
+	{"fig-adaptive-granularity", "Adaptive island granularity: the planner re-wires the machine as the multisite share drifts", FigAdaptiveGranularity},
+	{"ablation-subparts", "Ablation: sub-partition granularity of the monitor", AblationSubPartitions},
+	{"ablation-sli", "Ablation: speculative lock inheritance in the centralized design", AblationSLI},
+	{"fig-faults", "Fault injection: fail→degrade→restore schedule with device re-homing and elastic recovery", FigFaults},
+}
+
+// measuredExperiments are the experiments that time cells in wall time; each
+// runs alone under RunAllTimed.
+var measuredExperiments = []Experiment{
+	{"fig-executed", "Executed storage: real sharded hash backend vs priced model, crossover direction and level-ranking correlation", FigExecuted},
 }
 
 // Lookup finds an experiment by id.
@@ -269,44 +276,45 @@ type ExperimentResult struct {
 	Err   error
 }
 
-// RunAllTimed executes every experiment at the given scale: every experiment
-// is one pool point, results come back in registry order no matter the
-// completion order, and a failing experiment reports its error in its slot
-// (and in the joined return error) without aborting the others. Each
-// experiment's own grid runs inline on its point, so the registry is
-// the unit of parallelism.
+// RunAllTimed executes every experiment at the given scale and returns the
+// results in registry order, no matter the completion order; a failing
+// experiment reports its error in its slot (and in the joined return error)
+// without aborting the others. The priced experiments are the points of one
+// pool, each running its own grid serially on its point. Then each measured
+// experiment runs alone, at the scale's own concurrency, so no other
+// experiment shares the host with its timed cells.
 func RunAllTimed(s Scale) ([]ExperimentResult, error) {
-	return runExperiments(s, Registry())
+	return runExperiments(s, pricedExperiments, measuredExperiments)
 }
 
-// runExperiments is RunAllTimed over the experiments reg.
-func runExperiments(s Scale, reg []Experiment) ([]ExperimentResult, error) {
+// runExperiments is RunAllTimed over the experiments priced, then measured.
+func runExperiments(s Scale, priced, measured []Experiment) ([]ExperimentResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	// No nested fan-out: C experiments x C grid points would oversubscribe
-	// quadratically, and the registry alone has enough. The experiments'
-	// grids share the registry's token, so fig-executed's timed cells run
-	// with no other experiment in flight.
-	pool := s.pool()
-	inner := s
-	inner.within = pool.inside()
-	results := make([]ExperimentResult, len(reg))
-	jobs := make([]PointFn, len(reg))
-	for i, e := range reg {
-		jobs[i] = func() error {
-			start := time.Now()
-			t, err := e.Run(inner)
-			results[i] = ExperimentResult{ID: e.ID, Table: t, Wall: time.Since(start)}
-			if err != nil {
-				results[i].Err = fmt.Errorf("%s: %w", e.ID, err)
-				return results[i].Err
-			}
-			return nil
+	results := make([]ExperimentResult, len(priced)+len(measured))
+	run := func(i int, e Experiment, s Scale) error {
+		start := time.Now()
+		t, err := e.Run(s)
+		results[i] = ExperimentResult{ID: e.ID, Table: t, Wall: time.Since(start)}
+		if err != nil {
+			results[i].Err = fmt.Errorf("%s: %w", e.ID, err)
 		}
+		return results[i].Err
 	}
-	err := pool.Run(jobs)
-	return results, err
+	// No nested fan-out: C experiments x C grid points would oversubscribe
+	// quadratically, and the registry alone has enough.
+	inner := s
+	inner.Parallel = 1
+	jobs := make([]PointFn, len(priced))
+	for i, e := range priced {
+		jobs[i] = func() error { return run(i, e, inner) }
+	}
+	errs := []error{NewPool(s.parallel()).Run(jobs)}
+	for i, e := range measured {
+		errs = append(errs, run(len(priced)+i, e, s))
+	}
+	return results, errors.Join(errs...)
 }
 
 // --- shared helpers ---
@@ -317,15 +325,6 @@ func (s Scale) parallel() int {
 		return 1
 	}
 	return s.Parallel
-}
-
-// pool returns the scheduler runGrid fans a figure's points into: the
-// enclosing run's inline pool inside one of its points, else a fresh pool.
-func (s Scale) pool() *Pool {
-	if s.within != nil {
-		return s.within
-	}
-	return NewPool(s.parallel())
 }
 
 func (s Scale) runOptions() engine.RunOptions {

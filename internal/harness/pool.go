@@ -26,22 +26,11 @@ type PointFn func() error
 //     function of its seed and configuration — parallel speedup comes only
 //     from running points concurrently, never from reshaping a point.
 //
-// A wall-clock measurement means something only when no other point shares
-// the host; such a section runs under Exclusive, which excludes every other
-// in-flight point for its duration — including the points of the pool a
-// nested pool (inside) runs in.
+// A pool holds no lock. Wall-clock measurements are kept apart from other
+// work by ordering it: they run after the pool has joined (see executedSweep
+// and runExperiments).
 type Pool struct {
 	concurrency int
-	// gate is the exclusion token: every running point holds the read side,
-	// an Exclusive section upgrades to the write side. A plain
-	// RWMutex gives exactly the needed semantics — writers exclude all
-	// readers, and a waiting writer blocks new points from starting.
-	gate *sync.RWMutex
-	// inline marks a pool made by inside: it runs its jobs one after another
-	// on the calling point, under the read token that point already holds.
-	// Taking the token again would be a recursive RLock, which deadlocks once
-	// a writer waits.
-	inline bool
 }
 
 // NewPool returns a pool running at most concurrency points at once; values
@@ -50,13 +39,8 @@ func NewPool(concurrency int) *Pool {
 	if concurrency < 1 {
 		concurrency = 1
 	}
-	return &Pool{concurrency: concurrency, gate: new(sync.RWMutex)}
+	return &Pool{concurrency: concurrency}
 }
-
-// inside returns the pool for work nested in one of p's points: it shares p's
-// token and runs its jobs inline, so an Exclusive section reached through it
-// excludes every in-flight point of p.
-func (p *Pool) inside() *Pool { return &Pool{concurrency: 1, gate: p.gate, inline: true} }
 
 // Concurrency is the maximum number of points in flight.
 func (p *Pool) Concurrency() int { return p.concurrency }
@@ -75,17 +59,9 @@ func (p *Pool) Run(jobs []PointFn) error {
 		workers = len(jobs)
 	}
 	if workers == 1 {
-		// Serial fast path: identical job order to the pre-pool loops. The
-		// token is still held (an inline pool's point holds it already) so
-		// Exclusive behaves uniformly.
+		// Serial fast path: identical job order to the pre-pool loops.
 		for i, job := range jobs {
-			if p.inline {
-				errs[i] = job()
-				continue
-			}
-			p.gate.RLock()
 			errs[i] = job()
-			p.gate.RUnlock()
 		}
 		return errors.Join(errs...)
 	}
@@ -100,27 +76,10 @@ func (p *Pool) Run(jobs []PointFn) error {
 				if i >= len(jobs) {
 					return
 				}
-				p.gate.RLock()
 				errs[i] = jobs[i]()
-				p.gate.RUnlock()
 			}
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// Exclusive runs f with the pool's exclusion token held: every other
-// in-flight point has finished before f starts, and no new point starts
-// until f returns. Wall-clock throughput measured while other points execute
-// would share the host's cores with them; the token turns the measured window
-// into a full barrier. Must only be called from inside a running point (the
-// point's read token is released and re-acquired around f).
-func (p *Pool) Exclusive(f func() error) error {
-	p.gate.RUnlock()
-	p.gate.Lock()
-	err := f()
-	p.gate.Unlock()
-	p.gate.RLock()
-	return err
 }

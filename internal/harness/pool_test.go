@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -94,91 +95,52 @@ func TestPoolErrorAggregation(t *testing.T) {
 	}
 }
 
-// TestPoolExclusive: an Exclusive section runs with no other point in flight —
-// the exclusion fig-executed's wall-clock runs depend on.
-// Run under -race (make race) this also proves the token's handover is
-// properly synchronized.
-func TestPoolExclusive(t *testing.T) {
-	p := NewPool(8)
-	var running atomic.Int64
-	var tokenViolations atomic.Int64
-	const jobs = 32
-	fns := make([]PointFn, jobs)
-	for i := 0; i < jobs; i++ {
-		fns[i] = func() error {
-			if i%4 != 0 {
-				running.Add(1)
-				defer running.Add(-1)
-				return nil
-			}
-			// A point waiting for the token is in flight but not running, so
-			// an Exclusive point counts itself only once it holds the token.
-			return p.Exclusive(func() error {
-				running.Add(1)
-				defer running.Add(-1)
-				// Only this section's own increment may be visible: the token
-				// drained every other running point, and a second section
-				// holding the token at the same time would show as 2.
-				if running.Load() != 1 {
-					tokenViolations.Add(1)
-				}
-				return nil
-			})
-		}
-	}
-	if err := p.Run(fns); err != nil {
-		t.Fatal(err)
-	}
-	if v := tokenViolations.Load(); v != 0 {
-		t.Errorf("%d Exclusive sections overlapped another running point", v)
-	}
-}
-
-// TestNestedExclusiveExcludesEveryPoint: an Exclusive section reached through an
-// experiment's own pool, the way fig-executed times its executed cells under
-// RunAllTimed, runs with no other experiment in flight. The sweep inside an
-// experiment runs inline on the experiment's point and shares the registry's
-// token; a fresh pool per sweep would exclude only its own points and let
-// the other experiments run through the section.
-func TestNestedExclusiveExcludesEveryPoint(t *testing.T) {
-	var busy atomic.Int64 // experiments inside their work
-	var inSection atomic.Bool
+// TestMeasuredExperimentsRunAlone: under runExperiments no priced experiment
+// is in flight while a measured one runs, the way fig-executed's timed cells
+// must have the harness to themselves. The priced experiments fan out across
+// the pool, each with its grid serial (Parallel 1); each measured experiment
+// runs after them, alone, at the scale's own concurrency. Results come back
+// in registry order, priced then measured.
+func TestMeasuredExperimentsRunAlone(t *testing.T) {
+	var priced, measured atomic.Int64 // experiments inside their work
 	var violations atomic.Int64
 	const steps, step = 5, 5 * time.Millisecond
-	timed := Experiment{ID: "timed", Run: func(s Scale) (*Table, error) {
-		pool := s.pool()
-		return nil, pool.Run([]PointFn{func() error {
-			return pool.Exclusive(func() error {
-				inSection.Store(true)
-				defer inSection.Store(false)
-				for range steps {
-					if busy.Load() != 0 {
-						violations.Add(1)
-					}
-					time.Sleep(step)
-				}
-				return nil
-			})
-		}})
-	}}
-	other := Experiment{ID: "other", Run: func(Scale) (*Table, error) {
-		busy.Add(1)
-		defer busy.Add(-1)
-		for range steps {
-			if inSection.Load() {
-				violations.Add(1)
+	exp := func(id string, mine, other *atomic.Int64, parallel int) Experiment {
+		return Experiment{ID: id, Run: func(s Scale) (*Table, error) {
+			if s.Parallel != parallel {
+				return nil, fmt.Errorf("%s ran at Parallel %d, want %d", id, s.Parallel, parallel)
 			}
-			time.Sleep(step)
-		}
-		return nil, nil
-	}}
+			mine.Add(1)
+			defer mine.Add(-1)
+			for range steps {
+				if other.Load() != 0 || measured.Load() > 1 {
+					violations.Add(1)
+				}
+				time.Sleep(step)
+			}
+			return &Table{ID: id}, nil
+		}}
+	}
+	var p, m []Experiment
+	for i := range 6 {
+		p = append(p, exp(fmt.Sprintf("priced-%d", i), &priced, &measured, 1))
+	}
+	for i := range 2 {
+		m = append(m, exp(fmt.Sprintf("measured-%d", i), &measured, &priced, 4))
+	}
 	s := poolTestScale()
 	s.Parallel = 4
-	if _, err := runExperiments(s, []Experiment{other, timed, other, other, other, other}); err != nil {
+	results, err := runExperiments(s, p, m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v := violations.Load(); v != 0 {
-		t.Errorf("another experiment ran inside the nested Exclusive section %d times", v)
+		t.Errorf("a measured experiment shared the harness with another experiment %d times", v)
+	}
+	for i, e := range slices.Concat(p, m) {
+		if results[i].ID != e.ID || results[i].Table == nil || results[i].Table.ID != e.ID {
+			t.Errorf("slot %d holds %s, want %s (registry order lost)", i, results[i].ID, e.ID)
+		}
 	}
 }
 

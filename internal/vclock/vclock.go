@@ -70,10 +70,11 @@ func (c Component) String() string {
 	}
 }
 
-// Breakdown is a per-component summary of virtual time.
+// Breakdown is a per-component summary of virtual time; ByComp is indexed by
+// Component.
 type Breakdown struct {
 	Total  Nanos
-	ByComp map[Component]Nanos
+	ByComp [NumComponents]Nanos
 }
 
 // Spread is the least, mean and greatest of a set of per-core clocks. Each

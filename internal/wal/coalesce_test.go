@@ -131,25 +131,6 @@ func TestCoalesceRecordThresholdFires(t *testing.T) {
 	}
 }
 
-func TestCoalesceMaxAgeFires(t *testing.T) {
-	d := newDomain(1)
-	cfg := coalCfg(1 << 20)
-	cfg.CoalesceMaxAge = 1000
-	l := NewCentralLog(d, 0, cfg)
-	appendTxn(l, 1, 100, Record{Type: Update, Table: "t", Key: 1, Size: 96})
-	if got := l.Stats().PhysicalFlushes; got != 0 {
-		t.Fatalf("PhysicalFlushes = %d, want 0 inside the age window", got)
-	}
-	// A commit landing after the deadline forces the epoch out.
-	appendTxn(l, 2, 2000, Record{Type: Update, Table: "t", Key: 2, Size: 96})
-	if got := l.Stats().PhysicalFlushes; got != 1 {
-		t.Fatalf("PhysicalFlushes = %d, want 1 past the age deadline", got)
-	}
-	if l.Durable() != l.Tail() {
-		t.Fatal("age-forced flush should make everything durable")
-	}
-}
-
 // TestCoalesceLeftoversEmittedVerbatim drills the drain path: a transaction
 // with staged writes but no outcome record must reach the ring unmerged, and
 // recovery must classify it as a loser exactly as on the uncoalesced log.
@@ -405,11 +386,10 @@ type refLog struct {
 	recs         []Record
 	st           Stats
 
-	staging    map[uint64][]Record
-	entries    []Record
-	index      map[refCoalKey]int
-	bytes      int
-	epochStart vclock.Nanos
+	staging map[uint64][]Record
+	entries []Record
+	index   map[refCoalKey]int
+	bytes   int
 }
 
 type refCoalKey struct {
@@ -419,7 +399,7 @@ type refCoalKey struct {
 
 func newRefLog(cfg Config) *refLog {
 	return &refLog{cfg: cfg, next: 1, staging: map[uint64][]Record{},
-		index: map[refCoalKey]int{}, epochStart: -1}
+		index: map[refCoalKey]int{}}
 }
 
 func (r *refLog) write(rec Record) {
@@ -471,11 +451,7 @@ func (r *refLog) Flush(lsn LSN, now vclock.Nanos) numa.Cost {
 	if lsn <= r.durable {
 		return 0
 	}
-	if r.epochStart < 0 {
-		r.epochStart = now
-	}
-	if len(r.entries) >= r.cfg.CoalesceRecords ||
-		(r.cfg.CoalesceMaxAge > 0 && now-r.epochStart >= r.cfg.CoalesceMaxAge) {
+	if len(r.entries) >= r.cfg.CoalesceRecords {
 		cost := r.physicalFlush(now, false)
 		r.durable = r.next - 1
 		return cost
@@ -496,7 +472,6 @@ func (r *refLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 	r.entries = r.entries[:0]
 	clear(r.index)
 	r.bytes = 0
-	r.epochStart = -1
 	if leftovers {
 		var rest [][]Record
 		for _, recs := range r.staging {
@@ -603,19 +578,18 @@ func FuzzCoalescer(f *testing.F) {
 		coalOp(0, 0, 1, coalRow(0, 1)), coalOp(0, 1, 0, coalRow(0, 2)), coalOp(0, 1, 0, coalRow(0, 1)),
 		coalOp(coalCommit, 1, 0, 3), coalOp(0, 0, 2, coalRow(1, 1)), coalOp(coalPrepare, 0, 0, 1),
 		coalOp(0, 2, 0, coalRow(2, 3)), coalOp(coalAbort, 2, 0, 1), coalOp(coalFlushOrD, 0, 0, 4))
-	f.Add(uint8(79), uint8(0), uint8(0), false, oneKeyTwoTables)
-	f.Add(uint8(0), uint8(0), uint8(0), true, oneKeyTwoTables)
-	f.Add(uint8(79), uint8(0), uint8(0), false, wideEpoch)
-	f.Add(uint8(0), uint8(0), uint8(40), true, manyEpochs)
-	f.Add(uint8(7), uint8(0), uint8(0), false, loserAcrossFlush)
-	f.Add(uint8(0), uint8(2), uint8(5), true, loserAcrossFlush)
-	f.Fuzz(func(t *testing.T, records, age, keep uint8, withDevice bool, data []byte) {
+	f.Add(uint8(79), uint8(0), false, oneKeyTwoTables)
+	f.Add(uint8(0), uint8(0), true, oneKeyTwoTables)
+	f.Add(uint8(79), uint8(0), false, wideEpoch)
+	f.Add(uint8(0), uint8(40), true, manyEpochs)
+	f.Add(uint8(7), uint8(0), false, loserAcrossFlush)
+	f.Add(uint8(0), uint8(5), true, loserAcrossFlush)
+	f.Fuzz(func(t *testing.T, records, keep uint8, withDevice bool, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
 		cfg := DefaultConfig()
 		cfg.CoalesceRecords = 1 + int(records%80)
-		cfg.CoalesceMaxAge = 4 * vclock.Nanos(age)
 		cfg.Keep = int(keep % 2)
 		refCfg := cfg
 		if withDevice {

@@ -112,18 +112,12 @@ type Config struct {
 	// write records of committing transactions land in a (table, key)-keyed
 	// buffer in front of the log where overwrites and self-canceling pairs
 	// collapse to net deltas, and a physical flush is issued once the
-	// accumulator holds this many net entries (or the age condition below
-	// fires) instead of every GroupSize-th commit. Commits between physical
+	// accumulator holds this many net entries instead of every GroupSize-th
+	// commit. Commits between physical
 	// flushes ride along as before but are not acknowledged as durable until
 	// the flush epoch holding their last record is written out. Zero disables
 	// coalescing and reproduces the record-per-write cost model bit for bit.
 	CoalesceRecords int
-	// CoalesceMaxAge optionally bounds, in virtual time, how long a flush
-	// epoch may stay open: a commit arriving after the deadline forces the
-	// physical flush even when the record threshold has not been reached, so
-	// a cooling key range cannot park committed work in memory forever. Zero
-	// means no deadline.
-	CoalesceMaxAge vclock.Nanos
 }
 
 // DefaultConfig returns the log configuration used by the evaluation:
@@ -214,11 +208,6 @@ type coalescer struct {
 	stamp uint8
 	shift uint8
 
-	// epochStart is the virtual time the open flush epoch started at (the
-	// first commit flushed after the previous physical flush); -1 while the
-	// epoch is empty. It drives the CoalesceMaxAge deadline.
-	epochStart vclock.Nanos
-
 	// coalesced counts logical records absorbed into an existing entry.
 	coalesced int64
 }
@@ -236,7 +225,7 @@ type slot struct {
 }
 
 func newCoalescer() *coalescer {
-	return &coalescer{stamp: 1, epochStart: -1}
+	return &coalescer{stamp: 1}
 }
 
 // find returns the index of txn's open entry, or -1.
@@ -416,13 +405,7 @@ func (l *CentralLog) Flush(s topology.SocketID, lsn LSN, now vclock.Nanos) numa.
 		return cost
 	}
 	if l.coal != nil {
-		c := l.coal
-		if c.epochStart < 0 {
-			c.epochStart = now
-		}
-		full := len(c.entries) >= l.cfg.CoalesceRecords ||
-			(l.cfg.CoalesceMaxAge > 0 && now-c.epochStart >= l.cfg.CoalesceMaxAge)
-		if full {
+		if len(l.coal.entries) >= l.cfg.CoalesceRecords {
 			cost += l.physicalFlush(now, false)
 			l.durable = l.next - 1
 		} else {
@@ -489,7 +472,7 @@ func (l *CentralLog) physicalFlush(now vclock.Nanos, leftovers bool) numa.Cost {
 	for i := range c.entries {
 		l.emit(c.entries[i])
 	}
-	c.entries, c.bytes, c.epochStart = c.entries[:0], 0, -1
+	c.entries, c.bytes = c.entries[:0], 0
 	if c.stamp++; c.stamp == 0 { // a wrapped stamp would revive stale slots
 		clear(c.slots)
 		c.stamp = 1
