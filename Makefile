@@ -86,10 +86,8 @@ test:
 # oracle at its -short size), and so are the ship that outwaits its bounded
 # spin and parks, and the oversubscribed executed runs: a lost update, a ship
 # deadlock or a wakeup lost between the spin and the park is a scheduling
-# accident, and one clean run proves little. The traced executed run is
-# repeated too: the span rings are single-owner, so a ring two executors share
-# shows up only here. The harness pass filters to the pool tests so the
-# race-slowed run stays bounded.
+# accident, and one clean run proves little. The harness pass filters to the
+# pool tests so the race-slowed run stays bounded.
 race:
 	$(GO) test -race ./internal/backend
 	$(GO) test -race -short -count=20 -run ExecutorBatch ./internal/backend
@@ -97,7 +95,6 @@ race:
 	$(GO) test -race -run Executed ./internal/engine
 	$(GO) test -race -short -count=20 -run ExecutedCountersConserved ./internal/engine
 	$(GO) test -race -count=10 -run TestExecutedOversubscribed ./internal/engine
-	$(GO) test -race -count=10 -run TestExecutedTracedIslandsShareNothing ./internal/engine
 	$(GO) test -race -count=3 -run TestLoadDataMatchesSerialLoad ./internal/engine
 	$(GO) test -race -run 'TestPool|TestMeasuredExperimentsRunAlone|TestParallelSweepBitIdentical' ./internal/harness
 
@@ -174,11 +171,14 @@ tables-diff:
 # The tracing smoke: run the traced adaptive-drift scenario and write the
 # Chrome-trace JSON (Perfetto-loadable) and metrics CSV. The command validates
 # both documents itself (trace-event schema, CSV header and row shape, span
-# ring drop accounting), so this target failing means the exporter regressed.
-# Outputs land in ./trace-out/ (gitignored; CI uploads them on failure).
+# ring drop accounting), so this target failing means the exporter regressed;
+# it also fails unless the run dropped no span (the one ring holds the whole
+# run). Outputs land in ./trace-out/ (gitignored; CI uploads them on failure).
 bench-trace:
 	@mkdir -p trace-out
-	$(GO) run ./cmd/atrapos-bench -trace trace-out/drift.json -metrics trace-out/drift.csv
+	@out=$$($(GO) run ./cmd/atrapos-bench -trace trace-out/drift.json -metrics trace-out/drift.csv) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | grep -q ' dropped_spans=0 ' || { echo "bench-trace: the traced drift run dropped spans" >&2; exit 1; }
 
 # Parent commit against working tree with the repo benchmark (BENCHMARK.json),
 # ten alternating pairs by default; takes PAIRS x 2 x ~25 s. The parent is

@@ -195,11 +195,14 @@ type Options struct {
 	// seconds of the modeled scenario into one virtual second; repartitioning
 	// costs are scaled down accordingly. Zero or one means no compression.
 	TimeCompression float64
-	// Tracing enables the virtual-time span tracer: spans, planner decisions
-	// and metrics samples are recorded into pre-allocated rings, exportable
-	// through System.Tracer() (Chrome trace-event JSON, Perfetto-loadable,
-	// and a metrics CSV). Off (the default), the hot paths pay one nil check
-	// per recording site and allocate nothing extra.
+	// Tracing enables the virtual-time span tracer of Run: one whole
+	// transaction is traced every 100 µs of engine time, and the island logs,
+	// log devices and planner record every span, all into one pre-allocated
+	// ring; planner decisions and metrics samples are kept alongside. They
+	// export through System.Tracer() (Chrome trace-event JSON,
+	// Perfetto-loadable, and a metrics CSV). RunExecuted records no spans.
+	// Off (the default), the hot paths pay one nil check per recording site
+	// and allocate nothing extra.
 	Tracing bool
 }
 
@@ -252,9 +255,10 @@ func (s *System) Run(opts RunOptions) (*Result, error) { return s.engine.Run(opt
 type Tracer = obs.Tracer
 
 // Tracer returns the System's tracer, or nil unless Options.Tracing was set.
-// It exports the trace (ExportChromeTrace) and the metrics series
-// (ExportMetricsCSV) and gives programmatic access to the recorded spans,
-// planner decisions, metrics samples and drop accounting.
+// It exports the trace (ExportChromeTrace, one Perfetto track per core,
+// island, device and the planner, chosen by span kind) and the metrics series
+// (ExportMetricsCSV) and gives programmatic access to the span ring, planner
+// decisions, metrics samples and drop accounting.
 func (s *System) Tracer() *Tracer { return s.engine.Tracer() }
 
 // ExecutedResult is the outcome of a RunExecuted: real operations on the

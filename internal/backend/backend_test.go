@@ -157,7 +157,7 @@ func TestHashBackendCrashRecover(t *testing.T) {
 	loserKey := schema.Key(5000)
 	b.Put(islandOf(loserKey, 2), 0, loserKey, txn, 1)
 
-	if err := b.CrashAndRecover(vnanos(1000)); err != nil {
+	if err := b.CrashAndRecover(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +193,7 @@ func TestHashBackendCrashRecoverRefusesPartialLog(t *testing.T) {
 		t.Fatalf("island 0's log took %d records, want more than 4096", n)
 	}
 	before := b.TableKeySets()
-	if err := b.CrashAndRecover(vnanos(5000)); err == nil || !strings.Contains(err.Error(), "island 0's value log discarded") {
+	if err := b.CrashAndRecover(); err == nil || !strings.Contains(err.Error(), "island 0's value log discarded") {
 		t.Fatalf("drill on logs that kept no records: err = %v", err)
 	}
 	if after := b.TableKeySets(); !reflect.DeepEqual(before, after) {

@@ -4,9 +4,7 @@ import (
 	"runtime"
 	"time"
 
-	"atrapos/internal/obs"
 	"atrapos/internal/schema"
-	"atrapos/internal/vclock"
 )
 
 // Op names a storage operation in a shipped batch.
@@ -104,17 +102,7 @@ type Executor struct {
 	one     [1]batchOp
 
 	Stats ExecStats
-
-	// trace is the span ring shipped-batch service is recorded into.
-	// Backend spans carry *wall* nanoseconds (the executed path measures real
-	// time), so they are excluded from virtual-time determinism oracles; nil
-	// records nothing.
-	trace *obs.Ring
 }
-
-// SetTrace attaches (or, with a nil ring, detaches) the executor's span ring.
-// Call it before the executor starts serving; serve reads it unguarded.
-func (e *Executor) SetTrace(r *obs.Ring) { e.trace = r }
 
 // NewExecutors builds one executor per island and wires their inboxes. The
 // inbox capacity is the executor count: every peer can have its single
@@ -173,13 +161,9 @@ func (e *Executor) serve(r *Request) {
 	if r.commit {
 		e.b.Commit(e.id, r.txn, 0)
 	}
-	carried := r.carried()
 	// The sender owns r again once the reply is sent; nothing below reads it.
 	r.from.reply <- r
-	d := time.Since(t0).Nanoseconds()
-	e.Stats.ServeNs += d
-	e.trace.Record(obs.Span{Start: vclock.Nanos(t0.UnixNano()), Dur: vclock.Nanos(d),
-		Kind: obs.KindBackendOp, Site: int32(e.id), Arg: carried})
+	e.Stats.ServeNs += time.Since(t0).Nanoseconds()
 }
 
 // Serve blocks on the inbox, executing peers' shipped batches, until stop

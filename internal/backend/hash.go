@@ -106,9 +106,6 @@ func (b *HashBackend) home(island int) topology.SocketID {
 // Islands returns the island (executor / value-log) count.
 func (b *HashBackend) Islands() int { return b.islands }
 
-// Tables returns the registered table names in table-id order.
-func (b *HashBackend) Tables() []string { return b.tables }
-
 // Owner returns the island owning a shard: the shard's own index.
 func (b *HashBackend) Owner(shard int) int { return shard }
 
@@ -195,10 +192,11 @@ func (b *HashBackend) FinishLoad(now vclock.Nanos) {
 }
 
 // Drain forces every island value log's coalescing accumulator out and makes
-// everything appended so far durable; see wal.CentralLog.Drain.
-func (b *HashBackend) Drain(now vclock.Nanos) {
+// everything appended so far durable; see wal.CentralLog.Drain. A value log
+// has no device, so the drain is stamped at time 0.
+func (b *HashBackend) Drain() {
 	for _, l := range b.logs {
-		l.Drain(now)
+		l.Drain(0)
 	}
 }
 
@@ -222,8 +220,8 @@ func (b *HashBackend) Stats() wal.Stats {
 // restarts at its key, as a loaded one does. It returns an error, before
 // dropping any index, when an island log discarded a record (Log.Keep is not
 // 0): recovery from a partial log would silently lose keys.
-func (b *HashBackend) CrashAndRecover(now vclock.Nanos) error {
-	b.Drain(now)
+func (b *HashBackend) CrashAndRecover() error {
+	b.Drain()
 	for island, l := range b.logs {
 		if n := l.Discarded(); n > 0 {
 			return fmt.Errorf("backend: crash recovery needs every log record, but island %d's value log discarded %d (Log.Keep=%d)", island, n, b.logCfg.Keep)

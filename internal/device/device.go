@@ -85,7 +85,7 @@ type Device struct {
 	queuedFl  int64
 	queueWait vclock.Nanos
 
-	// trace is the device span ring queue waits are recorded into; nil (the
+	// trace is the span ring queue waits are recorded into; nil (the
 	// default) records nothing. traceID stamps the spans with the device's
 	// layout index.
 	trace   *obs.Ring

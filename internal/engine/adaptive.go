@@ -315,7 +315,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	if diff.Empty() {
 		return
 	}
-	a.migrate(now, snap, proposed, diff, snap.wiring, obs.KindPlannerRepartition, RepartitionDiff{})
+	a.migrate(now, snap, proposed, diff, snap.wiring, RepartitionDiff{})
 }
 
 // migrate is the tail adaptOnce (partitions move between cores) and
@@ -333,7 +333,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 // transaction sees a placement whose boundaries no longer match the trees.
 // A plan the executor refuses migrates nothing and records nothing.
 func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *partition.Placement, diff *partition.PlanDiff,
-	wiring *islandWiring, kind obs.Kind, rec RepartitionDiff) {
+	wiring *islandWiring, rec RepartitionDiff) {
 	e := a.e
 	outcome, err := a.executor.Execute(core.BuildPlan(snap.placement, desired, e.cfg.Topology))
 	if err != nil {
@@ -347,7 +347,7 @@ func (a *adaptiveState) migrate(now vclock.Nanos, snap *stateSnapshot, desired *
 		e.noteTime(affected[0])
 	}
 	if tr := e.tracer; tr != nil {
-		tr.Planner().Record(obs.Span{Start: now, Dur: outcome.Cost, Kind: kind, Epoch: uint32(wiring.epoch), Arg: int64(len(affected))})
+		tr.Ring().Record(obs.Span{Start: now, Dur: outcome.Cost, Kind: obs.KindPlannerMigrate, Epoch: uint32(wiring.epoch), Arg: int64(len(affected))})
 	}
 	e.install(desired, e.activePartitionsPerCore(desired, now), wiring)
 	a.monitor.RegisterPlacement(desired, a.maxKeys)
@@ -440,7 +440,7 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 	snap := e.snap
 	cur := snap.wiring
 	if tr != nil {
-		tr.Planner().Record(obs.Span{Start: now, Kind: obs.KindPlannerSeal,
+		tr.Ring().Record(obs.Span{Start: now, Kind: obs.KindPlannerSeal,
 			Epoch: uint32(cur.epoch), Arg: stats.Txns})
 	}
 	// Hardware changed under the wiring: a site homed on a failed socket, a
@@ -466,7 +466,7 @@ func (a *adaptiveState) adaptGranularity(now vclock.Nanos) {
 	best, bds := a.granModel.Best(shape, granTieMargin)
 	winner, runnerUp := pickWinnerRunnerUp(bds, best)
 	if tr != nil {
-		tr.Planner().Record(obs.Span{Start: now, Kind: obs.KindPlannerScore,
+		tr.Ring().Record(obs.Span{Start: now, Kind: obs.KindPlannerScore,
 			Epoch: uint32(cur.epoch), Arg: int64(len(bds))})
 	}
 	if hardware {
@@ -578,7 +578,7 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	}
 	diff := partition.Diff(snap.placement, desired)
 	// Drain the write-combining accumulators before deriving the new log set:
-	// reused island logs carry their rings (and possibly a new device binding)
+	// reused island logs carry their records (and possibly a new device binding)
 	// across the move, and a buffered net delta must not straddle the
 	// re-wiring — the old wiring's commits become durable on the old wiring's
 	// devices before any log changes hands.
@@ -593,7 +593,7 @@ func (a *adaptiveState) changeLevel(to topology.Level, share float64, now vclock
 	if tp, ok := desired.Table(desired.TableNames()[0]); ok && len(tp.Cores) != len(wiring.sites) {
 		return
 	}
-	a.migrate(now, snap, desired, diff, wiring, obs.KindPlannerRewire, RepartitionDiff{
+	a.migrate(now, snap, desired, diff, wiring, RepartitionDiff{
 		From:           cur.level,
 		To:             to,
 		MultisiteShare: share,

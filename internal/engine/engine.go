@@ -202,11 +202,13 @@ type Config struct {
 	Adaptive bool
 	// AdaptiveInterval tunes the monitoring interval controller.
 	AdaptiveInterval core.IntervalConfig
-	// Tracing enables the virtual-time span tracer: the engine pre-allocates
-	// fixed-capacity span rings (per worker core, per island log, per device,
-	// plus one planner ring) at construction and the hot paths record into
-	// them. Disabled (the default), every recording site is a nil check and
-	// the per-transaction path allocates nothing extra.
+	// Tracing enables the virtual-time span tracer of priced runs: the engine
+	// pre-allocates one fixed-capacity span ring at construction. The run
+	// loop traces one whole transaction every traceEvery of engine time; the
+	// island logs, devices and planner record into the same ring unsampled.
+	// Executed runs record no spans. Disabled (the default), every recording
+	// site is a nil check and the per-transaction path allocates nothing
+	// extra.
 	Tracing bool
 	// TimeCompression declares that the experiment compresses that many of
 	// the paper's wall-clock seconds into one unit of its (shorter) virtual
@@ -258,10 +260,17 @@ func (c *Config) withDefaults() (*Config, designRow, error) {
 	return &out, row, nil
 }
 
-// traceRingCap is the capacity, in spans, of each trace ring when
-// Config.Tracing is enabled; overflowing rings drop new spans and count the
-// drops rather than growing.
+// traceRingCap is the capacity, in spans, of the trace ring when
+// Config.Tracing is enabled; an overflowing ring drops new spans and counts
+// the drops rather than growing.
 const traceRingCap = 1 << 14
+
+// traceEvery is the engine-clock sampling period of traced transactions: the
+// run loop traces a transaction (and every span of its execution) once the
+// engine clock reaches the next tick, which then moves traceEvery past the
+// clock. Sampling on the clock rather than on the transaction index keeps the
+// trace's density per unit of virtual time even when throughput swings.
+const traceEvery vclock.Nanos = 100_000 // 100 µs
 
 // Engine is a fully wired system instance ready to run workloads.
 type Engine struct {
@@ -295,7 +304,7 @@ type Engine struct {
 	accounts []coreAccount
 	adaptive *adaptiveState
 
-	// tracer holds the span rings, metrics samples and planner decision log
+	// tracer holds the span ring, metrics samples and planner decision log
 	// when Config.Tracing is enabled; nil otherwise. Every recording site is
 	// nil-safe, so the disabled path costs one pointer comparison.
 	tracer *obs.Tracer
@@ -358,19 +367,11 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	if c.Tracing {
-		// One worker ring (the run is one goroutine; each span lands on its
-		// coordinator's core track), one island ring per possible island
-		// (core-grained is the finest level, so NumCores bounds it), one ring
-		// per log device.
 		// Built before wireStructures so the initial wiring can attach its
-		// island logs to the rings.
-		ndev := 0
-		if e.devices != nil {
-			ndev = e.devices.NumDevices()
-		}
-		e.tracer = obs.NewTracer(c.Topology.NumCores(), c.Topology.NumCores(), ndev, traceRingCap)
+		// island logs to the ring.
+		e.tracer = obs.NewTracer(traceRingCap)
 		for i, d := range e.deviceList() {
-			d.SetTrace(e.tracer.Device(i), int32(i))
+			d.SetTrace(e.tracer.Ring(), int32(i))
 		}
 	}
 
@@ -764,10 +765,10 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 		}
 	}
 	if e.tracer != nil {
-		// Attach every island log (reused ones move to their new island's
-		// ring) so flush spans carry the wiring's site index.
+		// Attach every island log (reused ones take their new island's
+		// index) so flush spans carry the wiring's site index.
 		for i := range islands {
-			w.logs.Log(i).SetTrace(e.tracer.BindIsland(i), int32(i))
+			w.logs.Log(i).SetTrace(e.tracer.Ring(), int32(i))
 		}
 	}
 	w.coordinator = txn.NewCoordinatorAt(e.domain, w.logs, homeCores)

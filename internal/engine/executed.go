@@ -158,13 +158,6 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	logStart := e.hash.Stats()
 
 	execs := backend.NewExecutors(e.hash)
-	if e.tracer != nil {
-		// Executed-path spans carry wall time, recorded on the island rings'
-		// executor; set before any executor goroutine starts serving.
-		for i := range execs {
-			execs[i].SetTrace(e.tracer.BindIsland(i))
-		}
-	}
 	scratch := make([]execScratchX, islands)
 
 	stop := make(chan struct{})
@@ -187,7 +180,7 @@ func (e *Engine) RunExecuted(opts RunOptions) (*ExecutedResult, error) {
 	close(stop)
 	wgAll.Wait()
 	wall := time.Since(start).Nanoseconds()
-	e.hash.Drain(0)
+	e.hash.Drain()
 
 	res := &ExecutedResult{
 		Workload:    e.wl.Name,

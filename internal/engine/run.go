@@ -166,7 +166,8 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 	// loop body allocates nothing.
 	var gen txnSource
 	sc := newExecScratch()
-	sc.ring = e.tracer.Worker(0)
+	ring := e.tracer.Ring()
+	var nextTrace vclock.Nanos
 	for n := int64(1); n <= int64(opts.Transactions); n++ {
 		now := e.virtualNow()
 		if opts.Duration > 0 && now >= opts.Duration {
@@ -199,8 +200,13 @@ func (e *Engine) Run(opts RunOptions) (*Result, error) {
 		// that owns the partition doing most of its work, as DORA does; the
 		// coordinating core follows the data.
 		coord = e.dispatch(coord, t, sc)
+		// Trace the whole transaction, or none of it, on the engine-clock
+		// sample (traceEvery).
+		sc.ring = nil
 		var txnStart vclock.Nanos
-		if sc.ring != nil {
+		if ring != nil && now >= nextTrace {
+			nextTrace = now + traceEvery
+			sc.ring = ring
 			// Stamp the transaction's spans with the snapshot's wiring epoch
 			// and the coordinator's site before executing.
 			sc.site = int32(sc.snap.wiring.siteOf(coord))

@@ -49,9 +49,9 @@ type execScratch struct {
 	// row is the buffer performAction encodes an action's row into.
 	row []byte
 
-	// ring is the run's span ring (nil with tracing off); site and epoch
-	// stamp its spans. The run loop sets them per transaction from the
-	// snapshot it took.
+	// ring is the run's span ring while a sampled transaction executes, nil
+	// otherwise and with tracing off; site and epoch stamp its spans. The
+	// run loop sets them per transaction from the snapshot it took.
 	ring  *obs.Ring
 	site  int32
 	epoch uint32

@@ -10,7 +10,8 @@ import (
 // traceOp records one virtual-time operation span on the run's ring,
 // ending at the charged core's current time (call it after the cost has been
 // charged, so [end-cost, end] is exactly the operation's slice of the core's
-// timeline). With tracing off sc.ring is nil and the call is one comparison.
+// timeline). With tracing off, or outside a sampled transaction, sc.ring is
+// nil and the call is one comparison.
 func (e *Engine) traceOp(sc *execScratch, kind obs.Kind, core topology.CoreID, cost numa.Cost, arg int64) {
 	if sc.ring == nil {
 		return

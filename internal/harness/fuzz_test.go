@@ -174,7 +174,7 @@ func buildScenario(s Scale, seed int64) (fuzzScenario, error) {
 		return sc, fmt.Errorf("fuzz: schedule generation: %w", err)
 	}
 	sc.sched = sched
-	// Half the scenarios trace. Spans land in fixed pre-allocated rings; the
+	// Half the scenarios trace. Spans land in one fixed pre-allocated ring; the
 	// invariant tracing adds is its own drop accounting, checked after the
 	// adaptive leg.
 	sc.tracing = rng.Intn(2) == 0
@@ -276,7 +276,7 @@ func runScenario(s Scale, sc fuzzScenario, seed int64) error {
 	}
 	if sc.tracing {
 		// Every traced scenario must either drop nothing or account for every
-		// drop: each ring's drop counter has to equal its overflow exactly.
+		// drop: the ring's drop counter has to equal its overflow exactly.
 		if msg := e.Tracer().DropAccounting(); msg != "" {
 			return fmt.Errorf("trace drop accounting violated: %s", msg)
 		}

@@ -196,7 +196,7 @@ type TracedDriftResult struct {
 	Trace   []byte
 	Metrics []byte
 	// Decisions is how many planner decisions the trace explains; DroppedSpans
-	// is the tracer's overflow count (0 unless a ring filled up).
+	// is the tracer's overflow count (0 unless the ring filled up).
 	Decisions    int
 	DroppedSpans int64
 }

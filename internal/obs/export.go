@@ -16,11 +16,13 @@ import (
 // process per subsystem — pid 0 "cores" with one thread per core, pid 1
 // "islands" (WAL activity), pid 2 "devices", pid 3 "planner" — because a
 // per-process grouping is what Perfetto renders as separate track groups.
+// A span's track follows from its Kind (trackOf); only tracks that hold an
+// event are named.
 //
-// Events are emitted in a fixed order (metadata, then ring groups in tracer
-// order, then decisions) and every struct below has fixed fields, so the
-// exported bytes are a pure function of the recorded spans: bit-identical
-// across runs, hosts and harness parallelism.
+// Events are emitted in a fixed order (metadata, then spans sorted by track,
+// start, core, kind and arg, then decisions) and every struct below has fixed
+// fields, so the exported bytes are a pure function of the recorded spans:
+// bit-identical across runs, hosts and harness parallelism.
 
 const (
 	pidCores   = 0
@@ -28,6 +30,34 @@ const (
 	pidDevices = 2
 	pidPlanner = 3
 )
+
+// track is one Perfetto track: a (process, thread) pair.
+type track struct{ pid, tid int }
+
+// trackOf places a span: planner kinds on the planner track, WAL activity on
+// its island's, queue waits on their device's, and everything else on the
+// core that did the work.
+func trackOf(sp Span) track {
+	switch sp.Kind {
+	case KindPlannerSeal, KindPlannerScore, KindPlannerMigrate:
+		return track{pidPlanner, 0}
+	case KindPhysFlush, KindCoalesceFold:
+		return track{pidIslands, int(sp.Site)}
+	case KindDeviceWait:
+		return track{pidDevices, int(sp.Site)}
+	default:
+		return track{pidCores, int(sp.Core)}
+	}
+}
+
+// trackNames are the process names by pid and each process's thread-name
+// format.
+var trackNames = [...]struct{ process, thread string }{
+	pidCores:   {"cores", "core %d"},
+	pidIslands: {"islands", "island %d"},
+	pidDevices: {"devices", "device %d"},
+	pidPlanner: {"planner", "granularity planner"},
+}
 
 // completeEvent is a ph:"X" duration event.
 type completeEvent struct {
@@ -93,80 +123,71 @@ func (m jsonMicro) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("%d.%03d", n/1000, n%1000)), nil
 }
 
-// ExportChromeTrace renders the tracer's rings and decision log as a Chrome
+// ExportChromeTrace renders the tracer's ring and decision log as a Chrome
 // trace-event JSON document. A nil tracer exports an empty (but valid) trace.
 func (t *Tracer) ExportChromeTrace() []byte {
+	spans := t.Ring().Snapshot()
+	// Ring order is deterministic (one producer), and the stable sort keeps
+	// it among spans that tie on every key.
+	sort.SliceStable(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		if ta, tb := trackOf(a), trackOf(b); ta != tb {
+			if ta.pid != tb.pid {
+				return ta.pid < tb.pid
+			}
+			return ta.tid < tb.tid
+		}
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.Core != b.Core {
+			return a.Core < b.Core
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		return a.Arg < b.Arg
+	})
+	decisions := t.Decisions()
+
+	// Name each occupied track, and its process before its first thread.
+	var used []track
+	for _, sp := range spans {
+		if tk, n := trackOf(sp), len(used); n == 0 || used[n-1] != tk {
+			used = append(used, tk)
+		}
+	}
+	if len(decisions) > 0 && (len(used) == 0 || used[len(used)-1].pid != pidPlanner) {
+		used = append(used, track{pidPlanner, 0})
+	}
 	var events []any
+	for i, tk := range used {
+		names := trackNames[tk.pid]
+		if i == 0 || used[i-1].pid != tk.pid {
+			events = append(events, metaEvent{Name: "process_name", Ph: "M", Pid: tk.pid,
+				Args: metaArgs{Name: names.process}})
+		}
+		thread := names.thread
+		if tk.pid != pidPlanner {
+			thread = fmt.Sprintf(thread, tk.tid)
+		}
+		events = append(events, metaEvent{Name: "thread_name", Ph: "M", Pid: tk.pid, Tid: tk.tid,
+			Args: metaArgs{Name: thread}})
+	}
 
-	events = append(events,
-		metaEvent{Name: "process_name", Ph: "M", Pid: pidCores, Args: metaArgs{Name: "cores"}},
-		metaEvent{Name: "process_name", Ph: "M", Pid: pidIslands, Args: metaArgs{Name: "islands"}},
-		metaEvent{Name: "process_name", Ph: "M", Pid: pidDevices, Args: metaArgs{Name: "devices"}},
-		metaEvent{Name: "process_name", Ph: "M", Pid: pidPlanner, Args: metaArgs{Name: "planner"}},
-	)
-	if t != nil {
-		for i := 0; i < t.cores; i++ {
-			events = append(events, metaEvent{Name: "thread_name", Ph: "M", Pid: pidCores, Tid: i,
-				Args: metaArgs{Name: fmt.Sprintf("core %d", i)}})
-		}
-		for i := range t.islands {
-			events = append(events, metaEvent{Name: "thread_name", Ph: "M", Pid: pidIslands, Tid: i,
-				Args: metaArgs{Name: fmt.Sprintf("island %d", i)}})
-		}
-		for i := range t.devices {
-			events = append(events, metaEvent{Name: "thread_name", Ph: "M", Pid: pidDevices, Tid: i,
-				Args: metaArgs{Name: fmt.Sprintf("device %d", i)}})
+	for _, sp := range spans {
+		tk := trackOf(sp)
+		args := spanArgs{Class: sp.Class, Core: sp.Core, Site: sp.Site, Epoch: sp.Epoch, Arg: sp.Arg}
+		if sp.Dur > 0 {
+			events = append(events, completeEvent{Name: sp.Kind.String(), Ph: "X",
+				Ts: jsonMicro(sp.Start), Dur: jsonMicro(sp.Dur), Pid: tk.pid, Tid: tk.tid, Args: args})
+		} else {
+			events = append(events, instantEvent{Name: sp.Kind.String(), Ph: "i", S: "t",
+				Ts: jsonMicro(sp.Start), Pid: tk.pid, Tid: tk.tid, Args: args})
 		}
 	}
-	events = append(events, metaEvent{Name: "thread_name", Ph: "M", Pid: pidPlanner, Tid: 0,
-		Args: metaArgs{Name: "granularity planner"}})
 
-	emit := func(group string, idx int, r *Ring) {
-		pid, tid := pidCores, idx
-		switch group {
-		case "island":
-			pid = pidIslands
-		case "device":
-			pid = pidDevices
-		case "planner":
-			pid = pidPlanner
-		}
-		spans := r.Snapshot()
-		// The worker ring is filled in virtual-time order per core but cores
-		// interleave; island and planner rings mix producers.
-		// Sort by (start, core, kind, arg) so the byte stream does not depend
-		// on goroutine interleaving.
-		sort.SliceStable(spans, func(i, j int) bool {
-			a, b := spans[i], spans[j]
-			if a.Start != b.Start {
-				return a.Start < b.Start
-			}
-			if a.Core != b.Core {
-				return a.Core < b.Core
-			}
-			if a.Kind != b.Kind {
-				return a.Kind < b.Kind
-			}
-			return a.Arg < b.Arg
-		})
-		for _, sp := range spans {
-			eTid := tid
-			if group == "worker" {
-				eTid = int(sp.Core)
-			}
-			args := spanArgs{Class: sp.Class, Core: sp.Core, Site: sp.Site, Epoch: sp.Epoch, Arg: sp.Arg}
-			if sp.Dur > 0 {
-				events = append(events, completeEvent{Name: sp.Kind.String(), Ph: "X",
-					Ts: jsonMicro(sp.Start), Dur: jsonMicro(sp.Dur), Pid: pid, Tid: eTid, Args: args})
-			} else {
-				events = append(events, instantEvent{Name: sp.Kind.String(), Ph: "i", S: "t",
-					Ts: jsonMicro(sp.Start), Pid: pid, Tid: eTid, Args: args})
-			}
-		}
-	}
-	t.rings(emit)
-
-	for _, d := range t.Decisions() {
+	for _, d := range decisions {
 		events = append(events, instantEvent{Name: "planner-decision", Ph: "i", S: "p",
 			Ts: jsonMicro(d.At), Pid: pidPlanner, Tid: 0,
 			Args: decisionArgs{Current: d.Current, Best: d.Best, Verdict: d.Verdict,
@@ -291,8 +312,4 @@ func ValidateMetricsCSV(data []byte) error {
 		prev = at
 	}
 	return nil
-}
-
-func ringViolation(group string, idx int, what string, held, attempts, dropped int64) string {
-	return fmt.Sprintf("%s ring %d: %s (held=%d attempts=%d dropped=%d)", group, idx, what, held, attempts, dropped)
 }

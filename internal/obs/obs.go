@@ -1,5 +1,5 @@
-// Package obs is the engine's virtual-time tracing and metrics layer: span
-// rings recording where a transaction's virtual nanoseconds went, a
+// Package obs is the engine's virtual-time tracing and metrics layer: one
+// span ring recording where a transaction's virtual nanoseconds went, a
 // planner-boundary-driven metrics time series, and a decision log explaining
 // every granularity evaluation term by term.
 //
@@ -7,23 +7,25 @@
 // when disabled: every producer holds a *Ring (or *Tracer) that is nil when
 // tracing is off, and every method is a nil-receiver no-op, so the hot path
 // pays one pointer test and zero allocations. Second, recording must be
-// allocation-free when enabled: rings are pre-allocated to a fixed capacity
+// allocation-free when enabled: the ring is pre-allocated to a fixed capacity
 // at engine build, and a full ring drops new spans while counting every
 // attempt, so `Dropped() == Attempts() - Len()` is an exactness invariant the
 // fuzzer can check rather than silent loss.
 //
-// Spans are stamped with virtual time (vclock.Nanos), not wall time: a traced
-// run is a pure function of its seed, so exported traces are bit-identical
-// across host machines and harness parallelism. The one exception is the
-// executed backend's measured operations, whose timestamps are wall
-// nanoseconds by definition; they are excluded from determinism oracles.
+// Spans are stamped with virtual time (vclock.Nanos), never wall time: a
+// traced run is a pure function of its seed, so exported traces are
+// bit-identical across host machines and harness parallelism.
 //
 // obs sits below every subsystem it observes: it imports only vclock and the
-// standard library, so wal, device, backend and engine can all hold rings
-// without an import cycle.
+// standard library, so wal, device and engine can all hold the ring without
+// an import cycle.
 package obs
 
-import "atrapos/internal/vclock"
+import (
+	"fmt"
+
+	"atrapos/internal/vclock"
+)
 
 // Kind is the span vocabulary: each value names one priced operation class.
 type Kind uint8
@@ -48,17 +50,13 @@ const (
 	KindPhysFlush
 	// KindDeviceWait is queueing delay at a log device (Arg=bytes).
 	KindDeviceWait
-	// KindBackendOp is one shipped batch served on its owner's executor
-	// (wall-ns timestamps; Arg=operations carried, a commit record included).
-	KindBackendOp
 	// KindPlannerSeal is a monitor-epoch seal at a planner boundary.
 	KindPlannerSeal
 	// KindPlannerScore is one granularity-model scoring pass.
 	KindPlannerScore
-	// KindPlannerRewire is one online island-level re-wiring (Arg=epoch).
-	KindPlannerRewire
-	// KindPlannerRepartition is one adaptive placement migration.
-	KindPlannerRepartition
+	// KindPlannerMigrate is one adaptive migration: a placement
+	// repartitioning or an island-level re-wiring (Arg=affected cores).
+	KindPlannerMigrate
 
 	numKinds
 )
@@ -84,26 +82,22 @@ func (k Kind) String() string {
 		return "phys-flush"
 	case KindDeviceWait:
 		return "device-wait"
-	case KindBackendOp:
-		return "backend-op"
 	case KindPlannerSeal:
 		return "planner-seal"
 	case KindPlannerScore:
 		return "planner-score"
-	case KindPlannerRewire:
-		return "planner-rewire"
-	case KindPlannerRepartition:
-		return "planner-repartition"
+	case KindPlannerMigrate:
+		return "planner-migrate"
 	default:
 		return "unknown"
 	}
 }
 
 // Span is one recorded virtual-time interval. Start and Dur are virtual
-// nanoseconds (wall nanoseconds only for KindBackendOp). Core, Site and Epoch
-// stamp where in the machine and under which wiring the work happened; Class
-// is the transaction class for KindTxn spans (a string from the workload's
-// fixed class table, so recording it does not allocate).
+// nanoseconds. Core, Site and Epoch stamp where in the machine and under
+// which wiring the work happened; Class is the transaction class for KindTxn
+// spans (a string from the workload's fixed class table, so recording it does
+// not allocate).
 type Span struct {
 	Start      vclock.Nanos
 	Dur        vclock.Nanos
@@ -117,13 +111,10 @@ type Span struct {
 // Ring is a fixed-capacity span buffer. Record never allocates: a full ring
 // drops the new span and counts the attempt, so Dropped() is exact.
 //
-// A Ring is single-owner, with no mutex. In a priced run every producer — the
-// execution path, the island logs (a reused one carried into the
-// next wiring included), the devices and the inline planner — records on the
-// run's one goroutine. In an executed run executor i records into island ring
-// i and nothing else does; the engine reads the rings only after every
-// executor has joined (TestExecutedTracedIslandsShareNothing runs that case
-// under the race detector).
+// A Ring is single-owner, with no mutex: every producer — the execution
+// path, the island logs (a reused one carried into the next wiring
+// included), the devices and the inline planner — records on a priced run's
+// one goroutine. Executed runs record nothing.
 type Ring struct {
 	spans    []Span
 	attempts int64
@@ -244,93 +235,53 @@ type Sample struct {
 	IslandTPS []float64
 }
 
-// Tracer owns every ring and series of one engine: one worker ring for the
-// execution-path spans of the run's one goroutine (each span names its core),
-// per-island rings for WAL activity (allocated when a producer first binds
-// one), per-device rings for queue waits, one planner ring, the decision log
-// and the metrics samples. All accessors are nil-receiver safe, so a disabled
-// engine holds a nil *Tracer and every producer site stays a single-branch
-// no-op.
+// Tracer owns the one span ring of an engine, the decision log and the
+// metrics samples. Every producer records into the same ring; the Chrome
+// export derives each span's track from its Kind. All accessors are
+// nil-receiver safe, so a disabled engine holds a nil *Tracer and every
+// producer site stays a single-branch no-op.
 //
-// A Tracer is single-owner like its rings: the decision log and the metrics
+// A Tracer is single-owner like its ring: the decision log and the metrics
 // series are appended to only by the inline planner of a priced run.
 type Tracer struct {
-	worker *Ring
-	// cores is how many core tracks the trace export names.
-	cores   int
-	ringCap int
-	islands []*Ring
-	devices []*Ring
-	planner *Ring
-
+	ring      *Ring
 	decisions []Decision
 	samples   []Sample
 }
 
-// NewTracer pre-allocates rings of ringCap capacity: the worker ring, one per
-// device, and one for the planner. Each of the islands island slots gets its
-// ring on first BindIsland: a wiring binds one slot per island, so a socket-
-// or die-grained run leaves most of a per-core slot array empty. cores is the
-// machine's core count, which names the export's core tracks.
-func NewTracer(cores, islands, devices, ringCap int) *Tracer {
-	t := &Tracer{
-		worker:  NewRing(ringCap),
-		cores:   cores,
-		ringCap: ringCap,
-		islands: make([]*Ring, islands),
-		devices: make([]*Ring, devices),
-		planner: NewRing(ringCap),
-	}
-	for i := range t.devices {
-		t.devices[i] = NewRing(ringCap)
-	}
-	return t
+// NewTracer pre-allocates the span ring with ringCap capacity.
+func NewTracer(ringCap int) *Tracer {
+	return &Tracer{ring: NewRing(ringCap)}
 }
 
-// Worker returns the worker ring for i == 0, and nil otherwise or when t is
-// nil: a run is one goroutine, so there is one worker.
-func (t *Tracer) Worker(i int) *Ring {
-	if t == nil || i != 0 {
-		return nil
-	}
-	return t.worker
-}
-
-// Island returns island slot i's ring, or nil when no producer has bound it.
-func (t *Tracer) Island(i int) *Ring {
-	if t == nil || i < 0 || i >= len(t.islands) {
-		return nil
-	}
-	return t.islands[i]
-}
-
-// BindIsland returns island slot i's ring for a producer to record into,
-// allocating it on first use; nil when t is nil or i is out of range.
-func (t *Tracer) BindIsland(i int) *Ring {
-	if t == nil || i < 0 || i >= len(t.islands) {
-		return nil
-	}
-	if t.islands[i] == nil {
-		t.islands[i] = NewRing(t.ringCap)
-	}
-	return t.islands[i]
-}
-
-// Device returns device i's ring, or nil.
-func (t *Tracer) Device(i int) *Ring {
-	if t == nil || i < 0 || i >= len(t.devices) {
-		return nil
-	}
-	return t.devices[i]
-}
-
-// Planner returns the planner ring, or nil.
-func (t *Tracer) Planner() *Ring {
+// Ring returns the span ring, or nil when t is nil.
+func (t *Tracer) Ring() *Ring {
 	if t == nil {
 		return nil
 	}
-	return t.planner
+	return t.ring
 }
+
+// Worker, Island, Device and Planner remain for the frozen benchmark module,
+// which sums their attempts: Worker(0) is the ring and every other call is
+// nil, so the sum is the ring's attempts.
+
+// Worker returns the ring for i == 0, and nil otherwise.
+func (t *Tracer) Worker(i int) *Ring {
+	if i != 0 {
+		return nil
+	}
+	return t.Ring()
+}
+
+// Island returns nil.
+func (t *Tracer) Island(int) *Ring { return nil }
+
+// Device returns nil.
+func (t *Tracer) Device(int) *Ring { return nil }
+
+// Planner returns nil.
+func (t *Tracer) Planner() *Ring { return nil }
 
 // RecordDecision appends one planner evaluation to the decision log.
 func (t *Tracer) RecordDecision(d Decision) {
@@ -364,74 +315,43 @@ func (t *Tracer) Samples() []Sample {
 	return append([]Sample(nil), t.samples...)
 }
 
-// Reset empties every ring and series so a fresh run starts clean; ring
+// Reset empties the ring and the series so a fresh run starts clean; ring
 // storage is kept.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.worker.Reset()
-	for _, r := range t.islands {
-		r.Reset()
-	}
-	for _, r := range t.devices {
-		r.Reset()
-	}
-	t.planner.Reset()
+	t.ring.Reset()
 	t.decisions = nil
 	t.samples = nil
 }
 
-// rings iterates every ring with a stable label, in a fixed order.
-func (t *Tracer) rings(fn func(group string, idx int, r *Ring)) {
-	if t == nil {
-		return
-	}
-	fn("worker", 0, t.worker)
-	for i, r := range t.islands {
-		fn("island", i, r)
-	}
-	for i, r := range t.devices {
-		fn("device", i, r)
-	}
-	fn("planner", 0, t.planner)
-}
+// Dropped returns the ring's drop count.
+func (t *Tracer) Dropped() int64 { return t.Ring().Dropped() }
 
-// Dropped sums the drop counters of every ring.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	var total int64
-	t.rings(func(_ string, _ int, r *Ring) { total += r.Dropped() })
-	return total
-}
-
-// DropAccounting verifies the no-silent-loss invariant on every ring:
+// DropAccounting verifies the no-silent-loss invariant on the ring:
 // dropped == attempts - held, held <= capacity, and dropped is only nonzero
 // when the ring is exactly full. It returns a description of the first
 // violation, or "" when the accounting is exact.
 func (t *Tracer) DropAccounting() string {
-	if t == nil {
+	r := t.Ring()
+	if r == nil {
 		return ""
 	}
-	var violation string
-	t.rings(func(group string, idx int, r *Ring) {
-		if violation != "" || r == nil {
-			return
-		}
-		held, attempts, dropped := int64(r.Len()), r.Attempts(), r.Dropped()
-		capn := int64(r.Capacity())
-		switch {
-		case dropped != attempts-held:
-			violation = ringViolation(group, idx, "dropped != attempts - held", held, attempts, dropped)
-		case held > capn:
-			violation = ringViolation(group, idx, "held > capacity", held, attempts, dropped)
-		case dropped > 0 && held != capn:
-			violation = ringViolation(group, idx, "dropped from a non-full ring", held, attempts, dropped)
-		case dropped < 0:
-			violation = ringViolation(group, idx, "negative drop count", held, attempts, dropped)
-		}
-	})
-	return violation
+	held, attempts, dropped := int64(r.Len()), r.Attempts(), r.Dropped()
+	capn := int64(r.Capacity())
+	var what string
+	switch {
+	case dropped != attempts-held:
+		what = "dropped != attempts - held"
+	case held > capn:
+		what = "held > capacity"
+	case dropped > 0 && held != capn:
+		what = "dropped from a non-full ring"
+	case dropped < 0:
+		what = "negative drop count"
+	default:
+		return ""
+	}
+	return fmt.Sprintf("span ring: %s (held=%d attempts=%d dropped=%d)", what, held, attempts, dropped)
 }

@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,48 +48,50 @@ func TestNilRingAndTracerAreNoOps(t *testing.T) {
 	tr.RecordDecision(Decision{})
 	tr.RecordSample(Sample{})
 	tr.Reset()
-	if tr.Worker(0) != nil || tr.Island(0) != nil || tr.BindIsland(0) != nil || tr.Device(0) != nil || tr.Planner() != nil {
+	if tr.Ring() != nil {
 		t.Fatal("nil tracer returned a ring")
 	}
 	if tr.Dropped() != 0 || tr.DropAccounting() != "" {
 		t.Fatal("nil tracer reported drops")
 	}
-	if NewTracer(4, 1, 0, 1).Worker(1) != nil {
-		t.Fatal("a tracer has one worker ring; Worker(1) must be nil")
-	}
-	if len(tr.ExportChromeTrace()) == 0 {
-		t.Fatal("nil tracer exported an empty document")
+	if err := ValidateChromeTrace(tr.ExportChromeTrace()); err != nil {
+		t.Fatalf("nil tracer's export fails validation: %v", err)
 	}
 }
 
-// TestIslandRingsAllocateOnBind: an island slot no producer has bound holds
-// no ring — Island reads nil, which records nothing and counts 0 attempts —
-// and BindIsland allocates it once, at the tracer's ring capacity.
-func TestIslandRingsAllocateOnBind(t *testing.T) {
-	tr := NewTracer(4, 4, 0, 8)
-	if tr.Island(2) != nil {
-		t.Fatal("an unbound island slot has a ring")
+// TestTracerRemnantsSumToRing: the frozen benchmark sums Worker(i), Island(i),
+// Device(i) and Planner() attempts; only Worker(0) is a ring, so the sum is
+// the ring's attempts.
+func TestTracerRemnantsSumToRing(t *testing.T) {
+	tr := NewTracer(4)
+	for i := 0; i < 3; i++ {
+		tr.Ring().Record(Span{Kind: KindTxn})
 	}
-	r := tr.BindIsland(2)
-	if r == nil || r.Capacity() != 8 {
-		t.Fatalf("BindIsland(2) = %v, want a ring of capacity 8", r)
+	if tr.Worker(0) != tr.Ring() {
+		t.Fatal("Worker(0) is not the tracer's ring")
 	}
-	if tr.BindIsland(2) != r || tr.Island(2) != r {
-		t.Fatal("a bound island slot returned a different ring")
+	var attempts int64
+	for i := 0; i < 4; i++ {
+		attempts += tr.Worker(i).Attempts() + tr.Island(i).Attempts() + tr.Device(i).Attempts()
 	}
-	if tr.Island(1) != nil || tr.BindIsland(4) != nil {
-		t.Fatal("binding slot 2 touched another slot, or slot 4 exists")
+	attempts += tr.Planner().Attempts()
+	if attempts != 3 {
+		t.Fatalf("remnant attempts sum to %d, want 3", attempts)
+	}
+	var nilTracer *Tracer
+	if nilTracer.Worker(0) != nil {
+		t.Fatal("nil tracer's Worker(0) is a ring")
 	}
 }
 
 func TestTracerDropAccounting(t *testing.T) {
-	tr := NewTracer(2, 1, 1, 2)
-	tr.Worker(0).Record(Span{Kind: KindTxn})
+	tr := NewTracer(2)
+	tr.Ring().Record(Span{Kind: KindTxn})
 	for i := 0; i < 5; i++ {
-		tr.BindIsland(0).Record(Span{Kind: KindPhysFlush})
+		tr.Ring().Record(Span{Kind: KindPhysFlush})
 	}
-	if got := tr.Dropped(); got != 3 {
-		t.Fatalf("Dropped = %d, want 3", got)
+	if got := tr.Dropped(); got != 4 {
+		t.Fatalf("Dropped = %d, want 4", got)
 	}
 	if v := tr.DropAccounting(); v != "" {
 		t.Fatalf("DropAccounting violated: %s", v)
@@ -95,13 +100,16 @@ func TestTracerDropAccounting(t *testing.T) {
 
 func TestExportChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 	build := func() *Tracer {
-		tr := NewTracer(2, 2, 1, 16)
-		tr.Worker(0).Record(Span{Start: 1000, Dur: 500, Kind: KindTxn, Core: 0, Class: "mixed"})
-		tr.Worker(0).Record(Span{Start: 1200, Dur: 300, Kind: KindLockAcquire, Core: 1})
-		tr.BindIsland(0).Record(Span{Start: 1500, Dur: 100, Kind: KindPhysFlush, Site: 0, Arg: 4096})
-		tr.BindIsland(1).Record(Span{Start: 1500, Kind: KindCoalesceFold, Site: 1, Arg: 7})
-		tr.Device(0).Record(Span{Start: 1600, Dur: 50, Kind: KindDeviceWait})
-		tr.Planner().Record(Span{Start: 2000, Kind: KindPlannerSeal})
+		tr := NewTracer(16)
+		r := tr.Ring()
+		// Recorded out of track order: the export sorts them.
+		r.Record(Span{Start: 2000, Kind: KindPlannerSeal})
+		r.Record(Span{Start: 1600, Dur: 50, Kind: KindDeviceWait, Site: 1})
+		r.Record(Span{Start: 1500, Dur: 100, Kind: KindPhysFlush, Site: 0, Arg: 4096})
+		r.Record(Span{Start: 1500, Kind: KindCoalesceFold, Site: 2, Arg: 7})
+		r.Record(Span{Start: 1200, Dur: 300, Kind: KindLockAcquire, Core: 3})
+		r.Record(Span{Start: 1000, Dur: 500, Kind: KindTxn, Core: 3, Class: "mixed"})
+		r.Record(Span{Start: 2100, Dur: 40, Kind: KindPlannerMigrate, Core: 5})
 		tr.RecordDecision(Decision{At: 2000, Current: "socket", Best: "core", Verdict: "change",
 			Candidates: []LevelScore{{Level: "core", Total: 1, Locality: 1}}})
 		tr.RecordSample(Sample{At: 2000, Level: "socket", TPS: 10,
@@ -115,10 +123,35 @@ func TestExportChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 	if err := ValidateChromeTrace(a); err != nil {
 		t.Fatalf("exported trace fails validation: %v", err)
 	}
-	for _, want := range []string{"planner-decision", "phys-flush", "coalesce-fold", "device-wait", "\"locality\""} {
-		if !strings.Contains(string(a), want) {
-			t.Fatalf("exported trace is missing %q", want)
+	var doc struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Pid, Tid int
+			Args     struct{ Name string }
 		}
+	}
+	if err := json.Unmarshal(a, &doc); err != nil {
+		t.Fatal(err)
+	}
+	// Tracks come from the kind, and only occupied tracks are named.
+	var got []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" {
+			got = append(got, ev.Args.Name)
+		} else {
+			got = append(got, fmt.Sprintf("%s@%d/%d", ev.Name, ev.Pid, ev.Tid))
+		}
+	}
+	want := []string{
+		"cores", "core 3", "islands", "island 0", "island 2", "devices", "device 1", "planner", "granularity planner",
+		"txn@0/3", "lock-acquire@0/3", "phys-flush@1/0", "coalesce-fold@1/2", "device-wait@2/1",
+		"planner-seal@3/0", "planner-migrate@3/0", "planner-decision@3/0",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("exported events\n got %v\nwant %v", got, want)
+	}
+	if !strings.Contains(string(a), "\"locality\"") {
+		t.Fatal("exported trace is missing the decision's score breakdown")
 	}
 	csvA, csvB := build().ExportMetricsCSV(), build().ExportMetricsCSV()
 	if !bytes.Equal(csvA, csvB) {

@@ -517,9 +517,9 @@ func (l *CentralLog) Drain(now vclock.Nanos) numa.Cost {
 // Device returns the log device the log is bound to, or nil.
 func (l *CentralLog) Device() *device.Device { return l.cfg.Device }
 
-// SetTrace attaches (or, with a nil ring, detaches) the island span ring the
-// log emits physical-flush and coalesce-fold spans into, stamped with site.
-// An online re-wiring re-attaches reused logs to the new wiring's rings; the
+// SetTrace attaches (or, with a nil ring, detaches) the span ring the log
+// emits physical-flush and coalesce-fold spans into, stamped with site.
+// An online re-wiring re-attaches reused logs with the new wiring's site; the
 // fold mark restarts at the current coalesced count so the first fold span
 // after the move reports only new folds.
 func (l *CentralLog) SetTrace(r *obs.Ring, site int32) {
