@@ -112,6 +112,7 @@ bench-smoke:
 	$(GO) test -run TestLoadAllocBudget -v ./internal/storage
 	$(GO) test -run '^$$' -bench BenchmarkAcquireReleaseAll -benchtime 1000x -benchmem ./internal/lock
 	$(GO) test -run '^$$' -bench BenchmarkCacheLine -benchtime 100000x -benchmem ./internal/numa
+	$(GO) test -run '^$$' -bench BenchmarkManagerBeginCommit -benchtime 100000x -benchmem ./internal/txn
 	$(GO) test -run '^$$' -bench BenchmarkRepartition -benchtime 100x -benchmem ./internal/btree
 	$(GO) test -run '^$$' -bench BenchmarkTreeGet -benchtime 200000x -benchmem ./internal/btree
 	$(GO) test -run '^$$' -bench 'BenchmarkExecutorShip|BenchmarkHashCommit' -benchtime 200x -benchmem ./internal/backend
@@ -170,10 +171,9 @@ tables-diff:
 
 # The tracing smoke: run the traced adaptive-drift scenario and write the
 # Chrome-trace JSON (Perfetto-loadable) and metrics CSV. The command validates
-# both documents itself (trace-event schema, CSV header and row shape, span
-# ring drop accounting), so this target failing means the exporter regressed;
-# it also fails unless the run dropped no span (the one ring holds the whole
-# run). Outputs land in ./trace-out/ (gitignored; CI uploads them on failure).
+# both documents itself (trace-event schema, CSV header and row shape), so
+# this target failing means the exporter regressed; it also fails unless the
+# run dropped no span (the one ring holds the whole run). Outputs land in ./trace-out/ (gitignored; CI uploads them on failure).
 bench-trace:
 	@mkdir -p trace-out
 	@out=$$($(GO) run ./cmd/atrapos-bench -trace trace-out/drift.json -metrics trace-out/drift.csv) || exit 1; \

@@ -258,7 +258,7 @@ type Tracer = obs.Tracer
 // It exports the trace (ExportChromeTrace, one Perfetto track per core,
 // island, device and the planner, chosen by span kind) and the metrics series
 // (ExportMetricsCSV) and gives programmatic access to the span ring, planner
-// decisions, metrics samples and drop accounting.
+// decisions, metrics samples and drop count.
 func (s *System) Tracer() *Tracer { return s.engine.Tracer() }
 
 // ExecutedResult is the outcome of a RunExecuted: real operations on the

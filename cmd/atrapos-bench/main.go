@@ -26,8 +26,8 @@ import (
 
 // runTraced executes the traced adaptive-drift scenario and writes the trace
 // and metrics documents. RunTracedDrift validates both documents itself
-// (Chrome-trace schema, CSV header and row shape, ring drop accounting), so a
-// zero exit means the files are well-formed.
+// (Chrome-trace schema, CSV header and row shape), so a zero exit means the
+// files are well-formed.
 func runTraced(scale atrapos.Scale, tracePath, metricsPath string) error {
 	start := time.Now()
 	res, err := atrapos.RunTracedDrift(scale, tracePath, metricsPath)

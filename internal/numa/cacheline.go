@@ -96,27 +96,43 @@ func (cl *CacheLine) noteContender(s topology.SocketID) int {
 // Owner returns the socket that last touched the line.
 func (cl *CacheLine) Owner() topology.SocketID { return cl.owner }
 
-// Striped is a set of per-socket cache lines. NUMA-aware data structures use
-// one stripe per socket so the critical path only ever touches the local
-// stripe.
+// Striped is a set of cache lines that price one logical structure, such as
+// the list of active transactions or the state lock of Section IV: one line
+// per socket, so the critical path only ever touches its local stripe, or one
+// shared line whose accesses bounce across the interconnect.
 type Striped struct {
 	lines []*CacheLine
 }
 
-// NewStriped builds one cache line per socket, each homed on its socket.
-func NewStriped(d *Domain) *Striped {
-	s := &Striped{lines: make([]*CacheLine, d.Top.Sockets())}
+// NewStriped builds one cache line per socket, each homed on its socket, when
+// perSocket is set, and otherwise one shared line homed on socket 0.
+func NewStriped(d *Domain, perSocket bool) *Striped {
+	n := 1
+	if perSocket {
+		n = d.Top.Sockets()
+	}
+	s := &Striped{lines: make([]*CacheLine, n)}
 	for i := range s.lines {
 		s.lines[i] = NewCacheLine(d, topology.SocketID(i))
 	}
 	return s
 }
 
-// Local returns the stripe for socket s. Out-of-range sockets map to stripe 0
-// so that callers with a failed or unknown socket still make progress.
-func (s *Striped) Local(sock topology.SocketID) *CacheLine {
-	if int(sock) < 0 || int(sock) >= len(s.lines) {
-		return s.lines[0]
+// Atomic performs an atomic access from socket sock on its stripe and returns
+// its cost. A socket with no stripe of its own (any socket of a shared line,
+// or a failed or unknown one) uses stripe 0, so it still makes progress.
+func (s *Striped) Atomic(sock topology.SocketID) Cost {
+	if uint(sock) < uint(len(s.lines)) {
+		return s.lines[sock].Atomic(sock)
 	}
-	return s.lines[sock]
+	return s.lines[0].Atomic(sock)
 }
+
+// NewCentralRWLock and NewPartitionedRWLock remain for the frozen benchmark
+// module, which builds its state locks with them.
+
+// NewCentralRWLock returns NewStriped(d, false).
+func NewCentralRWLock(d *Domain) *Striped { return NewStriped(d, false) }
+
+// NewPartitionedRWLock returns NewStriped(d, true).
+func NewPartitionedRWLock(d *Domain) *Striped { return NewStriped(d, true) }

@@ -133,49 +133,56 @@ func TestMoreSocketsMakeSharedLineMoreExpensive(t *testing.T) {
 
 func TestStriped(t *testing.T) {
 	d := testDomain(t, 4, 2)
-	s := NewStriped(d)
+	s := NewStriped(d, true)
 	if len(s.lines) != 4 {
 		t.Fatalf("striped has %d stripes, want 4", len(s.lines))
 	}
 	// Local stripes keep accesses socket-local and therefore cheap.
 	for sock := 0; sock < 4; sock++ {
-		c := s.Local(topology.SocketID(sock)).Atomic(topology.SocketID(sock))
-		if c != LocalAtomic {
+		if c := s.Atomic(topology.SocketID(sock)); c != LocalAtomic {
 			t.Errorf("stripe %d local atomic cost %d, want %d", sock, c, LocalAtomic)
 		}
 	}
-	if s.Local(topology.SocketID(-3)) != s.lines[0] {
+	// An out-of-range socket takes stripe 0: it moves that line, and the
+	// next socket-0 access pays the transfer back.
+	s.Atomic(topology.SocketID(9))
+	if s.lines[0].Owner() != 9 {
 		t.Error("out-of-range socket should map to stripe 0")
+	}
+	if c := s.Atomic(0); c == LocalAtomic {
+		t.Error("stripe 0 should have moved to the out-of-range socket")
+	}
+	shared := NewStriped(d, false)
+	if len(shared.lines) != 1 || shared.lines[0].Owner() != 0 {
+		t.Fatalf("shared striped has %d stripes, want 1 homed on socket 0", len(shared.lines))
 	}
 }
 
 func TestCentralVsPartitionedStateLock(t *testing.T) {
 	d := testDomain(t, 8, 1)
-	central := NewCentralRWLock(d)
-	parted := NewPartitionedRWLock(d)
-
-	costOf := func(l StateLock) Cost {
+	costOf := func(l *Striped) Cost {
 		var total Cost
 		for i := 0; i < 200; i++ {
 			s := topology.SocketID(i % 8)
-			total += l.RLock(s)
-			total += l.RUnlock(s)
+			total += l.Atomic(s)
+			total += l.Atomic(s)
 		}
 		return total
 	}
-	centralCost := costOf(central)
-	partedCost := costOf(parted)
+	centralCost := costOf(NewStriped(d, false))
+	partedCost := costOf(NewStriped(d, true))
 	if partedCost*2 >= centralCost {
-		t.Errorf("partitioned read lock cost %d should be well below centralized %d", partedCost, centralCost)
+		t.Errorf("per-socket read lock cost %d should be well below shared %d", partedCost, centralCost)
 	}
 }
 
 func TestPartitionedRWLockUnknownSocket(t *testing.T) {
 	d := testDomain(t, 2, 1)
-	l := NewPartitionedRWLock(d)
+	l := NewStriped(d, true)
 	// Unknown sockets fall back to stripe 0 rather than panicking.
-	l.RLock(topology.SocketID(42))
-	l.RUnlock(topology.SocketID(42))
+	if c := l.Atomic(topology.SocketID(42)); c <= 0 {
+		t.Error("fallback access should have a positive cost")
+	}
 }
 
 func TestAllocPolicyString(t *testing.T) {

@@ -9,8 +9,8 @@
 // pays one pointer test and zero allocations. Second, recording must be
 // allocation-free when enabled: the ring is pre-allocated to a fixed capacity
 // at engine build, and a full ring drops new spans while counting every
-// attempt, so `Dropped() == Attempts() - Len()` is an exactness invariant the
-// fuzzer can check rather than silent loss.
+// attempt, so a drop is reported (Dropped, the traced run's dropped_spans)
+// rather than lost silently.
 //
 // Spans are stamped with virtual time (vclock.Nanos), never wall time: a
 // traced run is a pure function of its seed, so exported traces are
@@ -21,11 +21,7 @@
 // an import cycle.
 package obs
 
-import (
-	"fmt"
-
-	"atrapos/internal/vclock"
-)
+import "atrapos/internal/vclock"
 
 // Kind is the span vocabulary: each value names one priced operation class.
 type Kind uint8
@@ -328,30 +324,3 @@ func (t *Tracer) Reset() {
 
 // Dropped returns the ring's drop count.
 func (t *Tracer) Dropped() int64 { return t.Ring().Dropped() }
-
-// DropAccounting verifies the no-silent-loss invariant on the ring:
-// dropped == attempts - held, held <= capacity, and dropped is only nonzero
-// when the ring is exactly full. It returns a description of the first
-// violation, or "" when the accounting is exact.
-func (t *Tracer) DropAccounting() string {
-	r := t.Ring()
-	if r == nil {
-		return ""
-	}
-	held, attempts, dropped := int64(r.Len()), r.Attempts(), r.Dropped()
-	capn := int64(r.Capacity())
-	var what string
-	switch {
-	case dropped != attempts-held:
-		what = "dropped != attempts - held"
-	case held > capn:
-		what = "held > capacity"
-	case dropped > 0 && held != capn:
-		what = "dropped from a non-full ring"
-	case dropped < 0:
-		what = "negative drop count"
-	default:
-		return ""
-	}
-	return fmt.Sprintf("span ring: %s (held=%d attempts=%d dropped=%d)", what, held, attempts, dropped)
-}

@@ -102,7 +102,6 @@ func (c *Coordinator) Run(t *Txn, coord topology.CoreID, coordSite int, particip
 		return TwoPCOutcome{}, fmt.Errorf("txn: distributed transaction %d has no participants", t.ID)
 	}
 	var out TwoPCOutcome
-	t.Distributed = true
 	t.State = Preparing
 
 	// Phase 1: prepare requests, participant prepare records, votes back.

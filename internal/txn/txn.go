@@ -1,8 +1,7 @@
 // Package txn implements transaction management: transaction identities and
-// state, the list of active transactions (in both its centralized and its
-// NUMA-aware per-socket form), the transaction manager that the engines drive,
-// and the two-phase-commit helper used for distributed transactions in
-// shared-nothing configurations.
+// state, the transaction manager that the engines drive (with its list of
+// active transactions, centralized or per socket), and the two-phase-commit
+// helper used for distributed transactions in shared-nothing configurations.
 package txn
 
 import (
@@ -52,77 +51,40 @@ type Txn struct {
 	State  State
 	Core   topology.CoreID
 	Socket topology.SocketID
-	// Distributed marks transactions that span more than one shared-nothing instance.
-	Distributed bool
 }
 
-// ActiveList is the list of in-flight transactions. Shore-MT keeps it as one
-// lock-free list whose head every beginning and finishing transaction CASes;
-// ATraPos partitions it per socket (Section IV, "List of transactions").
-//
-// Both implementations price that head CAS on a numa.CacheLine and keep no
-// ids: a priced run holds one transaction at a time, and nothing reads the
-// list's contents. They are single-owner like the cache lines they price: a
-// list belongs to one engine's transaction manager (or one island's), and the
-// priced run that drives it is one goroutine.
-type ActiveList interface {
-	// Add registers a transaction as active on behalf of a worker on socket s.
-	Add(s topology.SocketID) numa.Cost
-	// Remove unregisters a transaction; it must be called from the same
-	// socket that added it (thread binding guarantees this in ATraPos).
-	Remove(s topology.SocketID) numa.Cost
-}
+// NewCentralList and NewPartitionedList remain for the frozen benchmark
+// module, which builds its active lists with them.
 
-// CentralList is the traditional single list of active transactions. Every
-// Add/Remove does an atomic on the shared list head.
-type CentralList struct {
-	head *numa.CacheLine
-}
+// NewCentralList returns numa.NewStriped(d, false).
+func NewCentralList(d *numa.Domain) *numa.Striped { return numa.NewStriped(d, false) }
 
-// NewCentralList builds a centralized active-transaction list homed on socket 0.
-func NewCentralList(d *numa.Domain) *CentralList {
-	return &CentralList{head: numa.NewCacheLine(d, 0)}
-}
-
-// Add implements ActiveList.
-func (l *CentralList) Add(s topology.SocketID) numa.Cost { return l.head.Atomic(s) }
-
-// Remove implements ActiveList.
-func (l *CentralList) Remove(s topology.SocketID) numa.Cost { return l.head.Atomic(s) }
-
-// PartitionedList keeps one active-transaction list per socket, so adding and
-// removing a transaction in the critical path never crosses a socket.
-type PartitionedList struct {
-	lines *numa.Striped
-}
-
-// NewPartitionedList builds one list per socket of the domain.
-func NewPartitionedList(d *numa.Domain) *PartitionedList {
-	return &PartitionedList{lines: numa.NewStriped(d)}
-}
-
-// Add implements ActiveList.
-func (p *PartitionedList) Add(s topology.SocketID) numa.Cost { return p.lines.Local(s).Atomic(s) }
-
-// Remove implements ActiveList.
-func (p *PartitionedList) Remove(s topology.SocketID) numa.Cost { return p.lines.Local(s).Atomic(s) }
+// NewPartitionedList returns numa.NewStriped(d, true).
+func NewPartitionedList(d *numa.Domain) *numa.Striped { return numa.NewStriped(d, true) }
 
 // Manager creates, commits and aborts transactions. It owns the id sequence,
-// the active list and the global state lock that transactions acquire in read
-// mode during begin (the "volume lock" of Shore-MT). Both the active list and
-// the state lock are injected, so the same manager code runs with centralized
-// structures (the baseline designs) or NUMA-aware ones (ATraPos). Like the
-// lists, a Manager is single-owner: its id sequence is a plain integer,
-// advanced only by the priced run's one goroutine.
+// the list of active transactions and the global state lock that transactions
+// acquire in read mode during begin (the "volume lock" of Shore-MT).
+//
+// Shore-MT keeps the active list as one lock-free list whose head every
+// beginning and finishing transaction CASes; ATraPos keeps one list per socket
+// (Section IV, "List of transactions"), and likewise one state lock per socket.
+// Both are injected as numa.Striped lines — one shared stripe for the baseline
+// designs, one stripe per socket for the NUMA-aware ones — and priced as one
+// atomic on the accessing socket's stripe. They keep no ids: a priced run holds
+// one transaction at a time, and nothing reads the list's contents. A Manager
+// is single-owner like the lines it prices: it belongs to one engine (or one
+// island), and its id sequence is a plain integer advanced only by the priced
+// run's one goroutine.
 type Manager struct {
 	domain *numa.Domain
 	nextID ID
-	active ActiveList
-	state  numa.StateLock
+	active *numa.Striped
+	state  *numa.Striped
 }
 
 // NewManager builds a transaction manager.
-func NewManager(d *numa.Domain, active ActiveList, state numa.StateLock) *Manager {
+func NewManager(d *numa.Domain, active, state *numa.Striped) *Manager {
 	return &Manager{domain: d, active: active, state: state}
 }
 
@@ -142,9 +104,9 @@ func (m *Manager) BeginInto(t *Txn, core topology.CoreID) numa.Cost {
 		Socket: s,
 	}
 	var cost numa.Cost
-	cost += m.state.RLock(s)
-	cost += m.state.RUnlock(s)
-	cost += m.active.Add(s)
+	cost += m.state.Atomic(s) // read acquisition
+	cost += m.state.Atomic(s) // read release
+	cost += m.active.Atomic(s)
 	return cost
 }
 
@@ -154,7 +116,7 @@ func (m *Manager) Commit(t *Txn) (numa.Cost, error) {
 		return 0, fmt.Errorf("txn: commit of transaction %d in state %v", t.ID, t.State)
 	}
 	t.State = Committed
-	return m.active.Remove(t.Socket), nil
+	return m.active.Atomic(t.Socket), nil
 }
 
 // Abort rolls t back and removes it from the active list.
@@ -166,5 +128,5 @@ func (m *Manager) Abort(t *Txn) (numa.Cost, error) {
 		return 0, nil
 	}
 	t.State = Aborted
-	return m.active.Remove(t.Socket), nil
+	return m.active.Atomic(t.Socket), nil
 }

@@ -36,81 +36,90 @@ func TestStateString(t *testing.T) {
 
 func TestCentralListAddRemoveSnapshot(t *testing.T) {
 	d := newDomain(4, 2)
-	l := NewCentralList(d)
-	if c := l.Add(0); c <= 0 {
-		t.Error("Add should have a positive cost")
+	m := NewManager(d, numa.NewStriped(d, false), numa.NewStriped(d, false))
+	// One shared list and lock: a begin on socket 3 pulls the lines the
+	// socket-0 begin left there, so it costs more than the socket-0 one.
+	var tx0, tx3 Txn
+	first := m.BeginInto(&tx0, 0)
+	if first <= 0 {
+		t.Error("Begin should have a positive cost")
 	}
-	l.Add(3)
-	if c := l.Remove(0); c <= 0 {
-		t.Error("Remove should have a positive cost")
+	if c := m.BeginInto(&tx3, 6); c <= first {
+		t.Errorf("remote begin on a shared list cost %d, want more than the local %d", c, first)
 	}
-	l.Remove(3)
+	if c, _ := m.Commit(&tx0); c <= 0 {
+		t.Error("Commit should have a positive cost")
+	}
+	m.Commit(&tx3)
 }
 
 func TestPartitionedListIsSocketLocal(t *testing.T) {
 	d := newDomain(4, 2)
-	p := NewPartitionedList(d)
-	// Every add/remove from its own socket costs exactly a local atomic.
+	m := NewManager(d, numa.NewStriped(d, true), numa.NewStriped(d, true))
+	// Every begin and commit on its own socket's stripes costs exactly local
+	// atomics: two on the state lock and one on the list, then one on the list.
 	for s := 0; s < 4; s++ {
-		if c := p.Add(topology.SocketID(s)); c != numa.LocalAtomic {
-			t.Errorf("socket %d add cost %d, want local atomic %d", s, c, numa.LocalAtomic)
+		var tx Txn
+		if c := m.BeginInto(&tx, topology.CoreID(2*s)); c != 3*numa.LocalAtomic {
+			t.Errorf("socket %d begin cost %d, want 3 local atomics %d", s, c, 3*numa.LocalAtomic)
 		}
-		if c := p.Remove(topology.SocketID(s)); c != numa.LocalAtomic {
-			t.Errorf("socket %d remove cost %d, want local atomic %d", s, c, numa.LocalAtomic)
+		if c, _ := m.Commit(&tx); c != numa.LocalAtomic {
+			t.Errorf("socket %d commit cost %d, want local atomic %d", s, c, numa.LocalAtomic)
 		}
 	}
-	// Out-of-range sockets fall back to stripe 0.
-	if c := p.Add(topology.SocketID(77)); c <= 0 {
-		t.Error("fallback add should have a positive cost")
+	// A transaction bound to a socket with no stripe falls back to stripe 0.
+	tx := Txn{State: Active, Socket: 77}
+	if c, _ := m.Abort(&tx); c <= 0 {
+		t.Error("fallback abort should have a positive cost")
 	}
-	p.Remove(topology.SocketID(77))
 }
 
 func TestPartitionedListSnapshotSeesAllSockets(t *testing.T) {
 	d := newDomain(4, 2)
-	p := NewPartitionedList(d)
-	central := NewCentralList(d)
+	p := NewManager(d, numa.NewStriped(d, true), numa.NewStriped(d, true))
+	central := NewManager(d, numa.NewStriped(d, false), numa.NewStriped(d, false))
 	// Transactions open on every socket at once: each socket's list is its own
-	// stripe, so neither the adds nor the later removes pull a line across
-	// sockets, whereas the central list's head moves on every remote add.
+	// stripe, so neither the begins nor the later commits pull a line across
+	// sockets, whereas the central list's head moves on every remote begin.
+	var open, centralOpen [4]Txn
 	var centralCost numa.Cost
 	for s := 0; s < 4; s++ {
-		if c := p.Add(topology.SocketID(s)); c != numa.LocalAtomic {
-			t.Errorf("socket %d add cost %d, want local atomic %d", s, c, numa.LocalAtomic)
+		if c := p.BeginInto(&open[s], topology.CoreID(2*s)); c != 3*numa.LocalAtomic {
+			t.Errorf("socket %d begin cost %d, want 3 local atomics %d", s, c, 3*numa.LocalAtomic)
 		}
-		centralCost += central.Add(topology.SocketID(s))
+		centralCost += central.BeginInto(&centralOpen[s], topology.CoreID(2*s))
 	}
 	for s := 0; s < 4; s++ {
-		if c := p.Remove(topology.SocketID(s)); c != numa.LocalAtomic {
-			t.Errorf("socket %d remove cost %d, want local atomic %d", s, c, numa.LocalAtomic)
+		if c, _ := p.Commit(&open[s]); c != numa.LocalAtomic {
+			t.Errorf("socket %d commit cost %d, want local atomic %d", s, c, numa.LocalAtomic)
 		}
 	}
-	if centralCost <= 4*numa.LocalAtomic {
-		t.Errorf("central list adds from 4 sockets cost %d, want more than 4 local atomics (%d)", centralCost, 4*numa.LocalAtomic)
+	if centralCost <= 12*numa.LocalAtomic {
+		t.Errorf("central begins from 4 sockets cost %d, want more than 12 local atomics (%d)", centralCost, 12*numa.LocalAtomic)
 	}
 }
 
 func TestCentralVsPartitionedListContention(t *testing.T) {
 	d := newDomain(8, 1)
-	central := NewCentralList(d)
-	parted := NewPartitionedList(d)
-	costOf := func(l ActiveList) numa.Cost {
+	costOf := func(perSocket bool) numa.Cost {
+		m := NewManager(d, numa.NewStriped(d, perSocket), numa.NewStriped(d, perSocket))
 		var total numa.Cost
+		var tx Txn
 		for i := 0; i < 400; i++ {
-			s := topology.SocketID(i % 8)
-			total += l.Add(s)
-			total += l.Remove(s)
+			total += m.BeginInto(&tx, topology.CoreID(i%8))
+			c, _ := m.Commit(&tx)
+			total += c
 		}
 		return total
 	}
-	if costOf(parted)*2 >= costOf(central) {
-		t.Error("partitioned list should be much cheaper than the central list under multi-socket traffic")
+	if costOf(true)*2 >= costOf(false) {
+		t.Error("per-socket system state should be much cheaper than the shared one under multi-socket traffic")
 	}
 }
 
 func TestManagerLifecycle(t *testing.T) {
 	d := newDomain(2, 2)
-	m := NewManager(d, NewPartitionedList(d), numa.NewPartitionedRWLock(d))
+	m := NewManager(d, numa.NewStriped(d, true), numa.NewStriped(d, true))
 
 	tx := new(Txn)
 	cost := m.BeginInto(tx, topology.CoreID(3))
@@ -150,7 +159,7 @@ func TestManagerLifecycle(t *testing.T) {
 
 func TestManagerAssignsUniqueIDs(t *testing.T) {
 	d := newDomain(2, 4)
-	m := NewManager(d, NewCentralList(d), numa.NewCentralRWLock(d))
+	m := NewManager(d, numa.NewStriped(d, false), numa.NewStriped(d, false))
 	seen := make(map[ID]bool)
 	// Interleave eight workers' transactions, each worker keeping one open
 	// while the others begin, so ids are drawn with several in flight.
@@ -189,7 +198,7 @@ func TestTwoPCCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Committed || tx.State != Preparing || !tx.Distributed {
+	if !out.Committed || tx.State != Preparing {
 		t.Errorf("outcome = %+v, txn state %v", out, tx.State)
 	}
 	// 2 unique participants: 4 messages in phase 1, 4 in phase 2.
@@ -240,5 +249,44 @@ func TestTwoPCMoreParticipantsCostMore(t *testing.T) {
 	six, _ := coord.Run(&Txn{ID: 2, State: Active}, 0, 0, []int{1, 2, 3, 4, 5, 6}, 0, false)
 	if six.TotalCost() <= two.TotalCost() {
 		t.Errorf("6-participant 2PC cost %d should exceed 2-participant cost %d", six.TotalCost(), two.TotalCost())
+	}
+}
+
+// BenchmarkManagerBeginCommit prices one begin and one commit per op: the
+// shared and the per-socket system state, driven from one socket or
+// round-robin over four. Every case must report 0 allocs/op (the Txn is
+// reused, as a worker reuses its own).
+func BenchmarkManagerBeginCommit(b *testing.B) {
+	d := newDomain(4, 2)
+	for _, layout := range []struct {
+		name      string
+		perSocket bool
+	}{
+		{"shared", false},
+		{"per-socket", true},
+	} {
+		for _, sockets := range []int{1, 4} {
+			name := layout.name + "/one-socket"
+			if sockets > 1 {
+				name = layout.name + "/four-sockets"
+			}
+			b.Run(name, func(b *testing.B) {
+				m := NewManager(d, numa.NewStriped(d, layout.perSocket), numa.NewStriped(d, layout.perSocket))
+				var tx Txn
+				var total numa.Cost
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					total += m.BeginInto(&tx, topology.CoreID(2*(i%sockets)))
+					c, err := m.Commit(&tx)
+					if err != nil {
+						b.Fatal(err)
+					}
+					total += c
+				}
+				if total <= 0 {
+					b.Fatal("a priced begin and commit cost nothing")
+				}
+			})
+		}
 	}
 }

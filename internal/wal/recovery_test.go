@@ -68,11 +68,18 @@ func TestRecoverDurableBoundary(t *testing.T) {
 	l := NewCentralLog(d, 0, keepAllConfig())
 
 	l.Append(0, Record{Txn: 1, Type: Update, Table: "t", Key: 1, Size: 16})
+	// Transaction 3's update is flushed with transaction 1's commit, but its
+	// own commit is not: it is a loser of the durable prefix.
+	upd3, _ := l.Append(0, Record{Txn: 3, Type: Update, Table: "t", Key: 3, Size: 16})
 	lsn, _ := l.Append(0, Record{Txn: 1, Type: Commit, Size: 16})
 	l.Flush(0, lsn, 0)
 	// Transaction 2 commits after the durability horizon.
 	l.Append(0, Record{Txn: 2, Type: Update, Table: "t", Key: 2, Size: 16})
 	l.Append(0, Record{Txn: 2, Type: Commit, Size: 16})
+	l.Append(0, Record{Txn: 3, Type: Commit, Size: 16})
+	if upd3 > l.Durable() {
+		t.Fatalf("transaction 3's update (LSN %d) lies beyond the durable LSN %d", upd3, l.Durable())
+	}
 
 	store := newMapStore()
 	stats, err := Recover(l.Records(), l.Durable(), true, map[string]RowStore{"t": store})
@@ -84,6 +91,9 @@ func TestRecoverDurableBoundary(t *testing.T) {
 	}
 	if _, ok := store.rows[2]; ok {
 		t.Error("record beyond the durable LSN must not be redone when durableOnly is set")
+	}
+	if _, ok := store.rows[3]; ok {
+		t.Error("a durable update whose commit lies beyond the durable LSN must not be redone when durableOnly is set")
 	}
 	if !stats.DurableOnly || stats.Skipped == 0 {
 		t.Errorf("stats = %+v", stats)
