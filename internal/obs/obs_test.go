@@ -33,12 +33,20 @@ func TestRingOverflowAccounting(t *testing.T) {
 	if got := r.Capacity(); got != 4 {
 		t.Fatalf("Capacity = %d after Reset, want 4", got)
 	}
+}
+
+func TestTracerDropAccounting(t *testing.T) {
 	tr := NewTracer(2)
-	for i := 0; i < 6; i++ {
+	tr.Ring().Record(Span{Kind: KindTxn})
+	for i := 0; i < 5; i++ {
 		tr.Ring().Record(Span{Kind: KindPhysFlush})
 	}
 	if got := tr.Dropped(); got != 4 {
-		t.Fatalf("tracer Dropped = %d, want 4", got)
+		t.Fatalf("Dropped = %d, want 4", got)
+	}
+	r := tr.Ring()
+	if got := r.Attempts() - int64(r.Len()); got != tr.Dropped() {
+		t.Fatalf("attempts-len = %d, tracer Dropped = %d", got, tr.Dropped())
 	}
 }
 
