@@ -109,7 +109,7 @@ bench-module:
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkExecute -benchtime 100x -benchmem ./internal/engine
 	$(GO) test -run '^$$' -bench BenchmarkLoad -benchtime 1x -benchmem ./internal/engine
-	$(GO) test -run TestLoadAllocBudget -v ./internal/storage
+	$(GO) test -run 'TestLoadAllocBudget|TestLoadBytesPerRow' -v ./internal/storage
 	$(GO) test -run '^$$' -bench BenchmarkAcquireReleaseAll -benchtime 1000x -benchmem ./internal/lock
 	$(GO) test -run '^$$' -bench BenchmarkCacheLine -benchtime 100000x -benchmem ./internal/numa
 	$(GO) test -run '^$$' -bench BenchmarkManagerBeginCommit -benchtime 100000x -benchmem ./internal/txn

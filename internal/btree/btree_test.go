@@ -583,6 +583,8 @@ func BenchmarkTreeInsert(b *testing.B) {
 // layer's point reads, where each level of a descent is a cache miss. The
 // single-partition cases probe the sub-tree (Tree.Get), the partitioned one the
 // multi-rooted tree (partition resolution, then a descent within its fences).
+// The dense leaves pack their keys at one byte each, the stride-96 ones at
+// two and the sparse ones, 2^33 apart, at eight.
 func BenchmarkTreeGet(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -593,6 +595,7 @@ func BenchmarkTreeGet(b *testing.B) {
 		{"dense-100K", 100_000, 1, 1},
 		{"dense-1M", 1_000_000, 1, 1},
 		{"stride96-400K", 400_000, 96, 1},
+		{"sparse-100K", 100_000, 1 << 33, 1}, // every leaf's keys packed at 8 bytes
 		{"dense-1M-32parts", 1_000_000, 1, 32},
 	}
 	for _, tc := range cases {
@@ -710,23 +713,24 @@ func checkTree(t *testing.T, tr *Tree, lo, hi schema.Key) (leaves, height int) {
 	entries, height := 0, -1
 	var walk func(n *node, depth int, lo, hi schema.Key)
 	walk = func(n *node, depth int, lo, hi schema.Key) {
-		if len(n.keys) > maxKeys() {
-			t.Fatalf("node holds %d keys, more than %d", len(n.keys), maxKeys())
+		keys := nodeKeys(n)
+		if len(keys) > maxKeys() {
+			t.Fatalf("node holds %d keys, more than %d", len(keys), maxKeys())
 		}
-		for i, k := range n.keys {
-			if k < lo || k >= hi || (i > 0 && k <= n.keys[i-1]) {
-				t.Fatalf("key %d at depth %d out of order or outside [%d, %d): %v", k, depth, lo, hi, n.keys)
+		for i, k := range keys {
+			if k < lo || k >= hi || (i > 0 && k <= keys[i-1]) {
+				t.Fatalf("key %d at depth %d out of order or outside [%d, %d): %v", k, depth, lo, hi, keys)
 			}
 		}
 		if n.leaf {
 			if height >= 0 && depth != height {
 				t.Fatalf("leaf at depth %d, another at %d", depth, height)
 			}
-			if err := checkLeaf(n); err != nil || n.children != nil {
+			if err := checkLeaf(n, false); err != nil || n.children != nil {
 				t.Fatalf("leaf with %d children: %v", len(n.children), err)
 			}
 			height = depth
-			entries += len(n.keys)
+			entries += n.count()
 			chain = append(chain, n)
 			return
 		}
@@ -756,7 +760,7 @@ func checkTree(t *testing.T, tr *Tree, lo, hi schema.Key) (leaves, height int) {
 		n = n.next
 	}
 	if n != nil {
-		t.Fatalf("leaf chain runs on past the tree's last leaf (into keys %v)", n.keys)
+		t.Fatalf("leaf chain runs on past the tree's last leaf (into keys %v)", nodeKeys(n))
 	}
 	if entries != tr.size {
 		t.Fatalf("size %d, %d entries found", tr.size, entries)

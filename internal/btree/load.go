@@ -20,12 +20,13 @@ import (
 // way. Each separator is the first key of the child to its right, the rule
 // splitChild follows.
 //
-// Load takes ownership of keys, lens and slabs: the leaves' keys and rows are
-// capped sub-slices (cap == len) of them, only a leaf whose rows straddle two
-// slabs gets a copy, and the lens become the leaves' ends in place. An
-// internal level's nodes share that level's arrays the same way, so an Insert
-// or join that grows a node reallocates it instead of writing into its
-// neighbour. The caller must not use any of them once Load has returned.
+// Load takes ownership of the slabs: the leaves' rows are capped sub-slices
+// (cap == len) of them, and only a leaf whose rows straddle two slabs gets a
+// copy. Each partition's leaves pack their keys and ends into capped
+// sub-slices of one slab of their own (build), and an internal level's nodes
+// share that level's arrays the same way, so an Insert or join that grows a
+// node reallocates it instead of writing into its neighbour. The caller must
+// not use the slabs once Load has returned; keys and lens are not kept.
 func (m *MultiRooted) Load(keys []schema.Key, lens []uint32, slabs [][]byte) error {
 	if len(keys) != len(lens) {
 		return fmt.Errorf("btree: load of %d keys with %d rows", len(keys), len(lens))
@@ -94,8 +95,9 @@ func (r *slabReader) take(n int) []byte {
 }
 
 // build returns a tree over the ascending run keys whose rows are lens bytes
-// long each, read from src; its leaves keep keys, turn lens into their ends and
-// keep src's bytes.
+// long each, read from src. Its leaves keep src's bytes, and their keys (based
+// at each leaf's first) and ends are packed at each leaf's narrowest widths
+// into capped sub-slices of one slab, sized by a first pass over the leaves.
 func build(keys []schema.Key, lens []uint32, src *slabReader) Tree {
 	n := len(keys)
 	if n == 0 {
@@ -103,17 +105,33 @@ func build(keys []schema.Key, lens []uint32, src *slabReader) Tree {
 	}
 	level := make([]*node, nodesFor(n, maxKeys()))
 	firsts := make([]schema.Key, len(level)) // the first key under each node of level
+	size := 0
 	for i, lo := 0, 0; i < len(level); i++ {
 		hi := lo + width(n, len(level), i)
-		ends := lens[lo:hi:hi]
-		for j := 1; j < len(ends); j++ {
-			ends[j] += ends[j-1]
+		end := uint64(0)
+		for _, l := range lens[lo:hi] {
+			end += uint64(l)
 		}
-		level[i] = &node{leaf: true, keys: keys[lo:hi:hi], rows: src.take(int(ends[len(ends)-1])), ends: ends}
+		ks, es := shiftFor(uint64(keys[hi-1]-keys[lo])), shiftFor(end)
+		level[i] = &node{leaf: true, keyShift: ks, endShift: es, base: keys[lo], rows: src.take(int(end))}
 		firsts[i] = keys[lo]
 		if i > 0 {
 			level[i-1].next = level[i]
 		}
+		size += (hi-lo)<<ks + (hi-lo)<<es
+		lo = hi
+	}
+	slab := make(packed, size)
+	carve := func(s uint8, k int) packed {
+		p := slab[: k<<s : k<<s]
+		slab = slab[k<<s:]
+		return p
+	}
+	for i, lo := 0, 0; i < len(level); i++ {
+		l, hi := level[i], lo+width(n, len(level), i)
+		l.offs, l.ends = carve(l.keyShift, hi-lo), carve(l.endShift, hi-lo)
+		l.offs.setOffsets(l.keyShift, keys[lo:hi], l.base)
+		l.ends.setEnds(l.endShift, lens[lo:hi])
 		lo = hi
 	}
 	for len(level) > 1 {

@@ -19,15 +19,35 @@ func upperBoundRef(keys []schema.Key, key schema.Key) int {
 	return sort.Search(len(keys), func(i int) bool { return keys[i] > key })
 }
 
-// checkSearch holds search and childIndex to the references for one probe.
-func checkSearch(t *testing.T, what string, keys []schema.Key, key schema.Key, f fences) {
+// checkSearch holds search and childIndex to the references for one probe, and
+// the search of each of leaves, which hold keys.
+func checkSearch(t *testing.T, what string, keys []schema.Key, leaves []*node, key schema.Key, f fences) {
 	t.Helper()
-	if got, want := search(keys, key, f.lo, f.hi), lowerBoundRef(keys, key); got != want {
+	want := lowerBoundRef(keys, key)
+	if got := search(keys, key, f.lo, f.hi); got != want {
 		t.Fatalf("%s: search(%v, %d, %d, %d) = %d, binary search %d", what, keys, key, f.lo, f.hi, got, want)
 	}
 	if got, want := childIndex(keys, key, f.lo, f.hi), upperBoundRef(keys, key); got != want {
 		t.Fatalf("%s: childIndex(%v, %d, %d, %d) = %d, binary search %d", what, keys, key, f.lo, f.hi, got, want)
 	}
+	for _, n := range leaves {
+		if got := n.search(key, f.lo, f.hi); got != want {
+			t.Fatalf("%s: search of the leaf based at %d, shift %d (%v) for %d, fences %d, %d = %d, binary search %d",
+				what, n.base, n.keyShift, keys, key, f.lo, f.hi, got, want)
+		}
+	}
+}
+
+// packedLeaves returns two leaves holding keys: one inserted in ascending
+// order, so its base is its first key and its width grows with the span, and
+// one in descending order, so every insert lands below the base.
+func packedLeaves(keys []schema.Key) []*node {
+	up, down := &node{leaf: true}, &node{leaf: true}
+	for i, k := range keys {
+		up.insertRow(i, k, nil)
+		down.insertRow(0, keys[len(keys)-1-i], nil)
+	}
+	return []*node{up, down}
 }
 
 // TestSearchMatchesBinarySearch runs search against sort.Search over empty,
@@ -61,6 +81,7 @@ func TestSearchMatchesBinarySearch(t *testing.T) {
 				high[i] += top - keys[len(keys)-1]
 			}
 			for _, keys := range [][]schema.Key{keys, high} {
+				leaves := packedLeaves(keys)
 				probes := []schema.Key{0, 1, top - 1, top}
 				for i, k := range keys {
 					probes = append(probes, k-1, k, k+1) // wrapping at the ends is two more probes
@@ -83,7 +104,7 @@ func TestSearchMatchesBinarySearch(t *testing.T) {
 				}
 				for _, f := range fs {
 					for _, p := range probes {
-						checkSearch(t, sp.name, keys, p, f)
+						checkSearch(t, sp.name, keys, leaves, p, f)
 					}
 				}
 			}
@@ -91,11 +112,14 @@ func TestSearchMatchesBinarySearch(t *testing.T) {
 	}
 }
 
-// FuzzSearch holds search and childIndex to sort.Search on ascending runs of
-// up to 255 keys: start + i*stride plus a per-key jitter, sorted and compacted
-// (a run that wraps past ^schema.Key(0) comes back sorted), probed at key and
-// at the key it selects, under arbitrary fences. The seeds below run with
-// every `go test`; `go test -fuzz FuzzSearch ./internal/btree` explores.
+// FuzzSearch holds search and childIndex, and the search of two leaves packing
+// the same keys (packedLeaves), to sort.Search on ascending runs of up to 255
+// keys: start + i*stride plus a per-key jitter, sorted and compacted (a run
+// that wraps past ^schema.Key(0) comes back sorted), probed at key and at the
+// key it selects, under arbitrary fences. Spans of 255 and 256, 2^16-1 and
+// 2^16, 2^32-1 and 2^32 are seeds, from near 0 and up to 2^64-1: the second of
+// each pair packs one width wider. The seeds below run with every `go test`;
+// `go test -fuzz FuzzSearch ./internal/btree` explores.
 func FuzzSearch(f *testing.F) {
 	const top = ^uint64(0)
 	f.Add(uint64(0), uint64(1), uint8(63), []byte(nil), uint64(31), uint64(0), uint64(63))
@@ -106,6 +130,10 @@ func FuzzSearch(f *testing.F) {
 	f.Add(uint64(5), uint64(0), uint8(1), []byte(nil), uint64(5), uint64(5), uint64(6))
 	f.Add(uint64(0), uint64(0), uint8(0), []byte(nil), uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(1)<<40, uint64(3), uint8(255), []byte{0, 1, 2}, top, top-1, top)
+	for _, span := range []uint64{1<<8 - 1, 1 << 8, 1<<16 - 1, 1 << 16, 1<<32 - 1, 1 << 32} {
+		f.Add(uint64(7), span/62, uint8(63), []byte{0, 0, byte(span % 62)}, uint64(7)+span/2, uint64(0), uint64(0))
+		f.Add(top-span, span, uint8(2), []byte(nil), top-span/2, top-span, top)
+	}
 	f.Fuzz(func(t *testing.T, start, stride uint64, n uint8, jitter []byte, key, lo, hi uint64) {
 		keys := make([]schema.Key, n)
 		for i := range keys {
@@ -116,10 +144,10 @@ func FuzzSearch(f *testing.F) {
 		}
 		slices.Sort(keys)
 		keys = slices.Compact(keys)
-		fs := fences{schema.Key(lo), schema.Key(hi)}
-		checkSearch(t, "fuzz", keys, schema.Key(key), fs)
+		fs, leaves := fences{schema.Key(lo), schema.Key(hi)}, packedLeaves(keys)
+		checkSearch(t, "fuzz", keys, leaves, schema.Key(key), fs)
 		if len(keys) > 0 {
-			checkSearch(t, "fuzz, at a key", keys, keys[key%uint64(len(keys))], fs)
+			checkSearch(t, "fuzz, at a key", keys, leaves, keys[key%uint64(len(keys))], fs)
 		}
 	})
 }

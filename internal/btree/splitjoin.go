@@ -20,7 +20,7 @@ func (t *Tree) splitAt(key schema.Key) *Tree {
 	right := &Tree{root: collapse(r)}
 	edge(t.root, true).next = nil
 	for n := edge(right.root, false); n != nil; n = n.next {
-		right.size += len(n.keys)
+		right.size += n.count()
 	}
 	t.size -= right.size
 	return right
@@ -31,11 +31,11 @@ func (t *Tree) splitAt(key schema.Key) *Tree {
 // node is nil, and a node that falls entirely on one side is handed over as is.
 func cut(n *node, key schema.Key) (l, r *node) {
 	if n.leaf {
-		i := search(n.keys, key, 0, 0)
+		i := n.search(key, 0, 0)
 		if i == 0 {
 			return nil, n
 		}
-		if i == len(n.keys) {
+		if i == n.count() {
 			return n, nil
 		}
 		r = &node{leaf: true, next: n.next}
@@ -128,12 +128,12 @@ func (t *Tree) join(right *Tree) {
 
 	l, r := lp[hl], rp[hr]
 	var sep schema.Key // bounds l from r while the two stay apart
-	merged := len(l.keys)+len(r.keys) <= maxKeys()
+	merged := l.count()+r.count() <= maxKeys()
 	if merged {
 		l.appendLeaf(r)
 		l.next = r.next
 	} else {
-		l.next, sep = r, r.keys[0]
+		l.next, sep = r, r.key(0)
 	}
 	for j := 1; j <= h; j++ {
 		l, r = lp[hl-j], rp[hr-j]

@@ -369,7 +369,7 @@ func New(cfg Config) (*Engine, error) {
 	if c.Tracing {
 		// Built before wireStructures so the initial wiring can attach its
 		// island logs to the ring.
-		e.tracer = obs.NewTracer(traceRingCap)
+		e.tracer = obs.NewTracer(traceRingCap, traceEvery)
 		for i, d := range e.deviceList() {
 			d.SetTrace(e.tracer.Ring(), int32(i))
 		}

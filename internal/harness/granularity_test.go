@@ -77,7 +77,10 @@ func TestFigAdaptiveGranularityRegistered(t *testing.T) {
 // TestTracedDriftCoversRun: the traced drift run's one span ring holds the
 // whole 60 ms run. Nothing is dropped, a sampled transaction falls in every
 // 2 ms window and on both sides of every migration, and the unsampled
-// producers (island logs, planner) keep every span and decision.
+// producers (island logs, planner) keep every span and decision. The trace
+// says how it was sampled (otherData): its period must resolve a 2 ms window
+// 20 times over, at least half its ticks must hold a traced transaction, and
+// its dropped-span count must be the run's.
 func TestTracedDriftCoversRun(t *testing.T) {
 	const (
 		window     = 2 * time.Millisecond
@@ -105,9 +108,18 @@ func TestTracedDriftCoversRun(t *testing.T) {
 				Ph   string  `json:"ph"`
 				Ts   float64 `json:"ts"`
 			} `json:"traceEvents"`
+			OtherData struct {
+				SamplePeriodNs int64 `json:"sample_period_ns"`
+				DroppedSpans   int64 `json:"dropped_spans"`
+			} `json:"otherData"`
 		}
 		if err := json.Unmarshal(res.Trace, &doc); err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
+		}
+		period := time.Duration(doc.OtherData.SamplePeriodNs)
+		if period <= 0 || 20*period > window || doc.OtherData.DroppedSpans != res.DroppedSpans {
+			t.Fatalf("seed %d: the trace says it sampled every %v (a %v window needs 20 samples) and dropped %d spans; the run dropped %d",
+				tc.seed, period, window, doc.OtherData.DroppedSpans, res.DroppedSpans)
 		}
 		count := map[string]int{}
 		var txns, migrations []time.Duration
@@ -123,6 +135,9 @@ func TestTracedDriftCoversRun(t *testing.T) {
 			case "planner-migrate":
 				migrations = append(migrations, at)
 			}
+		}
+		if ticks := int(coveredEnd / period); len(txns) < ticks/2 {
+			t.Errorf("seed %d: %d traced transactions in %v, under half the %d ticks of its %v period", tc.seed, len(txns), coveredEnd, ticks, period)
 		}
 		// Is there a traced transaction starting in [from, to)?
 		tracedIn := func(from, to time.Duration) bool {

@@ -207,8 +207,31 @@ func (t *Tracer) ExportChromeTrace() []byte {
 		}
 		buf.Write(b)
 	}
-	buf.WriteString("],\"displayTimeUnit\":\"ns\"}\n")
+	buf.WriteString("],\"displayTimeUnit\":\"ns\",\"otherData\":")
+	b, err := json.Marshal(t.sampling())
+	if err != nil {
+		panic(fmt.Sprintf("obs: marshal trace sampling: %v", err))
+	}
+	buf.Write(b)
+	buf.WriteString("}\n")
 	return buf.Bytes()
+}
+
+// sampling is how a trace was taken, exported as the document's otherData
+// object: the engine-time period of its sampled transactions (0: none), the
+// ring's capacity in spans and the spans it dropped.
+type sampling struct {
+	SamplePeriodNs int64 `json:"sample_period_ns"`
+	RingCapacity   int   `json:"ring_capacity"`
+	DroppedSpans   int64 `json:"dropped_spans"`
+}
+
+func (t *Tracer) sampling() sampling {
+	s := sampling{RingCapacity: t.Ring().Capacity(), DroppedSpans: t.Dropped()}
+	if t != nil {
+		s.SamplePeriodNs = int64(t.every)
+	}
+	return s
 }
 
 // MetricsCSVHeader is the first line of the metrics CSV.
@@ -238,8 +261,11 @@ func (t *Tracer) ExportMetricsCSV() []byte {
 // ValidateChromeTrace checks data against the trace-event contract the
 // exporter promises: a traceEvents array whose entries all carry a name, a
 // known phase, and — for duration and instant events — a non-negative
-// timestamp (plus a non-negative duration for ph:"X"). It is the shared
-// schema check behind `make bench-trace` and the exporter tests.
+// timestamp (plus a non-negative duration for ph:"X"), and an otherData object
+// saying how the trace was sampled: a non-negative sample period, a positive
+// ring capacity for a non-empty trace, and a non-negative dropped-span count.
+// It is the shared schema check behind `make bench-trace` and the exporter
+// tests.
 func ValidateChromeTrace(data []byte) error {
 	var doc struct {
 		TraceEvents []struct {
@@ -250,6 +276,11 @@ func ValidateChromeTrace(data []byte) error {
 			Pid  *int     `json:"pid"`
 			Tid  *int     `json:"tid"`
 		} `json:"traceEvents"`
+		OtherData *struct {
+			SamplePeriodNs *int64 `json:"sample_period_ns"`
+			RingCapacity   *int   `json:"ring_capacity"`
+			DroppedSpans   *int64 `json:"dropped_spans"`
+		} `json:"otherData"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("obs: trace is not valid JSON: %w", err)
@@ -284,6 +315,17 @@ func ValidateChromeTrace(data []byte) error {
 		if ev.Pid == nil || ev.Tid == nil {
 			return fmt.Errorf("obs: trace event %d (%s) is missing pid/tid", i, *ev.Name)
 		}
+	}
+	o := doc.OtherData
+	if o == nil || o.SamplePeriodNs == nil || o.RingCapacity == nil || o.DroppedSpans == nil {
+		return fmt.Errorf("obs: trace has no otherData object with sample_period_ns, ring_capacity and dropped_spans")
+	}
+	if *o.SamplePeriodNs < 0 || *o.RingCapacity < 0 || *o.DroppedSpans < 0 {
+		return fmt.Errorf("obs: trace sampling has a negative field: %d ns period, %d spans capacity, %d dropped",
+			*o.SamplePeriodNs, *o.RingCapacity, *o.DroppedSpans)
+	}
+	if *o.RingCapacity == 0 && len(doc.TraceEvents) > 0 {
+		return fmt.Errorf("obs: trace holds %d events from a ring of no capacity", len(doc.TraceEvents))
 	}
 	return nil
 }

@@ -241,13 +241,16 @@ type Sample struct {
 // series are appended to only by the inline planner of a priced run.
 type Tracer struct {
 	ring      *Ring
+	every     vclock.Nanos // the producers' sampling period, for the export
 	decisions []Decision
 	samples   []Sample
 }
 
-// NewTracer pre-allocates the span ring with ringCap capacity.
-func NewTracer(ringCap int) *Tracer {
-	return &Tracer{ring: NewRing(ringCap)}
+// NewTracer pre-allocates the span ring with ringCap capacity. every is the
+// period at which the engine samples whole transactions into it (0: none);
+// the tracer does not sample, it records the period for the export.
+func NewTracer(ringCap int, every vclock.Nanos) *Tracer {
+	return &Tracer{ring: NewRing(ringCap), every: every}
 }
 
 // Ring returns the span ring, or nil when t is nil.

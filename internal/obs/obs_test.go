@@ -36,7 +36,7 @@ func TestRingOverflowAccounting(t *testing.T) {
 }
 
 func TestTracerDropAccounting(t *testing.T) {
-	tr := NewTracer(2)
+	tr := NewTracer(2, 0)
 	tr.Ring().Record(Span{Kind: KindTxn})
 	for i := 0; i < 5; i++ {
 		tr.Ring().Record(Span{Kind: KindPhysFlush})
@@ -78,7 +78,7 @@ func TestNilRingAndTracerAreNoOps(t *testing.T) {
 // Device(i) and Planner() attempts; only Worker(0) is a ring, so the sum is
 // the ring's attempts.
 func TestTracerRemnantsSumToRing(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer(4, 0)
 	for i := 0; i < 3; i++ {
 		tr.Ring().Record(Span{Kind: KindTxn})
 	}
@@ -101,7 +101,7 @@ func TestTracerRemnantsSumToRing(t *testing.T) {
 
 func TestExportChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 	build := func() *Tracer {
-		tr := NewTracer(16)
+		tr := NewTracer(16, 100_000)
 		r := tr.Ring()
 		// Recorded out of track order: the export sorts them.
 		r.Record(Span{Start: 2000, Kind: KindPlannerSeal})
@@ -130,9 +130,13 @@ func TestExportChromeTraceValidatesAndIsDeterministic(t *testing.T) {
 			Pid, Tid int
 			Args     struct{ Name string }
 		}
+		OtherData sampling
 	}
 	if err := json.Unmarshal(a, &doc); err != nil {
 		t.Fatal(err)
+	}
+	if want := (sampling{SamplePeriodNs: 100_000, RingCapacity: 16}); doc.OtherData != want {
+		t.Fatalf("exported sampling %+v, want %+v", doc.OtherData, want)
 	}
 	// Tracks come from the kind, and only occupied tracks are named.
 	var got []string
@@ -175,6 +179,10 @@ func TestValidateChromeTraceRejectsBadDocuments(t *testing.T) {
 		"negative ts":    `{"traceEvents":[{"name":"x","ph":"X","ts":-1,"dur":1,"pid":0,"tid":0}]}`,
 		"missing dur":    `{"traceEvents":[{"name":"x","ph":"X","ts":1,"pid":0,"tid":0}]}`,
 		"missing tid":    `{"traceEvents":[{"name":"x","ph":"i","ts":1,"pid":0}]}`,
+		"no sampling":    `{"traceEvents":[]}`,
+		"no period":      `{"traceEvents":[],"otherData":{"ring_capacity":4,"dropped_spans":0}}`,
+		"negative drops": `{"traceEvents":[],"otherData":{"sample_period_ns":1,"ring_capacity":4,"dropped_spans":-1}}`,
+		"no capacity":    `{"traceEvents":[{"name":"x","ph":"i","ts":1,"pid":0,"tid":0}],"otherData":{"sample_period_ns":1,"ring_capacity":0,"dropped_spans":0}}`,
 	}
 	for name, doc := range cases {
 		if err := ValidateChromeTrace([]byte(doc)); err == nil {

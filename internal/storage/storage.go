@@ -345,14 +345,14 @@ type Load struct {
 	t     *Table
 	keys  []schema.Key
 	lens  []uint32 // each row's bytes
-	sizes []int    // each row's Row.Size
+	sizes []uint32 // each row's Row.Size
 	slabs [][]byte
 }
 
 // NewLoad allocates the staging slots of an n-row load into t in the given
 // number of chunks.
 func (t *Table) NewLoad(n, chunks int) *Load {
-	return &Load{t, make([]schema.Key, n), make([]uint32, n), make([]int, n), make([][]byte, chunks)}
+	return &Load{t, make([]schema.Key, n), make([]uint32, n), make([]uint32, n), make([][]byte, chunks)}
 }
 
 // Fill stages rows lo … hi-1 of the generator as chunk c, their bytes copied
@@ -377,7 +377,7 @@ func (l *Load) Fill(c, lo, hi int, gen func(i int, w *schema.RowWriter)) error {
 		if err != nil {
 			return fmt.Errorf("storage: loading %s row %d: %w", l.t.def.Name, i, err)
 		}
-		l.keys[i], l.lens[i], l.sizes[i] = key, uint32(len(row)), size
+		l.keys[i], l.lens[i], l.sizes[i] = key, uint32(len(row)), uint32(size)
 		if n := len(slab) + len(row); n > cap(slab) {
 			slab = append(make([]byte, 0, n+n*(hi-i-1)/(i-lo+1)+n/128), slab...)
 		}
@@ -397,7 +397,7 @@ func (l *Load) Fill(c, lo, hi int, gen func(i int, w *schema.RowWriter)) error {
 func (l *Load) Finish() error {
 	avg := l.t.avgRowBytes
 	for _, size := range l.sizes {
-		avg = nextAvgRowBytes(avg, size)
+		avg = nextAvgRowBytes(avg, int(size))
 	}
 	if err := l.t.tree.Load(l.keys, l.lens, l.slabs); err != nil {
 		return fmt.Errorf("storage: loading %s: %w", l.t.def.Name, err)

@@ -387,10 +387,10 @@ func genRow(t *testing.T, td TableDef, i int) schema.Row {
 	return l.Decode(b)
 }
 
-// TestRowGeneratorsAscend: the bulk load takes every table's rows in strictly
-// ascending key order, so every workload's generators must emit them so.
-func TestRowGeneratorsAscend(t *testing.T) {
-	workloads := []*Workload{
+// rowGenWorkloads are small instances of every workload whose tables have row
+// generators: TATP, TPC-C, YCSB, zipf-hotkey and the two micro-benchmarks.
+func rowGenWorkloads() []*Workload {
+	return []*Workload{
 		MustTATP(TATPOptions{Subscribers: 500}),
 		MustTPCC(TPCCOptions{Warehouses: 2, CustomersPerDistrict: 30, Items: 1000}),
 		YCSB(500, YCSBB),
@@ -398,7 +398,12 @@ func TestRowGeneratorsAscend(t *testing.T) {
 		MultisiteUpdate(500, 20),
 		TwoTableSimple(500),
 	}
-	for _, w := range workloads {
+}
+
+// TestRowGeneratorsAscend: the bulk load takes every table's rows in strictly
+// ascending key order, so every workload's generators must emit them so.
+func TestRowGeneratorsAscend(t *testing.T) {
+	for _, w := range rowGenWorkloads() {
 		for _, td := range w.Tables {
 			if td.RowGen == nil {
 				continue
@@ -421,6 +426,33 @@ func TestRowGeneratorsAscend(t *testing.T) {
 					t.Fatalf("%s.%s: row %d has key %d after %d", w.Name, td.Schema.Name, i, k, prev)
 				}
 				prev = k
+			}
+		}
+	}
+}
+
+// TestRowGeneratorsSizeAgrees: for up to 4,000 rows of every table of every
+// row generator, the size the RowWriter reports (what a bulk load folds into a
+// table's average row bytes) equals Layout.Size of the row's bytes (what an
+// insert folds), so a loaded row and an inserted one are priced alike.
+func TestRowGeneratorsSizeAgrees(t *testing.T) {
+	for _, w := range rowGenWorkloads() {
+		for _, td := range w.Tables {
+			if td.RowGen == nil {
+				continue
+			}
+			l := td.Schema.Layout()
+			rw := l.Writer()
+			for i := 0; i < min(td.Rows, 4000); i++ {
+				rw.Reset()
+				td.RowGen(i, rw)
+				row, size, err := rw.Row()
+				if err != nil {
+					t.Fatalf("%s.%s row %d: %v", w.Name, td.Schema.Name, i, err)
+				}
+				if got := l.Size(row); got != size {
+					t.Fatalf("%s.%s row %d: Layout.Size reads %d B, the writer reported %d B", w.Name, td.Schema.Name, i, got, size)
+				}
 			}
 		}
 	}
