@@ -11,8 +11,9 @@
 // A gain is claimed only when the working tree wins at least nine tenths of
 // the pairs and the medians differ by more than the parent's own
 // interquartile range; no regression means the median is no worse than the
-// parent's by more than the metric's bound. The tables are Markdown, for the
-// PR description.
+// parent's by more than the metric's bound. Each run's steal share (CPU time
+// the hypervisor gave to other guests, from /proc/stat) is printed per pair:
+// the untraced benchmark does not report it. The tables are Markdown.
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -85,16 +87,20 @@ func run(parent, workload string, pairs int, seed int64) error {
 	sides := [2]struct {
 		name, dir string
 		runs      []sample
+		steal     []float64 // per run; -1 where the kernel reports no steal
 	}{{name: "parent", dir: parentDir}, {name: "tree", dir: root}}
 	for p := 0; p < pairs; p++ {
 		for k := 0; k < 2; k++ {
 			s := &sides[(p+k)%2] // even pairs run the parent first, odd pairs the tree
 			fmt.Fprintf(os.Stderr, "pair %d/%d: %s\n", p+1, pairs, s.name)
+			before, _ := os.ReadFile("/proc/stat")
 			r, err := benchmark(s.dir, workload, seed)
 			if err != nil {
 				return fmt.Errorf("pair %d, %s: %w", p+1, s.name, err)
 			}
 			s.runs = append(s.runs, r)
+			after, _ := os.ReadFile("/proc/stat")
+			s.steal = append(s.steal, stealShare(string(before), string(after)))
 		}
 	}
 
@@ -125,7 +131,14 @@ func run(parent, workload string, pairs int, seed int64) error {
 			wins, ties, pairs-wins-ties, pairs, (qb[1]/qa[1]-1)*100, d.Better,
 			met(wins*10 >= pairs*9 && math.Abs(qb[1]-qa[1]) > qa[2]-qa[0]), d.Bound*100, worse <= d.Bound)
 	}
-	fmt.Println()
+	fmt.Printf("\n### steal share (CPU time given to other guests during the run)\n\n| pair | parent | tree |\n|---|---|---|\n")
+	largest := -1.0
+	for p := 0; p < pairs; p++ {
+		x, y := sides[0].steal[p], sides[1].steal[p]
+		largest = max(largest, x, y)
+		fmt.Printf("| %d | %s | %s |\n", p+1, percent(x), percent(y))
+	}
+	fmt.Printf("\nlargest steal share: %s\n\n", percent(largest))
 	for _, s := range sides {
 		var failed, attempted int64
 		correct := true
@@ -199,6 +212,43 @@ func benchmark(dir, workload string, seed int64) (sample, error) {
 		return sample{}, fmt.Errorf("last output line is not the result record: %w", err)
 	}
 	return s, nil
+}
+
+// cpuTicks returns the steal and total tick counts of the aggregate "cpu"
+// line of a /proc/stat document, or zeros when the line is missing, malformed
+// or has no steal column.
+func cpuTicks(stat string) (steal, total uint64) {
+	fields := strings.Fields(strings.SplitN(stat, "\n", 2)[0])
+	if len(fields) < 9 || fields[0] != "cpu" {
+		return 0, 0
+	}
+	for _, f := range fields[1:9] { // user … softirq steal; guest is in user
+		v, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			return 0, 0
+		}
+		steal, total = v, total+v
+	}
+	return steal, total
+}
+
+// stealShare is the share of the CPU ticks between two /proc/stat documents
+// that went to steal, or -1 when either has no steal column or no tick passed.
+func stealShare(before, after string) float64 {
+	s0, t0 := cpuTicks(before)
+	s1, t1 := cpuTicks(after)
+	if t0 == 0 || t1 <= t0 {
+		return -1
+	}
+	return float64(s1-s0) / float64(t1-t0)
+}
+
+// percent formats a share as a percentage, or "n/a" for a negative one.
+func percent(x float64) string {
+	if x < 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f%%", 100*x)
 }
 
 // quartiles returns the lower quartile, median and upper quartile of xs, by

@@ -251,7 +251,7 @@ func (g GranularityModel) Breakdown(level topology.Level, shape WorkloadShape) L
 				if concentration < 1 {
 					concentration = 1
 				}
-				svc := float64(dev.Service(96 * group))
+				svc := float64(dev.Service(wal.WriteRecordSize * group))
 				// busiest full-flush shares + one ride-along + (conc-1)
 				// expected queue waits, all per commit.
 				bill += svc / float64(group) * (float64(busiest) + concentration)

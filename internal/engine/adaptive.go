@@ -207,7 +207,7 @@ func (a *adaptiveState) noteBoundary(committed, aborted int64) {
 // allocates nothing, so the shared-nothing hot path stays lean; the modeled
 // bookkeeping cost is charged to the coordinating core.
 func (a *adaptiveState) recordTxn(coord topology.CoreID, t *workload.Transaction) {
-	if a.e.row.adapts != adaptLevel {
+	if a.e.row.route != routeIsland {
 		return
 	}
 	writes, overwrites := 0, 0
@@ -262,7 +262,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	a.nextCheck = now + a.controller.Interval()
 	if a.cooldown > 0 {
 		a.cooldown--
-		if e.row.adapts == adaptLevel {
+		if e.row.route == routeIsland {
 			cur := e.snap.wiring
 			a.logDecision(now, cur.epoch, cur.level, cur.level, "cooldown", a.lastShare, nil)
 		}
@@ -271,7 +271,7 @@ func (a *adaptiveState) adaptOnce(committedSoFar, abortedSoFar int64) {
 	// The parametric shared-nothing design adapts the island granularity
 	// instead of the placement: seal the epoch, read the multisite share and
 	// re-score the candidate levels every interval (the scorer is cheap).
-	if e.row.adapts == adaptLevel {
+	if e.row.route == routeIsland {
 		a.adaptGranularity(now)
 		return
 	}

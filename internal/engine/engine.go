@@ -38,8 +38,8 @@ import (
 )
 
 // Design enumerates the compared system designs. Each is one row of the
-// design table (designRows): a choice of action routing, lock scope, system
-// state scope, initial placement and what the planner adapts.
+// design table (designRows): a choice of action routing and of whether the
+// system state is striped per socket.
 type Design int
 
 const (
@@ -61,7 +61,8 @@ const (
 	PLP
 	// HWAware is the Section IV proof of concept: PLP plus NUMA-aware system
 	// state (per-socket transaction lists and state locks) with the naïve
-	// one-partition-per-core-per-table placement.
+	// one-partition-per-core-per-table placement. Its row is ATraPos's: only
+	// the library's Open tells them apart, deriving a placement for ATraPos.
 	HWAware
 	// ATraPos is HWAware plus the workload- and hardware-aware partitioning
 	// and placement of Section V, optionally with monitoring and adaptive
@@ -84,75 +85,43 @@ func (d Design) IsSharedNothing() bool { return d == SharedNothing }
 type route int
 
 const (
-	// routeCoordinator runs every action on the coordinating core.
+	// routeCoordinator runs every action on the coordinating core under the
+	// central lock manager, from one partition per table on round-robin
+	// cores (as a non-NUMA-aware allocator would), with no planner.
 	routeCoordinator route = iota
 	// routeOwner runs an action on its partition's owning core (redirected
 	// off a failed socket) behind an atomic enqueue on the owner's action
 	// queue. It implies dispatching the transaction to its dominant action's
 	// owner, pricing synchronization points, recording actions into the
 	// monitor and the oversaturation factor of a core hosting several
-	// partition workers.
+	// partition workers. It starts from Config.Placement, else one partition
+	// per core per table, and its planner adapts the placement (Section V-D).
 	routeOwner
 	// routeIsland runs an action on its island's instance — the coordinating
 	// core at home, a peer core of the remote island otherwise — behind a
 	// request/response message pair. It implies one write-ahead log per
-	// island and two-phase commit for updates spanning islands.
+	// island and two-phase commit for updates spanning islands. It starts
+	// from one partition per island, and its planner adapts the level.
 	routeIsland
 )
 
-// stateScope lays out the transaction list and state lock: one for the
-// machine, one per socket, or the island wiring's (machine-wide at machine
-// grain, per socket below).
-type stateScope int
-
-const (
-	stateCentral stateScope = iota
-	statePerSocket
-	stateByLevel
-)
-
-// placementPolicy is a design's initial partitioning and placement: one
-// partition per table on round-robin cores (as a non-NUMA-aware allocator
-// would), Config.Placement or else one partition per core per table, or one
-// partition per island at Config.IslandLevel.
-type placementPolicy int
-
-const (
-	placeRoundRobin placementPolicy = iota
-	placePerCore
-	placePerIsland
-)
-
-// adaptTarget is what the monitoring planner changes at run time: nothing,
-// the partitioning and placement (Section V-D), or the island level.
-type adaptTarget int
-
-const (
-	adaptNothing adaptTarget = iota
-	adaptPlacement
-	adaptLevel
-)
-
-// designRow is one design's point in the design space the paper compares.
-// centralLocks selects the central lock manager with table intention locks
-// and speculative lock inheritance; otherwise every partition has its own
-// lock table.
+// designRow is one design's point on the two axes the paper compares: where
+// an action runs (route, which also fixes the lock scope, initial placement
+// and planner target; only the coordinator uses the central lock manager) and
+// whether the transaction list and state lock are striped per socket.
 type designRow struct {
-	name         string
-	route        route
-	centralLocks bool
-	state        stateScope
-	placement    placementPolicy
-	adapts       adaptTarget
+	name      string
+	route     route
+	perSocket bool
 }
 
 // designRows is the design table, indexed by Design.
 var designRows = [...]designRow{
-	Centralized:   {"centralized", routeCoordinator, true, stateCentral, placeRoundRobin, adaptNothing},
-	SharedNothing: {"shared-nothing", routeIsland, false, stateByLevel, placePerIsland, adaptLevel},
-	PLP:           {"plp", routeOwner, false, stateCentral, placePerCore, adaptNothing},
-	HWAware:       {"hw-aware", routeOwner, false, statePerSocket, placePerCore, adaptNothing},
-	ATraPos:       {"atrapos", routeOwner, false, statePerSocket, placePerCore, adaptPlacement},
+	Centralized:   {"centralized", routeCoordinator, false},
+	SharedNothing: {"shared-nothing", routeIsland, true},
+	PLP:           {"plp", routeOwner, false},
+	HWAware:       {"hw-aware", routeOwner, true},
+	ATraPos:       {"atrapos", routeOwner, true},
 }
 
 // Config describes one engine instance.
@@ -163,13 +132,13 @@ type Config struct {
 	Workload *workload.Workload
 	// Topology models the machine; nil means the paper's 8-socket, 80-core box.
 	Topology *topology.Topology
-	// IslandLevel selects the instance granularity of the SharedNothing
-	// design: one logical instance per island at this level. The zero value
-	// defaults to topology.LevelSocket. Ignored by the other designs.
+	// IslandLevel selects the instance granularity of the island-routed
+	// SharedNothing design: one logical instance per island at this level.
+	// The zero value defaults to topology.LevelSocket. Ignored otherwise.
 	IslandLevel topology.Level
 	// Placement optionally overrides the initial partitioning and placement
-	// for the partitioned designs (PLP, HWAware, ATraPos). Nil derives the
-	// design's default placement.
+	// of the owner-routed designs (PLP, HWAware, ATraPos). Nil starts them
+	// from one partition per core per table.
 	Placement *partition.Placement
 	// AllocPolicy controls on which memory node each instance's data is
 	// allocated for the shared-nothing designs (Table I). Default: local;
@@ -195,8 +164,8 @@ type Config struct {
 	// lock manager (on by default for the centralized design, as in the paper).
 	DisableSLI bool
 	// Monitoring enables the monitoring mechanism of the designs whose planner
-	// adapts: action and synchronization traces for ATraPos, transaction
-	// shapes for SharedNothing. The other designs ignore it.
+	// adapts: action and synchronization traces for PLP, HWAware and ATraPos,
+	// transaction shapes for SharedNothing. Centralized ignores it.
 	Monitoring bool
 	// Adaptive enables adaptive repartitioning; it implies Monitoring.
 	Adaptive bool
@@ -285,9 +254,9 @@ type Engine struct {
 	tables   []*storage.Table
 	tableIdx map[string]int
 
-	// centralLocks is the central lock manager, nil unless the design's row
-	// asks for it. The rest of the system state (logs, 2PC coordinator,
-	// transaction manager) lives in the snapshot's islandWiring.
+	// centralLocks is the central lock manager, nil unless the design routes
+	// to the coordinator. The rest of the system state (logs, 2PC
+	// coordinator, transaction manager) lives in the snapshot's islandWiring.
 	centralLocks *lock.CentralManager
 
 	// devices is the machine's log-device map (Config.DeviceLayout), shared by
@@ -394,8 +363,9 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	// Adaptive implies Monitoring (withDefaults).
-	if row.adapts != adaptNothing && c.Monitoring {
+	// Adaptive implies Monitoring (withDefaults); the coordinator route has no
+	// partitioning to adapt.
+	if row.route != routeCoordinator && c.Monitoring {
 		e.adaptive = newAdaptiveState(e, placement)
 	}
 	return e, nil
@@ -490,8 +460,8 @@ func (e *Engine) DegradeDevice(i int, factor float64) error {
 func (e *Engine) initialPlacement() (*partition.Placement, error) {
 	c := e.cfg
 	specs := c.Workload.TableSpecs()
-	switch e.row.placement {
-	case placeRoundRobin:
+	switch e.row.route {
+	case routeCoordinator:
 		p := partition.NewPlacement()
 		cores := c.Topology.AliveCores()
 		if len(cores) == 0 {
@@ -505,7 +475,7 @@ func (e *Engine) initialPlacement() (*partition.Placement, error) {
 			}
 		}
 		return p, nil
-	case placePerIsland:
+	case routeIsland:
 		return partition.PerIsland(c.Topology, c.IslandLevel, specs), nil
 	default:
 		if c.Placement != nil {
@@ -615,7 +585,7 @@ func (e *Engine) wireStructures(p *partition.Placement) {
 	if e.row.route == routeIsland {
 		level = e.cfg.IslandLevel
 	}
-	if e.row.centralLocks {
+	if e.row.route == routeCoordinator {
 		e.centralLocks = lock.NewCentralManager(e.domain, 256, !e.cfg.DisableSLI)
 	}
 	e.install(p, e.activePartitionsPerCore(p, 0), e.buildWiring(level, 0, nil))
@@ -648,11 +618,9 @@ type islandWiring struct {
 	logs        *wal.PartitionedLog
 	coordinator *txn.Coordinator
 
-	// txnMgr is the transaction-state layout the design's row asks for: one
-	// transaction list and state lock shared by every core (and ping-pong
-	// accordingly), or striped per socket. Under stateByLevel a machine-level
-	// deployment is the shared one and any finer granularity the striped one,
-	// which is island-local for socket-grained and finer instances alike.
+	// txnMgr is the transaction-state layout: one transaction list and state
+	// lock shared by every core (and ping-pong accordingly), or striped per
+	// socket, which is island-local for socket-grained and finer instances.
 	txnMgr *txn.Manager
 
 	// reusedLogs/rebuiltLogs count how many island logs the wiring carried
@@ -772,11 +740,11 @@ func (e *Engine) buildWiring(level topology.Level, epoch uint64, prev *islandWir
 		}
 	}
 	w.coordinator = txn.NewCoordinatorAt(e.domain, w.logs, homeCores)
-	machineGrained := level == topology.LevelMachine
-	if prev != nil && (prev.level == topology.LevelMachine) == machineGrained {
+	if prev != nil && (prev.level == topology.LevelMachine) == (level == topology.LevelMachine) {
 		w.txnMgr = prev.txnMgr
 	} else {
-		perSocket := e.row.state == statePerSocket || e.row.state == stateByLevel && !machineGrained
+		// A machine-grained island wiring is one instance: its state is central.
+		perSocket := e.row.perSocket && (e.row.route != routeIsland || level != topology.LevelMachine)
 		w.txnMgr = txn.NewManager(e.domain, numa.NewStriped(e.domain, perSocket), numa.NewStriped(e.domain, perSocket))
 	}
 	return w

@@ -199,6 +199,7 @@ const oversaturationPenalty = 0.8
 func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *execScratch) bool {
 	sc.reset()
 	r := e.row
+	central := r.route == routeCoordinator // the central lock manager
 	snap := sc.snap
 	w := snap.wiring
 	s := e.cfg.Topology.SocketOf(worker)
@@ -211,7 +212,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 
 	// end releases every lock the transaction holds and commits or aborts it.
 	end := func(commit bool) bool {
-		if r.centralLocks {
+		if central {
 			cost, _ := e.centralLocks.ReleaseAll(s, id)
 			e.charge(worker, vclock.Locking, cost)
 		} else {
@@ -232,7 +233,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 		return err == nil
 	}
 
-	if r.centralLocks {
+	if central {
 		// Table-level intention locks first (hierarchical locking), then row
 		// locks.
 		for i, a := range t.Actions {
@@ -291,7 +292,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 				e.charge(worker, vclock.Communication, msg)
 			}
 		}
-		if !r.centralLocks {
+		if !central {
 			at.lm = snap.locks[ra.table][at.idx]
 		}
 		sc.owners[i] = at
@@ -299,7 +300,7 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 		rowMode, _ := lockModeFor(a.Op)
 		var lockCost numa.Cost
 		var lockErr error
-		if r.centralLocks {
+		if central {
 			lockCost, lockErr = e.centralLocks.Acquire(at.sock, id, lock.RowResource(a.Table, a.Key), rowMode)
 		} else {
 			lockCost, lockErr = at.lm.Acquire(at.sock, id, lock.RowResource(a.Table, a.Key), rowMode)
@@ -322,9 +323,9 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 		}
 		if a.Op.IsWrite() {
 			wrote = true
-			_, logCost := w.logs.Log(w.siteOf(at.core)).Append(at.sock, wal.Record{Txn: uint64(tx.ID), Type: recordTypeFor(a.Op, applied), Table: a.Table, Key: a.Key, Size: 96})
+			_, logCost := w.logs.Log(w.siteOf(at.core)).Append(at.sock, wal.Record{Txn: uint64(tx.ID), Type: recordTypeFor(a.Op, applied), Table: a.Table, Key: a.Key, Size: wal.WriteRecordSize})
 			e.charge(at.core, vclock.Logging, logCost)
-			e.traceOp(sc, obs.KindWALAppend, at.core, logCost, 96)
+			e.traceOp(sc, obs.KindWALAppend, at.core, logCost, wal.WriteRecordSize)
 		}
 		// Monitoring: thread-local trace arrays on the owning worker.
 		if r.route == routeOwner && e.adaptive != nil {
@@ -379,9 +380,9 @@ func (e *Engine) execute(worker topology.CoreID, t *workload.Transaction, sc *ex
 		}
 	} else if wrote {
 		log := w.logs.Log(homeSite)
-		_, logCost := log.Append(s, wal.Record{Txn: uint64(tx.ID), Type: wal.Commit, Size: 48})
+		_, logCost := log.Append(s, wal.Record{Txn: uint64(tx.ID), Type: wal.Commit, Size: wal.CommitRecordSize})
 		e.charge(worker, vclock.Logging, logCost)
-		e.traceOp(sc, obs.KindWALAppend, worker, logCost, 48)
+		e.traceOp(sc, obs.KindWALAppend, worker, logCost, wal.CommitRecordSize)
 		e.charge(worker, vclock.Logging, log.Flush(s, log.Tail(), e.coreTime(worker)))
 	}
 	return end(committed)

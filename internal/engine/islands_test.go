@@ -204,14 +204,22 @@ func managerTrace(m *txn.Manager, top *topology.Topology) numa.Cost {
 // wiring. The island-routed design has at least one site; the others run as
 // one machine-wide site whose log is homed on socket 0 (and flushes through
 // the device of socket 0's first die), with the transaction manager their
-// row's state scope asks for, and still report no island level and a wiring
-// that a socket failure cannot make stale.
+// row's state stripe asks for, and still report no island level and a wiring
+// that a socket failure cannot make stale. Under Adaptive every design but
+// the coordinator-routed one builds a planner.
 func TestEveryDesignHasAWiring(t *testing.T) {
 	prof, ok := topology.ProfileByName("chiplet-2s4d")
 	if !ok {
 		t.Fatal("chiplet-2s4d missing")
 	}
 	for _, d := range allDesigns() {
+		a, err := New(Config{Design: d, Workload: workload.MultisiteUpdate(2000, 0), Topology: prof.Build(), Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := a.adaptive != nil, d != Centralized; got != want {
+			t.Errorf("%v: Adaptive builds a planner: %v, want %v", d, got, want)
+		}
 		e, err := New(Config{
 			Design:       d,
 			Workload:     workload.MultisiteUpdate(2000, 0),

@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"atrapos/internal/backend"
-	"atrapos/internal/core"
 	"atrapos/internal/engine"
 )
 
@@ -25,10 +24,6 @@ var errCrossoverDisagrees = errors.New("fig-executed: priced and executed modes 
 // executedVerdict compares the two modes on one machine profile.
 type executedVerdict struct {
 	profile string
-	// rank is the Spearman rank correlation between the priced and the
-	// measured island-level rankings, averaged over the multisite endpoints.
-	// It depends on the host: informational, never asserted.
-	rank float64
 	// crossPriced / crossExecuted report whether the finest island level's
 	// advantage over the coarsest *shrinks* as the multisite probability grows
 	// (the crossover direction the paper predicts), per mode.
@@ -83,15 +78,6 @@ func executedVerdicts(grid [][]point) []executedVerdict {
 	for r := 0; r+1 < len(grid); r += 2 {
 		local, multi := grid[r], grid[r+1]
 		v := executedVerdict{profile: local[0].prof.Name}
-		for _, row := range [][]point{local, multi} {
-			ps := make([]float64, len(row))
-			ms := make([]float64, len(row))
-			for i, pt := range row {
-				ps[i], ms[i] = pt.res.ThroughputTPS, pt.exec.MeasuredKTPS
-			}
-			v.rank += core.Spearman(ps, ms)
-		}
-		v.rank /= 2
 		// direction: does fine/coarse fall from the local row to the multisite
 		// row under the given per-point score?
 		direction := func(score func(point) float64) bool {
@@ -113,7 +99,7 @@ func executedVerdicts(grid [][]point) []executedVerdict {
 
 // FigExecuted is the executed-storage experiment: the islands grid measured
 // both by the priced cost model and by real execution on the sharded hash
-// backend, with the per-profile rank correlation between the two. It fails
+// backend, with each mode's crossover direction per profile. It fails
 // with errCrossoverDisagrees, and the table that shows the disagreement, when
 // the two modes disagree on the fine-vs-coarse crossover direction on the
 // chiplet machine — the one assertion that real execution must back up the
@@ -137,19 +123,18 @@ func FigExecuted(s Scale) (*Table, error) {
 	}
 	t := &Table{
 		ID:     "fig-executed",
-		Title:  "Executed storage vs priced model: level-ranking correlation and crossover direction",
-		Header: []string{"profile", "rank", "crossover (priced)", "crossover (executed)", "agree"},
+		Title:  "Executed storage vs priced model: crossover direction",
+		Header: []string{"profile", "crossover (priced)", "crossover (executed)", "agree"},
 		Notes: []string{
-			"rank: Spearman correlation between the priced and measured island-level rankings, averaged over multisite 0% and 100%.",
 			"crossover: whether the finest level's advantage over the coarsest shrinks as the multisite share grows.",
 			fmt.Sprintf("the modes must agree on the crossover direction on %s.", executedCrossoverProfile),
-			fmt.Sprintf("host: GOMAXPROCS=%d, up to %d executors per cell; levels with more executors than processors are time-sliced; rank is indicative.",
+			fmt.Sprintf("host: GOMAXPROCS=%d, up to %d executors per cell; levels with more executors than processors are time-sliced.",
 				runtime.GOMAXPROCS(0), executors),
 		},
 	}
 	agrees := true
 	for _, v := range executedVerdicts(grid) {
-		t.AddRow(v.profile, fmt.Sprintf("%.3f", v.rank), yn(v.crossPriced), yn(v.crossExecuted), yn(v.crossPriced == v.crossExecuted))
+		t.AddRow(v.profile, yn(v.crossPriced), yn(v.crossExecuted), yn(v.crossPriced == v.crossExecuted))
 		if v.profile == executedCrossoverProfile {
 			agrees = v.crossPriced == v.crossExecuted
 		}

@@ -4,8 +4,7 @@ import "testing"
 
 // TestExecutedSweepReport runs the executed-storage sweep at test scale and
 // checks its structural invariants: every grid cell measured in both modes
-// with work committed in each, one verdict per profile, and rank correlations
-// inside [-1, 1].
+// with work committed in each, and one verdict per profile.
 func TestExecutedSweepReport(t *testing.T) {
 	s := testScale()
 	grid, err := executedSweep(s)
@@ -37,9 +36,6 @@ func TestExecutedSweepReport(t *testing.T) {
 	for i, v := range verdicts {
 		if v.profile != profiles[i].Name {
 			t.Errorf("verdict %d is for %q, want %q", i, v.profile, profiles[i].Name)
-		}
-		if v.rank < -1 || v.rank > 1 {
-			t.Errorf("profile %s rank correlation %v outside [-1,1]", v.profile, v.rank)
 		}
 	}
 }

@@ -243,7 +243,7 @@ var pricedExperiments = []Experiment{
 // measuredExperiments are the experiments that time cells in wall time; each
 // runs alone under RunAllTimed.
 var measuredExperiments = []Experiment{
-	{"fig-executed", "Executed storage: real sharded hash backend vs priced model, crossover direction and level-ranking correlation", FigExecuted},
+	{"fig-executed", "Executed storage: real sharded hash backend vs priced model, crossover direction", FigExecuted},
 }
 
 // Lookup finds an experiment by id.

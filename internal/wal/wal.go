@@ -83,8 +83,9 @@ type Record struct {
 	Size  int
 }
 
-// The group-commit price every log charges. The island-level scorer
-// (core.GranularityModel) prices candidate levels with the same constants.
+// The group-commit price every log charges and the record sizes the engine
+// prices. The island-level scorer (core.GranularityModel) prices candidate
+// levels with the same constants.
 const (
 	// PerByteCost is the cost of copying one byte into the log buffer.
 	PerByteCost numa.Cost = 1
@@ -94,6 +95,10 @@ const (
 	FlushCost numa.Cost = 12000
 	// GroupSize is the number of commits amortized by one flush.
 	GroupSize = 8
+	// WriteRecordSize and CommitRecordSize are the priced sizes, in bytes,
+	// of one write record and of one commit record.
+	WriteRecordSize  = 96
+	CommitRecordSize = 48
 )
 
 // Config tunes a log's retention, device binding and coalescing.
